@@ -5,6 +5,7 @@
 #   make test-both      tier-1 on both polynomial backends
 #   make lint           static invariant analysis (repro.lint) over src/
 #   make bench          every paper table/figure benchmark (writes benchmarks/results/)
+#   make bench-all      the repo benchmark of BENCHMARK.json: five workloads end to end + traced (writes bench/results/)
 #   make bench-backend  polynomial-backend speedup gate (numpy vs reference)
 #   make bench-batch    batched ciphertext throughput gate (batch-8 vs batch-1)
 #   make bench-serving  serving-layer gate (dynamic batching vs sequential service)
@@ -22,7 +23,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCHES := $(wildcard benchmarks/bench_*.py)
 
-.PHONY: test test-fast test-both lint bench bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
+.PHONY: test test-fast test-both lint bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -39,6 +40,9 @@ test-both:
 
 bench:
 	$(PYTHON) -m pytest $(BENCHES) -q
+
+bench-all:
+	python3 bench/run.py
 
 bench-backend:
 	$(PYTHON) -m pytest benchmarks/bench_backend_speedup.py -q -s

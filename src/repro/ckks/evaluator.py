@@ -625,34 +625,3 @@ class Evaluator:
             [rotated.polys[0].add(f0, backend=self.context.backend), f1],
             ct.scale,
         )
-
-    # ------------------------------------------------------------------
-    # plan hook
-    # ------------------------------------------------------------------
-
-    def execute_plan(
-        self,
-        graph,
-        inputs,
-        relin_key=None,
-        galois_keys=None,
-        optimize: bool = True,
-    ):
-        """Run a :class:`repro.plan.PlanGraph` against this context.
-
-        Convenience wrapper over :class:`repro.plan.PlanExecutor`: the
-        graph is compiled (rescale placement + scale/level check) and
-        executed, returning the :class:`repro.plan.PlanRun`.  Rotate-
-        heavy graphs fuse their sweeps onto hoisted decompositions and
-        independent same-shape nodes pack into batch lanes when
-        ``optimize`` is true; ``optimize=False`` is the naive per-op
-        baseline the planner benchmarks compare against.
-        """
-        from repro.plan import PlanExecutor, compile_plan
-
-        plan = compile_plan(graph, self.context)
-        executor = PlanExecutor(
-            self.context, relin_key=relin_key, galois_keys=galois_keys
-        )
-        return executor.run(plan, inputs, optimize=optimize)
-

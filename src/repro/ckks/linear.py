@@ -50,45 +50,12 @@ def reduction_steps(width: int) -> List[int]:
 
 
 class LinearEvaluator:
-    """Composite encrypted-linear-algebra operations.
+    """Composite encrypted-linear-algebra operations."""
 
-    ``use_hoisting`` selects the rotation machinery: the default routes
-    every rotation through the NTT-domain fast path
-    (:meth:`Evaluator.rotate` / :meth:`Evaluator.rotate_hoisted`, which
-    hoists the key-switch decomposition across the many
-    same-ciphertext rotations of :meth:`matvec_diagonal`);
-    ``use_hoisting=False`` pins the pre-hoisting coefficient-domain
-    baseline (:meth:`Evaluator.rotate_unhoisted`) -- kept for
-    benchmarks and differential tests.
-    """
-
-    def __init__(self, context: CkksContext, use_hoisting: bool = True):
+    def __init__(self, context: CkksContext):
         self.context = context
         self.encoder = CkksEncoder(context)
         self.evaluator = Evaluator(context)
-        self.use_hoisting = use_hoisting
-
-    def _rotate(
-        self, ct: Ciphertext, step: int, galois_keys: GaloisKeySet
-    ) -> Ciphertext:
-        if self.use_hoisting:
-            return self.evaluator.rotate(ct, step, galois_keys)
-        return self.evaluator.rotate_unhoisted(ct, step, galois_keys)
-
-    def _rotations_of(
-        self, ct: Ciphertext, steps: Sequence[int], galois_keys: GaloisKeySet
-    ) -> Dict[int, Ciphertext]:
-        """All requested rotations of one ciphertext, hoisted when enabled."""
-        if not steps:
-            return {}
-        if self.use_hoisting:
-            return dict(
-                zip(steps, self.evaluator.rotate_hoisted(ct, steps, galois_keys))
-            )
-        return {
-            step: self.evaluator.rotate_unhoisted(ct, step, galois_keys)
-            for step in steps
-        }
 
     # ------------------------------------------------------------------
     # reductions
@@ -111,7 +78,7 @@ class LinearEvaluator:
         acc = ct
         for step in reduction_steps(width):
             acc = self.evaluator.add(
-                acc, self._rotate(acc, step, galois_keys)
+                acc, self.evaluator.rotate(acc, step, galois_keys)
             )
         return acc
 
@@ -151,64 +118,25 @@ class LinearEvaluator:
         one multiplicative level.
 
         This is the canonical hoisting workload -- up to ``dim - 1``
-        rotations of the *same* ciphertext -- so the default path lowers
-        into the workload planner (:mod:`repro.plan`): the graph's
-        rotation sweep fuses onto a single key-switch decomposition and
-        the planner validates the level/scale discipline before any
-        ciphertext work.  ``use_hoisting=False`` keeps the pre-planner
-        per-rotation loop as the differential/benchmark baseline.
-        Diagonals are extracted with one vectorized gather and all-zero
-        diagonals are skipped (their term is exactly zero); both paths
-        are bit-identical on every backend.
+        rotations of the *same* ciphertext -- so it lowers into the
+        workload planner (:func:`repro.plan.lower.matvec_graph`): the
+        graph's rotation sweep fuses onto a single key-switch
+        decomposition and the planner validates the level/scale
+        discipline before any ciphertext work.  The input node is typed
+        with the live ciphertext's level and scale, so the checker
+        validates the *actual* chain.  Diagonals are extracted with one
+        vectorized gather and all-zero diagonals are skipped (their term
+        is exactly zero).
         """
+        from repro.plan import PlanExecutor, PlanGraph, compile_plan
+        from repro.plan.lower import matvec_graph
+
         matrix = np.asarray(matrix, dtype=np.float64)
         dim = matrix.shape[0]
         if matrix.shape != (dim, dim):
             raise ValueError("matrix must be square")
         if dim > self.encoder.slot_count:
             raise ValueError("matrix larger than slot count")
-        if self.use_hoisting:
-            return self._matvec_planned(matrix, ct, galois_keys)
-        # all generalized diagonals in one gather: diags[d, i] = M[i, (i+d) % dim]
-        idx = np.arange(dim)
-        diags = matrix[idx[None, :], (idx[None, :] + idx[:, None]) % dim]
-        # an all-zero diagonal encodes to the exactly-zero plaintext, so
-        # its term (and its rotation) can be skipped bit-identically
-        nonzero = [d for d in range(dim) if diags[d].any()]
-        rotated = self._rotations_of(
-            ct, [d for d in nonzero if d != 0], galois_keys
-        )
-        rotated[0] = ct
-        acc = None
-        for d in nonzero:
-            term = self.evaluator.multiply_plain(
-                rotated[d],
-                self.encoder.encode(list(diags[d]), level_count=ct.level_count),
-            )
-            acc = term if acc is None else self.evaluator.add(acc, term)
-        if acc is None:  # the zero matrix still burns its level/scale
-            acc = self.evaluator.multiply_plain(
-                ct, self.encoder.encode([0.0] * dim, level_count=ct.level_count)
-            )
-        return self.evaluator.rescale(acc)
-
-    def _matvec_planned(
-        self,
-        matrix: np.ndarray,
-        ct: Ciphertext,
-        galois_keys: GaloisKeySet,
-    ) -> Ciphertext:
-        """Lower the diagonal matvec into the planner and execute it.
-
-        The input node is typed with the live ciphertext's level and
-        scale so the checker validates the *actual* chain, and the
-        lowering mirrors the hand-coded dataflow node for node
-        (including the single final rescale), so planner execution is
-        bit-identical to the legacy loop below.
-        """
-        from repro.plan import PlanExecutor, PlanGraph, compile_plan
-        from repro.plan.lower import matvec_graph
-
         graph = PlanGraph()
         x = graph.input("x", level_count=ct.level_count, scale=ct.scale)
         _, out = matvec_graph(matrix, graph=graph, input_node=x)

@@ -12,7 +12,7 @@ visitor; this package is the registry the driver and CLI consume.
 | R3 | injectable-clock serving determinism       | PR 6       |
 | R4 | exact-length wire discipline               | PR 3/7     |
 | R5 | serving exception discipline               | PR 3/6     |
-| R6 | planner-fused rotation sweeps              | PR 10      |
+| R6 | the plan is the only door to the evaluator | PR 10/12   |
 """
 
 from repro.lint.rules.residency import ResidencyRule

@@ -1,4 +1,5 @@
-"""R6 -- no per-step rotation loops in workload/serving modules.
+"""R6 -- the plan is the only door from workload/serving modules to the
+evaluator: no per-step rotation loops, no evaluator imports.
 
 PR 10 added the workload planner: rotation sweeps declared in a
 :class:`~repro.plan.PlanGraph` are fused through **one** hoisted
@@ -16,6 +17,14 @@ is the fix, not the bug) opt out per line with
 ``# lint: disable=R6 -- <why>``, which keeps the justification at the
 call site.  A nested ``def`` resets the loop context: defining a
 rotation helper inside a loop does not execute one per iteration.
+
+PR 12 made :class:`~repro.plan.PlanExecutor` the single executor: every
+serving flush and every workload batch is built as a ``PlanGraph`` and
+run there.  The rule therefore also flags any import -- module level or
+function local -- of :class:`~repro.ckks.evaluator.Evaluator` or
+:class:`~repro.ckks.batch.BatchEvaluator` in the scoped modules, so a
+second op -> evaluator-call dispatch table cannot grow back beside the
+executor's.
 """
 
 from __future__ import annotations
@@ -39,6 +48,12 @@ PLANNED_MODULES = (
 
 #: Method spellings that execute one key-switch per call.
 ROTATE_METHODS = ("rotate", "rotate_unhoisted")
+
+#: Evaluator classes only ``repro.plan`` may drive.
+EVALUATOR_CLASSES = ("Evaluator", "BatchEvaluator")
+
+#: Their home modules (``import repro.ckks.evaluator`` is the same door).
+EVALUATOR_MODULES = ("repro.ckks.evaluator", "repro.ckks.batch")
 
 
 class _RotateLoopVisitor(SymbolTrackingVisitor):
@@ -69,6 +84,29 @@ class _RotateLoopVisitor(SymbolTrackingVisitor):
     def visit_While(self, node: ast.While) -> None:
         self._visit_loop(node)
 
+    def _flag_import(self, node: ast.AST, what: str) -> None:
+        self.findings.append(
+            self.rule.finding(
+                self.module,
+                node,
+                self.symbol,
+                f"import of {what}: workload/serving modules reach the "
+                "evaluator only through repro.plan (build a PlanGraph, run "
+                "it on a PlanExecutor) -- PR 12 single-executor invariant",
+            )
+        )
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module and module_matches(node.module, ("repro.ckks",)):
+            for alias in node.names:
+                if alias.name in EVALUATOR_CLASSES:
+                    self._flag_import(node, f"{node.module}.{alias.name}")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name in EVALUATOR_MODULES:
+                self._flag_import(node, alias.name)
+
     def visit_Call(self, node: ast.Call) -> None:
         if (
             self.loop_depth > 0
@@ -92,11 +130,15 @@ class _RotateLoopVisitor(SymbolTrackingVisitor):
 
 
 class PlannerDisciplineRule(Rule):
-    """No per-step ``.rotate()`` loops in workload/serving modules."""
+    """No per-step ``.rotate()`` loops and no evaluator imports in
+    workload/serving modules."""
 
     id = "R6"
-    title = "planner-fused rotation sweeps in workload/serving modules"
-    invariant_origin = "PR 10 (op-graph planner: rotation-sweep fusion)"
+    title = "the plan is the only door to the evaluator in workload/serving modules"
+    invariant_origin = (
+        "PR 10 (op-graph planner: rotation-sweep fusion), "
+        "PR 12 (single executor)"
+    )
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
         if not module_matches(module.module, PLANNED_MODULES):

@@ -94,13 +94,27 @@ class PlanRun:
     def step_count(self) -> int:
         return len(self.steps)
 
+    @property
+    def scheduled_kind(self) -> str:
+        """Staging-buffer kind of the run billed as *one* op: its
+        heaviest stage (key switches dominate rescales dominate dyadic
+        ops).  A serving flush is one such op."""
+        kinds = {s.scheduled.kind for s in self.steps}
+        return next(k for k in ("keyswitch", "ntt", "mult") if k in kinds)
+
     def scheduled_ops(self) -> List[ScheduledOp]:
         """The measured step stream for ``HostScheduler.run_executed``."""
         return [s.scheduled for s in self.steps]
 
 
 class PlanExecutor:
-    """Executes plans; see the module docstring for the two modes."""
+    """Executes plans; see the module docstring for the two modes.
+
+    ``relin_key`` / ``galois_keys`` are plain attributes read at
+    :meth:`run` time, so one long-lived executor serves runs under
+    different key material: the serving layer installs each flush's
+    admission-captured keys before running it.
+    """
 
     def __init__(
         self,
@@ -173,7 +187,7 @@ class PlanExecutor:
     def _bill(
         self, op: str, width: int, level: int, out_level: int, seconds: float
     ) -> ScheduledOp:
-        """Poly-count billing in the ``BatchWorkloadRunner`` idiom.
+        """Poly-count billing of one step (what crosses PCIe for it).
 
         Plan values are always size-2 ciphertexts.  Binary ciphertext
         ops move two operands; plaintext ops move one shared plaintext
@@ -250,7 +264,13 @@ class PlanExecutor:
         op = nodes[0].op
         lhs = CiphertextBatch.join([results[n.inputs[0]] for n in nodes])
         if op in ("add", "sub", "mul_relin"):
-            rhs = CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
+            # ``add(x, x)`` (the serving ``double``): one operand stack
+            # serves both sides, so it is joined once
+            rhs = (
+                lhs
+                if all(n.inputs[0] == n.inputs[1] for n in nodes)
+                else CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
+            )
             if op == "add":
                 out = bev.add(lhs, rhs)
             elif op == "sub":
@@ -330,8 +350,7 @@ class PlanExecutor:
 
         ``inputs`` maps input-node names to live ciphertexts; missing or
         extra names raise before any work happens.  Plaintext encoding
-        runs outside the timed regions (host-side work, exactly as in
-        the workload runner).
+        is host-side work and runs outside the timed regions.
         """
         self._check_keys(graph)
         missing = sorted(set(graph.inputs) - set(inputs))
@@ -357,29 +376,40 @@ class PlanExecutor:
         self, graph: PlanGraph, results: Dict[int, Ciphertext], run: PlanRun
     ) -> None:
         for node in graph.topo_order():
-            if node.op in ("const", "input"):
-                continue
-            operands = [results[i] for i in node.inputs]
-            if node.const_id is not None:
-                self._operand_plain(graph, node, operands[0])  # pre-encode
-            level = operands[0].level_count
-            t0 = time.perf_counter()
-            out = self._apply_scalar(graph, node, operands)
-            seconds = time.perf_counter() - t0
-            results[node.id] = out
-            run.scalar_ops += 1
-            run.steps.append(
-                PlanStep(
-                    node.op,
-                    (node.id,),
-                    1,
-                    "scalar",
-                    level,
-                    0,
-                    seconds,
-                    self._bill(node.op, 1, level, out.level_count, seconds),
-                )
+            if node.op not in ("const", "input"):
+                self._run_scalar(graph, node, results, run)
+
+    def _run_scalar(
+        self,
+        graph: PlanGraph,
+        node: PlanNode,
+        results: Dict[int, Ciphertext],
+        run: PlanRun,
+    ) -> None:
+        """The scalar lane: one node as one ``Evaluator`` call -- every
+        step of the naive mode, a one-node lane of the optimized one."""
+        operands = [results[i] for i in node.inputs]
+        if node.const_id is not None:
+            # pre-encode outside the timed region
+            self._operand_plain(graph, node, operands[0])
+        level = operands[0].level_count
+        t0 = time.perf_counter()
+        out = self._apply_scalar(graph, node, operands)
+        seconds = time.perf_counter() - t0
+        results[node.id] = out
+        run.scalar_ops += 1
+        run.steps.append(
+            PlanStep(
+                node.op,
+                (node.id,),
+                1,
+                "scalar",
+                level,
+                0,
+                seconds,
+                self._bill(node.op, 1, level, out.level_count, seconds),
             )
+        )
 
     def _run_optimized(
         self, graph: PlanGraph, results: Dict[int, Ciphertext], run: PlanRun
@@ -444,32 +474,14 @@ class PlanExecutor:
         results: Dict[int, Ciphertext],
         run: PlanRun,
     ) -> None:
+        if len(nodes) == 1:
+            self._run_scalar(graph, nodes[0], results, run)
+            return
         level = results[nodes[0].inputs[0]].level_count
         if nodes[0].const_id is not None:
             self._operand_plain(
                 graph, nodes[0], results[nodes[0].inputs[0]]
             )  # pre-encode outside the timed region
-        if len(nodes) == 1:
-            node = nodes[0]
-            operands = [results[i] for i in node.inputs]
-            t0 = time.perf_counter()
-            out = self._apply_scalar(graph, node, operands)
-            seconds = time.perf_counter() - t0
-            results[node.id] = out
-            run.scalar_ops += 1
-            run.steps.append(
-                PlanStep(
-                    node.op,
-                    (node.id,),
-                    1,
-                    "scalar",
-                    level,
-                    0,
-                    seconds,
-                    self._bill(node.op, 1, level, out.level_count, seconds),
-                )
-            )
-            return
         t0 = time.perf_counter()
         outs = self._apply_batched(graph, nodes, results)
         seconds = time.perf_counter() - t0

@@ -4,17 +4,15 @@ Two front ends produce :class:`repro.plan.graph.PlanGraph` instances
 from the repo's existing workload descriptions:
 
 * :func:`matvec_graph` -- the Halevi-Shoup diagonal matrix-vector
-  product, node for node the dataflow of
-  :meth:`repro.ckks.linear.LinearEvaluator.matvec_diagonal` (same
-  diagonal gather, same zero-diagonal skipping, same single final
-  rescale), so the planned execution is bit-identical to the hand-coded
-  composite while exposing the ``dim - 1`` rotations as a fusable sweep.
+  product behind
+  :meth:`repro.ckks.linear.LinearEvaluator.matvec_diagonal` (one
+  diagonal gather, zero diagonals skipped, a single final rescale),
+  exposing the ``dim - 1`` rotations as a fusable sweep.
 * :func:`workload_graph` -- a :class:`repro.system.workload.Workload`
   primitive bag unrolled over ``lanes`` independent ciphertext chains
-  (the multi-client picture), with the same primitive mapping as
-  :class:`repro.system.workload.BatchWorkloadRunner` and the same
-  reset-on-infeasible semantics, expressed as fresh plan inputs.  The
-  parallel chains are what the executor's batch packing amortizes.
+  (the multi-client picture); an op a chain cannot sustain resets the
+  lane to a fresh plan input.  The parallel chains are what the
+  executor's batch packing amortizes.
 """
 
 from __future__ import annotations
@@ -54,8 +52,9 @@ def matvec_graph(
         input_node = graph.input(input_name)
     elif input_node is None:
         raise ValueError("input_node is required when extending a graph")
-    # all generalized diagonals in one gather, zero diagonals skipped --
-    # identical to LinearEvaluator.matvec_diagonal
+    # all generalized diagonals in one gather: diags[d, i] = M[i, (i+d) % dim];
+    # an all-zero diagonal encodes to the exactly-zero plaintext, so its
+    # term (and its rotation) is skipped bit-identically
     idx = np.arange(dim)
     diags = matrix[idx[None, :], (idx[None, :] + idx[:, None]) % dim]
     nonzero = [d for d in range(dim) if diags[d].any()]
@@ -84,9 +83,9 @@ def workload_graph(
 
     Each lane applies the workload's deterministic
     :meth:`~repro.system.workload.Workload.op_sequence` to its own
-    ciphertext chain with the :class:`BatchWorkloadRunner` primitive
-    mapping (every plan value is size 2, so ``keyswitch`` is always a
-    rotation and ``cc_mult`` a fused square+relin):
+    ciphertext chain, one plan node per primitive (every plan value is
+    size 2, so ``keyswitch`` is always a rotation and ``cc_mult`` a fused
+    square+relin):
 
     * ``keyswitch`` -> ``rotate(cur, 1)``
     * ``cc_mult``   -> ``square(cur)``
@@ -98,9 +97,9 @@ def workload_graph(
 
     Chains track (level, scale) with the planner's own arithmetic, and
     an op the chain cannot sustain (out of levels, out of headroom)
-    resets the lane to a fresh input -- the runner's re-encryption
-    semantics, expressed as a new plan input named
-    ``lane{i}_reset{j}``.  The returned graph passes
+    resets the lane to a fresh input -- a real host would interleave ops
+    from a new request at that point -- expressed as a new plan input
+    named ``lane{i}_reset{j}``.  The returned graph passes
     :func:`repro.plan.passes.compile_plan` by construction.
     """
     if lanes < 1:

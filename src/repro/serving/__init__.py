@@ -15,9 +15,10 @@ that makes such streams executable batch-wise:
   lanes keyed by (op, op_arg, key_id, n, size, level, scale, NTT form),
   flushed on max-batch-size or deadline;
 * :mod:`repro.serving.server` -- :class:`EncryptedComputeServer`, which
-  executes flushes through :class:`repro.ckks.batch.BatchEvaluator`
-  (scalar fallback for singletons) and records every flush as a
-  measured :class:`repro.system.scheduler.ScheduledOp` for the Figure-7
+  executes every flush as one :class:`repro.plan.PlanGraph` on a
+  :class:`repro.plan.PlanExecutor` (the only road from this package to
+  the evaluator) and records it as a measured
+  :class:`repro.system.scheduler.ScheduledOp` for the Figure-7
   host-pipeline simulation;
 * :mod:`repro.serving.traffic` -- deterministic synthetic multi-client
   traffic for tests and benchmarks;

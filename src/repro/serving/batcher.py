@@ -24,10 +24,11 @@ matvec-style workload, one input rotated by many steps -- step-keyed
 batching is the wrong axis: those requests share a key-switch
 decomposition, not a batch stack.  The batcher therefore migrates them
 into a *hoist lane* keyed by ``(digest, key, shape)`` instead of
-``(op_arg, shape)``; the server executes a hoist-lane flush through
-:meth:`repro.ckks.evaluator.Evaluator.rotate_hoisted` (decompose once,
-apply every requested step).  Rotations of distinct ciphertexts are
-untouched and keep batching across clients by step.
+``(op_arg, shape)``; the server plans a hoist-lane flush as one shared
+input feeding every requested rotation, which the plan executor fuses
+into a single sweep (decompose once, apply every requested step).
+Rotations of distinct ciphertexts are untouched and keep batching
+across clients by step.
 
 The key-material component of the lane key is the *identity of the key
 object the flush will actually consume* -- captured on the request at
@@ -149,7 +150,6 @@ class DynamicBatcher:
         self,
         max_batch_size: int = 8,
         max_delay_seconds: float = 2e-3,
-        hoist_rotations: bool = True,
         clock: Clock = SYSTEM_CLOCK,
     ):
         if max_batch_size < 1:
@@ -158,7 +158,6 @@ class DynamicBatcher:
             raise ValueError("max_delay_seconds must be >= 0")
         self.max_batch_size = max_batch_size
         self.max_delay_seconds = max_delay_seconds
-        self.hoist_rotations = hoist_rotations
         #: the one time source deadline decisions consult; the server
         #: (and the cluster scheduler above it) install their own clock
         #: here, so a manual-clock test controls every deadline flush --
@@ -239,10 +238,8 @@ class DynamicBatcher:
         if now is None:
             now = self.clock()
         key = homogeneity_key(request)
-        hoistable_rotate = (
-            self.hoist_rotations
-            and request.op == "rotate"
-            and bool(request.payload_digest)
+        hoistable_rotate = request.op == "rotate" and bool(
+            request.payload_digest
         )
         if hoistable_rotate:
             hkey = hoist_key(request)

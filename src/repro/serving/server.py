@@ -9,16 +9,24 @@ across.  Concretely, one request travels:
 
     bytes -> FrameDecoder -> RequestQueue (backpressure)
           -> DynamicBatcher (homogeneity lanes, size/deadline flush)
-          -> BatchEvaluator (N >= 2) or scalar Evaluator (singleton)
+          -> one PlanGraph per flush -> PlanExecutor
           -> serialized response frame in the client's outbox
+
+The batcher decides *what* flushes together; the flush itself always
+executes as a plan (:mod:`repro.plan`), the only road from this package
+to the evaluator.  A single-op lane is N inputs x one node, a hoist lane
+is one shared input x N ``rotate`` nodes (the executor's sweep fusion
+pays the key-switch decomposition once), a program lane is N inputs x
+the registered chain; the executor packs same-shape nodes into one
+stacked batch call and runs a singleton through its scalar lane.
 
 Every flush is also recorded as a *measured* :class:`ScheduledOp` --
 input/output PCIe bytes from :func:`ciphertext_wire_bytes`, compute
 seconds from the real execution -- so served traffic drops into the
 same discrete-event host-pipeline simulation
-(:meth:`repro.system.scheduler.HostScheduler.run_executed`) that
-:class:`repro.system.workload.BatchWorkloadRunner` feeds: simulate the
-system, execute the math.
+(:meth:`repro.system.scheduler.HostScheduler.run_executed`) that a
+:class:`repro.plan.PlanRun` feeds: simulate the system, execute the
+math.
 """
 
 from __future__ import annotations
@@ -28,15 +36,13 @@ import time  # perf_counter only: measures flush cost, never deadlines
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.ckks.batch import BatchEvaluator, CiphertextBatch
 from repro.ckks.context import CkksContext
-from repro.ckks.evaluator import Evaluator
-from repro.ckks.poly import Ciphertext
 from repro.ckks.serialization import (
     ciphertext_wire_bytes,
     deserialize_ciphertext,
     serialize_ciphertext,
 )
+from repro.plan import PlanExecutor, PlanGraph, check_plan
 from repro.serving import framing
 from repro.serving.batcher import (
     OP_KEY_KIND,
@@ -51,17 +57,23 @@ from repro.serving.session import ClientSession, SessionManager
 from repro.system.scheduler import HostScheduler, ScheduledOp, ScheduleReport
 from repro.system.pcie import PcieModel
 
-#: ScheduledOp kind per op -- selects the staging-buffer depth in the
-#: host pipeline model (keyswitch is quadruple-buffered, Section 5.2).
-_SCHED_KIND = {
-    "square": "keyswitch",
-    "rotate": "keyswitch",
-    "rotate_hoisted": "keyswitch",
-    "conjugate": "keyswitch",
-    "rescale": "ntt",
-    "double": "mult",
-    "negate": "mult",
-}
+
+def _lower_step(graph: PlanGraph, cur: int, op: str, arg: int) -> int:
+    """One request op as a plan node on ``cur`` -- the only op table the
+    serving layer keeps; everything past the graph is the executor's."""
+    if op == "square":
+        return graph.square(cur)
+    if op == "rotate":
+        return graph.rotate(cur, arg)
+    if op == "conjugate":
+        return graph.conjugate(cur)
+    if op == "rescale":
+        return graph.rescale(cur)
+    if op == "double":
+        return graph.add(cur, cur)
+    if op == "negate":
+        return graph.negate(cur)
+    raise ValueError(f"unknown op {op!r}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,7 @@ class FlushRecord:
     op: str
     batch_size: int
     seconds: float
-    batched: bool  # False = singleton fallback through the scalar path
+    batched: bool  # False = singleton, run through the executor's scalar lane
     scheduled: ScheduledOp
 
 
@@ -142,8 +154,9 @@ class EncryptedComputeServer:
         # the batcher shares the server's clock, so an injected manual
         # clock governs deadline flushes end to end
         self.batcher = DynamicBatcher(max_batch_size, max_delay_seconds, clock=clock)
-        self.evaluator = Evaluator(context)
-        self.batch_evaluator = BatchEvaluator(context)
+        #: the one executor every flush runs on; each flush installs the
+        #: keys its requests captured at admission before running
+        self.executor = PlanExecutor(context)
         self.report = ServingReport()
         self._max_frame_bytes = max_frame_bytes
         #: program id -> normalized step tuple (see register_program)
@@ -172,6 +185,11 @@ class EncryptedComputeServer:
         batch lanes instead of flushing each step separately.  The
         program's scale/level discipline is validated by the plan
         checker at flush time -- an infeasible chain fails loudly.
+
+        An id is bound once: pending requests were admitted (and
+        key-checked) against the registered steps and look them up again
+        at flush time, so re-registering an id with *different* steps
+        raises ``ValueError``; identical steps are idempotent.
         """
         valid = ("square", "rescale", "rotate", "conjugate", "double", "negate")
         normalized = []
@@ -190,18 +208,13 @@ class EncryptedComputeServer:
         if not normalized:
             raise ValueError("a program needs at least one step")
         program = tuple(normalized)
-        self._programs[int(program_id)] = program
+        bound = self._programs.setdefault(int(program_id), program)
+        if bound != program:
+            raise ValueError(
+                f"program id {int(program_id)} is already registered with "
+                "different steps; register the new chain under a new id"
+            )
         return program
-
-    def _program_kind(self, steps: tuple) -> str:
-        """ScheduledOp kind of a program flush: keyed by its heaviest
-        stage (key switches dominate rescales dominate dyadic ops)."""
-        ops = {op for op, _ in steps}
-        if ops & {"square", "rotate", "conjugate"}:
-            return "keyswitch"
-        if "rescale" in ops:
-            return "ntt"
-        return "mult"
 
     # ------------------------------------------------------------------
     # ingress
@@ -464,92 +477,47 @@ class EncryptedComputeServer:
             moduli=self.context.basis_at_level(level_count).moduli,
         )
 
-    def _apply_scalar(self, group: BatchGroup, ct: Ciphertext) -> Ciphertext:
-        ev = self.evaluator
-        # the key captured at admission -- identical for every lane
-        # member by construction (the lane is keyed on its identity)
-        key = group.requests[0].key
-        op, arg = group.op, group.op_arg
-        if op == "square":
-            return ev.relinearize(ev.multiply(ct, ct), key)
-        if op == "double":
-            return ev.add(ct, ct)
-        if op == "negate":
-            return ev.negate(ct)
-        if op == "rescale":
-            return ev.rescale(ct)
-        if op == "rotate":
-            return ev.rotate(ct, arg, key)
-        if op == "conjugate":
-            return ev.conjugate(ct, key)
-        raise ValueError(f"unknown op {op!r}")
+    def _flush_plan(self, group: BatchGroup, requests):
+        """The flush as ``(graph, inputs)``; request ``i``'s result is
+        output ``r{i}``.
 
-    def _apply_batched(
-        self, group: BatchGroup, batch: CiphertextBatch
-    ) -> CiphertextBatch:
-        bev = self.batch_evaluator
-        key = group.requests[0].key
-        op, arg = group.op, group.op_arg
-        if op == "square":
-            return bev.relinearize(bev.multiply(batch, batch), key)
-        if op == "double":
-            return bev.add(batch, batch)
-        if op == "negate":
-            return bev.negate(batch)
-        if op == "rescale":
-            return bev.rescale(batch)
-        if op == "rotate":
-            return bev.rotate(batch, arg, key)
-        if op == "conjugate":
-            return bev.conjugate(batch, key)
-        raise ValueError(f"unknown op {op!r}")
-
-    def _run_program(self, group: BatchGroup, requests) -> List[Ciphertext]:
-        """Execute one program flush as a single plan.
-
-        Every live request contributes one independent chain of the
-        registered step sequence; the plan executor packs the parallel
-        chains into batch lanes per step, so an N-wide program flush
-        runs like N-wide batched execution of each step instead of N
-        scalar chains.  The plan checker validates the chain's
-        scale/level discipline up front; a :class:`PlanValidationError`
-        (a ``ValueError``) fails the flush like any infeasible op.
+        A single-op or program lane gives every request its own input
+        and the lane's step chain; a hoist lane hangs every member's
+        rotation off the *one* shared input (identical ciphertext bytes
+        by lane construction), which is what lets the executor fuse the
+        whole sweep onto one key-switch decomposition.
         """
-        from repro.plan import PlanExecutor, PlanGraph, check_plan
-
-        steps = self._programs[group.op_arg]
-        relin_key, galois_keys = requests[0].key
         graph = PlanGraph()
-        for i, request in enumerate(requests):
-            ct = request.ciphertext
-            cur = graph.input(
+        inputs = {}
+
+        def source(i: int) -> int:
+            ct = inputs[f"r{i}"] = requests[i].ciphertext
+            return graph.input(
                 f"r{i}", level_count=ct.level_count, scale=ct.scale
             )
+
+        if group.hoisted:
+            shared = source(0)
+            chains = [(shared, (("rotate", r.op_arg),)) for r in requests]
+        else:
+            steps = (
+                self._programs[group.op_arg]
+                if group.op == "program"
+                else ((group.op, group.op_arg),)
+            )
+            chains = [(source(i), steps) for i in range(len(requests))]
+        for i, (cur, steps) in enumerate(chains):
             for op, arg in steps:
-                if op == "square":
-                    cur = graph.square(cur)
-                elif op == "rotate":
-                    # plan-building, not execution: the executor fuses
-                    # these into one hoisted sweep per flush
-                    cur = graph.rotate(cur, arg)  # lint: disable=R6 -- plan node
-                elif op == "conjugate":
-                    cur = graph.conjugate(cur)
-                elif op == "rescale":
-                    cur = graph.rescale(cur)
-                elif op == "double":
-                    cur = graph.add(cur, cur)
-                else:  # negate -- register_program admits nothing else
-                    cur = graph.negate(cur)
+                cur = _lower_step(graph, cur, op, arg)
             graph.output(cur, f"r{i}")
-        check_plan(graph, self.context)
-        executor = PlanExecutor(
-            self.context, relin_key=relin_key, galois_keys=galois_keys
-        )
-        run = executor.run(
-            graph,
-            {f"r{i}": r.ciphertext for i, r in enumerate(requests)},
-        )
-        return [run.outputs[f"r{i}"] for i in range(len(requests))]
+        if group.op == "program":
+            # a registered chain is validated before any ciphertext work.
+            # Bare ops are deliberately NOT: the checker's headroom rule
+            # rejects shapes the evaluator serves correctly (a Set-A
+            # square at level 2), so they keep relying on the
+            # evaluator's own errors
+            check_plan(graph, self.context)
+        return graph, inputs
 
     def _execute(self, group: BatchGroup) -> int:
         """Run one flush, respond to every member, record accounting."""
@@ -600,29 +568,18 @@ class EncryptedComputeServer:
         else:
             rejected = 0
         batched = len(requests) > 1
+        # the keys captured at admission -- identical for every lane
+        # member by construction (the lane is keyed on their identity)
+        key = requests[0].key
+        if group.op == "program":
+            self.executor.relin_key, self.executor.galois_keys = key
+        else:
+            relin = group.op == "square"
+            self.executor.relin_key = key if relin else None
+            self.executor.galois_keys = None if relin else key
         t0 = time.perf_counter()
         try:
-            if group.hoisted:
-                # a hoist lane: every member carries identical ciphertext
-                # bytes and the same key object by lane construction, so
-                # one decomposition serves every requested step
-                steps = list(dict.fromkeys(r.op_arg for r in requests))
-                rotated = dict(
-                    zip(
-                        steps,
-                        self.evaluator.rotate_hoisted(
-                            requests[0].ciphertext, steps, requests[0].key
-                        ),
-                    )
-                )
-                results = [rotated[r.op_arg] for r in requests]
-            elif group.op == "program":
-                results = self._run_program(group, requests)
-            elif batched:
-                batch = CiphertextBatch.join([r.ciphertext for r in requests])
-                results = self._apply_batched(group, batch).split()
-            else:
-                results = [self._apply_scalar(group, requests[0].ciphertext)]
+            run = self.executor.run(*self._flush_plan(group, requests))
         except (ValueError, KeyError) as exc:
             # an infeasible op for this shape (rescale at the last
             # level, square on a size-3 ciphertext, missing Galois key
@@ -632,6 +589,7 @@ class EncryptedComputeServer:
                     request.session, request.request_id, f"op failed: {exc}"
                 )
             return len(requests) + rejected + expired
+        results = [run.outputs[f"r{i}"] for i in range(len(requests))]
         seconds = time.perf_counter() - t0
         now = self.clock()
         for request, result in zip(requests, results):
@@ -685,18 +643,13 @@ class EncryptedComputeServer:
             self._wire_bytes(c.n, c.size, c.level_count, r.session.wire_version)
             for r, c in zip(requests, results)
         )
-        kind = (
-            self._program_kind(self._programs[group.op_arg])
-            if group.op == "program"
-            else _SCHED_KIND[group.op]
-        )
         self.report.flushes.append(
             FlushRecord(
                 group.op,
                 len(requests),
                 seconds,
                 batched,
-                ScheduledOp(kind, in_bytes, out_bytes, seconds),
+                ScheduledOp(run.scheduled_kind, in_bytes, out_bytes, seconds),
             )
         )
         return len(requests) + rejected + expired
@@ -710,8 +663,7 @@ class EncryptedComputeServer:
         """Feed the measured flush stream through the Figure-7 pipeline.
 
         The serving layer thereby produces exactly the accounting a
-        :class:`repro.system.workload.BatchWorkloadRunner` execution
-        does: real compute seconds, modeled PCIe transfer and buffer
-        back-pressure.
+        :class:`repro.plan.PlanRun` does: real compute seconds, modeled
+        PCIe transfer and buffer back-pressure.
         """
         return HostScheduler(pcie, message_bytes).run_executed(self.report)

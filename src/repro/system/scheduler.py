@@ -52,8 +52,7 @@ class ScheduledOp:
         the whole batch (batch size x ciphertext size x RNS level), so
         the transfer model sees exactly the PCIe traffic a batch incurs;
         ``compute_seconds`` is typically *measured* from a real
-        :class:`repro.ckks.batch.BatchEvaluator` execution (see
-        :class:`repro.system.workload.BatchWorkloadRunner`).
+        batched execution (see :class:`repro.plan.PlanExecutor`).
         ``word_bits`` sets the per-residue transfer width: 64 is the v1
         whole-word wire format; a smaller width models wire-format-v2
         traffic bit-packed to the modulus width.
@@ -148,9 +147,10 @@ class HostScheduler:
 
         ``execution`` is any object with a ``scheduled_ops()`` method
         returning the measured :class:`ScheduledOp` stream -- in practice
-        a :class:`repro.system.workload.BatchExecutionReport`.  This is
-        the bridge that lets the discrete-event model consume real
-        compute times from the batch evaluator instead of analytic ones.
+        a :class:`repro.plan.PlanRun` or a serving
+        :class:`repro.serving.server.ServingReport`.  This is the bridge
+        that lets the discrete-event model consume real compute times
+        instead of analytic ones.
         """
         return self.run(execution.scheduled_ops())
 

@@ -19,14 +19,12 @@ A workload is a bag of primitive counts:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.ckks.linear import LinearEvaluator, reduction_steps
+from repro.ckks.linear import LinearEvaluator
 from repro.core.perf import PerformanceModel, dyadic_cycles, keyswitch_cycles, ntt_cycles
 from repro.system.cpu_model import SealCpuModel
-from repro.system.scheduler import ScheduledOp
 
 PRIMITIVES = ("keyswitch", "cc_mult", "cp_mult", "rescale", "add")
 
@@ -65,8 +63,8 @@ class Workload:
         Interleaving (rather than emitting each kind in a block) is what
         the host actually does -- mixed op kinds keep the different
         accelerator input buffers busy simultaneously -- and it gives the
-        batch executor a stream where multiplications and the key
-        switches that relinearize them alternate naturally.
+        plan executor chains where multiplications and key switches
+        alternate naturally.
         """
         remaining = dict(self.counts)
         seq: List[str] = []
@@ -81,10 +79,14 @@ class Workload:
         """Lower this workload into a planner op-graph.
 
         Unrolls :meth:`op_sequence` over ``lanes`` independent
-        ciphertext chains (the multi-client picture) with the
-        :class:`BatchWorkloadRunner` primitive mapping; the planner then
+        ciphertext chains (the multi-client picture); the planner then
         packs the parallel chains into batch lanes and fuses rotation
-        sweeps.  See :func:`repro.plan.lower.workload_graph`.
+        sweeps, and a :class:`repro.plan.PlanExecutor` run of the result
+        is the workload *executed* (its ``scheduled_ops()`` feed
+        :meth:`repro.system.scheduler.HostScheduler.run_executed`), where
+        :class:`RuntimeProjection` only models it.  See
+        :func:`repro.plan.lower.workload_graph` for the primitive
+        mapping.
         """
         from repro.plan.lower import workload_graph
 
@@ -211,219 +213,3 @@ class RuntimeProjection:
             round(self.heax_seconds(workload) * 1e6, 1),
             round(self.speedup(workload), 1),
         ]
-
-
-# ---------------------------------------------------------------------------
-# real batch-wise execution (closing the loop with repro.ckks.batch)
-# ---------------------------------------------------------------------------
-
-#: ScheduledOp kind each primitive maps to (buffer depths differ by kind).
-_SCHED_KIND = {
-    "keyswitch": "keyswitch",
-    "cc_mult": "mult",
-    "cp_mult": "mult",
-    "add": "mult",
-    "rescale": "ntt",
-}
-
-
-@dataclass(frozen=True)
-class ExecutedOp:
-    """One primitive actually executed batch-wise, with its wall time."""
-
-    primitive: str
-    seconds: float
-    scheduled: ScheduledOp
-
-
-@dataclass
-class BatchExecutionReport:
-    """Outcome of really executing a workload on a ciphertext batch."""
-
-    workload_name: str
-    batch_size: int
-    executed: List[ExecutedOp]
-    resets: int
-
-    @property
-    def op_count(self) -> int:
-        return len(self.executed)
-
-    @property
-    def compute_seconds(self) -> float:
-        return sum(e.seconds for e in self.executed)
-
-    @property
-    def ciphertext_ops_per_second(self) -> float:
-        """Per-ciphertext primitive throughput of the measured execution."""
-        if not self.compute_seconds:
-            return 0.0
-        return self.op_count * self.batch_size / self.compute_seconds
-
-    def scheduled_ops(self) -> List[ScheduledOp]:
-        """The measured stream, ready for :meth:`HostScheduler.run`."""
-        return [e.scheduled for e in self.executed]
-
-
-class BatchWorkloadRunner:
-    """Executes a workload's primitive stream on a live ciphertext batch.
-
-    :class:`RuntimeProjection` *models* a workload's runtime;
-    this runner *runs* it: the primitive stream of
-    :meth:`Workload.op_sequence` is applied, in order, to a
-    :class:`repro.ckks.batch.CiphertextBatch` of ``batch_size``
-    independent ciphertexts through :class:`repro.ckks.batch.BatchEvaluator`,
-    recording per-op wall time.  The result doubles as a measured
-    :class:`ScheduledOp` stream so the host scheduler's discrete-event
-    pipeline simulation (Section 5.2) runs on *real* compute times --
-    simulate the system, execute the math.
-
-    Primitive mapping (chosen so every op in the bag is executable):
-
-    * ``keyswitch`` -- relinearize when the batch is size 3, else rotate
-      every element by one slot;
-    * ``cc_mult``   -- square the batch (size 2 -> 3);
-    * ``cp_mult``   -- multiply by a level-matched plaintext;
-    * ``rescale``   -- Algorithm 6 (drops one level);
-    * ``add``       -- add the batch to itself.
-
-    When the stream asks for an op the batch cannot sustain (a
-    ``cc_mult`` while un-relinearized, a ``rescale`` at the last level),
-    the batch is re-encrypted fresh -- outside the timed region -- and
-    counted in ``resets``; a real host would interleave ops from a new
-    request at that point.
-    """
-
-    def __init__(self, context, batch_size: int, seed: int = 1234):
-        from repro.ckks.batch import BatchEvaluator
-        from repro.ckks.decryptor import Decryptor
-        from repro.ckks.encoder import CkksEncoder
-        from repro.ckks.encryptor import Encryptor
-        from repro.ckks.keys import KeyGenerator
-
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.context = context
-        self.batch_size = batch_size
-        keygen = KeyGenerator(context, seed=seed)
-        self.encoder = CkksEncoder(context)
-        self.encryptor = Encryptor(context, keygen.public_key(), seed=seed + 1)
-        self.decryptor = Decryptor(context, keygen.secret_key)
-        self.relin_key = keygen.relin_key()
-        self.galois_keys = keygen.galois_keys([1])
-        self.evaluator = BatchEvaluator(context)
-        self.batch = None
-        #: level -> encoded cp_mult operand, built outside the timed region
-        self._plain_cache: Dict[int, object] = {}
-
-    # ------------------------------------------------------------------
-    def _fresh_batch(self):
-        """Encrypt ``batch_size`` deterministic plaintexts into a batch."""
-        slots = self.context.params.slot_count
-        pts = [
-            self.encoder.encode(
-                [complex((b + 1) / (i + 2), -1.0 / (b + i + 2)) for i in range(slots)]
-            )
-            for b in range(self.batch_size)
-        ]
-        return self.evaluator.encrypt(self.encryptor, pts)
-
-    def _feasible(self, primitive: str) -> bool:
-        batch = self.batch
-        if primitive == "keyswitch":
-            return batch.size in (2, 3)
-        if primitive == "cc_mult":
-            return batch.size == 2
-        if primitive == "rescale":
-            return batch.level_count >= 2
-        return True
-
-    def _apply(self, primitive: str):
-        ev = self.evaluator
-        batch = self.batch
-        if primitive == "keyswitch":
-            if batch.size == 3:
-                return ev.relinearize(batch, self.relin_key)
-            return ev.rotate(batch, 1, self.galois_keys)
-        if primitive == "cc_mult":
-            return ev.multiply(batch, batch)
-        if primitive == "cp_mult":
-            return ev.multiply_plain(batch, self._plain_cache[batch.level_count])
-        if primitive == "rescale":
-            return ev.rescale(batch)
-        if primitive == "add":
-            return ev.add(batch, batch)
-        raise ValueError(f"unknown primitive {primitive!r}")
-
-    def _scheduled(self, primitive: str, seconds: float) -> ScheduledOp:
-        n = self.context.n
-        levels = self.batch.level_count
-        size = self.batch.size
-        in_polys = self.batch_size * size * levels
-        if primitive == "cc_mult":
-            in_polys *= 2  # two ciphertext operands
-            out_polys = self.batch_size * (2 * size - 1) * levels
-        elif primitive == "add":
-            in_polys *= 2
-            out_polys = self.batch_size * size * levels
-        elif primitive == "cp_mult":
-            in_polys += levels  # the shared plaintext
-            out_polys = self.batch_size * size * levels
-        elif primitive == "rescale":
-            out_polys = self.batch_size * size * (levels - 1)
-        else:  # keyswitch (rotate or relinearize): size-2 result
-            out_polys = self.batch_size * 2 * levels
-        return ScheduledOp.for_batch(
-            _SCHED_KIND[primitive], n, in_polys, out_polys, seconds
-        )
-
-    # ------------------------------------------------------------------
-    def execute(self, workload: Workload) -> BatchExecutionReport:
-        """Run every primitive of the workload batch-wise, timed.
-
-        Raises ``ValueError`` up front for ops no reset can make
-        executable (a ``rescale`` on a single-level modulus chain);
-        everything else is absorbed by the re-encryption resets.
-        """
-        if workload.counts["rescale"] and self.context.k < 2:
-            raise ValueError(
-                "workload contains rescale ops but the context has a "
-                "single-level modulus chain; use k >= 2"
-            )
-        self.batch = self._fresh_batch()
-        executed: List[ExecutedOp] = []
-        resets = 0
-        for primitive in workload.op_sequence():
-            if not self._feasible(primitive):
-                self.batch = self._fresh_batch()
-                resets += 1
-            if primitive == "cp_mult":
-                # host-side encoding is not accelerator compute: build the
-                # shared plaintext outside the timed region (once per level)
-                level = self.batch.level_count
-                if level not in self._plain_cache:
-                    self._plain_cache[level] = self.encoder.encode(
-                        0.5, level_count=level
-                    )
-            t0 = time.perf_counter()
-            result = self._apply(primitive)
-            seconds = time.perf_counter() - t0
-            executed.append(
-                ExecutedOp(primitive, seconds, self._scheduled(primitive, seconds))
-            )
-            self.batch = result
-        return BatchExecutionReport(
-            workload_name=workload.name,
-            batch_size=self.batch_size,
-            executed=executed,
-            resets=resets,
-        )
-
-    def decrypted_rows(self) -> List[List[List[int]]]:
-        """Residue rows of the decrypted current batch.
-
-        Canonical (backend-independent) output -- the cross-backend
-        differential tests compare these bit for bit.
-        """
-        plains = self.evaluator.decrypt(self.decryptor, self.batch)
-        return [pt.poly.residues for pt in plains]

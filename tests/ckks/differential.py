@@ -67,6 +67,28 @@ _OP_WEIGHTS = (
 ROTATE_STEP = 1
 
 
+def matvec_unhoisted(ctx, matrix, ct, galois_keys):
+    """The pre-hoisting diagonal matvec: one ``rotate_unhoisted`` (its
+    own coefficient-domain round trip and key-switch decomposition) per
+    nonzero diagonal -- the baseline ``LinearEvaluator.matvec_diagonal``
+    is costed and checked against."""
+    ev, enc = Evaluator(ctx), CkksEncoder(ctx)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    dim = matrix.shape[0]
+    idx = np.arange(dim)
+    diags = matrix[idx[None, :], (idx[None, :] + idx[:, None]) % dim]
+    acc = None
+    for d in range(dim):
+        if not diags[d].any():
+            continue
+        rotated = ct if d == 0 else ev.rotate_unhoisted(ct, d, galois_keys)
+        term = ev.multiply_plain(
+            rotated, enc.encode(list(diags[d]), level_count=ct.level_count)
+        )
+        acc = term if acc is None else ev.add(acc, term)
+    return ev.rescale(acc)
+
+
 def _matvec_matrix(dim: int, base_seed: int) -> np.ndarray:
     """The deterministic matvec operand: dim == slot_count so rotations
     wrap exactly; a few generalized diagonals are zeroed so the

@@ -38,6 +38,11 @@ def trace_vectors():
     return json.loads((VECTORS_DIR / "trace_n1024.json").read_text())
 
 
+@pytest.fixture(scope="module")
+def serving_vectors():
+    return json.loads((VECTORS_DIR / "serving_trace.json").read_text())
+
+
 @pytest.mark.parametrize("backend", available_backends())
 def test_ntt_known_answers(backend, ntt_vectors):
     """Forward/inverse NTT and dyadic product reproduce the frozen rows."""
@@ -56,6 +61,25 @@ def test_pipeline_trace_digests(backend, trace_vectors):
     assert got["digests"] == trace_vectors["digests"], (
         f"backend {backend!r} diverged from the frozen n=1024 trace"
     )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_serving_trace_frames(backend, serving_vectors):
+    """Every outbox frame of the seeded serving trace is byte-frozen.
+
+    The digests were generated on the commit *before* serving flushes
+    moved onto the plan executor, so this is the cross-commit oracle
+    that the execution route changed and the served bytes did not.
+    """
+    with use_backend(backend):
+        got = regenerate.compute_serving_trace()
+    assert got["flushes"] == serving_vectors["flushes"]
+    for scenario, digests in serving_vectors["frames"].items():
+        assert got["frames"][scenario] == digests, (
+            f"backend {backend!r} diverged from the frozen serving trace "
+            f"at {scenario}"
+        )
+    assert got["frames"].keys() == serving_vectors["frames"].keys()
 
 
 def test_trace_decodes_to_frozen_values(trace_vectors):

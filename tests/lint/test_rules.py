@@ -94,6 +94,27 @@ def test_rule_silent_on_clean_fixture(rule_id, rule_cls, bad, good, expected):
     assert result.ok, [str(f) for f in result.findings]
 
 
+def test_r6_flags_evaluator_imports_in_serving_modules():
+    """The plan is the only door: Evaluator / BatchEvaluator may not be
+    imported under repro.serving / repro.system, however spelled."""
+    result = lint_fixture("r6_import_violation.py", PlannerDisciplineRule())
+    assert {f.rule for f in result.findings} == {"R6"}
+    flagged = sorted(f.message.split(":")[0] for f in result.findings)
+    assert flagged == [
+        "import of repro.ckks.Evaluator",
+        "import of repro.ckks.batch",
+        "import of repro.ckks.batch.BatchEvaluator",
+        "import of repro.ckks.evaluator.Evaluator",
+    ]
+    # the function-local import is attributed to its function
+    assert "flush" in {f.symbol for f in result.findings}
+
+
+def test_r6_silent_on_plan_imports():
+    result = lint_fixture("r6_import_clean.py", PlannerDisciplineRule())
+    assert result.ok, [str(f) for f in result.findings]
+
+
 def test_r2_fires_on_violating_wrapper():
     modules = [load_fixture("r2_base.py"), load_fixture("r2_violation.py")]
     result = run_lint(modules, rules=[fixture_conformance_rule()])

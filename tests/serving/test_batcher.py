@@ -302,20 +302,6 @@ class TestHoistLanes:
         groups = batcher.flush_all()
         assert len(groups) == 2 and not any(g.hoisted for g in groups)
 
-    def test_hoisting_can_be_disabled(self):
-        batcher = DynamicBatcher(
-            max_batch_size=8, max_delay_seconds=100.0, hoist_rotations=False
-        )
-        keys = self._keys()
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=keys, digest=b"x"), now=0.0
-        )
-        batcher.add(
-            make_request(op="rotate", op_arg=2, key=keys, digest=b"x"), now=0.0
-        )
-        groups = batcher.flush_all()
-        assert len(groups) == 2 and not any(g.hoisted for g in groups)
-
     def test_digestless_rotations_never_hoist(self):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)
         keys = self._keys()

@@ -143,6 +143,37 @@ class TestProgramRequests:
         with pytest.raises(ValueError, match="at least one step"):
             server.register_program(1, [])
 
+    def test_reregistering_identical_steps_is_idempotent(self, serving_context):
+        server = EncryptedComputeServer(serving_context)
+        first = server.register_program(PROGRAM_ID, PROGRAM)
+        assert server.register_program(PROGRAM_ID, list(PROGRAM)) == first
+
+    def test_reregistering_different_steps_cannot_change_pending_requests(
+        self, serving_context, tenant, make_client
+    ):
+        """A request is admitted (and key-checked) against the steps
+        registered at that moment and looks them up again at flush time:
+        an id silently rebound in between would execute the *new* chain
+        under checks made for the old one."""
+        server = EncryptedComputeServer(serving_context, max_batch_size=8)
+        server.register_program(PROGRAM_ID, ["double"])
+        client = make_client()
+        client.connect(server)
+        server.receive(
+            client.client_id,
+            client.request_bytes("program", [0.25, -0.5], op_arg=PROGRAM_ID),
+        )
+        server.pump()  # admitted into its lane, still pending
+        assert server.pending_count == 1
+        with pytest.raises(ValueError, match="already registered"):
+            server.register_program(PROGRAM_ID, ["negate"])
+        assert server.drain() == 1
+        (blob,) = server.sessions.get(client.client_id).take_outbox()
+        _, values = tenant.decrypt_response(blob)
+        np.testing.assert_allclose(
+            np.array(values[:2]).real, [0.5, -1.0], atol=1e-2
+        )
+
 
 class TestHoistFlushBilling:
     """The satellite-2 regression: a hoist lane rotates ONE ciphertext

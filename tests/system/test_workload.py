@@ -115,7 +115,10 @@ class TestOpSequence:
 
 
 class TestBatchExecution:
-    """The runner really executes workloads via BatchEvaluator."""
+    """Workloads really execute: ``Workload.to_plan`` lowers the bag
+    over parallel lanes and ``PlanExecutor`` runs it batch-wise."""
+
+    LANES = 2
 
     @pytest.fixture(scope="class")
     def context(self):
@@ -123,57 +126,88 @@ class TestBatchExecution:
 
         return CkksContext(toy_parameters(n=64, k=3, prime_bits=30))
 
-    def test_executes_every_primitive(self, context):
-        from repro.system.workload import BatchWorkloadRunner
+    def _execute(self, context, workload, seed, lanes=LANES):
+        """(graph, run) of the workload over ``lanes`` fresh ciphertexts."""
+        from repro.ckks.encoder import CkksEncoder
+        from repro.ckks.encryptor import Encryptor
+        from repro.ckks.keys import KeyGenerator
+        from repro.plan import PlanExecutor
+        from repro.plan.lower import fresh_lane_inputs
 
+        keygen = KeyGenerator(context, seed=seed)
+        encoder = CkksEncoder(context)
+        encryptor = Encryptor(context, keygen.public_key(), seed=seed + 1)
+        graph = workload.to_plan(lanes, context)
+        inputs = fresh_lane_inputs(
+            graph,
+            lambda name: encryptor.encrypt(
+                encoder.encode([(len(name) + i) / 16 for i in range(4)])
+            ),
+        )
+        executor = PlanExecutor(
+            context,
+            relin_key=keygen.relin_key(),
+            galois_keys=keygen.galois_keys([1]),
+        )
+        return graph, executor.run(graph, inputs)
+
+    def test_executes_every_primitive(self, context):
         w = WorkloadGenerator.logistic_inference(8, 3)
-        runner = BatchWorkloadRunner(context, batch_size=2, seed=5)
-        report = runner.execute(w)
-        assert report.op_count == w.total_ops
-        assert report.batch_size == 2
-        assert report.compute_seconds > 0
-        assert report.ciphertext_ops_per_second > 0
-        executed = [e.primitive for e in report.executed]
-        for p in PRIMITIVES:
-            assert executed.count(p) == w.counts[p]
+        graph, run = self._execute(context, w, seed=5)
+        planned = graph.op_counts()
+        # every primitive of the bag is a plan node on every lane ...
+        for primitive, op in (
+            ("keyswitch", "rotate"),
+            ("cc_mult", "square"),
+            ("rescale", "rescale"),
+            ("add", "add"),
+        ):
+            assert planned[op] == self.LANES * w.counts[primitive]
+        # (level-drop rescales bring their own unit multiply)
+        assert planned["mul_plain"] >= self.LANES * w.counts["cp_mult"]
+        # ... and every node really executed, the parallel lanes packed
+        executed = {}
+        for step in run.steps:
+            executed[step.op] = executed.get(step.op, 0) + step.width
+        assert executed == {
+            op: c for op, c in planned.items() if op not in ("input", "const")
+        }
+        assert run.packed_ops > 0
+        assert run.compute_seconds > 0
 
     def test_scheduled_ops_carry_measured_times(self, context):
-        from repro.system.workload import BatchWorkloadRunner
-
         w = WorkloadGenerator.dot_product(4)
-        runner = BatchWorkloadRunner(context, batch_size=3, seed=6)
-        report = runner.execute(w)
-        ops = report.scheduled_ops()
-        assert len(ops) == w.total_ops
+        _, run = self._execute(context, w, seed=6, lanes=3)
+        ops = run.scheduled_ops()
+        assert len(ops) == run.step_count > 0
         assert all(op.compute_seconds > 0 for op in ops)
         assert all(op.input_bytes > 0 for op in ops)
         # keyswitch ops must be tagged for quadruple buffering
-        kinds = {e.primitive: e.scheduled.kind for e in report.executed}
-        assert kinds["keyswitch"] == "keyswitch"
+        kinds = {step.op: step.scheduled.kind for step in run.steps}
+        assert kinds["rotate"] == "keyswitch"
         assert kinds["rescale"] == "ntt"
+        assert kinds["add"] == "mult"
 
     def test_host_scheduler_consumes_execution(self, context):
         from repro.system.pcie import PcieModel, polynomial_bytes
         from repro.system.scheduler import HostScheduler
-        from repro.system.workload import BatchWorkloadRunner
 
         w = WorkloadGenerator.polynomial_activation(2)
-        runner = BatchWorkloadRunner(context, batch_size=2, seed=7)
-        report = runner.execute(w)
+        _, run = self._execute(context, w, seed=7)
         scheduler = HostScheduler(
             PcieModel(peak_bytes_per_sec=15.75e9),
             message_bytes=polynomial_bytes(64),
         )
-        sched_report = scheduler.run_executed(report)
-        assert sched_report.ops == report.op_count
-        assert sched_report.total_seconds >= report.compute_seconds
+        sched_report = scheduler.run_executed(run)
+        assert sched_report.ops == run.step_count
+        assert sched_report.total_seconds >= run.compute_seconds
 
     def test_cross_backend_execution_bit_identical(self):
         """The executed stream ends in the same ciphertexts on every
         backend -- the system layer inherits the backend contract."""
         from repro.ckks.backend import available_backends, use_backend
         from repro.ckks.context import CkksContext, toy_parameters
-        from repro.system.workload import BatchWorkloadRunner
+        from repro.ckks.serialization import serialize_ciphertext
 
         if "numpy" not in available_backends():
             pytest.skip("numpy backend unavailable")
@@ -182,23 +216,19 @@ class TestBatchExecution:
         def run(backend):
             with use_backend(backend):
                 ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=30))
-                runner = BatchWorkloadRunner(ctx, batch_size=2, seed=11)
-                runner.execute(w)
-                return runner.decrypted_rows()
+                _, executed = self._execute(ctx, w, seed=11)
+                return {
+                    name: serialize_ciphertext(ct)
+                    for name, ct in executed.outputs.items()
+                }
 
         assert run("numpy") == run("reference")
 
-    def test_batch_size_must_be_positive(self, context):
-        from repro.system.workload import BatchWorkloadRunner
-
-        with pytest.raises(ValueError):
-            BatchWorkloadRunner(context, batch_size=0)
-
     def test_rescale_on_single_level_chain_rejected_up_front(self):
+        """No reset can make a rescale executable on a one-prime chain:
+        the lowering refuses before any ciphertext exists."""
         from repro.ckks.context import CkksContext, toy_parameters
-        from repro.system.workload import BatchWorkloadRunner
 
         ctx = CkksContext(toy_parameters(n=64, k=1, prime_bits=30))
-        runner = BatchWorkloadRunner(ctx, batch_size=2, seed=13)
-        with pytest.raises(ValueError, match="single-level"):
-            runner.execute(Workload("w", {"rescale": 1, "add": 1}))
+        with pytest.raises(ValueError, match="does not fit even on a fresh"):
+            Workload("w", {"rescale": 1, "add": 1}).to_plan(2, ctx)

@@ -1,6 +1,6 @@
 """Regenerate the golden test vectors under ``tests/vectors/``.
 
-Two fixture families are frozen here:
+Three fixture families are frozen here:
 
 * ``ntt_n64.json`` -- full known-answer rows for the negacyclic
   NTT/INTT at ``n = 64`` in both numpy prime regimes (30-bit native
@@ -9,6 +9,13 @@ Two fixture families are frozen here:
   deterministic encrypt -> multiply -> relinearize -> rescale -> decrypt
   trace at ``n = 1024`` (Set-A-shaped, ``k = 2``), with the head of the
   decoded slot vector stored verbatim.
+* ``serving_trace.json`` -- SHA-256 of every outbox frame of one seeded
+  pass through :class:`repro.serving.server.EncryptedComputeServer`:
+  all seven ops at flush widths 1, 3 and 8, a six-member hoist lane
+  (one duplicate step, one step without a Galois key), a hoist lane
+  that filtering shrinks to a single rotation, and a lane with one
+  deadline-expired member.  It pins the served *bytes* across commits,
+  so a change to how a flush executes cannot silently change responses.
 
 The point of freezing (rather than comparing against the reference
 backend at test time) is that a regression that hits *both* backends --
@@ -41,6 +48,23 @@ TRACE_KEYGEN_SEED = 2024
 TRACE_ENCRYPTOR_SEED = 2025
 TRACE_DECODE_ATOL = 1e-3
 TRACE_HEAD_SLOTS = 8
+
+SERVING_PARAMS = dict(n=64, k=3, prime_bits=30)
+SERVING_TENANT_SEED = 3030
+SERVING_WIDTHS = (1, 3, 8)
+SERVING_OPS = (
+    ("square", 0),
+    ("double", 0),
+    ("negate", 0),
+    ("rescale", 0),
+    ("rotate", 1),
+    ("conjugate", 0),
+    ("program", 5),
+)
+SERVING_PROGRAM = (("rotate", 1), "square", "rescale")
+SERVING_KEYED_STEPS = (1, 2, 3, 4)
+#: step 2 repeats and step 7 has no Galois key
+SERVING_SWEEP_STEPS = (1, 2, 3, 2, 7, 4)
 
 
 def rows_digest(rows) -> str:
@@ -131,18 +155,96 @@ def compute_trace() -> dict:
     }
 
 
+def compute_serving_trace() -> dict:
+    """Digest every frame a seeded multi-client session is answered with."""
+    from repro.ckks.context import CkksContext, toy_parameters
+    from repro.serving.clock import ManualClock
+    from repro.serving.server import EncryptedComputeServer
+    from repro.serving.traffic import SyntheticClient, SyntheticTenant
+
+    ctx = CkksContext(toy_parameters(**SERVING_PARAMS))
+    tenant = SyntheticTenant(ctx, seed=SERVING_TENANT_SEED, key_id="trace")
+    tenant.galois_keys = tenant.keygen.galois_keys(
+        SERVING_KEYED_STEPS, conjugation=True
+    )
+    clock = ManualClock()
+    server = EncryptedComputeServer(
+        ctx, max_batch_size=8, max_delay_seconds=1.0, clock=clock
+    )
+    server.register_program(SERVING_OPS[-1][1], SERVING_PROGRAM)
+    # odd clients negotiate wire v2, so one flush serializes both layouts
+    clients = [
+        SyntheticClient(
+            tenant, f"trace-{i}", seed=700 + i, wire_version=1 + i % 2
+        )
+        for i in range(max(SERVING_WIDTHS))
+    ]
+    for client in clients:
+        client.connect(server)
+
+    def collect() -> list:
+        server.drain()
+        return [
+            hashlib.sha256(blob).hexdigest()
+            for client in clients
+            for blob in server.sessions.get(client.client_id).take_outbox()
+        ]
+
+    def values(i: int, width: int) -> list:
+        return [(i + 1) / (width + j + 2) for j in range(4)]
+
+    frames = {}
+    for op, arg in SERVING_OPS:
+        for width in SERVING_WIDTHS:
+            for i, client in enumerate(clients[:width]):
+                server.receive(
+                    client.client_id,
+                    client.request_bytes(op, values(i, width), op_arg=arg),
+                )
+            frames[f"{op}/w{width}"] = collect()
+    for blob in clients[0].rotation_sweep_bytes(
+        [0.5, -0.25, 0.125], SERVING_SWEEP_STEPS
+    ):
+        server.receive(clients[0].client_id, blob)
+    frames["hoist/6"] = collect()
+    # the keyless member is answered alone; one rotation is left to run
+    for blob in clients[1].rotation_sweep_bytes([0.75, 0.5], (3, 7)):
+        server.receive(clients[1].client_id, blob)
+    frames["hoist/shrunk"] = collect()
+    # three lane-mates, the middle one stamped to expire before the flush
+    for i, client in enumerate(clients[:3]):
+        server.receive(
+            client.client_id,
+            client.request_bytes(
+                "double", values(i, 3), deadline=clock() + 0.5 if i == 1 else 0.0
+            ),
+        )
+    clock.advance(0.75)
+    frames["double/expired"] = collect()
+    return {
+        "params": dict(SERVING_PARAMS),
+        "tenant_seed": SERVING_TENANT_SEED,
+        "flushes": server.report.flush_count,
+        "frames": frames,
+    }
+
+
 def main() -> None:
     from repro.ckks.backend import use_backend
 
     with use_backend("reference"):
         ntt = compute_ntt_vectors()
         trace = compute_trace()
+        serving = compute_serving_trace()
     (VECTORS_DIR / "ntt_n64.json").write_text(json.dumps(ntt, indent=1) + "\n")
     (VECTORS_DIR / "trace_n1024.json").write_text(
         json.dumps(trace, indent=1) + "\n"
     )
-    print(f"wrote {VECTORS_DIR / 'ntt_n64.json'}")
-    print(f"wrote {VECTORS_DIR / 'trace_n1024.json'}")
+    (VECTORS_DIR / "serving_trace.json").write_text(
+        json.dumps(serving, indent=1) + "\n"
+    )
+    for name in ("ntt_n64.json", "trace_n1024.json", "serving_trace.json"):
+        print(f"wrote {VECTORS_DIR / name}")
 
 
 if __name__ == "__main__":
