@@ -41,6 +41,10 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear import LinearEvaluator
 
+# the pre-hoisting baselines live with the tests; benchmarks/conftest.py
+# puts tests/ckks on sys.path
+from differential import matvec_unhoisted, rotate_unhoisted
+
 pytestmark = pytest.mark.skipif(
     "numpy" not in available_backends(),
     reason="numpy backend not available on this host",
@@ -83,23 +87,6 @@ def _matrix(dim: int) -> np.ndarray:
     return rng.uniform(0.1, 1.0, (dim, dim)) / np.sqrt(dim)
 
 
-def _matvec_unhoisted(ctx, matrix, ct, galois):
-    """The pre-hoisting diagonal matvec baseline: one
-    ``rotate_unhoisted`` per diagonal instead of one planned sweep."""
-    ev, enc = Evaluator(ctx), CkksEncoder(ctx)
-    dim = matrix.shape[0]
-    idx = np.arange(dim)
-    diags = matrix[idx[None, :], (idx[None, :] + idx[:, None]) % dim]
-    acc = None
-    for d in range(dim):
-        rotated = ct if d == 0 else ev.rotate_unhoisted(ct, d, galois)
-        term = ev.multiply_plain(
-            rotated, enc.encode(list(diags[d]), level_count=ct.level_count)
-        )
-        acc = term if acc is None else ev.add(acc, term)
-    return ev.rescale(acc)
-
-
 def _measure():
     """One full measurement pass at the gated shape (numpy backend)."""
     with use_backend("numpy"):
@@ -110,10 +97,10 @@ def _measure():
 
         # warm caches (twiddles, stacked key columns) out of the timings
         ev.rotate_hoisted(ct, STEPS[:1], galois)
-        ev.rotate_unhoisted(ct, STEPS[0], galois)
+        rotate_unhoisted(ev, ct, STEPS[0], galois)
 
         t_unhoisted = _best_seconds(
-            lambda: [ev.rotate_unhoisted(ct, s, galois) for s in STEPS]
+            lambda: [rotate_unhoisted(ev, ct, s, galois) for s in STEPS]
         ) / len(STEPS)
         t_hoisted = _best_seconds(
             lambda: ev.rotate_hoisted(ct, STEPS, galois)
@@ -123,7 +110,7 @@ def _measure():
         ) / len(STEPS)
 
         t_matvec_legacy = _best_seconds(
-            lambda: _matvec_unhoisted(ctx, matrix, ct, galois)
+            lambda: matvec_unhoisted(ctx, matrix, ct, galois)
         )
         t_matvec_hoisted = _best_seconds(
             lambda: lin_hoisted.matvec_diagonal(matrix, ct, galois)
@@ -163,7 +150,7 @@ def _transform_counts():
             ev.rotate_hoisted(ct, STEPS, galois)
         else:
             for s in STEPS:
-                ev.rotate_unhoisted(ct, s, galois)
+                rotate_unhoisted(ev, ct, s, galois)
         counts[mode] = be.transform_rows
     return counts
 

@@ -1,17 +1,17 @@
 """Serving-layer throughput: dynamic batching vs sequential service.
 
 The serving layer exists to turn *independent client requests* into the
-homogeneous batches the accelerator (and its software analogue,
-:class:`repro.ckks.batch.BatchEvaluator`) amortizes fixed costs across
--- the Section 5.2 deployment story end to end.  This bench drives one
+homogeneous batches the accelerator (and its software analogue, the
+lane-wide :class:`repro.ckks.evaluator.Evaluator`) amortizes fixed costs
+across -- the Section 5.2 deployment story end to end.  This bench drives one
 deterministic multi-client traffic stream through two configurations of
 :class:`repro.serving.server.EncryptedComputeServer`:
 
 * **sequential** -- ``max_batch_size=1``: every request is a singleton
-  flush through the scalar evaluator (a server without a batcher);
+  flush, a lane of one (a server without a batcher);
 * **batched** -- ``max_batch_size=8``: the dynamic batcher groups
-  requests by homogeneity key and flushes full lanes through the
-  batch evaluator.
+  requests by homogeneity key and flushes full 8-wide lanes through the
+  same evaluator.
 
 Both runs include the full service path -- frame decode, ciphertext
 deserialization, queueing, batching, execution, response serialization

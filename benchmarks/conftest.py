@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 from typing import Dict, List
 
 import pytest
@@ -28,6 +29,10 @@ import pytest
 from repro.ckks.context import CkksContext, toy_parameters
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# bench_keyswitch_hoisting measures against the pre-hoisting baselines,
+# which live with the tests (tests/ckks/differential.py), one copy
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tests" / "ckks"))
 
 #: module basename (e.g. ``bench_batch_throughput``) -> structured records.
 _BENCH_RECORDS: Dict[str, List[dict]] = {}

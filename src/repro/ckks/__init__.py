@@ -34,11 +34,12 @@ as whole-array kernels.  Select with ``set_backend``/``use_backend`` or
 the ``REPRO_BACKEND`` environment variable.
 
 Ciphertext-level parallelism -- the outermost level of HEAX's system
-design (Figure 7) -- lives in :mod:`repro.ckks.batch`:
-:class:`CiphertextBatch` stacks N same-shape ciphertexts as 2-D residue
-arrays and :class:`BatchEvaluator` runs every homomorphic operation
-batch-wise on the backend's stacked-row kernels, bit-identical to the
-per-ciphertext path.
+design (Figure 7) -- is the *lane*: :class:`CiphertextBatch`
+(:mod:`repro.ckks.batch`) holds N same-shape ciphertexts as
+modulus-major residue matrices, and the one :class:`Evaluator` runs
+every homomorphic operation over a whole lane, a plain
+:class:`Ciphertext` being the lane of one -- bit-identical, element by
+element, to running each ciphertext alone.
 """
 
 from repro.ckks.backend import (
@@ -47,7 +48,7 @@ from repro.ckks.backend import (
     set_backend,
     use_backend,
 )
-from repro.ckks.batch import BatchEvaluator, CiphertextBatch
+from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext, CkksParameters, SET_A, SET_B, SET_C
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
@@ -57,7 +58,6 @@ from repro.ckks.keys import KeyGenerator, PublicKey, SecretKey, RelinKey, Galois
 from repro.ckks.poly import Ciphertext, Plaintext
 
 __all__ = [
-    "BatchEvaluator",
     "CiphertextBatch",
     "CkksContext",
     "CkksParameters",

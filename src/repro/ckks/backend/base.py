@@ -76,7 +76,7 @@ exactness contract:
   ``list`` of ``list``s -- the numpy backend returns the ``(R, n)``
   ``uint64`` array itself, so consecutive stacked kernels compose with
   no per-call boundary conversion (callers lower to canonical lists
-  with :func:`canonical_stack` only when leaving the batch layer);
+  with :func:`canonical_stack` only when leaving the evaluator);
 * dyadic second operands (``b`` of ``*_stack`` binary ops, ``y`` of
   ``dyadic_mac_stack``) may be a single row instead of a stack, in
   which case it broadcasts against every row -- the shape key-switching
@@ -677,24 +677,32 @@ class PolynomialBackend(abc.ABC):
 
     def dyadic_stack_reduce(
         self, modulus: Modulus, x: RowStack, y: RowStack
-    ) -> Sequence[int]:
-        """``sum_i x[i] * y[i] mod p`` over matching stacks -> one row.
+    ) -> RowStack:
+        """``sum_i x_i * y[i] mod p`` -> a stack of ``len(x) // len(y)`` rows.
 
-        The fused inner product of the key-switching fast path: one call
-        accumulates every gadget digit's dyadic product against one key
-        column (Algorithm 7 lines 11-12 / 16-17 for all ``i`` at once),
-        instead of a Python-level MAC per digit.
+        The fused inner product of key switching: one call accumulates
+        every gadget digit's dyadic product against one key column
+        (Algorithm 7 lines 11-12 / 16-17 for all ``i`` at once), instead
+        of a Python-level MAC per digit.  ``x`` is digit-major: with
+        ``c`` polynomials stacked, rows ``[i*c, (i+1)*c)`` are digit
+        ``i`` of each and share key row ``y[i]`` -- the way the hardware
+        shares one key between the pipelined ciphertexts.
         """
-        if len(x) != len(y):
+        digits = len(y)
+        if not digits or len(x) % digits:
             raise ValueError(
                 f"stack length mismatch: {len(x)} vs {len(y)} rows"
             )
         if not len(x):
             raise ValueError("cannot reduce an empty stack")
-        acc = self.dyadic_mul(modulus, x[0], y[0])
-        for a, b in zip(x[1:], y[1:]):
-            acc = self.dyadic_mac(modulus, acc, a, b)
-        return acc
+        count = len(x) // digits
+        out = []
+        for b in range(count):
+            acc = self.dyadic_mul(modulus, x[b], y[0])
+            for i in range(1, digits):
+                acc = self.dyadic_mac(modulus, acc, x[i * count + b], y[i])
+            out.append(acc)
+        return out
 
     def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
         """Row-wise ``a * scalar mod p`` with a reduced scalar."""

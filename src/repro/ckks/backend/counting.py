@@ -318,8 +318,9 @@ class CountingBackend(PolynomialBackend):
         return self.inner.dyadic_mac_stack(modulus, acc, x, y)
 
     def dyadic_stack_reduce(self, modulus, x, y):
-        self.counts["dyadic_mul"] += 1
-        self.counts["dyadic_mac"] += max(0, len(x) - 1)
+        count = len(x) // max(1, len(y))
+        self.counts["dyadic_mul"] += count
+        self.counts["dyadic_mac"] += len(x) - count
         self._note_handles(x, y)
         return self.inner.dyadic_stack_reduce(modulus, x, y)
 

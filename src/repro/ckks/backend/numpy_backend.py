@@ -18,15 +18,21 @@ Modular reduction strategy, by prime size:
 * ``2^32 <= p < 2^52`` -- the HEAX word-size regime (``w = 54`` requires
   ``p < 2^52``).  The 104-bit product no longer fits in a word, so the
   quotient is *estimated* in ``float64`` (``q ~= floor(a*b/p)``, off by
-  at most a few units because ``a*b/p < 2^52`` is within the 53-bit
+  at most one either way because ``a*b/p < 2^52`` is within the 53-bit
   mantissa) and the remainder ``a*b - q*p`` is computed exactly in
-  wrapping ``uint64`` arithmetic, then corrected into ``[0, p)`` by a
-  bounded conditional-add/subtract loop.  This is a Barrett-style
+  wrapping ``uint64`` arithmetic, then folded into ``[0, p)`` by one
+  conditional add and one conditional subtract.  This is a Barrett-style
   reduction with the ratio multiply replaced by a float estimate; it is
-  exact, just like Algorithm 1's single-correction guarantee.
+  exact, just like Algorithm 1's single-correction guarantee.  A
+  ``*_rows`` modulus column that spans this regime and the one above
+  splits at the regime boundaries, each run taking its own path.
 * ``p >= 2^52`` -- outside the word-size-safe envelope (e.g. SEAL's
   ``w = 64`` regime with 61-bit primes); every operation falls back to
   the pure-Python reference backend, coefficient for coefficient.
+
+The butterfly stages themselves allocate nothing: a transform works in
+one per-thread buffer (:func:`_transform`) and every stage pass writes
+into it with ``out=``.
 
 All boundary data stays in the canonical list-of-int row format (see
 :mod:`repro.ckks.backend.base`), so outputs are bit-identical to the
@@ -35,6 +41,7 @@ reference backend -- asserted by ``tests/ckks/test_backend_equivalence.py``.
 
 from __future__ import annotations
 
+import threading
 from typing import List, Sequence
 
 import numpy as np
@@ -62,39 +69,49 @@ _WORD_SAFE_BOUND = 1 << 52
 #: on the NTTTables instance that owns the scalar tables.
 _CACHE_ATTR = "_numpy_twiddle_cache"
 
+_U1 = np.uint64(1)
+_U32 = np.uint64(32)
+
 
 def _mulmod(a: np.ndarray, b, p) -> np.ndarray:
     """Exact ``a * b mod p`` for uint64 operands reduced below ``p``.
 
     ``p`` may be a scalar int or an already-uint64 ``(L, 1)`` modulus
     column that broadcasts one prime per residue row -- the shape the
-    whole-matrix ``*_rows`` kernels use.  The Barrett float path is
-    exact for every ``p < 2^52``, so a column mixing the native-multiply
-    and float-Barrett regimes simply runs the float path throughout.
+    whole-matrix ``*_rows`` kernels use.
     """
     per_row = isinstance(p, np.ndarray)
+    if per_row and p.min() < _DIRECT_MUL_BOUND <= p.max():
+        # the column spans both regimes: each run of same-regime rows (a
+        # lane's modulus blocks are contiguous) takes its own path
+        small = p.ravel() < _DIRECT_MUL_BOUND
+        edges = [0, *(np.flatnonzero(small[1:] != small[:-1]) + 1), len(small)]
+        out = np.empty_like(a)
+        for lo, hi in zip(edges, edges[1:]):
+            out[lo:hi] = _mulmod(a[lo:hi], b[lo:hi], p[lo:hi])
+        return out
     if (int(p.max()) if per_row else p) < _DIRECT_MUL_BOUND:
         prod = a * b
         prod %= p if per_row else np.uint64(p)
         return prod
-    # Barrett with a float64 quotient estimate: q is off by at most a few
-    # units, and a*b - q*p is exact modulo 2^64, so a short correction
-    # loop lands in [0, p).
-    pf = p.astype(np.float64) if per_row else p
-    q = (a.astype(np.float64) * np.asarray(b, dtype=np.float64) / pf).astype(np.uint64)
+    # Barrett with a float64 quotient estimate: a*b/p < 2^52 carries a
+    # relative error below 2^-52, so the truncated estimate is off by at
+    # most one either way and the wrapped remainder a*b - q*p lies in
+    # [-p, 2p): a lifting fold (a negative wraps high, so min picks
+    # r + p) and the usual final fold land it in [0, p).  Three
+    # temporaries in all, however tall the stack.
     pu = p if per_row else np.uint64(p)
-    r = (a * b - q * pu).view(np.int64)
-    pi = p.astype(np.int64) if per_row else np.int64(p)
-    while True:
-        neg = r < 0
-        if neg.any():
-            r = np.where(neg, r + pi, r)
-            continue
-        high = r >= pi
-        if high.any():
-            r = np.where(high, r - pi, r)
-            continue
-        return r.astype(np.uint64)
+    quot = a.astype(np.float64) * b
+    quot /= p.astype(np.float64) if per_row else p
+    q = quot.astype(np.uint64)
+    q *= pu
+    r = a * b
+    r -= q
+    np.add(r, pu, out=q)
+    np.minimum(r, q, out=r)
+    np.subtract(r, pu, out=q)
+    np.minimum(r, q, out=r)
+    return r
 
 
 def _cond_sub(x: np.ndarray, p) -> np.ndarray:
@@ -119,27 +136,45 @@ def _submod(a: np.ndarray, b, p) -> np.ndarray:
     return _cond_sub(d, p)
 
 
-def _shoup_mul(x: np.ndarray, w, w_shoup, p: int) -> np.ndarray:
-    """Exact ``x * w mod p`` for a constant ``w`` with precomputed quotient.
+def _twiddle_mul(x, w, aux, p: int, work, quot, dest) -> None:
+    """``dest = x * w mod p`` for a twiddle column ``w``, allocation-free.
 
-    Algorithm 2 (MulRed), vectorized with a 32-bit ratio: for
-    ``p < 2^32`` and ``w_shoup = floor(w * 2^32 / p)``, the quotient
-    estimate ``q = (x * w_shoup) >> 32`` satisfies
-    ``x*w - q*p in [0, 2p)`` (the classic Shoup bound for ``x < 2^32``,
-    exact here because every intermediate product stays below ``2^64``
-    for reduced operands under a ``p < 2^32`` modulus), so one
-    conditional subtraction finishes the reduction -- no integer
-    division, every pass SIMD-friendly.
+    ``work`` holds the call's three half-size ``uint64`` buffers: the
+    product is formed in ``work[0]`` (which may be ``x`` itself) with
+    ``work[1:]`` as temporaries, and only the last fold writes ``dest``.
+
+    * ``quot is None`` -- ``p < 2^32``, ``aux = floor(w * 2^32 / p)``:
+      Algorithm 2 (MulRed) with a 32-bit ratio.  ``q = (x * aux) >> 32``
+      leaves ``x*w - q*p`` in ``[0, 2p)`` (the classic Shoup bound for
+      ``x < 2^32``; every product stays below ``2^64``), so one fold
+      finishes -- no integer division, every pass SIMD-friendly.
+    * otherwise ``quot`` is a ``float64`` buffer and ``aux`` the
+      ``float64`` image of ``w``: Barrett with a float quotient estimate.
+      ``x*w/p < 2^52`` carries a relative error below ``2^-52``, so the
+      truncated estimate is off by at most one either way and the
+      wrapped remainder lies in ``[-p, 2p)``: one lifting fold, then the
+      same final fold.
     """
-    q = x * w_shoup
-    q >>= np.uint64(32)
-    q *= np.uint64(p)
-    r = x * w
-    r -= q
-    return _cond_sub(r, p)
+    out, q, t = work
+    pu = np.uint64(p)
+    if quot is None:
+        np.multiply(x, aux, out=q)
+        q >>= _U32
+    else:
+        np.multiply(x, aux, out=quot)
+        quot /= p
+        np.copyto(q, quot, casting="unsafe")
+    q *= pu
+    np.multiply(x, w, out=out)
+    out -= q
+    if quot is not None:
+        np.add(out, pu, out=t)
+        np.minimum(out, t, out=out)  # a negative wraps high: picks out + p
+    np.subtract(out, pu, out=t)
+    np.minimum(out, t, out=dest)
 
 
-def _fwd_stages(a: np.ndarray, tw: "_TwiddleCache", p: int) -> np.ndarray:
+def _fwd_stages(a: np.ndarray, legs, fquot, tw: "_TwiddleCache", p: int) -> None:
     """All forward butterfly stages on an ``(n, R)`` array (mutates ``a``).
 
     The batch dimension is *innermost*: a stage views the coefficients as
@@ -148,10 +183,13 @@ def _fwd_stages(a: np.ndarray, tw: "_TwiddleCache", p: int) -> np.ndarray:
     (``t = 1, 2, 4``) degenerate into word-sized strided chunks that
     defeat vectorization; batch-innermost keeps at least ``R`` contiguous
     words per butterfly -- the same lane-interleaving a multi-lane
-    hardware NTT core uses.  Legs are computed into fresh contiguous
-    temporaries and copied back once per stage.
+    hardware NTT core uses.  Legs are computed in the three half-size
+    ``legs`` buffers (and the Barrett quotient in ``fquot``) and folded
+    straight back into the view, so a stage allocates nothing however
+    tall the stack is.
     """
     n, r = a.shape
+    pu = np.uint64(p)
     t = n
     m = 1
     while m < n:
@@ -159,31 +197,40 @@ def _fwd_stages(a: np.ndarray, tw: "_TwiddleCache", p: int) -> np.ndarray:
         view = a.reshape(m, 2 * t, r)
         u = view[:, :t, :]
         v = view[:, t:, :]
-        w = tw.fwd[m : 2 * m].reshape(m, 1, 1)
-        if tw.fwd_shoup is None:
-            wv = _mulmod(v, w, p)
-        else:
-            wv = _shoup_mul(v, w, tw.fwd_shoup[m : 2 * m].reshape(m, 1, 1), p)
-        s = _cond_sub(u + wv, p)
-        d = _submod(u, wv, p)
-        view[:, :t, :] = s
-        view[:, t:, :] = d
+        work = legs.reshape(3, m, t, r)
+        quot = None if fquot is None else fquot.reshape(m, t, r)
+        wv, d, tmp = work
+        _twiddle_mul(
+            v,
+            tw.fwd[m : 2 * m].reshape(m, 1, 1),
+            tw.fwd_aux[m : 2 * m].reshape(m, 1, 1),
+            p,
+            work,
+            quot,
+            wv,
+        )
+        np.subtract(u, wv, out=d)
+        d += pu  # difference leg, in (0, 2p)
+        wv += u  # sum leg, in [0, 2p)
+        np.subtract(wv, pu, out=tmp)
+        np.minimum(wv, tmp, out=u)
+        np.subtract(d, pu, out=tmp)
+        np.minimum(d, tmp, out=v)
         m <<= 1
-    return a
 
 
-def _inv_stages(a: np.ndarray, tw: "_TwiddleCache", p: int) -> np.ndarray:
+def _inv_stages(a: np.ndarray, legs, fquot, tw: "_TwiddleCache", p: int) -> None:
     """All inverse butterfly stages on an ``(n, R)`` array (mutates ``a``).
 
-    Batch-innermost layout, as in :func:`_fwd_stages`.
+    Batch-innermost layout and scratch buffers, as in :func:`_fwd_stages`.
 
     The Algorithm-4 per-stage halving ``(s + p if odd) >> 1`` is computed
     as ``(s >> 1) + odd * (p+1)/2`` -- identical values, but shifts and
-    masks on the contiguous sum-leg temporary instead of a mask + select
+    masks on the contiguous sum-leg buffer instead of a mask + select
     pass.
     """
     n, r = a.shape
-    one = np.uint64(1)
+    pu = np.uint64(p)
     half_p = np.uint64((p + 1) >> 1)
     t = 1
     m = n
@@ -192,34 +239,79 @@ def _inv_stages(a: np.ndarray, tw: "_TwiddleCache", p: int) -> np.ndarray:
         view = a.reshape(h, 2 * t, r)
         u = view[:, :t, :]
         v = view[:, t:, :]
-        w = tw.inv[h : 2 * h].reshape(h, 1, 1)
-        s = _cond_sub(u + v, p)
-        odd = s & one
-        s >>= one
-        odd *= half_p
-        s += odd  # s is now the halved sum leg
-        d = _submod(u, v, p)
-        if tw.inv_shoup is None:
-            wd = _mulmod(d, w, p)
-        else:
-            wd = _shoup_mul(d, w, tw.inv_shoup[h : 2 * h].reshape(h, 1, 1), p)
-        view[:, :t, :] = s
-        view[:, t:, :] = wd
+        work = legs.reshape(3, h, t, r)
+        quot = None if fquot is None else fquot.reshape(h, t, r)
+        d, s, tmp = work
+        np.subtract(u, v, out=d)
+        d += pu
+        np.subtract(d, pu, out=tmp)
+        np.minimum(d, tmp, out=d)  # difference leg, in [0, p)
+        np.add(u, v, out=s)
+        np.subtract(s, pu, out=tmp)
+        np.minimum(s, tmp, out=s)  # sum leg, in [0, p)
+        np.bitwise_and(s, _U1, out=tmp)
+        s >>= _U1
+        tmp *= half_p
+        np.add(s, tmp, out=u)  # the halved sum leg
+        _twiddle_mul(
+            d,
+            tw.inv[h : 2 * h].reshape(h, 1, 1),
+            tw.inv_aux[h : 2 * h].reshape(h, 1, 1),
+            p,
+            work,
+            quot,
+            v,
+        )
         t <<= 1
         m = h
+
+
+#: Per-thread transform workspace, see :func:`_transform`.
+_LOCAL = threading.local()
+
+
+def _transform(stages, rows: np.ndarray, tables: NTTTables) -> np.ndarray:
+    """Run ``stages`` over an ``(R, n)`` stack -> its ``(n, R)`` transform.
+
+    The transposed working copy and the stage scratch (three half-size
+    legs, plus the float quotient above the native-multiply regime) live
+    in one per-thread buffer that grows to the tallest stack seen and is
+    kept.  A transform therefore allocates nothing: tall stacks no
+    longer churn the top of the heap, which glibc hands back to the OS
+    and page-faults in again on reuse (2 700 faults, about 5 % of an
+    8-wide Set-A flush).  The result is a view of that buffer -- callers
+    copy it out before the thread's next transform.
+    """
+    r, n = rows.shape
+    if n != tables.n:
+        raise ValueError(f"expected {tables.n} coefficients, got {n}")
+    tw = getattr(tables, _CACHE_ATTR, None)
+    if tw is None:
+        tw = _TwiddleCache(tables)
+        setattr(tables, _CACHE_ATTR, tw)
+    half = (n >> 1) * r
+    buf = getattr(_LOCAL, "buf", None)
+    if buf is None or buf.size < 6 * half:
+        buf = _LOCAL.buf = np.empty(6 * half, dtype=np.uint64)
+    a = buf[: 2 * half].reshape(n, r)
+    a[...] = rows.T
+    fquot = None if tw.shoup else buf[5 * half : 6 * half].view(np.float64)
+    stages(a, buf[2 * half : 5 * half].reshape(3, half), fquot, tw, tables.modulus.value)
     return a
 
 
 class _TwiddleCache:
     """uint64 views of one table set's twiddles (built once per tables).
 
-    For primes in the native-multiply regime the cache also holds the
-    32-bit Shoup ratios ``floor(w * 2^32 / p)`` of every twiddle, so
-    butterfly stages replace the vector remainder (integer division,
-    the one non-SIMD operation in the pipeline) with :func:`_shoup_mul`.
+    ``fwd_aux`` / ``inv_aux`` hold what :func:`_twiddle_mul` multiplies
+    the quotient estimate from: for primes in the native-multiply regime
+    (``shoup``) the 32-bit ratios ``floor(w * 2^32 / p)`` of every
+    twiddle, which replace the vector remainder (integer division, the
+    one non-SIMD operation in the pipeline); above it the twiddles'
+    ``float64`` images.
     """
 
-    __slots__ = ("fwd", "inv", "fwd_shoup", "inv_shoup")
+    __slots__ = ("fwd", "inv", "shoup", "fwd_aux", "inv_aux")
 
     def __init__(self, tables: NTTTables):
         self.fwd = np.array([c.value for c in tables.root_powers], dtype=np.uint64)
@@ -227,16 +319,17 @@ class _TwiddleCache:
             [c.value for c in tables.inv_root_powers_div2], dtype=np.uint64
         )
         p = tables.modulus.value
-        if p < _DIRECT_MUL_BOUND:
-            self.fwd_shoup = np.array(
+        self.shoup = p < _DIRECT_MUL_BOUND
+        if self.shoup:
+            self.fwd_aux = np.array(
                 [(int(w) << 32) // p for w in self.fwd], dtype=np.uint64
             )
-            self.inv_shoup = np.array(
+            self.inv_aux = np.array(
                 [(int(w) << 32) // p for w in self.inv], dtype=np.uint64
             )
         else:
-            self.fwd_shoup = None
-            self.inv_shoup = None
+            self.fwd_aux = self.fwd.astype(np.float64)
+            self.inv_aux = self.inv.astype(np.float64)
 
 
 class NumpyBackend(PolynomialBackend):
@@ -276,14 +369,6 @@ class NumpyBackend(PolynomialBackend):
     def _pcol(moduli) -> np.ndarray:
         """The ``(L, 1)`` modulus column broadcasting one prime per row."""
         return np.array([[m.value] for m in moduli], dtype=np.uint64)
-
-    @staticmethod
-    def _twiddles(tables: NTTTables) -> _TwiddleCache:
-        cache = getattr(tables, _CACHE_ATTR, None)
-        if cache is None:
-            cache = _TwiddleCache(tables)
-            setattr(tables, _CACHE_ATTR, cache)
-        return cache
 
     @staticmethod
     def _row(row: Sequence[int]) -> np.ndarray:
@@ -463,10 +548,9 @@ class NumpyBackend(PolynomialBackend):
     def _ntt_rows(self, tables_list, rows, inverse: bool):
         """One transform per (modulus, row) on a resident matrix.
 
-        Each row's butterfly stages run on an in-place ``(n, 1)`` view of
-        an owned output matrix -- no boundary conversion per row; rows
-        under out-of-envelope primes transform through the reference
-        fallback and are re-lifted into the matrix.
+        Each row transforms into an owned output matrix -- no boundary
+        conversion per row; rows under out-of-envelope primes transform
+        through the reference fallback and are re-lifted into the matrix.
         """
         try:
             mat = self._matrix(rows)
@@ -480,19 +564,11 @@ class NumpyBackend(PolynomialBackend):
             raise ValueError(
                 f"expected {len(tables_list)} rows, got {mat.shape[0]}"
             )
-        out = mat.copy()  # the stage cores mutate in place
+        out = np.empty_like(mat)
         stages = _inv_stages if inverse else _fwd_stages
         for i, tables in enumerate(tables_list):
-            if mat.shape[1] != tables.n:
-                raise ValueError(
-                    f"expected {tables.n} coefficients, got {mat.shape[1]}"
-                )
             if self.supports(tables.modulus):
-                stages(
-                    out[i].reshape(-1, 1),
-                    self._twiddles(tables),
-                    tables.modulus.value,
-                )
+                out[i] = _transform(stages, mat[i : i + 1], tables)[:, 0]
             else:
                 fb = self._fallback
                 row = (
@@ -574,11 +650,7 @@ class NumpyBackend(PolynomialBackend):
     def ntt_forward(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
         if not self.supports(tables.modulus):
             return self._fallback.ntt_forward(tables, row)
-        n = tables.n
-        if len(row) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(row)}")
-        a = np.array(row, dtype=np.uint64, order="C").reshape(n, 1)
-        return _fwd_stages(a, self._twiddles(tables), tables.modulus.value)[:, 0].tolist()
+        return _transform(_fwd_stages, self._row(row)[None, :], tables)[:, 0].tolist()
 
     # ------------------------------------------------------------------
     # INTT (Algorithm 4 with the per-stage halving folded in)
@@ -586,11 +658,7 @@ class NumpyBackend(PolynomialBackend):
     def ntt_inverse(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
         if not self.supports(tables.modulus):
             return self._fallback.ntt_inverse(tables, row)
-        n = tables.n
-        if len(row) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(row)}")
-        a = np.array(row, dtype=np.uint64, order="C").reshape(n, 1)
-        return _inv_stages(a, self._twiddles(tables), tables.modulus.value)[:, 0].tolist()
+        return _transform(_inv_stages, self._row(row)[None, :], tables)[:, 0].tolist()
 
     # ------------------------------------------------------------------
     # dyadic arithmetic
@@ -682,24 +750,13 @@ class NumpyBackend(PolynomialBackend):
     def ntt_forward_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
         if not self.supports(tables.modulus) or not len(stack):
             return super().ntt_forward_stack(tables, stack)
-        arr = self._stack(stack)
-        if arr.shape[1] != tables.n:
-            raise ValueError(f"expected {tables.n} coefficients, got {arr.shape[1]}")
-        # .copy() (not ascontiguousarray, which can alias when R == 1)
-        # because the stage cores mutate their input
-        a = arr.T.copy()
-        out = _fwd_stages(a, self._twiddles(tables), tables.modulus.value)
-        return np.ascontiguousarray(out.T)
+        # an owned copy: the workspace is reused by the next transform
+        return _transform(_fwd_stages, self._stack(stack), tables).T.copy()
 
     def ntt_inverse_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
         if not self.supports(tables.modulus) or not len(stack):
             return super().ntt_inverse_stack(tables, stack)
-        arr = self._stack(stack)
-        if arr.shape[1] != tables.n:
-            raise ValueError(f"expected {tables.n} coefficients, got {arr.shape[1]}")
-        a = arr.T.copy()  # owned copy: the stage cores mutate in place
-        out = _inv_stages(a, self._twiddles(tables), tables.modulus.value)
-        return np.ascontiguousarray(out.T)
+        return _transform(_inv_stages, self._stack(stack), tables).T.copy()
 
     def add_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
         if not self.supports(modulus) or not len(a):
@@ -712,14 +769,6 @@ class NumpyBackend(PolynomialBackend):
             return super().sub_stack(modulus, a, b)
         arr = self._stack(a)
         return _submod(arr, self._operand(b, len(arr)), modulus.value)
-
-    def negate_stack(self, modulus: Modulus, a: RowStack) -> RowStack:
-        if not self.supports(modulus) or not len(a):
-            return super().negate_stack(modulus, a)
-        arr = self._stack(a)
-        out = np.uint64(modulus.value) - arr
-        np.minimum(out, np.uint64(0) - arr, out=out)
-        return out
 
     def dyadic_mul_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
         if not self.supports(modulus) or not len(a):
@@ -736,17 +785,25 @@ class NumpyBackend(PolynomialBackend):
         return _cond_sub(arr + prod, p)
 
     def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack):
-        if not self.supports(modulus) or not len(x):
+        if not self.supports(modulus) or not len(x) or not len(y):
             return super().dyadic_stack_reduce(modulus, x, y)
-        if len(x) != len(y):
+        digits = len(y)
+        if len(x) % digits:
             raise ValueError(
                 f"stack length mismatch: {len(x)} vs {len(y)} rows"
             )
         p = modulus.value
-        prod = _mulmod(self._stack(x), self._stack(y), p)
-        acc = prod[0]
-        for row in prod[1:]:
-            acc = _cond_sub(acc + row, p)
+        xs = self._stack(x).reshape(digits, len(x) // digits, -1)
+        ys = self._stack(y)[:, None, :]  # one key row per digit block
+        if digits * (p - 1) ** 2 < 1 << 64:
+            # every digit's product fits one word together: a single
+            # division for the whole sum instead of one per digit
+            acc = (xs * ys).sum(axis=0)
+            acc %= np.uint64(p)
+            return acc
+        acc = _mulmod(xs[0], ys[0], p)
+        for block, key_row in zip(xs[1:], ys[1:]):
+            acc = _cond_sub(acc + _mulmod(block, key_row, p), p)
         return acc
 
     def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
@@ -761,24 +818,12 @@ class NumpyBackend(PolynomialBackend):
             arr = self._stack(stack)
         except (OverflowError, ValueError):
             return super().reduce_mod_stack(modulus, stack)
-        return arr % np.uint64(modulus.value)
-
-    def apply_galois_stack(
-        self,
-        modulus: Modulus,
-        stack: RowStack,
-        mapping: Sequence[tuple],
-    ) -> RowStack:
-        if not self.supports(modulus) or not len(stack):
-            return super().apply_galois_stack(modulus, stack, mapping)
-        arr = self._stack(stack)
-        n = len(mapping)
-        dest = np.fromiter((d for d, _ in mapping), dtype=np.intp, count=n)
-        flip = np.fromiter((f for _, f in mapping), dtype=bool, count=n)
-        vals = np.where(flip & (arr != 0), np.uint64(modulus.value) - arr, arr)
-        out = np.empty_like(vals)
-        out[:, dest] = vals
-        return out
+        pu = np.uint64(modulus.value)
+        if int(arr.max()) < 2 * modulus.value:
+            # residues of a prime of the same size (the usual RNS basis):
+            # one fold instead of the one non-SIMD pass, a division
+            return np.minimum(arr, arr - pu)
+        return arr % pu
 
     def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
         if not len(stack):

@@ -85,23 +85,6 @@ class ReferenceBackend(PolynomialBackend):
             out.append(v - p if v >= p else v)
         return out
 
-    def dyadic_stack_reduce(self, modulus: Modulus, x, y):
-        """Fused digit reduction: accumulate in one row, no per-digit lists."""
-        if len(x) != len(y):
-            raise ValueError(
-                f"stack length mismatch: {len(x)} vs {len(y)} rows"
-            )
-        if not len(x):
-            raise ValueError("cannot reduce an empty stack")
-        p = modulus.value
-        mul = modulus.mul
-        acc = [mul(a, b) for a, b in zip(_as_list(x[0]), _as_list(y[0]))]
-        for xr, yr in zip(x[1:], y[1:]):
-            for i, (a, b) in enumerate(zip(_as_list(xr), _as_list(yr))):
-                v = acc[i] + mul(a, b)
-                acc[i] = v - p if v >= p else v
-        return acc
-
     # ------------------------------------------------------------------
     # scalar operations
     # ------------------------------------------------------------------

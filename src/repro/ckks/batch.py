@@ -1,75 +1,87 @@
-"""Batched ciphertext-level parallelism (Figure 7 / Section 5.2).
+"""The lane: ``N`` same-shape ciphertexts as the evaluator's unit of work.
 
-HEAX's outermost level of parallelism is across *independent
-ciphertexts*: the host queues many of them and the accelerator streams
-them through the shared NTT/MULT/KeySwitch pipelines.  This module is
-the software realization of that level:
+HEAX has one datapath per primitive; ciphertext-level parallelism
+(Figure 7 / Section 5.2) is the host keeping that one NTT/MULT/KeySwitch
+pipeline full with a queue of independent ciphertexts, not a second
+implementation.  :class:`CiphertextBatch` is the software form of that
+queue slot -- a *lane* of ``N >= 1`` ciphertexts that share ring degree,
+component count, RNS basis, NTT form and scale -- and
+:class:`repro.ckks.evaluator.Evaluator` runs every operation over a
+whole lane; a plain :class:`~repro.ckks.poly.Ciphertext` is the lane of
+one.
 
-* :class:`CiphertextBatch` -- ``N`` same-shape ciphertexts stored as
-  per-(component, modulus) **row stacks**: for component ``j`` and RNS
-  modulus ``i``, ``stacks[j][i]`` holds the ``N`` residue rows of every
-  batch element, i.e. an ``(N, n)`` two-dimensional residue array.
-* :class:`BatchEvaluator` -- batched ``add / sub / multiply /
-  relinearize / rescale / rotate / encrypt / decrypt`` implemented
-  against the stacked-row kernels of the polynomial backend
-  (:mod:`repro.ckks.backend`).  On the numpy backend one whole-array
-  NTT covers the entire batch, amortizing every per-call and per-stage
-  overhead across the ``N`` ciphertexts -- the software analogue of
-  keeping the hardware pipeline full.
+Layout: per polynomial component one **modulus-major** ``(L·N, n)``
+residue matrix -- row ``i·N + b`` is element ``b`` under RNS modulus
+``i``.  At ``N = 1`` that *is* ``RnsPolynomial.rows``, so joining and
+splitting a single ciphertext is the identity; the ``N`` rows of one
+modulus are the contiguous block ``[i·N, (i+1)·N)`` the backend's
+stacked per-modulus kernels (NTT, flooring) consume, and element ``b``
+is the strided view ``rows[b::N]``.
 
-Semantically a batched operation is *exactly* ``N`` independent
-single-ciphertext operations: ``BatchEvaluator`` results are
-bit-identical to running :class:`repro.ckks.evaluator.Evaluator` per
-element, on every backend (the differential harness in
-``tests/ckks/differential.py`` asserts this).
-
-Batches are homogeneous by construction: every element must share ring
-degree, component count, RNS basis (level), NTT form and scale --
-mixed-level or ragged inputs are rejected at :meth:`CiphertextBatch.join`
-time, mirroring the fixed lane shape a hardware pipeline imposes.
+Lanes are homogeneous by construction: mixed-level or ragged inputs are
+rejected at :meth:`CiphertextBatch.join` time, mirroring the fixed lane
+shape a hardware pipeline imposes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.ckks.backend.base import RowStack
-from repro.ckks.context import CkksContext
-from repro.ckks.evaluator import check_scales
-from repro.ckks.keys import GaloisKey, GaloisKeySet, KswitchKey, RelinKey
 from repro.ckks.modarith import Modulus
-from repro.ckks.poly import Ciphertext, Plaintext, RnsPolynomial
+from repro.ckks.poly import Ciphertext, RnsPolynomial
+
+#: Relative tolerance when requiring two operands' scales to match.
+SCALE_RTOL = 1e-9
+
+
+def check_scales(a: float, b: float) -> None:
+    """Require two positive operand scales to match within :data:`SCALE_RTOL`.
+
+    Non-positive (or NaN) scales are rejected up front: with
+    ``max(a, b) <= 0`` the relative-tolerance bound is non-positive, so
+    the mismatch test below would degenerate and accept *any* pair --
+    e.g. a zero scale against ``2^40``.  A valid CKKS scale is always
+    ``> 1``, so nothing legitimate is lost.
+    """
+    if not (a > 0 and b > 0):  # also catches NaN, which fails every compare
+        raise ValueError(
+            f"non-positive scale: {a:g} vs {b:g}; ciphertext metadata is corrupt"
+        )
+    if abs(a - b) > SCALE_RTOL * max(a, b):
+        raise ValueError(
+            f"scale mismatch: {a:g} vs {b:g}; rescale/encode to align"
+        )
 
 
 class CiphertextBatch:
-    """``N`` same-shape ciphertexts stacked as 2-D residue arrays.
+    """A lane of ``N`` same-shape ciphertexts.
 
-    ``stacks[j][i]`` is the row-stack (``N`` rows of length ``n``) of
-    polynomial component ``j`` under RNS modulus ``i``.  Stacks may be
-    in a backend-native representation (the numpy backend keeps them as
-    ``(N, n)`` uint64 arrays between operations); :meth:`split` lowers
-    everything back to canonical :class:`Ciphertext` objects.
+    ``comps[j]`` is polynomial component ``j`` of the whole lane as one
+    modulus-major ``(L·N, n)`` residue matrix (see the module
+    docstring).  Fresh from :meth:`join` a component of a wider lane is
+    a list of row views; the evaluator lifts it to the backend's native
+    matrix on first use.
     """
 
-    __slots__ = ("n", "count", "moduli", "scale", "is_ntt", "stacks")
+    __slots__ = ("n", "count", "moduli", "scale", "is_ntt", "comps")
 
     def __init__(
         self,
         n: int,
         count: int,
         moduli: Sequence[Modulus],
-        stacks: List[List[RowStack]],
+        comps: List,
         scale: float,
         is_ntt: bool = True,
     ):
         if count < 1:
             raise ValueError("a ciphertext batch needs at least one element")
-        if not stacks:
+        if not comps:
             raise ValueError("a ciphertext batch needs at least one component")
         self.n = n
         self.count = count
         self.moduli = list(moduli)
-        self.stacks = stacks
+        self.comps = comps
         self.scale = scale
         self.is_ntt = is_ntt
 
@@ -115,18 +127,22 @@ class CiphertextBatch:
                 raise ValueError(
                     f"batch elements must share scale: {ct.scale:g} vs {first.scale:g}"
                 ) from None
-        # native row views: joining a batch is pure addressing over the
-        # already-resident per-ciphertext matrices (no list
-        # materialization); the first stacked kernel fuses the views
-        # into one (N, n) matrix via native_stack
-        stacks = [
-            [
-                [ct.polys[j].row(i) for ct in cts]
-                for i in range(len(first.moduli))
+        if len(cts) == 1:
+            # the lane of one: the ciphertext's own matrices, no copy
+            comps = [p.rows for p in first.polys]
+        else:
+            # native row views, modulus-major: joining is pure addressing
+            # over the already-resident per-ciphertext matrices; the
+            # evaluator's first touch fuses them into one (L·N, n) matrix
+            comps = [
+                [
+                    ct.polys[j].row(i)
+                    for i in range(len(first.moduli))
+                    for ct in cts
+                ]
+                for j in range(first.size)
             ]
-            for j in range(first.size)
-        ]
-        return cls(first.n, len(cts), first.moduli, stacks, first.scale, first.is_ntt)
+        return cls(first.n, len(cts), first.moduli, comps, first.scale, first.is_ntt)
 
     #: ``join`` is the symmetric partner of :meth:`split`.
     join = from_ciphertexts
@@ -134,36 +150,40 @@ class CiphertextBatch:
     def split(self) -> List[Ciphertext]:
         """Unstack into ``N`` :class:`Ciphertext` objects.
 
-        Element polynomials are built from *views* of the resident batch
-        stacks -- no materialization to Python lists -- so a
-        split-then-serialize flush packs bytes straight from the native
-        matrices.  Views are read-only by convention (as everywhere in
+        Element ``b``'s polynomials are the strided *views*
+        ``comps[j][b::N]`` of the resident lane matrices (at ``N = 1``
+        the whole matrix) -- no materialization, so a
+        split-then-serialize flush packs bytes straight from native
+        storage.  Views are read-only by convention (as everywhere in
         the residency design); use ``clone()`` on an element before
         mutating rows in place.
         """
-        out = []
-        for b in range(self.count):
-            polys = [
-                RnsPolynomial(
-                    self.n,
-                    self.moduli,
-                    [self.stacks[j][i][b] for i in range(len(self.moduli))],
-                    self.is_ntt,
-                )
-                for j in range(self.size)
-            ]
-            out.append(Ciphertext(polys, self.scale))
-        return out
+        step = self.count
+        return [
+            Ciphertext(
+                [
+                    RnsPolynomial(self.n, self.moduli, comp[b::step], self.is_ntt)
+                    for comp in self.comps
+                ],
+                self.scale,
+            )
+            for b in range(step)
+        ]
 
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         """Polynomial component count (2 fresh, 3 un-relinearized)."""
-        return len(self.stacks)
+        return len(self.comps)
 
     @property
     def level_count(self) -> int:
         return len(self.moduli)
+
+    @property
+    def row_moduli(self) -> List[Modulus]:
+        """The modulus of every row of a component matrix, in order."""
+        return [m for m in self.moduli for _ in range(self.count)]
 
     def __len__(self) -> int:
         return self.count
@@ -173,458 +193,3 @@ class CiphertextBatch:
             f"CiphertextBatch(count={self.count}, size={self.size}, "
             f"n={self.n}, k={self.level_count}, scale={self.scale:g})"
         )
-
-
-class BatchEvaluator:
-    """Batched homomorphic operations over :class:`CiphertextBatch`.
-
-    Every method is the batch-wise counterpart of the corresponding
-    :class:`repro.ckks.evaluator.Evaluator` method, with identical
-    scale/level discipline and bit-identical per-element results; the
-    inner loops run on the backend's stacked-row kernels so the numpy
-    backend executes one whole-array pass per (component, modulus)
-    instead of ``N``.
-    """
-
-    def __init__(self, context: CkksContext):
-        self.context = context
-
-    def _lift(self, batch: CiphertextBatch) -> CiphertextBatch:
-        """Re-represent a batch's stacks in the backend's native form.
-
-        Idempotent and value-preserving (rewrites ``batch.stacks`` in
-        place), so a batch that arrives as Python lists -- fresh from
-        :meth:`CiphertextBatch.join` or a deserializer -- pays the
-        boundary conversion once, not on every kernel call.
-        """
-        be = self.context.backend
-        batch.stacks = [
-            [be.native_stack(stack) for stack in comp] for comp in batch.stacks
-        ]
-        return batch
-
-    # ------------------------------------------------------------------
-    # compatibility checks
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_pair(b0: CiphertextBatch, b1) -> None:
-        """The full compatibility discipline of the scalar path.
-
-        Mirrors ``RnsPolynomial._check_compatible``: ring degree, RNS
-        basis *values* (not just level count) and NTT form must all
-        match, so a mismatched operand raises exactly where the
-        per-ciphertext evaluator would instead of producing garbage.
-        """
-        if isinstance(b1, CiphertextBatch):
-            if b0.count != b1.count:
-                raise ValueError(
-                    f"batch size mismatch: {b0.count} vs {b1.count}"
-                )
-            other_moduli, other_ntt = b1.moduli, b1.is_ntt
-        else:  # a Plaintext operand
-            other_moduli, other_ntt = b1.poly.moduli, b1.poly.is_ntt
-        if b0.n != b1.n:
-            raise ValueError("ring degree mismatch")
-        if b0.level_count != b1.level_count:
-            raise ValueError(
-                f"level mismatch: {b0.level_count} vs {b1.level_count}"
-            )
-        if [m.value for m in b0.moduli] != [m.value for m in other_moduli]:
-            raise ValueError("RNS basis mismatch")
-        if b0.is_ntt != other_ntt:
-            raise ValueError("NTT-form mismatch (transform before combining)")
-
-    # ------------------------------------------------------------------
-    # addition family
-    # ------------------------------------------------------------------
-    def add(self, b0: CiphertextBatch, b1: CiphertextBatch) -> CiphertextBatch:
-        """Batched CKKS.Add (sizes may differ, as in the scalar path)."""
-        check_scales(b0.scale, b1.scale)
-        self._check_pair(b0, b1)
-        be = self.context.backend
-        self._lift(b0)
-        self._lift(b1)
-        big, small = (b0, b1) if b0.size >= b1.size else (b1, b0)
-        stacks = [
-            [
-                be.add_stack(m, big.stacks[j][i], small.stacks[j][i])
-                if j < small.size
-                else big.stacks[j][i]
-                for i, m in enumerate(big.moduli)
-            ]
-            for j in range(big.size)
-        ]
-        return CiphertextBatch(b0.n, b0.count, b0.moduli, stacks, b0.scale, b0.is_ntt)
-
-    def sub(self, b0: CiphertextBatch, b1: CiphertextBatch) -> CiphertextBatch:
-        check_scales(b0.scale, b1.scale)
-        self._check_pair(b0, b1)
-        be = self.context.backend
-        self._lift(b0)
-        self._lift(b1)
-        size = max(b0.size, b1.size)
-        stacks = []
-        for j in range(size):
-            if j < b0.size and j < b1.size:
-                comp = [
-                    be.sub_stack(m, b0.stacks[j][i], b1.stacks[j][i])
-                    for i, m in enumerate(b0.moduli)
-                ]
-            elif j < b0.size:
-                comp = list(b0.stacks[j])
-            else:
-                comp = [
-                    be.negate_stack(m, b1.stacks[j][i])
-                    for i, m in enumerate(b0.moduli)
-                ]
-            stacks.append(comp)
-        return CiphertextBatch(b0.n, b0.count, b0.moduli, stacks, b0.scale, b0.is_ntt)
-
-    def negate(self, batch: CiphertextBatch) -> CiphertextBatch:
-        be = self.context.backend
-        self._lift(batch)
-        stacks = [
-            [be.negate_stack(m, comp[i]) for i, m in enumerate(batch.moduli)]
-            for comp in batch.stacks
-        ]
-        return CiphertextBatch(
-            batch.n, batch.count, batch.moduli, stacks, batch.scale, batch.is_ntt
-        )
-
-    def add_plain(self, batch: CiphertextBatch, pt: Plaintext) -> CiphertextBatch:
-        """Add one (NTT-form, level-matched) plaintext to every element."""
-        check_scales(batch.scale, pt.scale)
-        self._check_pair(batch, pt)
-        be = self.context.backend
-        self._lift(batch)
-        pt_rows = pt.poly.native_rows(be)
-        stacks = [list(comp) for comp in batch.stacks]
-        stacks[0] = [
-            be.add_stack(m, batch.stacks[0][i], be.get_row(pt_rows, i))
-            for i, m in enumerate(batch.moduli)
-        ]
-        return CiphertextBatch(
-            batch.n, batch.count, batch.moduli, stacks, batch.scale, batch.is_ntt
-        )
-
-    # ------------------------------------------------------------------
-    # multiplication family (Algorithm 5, batched)
-    # ------------------------------------------------------------------
-    def multiply(self, b0: CiphertextBatch, b1: CiphertextBatch) -> CiphertextBatch:
-        """Batched Algorithm 5: element-wise (α, β) -> α+β-1 product."""
-        self._check_pair(b0, b1)
-        be = self.context.backend
-        self._lift(b0)
-        self._lift(b1)
-        alpha, beta = b0.size, b1.size
-        out: List[List[RowStack]] = [None] * (alpha + beta - 1)
-        for a in range(alpha):
-            for b in range(beta):
-                if out[a + b] is None:
-                    out[a + b] = [
-                        be.dyadic_mul_stack(m, b0.stacks[a][i], b1.stacks[b][i])
-                        for i, m in enumerate(b0.moduli)
-                    ]
-                else:
-                    out[a + b] = [
-                        be.dyadic_mac_stack(
-                            m, out[a + b][i], b0.stacks[a][i], b1.stacks[b][i]
-                        )
-                        for i, m in enumerate(b0.moduli)
-                    ]
-        return CiphertextBatch(
-            b0.n, b0.count, b0.moduli, out, b0.scale * b1.scale, b0.is_ntt
-        )
-
-    def multiply_plain(self, batch: CiphertextBatch, pt: Plaintext) -> CiphertextBatch:
-        """Multiply every element by one plaintext (MULT module C-P mode)."""
-        self._check_pair(batch, pt)
-        be = self.context.backend
-        self._lift(batch)
-        pt_rows = pt.poly.native_rows(be)
-        stacks = [
-            [
-                be.dyadic_mul_stack(m, comp[i], be.get_row(pt_rows, i))
-                for i, m in enumerate(batch.moduli)
-            ]
-            for comp in batch.stacks
-        ]
-        return CiphertextBatch(
-            batch.n,
-            batch.count,
-            batch.moduli,
-            stacks,
-            batch.scale * pt.scale,
-            batch.is_ntt,
-        )
-
-    # ------------------------------------------------------------------
-    # rescaling (Algorithm 6, batched)
-    # ------------------------------------------------------------------
-    def _floor_divide_last_stack(
-        self, comp: List[RowStack], moduli: Sequence[Modulus]
-    ) -> List[RowStack]:
-        """Batched RNS flooring of one component: drop the last prime."""
-        ctx = self.context
-        be = ctx.backend
-        last_mod = moduli[-1]
-        a = be.ntt_inverse_stack(ctx.tables(last_mod), comp[-1])
-        out = []
-        for i, m in enumerate(moduli[:-1]):
-            inv_last = ctx.rescale_inverse(last_mod, m)
-            r_ntt = be.ntt_forward_stack(ctx.tables(m), be.reduce_mod_stack(m, a))
-            diff = be.sub_stack(m, comp[i], r_ntt)
-            out.append(be.scalar_mul_stack(m, diff, inv_last))
-        return out
-
-    def rescale(self, batch: CiphertextBatch) -> CiphertextBatch:
-        """Batched CKKS.Rescale: floor-divide every element by the last prime."""
-        if not batch.is_ntt:
-            raise ValueError("flooring operates on NTT-form polynomials")
-        if batch.level_count < 2:
-            raise ValueError("cannot rescale at the last level")
-        self._lift(batch)
-        last = batch.moduli[-1].value
-        stacks = [
-            self._floor_divide_last_stack(comp, batch.moduli)
-            for comp in batch.stacks
-        ]
-        return CiphertextBatch(
-            batch.n,
-            batch.count,
-            batch.moduli[:-1],
-            stacks,
-            batch.scale / last,
-            batch.is_ntt,
-        )
-
-    # ------------------------------------------------------------------
-    # key switching (Algorithm 7, batched)
-    # ------------------------------------------------------------------
-    def _decompose_stacks(
-        self, target: List[RowStack], moduli: Sequence[Modulus]
-    ) -> Tuple[List[Modulus], List[List[RowStack]]]:
-        """Batched Algorithm-7 phase 1: the RNS gadget decomposition.
-
-        ``target[i]`` is the ``(N, n)`` row-stack of the switched
-        polynomial under data modulus ``i``.  Returns the extended basis
-        and ``digits[j][i]`` -- digit ``i``'s batch stack fanned out to
-        extended modulus ``j`` -- with the fan-out for each target
-        modulus executed as **one** stacked forward NTT over all
-        ``(digit, batch element)`` rows at once, mirroring the scalar
-        :meth:`repro.ckks.evaluator.Evaluator.decompose`.
-        """
-        ctx = self.context
-        be = ctx.backend
-        data_moduli = list(moduli)
-        level = len(data_moduli)
-        ext_moduli = data_moduli + [ctx.special_modulus]
-        coeff = [
-            be.ntt_inverse_stack(ctx.tables(m), target[i])
-            for i, m in enumerate(data_moduli)
-        ]
-        count = len(target[0])
-        digits: List[List[RowStack]] = []
-        for j, m_j in enumerate(ext_moduli):
-            pass_idx = j if j < level else None  # self-row reuse (line 9)
-            pieces = [i for i in range(level) if i != pass_idx]
-            per_digit: List[Optional[RowStack]] = [None] * level
-            if pieces:
-                rows: List = []
-                for i in pieces:
-                    rows.extend(coeff[i])
-                fanned = be.ntt_forward_stack(
-                    ctx.tables(m_j),
-                    be.reduce_mod_stack(m_j, be.native_stack(rows)),
-                )
-                for idx, i in enumerate(pieces):
-                    per_digit[i] = fanned[idx * count : (idx + 1) * count]
-            if pass_idx is not None:
-                per_digit[pass_idx] = target[pass_idx]
-            digits.append(per_digit)
-        return ext_moduli, digits
-
-    def _apply_keyswitch_stacks(
-        self,
-        digits: List[List[RowStack]],
-        ext_moduli: Sequence[Modulus],
-        ksk: KswitchKey,
-    ) -> Tuple[List[RowStack], List[RowStack]]:
-        """Batched Algorithm-7 phase 2: dyadic MACs + Modulus Switch.
-
-        The key arrives pre-stacked from :meth:`KswitchKey.stacked_columns`
-        (one native lift per key, cached); each key row broadcasts across
-        the batch, which is exactly how the hardware shares one key
-        between the pipelined ciphertexts.
-        """
-        be = self.context.backend
-        col0, col1 = ksk.stacked_columns(ext_moduli, be)
-        acc0: List[Optional[RowStack]] = []
-        acc1: List[Optional[RowStack]] = []
-        for j, m_j in enumerate(ext_moduli):
-            a0: Optional[RowStack] = None
-            a1: Optional[RowStack] = None
-            for i, b_ntt in enumerate(digits[j]):
-                if a0 is None:
-                    a0 = be.dyadic_mul_stack(m_j, b_ntt, col0[j][i])
-                    a1 = be.dyadic_mul_stack(m_j, b_ntt, col1[j][i])
-                else:
-                    a0 = be.dyadic_mac_stack(m_j, a0, b_ntt, col0[j][i])
-                    a1 = be.dyadic_mac_stack(m_j, a1, b_ntt, col1[j][i])
-            acc0.append(a0)
-            acc1.append(a1)
-        return (
-            self._floor_divide_last_stack(acc0, ext_moduli),
-            self._floor_divide_last_stack(acc1, ext_moduli),
-        )
-
-    def keyswitch_stack(
-        self,
-        target: List[RowStack],
-        moduli: Sequence[Modulus],
-        ksk: KswitchKey,
-    ) -> Tuple[List[RowStack], List[RowStack]]:
-        """Batched Algorithm 7 core over a stack of NTT-form polynomials.
-
-        The scalar two-phase dataflow with every row replaced by a batch
-        stack: :meth:`_decompose_stacks` then
-        :meth:`_apply_keyswitch_stacks`.
-        """
-        ext_moduli, digits = self._decompose_stacks(target, moduli)
-        return self._apply_keyswitch_stacks(digits, ext_moduli, ksk)
-
-    def relinearize(self, batch: CiphertextBatch, relin_key: RelinKey) -> CiphertextBatch:
-        """Batched CKKS.Relin: size-3 -> size-2 for every element at once."""
-        if batch.size != 3:
-            raise ValueError(
-                f"relinearize expects size-3 ciphertexts, got size {batch.size}"
-            )
-        be = self.context.backend
-        self._lift(batch)
-        f0, f1 = self.keyswitch_stack(batch.stacks[2], batch.moduli, relin_key)
-        stacks = [
-            [
-                be.add_stack(m, batch.stacks[0][i], f0[i])
-                for i, m in enumerate(batch.moduli)
-            ],
-            [
-                be.add_stack(m, batch.stacks[1][i], f1[i])
-                for i, m in enumerate(batch.moduli)
-            ],
-        ]
-        return CiphertextBatch(
-            batch.n, batch.count, batch.moduli, stacks, batch.scale, batch.is_ntt
-        )
-
-    def multiply_relin(
-        self, b0: CiphertextBatch, b1: CiphertextBatch, relin_key: RelinKey
-    ) -> CiphertextBatch:
-        """Fused batched MULT + Relin (the composite operation of Table 8)."""
-        return self.relinearize(self.multiply(b0, b1), relin_key)
-
-    # ------------------------------------------------------------------
-    # rotation / conjugation (batched)
-    # ------------------------------------------------------------------
-    def apply_galois(
-        self, batch: CiphertextBatch, galois_elt: int, key: GaloisKey
-    ) -> CiphertextBatch:
-        """Batched automorphism + key switch back to ``s`` (size-2 only).
-
-        The batched mirror of the scalar NTT-domain rotation dataflow:
-        decompose ``c1``'s batch stacks, gather-permute the digits and
-        ``c0`` in the NTT domain (no INTT -> signed-permute -> NTT round
-        trip per element), then the stacked MACs and Modulus Switch --
-        bit-identical per element to
-        :meth:`repro.ckks.evaluator.Evaluator.apply_galois`.
-        """
-        if batch.size != 2:
-            raise ValueError("relinearize before applying Galois automorphisms")
-        if key.galois_elt != galois_elt:
-            raise ValueError("Galois key does not match the requested element")
-        if not batch.is_ntt:
-            raise ValueError("ciphertexts are kept in NTT form")
-        ctx = self.context
-        be = ctx.backend
-        self._lift(batch)
-        ext_moduli, digits = self._decompose_stacks(batch.stacks[1], batch.moduli)
-        table = ctx.galois_table_ntt(galois_elt)
-        permuted = [
-            [be.permute_ntt_stack(d, table) for d in per_modulus]
-            for per_modulus in digits
-        ]
-        f0, f1 = self._apply_keyswitch_stacks(permuted, ext_moduli, key)
-        stacks = [
-            [
-                be.add_stack(
-                    m, be.permute_ntt_stack(batch.stacks[0][i], table), f0[i]
-                )
-                for i, m in enumerate(batch.moduli)
-            ],
-            f1,
-        ]
-        return CiphertextBatch(
-            batch.n, batch.count, batch.moduli, stacks, batch.scale, batch.is_ntt
-        )
-
-    def rotate(
-        self, batch: CiphertextBatch, step: int, galois_keys: GaloisKeySet
-    ) -> CiphertextBatch:
-        """Cyclically rotate every element's message slots left by ``step``."""
-        elt = self.context.galois_element_for_step(step)
-        return self.apply_galois(batch, elt, galois_keys.key_for_element(elt))
-
-    def conjugate(self, batch: CiphertextBatch, galois_keys: GaloisKeySet) -> CiphertextBatch:
-        """Complex-conjugate every slot of every element."""
-        elt = self.context.conjugation_element
-        return self.apply_galois(batch, elt, galois_keys.key_for_element(elt))
-
-    # ------------------------------------------------------------------
-    # batched encryption / decryption
-    # ------------------------------------------------------------------
-    def encrypt(self, encryptor, plaintexts: Sequence[Plaintext]) -> CiphertextBatch:
-        """Encrypt ``N`` plaintexts into one batch.
-
-        Encryption randomness is inherently per-ciphertext (the sampler
-        is sequential), so elements are encrypted one by one -- in order,
-        so that a fixed encryptor seed yields the same ciphertexts as the
-        unbatched path -- and then stacked.
-        """
-        return CiphertextBatch.from_ciphertexts(
-            [encryptor.encrypt(pt) for pt in plaintexts]
-        )
-
-    def decrypt(self, decryptor, batch: CiphertextBatch) -> List[Plaintext]:
-        """Batched ``<ct, (1, s, s^2, ...)>``: one stacked MAC per power.
-
-        The secret-key rows broadcast across the batch exactly like key
-        rows do in :meth:`keyswitch_stack`.
-        """
-        if not batch.is_ntt:
-            raise ValueError("ciphertexts are kept in NTT form")
-        be = self.context.backend
-        self._lift(batch)
-        s = decryptor.secret_key.restricted(batch.moduli)
-        acc = list(batch.stacks[0])
-        s_power: RnsPolynomial = None
-        for comp in batch.stacks[1:]:
-            s_power = (
-                s if s_power is None
-                else s_power.dyadic_multiply(s, backend=be)
-            )
-            s_rows = s_power.native_rows(be)
-            acc = [
-                be.dyadic_mac_stack(m, acc[i], comp[i], be.get_row(s_rows, i))
-                for i, m in enumerate(batch.moduli)
-            ]
-        return [
-            Plaintext(
-                RnsPolynomial(
-                    batch.n,
-                    batch.moduli,
-                    [acc[i][b] for i in range(len(batch.moduli))],
-                    is_ntt=True,
-                ),
-                batch.scale,
-            )
-            for b in range(batch.count)
-        ]

@@ -294,10 +294,10 @@ class CkksContext:
     def galois_map(self, galois_elt: int) -> List[Tuple[int, bool]]:
         """The coefficient permutation for ``g``, as ``(dest, flip)`` pairs.
 
-        Used by the batch evaluator to permute whole row-stacks without
-        materializing per-ciphertext :class:`RnsPolynomial` objects.
-        Returns a fresh list so callers cannot corrupt the internal
-        cache the scalar rotation path shares.
+        For callers permuting whole coefficient-form row-stacks
+        (``apply_galois_stack``) without materializing per-ciphertext
+        :class:`RnsPolynomial` objects.  Returns a fresh list so callers
+        cannot corrupt the internal cache :meth:`apply_galois` shares.
         """
         return list(self._galois_map(galois_elt))
 

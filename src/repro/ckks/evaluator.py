@@ -10,6 +10,21 @@
 * ``rotate`` / ``conjugate``             -- Galois automorphism + KeySwitch
 * ``rotate_hoisted``                     -- decompose once, rotate many
 
+One implementation, one unit of work: every operation runs over a
+**lane** of ``N >= 1`` same-shape ciphertexts
+(:class:`repro.ckks.batch.CiphertextBatch`), and a plain
+:class:`~repro.ckks.poly.Ciphertext` is accepted everywhere as the lane
+of one (and gets a ``Ciphertext`` back).  This is HEAX's own shape: one
+NTT/MULT/KeySwitch datapath per primitive, with ciphertext-level
+parallelism (Figure 7, Section 5.2) being nothing but a queue of
+independent ciphertexts keeping that datapath full.  A lane component is
+one modulus-major ``(L·N, n)`` matrix, so element-wise operations are a
+single whole-matrix ``*_rows`` kernel whatever ``N`` is, and the
+per-modulus transforms of rescaling and key switching take the
+contiguous ``N``-row block of each modulus into one stacked kernel.
+A lane result is bit-identical, element by element, to running each
+element alone (stacked kernels are row-independent).
+
 All ciphertext polynomials are kept in RNS + NTT form throughout, exactly
 as in SEAL/HEAX; the only INTT/NTT conversions happen inside KeySwitch and
 rescaling, mirroring the hardware dataflow of Figure 5.
@@ -17,53 +32,36 @@ rescaling, mirroring the hardware dataflow of Figure 5.
 Key switching is a two-phase pipeline.  :meth:`Evaluator.decompose` is
 the expensive half -- the per-digit INTT plus the NTT fan-out to every
 other prime (Figure 5's INTT0/NTT0 layers), executed as *stacked* NTT
-calls per target modulus -- and yields a reusable
-:class:`KeySwitchDigits`.  :meth:`Evaluator.apply_keyswitch` is the
-cheap half: dyadic MACs against a (cached, stacked) key plus the final
-Modulus Switch.  Rotations exploit the split twice over: the Galois
-automorphism of an NTT-form polynomial is a sign-free slot permutation
-(:meth:`CkksContext.apply_galois_ntt`), and because the automorphism
-commutes with RNS decomposition, one decomposition serves *every*
-rotation of the same ciphertext (*hoisting*) -- each extra rotation
-costs only permutations, MACs and the Modulus Switch, never the fan-out.
+calls per target modulus over all (digit, element) rows -- and yields a
+reusable :class:`KeySwitchDigits`.  :meth:`Evaluator.apply_keyswitch` is
+the cheap half: dyadic MACs against a (cached, stacked) key plus the
+final Modulus Switch, whose two accumulators share one stacked transform
+per modulus.  Rotations exploit the
+split twice over: the Galois automorphism of an NTT-form polynomial is a
+sign-free slot permutation, and because the automorphism commutes with
+RNS decomposition, one decomposition serves *every* rotation of the same
+lane (*hoisting*) -- each extra rotation costs only permutations, MACs
+and the Modulus Switch, never the fan-out.  A single ``rotate`` is the
+one-step sweep.
 
-The per-coefficient inner loops (NTT fan-out, dyadic multiply-accumulate,
-base conversion, flooring) all dispatch to the context's polynomial
+The per-coefficient inner loops all dispatch to the context's polynomial
 backend, so the same evaluator code runs against the pure-Python
 reference kernels or the vectorized numpy ones unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple, Union
 
+from repro.ckks.batch import CiphertextBatch, check_scales
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import GaloisKey, GaloisKeySet, KswitchKey, RelinKey
 from repro.ckks.modarith import Modulus
 from repro.ckks.poly import Ciphertext, Plaintext, RnsPolynomial
 
-#: Relative tolerance when requiring two operands' scales to match.
-SCALE_RTOL = 1e-9
-
-
-def check_scales(a: float, b: float) -> None:
-    """Require two positive operand scales to match within :data:`SCALE_RTOL`.
-
-    Non-positive (or NaN) scales are rejected up front: with
-    ``max(a, b) <= 0`` the relative-tolerance bound is non-positive, so
-    the mismatch test below would degenerate and accept *any* pair --
-    e.g. a zero scale against ``2^40``.  A valid CKKS scale is always
-    ``> 1``, so nothing legitimate is lost.
-    """
-    if not (a > 0 and b > 0):  # also catches NaN, which fails every compare
-        raise ValueError(
-            f"non-positive scale: {a:g} vs {b:g}; ciphertext metadata is corrupt"
-        )
-    if abs(a - b) > SCALE_RTOL * max(a, b):
-        raise ValueError(
-            f"scale mismatch: {a:g} vs {b:g}; rescale/encode to align"
-        )
-
+#: What every operation accepts and returns in kind: a lane, or the
+#: lane of one.
+Operand = Union[Ciphertext, CiphertextBatch]
 
 def rows_for(poly: RnsPolynomial, moduli) -> List:
     """Select the residue rows of a full-basis key poly for these moduli.
@@ -76,23 +74,20 @@ def rows_for(poly: RnsPolynomial, moduli) -> List:
     return [rows[index[m.value]] for m in moduli]
 
 
-#: Backward-compatible private alias (pre-batch-layer name).
-_rows_for = rows_for
-
-
 class KeySwitchDigits:
     """The reusable product of :meth:`Evaluator.decompose`.
 
     ``stacks[j]`` holds, for extended-basis modulus ``j``, the ``L``
-    gadget-digit rows in NTT form as one backend-native ``(L, n)``
-    row-stack -- exactly the operand layout
-    :meth:`Evaluator.apply_keyswitch` MACs against a stacked key column.
-    The object is immutable by convention: hoisted rotation *permutes
-    into fresh stacks* rather than mutating, so one decomposition can
-    back any number of ``apply_keyswitch`` calls.
+    gadget digits of all ``count`` lane elements in NTT form as one
+    backend-native digit-major ``(L·count, n)`` row-stack (row
+    ``i·count + b`` is digit ``i`` of element ``b``) -- for a single
+    polynomial exactly the ``(L, n)`` operand a stacked key column MACs
+    against.  The object is immutable by convention: hoisted rotation
+    *permutes into fresh stacks* rather than mutating, so one
+    decomposition can back any number of ``apply_keyswitch`` calls.
     """
 
-    __slots__ = ("n", "data_moduli", "ext_moduli", "stacks")
+    __slots__ = ("n", "data_moduli", "ext_moduli", "stacks", "count")
 
     def __init__(
         self,
@@ -100,298 +95,349 @@ class KeySwitchDigits:
         data_moduli: Sequence[Modulus],
         ext_moduli: Sequence[Modulus],
         stacks: List,
+        count: int,
     ):
         self.n = n
         self.data_moduli = list(data_moduli)
         self.ext_moduli = list(ext_moduli)
         self.stacks = stacks
-
-    @property
-    def level_count(self) -> int:
-        """Gadget digit count ``L`` (one per data prime at this level)."""
-        return len(self.data_moduli)
+        self.count = count
 
 
 class Evaluator:
-    """Implements every homomorphic operation of Section 3."""
+    """Implements every homomorphic operation of Section 3, lane-wide."""
 
     def __init__(self, context: CkksContext):
         self.context = context
 
     # ------------------------------------------------------------------
-    # scale/level discipline
+    # lanes: a Ciphertext is the lane of one
     # ------------------------------------------------------------------
-    _check_scales = staticmethod(check_scales)
+    def _lane(self, ct: Operand) -> CiphertextBatch:
+        """The operand as a lane whose components are backend-native.
+
+        A :class:`Ciphertext` becomes the lane of one over its own
+        (re-homed, never copied) matrices; a batch fresh from ``join``
+        pays its one fuse-to-matrix here, in place, not on every kernel
+        call.
+        """
+        be = self.context.backend
+        if isinstance(ct, CiphertextBatch):
+            ct.comps = [be.from_rows(comp) for comp in ct.comps]
+            return ct
+        return CiphertextBatch(
+            ct.n,
+            1,
+            ct.moduli,
+            [p.native_rows(be) for p in ct.polys],
+            ct.scale,
+            ct.is_ntt,
+        )
 
     @staticmethod
-    def _check_levels(a: Ciphertext, b) -> None:
+    def _emit(like: Operand, lane: CiphertextBatch, comps, scale=None, moduli=None):
+        """A result shaped like ``lane``, returned in ``like``'s kind."""
+        out = CiphertextBatch(
+            lane.n,
+            lane.count,
+            lane.moduli if moduli is None else moduli,
+            comps,
+            lane.scale if scale is None else scale,
+            lane.is_ntt,
+        )
+        return out if isinstance(like, CiphertextBatch) else out.split()[0]
+
+    @staticmethod
+    def _check_pair(a: CiphertextBatch, b) -> None:
+        """Operand compatibility: ``b`` is a lane or a plaintext polynomial.
+
+        Ring degree, RNS basis *values* (not just level count) and NTT
+        form must all match, so a mismatched operand raises instead of
+        producing garbage.
+        """
+        if isinstance(b, CiphertextBatch) and a.count != b.count:
+            raise ValueError(f"batch size mismatch: {a.count} vs {b.count}")
+        if a.n != b.n:
+            raise ValueError("ring degree mismatch")
         if a.level_count != b.level_count:
             raise ValueError(
                 f"level mismatch: {a.level_count} vs {b.level_count}"
             )
+        if [m.value for m in a.moduli] != [m.value for m in b.moduli]:
+            raise ValueError("RNS basis mismatch")
+        if a.is_ntt != b.is_ntt:
+            raise ValueError("NTT-form mismatch (transform before combining)")
+
+    def _spread(self, pt: Plaintext, lane: CiphertextBatch):
+        """A plaintext's ``(L, n)`` rows repeated to the lane's row order."""
+        be = self.context.backend
+        rows = pt.poly.native_rows(be)
+        if lane.count == 1:
+            return rows
+        return be.select_rows(
+            rows, [i for i in range(len(rows)) for _ in range(lane.count)]
+        )
 
     # ------------------------------------------------------------------
     # addition family
     # ------------------------------------------------------------------
-    def add(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
+    def add(self, ct0: Operand, ct1: Operand) -> Operand:
         """CKKS.Add: componentwise sum (sizes may differ)."""
-        self._check_scales(ct0.scale, ct1.scale)
-        self._check_levels(ct0, ct1)
+        a, b = self._lane(ct0), self._lane(ct1)
+        check_scales(a.scale, b.scale)
+        self._check_pair(a, b)
         be = self.context.backend
-        big, small = (ct0, ct1) if ct0.size >= ct1.size else (ct1, ct0)
-        polys = [
-            big.polys[i].add(small.polys[i], backend=be)
-            if i < small.size
-            else big.polys[i].clone(backend=be)
-            for i in range(big.size)
+        big, small = (a, b) if a.size >= b.size else (b, a)
+        rm = big.row_moduli
+        comps = [
+            be.add_rows(rm, big.comps[j], small.comps[j])
+            if j < small.size
+            else be.copy_rows(big.comps[j])
+            for j in range(big.size)
         ]
-        return Ciphertext(polys, ct0.scale)
+        return self._emit(ct0, a, comps)
 
-    def sub(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
+    def sub(self, ct0: Operand, ct1: Operand) -> Operand:
         """Componentwise difference."""
-        self._check_scales(ct0.scale, ct1.scale)
-        self._check_levels(ct0, ct1)
+        a, b = self._lane(ct0), self._lane(ct1)
+        check_scales(a.scale, b.scale)
+        self._check_pair(a, b)
         be = self.context.backend
-        size = max(ct0.size, ct1.size)
-        polys = []
-        for i in range(size):
-            if i < ct0.size and i < ct1.size:
-                polys.append(ct0.polys[i].sub(ct1.polys[i], backend=be))
-            elif i < ct0.size:
-                polys.append(ct0.polys[i].clone(backend=be))
+        rm = a.row_moduli
+        comps = []
+        for j in range(max(a.size, b.size)):
+            if j < a.size and j < b.size:
+                comps.append(be.sub_rows(rm, a.comps[j], b.comps[j]))
+            elif j < a.size:
+                comps.append(be.copy_rows(a.comps[j]))
             else:
-                polys.append(ct1.polys[i].negate(backend=be))
-        return Ciphertext(polys, ct0.scale)
+                comps.append(be.negate_rows(rm, b.comps[j]))
+        return self._emit(ct0, a, comps)
 
-    def negate(self, ct: Ciphertext) -> Ciphertext:
+    def negate(self, ct: Operand) -> Operand:
+        lane = self._lane(ct)
         be = self.context.backend
-        return Ciphertext([p.negate(backend=be) for p in ct.polys], ct.scale)
+        rm = lane.row_moduli
+        return self._emit(ct, lane, [be.negate_rows(rm, c) for c in lane.comps])
 
-    def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
+    def _combine_plain(self, ct: Operand, pt: Plaintext, kernel) -> Operand:
+        lane = self._lane(ct)
+        check_scales(lane.scale, pt.scale)
+        self._check_pair(lane, pt.poly)
+        be = self.context.backend
+        comps = [kernel(lane.row_moduli, lane.comps[0], self._spread(pt, lane))]
+        comps += [be.copy_rows(c) for c in lane.comps[1:]]
+        return self._emit(ct, lane, comps)
+
+    def add_plain(self, ct: Operand, pt: Plaintext) -> Operand:
         """Add an (NTT-form, level-matched) plaintext to ``c0``."""
-        self._check_scales(ct.scale, pt.scale)
-        self._check_levels(ct, pt)
-        be = self.context.backend
-        polys = [ct.polys[0].add(pt.poly, backend=be)] + [
-            p.clone(backend=be) for p in ct.polys[1:]
-        ]
-        return Ciphertext(polys, ct.scale)
+        return self._combine_plain(ct, pt, self.context.backend.add_rows)
 
-    def sub_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        self._check_scales(ct.scale, pt.scale)
-        self._check_levels(ct, pt)
-        be = self.context.backend
-        polys = [ct.polys[0].sub(pt.poly, backend=be)] + [
-            p.clone(backend=be) for p in ct.polys[1:]
-        ]
-        return Ciphertext(polys, ct.scale)
+    def sub_plain(self, ct: Operand, pt: Plaintext) -> Operand:
+        return self._combine_plain(ct, pt, self.context.backend.sub_rows)
 
     # ------------------------------------------------------------------
     # multiplication family (Algorithm 5)
     # ------------------------------------------------------------------
-    def multiply(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
+    def multiply(self, ct0: Operand, ct1: Operand) -> Operand:
         """Algorithm 5 generalized: (α, β) -> α+β-1 component product.
 
         For the common size-2 × size-2 case this is exactly the printed
         algorithm: ``c0 = a0 b0``, ``c1 = a0 b1 + a1 b0``, ``c2 = a1 b1``,
         all dyadic since operands are in NTT form.
         """
-        self._check_levels(ct0, ct1)
+        a, b = self._lane(ct0), self._lane(ct1)
+        self._check_pair(a, b)
         be = self.context.backend
-        alpha, beta = ct0.size, ct1.size
-        out: List[RnsPolynomial] = [None] * (alpha + beta - 1)
-        for i in range(alpha):
-            for j in range(beta):
-                term = ct0.polys[i].dyadic_multiply(ct1.polys[j], backend=be)
+        rm = a.row_moduli
+        out: List = [None] * (a.size + b.size - 1)
+        for i, x in enumerate(a.comps):
+            for j, y in enumerate(b.comps):
                 out[i + j] = (
-                    term if out[i + j] is None else out[i + j].add(term, backend=be)
+                    be.dyadic_mul_rows(rm, x, y)
+                    if out[i + j] is None
+                    else be.dyadic_mac_rows(rm, out[i + j], x, y)
                 )
-        return Ciphertext(out, ct0.scale * ct1.scale)
+        return self._emit(ct0, a, out, scale=a.scale * b.scale)
 
-    def square(self, ct: Ciphertext) -> Ciphertext:
+    def square(self, ct: Operand) -> Operand:
         """Homomorphic squaring (saves one dyadic product vs multiply)."""
-        if ct.size != 2:
+        lane = self._lane(ct)
+        if lane.size != 2:
             return self.multiply(ct, ct)
         be = self.context.backend
-        a0, a1 = ct.polys
-        c0 = a0.dyadic_multiply(a0, backend=be)
-        cross = a0.dyadic_multiply(a1, backend=be)
-        c1 = cross.add(cross, backend=be)
-        c2 = a1.dyadic_multiply(a1, backend=be)
-        return Ciphertext([c0, c1, c2], ct.scale * ct.scale)
+        rm = lane.row_moduli
+        a0, a1 = lane.comps
+        cross = be.dyadic_mul_rows(rm, a0, a1)
+        comps = [
+            be.dyadic_mul_rows(rm, a0, a0),
+            be.add_rows(rm, cross, cross),
+            be.dyadic_mul_rows(rm, a1, a1),
+        ]
+        return self._emit(ct, lane, comps, scale=lane.scale * lane.scale)
 
-    def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
+    def multiply_plain(self, ct: Operand, pt: Plaintext) -> Operand:
         """Ciphertext-plaintext product (the MULT module's C-P mode)."""
-        self._check_levels(ct, pt)
+        lane = self._lane(ct)
+        self._check_pair(lane, pt.poly)
         be = self.context.backend
-        polys = [p.dyadic_multiply(pt.poly, backend=be) for p in ct.polys]
-        return Ciphertext(polys, ct.scale * pt.scale)
+        rm = lane.row_moduli
+        spread = self._spread(pt, lane)
+        comps = [be.dyadic_mul_rows(rm, c, spread) for c in lane.comps]
+        return self._emit(ct, lane, comps, scale=lane.scale * pt.scale)
 
     # ------------------------------------------------------------------
     # rescaling (Algorithm 6)
     # ------------------------------------------------------------------
-    def _floor_divide_rows(
-        self,
-        rows_per_poly: List[List],
-        moduli: Sequence[Modulus],
-        n: int,
-    ) -> List[RnsPolynomial]:
-        """Algorithm-6 flooring of ``K`` same-basis accumulators at once.
+    @staticmethod
+    def _blocks(comp, level: int, count: int) -> List:
+        """The per-modulus ``count``-row blocks of a modulus-major matrix."""
+        return [comp[i * count : (i + 1) * count] for i in range(level)]
 
-        ``rows_per_poly[k][i]`` is accumulator ``k``'s native residue row
-        under modulus ``i``.  All ``K`` polynomials flow through the
-        identical Modulus-Switch dataflow, so their per-modulus
-        transforms run as ``K``-row stacked kernels -- one launch where
-        flooring them one by one would pay ``K`` -- and every
-        intermediate stays backend-resident (no canonical-list
-        round-trip anywhere in the pipeline).
+    def _floor_divide(self, parts: Sequence[Sequence], moduli: Sequence[Modulus]) -> List:
+        """Algorithm-6 flooring of ``K`` same-basis accumulators.
+
+        ``parts[k][i]`` is accumulator ``k``'s ``N``-row block under
+        modulus ``i`` -- the components of a rescaled lane, or the two
+        key-switch accumulators.  ``a = INTT(c_last)``; for every
+        remaining prime ``p_i``:
+        ``c'_i = [p_last^{-1} (c_i - NTT([a]_{p_i}))]``.  All of them
+        flow through the identical Modulus-Switch dataflow, so all
+        ``K·N`` rows share **one** stacked kernel per modulus and every
+        intermediate stays backend-resident.  Returns each accumulator's
+        floored modulus-major matrix.
         """
         ctx = self.context
         be = ctx.backend
+        count = len(parts[0][0])
         last_mod = moduli[-1]
-        count = len(rows_per_poly)
-        a = be.ntt_inverse_stack(
-            ctx.tables(last_mod),
-            be.native_stack([rows[-1] for rows in rows_per_poly]),
-        )
-        out_moduli = list(moduli[:-1])
-        out_rows: List[List] = [[] for _ in range(count)]
-        for i, m in enumerate(out_moduli):
-            inv_last = ctx.rescale_inverse(last_mod, m)
-            r_ntt = be.ntt_forward_stack(
-                ctx.tables(m), be.reduce_mod_stack(m, a)
+
+        def stacked(i):
+            if len(parts) == 1:
+                return parts[0][i]  # one block is a stack already: no copy
+            return be.native_stack([row for part in parts for row in part[i]])
+
+        a = be.ntt_inverse_stack(ctx.tables(last_mod), stacked(-1))
+        floored = []
+        for i, m in enumerate(moduli[:-1]):
+            r_ntt = be.ntt_forward_stack(ctx.tables(m), be.reduce_mod_stack(m, a))
+            diff = be.sub_stack(m, stacked(i), r_ntt)
+            floored.append(
+                be.scalar_mul_stack(m, diff, ctx.rescale_inverse(last_mod, m))
             )
-            diff = be.sub_stack(
-                m,
-                be.native_stack([rows[i] for rows in rows_per_poly]),
-                r_ntt,
-            )
-            scaled = be.scalar_mul_stack(m, diff, inv_last)
-            for k in range(count):
-                out_rows[k].append(scaled[k])
         return [
-            RnsPolynomial(n, out_moduli, be.from_rows(rows), is_ntt=True)
-            for rows in out_rows
+            be.from_rows(
+                [row for s in floored for row in s[k * count : (k + 1) * count]]
+            )
+            for k in range(len(parts))
         ]
 
-    def _floor_divide_last(self, poly: RnsPolynomial) -> RnsPolynomial:
-        """RNS flooring: divide by the last RNS prime and drop it.
-
-        Implements Algorithm 6: ``a = INTT(c_last)``; for every remaining
-        prime ``p_i``: ``c'_i = [p_last^{-1} (c_i - NTT([a]_{p_i}))]``.
-        """
-        if not poly.is_ntt:
-            raise ValueError("flooring operates on NTT-form polynomials")
-        if poly.level_count < 2:
-            raise ValueError("need at least two RNS components to floor")
-        h = poly.native_rows(self.context.backend)
-        return self._floor_divide_rows([list(h)], poly.moduli, poly.n)[0]
-
-    def _floor_divide_pair(
-        self,
-        rows0: List,
-        rows1: List,
-        moduli: Sequence[Modulus],
-        n: int,
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Algorithm-6 flooring of two same-basis accumulators at once."""
-        f0, f1 = self._floor_divide_rows([rows0, rows1], moduli, n)
-        return f0, f1
-
-    def rescale(self, ct: Ciphertext) -> Ciphertext:
+    def rescale(self, ct: Operand) -> Operand:
         """CKKS.Rescale: floor-divide every component by the last prime.
 
         The scale drops by exactly that prime, so callers typically choose
         primes close to the scale to keep it stable across levels.  All
-        components floor together: one ``size``-row stacked transform per
-        modulus instead of ``size`` separate Modulus-Switch pipelines.
+        components of all lane elements floor together, in one stacked
+        transform per modulus.
         """
-        if not ct.is_ntt:
+        lane = self._lane(ct)
+        if not lane.is_ntt:
             raise ValueError("flooring operates on NTT-form polynomials")
-        if ct.level_count < 2:
+        if lane.level_count < 2:
             raise ValueError("cannot rescale at the last level")
-        be = self.context.backend
-        last = ct.moduli[-1].value
-        polys = self._floor_divide_rows(
-            [list(p.native_rows(be)) for p in ct.polys], ct.moduli, ct.n
+        parts = [
+            self._blocks(c, lane.level_count, lane.count) for c in lane.comps
+        ]
+        return self._emit(
+            ct,
+            lane,
+            self._floor_divide(parts, lane.moduli),
+            scale=lane.scale / lane.moduli[-1].value,
+            moduli=lane.moduli[:-1],
         )
-        return Ciphertext(polys, ct.scale / last)
 
     # ------------------------------------------------------------------
     # key switching (Algorithm 7, two-phase)
     # ------------------------------------------------------------------
-    def decompose(self, target: RnsPolynomial) -> KeySwitchDigits:
-        """Phase 1 of Algorithm 7: the RNS gadget decomposition.
+    def _decompose(self, lane: CiphertextBatch, k: int) -> KeySwitchDigits:
+        """Phase 1 of Algorithm 7 on component ``k`` of a lane.
 
         For every digit ``i`` (data prime), return to coefficient form
         (line 3) and fan the digit out to every *other* extended-basis
-        prime (lines 6-7); the ``i == j`` row reuses the NTT-form input
+        prime (lines 6-7); the ``i == j`` block reuses the NTT-form input
         (line 9).  The fan-out runs as **one stacked forward NTT per
-        target modulus** -- all digits destined for modulus ``j``
-        transform in a single backend call -- instead of the historical
-        Python-level ``(i, j)`` double loop of single-row transforms.
+        target modulus** over all (digit, element) rows.
+        """
+        ctx = self.context
+        be = ctx.backend
+        if not lane.is_ntt:
+            raise ValueError("key switching operates on NTT-form input")
+        level, count = lane.level_count, lane.count
+        ext_moduli = lane.moduli + [ctx.special_modulus]
+        blocks = self._blocks(lane.comps[k], level, count)
+        coeff = [
+            be.ntt_inverse_stack(ctx.tables(m), block)
+            for m, block in zip(lane.moduli, blocks)
+        ]
+        stacks = []
+        for j, m_j in enumerate(ext_moduli):
+            others = [row for i in range(level) if i != j for row in coeff[i]]
+            fanned = (
+                be.ntt_forward_stack(
+                    ctx.tables(m_j),
+                    be.reduce_mod_stack(m_j, be.native_stack(others)),
+                )
+                if others  # a single-level basis has nothing to fan out
+                else []
+            )
+            if j < level:
+                split = j * count
+                fanned = [*fanned[:split], *blocks[j], *fanned[split:]]
+            stacks.append(be.native_stack(fanned))
+        return KeySwitchDigits(lane.n, lane.moduli, ext_moduli, stacks, count)
+
+    def decompose(self, target: RnsPolynomial) -> KeySwitchDigits:
+        """Phase 1 of Algorithm 7: the RNS gadget decomposition.
 
         The result is key-independent: :meth:`apply_keyswitch` can
         consume it against any key over the same basis, which is what
         makes hoisted rotations (and cheap relinearize-vs-rotate reuse)
-        possible.
+        possible.  One polynomial is a one-component lane of one.
         """
-        ctx = self.context
-        be = ctx.backend
-        if not target.is_ntt:
-            raise ValueError("key switching operates on NTT-form input")
-        level = target.level_count
-        data_moduli = list(target.moduli)
-        ext_moduli = data_moduli + [ctx.special_modulus]
-        target_rows = target.native_rows(be)
-        # line 3, all digits: one INTT per data prime, the whole digit
-        # matrix staying backend-resident
-        coeff = be.ntt_inverse_rows(
-            [ctx.tables(m) for m in data_moduli], target_rows
+        rows = target.native_rows(self.context.backend)
+        return self._decompose(
+            CiphertextBatch(target.n, 1, target.moduli, [rows], 1.0, target.is_ntt), 0
         )
-        stacks = []
-        for j, m_j in enumerate(ext_moduli):
-            pass_idx = j if j < level else None  # line 9: self-row reuse
-            idxs = [i for i in range(level) if i != pass_idx]
-            if not idxs:
-                # single-level basis: the only digit is the pass-through
-                stacks.append(
-                    be.native_stack(be.select_rows(target_rows, [pass_idx]))
-                )
-                continue
-            fanned = be.ntt_forward_stack(
-                ctx.tables(m_j),
-                be.reduce_mod_stack(m_j, be.select_rows(coeff, idxs)),
-            )
-            if pass_idx is not None:
-                fanned = be.insert_row(
-                    fanned, pass_idx, be.get_row(target_rows, pass_idx)
-                )
-            stacks.append(be.native_stack(fanned))
-        return KeySwitchDigits(target.n, data_moduli, ext_moduli, stacks)
+
+    def _apply_keyswitch(self, digits: KeySwitchDigits, ksk: KswitchKey) -> Tuple:
+        """Phase 2 of Algorithm 7 -> the ``(f0, f1)`` lane matrices.
+
+        One fused ``dyadic_stack_reduce`` per (key column, modulus)
+        against the pre-stacked, backend-native key columns
+        (:meth:`KswitchKey.stacked_columns`) -- each key row is shared
+        by its digit's ``N``-row block -- then the Floor by the special
+        prime (line 19) of both accumulators.
+        """
+        be = self.context.backend
+        ext_moduli = digits.ext_moduli
+        accumulators = [
+            [
+                be.dyadic_stack_reduce(m, digits.stacks[j], column[j])
+                for j, m in enumerate(ext_moduli)
+            ]
+            for column in ksk.stacked_columns(ext_moduli, be)
+        ]
+        return tuple(self._floor_divide(accumulators, ext_moduli))
 
     def apply_keyswitch(
         self, digits: KeySwitchDigits, ksk: KswitchKey
     ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Phase 2 of Algorithm 7: dyadic MACs + Modulus Switch.
-
-        One fused ``dyadic_stack_reduce`` per (key column, extended
-        modulus) -- the key arrives pre-stacked and backend-native from
-        :meth:`KswitchKey.stacked_columns` -- followed by the Floor by
-        the special prime (line 19) on both accumulators at once.
-        """
-        be = self.context.backend
-        ext_moduli = digits.ext_moduli
-        col0, col1 = ksk.stacked_columns(ext_moduli, be)
-        acc0 = [
-            be.dyadic_stack_reduce(m, digits.stacks[j], col0[j])
-            for j, m in enumerate(ext_moduli)
-        ]
-        acc1 = [
-            be.dyadic_stack_reduce(m, digits.stacks[j], col1[j])
-            for j, m in enumerate(ext_moduli)
-        ]
-        return self._floor_divide_pair(acc0, acc1, ext_moduli, digits.n)
+        """Phase 2 of Algorithm 7: dyadic MACs + Modulus Switch."""
+        f0, f1 = self._apply_keyswitch(digits, ksk)
+        return (
+            RnsPolynomial(digits.n, digits.data_moduli, f0, is_ntt=True),
+            RnsPolynomial(digits.n, digits.data_moduli, f1, is_ntt=True),
+        )
 
     def keyswitch_polynomial(
         self, target: RnsPolynomial, ksk: KswitchKey
@@ -405,107 +451,50 @@ class Evaluator:
         The structure mirrors the hardware dataflow (Figure 5) in its
         two-phase form: :meth:`decompose` (INTT0 + the NTT0 fan-out
         layer) then :meth:`apply_keyswitch` (DyadMult accumulation and
-        Modulus Switch).  Bit-identical to the historical single-loop
-        formulation, kept below as
-        :meth:`keyswitch_polynomial_unhoisted`.
+        Modulus Switch).  Bit-identical to the textbook single-loop
+        formulation kept as the oracle in ``tests/ckks/differential.py``.
         """
         return self.apply_keyswitch(self.decompose(target), ksk)
 
-    def keyswitch_polynomial_unhoisted(
-        self, target: RnsPolynomial, ksk: KswitchKey
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """The pre-hoisting Algorithm-7 loop: one (digit, modulus) pair
-        per iteration, single-row kernels throughout.
-
-        Kept as the baseline the fast path is benchmarked and
-        differential-tested against
-        (``benchmarks/bench_keyswitch_hoisting.py``); new code should
-        call :meth:`keyswitch_polynomial`.
-        """
-        ctx = self.context
-        be = ctx.backend
-        if not target.is_ntt:
-            raise ValueError("key switching operates on NTT-form input")
-        level = target.level_count
-        data_moduli = list(target.moduli)
-        special = ctx.special_modulus
-        ext_moduli = data_moduli + [special]
-        n = target.n
-
-        acc0 = RnsPolynomial(n, ext_moduli, is_ntt=True)
-        acc1 = RnsPolynomial(n, ext_moduli, is_ntt=True)
-        for i in range(level):
-            p_i = data_moduli[i]
-            # line 3: back to coefficient domain for this component
-            a = be.ntt_inverse(ctx.tables(p_i), target.row(i))
-            d0, d1 = ksk.digit(i)
-            d0_rows = _rows_for(d0, ext_moduli)
-            d1_rows = _rows_for(d1, ext_moduli)
-            for j, m_j in enumerate(ext_moduli):
-                if m_j.value == p_i.value:
-                    b_ntt = target.row(i)  # line 9: already in NTT form
-                else:
-                    b = be.reduce_mod(m_j, a)  # line 6: Mod(a, p_j)
-                    b_ntt = be.ntt_forward(ctx.tables(m_j), b)  # line 7
-                # lines 11-12 / 16-17: dyadic multiply-accumulate
-                acc0.set_row(
-                    j, be.dyadic_mac(m_j, acc0.row(j), b_ntt, d0_rows[j]), backend=be
-                )
-                acc1.set_row(
-                    j, be.dyadic_mac(m_j, acc1.row(j), b_ntt, d1_rows[j]), backend=be
-                )
-        # line 19: Floor by the special prime (Modulus Switch)
-        return self._floor_divide_last(acc0), self._floor_divide_last(acc1)
-
-    def relinearize(self, ct: Ciphertext, relin_key: RelinKey) -> Ciphertext:
+    def relinearize(self, ct: Operand, relin_key: RelinKey) -> Operand:
         """CKKS.Relin: reduce a size-3 ciphertext back to size 2."""
-        if ct.size != 3:
-            raise ValueError(f"relinearize expects size-3 ciphertext, got {ct.size}")
+        lane = self._lane(ct)
+        if lane.size != 3:
+            raise ValueError(
+                f"relinearize expects size-3 ciphertext, got {lane.size}"
+            )
         be = self.context.backend
-        f0, f1 = self.keyswitch_polynomial(ct.polys[2], relin_key)
-        return Ciphertext(
-            [ct.polys[0].add(f0, backend=be), ct.polys[1].add(f1, backend=be)],
-            ct.scale,
-        )
+        f0, f1 = self._apply_keyswitch(self._decompose(lane, 2), relin_key)
+        rm = lane.row_moduli
+        comps = [
+            be.add_rows(rm, lane.comps[0], f0),
+            be.add_rows(rm, lane.comps[1], f1),
+        ]
+        return self._emit(ct, lane, comps)
 
     def multiply_relin(
-        self, ct0: Ciphertext, ct1: Ciphertext, relin_key: RelinKey
-    ) -> Ciphertext:
+        self, ct0: Operand, ct1: Operand, relin_key: RelinKey
+    ) -> Operand:
         """Fused MULT + Relin -- the composite operation of Table 8."""
         return self.relinearize(self.multiply(ct0, ct1), relin_key)
 
     # ------------------------------------------------------------------
-    # rotation / conjugation
+    # rotation / conjugation: always the hoisted dataflow
     # ------------------------------------------------------------------
-    def _apply_galois_ct(self, ct: Ciphertext, galois_elt: int) -> Ciphertext:
-        """Automorphism of a ciphertext entirely in the NTT domain.
-
-        A sign-free gather permutation per polynomial (see
-        :meth:`CkksContext.apply_galois_ntt`) -- no ``from_ntt``/``to_ntt``
-        round trip, bit-identical to the coefficient-domain path kept in
-        :meth:`_apply_galois_ct_coeff`.
-        """
-        ctx = self.context
-        return Ciphertext(
-            [ctx.apply_galois_ntt(p, galois_elt) for p in ct.polys], ct.scale
-        )
-
-    def _apply_galois_ct_coeff(self, ct: Ciphertext, galois_elt: int) -> Ciphertext:
-        """The pre-hoisting coefficient-domain automorphism (baseline)."""
-        ctx = self.context
-        polys = []
-        for p in ct.polys:
-            coeff = ctx.from_ntt(p)
-            polys.append(ctx.to_ntt(ctx.apply_galois(coeff, galois_elt)))
-        return Ciphertext(polys, ct.scale)
+    def _hoist(self, ct: Operand) -> Tuple[CiphertextBatch, KeySwitchDigits]:
+        """The lane and the decomposition of its ``c1`` (size-2 only)."""
+        lane = self._lane(ct)
+        if lane.size != 2:
+            raise ValueError("relinearize before applying Galois automorphisms")
+        return lane, self._decompose(lane, 1)
 
     def _apply_galois_digits(
         self,
-        ct: Ciphertext,
+        like: Operand,
+        lane: CiphertextBatch,
         digits: KeySwitchDigits,
-        galois_elt: int,
         key: GaloisKey,
-    ) -> Ciphertext:
+    ) -> Operand:
         """Automorphism + key switch from a pre-decomposed ``c1``.
 
         ``σ_g`` commutes with the RNS gadget decomposition up to the
@@ -514,62 +503,47 @@ class Evaluator:
         ``σ_g(c1)``'s digits (entries in ``(-p_i, p_i)`` instead of
         ``[0, p_i)``), which is a valid -- in fact slightly
         smaller-noise -- gadget decomposition.  This digit-permuting
-        dataflow is therefore the canonical rotation path, and hoisting
+        dataflow is therefore the only rotation path, and hoisting
         (reusing ``digits`` across many elements) is bit-identical to
-        single rotations by construction.
+        single rotations by construction.  The NTT-domain automorphism
+        is a sign-free gather, so rows under different moduli (and
+        different lane elements) share one ``permute_ntt_stack`` call.
         """
         ctx = self.context
         be = ctx.backend
-        table = ctx.galois_table_ntt(galois_elt)
+        table = ctx.galois_table_ntt(key.galois_elt)
         permuted = KeySwitchDigits(
             digits.n,
             digits.data_moduli,
             digits.ext_moduli,
             [be.permute_ntt_stack(s, table) for s in digits.stacks],
+            digits.count,
         )
-        f0, f1 = self.apply_keyswitch(permuted, key)
-        c0 = ctx.apply_galois_ntt(ct.polys[0], galois_elt)
-        return Ciphertext([c0.add(f0, backend=be), f1], ct.scale)
+        f0, f1 = self._apply_keyswitch(permuted, key)
+        c0 = be.permute_ntt_stack(lane.comps[0], table)
+        return self._emit(like, lane, [be.add_rows(lane.row_moduli, c0, f0), f1])
 
     def apply_galois(
-        self, ct: Ciphertext, galois_elt: int, key: GaloisKey
-    ) -> Ciphertext:
+        self, ct: Operand, galois_elt: int, key: GaloisKey
+    ) -> Operand:
         """Automorphism + key switch back to ``s`` (size-2 input only).
 
         Runs entirely in the NTT domain: decompose ``c1``, gather-permute
         the digits and ``c0`` (no ``from_ntt``/``to_ntt`` round trip),
-        then stacked MACs + Modulus Switch.  One rotation is exactly the
-        ``len(steps) == 1`` case of :meth:`rotate_hoisted`.
+        then stacked MACs + Modulus Switch.
         """
-        if ct.size != 2:
-            raise ValueError("relinearize before applying Galois automorphisms")
         if key.galois_elt != galois_elt:
             raise ValueError("Galois key does not match the requested element")
-        digits = self.decompose(ct.polys[1])
-        return self._apply_galois_digits(ct, digits, galois_elt, key)
+        lane, digits = self._hoist(ct)
+        return self._apply_galois_digits(ct, lane, digits, key)
 
-    def rotate(
-        self, ct: Ciphertext, step: int, galois_keys: GaloisKeySet
-    ) -> Ciphertext:
-        """Cyclically rotate message slots left by ``step``."""
-        elt = self.context.galois_element_for_step(step)
-        return self.apply_galois(ct, elt, galois_keys.key_for_element(elt))
-
-    def conjugate(self, ct: Ciphertext, galois_keys: GaloisKeySet) -> Ciphertext:
-        """Complex-conjugate every slot."""
-        elt = self.context.conjugation_element
-        return self.apply_galois(ct, elt, galois_keys.key_for_element(elt))
-
-    # ------------------------------------------------------------------
-    # hoisted rotations (decompose once, apply many Galois keys)
-    # ------------------------------------------------------------------
     def apply_galois_hoisted(
         self,
-        ct: Ciphertext,
+        ct: Operand,
         galois_elts: Iterable[int],
         galois_keys: GaloisKeySet,
-    ) -> List[Ciphertext]:
-        """Apply several automorphisms to *one* ciphertext, hoisting the
+    ) -> List[Operand]:
+        """Apply several automorphisms to *one* operand, hoisting the
         key-switch decomposition.
 
         Because ``σ_g`` commutes with the RNS gadget decomposition (it
@@ -581,20 +555,18 @@ class Evaluator:
         Modulus Switch -- bit-identical to calling :meth:`apply_galois`
         per element.
         """
-        if ct.size != 2:
-            raise ValueError("relinearize before applying Galois automorphisms")
-        digits = self.decompose(ct.polys[1])
+        lane, digits = self._hoist(ct)
         return [
             self._apply_galois_digits(
-                ct, digits, elt, galois_keys.key_for_element(elt)
+                ct, lane, digits, galois_keys.key_for_element(elt)
             )
             for elt in galois_elts
         ]
 
     def rotate_hoisted(
-        self, ct: Ciphertext, steps: Iterable[int], galois_keys: GaloisKeySet
-    ) -> List[Ciphertext]:
-        """Rotate one ciphertext by many steps for one decomposition.
+        self, ct: Operand, steps: Iterable[int], galois_keys: GaloisKeySet
+    ) -> List[Operand]:
+        """Rotate one operand by many steps for one decomposition.
 
         The hoisting fast path for every rotate-heavy composite
         (``matvec_diagonal`` being the canonical case: ``dim - 1``
@@ -605,23 +577,13 @@ class Evaluator:
         elts = [ctx.galois_element_for_step(step) for step in steps]
         return self.apply_galois_hoisted(ct, elts, galois_keys)
 
-    def rotate_unhoisted(
-        self, ct: Ciphertext, step: int, galois_keys: GaloisKeySet
-    ) -> Ciphertext:
-        """The pre-hoisting rotation: coefficient-domain automorphism
-        round trip plus the single-row key-switch loop.
+    def rotate(
+        self, ct: Operand, step: int, galois_keys: GaloisKeySet
+    ) -> Operand:
+        """Cyclically rotate message slots left by ``step``."""
+        return self.rotate_hoisted(ct, [step], galois_keys)[0]
 
-        Baseline for benchmarks and differential tests; production code
-        should use :meth:`rotate` (NTT-domain automorphism, stacked
-        key switch) or :meth:`rotate_hoisted`.
-        """
-        if ct.size != 2:
-            raise ValueError("relinearize before applying Galois automorphisms")
-        elt = self.context.galois_element_for_step(step)
-        key = galois_keys.key_for_element(elt)
-        rotated = self._apply_galois_ct_coeff(ct, elt)
-        f0, f1 = self.keyswitch_polynomial_unhoisted(rotated.polys[1], key)
-        return Ciphertext(
-            [rotated.polys[0].add(f0, backend=self.context.backend), f1],
-            ct.scale,
-        )
+    def conjugate(self, ct: Operand, galois_keys: GaloisKeySet) -> Operand:
+        """Complex-conjugate every slot."""
+        elt = self.context.conjugation_element
+        return self.apply_galois_hoisted(ct, [elt], galois_keys)[0]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ckks.context import CkksContext
-from repro.ckks.evaluator import rows_for as _rows_for
+from repro.ckks.evaluator import rows_for
 from repro.ckks.keys import KswitchKey
 from repro.ckks.poly import RnsPolynomial
 from repro.core.arch import KeySwitchArchitecture
@@ -101,8 +101,8 @@ class KeySwitchModuleSim:
         key_rows0, key_rows1 = [], []
         for i in range(lc):
             d0, d1 = ksk.digit(i)
-            key_rows0.append(_rows_for(d0, ext_moduli))
-            key_rows1.append(_rows_for(d1, ext_moduli))
+            key_rows0.append(rows_for(d0, ext_moduli))
+            key_rows1.append(rows_for(d1, ext_moduli))
 
         be = ctx.backend
         for i in range(lc):

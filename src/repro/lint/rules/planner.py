@@ -10,10 +10,10 @@ or workload call site writing ``for step in steps: ct = ev.rotate(...)``
 -- each iteration pays a full decomposition the planner would have paid
 once.
 
-The rule statically flags ``.rotate(...)`` / ``.rotate_unhoisted(...)``
-calls lexically inside a ``for``/``while`` body in the scoped modules.
-Loops that *build plan nodes* rather than execute rotations (the graph
-is the fix, not the bug) opt out per line with
+The rule statically flags ``.rotate(...)`` calls lexically inside a
+``for``/``while`` body in the scoped modules.  Loops that *build plan
+nodes* rather than execute rotations (the graph is the fix, not the
+bug) opt out per line with
 ``# lint: disable=R6 -- <why>``, which keeps the justification at the
 call site.  A nested ``def`` resets the loop context: defining a
 rotation helper inside a loop does not execute one per iteration.
@@ -21,10 +21,10 @@ rotation helper inside a loop does not execute one per iteration.
 PR 12 made :class:`~repro.plan.PlanExecutor` the single executor: every
 serving flush and every workload batch is built as a ``PlanGraph`` and
 run there.  The rule therefore also flags any import -- module level or
-function local -- of :class:`~repro.ckks.evaluator.Evaluator` or
-:class:`~repro.ckks.batch.BatchEvaluator` in the scoped modules, so a
-second op -> evaluator-call dispatch table cannot grow back beside the
-executor's.
+function local -- of :class:`~repro.ckks.evaluator.Evaluator` (the one
+implementation of the CKKS operations, lane-wide) in the scoped modules,
+so a second op -> evaluator-call dispatch table cannot grow back beside
+the executor's.
 """
 
 from __future__ import annotations
@@ -47,13 +47,13 @@ PLANNED_MODULES = (
 )
 
 #: Method spellings that execute one key-switch per call.
-ROTATE_METHODS = ("rotate", "rotate_unhoisted")
+ROTATE_METHODS = ("rotate",)
 
-#: Evaluator classes only ``repro.plan`` may drive.
-EVALUATOR_CLASSES = ("Evaluator", "BatchEvaluator")
+#: The evaluator class only ``repro.plan`` may drive.
+EVALUATOR_CLASSES = ("Evaluator",)
 
-#: Their home modules (``import repro.ckks.evaluator`` is the same door).
-EVALUATOR_MODULES = ("repro.ckks.evaluator", "repro.ckks.batch")
+#: Its home module (``import repro.ckks.evaluator`` is the same door).
+EVALUATOR_MODULES = ("repro.ckks.evaluator",)
 
 
 class _RotateLoopVisitor(SymbolTrackingVisitor):

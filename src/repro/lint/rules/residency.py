@@ -2,9 +2,9 @@
 
 PR 5 made residue storage backend-native end to end: an
 :class:`~repro.ckks.poly.RnsPolynomial` holds an opaque ``(L, n)``
-handle, and the hot path (evaluator, batch, keys, the whole serving
-stack) chains ``*_rows`` kernels on handles without ever lowering to
-canonical Python lists.  The residency benchmark proves the warmed
+handle, and the hot path (the evaluator, its lane container, keys, the
+whole serving stack) chains ``*_rows`` kernels on handles without ever
+lowering to canonical Python lists.  The residency benchmark proves the warmed
 mult->relin->rescale->rotate chain performs **zero** lift/lower
 conversions -- but nothing stopped a new call site from sneaking a
 ``.residues`` read or a ``to_rows()`` materialization into a hot

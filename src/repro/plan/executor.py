@@ -1,25 +1,31 @@
-"""Plan execution: sweeps through hoisting, waves through batch lanes.
+"""Plan execution: sweeps through hoisting, waves through lanes.
 
 :class:`PlanExecutor` runs a :class:`repro.plan.graph.PlanGraph` against
 real ciphertexts in one of two modes:
 
-* **naive** (``optimize=False``) -- every node executes as one scalar
-  :class:`repro.ckks.evaluator.Evaluator` call in construction order,
-  each rotation paying its own key-switch decomposition.  This is the
-  per-op sequential baseline the planner benchmark gates against.
+* **naive** (``optimize=False``) -- every node executes alone, as a lane
+  of one, in construction order, each rotation paying its own key-switch
+  decomposition.  This is the per-op sequential baseline the planner
+  benchmark gates against, and the oracle the optimized mode is tested
+  against.
 * **optimized** (``optimize=True``, the default) -- the graph is
   scheduled as ASAP waves of data-independent nodes; within a wave,
-  rotation sweeps of one ciphertext collapse into one
-  ``Evaluator.decompose`` feeding N ``apply_keyswitch`` calls
-  (``rotate_hoisted``), and the remaining nodes are packed by shape
-  into :class:`repro.ckks.batch.CiphertextBatch` lanes executed through
-  :class:`repro.ckks.batch.BatchEvaluator`.
+  rotation sweeps of one ciphertext collapse into one decomposition
+  feeding N key-switch applications (``rotate_hoisted``), and the
+  remaining nodes are packed by shape into
+  :class:`repro.ckks.batch.CiphertextBatch` lanes.
+
+Either way every step is one call of the one
+:class:`repro.ckks.evaluator.Evaluator` over a lane of ``width >= 1``
+nodes: there is a single op -> evaluator-call table (:meth:`_apply`)
+and a single lane runner (:meth:`_run_lane`); "scalar" vs "batch" in the
+accounting is only the lane width.
 
 Both modes are **bit-identical**: hoisting is bit-identical to per-node
-rotation by construction, batching is bit-identical to per-element
-scalar execution by the batch layer's contract, and plaintext operands
-are encoded deterministically at the consumer's (level, scale).  The
-differential harness asserts this on both polynomial backends.
+rotation by construction, a lane is bit-identical to its elements run
+alone by the evaluator's contract, and plaintext operands are encoded
+deterministically at the consumer's (level, scale).  The differential
+harness asserts this on both polynomial backends.
 
 Every step also bills a measured :class:`repro.system.scheduler.ScheduledOp`
 -- a fused sweep bills its shared input and decomposition **once**
@@ -31,11 +37,15 @@ through the HEAX module simulators (:mod:`repro.plan.hwsim`).
 
 from __future__ import annotations
 
+import hashlib
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ckks.batch import BatchEvaluator, CiphertextBatch
+import numpy as np
+
+from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.evaluator import Evaluator
@@ -49,13 +59,19 @@ _SCHED_KIND = {op: "keyswitch" for op in KEYSWITCH_OPS}
 _SCHED_KIND["rescale"] = "ntt"
 
 
+#: Encoded plaintext constants one executor keeps (a Set-B plaintext is
+#: 320 KB; a 16-diagonal matvec at two levels needs 32 entries).
+PLAIN_CACHE_SIZE = 256
+
+
 def _sched_kind(op: str) -> str:
     return _SCHED_KIND.get(op, "mult")
 
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One executed schedule step (a sweep, a batch lane, or a scalar op)."""
+    """One executed schedule step: a sweep, or a lane ("batch" when
+    wider than one node, "scalar" otherwise)."""
 
     op: str
     node_ids: Tuple[int, ...]
@@ -83,7 +99,7 @@ class PlanRun:
     packed_ops: int = 0
     #: batch lanes executed.
     lanes: int = 0
-    #: nodes that fell back to scalar execution.
+    #: nodes executed alone, as lanes of one.
     scalar_ops: int = 0
 
     @property
@@ -126,26 +142,31 @@ class PlanExecutor:
         self.relin_key = relin_key
         self.galois_keys = galois_keys
         self.evaluator = Evaluator(context)
-        self.batch_evaluator = BatchEvaluator(context)
         self.encoder = CkksEncoder(context)
-        #: (const_id, level, scale) -> encoded plaintext; encoding is
-        #: deterministic, so sharing the cache across runs/modes cannot
-        #: perturb bit-identity.
-        self._plain_cache: Dict[Tuple[int, int, float], Plaintext] = {}
+        #: (constant value, level, scale) -> encoded plaintext, least
+        #: recently used first.  Keyed on a digest of the *value*, never
+        #: the node id: ids repeat from graph to graph and this executor
+        #: outlives them, while a recompiled graph of the same constants
+        #: must keep hitting.  Encoding is deterministic, so sharing the
+        #: cache across runs/modes cannot perturb bit-identity.
+        self._plain_cache: "OrderedDict[Tuple, Plaintext]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # plaintext operands
     # ------------------------------------------------------------------
-    def _plain(
-        self, graph: PlanGraph, const_id: int, level: int, scale: float
-    ) -> Plaintext:
-        key = (const_id, level, float(scale))
-        if key not in self._plain_cache:
-            node = graph.nodes[const_id]
-            self._plain_cache[key] = self.encoder.encode(
-                node.value, scale=scale, level_count=level
-            )
-        return self._plain_cache[key]
+    def _plain(self, value, level: int, scale: float) -> Plaintext:
+        slots = np.ascontiguousarray(value, dtype=np.complex128)
+        # the shape tells a broadcast scalar from a zero-padded 1-vector
+        digest = hashlib.blake2b(slots, digest_size=16).digest()
+        key = (slots.shape, digest, level, float(scale))
+        cache = self._plain_cache
+        if key in cache:
+            cache.move_to_end(key)
+        else:
+            cache[key] = self.encoder.encode(value, scale=scale, level_count=level)
+            if len(cache) > PLAIN_CACHE_SIZE:
+                cache.popitem(last=False)
+        return cache[key]
 
     def _operand_plain(
         self, graph: PlanGraph, node: PlanNode, operand: Ciphertext
@@ -164,7 +185,7 @@ class PlanExecutor:
                 const.scale if const.scale is not None
                 else self.context.params.scale
             )
-        return self._plain(graph, node.const_id, operand.level_count, scale)
+        return self._plain(const.value, operand.level_count, scale)
 
     # ------------------------------------------------------------------
     # key discipline
@@ -218,53 +239,25 @@ class PlanExecutor:
         )
 
     # ------------------------------------------------------------------
-    # scalar / batched node application
+    # node application: the one op -> evaluator-call table
     # ------------------------------------------------------------------
-    def _apply_scalar(
-        self, graph: PlanGraph, node: PlanNode, operands: List[Ciphertext]
-    ) -> Ciphertext:
-        ev = self.evaluator
-        op = node.op
-        if op == "add":
-            return ev.add(operands[0], operands[1])
-        if op == "sub":
-            return ev.sub(operands[0], operands[1])
-        if op == "negate":
-            return ev.negate(operands[0])
-        if op == "mul_relin":
-            return ev.multiply_relin(operands[0], operands[1], self.relin_key)
-        if op == "square":
-            # multiply + relinearize, matching the batched lane dataflow
-            return ev.relinearize(
-                ev.multiply(operands[0], operands[0]), self.relin_key
-            )
-        if op == "mul_plain":
-            return ev.multiply_plain(
-                operands[0], self._operand_plain(graph, node, operands[0])
-            )
-        if op == "add_const":
-            return ev.add_plain(
-                operands[0], self._operand_plain(graph, node, operands[0])
-            )
-        if op == "rotate":
-            return ev.rotate(operands[0], node.step, self.galois_keys)
-        if op == "conjugate":
-            return ev.conjugate(operands[0], self.galois_keys)
-        if op == "rescale":
-            return ev.rescale(operands[0])
-        raise ValueError(f"unknown plan op {op!r}")
-
-    def _apply_batched(
+    def _apply(
         self,
-        graph: PlanGraph,
         nodes: List[PlanNode],
         results: Dict[int, Ciphertext],
+        plain: Optional[Plaintext],
     ) -> List[Ciphertext]:
-        bev = self.batch_evaluator
+        """Run one lane of same-signature nodes as one evaluator call.
+
+        ``plain`` is the lane's encoded const operand, if its op has one:
+        the lane signature pins the const id and operand shape, so one
+        plaintext is shared by the whole lane.
+        """
+        ev = self.evaluator
         op = nodes[0].op
         lhs = CiphertextBatch.join([results[n.inputs[0]] for n in nodes])
         if op in ("add", "sub", "mul_relin"):
-            # ``add(x, x)`` (the serving ``double``): one operand stack
+            # ``add(x, x)`` (the serving ``double``): one operand lane
             # serves both sides, so it is joined once
             rhs = (
                 lhs
@@ -272,32 +265,25 @@ class PlanExecutor:
                 else CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
             )
             if op == "add":
-                out = bev.add(lhs, rhs)
+                out = ev.add(lhs, rhs)
             elif op == "sub":
-                out = bev.sub(lhs, rhs)
+                out = ev.sub(lhs, rhs)
             else:
-                out = bev.multiply_relin(lhs, rhs, self.relin_key)
+                out = ev.multiply_relin(lhs, rhs, self.relin_key)
         elif op == "negate":
-            out = bev.negate(lhs)
+            out = ev.negate(lhs)
         elif op == "square":
-            out = bev.relinearize(bev.multiply(lhs, lhs), self.relin_key)
-        elif op in ("mul_plain", "add_const"):
-            # the lane signature pins the const id and operand shape, so
-            # one encoded plaintext is shared by the whole lane
-            pt = self._operand_plain(
-                graph, nodes[0], results[nodes[0].inputs[0]]
-            )
-            out = (
-                bev.multiply_plain(lhs, pt)
-                if op == "mul_plain"
-                else bev.add_plain(lhs, pt)
-            )
+            out = ev.relinearize(ev.multiply(lhs, lhs), self.relin_key)
+        elif op == "mul_plain":
+            out = ev.multiply_plain(lhs, plain)
+        elif op == "add_const":
+            out = ev.add_plain(lhs, plain)
         elif op == "rotate":
-            out = bev.rotate(lhs, nodes[0].step, self.galois_keys)
+            out = ev.rotate(lhs, nodes[0].step, self.galois_keys)
         elif op == "conjugate":
-            out = bev.conjugate(lhs, self.galois_keys)
+            out = ev.conjugate(lhs, self.galois_keys)
         elif op == "rescale":
-            out = bev.rescale(lhs)
+            out = ev.rescale(lhs)
         else:
             raise ValueError(f"unknown plan op {op!r}")
         return out.split()
@@ -377,39 +363,7 @@ class PlanExecutor:
     ) -> None:
         for node in graph.topo_order():
             if node.op not in ("const", "input"):
-                self._run_scalar(graph, node, results, run)
-
-    def _run_scalar(
-        self,
-        graph: PlanGraph,
-        node: PlanNode,
-        results: Dict[int, Ciphertext],
-        run: PlanRun,
-    ) -> None:
-        """The scalar lane: one node as one ``Evaluator`` call -- every
-        step of the naive mode, a one-node lane of the optimized one."""
-        operands = [results[i] for i in node.inputs]
-        if node.const_id is not None:
-            # pre-encode outside the timed region
-            self._operand_plain(graph, node, operands[0])
-        level = operands[0].level_count
-        t0 = time.perf_counter()
-        out = self._apply_scalar(graph, node, operands)
-        seconds = time.perf_counter() - t0
-        results[node.id] = out
-        run.scalar_ops += 1
-        run.steps.append(
-            PlanStep(
-                node.op,
-                (node.id,),
-                1,
-                "scalar",
-                level,
-                0,
-                seconds,
-                self._bill(node.op, 1, level, out.level_count, seconds),
-            )
-        )
+                self._run_lane(graph, [node], results, run)
 
     def _run_optimized(
         self, graph: PlanGraph, results: Dict[int, Ciphertext], run: PlanRun
@@ -474,36 +428,38 @@ class PlanExecutor:
         results: Dict[int, Ciphertext],
         run: PlanRun,
     ) -> None:
-        if len(nodes) == 1:
-            self._run_scalar(graph, nodes[0], results, run)
-            return
-        level = results[nodes[0].inputs[0]].level_count
-        if nodes[0].const_id is not None:
-            self._operand_plain(
-                graph, nodes[0], results[nodes[0].inputs[0]]
-            )  # pre-encode outside the timed region
+        """The lane runner: ``nodes`` (one or many, same signature) as
+        one evaluator call -- every step of the naive mode is a lane of
+        one."""
+        width = len(nodes)
+        operand = results[nodes[0].inputs[0]]
+        level = operand.level_count
+        plain = (  # encoded outside the timed region: host-side work
+            self._operand_plain(graph, nodes[0], operand)
+            if nodes[0].const_id is not None
+            else None
+        )
         t0 = time.perf_counter()
-        outs = self._apply_batched(graph, nodes, results)
+        outs = self._apply(nodes, results, plain)
         seconds = time.perf_counter() - t0
         for node, out in zip(nodes, outs):
             results[node.id] = out
-        run.lanes += 1
-        run.packed_ops += len(nodes)
+        if width == 1:
+            run.scalar_ops += 1
+        else:
+            run.lanes += 1
+            run.packed_ops += width
         run.steps.append(
             PlanStep(
                 nodes[0].op,
                 tuple(n.id for n in nodes),
-                len(nodes),
-                "batch",
+                width,
+                "scalar" if width == 1 else "batch",
                 level,
                 0,
                 seconds,
                 self._bill(
-                    nodes[0].op,
-                    len(nodes),
-                    level,
-                    outs[0].level_count,
-                    seconds,
+                    nodes[0].op, width, level, outs[0].level_count, seconds
                 ),
             )
         )

@@ -7,7 +7,7 @@ example) with one planner:
 
 * :func:`check_plan` -- abstract interpretation of (level, scale) along
   the DAG with the exact discipline the evaluator enforces at runtime
-  (level equality, :data:`~repro.ckks.evaluator.SCALE_RTOL` scale
+  (level equality, :data:`~repro.ckks.batch.SCALE_RTOL` scale
   matching, rescale legality, modulus-budget headroom).  Rejects
   unplaceable graphs loudly, before any ciphertext work happens.
 * :func:`place_rescales` -- rewrites a graph so it passes the checker:
@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+from repro.ckks.batch import SCALE_RTOL
 from repro.ckks.context import CkksContext
-from repro.ckks.evaluator import SCALE_RTOL
 from repro.plan.graph import PlanGraph, PlanNode
 
 #: Required free bits between the scale and the modulus budget at a
@@ -85,7 +85,7 @@ def check_plan(
     Returns ``{node_id: (level_count, scale)}`` for ciphertext nodes of
     a valid plan.  Raises :class:`PlanValidationError` naming the node
     and the violated rule otherwise -- level mismatches, scale
-    mismatches beyond :data:`~repro.ckks.evaluator.SCALE_RTOL`, rescales
+    mismatches beyond :data:`~repro.ckks.batch.SCALE_RTOL`, rescales
     at the last level or below unit scale, and scales within
     ``headroom_bits`` of the level's modulus budget (the loud rejection
     the satellite tests exercise).

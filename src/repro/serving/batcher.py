@@ -1,6 +1,6 @@
 """Homogeneity-aware dynamic batching of independent client requests.
 
-The throughput of the batch layer (``repro.ckks.batch``) comes from
+The throughput of a lane (``repro.ckks.batch``) comes from
 executing N *same-shape* ciphertexts as one stacked kernel pass -- but
 nothing guarantees that independent client requests arrive same-shaped
 or adjacent.  The dynamic batcher closes that gap: every admitted

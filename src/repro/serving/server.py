@@ -408,7 +408,7 @@ class EncryptedComputeServer:
         Returns the number of requests completed this turn.  A lane
         flushes as soon as it fills to ``max_batch_size``; lanes that
         age past ``max_delay_seconds`` flush at whatever width they
-        reached -- a singleton falls back to the scalar evaluator.
+        reached -- a singleton runs as the lane of one.
         """
         if now is None:
             now = self.clock()

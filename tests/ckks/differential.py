@@ -4,22 +4,24 @@ Drives *seeded random operation sequences* (add / sub / multiply+relin /
 rescale / rotate / conjugate / plain ops) through every combination of
 
 * backend: ``reference`` vs ``numpy``, and
-* execution mode: per-ciphertext :class:`~repro.ckks.evaluator.Evaluator`
-  vs batched :class:`~repro.ckks.batch.BatchEvaluator`,
+* **lane width**: the one :class:`~repro.ckks.evaluator.Evaluator` fed
+  plain ciphertexts (the lane of one) vs
+  :class:`~repro.ckks.batch.CiphertextBatch` lanes of 2, 3, ... elements,
 
 and asserts two properties:
 
-1. **bit-identity** -- all four traces produce identical ciphertext
-   residue rows after *every* step (the backends are interchangeable by
-   contract, and a batched op is exactly N independent scalar ops);
+1. **bit-identity** -- every trace produces identical ciphertext residue
+   rows after *every* step (the backends are interchangeable by
+   contract, and an op over a lane is exactly N independent width-1 ops:
+   stacked kernels are row-independent);
 2. **correctness** -- the final decode matches a plaintext model of the
    same program within CKKS precision.
 
-Randomness discipline: both execution modes consume the encryption
-sampler in the *same order* (step-major: within a step, operand
-ciphertexts for elements 0..N-1 are encrypted in order), so a fixed
-seed yields byte-identical ciphertexts whichever mode runs -- making
-batched-vs-unbatched divergence a hard failure instead of a statistical
+Randomness discipline: every run consumes the encryption sampler in the
+*same order* (step-major: within a step, operand ciphertexts for
+elements 0..N-1 are encrypted in order), so a fixed seed yields
+byte-identical ciphertexts whatever the lane width -- making a
+width-dependent divergence a hard failure instead of a statistical
 argument.
 
 Programs are feasibility-aware: an op is only emitted when the tracked
@@ -27,6 +29,10 @@ Programs are feasibility-aware: an op is only emitted when the tracked
 multiply is immediately relinearized and, when a level remains,
 rescaled -- the standard CKKS idiom, which also keeps the plaintext
 model's precision honest.
+
+The module also keeps the pre-hoisting key-switch / rotation baselines
+(``keyswitch_polynomial_unhoisted``, ``rotate_unhoisted``,
+``matvec_unhoisted``) the fast path is tested and benchmarked against.
 """
 
 from __future__ import annotations
@@ -36,15 +42,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.ckks.batch import BatchEvaluator
 from repro.ckks.backend import use_backend
+from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.decryptor import Decryptor
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
-from repro.ckks.evaluator import Evaluator
+from repro.ckks.evaluator import Evaluator, rows_for
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear import LinearEvaluator
+from repro.ckks.poly import Ciphertext, RnsPolynomial
 
 #: Ops a program may contain; weights bias toward the cheap ones so a
 #: short program still exercises variety without exhausting levels.
@@ -67,6 +74,84 @@ _OP_WEIGHTS = (
 ROTATE_STEP = 1
 
 
+# ---------------------------------------------------------------------------
+# The pre-hoisting baselines: the textbook Algorithm-7 oracle.  They exist
+# to be compared against (tests/ckks/test_hoisting.py, the row budgets of
+# test_transform_counts.py, benchmarks/bench_keyswitch_hoisting.py), not
+# shipped, so they live here and not in ``src/``.
+# ---------------------------------------------------------------------------
+def _floor_divide_last(ev, poly):
+    """Single-accumulator Algorithm 6: divide by the last RNS prime and
+    drop it (a one-block shim over the evaluator's stacked flooring)."""
+    rows = poly.native_rows(ev.context.backend)
+    (floored,) = ev._floor_divide(
+        [[rows[i : i + 1] for i in range(poly.level_count)]], poly.moduli
+    )
+    return RnsPolynomial(poly.n, poly.moduli[:-1], floored, is_ntt=True)
+
+
+def keyswitch_polynomial_unhoisted(ev, target, ksk):
+    """The pre-hoisting Algorithm-7 loop: one (digit, modulus) pair per
+    iteration, single-row kernels throughout.  Bit-identical to
+    ``Evaluator.keyswitch_polynomial``."""
+    ctx = ev.context
+    be = ctx.backend
+    if not target.is_ntt:
+        raise ValueError("key switching operates on NTT-form input")
+    data_moduli = list(target.moduli)
+    ext_moduli = data_moduli + [ctx.special_modulus]
+    acc0 = RnsPolynomial(target.n, ext_moduli, is_ntt=True)
+    acc1 = RnsPolynomial(target.n, ext_moduli, is_ntt=True)
+    for i, p_i in enumerate(data_moduli):
+        # line 3: back to coefficient domain for this component
+        a = be.ntt_inverse(ctx.tables(p_i), target.row(i))
+        d0, d1 = ksk.digit(i)
+        d0_rows = rows_for(d0, ext_moduli)
+        d1_rows = rows_for(d1, ext_moduli)
+        for j, m_j in enumerate(ext_moduli):
+            if m_j.value == p_i.value:
+                b_ntt = target.row(i)  # line 9: already in NTT form
+            else:
+                b = be.reduce_mod(m_j, a)  # line 6: Mod(a, p_j)
+                b_ntt = be.ntt_forward(ctx.tables(m_j), b)  # line 7
+            # lines 11-12 / 16-17: dyadic multiply-accumulate
+            acc0.set_row(
+                j, be.dyadic_mac(m_j, acc0.row(j), b_ntt, d0_rows[j]), backend=be
+            )
+            acc1.set_row(
+                j, be.dyadic_mac(m_j, acc1.row(j), b_ntt, d1_rows[j]), backend=be
+            )
+    # line 19: Floor by the special prime (Modulus Switch)
+    return _floor_divide_last(ev, acc0), _floor_divide_last(ev, acc1)
+
+
+def _apply_galois_ct_coeff(ctx, ct, galois_elt):
+    """The pre-hoisting coefficient-domain automorphism of a ciphertext."""
+    return Ciphertext(
+        [
+            ctx.to_ntt(ctx.apply_galois(ctx.from_ntt(p), galois_elt))
+            for p in ct.polys
+        ],
+        ct.scale,
+    )
+
+
+def rotate_unhoisted(ev, ct, step, galois_keys):
+    """The pre-hoisting rotation: coefficient-domain automorphism round
+    trip plus the single-row key-switch loop."""
+    if ct.size != 2:
+        raise ValueError("relinearize before applying Galois automorphisms")
+    ctx = ev.context
+    elt = ctx.galois_element_for_step(step)
+    rotated = _apply_galois_ct_coeff(ctx, ct, elt)
+    f0, f1 = keyswitch_polynomial_unhoisted(
+        ev, rotated.polys[1], galois_keys.key_for_element(elt)
+    )
+    return Ciphertext(
+        [rotated.polys[0].add(f0, backend=ctx.backend), f1], ct.scale
+    )
+
+
 def matvec_unhoisted(ctx, matrix, ct, galois_keys):
     """The pre-hoisting diagonal matvec: one ``rotate_unhoisted`` (its
     own coefficient-domain round trip and key-switch decomposition) per
@@ -81,7 +166,7 @@ def matvec_unhoisted(ctx, matrix, ct, galois_keys):
     for d in range(dim):
         if not diags[d].any():
             continue
-        rotated = ct if d == 0 else ev.rotate_unhoisted(ct, d, galois_keys)
+        rotated = ct if d == 0 else rotate_unhoisted(ev, ct, d, galois_keys)
         term = ev.multiply_plain(
             rotated, enc.encode(list(diags[d]), level_count=ct.level_count)
         )
@@ -174,7 +259,7 @@ class _ModelState:
         self.values = values.copy()
 
     def apply(self, op: str, operand: Optional[np.ndarray]) -> None:
-        if op == "add":
+        if op in ("add", "add_plain"):
             self.values = self.values + operand
         elif op == "sub":
             self.values = self.values - operand
@@ -199,7 +284,7 @@ class _ModelState:
 def run_program(
     program: List[str],
     backend_name: str,
-    batched: bool,
+    lane_width: int,
     *,
     n: int = 64,
     k: int = 3,
@@ -207,10 +292,16 @@ def run_program(
     base_seed: int = 1000,
     rematerialize: bool = False,
 ) -> Dict:
-    """Execute a program in one (backend, mode) combination.
+    """Execute a program on one backend at one lane width.
 
-    Returns per-step canonical residue rows for every batch element,
-    the final decoded slot vectors, and the plaintext-model expectation.
+    The ``batch_count`` elements run through the one evaluator in lanes
+    of ``lane_width``: at width 1 every element is a plain
+    :class:`Ciphertext` (the lane of one); otherwise the elements are
+    joined ``lane_width`` at a time (the last lane may be narrower) into
+    :class:`CiphertextBatch` operands and split again after the op.
+
+    Returns per-step canonical residue rows for every element, the
+    final decoded slot vectors, and the plaintext-model expectation.
 
     With ``rematerialize=True`` every ciphertext is torn down to
     canonical Python lists and rebuilt after each step, forcing the
@@ -218,6 +309,15 @@ def run_program(
     backend-resident run (the residency property test).
     """
     value_rng = random.Random(base_seed)  # same value stream in every run
+
+    def lanes(cts):
+        if lane_width == 1:
+            return cts
+        return [
+            CiphertextBatch.join(cts[i : i + lane_width])
+            for i in range(0, len(cts), lane_width)
+        ]
+
     with use_backend(backend_name):
         ctx = CkksContext(toy_parameters(n=n, k=k, prime_bits=30))
         keygen = KeyGenerator(ctx, seed=base_seed + 1)
@@ -234,136 +334,103 @@ def run_program(
             _matvec_matrix(slots, base_seed) if "matvec" in program else None
         )
         linear = LinearEvaluator(ctx)
+        ev = Evaluator(ctx)
 
         init_values = [
             np.array(_operand_values(value_rng, slots)) for _ in range(batch_count)
         ]
         models = [_ModelState(v) for v in init_values]
-        init_pts = [encoder.encode(list(v)) for v in init_values]
+        state = [encryptor.encrypt(encoder.encode(list(v))) for v in init_values]
 
         steps: List[List] = []
-        if batched:
-            bev = BatchEvaluator(ctx)
-            state = bev.encrypt(encryptor, init_pts)
-        else:
-            ev = Evaluator(ctx)
-            state = [encryptor.encrypt(pt) for pt in init_pts]
 
         def snapshot():
-            cts = state.split() if batched else state
-            steps.append([[p.residues for p in ct.polys] for ct in cts])
+            steps.append([[p.residues for p in ct.polys] for ct in state])
 
         snapshot()
         for op in program:
-            scale = state.scale if batched else state[0].scale
-            level = state.level_count if batched else state[0].level_count
+            scale, level = state[0].scale, state[0].level_count
             operand_vals = None
             if op in ("add", "sub", "mul_relin"):
                 # one fresh encrypted operand per element, step-major so
-                # both modes consume the sampler identically
+                # every lane width consumes the sampler identically
                 operand_vals = [
                     np.array(_operand_values(value_rng, slots))
                     for _ in range(batch_count)
                 ]
                 enc_scale = scale if op in ("add", "sub") else None
-                operand_cts = [
-                    encryptor.encrypt(
-                        encoder.encode(
-                            list(v), scale=enc_scale, level_count=level
+                operands = lanes(
+                    [
+                        encryptor.encrypt(
+                            encoder.encode(
+                                list(v), scale=enc_scale, level_count=level
+                            )
                         )
-                    )
-                    for v in operand_vals
-                ]
-            elif op == "mul_plain":
+                        for v in operand_vals
+                    ]
+                )
+            elif op in ("mul_plain", "add_plain"):
+                # one plaintext shared by every element; add_plain (never
+                # generated, only listed explicitly) must match the scale
                 operand_vals = [
                     np.array(_operand_values(value_rng, slots))
                 ] * batch_count
                 shared_pt = encoder.encode(
-                    list(operand_vals[0]), level_count=level
+                    list(operand_vals[0]),
+                    scale=scale if op == "add_plain" else None,
+                    level_count=level,
                 )
             elif op == "matvec":
                 operand_vals = [matvec_matrix] * batch_count
 
-            if batched:
-                if op == "add":
-                    state = bev.add(state, _join(operand_cts))
-                elif op == "sub":
-                    state = bev.sub(state, _join(operand_cts))
-                elif op == "mul_relin":
-                    state = bev.relinearize(
-                        bev.multiply(state, _join(operand_cts)), relin_key
-                    )
-                elif op == "mul_plain":
-                    state = bev.multiply_plain(state, shared_pt)
-                elif op == "rotate":
-                    state = bev.rotate(state, ROTATE_STEP, galois_keys)
-                elif op == "rotate_hoisted":
-                    # the batched rotation shares the scalar hoisted
-                    # dataflow, so this cross-checks hoisted-vs-batched
-                    state = bev.rotate(state, ROTATE_STEP, galois_keys)
-                elif op == "matvec":
-                    state = _join(
-                        [
-                            linear.matvec_diagonal(
-                                matvec_matrix, c, galois_keys
-                            )
-                            for c in state.split()
-                        ]
-                    )
-                elif op == "conjugate":
-                    state = bev.conjugate(state, galois_keys)
-                elif op == "negate":
-                    state = bev.negate(state)
-                elif op == "rescale":
-                    state = bev.rescale(state)
+            xs = lanes(state)
+            if op == "add":
+                out = [ev.add(x, o) for x, o in zip(xs, operands)]
+            elif op == "sub":
+                out = [ev.sub(x, o) for x, o in zip(xs, operands)]
+            elif op == "mul_relin":
+                out = [
+                    ev.relinearize(ev.multiply(x, o), relin_key)
+                    for x, o in zip(xs, operands)
+                ]
+            elif op == "mul_plain":
+                out = [ev.multiply_plain(x, shared_pt) for x in xs]
+            elif op == "add_plain":
+                out = [ev.add_plain(x, shared_pt) for x in xs]
+            elif op == "rotate":
+                out = [ev.rotate(x, ROTATE_STEP, galois_keys) for x in xs]
+            elif op == "rotate_hoisted":
+                out = [
+                    ev.rotate_hoisted(x, [ROTATE_STEP], galois_keys)[0]
+                    for x in xs
+                ]
+            elif op == "matvec":
+                out = [
+                    linear.matvec_diagonal(matvec_matrix, c, galois_keys)
+                    for c in state
+                ]
+            elif op == "conjugate":
+                out = [ev.conjugate(x, galois_keys) for x in xs]
+            elif op == "negate":
+                out = [ev.negate(x) for x in xs]
+            elif op == "rescale":
+                out = [ev.rescale(x) for x in xs]
             else:
-                if op == "add":
-                    state = [ev.add(c, o) for c, o in zip(state, operand_cts)]
-                elif op == "sub":
-                    state = [ev.sub(c, o) for c, o in zip(state, operand_cts)]
-                elif op == "mul_relin":
-                    state = [
-                        ev.relinearize(ev.multiply(c, o), relin_key)
-                        for c, o in zip(state, operand_cts)
-                    ]
-                elif op == "mul_plain":
-                    state = [ev.multiply_plain(c, shared_pt) for c in state]
-                elif op == "rotate":
-                    state = [
-                        ev.rotate(c, ROTATE_STEP, galois_keys) for c in state
-                    ]
-                elif op == "rotate_hoisted":
-                    state = [
-                        ev.rotate_hoisted(c, [ROTATE_STEP], galois_keys)[0]
-                        for c in state
-                    ]
-                elif op == "matvec":
-                    state = [
-                        linear.matvec_diagonal(matvec_matrix, c, galois_keys)
-                        for c in state
-                    ]
-                elif op == "conjugate":
-                    state = [ev.conjugate(c, galois_keys) for c in state]
-                elif op == "negate":
-                    state = [ev.negate(c) for c in state]
-                elif op == "rescale":
-                    state = [ev.rescale(c) for c in state]
+                raise ValueError(f"unknown op {op!r}")
+            state = [
+                ct
+                for x in out
+                for ct in (x.split() if isinstance(x, CiphertextBatch) else [x])
+            ]
 
             if rematerialize:
-                if batched:
-                    state = _join([_rematerialized(c) for c in state.split()])
-                else:
-                    state = [_rematerialized(c) for c in state]
+                state = [_rematerialized(c) for c in state]
 
             for b, model in enumerate(models):
                 model.apply(op, operand_vals[b] if operand_vals else None)
             snapshot()
 
-        if batched:
-            plains = bev.decrypt(decryptor, state)
-        else:
-            plains = [decryptor.decrypt(c) for c in state]
-        decoded = [encoder.decode(pt) for pt in plains]
+        decoded = [encoder.decode(decryptor.decrypt(c)) for c in state]
         return {
             "steps": steps,
             "decoded": decoded,
@@ -535,18 +602,10 @@ def run_program_planned(
         }
 
 
-def _join(cts):
-    from repro.ckks.batch import CiphertextBatch
-
-    return CiphertextBatch.from_ciphertexts(cts)
-
-
 def _rematerialized(ct):
     """Rebuild a ciphertext from canonical Python-list rows (the
     materialized `.residues` snapshot), discarding any backend-native
     residency."""
-    from repro.ckks.poly import Ciphertext, RnsPolynomial
-
     return Ciphertext(
         [
             RnsPolynomial(p.n, p.moduli, p.residues, p.is_ntt)
@@ -564,22 +623,30 @@ def assert_differential(
     batch_count: int = 3,
     base_seed: int = 1000,
     atol: float = 0.05,
+    widths=None,
 ) -> None:
-    """Run all four (backend, mode) combinations and assert the contract."""
+    """Run every (backend, lane width) combination and assert the contract.
+
+    Default widths: 1 (plain ciphertexts), 2 (a ragged last lane, or a
+    one-element :class:`CiphertextBatch` when ``batch_count == 1``) and
+    the whole ``batch_count`` as one lane.
+    """
+    if widths is None:
+        widths = sorted({1, 2, batch_count})
     runs = {
-        (backend, mode): run_program(
+        (backend, width): run_program(
             program,
             backend,
-            mode == "batched",
+            width,
             n=n,
             k=k,
             batch_count=batch_count,
             base_seed=base_seed,
         )
         for backend in ("reference", "numpy")
-        for mode in ("scalar", "batched")
+        for width in widths
     }
-    baseline_key = ("reference", "scalar")
+    baseline_key = ("reference", 1)
     baseline = runs[baseline_key]
     for key, result in runs.items():
         if key == baseline_key:
@@ -588,7 +655,8 @@ def assert_differential(
             zip(result["steps"], baseline["steps"])
         ):
             assert got == want, (
-                f"{key} diverged from {baseline_key} at step {step} "
+                f"(backend, lane width) {key} diverged from {baseline_key} "
+                f"at step {step} "
                 f"(op {'init' if step == 0 else program[step - 1]!r}) "
                 f"of program {program}"
             )
@@ -622,7 +690,7 @@ def assert_plan_differential(
     the plaintext model.
     """
     kwargs = dict(n=n, k=k, batch_count=batch_count, base_seed=base_seed)
-    baseline = run_program(program, "reference", False, **kwargs)
+    baseline = run_program(program, "reference", 1, **kwargs)
     runs = {
         (backend, "plan-opt" if optimize else "plan-naive"): run_program_planned(
             program, backend, optimize=optimize, **kwargs

@@ -1,17 +1,18 @@
-"""CiphertextBatch / BatchEvaluator: container semantics and edge cases.
+"""CiphertextBatch lanes: container semantics and edge cases.
 
-The numeric batched-vs-scalar equivalence lives in the differential
-harness (``test_differential.py``); this module pins down the batch
-*container* contract: homogeneity validation (ragged / mixed-level /
-empty inputs raise cleanly), split/join round-trips, the degenerate
-batch of one, and the evaluator's shape discipline.
+The numeric lane-width equivalence lives in the differential harness
+(``test_differential.py``); this module pins down the lane *container*
+contract: homogeneity validation (ragged / mixed-level / empty inputs
+raise cleanly), split/join round-trips, the degenerate lane of one, and
+the shape discipline of the one evaluator over lanes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ckks.batch import BatchEvaluator, CiphertextBatch
+from repro.ckks.backend import CountingBackend, available_backends
+from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.decryptor import Decryptor
 from repro.ckks.encoder import CkksEncoder
@@ -31,7 +32,6 @@ def env():
         "encryptor": Encryptor(ctx, keygen.public_key(), seed=32),
         "encoder": CkksEncoder(ctx),
         "evaluator": Evaluator(ctx),
-        "batch_evaluator": BatchEvaluator(ctx),
         "decryptor": Decryptor(ctx, keygen.secret_key),
     }
 
@@ -64,10 +64,10 @@ class TestContainer:
             assert b.is_ntt
 
     def test_split_join_round_trip_after_ops(self, env):
-        """join(split(batch)) preserves rows even when stacks are
-        backend-native arrays (post-operation state)."""
-        bev = env["batch_evaluator"]
-        batch = bev.add(
+        """join(split(batch)) preserves rows even when the lane matrices
+        are backend-native arrays (post-operation state)."""
+        ev = env["evaluator"]
+        batch = ev.add(
             CiphertextBatch.join(fresh_cts(env, 3)),
             CiphertextBatch.join(fresh_cts(env, 3)),
         )
@@ -131,20 +131,20 @@ class TestContainer:
 # ---------------------------------------------------------------------------
 class TestEvaluatorDiscipline:
     def test_batch_count_mismatch_raises(self, env):
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         with pytest.raises(ValueError, match="batch size mismatch"):
-            bev.add(
+            ev.add(
                 CiphertextBatch.join(fresh_cts(env, 2)),
                 CiphertextBatch.join(fresh_cts(env, 3)),
             )
 
     def test_level_mismatch_raises(self, env):
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         batch = CiphertextBatch.join(fresh_cts(env, 2))
-        dropped = bev.rescale(bev.multiply(batch, batch))
+        dropped = ev.rescale(ev.multiply(batch, batch))
         dropped.scale = batch.scale  # isolate the level check from the scale one
         with pytest.raises(ValueError, match="level mismatch"):
-            bev.add(CiphertextBatch.join(fresh_cts(env, 2)), dropped)
+            ev.add(CiphertextBatch.join(fresh_cts(env, 2)), dropped)
 
     def test_basis_value_mismatch_raises(self, env):
         """Same level count but different primes must raise, as the
@@ -156,7 +156,7 @@ class TestEvaluatorDiscipline:
         other = CiphertextBatch.join([other_ct, other_ct.clone()])
         other.scale = env["ctx"].params.scale  # isolate the basis check
         with pytest.raises(ValueError, match="basis mismatch"):
-            env["batch_evaluator"].add(
+            env["evaluator"].add(
                 CiphertextBatch.join(fresh_cts(env, 2)), other
             )
 
@@ -165,71 +165,152 @@ class TestEvaluatorDiscipline:
         batch = CiphertextBatch.join(fresh_cts(env, 2))
         coeff_pt.scale = batch.scale
         with pytest.raises(ValueError, match="NTT-form mismatch"):
-            env["batch_evaluator"].add_plain(batch, coeff_pt)
+            env["evaluator"].add_plain(batch, coeff_pt)
 
     def test_relinearize_requires_size_three(self, env):
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         batch = CiphertextBatch.join(fresh_cts(env, 2))
         with pytest.raises(ValueError, match="size-3"):
-            bev.relinearize(batch, env["keygen"].relin_key())
+            ev.relinearize(batch, env["keygen"].relin_key())
 
     def test_rotate_requires_size_two(self, env):
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         batch = CiphertextBatch.join(fresh_cts(env, 2))
-        prod = bev.multiply(batch, batch)
+        prod = ev.multiply(batch, batch)
         with pytest.raises(ValueError, match="relinearize"):
-            bev.rotate(prod, 1, env["keygen"].galois_keys([1]))
+            ev.rotate(prod, 1, env["keygen"].galois_keys([1]))
 
     def test_rescale_at_last_level_raises(self, env):
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         batch = CiphertextBatch.join(fresh_cts(env, 2))
         for _ in range(env["ctx"].k - 1):
-            batch = bev.rescale(batch)
+            batch = ev.rescale(batch)
         with pytest.raises(ValueError, match="last level"):
-            bev.rescale(batch)
+            ev.rescale(batch)
 
     def test_multiply_produces_size_three(self, env):
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         batch = CiphertextBatch.join(fresh_cts(env, 2))
-        prod = bev.multiply(batch, batch)
+        prod = ev.multiply(batch, batch)
         assert prod.size == 3
         assert prod.scale == batch.scale * batch.scale
 
     def test_add_mixed_sizes(self, env):
         """Size-3 + size-2 keeps the extra component, as in Evaluator."""
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         batch = CiphertextBatch.join(fresh_cts(env, 2))
-        prod = bev.multiply(batch, batch)
+        prod = ev.multiply(batch, batch)
         prod.scale = batch.scale  # align for the addition-scale check
-        out = bev.add(prod, batch)
+        out = ev.add(prod, batch)
         assert out.size == 3
 
     def test_batched_decrypt_matches_scalar(self, env):
-        bev = env["batch_evaluator"]
+        """The strided element views of a computed lane decrypt exactly
+        like the same op run per ciphertext (one ``decrypt``: the
+        decryptor's)."""
+        ev, dec = env["evaluator"], env["decryptor"]
         cts = fresh_cts(env, 3)
-        batch = CiphertextBatch.join(cts)
-        batched = bev.decrypt(env["decryptor"], batch)
-        scalar = [env["decryptor"].decrypt(ct) for ct in cts]
+        lane = ev.negate(CiphertextBatch.join(cts))
+        batched = [dec.decrypt(ct) for ct in lane.split()]
+        scalar = [dec.decrypt(ev.negate(ct)) for ct in cts]
         assert [p.poly.residues for p in batched] == [
             p.poly.residues for p in scalar
         ]
 
     def test_batched_encrypt_matches_scalar_order(self, env):
-        """encrypt() consumes the sampler element-by-element in order."""
+        """Joining keeps encryption order: element b of the lane is the
+        b-th ciphertext the sampler produced."""
         enc = env["encoder"]
         pts = [enc.encode(float(b)) for b in range(3)]
         pk = env["keygen"].public_key()
         e1 = Encryptor(env["ctx"], pk, seed=71)
         e2 = Encryptor(env["ctx"], pk, seed=71)
-        batch = env["batch_evaluator"].encrypt(e1, pts)
+        batch = CiphertextBatch.join([e1.encrypt(pt) for pt in pts])
         scalar = [e2.encrypt(pt) for pt in pts]
         assert [
             [p.residues for p in ct.polys] for ct in batch.split()
         ] == [[p.residues for p in ct.polys] for ct in scalar]
 
+    def test_plain_ciphertext_is_the_lane_of_one(self, env):
+        """A Ciphertext and the one-element batch holding it are the
+        same operand: same bits out, each in its own kind, and the two
+        mix in one call."""
+        ev = env["evaluator"]
+        ct, other = fresh_cts(env, 2)
+        lane = CiphertextBatch.join([ct])
+        as_ct = ev.add(ct, other)
+        as_lane = ev.add(lane, other)
+        assert isinstance(as_ct, Ciphertext)
+        assert isinstance(as_lane, CiphertextBatch) and len(as_lane) == 1
+        assert [p.residues for p in as_lane.split()[0].polys] == [
+            p.residues for p in as_ct.polys
+        ]
+
+    def test_width_mismatch_with_plain_ciphertext_raises(self, env):
+        ct = fresh_cts(env, 1)[0]
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            env["evaluator"].add(CiphertextBatch.join(fresh_cts(env, 2)), ct)
+
+
+class TestLaneOfOneResidency:
+    """Join and split of one ciphertext cost no lift and no re-stack."""
+
+    @pytest.mark.parametrize(
+        "backend_name",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.skipif(
+                    name not in available_backends(),
+                    reason=f"{name} unavailable",
+                ),
+            )
+            for name in ("reference", "numpy")
+        ],
+    )
+    def test_width_one_ops_stay_resident(self, backend_name):
+        be = CountingBackend(backend_name)
+        ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=30), backend=be)
+        keygen = KeyGenerator(ctx, seed=31)
+        encoder = CkksEncoder(ctx)
+        ct = Encryptor(ctx, keygen.public_key(), seed=32).encrypt(
+            encoder.encode(1.5)
+        )
+        pt = encoder.encode(0.5)
+        galois = keygen.galois_keys([1])
+        ev = Evaluator(ctx)
+        ops = {
+            "add": lambda x: ev.add(x, x),
+            "multiply_plain": lambda x: ev.multiply_plain(x, pt),
+            "rescale": ev.rescale,
+            "rotate": lambda x: ev.rotate(x, 1, galois),
+        }
+        for op in ops.values():  # warm key / table caches
+            op(ct)
+        for name, op in ops.items():
+            for operand in (ct, CiphertextBatch.join([ct])):
+                be.reset()
+                out = op(operand)
+                assert be.conversion_rows == 0, (name, dict(be.counts))
+                for element in (
+                    out.split() if isinstance(out, CiphertextBatch) else [out]
+                ):
+                    for poly in element.polys:
+                        # already the backend's native matrix: lifting
+                        # it again is the identity
+                        assert be.inner.from_rows(poly.rows) is poly.rows, name
+
+    def test_join_and_split_of_one_share_storage(self):
+        ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=30))
+        ct = Encryptor(
+            ctx, KeyGenerator(ctx, seed=31).public_key(), seed=32
+        ).encrypt(CkksEncoder(ctx).encode(1.5))
+        lane = CiphertextBatch.join([ct])
+        assert all(c is p.rows for c, p in zip(lane.comps, ct.polys))
+
 
 class TestStackedKernelContract:
-    """Shared backend contract details surfaced by the batch layer."""
+    """Shared backend contract details surfaced by the lane layout."""
 
     def test_stack_length_mismatch_raises_on_every_backend(self, env):
         from repro.ckks.backend import available_backends, create_backend
@@ -249,6 +330,43 @@ class TestStackedKernelContract:
             with pytest.raises(ValueError):
                 be.dyadic_mac_stack(m, a, b, [5] * 64)
 
+    @pytest.mark.parametrize("bits", [30, 50], ids=["30bit", "50bit"])
+    def test_stack_reduce_shares_key_rows_across_a_digit_block(self, bits):
+        """``dyadic_stack_reduce`` over a digit-major ``(L*c, n)`` stack
+        returns ``c`` rows, row ``b`` being the reduction of element
+        ``b``'s own ``L`` digits -- identical on every backend (the numpy
+        kernel sums whole products lazily where they fit a word)."""
+        import random
+
+        from repro.ckks.backend import available_backends, create_backend
+        from repro.ckks.backend.base import canonical_stack
+
+        ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=bits))
+        m = ctx.data_basis.moduli[0]
+        rng = random.Random(5)
+        digits, count = 3, 4
+        x = [[rng.randrange(m.value) for _ in range(64)] for _ in range(digits * count)]
+        # full-range key rows exercise the lazy sum's worst case
+        y = [[m.value - 1] * 64] + [
+            [rng.randrange(m.value) for _ in range(64)] for _ in range(digits - 1)
+        ]
+        x[0] = [m.value - 1] * 64
+        want = [
+            [
+                sum(x[i * count + b][c] * y[i][c] for i in range(digits)) % m.value
+                for c in range(64)
+            ]
+            for b in range(count)
+        ]
+        for name in available_backends():
+            be = create_backend(name)
+            got = be.dyadic_stack_reduce(m, be.native_stack(x), be.native_stack(y))
+            assert canonical_stack(got) == want, name
+            one = be.dyadic_stack_reduce(m, x[::count], y)  # c = 1: one row out
+            assert canonical_stack(one) == want[:1], name
+            with pytest.raises(ValueError):
+                be.dyadic_stack_reduce(m, x[:-1], y)
+
     def test_galois_map_is_mutation_safe(self, env):
         """The public accessor must hand out a copy, not the cache."""
         ctx = env["ctx"]
@@ -259,7 +377,7 @@ class TestStackedKernelContract:
 
 
 class TestBatchScaleHardening:
-    """The batch path shares the hardened scale discipline."""
+    """Lanes share the hardened scale discipline."""
 
     def test_join_rejects_zero_scale_pair(self, env):
         a, b = fresh_cts(env, 2)
@@ -282,9 +400,9 @@ class TestBatchScaleHardening:
             CiphertextBatch.join([a, b])
 
     def test_batch_add_rejects_zero_scale(self, env):
-        bev = env["batch_evaluator"]
+        ev = env["evaluator"]
         b0 = CiphertextBatch.join(fresh_cts(env, 2))
         b1 = CiphertextBatch.join(fresh_cts(env, 2))
         b1.scale = 0.0
         with pytest.raises(ValueError, match="non-positive scale"):
-            bev.add(b0, b1)
+            ev.add(b0, b1)

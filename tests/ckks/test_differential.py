@@ -1,15 +1,22 @@
 """Randomized cross-backend differential tests (see ``differential.py``).
 
 Each case drives one seeded random op program through reference/numpy ×
-scalar/batched execution and asserts bit-identical ciphertexts at every
-step plus a plaintext-model decode check.
+lane widths (plain ciphertexts, and CiphertextBatch lanes) of the one
+evaluator and asserts bit-identical ciphertexts at every step plus a
+plaintext-model decode check.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ckks.backend import available_backends
+from repro.ckks.backend import available_backends, use_backend
+from repro.ckks.batch import CiphertextBatch
+from repro.ckks.context import CkksContext, toy_parameters
+from repro.ckks.encoder import CkksEncoder
+from repro.ckks.encryptor import Encryptor
+from repro.ckks.evaluator import Evaluator
+from repro.ckks.keys import KeyGenerator
 
 # tests/ are not a package; pytest puts this directory on sys.path
 from differential import (
@@ -37,7 +44,8 @@ def test_longer_program_deeper_chain():
 
 
 def test_single_element_batch_matches_scalar_path():
-    """batch_count=1: the degenerate batch must still be bit-exact."""
+    """batch_count=1: a one-element CiphertextBatch and the plain
+    ciphertext are the same lane of one, bit for bit."""
     program = generate_program(5, length=5)
     assert_differential(program, batch_count=1, base_seed=55)
 
@@ -51,7 +59,8 @@ def test_program_generator_is_deterministic_and_feasible():
 
 
 def test_hoisted_rotation_program():
-    """Hoisted vs plain vs batched rotations, interleaved with other ops."""
+    """Hoisted vs plain rotations at every lane width, interleaved with
+    other ops."""
     program = [
         "rotate_hoisted",
         "add",
@@ -99,6 +108,75 @@ def test_hoisted_ops_with_single_element_batch():
     assert_differential(
         ["rotate_hoisted", "matvec"], batch_count=1, base_seed=808
     )
+
+
+def test_every_op_at_lane_widths_1_2_3_8():
+    """The lane-width axis in full: every evaluator op (``rotate_hoisted``
+    and ``conjugate`` included; matvec composes them per element and has
+    its own cases) over 8 elements in lanes of 1, 2, 3 (ragged: 3+3+2)
+    and 8, each element bit-identical to its own width-1 run on both
+    backends."""
+    assert_differential(
+        [
+            "add",
+            "sub",
+            "negate",
+            "add_plain",
+            "mul_plain",
+            "rescale",
+            "rotate",
+            "rotate_hoisted",
+            "conjugate",
+            "mul_relin",
+            "rescale",
+        ],
+        k=4,
+        batch_count=8,
+        widths=(1, 2, 3, 8),
+        base_seed=1313,
+        atol=0.35,
+    )
+
+
+def test_size_three_rescale_and_relinearize_at_lane_widths_1_2_3_8():
+    """Three accumulators floor together: a size-3 (un-relinearized)
+    product rescaled, then relinearized, in lanes of 1, 2, 3 (ragged)
+    and 8 -- every element bit-identical to its own width-1 run, and the
+    backends to each other.  (The harness programs only ever rescale
+    size-2 ciphertexts.)"""
+
+    def traces(backend):
+        with use_backend(backend):
+            ctx = CkksContext(toy_parameters(n=64, k=4, prime_bits=30))
+            keygen = KeyGenerator(ctx, seed=77)
+            encryptor = Encryptor(ctx, keygen.public_key(), seed=78)
+            encoder = CkksEncoder(ctx)
+            ev = Evaluator(ctx)
+            relin = keygen.relin_key()
+            cts = [encryptor.encrypt(encoder.encode(0.5 + 0.1 * b)) for b in range(8)]
+
+            def chain(x):
+                return ev.relinearize(ev.rescale(ev.multiply(x, x)), relin)
+
+            out = {}
+            for width in (0, 1, 2, 3, 8):  # 0: plain ciphertexts, no lane
+                lanes = (
+                    cts
+                    if not width
+                    else [
+                        CiphertextBatch.join(cts[i : i + width])
+                        for i in range(0, len(cts), width)
+                    ]
+                )
+                done = [chain(lane) for lane in lanes]
+                elements = done if not width else [ct for d in done for ct in d.split()]
+                out[width] = [[p.residues for p in ct.polys] for ct in elements]
+            return out
+
+    numpy, reference = traces("numpy"), traces("reference")
+    for width, got in numpy.items():
+        assert got == numpy[0], f"numpy width {width}"
+        assert reference[width] == numpy[0], f"reference width {width}"
 
 
 def test_generator_emits_hoisted_and_matvec_ops():

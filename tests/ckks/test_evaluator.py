@@ -147,7 +147,7 @@ class TestScaleCheckHardening:
     """
 
     def test_zero_scale_rejected(self):
-        from repro.ckks.evaluator import check_scales
+        from repro.ckks.batch import check_scales
 
         with pytest.raises(ValueError, match="non-positive scale"):
             check_scales(0.0, 0.0)
@@ -157,7 +157,7 @@ class TestScaleCheckHardening:
             check_scales(2.0**40, 0.0)
 
     def test_negative_scale_rejected(self):
-        from repro.ckks.evaluator import check_scales
+        from repro.ckks.batch import check_scales
 
         with pytest.raises(ValueError, match="non-positive scale"):
             check_scales(-1.0, 1e30)
@@ -165,19 +165,19 @@ class TestScaleCheckHardening:
             check_scales(-2.0**28, -2.0**28)
 
     def test_nan_scale_rejected(self):
-        from repro.ckks.evaluator import check_scales
+        from repro.ckks.batch import check_scales
 
         with pytest.raises(ValueError, match="non-positive scale"):
             check_scales(float("nan"), 2.0**28)
 
     def test_valid_scales_still_pass(self):
-        from repro.ckks.evaluator import check_scales
+        from repro.ckks.batch import check_scales
 
         check_scales(2.0**28, 2.0**28)
         check_scales(2.0**28, 2.0**28 * (1 + 1e-12))
 
     def test_genuine_mismatch_still_raises(self):
-        from repro.ckks.evaluator import check_scales
+        from repro.ckks.batch import check_scales
 
         with pytest.raises(ValueError, match="scale mismatch"):
             check_scales(2.0**28, 2.0**29)

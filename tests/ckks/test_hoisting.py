@@ -30,7 +30,11 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear import LinearEvaluator
 
-from differential import matvec_unhoisted
+from differential import (
+    keyswitch_polynomial_unhoisted,
+    matvec_unhoisted,
+    rotate_unhoisted,
+)
 
 BACKENDS = [
     pytest.param(
@@ -116,7 +120,7 @@ class TestTwoPhaseKeySwitch:
             relin = stack["keygen"].relin_key()
             prod = ev.multiply(ct, ct)
             fast = ev.keyswitch_polynomial(prod.polys[2], relin)
-            slow = ev.keyswitch_polynomial_unhoisted(prod.polys[2], relin)
+            slow = keyswitch_polynomial_unhoisted(ev, prod.polys[2], relin)
         assert fast[0] == slow[0] and fast[1] == slow[1]
 
     def test_digits_are_reusable(self, stack, ct):
@@ -223,7 +227,7 @@ class TestHoistedRotation:
         enc, dec = stack["encoder"], stack["decryptor"]
         with use_backend(stack["backend"]):
             a = enc.decode(dec.decrypt(ev.rotate(ct, 2, gk)))
-            b = enc.decode(dec.decrypt(ev.rotate_unhoisted(ct, 2, gk)))
+            b = enc.decode(dec.decrypt(rotate_unhoisted(ev, ct, 2, gk)))
         np.testing.assert_allclose(a, b, atol=1e-2)
 
 

@@ -128,9 +128,10 @@ class TestNativeVsMaterialized:
     def test_rematerialized_steps_bit_identical(self, backend_name, mode, seed):
         program = generate_program(seed, length=6)
         kwargs = dict(n=N, k=K, batch_count=2, base_seed=4000 + seed)
-        resident = run_program(program, backend_name, mode == "batched", **kwargs)
+        width = 2 if mode == "batched" else 1  # one 2-wide lane vs plain cts
+        resident = run_program(program, backend_name, width, **kwargs)
         listy = run_program(
-            program, backend_name, mode == "batched", rematerialize=True, **kwargs
+            program, backend_name, width, rematerialize=True, **kwargs
         )
         for step, (got, want) in enumerate(
             zip(listy["steps"], resident["steps"])

@@ -32,7 +32,7 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear import LinearEvaluator
 
-from differential import matvec_unhoisted
+from differential import matvec_unhoisted, rotate_unhoisted
 
 N, K = 64, 3  # L = K at the top level
 DIM = 8
@@ -87,7 +87,7 @@ def test_hoisted_rotations_pay_fanout_once(counted):
 
     be.reset()
     for s in steps:
-        ev.rotate_unhoisted(ct, s, gk)
+        rotate_unhoisted(ev, ct, s, gk)
     assert be.counts["ntt_inverse"] == R * (3 * L + 2)
     assert be.counts["ntt_forward"] == R * (L * L + 4 * L)
     assert be.counts["ntt_permute"] == 0

@@ -1,7 +1,7 @@
 # lint-fixture-path: src/repro/serving/fixture.py
 # R6 violating fixture: per-step rotation loops in a serving module
-# (three findings expected: for-loop rotate, while-loop unhoisted
-# rotate, method-body sweep loop).
+# (three findings expected: for-loop rotate, while-loop rotate,
+# method-body sweep loop).
 
 
 def rotate_sweep(ev, ct, steps, keys):
@@ -14,7 +14,7 @@ def rotate_sweep(ev, ct, steps, keys):
 def drain_rotations(ev, ct, keys):
     step = 1
     while step < 8:
-        ct = ev.rotate_unhoisted(ct, step, keys)
+        ct = ev.rotate(ct, step, keys)
         step *= 2
     return ct
 

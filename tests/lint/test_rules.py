@@ -95,15 +95,15 @@ def test_rule_silent_on_clean_fixture(rule_id, rule_cls, bad, good, expected):
 
 
 def test_r6_flags_evaluator_imports_in_serving_modules():
-    """The plan is the only door: Evaluator / BatchEvaluator may not be
-    imported under repro.serving / repro.system, however spelled."""
+    """The plan is the only door: the Evaluator may not be imported
+    under repro.serving / repro.system, however spelled (the lane
+    container ``CiphertextBatch`` is data and stays importable)."""
     result = lint_fixture("r6_import_violation.py", PlannerDisciplineRule())
     assert {f.rule for f in result.findings} == {"R6"}
     flagged = sorted(f.message.split(":")[0] for f in result.findings)
     assert flagged == [
         "import of repro.ckks.Evaluator",
-        "import of repro.ckks.batch",
-        "import of repro.ckks.batch.BatchEvaluator",
+        "import of repro.ckks.evaluator",
         "import of repro.ckks.evaluator.Evaluator",
     ]
     # the function-local import is attributed to its function

@@ -161,6 +161,72 @@ class TestBatchPacking:
         assert run.lanes == 0 and run.scalar_ops == 2
 
 
+class TestPlainCache:
+    def test_one_executor_two_matrices(
+        self, plan_context, plan_encoder, plan_encryptor, plan_decryptor, executor
+    ):
+        """Const node ids repeat from graph to graph; the long-lived
+        executor's plaintext cache must key on the constant's *value*.
+        Keyed on the node id, the second matrix silently decrypted to the
+        first one's product."""
+        dim = 4
+        rng = np.random.default_rng(29)
+        a, b = (rng.uniform(-1, 1, (dim, dim)) for _ in range(2))
+        x = rng.uniform(-1, 1, dim)
+        packed = np.zeros(plan_encoder.slot_count)
+        packed[:dim] = packed[dim : 2 * dim] = x
+        ct = _encrypt(plan_encoder, plan_encryptor, packed)
+
+        def product(matrix):
+            placed = compile_plan(
+                matvec_graph(matrix)[0], plan_context, rescale_outputs=False
+            )
+            out = executor.run(placed, {"x": ct}).outputs["y"]
+            return plan_encoder.decode(plan_decryptor.decrypt(out)).real[:dim]
+
+        np.testing.assert_allclose(product(a), a @ x, atol=0.05)
+        np.testing.assert_allclose(product(b), b @ x, atol=0.05)
+        # a recompiled graph of the same constants keeps hitting the cache
+        encodes = []
+        real_encode = executor.encoder.encode
+        executor.encoder.encode = lambda *args, **kw: (
+            encodes.append(1),
+            real_encode(*args, **kw),
+        )[1]
+        try:
+            np.testing.assert_allclose(product(a), a @ x, atol=0.05)
+        finally:
+            del executor.encoder.encode
+        assert not encodes
+
+    def test_cache_is_bounded_and_evicts_least_recently_used(
+        self, plan_context, plan_encoder, plan_encryptor, plan_decryptor, plan_relin,
+        monkeypatch,
+    ):
+        """A library caller passing a fresh constant per run must not
+        grow the long-lived executor without bound."""
+        from repro.plan import executor as executor_module
+
+        monkeypatch.setattr(executor_module, "PLAIN_CACHE_SIZE", 2)
+        ex = PlanExecutor(plan_context, relin_key=plan_relin)
+        ct = _encrypt(plan_encoder, plan_encryptor, [0.5, -0.25])
+
+        def plus(constant):
+            g = PlanGraph()
+            g.output(g.add_const(g.input("x"), g.const([constant, constant])), "y")
+            out = ex.run(g, {"x": ct}).outputs["y"]
+            return plan_encoder.decode(plan_decryptor.decrypt(out)).real[:2]
+
+        for constant in (0.125, 0.25, 0.125, 0.375, 0.5):
+            np.testing.assert_allclose(
+                plus(constant), [0.5 + constant, -0.25 + constant], atol=1e-3
+            )
+            assert len(ex._plain_cache) <= 2
+        # 0.125 was touched after 0.25, so 0.25 went first; by now both
+        # are gone and only the two newest constants remain
+        assert len(ex._plain_cache) == 2
+
+
 class TestKeyAndInputDiscipline:
     def test_missing_relin_key_rejected(self, plan_context, plan_galois):
         ex = PlanExecutor(plan_context, galois_keys=plan_galois)

@@ -119,7 +119,9 @@ class TestHardwareSoftwareLoop:
         ct = s["encryptor"].encrypt(s["encoder"].encode(vals))
         # software path with the module's dataflow: automorphism, then
         # keyswitch of the rotated c1
-        rotated = ev._apply_galois_ct(ct, elt)
+        rotated = Ciphertext(
+            [ctx.apply_galois_ntt(p, elt) for p in ct.polys], ct.scale
+        )
         f0s, f1s = ev.keyswitch_polynomial(rotated.polys[1], gk)
         sw = Ciphertext([rotated.polys[0].add(f0s), f1s], ct.scale)
         # hardware path: same automorphism, keyswitch through the module
