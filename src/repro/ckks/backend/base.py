@@ -86,6 +86,8 @@ exactness contract:
 from __future__ import annotations
 
 import abc
+import functools
+import math
 from typing import List, Sequence
 
 from repro.ckks.modarith import Modulus
@@ -195,44 +197,222 @@ def _unpack_row_bits_py(data, n: int, bound: int, width: int):
     return out
 
 
-def _pack_row_bits_np(row, bound: int, width: int) -> bytes:
-    """One row through numpy's bit matrix: words -> MSB-first bit rows
-    -> one packed stream (packbits zero-pads the final byte)."""
-    arr = (
-        row
-        if isinstance(row, _np.ndarray) and row.dtype == _np.uint64
-        else _np.asarray(row, dtype=_np.uint64)
-    )
-    if arr.size and int(arr.max()) >= bound:
-        raise ValueError(
-            f"residue {int(arr.max())} outside [0, {bound}); "
-            "reduce rows before packing"
+@functools.lru_cache(maxsize=None)
+def _bit_plan(width: int):
+    """Word-level layout of ``width``-bit coefficients, computed once per width.
+
+    A *group* is the smallest run of ``g`` coefficients that fills a
+    whole number of bytes and at least one 8-byte word:
+    ``g = m * 8 / gcd(width, 8)`` with ``g * width >= 64``.  Its
+    ``g * width / 8`` bytes are covered by big-endian ``uint64``
+    *windows* at byte offsets 0, 8, 16, ... plus one window flush with
+    the group's end (it overlaps its neighbour when the group is not a
+    multiple of 8 bytes; both carry the same bits there).  Every window
+    is then the OR of a few shifted coefficient columns and every
+    coefficient the OR of a few shifted windows -- whole-array word
+    operations over all groups of all rows at once, no per-bit matrix.
+
+    Returns ``(g, group_bytes, windows, coefficients)``, every shift a
+    left shift (a right shift when negative):
+    ``windows[a] = (byte_offset, ((j, shift), ...))`` -- window ``a`` is
+    the OR of the shifted coefficients ``j``;
+    ``coefficients[j] = ((a, shift), ...)`` -- coefficient ``j`` is the
+    low ``width`` bits of the OR of the shifted windows ``a``.
+    """
+    per_byte = 8 // math.gcd(width, 8)
+    g = per_byte * -(-64 // (per_byte * width))
+    group_bytes = g * width // 8
+    offsets = list(range(0, group_bytes - 8, 8)) + [group_bytes - 8]
+    spans = [(j * width, (j + 1) * width) for j in range(g)]
+    windows = tuple(
+        (
+            off,
+            tuple(
+                (j, 8 * off + 64 - hi)
+                for j, (lo, hi) in enumerate(spans)
+                if lo < 8 * off + 64 and hi > 8 * off
+            ),
         )
-    bits = _np.unpackbits(
-        arr.astype(">u8").view(_np.uint8).reshape(-1, ROW_WORD_BYTES), axis=1
+        for off in offsets
     )
-    return _np.packbits(bits[:, 64 - width :].ravel()).tobytes()
+    coefficients = []
+    for lo, hi in spans:
+        # one window holding the whole coefficient if there is one, else
+        # every window that holds a part of it
+        sources = [
+            a for a, off in enumerate(offsets)
+            if 8 * off <= lo and hi <= 8 * off + 64
+        ][:1] or [
+            a for a, off in enumerate(offsets)
+            if 8 * off < hi and lo < 8 * off + 64
+        ]
+        coefficients.append(
+            tuple((a, hi - 8 * offsets[a] - 64) for a in sources)
+        )
+    return g, group_bytes, windows, tuple(coefficients)
 
 
-def _unpack_row_bits_np(data, n: int, bound: int, width: int):
-    """Inverse of :func:`_pack_row_bits_np`; returns a uint64 vector."""
-    bits = _np.unpackbits(_np.frombuffer(data, dtype=_np.uint8))
-    if bits[n * width :].any():
-        raise ValueError("nonzero padding bits in packed residue row")
-    cols = _np.zeros((n, 64), dtype=_np.uint8)
-    cols[:, 64 - width :] = bits[: n * width].reshape(n, width)
-    vals = (
-        _np.packbits(cols, axis=1)
-        .view(">u8")
-        .ravel()
-        .astype(_np.uint64)
+def _shifted(words, shift: int):
+    """``words << shift`` for a signed shift (numpy shifts are unsigned)."""
+    if shift > 0:
+        return words << _np.uint64(shift)
+    if shift < 0:
+        return words >> _np.uint64(-shift)
+    return words
+
+
+def _or_shifted(columns, terms):
+    """OR of ``columns[i] << shift`` over ``terms = ((i, shift), ...)``."""
+    acc = None
+    for i, shift in terms:
+        piece = _shifted(columns[i], shift)
+        acc = piece if acc is None else acc | piece
+    return acc
+
+
+def _group_windows(buf, offset: int, groups: int, group_bytes: int):
+    """The (unaligned) big-endian word at ``offset`` of every group of
+    every row of a C-contiguous ``(R, groups * group_bytes)`` byte matrix."""
+    return _np.ndarray(
+        (buf.shape[0], groups),
+        dtype=">u8",
+        buffer=buf,
+        offset=offset,
+        strides=(groups * group_bytes, group_bytes),
     )
-    if vals.size and int(vals.max()) >= bound:
-        raise ValueError(
-            f"packed residue {int(vals.max())} outside [0, {bound}); "
-            "corrupt row"
+
+
+#: Coefficients per vector pass.  Stacking same-width rows amortizes
+#: numpy's per-call cost, but only while every temporary of a pass stays
+#: cache-resident: past this, a Set-C stack (12 x 16384 words) runs 3-4x
+#: slower than its rows one at a time.
+_STACK_COEFFS = 1 << 15
+
+
+def _row_stacks(n: int, bounds):
+    """``[(width, [row indices])]``: same-width rows, one vector pass each."""
+    by_width = {}
+    for i, bound in enumerate(bounds):
+        by_width.setdefault(bound.bit_length(), []).append(i)
+    rows = max(1, _STACK_COEFFS // n)
+    return [
+        (width, idx[k : k + rows])
+        for width, idx in by_width.items()
+        for k in range(0, len(idx), rows)
+    ]
+
+
+def _row_layout(n: int, bounds):
+    """Per-row packed sizes and start offsets, plus the total byte count."""
+    sizes = [packed_row_bytes(n, int(b).bit_length()) for b in bounds]
+    starts = [0] * len(sizes)
+    for i in range(1, len(sizes)):
+        starts[i] = starts[i - 1] + sizes[i - 1]
+    return sizes, starts, sum(sizes)
+
+
+def _first_out_of_range(mat, bounds):
+    """``(value, bound)`` of the first row holding a residue ``>= bound``."""
+    tops = mat.max(axis=1)
+    for top, bound in zip(tops.tolist(), bounds):
+        if top >= bound:
+            return top, bound
+    return None
+
+
+def _pack_rows_bits_np(handle, bounds) -> bytes:
+    """The v2 bit-packing of a whole residue matrix (see :func:`_bit_plan`).
+
+    ``handle`` is any sequence of equal-length rows; rows that share a
+    width are gathered into one ``(R, n)`` stack and packed together.
+    """
+    bounds = [int(b) for b in bounds]
+    n = len(handle[0]) if bounds else 0
+    if n == 0:
+        return b""
+    sizes, starts, total = _row_layout(n, bounds)
+    blob = _np.empty(total, dtype=_np.uint8)
+    for width, idx in _row_stacks(n, bounds):
+        try:
+            mat = _np.asarray([handle[i] for i in idx], dtype=_np.uint64)
+        except OverflowError:
+            raise ValueError(
+                "residue outside the unsigned 8-byte word range; "
+                "reduce rows before packing"
+            ) from None
+        bad = _first_out_of_range(mat, [bounds[i] for i in idx])
+        if bad is not None:
+            raise ValueError(
+                f"residue {bad[0]} outside [0, {bad[1]}); "
+                "reduce rows before packing"
+            )
+        g, group_bytes, windows, _ = _bit_plan(width)
+        groups = -(-n // g)
+        if n % g:
+            padded = _np.zeros((len(idx), groups * g), dtype=_np.uint64)
+            padded[:, :n] = mat
+            mat = padded
+        # coefficient-major: column j of every group is one contiguous vector
+        cols = _np.ascontiguousarray(
+            mat.reshape(len(idx), groups, g).transpose(2, 0, 1)
         )
-    return vals
+        packed = _np.empty((len(idx), groups * group_bytes), dtype=_np.uint8)
+        for offset, terms in windows:
+            _group_windows(packed, offset, groups, group_bytes)[...] = (
+                _or_shifted(cols, terms)
+            )
+        for r, i in enumerate(idx):
+            blob[starts[i] : starts[i] + sizes[i]] = packed[r, : sizes[i]]
+    return blob.tobytes()
+
+
+def _unpack_rows_bits_np(data, n: int, bounds):
+    """Inverse of :func:`_pack_rows_bits_np`: a ``(len(bounds), n)``
+    ``uint64`` matrix, every wire check applied."""
+    bounds = [int(b) for b in bounds]
+    sizes, starts, total = _row_layout(n, bounds)
+    if len(data) < total:
+        raise ValueError(
+            f"truncated packed rows: need {total} bytes, have {len(data)}"
+        )
+    if len(data) > total:
+        raise ValueError(
+            f"trailing bytes after packed rows: {len(data)} bytes, "
+            f"expected {total}"
+        )
+    src = _np.frombuffer(data, dtype=_np.uint8)
+    out = _np.empty((len(bounds), n), dtype=_np.uint64)
+    if n == 0:
+        return out
+    for width, idx in _row_stacks(n, bounds):
+        g, group_bytes, windows, coefficients = _bit_plan(width)
+        groups = -(-n // g)
+        staged = _np.zeros((len(idx), groups * group_bytes), dtype=_np.uint8)
+        for r, i in enumerate(idx):
+            staged[r, : sizes[i]] = src[starts[i] : starts[i] + sizes[i]]
+        words = [
+            _group_windows(staged, offset, groups, group_bytes).astype(_np.uint64)
+            for offset, _ in windows
+        ]
+        vals = _np.empty((len(idx), groups, g), dtype=_np.uint64)
+        mask = _np.uint64((1 << width) - 1)
+        for j, terms in enumerate(coefficients):
+            _np.bitwise_and(
+                _or_shifted(words, terms), mask, out=vals[:, :, j]
+            )
+        vals = vals.reshape(len(idx), groups * g)
+        # bytes past a row's end were staged as zeros, so the coefficients
+        # past n are exactly the row's padding bits
+        if n % g and vals[:, n:].any():
+            raise ValueError("nonzero padding bits in packed residue row")
+        vals = vals[:, :n]
+        bad = _first_out_of_range(vals, [bounds[i] for i in idx])
+        if bad is not None:
+            raise ValueError(
+                f"packed residue {bad[0]} outside [0, {bad[1]}); corrupt row"
+            )
+        out[idx] = vals
+    return out
 
 
 class PolynomialBackend(abc.ABC):
@@ -461,20 +641,23 @@ class PolynomialBackend(abc.ABC):
         pack at ``bounds[i].bit_length()`` bits per word, MSB-first,
         each row zero-padded to a byte boundary (wire format v2).  A
         value outside ``[0, bounds[i])`` raises -- it cannot survive the
-        narrowed word.  Vectorized through numpy's packbits when
+        narrowed word.  ``handle`` may be any sequence of rows: rows are
+        byte-aligned and independent, so the components of one object
+        pack in one call (their rows in wire order, the bounds list
+        repeated) to the same bytes as one call per component.  Runs as
+        whole-array word shifts (:func:`_bit_plan`) when numpy is
         importable; the big-int loop is the numpy-less fallback.
         """
         _check_pack_bounds(handle, bounds)
+        if _np is not None:
+            return _pack_rows_bits_np(handle, bounds)
         chunks = []
         for row, bound in zip(handle, bounds):
             width = int(bound).bit_length()
             packed_row_bytes(1, width)  # validate the width range
-            if _np is not None:
-                chunks.append(_pack_row_bits_np(row, int(bound), width))
-            else:
-                if hasattr(row, "tolist"):
-                    row = row.tolist()
-                chunks.append(_pack_row_bits_py(row, int(bound), width))
+            if hasattr(row, "tolist"):
+                row = row.tolist()
+            chunks.append(_pack_row_bits_py(row, int(bound), width))
         return b"".join(chunks)
 
     def unpack_rows_bits(self, data, n: int, bounds: Sequence[int]):
@@ -485,8 +668,11 @@ class PolynomialBackend(abc.ABC):
         validates what the narrowed word lets it: nonzero padding bits
         and residues ``>= bounds[i]`` both raise, so bit-level
         corruption in the reachable range is rejected rather than
-        served.  The default produces canonical lists.
+        served.  The rows land in this backend's native form
+        (:meth:`from_rows` of the decoded matrix).
         """
+        if _np is not None:
+            return self.from_rows(_unpack_rows_bits_np(data, n, bounds))
         view = memoryview(data)
         offset = 0
         rows = []
@@ -498,13 +684,11 @@ class PolynomialBackend(abc.ABC):
                     f"truncated packed row: need {nbytes} bytes at offset "
                     f"{offset}, have {len(view) - offset}"
                 )
-            chunk = view[offset : offset + nbytes]
-            if _np is not None:
-                rows.append(
-                    _unpack_row_bits_np(chunk, n, int(bound), width).tolist()
+            rows.append(
+                _unpack_row_bits_py(
+                    view[offset : offset + nbytes], n, int(bound), width
                 )
-            else:
-                rows.append(_unpack_row_bits_py(chunk, n, int(bound), width))
+            )
             offset += nbytes
         if offset != len(view):
             raise ValueError(

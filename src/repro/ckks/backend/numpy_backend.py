@@ -49,9 +49,7 @@ import numpy as np
 from repro.ckks.backend.base import (
     PolynomialBackend,
     RowStack,
-    _unpack_row_bits_np,
     is_row,
-    packed_row_bytes,
 )
 from repro.ckks.backend.reference import ReferenceBackend
 from repro.ckks.modarith import Modulus
@@ -618,31 +616,6 @@ class NumpyBackend(PolynomialBackend):
         arr = np.frombuffer(data, dtype="<u8", count=count * n)
         # astype: native byte order plus an owned, writable matrix
         return arr.reshape(count, n).astype(np.uint64)
-
-    def unpack_rows_bits(self, data, n: int, bounds):
-        # same bit kernels as the base, but landing in a resident
-        # (L, n) uint64 matrix: wire v2 decodes straight to native
-        view = memoryview(data)
-        out = np.empty((len(bounds), n), dtype=np.uint64)
-        offset = 0
-        for i, bound in enumerate(bounds):
-            width = int(bound).bit_length()
-            nbytes = packed_row_bytes(n, width)
-            if offset + nbytes > len(view):
-                raise ValueError(
-                    f"truncated packed row: need {nbytes} bytes at offset "
-                    f"{offset}, have {len(view) - offset}"
-                )
-            out[i] = _unpack_row_bits_np(
-                view[offset : offset + nbytes], n, int(bound), width
-            )
-            offset += nbytes
-        if offset != len(view):
-            raise ValueError(
-                f"trailing bytes after packed rows: {len(view)} bytes, "
-                f"expected {offset}"
-            )
-        return out
 
     # ------------------------------------------------------------------
     # NTT (Algorithm 3, one vector op sequence per stage)

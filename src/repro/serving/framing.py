@@ -174,19 +174,22 @@ def encode_frame(
             raise ValueError(
                 "deadlines require frame protocol v2; this peer negotiated v1"
             )
-        fixed = _FIXED.pack(
+        head = _FIXED.pack(
             FRAME_MAGIC, FRAME_VERSION, kind, request_id, op_arg,
             len(client), len(op_bytes),
-        )
-        body = fixed + client + op_bytes + payload
+        ) + client + op_bytes
+        parts = (head, payload)
     else:
-        fixed = _FIXED_V2.pack(
+        head = _FIXED_V2.pack(
             FRAME_MAGIC, FRAME_V2, kind, request_id, op_arg,
             len(client), len(op_bytes), deadline,
-        )
-        body = fixed + client + op_bytes + payload
-        body += _CRC.pack(zlib.crc32(body))
-    return _PREFIX.pack(len(body)) + body
+        ) + client + op_bytes
+        # running CRC over head then payload: the payload is read in
+        # place, and copied once, by the join below
+        crc = zlib.crc32(payload, zlib.crc32(head))
+        parts = (head, payload, _CRC.pack(crc))
+    length = sum(len(part) for part in parts)
+    return b"".join((_PREFIX.pack(length), *parts))
 
 
 def _decode_body(body: memoryview) -> Frame:
@@ -332,10 +335,13 @@ class FrameDecoder:
             )
         if len(self._buffer) - _PREFIX.size < length:
             return None  # an incomplete frame is not an error on a stream
-        # copy the body out before shrinking the buffer: a live
-        # memoryview over a bytearray blocks its resize
-        body = bytes(self._buffer[_PREFIX.size : _PREFIX.size + length])
-        frame = _decode_body(memoryview(body))  # buffer untouched on raise
+        # decode in place (the payload is the one copy made), and release
+        # both views before shrinking the buffer -- also when the decode
+        # raises: a live memoryview over a bytearray blocks its resize
+        with memoryview(self._buffer) as view, view[
+            _PREFIX.size : _PREFIX.size + length
+        ] as body:
+            frame = _decode_body(body)  # buffer untouched on raise
         del self._buffer[: _PREFIX.size + length]
         return frame
 

@@ -6,7 +6,11 @@ Wire format v2 stands on two cross-backend bit-exactness contracts:
   to exactly ``ceil(n * width / 8)`` bytes and round-trips losslessly at
   every modulus width, on every backend, producing byte-identical wire
   bytes; truncation or corruption at *any bit* never decodes silently
-  (padding bits must be zero, residues must stay below their modulus);
+  (padding bits must be zero, residues must stay below their modulus).
+  The oracle is the big-int loop of ``repro.ckks.backend.base``
+  (``_pack_row_bits_py`` / ``_unpack_row_bits_py``, also the numpy-less
+  fallback): the word-level kernels must match it byte for byte at
+  every width 1..64 and every row length;
 * ``expand_uniform_poly`` -- the seed-expanded uniform column of a v2
   key must regenerate bit-identically everywhere, or a key uploaded
   from one backend decrypts to garbage on another.
@@ -22,7 +26,11 @@ import random
 
 import pytest
 
-from repro.ckks.backend.base import packed_row_bytes
+from repro.ckks.backend.base import (
+    _pack_row_bits_py,
+    _unpack_row_bits_py,
+    packed_row_bytes,
+)
 from repro.ckks.backend.numpy_backend import NumpyBackend
 from repro.ckks.backend.reference import ReferenceBackend
 from repro.ckks.modarith import Modulus
@@ -41,18 +49,57 @@ WIDTH_BOUNDS = [
 ]
 
 
+#: The paper's Table 2 modulus widths (data primes, special prime) at
+#: their ring sizes.
+PAPER_WIDTHS = {
+    "Set-A": (4096, (36, 28, 45)),
+    "Set-B": (8192, (48, 40, 50)),
+    "Set-C": (16384, (50, 48, 52)),
+}
+
+
 def _random_rows(rng: random.Random, bounds, n):
     return [[rng.randrange(b) for _ in range(n)] for b in bounds]
+
+
+def _bound_of_width(width: int) -> int:
+    """The largest bound of exactly ``width`` bits (1 for width 1)."""
+    return (1 << width) - 1
+
+
+def _oracle_pack(rows, bounds) -> bytes:
+    return b"".join(
+        _pack_row_bits_py(row, bound, bound.bit_length())
+        for row, bound in zip(rows, bounds)
+    )
+
+
+def _assert_matches_oracle(rows, bounds):
+    """Both backends pack ``rows`` to the big-int oracle's bytes and
+    decode them back; the oracle decodes what they packed."""
+    n = len(rows[0])
+    expected = _oracle_pack(rows, bounds)
+    offset = 0
+    for row, bound in zip(rows, bounds):
+        size = packed_row_bytes(n, bound.bit_length())
+        chunk = expected[offset : offset + size]
+        assert _unpack_row_bits_py(chunk, n, bound, bound.bit_length()) == row
+        offset += size
+    assert offset == len(expected)
+    for be in BACKENDS:
+        handle = be.from_rows([list(r) for r in rows])
+        assert be.pack_rows_bits(handle, bounds) == expected, be.name
+        assert be.to_rows(be.unpack_rows_bits(expected, n, bounds)) == rows
 
 
 # ----------------------------------------------------------------------
 # round-trip at every width
 # ----------------------------------------------------------------------
 class TestRoundTrip:
-    @pytest.mark.parametrize("width", range(2, 53))
+    @pytest.mark.parametrize("width", range(1, 65))
     def test_every_width_roundtrips_on_both_backends(self, width):
         rng = random.Random(width)
-        bound = (1 << width) - 1  # odd-ish bound of exactly this width
+        bound = _bound_of_width(width)
         n = 16
         rows = _random_rows(rng, [bound, bound], n)
         # force boundary values in: 0 and bound-1 must survive packing
@@ -87,11 +134,65 @@ class TestRoundTrip:
             blobs.append(data)
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("width", range(1, 65))
+    @pytest.mark.parametrize("n", [1, 3, 13, 100])
+    def test_every_width_and_length_matches_the_bigint_oracle(self, width, n):
+        """Row lengths that are no multiple of the group size (8
+        coefficients at odd widths, up to 64 at width 1) end in a
+        partial group; three rows make a stack of one width."""
+        rng = random.Random(64 * n + width)
+        bound = _bound_of_width(width)
+        rows = _random_rows(rng, [bound] * 3, n)
+        rows[0][0] = bound - 1
+        rows[1][-1] = bound - 1
+        _assert_matches_oracle(rows, [bound] * 3)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 29, 36, 45, 53, 63, 64])
+    def test_ring_sized_rows_match_the_bigint_oracle(self, width):
+        rng = random.Random(width)
+        bound = _bound_of_width(width)
+        _assert_matches_oracle(_random_rows(rng, [bound], 4096), [bound])
+
+    @pytest.mark.parametrize("name", sorted(PAPER_WIDTHS))
+    def test_paper_width_lists_match_the_bigint_oracle(self, name):
+        """A two-component object over the paper's moduli widths, at the
+        paper's ring size: same-width rows pack as one stack."""
+        n, widths = PAPER_WIDTHS[name]
+        rng = random.Random(n)
+        bounds = [(1 << w) - rng.randrange(1, 1 << (w - 2)) for w in widths] * 2
+        assert [b.bit_length() for b in bounds] == list(widths) * 2
+        _assert_matches_oracle(_random_rows(rng, bounds, n), bounds)
+
+    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
+    def test_stacked_components_equal_per_component_calls(self, be):
+        """Rows are byte-aligned and independent: one call over all the
+        components of an object (bounds list repeated) produces, and
+        decodes, the concatenation of one call per component."""
+        rng = random.Random(36)
+        bounds = [(1 << 36) - 5, (1 << 28) - 57, (1 << 45) - 55]
+        n = 24
+        comps = [_random_rows(rng, bounds, n) for _ in range(3)]
+        handles = [be.from_rows([list(r) for r in rows]) for rows in comps]
+        parts = [be.pack_rows_bits(h, bounds) for h in handles]
+        stacked = be.pack_rows_bits(
+            [row for h in handles for row in h], bounds * 3
+        )
+        assert stacked == b"".join(parts)
+        back = be.to_rows(be.unpack_rows_bits(stacked, n, bounds * 3))
+        assert back == [row for rows in comps for row in rows]
+
     def test_pack_rejects_residue_at_or_above_bound(self):
         for be in BACKENDS:
             handle = be.from_rows([[0, 1, 7, 3]])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="reduce rows before packing"):
                 be.pack_rows_bits(handle, [7])  # 7 >= bound 7
+            # list rows no 8-byte word can hold: the documented
+            # ValueError, not numpy's OverflowError
+            for bad in (-1, 1 << 64):
+                with pytest.raises(
+                    ValueError, match="reduce rows before packing"
+                ):
+                    be.pack_rows_bits([[0, bad, 3, 2]], [7])
 
 
 # ----------------------------------------------------------------------
@@ -103,13 +204,41 @@ class TestCorruption:
         rows = _random_rows(rng, bounds, n)
         return be.pack_rows_bits(be.from_rows(rows), bounds)
 
-    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
-    def test_every_truncation_raises(self, be):
-        bounds = [(1 << 13) - 5, (1 << 30) - 35]
-        data = self._packed(be, bounds, n=8)
+    #: width 29 packs 8 coefficients per group; 13 leaves a partial
+    #: group and 7 padding bits
+    ODD_BOUND = (1 << 28) + 3
+    ODD_N = 13
+
+    def _check_every_truncation_raises(self, be, bounds, n):
+        data = self._packed(be, bounds, n)
         for cut in range(len(data)):
             with pytest.raises(ValueError):
-                be.unpack_rows_bits(data[:cut], 8, bounds)
+                be.unpack_rows_bits(data[:cut], n, bounds)
+
+    def _check_no_bitflip_decodes_out_of_range(self, be, bound, n):
+        data = self._packed(be, [bound], n)
+        width = bound.bit_length()
+        for bit in range(8 * len(data)):
+            corrupt = bytearray(data)
+            corrupt[bit // 8] ^= 1 << (7 - bit % 8)
+            try:
+                rows = be.to_rows(be.unpack_rows_bits(bytes(corrupt), n, [bound]))
+            except ValueError:
+                continue
+            assert bit < n * width, "a flipped padding bit decoded"
+            assert all(0 <= v < bound for v in rows[0])
+
+    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
+    def test_every_truncation_raises(self, be):
+        self._check_every_truncation_raises(
+            be, [(1 << 13) - 5, (1 << 30) - 35], n=8
+        )
+
+    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
+    def test_every_truncation_raises_in_a_partial_group(self, be):
+        self._check_every_truncation_raises(
+            be, [self.ODD_BOUND, (1 << 13) - 5, self.ODD_BOUND], self.ODD_N
+        )
 
     @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
     def test_trailing_bytes_raise(self, be):
@@ -123,17 +252,13 @@ class TestCorruption:
         """Flip every bit of a packed row: the decode either raises or
         yields residues all strictly below the bound -- corrupt padding
         bits and out-of-range residues are always caught."""
-        bound = (1 << 29) + 11  # odd width, so rows carry padding bits
-        n = 8
-        data = self._packed(be, [bound], n)
-        for bit in range(8 * len(data)):
-            corrupt = bytearray(data)
-            corrupt[bit // 8] ^= 1 << (7 - bit % 8)
-            try:
-                rows = be.to_rows(be.unpack_rows_bits(bytes(corrupt), n, [bound]))
-            except ValueError:
-                continue
-            assert all(0 <= v < bound for v in rows[0])
+        self._check_no_bitflip_decodes_out_of_range(be, (1 << 29) + 11, n=8)
+
+    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
+    def test_bitflip_in_a_partial_group_never_decodes_silently(self, be):
+        self._check_no_bitflip_decodes_out_of_range(
+            be, self.ODD_BOUND, self.ODD_N
+        )
 
     @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
     def test_nonzero_padding_bits_raise(self, be):

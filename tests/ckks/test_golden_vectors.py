@@ -43,6 +43,11 @@ def serving_vectors():
     return json.loads((VECTORS_DIR / "serving_trace.json").read_text())
 
 
+@pytest.fixture(scope="module")
+def wire_v2_vectors():
+    return json.loads((VECTORS_DIR / "wire_v2_n64.json").read_text())
+
+
 @pytest.mark.parametrize("backend", available_backends())
 def test_ntt_known_answers(backend, ntt_vectors):
     """Forward/inverse NTT and dyadic product reproduce the frozen rows."""
@@ -80,6 +85,26 @@ def test_serving_trace_frames(backend, serving_vectors):
             f"at {scenario}"
         )
     assert got["frames"].keys() == serving_vectors["frames"].keys()
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_wire_v2_blob_is_frozen(backend, wire_v2_vectors):
+    """Wire v2 bytes are pinned: every backend serializes the seeded
+    ciphertext to the blob the big-int oracle packed, and decodes the
+    frozen blob to the frozen rows."""
+    from repro.ckks.serialization import (
+        deserialize_ciphertext,
+        serialize_ciphertext,
+    )
+
+    frozen = bytes.fromhex(wire_v2_vectors["blob_hex"])
+    with use_backend(backend):
+        assert regenerate.compute_wire_v2_vector() == wire_v2_vectors
+        ctx, ct = regenerate.wire_v2_ciphertext()
+        assert serialize_ciphertext(ct, version=2) == frozen
+        decoded = deserialize_ciphertext(frozen, ctx)
+        assert [p.residues for p in decoded.polys] == wire_v2_vectors["residues"]
+        assert decoded.scale == ct.scale and decoded.is_ntt == ct.is_ntt
 
 
 def test_trace_decodes_to_frozen_values(trace_vectors):

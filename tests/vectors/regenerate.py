@@ -1,6 +1,6 @@
 """Regenerate the golden test vectors under ``tests/vectors/``.
 
-Three fixture families are frozen here:
+Four fixture families are frozen here:
 
 * ``ntt_n64.json`` -- full known-answer rows for the negacyclic
   NTT/INTT at ``n = 64`` in both numpy prime regimes (30-bit native
@@ -16,6 +16,12 @@ Three fixture families are frozen here:
   that filtering shrinks to a single rotation, and a lane with one
   deadline-expired member.  It pins the served *bytes* across commits,
   so a change to how a flush executes cannot silently change responses.
+
+* ``wire_v2_n64.json`` -- one seeded ciphertext at ``n = 64`` over
+  primes of the Set-A widths (36 / 28 / 45 bits), both components: its
+  residue rows and its wire-v2 blob, the bit-packed payload produced by
+  the big-int oracle (``_pack_row_bits_py``) rather than by any
+  backend's packing kernel.
 
 The point of freezing (rather than comparing against the reference
 backend at test time) is that a regression that hits *both* backends --
@@ -65,6 +71,13 @@ SERVING_PROGRAM = (("rotate", 1), "square", "rescale")
 SERVING_KEYED_STEPS = (1, 2, 3, 4)
 #: step 2 repeats and step 7 has no Galois key
 SERVING_SWEEP_STEPS = (1, 2, 3, 2, 7, 4)
+
+
+#: data primes of the Set-A widths (the special prime never travels in a
+#: ciphertext, so 45 bits is a data prime here and the special is wider)
+WIRE_V2_PARAMS = dict(n=64, modulus_bits=(36, 28, 45, 50), scale=2.0**28)
+WIRE_V2_KEYGEN_SEED = 4040
+WIRE_V2_ENCRYPTOR_SEED = 4041
 
 
 def rows_digest(rows) -> str:
@@ -229,6 +242,44 @@ def compute_serving_trace() -> dict:
     }
 
 
+def wire_v2_ciphertext():
+    """``(context, ciphertext)`` of the frozen wire-v2 vector."""
+    from repro.ckks.context import CkksContext, CkksParameters
+    from repro.ckks.encoder import CkksEncoder
+    from repro.ckks.encryptor import Encryptor
+    from repro.ckks.keys import KeyGenerator
+
+    ctx = CkksContext(
+        CkksParameters(allow_insecure=True, name="wire-v2-n64", **WIRE_V2_PARAMS)
+    )
+    keygen = KeyGenerator(ctx, seed=WIRE_V2_KEYGEN_SEED)
+    encryptor = Encryptor(ctx, keygen.public_key(), seed=WIRE_V2_ENCRYPTOR_SEED)
+    pt = CkksEncoder(ctx).encode(trace_values(ctx.params.slot_count))
+    return ctx, encryptor.encrypt(pt)
+
+
+def compute_wire_v2_vector() -> dict:
+    """The seeded ciphertext's rows, and its v2 blob packed by the oracle."""
+    from repro.ckks.backend.base import _pack_row_bits_py
+    from repro.ckks.serialization import HEADER_BYTES, serialize_ciphertext
+
+    _, ct = wire_v2_ciphertext()
+    header = serialize_ciphertext(ct, version=2)[:HEADER_BYTES]
+    payload = b"".join(
+        _pack_row_bits_py(row, m.value, m.value.bit_length())
+        for poly in ct.polys
+        for row, m in zip(poly.residues, poly.moduli)
+    )
+    return {
+        "params": {**WIRE_V2_PARAMS, "modulus_bits": list(WIRE_V2_PARAMS["modulus_bits"])},
+        "keygen_seed": WIRE_V2_KEYGEN_SEED,
+        "encryptor_seed": WIRE_V2_ENCRYPTOR_SEED,
+        "moduli": [m.value for m in ct.polys[0].moduli],
+        "residues": [poly.residues for poly in ct.polys],
+        "blob_hex": (header + payload).hex(),
+    }
+
+
 def main() -> None:
     from repro.ckks.backend import use_backend
 
@@ -236,6 +287,7 @@ def main() -> None:
         ntt = compute_ntt_vectors()
         trace = compute_trace()
         serving = compute_serving_trace()
+        wire_v2 = compute_wire_v2_vector()
     (VECTORS_DIR / "ntt_n64.json").write_text(json.dumps(ntt, indent=1) + "\n")
     (VECTORS_DIR / "trace_n1024.json").write_text(
         json.dumps(trace, indent=1) + "\n"
@@ -243,7 +295,13 @@ def main() -> None:
     (VECTORS_DIR / "serving_trace.json").write_text(
         json.dumps(serving, indent=1) + "\n"
     )
-    for name in ("ntt_n64.json", "trace_n1024.json", "serving_trace.json"):
+    (VECTORS_DIR / "wire_v2_n64.json").write_text(
+        json.dumps(wire_v2, indent=1) + "\n"
+    )
+    for name in (
+        "ntt_n64.json", "trace_n1024.json", "serving_trace.json",
+        "wire_v2_n64.json",
+    ):
         print(f"wrote {VECTORS_DIR / name}")
 
 
