@@ -7,7 +7,7 @@
 #   make bench          every paper table/figure benchmark (writes benchmarks/results/)
 #   make bench-all      the repo benchmark of BENCHMARK.json: five workloads end to end + traced (writes bench/results/)
 #   make bench-backend  polynomial-backend speedup gate (numpy vs reference)
-#   make bench-batch    batched ciphertext throughput gate (batch-8 vs batch-1)
+#   make bench-batch    lane cost gate (relinearize ms per ciphertext at widths 1 and 8; the batch-8/batch-1 ratio is reported)
 #   make bench-serving  serving-layer gate (dynamic batching vs sequential service)
 #   make bench-serving-scale  sharded front-door gate (1 worker vs 4-worker pool)
 #   make bench-hoisting hoisted-rotation gate (decompose-once vs per-rotation keyswitch)

@@ -7,7 +7,10 @@ the reference backend's scalar loops, executed stage-vectorized by the
 numpy backend at the paper's Table 2 ring degrees (n = 4096 / 8192 /
 16384).  Primes are 30-bit (as in the ``paper_scale_context`` fixture)
 so the pure-Python baseline stays measurable; a 50-bit row exercises
-the float-assisted Barrett path of the HEAX word-size regime.
+the float-strict regime of the HEAX word size, and the last test
+records -- reported, not gated -- the kernel's microseconds per row at
+the paper's own primes (Set-A 36/28/45, Set-B 48/40/50, Set-C 50/48/52
+bits) for stacks of one and eight rows.
 
 Acceptance gate (ISSUE 1, re-based for ISSUE 5): numpy forward NTT
 >= 5x reference at n = 16384, with bit-exact outputs, **measured on
@@ -45,7 +48,13 @@ RING_DEGREES = (4096, 8192, 16384)
 #: Required forward-NTT speedup at the largest ring (acceptance gate).
 MIN_SPEEDUP_AT_16384 = 5.0
 
-#: Sanity floor for the 50-bit float-Barrett regime at n = 4096 (not the
+#: The paper's primes by ring degree (Table 2; Set-B's three 40-bit and
+#: Set-C's seven 48-bit primes are one row each) and the stack heights
+#: the kernel is timed at: a lane of one and a full batch-8 lane.
+PAPER_PRIME_BITS = {4096: (36, 28, 45), 8192: (48, 40, 50), 16384: (50, 48, 52)}
+STACK_HEIGHTS = (1, 8)
+
+#: Sanity floor for the 50-bit float-strict regime at n = 4096 (not the
 #: ISSUE gate -- that regime does more vector work per butterfly and the
 #: smaller ring amortizes overhead less; measured ~15x, gate well below).
 MIN_SPEEDUP_50BIT = 2.0
@@ -199,12 +208,59 @@ def test_backend_speedup_heax_word_regime(benchmark, emit):
             ["n", "prime bits", "NTT ref (ms)", "NTT numpy (ms)", "speedup", "bit-exact"],
             [[4096, 50, f"{t_ref * 1e3:.1f}", f"{t_np * 1e3:.2f}",
               f"{t_ref / t_np:.0f}x", "yes" if exact else "NO"]],
-            note="2^32 <= p < 2^52 uses the float-estimated Barrett "
-            "quotient with exact uint64 remainder correction.",
+            note="2^48 <= p < 2^52 uses the unbiased float ratio on fully "
+            "reduced operands with a two-sided uint64 remainder fold.",
         ),
     )
     assert exact
     assert t_ref / t_np >= MIN_SPEEDUP_50BIT, (
         f"50-bit forward NTT speedup {t_ref / t_np:.1f}x below the "
         f"{MIN_SPEEDUP_50BIT}x sanity floor at n=4096"
+    )
+
+
+def test_kernel_us_per_row_paper_primes(emit, emit_json):
+    """Resident forward + inverse microseconds per row at the paper's primes.
+
+    Reported, not gated: the trajectory of the NTT kernel itself, apart
+    from the reference it is compared with above, across PRs.
+    """
+    fast = create_backend("numpy")
+    rows = []
+    for n, sizes in PAPER_PRIME_BITS.items():
+        for bits in sizes:
+            tables = _tables(n, bits)
+            for height in STACK_HEIGHTS:
+                stack = fast.native_stack(
+                    [_rand_row(tables, n + bits + r) for r in range(height)]
+                )
+                fast.ntt_forward_stack(tables, stack)  # twiddles, workspace
+                us = {
+                    name: _time(kernel, tables, stack, repeats=9) / height * 1e6
+                    for name, kernel in (
+                        ("forward", fast.ntt_forward_stack),
+                        ("inverse", fast.ntt_inverse_stack),
+                    )
+                }
+                rows.append([n, bits, height, f"{us['forward']:.0f}", f"{us['inverse']:.0f}"])
+                emit_json(
+                    op="ntt_us_per_row",
+                    n=n,
+                    prime_bits=bits,
+                    rows=height,
+                    backend="numpy",
+                    forward_us_per_row=round(us["forward"], 1),
+                    inverse_us_per_row=round(us["inverse"], 1),
+                    gate=None,
+                )
+    emit(
+        "backend_kernel_rows",
+        render_table(
+            "numpy NTT kernel, resident stacks at the paper's primes "
+            "(microseconds per row, best of 9)",
+            ["n", "prime bits", "rows", "forward", "inverse"],
+            rows,
+            note="reported, not gated; <= 2^30 is the Shoup-lazy regime, "
+            "< 2^48 float-lazy, < 2^52 float-strict.",
+        ),
     )

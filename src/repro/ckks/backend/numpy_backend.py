@@ -1,42 +1,69 @@
-"""Vectorized NumPy backend: whole butterfly stages as uint64 array ops.
+"""Vectorized NumPy backend: every butterfly stage a few flat array passes.
 
-This is the software analogue of the paper's observation that CKKS time
-is won by *wide* parallelism over butterflies, not by faster scalar
-operations: instead of iterating ``n log n`` Python-level butterflies,
-each Cooley-Tukey / Gentleman-Sande stage is executed as a handful of
-NumPy kernels over all ``n/2`` butterflies at once (the stage's
-butterfly groups become the rows of an ``(m, 2t)`` view of the
-coefficient array, exactly the lane layout a hardware NTT core sees).
+The software analogue of the paper's observation that CKKS time is won
+by *wide* parallelism over butterflies, not by faster scalar operations:
+a transform is ``log n`` stages, each about eleven whole-array NumPy
+passes over all butterflies of all stacked rows at once.
 
-Modular reduction strategy, by prime size:
+**Layout: a constant-geometry ("perfect shuffle") transform.**  An
+``(R, n)`` stack is one flat array ``A`` of ``N = R*n`` words.  The
+forward transform loads it batch-innermost (coefficient ``j`` of row
+``r`` at ``j*R + r``); every stage reads the two halves and writes the
+butterflies interleaved::
 
-* ``p < 2^32`` -- products of reduced operands fit in a ``uint64``
-  word, so twiddle products use a native widening multiply followed by
-  one vector remainder; additions/subtractions use lazy conditional
-  correction (a compare-select instead of a division), the vector
-  counterpart of the single conditional subtraction in Algorithms 1/2.
-* ``2^32 <= p < 2^52`` -- the HEAX word-size regime (``w = 54`` requires
-  ``p < 2^52``).  The 104-bit product no longer fits in a word, so the
-  quotient is *estimated* in ``float64`` (``q ~= floor(a*b/p)``, off by
-  at most one either way because ``a*b/p < 2^52`` is within the 53-bit
-  mantissa) and the remainder ``a*b - q*p`` is computed exactly in
-  wrapping ``uint64`` arithmetic, then folded into ``[0, p)`` by one
-  conditional add and one conditional subtract.  This is a Barrett-style
-  reduction with the ratio multiply replaced by a float estimate; it is
-  exact, just like Algorithm 1's single-correction guarantee.  A
-  ``*_rows`` modulus column that spans this regime and the one above
-  splits at the regime boundaries, each run taking its own path.
-* ``p >= 2^52`` -- outside the word-size-safe envelope (e.g. SEAL's
-  ``w = 64`` regime with 61-bit primes); every operation falls back to
-  the pure-Python reference backend, coefficient for coefficient.
+    u = A[:N/2];  v = A[N/2:];  B[0::2] = u + w*v;  B[1::2] = u - w*v
 
-The butterfly stages themselves allocate nothing: a transform works in
-one per-thread buffer (:func:`_transform`) and every stage pass writes
-into it with ``out=``.
+After ``s`` stages the word at ``b*N/2 + 2^s*(k*R + r) + i`` is what
+Algorithm 3 holds at index ``(i, b, k)`` of row ``r`` (group ``i < 2^s``,
+half ``b``, offset ``k``): the pairing is always first half against
+second half, butterfly ``J`` of the stage with ``m`` groups uses
+``root_powers[m + J mod m]``, and after ``log n`` shuffles the buffer
+*is* the ``(R, n)`` result in Algorithm 3's bit-reversed order.  The
+inverse mirrors it: ``u = A[0::2]``, ``v = A[1::2]``, halves written
+contiguously, one transposing copy at the end.  Operands must stay 1-D
+because NumPy runs an operand at full speed only when its iterator
+collapses to one dimension (contiguous or one uniform stride); anything
+else -- the textbook ``(m, 2t, R)`` stage views -- is copied through the
+ufunc's iteration buffer on every pass, and degenerates to inner loops
+of ``R`` words in the late stages.  The one 2-D operand left is a
+stage's twiddle *tile* (block ``[m, 2m)`` of the table repeated to
+``_TILE`` words, a scalar for ``m = 1``), broadcast over the flat array
+viewed ``(-1, tile)``.
 
-All boundary data stays in the canonical list-of-int row format (see
-:mod:`repro.ckks.backend.base`), so outputs are bit-identical to the
-reference backend -- asserted by ``tests/ckks/test_backend_equivalence.py``.
+**Arithmetic: a precomputed quotient ratio per constant, three regimes
+chosen from ``p`` alone** (:class:`_Arith`).  ``x*w mod p`` is
+``x*w - q*p`` in wrapping ``uint64`` with ``q ~ floor(x*w/p)`` estimated
+from a stored ``ratio ~ w/p`` -- no division at run time:
+
+* *Shoup-lazy*, ``4p <= 2^32``: ``ratio = floor(w * 2^32 / p)`` and
+  ``q = (x * ratio) >> 32`` (Algorithm 2 with a 32-bit ratio).  The two
+  floors lose less than one each, so for ``x < 2^32`` the estimate is the
+  true quotient or one less: the remainder is in ``[0, 2p)`` with no fold.
+* *float-lazy*, ``p < 2^48``: ``ratio = float64(w)/p * (1 - 2^-51)`` and
+  ``q = trunc(float64(x) * ratio)``.  Three roundings of ``2^-53`` cannot
+  undo the bias, so the estimate never exceeds the true quotient, and it
+  is within one of it while ``4p * 7 * 2^-53 <= 1``: ``[0, 2p)`` again,
+  for every ``x < 4p``.
+* *float-strict*, ``2^48 <= p < 2^52`` (the HEAX ``w = 54`` word bound):
+  the unbiased ratio and ``x < p``.  ``x*w/p < 2^52`` keeps the estimate
+  within one *either way*, the remainder in ``[-p, 2p)``; a lifting fold
+  and the usual fold land it in ``[0, p)``.
+
+The lazy regimes run Harvey's butterflies: residues stay in ``[0, 4p)``
+forward (one fold of ``u`` per stage) and ``[0, 2p)`` inverse, with one
+final fold per transform.  The inverse multiplies by the un-halved
+twiddles ``2 * inv_root_powers_div2 mod p`` and folds ``n^-1`` into its
+last stage's two constants instead of halving every stage as Algorithm 4
+does.  The strict regime runs the same butterflies with every bound
+halved and one more fold, of the product's operand.  Either way the
+outputs are the canonical residues, bit-identical to the reference
+backend (``tests/ckks/test_ntt_kernel.py``).  ``p >= 2^52`` is
+outside the word-size-safe envelope (e.g. SEAL's 61-bit primes): every
+operation falls back to the reference backend.
+
+Products of two arrays have no ratio to precompute and take
+:func:`_mulmod`.  All boundary data stays in the canonical list-of-int
+row format (see :mod:`repro.ckks.backend.base`).
 """
 
 from __future__ import annotations
@@ -58,17 +85,36 @@ from repro.ckks.ntt import NTTTables
 #: Products of operands below this bound fit a native uint64 multiply.
 _DIRECT_MUL_BOUND = 1 << 32
 
-#: Float-estimated Barrett quotients are exact (within the correction
-#: loop's reach) only while ``a*b/p < 2^52`` stays inside the float64
-#: mantissa; this is exactly the HEAX ``p < 2^(w-2)`` bound for w = 54.
+#: Float-estimated quotients are within one of the true quotient only
+#: while ``a*b/p < 2^52`` stays inside the float64 mantissa; this is
+#: exactly the HEAX ``p < 2^(w-2)`` bound for w = 54.
 _WORD_SAFE_BOUND = 1 << 52
+
+#: Below this bound the biased float ratio serves lazy operands up to
+#: ``4p`` (``4p * 7 * 2^-53 <= 1``, see the module docstring).
+_LAZY_BOUND = 1 << 48
+_RATIO_BIAS = 1.0 - 2.0**-51
+
+#: A transform runs its stack in chunks of at most this many words
+#: (``32768 / n`` rows, at least one), so that the workspace of four
+#: chunks stays L2-resident however tall the stack is.
+_CHUNK_WORDS = 1 << 15
+
+#: Twiddle blocks of the early stages are repeated up to this many words,
+#: the shortest inner loop a stage's broadcast runs.
+_TILE = 1 << 10
 
 #: Attribute name under which per-(modulus, n) twiddle arrays are cached
 #: on the NTTTables instance that owns the scalar tables.
 _CACHE_ATTR = "_numpy_twiddle_cache"
 
-_U1 = np.uint64(1)
-_U32 = np.uint64(32)
+
+def _const(value: int) -> np.ndarray:
+    """A 0-d uint64 operand: half the call overhead of a NumPy scalar."""
+    return np.array(value, dtype=np.uint64)
+
+
+_U32 = _const(32)
 
 
 def _mulmod(a: np.ndarray, b, p) -> np.ndarray:
@@ -107,8 +153,7 @@ def _mulmod(a: np.ndarray, b, p) -> np.ndarray:
     r -= q
     np.add(r, pu, out=q)
     np.minimum(r, q, out=r)
-    np.subtract(r, pu, out=q)
-    np.minimum(r, q, out=r)
+    _fold(r, pu, q, r)
     return r
 
 
@@ -134,152 +179,191 @@ def _submod(a: np.ndarray, b, p) -> np.ndarray:
     return _cond_sub(d, p)
 
 
-def _twiddle_mul(x, w, aux, p: int, work, quot, dest) -> None:
-    """``dest = x * w mod p`` for a twiddle column ``w``, allocation-free.
+def _fold(x, c, t, out) -> None:
+    """:func:`_cond_sub` by ``c`` without allocating: ``t`` is scratch."""
+    np.subtract(x, c, out=t)
+    np.minimum(x, t, out=out)
 
-    ``work`` holds the call's three half-size ``uint64`` buffers: the
-    product is formed in ``work[0]`` (which may be ``x`` itself) with
-    ``work[1:]`` as temporaries, and only the last fold writes ``dest``.
 
-    * ``quot is None`` -- ``p < 2^32``, ``aux = floor(w * 2^32 / p)``:
-      Algorithm 2 (MulRed) with a 32-bit ratio.  ``q = (x * aux) >> 32``
-      leaves ``x*w - q*p`` in ``[0, 2p)`` (the classic Shoup bound for
-      ``x < 2^32``; every product stays below ``2^64``), so one fold
-      finishes -- no integer division, every pass SIMD-friendly.
-    * otherwise ``quot`` is a ``float64`` buffer and ``aux`` the
-      ``float64`` image of ``w``: Barrett with a float quotient estimate.
-      ``x*w/p < 2^52`` carries a relative error below ``2^-52``, so the
-      truncated estimate is off by at most one either way and the
-      wrapped remainder lies in ``[-p, 2p)``: one lifting fold, then the
-      same final fold.
+class _Arith:
+    """The ratio arithmetic of one prime -- a function of ``p`` alone.
+
+    ``shoup``: 32-bit integer ratios (``4p <= 2^32``), else float64
+    ratios; ``lazy``: products land in ``[0, 2p)`` from operands below
+    ``4p`` (``p < 2^48``), else operands and products are fully reduced.
     """
-    out, q, t = work
-    pu = np.uint64(p)
-    if quot is None:
-        np.multiply(x, aux, out=q)
-        q >>= _U32
-    else:
-        np.multiply(x, aux, out=quot)
-        quot /= p
-        np.copyto(q, quot, casting="unsafe")
-    q *= pu
-    np.multiply(x, w, out=out)
-    out -= q
-    if quot is not None:
-        np.add(out, pu, out=t)
-        np.minimum(out, t, out=out)  # a negative wraps high: picks out + p
-    np.subtract(out, pu, out=t)
-    np.minimum(out, t, out=dest)
+
+    __slots__ = ("p", "p2", "shoup", "lazy")
+
+    def __init__(self, p: int):
+        self.p = _const(p)
+        self.p2 = _const(2 * p)
+        self.shoup = 4 * p <= _DIRECT_MUL_BOUND
+        self.lazy = p < _LAZY_BOUND
+
+    def ratio(self, w: np.ndarray) -> np.ndarray:
+        """The quotient ratios of the uint64 constants ``w``."""
+        if self.shoup:
+            return np.asarray((w << _U32) // self.p)
+        bias = _RATIO_BIAS if self.lazy else 1.0
+        return np.asarray(w.astype(np.float64) / np.float64(self.p) * bias)
+
+    def pair(self, c: int):
+        """The 0-d ``(w, ratio)`` operands of the reduced constant ``c``."""
+        w = _const(c)
+        return w, self.ratio(w)
+
+    def mul(self, x, w, ratio, q, fq, dest) -> None:
+        """``dest = x * w mod p`` for constants ``w`` with their ratios.
+
+        ``x`` holds residues below ``4p`` (below ``p`` when not lazy)
+        and ``dest`` receives values in ``[0, 2p)`` (``[0, p)``); it may
+        be ``x``.  ``q`` (uint64) and ``fq`` (float64, unused by Shoup)
+        are scratch of ``x``'s size.  A 1-D ``w`` is a twiddle tile: the
+        flat operands are viewed ``(-1, tile)`` so that it broadcasts.
+        """
+        if w.ndim:
+            shape = (-1, w.size)
+            x, q, dest = x.reshape(shape), q.reshape(shape), dest.reshape(shape)
+        if self.shoup:
+            np.multiply(x, ratio, out=q)
+            q >>= _U32
+        else:
+            fq = fq.reshape(x.shape)
+            np.copyto(fq, x)
+            fq *= ratio
+            # quotients are below 2^63: the signed cast gives the same
+            # bits at half the cost of the unsigned one
+            np.copyto(q.view(np.int64), fq, casting="unsafe")
+        q *= self.p
+        np.multiply(x, w, out=dest)
+        dest -= q
+        if not self.lazy:
+            np.add(dest, self.p, out=q)
+            np.minimum(dest, q, out=dest)  # a negative wraps high: picks dest + p
+            _fold(dest, self.p, q, dest)
 
 
-def _fwd_stages(a: np.ndarray, legs, fquot, tw: "_TwiddleCache", p: int) -> None:
-    """All forward butterfly stages on an ``(n, R)`` array (mutates ``a``).
+def _scalar_mul(x: np.ndarray, scalar: int, p: int, out=None) -> np.ndarray:
+    """``x * scalar mod p`` for reduced ``x``: one ratio, no division."""
+    ar = _Arith(p)
+    q = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
+    fq = None if ar.shoup else np.empty(x.shape, dtype=np.float64)
+    ar.mul(x, *ar.pair(scalar % p), q, fq, out)
+    if ar.lazy:
+        _fold(out, ar.p, q, out)
+    return out
 
-    The batch dimension is *innermost*: a stage views the coefficients as
-    ``(m, 2t, R)``, so every butterfly slice is ``m`` runs of ``t * R``
-    contiguous words.  With batch-outermost layout the late stages
-    (``t = 1, 2, 4``) degenerate into word-sized strided chunks that
-    defeat vectorization; batch-innermost keeps at least ``R`` contiguous
-    words per butterfly -- the same lane-interleaving a multi-lane
-    hardware NTT core uses.  Legs are computed in the three half-size
-    ``legs`` buffers (and the Barrett quotient in ``fquot``) and folded
-    straight back into the view, so a stage allocates nothing however
-    tall the stack is.
+
+class _TwiddleCache(_Arith):
+    """One table set's per-stage twiddle operands (built once per tables).
+
+    ``fwd[s]`` / ``inv[s]`` is the ``(w, ratio)`` pair stage ``s`` of
+    that direction multiplies by: butterfly ``J`` of the stage with ``m``
+    groups uses entry ``m + J mod m`` of the table, so the operand is the
+    block ``[m, 2m)`` repeated to at least ``_TILE`` words (the scalar
+    entry 1 for ``m = 1``).  The inverse table is un-halved,
+    ``2 * inv_root_powers_div2 mod p``; ``inv`` runs ``m = n/2 .. 1``, its
+    last stage multiplies the difference by ``n^-1 * w_1`` (stored as
+    that stage's pair) and the sum by ``n^-1`` (``scale``).
     """
-    n, r = a.shape
-    pu = np.uint64(p)
-    t = n
-    m = 1
-    while m < n:
-        t >>= 1
-        view = a.reshape(m, 2 * t, r)
-        u = view[:, :t, :]
-        v = view[:, t:, :]
-        work = legs.reshape(3, m, t, r)
-        quot = None if fquot is None else fquot.reshape(m, t, r)
-        wv, d, tmp = work
-        _twiddle_mul(
-            v,
-            tw.fwd[m : 2 * m].reshape(m, 1, 1),
-            tw.fwd_aux[m : 2 * m].reshape(m, 1, 1),
-            p,
-            work,
-            quot,
-            wv,
-        )
-        np.subtract(u, wv, out=d)
-        d += pu  # difference leg, in (0, 2p)
-        wv += u  # sum leg, in [0, 2p)
-        np.subtract(wv, pu, out=tmp)
-        np.minimum(wv, tmp, out=u)
-        np.subtract(d, pu, out=tmp)
-        np.minimum(d, tmp, out=v)
-        m <<= 1
+
+    __slots__ = ("fwd", "inv", "scale")
+
+    def __init__(self, tables: NTTTables):
+        p = tables.modulus.value
+        super().__init__(p)
+        n = tables.n
+        fwd = [c.value for c in tables.root_powers]
+        inv = [2 * c.value % p for c in tables.inv_root_powers_div2]
+        self.fwd = self._stages(fwd, n)
+        self.inv = self._stages(inv, n)[::-1]
+        self.inv[-1] = self.pair(tables.inv_n * inv[1] % p)
+        self.scale = self.pair(tables.inv_n)
+
+    def _stages(self, table, n: int):
+        w = np.array(table, dtype=np.uint64)
+        ratio = self.ratio(w)
+        stages = [self.pair(table[1])]
+        for m in (1 << s for s in range(1, n.bit_length() - 1)):
+            reps = max(1, min(_TILE, n >> 1) // m)
+            stages.append(tuple(np.tile(a[m : 2 * m], reps) for a in (w, ratio)))
+        return stages
 
 
-def _inv_stages(a: np.ndarray, legs, fquot, tw: "_TwiddleCache", p: int) -> None:
-    """All inverse butterfly stages on an ``(n, R)`` array (mutates ``a``).
-
-    Batch-innermost layout and scratch buffers, as in :func:`_fwd_stages`.
-
-    The Algorithm-4 per-stage halving ``(s + p if odd) >> 1`` is computed
-    as ``(s >> 1) + odd * (p+1)/2`` -- identical values, but shifts and
-    masks on the contiguous sum-leg buffer instead of a mask + select
-    pass.
-    """
-    n, r = a.shape
-    pu = np.uint64(p)
-    half_p = np.uint64((p + 1) >> 1)
-    t = 1
-    m = n
-    while m > 1:
-        h = m >> 1
-        view = a.reshape(h, 2 * t, r)
-        u = view[:, :t, :]
-        v = view[:, t:, :]
-        work = legs.reshape(3, h, t, r)
-        quot = None if fquot is None else fquot.reshape(h, t, r)
-        d, s, tmp = work
-        np.subtract(u, v, out=d)
-        d += pu
-        np.subtract(d, pu, out=tmp)
-        np.minimum(d, tmp, out=d)  # difference leg, in [0, p)
-        np.add(u, v, out=s)
-        np.subtract(s, pu, out=tmp)
-        np.minimum(s, tmp, out=s)  # sum leg, in [0, p)
-        np.bitwise_and(s, _U1, out=tmp)
-        s >>= _U1
-        tmp *= half_p
-        np.add(s, tmp, out=u)  # the halved sum leg
-        _twiddle_mul(
-            d,
-            tw.inv[h : 2 * h].reshape(h, 1, 1),
-            tw.inv_aux[h : 2 * h].reshape(h, 1, 1),
-            p,
-            work,
-            quot,
-            v,
-        )
-        t <<= 1
-        m = h
-
-
-#: Per-thread transform workspace, see :func:`_transform`.
+#: Per-thread transform workspace, see :func:`_workspace`.
 _LOCAL = threading.local()
 
 
-def _transform(stages, rows: np.ndarray, tables: NTTTables) -> np.ndarray:
-    """Run ``stages`` over an ``(R, n)`` stack -> its ``(n, R)`` transform.
+def _workspace(words: int):
+    """The calling thread's scratch for a chunk of ``words`` words.
 
-    The transposed working copy and the stage scratch (three half-size
-    legs, plus the float quotient above the native-multiply regime) live
-    in one per-thread buffer that grows to the tallest stack seen and is
-    kept.  A transform therefore allocates nothing: tall stacks no
-    longer churn the top of the heap, which glibc hands back to the OS
-    and page-faults in again on reuse (2 700 faults, about 5 % of an
-    8-wide Set-A flush).  The result is a view of that buffer -- callers
-    copy it out before the thread's next transform.
+    Two ``words``-long buffers the stages ping-pong between, three
+    half-size uint64 legs and a half-size float64 leg: slices of one
+    buffer that grows to the largest chunk seen and is kept, so a
+    transform allocates nothing but its result and tall stacks do not
+    churn the top of the heap (which glibc hands back to the OS and
+    page-faults in again -- about 5 % of an 8-wide Set-A flush).
     """
+    buf = getattr(_LOCAL, "buf", None)
+    if buf is None or buf.size < 4 * words:
+        buf = _LOCAL.buf = np.empty(4 * words, dtype=np.uint64)
+    half = words >> 1
+    legs = buf[2 * words : 4 * words].reshape(4, half)
+    return buf[:words], buf[words : 2 * words], legs[:3], legs[3].view(np.float64)
+
+
+def _forward(rows: np.ndarray, out: np.ndarray, tw: _TwiddleCache) -> None:
+    """Algorithm 3 on an ``(R, n)`` chunk into ``out``, see the module docstring."""
+    r, n = rows.shape
+    half = (r * n) >> 1
+    src, dst, (uf, t, prod), fq = _workspace(r * n)
+    src.reshape(n, r)[...] = rows.T
+    bound = tw.p2 if tw.lazy else tw.p  # residues stay below twice this
+    for w, ratio in tw.fwd:
+        u, v = src[:half], src[half:]
+        _fold(u, bound, t, uf)
+        if not tw.lazy:
+            _fold(v, bound, t, v)  # the strict product wants v < p
+        tw.mul(v, w, ratio, t, fq, prod)
+        np.add(uf, prod, out=dst[0::2])
+        uf += bound
+        np.subtract(uf, prod, out=dst[1::2])
+        src, dst = dst, src
+    if tw.lazy:
+        _fold(src, tw.p2, dst, src)
+    _fold(src, tw.p, dst, out.reshape(-1))
+
+
+def _inverse(rows: np.ndarray, out: np.ndarray, tw: _TwiddleCache) -> None:
+    """Algorithm 4 on an ``(R, n)`` chunk into ``out``, see the module docstring."""
+    r, n = rows.shape
+    half = (r * n) >> 1
+    src, dst, (s, t, d), fq = _workspace(r * n)
+    np.copyto(src.reshape(r, n), rows)
+    bound = tw.p2 if tw.lazy else tw.p  # residues stay below this
+    for left, (w, ratio) in zip(range(len(tw.inv) - 1, -1, -1), tw.inv):
+        u, v = src[0::2], src[1::2]
+        lo, hi = dst[:half], dst[half:]
+        np.add(u, v, out=s)
+        if left:
+            _fold(s, bound, t, lo)
+        else:  # the last stage scales both legs by n^-1
+            _fold(s, bound, t, s)
+            tw.mul(s, *tw.scale, t, fq, lo)
+        np.subtract(u, v, out=d)
+        d += bound
+        if not tw.lazy:
+            _fold(d, bound, t, d)  # the strict product wants d < p
+        tw.mul(d, w, ratio, t, fq, hi)
+        src, dst = dst, src
+    _fold(src, tw.p, dst, src)
+    out[...] = src.reshape(n, r).T  # fused into the fold it costs 2-4x: 2-D operands
+
+
+def _transform(rows: np.ndarray, tables: NTTTables, inverse: bool, out=None) -> np.ndarray:
+    """Transform every row of an ``(R, n)`` stack into ``out`` (default: new)."""
     r, n = rows.shape
     if n != tables.n:
         raise ValueError(f"expected {tables.n} coefficients, got {n}")
@@ -287,47 +371,13 @@ def _transform(stages, rows: np.ndarray, tables: NTTTables) -> np.ndarray:
     if tw is None:
         tw = _TwiddleCache(tables)
         setattr(tables, _CACHE_ATTR, tw)
-    half = (n >> 1) * r
-    buf = getattr(_LOCAL, "buf", None)
-    if buf is None or buf.size < 6 * half:
-        buf = _LOCAL.buf = np.empty(6 * half, dtype=np.uint64)
-    a = buf[: 2 * half].reshape(n, r)
-    a[...] = rows.T
-    fquot = None if tw.shoup else buf[5 * half : 6 * half].view(np.float64)
-    stages(a, buf[2 * half : 5 * half].reshape(3, half), fquot, tw, tables.modulus.value)
-    return a
-
-
-class _TwiddleCache:
-    """uint64 views of one table set's twiddles (built once per tables).
-
-    ``fwd_aux`` / ``inv_aux`` hold what :func:`_twiddle_mul` multiplies
-    the quotient estimate from: for primes in the native-multiply regime
-    (``shoup``) the 32-bit ratios ``floor(w * 2^32 / p)`` of every
-    twiddle, which replace the vector remainder (integer division, the
-    one non-SIMD operation in the pipeline); above it the twiddles'
-    ``float64`` images.
-    """
-
-    __slots__ = ("fwd", "inv", "shoup", "fwd_aux", "inv_aux")
-
-    def __init__(self, tables: NTTTables):
-        self.fwd = np.array([c.value for c in tables.root_powers], dtype=np.uint64)
-        self.inv = np.array(
-            [c.value for c in tables.inv_root_powers_div2], dtype=np.uint64
-        )
-        p = tables.modulus.value
-        self.shoup = p < _DIRECT_MUL_BOUND
-        if self.shoup:
-            self.fwd_aux = np.array(
-                [(int(w) << 32) // p for w in self.fwd], dtype=np.uint64
-            )
-            self.inv_aux = np.array(
-                [(int(w) << 32) // p for w in self.inv], dtype=np.uint64
-            )
-        else:
-            self.fwd_aux = self.fwd.astype(np.float64)
-            self.inv_aux = self.inv.astype(np.float64)
+    if out is None:
+        out = np.empty(rows.shape, dtype=np.uint64)
+    core = _inverse if inverse else _forward
+    step = max(1, _CHUNK_WORDS // n)
+    for lo in range(0, r, step):
+        core(rows[lo : lo + step], out[lo : lo + step], tw)
+    return out
 
 
 class NumpyBackend(PolynomialBackend):
@@ -353,7 +403,7 @@ class NumpyBackend(PolynomialBackend):
 
     @staticmethod
     def _matrix(handle) -> np.ndarray:
-        """Lift a residue matrix to ``(L, n)`` uint64 (no-op if it is one).
+        """Lift a row, row-stack or residue matrix to uint64 (no-op if it is one).
 
         Raises ``OverflowError``/``ValueError``/``TypeError`` on rows
         that cannot be represented (signed or multi-word coefficients);
@@ -368,40 +418,10 @@ class NumpyBackend(PolynomialBackend):
         """The ``(L, 1)`` modulus column broadcasting one prime per row."""
         return np.array([[m.value] for m in moduli], dtype=np.uint64)
 
-    @staticmethod
-    def _row(row: Sequence[int]) -> np.ndarray:
-        if isinstance(row, np.ndarray) and row.dtype == np.uint64:
-            return row
-        return np.asarray(row, dtype=np.uint64)
-
-    @staticmethod
-    def _stack(stack: RowStack) -> np.ndarray:
-        """Lift a row-stack to an ``(R, n)`` uint64 array (no-op if it is one)."""
-        if isinstance(stack, np.ndarray) and stack.dtype == np.uint64:
-            return stack
-        return np.asarray(stack, dtype=np.uint64)
-
-    @classmethod
-    def _operand(cls, b, count: int) -> np.ndarray:
-        """A dyadic operand: ``(n,)`` broadcast row or ``(count, n)`` stack.
-
-        A stack operand of any other length raises, matching the base
-        class's ``_rows_of`` -- numpy's implicit ``(1, n)`` broadcasting
-        must not accept what the reference backend rejects.
-        """
-        if is_row(b):
-            return cls._row(b)
-        if len(b) != count:
-            raise ValueError(
-                f"stack length mismatch: operand has {len(b)} rows, "
-                f"expected {count}"
-            )
-        return cls._stack(b)
-
     def native_stack(self, stack: RowStack) -> RowStack:
         """Lift to ``(R, n)`` uint64 once so later kernels skip conversion."""
         try:
-            return self._stack(stack)
+            return self._matrix(stack)
         except (OverflowError, ValueError, TypeError):
             return stack  # out-of-word rows stay lists for the fallback path
 
@@ -516,10 +536,10 @@ class NumpyBackend(PolynomialBackend):
             arr = self._matrix(a)
         except (OverflowError, ValueError, TypeError):
             return super().scalar_mul_rows(moduli, a, scalars)
-        scol = np.array(
-            [[s % m.value] for s, m in zip(scalars, moduli)], dtype=np.uint64
-        )
-        return _mulmod(arr, scol, self._pcol(moduli))
+        out = np.empty_like(arr)
+        for i, (m, s) in enumerate(zip(moduli, scalars)):
+            _scalar_mul(arr[i], s, m.value, out[i])
+        return out
 
     def galois_rows(self, moduli, handle, mapping):
         self._check_rows_count(moduli, handle)
@@ -553,28 +573,20 @@ class NumpyBackend(PolynomialBackend):
         try:
             mat = self._matrix(rows)
         except (OverflowError, ValueError, TypeError):
-            mat = None
-        if mat is None:
-            if inverse:
-                return super().ntt_inverse_rows(tables_list, rows)
-            return super().ntt_forward_rows(tables_list, rows)
+            base = super().ntt_inverse_rows if inverse else super().ntt_forward_rows
+            return base(tables_list, rows)
         if len(tables_list) != mat.shape[0]:
             raise ValueError(
                 f"expected {len(tables_list)} rows, got {mat.shape[0]}"
             )
-        out = np.empty_like(mat)
-        stages = _inv_stages if inverse else _fwd_stages
+        out = np.empty(mat.shape, dtype=np.uint64)
         for i, tables in enumerate(tables_list):
             if self.supports(tables.modulus):
-                out[i] = _transform(stages, mat[i : i + 1], tables)[:, 0]
+                _transform(mat[i : i + 1], tables, inverse, out[i : i + 1])
             else:
                 fb = self._fallback
-                row = (
-                    fb.ntt_inverse(tables, mat[i].tolist())
-                    if inverse
-                    else fb.ntt_forward(tables, mat[i].tolist())
-                )
-                out[i] = np.asarray(row, dtype=np.uint64)
+                transform = fb.ntt_inverse if inverse else fb.ntt_forward
+                out[i] = np.asarray(transform(tables, mat[i].tolist()), dtype=np.uint64)
         return out
 
     def decompose_native(self, moduli, coeffs):
@@ -618,20 +630,17 @@ class NumpyBackend(PolynomialBackend):
         return arr.reshape(count, n).astype(np.uint64)
 
     # ------------------------------------------------------------------
-    # NTT (Algorithm 3, one vector op sequence per stage)
+    # NTT / INTT (Algorithms 3 and 4): a row is a stack of one
     # ------------------------------------------------------------------
     def ntt_forward(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
         if not self.supports(tables.modulus):
             return self._fallback.ntt_forward(tables, row)
-        return _transform(_fwd_stages, self._row(row)[None, :], tables)[:, 0].tolist()
+        return self.ntt_forward_stack(tables, self._matrix(row)[None, :])[0].tolist()
 
-    # ------------------------------------------------------------------
-    # INTT (Algorithm 4 with the per-stage halving folded in)
-    # ------------------------------------------------------------------
     def ntt_inverse(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
         if not self.supports(tables.modulus):
             return self._fallback.ntt_inverse(tables, row)
-        return _transform(_inv_stages, self._row(row)[None, :], tables)[:, 0].tolist()
+        return self.ntt_inverse_stack(tables, self._matrix(row)[None, :])[0].tolist()
 
     # ------------------------------------------------------------------
     # dyadic arithmetic
@@ -639,17 +648,17 @@ class NumpyBackend(PolynomialBackend):
     def add(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.add(modulus, a, b)
-        return _cond_sub(self._row(a) + self._row(b), modulus.value).tolist()
+        return _cond_sub(self._matrix(a) + self._matrix(b), modulus.value).tolist()
 
     def sub(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.sub(modulus, a, b)
-        return _submod(self._row(a), self._row(b), modulus.value).tolist()
+        return _submod(self._matrix(a), self._matrix(b), modulus.value).tolist()
 
     def negate(self, modulus: Modulus, a: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.negate(modulus, a)
-        arr = self._row(a)
+        arr = self._matrix(a)
         out = np.uint64(modulus.value) - arr
         np.minimum(out, np.uint64(0) - arr, out=out)
         return out.tolist()
@@ -657,7 +666,7 @@ class NumpyBackend(PolynomialBackend):
     def dyadic_mul(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.dyadic_mul(modulus, a, b)
-        return _mulmod(self._row(a), self._row(b), modulus.value).tolist()
+        return _mulmod(self._matrix(a), self._matrix(b), modulus.value).tolist()
 
     def dyadic_mac(
         self,
@@ -669,8 +678,8 @@ class NumpyBackend(PolynomialBackend):
         if not self.supports(modulus):
             return self._fallback.dyadic_mac(modulus, acc, x, y)
         p = modulus.value
-        prod = _mulmod(self._row(x), self._row(y), p)
-        return _cond_sub(self._row(acc) + prod, p).tolist()
+        prod = _mulmod(self._matrix(x), self._matrix(y), p)
+        return _cond_sub(self._matrix(acc) + prod, p).tolist()
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -678,7 +687,7 @@ class NumpyBackend(PolynomialBackend):
     def scalar_mul(self, modulus: Modulus, a: Sequence[int], scalar: int) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.scalar_mul(modulus, a, scalar)
-        return _mulmod(self._row(a), np.uint64(scalar), modulus.value).tolist()
+        return _scalar_mul(self._matrix(a), scalar, modulus.value).tolist()
 
     def scalar_mac(
         self, modulus: Modulus, acc: Sequence[int], a: Sequence[int], scalar: int
@@ -686,8 +695,9 @@ class NumpyBackend(PolynomialBackend):
         if not self.supports(modulus):
             return self._fallback.scalar_mac(modulus, acc, a, scalar)
         p = modulus.value
-        prod = _mulmod(self._row(a), np.uint64(scalar), p)
-        return _cond_sub(self._row(acc) + prod, p).tolist()
+        prod = _scalar_mul(self._matrix(a), scalar, p)
+        prod += self._matrix(acc)
+        return _cond_sub(prod, p).tolist()
 
     # ------------------------------------------------------------------
     # RNS base conversion
@@ -723,39 +733,25 @@ class NumpyBackend(PolynomialBackend):
     def ntt_forward_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
         if not self.supports(tables.modulus) or not len(stack):
             return super().ntt_forward_stack(tables, stack)
-        # an owned copy: the workspace is reused by the next transform
-        return _transform(_fwd_stages, self._stack(stack), tables).T.copy()
+        return _transform(self._matrix(stack), tables, False)
 
     def ntt_inverse_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
         if not self.supports(tables.modulus) or not len(stack):
             return super().ntt_inverse_stack(tables, stack)
-        return _transform(_inv_stages, self._stack(stack), tables).T.copy()
-
-    def add_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
-        if not self.supports(modulus) or not len(a):
-            return super().add_stack(modulus, a, b)
-        arr = self._stack(a)
-        return _cond_sub(arr + self._operand(b, len(arr)), modulus.value)
+        return _transform(self._matrix(stack), tables, True)
 
     def sub_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
         if not self.supports(modulus) or not len(a):
             return super().sub_stack(modulus, a, b)
-        arr = self._stack(a)
-        return _submod(arr, self._operand(b, len(arr)), modulus.value)
-
-    def dyadic_mul_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
-        if not self.supports(modulus) or not len(a):
-            return super().dyadic_mul_stack(modulus, a, b)
-        arr = self._stack(a)
-        return _mulmod(arr, self._operand(b, len(arr)), modulus.value)
-
-    def dyadic_mac_stack(self, modulus: Modulus, acc: RowStack, x: RowStack, y) -> RowStack:
-        if not self.supports(modulus) or not len(acc):
-            return super().dyadic_mac_stack(modulus, acc, x, y)
-        p = modulus.value
-        arr = self._stack(acc)
-        prod = _mulmod(self._operand(x, len(arr)), self._operand(y, len(arr)), p)
-        return _cond_sub(arr + prod, p)
+        arr = self._matrix(a)
+        if not is_row(b) and len(b) != len(arr):
+            # as the base class's ``_rows_of``: numpy's implicit (1, n)
+            # broadcasting must not accept what the reference rejects
+            raise ValueError(
+                f"stack length mismatch: operand has {len(b)} rows, "
+                f"expected {len(arr)}"
+            )
+        return _submod(arr, self._matrix(b), modulus.value)
 
     def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack):
         if not self.supports(modulus) or not len(x) or not len(y):
@@ -766,8 +762,8 @@ class NumpyBackend(PolynomialBackend):
                 f"stack length mismatch: {len(x)} vs {len(y)} rows"
             )
         p = modulus.value
-        xs = self._stack(x).reshape(digits, len(x) // digits, -1)
-        ys = self._stack(y)[:, None, :]  # one key row per digit block
+        xs = self._matrix(x).reshape(digits, len(x) // digits, -1)
+        ys = self._matrix(y)[:, None, :]  # one key row per digit block
         if digits * (p - 1) ** 2 < 1 << 64:
             # every digit's product fits one word together: a single
             # division for the whole sum instead of one per digit
@@ -782,13 +778,13 @@ class NumpyBackend(PolynomialBackend):
     def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
         if not self.supports(modulus) or not len(a):
             return super().scalar_mul_stack(modulus, a, scalar)
-        return _mulmod(self._stack(a), np.uint64(scalar), modulus.value)
+        return _scalar_mul(self._matrix(a), scalar, modulus.value)
 
     def reduce_mod_stack(self, modulus: Modulus, stack: RowStack) -> RowStack:
         if not self.supports(modulus) or not len(stack):
             return super().reduce_mod_stack(modulus, stack)
         try:
-            arr = self._stack(stack)
+            arr = self._matrix(stack)
         except (OverflowError, ValueError):
             return super().reduce_mod_stack(modulus, stack)
         pu = np.uint64(modulus.value)
@@ -804,7 +800,7 @@ class NumpyBackend(PolynomialBackend):
         try:
             # no arithmetic happens, so any uint64-representable rows
             # qualify regardless of the word-size envelope
-            arr = self._stack(stack)
+            arr = self._matrix(stack)
         except (OverflowError, ValueError):
             return super().permute_ntt_stack(stack, table)
         return arr[:, np.asarray(table, dtype=np.intp)]
