@@ -7,10 +7,12 @@ the reference backend's scalar loops, executed stage-vectorized by the
 numpy backend at the paper's Table 2 ring degrees (n = 4096 / 8192 /
 16384).  Primes are 30-bit (as in the ``paper_scale_context`` fixture)
 so the pure-Python baseline stays measurable; a 50-bit row exercises
-the float-strict regime of the HEAX word size, and the last test
-records -- reported, not gated -- the kernel's microseconds per row at
+the float-strict regime of the HEAX word size, and the last two tests
+record -- reported, not gated -- the kernels' microseconds per row at
 the paper's own primes (Set-A 36/28/45, Set-B 48/40/50, Set-C 50/48/52
-bits) for stacks of one and eight rows.
+bits) for stacks of one and eight rows: the NTT, and the key-switch MAC
+``dyadic_stack_reduce`` (per digit row, k = 2/4/8 digits) beside the
+plain product ``dyadic_mul_rows``.
 
 Acceptance gate (ISSUE 1, re-based for ISSUE 5): numpy forward NTT
 >= 5x reference at n = 16384, with bit-exact outputs, **measured on
@@ -53,6 +55,8 @@ MIN_SPEEDUP_AT_16384 = 5.0
 #: the kernel is timed at: a lane of one and a full batch-8 lane.
 PAPER_PRIME_BITS = {4096: (36, 28, 45), 8192: (48, 40, 50), 16384: (50, 48, 52)}
 STACK_HEIGHTS = (1, 8)
+#: Gadget digits of a key switch at full level: the ``k`` of Table 2.
+PAPER_DIGITS = {4096: 2, 8192: 4, 16384: 8}
 
 #: Sanity floor for the 50-bit float-strict regime at n = 4096 (not the
 #: ISSUE gate -- that regime does more vector work per butterfly and the
@@ -262,5 +266,54 @@ def test_kernel_us_per_row_paper_primes(emit, emit_json):
             rows,
             note="reported, not gated; <= 2^30 is the Shoup-lazy regime, "
             "< 2^48 float-lazy, < 2^52 float-strict.",
+        ),
+    )
+
+
+def test_dyadic_us_per_row_paper_primes(emit, emit_json):
+    """Resident product kernels, microseconds per row at the paper's primes.
+
+    ``dyadic_stack_reduce`` over ``k`` digits of a lane of one and of
+    eight (per digit row: ``k * lane`` rows a call) and ``dyadic_mul_rows``
+    on the same lane under one modulus.  Reported, not gated.
+    """
+    fast = create_backend("numpy")
+    rows = []
+    for n, sizes in PAPER_PRIME_BITS.items():
+        digits = PAPER_DIGITS[n]
+        for bits in sizes:
+            tables = _tables(n, bits)
+            m = tables.modulus
+            key = fast.native_stack([_rand_row(tables, bits + i) for i in range(digits)])
+            for lane in STACK_HEIGHTS:
+                stack = fast.native_stack(
+                    [_rand_row(tables, n + r) for r in range(digits * lane)]
+                )
+                a, b = stack[:lane], stack[lane : 2 * lane]
+                fast.dyadic_stack_reduce(m, stack, key)  # constants, workspace
+                mac = _time(fast.dyadic_stack_reduce, m, stack, key, repeats=9)
+                mul = _time(fast.dyadic_mul_rows, [m] * lane, a, b, repeats=9)
+                us = {"mac": mac / (digits * lane) * 1e6, "mul": mul / lane * 1e6}
+                rows.append([n, bits, digits, lane, f"{us['mac']:.1f}", f"{us['mul']:.1f}"])
+                emit_json(
+                    op="dyadic_us_per_row",
+                    n=n,
+                    prime_bits=bits,
+                    digits=digits,
+                    rows=lane,
+                    backend="numpy",
+                    stack_reduce_us_per_digit_row=round(us["mac"], 1),
+                    mul_rows_us_per_row=round(us["mul"], 1),
+                    gate=None,
+                )
+    emit(
+        "backend_dyadic_rows",
+        render_table(
+            "numpy product kernels, resident stacks at the paper's primes "
+            "(microseconds per row, best of 9)",
+            ["n", "prime bits", "digits", "lane", "stack_reduce / digit row", "mul_rows / row"],
+            rows,
+            note="reported, not gated; one quotient estimate per sum, "
+            "folds = ceil(log2(1 + d*p*(2d+6)/2^53)).",
         ),
     )

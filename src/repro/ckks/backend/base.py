@@ -496,7 +496,22 @@ class PolynomialBackend(abc.ABC):
 
     # -- whole-polynomial kernels: one row per modulus -----------------
     @staticmethod
-    def _check_rows_count(moduli, *handles) -> None:
+    def _check_width(*stacks) -> None:
+        """Every row of every operand must have the same width.
+
+        The column-wise twin of :meth:`_check_rows_count`: the reference
+        loops would ``zip``-truncate a short row and an array backend
+        broadcast a one-wide one.  O(1) for a resident matrix.
+        """
+        widths = set()
+        for s in stacks:
+            shape = getattr(s, "shape", None)
+            widths.update(shape[1:2] if shape else map(len, s))
+        if len(widths) > 1:
+            raise ValueError(f"row width mismatch: {sorted(widths)}")
+
+    @classmethod
+    def _check_rows_count(cls, moduli, *handles) -> None:
         """Every handle must carry exactly one row per modulus.
 
         Mirrors :meth:`_rows_of`'s rationale: a silent zip truncation on
@@ -509,6 +524,7 @@ class PolynomialBackend(abc.ABC):
                     f"row count mismatch: handle has {len(h)} rows for "
                     f"{len(moduli)} moduli"
                 )
+        cls._check_width(*handles)
 
     def add_rows(self, moduli: Sequence[Modulus], a, b):
         """Per-modulus ``a + b mod p`` over whole residue matrices."""
@@ -837,7 +853,9 @@ class PolynomialBackend(abc.ABC):
 
     def sub_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
         """Row-wise ``a - b mod p``; ``b`` may be a stack or one row."""
-        return [self.sub(modulus, x, y) for x, y in zip(a, self._rows_of(b, len(a)))]
+        other = self._rows_of(b, len(a))
+        self._check_width(a, other)
+        return [self.sub(modulus, x, y) for x, y in zip(a, other)]
 
     def negate_stack(self, modulus: Modulus, a: RowStack) -> RowStack:
         """Row-wise ``-a mod p``."""
@@ -879,6 +897,7 @@ class PolynomialBackend(abc.ABC):
             )
         if not len(x):
             raise ValueError("cannot reduce an empty stack")
+        self._check_width(x, y)
         count = len(x) // digits
         out = []
         for b in range(count):

@@ -61,28 +61,43 @@ backend (``tests/ckks/test_ntt_kernel.py``).  ``p >= 2^52`` is
 outside the word-size-safe envelope (e.g. SEAL's 61-bit primes): every
 operation falls back to the reference backend.
 
-Products of two arrays have no ratio to precompute and take
-:func:`_mulmod`.  All boundary data stays in the canonical list-of-int
-row format (see :mod:`repro.ckks.backend.base`).
+**Products of two arrays: one reciprocal quotient per sum** (:func:`_dot`;
+a product is a sum of one).  As the paper's DyadMult accumulators do
+(Figure 6), ``S = sum_i x_i*y_i`` over ``d`` digits is accumulated
+unreduced, in wrapping ``uint64`` and side by side in ``float64``; *one*
+estimate ``q = trunc(fsum * r)``, ``r = (1/p)(1 - (d+3)*2^-53)``, then
+gives ``S - q*p`` in wrapping arithmetic.  The float side carries at most
+``d+1`` roundings per term (a product, ``d-1`` additions, the multiply
+by ``r``) and ``r`` two more, which the bias outweighs: ``q`` never
+exceeds the true quotient and falls short of it by less than
+``m = 1 + d*p*(2d+6)*2^-53`` (``S/p < d*p``), so the remainder is in
+``[0, m*p)`` and ``ceil(log2 m)`` folds by ``2^k*p, .., 2p, p`` land it
+in ``[0, p)``.  The fold count is the only regime, a function of
+``(p, d)`` alone (:class:`_Column`): one for a product below ``2^50``
+and a 4-digit sum below ``2^47``, two for Set-B's 48-bit prime, three
+for its 50-bit special prime, seven for Set-C's 52-bit one.  A sum that
+fits a word (``d*(p-1)^2 < 2^63``) skips the float side: its estimate is
+the cast of the integer sum.  Element-wise kernels run row chunk by row
+chunk through the per-thread :func:`_scratch` and allocate only their
+result.  All boundary data stays in the canonical list-of-int row
+format (see :mod:`repro.ckks.backend.base`).
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
+from math import prod
 from typing import List, Sequence
 
 import numpy as np
 
-from repro.ckks.backend.base import (
-    PolynomialBackend,
-    RowStack,
-    is_row,
-)
+from repro.ckks.backend.base import PolynomialBackend, RowStack
 from repro.ckks.backend.reference import ReferenceBackend
 from repro.ckks.modarith import Modulus
 from repro.ckks.ntt import NTTTables
 
-#: Products of operands below this bound fit a native uint64 multiply.
+#: ``4p`` at most this takes the 32-bit Shoup ratio (see :class:`_Arith`).
 _DIRECT_MUL_BOUND = 1 << 32
 
 #: Float-estimated quotients are within one of the true quotient only
@@ -95,10 +110,14 @@ _WORD_SAFE_BOUND = 1 << 52
 _LAZY_BOUND = 1 << 48
 _RATIO_BIAS = 1.0 - 2.0**-51
 
-#: A transform runs its stack in chunks of at most this many words
-#: (``32768 / n`` rows, at least one), so that the workspace of four
+#: A kernel runs its stack in chunks of at most this many words
+#: (``32768 / n`` rows, at least one), so that its scratch of a few
 #: chunks stays L2-resident however tall the stack is.
 _CHUNK_WORDS = 1 << 15
+
+#: Sums of more digits than this (``m * p`` of the module docstring must
+#: stay below ``2^64`` for every word-safe ``p``) take the per-digit default.
+_MAX_DIGITS = 32
 
 #: Twiddle blocks of the early stages are repeated up to this many words,
 #: the shortest inner loop a stage's broadcast runs.
@@ -115,74 +134,130 @@ def _const(value: int) -> np.ndarray:
 
 
 _U32 = _const(32)
+_ZERO = _const(0)
 
 
-def _mulmod(a: np.ndarray, b, p) -> np.ndarray:
-    """Exact ``a * b mod p`` for uint64 operands reduced below ``p``.
+def _new(like: np.ndarray) -> np.ndarray:
+    """An owned, uninitialized result matrix of ``like``'s shape."""
+    return np.empty(like.shape, dtype=np.uint64)
 
-    ``p`` may be a scalar int or an already-uint64 ``(L, 1)`` modulus
-    column that broadcasts one prime per residue row -- the shape the
-    whole-matrix ``*_rows`` kernels use.
+
+#: Per-thread scratch, see :func:`_scratch`.
+_LOCAL = threading.local()
+
+
+def _scratch(shape, count: int) -> np.ndarray:
+    """``count`` uint64 arrays of ``shape`` in the calling thread's scratch.
+
+    Slices of one buffer that grows to the largest request seen and is
+    kept, so a kernel allocates nothing but its result and tall stacks
+    do not churn the top of the heap (which glibc hands back to the OS
+    and page-faults in again -- about 5 % of an 8-wide Set-A flush).
+    Nothing a kernel returns may alias it.
     """
-    per_row = isinstance(p, np.ndarray)
-    if per_row and p.min() < _DIRECT_MUL_BOUND <= p.max():
-        # the column spans both regimes: each run of same-regime rows (a
-        # lane's modulus blocks are contiguous) takes its own path
-        small = p.ravel() < _DIRECT_MUL_BOUND
-        edges = [0, *(np.flatnonzero(small[1:] != small[:-1]) + 1), len(small)]
-        out = np.empty_like(a)
-        for lo, hi in zip(edges, edges[1:]):
-            out[lo:hi] = _mulmod(a[lo:hi], b[lo:hi], p[lo:hi])
-        return out
-    if (int(p.max()) if per_row else p) < _DIRECT_MUL_BOUND:
-        prod = a * b
-        prod %= p if per_row else np.uint64(p)
-        return prod
-    # Barrett with a float64 quotient estimate: a*b/p < 2^52 carries a
-    # relative error below 2^-52, so the truncated estimate is off by at
-    # most one either way and the wrapped remainder a*b - q*p lies in
-    # [-p, 2p): a lifting fold (a negative wraps high, so min picks
-    # r + p) and the usual final fold land it in [0, p).  Three
-    # temporaries in all, however tall the stack.
-    pu = p if per_row else np.uint64(p)
-    quot = a.astype(np.float64) * b
-    quot /= p.astype(np.float64) if per_row else p
-    q = quot.astype(np.uint64)
-    q *= pu
-    r = a * b
-    r -= q
-    np.add(r, pu, out=q)
-    np.minimum(r, q, out=r)
-    _fold(r, pu, q, r)
-    return r
+    words = count * prod(shape)
+    buf = getattr(_LOCAL, "buf", None)
+    if buf is None or buf.size < words:
+        buf = _LOCAL.buf = np.empty(words, dtype=np.uint64)
+    return buf[:words].reshape(count, *shape)
 
 
-def _cond_sub(x: np.ndarray, p) -> np.ndarray:
-    """Lazy reduction of values in ``[0, 2p)`` into ``[0, p)``, in place.
+def _pieces(out: np.ndarray, *operands) -> List[tuple]:
+    """``(out, *operands)`` cut into the row chunks a kernel visits.
 
-    Uses the uint64 wraparound: for ``x < p``, ``x - p`` wraps above
-    ``2^64 - p``, so ``min(x, x - p)`` selects the reduced value with a
-    single temporary instead of a mask + select.  ``x`` must be a
-    freshly-allocated array the caller owns (every call site passes the
-    result of an arithmetic expression); it is overwritten and returned.
-    ``p`` is a scalar int or a uint64 per-row modulus column.
+    At most ``_CHUNK_WORDS`` words of ``out`` each (at least a row).  An
+    operand of one row, or a constant, serves every chunk whole.
     """
-    pu = p if isinstance(p, np.ndarray) else np.uint64(p)
-    np.minimum(x, x - pu, out=x)
-    return x
-
-
-def _submod(a: np.ndarray, b, p) -> np.ndarray:
-    """``a - b mod p`` for reduced operands: wrap into ``[0, 2p)``, reduce."""
-    d = a - b
-    d += p if isinstance(p, np.ndarray) else np.uint64(p)  # now in (0, 2p)
-    return _cond_sub(d, p)
+    rows, n = out.shape
+    step = max(1, _CHUNK_WORDS // n)
+    if rows <= step:
+        return [(out, *operands)]
+    return [
+        tuple(v[lo : lo + step] if v.ndim and len(v) > 1 else v for v in (out, *operands))
+        for lo in range(0, rows, step)
+    ]
 
 
 def _fold(x, c, t, out) -> None:
-    """:func:`_cond_sub` by ``c`` without allocating: ``t`` is scratch."""
+    """``out = x - c if x >= c else x`` without allocating: ``t`` is scratch.
+
+    Uses the uint64 wraparound: for ``x < c``, ``x - c`` wraps above
+    ``2^64 - c``, so ``min(x, x - c)`` selects the reduced value.
+    """
     np.subtract(x, c, out=t)
     np.minimum(x, t, out=out)
+
+
+class _Column:
+    """The constants of a modulus column -- a function of the primes alone.
+
+    ``p`` is the uint64 ``(L, 1)`` column broadcasting one prime per
+    residue row (0-d for a single prime), ``rinv`` the biased reciprocals
+    and ``folds`` the multiples ``2^k*p, .., 2p, p`` that reduce a sum of
+    ``digits`` products after its one quotient estimate; ``fits`` when
+    that sum fits a word (see the module docstring).  Not ``safe``: a
+    prime is outside the word-size envelope and there are no constants.
+    """
+
+    __slots__ = ("safe", "p", "rinv", "folds", "fits")
+
+    def __init__(self, primes: tuple, digits: int):
+        top = max(primes)
+        self.safe = top < _WORD_SAFE_BOUND
+        if not self.safe:
+            return
+        shape = (len(primes), 1) if len(primes) > 1 else ()
+        self.p = np.array(primes, dtype=np.uint64).reshape(shape)
+        bias = 1.0 - (digits + 3) * 2.0**-53
+        self.rinv = np.asarray(1.0 / self.p.astype(np.float64) * bias)
+        short = (digits * top * (2 * digits + 6) + (1 << 53) - 1).bit_length() - 53
+        self.folds = [np.asarray(self.p << _const(k)) for k in reversed(range(short))]
+        self.fits = digits * (top - 1) ** 2 < 1 << 63
+
+
+@lru_cache(maxsize=1024)
+def _column(primes: tuple, digits: int = 1) -> _Column:
+    """The cached :class:`_Column` of these primes (keyed on their values)."""
+    return _Column(primes, digits)
+
+
+def _dot(xs, ys, col: _Column, out: np.ndarray) -> np.ndarray:
+    """``out = sum_i xs[i] * ys[i] mod p`` for reduced operands, canonical.
+
+    ``xs`` and ``ys`` are ``digits`` blocks of ``out``'s shape viewed as
+    ``int64`` (a ``ys`` block may be one row, shared by its digit's
+    block): wrapping products and sums have the same bits signed, and
+    operands below ``2^63`` cast to ``float64`` faster that way.  The
+    accumulate-then-reduce-once of the module docstring: six passes per
+    digit, five plus two per fold for the sum.
+    """
+    digits = len(xs)
+    for acc, p, rinv, *rest in _pieces(out, col.p, col.rinv, *xs, *ys, *col.folds):
+        legs = _scratch(acc.shape, 4)
+        t, (facc, fx, fy) = legs[0], legs[1:].view(np.float64)
+        sacc, st = acc.view(np.int64), t.view(np.int64)
+        fy = fy[: len(rest[digits])]
+        u, f = sacc, facc  # the first product lands in the accumulators
+        for x, y in zip(rest[:digits], rest[digits : 2 * digits]):
+            np.multiply(x, y, out=u)
+            if not col.fits:
+                np.copyto(fx, x)
+                np.copyto(fy, y)
+                np.multiply(fx, fy, out=f)
+            if u is st:
+                sacc += st
+                if not col.fits:
+                    facc += fx
+            u, f = st, fx
+        if col.fits:
+            np.copyto(facc, sacc)
+        facc *= rinv
+        np.copyto(st, facc, casting="unsafe")
+        t *= p
+        acc -= t
+        for c in rest[2 * digits :]:
+            _fold(acc, c, t, acc)
+    return out
 
 
 class _Arith:
@@ -244,15 +319,37 @@ class _Arith:
             _fold(dest, self.p, q, dest)
 
 
-def _scalar_mul(x: np.ndarray, scalar: int, p: int, out=None) -> np.ndarray:
-    """``x * scalar mod p`` for reduced ``x``: one ratio, no division."""
+@lru_cache(maxsize=1024)
+def _scalar(p: int, scalar: int):
+    """The cached ``(arith, w, ratio)`` of one constant under ``p``."""
     ar = _Arith(p)
-    q = np.empty_like(x)
-    out = np.empty_like(x) if out is None else out
-    fq = None if ar.shoup else np.empty(x.shape, dtype=np.float64)
-    ar.mul(x, *ar.pair(scalar % p), q, fq, out)
-    if ar.lazy:
-        _fold(out, ar.p, q, out)
+    return (ar, *ar.pair(scalar % p))
+
+
+def _addsub(op, a, b, p, out: np.ndarray) -> np.ndarray:
+    """``out = a op b mod p`` (``np.add`` / ``np.subtract``), reduced operands.
+
+    A sum lands in ``[0, 2p)`` and folds; a difference below zero wraps
+    high, so ``min`` picks the lifted ``d + p``.  ``b`` is a matrix or one
+    row, ``a`` a matrix or the constant 0 (a negation).
+    """
+    fix = np.subtract if op is np.add else np.add
+    for o, x, y, c in _pieces(out, a, b, p):
+        (t,) = _scratch(o.shape, 1)
+        op(x, y, out=o)
+        fix(o, c, out=t)
+        np.minimum(o, t, out=o)
+    return out
+
+
+def _scalar_mul(x: np.ndarray, scalar: int, p: int, out: np.ndarray) -> np.ndarray:
+    """``out = x * scalar mod p`` for a reduced ``(R, n)`` ``x``: one ratio, no division."""
+    ar, w, ratio = _scalar(p, scalar)
+    for o, v in _pieces(out, x):
+        q, fq = _scratch(o.shape, 2)
+        ar.mul(v, w, ratio, q, fq.view(np.float64), o)
+        if ar.lazy:
+            _fold(o, ar.p, q, o)
     return out
 
 
@@ -292,26 +389,15 @@ class _TwiddleCache(_Arith):
         return stages
 
 
-#: Per-thread transform workspace, see :func:`_workspace`.
-_LOCAL = threading.local()
-
-
 def _workspace(words: int):
-    """The calling thread's scratch for a chunk of ``words`` words.
+    """The calling thread's transform scratch for a chunk of ``words`` words.
 
     Two ``words``-long buffers the stages ping-pong between, three
-    half-size uint64 legs and a half-size float64 leg: slices of one
-    buffer that grows to the largest chunk seen and is kept, so a
-    transform allocates nothing but its result and tall stacks do not
-    churn the top of the heap (which glibc hands back to the OS and
-    page-faults in again -- about 5 % of an 8-wide Set-A flush).
+    half-size uint64 legs and a half-size float64 leg of :func:`_scratch`.
     """
-    buf = getattr(_LOCAL, "buf", None)
-    if buf is None or buf.size < 4 * words:
-        buf = _LOCAL.buf = np.empty(4 * words, dtype=np.uint64)
-    half = words >> 1
-    legs = buf[2 * words : 4 * words].reshape(4, half)
-    return buf[:words], buf[words : 2 * words], legs[:3], legs[3].view(np.float64)
+    buf = _scratch((words,), 4)
+    legs = buf[2:].reshape(4, words >> 1)
+    return buf[0], buf[1], legs[:3], legs[3].view(np.float64)
 
 
 def _forward(rows: np.ndarray, out: np.ndarray, tw: _TwiddleCache) -> None:
@@ -374,9 +460,8 @@ def _transform(rows: np.ndarray, tables: NTTTables, inverse: bool, out=None) -> 
     if out is None:
         out = np.empty(rows.shape, dtype=np.uint64)
     core = _inverse if inverse else _forward
-    step = max(1, _CHUNK_WORDS // n)
-    for lo in range(0, r, step):
-        core(rows[lo : lo + step], out[lo : lo + step], tw)
+    for o, v in _pieces(out, rows):
+        core(v, o, tw)
     return out
 
 
@@ -397,9 +482,9 @@ class NumpyBackend(PolynomialBackend):
         """True when this prime is inside the word-size-safe envelope."""
         return modulus.value < _WORD_SAFE_BOUND
 
-    @classmethod
-    def _supports_all(cls, moduli) -> bool:
-        return all(m.value < _WORD_SAFE_BOUND for m in moduli)
+    def _lift_rows(self, *rows) -> List[np.ndarray]:
+        """Rows as one-row matrices: a row is a stack of one."""
+        return [self._matrix(row)[None, :] for row in rows]
 
     @staticmethod
     def _matrix(handle) -> np.ndarray:
@@ -413,10 +498,28 @@ class NumpyBackend(PolynomialBackend):
             return handle
         return np.asarray(handle, dtype=np.uint64)
 
-    @staticmethod
-    def _pcol(moduli) -> np.ndarray:
-        """The ``(L, 1)`` modulus column broadcasting one prime per row."""
-        return np.array([[m.value] for m in moduli], dtype=np.uint64)
+    def _lift(self, moduli, *handles):
+        """The modulus column and lifted operands of a whole-matrix kernel.
+
+        ``None`` sends the call to the canonical-list default: a prime
+        outside the envelope or rows that are not single words.  Lifted
+        operands must all be ``(len(moduli), n)`` -- numpy's implicit
+        broadcasting must not accept what the reference rejects.
+        """
+        if not len(moduli):
+            return None
+        col = _column(tuple(m.value for m in moduli))
+        if not col.safe:
+            return None
+        try:
+            mats = [self._matrix(h) for h in handles]
+        except (OverflowError, ValueError, TypeError):
+            return None
+        shape = (len(moduli), mats[0].shape[-1])
+        if any(m.shape != shape for m in mats):
+            shapes = [m.shape for m in mats]
+            raise ValueError(f"row count or width mismatch: {shapes} for {shape[0]} moduli")
+        return (col, *mats)
 
     def native_stack(self, stack: RowStack) -> RowStack:
         """Lift to ``(R, n)`` uint64 once so later kernels skip conversion."""
@@ -474,85 +577,60 @@ class NumpyBackend(PolynomialBackend):
             return np.concatenate([handle[:index], r[None, :], handle[index:]])
         return super().insert_row(handle, index, row)
 
-    def _rows_pair(self, moduli, a, b):
-        """Lift both operands of a whole-matrix kernel, or signal fallback."""
-        if not self._supports_all(moduli):
-            return None
-        try:
-            return self._matrix(a), self._matrix(b)
-        except (OverflowError, ValueError, TypeError):
-            return None
-
     def add_rows(self, moduli, a, b):
-        self._check_rows_count(moduli, a, b)
-        ab = self._rows_pair(moduli, a, b)
-        if ab is None:
+        lifted = self._lift(moduli, a, b)
+        if lifted is None:
             return super().add_rows(moduli, a, b)
-        return _cond_sub(ab[0] + ab[1], self._pcol(moduli))
+        col, x, y = lifted
+        return _addsub(np.add, x, y, col.p, _new(x))
 
     def sub_rows(self, moduli, a, b):
-        self._check_rows_count(moduli, a, b)
-        ab = self._rows_pair(moduli, a, b)
-        if ab is None:
+        lifted = self._lift(moduli, a, b)
+        if lifted is None:
             return super().sub_rows(moduli, a, b)
-        return _submod(ab[0], ab[1], self._pcol(moduli))
+        col, x, y = lifted
+        return _addsub(np.subtract, x, y, col.p, _new(x))
 
     def negate_rows(self, moduli, a):
-        self._check_rows_count(moduli, a)
-        if not self._supports_all(moduli):
+        lifted = self._lift(moduli, a)
+        if lifted is None:
             return super().negate_rows(moduli, a)
-        try:
-            arr = self._matrix(a)
-        except (OverflowError, ValueError, TypeError):
-            return super().negate_rows(moduli, a)
-        out = self._pcol(moduli) - arr
-        np.minimum(out, np.uint64(0) - arr, out=out)
-        return out
+        col, x = lifted
+        return _addsub(np.subtract, _ZERO, x, col.p, _new(x))
 
     def dyadic_mul_rows(self, moduli, a, b):
-        self._check_rows_count(moduli, a, b)
-        ab = self._rows_pair(moduli, a, b)
-        if ab is None:
+        lifted = self._lift(moduli, a, b)
+        if lifted is None:
             return super().dyadic_mul_rows(moduli, a, b)
-        return _mulmod(ab[0], ab[1], self._pcol(moduli))
+        col, x, y = lifted
+        return _dot([x.view(np.int64)], [y.view(np.int64)], col, _new(x))
 
     def dyadic_mac_rows(self, moduli, acc, x, y):
-        self._check_rows_count(moduli, acc, x, y)
-        xy = self._rows_pair(moduli, x, y)
-        if xy is None:
+        lifted = self._lift(moduli, acc, x, y)
+        if lifted is None:
             return super().dyadic_mac_rows(moduli, acc, x, y)
-        try:
-            acc_m = self._matrix(acc)
-        except (OverflowError, ValueError, TypeError):
-            return super().dyadic_mac_rows(moduli, acc, x, y)
-        pcol = self._pcol(moduli)
-        return _cond_sub(acc_m + _mulmod(xy[0], xy[1], pcol), pcol)
+        col, s, a, b = lifted
+        out = _dot([a.view(np.int64)], [b.view(np.int64)], col, _new(s))
+        return _addsub(np.add, out, s, col.p, out)
 
     def scalar_mul_rows(self, moduli, a, scalars):
-        self._check_rows_count(moduli, a)
-        if not self._supports_all(moduli):
+        lifted = self._lift(moduli, a)
+        if lifted is None:
             return super().scalar_mul_rows(moduli, a, scalars)
-        try:
-            arr = self._matrix(a)
-        except (OverflowError, ValueError, TypeError):
-            return super().scalar_mul_rows(moduli, a, scalars)
-        out = np.empty_like(arr)
+        arr, out = lifted[1], _new(lifted[1])
         for i, (m, s) in enumerate(zip(moduli, scalars)):
-            _scalar_mul(arr[i], s, m.value, out[i])
+            _scalar_mul(arr[i : i + 1], s, m.value, out[i : i + 1])
         return out
 
     def galois_rows(self, moduli, handle, mapping):
-        self._check_rows_count(moduli, handle)
-        if not self._supports_all(moduli):
+        lifted = self._lift(moduli, handle)
+        if lifted is None:
             return super().galois_rows(moduli, handle, mapping)
-        try:
-            arr = self._matrix(handle)
-        except (OverflowError, ValueError, TypeError):
-            return super().galois_rows(moduli, handle, mapping)
+        col, arr = lifted
         n = len(mapping)
         dest = np.fromiter((d for d, _ in mapping), dtype=np.intp, count=n)
         flip = np.fromiter((f for _, f in mapping), dtype=bool, count=n)
-        vals = np.where(flip[None, :] & (arr != 0), self._pcol(moduli) - arr, arr)
+        vals = np.where(flip[None, :] & (arr != 0), col.p - arr, arr)
         out = np.empty_like(vals)
         out[:, dest] = vals
         return out
@@ -648,25 +726,22 @@ class NumpyBackend(PolynomialBackend):
     def add(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.add(modulus, a, b)
-        return _cond_sub(self._matrix(a) + self._matrix(b), modulus.value).tolist()
+        return self.add_rows((modulus,), *self._lift_rows(a, b))[0].tolist()
 
     def sub(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.sub(modulus, a, b)
-        return _submod(self._matrix(a), self._matrix(b), modulus.value).tolist()
+        return self.sub_rows((modulus,), *self._lift_rows(a, b))[0].tolist()
 
     def negate(self, modulus: Modulus, a: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.negate(modulus, a)
-        arr = self._matrix(a)
-        out = np.uint64(modulus.value) - arr
-        np.minimum(out, np.uint64(0) - arr, out=out)
-        return out.tolist()
+        return self.negate_rows((modulus,), *self._lift_rows(a))[0].tolist()
 
     def dyadic_mul(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.dyadic_mul(modulus, a, b)
-        return _mulmod(self._matrix(a), self._matrix(b), modulus.value).tolist()
+        return self.dyadic_mul_rows((modulus,), *self._lift_rows(a, b))[0].tolist()
 
     def dyadic_mac(
         self,
@@ -677,9 +752,7 @@ class NumpyBackend(PolynomialBackend):
     ) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.dyadic_mac(modulus, acc, x, y)
-        p = modulus.value
-        prod = _mulmod(self._matrix(x), self._matrix(y), p)
-        return _cond_sub(self._matrix(acc) + prod, p).tolist()
+        return self.dyadic_mac_rows((modulus,), *self._lift_rows(acc, x, y))[0].tolist()
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -687,17 +760,16 @@ class NumpyBackend(PolynomialBackend):
     def scalar_mul(self, modulus: Modulus, a: Sequence[int], scalar: int) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.scalar_mul(modulus, a, scalar)
-        return _scalar_mul(self._matrix(a), scalar, modulus.value).tolist()
+        return self.scalar_mul_stack(modulus, *self._lift_rows(a), scalar)[0].tolist()
 
     def scalar_mac(
         self, modulus: Modulus, acc: Sequence[int], a: Sequence[int], scalar: int
     ) -> List[int]:
         if not self.supports(modulus):
             return self._fallback.scalar_mac(modulus, acc, a, scalar)
-        p = modulus.value
-        prod = _scalar_mul(self._matrix(a), scalar, p)
-        prod += self._matrix(acc)
-        return _cond_sub(prod, p).tolist()
+        acc_m, arr = self._lift_rows(acc, a)
+        prod = self.scalar_mul_stack(modulus, arr, scalar)
+        return self.add_rows((modulus,), prod, acc_m)[0].tolist()
 
     # ------------------------------------------------------------------
     # RNS base conversion
@@ -743,42 +815,34 @@ class NumpyBackend(PolynomialBackend):
     def sub_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
         if not self.supports(modulus) or not len(a):
             return super().sub_stack(modulus, a, b)
-        arr = self._matrix(a)
-        if not is_row(b) and len(b) != len(arr):
+        arr, other = self._matrix(a), self._matrix(b)
+        if other.ndim == 1:
+            other = other[None, :]  # one row against every row of the stack
+        elif len(other) != len(arr):
             # as the base class's ``_rows_of``: numpy's implicit (1, n)
             # broadcasting must not accept what the reference rejects
-            raise ValueError(
-                f"stack length mismatch: operand has {len(b)} rows, "
-                f"expected {len(arr)}"
-            )
-        return _submod(arr, self._matrix(b), modulus.value)
+            raise ValueError(f"stack length mismatch: {len(other)} vs {len(arr)} rows")
+        self._check_width(arr, other)
+        return _addsub(np.subtract, arr, other, _column((modulus.value,)).p, _new(arr))
 
     def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack):
-        if not self.supports(modulus) or not len(x) or not len(y):
-            return super().dyadic_stack_reduce(modulus, x, y)
         digits = len(y)
+        if not self.supports(modulus) or not len(x) or not 0 < digits <= _MAX_DIGITS:
+            return super().dyadic_stack_reduce(modulus, x, y)
         if len(x) % digits:
-            raise ValueError(
-                f"stack length mismatch: {len(x)} vs {len(y)} rows"
-            )
-        p = modulus.value
-        xs = self._matrix(x).reshape(digits, len(x) // digits, -1)
-        ys = self._matrix(y)[:, None, :]  # one key row per digit block
-        if digits * (p - 1) ** 2 < 1 << 64:
-            # every digit's product fits one word together: a single
-            # division for the whole sum instead of one per digit
-            acc = (xs * ys).sum(axis=0)
-            acc %= np.uint64(p)
-            return acc
-        acc = _mulmod(xs[0], ys[0], p)
-        for block, key_row in zip(xs[1:], ys[1:]):
-            acc = _cond_sub(acc + _mulmod(block, key_row, p), p)
-        return acc
+            raise ValueError(f"stack length mismatch: {len(x)} vs {len(y)} rows")
+        xs, ys = self._matrix(x), self._matrix(y)
+        self._check_width(xs, ys)
+        # digit-major: block ``i`` of ``xs`` shares key row ``ys[i]``
+        xs = xs.view(np.int64).reshape(digits, len(xs) // digits, -1)
+        col = _column((modulus.value,), digits)
+        return _dot(xs, ys.view(np.int64)[:, None, :], col, _new(xs[0]))
 
     def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
         if not self.supports(modulus) or not len(a):
             return super().scalar_mul_stack(modulus, a, scalar)
-        return _scalar_mul(self._matrix(a), scalar, modulus.value)
+        arr = self._matrix(a)
+        return _scalar_mul(arr, scalar, modulus.value, _new(arr))
 
     def reduce_mod_stack(self, modulus: Modulus, stack: RowStack) -> RowStack:
         if not self.supports(modulus) or not len(stack):
@@ -787,12 +851,13 @@ class NumpyBackend(PolynomialBackend):
             arr = self._matrix(stack)
         except (OverflowError, ValueError):
             return super().reduce_mod_stack(modulus, stack)
-        pu = np.uint64(modulus.value)
-        if int(arr.max()) < 2 * modulus.value:
-            # residues of a prime of the same size (the usual RNS basis):
-            # one fold instead of the one non-SIMD pass, a division
-            return np.minimum(arr, arr - pu)
-        return arr % pu
+        out, p = _new(arr), _column((modulus.value,)).p
+        if int(arr.max()) >= 2 * modulus.value:
+            return np.remainder(arr, p, out=out)
+        # residues of a prime of the same size (the usual RNS basis):
+        # one fold instead of the one non-SIMD pass, a division
+        _fold(arr, p, out, out)
+        return out
 
     def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
         if not len(stack):
@@ -803,4 +868,9 @@ class NumpyBackend(PolynomialBackend):
             arr = self._matrix(stack)
         except (OverflowError, ValueError):
             return super().permute_ntt_stack(stack, table)
-        return arr[:, np.asarray(table, dtype=np.intp)]
+        table = np.asarray(table, dtype=np.intp)
+        if not len(table) or table.min() < 0 or table.max() >= arr.shape[1]:
+            return arr[:, table]  # wraps or raises IndexError as a list does
+        # one range check per call buys the unchecked gather (3x cheaper a row)
+        out = np.empty((len(arr), len(table)), dtype=np.uint64)
+        return np.take(arr, table, axis=1, out=out, mode="clip")

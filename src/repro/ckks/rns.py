@@ -27,7 +27,7 @@ from repro.ckks.modarith import Modulus
 
 try:  # vectorized Garner CRT composition (optional fast path)
     import numpy as _np
-    from repro.ckks.backend.numpy_backend import _WORD_SAFE_BOUND, _mulmod
+    from repro.ckks.backend.numpy_backend import _WORD_SAFE_BOUND, _scalar_mul
 except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
     _np = None
 
@@ -178,14 +178,14 @@ class RnsBasis:
         for j in range(1, len(self.moduli)):
             p_j = self.moduli[j].value
             pj = _np.uint64(p_j)
-            t = mats[j] % pj
+            t = (mats[j] % pj)[None, :]
             for i in range(j):
                 # t = (t - d_i) * (p_i^-1 mod p_j)  (mod p_j)
                 d_red = digits[i] % pj
-                t = t + (pj - d_red)
+                t += pj - d_red
                 _np.minimum(t, t - pj, out=t)  # conditional subtraction
-                t = _mulmod(t, _np.uint64(self._garner_inverse(i, j)), p_j)
-            digits.append(t)
+                _scalar_mul(t, self._garner_inverse(i, j), p_j, t)
+            digits.append(t[0])
         return digits
 
     def compose_centered_rows(self, rows) -> List[int]:

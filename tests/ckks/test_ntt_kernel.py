@@ -194,9 +194,19 @@ def test_constant_multiplies_match_reference(bits):
 
 
 def test_workspace_is_per_thread():
-    """Two threads transforming at once must not see each other's scratch."""
+    """Two threads transforming and accumulating at once must not see each
+    other's scratch: the transforms and the key-switch MAC (the stack
+    against its first three rows as key rows) share one buffer per thread."""
     be = create_backend("numpy")
     n = 1024
+
+    def results(t, stack):
+        return (
+            canonical_stack(be.ntt_forward_stack(t, stack)),
+            canonical_stack(be.ntt_inverse_stack(t, stack)),
+            canonical_stack(be.dyadic_stack_reduce(t.modulus, stack[: len(stack) // 3 * 3], stack[:3])),
+        )
+
     jobs = []
     for bits, height in ((45, 8), (30, 5), (50, 3), (48, 17)):
         t = tables(bits, n)
@@ -204,22 +214,14 @@ def test_workspace_is_per_thread():
         stack = be.native_stack(
             [[rng.randrange(prime(bits)) for _ in range(n)] for _ in range(height)]
         )
-        want = (
-            canonical_stack(be.ntt_forward_stack(t, stack)),
-            canonical_stack(be.ntt_inverse_stack(t, stack)),
-        )
-        jobs.append((t, stack, want))
+        jobs.append((t, stack, results(t, stack)))
     start = threading.Barrier(len(jobs))
     wrong = []
 
     def work(t, stack, want):
         start.wait(timeout=30)
         for _ in range(40):
-            got = (
-                canonical_stack(be.ntt_forward_stack(t, stack)),
-                canonical_stack(be.ntt_inverse_stack(t, stack)),
-            )
-            if got != want:
+            if results(t, stack) != want:
                 wrong.append(t.modulus.value)
 
     threads = [threading.Thread(target=work, args=job) for job in jobs]

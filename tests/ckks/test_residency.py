@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.ckks.backend import CountingBackend, available_backends, create_backend
+from repro.ckks.backend.base import canonical_stack
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
@@ -219,6 +220,51 @@ class TestHandleRoundTrips:
             be.dyadic_mac_rows(self.MODULI, handle, handle, one)
         with pytest.raises(ValueError):
             be.galois_rows(self.MODULI, short, [(i, False) for i in range(N)])
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_kernels_reject_row_width_mismatch(self, backend_name):
+        """No silent zip truncation (reference) and no broadcast of a
+        one-wide row across all columns (numpy): an operand whose rows
+        have the wrong width raises on every backend, lists or native."""
+        be = create_backend(backend_name)
+        rows = self._rand_rows(8)
+        m = self.MODULI[0]
+        for lift in (be.from_rows, lambda r: r):
+            full = lift(rows)
+            for width in (1, N // 2):
+                short = lift([row[:width] for row in rows])
+                for kernel in (be.add_rows, be.sub_rows, be.dyadic_mul_rows):
+                    with pytest.raises(ValueError):
+                        kernel(self.MODULI, full, short)
+                    with pytest.raises(ValueError):
+                        kernel(self.MODULI, short, full)
+                with pytest.raises(ValueError):
+                    be.dyadic_mac_rows(self.MODULI, full, full, short)
+                with pytest.raises(ValueError):
+                    be.dyadic_mac_rows(self.MODULI, short, full, full)
+                with pytest.raises(ValueError):
+                    be.sub_stack(m, full, short)
+                with pytest.raises(ValueError):
+                    be.sub_stack(m, full, short[0])
+                with pytest.raises(ValueError):
+                    be.dyadic_stack_reduce(m, full, short)
+                with pytest.raises(ValueError):
+                    be.dyadic_stack_reduce(m, short, full)
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_permute_rejects_out_of_range_table(self, backend_name):
+        """The gather keeps list semantics: an index past the row raises
+        ``IndexError`` whatever the rows hold, a valid table permutes."""
+        be = create_backend(backend_name)
+        rows = self._rand_rows(9)
+        handle = be.native_stack(be.from_rows(rows))
+        table = list(range(N))[::-1]
+        assert canonical_stack(be.permute_ntt_stack(handle, table)) == [
+            row[::-1] for row in rows
+        ]
+        for bad in (N, N + 7, -N - 1):
+            with pytest.raises(IndexError):
+                be.permute_ntt_stack(handle, table[:-1] + [bad])
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_clone_uses_native_copy(self, backend_name):

@@ -135,6 +135,20 @@ class TestComposeRows:
         ]
         assert got == want
 
+    def test_vectorized_digits_are_in_use(self, basis):
+        """The Garner fast path imports a private numpy kernel inside a
+        ``try``: a rename there must fail here, not silently fall back
+        to the per-coefficient loop (30x slower decodes)."""
+        pytest.importorskip("numpy")
+        rows = self._rand_rows(basis, 5)
+        digits = basis._garner_digits_numpy(rows)
+        assert digits is not None and len(digits) == len(basis)
+        radix, want = 1, [0] * 64
+        for d, m in zip(digits, basis.moduli):
+            want = [w + int(v) * radix for w, v in zip(want, d.tolist())]
+            radix *= m.value
+        assert want == basis.compose_rows(rows)
+
     def test_compose_centered_rows_matches_scalar(self, basis):
         rows = self._rand_rows(basis, 2)
         got = basis.compose_centered_rows(rows)
