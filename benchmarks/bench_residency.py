@@ -38,7 +38,8 @@ from repro.ckks.backend import (
     default_backend_name,
     resolve_backend,
 )
-from repro.ckks.backend.base import PolynomialBackend, canonical_rows, canonical_stack
+from repro.ckks.backend.base import PRIMITIVES, canonical_stack
+from repro.ckks.backend.reference import ReferenceBackend
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
@@ -54,21 +55,38 @@ ROTATE_STEP = 3
 MIN_CHAIN_SPEEDUP = 2.0
 
 
-class ListInterchangeBackend(PolynomialBackend):
+#: The primitives that only hold, move or serialize rows; every other
+#: primitive computes.
+STORAGE_KERNELS = {
+    "from_rows", "to_rows", "copy_rows", "set_row", "select_rows", "native_stack",
+    "pack_rows", "unpack_rows", "pack_rows_bits", "unpack_rows_bits",
+}
+
+
+def _list_boundary(name):
+    """Kernel ``name`` of the inner backend, its result lowered to lists."""
+
+    def kernel(self, *args):
+        return self.inner.to_rows(getattr(self.inner, name)(*args))
+
+    kernel.__name__ = name
+    return kernel
+
+
+class ListInterchangeBackend(ReferenceBackend):
     """The seed storage contract as a backend: canonical lists at every
     kernel boundary.
 
-    Single-row and stacked kernels delegate to a real (vectorized)
-    inner backend, but inputs are handed over in whatever form the
-    caller holds and every output is lowered to canonical lists; the
-    residue-matrix handle API pins storage to Python lists.  Chained
+    Storage is the reference backend's -- the residue-matrix handles are
+    Python lists -- while every computing primitive delegates to a real
+    (vectorized) inner backend, handing inputs over in whatever form the
+    caller holds and lowering every output to canonical lists.  Chained
     operations therefore pay the per-call lift/lower tax the resident
     representation removes -- nothing else differs, so the measured gap
     is purely the data-residency win.
     """
 
     name = "list-interchange"
-    native_is_python = True
 
     def __init__(self, inner="numpy"):
         self.inner = resolve_backend(inner)
@@ -77,82 +95,12 @@ class ListInterchangeBackend(PolynomialBackend):
     def cache_token(self) -> str:
         return f"list-interchange:{self.inner.cache_token}"
 
-    # storage stays canonical lists
-    def from_rows(self, rows):
-        return canonical_rows(rows)
-
     def native_stack(self, stack):
         return canonical_stack(stack)
 
-    # single-row kernels: the inner backend lifts lists and lowers its
-    # result on every call (its canonical single-row contract)
-    def ntt_forward(self, tables, row):
-        return self.inner.ntt_forward(tables, row)
-
-    def ntt_inverse(self, tables, row):
-        return self.inner.ntt_inverse(tables, row)
-
-    def add(self, modulus, a, b):
-        return self.inner.add(modulus, a, b)
-
-    def sub(self, modulus, a, b):
-        return self.inner.sub(modulus, a, b)
-
-    def negate(self, modulus, a):
-        return self.inner.negate(modulus, a)
-
-    def dyadic_mul(self, modulus, a, b):
-        return self.inner.dyadic_mul(modulus, a, b)
-
-    def dyadic_mac(self, modulus, acc, x, y):
-        return self.inner.dyadic_mac(modulus, acc, x, y)
-
-    def scalar_mul(self, modulus, a, scalar):
-        return self.inner.scalar_mul(modulus, a, scalar)
-
-    def scalar_mac(self, modulus, acc, a, scalar):
-        return self.inner.scalar_mac(modulus, acc, a, scalar)
-
-    def reduce_mod(self, modulus, row):
-        return self.inner.reduce_mod(modulus, row)
-
-    # stacked kernels: vectorized compute, canonical-list boundary
-    def ntt_forward_stack(self, tables, stack):
-        return canonical_stack(self.inner.ntt_forward_stack(tables, stack))
-
-    def ntt_inverse_stack(self, tables, stack):
-        return canonical_stack(self.inner.ntt_inverse_stack(tables, stack))
-
-    def add_stack(self, modulus, a, b):
-        return canonical_stack(self.inner.add_stack(modulus, a, b))
-
-    def sub_stack(self, modulus, a, b):
-        return canonical_stack(self.inner.sub_stack(modulus, a, b))
-
-    def negate_stack(self, modulus, a):
-        return canonical_stack(self.inner.negate_stack(modulus, a))
-
-    def dyadic_mul_stack(self, modulus, a, b):
-        return canonical_stack(self.inner.dyadic_mul_stack(modulus, a, b))
-
-    def dyadic_mac_stack(self, modulus, acc, x, y):
-        return canonical_stack(self.inner.dyadic_mac_stack(modulus, acc, x, y))
-
-    def dyadic_stack_reduce(self, modulus, x, y):
-        out = self.inner.dyadic_stack_reduce(modulus, x, y)
-        return out.tolist() if hasattr(out, "tolist") else out
-
-    def scalar_mul_stack(self, modulus, a, scalar):
-        return canonical_stack(self.inner.scalar_mul_stack(modulus, a, scalar))
-
-    def reduce_mod_stack(self, modulus, stack):
-        return canonical_stack(self.inner.reduce_mod_stack(modulus, stack))
-
-    def apply_galois_stack(self, modulus, stack, mapping):
-        return canonical_stack(self.inner.apply_galois_stack(modulus, stack, mapping))
-
-    def permute_ntt_stack(self, stack, table):
-        return canonical_stack(self.inner.permute_ntt_stack(stack, table))
+    for _name in set(PRIMITIVES) - STORAGE_KERNELS:
+        vars()[_name] = _list_boundary(_name)
+    del _name
 
 
 def _fixture(backend):

@@ -113,23 +113,20 @@ class BfvContext:
         All ring arithmetic runs through the active
         :class:`~repro.ckks.backend.base.PolynomialBackend` -- the same
         kernels (and the same vectorization) the CKKS side uses, so the
-        numpy backend accelerates BFV tensoring too.  The per-prime
-        pipeline is exactly :meth:`NTTTables.negacyclic_multiply`:
-        forward NTT both operands, dyadic multiply, inverse NTT.
+        numpy backend accelerates BFV tensoring too.  The pipeline is
+        :meth:`NTTTables.negacyclic_multiply` on one residue matrix, a
+        row per extended prime: forward NTT both operands, dyadic
+        multiply, inverse NTT.
         """
         from repro.ckks.backend import get_backend
 
         be = get_backend()
         moduli = list(self.ext_basis)
-        rows_a = be.decompose(moduli, list(a))
-        rows_b = be.decompose(moduli, list(b))
-        out_rows = []
-        for m, ra, rb in zip(moduli, rows_a, rows_b):
-            t = self._ext_tables[m.value]
-            fa = be.ntt_forward(t, ra)
-            fb = be.ntt_forward(t, rb)
-            out_rows.append(be.ntt_inverse(t, be.dyadic_mul(m, fa, fb)))
-        return self.ext_basis.compose_centered_rows(out_rows)
+        tables = [self._ext_tables[m.value] for m in moduli]
+        fa = be.ntt_forward_rows(tables, be.decompose_native(moduli, list(a)))
+        fb = be.ntt_forward_rows(tables, be.decompose_native(moduli, list(b)))
+        product = be.ntt_inverse_rows(tables, be.dyadic_mul_rows(moduli, fa, fb))
+        return self.ext_basis.compose_centered_rows(product)
 
     def ring_multiply_mod_q(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         prod = self.exact_negacyclic_multiply(self.centered(a), self.centered(b))

@@ -4,9 +4,8 @@ The CKKS stack routes every residue-row kernel (NTT/INTT, dyadic ops,
 scalar ops, RNS base conversion) through a process-wide *active backend*:
 
 * ``reference`` -- the original per-coefficient pure-Python loops,
-  kept as the bit-exact ground truth (always available).
-* ``numpy`` -- uint64 stage-vectorized kernels (available when NumPy
-  is importable; the default in that case).
+  kept as the bit-exact ground truth.
+* ``numpy`` -- uint64 stage-vectorized kernels (the default).
 
 Selection, in priority order:
 
@@ -16,7 +15,7 @@ Selection, in priority order:
 
        REPRO_BACKEND=reference python examples/quickstart.py
 
-3. The default: ``numpy`` when installed, else ``reference``.
+3. The default: ``numpy``.
 
 A :class:`repro.ckks.context.CkksContext` may also pin its own backend
 (``CkksContext(params, backend="reference")``), overriding the global
@@ -33,21 +32,17 @@ import os
 from typing import Dict, List, Optional, Union
 
 from repro.ckks.backend.base import PolynomialBackend
+from repro.ckks.backend.numpy_backend import NumpyBackend
 from repro.ckks.backend.reference import ReferenceBackend
 
 #: Environment variable consulted for the initial backend choice.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-_REGISTRY: Dict[str, type] = {ReferenceBackend.name: ReferenceBackend}
-
-try:  # numpy is optional: the scheme must stay importable without it
-    from repro.ckks.backend.numpy_backend import NumpyBackend
-
-    _REGISTRY[NumpyBackend.name] = NumpyBackend
-    _DEFAULT_NAME = NumpyBackend.name
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    NumpyBackend = None
-    _DEFAULT_NAME = ReferenceBackend.name
+_REGISTRY: Dict[str, type] = {
+    ReferenceBackend.name: ReferenceBackend,
+    NumpyBackend.name: NumpyBackend,
+}
+_DEFAULT_NAME = NumpyBackend.name
 
 _active: Optional[PolynomialBackend] = None
 
@@ -80,7 +75,7 @@ def resolve_backend(
 
 
 def default_backend_name() -> str:
-    """The startup choice: ``REPRO_BACKEND`` if set, else the best available."""
+    """The startup choice: ``REPRO_BACKEND`` if set, else ``numpy``."""
     name = os.environ.get(BACKEND_ENV_VAR)
     if not name:
         return _DEFAULT_NAME
@@ -128,6 +123,7 @@ from repro.ckks.backend.counting import CountingBackend  # noqa: E402
 __all__ = [
     "BACKEND_ENV_VAR",
     "CountingBackend",
+    "NumpyBackend",
     "PolynomialBackend",
     "ReferenceBackend",
     "available_backends",
@@ -138,5 +134,3 @@ __all__ = [
     "set_backend",
     "use_backend",
 ]
-if NumpyBackend is not None:
-    __all__.append("NumpyBackend")

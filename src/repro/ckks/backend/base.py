@@ -1,86 +1,53 @@
-"""Abstract interface of the polynomial-arithmetic backend layer.
+"""The polynomial-backend contract: 27 resident-matrix kernels.
 
-Every per-residue-row operation the CKKS stack performs -- negacyclic
-NTT/INTT, dyadic (coefficient-wise) arithmetic, scalar operations and the
-RNS base-conversion reductions of Algorithm 7 -- is expressed against
-this interface.  The scheme layer (:mod:`repro.ckks.poly`,
-:mod:`repro.ckks.context`, :mod:`repro.ckks.evaluator`, ...) never loops
-over coefficients itself; it dispatches to the active backend, so a
-vectorized implementation accelerates the whole stack without touching
-scheme code.  This mirrors the split HEAX itself makes between the
-*scheme* (Section 3) and the *compute engines* that execute its inner
-loops (Section 4): the backend is the software stand-in for the NTT /
-DyadMult engines.
+HEAX builds its NTT, MULT and KeySwitch modules out of one small set of
+cores and gets every level of parallelism from how many rows it feeds
+them (Section 4, Figures 2, 5, 7).  :class:`PolynomialBackend` is the
+software stand-in for those cores.  The scheme layer never loops over
+coefficients; it hands whole residue matrices to the active backend, so
+a vectorized implementation accelerates the stack without touching
+scheme code.
 
-Data contract
--------------
-A *row* is one residue polynomial: a sequence of ``n`` integers in
-``[0, p)`` for one RNS modulus ``p``.  The canonical *interchange*
-representation is a plain ``list`` of Python ints; single-row kernels
-accept any row representation and return canonical lists, so two
-backends remain directly comparable and bit-exactness can be asserted
-by comparing rows.
+**The handle.**  A residue matrix is ``R`` rows of ``n`` integers, row
+``r`` reduced into ``[0, p_r)``.  A backend keeps it in a *native
+handle* it chooses -- canonical ``list`` rows of Python ``int`` on the
+reference backend, one C-contiguous ``(R, n)`` ``uint64`` array on the
+numpy backend -- the analogue of operands staying resident in on-chip
+memory across pipeline stages.  A handle is an indexable sequence of
+rows (``len(h)``, ``h[i]``, iteration).  Every kernel accepts *any* row
+sequence (lists, arrays, a handle of another backend) and returns its
+own native form; :meth:`from_rows` / :meth:`to_rows` are idempotent and
+value-preserving, so a handle can always be re-homed, at a conversion
+cost :class:`repro.ckks.backend.CountingBackend` makes visible as
+``lift_rows`` / ``lower_rows``.  All kernels are **exact**: two backends
+given the same inputs produce the same residues
+(``tests/ckks/test_differential.py``, ``test_backend_equivalence.py``).
 
-Resident residue matrices
--------------------------
-:class:`repro.ckks.poly.RnsPolynomial` no longer stores canonical
-lists: it holds an *opaque residue-matrix handle* in the backend's
-native representation -- the software analogue of HEAX keeping
-operands resident in on-chip memories across pipeline stages instead
-of round-tripping through DRAM (paper Section 4, Figure 2).  The
-handle API is:
+**The primitives** (:data:`PRIMITIVES`) are the whole implementable
+surface -- each backend defines each one exactly once:
 
-* :meth:`PolynomialBackend.make_rows` / :meth:`from_rows` /
-  :meth:`to_rows` / :meth:`copy_rows` -- allocate, lift, materialize
-  and natively copy a whole ``(L, n)`` residue matrix;
-* :meth:`get_row` / :meth:`set_row` / :meth:`select_rows` /
-  :meth:`insert_row` -- row-level access without leaving the native
-  representation;
-* the ``*_rows`` kernels (one row per modulus, the shape of a full
-  RNS polynomial) -- ``add_rows``, ``dyadic_mul_rows``,
-  ``ntt_forward_rows``, ``galois_rows``, ... -- which consume and
-  produce handles so chained polynomial operations never pay a
-  per-call lift/lower conversion;
-* :meth:`pack_rows` / :meth:`unpack_rows` -- straight bytes <->
-  native-matrix conversion for the wire format, plus
-  :meth:`pack_rows_bits` / :meth:`unpack_rows_bits` for the bit-packed
-  v2 wire layout (per-modulus word width instead of 8-byte words).
+* handles: ``from_rows to_rows copy_rows set_row select_rows
+  native_stack``;
+* one modulus *per row* (the shape of an RNS polynomial, or of a lane
+  with its modulus column repeated): ``add_rows sub_rows negate_rows
+  dyadic_mul_rows dyadic_mac_rows scalar_mul_rows ntt_forward_rows
+  ntt_inverse_rows galois_rows``;
+* one modulus *per stack* (every row of a lane under one prime):
+  ``ntt_forward_stack ntt_inverse_stack reduce_mod_stack sub_stack
+  scalar_mul_stack dyadic_stack_reduce``, and the modulus-free
+  ``permute_ntt_stack``;
+* ``decompose_native`` -- integers of any size and sign into residues;
+* wire: ``pack_rows unpack_rows pack_rows_bits unpack_rows_bits``.  Bytes
+  do not depend on the representation, so these four have one body,
+  here, for every backend; the other 23 are abstract.
 
-The base-class defaults express every handle operation through the
-single-row kernels over canonical lists, which *is* the reference
-representation; array backends override them with whole-matrix
-kernels.  ``from_rows``/``to_rows`` are idempotent and
-value-preserving, so a handle can always be re-homed across backends
-(at a conversion cost the :class:`repro.ckks.backend.CountingBackend`
-makes visible as ``lift_rows``/``lower_rows``).
-
-All operations are **exact**: two backends given the same inputs must
-produce identical rows.  The reference backend is the ground truth; the
-equivalence test-suite (``tests/ckks/test_backend_equivalence.py``)
-holds every other backend to it.
-
-Stacked-row kernels
--------------------
-Ciphertext-level parallelism -- the outermost level of parallelism in
-HEAX's system design (Figure 7: the host streams many independent
-ciphertexts through the shared NTT/MULT/KeySwitch pipelines) -- is
-expressed through the ``*_stack`` variants of every kernel.  A *stack*
-is a sequence of ``R`` rows that share one modulus (and, for NTT, one
-table set); semantically a stacked kernel equals mapping the single-row
-kernel over the stack, and the default implementations do exactly that.
-
-Two representation liberties keep stacks fast without breaking the
-exactness contract:
-
-* a stacked kernel may return any *sequence of rows*, not necessarily a
-  ``list`` of ``list``s -- the numpy backend returns the ``(R, n)``
-  ``uint64`` array itself, so consecutive stacked kernels compose with
-  no per-call boundary conversion (callers lower to canonical lists
-  with :func:`canonical_stack` only when leaving the evaluator);
-* dyadic second operands (``b`` of ``*_stack`` binary ops, ``y`` of
-  ``dyadic_mac_stack``) may be a single row instead of a stack, in
-  which case it broadcasts against every row -- the shape key-switching
-  needs, where one key row multiplies a whole batch.
+**The derived names** (:data:`DERIVED`) are the per-row list kernels of
+PR 1, the one-modulus ``*_stack`` twins of the ``*_rows`` kernels and
+three handle conveniences.  Nothing under ``src/repro`` calls them (lint
+R2); tests, benchmarks and the frozen ``bench/trace.py`` kernel table
+still do, so each survives as one expression over the primitives, defined
+here and overridden nowhere -- "a row is a stack of one": lift, call,
+lower to the canonical ``list`` of ``int``.
 """
 
 from __future__ import annotations
@@ -90,13 +57,33 @@ import functools
 import math
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.ckks.modarith import Modulus
 from repro.ckks.ntt import NTTTables
 
-try:  # wire pack/unpack fast path only -- kernels never depend on this
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+#: The kernels a backend implements (see the module docstring).
+PRIMITIVES = (
+    "from_rows", "to_rows", "copy_rows", "set_row", "select_rows", "native_stack",
+    "add_rows", "sub_rows", "negate_rows",
+    "dyadic_mul_rows", "dyadic_mac_rows", "scalar_mul_rows",
+    "ntt_forward_rows", "ntt_inverse_rows", "galois_rows",
+    "ntt_forward_stack", "ntt_inverse_stack", "reduce_mod_stack",
+    "sub_stack", "scalar_mul_stack", "dyadic_stack_reduce", "permute_ntt_stack",
+    "decompose_native",
+    "pack_rows", "unpack_rows", "pack_rows_bits", "unpack_rows_bits",
+)
+
+#: The conveniences :class:`PolynomialBackend` derives from them; no
+#: backend overrides one and nothing under ``src/repro`` calls one.
+DERIVED = (
+    "ntt_forward", "ntt_inverse", "add", "sub", "negate",
+    "dyadic_mul", "dyadic_mac", "scalar_mul", "scalar_mac",
+    "reduce_mod", "decompose",
+    "add_stack", "negate_stack", "dyadic_mul_stack", "dyadic_mac_stack",
+    "apply_galois_stack",
+    "make_rows", "get_row", "insert_row",
+)
 
 #: A stack of residue rows sharing one modulus (see module docstring).
 RowStack = Sequence[Sequence[int]]
@@ -255,9 +242,9 @@ def _bit_plan(width: int):
 def _shifted(words, shift: int):
     """``words << shift`` for a signed shift (numpy shifts are unsigned)."""
     if shift > 0:
-        return words << _np.uint64(shift)
+        return words << np.uint64(shift)
     if shift < 0:
-        return words >> _np.uint64(-shift)
+        return words >> np.uint64(-shift)
     return words
 
 
@@ -273,7 +260,7 @@ def _or_shifted(columns, terms):
 def _group_windows(buf, offset: int, groups: int, group_bytes: int):
     """The (unaligned) big-endian word at ``offset`` of every group of
     every row of a C-contiguous ``(R, groups * group_bytes)`` byte matrix."""
-    return _np.ndarray(
+    return np.ndarray(
         (buf.shape[0], groups),
         dtype=">u8",
         buffer=buf,
@@ -331,10 +318,10 @@ def _pack_rows_bits_np(handle, bounds) -> bytes:
     if n == 0:
         return b""
     sizes, starts, total = _row_layout(n, bounds)
-    blob = _np.empty(total, dtype=_np.uint8)
+    blob = np.empty(total, dtype=np.uint8)
     for width, idx in _row_stacks(n, bounds):
         try:
-            mat = _np.asarray([handle[i] for i in idx], dtype=_np.uint64)
+            mat = np.asarray([handle[i] for i in idx], dtype=np.uint64)
         except OverflowError:
             raise ValueError(
                 "residue outside the unsigned 8-byte word range; "
@@ -349,14 +336,14 @@ def _pack_rows_bits_np(handle, bounds) -> bytes:
         g, group_bytes, windows, _ = _bit_plan(width)
         groups = -(-n // g)
         if n % g:
-            padded = _np.zeros((len(idx), groups * g), dtype=_np.uint64)
+            padded = np.zeros((len(idx), groups * g), dtype=np.uint64)
             padded[:, :n] = mat
             mat = padded
         # coefficient-major: column j of every group is one contiguous vector
-        cols = _np.ascontiguousarray(
+        cols = np.ascontiguousarray(
             mat.reshape(len(idx), groups, g).transpose(2, 0, 1)
         )
-        packed = _np.empty((len(idx), groups * group_bytes), dtype=_np.uint8)
+        packed = np.empty((len(idx), groups * group_bytes), dtype=np.uint8)
         for offset, terms in windows:
             _group_windows(packed, offset, groups, group_bytes)[...] = (
                 _or_shifted(cols, terms)
@@ -380,24 +367,24 @@ def _unpack_rows_bits_np(data, n: int, bounds):
             f"trailing bytes after packed rows: {len(data)} bytes, "
             f"expected {total}"
         )
-    src = _np.frombuffer(data, dtype=_np.uint8)
-    out = _np.empty((len(bounds), n), dtype=_np.uint64)
+    src = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty((len(bounds), n), dtype=np.uint64)
     if n == 0:
         return out
     for width, idx in _row_stacks(n, bounds):
         g, group_bytes, windows, coefficients = _bit_plan(width)
         groups = -(-n // g)
-        staged = _np.zeros((len(idx), groups * group_bytes), dtype=_np.uint8)
+        staged = np.zeros((len(idx), groups * group_bytes), dtype=np.uint8)
         for r, i in enumerate(idx):
             staged[r, : sizes[i]] = src[starts[i] : starts[i] + sizes[i]]
         words = [
-            _group_windows(staged, offset, groups, group_bytes).astype(_np.uint64)
+            _group_windows(staged, offset, groups, group_bytes).astype(np.uint64)
             for offset, _ in windows
         ]
-        vals = _np.empty((len(idx), groups, g), dtype=_np.uint64)
-        mask = _np.uint64((1 << width) - 1)
+        vals = np.empty((len(idx), groups, g), dtype=np.uint64)
+        mask = np.uint64((1 << width) - 1)
         for j, terms in enumerate(coefficients):
-            _np.bitwise_and(
+            np.bitwise_and(
                 _or_shifted(words, terms), mask, out=vals[:, :, j]
             )
         vals = vals.reshape(len(idx), groups * g)
@@ -416,7 +403,7 @@ def _unpack_rows_bits_np(data, n: int, bounds):
 
 
 class PolynomialBackend(abc.ABC):
-    """Kernel provider for residue-row polynomial arithmetic."""
+    """Kernel provider for residue-matrix polynomial arithmetic."""
 
     #: Registry / selection name (e.g. ``"reference"``, ``"numpy"``).
     name: str = "abstract"
@@ -441,68 +428,14 @@ class PolynomialBackend(abc.ABC):
         return self.name
 
     # ------------------------------------------------------------------
-    # resident residue matrices (RnsPolynomial storage handles)
-    #
-    # A *handle* is this backend's native representation of an (L, n)
-    # residue matrix -- one row per RNS modulus.  The defaults keep the
-    # canonical list form (which is the reference backend's native
-    # representation); array backends override with contiguous matrices.
+    # operand checks shared by every implementation: a silent zip
+    # truncation on one backend and a broadcast on another would break
+    # backend interchangeability, so count and width mismatches raise
     # ------------------------------------------------------------------
-    def make_rows(self, count: int, n: int):
-        """A zero-filled native residue matrix of ``count`` rows."""
-        return [[0] * n for _ in range(count)]
-
-    def from_rows(self, rows):
-        """Lift a residue matrix into this backend's native handle form.
-
-        Idempotent and value-preserving; a handle already in native form
-        is returned as-is (it may share structure with the input).
-        """
-        return canonical_rows(rows)
-
-    def to_rows(self, handle) -> List[List[int]]:
-        """Materialize a handle as canonical lists of Python ints.
-
-        The inverse of :meth:`from_rows`; non-copying when the handle is
-        already canonical.
-        """
-        return canonical_rows(handle)
-
-    def copy_rows(self, handle):
-        """A native, independently-mutable copy of a residue matrix."""
-        if hasattr(handle, "copy") and hasattr(handle, "dtype"):
-            return handle.copy()
-        return [
-            r.copy() if hasattr(r, "dtype") else list(r) for r in handle
-        ]
-
-    def get_row(self, handle, i: int):
-        """Row ``i`` of a handle, in native row form (may be a view)."""
-        return handle[i]
-
-    def set_row(self, handle, i: int, row) -> None:
-        """Overwrite row ``i`` of a handle in place."""
-        handle[i] = row
-
-    def select_rows(self, handle, indices: Sequence[int]):
-        """A new handle holding the selected rows (basis restriction)."""
-        return [handle[i] for i in indices]
-
-    def insert_row(self, handle, index: int, row):
-        """A new handle with ``row`` inserted at ``index``."""
-        out = list(handle)
-        out.insert(index, row)
-        return out
-
-    # -- whole-polynomial kernels: one row per modulus -----------------
     @staticmethod
     def _check_width(*stacks) -> None:
-        """Every row of every operand must have the same width.
-
-        The column-wise twin of :meth:`_check_rows_count`: the reference
-        loops would ``zip``-truncate a short row and an array backend
-        broadcast a one-wide one.  O(1) for a resident matrix.
-        """
+        """Every row of every operand must have the same width (O(1) for
+        a resident matrix)."""
         widths = set()
         for s in stacks:
             shape = getattr(s, "shape", None)
@@ -512,12 +445,7 @@ class PolynomialBackend(abc.ABC):
 
     @classmethod
     def _check_rows_count(cls, moduli, *handles) -> None:
-        """Every handle must carry exactly one row per modulus.
-
-        Mirrors :meth:`_rows_of`'s rationale: a silent zip truncation on
-        one backend and a shape error on another would break backend
-        interchangeability, so the mismatch raises in the shared default.
-        """
+        """Every handle must carry exactly one row per modulus."""
         for h in handles:
             if len(h) != len(moduli):
                 raise ValueError(
@@ -526,129 +454,188 @@ class PolynomialBackend(abc.ABC):
                 )
         cls._check_width(*handles)
 
+    @staticmethod
+    def _rows_of(operand, count: int):
+        """Normalize a row-or-stack second operand to ``count`` rows: one
+        row serves every row of the stack, a stack must match it exactly."""
+        if is_row(operand):
+            return [operand] * count
+        if len(operand) != count:
+            raise ValueError(
+                f"stack length mismatch: operand has {len(operand)} rows, "
+                f"expected {count}"
+            )
+        return operand
+
+    # ------------------------------------------------------------------
+    # primitives: handles
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def from_rows(self, rows):
+        """Lift a residue matrix into this backend's native handle form.
+
+        Idempotent and value-preserving; a handle already in native form
+        is returned as-is (it may share structure with the input).
+        """
+
+    @abc.abstractmethod
+    def to_rows(self, handle) -> List[List[int]]:
+        """Materialize a handle as canonical lists of Python ints.
+
+        The inverse of :meth:`from_rows`; non-copying when the handle is
+        already canonical.
+        """
+
+    @abc.abstractmethod
+    def copy_rows(self, handle):
+        """A native, independently-mutable copy of a residue matrix."""
+
+    @abc.abstractmethod
+    def set_row(self, handle, i: int, row) -> None:
+        """Overwrite row ``i`` of a handle in place (same width only)."""
+
+    @abc.abstractmethod
+    def select_rows(self, handle, indices: Sequence[int]):
+        """A new handle holding the selected rows (basis restriction)."""
+
+    @abc.abstractmethod
+    def native_stack(self, stack: RowStack) -> RowStack:
+        """Re-represent a row sequence in this backend's preferred form.
+
+        Idempotent and value-preserving; unlike :meth:`from_rows` it
+        leaves rows it cannot represent (out-of-word integers) as they
+        are instead of canonicalizing them.
+        """
+
+    # ------------------------------------------------------------------
+    # primitives: one modulus per row
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
     def add_rows(self, moduli: Sequence[Modulus], a, b):
         """Per-modulus ``a + b mod p`` over whole residue matrices."""
-        self._check_rows_count(moduli, a, b)
-        return [self.add(m, x, y) for m, x, y in zip(moduli, a, b)]
 
+    @abc.abstractmethod
     def sub_rows(self, moduli: Sequence[Modulus], a, b):
         """Per-modulus ``a - b mod p`` over whole residue matrices."""
-        self._check_rows_count(moduli, a, b)
-        return [self.sub(m, x, y) for m, x, y in zip(moduli, a, b)]
 
+    @abc.abstractmethod
     def negate_rows(self, moduli: Sequence[Modulus], a):
         """Per-modulus ``-a mod p`` over a whole residue matrix."""
-        self._check_rows_count(moduli, a)
-        return [self.negate(m, x) for m, x in zip(moduli, a)]
 
+    @abc.abstractmethod
     def dyadic_mul_rows(self, moduli: Sequence[Modulus], a, b):
-        """Per-modulus ``a * b mod p`` over whole residue matrices."""
-        self._check_rows_count(moduli, a, b)
-        return [self.dyadic_mul(m, x, y) for m, x, y in zip(moduli, a, b)]
+        """Per-modulus ``a * b mod p`` (one DyadMult lane per row)."""
 
+    @abc.abstractmethod
     def dyadic_mac_rows(self, moduli: Sequence[Modulus], acc, x, y):
-        """Per-modulus ``acc + x * y mod p`` over whole residue matrices."""
-        self._check_rows_count(moduli, acc, x, y)
-        return [
-            self.dyadic_mac(m, s, a, b)
-            for m, s, a, b in zip(moduli, acc, x, y)
-        ]
+        """Per-modulus ``acc + x * y mod p`` (DyadMult-and-accumulate)."""
 
+    @abc.abstractmethod
     def scalar_mul_rows(self, moduli: Sequence[Modulus], a, scalars: Sequence[int]):
-        """Per-modulus ``a * scalar_i mod p_i`` with reduced scalars."""
-        self._check_rows_count(moduli, a)
-        return [
-            self.scalar_mul(m, x, s) for m, x, s in zip(moduli, a, scalars)
-        ]
+        """Per-modulus ``a * scalar_i mod p_i``, one reduced scalar per row."""
 
+    @abc.abstractmethod
+    def ntt_forward_rows(self, tables_list: Sequence[NTTTables], rows):
+        """Forward NTT (Algorithm 3) of one row per table set:
+        standard-order input, bit-reversed output."""
+
+    @abc.abstractmethod
+    def ntt_inverse_rows(self, tables_list: Sequence[NTTTables], rows):
+        """Inverse NTT (Algorithm 4) of one row per table set:
+        bit-reversed input, standard-order output."""
+
+    @abc.abstractmethod
     def galois_rows(self, moduli: Sequence[Modulus], handle, mapping: Sequence[tuple]):
         """Coefficient-domain Galois automorphism of a residue matrix.
 
-        ``mapping`` is the per-coefficient ``(dest, flip)`` table of
-        :meth:`repro.ckks.context.CkksContext.galois_map`; signs depend
-        on the modulus, so each row runs as a one-row
-        :meth:`apply_galois_stack` under its own modulus (one canonical
-        signed-permutation implementation).
+        ``mapping[i] = (dest, flip)`` sends coefficient ``i`` to index
+        ``dest``, negated mod ``p`` when ``flip`` (the sign rule of
+        ``X^i -> X^{ig}`` in ``Z[X]/(X^n+1)``; see
+        :meth:`repro.ckks.context.CkksContext.galois_map`), and must
+        cover the whole row.
         """
-        self._check_rows_count(moduli, handle)
-        out = []
-        for m, row in zip(moduli, handle):
-            out.extend(self.apply_galois_stack(m, [row], mapping))
-        return out
 
+    # ------------------------------------------------------------------
+    # primitives: one modulus per stack.  A *stack* is ``R`` rows that
+    # share a modulus -- every element of a lane under one prime, the
+    # outermost level of parallelism in Figure 7.
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def ntt_forward_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
+        """Forward NTT of every row (one modulus, one table set)."""
+
+    @abc.abstractmethod
+    def ntt_inverse_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
+        """Inverse NTT of every row (one modulus, one table set)."""
+
+    @abc.abstractmethod
+    def reduce_mod_stack(self, modulus: Modulus, stack: RowStack) -> RowStack:
+        """Row-wise reduction of word-sized residues into ``[0, p)``: the
+        ``Mod(a, p_j)`` base conversion of Algorithm 7 line 6."""
+
+    @abc.abstractmethod
+    def sub_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
+        """Row-wise ``a - b mod p``; ``b`` may be a stack or one row."""
+
+    @abc.abstractmethod
+    def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
+        """Row-wise ``a * scalar mod p`` with a reduced scalar."""
+
+    @abc.abstractmethod
+    def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack) -> RowStack:
+        """``sum_i x_i * y[i] mod p`` -> a stack of ``len(x) // len(y)`` rows.
+
+        The fused inner product of key switching: one call accumulates
+        every gadget digit's dyadic product against one key column
+        (Algorithm 7 lines 11-12 / 16-17 for all ``i`` at once).  ``x``
+        is digit-major: with ``c`` polynomials stacked, rows
+        ``[i*c, (i+1)*c)`` are digit ``i`` of each and share key row
+        ``y[i]`` -- the way the hardware shares one key between the
+        pipelined ciphertexts.
+        """
+
+    @abc.abstractmethod
+    def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
+        """Gather-permute every row: ``out_row[i] = row[table[i]]``.
+
+        The NTT-domain Galois automorphism (see
+        :meth:`repro.ckks.context.CkksContext.galois_table_ntt`): a
+        sign-free permutation, so it needs no modulus and rows under
+        *different* RNS moduli may share one call.
+        """
+
+    @abc.abstractmethod
     def decompose_native(self, moduli: Sequence[Modulus], coeffs):
-        """:meth:`decompose`, but returning a native residue handle.
+        """RNS-decompose integer coefficients into one row per modulus.
 
         ``coeffs`` may be any integer sequence (signed, multi-word, or
-        an integer ndarray); the result holds ``c mod p`` rows in the
-        backend's resident representation.
+        an integer ndarray); the row for modulus ``p`` holds ``c mod p``
+        in ``[0, p)``.
         """
-        if hasattr(coeffs, "tolist"):
-            coeffs = coeffs.tolist()
-        return self.decompose(list(moduli), coeffs)
 
+    # ------------------------------------------------------------------
+    # primitives: the wire.  One body for every representation.
+    # ------------------------------------------------------------------
     def pack_rows(self, handle) -> bytes:
-        """Serialize a residue matrix as little-endian 8-byte words.
-
-        The wire is representation-independent, so even list-native
-        backends use one numpy array pass when numpy is importable (the
-        serving layer serializes every request); the pure-Python loop
-        remains the numpy-less fallback.
-        """
-        if _np is not None:
-            try:
-                mat = (
-                    handle
-                    if isinstance(handle, _np.ndarray)
-                    and handle.dtype == _np.uint64
-                    else _np.asarray(handle, dtype=_np.uint64)
-                )
-                return mat.astype("<u8", copy=False).tobytes()
-            except (OverflowError, ValueError, TypeError):
-                pass  # per-int loop below decides whether the rows fit
-        chunks = []
+        """Serialize a residue matrix as little-endian 8-byte words."""
         try:
-            for row in handle:
-                if hasattr(row, "tolist"):
-                    row = row.tolist()
-                chunks.append(
-                    b"".join(
-                        int(v).to_bytes(ROW_WORD_BYTES, "little") for v in row
-                    )
-                )
+            mat = np.asarray(handle, dtype=np.uint64)
         except OverflowError:
             raise ValueError(
                 "residue word outside the unsigned 8-byte wire range; "
                 "reduce rows before packing"
             ) from None
-        return b"".join(chunks)
+        return mat.astype("<u8", copy=False).tobytes()
 
     def unpack_rows(self, data, count: int, n: int):
         """Deserialize ``count`` rows of ``n`` words into a native handle.
 
         ``data`` must hold exactly ``count * n`` little-endian 8-byte
-        words (callers validate payload sizes before slicing).  The
-        default produces canonical lists -- via one numpy pass when
-        available -- so list-native backends stay fast on the wire.
+        words (callers validate payload sizes before slicing).
         """
-        if _np is not None:
-            flat = _np.frombuffer(data, dtype="<u8", count=count * n)
-            return flat.reshape(count, n).tolist()
-        view = memoryview(data)
-        rows = []
-        offset = 0
-        for _ in range(count):
-            rows.append(
-                [
-                    int.from_bytes(
-                        view[offset + i * ROW_WORD_BYTES : offset + (i + 1) * ROW_WORD_BYTES],
-                        "little",
-                    )
-                    for i in range(n)
-                ]
-            )
-            offset += n * ROW_WORD_BYTES
-        return rows
+        flat = np.frombuffer(data, dtype="<u8", count=count * n)
+        # astype: native byte order plus an owned, writable matrix
+        return self.from_rows(flat.reshape(count, n).astype(np.uint64))
 
     def pack_rows_bits(self, handle, bounds: Sequence[int]) -> bytes:
         """Serialize a residue matrix bit-packed to per-row word width.
@@ -661,20 +648,10 @@ class PolynomialBackend(abc.ABC):
         byte-aligned and independent, so the components of one object
         pack in one call (their rows in wire order, the bounds list
         repeated) to the same bytes as one call per component.  Runs as
-        whole-array word shifts (:func:`_bit_plan`) when numpy is
-        importable; the big-int loop is the numpy-less fallback.
+        whole-array word shifts (:func:`_bit_plan`).
         """
         _check_pack_bounds(handle, bounds)
-        if _np is not None:
-            return _pack_rows_bits_np(handle, bounds)
-        chunks = []
-        for row, bound in zip(handle, bounds):
-            width = int(bound).bit_length()
-            packed_row_bytes(1, width)  # validate the width range
-            if hasattr(row, "tolist"):
-                row = row.tolist()
-            chunks.append(_pack_row_bits_py(row, int(bound), width))
-        return b"".join(chunks)
+        return _pack_rows_bits_np(handle, bounds)
 
     def unpack_rows_bits(self, data, n: int, bounds: Sequence[int]):
         """Deserialize per-row bit-packed rows into a native handle.
@@ -684,278 +661,83 @@ class PolynomialBackend(abc.ABC):
         validates what the narrowed word lets it: nonzero padding bits
         and residues ``>= bounds[i]`` both raise, so bit-level
         corruption in the reachable range is rejected rather than
-        served.  The rows land in this backend's native form
-        (:meth:`from_rows` of the decoded matrix).
+        served.
         """
-        if _np is not None:
-            return self.from_rows(_unpack_rows_bits_np(data, n, bounds))
-        view = memoryview(data)
-        offset = 0
-        rows = []
-        for bound in bounds:
-            width = int(bound).bit_length()
-            nbytes = packed_row_bytes(n, width)
-            if offset + nbytes > len(view):
-                raise ValueError(
-                    f"truncated packed row: need {nbytes} bytes at offset "
-                    f"{offset}, have {len(view) - offset}"
-                )
-            rows.append(
-                _unpack_row_bits_py(
-                    view[offset : offset + nbytes], n, int(bound), width
-                )
-            )
-            offset += nbytes
-        if offset != len(view):
-            raise ValueError(
-                f"trailing bytes after packed rows: {len(view)} bytes, "
-                f"expected {offset}"
-            )
-        return rows
+        return self.from_rows(_unpack_rows_bits_np(data, n, bounds))
 
     # ------------------------------------------------------------------
-    # negacyclic NTT (Algorithms 3 and 4)
+    # derived: a row is a stack of one.  Per-row results are canonical
+    # lists of int; reduce_mod / decompose go through decompose_native
+    # because their inputs may be signed or multi-word.
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def ntt_forward(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
-        """Forward NTT: standard-order input, bit-reversed output."""
+        return self.to_rows(self.ntt_forward_stack(tables, [row]))[0]
 
-    @abc.abstractmethod
     def ntt_inverse(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
-        """Inverse NTT: bit-reversed input, standard-order output."""
+        return self.to_rows(self.ntt_inverse_stack(tables, [row]))[0]
 
-    def ntt_forward_rows(
-        self, tables_list: Sequence[NTTTables], rows: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
-        """Forward-transform one row per modulus (a full RNS polynomial)."""
-        self._check_rows_count(tables_list, rows)
-        return [self.ntt_forward(t, r) for t, r in zip(tables_list, rows)]
-
-    def ntt_inverse_rows(
-        self, tables_list: Sequence[NTTTables], rows: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
-        """Inverse-transform one row per modulus (a full RNS polynomial)."""
-        self._check_rows_count(tables_list, rows)
-        return [self.ntt_inverse(t, r) for t, r in zip(tables_list, rows)]
-
-    # ------------------------------------------------------------------
-    # dyadic (coefficient-wise) arithmetic
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
     def add(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """``a + b mod p`` coefficient-wise."""
+        return self.to_rows(self.add_rows((modulus,), [a], [b]))[0]
 
-    @abc.abstractmethod
     def sub(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """``a - b mod p`` coefficient-wise."""
+        return self.to_rows(self.sub_rows((modulus,), [a], [b]))[0]
 
-    @abc.abstractmethod
     def negate(self, modulus: Modulus, a: Sequence[int]) -> List[int]:
-        """``-a mod p`` coefficient-wise."""
+        return self.to_rows(self.negate_rows((modulus,), [a]))[0]
 
-    @abc.abstractmethod
     def dyadic_mul(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """``a * b mod p`` coefficient-wise (one DyadMult lane)."""
+        return self.to_rows(self.dyadic_mul_rows((modulus,), [a], [b]))[0]
 
-    @abc.abstractmethod
     def dyadic_mac(
-        self,
-        modulus: Modulus,
-        acc: Sequence[int],
-        x: Sequence[int],
-        y: Sequence[int],
+        self, modulus: Modulus, acc: Sequence[int], x: Sequence[int], y: Sequence[int]
     ) -> List[int]:
-        """``acc + x * y mod p`` coefficient-wise (DyadMult-and-accumulate)."""
+        return self.to_rows(self.dyadic_mac_rows((modulus,), [acc], [x], [y]))[0]
 
-    # ------------------------------------------------------------------
-    # scalar operations
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
     def scalar_mul(self, modulus: Modulus, a: Sequence[int], scalar: int) -> List[int]:
-        """``a * scalar mod p`` with a reduced scalar in ``[0, p)``."""
+        return self.to_rows(self.scalar_mul_stack(modulus, [a], scalar))[0]
 
-    @abc.abstractmethod
     def scalar_mac(
         self, modulus: Modulus, acc: Sequence[int], a: Sequence[int], scalar: int
     ) -> List[int]:
-        """``acc + a * scalar mod p`` with a reduced scalar in ``[0, p)``."""
+        return self.to_rows(
+            self.add_rows((modulus,), self.scalar_mul_stack(modulus, [a], scalar), [acc])
+        )[0]
 
-    # ------------------------------------------------------------------
-    # RNS base conversion
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
     def reduce_mod(self, modulus: Modulus, row: Sequence[int]) -> List[int]:
-        """Reduce arbitrary (possibly unreduced) integers into ``[0, p)``.
+        return self.to_rows(self.decompose_native((modulus,), row))[0]
 
-        This is the ``Mod(a, p_j)`` base-conversion step of Algorithm 7
-        line 6: a coefficient row living modulo ``p_i`` is reinterpreted
-        modulo ``p_j``.
-        """
+    def decompose(self, moduli: Sequence[Modulus], coeffs: Sequence[int]) -> List[List[int]]:
+        return self.to_rows(self.decompose_native(moduli, coeffs))
 
-    def decompose(
-        self, moduli: Sequence[Modulus], coeffs: Sequence[int]
-    ) -> List[List[int]]:
-        """RNS-decompose integer coefficients into one row per modulus.
-
-        Coefficients may be signed or larger than any single modulus;
-        the result row for modulus ``p`` holds ``c mod p`` in ``[0, p)``.
-        """
-        return [self.reduce_mod(m, coeffs) for m in moduli]
-
-    # ------------------------------------------------------------------
-    # stacked-row kernels (ciphertext-level batch parallelism)
-    #
-    # Semantics: map the single-row kernel over R rows sharing one
-    # modulus.  Defaults loop row by row -- exactly the reference
-    # behaviour -- so only backends that can amortize whole-stack work
-    # (numpy) need to override.  Dyadic second operands may be a single
-    # row, broadcast against every row of the stack.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _rows_of(operand, count: int):
-        """Normalize a row-or-stack dyadic operand to ``count`` rows.
-
-        A stack operand must match the primary stack's length exactly --
-        silent zip-truncation on one backend and a broadcast error on
-        another would break interchangeability, so the mismatch raises
-        here in the shared default.
-        """
-        if is_row(operand):
-            return [operand] * count
-        if len(operand) != count:
-            raise ValueError(
-                f"stack length mismatch: operand has {len(operand)} rows, "
-                f"expected {count}"
-            )
-        return operand
-
-    def native_stack(self, stack: RowStack) -> RowStack:
-        """Re-represent a stack in this backend's preferred form.
-
-        Idempotent and value-preserving.  Callers that hold a stack for
-        repeated use (e.g. :class:`repro.ckks.batch.CiphertextBatch`)
-        lift it once so per-operation boundary conversion is not paid on
-        every kernel call; the default keeps the stack as-is.
-        """
-        return stack
-
-    def ntt_forward_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
-        """Forward NTT of every row (one modulus, one table set)."""
-        return [self.ntt_forward(tables, row) for row in stack]
-
-    def ntt_inverse_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
-        """Inverse NTT of every row (one modulus, one table set)."""
-        return [self.ntt_inverse(tables, row) for row in stack]
-
+    # derived: one modulus for every row is a modulus column of one value
     def add_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
-        """Row-wise ``a + b mod p``; ``b`` may be a stack or one row."""
-        return [self.add(modulus, x, y) for x, y in zip(a, self._rows_of(b, len(a)))]
-
-    def sub_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
-        """Row-wise ``a - b mod p``; ``b`` may be a stack or one row."""
-        other = self._rows_of(b, len(a))
-        self._check_width(a, other)
-        return [self.sub(modulus, x, y) for x, y in zip(a, other)]
+        return self.add_rows((modulus,) * len(a), a, self._rows_of(b, len(a)))
 
     def negate_stack(self, modulus: Modulus, a: RowStack) -> RowStack:
-        """Row-wise ``-a mod p``."""
-        return [self.negate(modulus, x) for x in a]
+        return self.negate_rows((modulus,) * len(a), a)
 
     def dyadic_mul_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
-        """Row-wise ``a * b mod p``; ``b`` may be a stack or one row."""
-        return [
-            self.dyadic_mul(modulus, x, y)
-            for x, y in zip(a, self._rows_of(b, len(a)))
-        ]
+        return self.dyadic_mul_rows((modulus,) * len(a), a, self._rows_of(b, len(a)))
 
     def dyadic_mac_stack(self, modulus: Modulus, acc: RowStack, x: RowStack, y) -> RowStack:
-        """Row-wise ``acc + x * y mod p``; ``y`` may be a stack or one row."""
-        return [
-            self.dyadic_mac(modulus, s, a, b)
-            for s, a, b in zip(
-                acc, self._rows_of(x, len(acc)), self._rows_of(y, len(acc))
-            )
-        ]
-
-    def dyadic_stack_reduce(
-        self, modulus: Modulus, x: RowStack, y: RowStack
-    ) -> RowStack:
-        """``sum_i x_i * y[i] mod p`` -> a stack of ``len(x) // len(y)`` rows.
-
-        The fused inner product of key switching: one call accumulates
-        every gadget digit's dyadic product against one key column
-        (Algorithm 7 lines 11-12 / 16-17 for all ``i`` at once), instead
-        of a Python-level MAC per digit.  ``x`` is digit-major: with
-        ``c`` polynomials stacked, rows ``[i*c, (i+1)*c)`` are digit
-        ``i`` of each and share key row ``y[i]`` -- the way the hardware
-        shares one key between the pipelined ciphertexts.
-        """
-        digits = len(y)
-        if not digits or len(x) % digits:
-            raise ValueError(
-                f"stack length mismatch: {len(x)} vs {len(y)} rows"
-            )
-        if not len(x):
-            raise ValueError("cannot reduce an empty stack")
-        self._check_width(x, y)
-        count = len(x) // digits
-        out = []
-        for b in range(count):
-            acc = self.dyadic_mul(modulus, x[b], y[0])
-            for i in range(1, digits):
-                acc = self.dyadic_mac(modulus, acc, x[i * count + b], y[i])
-            out.append(acc)
-        return out
-
-    def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
-        """Row-wise ``a * scalar mod p`` with a reduced scalar."""
-        return [self.scalar_mul(modulus, x, scalar) for x in a]
-
-    def reduce_mod_stack(self, modulus: Modulus, stack: RowStack) -> RowStack:
-        """Row-wise reduction into ``[0, p)`` (stacked Algorithm 7 line 6)."""
-        return [self.reduce_mod(modulus, row) for row in stack]
+        return self.dyadic_mac_rows(
+            (modulus,) * len(acc), acc, self._rows_of(x, len(acc)), self._rows_of(y, len(acc))
+        )
 
     def apply_galois_stack(
-        self,
-        modulus: Modulus,
-        stack: RowStack,
-        mapping: Sequence[tuple],
+        self, modulus: Modulus, stack: RowStack, mapping: Sequence[tuple]
     ) -> RowStack:
-        """Permute every coefficient-form row by a Galois automorphism.
+        return self.galois_rows((modulus,) * len(stack), stack, mapping)
 
-        ``mapping[i] = (dest, flip)`` sends coefficient ``i`` to index
-        ``dest``, negated mod ``p`` when ``flip`` (the sign rule of
-        ``X^i -> X^{ig}`` in ``Z[X]/(X^n+1)``; see
-        :meth:`repro.ckks.context.CkksContext.galois_map`).
-        """
-        p = modulus.value
-        out = []
-        for row in stack:
-            if hasattr(row, "tolist"):
-                row = row.tolist()
-            new_row = [0] * len(mapping)
-            for idx, (dest, flip) in enumerate(mapping):
-                v = row[idx]
-                new_row[dest] = (p - v) if (flip and v) else v
-            out.append(new_row)
-        return out
+    # derived: handle conveniences
+    def make_rows(self, count: int, n: int):
+        return self.from_rows([[0] * n for _ in range(count)])
 
-    def permute_ntt_stack(
-        self, stack: RowStack, table: Sequence[int]
-    ) -> RowStack:
-        """Gather-permute every row: ``out_row[i] = row[table[i]]``.
+    def get_row(self, handle, i: int):
+        return self.select_rows(handle, (i,))[0]
 
-        The NTT-domain Galois automorphism (see
-        :meth:`repro.ckks.context.CkksContext.galois_map_ntt`): a sign-free
-        permutation, so -- unlike :meth:`apply_galois_stack` -- it needs no
-        modulus and rows under *different* RNS moduli may share one call.
-        """
-        out = []
-        for row in stack:
-            if hasattr(row, "tolist"):
-                row = row.tolist()
-            out.append([row[s] for s in table])
-        return out
+    def insert_row(self, handle, index: int, row):
+        return self.from_rows([*handle[:index], row, *handle[index:]])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -39,11 +39,8 @@ conversions).
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Sequence
 
-from repro.ckks.backend.base import PolynomialBackend, RowStack, is_row
-from repro.ckks.modarith import Modulus
-from repro.ckks.ntt import NTTTables
+from repro.ckks.backend.base import PolynomialBackend, is_row
 
 
 def _python_rows(handle) -> int:
@@ -116,26 +113,11 @@ class CountingBackend(PolynomialBackend):
         else:
             self._note_handles(operand)
 
-    def _note_single(self, *rows) -> None:
-        """Single-row kernels on an array backend lift every list operand
-        and lower their one-row canonical result; a list-native backend
-        conversely materializes (lowers) any array operand it is fed."""
-        if self.inner.native_is_python:
-            self.counts["lower_rows"] += sum(
-                1 for r in rows if hasattr(r, "dtype")
-            )
-            return
-        self.counts["lift_rows"] += sum(
-            1 for r in rows if not hasattr(r, "dtype")
-        )
-        self.counts["lower_rows"] += 1
-
     # ------------------------------------------------------------------
-    # resident residue matrices
+    # the 27 primitives, each delegated once; the derived names reach
+    # the inner backend through these, so their counts and residency
+    # notes come out right by construction
     # ------------------------------------------------------------------
-    def make_rows(self, count, n):
-        return self.inner.make_rows(count, n)
-
     def from_rows(self, rows):
         self._note_handles(rows)
         return self.inner.from_rows(rows)
@@ -148,17 +130,15 @@ class CountingBackend(PolynomialBackend):
         self._note_handles(handle)
         return self.inner.copy_rows(handle)
 
-    def get_row(self, handle, i):
-        return self.inner.get_row(handle, i)
-
     def set_row(self, handle, i, row):
         return self.inner.set_row(handle, i, row)
 
     def select_rows(self, handle, indices):
         return self.inner.select_rows(handle, indices)
 
-    def insert_row(self, handle, index, row):
-        return self.inner.insert_row(handle, index, row)
+    def native_stack(self, stack):
+        self._note_handles(stack)
+        return self.inner.native_stack(stack)
 
     def add_rows(self, moduli, a, b):
         self._note_handles(a, b)
@@ -186,11 +166,6 @@ class CountingBackend(PolynomialBackend):
         self._note_handles(a)
         return self.inner.scalar_mul_rows(moduli, a, scalars)
 
-    def galois_rows(self, moduli, handle, mapping):
-        self.counts["galois_permute"] += len(handle)
-        self._note_handles(handle)
-        return self.inner.galois_rows(moduli, handle, mapping)
-
     def ntt_forward_rows(self, tables_list, rows):
         self.counts["ntt_forward"] += len(tables_list)
         self._note_handles(rows)
@@ -201,16 +176,50 @@ class CountingBackend(PolynomialBackend):
         self._note_handles(rows)
         return self.inner.ntt_inverse_rows(tables_list, rows)
 
+    def galois_rows(self, moduli, handle, mapping):
+        self.counts["galois_permute"] += len(handle)
+        self._note_handles(handle)
+        return self.inner.galois_rows(moduli, handle, mapping)
+
+    def ntt_forward_stack(self, tables, stack):
+        self.counts["ntt_forward"] += len(stack)
+        self._note_handles(stack)
+        return self.inner.ntt_forward_stack(tables, stack)
+
+    def ntt_inverse_stack(self, tables, stack):
+        self.counts["ntt_inverse"] += len(stack)
+        self._note_handles(stack)
+        return self.inner.ntt_inverse_stack(tables, stack)
+
+    def reduce_mod_stack(self, modulus, stack):
+        self._note_handles(stack)
+        return self.inner.reduce_mod_stack(modulus, stack)
+
+    def sub_stack(self, modulus, a, b):
+        self._note_handles(a)
+        self._note_operand(b)
+        return self.inner.sub_stack(modulus, a, b)
+
+    def scalar_mul_stack(self, modulus, a, scalar):
+        self._note_handles(a)
+        return self.inner.scalar_mul_stack(modulus, a, scalar)
+
+    def dyadic_stack_reduce(self, modulus, x, y):
+        count = len(x) // max(1, len(y))
+        self.counts["dyadic_mul"] += count
+        self.counts["dyadic_mac"] += len(x) - count
+        self._note_handles(x, y)
+        return self.inner.dyadic_stack_reduce(modulus, x, y)
+
+    def permute_ntt_stack(self, stack, table):
+        self.counts["ntt_permute"] += len(stack)
+        self._note_handles(stack)
+        return self.inner.permute_ntt_stack(stack, table)
+
     def decompose_native(self, moduli, coeffs):
         return self.inner.decompose_native(moduli, coeffs)
 
-    def decompose(self, moduli, coeffs):
-        # delegated whole, not inherited: the base default re-expresses
-        # decomposition through self.reduce_mod, which would bypass an
-        # inner backend's fused decompose and double-charge the
-        # per-modulus boundary notes against the wrapper
-        return self.inner.decompose(moduli, coeffs)
-
+    # the wire kernels produce the *inner* backend's native form
     def pack_rows(self, handle):
         return self.inner.pack_rows(handle)
 
@@ -222,125 +231,6 @@ class CountingBackend(PolynomialBackend):
 
     def unpack_rows_bits(self, data, n, bounds):
         return self.inner.unpack_rows_bits(data, n, bounds)
-
-    # ------------------------------------------------------------------
-    # transforms
-    # ------------------------------------------------------------------
-    def ntt_forward(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
-        self.counts["ntt_forward"] += 1
-        self._note_single(row)
-        return self.inner.ntt_forward(tables, row)
-
-    def ntt_inverse(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
-        self.counts["ntt_inverse"] += 1
-        self._note_single(row)
-        return self.inner.ntt_inverse(tables, row)
-
-    def ntt_forward_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
-        self.counts["ntt_forward"] += len(stack)
-        self._note_handles(stack)
-        return self.inner.ntt_forward_stack(tables, stack)
-
-    def ntt_inverse_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
-        self.counts["ntt_inverse"] += len(stack)
-        self._note_handles(stack)
-        return self.inner.ntt_inverse_stack(tables, stack)
-
-    # ------------------------------------------------------------------
-    # dyadic / scalar arithmetic
-    # ------------------------------------------------------------------
-    def add(self, modulus, a, b):
-        self._note_single(a, b)
-        return self.inner.add(modulus, a, b)
-
-    def sub(self, modulus, a, b):
-        self._note_single(a, b)
-        return self.inner.sub(modulus, a, b)
-
-    def negate(self, modulus, a):
-        self._note_single(a)
-        return self.inner.negate(modulus, a)
-
-    def dyadic_mul(self, modulus, a, b):
-        self.counts["dyadic_mul"] += 1
-        self._note_single(a, b)
-        return self.inner.dyadic_mul(modulus, a, b)
-
-    def dyadic_mac(self, modulus, acc, x, y):
-        self.counts["dyadic_mac"] += 1
-        self._note_single(acc, x, y)
-        return self.inner.dyadic_mac(modulus, acc, x, y)
-
-    def scalar_mul(self, modulus, a, scalar):
-        self._note_single(a)
-        return self.inner.scalar_mul(modulus, a, scalar)
-
-    def scalar_mac(self, modulus, acc, a, scalar):
-        self._note_single(acc, a)
-        return self.inner.scalar_mac(modulus, acc, a, scalar)
-
-    def reduce_mod(self, modulus, row):
-        self._note_single(row)
-        return self.inner.reduce_mod(modulus, row)
-
-    # ------------------------------------------------------------------
-    # stacked kernels (counts in rows, then straight delegation)
-    # ------------------------------------------------------------------
-    def native_stack(self, stack: RowStack) -> RowStack:
-        self._note_handles(stack)
-        return self.inner.native_stack(stack)
-
-    def add_stack(self, modulus, a, b):
-        self._note_handles(a)
-        self._note_operand(b)
-        return self.inner.add_stack(modulus, a, b)
-
-    def sub_stack(self, modulus, a, b):
-        self._note_handles(a)
-        self._note_operand(b)
-        return self.inner.sub_stack(modulus, a, b)
-
-    def negate_stack(self, modulus, a):
-        self._note_handles(a)
-        return self.inner.negate_stack(modulus, a)
-
-    def dyadic_mul_stack(self, modulus, a, b):
-        self.counts["dyadic_mul"] += len(a)
-        self._note_handles(a)
-        self._note_operand(b)
-        return self.inner.dyadic_mul_stack(modulus, a, b)
-
-    def dyadic_mac_stack(self, modulus, acc, x, y):
-        self.counts["dyadic_mac"] += len(acc)
-        self._note_handles(acc)
-        self._note_operand(x)
-        self._note_operand(y)
-        return self.inner.dyadic_mac_stack(modulus, acc, x, y)
-
-    def dyadic_stack_reduce(self, modulus, x, y):
-        count = len(x) // max(1, len(y))
-        self.counts["dyadic_mul"] += count
-        self.counts["dyadic_mac"] += len(x) - count
-        self._note_handles(x, y)
-        return self.inner.dyadic_stack_reduce(modulus, x, y)
-
-    def scalar_mul_stack(self, modulus, a, scalar):
-        self._note_handles(a)
-        return self.inner.scalar_mul_stack(modulus, a, scalar)
-
-    def reduce_mod_stack(self, modulus, stack):
-        self._note_handles(stack)
-        return self.inner.reduce_mod_stack(modulus, stack)
-
-    def apply_galois_stack(self, modulus, stack, mapping):
-        self.counts["galois_permute"] += len(stack)
-        self._note_handles(stack)
-        return self.inner.apply_galois_stack(modulus, stack, mapping)
-
-    def permute_ntt_stack(self, stack, table):
-        self.counts["ntt_permute"] += len(stack)
-        self._note_handles(stack)
-        return self.inner.permute_ntt_stack(stack, table)
 
     def __repr__(self) -> str:
         return f"<CountingBackend inner={self.inner!r} counts={dict(self.counts)}>"

@@ -116,7 +116,7 @@ _RATIO_BIAS = 1.0 - 2.0**-51
 _CHUNK_WORDS = 1 << 15
 
 #: Sums of more digits than this (``m * p`` of the module docstring must
-#: stay below ``2^64`` for every word-safe ``p``) take the per-digit default.
+#: stay below ``2^64`` for every word-safe ``p``) take the reference fallback.
 _MAX_DIGITS = 32
 
 #: Twiddle blocks of the early stages are repeated up to this many words,
@@ -466,7 +466,15 @@ def _transform(rows: np.ndarray, tables: NTTTables, inverse: bool, out=None) -> 
 
 
 class NumpyBackend(PolynomialBackend):
-    """Stage-vectorized uint64 kernels with reference fallback."""
+    """Stage-vectorized uint64 kernels with reference fallback.
+
+    The native handle is a C-contiguous ``(R, n)`` uint64 matrix -- the
+    software stand-in for a BRAM-resident operand.  Per-row-modulus
+    kernels broadcast an ``(R, 1)`` modulus column so one array pass
+    covers every row at once.  A prime outside the word-size envelope, or
+    rows that are not single words, send the call to the same kernel of
+    the reference backend.
+    """
 
     name = "numpy"
     native_is_python = False
@@ -482,26 +490,22 @@ class NumpyBackend(PolynomialBackend):
         """True when this prime is inside the word-size-safe envelope."""
         return modulus.value < _WORD_SAFE_BOUND
 
-    def _lift_rows(self, *rows) -> List[np.ndarray]:
-        """Rows as one-row matrices: a row is a stack of one."""
-        return [self._matrix(row)[None, :] for row in rows]
-
     @staticmethod
     def _matrix(handle) -> np.ndarray:
-        """Lift a row, row-stack or residue matrix to uint64 (no-op if it is one).
+        """Lift a row-stack or residue matrix to uint64 (no-op if it is one).
 
         Raises ``OverflowError``/``ValueError``/``TypeError`` on rows
         that cannot be represented (signed or multi-word coefficients);
-        callers fall back to the canonical-list defaults in that case.
+        callers fall back to the reference backend in that case.
         """
         if isinstance(handle, np.ndarray) and handle.dtype == np.uint64:
             return handle
         return np.asarray(handle, dtype=np.uint64)
 
     def _lift(self, moduli, *handles):
-        """The modulus column and lifted operands of a whole-matrix kernel.
+        """The modulus column and lifted operands of a per-row-modulus kernel.
 
-        ``None`` sends the call to the canonical-list default: a prime
+        ``None`` sends the call to the reference backend: a prime
         outside the envelope or rows that are not single words.  Lifted
         operands must all be ``(len(moduli), n)`` -- numpy's implicit
         broadcasting must not accept what the reference rejects.
@@ -521,32 +525,19 @@ class NumpyBackend(PolynomialBackend):
             raise ValueError(f"row count or width mismatch: {shapes} for {shape[0]} moduli")
         return (col, *mats)
 
-    def native_stack(self, stack: RowStack) -> RowStack:
-        """Lift to ``(R, n)`` uint64 once so later kernels skip conversion."""
-        try:
-            return self._matrix(stack)
-        except (OverflowError, ValueError, TypeError):
-            return stack  # out-of-word rows stay lists for the fallback path
-
     # ------------------------------------------------------------------
-    # resident residue matrices: the native handle is a C-contiguous
-    # (L, n) uint64 matrix -- the software stand-in for a BRAM-resident
-    # operand.  Whole-polynomial kernels broadcast an (L, 1) modulus
-    # column so one array pass covers every RNS row at once.
+    # handles
     # ------------------------------------------------------------------
-    def make_rows(self, count: int, n: int):
-        return np.zeros((count, n), dtype=np.uint64)
-
     def from_rows(self, rows):
         try:
             return self._matrix(rows)
         except (OverflowError, ValueError, TypeError):
-            return super().from_rows(rows)
+            return self._fallback.from_rows(rows)
 
     def to_rows(self, handle):
         if isinstance(handle, np.ndarray):
             return handle.tolist()
-        return super().to_rows(handle)
+        return self._fallback.to_rows(handle)
 
     def copy_rows(self, handle):
         if isinstance(handle, np.ndarray):
@@ -554,61 +545,66 @@ class NumpyBackend(PolynomialBackend):
         try:
             return np.array(handle, dtype=np.uint64)
         except (OverflowError, ValueError, TypeError):
-            return super().copy_rows(handle)
+            return self._fallback.copy_rows(handle)
 
     def set_row(self, handle, i: int, row) -> None:
-        if isinstance(handle, np.ndarray):
-            # explicit uint64 lift: plain assignment would route python
-            # ints through a signed intermediate and overflow at 2^63
-            handle[i] = row if isinstance(row, np.ndarray) else np.asarray(
-                row, dtype=np.uint64
-            )
-        else:
-            super().set_row(handle, i, row)
+        if not isinstance(handle, np.ndarray):
+            return self._fallback.set_row(handle, i, row)
+        if len(row) != handle.shape[1]:  # a one-wide row would broadcast
+            raise ValueError(f"row width mismatch: {len(row)} into {handle.shape[1]}")
+        # explicit uint64 lift: plain assignment would route python
+        # ints through a signed intermediate and overflow at 2^63
+        handle[i] = row if isinstance(row, np.ndarray) else np.asarray(
+            row, dtype=np.uint64
+        )
 
     def select_rows(self, handle, indices):
         if isinstance(handle, np.ndarray):
             return handle[list(indices)]
-        return super().select_rows(handle, indices)
+        return self._fallback.select_rows(handle, indices)
 
-    def insert_row(self, handle, index: int, row):
-        if isinstance(handle, np.ndarray):
-            r = row if isinstance(row, np.ndarray) else np.asarray(row, dtype=np.uint64)
-            return np.concatenate([handle[:index], r[None, :], handle[index:]])
-        return super().insert_row(handle, index, row)
+    def native_stack(self, stack: RowStack) -> RowStack:
+        """Lift to ``(R, n)`` uint64 once so later kernels skip conversion."""
+        try:
+            return self._matrix(stack)
+        except (OverflowError, ValueError, TypeError):
+            return self._fallback.native_stack(stack)  # out-of-word rows stay lists
 
+    # ------------------------------------------------------------------
+    # one modulus per row
+    # ------------------------------------------------------------------
     def add_rows(self, moduli, a, b):
         lifted = self._lift(moduli, a, b)
         if lifted is None:
-            return super().add_rows(moduli, a, b)
+            return self._fallback.add_rows(moduli, a, b)
         col, x, y = lifted
         return _addsub(np.add, x, y, col.p, _new(x))
 
     def sub_rows(self, moduli, a, b):
         lifted = self._lift(moduli, a, b)
         if lifted is None:
-            return super().sub_rows(moduli, a, b)
+            return self._fallback.sub_rows(moduli, a, b)
         col, x, y = lifted
         return _addsub(np.subtract, x, y, col.p, _new(x))
 
     def negate_rows(self, moduli, a):
         lifted = self._lift(moduli, a)
         if lifted is None:
-            return super().negate_rows(moduli, a)
+            return self._fallback.negate_rows(moduli, a)
         col, x = lifted
         return _addsub(np.subtract, _ZERO, x, col.p, _new(x))
 
     def dyadic_mul_rows(self, moduli, a, b):
         lifted = self._lift(moduli, a, b)
         if lifted is None:
-            return super().dyadic_mul_rows(moduli, a, b)
+            return self._fallback.dyadic_mul_rows(moduli, a, b)
         col, x, y = lifted
         return _dot([x.view(np.int64)], [y.view(np.int64)], col, _new(x))
 
     def dyadic_mac_rows(self, moduli, acc, x, y):
         lifted = self._lift(moduli, acc, x, y)
         if lifted is None:
-            return super().dyadic_mac_rows(moduli, acc, x, y)
+            return self._fallback.dyadic_mac_rows(moduli, acc, x, y)
         col, s, a, b = lifted
         out = _dot([a.view(np.int64)], [b.view(np.int64)], col, _new(s))
         return _addsub(np.add, out, s, col.p, out)
@@ -616,23 +612,12 @@ class NumpyBackend(PolynomialBackend):
     def scalar_mul_rows(self, moduli, a, scalars):
         lifted = self._lift(moduli, a)
         if lifted is None:
-            return super().scalar_mul_rows(moduli, a, scalars)
+            return self._fallback.scalar_mul_rows(moduli, a, scalars)
+        if len(scalars) != len(moduli):  # the loop below would leave rows unwritten
+            raise ValueError(f"{len(scalars)} scalars for {len(moduli)} moduli")
         arr, out = lifted[1], _new(lifted[1])
         for i, (m, s) in enumerate(zip(moduli, scalars)):
             _scalar_mul(arr[i : i + 1], s, m.value, out[i : i + 1])
-        return out
-
-    def galois_rows(self, moduli, handle, mapping):
-        lifted = self._lift(moduli, handle)
-        if lifted is None:
-            return super().galois_rows(moduli, handle, mapping)
-        col, arr = lifted
-        n = len(mapping)
-        dest = np.fromiter((d for d, _ in mapping), dtype=np.intp, count=n)
-        flip = np.fromiter((f for _, f in mapping), dtype=bool, count=n)
-        vals = np.where(flip[None, :] & (arr != 0), col.p - arr, arr)
-        out = np.empty_like(vals)
-        out[:, dest] = vals
         return out
 
     def ntt_forward_rows(self, tables_list, rows):
@@ -648,11 +633,12 @@ class NumpyBackend(PolynomialBackend):
         conversion per row; rows under out-of-envelope primes transform
         through the reference fallback and are re-lifted into the matrix.
         """
+        fb = self._fallback
         try:
             mat = self._matrix(rows)
         except (OverflowError, ValueError, TypeError):
-            base = super().ntt_inverse_rows if inverse else super().ntt_forward_rows
-            return base(tables_list, rows)
+            whole = fb.ntt_inverse_rows if inverse else fb.ntt_forward_rows
+            return whole(tables_list, rows)
         if len(tables_list) != mat.shape[0]:
             raise ValueError(
                 f"expected {len(tables_list)} rows, got {mat.shape[0]}"
@@ -662,10 +648,102 @@ class NumpyBackend(PolynomialBackend):
             if self.supports(tables.modulus):
                 _transform(mat[i : i + 1], tables, inverse, out[i : i + 1])
             else:
-                fb = self._fallback
-                transform = fb.ntt_inverse if inverse else fb.ntt_forward
-                out[i] = np.asarray(transform(tables, mat[i].tolist()), dtype=np.uint64)
+                one = fb.ntt_inverse_stack if inverse else fb.ntt_forward_stack
+                out[i] = np.asarray(one(tables, mat[i : i + 1])[0], dtype=np.uint64)
         return out
+
+    def galois_rows(self, moduli, handle, mapping):
+        lifted = self._lift(moduli, handle)
+        if lifted is None:
+            return self._fallback.galois_rows(moduli, handle, mapping)
+        col, arr = lifted
+        self._check_width(arr, [mapping])
+        n = len(mapping)
+        dest = np.fromiter((d for d, _ in mapping), dtype=np.intp, count=n)
+        flip = np.fromiter((f for _, f in mapping), dtype=bool, count=n)
+        vals = np.where(flip[None, :] & (arr != 0), col.p - arr, arr)
+        out = np.empty_like(vals)
+        out[:, dest] = vals
+        return out
+
+    # ------------------------------------------------------------------
+    # one modulus per stack: one whole-array pass over all R rows at
+    # once, returning the (R, n) uint64 array itself, so chains of
+    # stacked kernels -- the batched KeySwitch dataflow -- never
+    # round-trip through Python lists.
+    # ------------------------------------------------------------------
+    def ntt_forward_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
+        if not self.supports(tables.modulus) or not len(stack):
+            return self._fallback.ntt_forward_stack(tables, stack)
+        return _transform(self._matrix(stack), tables, False)
+
+    def ntt_inverse_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
+        if not self.supports(tables.modulus) or not len(stack):
+            return self._fallback.ntt_inverse_stack(tables, stack)
+        return _transform(self._matrix(stack), tables, True)
+
+    def reduce_mod_stack(self, modulus: Modulus, stack: RowStack) -> RowStack:
+        if not self.supports(modulus) or not len(stack):
+            return self._fallback.reduce_mod_stack(modulus, stack)
+        try:
+            arr = self._matrix(stack)
+        except (OverflowError, ValueError):
+            return self._fallback.reduce_mod_stack(modulus, stack)
+        out, p = _new(arr), _column((modulus.value,)).p
+        if int(arr.max()) >= 2 * modulus.value:
+            return np.remainder(arr, p, out=out)
+        # residues of a prime of the same size (the usual RNS basis):
+        # one fold instead of the one non-SIMD pass, a division
+        _fold(arr, p, out, out)
+        return out
+
+    def sub_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
+        if not self.supports(modulus) or not len(a):
+            return self._fallback.sub_stack(modulus, a, b)
+        arr, other = self._matrix(a), self._matrix(b)
+        if other.ndim == 1:
+            other = other[None, :]  # one row against every row of the stack
+        elif len(other) != len(arr):
+            # as the base class's ``_rows_of``: numpy's implicit (1, n)
+            # broadcasting must not accept what the reference rejects
+            raise ValueError(f"stack length mismatch: {len(other)} vs {len(arr)} rows")
+        self._check_width(arr, other)
+        return _addsub(np.subtract, arr, other, _column((modulus.value,)).p, _new(arr))
+
+    def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
+        if not self.supports(modulus) or not len(a):
+            return self._fallback.scalar_mul_stack(modulus, a, scalar)
+        arr = self._matrix(a)
+        return _scalar_mul(arr, scalar, modulus.value, _new(arr))
+
+    def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack):
+        digits = len(y)
+        if not self.supports(modulus) or not len(x) or not 0 < digits <= _MAX_DIGITS:
+            return self._fallback.dyadic_stack_reduce(modulus, x, y)
+        if len(x) % digits:
+            raise ValueError(f"stack length mismatch: {len(x)} vs {len(y)} rows")
+        xs, ys = self._matrix(x), self._matrix(y)
+        self._check_width(xs, ys)
+        # digit-major: block ``i`` of ``xs`` shares key row ``ys[i]``
+        xs = xs.view(np.int64).reshape(digits, len(xs) // digits, -1)
+        col = _column((modulus.value,), digits)
+        return _dot(xs, ys.view(np.int64)[:, None, :], col, _new(xs[0]))
+
+    def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
+        if not len(stack):
+            return self._fallback.permute_ntt_stack(stack, table)
+        try:
+            # no arithmetic happens, so any uint64-representable rows
+            # qualify regardless of the word-size envelope
+            arr = self._matrix(stack)
+        except (OverflowError, ValueError):
+            return self._fallback.permute_ntt_stack(stack, table)
+        table = np.asarray(table, dtype=np.intp)
+        if not len(table) or table.min() < 0 or table.max() >= arr.shape[1]:
+            return arr[:, table]  # wraps or raises IndexError as a list does
+        # one range check per call buys the unchecked gather (3x cheaper a row)
+        out = np.empty((len(arr), len(table)), dtype=np.uint64)
+        return np.take(arr, table, axis=1, out=out, mode="clip")
 
     def decompose_native(self, moduli, coeffs):
         arr = None
@@ -686,7 +764,8 @@ class NumpyBackend(PolynomialBackend):
                 except (OverflowError, ValueError, TypeError):
                     arr = None
         if arr is None:
-            return super().decompose_native(moduli, coeffs)
+            # multi-word coefficients: big-int reduction is the exact path
+            return self._fallback.decompose_native(moduli, coeffs)
         out = np.empty((len(moduli), len(arr)), dtype=np.uint64)
         for i, m in enumerate(moduli):
             if arr.dtype == np.uint64:
@@ -694,183 +773,3 @@ class NumpyBackend(PolynomialBackend):
             else:
                 out[i] = np.remainder(arr, np.int64(m.value)).astype(np.uint64)
         return out
-
-    def pack_rows(self, handle) -> bytes:
-        try:
-            mat = self._matrix(handle)
-        except (OverflowError, ValueError, TypeError):
-            return super().pack_rows(handle)
-        return mat.astype("<u8", copy=False).tobytes()
-
-    def unpack_rows(self, data, count: int, n: int):
-        arr = np.frombuffer(data, dtype="<u8", count=count * n)
-        # astype: native byte order plus an owned, writable matrix
-        return arr.reshape(count, n).astype(np.uint64)
-
-    # ------------------------------------------------------------------
-    # NTT / INTT (Algorithms 3 and 4): a row is a stack of one
-    # ------------------------------------------------------------------
-    def ntt_forward(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
-        if not self.supports(tables.modulus):
-            return self._fallback.ntt_forward(tables, row)
-        return self.ntt_forward_stack(tables, self._matrix(row)[None, :])[0].tolist()
-
-    def ntt_inverse(self, tables: NTTTables, row: Sequence[int]) -> List[int]:
-        if not self.supports(tables.modulus):
-            return self._fallback.ntt_inverse(tables, row)
-        return self.ntt_inverse_stack(tables, self._matrix(row)[None, :])[0].tolist()
-
-    # ------------------------------------------------------------------
-    # dyadic arithmetic
-    # ------------------------------------------------------------------
-    def add(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.add(modulus, a, b)
-        return self.add_rows((modulus,), *self._lift_rows(a, b))[0].tolist()
-
-    def sub(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.sub(modulus, a, b)
-        return self.sub_rows((modulus,), *self._lift_rows(a, b))[0].tolist()
-
-    def negate(self, modulus: Modulus, a: Sequence[int]) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.negate(modulus, a)
-        return self.negate_rows((modulus,), *self._lift_rows(a))[0].tolist()
-
-    def dyadic_mul(self, modulus: Modulus, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.dyadic_mul(modulus, a, b)
-        return self.dyadic_mul_rows((modulus,), *self._lift_rows(a, b))[0].tolist()
-
-    def dyadic_mac(
-        self,
-        modulus: Modulus,
-        acc: Sequence[int],
-        x: Sequence[int],
-        y: Sequence[int],
-    ) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.dyadic_mac(modulus, acc, x, y)
-        return self.dyadic_mac_rows((modulus,), *self._lift_rows(acc, x, y))[0].tolist()
-
-    # ------------------------------------------------------------------
-    # scalar operations
-    # ------------------------------------------------------------------
-    def scalar_mul(self, modulus: Modulus, a: Sequence[int], scalar: int) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.scalar_mul(modulus, a, scalar)
-        return self.scalar_mul_stack(modulus, *self._lift_rows(a), scalar)[0].tolist()
-
-    def scalar_mac(
-        self, modulus: Modulus, acc: Sequence[int], a: Sequence[int], scalar: int
-    ) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.scalar_mac(modulus, acc, a, scalar)
-        acc_m, arr = self._lift_rows(acc, a)
-        prod = self.scalar_mul_stack(modulus, arr, scalar)
-        return self.add_rows((modulus,), prod, acc_m)[0].tolist()
-
-    # ------------------------------------------------------------------
-    # RNS base conversion
-    # ------------------------------------------------------------------
-    def reduce_mod(self, modulus: Modulus, row: Sequence[int]) -> List[int]:
-        if not self.supports(modulus):
-            return self._fallback.reduce_mod(modulus, row)
-        try:
-            arr = np.asarray(row, dtype=np.uint64)
-        except (OverflowError, ValueError, TypeError):
-            try:
-                # signed single-word coefficients (rounded encoder
-                # output): int64 remainder is exact and lands in [0, p)
-                arr = np.asarray(row, dtype=np.int64)
-            except (OverflowError, ValueError, TypeError):
-                # multi-word coefficients: Python big-int reduction is
-                # the only exact path
-                return self._fallback.reduce_mod(modulus, row)
-            return (
-                np.remainder(arr, np.int64(modulus.value))
-                .astype(np.uint64)
-                .tolist()
-            )
-        return (arr % np.uint64(modulus.value)).tolist()
-
-    # ------------------------------------------------------------------
-    # stacked-row kernels: one whole-array pass over all R rows at once.
-    #
-    # These return the (R, n) uint64 array itself (a valid row-stack per
-    # the base contract), so chains of stacked kernels -- the batched
-    # KeySwitch dataflow -- never round-trip through Python lists.
-    # ------------------------------------------------------------------
-    def ntt_forward_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
-        if not self.supports(tables.modulus) or not len(stack):
-            return super().ntt_forward_stack(tables, stack)
-        return _transform(self._matrix(stack), tables, False)
-
-    def ntt_inverse_stack(self, tables: NTTTables, stack: RowStack) -> RowStack:
-        if not self.supports(tables.modulus) or not len(stack):
-            return super().ntt_inverse_stack(tables, stack)
-        return _transform(self._matrix(stack), tables, True)
-
-    def sub_stack(self, modulus: Modulus, a: RowStack, b) -> RowStack:
-        if not self.supports(modulus) or not len(a):
-            return super().sub_stack(modulus, a, b)
-        arr, other = self._matrix(a), self._matrix(b)
-        if other.ndim == 1:
-            other = other[None, :]  # one row against every row of the stack
-        elif len(other) != len(arr):
-            # as the base class's ``_rows_of``: numpy's implicit (1, n)
-            # broadcasting must not accept what the reference rejects
-            raise ValueError(f"stack length mismatch: {len(other)} vs {len(arr)} rows")
-        self._check_width(arr, other)
-        return _addsub(np.subtract, arr, other, _column((modulus.value,)).p, _new(arr))
-
-    def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack):
-        digits = len(y)
-        if not self.supports(modulus) or not len(x) or not 0 < digits <= _MAX_DIGITS:
-            return super().dyadic_stack_reduce(modulus, x, y)
-        if len(x) % digits:
-            raise ValueError(f"stack length mismatch: {len(x)} vs {len(y)} rows")
-        xs, ys = self._matrix(x), self._matrix(y)
-        self._check_width(xs, ys)
-        # digit-major: block ``i`` of ``xs`` shares key row ``ys[i]``
-        xs = xs.view(np.int64).reshape(digits, len(xs) // digits, -1)
-        col = _column((modulus.value,), digits)
-        return _dot(xs, ys.view(np.int64)[:, None, :], col, _new(xs[0]))
-
-    def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
-        if not self.supports(modulus) or not len(a):
-            return super().scalar_mul_stack(modulus, a, scalar)
-        arr = self._matrix(a)
-        return _scalar_mul(arr, scalar, modulus.value, _new(arr))
-
-    def reduce_mod_stack(self, modulus: Modulus, stack: RowStack) -> RowStack:
-        if not self.supports(modulus) or not len(stack):
-            return super().reduce_mod_stack(modulus, stack)
-        try:
-            arr = self._matrix(stack)
-        except (OverflowError, ValueError):
-            return super().reduce_mod_stack(modulus, stack)
-        out, p = _new(arr), _column((modulus.value,)).p
-        if int(arr.max()) >= 2 * modulus.value:
-            return np.remainder(arr, p, out=out)
-        # residues of a prime of the same size (the usual RNS basis):
-        # one fold instead of the one non-SIMD pass, a division
-        _fold(arr, p, out, out)
-        return out
-
-    def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
-        if not len(stack):
-            return super().permute_ntt_stack(stack, table)
-        try:
-            # no arithmetic happens, so any uint64-representable rows
-            # qualify regardless of the word-size envelope
-            arr = self._matrix(stack)
-        except (OverflowError, ValueError):
-            return super().permute_ntt_stack(stack, table)
-        table = np.asarray(table, dtype=np.intp)
-        if not len(table) or table.min() < 0 or table.max() >= arr.shape[1]:
-            return arr[:, table]  # wraps or raises IndexError as a list does
-        # one range check per call buys the unchecked gather (3x cheaper a row)
-        out = np.empty((len(arr), len(table)), dtype=np.uint64)
-        return np.take(arr, table, axis=1, out=out, mode="clip")

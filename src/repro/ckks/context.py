@@ -30,14 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.ckks.backend import PolynomialBackend, get_backend, resolve_backend
 from repro.ckks.modarith import HEAX_WORD_BITS, Modulus
-
-try:  # native Galois gather tables (optional, numpy-less hosts skip it)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
-from repro.ckks.ntt import NTTTables, bit_reverse
+from repro.ckks.ntt import NTTTables
 from repro.ckks.poly import RnsPolynomial
 from repro.ckks.primes import make_modulus_chain
 from repro.ckks.rns import RnsBasis
@@ -172,9 +169,14 @@ class CkksContext:
             m.value: NTTTables(params.n, m) for m in chain
         }
         self._galois_cache: Dict[int, List[Tuple[int, bool]]] = {}
-        self._galois_ntt_cache: Dict[int, List[int]] = {}
         #: galois_elt -> intp index array (see :meth:`galois_table_ntt`).
-        self._galois_ntt_native_cache: Dict[int, object] = {}
+        self._galois_ntt_cache: Dict[int, np.ndarray] = {}
+        #: ``_bit_reversal[i]``: ``i`` with its ``log2 n`` bits reversed.  By
+        #: doubling: over ``2m`` slots it is ``2 rev_m`` then ``2 rev_m + 1``.
+        brv = np.zeros(1, dtype=np.int64)
+        while len(brv) < params.n:
+            brv = np.concatenate([2 * brv, 2 * brv + 1])
+        self._bit_reversal = brv
         #: inverse of each chain modulus against every other chain modulus,
         #: ``_mod_inverses[last][p] = (last mod p)^-1 mod p`` -- the rescale
         #: and Modulus-Switch flooring constants (Algorithm 6), precomputed
@@ -295,7 +297,7 @@ class CkksContext:
         """The coefficient permutation for ``g``, as ``(dest, flip)`` pairs.
 
         For callers permuting whole coefficient-form row-stacks
-        (``apply_galois_stack``) without materializing per-ciphertext
+        (``galois_rows``) without materializing per-ciphertext
         :class:`RnsPolynomial` objects.  Returns a fresh list so callers
         cannot corrupt the internal cache :meth:`apply_galois` shares.
         """
@@ -310,7 +312,7 @@ class CkksContext:
         rows = be.galois_rows(poly.moduli, poly.native_rows(be), mapping)
         return RnsPolynomial(poly.n, poly.moduli, rows, is_ntt=False)
 
-    def _galois_map_ntt(self, galois_elt: int) -> List[int]:
+    def galois_table_ntt(self, galois_elt: int) -> np.ndarray:
         """The automorphism as an *NTT-domain* gather: ``out[i] = in[src[i]]``.
 
         The forward NTT's bit-reversed output slot ``i`` holds the
@@ -321,47 +323,25 @@ class CkksContext:
         in the NTT domain the automorphism is a pure permutation of the
         ``n`` values with *no sign corrections*, hence modulus-independent
         and far cheaper than the INTT -> signed-permute -> NTT round trip.
+
+        Returns the cached ``intp`` index array -- shared, read-only by
+        convention, and accepted directly by
+        :meth:`PolynomialBackend.permute_ntt_stack`.
         """
         if galois_elt % 2 == 0 or not 0 < galois_elt < 2 * self.n:
             raise ValueError("Galois element must be an odd unit mod 2n")
         cached = self._galois_ntt_cache.get(galois_elt)
-        if cached is not None:
-            return cached
-        n = self.n
-        bits = n.bit_length() - 1
-        two_n = 2 * n
-        table = [
-            bit_reverse(
-                (((2 * bit_reverse(i, bits) + 1) * galois_elt % two_n) - 1) >> 1,
-                bits,
-            )
-            for i in range(n)
-        ]
-        self._galois_ntt_cache[galois_elt] = table
-        return table
+        if cached is None:
+            brv = self._bit_reversal
+            exponent = (2 * brv + 1) * galois_elt % (2 * self.n)
+            cached = brv[(exponent - 1) >> 1].astype(np.intp, copy=False)
+            self._galois_ntt_cache[galois_elt] = cached
+        return cached
 
     def galois_map_ntt(self, galois_elt: int) -> List[int]:
-        """The NTT-domain gather table for ``g`` (fresh copy, see
-        :meth:`galois_map` for the cache-protection rationale)."""
-        return list(self._galois_map_ntt(galois_elt))
-
-    def galois_table_ntt(self, galois_elt: int):
-        """The NTT-domain gather table in index-array form (cached).
-
-        An ``intp`` ndarray when numpy is importable, else the cached
-        list -- either way shared, read-only by convention, and accepted
-        directly by :meth:`PolynomialBackend.permute_ntt_stack`, so hot
-        rotation paths skip the per-call list copy *and* the per-call
-        index-array conversion inside the numpy backend.
-        """
-        table = self._galois_map_ntt(galois_elt)
-        if _np is None:
-            return table
-        cached = self._galois_ntt_native_cache.get(galois_elt)
-        if cached is None:
-            cached = _np.asarray(table, dtype=_np.intp)
-            self._galois_ntt_native_cache[galois_elt] = cached
-        return cached
+        """:meth:`galois_table_ntt` as a fresh list (see :meth:`galois_map`
+        for the cache-protection rationale)."""
+        return self.galois_table_ntt(galois_elt).tolist()
 
     def apply_galois_ntt(self, poly: RnsPolynomial, galois_elt: int) -> RnsPolynomial:
         """Apply ``m(X) -> m(X^g)`` directly to an NTT-form polynomial.

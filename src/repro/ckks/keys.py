@@ -265,12 +265,11 @@ class KeyGenerator:
             )
             # Add [P]_{p_i} * [target]_{p_i} to residue row i of b only.
             mod_i = key_moduli[i]
-            factor = special.value % mod_i.value
-            b.set_row(
-                i,
-                be.scalar_mac(mod_i, b.row(i), target_ntt.row(i), factor),
-                backend=be,
+            term = be.scalar_mul_stack(
+                mod_i, be.select_rows(target_ntt.rows, [i]), special.value % mod_i.value
             )
+            row = be.add_rows([mod_i], be.select_rows(b.rows, [i]), term)
+            b.set_row(i, row[0], backend=be)
             digits.append((b, a))
         return digits, key_seed
 
@@ -286,9 +285,7 @@ class KeyGenerator:
         Rotation applies ``σ_g`` to the ciphertext, after which it
         decrypts under ``σ_g(s)``; the key switches ``σ_g(s) -> s``.
         """
-        ctx = self.context
-        s_coeff = ctx.from_ntt(self._secret.poly)
-        s_rotated = ctx.to_ntt(ctx.apply_galois(s_coeff, galois_elt))
+        s_rotated = self.context.apply_galois_ntt(self._secret.poly, galois_elt)
         digits, key_seed = self._kswitch_key(
             s_rotated, b"galois:%d" % galois_elt
         )

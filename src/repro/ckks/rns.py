@@ -22,14 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.ckks.backend import get_backend
-from repro.ckks.modarith import Modulus
+import numpy as np
 
-try:  # vectorized Garner CRT composition (optional fast path)
-    import numpy as _np
-    from repro.ckks.backend.numpy_backend import _WORD_SAFE_BOUND, _scalar_mul
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+from repro.ckks.backend import get_backend
+from repro.ckks.backend.numpy_backend import _WORD_SAFE_BOUND, _scalar_mul
+from repro.ckks.modarith import Modulus
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,8 @@ class RnsBasis:
         polynomial backend (coefficients may be signed or multi-word;
         backends fall back to exact big-int reduction when needed).
         """
-        return get_backend().decompose(list(self.moduli), coeffs)
+        be = get_backend()
+        return be.to_rows(be.decompose_native(self.moduli, coeffs))
 
     def compose(self, residues: Sequence[int]) -> int:
         """CRT-reconstruct the integer in ``[0, q)`` from residues.
@@ -129,8 +127,8 @@ class RnsBasis:
         """CRT-reconstruct a whole residue matrix: one integer per
         coefficient, each in ``[0, q)``.
 
-        The vector form of :meth:`compose`, used by decode.  When numpy
-        is available and every prime is word-size safe, the mixed-radix
+        The vector form of :meth:`compose`, used by decode.  When every
+        prime is word-size safe, the mixed-radix
         (Garner) digits are computed as vectorized ``uint64`` passes --
         ``O(k^2)`` array kernels instead of ``n`` big-int CRT sums with
         full-``q``-size products -- and only the final radix assembly
@@ -164,26 +162,26 @@ class RnsBasis:
     def _garner_digits_numpy(self, rows):
         """Vectorized mixed-radix digits ``d_j`` with ``x = Σ d_j Π_{i<j} p_i``,
         or ``None`` when the fast path does not apply."""
-        if _np is None or any(m.value >= _WORD_SAFE_BOUND for m in self.moduli):
+        if any(m.value >= _WORD_SAFE_BOUND for m in self.moduli):
             return None
         try:
             mats = (
                 rows
-                if isinstance(rows, _np.ndarray) and rows.dtype == _np.uint64
-                else _np.asarray(rows, dtype=_np.uint64)
+                if isinstance(rows, np.ndarray) and rows.dtype == np.uint64
+                else np.asarray(rows, dtype=np.uint64)
             )
         except (OverflowError, ValueError, TypeError):
             return None
-        digits = [mats[0] % _np.uint64(self.moduli[0].value)]
+        digits = [mats[0] % np.uint64(self.moduli[0].value)]
         for j in range(1, len(self.moduli)):
             p_j = self.moduli[j].value
-            pj = _np.uint64(p_j)
+            pj = np.uint64(p_j)
             t = (mats[j] % pj)[None, :]
             for i in range(j):
                 # t = (t - d_i) * (p_i^-1 mod p_j)  (mod p_j)
                 d_red = digits[i] % pj
                 t += pj - d_red
-                _np.minimum(t, t - pj, out=t)  # conditional subtraction
+                np.minimum(t, t - pj, out=t)  # conditional subtraction
                 _scalar_mul(t, self._garner_inverse(i, j), p_j, t)
             digits.append(t[0])
         return digits

@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ckks.context import CkksContext
-from repro.ckks.evaluator import rows_for
 from repro.ckks.keys import KswitchKey
-from repro.ckks.poly import RnsPolynomial
+from repro.ckks.poly import RnsPolynomial, restrict_to_moduli
 from repro.core.arch import KeySwitchArchitecture
 
 
@@ -95,58 +94,53 @@ class KeySwitchModuleSim:
         ext_moduli = data_moduli + [special]
         n = target.n
 
-        # Two accumulation bank sets (Figure 5 "Output Mem" BRAM banks).
-        acc0 = RnsPolynomial(n, ext_moduli, is_ntt=True)
-        acc1 = RnsPolynomial(n, ext_moduli, is_ntt=True)
-        key_rows0, key_rows1 = [], []
-        for i in range(lc):
-            d0, d1 = ksk.digit(i)
-            key_rows0.append(rows_for(d0, ext_moduli))
-            key_rows1.append(rows_for(d1, ext_moduli))
-
         be = ctx.backend
-        for i in range(lc):
-            p_i = data_moduli[i]
+        zeros = be.from_rows([[0] * n for _ in ext_moduli])
+        # Two accumulation bank sets (Figure 5 "Output Mem" BRAM banks).
+        acc0, acc1 = zeros, zeros
+        for i, p_i in enumerate(data_moduli):
+            c_i = be.select_rows(target.rows, [i])
             # --- INTT0 -----------------------------------------------
-            a = be.ntt_inverse(ctx.tables(p_i), target.row(i))
-            # --- NTT0 fan-out + DyadMult accumulation ----------------
-            for j, m_j in enumerate(ext_moduli):
+            a = be.ntt_inverse_stack(ctx.tables(p_i), c_i)
+            # --- NTT0 fan-out: one row per extended-basis prime --------
+            def fan_out(m_j):
                 if m_j.value == p_i.value:
-                    # the synchronized input-poly DyadMult module
-                    b_ntt = target.row(i)
-                else:
-                    b_ntt = be.ntt_forward(ctx.tables(m_j), be.reduce_mod(m_j, a))
-                acc0.set_row(
-                    j,
-                    be.dyadic_mac(m_j, acc0.row(j), b_ntt, key_rows0[i][j]),
-                    backend=be,
+                    return c_i  # the synchronized input-poly DyadMult module
+                return be.ntt_forward_stack(
+                    ctx.tables(m_j), be.reduce_mod_stack(m_j, a)
                 )
-                acc1.set_row(
-                    j,
-                    be.dyadic_mac(m_j, acc1.row(j), b_ntt, key_rows1[i][j]),
-                    backend=be,
-                )
+
+            fan = be.from_rows([fan_out(m_j)[0] for m_j in ext_moduli])
+            # --- DyadMult accumulation against both key columns -------
+            key0, key1 = (
+                restrict_to_moduli(d, ext_moduli, backend=be).rows
+                for d in ksk.digit(i)
+            )
+            acc0 = be.dyadic_mac_rows(ext_moduli, acc0, fan, key0)
+            acc1 = be.dyadic_mac_rows(ext_moduli, acc1, fan, key1)
 
         # --- Modulus Switch (INTT1 -> NTT1 -> MS) ---------------------
-        out0 = self._modulus_switch(acc0)
-        out1 = self._modulus_switch(acc1)
+        out0 = self._modulus_switch(acc0, ext_moduli)
+        out1 = self._modulus_switch(acc1, ext_moduli)
         stats = self.timing(level_count=lc)
         return (out0, out1), stats
 
-    def _modulus_switch(self, acc: RnsPolynomial) -> RnsPolynomial:
+    def _modulus_switch(self, acc, moduli) -> RnsPolynomial:
         """Floor by the special prime (Algorithm 6 on the accumulator)."""
         ctx = self.context
         be = ctx.backend
-        special = acc.moduli[-1]
-        a = be.ntt_inverse(ctx.tables(special), acc.row(acc.level_count - 1))
-        out_moduli = acc.moduli[:-1]
+        special, out_moduli = moduli[-1], moduli[:-1]
+        a = be.ntt_inverse_stack(
+            ctx.tables(special), be.select_rows(acc, [len(out_moduli)])
+        )
         rows = []
         for i, m in enumerate(out_moduli):
-            inv_sp = ctx.rescale_inverse(special, m)
-            r_ntt = be.ntt_forward(ctx.tables(m), be.reduce_mod(m, a))
-            diff = be.sub(m, acc.row(i), r_ntt)
-            rows.append(be.scalar_mul(m, diff, inv_sp))
-        return RnsPolynomial(acc.n, out_moduli, rows, is_ntt=True)
+            r_ntt = be.ntt_forward_stack(ctx.tables(m), be.reduce_mod_stack(m, a))
+            diff = be.sub_stack(m, be.select_rows(acc, [i]), r_ntt)
+            rows.append(
+                be.scalar_mul_stack(m, diff, ctx.rescale_inverse(special, m))[0]
+            )
+        return RnsPolynomial(ctx.n, out_moduli, be.from_rows(rows), is_ntt=True)
 
     # ------------------------------------------------------------------
     # timing path (Section 4.3 rate equations)

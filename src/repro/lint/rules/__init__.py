@@ -8,7 +8,7 @@ visitor; this package is the registry the driver and CLI consume.
 | id | invariant                                  | created by |
 |----|--------------------------------------------|------------|
 | R1 | zero-materialization residency             | PR 5       |
-| R2 | backend kernel-surface conformance         | PR 1/4     |
+| R2 | sealed backend kernel surface              | PR 1/4/17  |
 | R3 | injectable-clock serving determinism       | PR 6       |
 | R4 | exact-length wire discipline               | PR 3/7     |
 | R5 | serving exception discipline               | PR 3/6     |

@@ -1,45 +1,51 @@
-"""R2 -- backend kernel-surface conformance.
+"""R2 -- the sealed backend kernel surface.
 
-PR 1 split the scheme from its compute kernels behind
-:class:`~repro.ckks.backend.base.PolynomialBackend`; PR 4/5 grew that
-surface (stacked kernels, resident-matrix handles) and made
-:class:`~repro.ckks.backend.counting.CountingBackend` the instrument
-every transform-count and residency assertion trusts.  That trust has
-a structural precondition: **the counting wrapper must wrap every
-public kernel**.  A kernel the wrapper does not define falls through
-to the base-class default, which re-expresses the operation through
-*other* self-methods -- bypassing the inner backend's optimized
-override and mis-attributing (or dropping) the counts.  Exactly this
-happened: ``decompose`` was never wrapped, so RNS decomposition
-escaped conversion/transform accounting for five PRs.
+:class:`~repro.ckks.backend.base.PolynomialBackend` declares its public
+kernels in two tuples.  ``PRIMITIVES`` are what a backend implements,
+once each; ``DERIVED`` are one-expression conveniences the base class
+builds from the primitives.  Every count and residency assertion trusts
+that a derived name reaches a backend *only* through its primitives --
+``decompose`` once had its own path around the counting wrapper and
+escaped the counters for five PRs.  The split holds while:
 
-This is a *project* rule -- it introspects the class ASTs of the base
-interface and every implementation module together:
-
-* ``CountingBackend`` must explicitly define every public kernel of
-  ``PolynomialBackend`` (wrap-all mode: inheritance is the bug);
-* every override in ``ReferenceBackend`` / ``NumpyBackend`` /
-  ``CountingBackend`` must keep the base kernel's exact parameter
+* the two tuples partition the interface's public methods;
+* no implementation (``ReferenceBackend`` / ``NumpyBackend`` /
+  ``CountingBackend``) overrides a derived name, or adds a public method
+  that names no primitive (a typo'd override silently never dispatches);
+* every primitive an implementation defines keeps the base parameter
   names and shape (a drifted signature breaks backend
   interchangeability one keyword-call at a time);
-* a public instance method on an implementation that names no base
-  kernel is flagged: either it belongs on the interface or it is a
-  typo'd override that silently never dispatches.
+* a *wrapping* implementation defines every primitive, the concrete
+  ones included -- an inherited body would run against the wrapper
+  instead of the backend it wraps;
+* nothing under ``src/repro`` outside the interface's own package calls
+  a derived name on a backend object, so that deleting the 19 names
+  stays a pure removal.
+
+A *project* rule: it reads the interface's tuples and class AST together
+with every implementation and caller module.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.lint.core import Finding, Rule, SourceModule
+from repro.lint.core import (
+    Finding,
+    Rule,
+    SourceModule,
+    SymbolTrackingVisitor,
+    module_matches,
+)
 
 #: Where the interface and its implementations live (dotted, class).
 BASE_MODULE = "repro.ckks.backend.base"
 BASE_CLASS = "PolynomialBackend"
 
-#: mode "wrap": must define every kernel; mode "override": may inherit.
+#: mode "wrap": must define every primitive; mode "override": may
+#: inherit the concrete ones.
 IMPLEMENTATIONS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.ckks.backend.reference", "ReferenceBackend", "override"),
     ("repro.ckks.backend.numpy_backend", "NumpyBackend", "override"),
@@ -48,6 +54,14 @@ IMPLEMENTATIONS: Tuple[Tuple[str, str, str], ...] = (
 
 #: Public helper methods implementations may add beyond the interface.
 ALLOWED_EXTRA_METHODS = frozenset({"reset", "supports"})
+
+#: How the code base spells "a backend object": these names and
+#: attributes, the registry's accessors, and any name assigned from one.
+BACKEND_NAMES = frozenset({"be", "backend"})
+BACKEND_ATTRS = frozenset({"backend", "_backend", "inner"})
+BACKEND_ACCESSORS = frozenset(
+    {"get_backend", "resolve_backend", "create_backend", "set_backend"}
+)
 
 
 def _decorator_names(node: ast.FunctionDef) -> List[str]:
@@ -102,6 +116,20 @@ def _class_def(module: SourceModule, class_name: str) -> Optional[ast.ClassDef]:
     return None
 
 
+def _string_tuple(module: SourceModule, name: str) -> Optional[FrozenSet[str]]:
+    """The module-level ``name = ("...", ...)`` tuple, as a set."""
+    for node in module.tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+            and isinstance(node.value, ast.Tuple)
+        ):
+            return frozenset(
+                e.value for e in node.value.elts if isinstance(e, ast.Constant)
+            )
+    return None
+
+
 def _public_instance_methods(
     cls: ast.ClassDef,
 ) -> Dict[str, ast.FunctionDef]:
@@ -120,12 +148,52 @@ def _public_instance_methods(
     return out
 
 
+def _is_backend(node: ast.AST, aliases: FrozenSet[str]) -> bool:
+    """True when ``node`` is spelled the way backend objects are."""
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    if isinstance(node, ast.Attribute):
+        return node.attr in BACKEND_ATTRS
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return name in BACKEND_ACCESSORS
+    if isinstance(node, ast.IfExp):
+        return _is_backend(node.body, aliases) or _is_backend(node.orelse, aliases)
+    if isinstance(node, ast.BoolOp):
+        return any(_is_backend(v, aliases) for v in node.values)
+    return False
+
+
+class _DerivedCallVisitor(SymbolTrackingVisitor):
+    """Collects ``<backend>.<derived kernel>(...)`` calls of one module."""
+
+    def __init__(self, derived: FrozenSet[str], aliases: FrozenSet[str]) -> None:
+        super().__init__()
+        self.derived = derived
+        self.aliases = aliases
+        self.hits: List[Tuple[ast.Call, str]] = []
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in self.derived
+            and _is_backend(func.value, self.aliases)
+        ):
+            self.hits.append((node, self.symbol))
+        self.generic_visit(node)
+
+
 class BackendConformanceRule(Rule):
-    """Every backend implements the full, signature-exact kernel surface."""
+    """Backends implement the primitives; nobody else's code needs more."""
 
     id = "R2"
-    title = "PolynomialBackend kernel-surface conformance"
-    invariant_origin = "PR 1 (backend layer) / PR 4 (CountingBackend assertions)"
+    title = "sealed PolynomialBackend kernel surface"
+    invariant_origin = (
+        "PR 1 (backend layer) / PR 4 (CountingBackend assertions) / "
+        "PR 17 (primitives and derived names)"
+    )
 
     def __init__(
         self,
@@ -144,18 +212,30 @@ class BackendConformanceRule(Rule):
         if base_mod is None:
             return ()  # partial run without the interface: nothing to hold
         base_cls = _class_def(base_mod, self.base_class)
-        if base_cls is None:
+        primitives = _string_tuple(base_mod, "PRIMITIVES")
+        derived = _string_tuple(base_mod, "DERIVED")
+        if base_cls is None or primitives is None or derived is None:
             return (
                 self.finding(
                     base_mod,
                     base_mod.tree,
                     "<module>",
-                    f"interface class {self.base_class} not found in "
-                    f"{self.base_module}",
+                    f"{self.base_module} must define class {self.base_class} "
+                    "and the PRIMITIVES / DERIVED tuples of kernel names",
                 ),
             )
         kernels = _public_instance_methods(base_cls)
         findings: List[Finding] = []
+        for name in sorted(set(kernels) ^ (primitives | derived)):
+            findings.append(
+                self.finding(
+                    base_mod,
+                    kernels.get(name, base_cls),
+                    f"{self.base_class}.{name}",
+                    f"kernel {name!r} must be both a public method of "
+                    f"{self.base_class} and listed in PRIMITIVES or DERIVED",
+                )
+            )
         for impl_module, impl_class, mode in self.implementations:
             impl_mod = modules.get(impl_module)
             if impl_mod is None:
@@ -172,48 +252,86 @@ class BackendConformanceRule(Rule):
                     )
                 )
                 continue
-            methods = _public_instance_methods(impl_cls)
-            if mode == "wrap":
-                for name in sorted(set(kernels) - set(methods)):
-                    findings.append(
-                        self.finding(
-                            impl_mod,
-                            impl_cls,
-                            f"{impl_class}.{name}",
-                            f"{impl_class} does not wrap kernel {name!r}; "
-                            "the inherited default re-expresses it through "
-                            "other self-methods, bypassing the inner "
-                            "backend's override and corrupting the "
-                            "instrumentation counts",
-                        )
-                    )
-            for name, node in sorted(methods.items()):
-                if name in kernels:
-                    base_sig = _signature_of(kernels[name], drop_self=True)
-                    impl_sig = _signature_of(node, drop_self=True)
-                    if base_sig != impl_sig:
-                        findings.append(
-                            self.finding(
-                                impl_mod,
-                                node,
-                                f"{impl_class}.{name}",
-                                f"signature drift on kernel {name!r}: "
-                                f"{impl_class} has {impl_sig.describe()}, "
-                                f"{self.base_class} declares "
-                                f"{base_sig.describe()}; keyword call sites "
-                                "stop being backend-interchangeable",
-                            )
-                        )
-                elif name not in ALLOWED_EXTRA_METHODS:
-                    findings.append(
-                        self.finding(
-                            impl_mod,
-                            node,
-                            f"{impl_class}.{name}",
-                            f"public method {name!r} names no "
-                            f"{self.base_class} kernel: promote it to the "
-                            "interface, prefix it as private, or fix the "
-                            "typo'd override that silently never dispatches",
-                        )
-                    )
+            findings.extend(
+                self._check_implementation(
+                    impl_mod, impl_cls, mode, kernels, primitives, derived
+                )
+            )
+        home = self.base_module.rpartition(".")[0]
+        for module in modules.values():
+            if module_matches(module.module, ("repro",)) and not module_matches(
+                module.module, (home,)
+            ):
+                findings.extend(self._check_callers(module, derived))
         return findings
+
+    def _check_implementation(
+        self, impl_mod, impl_cls, mode, kernels, primitives, derived
+    ) -> Iterable[Finding]:
+        impl_class = impl_cls.name
+        methods = _public_instance_methods(impl_cls)
+        if mode == "wrap":
+            for name in sorted(primitives - set(methods)):
+                yield self.finding(
+                    impl_mod,
+                    impl_cls,
+                    f"{impl_class}.{name}",
+                    f"{impl_class} does not wrap kernel {name!r}; the "
+                    "inherited body runs against the wrapper instead of "
+                    "the backend it wraps, corrupting the instrumentation "
+                    "counts",
+                )
+        for name, node in sorted(methods.items()):
+            symbol = f"{impl_class}.{name}"
+            if name in derived:
+                yield self.finding(
+                    impl_mod,
+                    node,
+                    symbol,
+                    f"{impl_class} overrides derived kernel {name!r}: "
+                    f"{self.base_class} derives it from the primitives, and "
+                    "a second body is a second path around the counters",
+                )
+            elif name in primitives and name in kernels:
+                base_sig = _signature_of(kernels[name], drop_self=True)
+                impl_sig = _signature_of(node, drop_self=True)
+                if base_sig != impl_sig:
+                    yield self.finding(
+                        impl_mod,
+                        node,
+                        symbol,
+                        f"signature drift on kernel {name!r}: "
+                        f"{impl_class} has {impl_sig.describe()}, "
+                        f"{self.base_class} declares "
+                        f"{base_sig.describe()}; keyword call sites "
+                        "stop being backend-interchangeable",
+                    )
+            elif name not in ALLOWED_EXTRA_METHODS:
+                yield self.finding(
+                    impl_mod,
+                    node,
+                    symbol,
+                    f"public method {name!r} names no "
+                    f"{self.base_class} primitive: prefix it as private, "
+                    "or fix the typo'd override that silently never "
+                    "dispatches",
+                )
+
+    def _check_callers(
+        self, module: SourceModule, derived: FrozenSet[str]
+    ) -> Iterable[Finding]:
+        aliases = set(BACKEND_NAMES)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Assign) and _is_backend(node.value, frozenset(aliases)):
+                aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        visitor = _DerivedCallVisitor(derived, frozenset(aliases))
+        visitor.visit(module.tree)
+        for node, symbol in visitor.hits:
+            yield self.finding(
+                module,
+                node,
+                symbol,
+                f"call of derived kernel {node.func.attr!r} on a backend: "
+                "pass the matrix or one-row stack you hold to the primitive "
+                f"it is derived from (see {self.base_module})",
+            )

@@ -30,6 +30,7 @@ from repro.ckks.backend import (
     set_backend,
     use_backend,
 )
+from repro.ckks.backend.base import PRIMITIVES
 from repro.ckks.backend.reference import ReferenceBackend
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.decryptor import Decryptor
@@ -121,44 +122,18 @@ class TestRegistry:
         evaluation and decryption -- not just the context's own NTTs."""
         calls = set()
 
-        class SpyBackend(ReferenceBackend):
-            name = "spy"
+        def spy(name):
+            def kernel(self, *args):
+                calls.add(name)
+                return getattr(ReferenceBackend, name)(self, *args)
 
-            def ntt_forward(self, tables, row):
-                calls.add("ntt_forward")
-                return super().ntt_forward(tables, row)
+            return kernel
 
-            def ntt_inverse(self, tables, row):
-                calls.add("ntt_inverse")
-                return super().ntt_inverse(tables, row)
-
-            def dyadic_mul(self, modulus, a, b):
-                calls.add("dyadic_mul")
-                return super().dyadic_mul(modulus, a, b)
-
-            def dyadic_mac(self, modulus, acc, x, y):
-                calls.add("dyadic_mac")
-                return super().dyadic_mac(modulus, acc, x, y)
-
-            def dyadic_stack_reduce(self, modulus, x, y):
-                calls.add("dyadic_stack_reduce")
-                return super().dyadic_stack_reduce(modulus, x, y)
-
-            def add(self, modulus, a, b):
-                calls.add("add")
-                return super().add(modulus, a, b)
-
-            def scalar_mul(self, modulus, a, scalar):
-                calls.add("scalar_mul")
-                return super().scalar_mul(modulus, a, scalar)
-
-            def scalar_mac(self, modulus, acc, a, scalar):
-                calls.add("scalar_mac")
-                return super().scalar_mac(modulus, acc, a, scalar)
-
-            def reduce_mod(self, modulus, row):
-                calls.add("reduce_mod")
-                return super().reduce_mod(modulus, row)
+        SpyBackend = type(
+            "SpyBackend",
+            (ReferenceBackend,),
+            {"name": "spy", **{name: spy(name) for name in PRIMITIVES}},
+        )
 
         with use_backend("numpy"):  # the global the pin must override
             ctx = CkksContext(
@@ -174,14 +149,19 @@ class TestRegistry:
             )
             Decryptor(ctx, keygen.secret_key).decrypt(evaluator.rescale(ct2))
         assert {
-            "ntt_forward",
-            "ntt_inverse",
-            "dyadic_mul",
+            "decompose_native",  # encode
+            "ntt_forward_rows",
+            "set_row",  # keygen: P * target into row i of each digit
+            "negate_rows",
+            "add_rows",
+            "dyadic_mul_rows",
+            "dyadic_mac_rows",
+            "ntt_inverse_stack",  # key switch and rescale
+            "reduce_mod_stack",
+            "ntt_forward_stack",
             "dyadic_stack_reduce",
-            "add",
-            "scalar_mul",
-            "scalar_mac",
-            "reduce_mod",
+            "sub_stack",
+            "scalar_mul_stack",
         } <= calls
 
 

@@ -225,12 +225,32 @@ class TestHandleRoundTrips:
     def test_kernels_reject_row_width_mismatch(self, backend_name):
         """No silent zip truncation (reference) and no broadcast of a
         one-wide row across all columns (numpy): an operand whose rows
-        have the wrong width raises on every backend, lists or native."""
+        have the wrong width raises on every backend, lists or native --
+        and so does a per-row argument that comes up short in *count*
+        (numpy returned uninitialised rows for missing scalars)."""
         be = create_backend(backend_name)
         rows = self._rand_rows(8)
         m = self.MODULI[0]
-        for lift in (be.from_rows, lambda r: r):
+        scalars = [3, 5, 7]
+        mapping = [(i, False) for i in range(N)]
+        for lift in (be.from_rows, lambda r: [list(row) for row in r]):
             full = lift(rows)
+            assert be.to_rows(be.scalar_mul_rows(self.MODULI, full, scalars)) == [
+                [v * s % p.value for v in row]
+                for row, s, p in zip(rows, scalars, self.MODULI)
+            ]
+            for count in (0, 1, 2, 4):
+                with pytest.raises(ValueError):
+                    be.scalar_mul_rows(self.MODULI, full, (scalars * 2)[:count])
+            assert be.to_rows(be.galois_rows(self.MODULI, full, mapping)) == rows
+            for width in (1, N // 2, N - 1):
+                with pytest.raises(ValueError):
+                    be.galois_rows(self.MODULI, full, mapping[:width])
+                with pytest.raises(ValueError):
+                    be.set_row(full, 0, rows[1][:width])
+            with pytest.raises(ValueError):
+                be.set_row(full, 0, rows[1] + [0])
+            assert be.to_rows(full) == rows  # no rejected write landed
             for width in (1, N // 2):
                 short = lift([row[:width] for row in rows])
                 for kernel in (be.add_rows, be.sub_rows, be.dyadic_mul_rows):

@@ -1,6 +1,7 @@
 # lint-fixture-path: src/repro/lintfix/wrapper.py
-# R2 clean fixture: wraps every kernel with the exact base signature;
-# 'reset' is on the allowed-extras list.
+# R2 clean fixture: wraps every primitive with the exact base signature
+# and leaves the derived name to the base class; 'reset' is on the
+# allowed-extras list.
 
 
 class Wrapper:

@@ -1,13 +1,17 @@
 # lint-fixture-path: src/repro/lintfix/wrapper.py
-# R2 violating fixture, three findings expected:
-#   * 'add' is never wrapped (falls through to the base default);
+# R2 violating fixture, four findings expected:
+#   * 'add' is never wrapped (the inherited body runs against the wrapper);
 #   * 'ntt' drifts from the base signature;
-#   * 'tally' is a public method naming no interface kernel.
+#   * 'ntt_one' overrides a derived name (a second path around 'ntt');
+#   * 'tally' is a public method naming no primitive.
 
 
 class Wrapper:
     def ntt(self, modulus, rows, extra):
         return self.inner.ntt(modulus, rows)
+
+    def ntt_one(self, modulus, row):
+        return self.inner.ntt_one(modulus, row)
 
     def tally(self):
         return 0

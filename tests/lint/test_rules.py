@@ -119,15 +119,47 @@ def test_r2_fires_on_violating_wrapper():
     modules = [load_fixture("r2_base.py"), load_fixture("r2_violation.py")]
     result = run_lint(modules, rules=[fixture_conformance_rule()])
     messages = [f.message for f in result.findings]
-    assert len(result.findings) == 3
+    assert len(result.findings) == 4
     assert {f.rule for f in result.findings} == {"R2"}
     assert any("does not wrap kernel 'add'" in m for m in messages)
     assert any("signature drift on kernel 'ntt'" in m for m in messages)
-    assert any("names no Base kernel" in m for m in messages)
+    assert any("overrides derived kernel 'ntt_one'" in m for m in messages)
+    assert any("names no Base primitive" in m for m in messages)
 
 
 def test_r2_silent_on_clean_wrapper():
     modules = [load_fixture("r2_base.py"), load_fixture("r2_clean.py")]
+    result = run_lint(modules, rules=[fixture_conformance_rule()])
+    assert result.ok, [str(f) for f in result.findings]
+
+
+def test_r2_fires_when_the_interface_is_not_partitioned():
+    """A public kernel in neither tuple, and a listed name with no
+    method, are both findings on the interface itself."""
+    base = load_fixture("r2_base.py")
+    text = base.text.replace('("ntt", "add")', '("ntt", "scale")')
+    modules = [source_from_text(base.path, text)]
+    result = run_lint(modules, rules=[fixture_conformance_rule()])
+    assert sorted(f.symbol for f in result.findings) == ["Base.add", "Base.scale"]
+
+
+def test_r2_flags_derived_kernel_calls_outside_the_backend_package():
+    modules = [load_fixture("r2_base.py"), load_fixture("r2_caller_violation.py")]
+    result = run_lint(modules, rules=[fixture_conformance_rule()])
+    assert len(result.findings) == 3
+    assert {f.rule for f in result.findings} == {"R2"}
+    assert {f.symbol for f in result.findings} == {"transform"}
+    assert all("derived kernel 'ntt_one'" in f.message for f in result.findings)
+    # the interface's own package derives and tests the names: exempt
+    text = load_fixture("r2_caller_violation.py").text
+    at_home = source_from_text("src/repro/lintfix/derive.py", text)
+    assert run_lint(
+        [load_fixture("r2_base.py"), at_home], rules=[fixture_conformance_rule()]
+    ).ok
+
+
+def test_r2_silent_on_primitive_callers():
+    modules = [load_fixture("r2_base.py"), load_fixture("r2_caller_clean.py")]
     result = run_lint(modules, rules=[fixture_conformance_rule()])
     assert result.ok, [str(f) for f in result.findings]
 
