@@ -5,11 +5,14 @@ rotation sweeps through one hoisted decomposition, packing independent
 same-shape chains into batch lanes, placing rescales plan-wide --
 recovers the throughput the hand-tuned call sites got, from a declared
 DAG.  The gate measures planner-optimized execution against the naive
-per-op sequential baseline (the same plan, ``optimize=False``: every
-node one scalar evaluator call) on two workloads:
+per-op sequential baseline (``optimize=False``: every node one scalar
+evaluator call) on two workloads:
 
-* a 16-step diagonal matvec (``matvec_graph``: a 15-rotation sweep plus
-  diagonal C-P multiplies), and
+* a 16-step diagonal matvec (``matvec_graph``: one ``linear_sweep`` node
+  -- 15 rotations sharing a decomposition and a Modulus Switch -- plus
+  its rescale; a fused node is the same evaluator call in both modes,
+  so its per-op baseline is the unfused rotate -> ``mul_plain`` ->
+  ``add`` graph from the differential kit, run naive), and
 * a mixed multi-client op graph (``workload_graph``: four independent
   dot-product + activation chains, the batch-packing shape).
 
@@ -47,6 +50,10 @@ from repro.plan.hwsim import PAPER_SET_NAMES, modeled_replays
 from repro.plan.lower import fresh_lane_inputs, matvec_graph, workload_graph
 from repro.system.workload import WorkloadGenerator
 
+# the unfused matvec expansion lives with the tests; benchmarks/conftest.py
+# puts tests/ckks on sys.path
+from differential import matvec_graph_unfused
+
 pytestmark = pytest.mark.skipif(
     "numpy" not in available_backends(),
     reason="numpy backend not available on this host",
@@ -80,12 +87,15 @@ def _matrix() -> np.ndarray:
 def _workload(name: str, n: int):
     """Build one gated workload at its natural depth.
 
-    Returns ``(ctx, executor, plan, inputs)`` under the active backend.
+    Returns ``(ctx, executor, plan, naive_plan, inputs)`` under the
+    active backend; ``naive_plan`` is what the per-op baseline runs
+    (the plan itself unless it is a fused node's unfused expansion).
     """
     ctx, encoder, encryptor, executor = _fixture(n, PLAN_K[name])
     if name == "matvec16":
-        plan = compile_plan(
-            matvec_graph(_matrix())[0], ctx, rescale_outputs=False
+        plan, naive_plan = (
+            compile_plan(lower(_matrix())[0], ctx, rescale_outputs=False)
+            for lower in (matvec_graph, matvec_graph_unfused)
         )
         packed = np.zeros(encoder.slot_count)
         packed[: 2 * DIM] = np.resize(np.linspace(-1, 1, DIM), 2 * DIM)
@@ -101,6 +111,7 @@ def _workload(name: str, n: int):
             ctx,
             rescale_outputs=False,
         )
+        naive_plan = plan
         rng = np.random.default_rng(37)
         inputs = fresh_lane_inputs(
             plan,
@@ -108,7 +119,7 @@ def _workload(name: str, n: int):
                 encoder.encode(list(rng.uniform(-0.5, 0.5, 8)))
             ),
         )
-    return ctx, executor, plan, inputs
+    return ctx, executor, plan, naive_plan, inputs
 
 
 def _best_seconds(fn, repeats: int = 3) -> float:
@@ -125,16 +136,16 @@ def _measure():
     out = {}
     with use_backend("numpy"):
         for name in PLAN_K:
-            ctx, ex, plan, inputs = _workload(name, GATED_N)
+            ctx, ex, plan, naive_plan, inputs = _workload(name, GATED_N)
             # warm twiddle/plaintext caches out of the timings
             ex.run(plan, inputs, optimize=True)
-            ex.run(plan, inputs, optimize=False)
+            ex.run(naive_plan, inputs, optimize=False)
             out[name] = {
                 "optimized": _best_seconds(
                     lambda: ex.run(plan, inputs, optimize=True)
                 ),
                 "naive": _best_seconds(
-                    lambda: ex.run(plan, inputs, optimize=False)
+                    lambda: ex.run(naive_plan, inputs, optimize=False)
                 ),
                 "run": ex.run(plan, inputs, optimize=True),
                 "context": ctx,
@@ -217,7 +228,7 @@ def test_planner_speedup_gate(benchmark, emit, emit_json):
 def test_modeled_replay_reports_paper_sets(emit, emit_json):
     """The same measured plan run, replayed on the Table 5 hardware."""
     with use_backend("numpy"):
-        ctx, ex, plan, inputs = _workload("matvec16", GATED_N)
+        ctx, ex, plan, _, inputs = _workload("matvec16", GATED_N)
         t0 = time.perf_counter()
         run = ex.run(plan, inputs, optimize=True)
         software = time.perf_counter() - t0
@@ -250,7 +261,8 @@ def test_modeled_replay_reports_paper_sets(emit, emit_json):
             rows,
             note="the modeled column replays the measured PlanStep "
             "stream through the repro.core module simulators "
-            "(hoisted sweeps pay their decomposition once).",
+            "(a linear_sweep pays its decomposition and its Modulus "
+            "Switch once).",
         ),
     )
     for set_name, r in replays.items():
@@ -278,7 +290,7 @@ def test_planned_bits_equal_naive_bits(backend, emit_json):
     with use_backend(backend):
         identical = True
         for name in PLAN_K:
-            ctx, ex, plan, inputs = _workload(name, 64)
+            ctx, ex, plan, _, inputs = _workload(name, 64)
             fast = ex.run(plan, inputs, optimize=True)
             slow = ex.run(plan, inputs, optimize=False)
             for out in plan.outputs:

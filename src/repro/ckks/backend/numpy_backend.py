@@ -116,7 +116,7 @@ _RATIO_BIAS = 1.0 - 2.0**-51
 _CHUNK_WORDS = 1 << 15
 
 #: Sums of more digits than this (``m * p`` of the module docstring must
-#: stay below ``2^64`` for every word-safe ``p``) take the reference fallback.
+#: stay below ``2^64`` for every word-safe ``p``) run in blocks of this many.
 _MAX_DIGITS = 32
 
 #: Twiddle blocks of the early stages are repeated up to this many words,
@@ -718,7 +718,7 @@ class NumpyBackend(PolynomialBackend):
 
     def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack):
         digits = len(y)
-        if not self.supports(modulus) or not len(x) or not 0 < digits <= _MAX_DIGITS:
+        if not self.supports(modulus) or not len(x) or not digits:
             return self._fallback.dyadic_stack_reduce(modulus, x, y)
         if len(x) % digits:
             raise ValueError(f"stack length mismatch: {len(x)} vs {len(y)} rows")
@@ -726,8 +726,14 @@ class NumpyBackend(PolynomialBackend):
         self._check_width(xs, ys)
         # digit-major: block ``i`` of ``xs`` shares key row ``ys[i]``
         xs = xs.view(np.int64).reshape(digits, len(xs) // digits, -1)
-        col = _column((modulus.value,), digits)
-        return _dot(xs, ys.view(np.int64)[:, None, :], col, _new(xs[0]))
+        ys = ys.view(np.int64)[:, None, :]
+        out = None
+        for lo in range(0, digits, _MAX_DIGITS):
+            block = slice(lo, lo + _MAX_DIGITS)
+            col = _column((modulus.value,), len(xs[block]))
+            part = _dot(xs[block], ys[block], col, _new(xs[0]))
+            out = part if out is None else _addsub(np.add, out, part, col.p, out)
+        return out
 
     def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
         if not len(stack):

@@ -69,12 +69,16 @@ class CkksEncoder:
         scale: float = None,
         level_count: int = None,
         to_ntt: bool = True,
+        extended: bool = False,
     ) -> Plaintext:
         """Encode a vector of at most ``n/2`` complex values.
 
         Scalars broadcast to every slot.  Short vectors are zero-padded.
         The plaintext is produced in NTT form by default, matching the
-        representation HEAX keeps all operands in.
+        representation HEAX keeps all operands in.  ``extended`` encodes
+        over the level's key basis (its data primes plus the special
+        prime) -- the operand of :meth:`Evaluator.linear_sweep`, which
+        multiplies key-switch accumulators before their Modulus Switch.
         """
         ctx = self.context
         if scale is None:
@@ -102,7 +106,8 @@ class CkksEncoder:
             int_coeffs = rounded.astype(np.int64)
         else:  # pragma: no cover - needs an astronomically large scale
             int_coeffs = [int(round(c)) for c in coeffs.tolist()]
-        basis = ctx.basis_at_level(level_count)
+        at_level = ctx.key_basis_at_level if extended else ctx.basis_at_level
+        basis = at_level(level_count)
         poly = RnsPolynomial.from_int_coeffs(
             int_coeffs, basis.moduli, backend=ctx.backend
         )

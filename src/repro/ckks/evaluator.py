@@ -9,6 +9,7 @@
 * ``relinearize``                        -- CKKS.Relin (keyswitch of c2)
 * ``rotate`` / ``conjugate``             -- Galois automorphism + KeySwitch
 * ``rotate_hoisted``                     -- decompose once, rotate many
+* ``linear_sweep``                       -- ``Σ pt_d ⊙ rot_d(ct)``, floored once
 
 One implementation, one unit of work: every operation runs over a
 **lane** of ``N >= 1`` same-shape ciphertexts
@@ -409,25 +410,30 @@ class Evaluator:
             CiphertextBatch(target.n, 1, target.moduli, [rows], 1.0, target.is_ntt), 0
         )
 
-    def _apply_keyswitch(self, digits: KeySwitchDigits, ksk: KswitchKey) -> Tuple:
-        """Phase 2 of Algorithm 7 -> the ``(f0, f1)`` lane matrices.
+    def _keyswitch_macs(self, digits: KeySwitchDigits, ksk: KswitchKey) -> List[List]:
+        """The DyadMult half of phase 2 -> ``[c][j]``, accumulator ``c``'s
+        unfloored ``N``-row block under extended-basis modulus ``j``.
 
         One fused ``dyadic_stack_reduce`` per (key column, modulus)
         against the pre-stacked, backend-native key columns
         (:meth:`KswitchKey.stacked_columns`) -- each key row is shared
-        by its digit's ``N``-row block -- then the Floor by the special
-        prime (line 19) of both accumulators.
+        by its digit's ``N``-row block.
         """
         be = self.context.backend
         ext_moduli = digits.ext_moduli
-        accumulators = [
+        return [
             [
                 be.dyadic_stack_reduce(m, digits.stacks[j], column[j])
                 for j, m in enumerate(ext_moduli)
             ]
             for column in ksk.stacked_columns(ext_moduli, be)
         ]
-        return tuple(self._floor_divide(accumulators, ext_moduli))
+
+    def _apply_keyswitch(self, digits: KeySwitchDigits, ksk: KswitchKey) -> Tuple:
+        """Phase 2 of Algorithm 7 -> the ``(f0, f1)`` lane matrices: the
+        MACs, then the Floor by the special prime (line 19) of both."""
+        macs = self._keyswitch_macs(digits, ksk)
+        return tuple(self._floor_divide(macs, digits.ext_moduli))
 
     def apply_keyswitch(
         self, digits: KeySwitchDigits, ksk: KswitchKey
@@ -488,6 +494,17 @@ class Evaluator:
             raise ValueError("relinearize before applying Galois automorphisms")
         return lane, self._decompose(lane, 1)
 
+    def _permuted(self, digits: KeySwitchDigits, table) -> KeySwitchDigits:
+        """``digits`` under an NTT-domain automorphism, in fresh stacks."""
+        be = self.context.backend
+        return KeySwitchDigits(
+            digits.n,
+            digits.data_moduli,
+            digits.ext_moduli,
+            [be.permute_ntt_stack(s, table) for s in digits.stacks],
+            digits.count,
+        )
+
     def _apply_galois_digits(
         self,
         like: Operand,
@@ -512,14 +529,7 @@ class Evaluator:
         ctx = self.context
         be = ctx.backend
         table = ctx.galois_table_ntt(key.galois_elt)
-        permuted = KeySwitchDigits(
-            digits.n,
-            digits.data_moduli,
-            digits.ext_moduli,
-            [be.permute_ntt_stack(s, table) for s in digits.stacks],
-            digits.count,
-        )
-        f0, f1 = self._apply_keyswitch(permuted, key)
+        f0, f1 = self._apply_keyswitch(self._permuted(digits, table), key)
         c0 = be.permute_ntt_stack(lane.comps[0], table)
         return self._emit(like, lane, [be.add_rows(lane.row_moduli, c0, f0), f1])
 
@@ -587,3 +597,104 @@ class Evaluator:
         """Complex-conjugate every slot."""
         elt = self.context.conjugation_element
         return self.apply_galois_hoisted(ct, [elt], galois_keys)[0]
+
+    # ------------------------------------------------------------------
+    # the key-switched linear combination (a diagonal matvec is one)
+    # ------------------------------------------------------------------
+    def linear_sweep(
+        self,
+        ct: Operand,
+        terms: Sequence[Tuple[int, Plaintext]],
+        galois_keys: GaloisKeySet,
+    ) -> Operand:
+        """``Σ_d pt_d ⊙ rotate(ct, step_d)`` with one decomposition and
+        **one** Modulus Switch (step 0 is the unrotated term).
+
+        A plaintext product and a sum are linear, so the rotations'
+        key-switch accumulators need not leave the extended basis
+        ``Q·P`` one by one: per rotated term the hoisted digits are
+        permuted and MAC'd against its Galois key as in
+        :meth:`rotate_hoisted`, but both ``(L+1)``-block accumulators are
+        *kept*; per extended modulus one ``dyadic_stack_reduce`` weighs
+        the ``R`` accumulator blocks by the ``R`` plaintext rows (the key
+        MAC's own shape: block ``d`` shares row ``d``) and the sum is
+        floored by the special prime once.  What never left ``Q``
+        (``Σ pt_d ⊙ σ_d(c0)``, the unrotated term on ``c1``) is one more
+        dot per data prime.  So the plaintexts live over the level's
+        *key basis* (``CkksEncoder.encode(..., extended=True)``) at one
+        scale.  Same value, level and scale as the unfused ``Σ
+        multiply_plain(rotate(ct, d), pt_d)`` with one flooring error
+        instead of ``R`` -- not the same bits; bit-identical across
+        backends and lane widths like every other operation.
+        """
+        ctx = self.context
+        be = ctx.backend
+        lane = self._lane(ct)
+        terms = list(terms)
+        if lane.size != 2 or not lane.is_ntt:
+            raise ValueError("linear_sweep takes a relinearized, NTT-form operand")
+        if not terms:
+            raise ValueError("linear_sweep needs at least one term")
+        level, count = lane.level_count, lane.count
+        ext_moduli = lane.moduli + [ctx.special_modulus]
+        basis = [m.value for m in ext_moduli]
+        for _, pt in terms:
+            check_scales(terms[0][1].scale, pt.scale)
+            shape = (pt.n, pt.poly.is_ntt, [m.value for m in pt.poly.moduli])
+            if shape != (lane.n, True, basis):
+                raise ValueError(
+                    "RNS basis mismatch: linear_sweep plaintexts are NTT-form "
+                    "over the level's key basis (data primes + special prime)"
+                )
+        plains = [pt.poly.native_rows(be) for _, pt in terms]
+        elts = [ctx.galois_element_for_step(step) for step, _ in terms]
+        rotated = [d for d, elt in enumerate(elts) if elt != 1]
+        unrotated = [d for d, elt in enumerate(elts) if elt == 1]
+
+        def rows_of(which, moduli):
+            """Per modulus the stack of plaintext rows of the terms ``which``."""
+            return [
+                be.native_stack([plains[d][i] for d in which])
+                for i in range(len(moduli))
+            ]
+
+        def weighted(moduli, parts, rows):
+            """Per modulus ``i`` the N-row block ``Σ_k rows[i][k] ⊙ parts[k][i]``."""
+            return [
+                be.dyadic_stack_reduce(
+                    m, be.native_stack([r for part in parts for r in part[i]]), rows[i]
+                )
+                for i, m in enumerate(moduli)
+            ]
+
+        def in_q(mats, which):
+            parts = [self._blocks(mat, level, count) for mat in mats]
+            blocks = weighted(lane.moduli, parts, rows_of(which, lane.moduli))
+            return be.from_rows([row for block in blocks for row in block])
+
+        digits = self._decompose(lane, 1) if rotated else None
+        c0s, accumulators = [], []
+        for elt in elts:
+            if elt == 1:
+                c0s.append(lane.comps[0])
+                continue
+            table = ctx.galois_table_ntt(elt)
+            key = galois_keys.key_for_element(elt)
+            macs = self._keyswitch_macs(self._permuted(digits, table), key)
+            accumulators.append(macs)
+            c0s.append(be.permute_ntt_stack(lane.comps[0], table))
+        comps = [in_q(c0s, range(len(terms)))]
+        if unrotated:
+            comps.append(in_q([lane.comps[1]] * len(unrotated), unrotated))
+        if rotated:
+            rows = rows_of(rotated, ext_moduli)  # shared by both accumulators
+            sums = [
+                weighted(ext_moduli, [acc[c] for acc in accumulators], rows)
+                for c in (0, 1)
+            ]
+            floored = self._floor_divide(sums, ext_moduli)
+            rm = lane.row_moduli
+            comps = [
+                be.add_rows(rm, comp, f) for comp, f in zip(comps, floored)
+            ] + floored[len(comps):]
+        return self._emit(ct, lane, comps, scale=lane.scale * terms[0][1].scale)

@@ -9,10 +9,11 @@ those compositions with correct level/scale management:
   log-depth reduction that leaves a sum (or inner product) in every
   slot;
 * :meth:`LinearEvaluator.matvec_diagonal` -- the classic diagonal
-  (Halevi-Shoup) encrypted matrix-vector product: up to ``d - 1``
-  *hoisted* rotations (one key-switch decomposition shared by all of
-  them -- see :meth:`repro.ckks.evaluator.Evaluator.rotate_hoisted`) +
-  plaintext multiplies + additions, with all-zero diagonals skipped;
+  (Halevi-Shoup) encrypted matrix-vector product as **one**
+  key-switched linear combination
+  (:meth:`repro.ckks.evaluator.Evaluator.linear_sweep`: the up to
+  ``d - 1`` rotations share one decomposition *and* one Modulus
+  Switch), with all-zero diagonals skipped;
 * :meth:`LinearEvaluator.evaluate_polynomial` -- scale-aligned
   evaluation of a real-coefficient polynomial on a ciphertext
   (activation functions such as the degree-3 sigmoid approximation);
@@ -119,10 +120,11 @@ class LinearEvaluator:
 
         This is the canonical hoisting workload -- up to ``dim - 1``
         rotations of the *same* ciphertext -- so it lowers into the
-        workload planner (:func:`repro.plan.lower.matvec_graph`): the
-        graph's rotation sweep fuses onto a single key-switch
-        decomposition and the planner validates the level/scale
-        discipline before any ciphertext work.  The input node is typed
+        workload planner (:func:`repro.plan.lower.matvec_graph`) as one
+        ``linear_sweep`` node plus its rescale: the rotations share a
+        single key-switch decomposition and a single Modulus Switch,
+        and the planner validates the level/scale discipline before
+        any ciphertext work.  The input node is typed
         with the live ciphertext's level and scale, so the checker
         validates the *actual* chain.  Diagonals are extracted with one
         vectorized gather and all-zero diagonals are skipped (their term

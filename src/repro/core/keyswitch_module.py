@@ -220,19 +220,19 @@ class KeySwitchModuleSim:
         # throughout: INTT1 is one poly per module (two modules run the
         # two output polys in parallel), NTT1/MS busy entries already
         # cover the Modulus-Switch stream
-        per_rotation = (
-            busy["DyadMult"]
-            + busy["DyadMult(input)"]
-            + busy["INTT1"]
-            + busy["NTT1"]
-            + busy["MS"]
-        )
+        dyadmult = busy["DyadMult"] + busy["DyadMult(input)"]
+        modulus_switch = busy["INTT1"] + busy["NTT1"] + busy["MS"]
+        per_rotation = dyadmult + modulus_switch
         naive = decompose + per_rotation
         hoisted_total = decompose + num_rotations * per_rotation
         return {
             "rotations": float(num_rotations),
             "decompose_cycles": decompose,
             "apply_cycles_per_rotation": per_rotation,
+            # its two shares: a ``linear_sweep`` pays the first per
+            # rotation and the second once (the sum is floored once)
+            "dyadmult_cycles_per_rotation": dyadmult,
+            "modulus_switch_cycles": modulus_switch,
             "naive_cycles_per_rotation": naive,
             "hoisted_cycles_per_rotation": hoisted_total / num_rotations,
             "speedup": naive * num_rotations / hoisted_total,

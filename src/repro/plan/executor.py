@@ -15,6 +15,12 @@ real ciphertexts in one of two modes:
   remaining nodes are packed by shape into
   :class:`repro.ckks.batch.CiphertextBatch` lanes.
 
+A ``linear_sweep`` node (``sum_d const_d * rotate(x, step_d)``, what
+``matvec_graph`` lowers to) is a sweep already fused in the IR: both
+modes run it as the same one ``Evaluator.linear_sweep`` call -- one
+decomposition and one Modulus Switch for all its rotations -- and bill
+it as a sweep (``sweeps``, ``fused_rotations``).
+
 Either way every step is one call of the one
 :class:`repro.ckks.evaluator.Evaluator` over a lane of ``width >= 1``
 nodes: there is a single op -> evaluator-call table (:meth:`_apply`)
@@ -52,6 +58,7 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import GaloisKeySet, RelinKey
 from repro.ckks.poly import Ciphertext, Plaintext
 from repro.plan.graph import KEYSWITCH_OPS, PlanGraph, PlanNode
+from repro.plan.passes import _const_scale
 from repro.system.scheduler import ScheduledOp
 
 #: ScheduledOp kind per plan op (selects host staging-buffer depth).
@@ -78,7 +85,8 @@ class PlanStep:
     width: int
     mode: str  # "sweep" | "batch" | "scalar"
     level_count: int
-    #: rotations served by this step (sweeps only; 0 otherwise).
+    #: rotations served by this step (sweeps and ``linear_sweep`` lanes
+    #: only; 0 otherwise).
     rotations: int
     seconds: float
     scheduled: ScheduledOp
@@ -143,7 +151,7 @@ class PlanExecutor:
         self.galois_keys = galois_keys
         self.evaluator = Evaluator(context)
         self.encoder = CkksEncoder(context)
-        #: (constant value, level, scale) -> encoded plaintext, least
+        #: (constant value, level, scale, basis) -> encoded plaintext, least
         #: recently used first.  Keyed on a digest of the *value*, never
         #: the node id: ids repeat from graph to graph and this executor
         #: outlives them, while a recompiled graph of the same constants
@@ -154,72 +162,97 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     # plaintext operands
     # ------------------------------------------------------------------
-    def _plain(self, value, level: int, scale: float) -> Plaintext:
+    def _plain(
+        self, value, level: int, scale: float, extended: bool = False
+    ) -> Plaintext:
         slots = np.ascontiguousarray(value, dtype=np.complex128)
-        # the shape tells a broadcast scalar from a zero-padded 1-vector
+        # the shape *before* the lift (which promotes 0-d to 1-d) tells a
+        # broadcast scalar from a zero-padded 1-vector
         digest = hashlib.blake2b(slots, digest_size=16).digest()
-        key = (slots.shape, digest, level, float(scale))
+        key = (np.shape(value), digest, level, float(scale), extended)
         cache = self._plain_cache
         if key in cache:
             cache.move_to_end(key)
         else:
-            cache[key] = self.encoder.encode(value, scale=scale, level_count=level)
+            cache[key] = self.encoder.encode(
+                value, scale=scale, level_count=level, extended=extended
+            )
             if len(cache) > PLAIN_CACHE_SIZE:
                 cache.popitem(last=False)
         return cache[key]
 
-    def _operand_plain(
-        self, graph: PlanGraph, node: PlanNode, operand: Ciphertext
-    ) -> Plaintext:
+    def _operand_plain(self, graph: PlanGraph, node: PlanNode, operand: Ciphertext):
         """Encode a node's const operand at its runtime consumer's level.
 
         ``mul_plain`` uses the const's declared scale (default: the
         context scale); ``add_const`` must match the operand's exact
-        scale, whatever the chain produced.
+        scale, whatever the chain produced.  A ``linear_sweep`` gets its
+        ``(step, plaintext)`` terms, encoded over the level's key basis.
         """
-        const = graph.nodes[node.const_id]
-        if node.op == "add_const":
-            scale = operand.scale
-        else:
-            scale = (
-                const.scale if const.scale is not None
-                else self.context.params.scale
-            )
-        return self._plain(const.value, operand.level_count, scale)
+        level, delta = operand.level_count, self.context.params.scale
+
+        def plain(cid: int, scale: Optional[float] = None, extended: bool = False):
+            scale = _const_scale(graph, cid, delta) if scale is None else scale
+            return self._plain(graph.nodes[cid].value, level, scale, extended)
+
+        if node.op == "linear_sweep":
+            return [(step, plain(cid, extended=True)) for step, cid in node.terms]
+        return plain(node.const_id, operand.scale if node.op == "add_const" else None)
 
     # ------------------------------------------------------------------
     # key discipline
     # ------------------------------------------------------------------
+    def _key_switches(self, node: PlanNode) -> List[Tuple[str, int]]:
+        """``(label, Galois element)`` of every Galois key a node consumes."""
+        ctx = self.context
+        if node.op == "conjugate":
+            return [("conjugation", ctx.conjugation_element)]
+        steps = [node.step] if node.op == "rotate" else [s for s, _ in node.terms]
+        elts = [(f"step {s}", ctx.galois_element_for_step(s)) for s in steps]
+        # an unrotated linear_sweep term consumes no key
+        return [e for e in elts if e[1] != 1 or node.op == "rotate"]
+
     def _check_keys(self, graph: PlanGraph) -> None:
-        ops = {node.op for node in graph.nodes.values()}
-        if ops & {"mul_relin", "square"} and self.relin_key is None:
-            raise ValueError(
-                "plan contains mul_relin/square but the executor has no "
-                "relinearization key"
-            )
-        if ops & {"rotate", "conjugate"} and self.galois_keys is None:
-            raise ValueError(
-                "plan contains rotations but the executor has no Galois keys"
-            )
+        """Every key the plan will ask for, checked before any work."""
+        for node in graph.topo_order():
+            if node.op in ("mul_relin", "square") and self.relin_key is None:
+                raise ValueError(
+                    "plan contains mul_relin/square but the executor has no "
+                    "relinearization key"
+                )
+            for label, elt in self._key_switches(node):
+                if self.galois_keys is None:
+                    raise ValueError(
+                        "plan contains rotations but the executor has no Galois keys"
+                    )
+                if elt not in self.galois_keys:
+                    raise ValueError(
+                        f"plan node {node.id} ({node.op}): no Galois key for "
+                        f"{label} (element {elt}); generate it first"
+                    )
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def _bill(
-        self, op: str, width: int, level: int, out_level: int, seconds: float
+        self, node: PlanNode, width: int, level: int, out_level: int, seconds: float
     ) -> ScheduledOp:
         """Poly-count billing of one step (what crosses PCIe for it).
 
         Plan values are always size-2 ciphertexts.  Binary ciphertext
         ops move two operands; plaintext ops move one shared plaintext
-        (``level`` residue polys) for the whole lane.
+        (``level`` residue polys; ``level + 1`` per ``linear_sweep``
+        term) for the whole lane.
         """
         size = 2
+        op = node.op
         in_polys = width * size * level
         if op in ("add", "sub", "mul_relin"):
             in_polys *= 2
         elif op in ("mul_plain", "add_const"):
             in_polys += level
+        elif op == "linear_sweep":
+            in_polys += len(node.terms) * (level + 1)
         out_polys = width * size * out_level
         return ScheduledOp.for_batch(
             _sched_kind(op), self.context.n, in_polys, out_polys, seconds
@@ -245,12 +278,13 @@ class PlanExecutor:
         self,
         nodes: List[PlanNode],
         results: Dict[int, Ciphertext],
-        plain: Optional[Plaintext],
+        plain,
     ) -> List[Ciphertext]:
         """Run one lane of same-signature nodes as one evaluator call.
 
-        ``plain`` is the lane's encoded const operand, if its op has one:
-        the lane signature pins the const id and operand shape, so one
+        ``plain`` is the lane's encoded const operand (the ``(step,
+        plaintext)`` terms of a ``linear_sweep``), if its op has one:
+        the lane signature pins the const ids and operand shape, so one
         plaintext is shared by the whole lane.
         """
         ev = self.evaluator
@@ -282,6 +316,8 @@ class PlanExecutor:
             out = ev.rotate(lhs, nodes[0].step, self.galois_keys)
         elif op == "conjugate":
             out = ev.conjugate(lhs, self.galois_keys)
+        elif op == "linear_sweep":
+            out = ev.linear_sweep(lhs, plain, self.galois_keys)
         elif op == "rescale":
             out = ev.rescale(lhs)
         else:
@@ -313,7 +349,7 @@ class PlanExecutor:
         """Batch-lane packing key: op identity + exact operand shape.
 
         Two nodes pack only if the batched call is a single homogeneous
-        stacked pass: same op (and rotation step / const operand), and
+        stacked pass: same op (and rotation step / const operands), and
         every operand agreeing on size, level, scale and NTT form --
         the ``CiphertextBatch.join`` homogeneity rules.
         """
@@ -321,7 +357,7 @@ class PlanExecutor:
             (ct.size, ct.level_count, ct.scale, ct.is_ntt)
             for ct in (results[i] for i in node.inputs)
         )
-        return (node.op, node.step, node.const_id, shapes)
+        return (node.op, node.step, node.const_id, node.terms, shapes)
 
     # ------------------------------------------------------------------
     # execution
@@ -432,34 +468,38 @@ class PlanExecutor:
         one evaluator call -- every step of the naive mode is a lane of
         one."""
         width = len(nodes)
-        operand = results[nodes[0].inputs[0]]
+        node = nodes[0]
+        operand = results[node.inputs[0]]
         level = operand.level_count
         plain = (  # encoded outside the timed region: host-side work
-            self._operand_plain(graph, nodes[0], operand)
-            if nodes[0].const_id is not None
+            self._operand_plain(graph, node, operand)
+            if node.const_id is not None or node.terms
             else None
         )
         t0 = time.perf_counter()
         outs = self._apply(nodes, results, plain)
         seconds = time.perf_counter() - t0
-        for node, out in zip(nodes, outs):
-            results[node.id] = out
+        for member, out in zip(nodes, outs):
+            results[member.id] = out
         if width == 1:
             run.scalar_ops += 1
         else:
             run.lanes += 1
             run.packed_ops += width
+        rotations = 0
+        if node.op == "linear_sweep":  # a sweep fused in the IR, per node
+            rotations = width * len(self._key_switches(node))
+            run.sweeps += width
+            run.fused_rotations += rotations
         run.steps.append(
             PlanStep(
-                nodes[0].op,
+                node.op,
                 tuple(n.id for n in nodes),
                 width,
                 "scalar" if width == 1 else "batch",
                 level,
-                0,
+                rotations,
                 seconds,
-                self._bill(
-                    nodes[0].op, width, level, outs[0].level_count, seconds
-                ),
+                self._bill(node, width, level, outs[0].level_count, seconds),
             )
         )

@@ -50,12 +50,15 @@ CIPHER_OPS = frozenset(
         "square",
         "rotate",
         "conjugate",
+        "linear_sweep",
         "rescale",
     }
 )
 
 #: Ops consuming a key-switching key (and therefore a KeySwitch on HEAX).
-KEYSWITCH_OPS = frozenset({"mul_relin", "square", "rotate", "conjugate"})
+KEYSWITCH_OPS = frozenset(
+    {"mul_relin", "square", "rotate", "conjugate", "linear_sweep"}
+)
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ class PlanNode:
     const_id: Optional[int] = None
     #: external name of an ``input`` node.
     name: Optional[str] = None
+    #: the ``(step, const id)`` terms of a ``linear_sweep`` node.
+    terms: Tuple[Tuple[int, int], ...] = ()
 
 
 class PlanGraph:
@@ -109,7 +114,7 @@ class PlanGraph:
         if node.op not in CIPHER_OPS:
             raise ValueError(
                 f"node {nid} ({node.op}) is not a ciphertext value; "
-                "const nodes may only feed mul_plain/add_const"
+                "const nodes may only feed mul_plain/add_const/linear_sweep"
             )
         return nid
 
@@ -173,6 +178,15 @@ class PlanGraph:
 
     def conjugate(self, a: int) -> int:
         return self._new("conjugate", inputs=(self._cipher(a),))
+
+    def linear_sweep(self, a: int, terms) -> int:
+        """``sum_d const_d * rotate(a, step_d)`` as one node: the
+        key-switched linear combination a diagonal matvec is (step 0 is
+        the unrotated term; see ``Evaluator.linear_sweep``)."""
+        terms = tuple((int(step), self._const(cid)) for step, cid in terms)
+        if not terms:
+            raise ValueError("linear_sweep needs at least one term")
+        return self._new("linear_sweep", inputs=(self._cipher(a),), terms=terms)
 
     def rescale(self, a: int) -> int:
         return self._new("rescale", inputs=(self._cipher(a),))

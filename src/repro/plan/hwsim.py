@@ -13,6 +13,12 @@ The step-to-module mapping follows the established accounting:
   one INTT0/NTT0 decomposition plus N DyadMult + Modulus-Switch
   applications (hoisting pays the fan-out once in hardware exactly as
   in software);
+* a ``linear_sweep`` lane (a diagonal matvec) -- per node one
+  decomposition, one DyadMult application per rotated term and **one**
+  Modulus-Switch tail for the whole sum, plus the dyadic passes of its
+  plaintext products (per rotated term both ``level + 1``-row
+  accumulators and the ``level`` rows of ``c0``; the unrotated term's
+  two components);
 * scalar/batched key-switch ops (rotate, conjugate, square,
   mul_relin) -- one KeySwitch pipeline period each
   (:meth:`KeySwitchModuleSim.timing`);
@@ -73,6 +79,14 @@ def _step_cycles(
         return ht["decompose_cycles"] + step.rotations * ht[
             "apply_cycles_per_rotation"
         ]
+    if step.op == "linear_sweep":
+        passes = (3 * lc + 2) * step.rotations + 2 * lc * step.width
+        cycles = passes * dyadic_cycles(arch.n, _NC_DYADIC)
+        if step.rotations:
+            ht = sim.hoisted_timing(step.rotations, level_count=lc)
+            cycles += step.rotations * ht["dyadmult_cycles_per_rotation"]
+            cycles += step.width * (ht["decompose_cycles"] + ht["modulus_switch_cycles"])
+        return cycles
     if step.op in ("rotate", "conjugate", "square", "mul_relin"):
         return step.width * sim.timing(level_count=lc).throughput_cycles
     if step.op == "rescale":
@@ -102,7 +116,7 @@ def modeled_replay(
     total = 0.0
     for step in run.steps:
         cycles = _step_cycles(sim, arch, step)
-        kind = "sweep" if step.mode == "sweep" else step.op
+        kind = "sweep" if step.mode == "sweep" or step.op == "linear_sweep" else step.op
         by_kind[kind] = by_kind.get(kind, 0.0) + cycles
         total += cycles
     return ModeledReplay(

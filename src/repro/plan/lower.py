@@ -6,8 +6,9 @@ from the repo's existing workload descriptions:
 * :func:`matvec_graph` -- the Halevi-Shoup diagonal matrix-vector
   product behind
   :meth:`repro.ckks.linear.LinearEvaluator.matvec_diagonal` (one
-  diagonal gather, zero diagonals skipped, a single final rescale),
-  exposing the ``dim - 1`` rotations as a fusable sweep.
+  diagonal gather, zero diagonals skipped): one ``linear_sweep`` node --
+  the ``dim - 1`` rotations share a decomposition *and* a Modulus
+  Switch -- plus its rescale.
 * :func:`workload_graph` -- a :class:`repro.system.workload.Workload`
   primitive bag unrolled over ``lanes`` independent ciphertext chains
   (the multi-client picture); an op a chain cannot sustain resets the
@@ -53,21 +54,14 @@ def matvec_graph(
     elif input_node is None:
         raise ValueError("input_node is required when extending a graph")
     # all generalized diagonals in one gather: diags[d, i] = M[i, (i+d) % dim];
-    # an all-zero diagonal encodes to the exactly-zero plaintext, so its
-    # term (and its rotation) is skipped bit-identically
+    # an all-zero diagonal contributes exactly nothing, so its term (and its
+    # rotation key) is skipped; the zero matrix still burns its level/scale
     idx = np.arange(dim)
     diags = matrix[idx[None, :], (idx[None, :] + idx[:, None]) % dim]
-    nonzero = [d for d in range(dim) if diags[d].any()]
-    rotated = {0: input_node}
-    for d in nonzero:
-        if d != 0:
-            rotated[d] = graph.rotate(input_node, d)
-    acc = None
-    for d in nonzero:
-        term = graph.mul_plain(rotated[d], graph.const(list(diags[d])))
-        acc = term if acc is None else graph.add(acc, term)
-    if acc is None:  # the zero matrix still burns its level/scale
-        acc = graph.mul_plain(input_node, graph.const([0.0] * dim))
+    nonzero = [d for d in range(dim) if diags[d].any()] or [0]
+    acc = graph.linear_sweep(
+        input_node, [(d, graph.const(list(diags[d]))) for d in nonzero]
+    )
     out = graph.rescale(acc)
     if own_graph and output_name is not None:
         graph.output(out, output_name)

@@ -134,6 +134,13 @@ def check_plan(
         elif node.op == "mul_plain":
             level, s = types[node.inputs[0]]
             scale = s * _const_scale(graph, node.const_id, delta)
+        elif node.op == "linear_sweep":
+            level, s = types[node.inputs[0]]
+            scales = [_const_scale(graph, cid, delta) for _, cid in node.terms]
+            if not all(_scales_match(scales[0], other) for other in scales):
+                spread = f"{min(scales):g} .. {max(scales):g}"
+                fail(node, f"term plaintext scales differ ({spread}); one sum, one scale")
+            scale = s * scales[0]
         elif node.op == "rescale":
             level, s = types[node.inputs[0]]
             if level < 2:
@@ -282,6 +289,11 @@ def place_rescales(
                 types[a][0],
                 types[a][1] * _const_scale(graph, node.const_id, delta),
             )
+        elif node.op == "linear_sweep":
+            a = maybe_rescale(ins[0])
+            new = out.linear_sweep(a, [(step, mapping[c]) for step, c in node.terms])
+            scale = types[a][1] * _const_scale(graph, node.terms[0][1], delta)
+            types[new] = (types[a][0], scale)
         elif node.op in ("add", "sub"):
             a, b = align_levels(ins[0], ins[1])
             a, b = align_scales(a, b)

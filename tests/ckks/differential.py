@@ -32,7 +32,11 @@ model's precision honest.
 
 The module also keeps the pre-hoisting key-switch / rotation baselines
 (``keyswitch_polynomial_unhoisted``, ``rotate_unhoisted``,
-``matvec_unhoisted``) the fast path is tested and benchmarked against.
+``matvec_unhoisted``) the fast path is tested and benchmarked against,
+and ``matvec_graph_unfused``, the rotate -> ``mul_plain`` -> ``add``
+plan expansion ``matvec_graph`` lowered to before ``linear_sweep`` --
+the unfused oracle of the fused node (same value, ``R`` flooring errors
+instead of one) and the planner benchmark's baseline.
 """
 
 from __future__ import annotations
@@ -172,6 +176,32 @@ def matvec_unhoisted(ctx, matrix, ct, galois_keys):
         )
         acc = term if acc is None else ev.add(acc, term)
     return ev.rescale(acc)
+
+
+def matvec_graph_unfused(matrix, graph=None, input_node=None):
+    """``y = M x`` as the unfused plan: one ``rotate`` per nonzero
+    diagonal (a fusable sweep), one ``mul_plain`` each, an ``add`` chain
+    and the rescale -- every rotation floored by the special prime on
+    its own.  Returns ``(graph, output_node_id)`` like ``matvec_graph``."""
+    from repro.plan import PlanGraph
+
+    matrix = np.asarray(matrix, dtype=np.float64)
+    dim = matrix.shape[0]
+    own_graph = graph is None
+    if own_graph:
+        graph = PlanGraph()
+        input_node = graph.input("x")
+    idx = np.arange(dim)
+    diags = matrix[idx[None, :], (idx[None, :] + idx[:, None]) % dim]
+    acc = None
+    for d in [d for d in range(dim) if diags[d].any()] or [0]:
+        rotated = input_node if d == 0 else graph.rotate(input_node, d)
+        term = graph.mul_plain(rotated, graph.const(list(diags[d])))
+        acc = term if acc is None else graph.add(acc, term)
+    out = graph.rescale(acc)
+    if own_graph:
+        graph.output(out, "y")
+    return graph, out
 
 
 def _matvec_matrix(dim: int, base_seed: int) -> np.ndarray:

@@ -112,6 +112,24 @@ def test_more_digits_than_the_guard_take_the_default():
     assert canonical_stack(got) == reduce_oracle(m.value, x, x)
 
 
+@pytest.mark.parametrize("bits", (40, 50, 52))
+@pytest.mark.parametrize("digits", (33, 64, 65))
+def test_sums_beyond_the_digit_guard_run_in_blocks(bits, digits):
+    """Above ``_MAX_DIGITS`` the sum is taken ``_MAX_DIGITS`` digits at a
+    time and the partial sums added: same bits, and still a resident
+    matrix (the whole-sum reference fallback returned a ``list``, 90x
+    slower -- a 34-dimensional matvec sums 33 accumulators)."""
+    be = create_backend("numpy")
+    m = modulus(bits)
+    rng = random.Random(f"blocks/{bits}/{digits}")
+    for count, xp in ((1, "max"), (3, "random")):
+        x = rows_of(m.value, digits * count, 16, xp, rng)
+        y = rows_of(m.value, digits, 16, "max" if xp == "max" else "random", rng)
+        got = be.dyadic_stack_reduce(m, be.native_stack(x), be.native_stack(y))
+        assert isinstance(got, np.ndarray) and got.shape == (count, 16)
+        assert canonical_stack(got) == reduce_oracle(m.value, x, y), (count, xp)
+
+
 @pytest.mark.parametrize("bits", PRIME_BITS)
 def test_products_match_oracle(bits):
     """``dyadic_mul*`` / ``dyadic_mac*``: a product is a sum of one."""

@@ -2,7 +2,9 @@
 
 The acceptance contract of the hoisting work (ISSUE 4): a hoisted
 matvec performs the Algorithm-7 fan-out -- ``O(L·(L+1))`` NTT rows --
-**once**, while the pre-hoisting path pays it per rotation.  The
+**once**, while the pre-hoisting path pays it per rotation; since
+ISSUE 18 (``Evaluator.linear_sweep``) it also pays the Modulus Switch
+once, so its budget no longer depends on the matrix dimension.  The
 :class:`repro.ckks.backend.CountingBackend` makes both budgets exact,
 closed-form quantities; these tests assert them to the row.
 
@@ -13,7 +15,7 @@ Cost model (ring at level ``L``, all counts in *rows*):
   it is not already resident in) -- total ``L·(L+1)`` transforms.
 * ``apply_keyswitch``: the Modulus Switch on both output polynomials,
   ``2`` INTTs + ``2L`` forward NTTs -- the only transforms a hoisted
-  rotation pays per step.
+  rotation pays per step, and a ``linear_sweep`` per *sweep*.
 * ``rotate_unhoisted``: coefficient-domain automorphism round trip
   (``2L + 2L``) + the fan-out (``L + L²``) + the Modulus Switch
   (``2 + 2L``) -- every row of it per rotation.
@@ -62,6 +64,7 @@ def counted(request):
     return {
         "backend": be,
         "ctx": ctx,
+        "keygen": keygen,
         "evaluator": Evaluator(ctx),
         "lin": lin,
         "galois": galois,
@@ -102,24 +105,31 @@ def test_scalar_rotate_is_the_single_step_hoisted_cost(counted):
 
 
 def test_hoisted_matvec_transform_budget(counted):
-    """The headline accounting: O(L·(L+1)) fan-out NTTs per matvec,
-    not per rotation."""
+    """The headline accounting: the fan-out *and* the Modulus Switch
+    once per matvec -- ``L² + 5L + 2`` transform rows whatever the
+    matrix dimension -- not once per rotation."""
     be = counted["backend"]
     ct, gk = counted["ct"], counted["galois"]
     L = K
+    budgets = {}
+    for dim in (DIM, 2 * DIM):
+        keys = gk if dim == DIM else counted["keygen"].galois_keys(range(1, dim))
+        rng = np.random.default_rng(7)
+        matrix = rng.uniform(0.1, 1.0, (dim, dim))  # every diagonal nonzero
+        be.reset()
+        counted["lin"].matvec_diagonal(matrix, ct, keys)
+        hoisted_fwd = be.counts["ntt_forward"]
+        hoisted_inv = be.counts["ntt_inverse"]
+        # fan-out once + ONE Modulus Switch of the two accumulators + the
+        # final rescale (2 polys, 1 INTT + L-1 NTTs); the diagonals encode
+        # over the key basis (L + 1 rows each)
+        assert hoisted_inv == L + 2 + 2
+        assert hoisted_fwd == L * L + 2 * L + 2 * (L - 1) + dim * (L + 1)
+        budgets[dim] = hoisted_fwd + hoisted_inv - dim * (L + 1)
+    assert budgets[DIM] == budgets[2 * DIM] == L * L + 5 * L + 2
+
     R = DIM - 1
-    rng = np.random.default_rng(7)
-    matrix = rng.uniform(0.1, 1.0, (DIM, DIM))  # every diagonal nonzero
-
-    be.reset()
-    counted["lin"].matvec_diagonal(matrix, ct, gk)
-    hoisted_fwd = be.counts["ntt_forward"]
-    hoisted_inv = be.counts["ntt_inverse"]
-    # fan-out once + per-rotation Modulus Switch + DIM diagonal encodes
-    # (L rows each) + the final rescale (2 polys, 1 INTT + L-1 NTTs)
-    assert hoisted_inv == (L + 2 * R) + 2
-    assert hoisted_fwd == (L * L + 2 * L * R) + DIM * L + 2 * (L - 1)
-
+    matrix = np.random.default_rng(7).uniform(0.1, 1.0, (DIM, DIM))
     be.reset()
     matvec_unhoisted(counted["ctx"], matrix, ct, gk)
     legacy_fwd = be.counts["ntt_forward"]
@@ -128,7 +138,7 @@ def test_hoisted_matvec_transform_budget(counted):
     assert legacy_fwd == R * (L * L + 4 * L) + DIM * L + 2 * (L - 1)
 
     # the point of the exercise
-    hoisted = hoisted_fwd + hoisted_inv
+    hoisted = budgets[DIM] + DIM * (L + 1)
     legacy = legacy_fwd + legacy_inv
     assert hoisted < legacy / 2
 

@@ -29,7 +29,8 @@ def _encrypt(plan_encoder, plan_encryptor, values):
 
 
 def _mixed_graph(plan_context):
-    """A matvec spliced with squares and cross-lane adds: sweeps, batch
+    """A matvec (one ``linear_sweep`` node) spliced with a rotation
+    sweep, squares and cross-lane adds: both kinds of sweep, batch
     lanes, and scalar stragglers all in one plan."""
     dim = 8
     rng = np.random.default_rng(17)
@@ -42,6 +43,8 @@ def _mixed_graph(plan_context):
     sq_z = g.rescale(g.square(z))
     g.output(g.add(sq_x, sq_z), "squares")
     g.output(y, "matvec")
+    for step in (1, 2):
+        g.output(g.rotate(z, step), f"rot{step}")
     return compile_plan(g, plan_context, rescale_outputs=False)
 
 
@@ -56,14 +59,19 @@ class TestBitIdentity:
         }
         fast = executor.run(placed, inputs, optimize=True)
         slow = executor.run(placed, inputs, optimize=False)
-        assert set(fast.outputs) == set(slow.outputs) == {"squares", "matvec"}
+        assert set(fast.outputs) == set(slow.outputs) == {
+            "squares", "matvec", "rot1", "rot2"
+        }
         for name in fast.outputs:
             assert serialize_ciphertext(fast.outputs[name]) == serialize_ciphertext(
                 slow.outputs[name]
             ), f"bit mismatch on output {name!r}"
-        # the optimized run actually exercised both mechanisms
-        assert fast.sweeps >= 1 and fast.fused_rotations >= 2
-        assert slow.sweeps == 0 and slow.scalar_ops == len(slow.steps)
+        # the optimized run actually exercised both mechanisms: it fused
+        # the two rotations of z; the matvec is one linear_sweep node,
+        # a sweep (7 rotations) whichever executor runs it
+        assert (fast.sweeps, fast.fused_rotations) == (2, 7 + 2)
+        assert (slow.sweeps, slow.fused_rotations) == (1, 7)
+        assert slow.scalar_ops == len(slow.steps) and fast.lanes >= 1
 
 
 class TestSweepAccounting:
@@ -227,6 +235,29 @@ class TestPlainCache:
         assert len(ex._plain_cache) == 2
 
 
+    def test_scalar_and_one_vector_do_not_share_an_entry(
+        self, plan_context, plan_encoder, executor
+    ):
+        """``np.ascontiguousarray`` lifts a 0-d value to shape ``(1,)``:
+        keyed on the lifted shape, the broadcast scalar ``2.0`` and the
+        zero-padded one-vector ``[2.0]`` hashed alike and whichever was
+        encoded first was served for both."""
+        scale = plan_context.params.scale
+        scalar = executor._plain(2.0, plan_context.k, scale)
+        vector = executor._plain([2.0], plan_context.k, scale)
+        assert scalar is not vector
+        np.testing.assert_allclose(plan_encoder.decode(scalar).real, 2.0, atol=1e-6)
+        np.testing.assert_allclose(
+            plan_encoder.decode(vector).real,
+            [2.0] + [0.0] * (plan_encoder.slot_count - 1),
+            atol=1e-6,
+        )
+        # and the two bases of one value are two entries
+        wide = executor._plain([2.0], plan_context.k, scale, extended=True)
+        assert wide is not vector
+        assert wide.level_count == vector.level_count + 1
+
+
 class TestKeyAndInputDiscipline:
     def test_missing_relin_key_rejected(self, plan_context, plan_galois):
         ex = PlanExecutor(plan_context, galois_keys=plan_galois)
@@ -241,6 +272,32 @@ class TestKeyAndInputDiscipline:
         g.rotate(g.input("x"), 1)
         with pytest.raises(ValueError, match="no Galois keys"):
             ex.run(g, {})
+
+    def test_missing_galois_element_rejected_before_any_work(
+        self, plan_context, plan_keygen, plan_relin, plan_encoder, plan_encryptor
+    ):
+        """``square -> rotate(3)`` with keys for step 1 only used to run
+        the square and its relinearization, then die with a bare
+        ``KeyError``; ``run`` promises to raise before any work."""
+        ex = PlanExecutor(
+            plan_context, relin_key=plan_relin, galois_keys=plan_keygen.galois_keys([1])
+        )
+        ex.evaluator = None  # any evaluator call would raise AttributeError
+        ct = _encrypt(plan_encoder, plan_encryptor, [0.5])
+        g = PlanGraph()
+        g.output(g.rotate(g.rescale(g.square(g.input("x"))), 3), "y")
+        with pytest.raises(ValueError, match=r"node 3 \(rotate\): no Galois key for step 3"):
+            ex.run(g, {"x": ct})
+        g = PlanGraph()
+        g.output(g.conjugate(g.input("x")), "y")
+        with pytest.raises(ValueError, match=r"\(conjugate\): no Galois key for conj"):
+            ex.run(g, {"x": ct})
+        # a linear_sweep names its missing step; step 0 asks for no key
+        with pytest.raises(ValueError, match=r"\(linear_sweep\): no Galois key for step 2"):
+            ex.run(matvec_graph(np.ones((3, 3)))[0], {"x": ct})
+        with pytest.raises(ValueError, match="no Galois keys"):
+            PlanExecutor(plan_context).run(matvec_graph(np.ones((2, 2)))[0], {"x": ct})
+        PlanExecutor(plan_context)._check_keys(matvec_graph(np.eye(2))[0])
 
     def test_missing_input_rejected(
         self, executor, plan_encoder, plan_encryptor

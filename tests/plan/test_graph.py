@@ -25,6 +25,19 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match="nonzero"):
             g.rotate(x, 0)
 
+    def test_linear_sweep_takes_const_terms_and_allows_step_zero(self):
+        g = PlanGraph()
+        x = g.input("x")
+        c = g.const([1.0, 2.0])
+        node = g.nodes[g.linear_sweep(x, [(0, c), (3, c)])]
+        assert node.terms == ((0, c), (3, c)) and node.inputs == (x,)
+        with pytest.raises(ValueError, match="not a const node"):
+            g.linear_sweep(x, [(1, x)])
+        with pytest.raises(ValueError, match="at least one term"):
+            g.linear_sweep(x, [])
+        with pytest.raises(ValueError, match="not a ciphertext value"):
+            g.linear_sweep(c, [(1, c)])
+
     def test_unknown_node_id_rejected(self):
         g = PlanGraph()
         x = g.input("x")

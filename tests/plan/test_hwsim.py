@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.perf import CLOCK_HZ
+from repro.core.keyswitch_module import KeySwitchModuleSim
+from repro.core.perf import CLOCK_HZ, dyadic_cycles
 from repro.plan.executor import PlanExecutor
 from repro.plan.hwsim import (
     PAPER_SET_NAMES,
@@ -43,9 +44,31 @@ class TestModeledReplay:
 
     def test_sweep_dominates_the_kind_breakdown(self, matvec_run, plan_context):
         r = modeled_replay(matvec_run, plan_context, "Set-B")
-        assert "sweep" in r.cycles_by_kind
-        assert "rescale" in r.cycles_by_kind
+        # the 2-step shape: one linear_sweep (billed as a sweep), one rescale
+        assert set(r.cycles_by_kind) == {"sweep", "rescale"}
+        assert r.cycles_by_kind["sweep"] > r.cycles_by_kind["rescale"]
         assert r.cycles == pytest.approx(sum(r.cycles_by_kind.values()))
+
+    def test_linear_sweep_pays_one_modulus_switch_tail(self, matvec_run, plan_context):
+        """One decomposition + R DyadMult applications + ONE MS tail +
+        the plaintext products' dyadic passes."""
+        arch = architecture_for("Set-B")
+        sim = KeySwitchModuleSim(plan_context, arch)
+        (sweep, _) = matvec_run.steps
+        assert sweep.op == "linear_sweep" and sweep.rotations == DIM - 1
+        lc = min(sweep.level_count, arch.k)
+        ht = sim.hoisted_timing(DIM - 1, level_count=lc)
+        assert ht["apply_cycles_per_rotation"] == pytest.approx(
+            ht["dyadmult_cycles_per_rotation"] + ht["modulus_switch_cycles"]
+        )
+        passes = (DIM - 1) * (2 * (lc + 1) + lc) + 2 * lc
+        r = modeled_replay(matvec_run, plan_context, "Set-B")
+        assert r.cycles_by_kind["sweep"] == pytest.approx(
+            ht["decompose_cycles"]
+            + (DIM - 1) * ht["dyadmult_cycles_per_rotation"]
+            + ht["modulus_switch_cycles"]
+            + passes * dyadic_cycles(arch.n, 16)
+        )
 
     def test_seconds_follow_the_device_clock(self, matvec_run, plan_context):
         r = modeled_replay(matvec_run, plan_context, "Set-A", device="Stratix10")

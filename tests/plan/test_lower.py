@@ -47,15 +47,24 @@ class TestMatvecGraph:
             plan_decryptor.decrypt(run.outputs["y"])
         ).real[:DIM]
         np.testing.assert_allclose(dec, m @ x, atol=0.05)
-        # the dim-1 rotations ran as one fused sweep
+        # the whole matvec is two steps: one linear_sweep (the dim-1
+        # rotations share a decomposition and a Modulus Switch), one rescale
+        assert [s.op for s in run.steps] == ["linear_sweep", "rescale"]
         assert run.sweeps == 1 and run.fused_rotations == DIM - 1
 
     def test_zero_diagonals_are_skipped(self, plan_context):
         m = np.eye(DIM)  # only diagonal 0 is nonzero: no rotations
-        graph, _ = matvec_graph(m)
-        counts = graph.op_counts()
-        assert counts.get("rotate", 0) == 0
-        assert counts["mul_plain"] == 1
+        m[np.arange(DIM), (np.arange(DIM) + 3) % DIM] = 0.5
+        graph, out = matvec_graph(m)
+        assert graph.op_counts() == {
+            "input": 1, "const": 2, "linear_sweep": 1, "rescale": 1
+        }
+        sweep = graph.nodes[graph.nodes[out].inputs[0]]
+        assert [step for step, _ in sweep.terms] == [0, 3]
+        # the zero matrix still burns its level and scale: one zero term
+        zero, out = matvec_graph(np.zeros((DIM, DIM)))
+        (term,) = zero.nodes[zero.nodes[out].inputs[0]].terms
+        assert term[0] == 0 and not any(zero.nodes[term[1]].value)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

@@ -105,6 +105,21 @@ class TestPlacement:
         out_level, _ = types[placed.outputs["y"]]
         assert out_level == 3
 
+    def test_linear_sweep_is_typed_and_placed_like_a_plain_multiply(self, ctx4):
+        g = PlanGraph()
+        x = g.input("x")
+        terms = [(d, g.const([0.5] * 4)) for d in (0, 1, 2)]
+        g.output(g.linear_sweep(g.square(x), terms), "y")
+        placed = place_rescales(g, ctx4, rescale_outputs=False)
+        # the product-scale operand is rescaled in front of the sweep
+        assert placed.op_counts()["rescale"] == 1
+        sweep = placed.nodes[placed.outputs["y"]]
+        assert placed.nodes[sweep.inputs[0]].op == "rescale"
+        assert [placed.nodes[c].op for _, c in sweep.terms] == ["const"] * 3
+        level, scale = check_plan(placed, ctx4)[sweep.id]
+        last_prime = ctx4.basis_at_level(4).moduli[-1].value
+        assert level == 3 and scale == pytest.approx(DELTA**3 / last_prime)
+
     def test_prescheduled_graph_passes_through_unchanged(self, ctx4):
         g = PlanGraph()
         x = g.input("x")
