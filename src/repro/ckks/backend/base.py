@@ -594,14 +594,36 @@ class PolynomialBackend(abc.ABC):
         pipelined ciphertexts.
         """
 
+    @staticmethod
+    def _gathered_rows(stack, table):
+        """``None`` for one gather table; for a matrix of ``R'`` of them
+        the stack row each permutes: a one-row stack serves them all, any
+        other must bring exactly ``R'`` rows."""
+        if not len(table) or is_row(table):
+            return None
+        if len(stack) == 1:
+            return [stack[0]] * len(table)
+        if len(stack) != len(table):
+            raise ValueError(
+                f"stack length mismatch: {len(table)} gather tables for "
+                f"{len(stack)} rows"
+            )
+        return stack
+
     @abc.abstractmethod
-    def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
+    def permute_ntt_stack(self, stack: RowStack, table) -> RowStack:
         """Gather-permute every row: ``out_row[i] = row[table[i]]``.
 
         The NTT-domain Galois automorphism (see
         :meth:`repro.ckks.context.CkksContext.galois_table_ntt`): a
         sign-free permutation, so it needs no modulus and rows under
-        *different* RNS moduli may share one call.
+        *different* RNS moduli may share one call.  ``table`` is one
+        index row serving every row of the stack, or an ``(R', n)``
+        matrix of them -- row ``r`` of the stack is then gathered by
+        ``table[r]``, and a one-row stack is shared by every table row
+        (``R'`` rows out): a sweep's accumulators each under their own
+        rotation, its ``c0`` row under all of them.  A matrix whose row
+        count matches neither 1 nor the stack raises ``ValueError``.
         """
 
     @abc.abstractmethod

@@ -212,7 +212,10 @@ class CountingBackend(PolynomialBackend):
         return self.inner.dyadic_stack_reduce(modulus, x, y)
 
     def permute_ntt_stack(self, stack, table):
-        self.counts["ntt_permute"] += len(stack)
+        # rows gathered: one per table of a matrix of them (a one-row
+        # stack is shared), else one per stack row
+        own = self._gathered_rows(stack, table)
+        self.counts["ntt_permute"] += len(stack if own is None else own)
         self._note_handles(stack)
         return self.inner.permute_ntt_stack(stack, table)
 

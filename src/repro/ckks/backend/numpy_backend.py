@@ -88,7 +88,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from math import prod
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -735,7 +735,7 @@ class NumpyBackend(PolynomialBackend):
             out = part if out is None else _addsub(np.add, out, part, col.p, out)
         return out
 
-    def permute_ntt_stack(self, stack: RowStack, table: Sequence[int]) -> RowStack:
+    def permute_ntt_stack(self, stack: RowStack, table) -> RowStack:
         if not len(stack):
             return self._fallback.permute_ntt_stack(stack, table)
         try:
@@ -745,11 +745,19 @@ class NumpyBackend(PolynomialBackend):
         except (OverflowError, ValueError):
             return self._fallback.permute_ntt_stack(stack, table)
         table = np.asarray(table, dtype=np.intp)
-        if not len(table) or table.min() < 0 or table.max() >= arr.shape[1]:
-            return arr[:, table]  # wraps or raises IndexError as a list does
-        # one range check per call buys the unchecked gather (3x cheaper a row)
-        out = np.empty((len(arr), len(table)), dtype=np.uint64)
-        return np.take(arr, table, axis=1, out=out, mode="clip")
+        rows = self._gathered_rows(arr, table) if table.ndim == 2 else arr
+        # one range check per call buys the unchecked gather (3x cheaper a
+        # row); viewed unsigned, a negative index reads as a huge one
+        if not table.size or table.view(np.uintp).max() >= arr.shape[1]:
+            # wraps or raises IndexError as a list does
+            return arr[:, table] if table.ndim == 1 else np.take_along_axis(arr, table, 1)
+        if table.ndim == 1:
+            out = np.empty((len(arr), len(table)), dtype=np.uint64)
+            return np.take(arr, table, axis=1, out=out, mode="clip")
+        out = np.empty(table.shape, dtype=np.uint64)
+        for row, index, dest in zip(rows, table, out):
+            np.take(row, index, out=dest, mode="clip")
+        return out
 
     def decompose_native(self, moduli, coeffs):
         arr = None

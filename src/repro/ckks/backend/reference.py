@@ -198,7 +198,11 @@ class ReferenceBackend(PolynomialBackend):
         return out
 
     def permute_ntt_stack(self, stack, table):
-        return [[row[s] for s in table] for row in map(_as_list, stack)]
+        rows = [_as_list(row) for row in stack]
+        own = self._gathered_rows(rows, table)
+        if own is None:
+            return [[row[s] for s in table] for row in rows]
+        return [[row[s] for s in _as_list(t)] for row, t in zip(own, table)]
 
     def decompose_native(self, moduli, coeffs):
         coeffs = _as_list(coeffs)

@@ -41,9 +41,14 @@ per modulus.  Rotations exploit the
 split twice over: the Galois automorphism of an NTT-form polynomial is a
 sign-free slot permutation, and because the automorphism commutes with
 RNS decomposition, one decomposition serves *every* rotation of the same
-lane (*hoisting*) -- each extra rotation costs only permutations, MACs
-and the Modulus Switch, never the fan-out.  A single ``rotate`` is the
-one-step sweep.
+lane (*hoisting*).  And they run it the way HEAX's KeySwitch does
+(Figure 5): the decomposed input stays where it is and the keys stream
+past it.  ``Σ_i σ(D_i)⊙K_i = σ(Σ_i D_i⊙σ⁻¹(K_i))`` slot for slot, so the
+keys are permuted once, when their stacked operand is built
+(:meth:`repro.ckks.keys.GaloisKeySet.stacked`), and a sweep of ``R``
+rotations is one key MAC and one gather of the ``2R`` accumulators per
+modulus -- never a permuted digit, never the fan-out again.  A single
+``rotate`` is the one-step sweep.
 
 The per-coefficient inner loops all dispatch to the context's polynomial
 backend, so the same evaluator code runs against the pure-Python
@@ -52,7 +57,7 @@ reference kernels or the vectorized numpy ones unchanged.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.ckks.batch import CiphertextBatch, check_scales
 from repro.ckks.context import CkksContext
@@ -83,9 +88,11 @@ class KeySwitchDigits:
     backend-native digit-major ``(L·count, n)`` row-stack (row
     ``i·count + b`` is digit ``i`` of element ``b``) -- for a single
     polynomial exactly the ``(L, n)`` operand a stacked key column MACs
-    against.  The object is immutable by convention: hoisted rotation
-    *permutes into fresh stacks* rather than mutating, so one
-    decomposition can back any number of ``apply_keyswitch`` calls.
+    against.  The object is immutable by convention, and under rotation
+    it is *stationary*: an automorphism is applied to the keys (once,
+    when :meth:`GaloisKeySet.stacked` builds their operand) and to the
+    accumulators, never to the digits, so one decomposition backs any
+    number of ``apply_keyswitch`` calls and every rotation of a sweep.
     """
 
     __slots__ = ("n", "data_moduli", "ext_moduli", "stacks", "count")
@@ -103,6 +110,29 @@ class KeySwitchDigits:
         self.ext_moduli = list(ext_moduli)
         self.stacks = stacks
         self.count = count
+
+
+_SWEEP_BASIS = (
+    "RNS basis mismatch: linear_sweep plaintexts are NTT-form over the "
+    "level's key basis (data primes + special prime)"
+)
+
+
+class SweepTerms(NamedTuple):
+    """The plaintext operand of :meth:`Evaluator.linear_sweep`, stacked once
+    (:meth:`Evaluator.sweep_terms`), so that a sweep run again copies no
+    plaintext row: every dot reads ``[:R]``, ``[R:]`` or a whole stack."""
+
+    n: int
+    #: prime values of the key basis the plaintexts are encoded over
+    basis: List[int]
+    scale: float
+    #: Galois elements of the ``R`` rotated terms, in term order
+    elts: Tuple[int, ...]
+    #: per basis modulus one backend-native ``(R + U, n)`` stack: the
+    #: rotated terms' rows in that order, then (``U = 1`` if any term is
+    #: unrotated) the sum of the unrotated terms' rows
+    stacks: List
 
 
 class Evaluator:
@@ -487,65 +517,54 @@ class Evaluator:
     # ------------------------------------------------------------------
     # rotation / conjugation: always the hoisted dataflow
     # ------------------------------------------------------------------
-    def _hoist(self, ct: Operand) -> Tuple[CiphertextBatch, KeySwitchDigits]:
-        """The lane and the decomposition of its ``c1`` (size-2 only)."""
-        lane = self._lane(ct)
-        if lane.size != 2:
-            raise ValueError("relinearize before applying Galois automorphisms")
-        return lane, self._decompose(lane, 1)
+    def _rotation_macs(self, digits: KeySwitchDigits, j: int, keys, tables):
+        """The DyadMult half of phase 2 for all ``R`` rotations of a sweep
+        under extended modulus ``j``: the digits never move, the keys
+        stream (Figure 5).
 
-    def _permuted(self, digits: KeySwitchDigits, table) -> KeySwitchDigits:
-        """``digits`` under an NTT-domain automorphism, in fresh stacks."""
-        be = self.context.backend
-        return KeySwitchDigits(
-            digits.n,
-            digits.data_moduli,
-            digits.ext_moduli,
-            [be.permute_ntt_stack(s, table) for s in digits.stacks],
-            digits.count,
-        )
-
-    def _apply_galois_digits(
-        self,
-        like: Operand,
-        lane: CiphertextBatch,
-        digits: KeySwitchDigits,
-        key: GaloisKey,
-    ) -> Operand:
-        """Automorphism + key switch from a pre-decomposed ``c1``.
-
-        ``σ_g`` commutes with the RNS gadget decomposition up to the
-        choice of digit representative: permuting the decomposed digits
-        in the NTT domain yields the *centered* representative of
-        ``σ_g(c1)``'s digits (entries in ``(-p_i, p_i)`` instead of
-        ``[0, p_i)``), which is a valid -- in fact slightly
-        smaller-noise -- gadget decomposition.  This digit-permuting
-        dataflow is therefore the only rotation path, and hoisting
-        (reusing ``digits`` across many elements) is bit-identical to
-        single rotations by construction.  The NTT-domain automorphism
-        is a sign-free gather, so rows under different moduli (and
-        different lane elements) share one ``permute_ntt_stack`` call.
+        ``keys`` is the sweep's ``(L·2R, n)`` operand under that modulus
+        (:meth:`GaloisKeySet.stacked`, every row already under its
+        rotation's ``σ⁻¹``), ``tables`` the ``(2R, n)`` gathers that line
+        up with its ``2R`` rows.  One ``dyadic_stack_reduce`` with the
+        key rows as the blocks and the ``L`` digit rows as the shared
+        operand (both columns and all rotations share one float cast of
+        each digit), then one gather that puts every accumulator under
+        its own rotation.  Returns the ``2R·N`` rows, row ``(c·R + d)·N
+        + b`` column ``c`` of rotation ``d`` for lane element ``b`` --
+        for a lane of one the gather itself.  A lane loops over its
+        narrower side: the elements while ``N <= 2R``, else the key rows
+        with the ``N`` digit rows as the blocks -- a function of ``(2R,
+        N)`` alone, the same products either way.
         """
-        ctx = self.context
-        be = ctx.backend
-        table = ctx.galois_table_ntt(key.galois_elt)
-        f0, f1 = self._apply_keyswitch(self._permuted(digits, table), key)
-        c0 = be.permute_ntt_stack(lane.comps[0], table)
-        return self._emit(like, lane, [be.add_rows(lane.row_moduli, c0, f0), f1])
+        be = self.context.backend
+        m, stack = digits.ext_moduli[j], digits.stacks[j]
+        rows, count = len(tables), digits.count
+        if count > rows:
+            per = [
+                be.permute_ntt_stack(
+                    be.dyadic_stack_reduce(m, stack, keys[r::rows]), tables[r]
+                )
+                for r in range(rows)
+            ]
+            return [row for block in per for row in block]
+        per = [
+            be.permute_ntt_stack(
+                be.dyadic_stack_reduce(m, keys, stack[b::count]), tables
+            )
+            for b in range(count)
+        ]
+        return per[0] if count == 1 else [g[r] for r in range(rows) for g in per]
 
     def apply_galois(
         self, ct: Operand, galois_elt: int, key: GaloisKey
     ) -> Operand:
-        """Automorphism + key switch back to ``s`` (size-2 input only).
-
-        Runs entirely in the NTT domain: decompose ``c1``, gather-permute
-        the digits and ``c0`` (no ``from_ntt``/``to_ntt`` round trip),
-        then stacked MACs + Modulus Switch.
-        """
+        """Automorphism + key switch back to ``s``: the one-element sweep
+        under a throwaway set of this one key (its stacked operand is
+        not kept; rotate through a :class:`GaloisKeySet` to reuse it)."""
         if key.galois_elt != galois_elt:
             raise ValueError("Galois key does not match the requested element")
-        lane, digits = self._hoist(ct)
-        return self._apply_galois_digits(ct, lane, digits, key)
+        keys = GaloisKeySet({galois_elt: key})
+        return self.apply_galois_hoisted(ct, [galois_elt], keys)[0]
 
     def apply_galois_hoisted(
         self,
@@ -556,22 +575,45 @@ class Evaluator:
         """Apply several automorphisms to *one* operand, hoisting the
         key-switch decomposition.
 
-        Because ``σ_g`` commutes with the RNS gadget decomposition (it
-        acts residue-wise and exactly), the digits of ``σ_g(c1)`` are the
-        NTT-domain permutation of the digits of ``c1``.  So the fan-out
-        (:meth:`decompose`, the ``O(L·(L+1))``-transform phase) runs
-        **once**, and every requested element costs only gather
-        permutations, stacked MACs against its Galois key, and the
-        Modulus Switch -- bit-identical to calling :meth:`apply_galois`
-        per element.
+        ``σ_g`` commutes with the RNS gadget decomposition up to the
+        choice of digit representative (the permuted digits of ``c1``
+        are the *centered* digits of ``σ_g(c1)``: a valid, slightly
+        smaller-noise decomposition) and is a sign-free slot permutation
+        in the NTT domain, so ``Σ_i σ(D_i)⊙K_i = σ(Σ_i D_i⊙σ⁻¹(K_i))``.
+        The fan-out (:meth:`decompose`) therefore runs **once**, its
+        digits are never permuted, and all elements share one key MAC
+        and one gather per modulus (:meth:`_rotation_macs`); each then
+        pays its own Modulus Switch and the gather of ``c0``.  This is
+        the only rotation path -- one rotation is the one-element sweep
+        -- so hoisting is bit-identical to rotating one at a time.
         """
-        lane, digits = self._hoist(ct)
-        return [
-            self._apply_galois_digits(
-                ct, lane, digits, galois_keys.key_for_element(elt)
-            )
-            for elt in galois_elts
+        be = self.context.backend
+        lane = self._lane(ct)
+        if lane.size != 2:
+            raise ValueError("relinearize before applying Galois automorphisms")
+        elts, count = list(galois_elts), lane.count
+        if not elts:
+            return []
+        digits = self._decompose(lane, 1)
+        tables, columns = galois_keys.stacked(elts, digits.ext_moduli, self.context)
+        macs = [
+            self._rotation_macs(digits, j, keys, tables[: 2 * len(elts)])
+            for j, keys in enumerate(columns)
         ]
+        outs = []
+        for d in range(len(elts)):
+            f0, f1 = self._floor_divide(
+                [
+                    [g[at * count : (at + 1) * count] for g in macs]
+                    for at in (d, len(elts) + d)
+                ],
+                digits.ext_moduli,
+            )
+            c0 = be.permute_ntt_stack(lane.comps[0], tables[d])
+            outs.append(
+                self._emit(ct, lane, [be.add_rows(lane.row_moduli, c0, f0), f1])
+            )
+        return outs
 
     def rotate_hoisted(
         self, ct: Operand, steps: Iterable[int], galois_keys: GaloisKeySet
@@ -601,10 +643,41 @@ class Evaluator:
     # ------------------------------------------------------------------
     # the key-switched linear combination (a diagonal matvec is one)
     # ------------------------------------------------------------------
+    def sweep_terms(self, terms: Sequence[Tuple[int, Plaintext]]) -> "SweepTerms":
+        """Stack the ``(step, plaintext)`` terms of a :meth:`linear_sweep`
+        once (see :class:`SweepTerms`); a caller that runs the same sweep
+        again passes the result instead of the terms."""
+        ctx = self.context
+        be = ctx.backend
+        terms = list(terms)
+        if not terms:
+            raise ValueError("linear_sweep needs at least one term")
+        first = terms[0][1]
+        moduli = first.poly.moduli
+        basis = [m.value for m in moduli]
+        for _, pt in terms:
+            check_scales(first.scale, pt.scale)
+            shape = (pt.n, pt.poly.is_ntt, [m.value for m in pt.poly.moduli])
+            if shape != (first.n, True, basis):
+                raise ValueError(_SWEEP_BASIS)
+        elts = [ctx.galois_element_for_step(step) for step, _ in terms]
+        mats = [pt.poly.native_rows(be) for (_, pt), e in zip(terms, elts) if e != 1]
+        still = [pt.poly.native_rows(be) for (_, pt), e in zip(terms, elts) if e == 1]
+        for extra in still[1:]:  # a product is linear in its plaintext
+            still[0] = be.add_rows(moduli, still[0], extra)
+        mats += still[:1]
+        return SweepTerms(
+            first.n,
+            basis,
+            first.scale,
+            tuple(e for e in elts if e != 1),
+            [be.native_stack([mat[j] for mat in mats]) for j in range(len(basis))],
+        )
+
     def linear_sweep(
         self,
         ct: Operand,
-        terms: Sequence[Tuple[int, Plaintext]],
+        terms: Union["SweepTerms", Sequence[Tuple[int, Plaintext]]],
         galois_keys: GaloisKeySet,
     ) -> Operand:
         """``Σ_d pt_d ⊙ rotate(ct, step_d)`` with one decomposition and
@@ -612,17 +685,19 @@ class Evaluator:
 
         A plaintext product and a sum are linear, so the rotations'
         key-switch accumulators need not leave the extended basis
-        ``Q·P`` one by one: per rotated term the hoisted digits are
-        permuted and MAC'd against its Galois key as in
-        :meth:`rotate_hoisted`, but both ``(L+1)``-block accumulators are
-        *kept*; per extended modulus one ``dyadic_stack_reduce`` weighs
-        the ``R`` accumulator blocks by the ``R`` plaintext rows (the key
-        MAC's own shape: block ``d`` shares row ``d``) and the sum is
-        floored by the special prime once.  What never left ``Q``
-        (``Σ pt_d ⊙ σ_d(c0)``, the unrotated term on ``c1``) is one more
-        dot per data prime.  So the plaintexts live over the level's
-        *key basis* (``CkksEncoder.encode(..., extended=True)``) at one
-        scale.  Same value, level and scale as the unfused ``Σ
+        ``Q·P`` one by one.  Per extended modulus, three products: the
+        key MAC of :meth:`_rotation_macs` (all ``2R`` accumulators from
+        the one unpermuted digit stack, one gather) and, on the two
+        contiguous halves of that gather, a ``dyadic_stack_reduce``
+        against the ``R`` stacked plaintext rows (the key MAC's own
+        shape: block ``d`` shares row ``d``); the two sums are floored by
+        the special prime once.  What never left ``Q`` is a dot per data
+        prime: ``Σ pt_d ⊙ σ_d(c0)`` over one gather of the ``c0`` row
+        under every table, and the unrotated term on ``c1``.  So the
+        plaintexts live over the level's *key basis*
+        (``CkksEncoder.encode(..., extended=True)``) at one scale, and
+        arrive stacked (:meth:`sweep_terms`) or are stacked here.  Same
+        value, level and scale as the unfused ``Σ
         multiply_plain(rotate(ct, d), pt_d)`` with one flooring error
         instead of ``R`` -- not the same bits; bit-identical across
         backends and lane widths like every other operation.
@@ -630,71 +705,60 @@ class Evaluator:
         ctx = self.context
         be = ctx.backend
         lane = self._lane(ct)
-        terms = list(terms)
         if lane.size != 2 or not lane.is_ntt:
             raise ValueError("linear_sweep takes a relinearized, NTT-form operand")
-        if not terms:
-            raise ValueError("linear_sweep needs at least one term")
+        if not isinstance(terms, SweepTerms):
+            terms = self.sweep_terms(terms)
         level, count = lane.level_count, lane.count
         ext_moduli = lane.moduli + [ctx.special_modulus]
-        basis = [m.value for m in ext_moduli]
-        for _, pt in terms:
-            check_scales(terms[0][1].scale, pt.scale)
-            shape = (pt.n, pt.poly.is_ntt, [m.value for m in pt.poly.moduli])
-            if shape != (lane.n, True, basis):
-                raise ValueError(
-                    "RNS basis mismatch: linear_sweep plaintexts are NTT-form "
-                    "over the level's key basis (data primes + special prime)"
-                )
-        plains = [pt.poly.native_rows(be) for _, pt in terms]
-        elts = [ctx.galois_element_for_step(step) for step, _ in terms]
-        rotated = [d for d, elt in enumerate(elts) if elt != 1]
-        unrotated = [d for d, elt in enumerate(elts) if elt == 1]
-
-        def rows_of(which, moduli):
-            """Per modulus the stack of plaintext rows of the terms ``which``."""
-            return [
-                be.native_stack([plains[d][i] for d in which])
-                for i in range(len(moduli))
-            ]
-
-        def weighted(moduli, parts, rows):
-            """Per modulus ``i`` the N-row block ``Σ_k rows[i][k] ⊙ parts[k][i]``."""
-            return [
-                be.dyadic_stack_reduce(
-                    m, be.native_stack([r for part in parts for r in part[i]]), rows[i]
-                )
-                for i, m in enumerate(moduli)
-            ]
-
-        def in_q(mats, which):
-            parts = [self._blocks(mat, level, count) for mat in mats]
-            blocks = weighted(lane.moduli, parts, rows_of(which, lane.moduli))
-            return be.from_rows([row for block in blocks for row in block])
-
-        digits = self._decompose(lane, 1) if rotated else None
-        c0s, accumulators = [], []
-        for elt in elts:
-            if elt == 1:
-                c0s.append(lane.comps[0])
-                continue
-            table = ctx.galois_table_ntt(elt)
-            key = galois_keys.key_for_element(elt)
-            macs = self._keyswitch_macs(self._permuted(digits, table), key)
-            accumulators.append(macs)
-            c0s.append(be.permute_ntt_stack(lane.comps[0], table))
-        comps = [in_q(c0s, range(len(terms)))]
-        if unrotated:
-            comps.append(in_q([lane.comps[1]] * len(unrotated), unrotated))
-        if rotated:
-            rows = rows_of(rotated, ext_moduli)  # shared by both accumulators
-            sums = [
-                weighted(ext_moduli, [acc[c] for acc in accumulators], rows)
-                for c in (0, 1)
-            ]
+        if (terms.n, terms.basis) != (lane.n, [m.value for m in ext_moduli]):
+            raise ValueError(_SWEEP_BASIS)
+        rotations, plains = len(terms.elts), terms.stacks
+        c0, c1 = (self._blocks(comp, level, count) for comp in lane.comps)
+        floored: List = []
+        if rotations:
+            tables, columns = galois_keys.stacked(terms.elts, ext_moduli, ctx)
+            digits = self._decompose(lane, 1)
+            half = rotations * count
+            sums: Tuple[List, List] = [], []
+            for j, m in enumerate(ext_moduli):
+                # modulus by modulus: a gather is weighed and dropped
+                # before the next is built (one sweep-tall buffer live)
+                macs = self._rotation_macs(digits, j, columns[j], tables[: 2 * rotations])
+                for c in (0, 1):
+                    sums[c].append(
+                        be.dyadic_stack_reduce(
+                            m, macs[c * half : (c + 1) * half], plains[j][:rotations]
+                        )
+                    )
             floored = self._floor_divide(sums, ext_moduli)
+            # c0 under every rotation, then (if a term is unrotated) as
+            # it is: the order of the plaintext stack
+            gathers = tables[rotations : rotations + len(plains[0])]
+            c0 = (
+                be.permute_ntt_stack(block, gathers)
+                if count == 1
+                else [r for t in gathers for r in be.permute_ntt_stack(block, t)]
+                for block in c0
+            )
+
+        def in_q(blocks, lo):
+            """What never leaves ``Q``: per data prime the dot of
+            ``blocks`` with the plaintext rows ``[lo:]``, modulus-major."""
+            return be.from_rows(
+                [
+                    row
+                    for m, block, rows in zip(lane.moduli, blocks, plains)
+                    for row in be.dyadic_stack_reduce(m, block, rows[lo:])
+                ]
+            )
+
+        comps = [in_q(c0, 0)]
+        if len(plains[0]) > rotations:
+            comps.append(in_q(c1, rotations))
+        if floored:
             rm = lane.row_moduli
             comps = [
                 be.add_rows(rm, comp, f) for comp, f in zip(comps, floored)
             ] + floored[len(comps):]
-        return self._emit(ct, lane, comps, scale=lane.scale * terms[0][1].scale)
+        return self._emit(ct, lane, comps, scale=lane.scale * terms.scale)

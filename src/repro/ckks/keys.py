@@ -16,7 +16,10 @@ structure Algorithm 7 exploits.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.ckks.context import CkksContext
 from repro.ckks.poly import RnsPolynomial, restrict_to_moduli
@@ -82,8 +85,11 @@ class KswitchKey:
             )
         self.digits = digits
         self.seed = seed
-        #: per-(backend, basis) stacked key columns; keys are immutable
-        #: after generation so entries never need invalidation.
+        #: per backend representation the two columns stacked once over
+        #: the key's full basis; keys are immutable after generation so
+        #: entries never need invalidation.
+        self._stacked_full: Dict[object, Tuple[list, list]] = {}
+        #: per (backend, level basis) the prefix views of it handed out
         self._stacked_cache: Dict[Tuple, Tuple[list, list]] = {}
 
     @property
@@ -93,48 +99,51 @@ class KswitchKey:
     def digit(self, i: int) -> Tuple[RnsPolynomial, RnsPolynomial]:
         return self.digits[i]
 
-    def stacked_columns(self, ext_moduli, backend) -> Tuple[list, list]:
-        """Both key columns as per-modulus digit stacks, backend-native.
-
-        For the extended basis ``ext_moduli`` (the level's data primes
-        plus the special prime, so ``L = len(ext_moduli) - 1`` gadget
-        digits are in play) returns ``(col0, col1)`` where ``col_c[j]``
-        stacks digit rows ``d_c_0[j] .. d_c_{L-1}[j]`` under modulus
-        ``j`` as one ``(L, n)`` row-stack.  This is the layout the
-        key-switching fast path MACs against in a single
-        ``dyadic_stack_reduce`` per target modulus -- and it is cached
-        per (backend, basis), so the numpy backend's uint64 lift of the
-        whole key happens once, not per operation.
-        """
+    def level_views(self, ext_moduli, stacks, rows_per_digit: int = 1) -> list:
+        """Per modulus of a level's extended basis (its data primes plus
+        the special prime) the rows that level uses of ``stacks``, one
+        digit-major stack per key modulus: a lower level drops the *last*
+        digits, so they are the contiguous prefix views."""
         level = len(ext_moduli) - 1
         if not 1 <= level <= self.digit_count:
             raise ValueError(
                 f"basis implies {level} digits; key has {self.digit_count}"
             )
-        cache_key = (
-            # the token names the backend's *native representation*, so
-            # e.g. two NumpyBackend instances share entries while a
-            # wrapper around a different inner backend does not
-            getattr(backend, "cache_token", id(backend)),
-            tuple(m.value for m in ext_moduli),
-        )
-        cached = self._stacked_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        col0, col1 = [], []
-        for m in ext_moduli:
-            rows0, rows1 = [], []
-            for i in range(level):
-                d0, d1 = self.digits[i]
-                row_index = {mm.value: r for r, mm in enumerate(d0.moduli)}
+        index = {m.value: j for j, m in enumerate(self.digits[0][0].moduli)}
+        return [stacks[index[m.value]][: level * rows_per_digit] for m in ext_moduli]
+
+    def stacked_columns(self, ext_moduli, backend) -> Tuple[list, list]:
+        """Both key columns as per-modulus digit stacks, backend-native.
+
+        Returns ``(col0, col1)`` where ``col_c[j]`` stacks digit rows
+        ``d_c_0[j] .. d_c_{L-1}[j]`` under modulus ``j`` of ``ext_moduli``
+        as one ``(L, n)`` row-stack -- the layout the key-switching fast
+        path MACs against in a single ``dyadic_stack_reduce`` per target
+        modulus.  The key is stacked **once** per backend representation,
+        over its full basis (the numpy backend's uint64 lift of the whole
+        key happens once, not per operation or per level); every level
+        is served :meth:`level_views` of that one copy.
+        """
+        # the token names the backend's *native representation*, so
+        # e.g. two NumpyBackend instances share entries while a
+        # wrapper around a different inner backend does not
+        token = getattr(backend, "cache_token", id(backend))
+        cache_key = (token, tuple(m.value for m in ext_moduli))
+        if cache_key not in self._stacked_cache:
+            if token not in self._stacked_full:
                 # native row views: stacking is addressing, not boxing
-                rows0.append(d0.row(row_index[m.value]))
-                rows1.append(d1.row(row_index[m.value]))
-            col0.append(backend.native_stack(rows0))
-            col1.append(backend.native_stack(rows1))
-        entry = (col0, col1)
-        self._stacked_cache[cache_key] = entry
-        return entry
+                self._stacked_full[token] = tuple(
+                    [
+                        backend.native_stack([pair[c].row(j) for pair in self.digits])
+                        for j in range(len(self.digits[0][0].moduli))
+                    ]
+                    for c in (0, 1)
+                )
+            self._stacked_cache[cache_key] = tuple(
+                self.level_views(ext_moduli, column)
+                for column in self._stacked_full[token]
+            )
+        return self._stacked_cache[cache_key]
 
 
 class RelinKey(KswitchKey):
@@ -150,10 +159,19 @@ class GaloisKey(KswitchKey):
 
 
 class GaloisKeySet:
-    """A bundle of Galois keys addressed by Galois element."""
+    """A bundle of Galois keys addressed by Galois element.
+
+    Rotations run data-stationary (HEAX Figure 5: the decomposed input
+    stays, the keys stream past it), so the one cached stacked form of
+    these keys, :meth:`stacked`, is already under ``σ_g⁻¹``:
+    ``Σ_i σ(D_i)⊙K_i = σ(Σ_i D_i⊙σ⁻¹(K_i))`` slot for slot.
+    """
 
     def __init__(self, keys: Dict[int, GaloisKey]):
         self._keys = dict(keys)
+        #: (backend representation, element tuple) -> (gather tables,
+        #: full-basis operand per key modulus), least recently used first
+        self._stacked: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 
     def key_for_element(self, galois_elt: int) -> GaloisKey:
         try:
@@ -168,6 +186,77 @@ class GaloisKeySet:
 
     def elements(self) -> List[int]:
         return sorted(self._keys)
+
+    def stacked(self, galois_elts, ext_moduli, context: CkksContext) -> Tuple:
+        """The key operand of a sweep of ``R`` rotations -> ``(tables, columns)``.
+
+        ``columns[j]``, for modulus ``j`` of the level's extended basis,
+        is one backend-native ``(L·2R, n)`` stack: row ``i·2R + c·R + d``
+        is digit ``i``, column ``c`` of rotation ``d``'s key under
+        ``σ_d⁻¹`` -- the block operand that one ``dyadic_stack_reduce``
+        against the *unpermuted* ``(L, n)`` digits turns into all ``2R``
+        accumulators.  ``tables``, ``(2R + 1, n)``, is the gather matrix
+        ``[σ_0 .. σ_{R-1}, σ_0 .. σ_{R-1}, id]`` that finishes them: rows
+        ``[:2R]`` line up with the accumulators, ``[R:]`` with ``c0``
+        under every rotation plus an unrotated term.
+
+        Built from the key polynomials on first use, once per (backend
+        representation, element tuple) over the keys' full basis; every
+        level is served prefix views (:meth:`KswitchKey.level_views`).
+        Least recently used operands go once the stacked rows exceed
+        twice the set's polynomial rows (a key used alone and in one
+        sweep keeps both forms).
+        """
+        elts = tuple(galois_elts)
+        keys = [self.key_for_element(elt) for elt in elts]
+        cache = self._stacked
+        cache_key = (context.backend.cache_token, elts)
+        if cache_key not in cache:
+            cache[cache_key] = self._stack(keys, context)
+            budget = 2 * sum(
+                2 * key.digit_count * len(key.digits[0][0].moduli)
+                for key in self._keys.values()
+            )
+            while len(cache) > 1 and budget < sum(
+                len(column) for _, columns in cache.values() for column in columns
+            ):
+                cache.popitem(last=False)
+        cache.move_to_end(cache_key)
+        tables, columns = cache[cache_key]
+        return tables, keys[0].level_views(ext_moduli, columns, 2 * len(elts))
+
+    @staticmethod
+    def _stack(keys: List[GaloisKey], context: CkksContext) -> Tuple:
+        be = context.backend
+        digits, moduli = keys[0].digit_count, keys[0].digits[0][0].moduli
+        forward = [context.galois_table_ntt(key.galois_elt) for key in keys]
+        tables = np.stack(forward + forward + [context.galois_table_ntt(1)])
+        # row i·2R + c·R + d of every modulus goes under σ_d⁻¹
+        inverse = np.tile(
+            [
+                context.galois_table_ntt(pow(key.galois_elt, -1, 2 * context.n))
+                for key in keys
+            ],
+            (2 * digits, 1),
+        )
+        columns = [
+            # native row views in, one gather per modulus out; the whole
+            # unpermuted stack is the transient (see ARCHITECTURE.md,
+            # "Key-switching fast path", on why not a smaller one)
+            be.permute_ntt_stack(
+                be.native_stack(
+                    [
+                        key.digits[i][c].row(j)
+                        for i in range(digits)
+                        for c in (0, 1)
+                        for key in keys
+                    ]
+                ),
+                inverse,
+            )
+            for j in range(len(moduli))
+        ]
+        return tables, columns
 
 
 class KeyGenerator:

@@ -13,8 +13,11 @@ escaped the counters for five PRs.  The split holds while:
   ``CountingBackend``) overrides a derived name, or adds a public method
   that names no primitive (a typo'd override silently never dispatches);
 * every primitive an implementation defines keeps the base parameter
-  names and shape (a drifted signature breaks backend
-  interchangeability one keyword-call at a time);
+  names, shape and defaults (a drifted signature breaks backend
+  interchangeability one keyword-call at a time, a default one
+  shortened call at a time: when ``permute_ntt_stack`` learned to take
+  a matrix of tables it stayed ``(stack, table)`` on all three
+  backends, with no ``tables=None`` beside it on one of them);
 * a *wrapping* implementation defines every primitive, the concrete
   ones included -- an inherited body would run against the wrapper
   instead of the backend it wraps;
@@ -83,14 +86,15 @@ class _MethodSig:
     vararg: Optional[str]
     kwonly: Tuple[str, ...]
     kwarg: Optional[str]
+    optional: Tuple[str, ...]  #: the parameters that carry a default
 
     def describe(self) -> str:
-        parts = list(self.args)
+        parts = [a + "=..." if a in self.optional else a for a in self.args]
         if self.vararg:
             parts.append("*" + self.vararg)
         elif self.kwonly:
             parts.append("*")
-        parts.extend(self.kwonly)
+        parts.extend(k + "=..." if k in self.optional else k for k in self.kwonly)
         if self.kwarg:
             parts.append("**" + self.kwarg)
         return "(" + ", ".join(parts) + ")"
@@ -99,6 +103,9 @@ class _MethodSig:
 def _signature_of(node: ast.FunctionDef, drop_self: bool) -> _MethodSig:
     a = node.args
     positional = [arg.arg for arg in a.posonlyargs + a.args]
+    optional = positional[len(positional) - len(a.defaults):] + [
+        arg.arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default
+    ]
     if drop_self and positional and positional[0] in ("self", "cls"):
         positional = positional[1:]
     return _MethodSig(
@@ -106,6 +113,7 @@ def _signature_of(node: ast.FunctionDef, drop_self: bool) -> _MethodSig:
         vararg=a.vararg.arg if a.vararg else None,
         kwonly=tuple(arg.arg for arg in a.kwonlyargs),
         kwarg=a.kwarg.arg if a.kwarg else None,
+        optional=tuple(optional),
     )
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext
 from repro.ckks.encoder import CkksEncoder
-from repro.ckks.evaluator import Evaluator
+from repro.ckks.evaluator import Evaluator, SweepTerms
 from repro.ckks.keys import GaloisKeySet, RelinKey
 from repro.ckks.poly import Ciphertext, Plaintext
 from repro.plan.graph import KEYSWITCH_OPS, PlanGraph, PlanNode
@@ -69,6 +69,10 @@ _SCHED_KIND["rescale"] = "ntt"
 #: Encoded plaintext constants one executor keeps (a Set-B plaintext is
 #: 320 KB; a 16-diagonal matvec at two levels needs 32 entries).
 PLAIN_CACHE_SIZE = 256
+
+#: Stacked ``linear_sweep`` operands one executor keeps (each the size
+#: of its terms' plaintexts: 5 MB for a 16-diagonal Set-B matvec).
+SWEEP_CACHE_SIZE = 8
 
 
 def _sched_kind(op: str) -> str:
@@ -158,28 +162,45 @@ class PlanExecutor:
         #: must keep hitting.  Encoding is deterministic, so sharing the
         #: cache across runs/modes cannot perturb bit-identity.
         self._plain_cache: "OrderedDict[Tuple, Plaintext]" = OrderedDict()
+        #: (level, per term: step + the plaintext's key) -> the stacked
+        #: operand of a ``linear_sweep``, least recently used first.  A
+        #: sweep consumes its plaintexts stacked, so the stack is what is
+        #: kept and its terms bypass ``_plain_cache``.
+        self._sweep_cache: "OrderedDict[Tuple, SweepTerms]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # plaintext operands
     # ------------------------------------------------------------------
-    def _plain(
-        self, value, level: int, scale: float, extended: bool = False
-    ) -> Plaintext:
+    @staticmethod
+    def _cached(cache: OrderedDict, size: int, key: Tuple, build):
+        """``cache[key]``, built on a miss, least recently used evicted."""
+        if key in cache:
+            cache.move_to_end(key)
+        else:
+            cache[key] = build()
+            if len(cache) > size:
+                cache.popitem(last=False)
+        return cache[key]
+
+    @staticmethod
+    def _plain_key(value, level: int, scale: float, extended: bool) -> Tuple:
         slots = np.ascontiguousarray(value, dtype=np.complex128)
         # the shape *before* the lift (which promotes 0-d to 1-d) tells a
         # broadcast scalar from a zero-padded 1-vector
         digest = hashlib.blake2b(slots, digest_size=16).digest()
-        key = (np.shape(value), digest, level, float(scale), extended)
-        cache = self._plain_cache
-        if key in cache:
-            cache.move_to_end(key)
-        else:
-            cache[key] = self.encoder.encode(
+        return (np.shape(value), digest, level, float(scale), extended)
+
+    def _plain(
+        self, value, level: int, scale: float, extended: bool = False
+    ) -> Plaintext:
+        return self._cached(
+            self._plain_cache,
+            PLAIN_CACHE_SIZE,
+            self._plain_key(value, level, scale, extended),
+            lambda: self.encoder.encode(
                 value, scale=scale, level_count=level, extended=extended
-            )
-            if len(cache) > PLAIN_CACHE_SIZE:
-                cache.popitem(last=False)
-        return cache[key]
+            ),
+        )
 
     def _operand_plain(self, graph: PlanGraph, node: PlanNode, operand: Ciphertext):
         """Encode a node's const operand at its runtime consumer's level.
@@ -187,17 +208,32 @@ class PlanExecutor:
         ``mul_plain`` uses the const's declared scale (default: the
         context scale); ``add_const`` must match the operand's exact
         scale, whatever the chain produced.  A ``linear_sweep`` gets its
-        ``(step, plaintext)`` terms, encoded over the level's key basis.
+        terms encoded over the level's key basis and stacked
+        (:meth:`Evaluator.sweep_terms`), cached as that one operand.
         """
         level, delta = operand.level_count, self.context.params.scale
-
-        def plain(cid: int, scale: Optional[float] = None, extended: bool = False):
-            scale = _const_scale(graph, cid, delta) if scale is None else scale
-            return self._plain(graph.nodes[cid].value, level, scale, extended)
-
         if node.op == "linear_sweep":
-            return [(step, plain(cid, extended=True)) for step, cid in node.terms]
-        return plain(node.const_id, operand.scale if node.op == "add_const" else None)
+            terms = [
+                (step, graph.nodes[cid].value, _const_scale(graph, cid, delta))
+                for step, cid in node.terms
+            ]
+            return self._cached(
+                self._sweep_cache,
+                SWEEP_CACHE_SIZE,
+                tuple((s, *self._plain_key(v, level, scale, True)) for s, v, scale in terms),
+                lambda: self.evaluator.sweep_terms(
+                    [
+                        (s, self.encoder.encode(v, scale=scale, level_count=level, extended=True))
+                        for s, v, scale in terms
+                    ]
+                ),
+            )
+        scale = (
+            operand.scale
+            if node.op == "add_const"
+            else _const_scale(graph, node.const_id, delta)
+        )
+        return self._plain(graph.nodes[node.const_id].value, level, scale)
 
     # ------------------------------------------------------------------
     # key discipline
@@ -282,8 +318,8 @@ class PlanExecutor:
     ) -> List[Ciphertext]:
         """Run one lane of same-signature nodes as one evaluator call.
 
-        ``plain`` is the lane's encoded const operand (the ``(step,
-        plaintext)`` terms of a ``linear_sweep``), if its op has one:
+        ``plain`` is the lane's encoded const operand (the stacked terms
+        of a ``linear_sweep``), if its op has one:
         the lane signature pins the const ids and operand shape, so one
         plaintext is shared by the whole lane.
         """

@@ -36,7 +36,10 @@ The module also keeps the pre-hoisting key-switch / rotation baselines
 and ``matvec_graph_unfused``, the rotate -> ``mul_plain`` -> ``add``
 plan expansion ``matvec_graph`` lowered to before ``linear_sweep`` --
 the unfused oracle of the fused node (same value, ``R`` flooring errors
-instead of one) and the planner benchmark's baseline.
+instead of one) and the planner benchmark's baseline.  And, since PR 19,
+the digit-permuting rotation dataflow the evaluator ran until then
+(``apply_galois_digit_permuting``, ``linear_sweep_digit_permuting``): the
+bit-exact oracle of the data-stationary one (``test_sweep_differential.py``).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.decryptor import Decryptor
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
-from repro.ckks.evaluator import Evaluator, rows_for
+from repro.ckks.evaluator import Evaluator, KeySwitchDigits, rows_for
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.linear import LinearEvaluator
 from repro.ckks.poly import Ciphertext, RnsPolynomial
@@ -74,7 +77,7 @@ _OP_WEIGHTS = (
 
 #: Rotation step used by ``rotate``/``rotate_hoisted`` ops (its Galois
 #: key is generated).  The hoisted variant must be bit-identical to the
-#: plain one -- they share the digit-permuting dataflow by construction.
+#: plain one -- one rotation is the one-element sweep by construction.
 ROTATE_STEP = 1
 
 
@@ -154,6 +157,103 @@ def rotate_unhoisted(ev, ct, step, galois_keys):
     return Ciphertext(
         [rotated.polys[0].add(f0, backend=ctx.backend), f1], ct.scale
     )
+
+
+# ---------------------------------------------------------------------------
+# The digit-permuting rotation dataflow (``src/`` until PR 19): per rotation,
+# gather-permute every decomposed digit row and MAC it against that
+# rotation's own *unpermuted* stacked key.  ``Σ_i σ(D_i)⊙K_i`` computed as
+# written -- the oracle of the data-stationary form the evaluator runs now
+# (keys under ``σ⁻¹`` once, digits never moved), residue for residue.
+# ---------------------------------------------------------------------------
+def permuted_digits(ev, digits, table):
+    """``digits`` under an NTT-domain automorphism, in fresh stacks."""
+    be = ev.context.backend
+    return KeySwitchDigits(
+        digits.n,
+        digits.data_moduli,
+        digits.ext_moduli,
+        [be.permute_ntt_stack(s, table) for s in digits.stacks],
+        digits.count,
+    )
+
+
+def apply_galois_digit_permuting(ev, ct, galois_elts, galois_keys):
+    """``Evaluator.apply_galois_hoisted`` as it ran before PR 19: one
+    decomposition, then per element the digit permutation, the two key
+    MACs, the Modulus Switch and the gather of ``c0``."""
+    ctx = ev.context
+    be = ctx.backend
+    lane = ev._lane(ct)
+    digits = ev._decompose(lane, 1)
+    outs = []
+    for elt in galois_elts:
+        table = ctx.galois_table_ntt(elt)
+        key = galois_keys.key_for_element(elt)
+        f0, f1 = ev._apply_keyswitch(permuted_digits(ev, digits, table), key)
+        c0 = be.permute_ntt_stack(lane.comps[0], table)
+        outs.append(ev._emit(ct, lane, [be.add_rows(lane.row_moduli, c0, f0), f1]))
+    return outs
+
+
+def linear_sweep_digit_permuting(ev, ct, terms, galois_keys):
+    """``Evaluator.linear_sweep`` as it ran before PR 19: per rotated
+    term the digit permutation and the key MACs kept in the extended
+    basis, the accumulators re-stacked against the plaintext rows, one
+    Modulus Switch."""
+    ctx = ev.context
+    be = ctx.backend
+    lane = ev._lane(ct)
+    terms = list(terms)
+    level, count = lane.level_count, lane.count
+    ext_moduli = lane.moduli + [ctx.special_modulus]
+    plains = [pt.poly.native_rows(be) for _, pt in terms]
+    elts = [ctx.galois_element_for_step(step) for step, _ in terms]
+    rotated = [d for d, elt in enumerate(elts) if elt != 1]
+    unrotated = [d for d, elt in enumerate(elts) if elt == 1]
+
+    def rows_of(which, moduli):
+        return [
+            be.native_stack([plains[d][i] for d in which]) for i in range(len(moduli))
+        ]
+
+    def weighted(moduli, parts, rows):
+        return [
+            be.dyadic_stack_reduce(
+                m, be.native_stack([r for part in parts for r in part[i]]), rows[i]
+            )
+            for i, m in enumerate(moduli)
+        ]
+
+    def in_q(mats, which):
+        parts = [ev._blocks(mat, level, count) for mat in mats]
+        blocks = weighted(lane.moduli, parts, rows_of(which, lane.moduli))
+        return be.from_rows([row for block in blocks for row in block])
+
+    digits = ev._decompose(lane, 1) if rotated else None
+    c0s, accumulators = [], []
+    for elt in elts:
+        if elt == 1:
+            c0s.append(lane.comps[0])
+            continue
+        table = ctx.galois_table_ntt(elt)
+        key = galois_keys.key_for_element(elt)
+        accumulators.append(ev._keyswitch_macs(permuted_digits(ev, digits, table), key))
+        c0s.append(be.permute_ntt_stack(lane.comps[0], table))
+    comps = [in_q(c0s, range(len(terms)))]
+    if unrotated:
+        comps.append(in_q([lane.comps[1]] * len(unrotated), unrotated))
+    if rotated:
+        rows = rows_of(rotated, ext_moduli)
+        sums = [
+            weighted(ext_moduli, [acc[c] for acc in accumulators], rows)
+            for c in (0, 1)
+        ]
+        floored = ev._floor_divide(sums, ext_moduli)
+        comps = [
+            be.add_rows(lane.row_moduli, comp, f) for comp, f in zip(comps, floored)
+        ] + floored[len(comps):]
+    return ev._emit(ct, lane, comps, scale=lane.scale * terms[0][1].scale)
 
 
 def matvec_unhoisted(ctx, matrix, ct, galois_keys):

@@ -105,11 +105,13 @@ def test_counting_backend_adds_no_unknown_kernels():
 
 
 def _shape(fn):
-    """Parameter names and kinds, annotations ignored -- the same
-    comparison R2 performs on the AST (overrides may tighten type
-    annotations, but not rename or reorder parameters)."""
+    """Parameter names, kinds and which carry a default, annotations
+    ignored -- the same comparison R2 performs on the AST (overrides may
+    tighten type annotations, but not rename, reorder or default
+    parameters)."""
     return tuple(
-        (p.name, p.kind) for p in inspect.signature(fn).parameters.values()
+        (p.name, p.kind, p.default is not p.empty)
+        for p in inspect.signature(fn).parameters.values()
     )
 
 

@@ -216,6 +216,88 @@ def test_matrices_taller_than_a_chunk():
         assert canonical_stack(getattr(be, kernel)(m, *args)) == want, kernel
 
 
+# ---------------------------------------------------------------------------
+# reduce_mod_stack: the base conversion ``Mod(a, p_j)`` of *any* word.  The
+# kernel folds once when the whole stack is below ``2p`` and takes the
+# remainder otherwise (a division-free biased-reciprocal form was built and
+# measured in PR 19: hot 92 us per 4 x 8192 words against 126 / 22 for the
+# two branches, but -2 % on ``serve_square_A`` -- see ROADMAP, "Dropped on
+# measurement"); whichever way it is computed, this is the contract.
+# ---------------------------------------------------------------------------
+def _edge_words(p: int, rng) -> list:
+    """Words around every place a quotient could slip: the multiples of
+    ``p`` and their neighbours, the float64 integer edges, the signed
+    edge and the top of the word."""
+    top = (1 << 64) - 1
+    multiples = [k * p for k in (1, 2, 3, top // p // 2, top // p)]
+    fixed = [0, 1, (1 << 52) - 1, 1 << 52, (1 << 53) - 1, (1 << 53) + 1,
+             (1 << 63) - 1, 1 << 63, top]
+    words = fixed + [v + d for v in multiples for d in (-1, 0, 1)]
+    words += [rng.randrange(1 << 52) for _ in range(16)]
+    words += [rng.randrange(1 << 64) for _ in range(16)]
+    words += [rng.randrange(1, top // p + 1) * p - rng.choice((0, 1)) for _ in range(16)]
+    return [w for w in words if 0 <= w <= top]
+
+
+#: targets of reduce_mod_stack: the paper's sizes and a few small primes
+REDUCE_TARGETS = [modulus(b) for b in (20, 28, 30, 36, 40, 45, 48, 50, 51, 52)] + [
+    Modulus(p) for p in (3, 257, 7681, 12289, 18433)
+]
+
+
+@pytest.mark.parametrize("m", REDUCE_TARGETS, ids=lambda m: f"p{m.value.bit_length()}")
+def test_reduce_mod_stack_matches_big_int_at_every_target_size(m):
+    """30- to 52-bit targets (and small ones), words up to ``2^64 - 1``:
+    zero, ``p - 1``, ``2p``, the multiples of ``p`` and both sides of each."""
+    be = create_backend("numpy")
+    p = m.value
+    words = _edge_words(p, random.Random(p))
+    stack = np.array([words, words[::-1]], dtype=np.uint64)
+    want = [[w % p for w in row] for row in stack.tolist()]
+    assert canonical_stack(be.reduce_mod_stack(m, stack)) == want
+    assert REF.reduce_mod_stack(m, stack.tolist()) == want
+
+
+@pytest.mark.parametrize("bits", (30, 40, 48, 50, 52))
+def test_reduce_mod_stack_on_both_sides_of_its_branch(bits):
+    """A stack whose largest word is ``2p - 1`` folds, one that holds
+    ``2p`` anywhere does not: the same residues either way, and a tall
+    stack of residues of a 50-bit prime (the Modulus Switch from a
+    special prime) reduces exactly."""
+    be = create_backend("numpy")
+    m = modulus(bits)
+    p = m.value
+    rng = random.Random(bits)
+    below = [[rng.choice((0, p - 1, p, 2 * p - 1, rng.randrange(2 * p))) for _ in range(N)] for _ in range(3)]
+    below[1][7] = 2 * p - 1
+    at = [row[:] for row in below]
+    at[2][N - 1] = 2 * p
+    for stack in (below, at):
+        got = be.reduce_mod_stack(m, np.array(stack, dtype=np.uint64))
+        assert canonical_stack(got) == [[w % p for w in row] for row in stack]
+    tall = rows_of(modulus(50).value, 19, 4096, "random", rng)
+    want = [[w % p for w in row] for row in tall]
+    assert canonical_stack(be.reduce_mod_stack(m, be.native_stack(tall))) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from(REDUCE_TARGETS),
+    words=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=(1 << 52) - 1),
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+)
+def test_reduce_mod_stack_random_words(m, words):
+    be = create_backend("numpy")
+    got = be.reduce_mod_stack(m, np.array([words], dtype=np.uint64))
+    assert canonical_stack(got) == [[w % m.value for w in words]]
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_random_sums_match_oracle(data):

@@ -7,7 +7,7 @@ Covers the contracts the fast path rests on:
 * ``decompose`` + ``apply_keyswitch`` is bit-identical to the
   historical single-loop key switch;
 * ``rotate_hoisted`` is bit-identical to the scalar ``rotate`` path
-  (which shares its digit-permuting dataflow) on both backends, across
+  (which is its one-element sweep) on both backends, across
   edge cases: step 0, conjugation, the last level, repeated steps;
 * the pre-hoisting baseline (``rotate_unhoisted``, coefficient-domain
   automorphism + per-digit loop) decrypts to the same rotation -- it

@@ -143,3 +143,123 @@ class TestKeySwitchCore:
         # noise ~ n * p_i * e / P plus flooring error: comfortably below
         # a few thousand for the toy parameters, astronomically below q.
         assert max_err < basis.product // 2**40
+
+
+def _owned_words(stacks):
+    """Words of key material the given cached stacks *own*: a view (or, on
+    the list backend, a row object already seen) adds nothing."""
+    seen, words = set(), 0
+    for stack in stacks:
+        if hasattr(stack, "dtype"):
+            words += stack.size if stack.base is None else 0
+            continue
+        for row in stack:
+            if id(row) not in seen:
+                seen.add(id(row))
+                words += len(row)
+    return words
+
+
+def _is_prefix_of(part, whole):
+    if hasattr(whole, "dtype"):
+        return np.shares_memory(part, whole) and (part == whole[: len(part)]).all()
+    return len(part) <= len(whole) and all(a is b for a, b in zip(part, whole))
+
+
+class TestOneStackedCopyPerKey:
+    """A key is stacked once, over its full basis; digit-major puts the
+    digits a lower level drops *last*, so every level is a prefix view
+    and the cached bytes do not grow with the number of levels used."""
+
+    @staticmethod
+    def _levels(ctx):
+        return [
+            list(ctx.basis_at_level(level).moduli) + [ctx.special_modulus]
+            for level in range(ctx.k, 0, -1)
+        ]
+
+    def test_relin_levels_share_the_top_level_stack(self, toy_context, relin_key):
+        be = toy_context.backend
+        top, *lower = self._levels(toy_context)
+        full = relin_key.stacked_columns(top, be)
+        cached = lambda: [
+            stack
+            for cache in (relin_key._stacked_full, relin_key._stacked_cache)
+            for columns in cache.values()
+            for column in columns
+            for stack in column
+        ]
+        words = _owned_words(cached())
+        assert words == 2 * toy_context.k * (toy_context.k + 1) * toy_context.n
+        for ext in lower:
+            cols = relin_key.stacked_columns(ext, be)
+            assert cols is relin_key.stacked_columns(ext, be)
+            for c in (0, 1):
+                assert len(cols[c]) == len(ext)
+                for j, stack in enumerate(cols[c]):
+                    # data prime j is key modulus j; the special prime is last
+                    whole = full[c][j if j < len(ext) - 1 else -1]
+                    assert len(stack) == len(ext) - 1
+                    assert _is_prefix_of(stack, whole)
+        assert _owned_words(cached()) == words
+
+    def test_galois_levels_share_the_top_level_operand(self, toy_context, galois_keys):
+        ctx = toy_context
+        elts = [ctx.galois_element_for_step(s) for s in (1, 2)] + [
+            ctx.conjugation_element
+        ]
+        top, *lower = self._levels(ctx)
+        tables, full = galois_keys.stacked(elts, top, ctx)
+        assert tables.shape == (2 * len(elts) + 1, ctx.n)
+        cached = lambda: [s for _, cols in galois_keys._stacked.values() for s in cols]
+        words = _owned_words(cached())
+        assert words == len(elts) * 2 * ctx.k * (ctx.k + 1) * ctx.n
+        for ext in lower:
+            again, cols = galois_keys.stacked(elts, ext, ctx)
+            assert again is tables and len(cols) == len(ext)
+            for j, stack in enumerate(cols):
+                whole = full[j if j < len(ext) - 1 else -1]
+                assert len(stack) == (len(ext) - 1) * 2 * len(elts)
+                assert _is_prefix_of(stack, whole)
+        assert len(galois_keys._stacked) == 1
+        assert _owned_words(cached()) == words
+
+    def test_galois_operand_rows_are_the_keys_under_the_inverse_automorphism(
+        self, toy_context, galois_keys
+    ):
+        """Row ``i·2R + c·R + d`` = digit ``i``, column ``c`` of rotation
+        ``d``'s key under ``σ_d⁻¹``; the last table row is the identity."""
+        ctx = toy_context
+        be = ctx.backend
+        elts = [ctx.galois_element_for_step(s) for s in (3, 1)]
+        ext = self._levels(ctx)[0]
+        tables, cols = galois_keys.stacked(elts, ext, ctx)
+        assert tables[-1].tolist() == list(range(ctx.n))
+        for d, elt in enumerate(elts):
+            assert tables[d].tolist() == tables[len(elts) + d].tolist()
+            assert tables[d].tolist() == ctx.galois_map_ntt(elt)
+            key = galois_keys.key_for_element(elt)
+            for j in range(len(ext)):
+                rows = be.to_rows(cols[j])
+                for i in range(ctx.k):
+                    for c in (0, 1):
+                        row = rows[i * 2 * len(elts) + c * len(elts) + d]
+                        # undo σ⁻¹ by applying σ: the key polynomial's own row
+                        moved = [row[s] for s in ctx.galois_map_ntt(elt)]
+                        assert moved == key.digit(i)[c].residues[j]
+
+    def test_stacked_operands_are_evicted_within_the_row_budget(self, toy_context, keygen):
+        """Twice the set's polynomial rows: every key alone *and* one
+        sweep over all of them fit; a further tuple evicts the oldest."""
+        ctx = toy_context
+        keys = keygen.galois_keys([1, 2, 3])
+        elts = sorted(keys.elements())
+        ext = self._levels(ctx)[0]
+        for elt in elts:
+            keys.stacked([elt], ext, ctx)
+        keys.stacked(elts, ext, ctx)
+        assert len(keys._stacked) == len(elts) + 1
+        keys.stacked(elts[:2], ext, ctx)
+        assert len(keys._stacked) == len(elts)  # the two oldest singles went
+        assert (ctx.backend.cache_token, (elts[0],)) not in keys._stacked
+        assert (ctx.backend.cache_token, tuple(elts)) in keys._stacked

@@ -11,5 +11,8 @@ class Wrapper:
     def add(self, modulus, x, y):
         return self.inner.add(modulus, x, y)
 
+    def permute(self, stack, table):
+        return self.inner.permute(stack, table)
+
     def reset(self):
         pass

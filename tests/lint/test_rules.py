@@ -119,10 +119,15 @@ def test_r2_fires_on_violating_wrapper():
     modules = [load_fixture("r2_base.py"), load_fixture("r2_violation.py")]
     result = run_lint(modules, rules=[fixture_conformance_rule()])
     messages = [f.message for f in result.findings]
-    assert len(result.findings) == 4
+    assert len(result.findings) == 5
     assert {f.rule for f in result.findings} == {"R2"}
     assert any("does not wrap kernel 'add'" in m for m in messages)
     assert any("signature drift on kernel 'ntt'" in m for m in messages)
+    # same names, one default more: a drift too
+    assert any(
+        "signature drift on kernel 'permute'" in m and "(stack, table=...)" in m
+        for m in messages
+    )
     assert any("overrides derived kernel 'ntt_one'" in m for m in messages)
     assert any("names no Base primitive" in m for m in messages)
 
@@ -137,7 +142,7 @@ def test_r2_fires_when_the_interface_is_not_partitioned():
     """A public kernel in neither tuple, and a listed name with no
     method, are both findings on the interface itself."""
     base = load_fixture("r2_base.py")
-    text = base.text.replace('("ntt", "add")', '("ntt", "scale")')
+    text = base.text.replace('("ntt", "add", "permute")', '("ntt", "scale", "permute")')
     modules = [source_from_text(base.path, text)]
     result = run_lint(modules, rules=[fixture_conformance_rule()])
     assert sorted(f.symbol for f in result.findings) == ["Base.add", "Base.scale"]

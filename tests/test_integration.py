@@ -104,10 +104,11 @@ class TestHardwareSoftwareLoop:
         one key switch of the rotated ``c1`` -- so it is compared bitwise
         against the evaluator's matching dataflow
         (``keyswitch_polynomial`` on the rotated polynomial).  The
-        evaluator's production rotation permutes the *decomposed digits*
-        instead (the hoisting-ready centered gadget representative), so
-        that path is checked at the decryption level, where both are the
-        same rotation.
+        evaluator's production rotation decomposes first and applies
+        the automorphism to the keys and the accumulators instead (the
+        hoisting-ready centered gadget representative), so that path is
+        checked at the decryption level, where both are the same
+        rotation.
         """
         s = deep_stack
         ctx = s["ctx"]
@@ -130,7 +131,7 @@ class TestHardwareSoftwareLoop:
         hw = Ciphertext([rotated.polys[0].add(f0), f1], ct.scale)
         assert hw.polys[0] == sw.polys[0]
         assert hw.polys[1] == sw.polys[1]
-        # the digit-permuting production rotation decrypts identically
+        # the decompose-first production rotation decrypts identically
         hoisted = ev.apply_galois(ct, elt, gk)
         out_hw = s["encoder"].decode(s["decryptor"].decrypt(hw)).real[:8]
         out_ho = s["encoder"].decode(s["decryptor"].decrypt(hoisted)).real[:8]
