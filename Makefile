@@ -4,6 +4,7 @@
 #   make test-fast      tier-1 minus slow-marked paper-scale tests
 #   make test-both      tier-1 on both polynomial backends
 #   make lint           static invariant analysis (repro.lint) over src/
+#   make loc            src/ line counts, total and per package (a report, not a gate)
 #   make bench          every paper table/figure benchmark (writes benchmarks/results/)
 #   make bench-all      the repo benchmark of BENCHMARK.json: five workloads end to end + traced (writes bench/results/)
 #   make bench-backend  polynomial-backend speedup gate (numpy vs reference)
@@ -23,13 +24,19 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCHES := $(wildcard benchmarks/bench_*.py)
 
-.PHONY: test test-fast test-both lint bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
+.PHONY: test test-fast test-both lint loc bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 lint:
 	$(PYTHON) -m repro.lint src --json benchmarks/results/LINT_report.json
+
+# the figures every CHANGES.md entry quotes: find | xargs cat | wc -l
+loc:
+	@for d in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort) src; do \
+		printf '%7d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
+	done
 
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"

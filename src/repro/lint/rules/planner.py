@@ -3,7 +3,7 @@ evaluator: no per-step rotation loops, no evaluator imports.
 
 PR 10 added the workload planner: rotation sweeps declared in a
 :class:`~repro.plan.PlanGraph` are fused through **one** hoisted
-key-switch decomposition (``fuse_rotation_sweeps``), and the hoisting
+key-switch decomposition by the plan executor, and the hoisting
 benchmark holds a >= 2x gate over the rotate-per-step baseline.  The
 regression this rule guards against is the obvious one: a new serving
 or workload call site writing ``for step in steps: ct = ev.rotate(...)``
@@ -120,7 +120,7 @@ class _RotateLoopVisitor(SymbolTrackingVisitor):
                     self.symbol,
                     f".{node.func.attr}() inside a loop pays one key-switch "
                     "decomposition per iteration; declare the sweep in a "
-                    "PlanGraph so fuse_rotation_sweeps hoists the "
+                    "PlanGraph so the executor hoists the "
                     "decomposition once (PR 10 planner invariant), or mark "
                     "a plan-building loop with "
                     "'# lint: disable=R6 -- <why>'",

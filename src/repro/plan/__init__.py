@@ -30,7 +30,6 @@ from repro.plan.passes import (
     PlanValidationError,
     check_plan,
     compile_plan,
-    fuse_rotation_sweeps,
     place_rescales,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "PlanValidationError",
     "check_plan",
     "place_rescales",
-    "fuse_rotation_sweeps",
     "compile_plan",
     "matvec_graph",
     "workload_graph",

@@ -1,4 +1,4 @@
-"""Planner passes: scale/level checking, rescale placement, sweep fusion.
+"""Planner passes: scale/level checking and rescale placement.
 
 The passes run over a :class:`repro.plan.graph.PlanGraph` *before*
 execution, replacing the hand-managed scale/level bookkeeping that used
@@ -16,9 +16,10 @@ example) with one planner:
   operands to a common level with scale-preserving unit
   multiplications, and aligns residual scale mismatches where that is
   possible without precision loss.
-* :func:`fuse_rotation_sweeps` -- annotates rotation sweeps (several
-  rotations of one ciphertext) so the executor collapses them into one
-  ``decompose`` + N ``apply_keyswitch`` via ``rotate_hoisted``.
+
+Rotation-sweep fusion is not a pass: same-source rotations always share
+an ASAP wave, so the executor groups them where it schedules the wave
+(:meth:`repro.plan.executor.PlanExecutor._run_optimized`).
 
 ``place_rescales`` then ``check_plan`` is the standard pipeline
 (:func:`compile_plan`); the checker also runs standalone as the loud
@@ -28,7 +29,7 @@ front door for hand-built graphs.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ckks.batch import SCALE_RTOL
 from repro.ckks.context import CkksContext
@@ -325,23 +326,6 @@ def place_rescales(
                 new = emit_rescale(new)
         out.output(new, name)
     return out
-
-
-def fuse_rotation_sweeps(graph: PlanGraph) -> Dict[int, List[int]]:
-    """Identify rotation sweeps: several rotations of one ciphertext.
-
-    Returns ``{source_node_id: [rotate_node_ids]}`` for every source
-    feeding at least two rotation nodes.  This is an annotation, not a
-    rewrite: the executor uses it to run each sweep as **one**
-    ``Evaluator.decompose`` feeding N ``apply_keyswitch`` calls through
-    ``rotate_hoisted`` (HEAX's hoisting, Section 6), bit-identical to
-    per-node rotation by construction.
-    """
-    sweeps: Dict[int, List[int]] = {}
-    for node in graph.topo_order():
-        if node.op == "rotate":
-            sweeps.setdefault(node.inputs[0], []).append(node.id)
-    return {src: ids for src, ids in sweeps.items() if len(ids) >= 2}
 
 
 def compile_plan(

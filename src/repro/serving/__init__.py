@@ -12,8 +12,9 @@ that makes such streams executable batch-wise:
 * :mod:`repro.serving.queue` -- bounded admission queue, backpressure
   as ERROR responses instead of unbounded buffering;
 * :mod:`repro.serving.batcher` -- homogeneity-aware dynamic batcher:
-  lanes keyed by (op, op_arg, key_id, n, size, level, scale, NTT form),
-  flushed on max-batch-size or deadline;
+  one kind of lane, keyed by (op, the key objects its steps consume,
+  n, size, level, scale, NTT form) -- a rotation's step is per-request
+  data -- flushed on max-batch-size or deadline;
 * :mod:`repro.serving.server` -- :class:`EncryptedComputeServer`, which
   executes every flush as one :class:`repro.plan.PlanGraph` on a
   :class:`repro.plan.PlanExecutor` (the only road from this package to
@@ -40,13 +41,7 @@ throughput of sequential scalar service, bit-identically;
 same way across worker counts.
 """
 
-from repro.serving.batcher import (
-    BatchGroup,
-    DynamicBatcher,
-    OP_KEY_KIND,
-    SUPPORTED_OPS,
-    homogeneity_key,
-)
+from repro.serving.batcher import BatchGroup, DynamicBatcher, homogeneity_key
 from repro.serving.clock import SYSTEM_CLOCK, Clock, ExponentialBackoff, ManualClock
 from repro.serving.cluster import (
     AsyncFrontDoor,
@@ -84,6 +79,7 @@ from repro.serving.queue import (
     RequestQueue,
 )
 from repro.serving.server import (
+    SUPPORTED_OPS,
     EncryptedComputeServer,
     FlushRecord,
     ServingReport,
@@ -138,7 +134,6 @@ __all__ = [
     "LocalWorkerHandle",
     "ManualClock",
     "NoWorkersError",
-    "OP_KEY_KIND",
     "PendingRequest",
     "ProcessWorkerHandle",
     "QueueClosedError",

@@ -13,8 +13,9 @@ into an ERROR frame the client can react to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Tuple
 
+from repro.ckks.keys import GaloisKeySet, RelinKey
 from repro.ckks.poly import Ciphertext
 from repro.serving.session import ClientSession
 
@@ -31,23 +32,27 @@ class QueueClosedError(BackpressureError):
 class PendingRequest:
     """One admitted request waiting to be batched.
 
-    ``key`` is the evaluation-key object (relin key or Galois key set)
-    the request will execute under, captured *at admission*: the batch
-    lane is keyed on this object's identity and the flush consumes this
-    same object, so a session swapping its keys while the request is
-    pending can neither corrupt the request nor any lane-mate's result.
+    ``key`` is the ``(relin_key, galois_keys)`` pair the request will
+    execute under, captured *at admission* and ``None`` in each slot its
+    steps do not consume: the batch lane is keyed on these objects'
+    identity and the flush installs these same objects, so a session
+    swapping its keys while the request is pending can neither corrupt
+    the request nor any lane-mate's result.
     """
 
     session: ClientSession
     request_id: int
     op: str
+    #: per-request data like the ciphertext: a ``rotate``'s step, or the
+    #: id of the registered program to run
     op_arg: int
     ciphertext: Ciphertext
     enqueued_at: float
-    key: object = None
+    key: Tuple[Optional[RelinKey], Optional[GaloisKeySet]] = (None, None)
     #: digest of the ciphertext's wire payload (rotate requests only);
-    #: lets the batcher recognize *the same ciphertext* rotated by many
-    #: steps and hoist those requests onto one key-switch decomposition.
+    #: requests of one flush carrying the same digest share one plan
+    #: input, which is what lets the executor fuse *the same ciphertext*
+    #: rotated by many steps onto one key-switch decomposition.
     payload_digest: bytes = b""
     #: client-stamped absolute deadline on the serving clock (0 = none);
     #: checked again at batch-flush time -- an admitted request whose

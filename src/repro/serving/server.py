@@ -14,11 +14,13 @@ across.  Concretely, one request travels:
 
 The batcher decides *what* flushes together; the flush itself always
 executes as a plan (:mod:`repro.plan`), the only road from this package
-to the evaluator.  A single-op lane is N inputs x one node, a hoist lane
-is one shared input x N ``rotate`` nodes (the executor's sweep fusion
-pays the key-switch decomposition once), a program lane is N inputs x
-the registered chain; the executor packs same-shape nodes into one
-stacked batch call and runs a singleton through its scalar lane.
+to the evaluator, and has one shape: every request's step chain (a bare
+op is the chain of one, a program its registered chain) hangs off its
+own input, except that requests carrying the same payload bytes share
+one input node.  What then shares work is the executor's decision, not
+this module's: N rotations of one input *are* the sweep it fuses onto
+one key-switch decomposition, same-shape nodes pack into one stacked
+batch call, and a singleton runs through its scalar lane.
 
 Every flush is also recorded as a *measured* :class:`ScheduledOp` --
 input/output PCIe bytes from :func:`ciphertext_wire_bytes`, compute
@@ -34,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import time  # perf_counter only: measures flush cost, never deadlines
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ckks.context import CkksContext
 from repro.ckks.serialization import (
@@ -44,12 +46,7 @@ from repro.ckks.serialization import (
 )
 from repro.plan import PlanExecutor, PlanGraph, check_plan
 from repro.serving import framing
-from repro.serving.batcher import (
-    OP_KEY_KIND,
-    SUPPORTED_OPS,
-    BatchGroup,
-    DynamicBatcher,
-)
+from repro.serving.batcher import BatchGroup, DynamicBatcher
 from repro.serving.framing import Frame
 from repro.serving.clock import SYSTEM_CLOCK, Clock
 from repro.serving.queue import BackpressureError, PendingRequest, RequestQueue
@@ -58,22 +55,30 @@ from repro.system.scheduler import HostScheduler, ScheduledOp, ScheduleReport
 from repro.system.pcie import PcieModel
 
 
-def _lower_step(graph: PlanGraph, cur: int, op: str, arg: int) -> int:
-    """One request op as a plan node on ``cur`` -- the only op table the
-    serving layer keeps; everything past the graph is the executor's."""
-    if op == "square":
-        return graph.square(cur)
-    if op == "rotate":
-        return graph.rotate(cur, arg)
-    if op == "conjugate":
-        return graph.conjugate(cur)
-    if op == "rescale":
-        return graph.rescale(cur)
-    if op == "double":
-        return graph.add(cur, cur)
-    if op == "negate":
-        return graph.negate(cur)
-    raise ValueError(f"unknown op {op!r}")
+class _StepOp(NamedTuple):
+    """One servable step: its plan node on ``cur`` and the keys it consumes."""
+
+    lower: Callable[[PlanGraph, int, int], int]
+    relin: bool = False
+    galois: bool = False
+
+
+#: The one op table the serving layer keeps -- admission (which keys a
+#: request captures), :meth:`EncryptedComputeServer.register_program`
+#: (what a chain may contain) and the flush builder (lowering) all read
+#: it; everything past the graph is the executor's.
+STEP_OPS: Dict[str, _StepOp] = {
+    "square": _StepOp(lambda g, cur, arg: g.square(cur), relin=True),
+    "rotate": _StepOp(lambda g, cur, arg: g.rotate(cur, arg), galois=True),
+    "conjugate": _StepOp(lambda g, cur, arg: g.conjugate(cur), galois=True),
+    "rescale": _StepOp(lambda g, cur, arg: g.rescale(cur)),
+    "double": _StepOp(lambda g, cur, arg: g.add(cur, cur)),
+    "negate": _StepOp(lambda g, cur, arg: g.negate(cur)),
+}
+
+#: Request ops: the steps, plus ``program`` (op_arg = the id of a
+#: registered chain of them, executed as one plan).
+SUPPORTED_OPS = tuple(sorted((*STEP_OPS, "program")))
 
 
 @dataclass(frozen=True)
@@ -191,19 +196,14 @@ class EncryptedComputeServer:
         at flush time, so re-registering an id with *different* steps
         raises ``ValueError``; identical steps are idempotent.
         """
-        valid = ("square", "rescale", "rotate", "conjugate", "double", "negate")
         normalized = []
         for step in steps:
-            if isinstance(step, str):
-                op, arg = step, 0
-            else:
-                op, arg = step
-            if op not in valid:
+            op, arg = (step, 0) if isinstance(step, str) else step
+            if op not in STEP_OPS:
                 raise ValueError(
-                    f"unknown program step {op!r}; supported: {', '.join(valid)}"
+                    f"unknown program step {op!r}; supported: {', '.join(STEP_OPS)}"
                 )
-            if op == "rotate" and int(arg) == 0:
-                raise ValueError("rotate step must be nonzero")
+            self._check_step(op, int(arg))
             normalized.append((op, int(arg)))
         if not normalized:
             raise ValueError("a program needs at least one step")
@@ -215,6 +215,33 @@ class EncryptedComputeServer:
                 "different steps; register the new chain under a new id"
             )
         return program
+
+    def _check_step(self, op: str, arg: int) -> None:
+        """The one rule on a step's argument, for bare requests and
+        registered chains alike: a rotation by a multiple of the slot
+        count is the identity, which no Galois key exists for."""
+        if op == "rotate" and arg % self.context.params.slot_count == 0:
+            raise ValueError(
+                "rotate step must be nonzero modulo the "
+                f"{self.context.params.slot_count} slots; "
+                f"{arg} is the identity rotation"
+            )
+
+    def _chain(self, op: str, op_arg: int) -> Tuple[Tuple[str, int], ...]:
+        """A request's step chain: a bare op is the chain of one, a
+        program its registered chain.  ``ValueError`` names what makes
+        the request unservable; an admitted request's chain resolves to
+        the same steps again at flush time."""
+        if op == "program":
+            if op_arg not in self._programs:
+                raise ValueError(f"unknown program id {op_arg}; register it first")
+            return self._programs[op_arg]
+        if op not in STEP_OPS:
+            raise ValueError(
+                f"unknown op {op!r}; supported: {', '.join(SUPPORTED_OPS)}"
+            )
+        self._check_step(op, op_arg)
+        return ((op, op_arg),)
 
     # ------------------------------------------------------------------
     # ingress
@@ -293,12 +320,10 @@ class EncryptedComputeServer:
                 f"this connection's session {session.client_id!r}",
             )
             return
-        if frame.op not in OP_KEY_KIND:
-            self._respond_error(
-                session,
-                frame.request_id,
-                f"unknown op {frame.op!r}; supported: {', '.join(SUPPORTED_OPS)}",
-            )
+        try:
+            steps = self._chain(frame.op, frame.op_arg)
+        except ValueError as exc:
+            self._respond_error(session, frame.request_id, str(exc))
             return
         if frame.deadline and self.clock() >= frame.deadline:
             # dead on arrival: answer before spending a ciphertext
@@ -311,49 +336,27 @@ class EncryptedComputeServer:
                 code=framing.ERR_DEADLINE,
             )
             return
-        key_kind = OP_KEY_KIND[frame.op]
-        # the key object the request will execute under, captured NOW:
-        # the batch lane is keyed on its identity and the flush consumes
-        # it, so later key swaps on the session cannot affect this request
-        key = None
-        if key_kind == "relin":
-            key = session.relin_key
-            if key is None:
-                self._respond_error(
-                    session, frame.request_id, "session has no relinearization key"
-                )
-                return
-        elif key_kind == "galois":
-            key = session.galois_keys
-            if key is None:
-                self._respond_error(
-                    session, frame.request_id, "session has no Galois keys"
-                )
-                return
-        elif key_kind == "bundle":
-            program = self._programs.get(frame.op_arg)
-            if program is None:
+        # the key objects the request will execute under, captured NOW
+        # for exactly the steps that consume them: the batch lane is
+        # keyed on their identity and the flush installs them, so later
+        # key swaps on the session cannot affect this request
+        needs_relin = needs_galois = False
+        for op, _ in steps:
+            needs_relin |= STEP_OPS[op].relin
+            needs_galois |= STEP_OPS[op].galois
+        key = (
+            session.relin_key if needs_relin else None,
+            session.galois_keys if needs_galois else None,
+        )
+        for need, held, what in (
+            (needs_relin, key[0], "a relinearization key"),
+            (needs_galois, key[1], "Galois keys"),
+        ):
+            if need and held is None:
                 self._respond_error(
                     session,
                     frame.request_id,
-                    f"unknown program id {frame.op_arg}; register it first",
-                )
-                return
-            # the (relin, galois) bundle is one stable-identity object,
-            # so unchanged-key admissions share a program batch lane
-            key = session.key_bundle()
-            ops = {op for op, _ in program}
-            if "square" in ops and key[0] is None:
-                self._respond_error(
-                    session,
-                    frame.request_id,
-                    "program needs a relinearization key; session has none",
-                )
-                return
-            if ops & {"rotate", "conjugate"} and key[1] is None:
-                self._respond_error(
-                    session, frame.request_id,
-                    "program needs Galois keys; session has none",
+                    f"{frame.op} needs {what}; session has none",
                 )
                 return
         if self.queue.closed:
@@ -380,9 +383,10 @@ class EncryptedComputeServer:
         except ValueError as exc:
             self._respond_error(session, frame.request_id, f"bad payload: {exc}")
             return
-        # rotations carry a payload digest so the batcher can recognize
-        # the same ciphertext rotated by many steps and hoist the whole
-        # set onto one key-switch decomposition
+        # rotations carry a payload digest so a flush can recognize the
+        # same ciphertext rotated by many steps and hang the whole set
+        # off one plan input (one key-switch decomposition); only
+        # rotations -- hashing a payload is not free on keyless traffic
         digest = (
             hashlib.sha256(frame.payload).digest()
             if frame.op == "rotate"
@@ -465,52 +469,40 @@ class EncryptedComputeServer:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _wire_bytes(
-        self, n: int, size: int, level_count: int, version: int
-    ) -> int:
-        """Ciphertext wire bytes at a session's negotiated version."""
+    def _wire_bytes(self, ct, version: int) -> int:
+        """A ciphertext's wire bytes at a session's negotiated version."""
         return ciphertext_wire_bytes(
-            n,
-            size,
-            level_count,
+            ct.n,
+            ct.size,
+            ct.level_count,
             version=version,
-            moduli=self.context.basis_at_level(level_count).moduli,
+            moduli=self.context.basis_at_level(ct.level_count).moduli,
         )
 
-    def _flush_plan(self, group: BatchGroup, requests):
+    def _flush_plan(self, requests, source):
         """The flush as ``(graph, inputs)``; request ``i``'s result is
         output ``r{i}``.
 
-        A single-op or program lane gives every request its own input
-        and the lane's step chain; a hoist lane hangs every member's
-        rotation off the *one* shared input (identical ciphertext bytes
-        by lane construction), which is what lets the executor fuse the
-        whole sweep onto one key-switch decomposition.
+        Every request's step chain hangs off the input of request
+        ``source[i]`` -- its own, unless an earlier lane-mate carries
+        the same ciphertext bytes.  Rotations that share an input are
+        the sweep the executor fuses onto one key-switch decomposition;
+        same-step rotations of distinct inputs are nodes it packs into
+        one stacked call.
         """
         graph = PlanGraph()
-        inputs = {}
-
-        def source(i: int) -> int:
+        inputs, node = {}, {}
+        for i in sorted(set(source)):
             ct = inputs[f"r{i}"] = requests[i].ciphertext
-            return graph.input(
+            node[i] = graph.input(
                 f"r{i}", level_count=ct.level_count, scale=ct.scale
             )
-
-        if group.hoisted:
-            shared = source(0)
-            chains = [(shared, (("rotate", r.op_arg),)) for r in requests]
-        else:
-            steps = (
-                self._programs[group.op_arg]
-                if group.op == "program"
-                else ((group.op, group.op_arg),)
-            )
-            chains = [(source(i), steps) for i in range(len(requests))]
-        for i, (cur, steps) in enumerate(chains):
-            for op, arg in steps:
-                cur = _lower_step(graph, cur, op, arg)
+        for i, request in enumerate(requests):
+            cur = node[source[i]]
+            for op, arg in self._chain(request.op, request.op_arg):
+                cur = STEP_OPS[op].lower(graph, cur, arg)
             graph.output(cur, f"r{i}")
-        if group.op == "program":
+        if requests[0].op == "program":
             # a registered chain is validated before any ciphertext work.
             # Bare ops are deliberately NOT: the checker's headroom rule
             # rejects shapes the evaluator serves correctly (a Set-A
@@ -520,17 +512,16 @@ class EncryptedComputeServer:
         return graph, inputs
 
     def _execute(self, group: BatchGroup) -> int:
-        """Run one flush, respond to every member, record accounting."""
-        requests = group.requests
+        """Run one flush, answer every member exactly once (response or
+        error), record accounting; returns the member count."""
+        answered = len(group.requests)
         # deadline re-check at flush time: a request admitted alive may
         # expire while its lane waits to fill; expired members get a
         # DEADLINE error and the rest of the flush executes without them
         flush_now = self.clock()
-        expired = 0
-        live = []
-        for request in requests:
+        requests = []
+        for request in group.requests:
             if request.deadline and flush_now >= request.deadline:
-                expired += 1
                 self.report.expired_requests += 1
                 self._respond_error(
                     request.session,
@@ -539,20 +530,18 @@ class EncryptedComputeServer:
                     code=framing.ERR_DEADLINE,
                 )
             else:
-                live.append(request)
-        if not live:
-            return expired
-        requests = live
-        if group.hoisted:
-            # step-keyed lanes fail independently per step, and migrating
-            # into a hoist lane must not weaken that: a member whose step
-            # has no Galois key is answered with its own error up front,
-            # never taking its servable lane-mates down with it
-            keys = requests[0].key
+                requests.append(request)
+        # the keys captured at admission -- identical for every lane
+        # member by construction (the lane is keyed on their identity)
+        relin_key, galois_keys = group.requests[0].key
+        if group.op == "rotate":
+            # a rotate lane spans steps: a member whose step has no
+            # Galois key is answered with its own error up front, never
+            # taking its servable lane-mates down with it
             servable = []
             for request in requests:
                 elt = self.context.galois_element_for_step(request.op_arg)
-                if elt in keys:
+                if elt in galois_keys:
                     servable.append(request)
                 else:
                     self._respond_error(
@@ -561,34 +550,31 @@ class EncryptedComputeServer:
                         f"op failed: no Galois key for element {elt}; "
                         "generate it first",
                     )
-            if not servable:
-                return len(requests) + expired
-            rejected = len(requests) - len(servable)
             requests = servable
-        else:
-            rejected = 0
-        batched = len(requests) > 1
-        # the keys captured at admission -- identical for every lane
-        # member by construction (the lane is keyed on their identity)
-        key = requests[0].key
-        if group.op == "program":
-            self.executor.relin_key, self.executor.galois_keys = key
-        else:
-            relin = group.op == "square"
-            self.executor.relin_key = key if relin else None
-            self.executor.galois_keys = None if relin else key
+        if not requests:
+            return answered
+        self.executor.relin_key = relin_key
+        self.executor.galois_keys = galois_keys
+        # requests carrying the same payload bytes (a digest is stamped
+        # on rotations) are fed by the first such member's ciphertext
+        first: Dict[object, int] = {}
+        source = [
+            first.setdefault(r.payload_digest or i, i)
+            for i, r in enumerate(requests)
+        ]
         t0 = time.perf_counter()
         try:
-            run = self.executor.run(*self._flush_plan(group, requests))
+            run = self.executor.run(*self._flush_plan(requests, source))
         except (ValueError, KeyError) as exc:
             # an infeasible op for this shape (rescale at the last
-            # level, square on a size-3 ciphertext, missing Galois key
-            # element, ...) fails the whole homogeneous flush
+            # level, square on a size-3 ciphertext, a program step
+            # without its Galois key, ...) fails the whole homogeneous
+            # flush
             for request in requests:
                 self._respond_error(
                     request.session, request.request_id, f"op failed: {exc}"
                 )
-            return len(requests) + rejected + expired
+            return answered
         results = [run.outputs[f"r{i}"] for i in range(len(requests))]
         seconds = time.perf_counter() - t0
         now = self.clock()
@@ -598,7 +584,7 @@ class EncryptedComputeServer:
                     framing.RESPONSE,
                     request.request_id,
                     request.session.client_id,
-                    # hoist lanes span steps, so the response echoes each
+                    # a lane spans steps, so the response echoes each
                     # request's own op/op_arg rather than the lane's
                     op=request.op,
                     op_arg=request.op_arg,
@@ -614,45 +600,29 @@ class EncryptedComputeServer:
             )
             self.report.latencies.append(now - request.enqueued_at)
         # bill PCIe bytes at each request's negotiated wire version, so
-        # the modeled transfer equals what actually crossed the wire
-        if group.hoisted:
-            # a hoist lane rotates ONE ciphertext by many steps: every
-            # member carries identical payload bytes by lane
-            # construction, and the execution above consumed
-            # requests[0] once -- the shared input crosses PCIe once,
-            # like its key-switch decomposition runs once.  Billing it
-            # per member overstated upload traffic N-fold.
-            r0 = requests[0]
-            in_bytes = self._wire_bytes(
-                r0.ciphertext.n,
-                r0.ciphertext.size,
-                r0.ciphertext.level_count,
-                r0.session.wire_version,
-            )
-        else:
-            in_bytes = sum(
-                self._wire_bytes(
-                    r.ciphertext.n,
-                    r.ciphertext.size,
-                    r.ciphertext.level_count,
-                    r.session.wire_version,
-                )
-                for r in requests
-            )
+        # the modeled transfer equals what actually crossed the wire --
+        # and each distinct input once: a ciphertext N members rotate
+        # crosses PCIe once, like its key-switch decomposition runs once
+        in_bytes = sum(
+            self._wire_bytes(requests[i].ciphertext, requests[i].session.wire_version)
+            for i in set(source)
+        )
         out_bytes = sum(
-            self._wire_bytes(c.n, c.size, c.level_count, r.session.wire_version)
+            self._wire_bytes(c, r.session.wire_version)
             for r, c in zip(requests, results)
         )
         self.report.flushes.append(
             FlushRecord(
-                group.op,
+                # the label the executor earned, not a lane's name: a
+                # rotate flush that ran at least one fused sweep
+                "rotate_hoisted" if group.op == "rotate" and run.sweeps else group.op,
                 len(requests),
                 seconds,
-                batched,
+                len(requests) > 1,
                 ScheduledOp(run.scheduled_kind, in_bytes, out_bytes, seconds),
             )
         )
-        return len(requests) + rejected + expired
+        return answered
 
     # ------------------------------------------------------------------
     # system-model integration

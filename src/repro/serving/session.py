@@ -10,11 +10,11 @@ its stream decoder, and its response outbox.
 
 Sessions also carry a ``key_id`` -- a label naming the key set (the
 tenant).  Two requests can only share a batch lane for a *keyed*
-operation (relinearize, rotate, conjugate) when they are evaluated
-under the same key material -- one key broadcasts across the whole
-stacked key switch -- so the dynamic batcher keys its lanes on the
-``key_id`` *and* the identity of the key object captured on each
-request at admission.  Clients of
+operation (relinearize, rotate, conjugate, a program containing one)
+when they are evaluated under the same key material -- one key
+broadcasts across the whole stacked key switch -- so the dynamic batcher
+keys its lanes on the ``key_id`` *and* the identity of the key objects
+captured on each request at admission.  Clients of
 one tenant (one organization's key set) register the same shared key
 objects and batch together; unrelated clients -- including one that
 merely *claims* another tenant's ``key_id`` while holding different
@@ -107,24 +107,6 @@ class ClientSession:
         self.outbox: List[bytes] = []
         self.requests_accepted = 0
         self.requests_rejected = 0
-        self._key_bundle: Optional[tuple] = None
-        self._key_bundle_ids: Optional[tuple] = None
-
-    def key_bundle(self) -> tuple:
-        """The ``(relin_key, galois_keys)`` pair a multi-op program
-        executes under, as one stable-identity object.
-
-        The batcher keys lanes on ``id(request.key)``, so program
-        requests can only share a flush if admissions under unchanged
-        session keys capture the *same* bundle object.  The cached tuple
-        is rebuilt only when either key's identity changes -- the same
-        capture-at-admission semantics as the single-key ops.
-        """
-        current = (id(self.relin_key), id(self.galois_keys))
-        if self._key_bundle is None or self._key_bundle_ids != current:
-            self._key_bundle = (self.relin_key, self.galois_keys)
-            self._key_bundle_ids = current
-        return self._key_bundle
 
     def take_outbox(self) -> List[bytes]:
         """Drain and return the pending response frames."""
@@ -186,14 +168,6 @@ class SessionManager:
         """
         session = self.get(client_id)
         session.relin_key = relin_key_from_wire(blob, self.context)
-
-    def register_galois_from_wire(
-        self, client_id: str, blobs: Dict[int, bytes]
-    ) -> None:
-        """Install Galois keys uploaded in wire format (validated at the
-        upload boundary like :meth:`register_relin_from_wire`)."""
-        session = self.get(client_id)
-        session.galois_keys = galois_keys_from_wire(blobs, self.context)
 
     def all_sessions(self) -> List[ClientSession]:
         return list(self._sessions.values())

@@ -115,6 +115,7 @@ class SyntheticClient:
             galois_keys=self.tenant.galois_keys,
             key_id=self.tenant.key_id,
             wire_version=self.wire_version,
+            frame_version=self.frame_version,
         )
 
     def connect_cluster(self, cluster) -> str:
@@ -167,8 +168,9 @@ class SyntheticClient:
 
         The wire pattern of a client-side matvec (the same ciphertext
         rotated by many steps): every frame carries the *same* payload
-        bytes, which is what the server's batcher keys its hoist lanes
-        on -- one key-switch decomposition serves the whole sweep.
+        bytes, so the members of the sweep that flush together share one
+        plan input and the executor serves them from one key-switch
+        decomposition.
         """
         from repro.ckks.serialization import serialize_ciphertext
 

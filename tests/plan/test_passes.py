@@ -1,5 +1,5 @@
 """Planner passes: the loud scale/level checker, rescale placement, and
-sweep detection.
+the sweep grouping the executor applies where a pass once annotated it.
 
 The checker tests pin the rejection *messages*, not just the exception
 type: the satellite contract is that unplaceable graphs fail loudly and
@@ -9,12 +9,12 @@ name the violated rule, so a silent behavior change here is a bug.
 import pytest
 
 from repro.ckks.context import CkksContext, toy_parameters
+from repro.plan.executor import PlanExecutor
 from repro.plan.graph import PlanGraph
 from repro.plan.passes import (
     PlanValidationError,
     check_plan,
     compile_plan,
-    fuse_rotation_sweeps,
     place_rescales,
 )
 
@@ -188,20 +188,37 @@ class TestPlacement:
 
 
 class TestSweepFusion:
-    def test_multi_rotation_sources_detected(self):
+    """The one sweep-grouping rule, read off what the executor ran: a
+    source feeding at least two rotations is one ``"sweep"`` step."""
+
+    def _sweep_steps(self, graph, inputs, plan_context, plan_galois):
+        run = PlanExecutor(plan_context, galois_keys=plan_galois).run(graph, inputs)
+        return run, [s.node_ids for s in run.steps if s.mode == "sweep"]
+
+    def test_multi_rotation_sources_detected(
+        self, plan_context, plan_galois, plan_encoder, plan_encryptor
+    ):
         g = PlanGraph()
         x = g.input("x")
         y = g.input("y")
         r1 = g.rotate(x, 1)
         r2 = g.rotate(x, 2)
         r3 = g.rotate(x, 3)
-        g.rotate(y, 1)  # singleton: not a sweep
-        sweeps = fuse_rotation_sweeps(g)
-        assert set(sweeps) == {x}
-        assert sweeps[x] == [r1, r2, r3]
+        lone = g.rotate(y, 1)  # singleton: not a sweep
+        ct = plan_encryptor.encrypt(plan_encoder.encode([0.5, -0.25]))
+        run, sweeps = self._sweep_steps(
+            g, {"x": ct, "y": ct}, plan_context, plan_galois
+        )
+        assert sweeps == [(r1, r2, r3)]
+        assert (run.sweeps, run.fused_rotations) == (1, 3)
+        assert [s.node_ids for s in run.steps if s.mode == "scalar"] == [(lone,)]
 
-    def test_no_rotations_no_sweeps(self):
+    def test_no_rotations_no_sweeps(
+        self, plan_context, plan_galois, plan_encoder, plan_encryptor
+    ):
         g = PlanGraph()
         x = g.input("x")
-        g.square(x)
-        assert fuse_rotation_sweeps(g) == {}
+        g.negate(x)
+        ct = plan_encryptor.encrypt(plan_encoder.encode([0.5]))
+        run, sweeps = self._sweep_steps(g, {"x": ct}, plan_context, plan_galois)
+        assert sweeps == [] and run.sweeps == 0

@@ -32,7 +32,8 @@ def make_request(
 ):
     ct = SimpleNamespace(n=n, size=size, level_count=levels, scale=scale, is_ntt=is_ntt)
     session = ClientSession("client", key_id)
-    return PendingRequest(session, 0, op, op_arg, ct, now, key, digest)
+    # admission captures a (relin, galois) pair; which slot is irrelevant here
+    return PendingRequest(session, 0, op, op_arg, ct, now, (key, None), digest)
 
 
 class TestHomogeneityKey:
@@ -57,9 +58,18 @@ class TestHomogeneityKey:
         )
 
     def test_keyed_op_separates_tenants(self):
-        a = make_request(op="square", key_id="tenant-a")
-        b = make_request(op="square", key_id="tenant-b")
+        # admission cannot produce a keyed request without a key object
+        relin = object()
+        a = make_request(op="square", key_id="tenant-a", key=relin)
+        b = make_request(op="square", key_id="tenant-b", key=relin)
         assert homogeneity_key(a) != homogeneity_key(b)
+
+    def test_a_rotation_step_is_data_a_program_id_is_not(self):
+        keys = object()
+        rot = [make_request(op="rotate", op_arg=s, key=keys) for s in (1, 2)]
+        assert homogeneity_key(rot[0]) == homogeneity_key(rot[1])
+        prog = [make_request(op="program", op_arg=i) for i in (1, 2)]
+        assert homogeneity_key(prog[0]) != homogeneity_key(prog[1])
 
     def test_keyless_op_batches_across_tenants(self):
         a = make_request(op="double", key_id="tenant-a")
@@ -205,107 +215,68 @@ class TestKeyMaterialIdentity:
         assert homogeneity_key(a) == lane_before
 
 
-class TestHoistLanes:
-    """Same-ciphertext rotations migrate to a digest-keyed hoist lane."""
+class TestLaneRule:
+    """One kind of lane: op, the key objects consumed, ciphertext shape.
+    A rotation's step and its payload digest are per-request data."""
 
-    def _keys(self):
-        return object()
+    def _rotate(self, step, digest, key, **shape):
+        return make_request(op="rotate", op_arg=step, key=key, digest=digest, **shape)
 
-    def test_same_digest_different_steps_form_hoist_lane(self):
+    def test_same_digest_different_steps_share_the_rotate_lane(self):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)
-        keys = self._keys()
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=keys, digest=b"ct-a"), now=0.0
-        )
-        batcher.add(
-            make_request(op="rotate", op_arg=2, key=keys, digest=b"ct-a"), now=0.0
-        )
+        keys = object()
+        batcher.add(self._rotate(1, b"ct-a", keys), now=0.0)
+        batcher.add(self._rotate(2, b"ct-a", keys), now=0.0)
         (group,) = batcher.flush_all()
-        assert group.hoisted and len(group) == 2
-        assert sorted(r.op_arg for r in group.requests) == [1, 2]
+        assert group.op == "rotate"
+        assert [r.op_arg for r in group.requests] == [1, 2]
 
-    def test_different_digests_stay_step_keyed(self):
+    def test_different_digests_and_steps_share_the_rotate_lane(self):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)
-        keys = self._keys()
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=keys, digest=b"ct-a"), now=0.0
-        )
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=keys, digest=b"ct-b"), now=0.0
-        )
+        keys = object()
+        batcher.add(self._rotate(1, b"ct-a", keys), now=0.0)
+        batcher.add(self._rotate(1, b"ct-b", keys), now=0.0)
+        batcher.add(self._rotate(2, b"ct-a", keys), now=0.0)
+        batcher.add(self._rotate(3, b"", keys), now=0.0)  # digestless too
         (group,) = batcher.flush_all()
-        assert not group.hoisted and len(group) == 2  # batched by step
+        # arrival order is kept: nothing migrates, nothing is extracted
+        assert [(r.op_arg, r.payload_digest) for r in group.requests] == [
+            (1, b"ct-a"), (1, b"ct-b"), (2, b"ct-a"), (3, b""),
+        ]
 
-    def test_extraction_leaves_other_lane_mates_behind(self):
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"key": object()},  # same bytes under different key material
+            {"key_id": "another-tenant"},
+            {"levels": 2},
+            {"scale": 2.0**30},
+            {"size": 3},
+        ],
+        ids=["key-objects", "key-id", "levels", "scale", "size"],
+    )
+    def test_other_keys_or_shapes_never_share_it(self, other):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)
-        keys = self._keys()
-        # two step-1 rotations of different ciphertexts share a lane...
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=keys, digest=b"ct-a"), now=0.0
-        )
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=keys, digest=b"ct-b"), now=0.0
-        )
-        # ...then ct-a shows up again with another step: ct-a hoists out
-        batcher.add(
-            make_request(op="rotate", op_arg=2, key=keys, digest=b"ct-a"), now=0.0
-        )
-        groups = sorted(batcher.flush_all(), key=len)
-        assert [len(g) for g in groups] == [1, 2]
-        assert not groups[0].hoisted and groups[0].requests[0].payload_digest == b"ct-b"
-        assert groups[1].hoisted
-        assert {r.payload_digest for r in groups[1].requests} == {b"ct-a"}
+        keys = object()
+        batcher.add(self._rotate(1, b"x", keys), now=0.0)
+        batcher.add(self._rotate(2, b"x", **{"key": keys, **other}), now=0.0)
+        groups = batcher.flush_all()
+        assert [len(g) for g in groups] == [1, 1]
 
-    def test_hoist_lane_keeps_earliest_deadline(self):
+    def test_lane_keeps_its_first_members_open_time(self):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=1.0)
-        keys = self._keys()
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=keys, digest=b"ct-a"), now=0.0
-        )
-        batcher.add(
-            make_request(op="rotate", op_arg=2, key=keys, digest=b"ct-a"), now=0.6
-        )
-        # the migrated lane inherits the first request's opened_at = 0.0
-        (group,) = batcher.due(now=1.0)
-        assert group.hoisted and len(group) == 2
+        keys = object()
+        batcher.add(self._rotate(1, b"ct-a", keys), now=0.0)
+        batcher.add(self._rotate(2, b"ct-a", keys), now=0.6)
+        assert batcher.due(now=0.9) == []
+        (group,) = batcher.due(now=1.0)  # 1.0 after the first, not the last
+        assert group.opened_at == 0.0 and len(group) == 2
 
-    def test_hoist_lane_fills_to_max_batch_size(self):
+    def test_rotate_lane_fills_to_max_batch_size(self):
         batcher = DynamicBatcher(max_batch_size=3, max_delay_seconds=100.0)
-        keys = self._keys()
-        assert (
-            batcher.add(
-                make_request(op="rotate", op_arg=1, key=keys, digest=b"x"), now=0.0
-            )
-            is None
-        )
-        assert (
-            batcher.add(
-                make_request(op="rotate", op_arg=2, key=keys, digest=b"x"), now=0.0
-            )
-            is None
-        )
-        group = batcher.add(
-            make_request(op="rotate", op_arg=3, key=keys, digest=b"x"), now=0.0
-        )
-        assert group is not None and group.hoisted and len(group) == 3
-        assert batcher.pending_count == 0
-
-    def test_different_key_objects_never_share_hoist_lane(self):
-        """Same bytes under different key material must not hoist together."""
-        batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)
-        batcher.add(
-            make_request(op="rotate", op_arg=1, key=object(), digest=b"x"), now=0.0
-        )
-        batcher.add(
-            make_request(op="rotate", op_arg=2, key=object(), digest=b"x"), now=0.0
-        )
-        groups = batcher.flush_all()
-        assert len(groups) == 2 and not any(g.hoisted for g in groups)
-
-    def test_digestless_rotations_never_hoist(self):
-        batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)
-        keys = self._keys()
-        batcher.add(make_request(op="rotate", op_arg=1, key=keys), now=0.0)
-        batcher.add(make_request(op="rotate", op_arg=2, key=keys), now=0.0)
-        groups = batcher.flush_all()
-        assert len(groups) == 2 and not any(g.hoisted for g in groups)
+        keys = object()
+        assert batcher.add(self._rotate(1, b"x", keys), now=0.0) is None
+        assert batcher.add(self._rotate(2, b"y", keys), now=0.0) is None
+        group = batcher.add(self._rotate(3, b"x", keys), now=0.0)
+        assert group is not None and len(group) == 3
+        assert batcher.pending_count == 0 and batcher.open_lanes == 0

@@ -578,3 +578,277 @@ class TestHoistedRotationServing:
             by_kind[frame.kind] = frame
         assert set(by_kind) == {framing.RESPONSE, framing.ERROR}
         assert "Galois key" in by_kind[framing.ERROR].error_message
+
+
+class TestOneKindOfLane:
+    """A rotation's step is per-request data: rotations under one
+    tenant's keys share a lane, and the executor alone decides what
+    hoists (same input) and what packs (same step, distinct inputs)."""
+
+    STEPS = [1, 2, 3]
+
+    def _serve(self, context):
+        from repro.serving.traffic import SyntheticClient, SyntheticTenant
+
+        tenant = SyntheticTenant(context, seed=909, key_id="tenant-l")
+        tenant.galois_keys = tenant.keygen.galois_keys(range(1, 11))
+        server = EncryptedComputeServer(context, max_batch_size=8)
+        fleet = [SyntheticClient(tenant, f"lane-{i}", seed=910 + i) for i in range(3)]
+        for client in fleet:
+            client.connect(server)
+        # every PlanRun the server's one executor produces
+        runs, run = [], server.executor.run
+        server.executor.run = lambda *a, **k: runs.append(run(*a, **k)) or runs[-1]
+        return tenant, server, fleet, runs
+
+    def _one_ct(self, context):
+        return ciphertext_wire_bytes(
+            context.n, 2, context.k, moduli=context.basis_at_level(context.k).moduli
+        )
+
+    def test_two_clients_sweeps_share_one_flush(self):
+        from repro.ckks.backend import CountingBackend
+        from repro.ckks.context import CkksContext, toy_parameters
+
+        L, R = 3, len(self.STEPS)
+        be = CountingBackend("reference")
+        ctx = CkksContext(toy_parameters(n=64, k=L, prime_bits=30), backend=be)
+        tenant, server, (a, b, _), runs = self._serve(ctx)
+        blobs = [
+            (c.client_id, blob)
+            for c, values in ((a, [0.5, -0.25]), (b, [0.125]))
+            for blob in c.rotation_sweep_bytes(values, self.STEPS)
+        ]
+        be.reset()  # key generation and encryption above are not the flush
+        for client_id, blob in blobs:
+            server.receive(client_id, blob)
+        assert server.drain() == 2 * R
+        (flush,) = server.report.flushes
+        (run,) = runs
+        assert flush.op == "rotate_hoisted" and flush.batch_size == 2 * R
+        assert (run.sweeps, run.fused_rotations) == (2, 2 * R)
+        # exactly twice the one-sweep budget of TestHoistFlushBilling
+        assert be.counts["ntt_inverse"] == 2 * (L + 2 * R)
+        assert be.counts["ntt_forward"] == 2 * (L * L + 2 * L * R)
+        # each distinct input crosses PCIe once, every rotation comes back
+        assert flush.scheduled.input_bytes == 2 * self._one_ct(ctx)
+        assert flush.scheduled.output_bytes == 2 * R * self._one_ct(ctx)
+
+    def test_sweep_and_same_step_strangers_share_one_flush(self, serving_context):
+        tenant, server, (a, b, c), runs = self._serve(serving_context)
+        for blob in a.rotation_sweep_bytes([0.5, -0.25], self.STEPS):
+            server.receive(a.client_id, blob)
+        for stranger in (b, c):  # distinct ciphertexts, one step
+            server.receive(
+                stranger.client_id, stranger.request_bytes("rotate", [1.0], op_arg=2)
+            )
+        assert server.drain() == 5
+        (flush,) = server.report.flushes
+        (run,) = runs
+        assert flush.op == "rotate_hoisted" and flush.batch_size == 5
+        # the sweep fused, the strangers packed into one stacked call
+        assert (run.sweeps, run.fused_rotations) == (1, 3)
+        assert (run.lanes, run.packed_ops, run.scalar_ops) == (1, 2, 0)
+        assert flush.scheduled.input_bytes == 3 * self._one_ct(serving_context)
+        for client, expected in ((a, [0.5, -0.25]), (b, [1.0]), (c, [1.0])):
+            for blob in server.sessions.get(client.client_id).take_outbox():
+                step = framing.decode_frame(blob).op_arg
+                _, values = tenant.decrypt_response(blob)
+                slots = np.zeros(serving_context.params.slot_count)
+                slots[: len(expected)] = expected
+                np.testing.assert_allclose(
+                    np.array(values).real, np.roll(slots, -step), atol=1e-2
+                )
+
+    def test_distinct_inputs_distinct_steps_flush_together(self, serving_context):
+        """The named policy change: one flush, not one deadline per step."""
+        tenant, server, fleet, runs = self._serve(serving_context)
+        for step, client in enumerate(fleet, start=1):
+            server.receive(
+                client.client_id, client.request_bytes("rotate", [1.0], op_arg=step)
+            )
+        assert server.drain() == 3
+        (flush,) = server.report.flushes
+        assert flush.op == "rotate" and flush.batch_size == 3 and flush.batched
+        assert (runs[0].sweeps, runs[0].scalar_ops) == (0, 3)
+
+    def test_ten_step_sweep_at_width_eight_flushes_eight_plus_two(
+        self, serving_context
+    ):
+        from repro.ckks.evaluator import Evaluator
+
+        tenant, server, (client, *_), runs = self._serve(serving_context)
+        steps = list(range(1, 11))
+        frames = client.rotation_sweep_bytes([0.25 * i for i in range(4)], steps)
+        for blob in frames:
+            server.receive(client.client_id, blob)
+        assert server.pump() == 8 and server.drain() == 2
+        assert [(f.op, f.batch_size) for f in server.report.flushes] == [
+            ("rotate_hoisted", 8),
+            ("rotate_hoisted", 2),
+        ]
+        ct = deserialize_ciphertext(
+            framing.decode_frame(frames[0]).payload, serving_context
+        )
+        ev = Evaluator(serving_context)
+        outbox = server.sessions.get(client.client_id).take_outbox()
+        assert [framing.decode_frame(b).op_arg for b in outbox] == steps
+        for blob in outbox:
+            frame = framing.decode_frame(blob)
+            assert frame.payload == serialize_ciphertext(
+                ev.rotate(ct, frame.op_arg, tenant.galois_keys)
+            )
+
+    def test_keyless_program_batches_across_tenants(self, serving_context, tenant):
+        from repro.serving.traffic import SyntheticClient, SyntheticTenant
+
+        other = SyntheticTenant(serving_context, seed=808, key_id="tenant-other")
+        server = EncryptedComputeServer(serving_context)
+        server.register_program(3, ("double", "negate"))
+        clients = [
+            SyntheticClient(tenant, "keyless-a", seed=1),
+            SyntheticClient(other, "keyless-b", seed=2),
+        ]
+        for i, client in enumerate(clients):
+            client.connect(server)
+            server.receive(
+                client.client_id,
+                client.request_bytes("program", [0.25 * (i + 1)], op_arg=3),
+            )
+        assert server.drain() == 2
+        (flush,) = server.report.flushes
+        assert flush.op == "program" and flush.batch_size == 2 and flush.batched
+        for i, client in enumerate(clients):
+            (blob,) = server.sessions.get(client.client_id).take_outbox()
+            _, values = client.tenant.decrypt_response(blob)
+            assert abs(values[0].real + 0.5 * (i + 1)) < 1e-2
+
+
+class TestIdentityRotation:
+    """A rotation by a multiple of the slot count has one answer: refused
+    alone, in words that name the step, wherever it arrives."""
+
+    def _message(self, context, step):
+        slots = context.params.slot_count
+        return (
+            f"rotate step must be nonzero modulo the {slots} slots; "
+            f"{step} is the identity rotation"
+        )
+
+    def _answers(self, server, client):
+        return [
+            framing.decode_frame(blob)
+            for blob in server.sessions.get(client.client_id).take_outbox()
+        ]
+
+    def test_refused_alone_inside_a_sweep(self, serving_context):
+        from repro.serving.traffic import SyntheticClient, SyntheticTenant
+
+        tenant = SyntheticTenant(serving_context, seed=606, key_id="tenant-i")
+        tenant.galois_keys = tenant.keygen.galois_keys([1, 2])
+        client = SyntheticClient(tenant, "identity-client", seed=607)
+        server = EncryptedComputeServer(serving_context)
+        client.connect(server)
+        for blob in client.rotation_sweep_bytes([1.0], [1, 0, 2]):
+            server.receive(client.client_id, blob)
+        assert server.drain() == 2  # the identity step was never admitted
+        error, *served = self._answers(server, client)
+        assert error.kind == framing.ERROR and error.request_id == 1
+        assert error.error_message == self._message(serving_context, 0)
+        assert [(f.kind, f.op_arg) for f in served] == [
+            (framing.RESPONSE, 1),
+            (framing.RESPONSE, 2),
+        ]
+        (flush,) = server.report.flushes
+        assert flush.op == "rotate_hoisted" and flush.batch_size == 2
+
+    def test_refused_alone_beside_strangers(self, serving_context, tenant, make_client):
+        server = EncryptedComputeServer(serving_context)
+        clients = [make_client() for _ in range(3)]
+        slots = serving_context.params.slot_count
+        for client, step in zip(clients, (1, -2 * slots, 1)):
+            client.connect(server)
+            server.receive(
+                client.client_id, client.request_bytes("rotate", [1.0], op_arg=step)
+            )
+        assert server.drain() == 2
+        kinds = [self._answers(server, c)[0] for c in clients]
+        assert [f.kind for f in kinds] == [
+            framing.RESPONSE, framing.ERROR, framing.RESPONSE,
+        ]
+        assert kinds[1].error_message == self._message(serving_context, -2 * slots)
+
+    def test_step_of_half_the_ring_is_the_same_refusal(
+        self, serving_context, tenant, make_client
+    ):
+        server = EncryptedComputeServer(serving_context)
+        client = make_client()
+        client.connect(server)
+        slots = serving_context.params.slot_count  # n / 2
+        server.receive(
+            client.client_id, client.request_bytes("rotate", [1.0], op_arg=slots)
+        )
+        assert server.drain() == 0
+        (frame,) = self._answers(server, client)
+        assert framing.error_class(frame) == framing.ERR_FATAL
+        assert frame.error_message == self._message(serving_context, slots)
+
+    @pytest.mark.parametrize("step", [0, 32, -64])
+    def test_register_program_rejects_the_same_steps_in_the_same_words(
+        self, serving_context, step
+    ):
+        import re
+
+        server = EncryptedComputeServer(serving_context)
+        with pytest.raises(
+            ValueError, match=re.escape(self._message(serving_context, step))
+        ):
+            server.register_program(1, [("rotate", step), "double"])
+
+
+class TestStandaloneFrameNegotiation:
+    """``SyntheticClient.connect`` opens the session at the frame
+    protocol the client speaks, as ``connect_cluster`` always did."""
+
+    def _serve(self, context, client):
+        server = EncryptedComputeServer(context)
+        client.connect(server)
+        server.receive(client.client_id, client.request_bytes("double", [1.0]))
+        server.receive(client.client_id, client.request_bytes("transmogrify", [1.0]))
+        assert server.drain() == 1
+        session = server.sessions.get(client.client_id)
+        return session, session.take_outbox()
+
+    def test_frame_v2_client_is_answered_in_v2_envelopes(self, serving_context, tenant):
+        from repro.serving.traffic import SyntheticClient
+
+        client = SyntheticClient(
+            tenant, "frames-v2", seed=31, frame_version=framing.FRAME_V2
+        )
+        session, outbox = self._serve(serving_context, client)
+        assert session.frame_version == framing.FRAME_V2
+        kinds = set()
+        for blob in outbox:
+            assert blob[8] == framing.FRAME_V2  # u32 length | magic | version
+            kinds.add(framing.decode_frame(blob).kind)  # verifies the CRC
+            flipped = bytearray(blob)
+            flipped[-5] ^= 0x01  # last payload byte, ahead of the trailer
+            with pytest.raises(ValueError, match="CRC mismatch"):
+                framing.decode_frame(bytes(flipped))
+        assert kinds == {framing.RESPONSE, framing.ERROR}
+
+    def test_default_client_bytes_are_unchanged(self, serving_context, tenant):
+        from repro.serving.traffic import SyntheticClient
+
+        client = SyntheticClient(tenant, "frames-v1", seed=31)
+        session, outbox = self._serve(serving_context, client)
+        assert session.frame_version == framing.FRAME_VERSION == 1
+        assert len(outbox) == 2
+        for blob in outbox:
+            frame = framing.decode_frame(blob)
+            # the legacy envelope, byte for byte: no deadline, no trailer
+            assert blob[8] == 1
+            assert blob == framing.encode_frame(
+                frame.kind, frame.request_id, frame.client_id,
+                frame.op, frame.op_arg, frame.payload,
+            )
