@@ -23,9 +23,9 @@ that makes such streams executable batch-wise:
   host-pipeline simulation;
 * :mod:`repro.serving.traffic` -- deterministic synthetic multi-client
   traffic for tests and benchmarks;
-* :mod:`repro.serving.worker` -- one sharded-serving worker (its own
-  backend, session table and batcher), in-process or as a real OS
-  process behind a pipe;
+* :mod:`repro.serving.worker` -- one sharded-serving worker: an
+  ``EncryptedComputeServer`` of its own behind a transport handle,
+  in-process or as a real OS process behind a pipe;
 * :mod:`repro.serving.cluster` -- the multi-worker front-door:
   consistent-hash placement on ``key_id``, cluster-wide load shedding,
   graceful drain and crash failover, idempotent-retry dedup and
@@ -98,13 +98,11 @@ from repro.serving.traffic import (
     synthetic_traffic,
 )
 from repro.serving.worker import (
-    ClusterWorker,
     LocalWorkerHandle,
     ProcessWorkerHandle,
     WorkerDeadError,
     WorkerHandle,
     WorkerSpec,
-    WorkerStats,
 )
 
 __all__ = [
@@ -114,7 +112,6 @@ __all__ = [
     "ClientSession",
     "Clock",
     "ClusterReport",
-    "ClusterWorker",
     "DynamicBatcher",
     "ERR_DEADLINE",
     "ERR_FATAL",
@@ -156,7 +153,6 @@ __all__ = [
     "WorkerHandle",
     "WorkerHealthView",
     "WorkerSpec",
-    "WorkerStats",
     "decode_frame",
     "encode_frame",
     "error_class",

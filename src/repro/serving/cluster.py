@@ -50,6 +50,7 @@ import bisect
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ckks.keys import GaloisKeySet, RelinKey
@@ -70,7 +71,8 @@ from repro.serving.framing import (
     StreamProtocolError,
 )
 from repro.serving.session import UnknownClientError
-from repro.serving.worker import WorkerDeadError, WorkerHandle, WorkerStats
+from repro.serving.server import ServingReport
+from repro.serving.worker import WorkerDeadError, WorkerHandle
 
 
 class NoWorkersError(RuntimeError):
@@ -258,6 +260,11 @@ class ServingCluster:
         ``wire_version`` selects the format of the stored blobs -- the
         bytes every worker upload (including failover re-uploads) ships.
         Version 2 with seed-expandable keys roughly halves the upload.
+
+        A ``key_id`` is bound once, like a program id: workers cache the
+        deserialized keys per ``key_id`` and open lanes hold them, so
+        re-registering an id with *different* blobs raises
+        ``ValueError``; identical blobs are idempotent.
         """
         if wire_version not in SUPPORTED_VERSIONS:
             raise ValueError(
@@ -279,7 +286,12 @@ class ServingCluster:
             if galois_keys
             else None
         )
-        self._tenants[key_id] = _TenantKeys(relin_blob, galois_blobs)
+        keys = _TenantKeys(relin_blob, galois_blobs)
+        if self._tenants.setdefault(key_id, keys) != keys:
+            raise ValueError(
+                f"key_id {key_id!r} is already registered with different "
+                "keys; register the new keys under a new key_id"
+            )
 
     def register_client(
         self,
@@ -340,22 +352,17 @@ class ServingCluster:
     def _register_at_worker(self, worker_id: str, record: _ClientRecord) -> None:
         tenant = self._tenants[record.key_id]
         uploaded = self._uploaded[worker_id]
-        if record.key_id in uploaded:
-            # the worker caches key objects per key_id: no blob re-send
-            self.workers[worker_id].register_session(
-                record.client_id, record.key_id, None, None,
-                record.wire_version, record.frame_version,
-            )
-        else:
-            self.workers[worker_id].register_session(
-                record.client_id,
-                record.key_id,
-                tenant.relin_blob,
-                tenant.galois_blobs,
-                record.wire_version,
-                record.frame_version,
-            )
-            uploaded.add(record.key_id)
+        # the worker caches key objects per key_id: blobs travel once
+        blobs = (
+            (None, None)
+            if record.key_id in uploaded
+            else (tenant.relin_blob, tenant.galois_blobs)
+        )
+        self.workers[worker_id].register_session(
+            record.client_id, record.key_id, *blobs,
+            record.wire_version, record.frame_version,
+        )
+        uploaded.add(record.key_id)
 
     def worker_for(self, key_id: str) -> str:
         """Current ring placement of a tenant."""
@@ -379,23 +386,15 @@ class ServingCluster:
     def receive(self, client_id: str, data: bytes) -> None:
         """Feed raw stream bytes from one client's connection.
 
-        Mirrors ``EncryptedComputeServer.receive``: a corrupt stream
-        raises (transport must reset), but every frame decoded ahead of
-        the corruption is still admitted.  The decoder itself is reset
-        before raising -- the corruption poisoned its buffer, and a
-        reconnecting client must not find the dead stream's bytes still
-        wedged in front of its fresh frames.
+        A corrupt stream raises :class:`StreamProtocolError` by the one
+        ingress rule (:meth:`FrameDecoder.ingest`, shared with
+        ``EncryptedComputeServer.receive``): every frame decoded ahead
+        of the corruption is still routed, and the client's next good
+        frame is served.
         """
-        record = self._client(client_id)
-        try:
-            frames = record.decoder.feed(data)
-        except StreamProtocolError as exc:
-            record.decoder = FrameDecoder()
-            for frame in exc.frames:
-                self.receive_frame(client_id, frame)
-            raise
-        for frame in frames:
-            self.receive_frame(client_id, frame)
+        self._client(client_id).decoder.ingest(
+            data, partial(self.receive_frame, client_id)
+        )
 
     def _respond_error(
         self,
@@ -599,8 +598,9 @@ class ServingCluster:
     # ------------------------------------------------------------------
     # worker lifecycle: drain, failure, rejoin
     # ------------------------------------------------------------------
-    def _migrate_sessions(self) -> int:
-        """Re-place every client whose tenant's ring position moved."""
+    def _migrate_sessions(self, lost: Optional[str] = None) -> int:
+        """Re-place every client whose tenant's ring position moved --
+        or stayed at ``lost``, a worker rebuilt without its sessions."""
         if len(self.ring) == 0:
             # whole-cluster drain (shutdown): nowhere to migrate to;
             # sessions keep their mapping and the drained workers answer
@@ -609,7 +609,7 @@ class ServingCluster:
         moved = 0
         for record in self._clients.values():
             target = self.ring.place(record.key_id)
-            if target != record.worker_id:
+            if target != record.worker_id or target == lost:
                 record.worker_id = target
                 self._register_at_worker(target, record)
                 moved += 1
@@ -630,28 +630,13 @@ class ServingCluster:
         self._migrate_sessions()
         handle.begin_drain()
         handle.drain(now)
-        completed = self._collect(now)
-        return completed
+        return self._collect(now)
 
-    def kill_worker(self, worker_id: str, now: Optional[float] = None) -> int:
-        """A worker died: fail its in-flight requests over to ERRORs.
-
-        Everything the worker had not answered is reported lost to the
-        owning clients -- an explicit ERROR frame per request, never a
-        hang and never a made-up response -- and its tenants re-place
-        onto the surviving ring.  Returns the number of failed-over
-        requests.
-        """
-        if now is None:
-            now = self.clock()
-        handle = self.workers[worker_id]
-        # collect anything already produced and transferred before death
-        if handle.alive:
-            handle.kill()
-        if worker_id in self.ring:
-            # may already be off the ring (a drain or quarantine removed
-            # it); killing must still fail over whatever was in flight
-            self.ring.remove(worker_id)
+    def _fail_over(self, worker_id: str) -> int:
+        """Answer everything still in flight at a worker that is gone
+        (killed, or stopped for a restart) with a retryable ERROR per
+        request -- never a hang and never a made-up response -- and
+        forget its key cache, which went with it."""
         failed = 0
         for (client_id, request_id), (wid, _) in list(self._inflight.items()):
             if wid != worker_id:
@@ -668,8 +653,26 @@ class ServingCluster:
                 )
             failed += 1
         self.report.failed_over_requests += failed
-        # a dead process holds no key cache anymore
         self._uploaded[worker_id] = set()
+        return failed
+
+    def kill_worker(self, worker_id: str, now: Optional[float] = None) -> int:
+        """A worker died: fail its in-flight requests over to ERRORs.
+
+        Everything the worker had not answered is reported lost to the
+        owning clients (what it *had* answered was routed by the pump
+        that collected it; nothing is salvaged from a dead worker) and
+        its tenants re-place onto the surviving ring.  Returns the
+        number of failed-over requests.
+        """
+        handle = self.workers[worker_id]
+        if handle.alive:
+            handle.kill()
+        if worker_id in self.ring:
+            # may already be off the ring (a drain or quarantine removed
+            # it); killing must still fail over whatever was in flight
+            self.ring.remove(worker_id)
+        failed = self._fail_over(worker_id)
         if len(self.ring) == 0:
             raise NoWorkersError(
                 f"last worker {worker_id!r} died; no capacity left"
@@ -680,23 +683,28 @@ class ServingCluster:
     def restart_worker(self, worker_id: str, rejoin: bool = True) -> None:
         """Build a fresh worker under an existing id.
 
-        With ``rejoin=True`` (the default) the worker goes straight back
-        on the ring: consistent hashing re-places exactly the tenants
-        that lived on it before the crash -- they migrate back, sessions
-        re-register, and key material re-uploads (the fresh worker's
-        cache is empty).  ``rejoin=False`` builds the worker but leaves
-        it *off* the ring -- the supervisor's quarantine/probation path:
-        tenants stay where the failover re-placed them until the worker
-        proves it can stay alive, then :meth:`rejoin_worker` returns it.
+        A worker still alive is stopped first, and whatever it had in
+        flight fails over exactly as in :meth:`kill_worker` (drain it
+        first to lose nothing).  With ``rejoin=True`` (the default) the
+        fresh worker goes straight back on the ring: consistent hashing
+        re-places exactly the tenants that lived on it before the crash
+        -- they migrate back, sessions re-register, and key material
+        re-uploads (the fresh worker's cache is empty).
+        ``rejoin=False`` builds the worker but leaves it *off* the ring
+        -- the supervisor's quarantine/probation path: tenants stay
+        where the failover re-placed them until the worker proves it can
+        stay alive, then :meth:`rejoin_worker` returns it.
         """
         old = self.workers.get(worker_id)
         if old is not None and old.alive:
             old.stop()
+        self._fail_over(worker_id)
         self.workers[worker_id] = self._factory(worker_id)
-        self._uploaded[worker_id] = set()
         if rejoin:
             self.ring.add(worker_id)
-            self._migrate_sessions()
+        elif worker_id in self.ring:
+            self.ring.remove(worker_id)
+        self._migrate_sessions(lost=worker_id)
 
     def rejoin_worker(self, worker_id: str) -> None:
         """Return a drained (still-alive) worker to the ring."""
@@ -716,8 +724,9 @@ class ServingCluster:
             if handle.alive:
                 handle.stop()
 
-    def worker_stats(self) -> Dict[str, WorkerStats]:
-        """Execution stats per live worker (for benchmarks/reports)."""
+    def worker_stats(self) -> Dict[str, ServingReport]:
+        """A snapshot of each live worker's serving report (for
+        benchmarks, ``HostScheduler.run_executed`` and reports)."""
         return {
             wid: handle.stats()
             for wid, handle in self.workers.items()

@@ -52,7 +52,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 FRAME_MAGIC = b"HSRV"
 FRAME_VERSION = 1
@@ -361,3 +361,23 @@ class FrameDecoder:
             if frame is None:
                 return frames
             frames.append(frame)
+
+    def ingest(self, data: bytes, accept: Callable[[Frame], None]) -> None:
+        """The stream-ingress rule of every front door: hand each frame
+        completed by ``data`` to ``accept``.
+
+        A corrupt stream still raises :class:`StreamProtocolError` (the
+        transport must reset the connection), but only after the frames
+        decoded ahead of the corruption were accepted, and with the
+        poisoned buffer dropped: the client's next good frame must not
+        queue behind the dead stream's bytes and re-raise its error.
+        """
+        try:
+            frames = self.feed(data)
+        except StreamProtocolError as exc:
+            self._buffer.clear()
+            for frame in exc.frames:
+                accept(frame)
+            raise
+        for frame in frames:
+            accept(frame)

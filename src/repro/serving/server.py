@@ -29,17 +29,24 @@ same discrete-event host-pipeline simulation
 (:meth:`repro.system.scheduler.HostScheduler.run_executed`) that a
 :class:`repro.plan.PlanRun` feeds: simulate the system, execute the
 math.
+
+A sharded cluster's worker *is* this class (:mod:`repro.serving.worker`
+only transports calls to it): sessions open from key blobs through
+:meth:`EncryptedComputeServer.open_session`, and the router reads this
+module's :class:`ServingReport` back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time  # perf_counter only: measures flush cost, never deadlines
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ckks.context import CkksContext
 from repro.ckks.serialization import (
+    VERSION,
     ciphertext_wire_bytes,
     deserialize_ciphertext,
     serialize_ciphertext,
@@ -125,14 +132,16 @@ class ServingReport:
     def compute_seconds(self) -> float:
         return sum(f.seconds for f in self.flushes)
 
-    @property
-    def seconds_per_request(self) -> float:
-        n = self.request_count
-        return self.compute_seconds / n if n else 0.0
-
     def scheduled_ops(self) -> List[ScheduledOp]:
         """The measured op stream for ``HostScheduler.run_executed``."""
         return [f.scheduled for f in self.flushes]
+
+    def snapshot(self) -> "ServingReport":
+        """A copy later flushes do not grow (flush records are frozen):
+        what a worker hands its router, whichever side of a pipe it is on."""
+        return replace(
+            self, flushes=list(self.flushes), latencies=list(self.latencies)
+        )
 
 
 class EncryptedComputeServer:
@@ -174,6 +183,23 @@ class EncryptedComputeServer:
         """Open a session (see :meth:`SessionManager.register`)."""
         kwargs.setdefault("max_frame_bytes", self._max_frame_bytes)
         return self.sessions.register(client_id, **kwargs)
+
+    def open_session(
+        self,
+        client_id: str,
+        key_id: str,
+        relin_blob: Optional[bytes] = None,
+        galois_blobs: Optional[Dict[int, bytes]] = None,
+        wire_version: int = VERSION,
+        frame_version: int = framing.FRAME_VERSION,
+    ) -> ClientSession:
+        """Open or refresh a session whose keys arrive in wire format --
+        how a cluster router registers clients at its workers (see
+        :meth:`SessionManager.open_from_wire`)."""
+        return self.sessions.open_from_wire(
+            client_id, key_id, relin_blob, galois_blobs, wire_version,
+            frame_version, self._max_frame_bytes,
+        )
 
     # ------------------------------------------------------------------
     # multi-op programs
@@ -249,20 +275,13 @@ class EncryptedComputeServer:
     def receive(self, client_id: str, data: bytes) -> None:
         """Feed raw stream bytes from one client's connection.
 
-        Raises on a corrupt stream (the transport must reset the
-        connection), but only after accepting every valid frame decoded
-        ahead of the corruption -- one bad frame in a read must not
-        lose the good requests that arrived with it.
+        A corrupt stream raises :class:`framing.StreamProtocolError` by
+        the one ingress rule (:meth:`framing.FrameDecoder.ingest`):
+        what decoded ahead of the corruption is accepted first, and the
+        session's next good frame is served.
         """
         session = self.sessions.get(client_id)
-        try:
-            frames = session.decoder.feed(data)
-        except framing.StreamProtocolError as exc:
-            for frame in exc.frames:
-                self._accept(session, frame)
-            raise
-        for frame in frames:
-            self._accept(session, frame)
+        session.decoder.ingest(data, partial(self._accept, session))
 
     def submit_frame(self, client_id: str, frame: Frame) -> None:
         """Submit one already-decoded frame (in-process clients)."""
@@ -442,10 +461,6 @@ class EncryptedComputeServer:
     # ------------------------------------------------------------------
     # admission lifecycle (the cluster drain protocol's worker half)
     # ------------------------------------------------------------------
-    @property
-    def accepting(self) -> bool:
-        return not self.queue.closed
-
     def stop_admitting(self) -> None:
         """Reject new requests with ERROR frames; pending work still runs."""
         self.queue.close()

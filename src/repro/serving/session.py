@@ -19,11 +19,16 @@ one tenant (one organization's key set) register the same shared key
 objects and batch together; unrelated clients -- including one that
 merely *claims* another tenant's ``key_id`` while holding different
 keys -- never share a keyed flush.
+
+Keys uploaded in *wire format* (a cluster router shipping a tenant's
+blobs to a worker) enter through this module only: :func:`keys_from_wire`
+validates and decodes, :meth:`SessionManager.open_from_wire` caches per
+``key_id``, so every session of a tenant holds the same objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import GaloisKey, GaloisKeySet, RelinKey
@@ -35,27 +40,29 @@ from repro.ckks.serialization import (
 from repro.serving.framing import FRAME_VERSION, FRAME_VERSIONS, FrameDecoder
 
 
-def relin_key_from_wire(blob: bytes, context: CkksContext) -> RelinKey:
-    """Rebuild a relinearization key from its wire bytes (validated)."""
-    return RelinKey(deserialize_kswitch_key(blob, context).digits)
-
-
-def galois_keys_from_wire(
-    blobs: Dict[int, bytes], context: CkksContext
-) -> GaloisKeySet:
-    """Rebuild a Galois key set from per-element wire blobs (validated).
-
-    This is the upload format the cluster ships to its workers: each
-    Galois element's key-switching key serialized independently, so a
-    worker process can reconstitute a tenant's rotation keys without
-    ever holding the live objects of another process.
-    """
-    return GaloisKeySet(
-        {
-            elt: GaloisKey(elt, deserialize_kswitch_key(blob, context).digits)
-            for elt, blob in blobs.items()
-        }
-    )
+def keys_from_wire(
+    relin_blob: Optional[bytes],
+    galois_blobs: Optional[Dict[int, bytes]],
+    context: CkksContext,
+) -> Tuple[Optional[RelinKey], Optional[GaloisKeySet]]:
+    """Rebuild a tenant's evaluation keys from their wire bytes -- the
+    upload format the cluster ships to its workers, each key-switching
+    key serialized independently, so a worker process never holds the
+    live objects of another.  Every blob goes through
+    :func:`deserialize_kswitch_key`: a key from a different ring or with
+    a truncated payload raises ``ValueError`` here, at the upload
+    boundary, instead of corrupting every later request."""
+    relin = galois = None
+    if relin_blob is not None:
+        relin = RelinKey(deserialize_kswitch_key(relin_blob, context).digits)
+    if galois_blobs is not None:
+        galois = GaloisKeySet(
+            {
+                elt: GaloisKey(elt, deserialize_kswitch_key(blob, context).digits)
+                for elt, blob in galois_blobs.items()
+            }
+        )
+    return relin, galois
 
 
 class UnknownClientError(KeyError):
@@ -127,6 +134,9 @@ class SessionManager:
     def __init__(self, context: CkksContext):
         self.context = context
         self._sessions: Dict[str, ClientSession] = {}
+        #: key_id -> (relin key, Galois key set) uploaded in wire format,
+        #: deserialized once (see open_from_wire)
+        self._wire_keys: Dict[str, Tuple[Optional[RelinKey], Optional[GaloisKeySet]]] = {}
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -159,15 +169,39 @@ class SessionManager:
         self._sessions[client_id] = session
         return session
 
-    def register_relin_from_wire(self, client_id: str, blob: bytes) -> None:
-        """Install a relinearization key uploaded in wire format.
+    def open_from_wire(
+        self,
+        client_id: str,
+        key_id: str,
+        relin_blob: Optional[bytes] = None,
+        galois_blobs: Optional[Dict[int, bytes]] = None,
+        wire_version: int = VERSION,
+        frame_version: int = FRAME_VERSION,
+        max_frame_bytes: Optional[int] = None,
+    ) -> ClientSession:
+        """Open a session -- or refresh one that migrated away and back
+        -- whose keys arrive in wire format (:func:`keys_from_wire`).
 
-        Goes through :func:`deserialize_kswitch_key`, so a key from a
-        different ring or with a truncated payload is rejected here, at
-        the upload boundary, instead of corrupting every later request.
+        The blobs are needed, and read, only the first time a ``key_id``
+        arrives, before anything is opened; later sessions of the
+        ``key_id`` get the cached objects -- and *must*, so their keyed
+        requests share lanes.
         """
-        session = self.get(client_id)
-        session.relin_key = relin_key_from_wire(blob, self.context)
+        keys = self._wire_keys.get(key_id)
+        if keys is None:
+            keys = self._wire_keys[key_id] = keys_from_wire(
+                relin_blob, galois_blobs, self.context
+            )
+        session = self._sessions.get(client_id)
+        if session is None:
+            return self.register(
+                client_id, *keys, key_id, max_frame_bytes, wire_version,
+                frame_version,
+            )
+        session.relin_key, session.galois_keys = keys
+        session.wire_version = wire_version
+        session.frame_version = frame_version
+        return session
 
     def all_sessions(self) -> List[ClientSession]:
         return list(self._sessions.values())

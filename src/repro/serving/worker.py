@@ -1,43 +1,43 @@
-"""One sharded-serving worker: its own backend, sessions and batcher.
+"""One sharded-serving worker: a server, wherever its transport runs it.
 
 The cluster front-door (:mod:`repro.serving.cluster`) shards client
-sessions across a pool of workers; each worker is a complete serving
-stack of its own -- a :class:`repro.serving.server.EncryptedComputeServer`
-holding its private :class:`~repro.ckks.context.CkksContext` (and hence
-its own backend instance and NTT tables), session table, bounded queue
-and :class:`~repro.serving.batcher.DynamicBatcher`.  Nothing is shared
+sessions across a pool of workers; each worker *is* a
+:class:`repro.serving.server.EncryptedComputeServer` -- the paper's one
+host queue in front of one board (Section 5.2 / Figure 7) -- built by
+:func:`build_server` over a private :class:`~repro.ckks.context.CkksContext`
+(hence its own backend instance and NTT tables).  Nothing is shared
 between workers, so a worker can honestly run in -- and die with -- a
-separate OS process.
+separate OS process, and nothing sits between a transport and the
+server: a handle method is the server method it names.
 
 Two transports implement the same :class:`WorkerHandle` contract:
 
-* :class:`LocalWorkerHandle` runs the worker core in-process and fully
+* :class:`LocalWorkerHandle` holds the server in-process and fully
   deterministically (injectable clock, synchronous pump), which is what
   the fault-injection and differential test layers drive -- ``kill()``
-  simulates a crash by discarding the core, exactly the state loss a
+  simulates a crash by discarding the server, exactly the state loss a
   dead process implies;
-* :class:`ProcessWorkerHandle` spawns a real worker process connected
-  over a :mod:`multiprocessing` pipe -- the deployment shape, used by
-  the scale benchmark and the process smoke tests.
+* :class:`ProcessWorkerHandle` spawns a real worker process looping over
+  its server behind a :mod:`multiprocessing` pipe -- the deployment
+  shape, used by the scale benchmark and the process smoke tests.
 
-Key material travels to workers in *wire format* (the cluster serializes
-each tenant's keys once; the worker deserializes once per ``key_id`` and
-caches the objects).  The cache is keyed by ``key_id`` because in the
-cluster model the *router's tenant registry* -- not the client -- binds
-key material to a ``key_id``; all clients of one tenant therefore share
-the same deserialized key objects inside a worker, which is what lets
-their keyed requests share batch lanes.
+Key material travels to workers in *wire format* and is deserialized
+once per ``key_id`` by the server's session table
+(:meth:`repro.serving.session.SessionManager.open_from_wire`); what a
+worker reports back is its server's own
+:class:`~repro.serving.server.ServingReport` -- a copy in-process, the
+pickled object across the pipe -- measured
+:class:`~repro.system.scheduler.ScheduledOp` stream included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.ckks.context import CkksContext, CkksParameters
 from repro.serving.clock import SYSTEM_CLOCK, Clock
-from repro.serving.server import EncryptedComputeServer
-from repro.serving.session import galois_keys_from_wire, relin_key_from_wire
+from repro.serving.server import EncryptedComputeServer, ServingReport
 
 
 class WorkerDeadError(RuntimeError):
@@ -61,135 +61,18 @@ class WorkerSpec:
     max_frame_bytes: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class FlushStat:
-    """Picklable summary of one executed flush (for cross-process stats)."""
-
-    op: str
-    batch_size: int
-    seconds: float
-    batched: bool
-
-
-@dataclass
-class WorkerStats:
-    """Aggregate execution stats a worker reports to the router."""
-
-    flushes: List[FlushStat] = field(default_factory=list)
-    completed: int = 0
-    rejected: int = 0
-    errors: int = 0
-    #: requests answered with a DEADLINE error instead of executing.
-    expired: int = 0
-    latencies: List[float] = field(default_factory=list)
-
-
-class ClusterWorker:
-    """The transport-agnostic worker core (runs wherever its handle says)."""
-
-    def __init__(self, spec: WorkerSpec, clock: Clock = SYSTEM_CLOCK):
-        self.spec = spec
-        self.context = CkksContext(spec.params, backend=spec.backend)
-        self.server = EncryptedComputeServer(
-            self.context,
-            max_batch_size=spec.max_batch_size,
-            max_delay_seconds=spec.max_delay_seconds,
-            max_pending=spec.max_pending,
-            max_frame_bytes=spec.max_frame_bytes,
-            clock=clock,
-        )
-        #: key_id -> (relin key, Galois key set), deserialized once.
-        self._tenant_keys: Dict[str, Tuple[object, object]] = {}
-
-    # ------------------------------------------------------------------
-    # sessions and key material
-    # ------------------------------------------------------------------
-    def register_session(
-        self,
-        client_id: str,
-        key_id: str,
-        relin_blob: Optional[bytes] = None,
-        galois_blobs: Optional[Dict[int, bytes]] = None,
-        wire_version: int = 1,
-        frame_version: int = 1,
-    ) -> None:
-        """Open (or refresh, after a migration round-trip) one session.
-
-        Key blobs are only needed the first time a ``key_id`` reaches
-        this worker; later sessions of the same tenant reuse the cached
-        objects -- and *must*, so their keyed requests share lanes.
-        ``wire_version`` is the version this client's responses are
-        serialized at (key blobs self-describe their own version).
-        """
-        keys = self._tenant_keys.get(key_id)
-        if keys is None:
-            relin = (
-                relin_key_from_wire(relin_blob, self.context)
-                if relin_blob is not None
-                else None
-            )
-            galois = (
-                galois_keys_from_wire(galois_blobs, self.context)
-                if galois_blobs is not None
-                else None
-            )
-            keys = self._tenant_keys[key_id] = (relin, galois)
-        relin, galois = keys
-        if client_id in self.server.sessions:
-            # a session migrated away and back: refresh, don't re-open
-            session = self.server.sessions.get(client_id)
-            session.relin_key = relin
-            session.galois_keys = galois
-            session.wire_version = wire_version
-            session.frame_version = frame_version
-        else:
-            self.server.register_client(
-                client_id,
-                relin_key=relin,
-                galois_keys=galois,
-                key_id=key_id,
-                wire_version=wire_version,
-                frame_version=frame_version,
-            )
-
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
-    def feed(self, client_id: str, data: bytes) -> None:
-        self.server.receive(client_id, data)
-
-    def pump(self, now: Optional[float] = None) -> int:
-        return self.server.pump(now)
-
-    def drain(self, now: Optional[float] = None) -> int:
-        return self.server.drain(now)
-
-    def stop_admitting(self) -> None:
-        self.server.stop_admitting()
-
-    def resume_admitting(self) -> None:
-        self.server.resume_admitting()
-
-    @property
-    def pending_count(self) -> int:
-        return self.server.pending_count
-
-    def collect(self) -> Dict[str, List[bytes]]:
-        return self.server.collect_outboxes()
-
-    def stats(self) -> WorkerStats:
-        report = self.server.report
-        return WorkerStats(
-            flushes=[
-                FlushStat(f.op, f.batch_size, f.seconds, f.batched)
-                for f in report.flushes
-            ],
-            completed=report.request_count,
-            rejected=report.rejected_requests,
-            errors=report.error_responses,
-            expired=report.expired_requests,
-            latencies=list(report.latencies),
-        )
+def build_server(spec: WorkerSpec, clock: Clock = SYSTEM_CLOCK) -> EncryptedComputeServer:
+    """A worker's whole serving stack, built from its spec wherever the
+    transport runs it: a private context (its own backend instance and
+    NTT tables) under one server."""
+    return EncryptedComputeServer(
+        CkksContext(spec.params, backend=spec.backend),
+        max_batch_size=spec.max_batch_size,
+        max_delay_seconds=spec.max_delay_seconds,
+        max_pending=spec.max_pending,
+        max_frame_bytes=spec.max_frame_bytes,
+        clock=clock,
+    )
 
 
 class WorkerHandle:
@@ -220,7 +103,11 @@ class WorkerHandle:
     def register_session(
         self, client_id, key_id, relin_blob, galois_blobs, wire_version=1,
         frame_version=1,
-    ):
+    ) -> None:
+        """Open or refresh a client's session at the worker -- the
+        arguments of ``EncryptedComputeServer.open_session``, which both
+        transports hand through as they are.  The blobs are ``None``
+        once the worker holds the ``key_id``'s keys."""
         raise NotImplementedError
 
     def feed(self, client_id: str, data: bytes) -> None:
@@ -248,16 +135,17 @@ class WorkerHandle:
     def stop(self) -> None:
         raise NotImplementedError
 
-    def stats(self) -> WorkerStats:
+    def stats(self) -> ServingReport:
+        """A snapshot of everything the worker's server has executed."""
         raise NotImplementedError
 
 
 class LocalWorkerHandle(WorkerHandle):
     """Deterministic in-process worker (the test layer's transport).
 
-    ``kill()`` models a crash faithfully: the core -- queue contents,
-    open lanes, un-collected outboxes, session table -- is discarded,
-    so everything a dead process would lose is lost here too.
+    ``kill()`` models a crash faithfully: the server -- queue contents,
+    open lanes, un-collected outboxes, session table, key cache -- is
+    discarded, so everything a dead process would lose is lost here too.
     """
 
     def __init__(
@@ -267,57 +155,46 @@ class LocalWorkerHandle(WorkerHandle):
         clock: Clock = SYSTEM_CLOCK,
     ):
         self.worker_id = worker_id
-        self.spec = spec
-        self._clock = clock
-        self._core: Optional[ClusterWorker] = ClusterWorker(spec, clock=clock)
+        self._server: Optional[EncryptedComputeServer] = build_server(spec, clock)
 
     @property
     def alive(self) -> bool:
-        return self._core is not None
+        return self._server is not None
 
     @property
-    def core(self) -> ClusterWorker:
-        if self._core is None:
+    def server(self) -> EncryptedComputeServer:
+        if self._server is None:
             raise WorkerDeadError(f"worker {self.worker_id!r} is dead")
-        return self._core
+        return self._server
 
-    def register_session(
-        self, client_id, key_id, relin_blob, galois_blobs, wire_version=1,
-        frame_version=1,
-    ):
-        self.core.register_session(
-            client_id, key_id, relin_blob, galois_blobs, wire_version,
-            frame_version,
-        )
+    def register_session(self, *session) -> None:
+        self.server.open_session(*session)
 
     def feed(self, client_id: str, data: bytes) -> None:
-        self.core.feed(client_id, data)
+        self.server.receive(client_id, data)
 
     def pump(self, now: Optional[float] = None) -> None:
-        self.core.pump(now)
+        self.server.pump(now)
 
     def poll_responses(self) -> Dict[str, List[bytes]]:
-        if self._core is None:
-            return {}
-        return self._core.collect()
+        return self._server.collect_outboxes() if self.alive else {}
 
     def begin_drain(self) -> None:
-        self.core.stop_admitting()
+        self.server.stop_admitting()
 
     def drain(self, now: Optional[float] = None) -> int:
-        return self.core.drain(now)
+        return self.server.drain(now)
 
     def resume(self) -> None:
-        self.core.resume_admitting()
+        self.server.resume_admitting()
 
     def kill(self) -> None:
-        self._core = None
+        self._server = None
 
-    def stop(self) -> None:
-        self._core = None
+    stop = kill
 
-    def stats(self) -> WorkerStats:
-        return self.core.stats()
+    def stats(self) -> ServingReport:
+        return self.server.report.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -336,12 +213,13 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
     deadline flushes happen even when no command arrives.  The protocol
     is strictly request-reply: the worker only ever writes to the pipe
     while the router is blocked reading the reply to a command it just
-    sent.  (An earlier design pushed completed responses unsolicited;
-    with both sides free to initiate multi-buffer sends, router and
-    worker could each block mid-``send`` with nobody reading -- a
-    textbook duplex-pipe deadlock under real traffic volumes.)
-    Completed responses therefore accumulate in the core's outboxes
-    until the router asks via ``poll``.
+    sent, and every reply is one ``(command, payload)`` message.  (An
+    earlier design pushed completed responses unsolicited; with both
+    sides free to initiate multi-buffer sends, router and worker could
+    each block mid-``send`` with nobody reading -- a textbook
+    duplex-pipe deadlock under real traffic volumes.)  Completed
+    responses therefore accumulate in the session outboxes until the
+    router asks via ``poll``.
     """
     if spec.backend is not None:
         # pin the process-global backend too: serialization helpers
@@ -349,10 +227,10 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
         from repro.ckks.backend import set_backend
 
         set_backend(spec.backend)
-    core = ClusterWorker(spec)
+    server = build_server(spec)
     try:
         while True:
-            timeout = 0.0 if core.pending_count else _IDLE_POLL_SECONDS
+            timeout = 0.0 if server.pending_count else _IDLE_POLL_SECONDS
             if conn.poll(timeout):
                 try:
                     msg = conn.recv()
@@ -360,25 +238,25 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
                     return
                 cmd = msg[0]
                 if cmd == "register":
-                    core.register_session(*msg[1:])
+                    server.open_session(*msg[1:])
                 elif cmd == "frames":
-                    core.feed(msg[1], msg[2])
+                    server.receive(msg[1], msg[2])
                 elif cmd == "poll":
-                    conn.send(("responses", core.collect()))
+                    conn.send(("poll", server.collect_outboxes()))
                 elif cmd == "stop_admitting":
-                    core.stop_admitting()
+                    server.stop_admitting()
                 elif cmd == "resume":
-                    core.resume_admitting()
+                    server.resume_admitting()
                 elif cmd == "drain":
-                    completed = core.drain()
-                    conn.send(("responses", core.collect()))
-                    conn.send(("drained", completed))
+                    # the flushed responses wait for the router's next poll
+                    conn.send(("drain", server.drain()))
                     continue
                 elif cmd == "stats":
-                    conn.send(("stats", core.stats()))
+                    # pickled as it is: the pipe is the snapshot
+                    conn.send(("stats", server.report))
                 elif cmd == "stop":
                     return
-            core.pump()
+            server.pump()
     except (BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
         return
     finally:
@@ -388,9 +266,16 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
 class ProcessWorkerHandle(WorkerHandle):
     """A worker running in a real OS process behind a duplex pipe."""
 
+    #: how long to wait for a poll reply: generous because the worker
+    #: answers only between pumps, and one pump may execute a whole
+    #: backlog of due batch flushes.
+    POLL_TIMEOUT_SECONDS = 60.0
     #: how long to wait for a drain acknowledgement before declaring the
     #: worker wedged (generous: a drain flushes every open lane).
     DRAIN_TIMEOUT_SECONDS = 60.0
+    #: how long to wait for a stats reply (shorter than drain: answering
+    #: stats never executes pending work).
+    STATS_TIMEOUT_SECONDS = 30.0
 
     def __init__(
         self,
@@ -402,10 +287,9 @@ class ProcessWorkerHandle(WorkerHandle):
         import multiprocessing as mp
 
         self.worker_id = worker_id
-        self.spec = spec
-        #: deadline source for the pipe-transport wait loops below; a
-        #: test installs a ManualClock here to exercise poll/drain/stats
-        #: timeouts without real 60-second waits
+        #: deadline source of the reply wait below; a test installs a
+        #: ManualClock here to exercise poll/drain/stats timeouts
+        #: without real 60-second waits
         self._clock = clock
         if start_method is None:
             # fork (where available) inherits loaded modules -- startup in
@@ -421,8 +305,9 @@ class ProcessWorkerHandle(WorkerHandle):
         )
         self._proc.start()
         child_conn.close()
-        #: responses received while waiting for a command ack, kept for
-        #: the next poll_responses() call
+        #: responses received and not yet handed out: a poll reply that
+        #: arrived after its own wait had timed out is kept for the next
+        #: poll_responses() call
         self._response_buffer: Dict[str, List[bytes]] = {}
 
     @property
@@ -437,62 +322,55 @@ class ProcessWorkerHandle(WorkerHandle):
         self._require_alive()
         self._conn.send(msg)
 
-    def register_session(
-        self, client_id, key_id, relin_blob, galois_blobs, wire_version=1,
-        frame_version=1,
-    ):
-        self._send(
-            (
-                "register", client_id, key_id, relin_blob, galois_blobs,
-                wire_version, frame_version,
-            )
-        )
+    def _request(self, command: str, timeout: float):
+        """Send ``command`` and wait for its reply; returns the payload.
+
+        The one reply wait of the transport, on the injected clock:
+        :class:`WorkerDeadError` when the process is dead at the send,
+        found dead between reads or closes the pipe, ``TimeoutError``
+        when nothing tagged ``command`` arrives within ``timeout``.  A
+        ``poll`` reply is merged into the response buffer whichever
+        command it turns up under, so a late one loses no frame.
+        """
+        self._send((command,))
+        deadline = self._clock() + timeout
+        while self._clock() < deadline:
+            if not self._conn.poll(0.05):
+                self._require_alive()
+                continue
+            try:
+                tag, payload = self._conn.recv()
+            except EOFError:
+                raise WorkerDeadError(
+                    f"worker {self.worker_id!r} died answering {command}"
+                ) from None
+            if tag == "poll":
+                for client_id, frames in payload.items():
+                    self._response_buffer.setdefault(client_id, []).extend(frames)
+            if tag == command:
+                return payload
+        raise TimeoutError(f"worker {self.worker_id!r} {command} timed out")
+
+    def register_session(self, *session) -> None:
+        self._send(("register", *session))
 
     def feed(self, client_id: str, data: bytes) -> None:
         self._send(("frames", client_id, data))
-
-    def _absorb(self, msg) -> Optional[tuple]:
-        """Merge a responses reply into the buffer; pass anything else up."""
-        if msg[0] == "responses":
-            for client_id, frames in msg[1].items():
-                self._response_buffer.setdefault(client_id, []).extend(frames)
-            return None
-        return msg
-
-    #: how long to wait for a poll reply: generous because the worker
-    #: answers only between pumps, and one pump may execute a whole
-    #: backlog of due batch flushes.
-    POLL_TIMEOUT_SECONDS = 60.0
 
     def poll_responses(self) -> Dict[str, List[bytes]]:
         """Ask the worker for completed responses (one round-trip).
 
         Request-reply by design: the worker never writes to the pipe
-        unless we are here (or in :meth:`drain` / :meth:`stats`) waiting
-        to read, so neither side can block mid-send against the other.
-        A worker that dies mid-poll just yields what was already
-        buffered; the router owns surfacing the loss.
+        unless we are in :meth:`_request` waiting to read, so neither
+        side can block mid-send against the other.  A worker that is
+        dead, dies mid-poll or stays silent past the timeout just
+        yields what was already buffered; the router owns surfacing
+        the loss.
         """
-        if not self.alive:
-            out, self._response_buffer = self._response_buffer, {}
-            return out
         try:
-            self._conn.send(("poll",))
-        except (BrokenPipeError, OSError):
-            out, self._response_buffer = self._response_buffer, {}
-            return out
-        deadline = self._clock() + self.POLL_TIMEOUT_SECONDS
-        while self._clock() < deadline:
-            if not self._conn.poll(0.005):
-                if not self.alive:
-                    break
-                continue
-            try:
-                msg = self._absorb(self._conn.recv())
-            except EOFError:
-                break
-            if msg is None:  # the responses reply we were waiting for
-                break
+            self._request("poll", self.POLL_TIMEOUT_SECONDS)
+        except (WorkerDeadError, TimeoutError, OSError):
+            pass
         out, self._response_buffer = self._response_buffer, {}
         return out
 
@@ -501,21 +379,7 @@ class ProcessWorkerHandle(WorkerHandle):
 
     def drain(self, now: Optional[float] = None) -> int:
         """Flush everything; blocks until the worker acknowledges."""
-        self._send(("drain",))
-        deadline = self._clock() + self.DRAIN_TIMEOUT_SECONDS
-        while self._clock() < deadline:
-            if not self._conn.poll(0.05):
-                self._require_alive()
-                continue
-            try:
-                msg = self._absorb(self._conn.recv())
-            except EOFError:
-                raise WorkerDeadError(
-                    f"worker {self.worker_id!r} died during drain"
-                ) from None
-            if msg is not None and msg[0] == "drained":
-                return msg[1]
-        raise TimeoutError(f"worker {self.worker_id!r} drain timed out")
+        return self._request("drain", self.DRAIN_TIMEOUT_SECONDS)
 
     def resume(self) -> None:
         self._send(("resume",))
@@ -535,27 +399,7 @@ class ProcessWorkerHandle(WorkerHandle):
                 self._proc.join(timeout=10.0)
         except (BrokenPipeError, OSError):  # pragma: no cover
             pass
-        if self._proc.is_alive():  # pragma: no cover
-            self._proc.kill()
-            self._proc.join(timeout=5.0)
+        self.kill()  # no-op unless the worker ignored the request
 
-    #: how long to wait for a stats reply (shorter than drain: answering
-    #: stats never executes pending work).
-    STATS_TIMEOUT_SECONDS = 30.0
-
-    def stats(self) -> WorkerStats:
-        self._send(("stats",))
-        deadline = self._clock() + self.STATS_TIMEOUT_SECONDS
-        while self._clock() < deadline:
-            if not self._conn.poll(0.05):
-                self._require_alive()
-                continue
-            try:
-                msg = self._absorb(self._conn.recv())
-            except EOFError:
-                raise WorkerDeadError(
-                    f"worker {self.worker_id!r} died answering stats"
-                ) from None
-            if msg is not None and msg[0] == "stats":
-                return msg[1]
-        raise TimeoutError(f"worker {self.worker_id!r} stats timed out")
+    def stats(self) -> ServingReport:
+        return self._request("stats", self.STATS_TIMEOUT_SECONDS)

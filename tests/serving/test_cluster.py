@@ -145,6 +145,37 @@ class TestPlacementAndLanes:
             cluster.register_client("c0", "t-b")
 
 
+    def test_a_key_id_is_bound_to_its_keys_once(self, serving_context, make_cluster):
+        """Re-registering a tenant with *different* keys used to swap the
+        router's blobs while every worker kept the old objects cached
+        under the ``key_id``: clients of the new keys got RESPONSEs that
+        decrypt to garbage, no error anywhere.  Now identical blobs are
+        idempotent, different ones raise, and the fix the message names
+        -- a new ``key_id`` -- serves correctly."""
+        from repro.serving.traffic import SyntheticClient
+
+        cluster = make_cluster(worker_count=2)
+        old = SyntheticTenant(serving_context, seed=21, key_id="t")
+        new = SyntheticTenant(serving_context, seed=22, key_id="t")
+        old.register_with(cluster)
+        SyntheticClient(old, "c-old", seed=1).connect_cluster(cluster)
+        old.register_with(cluster)  # the same keys again: idempotent
+        with pytest.raises(ValueError, match="new key_id"):
+            new.register_with(cluster)
+        # the refused registration changed nothing: old clients still serve
+        new.key_id = "t-2"
+        new.register_with(cluster)
+        for tenant, cid in ((old, "c-old-2"), (new, "c-new")):
+            client = SyntheticClient(tenant, cid, seed=2)
+            client.connect_cluster(cluster)
+            cluster.receive(cid, client.request_bytes("square", [3.0]))
+        cluster.drain()
+        for tenant, cid in ((old, "c-old-2"), (new, "c-new")):
+            (blob,) = cluster.take_outbox(cid)
+            _, values = tenant.decrypt_response(blob)
+            assert abs(values[0] - 9.0) < 1e-2, cid
+
+
 class TestRouterAdmission:
     @pytest.fixture()
     def small_cluster(self, serving_context, make_cluster):
@@ -239,8 +270,8 @@ class TestProcessWorkers:
                     total += 1
             assert total == len(trace)
             stats = cluster.worker_stats()
-            assert sum(s.completed for s in stats.values()) == len(trace)
-            assert all(s.errors == 0 for s in stats.values())
+            assert sum(s.request_count for s in stats.values()) == len(trace)
+            assert all(s.error_responses == 0 for s in stats.values())
         finally:
             cluster.stop()
 

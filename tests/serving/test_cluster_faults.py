@@ -199,6 +199,51 @@ class TestRestart:
         kinds = {f.kind for per in terminals.values() for f in per.values()}
         assert kinds == {framing.RESPONSE}
 
+    def test_restarting_a_live_worker_fails_its_inflight_over(
+        self, serving_context, make_cluster
+    ):
+        """``restart_worker`` stops a live worker, so what it held in
+        flight is gone with it: each such request gets one retryable
+        ERROR (it used to stay in the in-flight table forever -- a hang
+        and a broken conservation law), the rest complete."""
+        cluster = make_cluster(worker_count=2)
+        tenants, clients, trace = connect_traffic(serving_context, cluster)
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        victim = loaded_worker(cluster)
+        at_victim = sum(
+            1 for (_, _), (wid, _) in cluster._inflight.items() if wid == victim
+        )
+        cluster.restart_worker(victim)
+        assert cluster.report.failed_over_requests == at_victim
+        assert cluster.inflight_count == len(trace) - at_victim
+        cluster.pump()
+        cluster.drain()
+        assert cluster.inflight_count == 0
+
+        terminals = {}
+        merge_terminals(terminals, take_all(cluster, clients))
+        assert {
+            cid: set(per) for cid, per in terminals.items()
+        } == submitted_ids(trace)
+        errors = [
+            f for per in terminals.values() for f in per.values()
+            if f.kind == framing.ERROR
+        ]
+        assert len(errors) == at_victim
+        assert all(framing.is_retryable_error(f) for f in errors)
+        report = cluster.report
+        assert (
+            report.completed + report.shed_requests
+            + report.failed_over_requests + report.expired_requests
+        ) == report.submitted == len(trace)
+        # the fresh worker serves the retries: its key cache was refilled
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        cluster.drain()
+        assert cluster.inflight_count == 0
+        assert report.completed == len(trace)
+
     def test_rejoining_a_dead_worker_is_refused(self, serving_context, make_cluster):
         cluster = make_cluster(worker_count=2)
         connect_traffic(serving_context, cluster, tenants=1, clients_per=1, requests=1)

@@ -156,6 +156,41 @@ class TestFrameIntegrity:
         assert {framing.decode_frame(b).kind for b in blobs} == {framing.RESPONSE}
         assert conservation(cluster.report)
 
+    @pytest.mark.parametrize("door", ["server", "cluster"])
+    def test_one_corrupt_frame_does_not_wedge_the_session(
+        self, door, serving_context, make_cluster, tenant, manual_clock
+    ):
+        """One ingress rule behind both front doors: the frame decoded
+        ahead of a CRC mismatch is answered, the stream error is raised
+        once, and the session's next good frame is served -- a
+        standalone server used to re-raise the stale error on every
+        later frame of that client, who cannot re-register."""
+        client = SyntheticClient(tenant, "crc-c", seed=9, frame_version=2)
+        if door == "server":
+            front = EncryptedComputeServer(serving_context, clock=manual_clock)
+            client.connect(front)
+            take = lambda: front.sessions.get(client.client_id).take_outbox()
+        else:
+            front = make_cluster(worker_count=2)
+            tenant.register_with(front)
+            client.connect_cluster(front)
+            take = lambda: front.take_outbox(client.client_id)
+
+        ahead = client.request_bytes("square", [3.0])
+        bad = bytearray(client.request_bytes("double", [1.0]))
+        bad[-1] ^= 0xFF  # the CRC trailer itself
+        with pytest.raises(framing.StreamProtocolError, match="CRC"):
+            front.receive(client.client_id, ahead + bytes(bad))
+        for step, value in enumerate([5.0, 7.0]):
+            # good frames after the corruption, whole and split mid-frame
+            good = client.request_bytes("double", [value])
+            cut = len(good) // 2 if step else len(good)
+            front.receive(client.client_id, good[:cut])
+            front.receive(client.client_id, good[cut:])
+        front.drain()
+        answers = [tenant.decrypt_response(blob)[1][0].real for blob in take()]
+        assert sorted(round(v) for v in answers) == [9, 10, 14]
+
     def test_resilient_client_resends_through_corruption(
         self, make_cluster, tenant, manual_clock
     ):
@@ -209,7 +244,7 @@ class TestIdempotentRetry:
         assert cluster.report.dedup_hits == 1
         assert cluster.report.submitted == 1  # retry is not a submission
         # and the worker executed it exactly once
-        assert cluster.worker_stats()[worker_id].completed == 1
+        assert cluster.worker_stats()[worker_id].request_count == 1
         assert conservation(cluster.report)
 
     def test_retry_of_inflight_request_is_refused_retryably(
@@ -365,8 +400,8 @@ class TestDeadlines:
         rid, values = tenant.decrypt_response(blob)
         assert values[0] == pytest.approx(9.0, rel=1e-3, abs=1e-3)
         stats = cluster.worker_stats()[worker_id]
-        assert stats.expired == 1
-        assert stats.completed == 1
+        assert stats.expired_requests == 1
+        assert stats.request_count == 1
         report = cluster.report
         assert report.expired_requests == 1 and report.completed == 1
         assert conservation(report)

@@ -265,9 +265,9 @@ class TestKeyUpload:
     def test_relin_key_uploaded_over_wire(self, serving_context, tenant, make_client):
         server = EncryptedComputeServer(serving_context)
         client = make_client()
-        server.register_client(client.client_id, key_id=tenant.key_id)
-        server.sessions.register_relin_from_wire(
-            client.client_id, serialize_kswitch_key(tenant.relin_key)
+        server.open_session(
+            client.client_id, tenant.key_id,
+            relin_blob=serialize_kswitch_key(tenant.relin_key),
         )
         server.receive(client.client_id, client.request_bytes("square", [3.0]))
         server.drain()
@@ -283,11 +283,39 @@ class TestKeyUpload:
         foreign = KeyGenerator(other, seed=5).relin_key()
         server = EncryptedComputeServer(serving_context)
         client = make_client()
-        server.register_client(client.client_id)
         with pytest.raises(ValueError, match="ring mismatch"):
-            server.sessions.register_relin_from_wire(
-                client.client_id, serialize_kswitch_key(foreign)
+            server.open_session(
+                client.client_id, "foreign",
+                relin_blob=serialize_kswitch_key(foreign),
             )
+        # rejected at the upload boundary: nothing was opened or cached
+        assert client.client_id not in server.sessions
+        server.open_session(
+            client.client_id, "foreign",
+            relin_blob=serialize_kswitch_key(tenant.relin_key),
+        )
+        assert server.sessions.get(client.client_id).relin_key is not None
+
+    def test_truncated_key_rejected_at_upload(self, serving_context, tenant, make_client):
+        server = EncryptedComputeServer(serving_context)
+        client = make_client()
+        blob = serialize_kswitch_key(tenant.relin_key)
+        with pytest.raises(ValueError):
+            server.open_session(client.client_id, tenant.key_id, relin_blob=blob[:-8])
+        assert client.client_id not in server.sessions
+
+    def test_sessions_of_one_key_id_share_the_cached_objects(
+        self, serving_context, tenant
+    ):
+        """Blobs are read once per key_id: a second session -- and a
+        refresh of the first -- gets the same key objects (one lane)."""
+        server = EncryptedComputeServer(serving_context)
+        blob = serialize_kswitch_key(tenant.relin_key)
+        a = server.open_session("a", tenant.key_id, relin_blob=blob)
+        b = server.open_session("b", tenant.key_id)
+        assert a.relin_key is b.relin_key is not None
+        assert server.open_session("a", tenant.key_id, frame_version=2) is a
+        assert a.relin_key is b.relin_key and a.frame_version == 2
 
 
 class TestSystemModelIntegration:
@@ -396,8 +424,8 @@ class TestKeyCaptureAtAdmission:
         server.receive("rotator", a.request_bytes("square", [3.0]))
         # mid-pending key rotation: a *different* (wrong-secret) key set
         rogue = SyntheticTenant(serving_context, seed=606)
-        server.sessions.register_relin_from_wire(
-            "rotator", serialize_kswitch_key(rogue.relin_key)
+        server.open_session(
+            "rotator", "rogue", relin_blob=serialize_kswitch_key(rogue.relin_key)
         )
         server.receive("victim", b.request_bytes("square", [3.0]))
         server.drain()
@@ -418,8 +446,9 @@ class TestKeyCaptureAtAdmission:
         client = make_client()
         client.connect(server)
         server.receive(client.client_id, client.request_bytes("square", [2.0]))
-        server.sessions.register_relin_from_wire(
-            client.client_id, serialize_kswitch_key(tenant.relin_key)
+        server.open_session(
+            client.client_id, "rotated",
+            relin_blob=serialize_kswitch_key(tenant.relin_key),
         )
         server.receive(client.client_id, client.request_bytes("square", [2.0]))
         server.drain()

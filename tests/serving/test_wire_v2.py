@@ -137,8 +137,7 @@ class TestClusterV2Sessions:
         )
         cluster.receive("cb", frame)
         cluster.drain()
-        worker = cluster.workers[cluster.client_worker("cb")]
-        (flush,) = worker.core.server.report.flushes
+        (flush,) = cluster.worker_stats()[cluster.client_worker("cb")].flushes
         expected = ciphertext_wire_bytes(
             serving_context.n, 2, serving_context.k, version=2,
             moduli=serving_context.basis_at_level(serving_context.k).moduli,

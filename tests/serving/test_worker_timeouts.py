@@ -65,7 +65,6 @@ def _stub_handle(clock, conn=None, alive=True):
     """A ProcessWorkerHandle wired to stubs instead of a spawned process."""
     handle = ProcessWorkerHandle.__new__(ProcessWorkerHandle)
     handle.worker_id = "w0"
-    handle.spec = None
     handle._clock = clock
     handle._conn = conn if conn is not None else _SilentConnection(clock)
     handle._proc = _ScriptedProcess(alive)
