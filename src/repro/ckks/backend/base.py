@@ -257,15 +257,15 @@ def _or_shifted(columns, terms):
     return acc
 
 
-def _group_windows(buf, offset: int, groups: int, group_bytes: int):
+def _group_windows(buf, offset: int, rows: int, groups: int, group_bytes: int, row_stride: int):
     """The (unaligned) big-endian word at ``offset`` of every group of
-    every row of a C-contiguous ``(R, groups * group_bytes)`` byte matrix."""
+    ``rows`` packed rows lying ``row_stride`` bytes apart in ``buf``."""
     return np.ndarray(
-        (buf.shape[0], groups),
+        (rows, groups),
         dtype=">u8",
         buffer=buf,
         offset=offset,
-        strides=(groups * group_bytes, group_bytes),
+        strides=(row_stride, group_bytes),
     )
 
 
@@ -345,17 +345,34 @@ def _pack_rows_bits_np(handle, bounds) -> bytes:
         )
         packed = np.empty((len(idx), groups * group_bytes), dtype=np.uint8)
         for offset, terms in windows:
-            _group_windows(packed, offset, groups, group_bytes)[...] = (
-                _or_shifted(cols, terms)
-            )
+            _group_windows(
+                packed, offset, len(idx), groups, group_bytes, groups * group_bytes
+            )[...] = _or_shifted(cols, terms)
         for r, i in enumerate(idx):
             blob[starts[i] : starts[i] + sizes[i]] = packed[r, : sizes[i]]
     return blob.tobytes()
 
 
-def _unpack_rows_bits_np(data, n: int, bounds):
-    """Inverse of :func:`_pack_rows_bits_np`: a ``(len(bounds), n)``
-    ``uint64`` matrix, every wire check applied."""
+def _store_rows(out, idx, vals) -> None:
+    """Decoded rows ``vals`` into rows ``idx`` of a destination, in place:
+    one assignment into a matrix (or a strided view of one), else row by
+    row into what each row is -- an array row, a canonical list."""
+    if isinstance(out, np.ndarray):
+        out[idx] = vals
+        return
+    for i, row in zip(idx, vals):
+        out[i][:] = row if isinstance(out[i], np.ndarray) else row.tolist()
+
+
+def _check_destination(out, count: int, n: int) -> None:
+    """numpy would broadcast a short destination, ``zip`` truncate a long one."""
+    if len(out) != count or any(len(row) != n for row in out):
+        raise ValueError(f"destination is not {count} rows of {n} words")
+
+
+def _unpack_rows_bits_np(data, n: int, bounds, out):
+    """Inverse of :func:`_pack_rows_bits_np` into the rows of ``out`` (see
+    :meth:`PolynomialBackend.unpack_rows_bits`), every wire check applied."""
     bounds = [int(b) for b in bounds]
     sizes, starts, total = _row_layout(n, bounds)
     if len(data) < total:
@@ -367,18 +384,28 @@ def _unpack_rows_bits_np(data, n: int, bounds):
             f"trailing bytes after packed rows: {len(data)} bytes, "
             f"expected {total}"
         )
+    _check_destination(out, len(bounds), n)
     src = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty((len(bounds), n), dtype=np.uint64)
     if n == 0:
         return out
     for width, idx in _row_stacks(n, bounds):
         g, group_bytes, windows, coefficients = _bit_plan(width)
         groups = -(-n // g)
-        staged = np.zeros((len(idx), groups * group_bytes), dtype=np.uint8)
-        for r, i in enumerate(idx):
-            staged[r, : sizes[i]] = src[starts[i] : starts[i] + sizes[i]]
+        # whole groups in evenly spaced rows (the components of one
+        # object): the windows are read where the bytes arrived
+        buf, base = src, starts[idx[0]]
+        stride = (starts[idx[-1]] - base) // max(1, len(idx) - 1) or sizes[idx[0]]
+        if n % g or any(starts[i] != base + r * stride for r, i in enumerate(idx)):
+            # else staged: bytes past a row's end are zeros, so the
+            # coefficients past n are exactly the row's padding bits
+            base, stride = 0, groups * group_bytes
+            buf = np.zeros((len(idx), stride), dtype=np.uint8)
+            for r, i in enumerate(idx):
+                buf[r, : sizes[i]] = src[starts[i] : starts[i] + sizes[i]]
         words = [
-            _group_windows(staged, offset, groups, group_bytes).astype(np.uint64)
+            _group_windows(
+                buf, base + offset, len(idx), groups, group_bytes, stride
+            ).astype(np.uint64)
             for offset, _ in windows
         ]
         vals = np.empty((len(idx), groups, g), dtype=np.uint64)
@@ -388,8 +415,6 @@ def _unpack_rows_bits_np(data, n: int, bounds):
                 _or_shifted(words, terms), mask, out=vals[:, :, j]
             )
         vals = vals.reshape(len(idx), groups * g)
-        # bytes past a row's end were staged as zeros, so the coefficients
-        # past n are exactly the row's padding bits
         if n % g and vals[:, n:].any():
             raise ValueError("nonzero padding bits in packed residue row")
         vals = vals[:, :n]
@@ -398,7 +423,7 @@ def _unpack_rows_bits_np(data, n: int, bounds):
             raise ValueError(
                 f"packed residue {bad[0]} outside [0, {bad[1]}); corrupt row"
             )
-        out[idx] = vals
+        _store_rows(out, idx, vals)
     return out
 
 
@@ -649,15 +674,20 @@ class PolynomialBackend(abc.ABC):
             ) from None
         return mat.astype("<u8", copy=False).tobytes()
 
-    def unpack_rows(self, data, count: int, n: int):
-        """Deserialize ``count`` rows of ``n`` words into a native handle.
+    def unpack_rows(self, data, count: int, n: int, out=None):
+        """Deserialize ``count`` rows of ``n`` words into a native handle,
+        or into ``out`` (the destination of :meth:`unpack_rows_bits`).
 
         ``data`` must hold exactly ``count * n`` little-endian 8-byte
         words (callers validate payload sizes before slicing).
         """
-        flat = np.frombuffer(data, dtype="<u8", count=count * n)
-        # astype: native byte order plus an owned, writable matrix
-        return self.from_rows(flat.reshape(count, n).astype(np.uint64))
+        words = np.frombuffer(data, dtype="<u8", count=count * n).reshape(count, n)
+        if out is None:
+            # astype: native byte order plus an owned, writable matrix
+            return self.from_rows(words.astype(np.uint64))
+        _check_destination(out, count, n)
+        _store_rows(out, range(count), words)
+        return out
 
     def pack_rows_bits(self, handle, bounds: Sequence[int]) -> bytes:
         """Serialize a residue matrix bit-packed to per-row word width.
@@ -675,7 +705,7 @@ class PolynomialBackend(abc.ABC):
         _check_pack_bounds(handle, bounds)
         return _pack_rows_bits_np(handle, bounds)
 
-    def unpack_rows_bits(self, data, n: int, bounds: Sequence[int]):
+    def unpack_rows_bits(self, data, n: int, bounds: Sequence[int], out=None):
         """Deserialize per-row bit-packed rows into a native handle.
 
         Inverse of :meth:`pack_rows_bits`: ``data`` must hold exactly
@@ -684,8 +714,20 @@ class PolynomialBackend(abc.ABC):
         and residues ``>= bounds[i]`` both raise, so bit-level
         corruption in the reachable range is rejected rather than
         served.
+
+        **Destination.**  ``out``, when given, is ``len(bounds)``
+        writable ``n``-wide rows -- a native handle, or rows of a larger
+        one such as ``handle[b::N]``, element ``b`` of a lane -- and row
+        ``i`` is decoded *into* ``out[i]``: the words land where the
+        kernels read them, rows ``out`` does not address are untouched,
+        every check fires as without one (the addressed rows are then
+        unspecified).  Positional: a delegating backend that forwards
+        ``*args`` must carry it.
         """
-        return self.from_rows(_unpack_rows_bits_np(data, n, bounds))
+        if out is not None:
+            return _unpack_rows_bits_np(data, n, bounds, out)
+        out = np.empty((len(bounds), n), dtype=np.uint64)
+        return self.from_rows(_unpack_rows_bits_np(data, n, bounds, out))
 
     # ------------------------------------------------------------------
     # derived: a row is a stack of one.  Per-row results are canonical

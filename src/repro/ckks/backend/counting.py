@@ -226,14 +226,14 @@ class CountingBackend(PolynomialBackend):
     def pack_rows(self, handle):
         return self.inner.pack_rows(handle)
 
-    def unpack_rows(self, data, count, n):
-        return self.inner.unpack_rows(data, count, n)
+    def unpack_rows(self, data, count, n, out=None):
+        return self.inner.unpack_rows(data, count, n, out)
 
     def pack_rows_bits(self, handle, bounds):
         return self.inner.pack_rows_bits(handle, bounds)
 
-    def unpack_rows_bits(self, data, n, bounds):
-        return self.inner.unpack_rows_bits(data, n, bounds)
+    def unpack_rows_bits(self, data, n, bounds, out=None):
+        return self.inner.unpack_rows_bits(data, n, bounds, out)
 
     def __repr__(self) -> str:
         return f"<CountingBackend inner={self.inner!r} counts={dict(self.counts)}>"

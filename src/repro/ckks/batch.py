@@ -16,7 +16,9 @@ residue matrix -- row ``i·N + b`` is element ``b`` under RNS modulus
 splitting a single ciphertext is the identity; the ``N`` rows of one
 modulus are the contiguous block ``[i·N, (i+1)·N)`` the backend's
 stacked per-modulus kernels (NTT, flooring) consume, and element ``b``
-is the strided view ``rows[b::N]``.
+is the strided view ``rows[b::N]``.  ``split`` stamps each element with
+the lane it is a view of and ``join`` hands that lane back whole when
+given exactly its split, in order -- anything else copies.
 
 Lanes are homogeneous by construction: mixed-level or ragged inputs are
 rejected at :meth:`CiphertextBatch.join` time, mirroring the fixed lane
@@ -95,6 +97,15 @@ class CiphertextBatch:
         if not cts:
             raise ValueError("cannot batch zero ciphertexts")
         first = cts[0]
+        lane = first.origin and first.origin[0]
+        if lane is not None and len(cts) == lane.count and all(
+            ct.origin == (lane, b) and ct.scale == lane.scale
+            for b, ct in enumerate(cts)
+        ):
+            # exactly ``lane.split()``, in order: these elements' rows
+            # *are* the lane's matrices, so a chain of lane ops copies
+            # nothing between steps.  Anything else copies, below.
+            return lane
         if not first.scale > 0:
             raise ValueError(
                 f"non-positive ciphertext scale {first.scale:g}"
@@ -159,7 +170,7 @@ class CiphertextBatch:
         mutating rows in place.
         """
         step = self.count
-        return [
+        elements = [
             Ciphertext(
                 [
                     RnsPolynomial(self.n, self.moduli, comp[b::step], self.is_ntt)
@@ -169,6 +180,9 @@ class CiphertextBatch:
             )
             for b in range(step)
         ]
+        for b, element in enumerate(elements):
+            element.origin = (self, b)
+        return elements
 
     # ------------------------------------------------------------------
     @property

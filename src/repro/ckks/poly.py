@@ -285,11 +285,14 @@ class Ciphertext:
     product has ``size == 3`` (decryptable as ``<ct, (1, s, s^2)>``).
     """
 
-    __slots__ = ("polys", "scale")
+    __slots__ = ("polys", "scale", "origin")
 
     def __init__(self, polys: List[RnsPolynomial], scale: float):
         if not polys:
             raise ValueError("ciphertext needs at least one polynomial")
+        #: ``(lane, b)`` on element ``b`` of a ``CiphertextBatch.split()``,
+        #: which ``join`` reads to hand that lane back whole; else ``None``
+        self.origin = None
         n = polys[0].n
         basis = [m.value for m in polys[0].moduli]
         for p in polys[1:]:

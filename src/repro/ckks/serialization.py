@@ -26,8 +26,11 @@ Packing and unpacking go straight between wire bytes and the backend's
 ``unpack_rows`` for v1, ``pack_rows_bits`` / ``unpack_rows_bits`` for
 v2): the serving layer (de)serializes every request, and with
 backend-resident polynomial storage there is no intermediate
-list-of-int step in either direction -- deserialized ciphertexts arrive
-already resident, serialized ones pack from the resident matrix.
+list-of-int step in either direction -- serialized objects pack from the
+resident matrix, and ciphertexts are unpacked by one function,
+:func:`unpack_ciphertexts`, straight into the lane matrix the kernels
+read (:func:`deserialize_ciphertext` is its lane of one; a server
+admits with :func:`admit_ciphertext` and unpacks at the flush).
 
 Header fields are validated at *serialize* time too: ``level_count``
 shares its 16-bit field with the NTT flag (bit 15), so a level count
@@ -40,10 +43,13 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ckks.backend import get_backend
 from repro.ckks.backend.base import ROW_WORD_BYTES, packed_row_bytes
+from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import KswitchKey
 from repro.ckks.poly import Ciphertext, Plaintext, RnsPolynomial
@@ -216,16 +222,19 @@ def _unpack_polys(
     data: memoryview, n: int, moduli, count: int, is_ntt: bool,
     version: int, backend,
 ) -> List[RnsPolynomial]:
-    """Decode ``count`` polynomials over ``moduli`` from exactly ``data``.
+    """Decode ``count`` polynomials (a plaintext, a key's columns) over
+    ``moduli`` from exactly ``data``; ciphertexts do not come through
+    here (:func:`unpack_ciphertexts`).
 
     Callers have validated the payload length (see
     :func:`_check_payload`): slicing a short v1 buffer would otherwise
     yield short rows whose missing words decode as 0.  v2 decodes the
     whole object in one ``unpack_rows_bits`` call, then gives every
-    polynomial its own ``(L, n)`` matrix: a component must not keep its
-    siblings' rows alive, and an allocator recycles equal-sized resident
-    blocks far better than one double-sized block per object (measured
-    on ``serve_light_A``: half the page faults per request).
+    polynomial its own ``(L, n)`` matrix: a key column must not keep its
+    siblings' rows alive.  (Decoding row by row into preallocated
+    per-polynomial matrices instead was measured: +14 MB peak RSS on
+    ``serve_sweep_open_A``, 0 of 6 pairs -- what set-up allocates
+    decides the allocator's state for the run.)
     """
     rns = len(moduli)
     if version == VERSION:
@@ -314,22 +323,94 @@ def _check_scale(scale: float) -> None:
         raise ValueError(f"non-positive or non-finite scale {scale!r}")
 
 
-def deserialize_ciphertext(data: bytes, context: CkksContext) -> Ciphertext:
+class WireCiphertext(NamedTuple):
+    """An *admitted* wire ciphertext: header and exact length checked
+    (:func:`admit_ciphertext`), residues still packed -- what a server
+    queues, with the fields a batch lane is keyed on, until the flush
+    that runs it unpacks the words (:func:`unpack_ciphertexts`)."""
+
+    data: bytes  #: the whole blob, header included
+    version: int
+    n: int
+    size: int
+    level_count: int
+    scale: float
+    is_ntt: bool
+
+
+def admit_ciphertext(data: bytes, context: CkksContext) -> WireCiphertext:
+    """Every O(1) check of a ciphertext blob -- magic, version, kind, ring,
+    scale, and the exact byte count its header's shape demands; what only
+    the words can show (residue range, padding bits) is checked where
+    they are unpacked."""
     version, kind, n, comps, rns, is_ntt, scale = _parse_header(data)
     if kind != _KIND_CIPHERTEXT:
         raise ValueError("serialized object is not a ciphertext")
     if n != context.n:
         raise ValueError(f"ring mismatch: {n} vs context {context.n}")
     _check_scale(scale)
-    be = context.backend
     moduli = context.basis_at_level(rns).moduli
     _check_payload(
         data, comps * ciphertext_wire_bytes(n, 1, rns, version, moduli)
     )
-    payload = memoryview(data)[_HEADER.size :]
-    return Ciphertext(
-        _unpack_polys(payload, n, moduli, comps, is_ntt, version, be), scale
+    return WireCiphertext(data, version, n, comps, rns, scale, is_ntt)
+
+
+def unpack_ciphertexts(
+    wires: Sequence[WireCiphertext], context: CkksContext
+) -> Tuple[Dict[int, Ciphertext], Dict[int, ValueError]]:
+    """Unpack ``N`` same-shape admitted ciphertexts into one lane -- the
+    one ciphertext decoder.
+
+    One block holds the lane, per component the modulus-major
+    ``(L*N, n)`` matrix of :class:`~repro.ckks.batch.CiphertextBatch`;
+    member ``b`` is unpacked, by its own wire version, straight into
+    rows ``b::N`` of it (which is wire order), and the elements returned
+    are ``lane.split()``, which ``join`` hands back whole: no
+    per-ciphertext matrix, no re-layout.  ``(elements, errors)``, each
+    keyed by ``b``: a member whose residues raised is in ``errors``, its
+    slot is compacted away and its lane-mates are unaffected.
+    """
+    n, size, level, scale, is_ntt = shape = wires[0][2:]
+    if any(w[2:] != shape for w in wires):
+        raise ValueError("ragged lane: wire ciphertexts differ in shape")
+    be = context.backend
+    moduli = context.basis_at_level(level).moduli
+    width = len(wires)
+    # a word matrix whatever the backend: every kernel takes any row
+    # sequence, and a list backend re-homes the lane at its first use
+    block = np.empty((size * level * width, n), dtype=np.uint64)
+    errors: Dict[int, ValueError] = {}
+    for b, wire in enumerate(wires):
+        body = memoryview(wire.data)[_HEADER.size :]
+        try:
+            if wire.version == VERSION:
+                be.unpack_rows(body, size * level, n, block[b::width])
+            else:
+                be.unpack_rows_bits(body, n, _bounds(moduli) * size, block[b::width])
+        except ValueError as exc:
+            errors[b] = exc
+    good = [b for b in range(width) if b not in errors]
+    if not good:
+        return {}, errors
+    if errors:
+        block = be.select_rows(
+            block, [r + b for r in range(0, len(block), width) for b in good]
+        )
+    rows = level * len(good)
+    lane = CiphertextBatch(
+        n, len(good), moduli,
+        [block[j * rows : (j + 1) * rows] for j in range(size)], scale, is_ntt,
     )
+    return dict(zip(good, lane.split())), errors
+
+
+def deserialize_ciphertext(data: bytes, context: CkksContext) -> Ciphertext:
+    """Decode one ciphertext blob: the lane of one."""
+    elements, errors = unpack_ciphertexts([admit_ciphertext(data, context)], context)
+    if errors:
+        raise errors[0]
+    return elements[0]
 
 
 def deserialize_plaintext(data: bytes, context: CkksContext) -> Plaintext:

@@ -14,9 +14,11 @@ This rule pins that structure down for every future wire object:
   decode is dead wire format; an unpaired decoder hints at a rename
   that left the pair behind);
 * every ``deserialize_*`` body must call the exact-length check
-  (``_check_payload``) before it can reach a decode -- a new
-  deserializer that forgets it reintroduces the silent-zeros bug for
-  its object kind.
+  (``_check_payload``) before it can reach a decode -- itself, or
+  through a function of the module it calls (a decoder built as
+  "admit the header and length, then unpack" keeps the check in its
+  admission half) -- a new deserializer that forgets it reintroduces
+  the silent-zeros bug for its object kind.
 """
 
 from __future__ import annotations
@@ -44,6 +46,16 @@ def _calls_in(node: ast.AST) -> Iterable[str]:
                 yield func.id
             elif isinstance(func, ast.Attribute):
                 yield func.attr
+
+
+def _reaches_check(name: str, top_level: Dict[str, ast.FunctionDef], seen=()) -> bool:
+    """Does ``name`` run the payload check -- itself, or through the
+    module-level functions it calls?"""
+    calls = set(_calls_in(top_level[name]))
+    return PAYLOAD_CHECK in calls or any(
+        _reaches_check(callee, top_level, (*seen, name))
+        for callee in calls & top_level.keys() - {name, *seen}
+    )
 
 
 class WireDisciplineRule(Rule):
@@ -88,7 +100,7 @@ class WireDisciplineRule(Rule):
                             "pair behind",
                         )
                     )
-                if PAYLOAD_CHECK not in set(_calls_in(node)):
+                if not _reaches_check(name, top_level):
                     findings.append(
                         self.finding(
                             module,

@@ -500,24 +500,8 @@ class ServingCluster:
                     code=framing.ERR_RETRYABLE,
                 )
                 return
-        worker.feed(
-            client_id,
-            framing.encode_frame(
-                frame.kind,
-                frame.request_id,
-                frame.client_id,
-                op=frame.op,
-                op_arg=frame.op_arg,
-                payload=frame.payload,
-                deadline=frame.deadline,
-                # the forward hop carries the deadline, which needs a v2
-                # envelope; deadline-less requests re-encode at v1 so a
-                # legacy client's bytes stay legacy end to end
-                frame_version=(
-                    framing.FRAME_V2 if frame.deadline else FRAME_VERSION
-                ),
-            ),
-        )
+        # as decoded: only a worker behind a pipe needs its bytes rebuilt
+        worker.submit(client_id, frame)
         self._inflight[key] = (record.worker_id, self.clock())
 
     # ------------------------------------------------------------------

@@ -13,10 +13,11 @@ into an ERROR frame the client can react to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.ckks.keys import GaloisKeySet, RelinKey
 from repro.ckks.poly import Ciphertext
+from repro.ckks.serialization import WireCiphertext
 from repro.serving.session import ClientSession
 
 
@@ -46,7 +47,9 @@ class PendingRequest:
     #: per-request data like the ciphertext: a ``rotate``'s step, or the
     #: id of the registered program to run
     op_arg: int
-    ciphertext: Ciphertext
+    #: header and length checked, words still packed: the flush that
+    #: runs the request unpacks them and leaves the decoded element here
+    ciphertext: Union[WireCiphertext, Ciphertext]
     enqueued_at: float
     key: Tuple[Optional[RelinKey], Optional[GaloisKeySet]] = (None, None)
     #: digest of the ciphertext's wire payload (rotate requests only);

@@ -7,8 +7,11 @@ requests, and each batch executes as one stacked pass -- the
 ciphertext-level parallelism the accelerator amortizes its pipelines
 across.  Concretely, one request travels:
 
-    bytes -> FrameDecoder -> RequestQueue (backpressure)
+    bytes -> FrameDecoder (or the frame a cluster router decoded)
+          -> admission: ciphertext header + exact length, words stay packed
+          -> RequestQueue (backpressure)
           -> DynamicBatcher (homogeneity lanes, size/deadline flush)
+          -> the flush unpacks its distinct payloads into one lane block
           -> one PlanGraph per flush -> PlanExecutor
           -> serialized response frame in the client's outbox
 
@@ -47,9 +50,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.ckks.context import CkksContext
 from repro.ckks.serialization import (
     VERSION,
+    admit_ciphertext,
     ciphertext_wire_bytes,
-    deserialize_ciphertext,
     serialize_ciphertext,
+    unpack_ciphertexts,
 )
 from repro.plan import PlanExecutor, PlanGraph, check_plan
 from repro.serving import framing
@@ -284,8 +288,11 @@ class EncryptedComputeServer:
         session.decoder.ingest(data, partial(self._accept, session))
 
     def submit_frame(self, client_id: str, frame: Frame) -> None:
-        """Submit one already-decoded frame (in-process clients)."""
-        self._accept(self.sessions.get(client_id), frame)
+        """Submit one already-decoded frame (an in-process client, or the
+        cluster router handing over the frame it CRC-checked), held to
+        the session's frame cap all the same."""
+        session = self.sessions.get(client_id)
+        session.decoder.ingest_frame(frame, partial(self._accept, session))
 
     def _respond_error(
         self,
@@ -395,10 +402,10 @@ class EncryptedComputeServer:
             )
             return
         try:
-            # exact-length validation happens here: a truncated or
-            # padded ciphertext payload raises instead of decoding as
-            # zeros and silently serving garbage
-            ct = deserialize_ciphertext(frame.payload, self.context)
+            # header and exact length: a truncated or padded ciphertext
+            # payload is refused here instead of decoding as zeros; the
+            # words stay packed until the flush (:meth:`_unpack`)
+            ct = admit_ciphertext(frame.payload, self.context)
         except ValueError as exc:
             self._respond_error(session, frame.request_id, f"bad payload: {exc}")
             return
@@ -526,6 +533,44 @@ class EncryptedComputeServer:
             check_plan(graph, self.context)
         return graph, inputs
 
+    @staticmethod
+    def _sources(requests: List[PendingRequest]) -> List[int]:
+        """For each request the member that feeds it: itself, unless an
+        earlier lane-mate carries the same payload bytes (a digest is
+        stamped on rotations)."""
+        first: Dict[object, int] = {}
+        return [
+            first.setdefault(r.payload_digest or i, i)
+            for i, r in enumerate(requests)
+        ]
+
+    def _unpack(self, requests: List[PendingRequest]):
+        """Unpack the flush's distinct payloads, once, straight into the
+        lane block its kernels run on; returns the servable members and
+        their :meth:`_sources`.  Corrupt residues -- the one wire check
+        that needs the words -- answer that payload's members with the
+        fatal error admission would have given, and the rest of the
+        flush runs as if they had never been in it."""
+        source = self._sources(requests)
+        distinct = sorted(set(source))
+        decoded, errors = unpack_ciphertexts(
+            [requests[i].ciphertext for i in distinct], self.context
+        )
+        for k, ct in decoded.items():
+            requests[distinct[k]].ciphertext = ct
+        if not errors:
+            return requests, source
+        failed = {distinct[k]: exc for k, exc in errors.items()}
+        alive = []
+        for request, i in zip(requests, source):
+            if i in failed:
+                self._respond_error(
+                    request.session, request.request_id, f"bad payload: {failed[i]}"
+                )
+            else:
+                alive.append(request)
+        return alive, self._sources(alive)
+
     def _execute(self, group: BatchGroup) -> int:
         """Run one flush, answer every member exactly once (response or
         error), record accounting; returns the member count."""
@@ -568,15 +613,11 @@ class EncryptedComputeServer:
             requests = servable
         if not requests:
             return answered
+        requests, source = self._unpack(requests)
+        if not requests:
+            return answered
         self.executor.relin_key = relin_key
         self.executor.galois_keys = galois_keys
-        # requests carrying the same payload bytes (a digest is stamped
-        # on rotations) are fed by the first such member's ciphertext
-        first: Dict[object, int] = {}
-        source = [
-            first.setdefault(r.payload_digest or i, i)
-            for i, r in enumerate(requests)
-        ]
         t0 = time.perf_counter()
         try:
             run = self.executor.run(*self._flush_plan(requests, source))

@@ -13,12 +13,14 @@ server: a handle method is the server method it names.
 Two transports implement the same :class:`WorkerHandle` contract:
 
 * :class:`LocalWorkerHandle` holds the server in-process and fully
-  deterministically (injectable clock, synchronous pump), which is what
+  deterministically (injectable clock, synchronous pump; a request
+  arrives as the frame the router decoded, never re-encoded), which is what
   the fault-injection and differential test layers drive -- ``kill()``
   simulates a crash by discarding the server, exactly the state loss a
   dead process implies;
 * :class:`ProcessWorkerHandle` spawns a real worker process looping over
-  its server behind a :mod:`multiprocessing` pipe -- the deployment
+  its server behind a :mod:`multiprocessing` pipe (requests cross it
+  re-encoded by :func:`framing.encode_forward`) -- the deployment
   shape, used by the scale benchmark and the process smoke tests.
 
 Key material travels to workers in *wire format* and is deserialized
@@ -36,7 +38,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ckks.context import CkksContext, CkksParameters
+from repro.serving import framing
 from repro.serving.clock import SYSTEM_CLOCK, Clock
+from repro.serving.framing import Frame
 from repro.serving.server import EncryptedComputeServer, ServingReport
 
 
@@ -78,7 +82,7 @@ def build_server(spec: WorkerSpec, clock: Clock = SYSTEM_CLOCK) -> EncryptedComp
 class WorkerHandle:
     """The router-side contract every worker transport implements.
 
-    One request forwarded through :meth:`feed` produces exactly one
+    One request forwarded through :meth:`submit` produces exactly one
     response frame (RESPONSE or ERROR) through :meth:`poll_responses` --
     unless the worker dies first, in which case the *router* owns
     surfacing the loss (see ``ServingCluster.kill_worker``).
@@ -110,7 +114,10 @@ class WorkerHandle:
         once the worker holds the ``key_id``'s keys."""
         raise NotImplementedError
 
-    def feed(self, client_id: str, data: bytes) -> None:
+    def submit(self, client_id: str, frame: Frame) -> None:
+        """Forward one request the router decoded and CRC-checked -- as
+        it is to a worker in the router's process, re-encoded
+        (:func:`framing.encode_forward`) where bytes must cross a pipe."""
         raise NotImplementedError
 
     def pump(self, now: Optional[float] = None) -> None:
@@ -170,8 +177,8 @@ class LocalWorkerHandle(WorkerHandle):
     def register_session(self, *session) -> None:
         self.server.open_session(*session)
 
-    def feed(self, client_id: str, data: bytes) -> None:
-        self.server.receive(client_id, data)
+    def submit(self, client_id: str, frame: Frame) -> None:
+        self.server.submit_frame(client_id, frame)
 
     def pump(self, now: Optional[float] = None) -> None:
         self.server.pump(now)
@@ -354,8 +361,8 @@ class ProcessWorkerHandle(WorkerHandle):
     def register_session(self, *session) -> None:
         self._send(("register", *session))
 
-    def feed(self, client_id: str, data: bytes) -> None:
-        self._send(("frames", client_id, data))
+    def submit(self, client_id: str, frame: Frame) -> None:
+        self._send(("frames", client_id, framing.encode_forward(frame)))
 
     def poll_responses(self) -> Dict[str, List[bytes]]:
         """Ask the worker for completed responses (one round-trip).

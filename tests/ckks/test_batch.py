@@ -76,6 +76,39 @@ class TestContainer:
             [p.residues for p in ct.polys] for ct in rejoined.split()
         ] == [[p.residues for p in ct.polys] for ct in batch.split()]
 
+    def test_join_hands_back_the_lane_its_split_came_from(self, env):
+        """``split`` stamps provenance, ``join`` recognizes exactly
+        ``lane.split()`` in order -- so a chain of lane ops copies no row
+        between steps -- and anything else copies, to the same bits."""
+        ev = env["evaluator"]
+        lane = ev.negate(CiphertextBatch.join(fresh_cts(env, 3)))
+        other = ev.negate(CiphertextBatch.join(fresh_cts(env, 3)))
+        parts = lane.split()
+        assert CiphertextBatch.join(parts) is lane
+        assert CiphertextBatch.join(lane.split()) is lane  # any split of it
+
+        def rows(batch):
+            return [[p.residues for p in ct.polys] for ct in batch.split()]
+
+        copies = {
+            "reordered": [parts[1], parts[0], parts[2]],
+            "partial": parts[:2],
+            "repeated": [parts[0], parts[0], parts[2]],
+            "mixed-lane": [parts[0], other.split()[1], parts[2]],
+            "cloned": [parts[0], parts[1].clone(), parts[2]],
+        }
+        for name, cts in copies.items():
+            joined = CiphertextBatch.join(cts)
+            assert joined is not lane and joined is not other, name
+            assert rows(joined) == [
+                [p.residues for p in ct.polys] for ct in cts
+            ], name
+        # provenance does not outlive the element's metadata: a member
+        # whose scale was edited goes through the checked path again
+        parts[1].scale *= 2
+        with pytest.raises(ValueError, match="share scale"):
+            CiphertextBatch.join(parts)
+
     def test_batch_of_one(self, env):
         cts = fresh_cts(env, 1)
         batch = CiphertextBatch.join(cts)

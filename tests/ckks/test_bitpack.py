@@ -10,7 +10,11 @@ Wire format v2 stands on two cross-backend bit-exactness contracts:
   The oracle is the big-int loop of ``repro.ckks.backend.base``
   (``_pack_row_bits_py`` / ``_unpack_row_bits_py``, also the numpy-less
   fallback): the word-level kernels must match it byte for byte at
-  every width 1..64 and every row length;
+  every width 1..64 and every row length.  Given a *destination*
+  (``unpack_rows_bits(data, n, bounds, out)``: strided rows of a larger
+  handle, how a serving flush fills its lane) the kernel decodes the
+  same residues in place, leaves the rows it was not handed alone and
+  raises the same errors (``_decode(..., dest=True)`` below);
 * ``expand_uniform_poly`` -- the seed-expanded uniform column of a v2
   key must regenerate bit-identically everywhere, or a key uploaded
   from one backend decrypts to garbage on another.
@@ -74,6 +78,28 @@ def _oracle_pack(rows, bounds) -> bytes:
     )
 
 
+#: Destination decodes fill element ``LANE_SLOT`` of a lane this wide.
+LANE, LANE_SLOT = 3, 1
+#: every corruption case runs standalone and into a lane
+DESTS = (False, True)
+
+
+def _decode(be, data, n, bounds, dest=False):
+    """``unpack_rows_bits`` as canonical rows: standalone, or (``dest``)
+    into the strided rows ``[LANE_SLOT::LANE]`` of a larger native
+    handle, whose other rows must come back untouched."""
+    if not dest:
+        return be.to_rows(be.unpack_rows_bits(data, n, bounds))
+    filler = [[(r + c) % 3 for c in range(n)] for r in range(LANE * len(bounds))]
+    handle = be.from_rows([list(row) for row in filler])
+    out = handle[LANE_SLOT::LANE]
+    assert be.unpack_rows_bits(data, n, bounds, out) is out
+    rows = be.to_rows(handle)
+    for slot in set(range(LANE)) - {LANE_SLOT}:
+        assert rows[slot::LANE] == filler[slot::LANE], "unaddressed rows written"
+    return rows[LANE_SLOT::LANE]
+
+
 def _assert_matches_oracle(rows, bounds):
     """Both backends pack ``rows`` to the big-int oracle's bytes and
     decode them back; the oracle decodes what they packed."""
@@ -89,7 +115,8 @@ def _assert_matches_oracle(rows, bounds):
     for be in BACKENDS:
         handle = be.from_rows([list(r) for r in rows])
         assert be.pack_rows_bits(handle, bounds) == expected, be.name
-        assert be.to_rows(be.unpack_rows_bits(expected, n, bounds)) == rows
+        assert _decode(be, expected, n, bounds) == rows
+        assert _decode(be, expected, n, bounds, dest=True) == rows
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +180,52 @@ class TestRoundTrip:
         bound = _bound_of_width(width)
         _assert_matches_oracle(_random_rows(rng, [bound], 4096), [bound])
 
+    @pytest.mark.parametrize("width", range(1, 65))
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_destination_decode_equals_standalone_decode(self, width, n):
+        """Whole groups at every width (``n`` a multiple of 64): windows
+        are read in place from the wire bytes where a width's rows lie
+        evenly spaced (the middle modulus here) and staged where they do
+        not (the outer two), and land in the strided rows of a lane
+        exactly as in a fresh matrix."""
+        rng = random.Random(n + width)
+        outer, middle = _bound_of_width(width), _bound_of_width(max(1, width - 8))
+        bounds = [outer, middle, outer] * 2
+        rows = _random_rows(rng, bounds, n)
+        rows[0][0] = bounds[0] - 1
+        rows[-1][-1] = bounds[-1] - 1
+        data = NP.pack_rows_bits(NP.from_rows(rows), bounds)
+        for be in BACKENDS:
+            assert _decode(be, data, n, bounds) == rows
+            assert _decode(be, data, n, bounds, dest=True) == rows
+
+    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
+    def test_destination_shape_is_checked(self, be):
+        """A destination brings exactly one ``n``-wide row per decoded
+        row: numpy would broadcast a short one, ``zip`` drop a long one."""
+        bounds = [(1 << 13) - 5] * 2
+        data = be.pack_rows_bits(be.from_rows([[1] * 8, [2] * 8]), bounds)
+        for count, n in ((1, 8), (3, 8), (2, 4), (2, 16)):
+            out = be.from_rows([[0] * n for _ in range(count)])
+            with pytest.raises(ValueError, match="destination|width"):
+                be.unpack_rows_bits(data, 8, bounds, out)
+            with pytest.raises(ValueError, match="destination|width"):
+                be.unpack_rows(bytes(2 * 8 * 8), 2, 8, out)
+
+    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
+    def test_word_rows_decode_into_a_destination(self, be):
+        """The v1 kernel under the same contract."""
+        rng = random.Random(8)
+        rows = [[rng.randrange(1 << 64) for _ in range(16)] for _ in range(4)]
+        data = be.pack_rows(be.from_rows(rows))
+        assert be.to_rows(be.unpack_rows(data, 4, 16)) == rows
+        handle = be.from_rows([[9] * 16 for _ in range(4 * LANE)])
+        out = handle[LANE_SLOT::LANE]
+        assert be.unpack_rows(data, 4, 16, out) is out
+        back = be.to_rows(handle)
+        assert back[LANE_SLOT::LANE] == rows
+        assert back[0::LANE] == back[2::LANE] == [[9] * 16] * 4
+
     @pytest.mark.parametrize("name", sorted(PAPER_WIDTHS))
     def test_paper_width_lists_match_the_bigint_oracle(self, name):
         """A two-component object over the paper's moduli widths, at the
@@ -178,8 +251,9 @@ class TestRoundTrip:
             [row for h in handles for row in h], bounds * 3
         )
         assert stacked == b"".join(parts)
-        back = be.to_rows(be.unpack_rows_bits(stacked, n, bounds * 3))
-        assert back == [row for rows in comps for row in rows]
+        for dest in DESTS:
+            back = _decode(be, stacked, n, bounds * 3, dest)
+            assert back == [row for rows in comps for row in rows]
 
     def test_pack_rejects_residue_at_or_above_bound(self):
         for be in BACKENDS:
@@ -211,22 +285,24 @@ class TestCorruption:
 
     def _check_every_truncation_raises(self, be, bounds, n):
         data = self._packed(be, bounds, n)
-        for cut in range(len(data)):
-            with pytest.raises(ValueError):
-                be.unpack_rows_bits(data[:cut], n, bounds)
+        for dest in DESTS:
+            for cut in range(len(data)):
+                with pytest.raises(ValueError, match="truncated"):
+                    _decode(be, data[:cut], n, bounds, dest)
 
     def _check_no_bitflip_decodes_out_of_range(self, be, bound, n):
         data = self._packed(be, [bound], n)
         width = bound.bit_length()
-        for bit in range(8 * len(data)):
-            corrupt = bytearray(data)
-            corrupt[bit // 8] ^= 1 << (7 - bit % 8)
-            try:
-                rows = be.to_rows(be.unpack_rows_bits(bytes(corrupt), n, [bound]))
-            except ValueError:
-                continue
-            assert bit < n * width, "a flipped padding bit decoded"
-            assert all(0 <= v < bound for v in rows[0])
+        for dest in DESTS:
+            for bit in range(8 * len(data)):
+                corrupt = bytearray(data)
+                corrupt[bit // 8] ^= 1 << (7 - bit % 8)
+                try:
+                    rows = _decode(be, bytes(corrupt), n, [bound], dest)
+                except ValueError:
+                    continue
+                assert bit < n * width, "a flipped padding bit decoded"
+                assert all(0 <= v < bound for v in rows[0])
 
     @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
     def test_every_truncation_raises(self, be):
@@ -244,8 +320,9 @@ class TestCorruption:
     def test_trailing_bytes_raise(self, be):
         bounds = [(1 << 13) - 5]
         data = self._packed(be, bounds, n=8)
-        with pytest.raises(ValueError):
-            be.unpack_rows_bits(data + b"\x00", 8, bounds)
+        for dest in DESTS:
+            with pytest.raises(ValueError, match="trailing"):
+                _decode(be, data + b"\x00", 8, bounds, dest)
 
     @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
     def test_bitflip_never_decodes_silently_out_of_range(self, be):
@@ -261,6 +338,17 @@ class TestCorruption:
         )
 
     @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
+    def test_residue_at_or_above_bound_raises(self, be):
+        """A residue the width can hold but the modulus cannot: the
+        kernel's own range check, on the wire bytes of a wider bound."""
+        bound = (1 << 29) + 11
+        rows = [[bound + 1, 0, 5, bound - 1] * 2]
+        data = be.pack_rows_bits(be.from_rows(rows), [(1 << 30) - 1])
+        for dest in DESTS:
+            with pytest.raises(ValueError, match="packed residue .* corrupt row"):
+                _decode(be, data, 8, [bound], dest)
+
+    @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
     def test_nonzero_padding_bits_raise(self, be):
         """The zero pad completing the last byte is load-bearing: a set
         bit there is corruption, not slack."""
@@ -270,8 +358,9 @@ class TestCorruption:
         assert len(data) == packed_row_bytes(n, 30)
         corrupt = bytearray(data)
         corrupt[-1] |= 0x01  # lowest padding bit
-        with pytest.raises(ValueError, match="padding"):
-            be.unpack_rows_bits(bytes(corrupt), n, [bound])
+        for dest in DESTS:
+            with pytest.raises(ValueError, match="padding"):
+                _decode(be, bytes(corrupt), n, [bound], dest)
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,11 @@ zeros (``int.from_bytes(b"", "little") == 0``)."""
 import numpy as np
 import pytest
 
+from repro.ckks.batch import CiphertextBatch
 from repro.ckks.serialization import (
     HEADER_BYTES,
     WORD_BYTES,
+    admit_ciphertext,
     ciphertext_wire_bytes,
     deserialize_ciphertext,
     deserialize_kswitch_key,
@@ -22,6 +24,7 @@ from repro.ckks.serialization import (
     serialize_ciphertext,
     serialize_kswitch_key,
     serialize_plaintext,
+    unpack_ciphertexts,
 )
 
 
@@ -69,6 +72,62 @@ class TestCiphertextRoundTrip:
         pt = encoder.encode([1.0])
         with pytest.raises(ValueError):
             deserialize_ciphertext(serialize_plaintext(pt), toy_context)
+
+
+class TestLaneDecode:
+    """``unpack_ciphertexts`` is the one ciphertext decoder: N admitted
+    blobs land in one lane, ``deserialize_ciphertext`` is its lane of one."""
+
+    def _blobs(self, encoder, encryptor, versions):
+        cts = [encryptor.encrypt(encoder.encode([0.5 + b])) for b in range(len(versions))]
+        return cts, [serialize_ciphertext(ct, version=v) for ct, v in zip(cts, versions)]
+
+    def test_lane_equals_one_decode_per_member_whatever_its_version(
+        self, toy_context, encoder, encryptor
+    ):
+        cts, blobs = self._blobs(encoder, encryptor, (1, 2, 2, 1, 2))
+        wires = [admit_ciphertext(blob, toy_context) for blob in blobs]
+        assert [w.version for w in wires] == [1, 2, 2, 1, 2]
+        elements, errors = unpack_ciphertexts(wires, toy_context)
+        assert not errors
+        for ct, blob, element in zip(cts, blobs, elements.values()):
+            alone = deserialize_ciphertext(blob, toy_context)
+            assert element.polys == alone.polys == ct.polys
+            assert element.scale == alone.scale == ct.scale
+        # the elements are one lane's split: joining them copies nothing
+        lane = CiphertextBatch.join(list(elements.values()))
+        assert lane is elements[0].origin[0] and lane.count == 5
+        assert CiphertextBatch.join([elements[3]]).count == 1
+
+    def test_corrupt_member_fails_alone(self, toy_context, encoder, encryptor):
+        """A residue >= its modulus is found where the words are
+        unpacked; the lane is compacted around the failed slot."""
+        cts, blobs = self._blobs(encoder, encryptor, (2, 2, 2))
+        width = toy_context.basis_at_level(3).moduli[0].value.bit_length()
+        corrupt = bytearray(blobs[1])
+        corrupt[HEADER_BYTES : HEADER_BYTES + 8] = b"\xff" * 8
+        assert width < 64
+        wires = [
+            admit_ciphertext(bytes(b), toy_context)
+            for b in (blobs[0], corrupt, blobs[2])
+        ]
+        elements, errors = unpack_ciphertexts(wires, toy_context)
+        assert list(errors) == [1] and list(elements) == [0, 2]
+        assert "packed residue" in str(errors[1]) and "corrupt row" in str(errors[1])
+        assert elements[0].polys == cts[0].polys
+        assert elements[2].polys == cts[2].polys
+        assert CiphertextBatch.join([elements[0], elements[2]]).count == 2
+        with pytest.raises(ValueError, match="packed residue .* corrupt row"):
+            deserialize_ciphertext(bytes(corrupt), toy_context)
+
+    def test_ragged_lane_rejected(self, toy_context, encoder, encryptor, evaluator):
+        a = encryptor.encrypt(encoder.encode([1.0]))
+        wires = [
+            admit_ciphertext(serialize_ciphertext(ct), toy_context)
+            for ct in (a, evaluator.multiply(a, a))
+        ]
+        with pytest.raises(ValueError, match="ragged lane"):
+            unpack_ciphertexts(wires, toy_context)
 
 
 class TestPlaintextRoundTrip:

@@ -60,7 +60,7 @@ def fixture_conformance_rule():
 MODULE_RULE_CASES = [
     ("R1", ResidencyRule, "r1_violation.py", "r1_clean.py", 2),
     ("R3", ServingDeterminismRule, "r3_violation.py", "r3_clean.py", 4),
-    ("R4", WireDisciplineRule, "r4_violation.py", "r4_clean.py", 3),
+    ("R4", WireDisciplineRule, "r4_violation.py", "r4_clean.py", 4),
     ("R5", ExceptionDisciplineRule, "r5_violation.py", "r5_clean.py", 1),
     # R5, recovery-machinery variant: counting the failure into a stat
     # named for failure is accounting; bumping an unrelated counter is not

@@ -319,7 +319,7 @@ class TestDrainUnderLoad:
         wid = cluster.client_worker(client.client_id)
         handle = cluster.workers[wid]
         handle.begin_drain()
-        handle.feed(client.client_id, trace[0][1])
+        handle.submit(client.client_id, framing.decode_frame(trace[0][1]))
         responses = handle.poll_responses()
         (frame_bytes,) = responses[client.client_id]
         frame = framing.decode_frame(frame_bytes)

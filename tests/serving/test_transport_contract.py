@@ -21,6 +21,7 @@ from repro.serving import (
     ProcessWorkerHandle,
     ServingReport,
     WorkerSpec,
+    framing,
     multi_tenant_traffic,
 )
 from repro.system.pcie import PcieModel
@@ -83,7 +84,7 @@ def test_a_handle_serves_what_its_server_serves(transport, serving_context, work
                 client.frame_version,
             )
         for client_id, frame in trace:
-            handle.feed(client_id, frame)
+            handle.submit(client_id, framing.decode_frame(frame))
         before = handle.stats()
         seen = before.flush_count
         handle.drain()
