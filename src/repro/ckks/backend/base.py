@@ -59,6 +59,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.ckks.backend import resident
 from repro.ckks.modarith import Modulus
 from repro.ckks.ntt import NTTTables
 
@@ -125,6 +126,8 @@ def canonical_rows(rows) -> List[List[int]]:
             out[i] = r.tolist() if hasattr(r, "tolist") else [int(x) for x in r]
     return rows if out is None else out
 
+
+_U8 = np.dtype(np.uint8)
 
 #: Little-endian word width of one packed residue coefficient (the wire
 #: word the paper's bandwidth arithmetic assumes).
@@ -276,26 +279,36 @@ def _group_windows(buf, offset: int, rows: int, groups: int, group_bytes: int, r
 _STACK_COEFFS = 1 << 15
 
 
-def _row_stacks(n: int, bounds):
-    """``[(width, [row indices])]``: same-width rows, one vector pass each."""
-    by_width = {}
-    for i, bound in enumerate(bounds):
-        by_width.setdefault(bound.bit_length(), []).append(i)
-    rows = max(1, _STACK_COEFFS // n)
-    return [
-        (width, idx[k : k + rows])
-        for width, idx in by_width.items()
-        for k in range(0, len(idx), rows)
-    ]
-
-
-def _row_layout(n: int, bounds):
-    """Per-row packed sizes and start offsets, plus the total byte count."""
-    sizes = [packed_row_bytes(n, int(b).bit_length()) for b in bounds]
+@functools.lru_cache(maxsize=256)
+def _row_plan(n: int, bounds: tuple):
+    """The wire layout of rows of ``n`` coefficients below ``bounds``,
+    computed once per shape: per-row packed sizes and start offsets, the
+    total byte count, and the vector passes ``[(width, rows, base,
+    stride)]`` -- same-width rows, at most ``_STACK_COEFFS`` coefficients.
+    Rows of whole groups that lie evenly spaced (the components of one
+    object) have their windows addressed where the bytes are, row ``r``
+    of the pass at byte ``base + r * stride``; else ``base`` is ``None``
+    and the pass is staged."""
+    sizes = [packed_row_bytes(n, b.bit_length()) for b in bounds]
     starts = [0] * len(sizes)
     for i in range(1, len(sizes)):
         starts[i] = starts[i - 1] + sizes[i - 1]
-    return sizes, starts, sum(sizes)
+    by_width = {}
+    for i, bound in enumerate(bounds):
+        by_width.setdefault(bound.bit_length(), []).append(i)
+    rows = max(1, _STACK_COEFFS // max(n, 1))
+    passes = []
+    for width, same in by_width.items():
+        for k in range(0, len(same), rows):
+            idx = same[k : k + rows]
+            base = starts[idx[0]]
+            stride = (starts[idx[-1]] - base) // max(1, len(idx) - 1) or sizes[idx[0]]
+            if n % _bit_plan(width)[0] or any(
+                starts[i] != base + r * stride for r, i in enumerate(idx)
+            ):
+                base = None
+            passes.append((width, idx, base, stride))
+    return sizes, starts, sum(sizes), passes
 
 
 def _first_out_of_range(mat, bounds):
@@ -311,45 +324,49 @@ def _pack_rows_bits_np(handle, bounds) -> bytes:
     """The v2 bit-packing of a whole residue matrix (see :func:`_bit_plan`).
 
     ``handle`` is any sequence of equal-length rows; rows that share a
-    width are gathered into one ``(R, n)`` stack and packed together.
+    width are gathered, coefficient-major, and packed together.
     """
-    bounds = [int(b) for b in bounds]
+    bounds = tuple(int(b) for b in bounds)
     n = len(handle[0]) if bounds else 0
     if n == 0:
         return b""
-    sizes, starts, total = _row_layout(n, bounds)
-    blob = np.empty(total, dtype=np.uint8)
-    for width, idx in _row_stacks(n, bounds):
-        try:
-            mat = np.asarray([handle[i] for i in idx], dtype=np.uint64)
-        except OverflowError:
-            raise ValueError(
-                "residue outside the unsigned 8-byte word range; "
-                "reduce rows before packing"
-            ) from None
-        bad = _first_out_of_range(mat, [bounds[i] for i in idx])
-        if bad is not None:
-            raise ValueError(
-                f"residue {bad[0]} outside [0, {bad[1]}); "
-                "reduce rows before packing"
-            )
+    sizes, starts, total, passes = _row_plan(n, bounds)
+    blob = resident.new((total,), _U8)
+    for width, idx, base, stride in passes:
         g, group_bytes, windows, _ = _bit_plan(width)
-        groups = -(-n // g)
-        if n % g:
-            padded = np.zeros((len(idx), groups * g), dtype=np.uint64)
-            padded[:, :n] = mat
-            mat = padded
+        groups, full = -(-n // g), n // g
         # coefficient-major: column j of every group is one contiguous vector
-        cols = np.ascontiguousarray(
-            mat.reshape(len(idx), groups, g).transpose(2, 0, 1)
-        )
-        packed = np.empty((len(idx), groups * group_bytes), dtype=np.uint8)
+        cols = resident.new((g, len(idx), groups))
+        for r, i in enumerate(idx):
+            try:
+                row = np.asarray(handle[i], dtype=np.uint64)
+            except OverflowError:
+                raise ValueError(
+                    "residue outside the unsigned 8-byte word range; "
+                    "reduce rows before packing"
+                ) from None
+            if row.shape != (n,):
+                raise ValueError(f"row {i} is not {n} coefficients wide")
+            top = int(row.max())
+            if top >= bounds[i]:
+                raise ValueError(
+                    f"residue {top} outside [0, {bounds[i]}); reduce rows before packing"
+                )
+            cols[:, r, :full] = row[: full * g].reshape(full, g).T
+            if full < groups:  # the last group, padded with zero coefficients
+                cols[:, r, full] = 0
+                cols[: n - full * g, r, full] = row[full * g :]
+        dest = blob
+        if base is None:  # staged: a row's last group runs past its bytes
+            base, stride = 0, groups * group_bytes
+            dest = resident.new((len(idx), stride), _U8)
         for offset, terms in windows:
             _group_windows(
-                packed, offset, len(idx), groups, group_bytes, groups * group_bytes
+                dest, base + offset, len(idx), groups, group_bytes, stride
             )[...] = _or_shifted(cols, terms)
-        for r, i in enumerate(idx):
-            blob[starts[i] : starts[i] + sizes[i]] = packed[r, : sizes[i]]
+        if dest is not blob:
+            for r, i in enumerate(idx):
+                blob[starts[i] : starts[i] + sizes[i]] = dest[r, : sizes[i]]
     return blob.tobytes()
 
 
@@ -373,8 +390,8 @@ def _check_destination(out, count: int, n: int) -> None:
 def _unpack_rows_bits_np(data, n: int, bounds, out):
     """Inverse of :func:`_pack_rows_bits_np` into the rows of ``out`` (see
     :meth:`PolynomialBackend.unpack_rows_bits`), every wire check applied."""
-    bounds = [int(b) for b in bounds]
-    sizes, starts, total = _row_layout(n, bounds)
+    bounds = tuple(int(b) for b in bounds)
+    sizes, starts, total, passes = _row_plan(n, bounds)
     if len(data) < total:
         raise ValueError(
             f"truncated packed rows: need {total} bytes, have {len(data)}"
@@ -388,27 +405,24 @@ def _unpack_rows_bits_np(data, n: int, bounds, out):
     src = np.frombuffer(data, dtype=np.uint8)
     if n == 0:
         return out
-    for width, idx in _row_stacks(n, bounds):
+    for width, idx, base, stride in passes:
         g, group_bytes, windows, coefficients = _bit_plan(width)
         groups = -(-n // g)
-        # whole groups in evenly spaced rows (the components of one
-        # object): the windows are read where the bytes arrived
-        buf, base = src, starts[idx[0]]
-        stride = (starts[idx[-1]] - base) // max(1, len(idx) - 1) or sizes[idx[0]]
-        if n % g or any(starts[i] != base + r * stride for r, i in enumerate(idx)):
-            # else staged: bytes past a row's end are zeros, so the
+        buf = src
+        if base is None:
+            # staged: bytes past a row's end are zeros, so the
             # coefficients past n are exactly the row's padding bits
             base, stride = 0, groups * group_bytes
-            buf = np.zeros((len(idx), stride), dtype=np.uint8)
+            buf = resident.new((len(idx), stride), _U8)
             for r, i in enumerate(idx):
                 buf[r, : sizes[i]] = src[starts[i] : starts[i] + sizes[i]]
-        words = [
-            _group_windows(
+                buf[r, sizes[i] :] = 0
+        words = resident.new((len(windows), len(idx), groups))
+        for word, (offset, _) in zip(words, windows):
+            word[...] = _group_windows(
                 buf, base + offset, len(idx), groups, group_bytes, stride
-            ).astype(np.uint64)
-            for offset, _ in windows
-        ]
-        vals = np.empty((len(idx), groups, g), dtype=np.uint64)
+            )
+        vals = resident.new((len(idx), groups, g))
         mask = np.uint64((1 << width) - 1)
         for j, terms in enumerate(coefficients):
             np.bitwise_and(
@@ -683,8 +697,10 @@ class PolynomialBackend(abc.ABC):
         """
         words = np.frombuffer(data, dtype="<u8", count=count * n).reshape(count, n)
         if out is None:
-            # astype: native byte order plus an owned, writable matrix
-            return self.from_rows(words.astype(np.uint64))
+            # native byte order, writable
+            out = resident.new((count, n))
+            out[...] = words
+            return self.from_rows(out)
         _check_destination(out, count, n)
         _store_rows(out, range(count), words)
         return out
@@ -726,7 +742,7 @@ class PolynomialBackend(abc.ABC):
         """
         if out is not None:
             return _unpack_rows_bits_np(data, n, bounds, out)
-        out = np.empty((len(bounds), n), dtype=np.uint64)
+        out = resident.new((len(bounds), n))
         return self.from_rows(_unpack_rows_bits_np(data, n, bounds, out))
 
     # ------------------------------------------------------------------

@@ -78,9 +78,11 @@ and a 4-digit sum below ``2^47``, two for Set-B's 48-bit prime, three
 for its 50-bit special prime, seven for Set-C's 52-bit one.  A sum that
 fits a word (``d*(p-1)^2 < 2^63``) skips the float side: its estimate is
 the cast of the integer sum.  Element-wise kernels run row chunk by row
-chunk through the per-thread :func:`_scratch` and allocate only their
-result.  All boundary data stays in the canonical list-of-int row
-format (see :mod:`repro.ckks.backend.base`).
+chunk through the per-thread :func:`_scratch`, and every result matrix
+is a view of a recycled slab (``_new``,
+:mod:`repro.ckks.backend.resident`): a warmed kernel allocates nothing.
+All boundary data stays in the canonical list-of-int row format (see
+:mod:`repro.ckks.backend.base`).
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ import numpy as np
 
 from repro.ckks.backend.base import PolynomialBackend, RowStack
 from repro.ckks.backend.reference import ReferenceBackend
+from repro.ckks.backend.resident import new as _new
 from repro.ckks.modarith import Modulus
 from repro.ckks.ntt import NTTTables
 
@@ -137,9 +140,15 @@ _U32 = _const(32)
 _ZERO = _const(0)
 
 
-def _new(like: np.ndarray) -> np.ndarray:
-    """An owned, uninitialized result matrix of ``like``'s shape."""
-    return np.empty(like.shape, dtype=np.uint64)
+def _row_views(handle) -> bool:
+    """True for a non-empty list of equally wide 1-D ``uint64`` arrays:
+    rows of resident matrices, readable where they are."""
+    if type(handle) is not list or not handle or type(handle[0]) is not np.ndarray:
+        return False
+    shape = handle[0].shape[:1]
+    return all(
+        type(r) is np.ndarray and r.dtype == np.uint64 and r.shape == shape for r in handle
+    )
 
 
 #: Per-thread scratch, see :func:`_scratch`.
@@ -150,15 +159,14 @@ def _scratch(shape, count: int) -> np.ndarray:
     """``count`` uint64 arrays of ``shape`` in the calling thread's scratch.
 
     Slices of one buffer that grows to the largest request seen and is
-    kept, so a kernel allocates nothing but its result and tall stacks
-    do not churn the top of the heap (which glibc hands back to the OS
-    and page-faults in again -- about 5 % of an 8-wide Set-A flush).
-    Nothing a kernel returns may alias it.
+    kept: a kernel's temporaries live here, its result in a recycled
+    slab (``_new``).  Nothing a kernel returns may alias it.
     """
     words = count * prod(shape)
     buf = getattr(_LOCAL, "buf", None)
     if buf is None or buf.size < words:
-        buf = _LOCAL.buf = np.empty(words, dtype=np.uint64)
+        buf = np.empty(words, dtype=np.uint64)  # lint: disable=R1 -- kept, never returned
+        _LOCAL.buf = buf
     return buf[:words].reshape(count, *shape)
 
 
@@ -458,7 +466,7 @@ def _transform(rows: np.ndarray, tables: NTTTables, inverse: bool, out=None) -> 
         tw = _TwiddleCache(tables)
         setattr(tables, _CACHE_ATTR, tw)
     if out is None:
-        out = np.empty(rows.shape, dtype=np.uint64)
+        out = _new(rows.shape)
     core = _inverse if inverse else _forward
     for o, v in _pieces(out, rows):
         core(v, o, tw)
@@ -500,6 +508,12 @@ class NumpyBackend(PolynomialBackend):
         """
         if isinstance(handle, np.ndarray) and handle.dtype == np.uint64:
             return handle
+        if _row_views(handle):
+            # resident rows restacked (a lane's blocks, the digits of a
+            # key switch): one copy, into a recycled matrix
+            out = _new((len(handle), len(handle[0])))
+            np.concatenate(handle, out=out.reshape(-1))
+            return out
         return np.asarray(handle, dtype=np.uint64)
 
     def _lift(self, moduli, *handles):
@@ -540,8 +554,10 @@ class NumpyBackend(PolynomialBackend):
         return self._fallback.to_rows(handle)
 
     def copy_rows(self, handle):
-        if isinstance(handle, np.ndarray):
-            return handle.copy()
+        if isinstance(handle, np.ndarray) and handle.dtype == np.uint64:
+            out = _new(handle.shape)
+            np.copyto(out, handle)
+            return out
         try:
             return np.array(handle, dtype=np.uint64)
         except (OverflowError, ValueError, TypeError):
@@ -560,7 +576,13 @@ class NumpyBackend(PolynomialBackend):
 
     def select_rows(self, handle, indices):
         if isinstance(handle, np.ndarray):
-            return handle[list(indices)]
+            index = np.asarray(list(indices), dtype=np.intp)
+            if handle.dtype != np.uint64:
+                return handle[index]
+            if index.size and not -len(handle) <= index.min() <= index.max() < len(handle):
+                raise IndexError(f"row index out of range for {len(handle)} rows")
+            out = _new((len(index), *handle.shape[1:]))
+            return np.take(handle, index, axis=0, out=out, mode="wrap")
         return self._fallback.select_rows(handle, indices)
 
     def native_stack(self, stack: RowStack) -> RowStack:
@@ -578,35 +600,35 @@ class NumpyBackend(PolynomialBackend):
         if lifted is None:
             return self._fallback.add_rows(moduli, a, b)
         col, x, y = lifted
-        return _addsub(np.add, x, y, col.p, _new(x))
+        return _addsub(np.add, x, y, col.p, _new(x.shape))
 
     def sub_rows(self, moduli, a, b):
         lifted = self._lift(moduli, a, b)
         if lifted is None:
             return self._fallback.sub_rows(moduli, a, b)
         col, x, y = lifted
-        return _addsub(np.subtract, x, y, col.p, _new(x))
+        return _addsub(np.subtract, x, y, col.p, _new(x.shape))
 
     def negate_rows(self, moduli, a):
         lifted = self._lift(moduli, a)
         if lifted is None:
             return self._fallback.negate_rows(moduli, a)
         col, x = lifted
-        return _addsub(np.subtract, _ZERO, x, col.p, _new(x))
+        return _addsub(np.subtract, _ZERO, x, col.p, _new(x.shape))
 
     def dyadic_mul_rows(self, moduli, a, b):
         lifted = self._lift(moduli, a, b)
         if lifted is None:
             return self._fallback.dyadic_mul_rows(moduli, a, b)
         col, x, y = lifted
-        return _dot([x.view(np.int64)], [y.view(np.int64)], col, _new(x))
+        return _dot([x.view(np.int64)], [y.view(np.int64)], col, _new(x.shape))
 
     def dyadic_mac_rows(self, moduli, acc, x, y):
         lifted = self._lift(moduli, acc, x, y)
         if lifted is None:
             return self._fallback.dyadic_mac_rows(moduli, acc, x, y)
         col, s, a, b = lifted
-        out = _dot([a.view(np.int64)], [b.view(np.int64)], col, _new(s))
+        out = _dot([a.view(np.int64)], [b.view(np.int64)], col, _new(s.shape))
         return _addsub(np.add, out, s, col.p, out)
 
     def scalar_mul_rows(self, moduli, a, scalars):
@@ -615,7 +637,7 @@ class NumpyBackend(PolynomialBackend):
             return self._fallback.scalar_mul_rows(moduli, a, scalars)
         if len(scalars) != len(moduli):  # the loop below would leave rows unwritten
             raise ValueError(f"{len(scalars)} scalars for {len(moduli)} moduli")
-        arr, out = lifted[1], _new(lifted[1])
+        arr, out = lifted[1], _new(lifted[1].shape)
         for i, (m, s) in enumerate(zip(moduli, scalars)):
             _scalar_mul(arr[i : i + 1], s, m.value, out[i : i + 1])
         return out
@@ -629,7 +651,7 @@ class NumpyBackend(PolynomialBackend):
     def _ntt_rows(self, tables_list, rows, inverse: bool):
         """One transform per (modulus, row) on a resident matrix.
 
-        Each row transforms into an owned output matrix -- no boundary
+        Each row transforms into one output matrix -- no boundary
         conversion per row; rows under out-of-envelope primes transform
         through the reference fallback and are re-lifted into the matrix.
         """
@@ -643,7 +665,7 @@ class NumpyBackend(PolynomialBackend):
             raise ValueError(
                 f"expected {len(tables_list)} rows, got {mat.shape[0]}"
             )
-        out = np.empty(mat.shape, dtype=np.uint64)
+        out = _new(mat.shape)
         for i, tables in enumerate(tables_list):
             if self.supports(tables.modulus):
                 _transform(mat[i : i + 1], tables, inverse, out[i : i + 1])
@@ -662,7 +684,7 @@ class NumpyBackend(PolynomialBackend):
         dest = np.fromiter((d for d, _ in mapping), dtype=np.intp, count=n)
         flip = np.fromiter((f for _, f in mapping), dtype=bool, count=n)
         vals = np.where(flip[None, :] & (arr != 0), col.p - arr, arr)
-        out = np.empty_like(vals)
+        out = _new(vals.shape)
         out[:, dest] = vals
         return out
 
@@ -689,7 +711,7 @@ class NumpyBackend(PolynomialBackend):
             arr = self._matrix(stack)
         except (OverflowError, ValueError):
             return self._fallback.reduce_mod_stack(modulus, stack)
-        out, p = _new(arr), _column((modulus.value,)).p
+        out, p = _new(arr.shape), _column((modulus.value,)).p
         if int(arr.max()) >= 2 * modulus.value:
             return np.remainder(arr, p, out=out)
         # residues of a prime of the same size (the usual RNS basis):
@@ -708,13 +730,13 @@ class NumpyBackend(PolynomialBackend):
             # broadcasting must not accept what the reference rejects
             raise ValueError(f"stack length mismatch: {len(other)} vs {len(arr)} rows")
         self._check_width(arr, other)
-        return _addsub(np.subtract, arr, other, _column((modulus.value,)).p, _new(arr))
+        return _addsub(np.subtract, arr, other, _column((modulus.value,)).p, _new(arr.shape))
 
     def scalar_mul_stack(self, modulus: Modulus, a: RowStack, scalar: int) -> RowStack:
         if not self.supports(modulus) or not len(a):
             return self._fallback.scalar_mul_stack(modulus, a, scalar)
         arr = self._matrix(a)
-        return _scalar_mul(arr, scalar, modulus.value, _new(arr))
+        return _scalar_mul(arr, scalar, modulus.value, _new(arr.shape))
 
     def dyadic_stack_reduce(self, modulus: Modulus, x: RowStack, y: RowStack):
         digits = len(y)
@@ -731,30 +753,32 @@ class NumpyBackend(PolynomialBackend):
         for lo in range(0, digits, _MAX_DIGITS):
             block = slice(lo, lo + _MAX_DIGITS)
             col = _column((modulus.value,), len(xs[block]))
-            part = _dot(xs[block], ys[block], col, _new(xs[0]))
+            part = _dot(xs[block], ys[block], col, _new(xs[0].shape))
             out = part if out is None else _addsub(np.add, out, part, col.p, out)
         return out
 
     def permute_ntt_stack(self, stack: RowStack, table) -> RowStack:
         if not len(stack):
             return self._fallback.permute_ntt_stack(stack, table)
+        table = np.asarray(table, dtype=np.intp)
         try:
             # no arithmetic happens, so any uint64-representable rows
-            # qualify regardless of the word-size envelope
-            arr = self._matrix(stack)
+            # qualify regardless of the word-size envelope; a matrix of
+            # tables gathers row by row, resident rows where they are
+            arr = stack if table.ndim == 2 and _row_views(stack) else self._matrix(stack)
         except (OverflowError, ValueError):
             return self._fallback.permute_ntt_stack(stack, table)
-        table = np.asarray(table, dtype=np.intp)
         rows = self._gathered_rows(arr, table) if table.ndim == 2 else arr
         # one range check per call buys the unchecked gather (3x cheaper a
         # row); viewed unsigned, a negative index reads as a huge one
-        if not table.size or table.view(np.uintp).max() >= arr.shape[1]:
+        if not table.size or table.view(np.uintp).max() >= len(arr[0]):
             # wraps or raises IndexError as a list does
+            arr = self._matrix(arr)
             return arr[:, table] if table.ndim == 1 else np.take_along_axis(arr, table, 1)
         if table.ndim == 1:
-            out = np.empty((len(arr), len(table)), dtype=np.uint64)
+            out = _new((len(arr), len(table)))
             return np.take(arr, table, axis=1, out=out, mode="clip")
-        out = np.empty(table.shape, dtype=np.uint64)
+        out = _new(table.shape)
         for row, index, dest in zip(rows, table, out):
             np.take(row, index, out=dest, mode="clip")
         return out
@@ -780,7 +804,7 @@ class NumpyBackend(PolynomialBackend):
         if arr is None:
             # multi-word coefficients: big-int reduction is the exact path
             return self._fallback.decompose_native(moduli, coeffs)
-        out = np.empty((len(moduli), len(arr)), dtype=np.uint64)
+        out = _new((len(moduli), len(arr)))
         for i, m in enumerate(moduli):
             if arr.dtype == np.uint64:
                 out[i] = arr % np.uint64(m.value)

@@ -412,12 +412,11 @@ class Evaluator:
         ]
         stacks = []
         for j, m_j in enumerate(ext_moduli):
-            others = [row for i in range(level) if i != j for row in coeff[i]]
+            others = [coeff[i] for i in range(level) if i != j]
+            if len(others) > 1:  # one block is a stack already: no copy
+                others = [be.native_stack([row for block in others for row in block])]
             fanned = (
-                be.ntt_forward_stack(
-                    ctx.tables(m_j),
-                    be.reduce_mod_stack(m_j, be.native_stack(others)),
-                )
+                be.ntt_forward_stack(ctx.tables(m_j), be.reduce_mod_stack(m_j, others[0]))
                 if others  # a single-level basis has nothing to fan out
                 else []
             )
@@ -731,6 +730,7 @@ class Evaluator:
                             m, macs[c * half : (c + 1) * half], plains[j][:rotations]
                         )
                     )
+                del macs
             floored = self._floor_divide(sums, ext_moduli)
             # c0 under every rotation, then (if a term is unrotated) as
             # it is: the order of the plaintext stack

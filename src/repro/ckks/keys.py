@@ -240,18 +240,15 @@ class GaloisKeySet:
             (2 * digits, 1),
         )
         columns = [
-            # native row views in, one gather per modulus out; the whole
-            # unpermuted stack is the transient (see ARCHITECTURE.md,
-            # "Key-switching fast path", on why not a smaller one)
+            # native row views in, one gather per modulus out: each key
+            # row is read where its polynomial holds it
             be.permute_ntt_stack(
-                be.native_stack(
-                    [
-                        key.digits[i][c].row(j)
-                        for i in range(digits)
-                        for c in (0, 1)
-                        for key in keys
-                    ]
-                ),
+                [
+                    key.digits[i][c].row(j)
+                    for i in range(digits)
+                    for c in (0, 1)
+                    for key in keys
+                ],
                 inverse,
             )
             for j in range(len(moduli))

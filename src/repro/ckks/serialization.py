@@ -45,9 +45,7 @@ import math
 import struct
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.ckks.backend import get_backend
+from repro.ckks.backend import get_backend, resident
 from repro.ckks.backend.base import ROW_WORD_BYTES, packed_row_bytes
 from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext
@@ -379,7 +377,7 @@ def unpack_ciphertexts(
     width = len(wires)
     # a word matrix whatever the backend: every kernel takes any row
     # sequence, and a list backend re-homes the lane at its first use
-    block = np.empty((size * level * width, n), dtype=np.uint64)
+    block = resident.new((size * level * width, n))
     errors: Dict[int, ValueError] = {}
     for b, wire in enumerate(wires):
         body = memoryview(wire.data)[_HEADER.size :]

@@ -15,6 +15,15 @@ hot-path modules.  Snapshot sites that *must* materialize (golden
 vector dumps, debugging helpers) opt out per line with
 ``# lint: disable=R1 -- <why>``, which keeps the exception visible at
 the call site.
+
+PR 23 made the *results* resident too: in the numpy backend, the wire
+kernels of ``backend.base`` and ``serialization`` a result or staging
+matrix is a view of a recycled slab
+(:func:`repro.ckks.backend.resident.new`).  The second clause bans
+``np.empty`` / ``np.zeros`` / ``np.empty_like`` there -- each puts a
+flush back on the allocator, fresh pages faulted in and trimmed away
+under every request; scratch kept for the thread's life opts out per
+line, as above.
 """
 
 from __future__ import annotations
@@ -41,6 +50,16 @@ HOT_PATH_MODULES = (
 #: Attribute spellings that materialize canonical residue lists.
 MATERIALIZING_ATTRS = ("residues", "to_rows")
 
+#: Modules whose result and staging matrices come from the recycler.
+RESIDENT_RESULT_MODULES = (
+    "repro.ckks.backend.numpy_backend",
+    "repro.ckks.backend.base",
+    "repro.ckks.serialization",
+)
+
+#: numpy constructors that ask the allocator for a fresh matrix.
+ALLOCATING_CALLS = ("empty", "zeros", "empty_like")
+
 
 class _ResidencyVisitor(SymbolTrackingVisitor):
     def __init__(self, rule: "ResidencyRule", module: SourceModule):
@@ -48,9 +67,33 @@ class _ResidencyVisitor(SymbolTrackingVisitor):
         self.rule = rule
         self.module = module
         self.findings: List[Finding] = []
+        self.hot = module_matches(module.module, HOT_PATH_MODULES)
+        self.resident = module_matches(module.module, RESIDENT_RESULT_MODULES)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            self.resident
+            and isinstance(func, ast.Attribute)
+            and func.attr in ALLOCATING_CALLS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+        ):
+            self.findings.append(
+                self.rule.finding(
+                    self.module,
+                    node,
+                    self.symbol,
+                    f"np.{func.attr}() allocates a fresh matrix where results "
+                    "are resident; take it from repro.ckks.backend.resident.new "
+                    "(PR 23), or whitelist kept scratch with "
+                    "'# lint: disable=R1 -- <why>'",
+                )
+            )
+        self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in MATERIALIZING_ATTRS:
+        if self.hot and node.attr in MATERIALIZING_ATTRS:
             spelling = (
                 f".{node.attr}()" if node.attr == "to_rows" else f".{node.attr}"
             )
@@ -69,14 +112,15 @@ class _ResidencyVisitor(SymbolTrackingVisitor):
 
 
 class ResidencyRule(Rule):
-    """No ``.residues`` / ``to_rows()`` materialization in hot modules."""
+    """No ``.residues`` / ``to_rows()`` materialization in hot modules;
+    no fresh ``np.empty`` matrices where results are resident."""
 
     id = "R1"
     title = "zero-materialization residency in hot-path modules"
     invariant_origin = "PR 5 (backend-native resident residue matrices)"
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
-        if not module_matches(module.module, HOT_PATH_MODULES):
+        if not module_matches(module.module, HOT_PATH_MODULES + RESIDENT_RESULT_MODULES):
             return ()
         visitor = _ResidencyVisitor(self, module)
         visitor.visit(module.tree)

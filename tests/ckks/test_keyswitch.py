@@ -146,17 +146,22 @@ class TestKeySwitchCore:
 
 
 def _owned_words(stacks):
-    """Words of key material the given cached stacks *own*: a view (or, on
-    the list backend, a row object already seen) adds nothing."""
-    seen, words = set(), 0
+    """Words of key material behind the given cached stacks: words a view
+    shares with another stack (or, on the list backend, a row object
+    already seen) count once."""
+    seen, words, spans = set(), 0, []
     for stack in stacks:
         if hasattr(stack, "dtype"):
-            words += stack.size if stack.base is None else 0
+            spans.append((stack.ctypes.data, stack.ctypes.data + stack.nbytes))
             continue
         for row in stack:
             if id(row) not in seen:
                 seen.add(id(row))
                 words += len(row)
+    end = 0
+    for lo, hi in sorted(spans):  # the union of the contiguous stacks' bytes
+        words += max(0, hi - max(lo, end)) // 8
+        end = max(end, hi)
     return words
 
 

@@ -284,5 +284,10 @@ class TestTableMatrix:
         tables = np.array(self._tables(rng, 3))
         out = be.permute_ntt_stack(stack, tables)
         if hasattr(out, "dtype"):
-            assert not np.shares_memory(out, stack)
-            assert out.flags.owndata and out.flags.c_contiguous
+            # its own words while it is held, whoever allocated them: no
+            # operand and no later result shares them
+            kept = out.copy()
+            again = be.permute_ntt_stack(out, tables)
+            for other in (stack, tables, again):
+                assert not np.shares_memory(out, other)
+            assert out.flags.c_contiguous and (out == kept).all()

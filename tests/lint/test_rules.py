@@ -94,6 +94,23 @@ def test_rule_silent_on_clean_fixture(rule_id, rule_cls, bad, good, expected):
     assert result.ok, [str(f) for f in result.findings]
 
 
+def test_r1_flags_fresh_matrices_where_results_are_resident():
+    """PR 23 clause: in the numpy backend, the base wire kernels and
+    ``serialization`` a result or staging matrix is a recycled slab."""
+    result = lint_fixture("r1_resident_violation.py", ResidencyRule())
+    assert {f.rule for f in result.findings} == {"R1"}
+    assert sorted(f.message.split("(")[0] for f in result.findings) == [
+        "np.empty", "np.empty_like", "np.zeros",
+    ]
+    assert {f.symbol for f in result.findings} == {"add_rows", "stage", "gather"}
+
+
+def test_r1_silent_on_recycled_results_and_suppressed_scratch():
+    result = lint_fixture("r1_resident_clean.py", ResidencyRule())
+    assert result.ok, [str(f) for f in result.findings]
+    assert [f.rule for f in result.suppressed] == ["R1"]
+
+
 def test_r6_flags_evaluator_imports_in_serving_modules():
     """The plan is the only door: the Evaluator may not be imported
     under repro.serving / repro.system, however spelled (the lane

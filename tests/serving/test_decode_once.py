@@ -284,13 +284,17 @@ class TestNoCopyBetweenWireAndKernel:
         assert be.conversion_rows == 0
         # each member unpacked once, into its strided rows of one block
         assert spy.unpacked_rows == 8 * 2 * self.L
-        block = spy.destinations[0].base
-        assert block.shape == (2 * self.L * 8, ctx.n)
-        assert all(d.base is block for d in spy.destinations)
-        # ... and that block is what the adder was handed, both sides
+        start, row = spy.destinations[0].ctypes.data, ctx.n * 8
+        for b, dest in enumerate(spy.destinations):  # member b is rows b::8
+            assert dest.shape == (2 * self.L, ctx.n) and dest.strides == (8 * row, 8)
+            assert dest.ctypes.data == start + b * row
+        # ... and that block is what the adder was handed, both sides: the
+        # two components are its contiguous halves
         assert len(spy.add_operands) == 2 * 2  # two components, (a, b) each
-        for operand in spy.add_operands:
-            assert isinstance(operand, np.ndarray) and operand.base is block
+        for j, operand in enumerate(spy.add_operands):
+            assert isinstance(operand, np.ndarray) and operand.flags.c_contiguous
+            assert operand.shape == (self.L * 8, ctx.n)
+            assert operand.ctypes.data == start + (j // 2) * self.L * 8 * row
         for i, client in enumerate(fleet):
             (blob,) = server.sessions.get(client.client_id).take_outbox()
             _, values = tenant.decrypt_response(blob)
