@@ -264,8 +264,9 @@ def test_kernel_us_per_row_paper_primes(emit, emit_json):
             "(microseconds per row, best of 9)",
             ["n", "prime bits", "rows", "forward", "inverse"],
             rows,
-            note="reported, not gated; <= 2^30 is the Shoup-lazy regime, "
-            "< 2^48 float-lazy, < 2^52 float-strict.",
+            note="reported, not gated; p (2 log2 n + 1) < 2^50 is the signed "
+            "regime (Set-A, Set-B's 40-bit primes), < 2^48 float-lazy, "
+            "< 2^52 float-strict.",
         ),
     )
 

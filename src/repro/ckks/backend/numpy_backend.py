@@ -2,8 +2,8 @@
 
 The software analogue of the paper's observation that CKKS time is won
 by *wide* parallelism over butterflies, not by faster scalar operations:
-a transform is ``log n`` stages, each about eleven whole-array NumPy
-passes over all butterflies of all stacked rows at once.
+a transform is ``log n`` stages, each eight whole-array NumPy passes
+(eleven unsigned) over all butterflies of all stacked rows at once.
 
 **Layout: a constant-geometry ("perfect shuffle") transform.**  An
 ``(R, n)`` stack is one flat array ``A`` of ``N = R*n`` words.  The
@@ -30,36 +30,47 @@ stage's twiddle *tile* (block ``[m, 2m)`` of the table repeated to
 ``_TILE`` words, a scalar for ``m = 1``), broadcast over the flat array
 viewed ``(-1, tile)``.
 
-**Arithmetic: a precomputed quotient ratio per constant, three regimes
-chosen from ``p`` alone** (:class:`_Arith`).  ``x*w mod p`` is
-``x*w - q*p`` in wrapping ``uint64`` with ``q ~ floor(x*w/p)`` estimated
-from a stored ``ratio ~ w/p`` -- no division at run time:
+**Arithmetic: a precomputed quotient ratio per constant, the regime
+chosen from ``(p, n)`` alone** (:class:`_Arith`, :class:`_TwiddleCache`).
+``x*w mod p`` is ``x*w - q*p`` in wrapping 64-bit words with
+``q ~ x*w/p`` estimated from a stored ``ratio ~ w/p`` -- no division:
 
-* *Shoup-lazy*, ``4p <= 2^32``: ``ratio = floor(w * 2^32 / p)`` and
-  ``q = (x * ratio) >> 32`` (Algorithm 2 with a 32-bit ratio).  The two
-  floors lose less than one each, so for ``x < 2^32`` the estimate is the
-  true quotient or one less: the remainder is in ``[0, 2p)`` with no fold.
-* *float-lazy*, ``p < 2^48``: ``ratio = float64(w)/p * (1 - 2^-51)`` and
-  ``q = trunc(float64(x) * ratio)``.  Three roundings of ``2^-53`` cannot
-  undo the bias, so the estimate never exceeds the true quotient, and it
-  is within one of it while ``4p * 7 * 2^-53 <= 1``: ``[0, 2p)`` again,
-  for every ``x < 4p``.
+* *signed*, ``p * (2 log2 n + 1) < 2^50`` (Set-A, Set-B's 40-bit
+  primes): int64 views, ``ratio = float64(w)/p * (1 - 2^-51)``, ``q =
+  trunc(float64(x) * ratio)``.  For ``|x| < 2^50`` the bias and three
+  roundings move ``x*w/p`` by ``< 7 * 2^-53 * 2^50 < 1``, the truncation
+  by ``< 1``: ``|x*w - q*p| < 2p`` whatever ``p`` (n = 2 admits primes
+  to ``2^50 / 3``, biased like the rest).  Forward stages write ``u +- w*v``
+  unfolded (8 passes), ``|x| < (2s + 1) p`` after ``s`` of them: below
+  ``2^50`` by the rule.  Inverse stages multiply ``u - v`` unlifted and
+  leave ``u + v`` alone but where its doubling bound would pass ``2^49``
+  (then times 1: never for 36 bits at n = 4096, twice for 45, once for
+  40 at 8192).  The inverse ends with two folds (its last stage leaves
+  products, ``|x| < 2p``), the forward with :func:`_canonical` (7
+  passes): ``q = trunc(float64(x) * (1/p)(1 + 2^-51))`` is biased *up*,
+  so three roundings never take it under ``|x|/p`` (``k p`` gives ``k``,
+  never the remainder ``p``) nor to ``|x|/p + 1``: ``r`` is strictly
+  inside ``(-p, p)``, and ``min(r, r + p)`` unsigned lifts it.
+* *float-lazy*, ``p < 2^48``: the same biased ratio on uint64.  It never
+  exceeds the true quotient and is within one of it while ``4p * 7 *
+  2^-53 <= 1``: ``[0, 2p)`` for every ``x < 4p``.
 * *float-strict*, ``2^48 <= p < 2^52`` (the HEAX ``w = 54`` word bound):
   the unbiased ratio and ``x < p``.  ``x*w/p < 2^52`` keeps the estimate
   within one *either way*, the remainder in ``[-p, 2p)``; a lifting fold
   and the usual fold land it in ``[0, p)``.
+* *Shoup-lazy*, ``4p <= 2^32``, constant multiplies only: ``ratio =
+  floor(w * 2^32 / p)``, ``q = (x * ratio) >> 32`` (Algorithm 2).  The
+  two floors lose less than one each: ``[0, 2p)`` for ``x < 2^32``.
 
-The lazy regimes run Harvey's butterflies: residues stay in ``[0, 4p)``
-forward (one fold of ``u`` per stage) and ``[0, 2p)`` inverse, with one
-final fold per transform.  The inverse multiplies by the un-halved
+The unsigned regimes run Harvey's butterflies: residues in ``[0, 4p)``
+forward (a fold of ``u`` and a lift per stage, 11 passes) and ``[0,
+2p)`` inverse, one final fold; strict halves every bound and folds the
+product's operand too.  The inverse multiplies by the un-halved
 twiddles ``2 * inv_root_powers_div2 mod p`` and folds ``n^-1`` into its
-last stage's two constants instead of halving every stage as Algorithm 4
-does.  The strict regime runs the same butterflies with every bound
-halved and one more fold, of the product's operand.  Either way the
-outputs are the canonical residues, bit-identical to the reference
-backend (``tests/ckks/test_ntt_kernel.py``).  ``p >= 2^52`` is
-outside the word-size-safe envelope (e.g. SEAL's 61-bit primes): every
-operation falls back to the reference backend.
+last stage's two constants instead of halving every stage as Algorithm
+4 does.  Outputs are canonical, bit-identical to the reference backend
+(``tests/ckks/test_ntt_kernel.py``).  ``p >= 2^52`` (e.g. SEAL's 61-bit
+primes) falls back to the reference backend.
 
 **Products of two arrays: one reciprocal quotient per sum** (:func:`_dot`;
 a product is a sum of one).  As the paper's DyadMult accumulators do
@@ -112,6 +123,10 @@ _WORD_SAFE_BOUND = 1 << 52
 #: ``4p`` (``4p * 7 * 2^-53 <= 1``, see the module docstring).
 _LAZY_BOUND = 1 << 48
 _RATIO_BIAS = 1.0 - 2.0**-51
+
+#: ``p * (2 log2 n + 1)`` below this is signed, its reciprocal biased up.
+_SIGNED_BOUND = 1 << 50
+_RECIP_BIAS = 1.0 + 2.0**-51
 
 #: A kernel runs its stack in chunks of at most this many words
 #: (``32768 / n`` rows, at least one), so that its scratch of a few
@@ -269,23 +284,26 @@ def _dot(xs, ys, col: _Column, out: np.ndarray) -> np.ndarray:
 
 
 class _Arith:
-    """The ratio arithmetic of one prime -- a function of ``p`` alone.
+    """The ratio arithmetic of one prime -- a function of ``(p, signed)``.
 
-    ``shoup``: 32-bit integer ratios (``4p <= 2^32``), else float64
-    ratios; ``lazy``: products land in ``[0, 2p)`` from operands below
-    ``4p`` (``p < 2^48``), else operands and products are fully reduced.
+    ``signed``: int64 ``p`` and constants, biased float64 ratios, products
+    in ``(-2p, 2p)`` from ``|x| < 2^50`` (``lazy``, never ``shoup``).
+    Otherwise ``shoup``: 32-bit integer ratios (``4p <= 2^32``), else
+    float64 ratios; ``lazy``: products land in ``[0, 2p)`` from operands
+    below ``4p`` (``p < 2^48``), else operands and products are fully reduced.
     """
 
-    __slots__ = ("p", "p2", "shoup", "lazy")
+    __slots__ = ("p", "p2", "shoup", "lazy", "signed")
 
-    def __init__(self, p: int):
-        self.p = _const(p)
+    def __init__(self, p: int, signed: bool = False):
+        self.signed = signed
+        self.p = np.array(p, dtype=np.int64 if signed else np.uint64)
         self.p2 = _const(2 * p)
-        self.shoup = 4 * p <= _DIRECT_MUL_BOUND
-        self.lazy = p < _LAZY_BOUND
+        self.shoup = not signed and 4 * p <= _DIRECT_MUL_BOUND
+        self.lazy = signed or p < _LAZY_BOUND
 
     def ratio(self, w: np.ndarray) -> np.ndarray:
-        """The quotient ratios of the uint64 constants ``w``."""
+        """The quotient ratios of the constants ``w`` (``p``'s dtype)."""
         if self.shoup:
             return np.asarray((w << _U32) // self.p)
         bias = _RATIO_BIAS if self.lazy else 1.0
@@ -293,7 +311,7 @@ class _Arith:
 
     def pair(self, c: int):
         """The 0-d ``(w, ratio)`` operands of the reduced constant ``c``."""
-        w = _const(c)
+        w = np.array(c, dtype=self.p.dtype)
         return w, self.ratio(w)
 
     def mul(self, x, w, ratio, q, fq, dest) -> None:
@@ -301,9 +319,10 @@ class _Arith:
 
         ``x`` holds residues below ``4p`` (below ``p`` when not lazy)
         and ``dest`` receives values in ``[0, 2p)`` (``[0, p)``); it may
-        be ``x``.  ``q`` (uint64) and ``fq`` (float64, unused by Shoup)
-        are scratch of ``x``'s size.  A 1-D ``w`` is a twiddle tile: the
-        flat operands are viewed ``(-1, tile)`` so that it broadcasts.
+        be ``x``; signed (int64 views), ``|x| < 2^50`` gives ``(-2p, 2p)``.
+        ``q`` (``p``'s dtype) and ``fq`` (float64, unused by Shoup) are
+        scratch of ``x``'s size.  A 1-D ``w`` is a twiddle tile: the flat
+        operands are viewed ``(-1, tile)`` so that it broadcasts.
         """
         if w.ndim:
             shape = (-1, w.size)
@@ -372,13 +391,18 @@ class _TwiddleCache(_Arith):
     ``2 * inv_root_powers_div2 mod p``; ``inv`` runs ``m = n/2 .. 1``, its
     last stage multiplies the difference by ``n^-1 * w_1`` (stored as
     that stage's pair) and the sum by ``n^-1`` (``scale``).
+
+    ``signed`` when ``p (2 log2 n + 1) < 2^50``: int64 tables, float
+    ratios (Shoup primes too), ``rinv`` for :func:`_canonical`,
+    ``sums[s]`` the pair inverse stage ``s`` multiplies its sum by, if
+    any, ``lift`` an inverse's two folds.
     """
 
-    __slots__ = ("fwd", "inv", "scale")
+    __slots__ = ("fwd", "inv", "scale", "rinv", "sums", "lift")
 
     def __init__(self, tables: NTTTables):
         p = tables.modulus.value
-        super().__init__(p)
+        super().__init__(p, p * (2 * tables.log_n + 1) < _SIGNED_BOUND)
         n = tables.n
         fwd = [c.value for c in tables.root_powers]
         inv = [2 * c.value % p for c in tables.inv_root_powers_div2]
@@ -386,9 +410,17 @@ class _TwiddleCache(_Arith):
         self.inv = self._stages(inv, n)[::-1]
         self.inv[-1] = self.pair(tables.inv_n * inv[1] % p)
         self.scale = self.pair(tables.inv_n)
+        if self.signed:
+            self.rinv = np.asarray(1.0 / p * _RECIP_BIAS)
+            self.lift = (_const((1 << 64) - 2 * p), _const(p))
+            self.sums, bound = [], p  # times 1 where the sum could pass 2^49
+            for _ in range(tables.log_n - 1):
+                self.sums.append(self.pair(1) if 2 * bound > _SIGNED_BOUND >> 1 else None)
+                bound = 2 * p if self.sums[-1] else 2 * bound
+            self.sums.append(self.scale)
 
     def _stages(self, table, n: int):
-        w = np.array(table, dtype=np.uint64)
+        w = np.array(table, dtype=self.p.dtype)
         ratio = self.ratio(w)
         stages = [self.pair(table[1])]
         for m in (1 << s for s in range(1, n.bit_length() - 1)):
@@ -401,19 +433,63 @@ def _workspace(words: int):
     """The calling thread's transform scratch for a chunk of ``words`` words.
 
     Two ``words``-long buffers the stages ping-pong between, three
-    half-size uint64 legs and a half-size float64 leg of :func:`_scratch`.
+    half-size uint64 legs, a half-size float64 leg and (the first two legs
+    again) a ``words``-long float64 one, all of :func:`_scratch`.
     """
     buf = _scratch((words,), 4)
     legs = buf[2:].reshape(4, words >> 1)
-    return buf[0], buf[1], legs[:3], legs[3].view(np.float64)
+    return buf[0], buf[1], legs[:3], legs[3].view(np.float64), buf[2].view(np.float64)
+
+
+def _canonical(x, tw: _TwiddleCache, q, fq, out) -> None:
+    """``out = x mod p`` in ``[0, p)`` for int64 ``|x| < 2^50`` (``x`` is
+    left strictly inside ``(-p, p)``; ``q``, ``fq`` are scratch)."""
+    np.copyto(fq, x)
+    fq *= tw.rinv
+    np.copyto(q, fq, casting="unsafe")
+    q *= tw.p
+    x -= q
+    np.add(x, tw.p, out=q)
+    np.minimum(x.view(np.uint64), q.view(np.uint64), out=out)
+
+
+def _signed_forward(src, dst, stages, tw: _TwiddleCache, t, fq, prod):
+    """Forward ``stages``, int64 and unfolded; ``(result, other buffer)``."""
+    half = len(src) >> 1
+    for w, ratio in stages:
+        tw.mul(src[half:], w, ratio, t, fq, prod)
+        np.add(src[:half], prod, out=dst[0::2])
+        np.subtract(src[:half], prod, out=dst[1::2])
+        src, dst = dst, src
+    return src, dst
+
+
+def _signed_inverse(src, dst, stages, tw: _TwiddleCache, s, t, fq):
+    """Inverse ``((w, ratio), times)`` stages, int64: ``u - v`` times ``w``
+    unlifted, ``u + v`` times ``times`` if any; ``(result, other buffer)``."""
+    half = len(src) >> 1
+    for (w, ratio), times in stages:
+        u, v, lo = src[0::2], src[1::2], dst[:half]
+        np.add(u, v, out=lo if times is None else s)
+        if times is not None:
+            tw.mul(s, *times, t, fq, lo)
+        np.subtract(u, v, out=s)
+        tw.mul(s, w, ratio, t, fq, dst[half:])
+        src, dst = dst, src
+    return src, dst
 
 
 def _forward(rows: np.ndarray, out: np.ndarray, tw: _TwiddleCache) -> None:
     """Algorithm 3 on an ``(R, n)`` chunk into ``out``, see the module docstring."""
     r, n = rows.shape
     half = (r * n) >> 1
-    src, dst, (uf, t, prod), fq = _workspace(r * n)
+    src, dst, (uf, t, prod), fq, wide = _workspace(r * n)
     src.reshape(n, r)[...] = rows.T
+    if tw.signed:
+        src, dst, t, prod = (a.view(np.int64) for a in (src, dst, t, prod))
+        src, dst = _signed_forward(src, dst, tw.fwd, tw, t, fq, prod)
+        _canonical(src, tw, dst, wide, out.reshape(-1))
+        return
     bound = tw.p2 if tw.lazy else tw.p  # residues stay below twice this
     for w, ratio in tw.fwd:
         u, v = src[:half], src[half:]
@@ -434,8 +510,16 @@ def _inverse(rows: np.ndarray, out: np.ndarray, tw: _TwiddleCache) -> None:
     """Algorithm 4 on an ``(R, n)`` chunk into ``out``, see the module docstring."""
     r, n = rows.shape
     half = (r * n) >> 1
-    src, dst, (s, t, d), fq = _workspace(r * n)
+    src, dst, (s, t, d), fq, _ = _workspace(r * n)
     np.copyto(src.reshape(r, n), rows)
+    if tw.signed:
+        src, dst, s, t = (a.view(np.int64) for a in (src, dst, s, t))
+        src, dst = _signed_inverse(src, dst, zip(tw.inv, tw.sums), tw, s, t, fq)
+        src, dst = (a.view(np.uint64) for a in (src, dst))
+        for c in tw.lift:  # the last stage's products, (-2p, 2p): + 2p, then - p
+            _fold(src, c, dst, src)
+        out[...] = src.reshape(n, r).T
+        return
     bound = tw.p2 if tw.lazy else tw.p  # residues stay below this
     for left, (w, ratio) in zip(range(len(tw.inv) - 1, -1, -1), tw.inv):
         u, v = src[0::2], src[1::2]
