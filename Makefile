@@ -4,7 +4,10 @@
 #   make test-fast      tier-1 minus slow-marked paper-scale tests
 #   make test-both      tier-1 on both polynomial backends
 #   make lint           static invariant analysis (repro.lint) over src/
-#   make loc            src/ line counts, total and per package (a report, not a gate)
+#   make loc            src/ line counts, total and per package (a report)
+#   make loc-check      the src/ line ratchet: fails when src/ exceeds loc-baseline.json's ceiling
+#                       (a PR that deletes code lowers the ceiling in the same commit; raising
+#                       it requires a "`src/` +N: why" line in the CHANGES headline)
 #   make bench          every paper table/figure benchmark (writes benchmarks/results/)
 #   make bench-all      the repo benchmark of BENCHMARK.json: five workloads end to end + traced (writes bench/results/)
 #   make bench-backend  polynomial-backend speedup gate (numpy vs reference)
@@ -24,7 +27,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCHES := $(wildcard benchmarks/bench_*.py)
 
-.PHONY: test test-fast test-both lint loc bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
+.PHONY: test test-fast test-both lint loc loc-check bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +40,12 @@ loc:
 	@for d in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort) src; do \
 		printf '%7d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
 	done
+
+loc-check:
+	@total=$$(find src -name '*.py' | xargs cat | wc -l); \
+	ceiling=$$($(PYTHON) -c "import json; print(json.load(open('loc-baseline.json'))['src'])"); \
+	echo "src/ $$total lines, ceiling $$ceiling (loc-baseline.json)"; \
+	test $$total -le $$ceiling || { echo "src/ grew past its ceiling: delete code, or raise it with a 'src/ +N: why' line in CHANGES"; exit 1; }
 
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"

@@ -64,13 +64,12 @@ from repro.serving import framing
 from repro.serving.clock import SYSTEM_CLOCK, Clock
 from repro.serving.framing import (
     FRAME_VERSION,
-    FRAME_VERSIONS,
     LATEST_FRAME_VERSION,
     Frame,
     FrameDecoder,
     StreamProtocolError,
 )
-from repro.serving.session import UnknownClientError
+from repro.serving.session import ClientSession, UnknownClientError
 from repro.serving.server import ServingReport
 from repro.serving.worker import WorkerDeadError, WorkerHandle
 
@@ -180,21 +179,6 @@ DEDUP_CACHE_SIZE = 128
 
 
 @dataclass
-class _ClientRecord:
-    client_id: str
-    key_id: str
-    worker_id: str
-    wire_version: int = VERSION
-    frame_version: int = FRAME_VERSION
-    decoder: FrameDecoder = field(default_factory=FrameDecoder)
-    outbox: List[bytes] = field(default_factory=list)
-    #: request_id -> encoded RESPONSE blob, insertion-ordered for LRU
-    #: eviction; a retry of a completed request replays these bytes
-    #: bit-identically instead of executing twice.
-    dedup: "OrderedDict[int, bytes]" = field(default_factory=OrderedDict)
-
-
-@dataclass
 class _TenantKeys:
     relin_blob: Optional[bytes]
     galois_blobs: Optional[Dict[int, bytes]]
@@ -235,7 +219,15 @@ class ServingCluster:
         #: worker_id -> key_ids whose blobs that worker already holds
         #: (reset on restart: a fresh process has an empty key cache).
         self._uploaded: Dict[str, set] = {wid: set() for wid in ids}
-        self._clients: Dict[str, _ClientRecord] = {}
+        #: client_id -> the router's keyless session of it: negotiated
+        #: versions, stream decoder, outbox
+        self._clients: Dict[str, ClientSession] = {}
+        #: client_id -> the worker holding its session
+        self._placement: Dict[str, str] = {}
+        #: client_id -> request_id -> encoded RESPONSE, insertion-ordered
+        #: for LRU eviction: a retry of a completed request replays these
+        #: bytes bit-identically instead of executing twice
+        self._dedup: Dict[str, "OrderedDict[int, bytes]"] = {}
         #: (client_id, request_id) -> (worker_id, admitted_at)
         self._inflight: Dict[Tuple[str, int], Tuple[str, float]] = {}
         self.report = ClusterReport()
@@ -308,61 +300,54 @@ class ServingCluster:
         version this client's responses are serialized at and
         ``frame_version`` the frame-protocol version of its response
         envelopes; a reconnect may renegotiate either.  A reconnect
-        keeps the record's dedup cache: replaying a completed request's
+        keeps the client's dedup cache: replaying a completed request's
         response after a reconnect is exactly the idempotent-retry case
         the cache exists for.
         """
-        if wire_version not in SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"unsupported wire version {wire_version}; "
-                f"supported: {SUPPORTED_VERSIONS}"
-            )
-        if frame_version not in FRAME_VERSIONS:
-            raise ValueError(
-                f"unsupported frame protocol version {frame_version}; "
-                f"supported: {FRAME_VERSIONS}"
-            )
-        existing = self._clients.get(client_id)
-        if existing is not None:
-            if existing.key_id != key_id:
+        session = self._clients.get(client_id)
+        if session is not None:
+            if session.key_id != key_id:
                 raise ValueError(
                     f"client {client_id!r} is registered under key_id "
-                    f"{existing.key_id!r}, not {key_id!r}"
+                    f"{session.key_id!r}, not {key_id!r}"
                 )
-            if (
-                existing.wire_version != wire_version
-                or existing.frame_version != frame_version
+            worker_id = self._placement[client_id]
+            if (session.wire_version, session.frame_version) != (
+                wire_version, frame_version
             ):
                 # a reconnect renegotiated: refresh the worker session
-                existing.wire_version = wire_version
-                existing.frame_version = frame_version
-                self._register_at_worker(existing.worker_id, existing)
-            return existing.worker_id
+                session.negotiate(wire_version, frame_version)
+                self._register_at_worker(worker_id, session)
+            return worker_id
+        # built first: it validates the versions before anything is placed
+        session = ClientSession(
+            client_id, key_id, wire_version=wire_version, frame_version=frame_version
+        )
         if key_id not in self._tenants:
             raise KeyError(
                 f"unknown key_id {key_id!r}: register the tenant's keys first"
             )
         worker_id = self.ring.place(key_id)
-        record = _ClientRecord(client_id, key_id, worker_id, wire_version,
-                               frame_version)
-        self._register_at_worker(worker_id, record)
-        self._clients[client_id] = record
+        self._register_at_worker(worker_id, session)
+        self._clients[client_id] = session
+        self._placement[client_id] = worker_id
+        self._dedup[client_id] = OrderedDict()
         return worker_id
 
-    def _register_at_worker(self, worker_id: str, record: _ClientRecord) -> None:
-        tenant = self._tenants[record.key_id]
+    def _register_at_worker(self, worker_id: str, session: ClientSession) -> None:
+        tenant = self._tenants[session.key_id]
         uploaded = self._uploaded[worker_id]
         # the worker caches key objects per key_id: blobs travel once
         blobs = (
             (None, None)
-            if record.key_id in uploaded
+            if session.key_id in uploaded
             else (tenant.relin_blob, tenant.galois_blobs)
         )
         self.workers[worker_id].register_session(
-            record.client_id, record.key_id, *blobs,
-            record.wire_version, record.frame_version,
+            session.client_id, session.key_id, *blobs,
+            session.wire_version, session.frame_version,
         )
-        uploaded.add(record.key_id)
+        uploaded.add(session.key_id)
 
     def worker_for(self, key_id: str) -> str:
         """Current ring placement of a tenant."""
@@ -370,9 +355,10 @@ class ServingCluster:
 
     def client_worker(self, client_id: str) -> str:
         """The worker a client's session currently lives on."""
-        return self._client(client_id).worker_id
+        self._client(client_id)
+        return self._placement[client_id]
 
-    def _client(self, client_id: str) -> _ClientRecord:
+    def _client(self, client_id: str) -> ClientSession:
         try:
             return self._clients[client_id]
         except KeyError:
@@ -396,26 +382,6 @@ class ServingCluster:
             data, partial(self.receive_frame, client_id)
         )
 
-    def _respond_error(
-        self,
-        record: _ClientRecord,
-        request_id: int,
-        message: str,
-        code: str = framing.ERR_FATAL,
-    ) -> None:
-        """Queue an ERROR classified for the client's retry logic (the
-        class rides the frame's ``op`` field, see :func:`framing.error_class`)."""
-        record.outbox.append(
-            framing.encode_frame(
-                framing.ERROR,
-                request_id,
-                record.client_id,
-                op=code,
-                payload=message.encode("utf-8"),
-                frame_version=record.frame_version,
-            )
-        )
-
     def receive_frame(self, client_id: str, frame: Frame) -> None:
         """Route one decoded frame to its session's worker.
 
@@ -426,33 +392,24 @@ class ServingCluster:
         response is still coming), and neither counts as a new
         submission -- a retried request is counted exactly once.
         """
-        record = self._client(client_id)
-        if frame.kind != framing.REQUEST:
-            self._respond_error(
-                record, frame.request_id, "front-door accepts only REQUEST frames"
-            )
+        session = self._client(client_id)
+        refusal = session.misdirected(frame)
+        if refusal is not None:
+            session.respond_error(frame.request_id, refusal)
             return
-        if frame.client_id and frame.client_id != client_id:
-            self._respond_error(
-                record,
-                frame.request_id,
-                f"frame client_id {frame.client_id!r} does not match "
-                f"this connection's session {client_id!r}",
-            )
-            return
-        cached = record.dedup.get(frame.request_id)
+        dedup = self._dedup[client_id]
+        cached = dedup.get(frame.request_id)
         if cached is not None:
             # idempotent retry: the request already executed; replay the
             # exact response bytes and refresh its LRU position
-            record.dedup.move_to_end(frame.request_id)
+            dedup.move_to_end(frame.request_id)
             self.report.dedup_hits += 1
-            record.outbox.append(cached)
+            session.outbox.append(cached)
             return
         key = (client_id, frame.request_id)
         if key in self._inflight:
             self.report.duplicate_inflight += 1
-            self._respond_error(
-                record,
+            session.respond_error(
                 frame.request_id,
                 f"request_id {frame.request_id} is already in flight; "
                 "its response is coming",
@@ -462,10 +419,9 @@ class ServingCluster:
         self.report.submitted += 1
         if frame.deadline and self.clock() >= frame.deadline:
             # dead on arrival at the router: do not spend a worker hop
-            # (or a forward re-encode) on an abandoned request
+            # on an abandoned request
             self.report.expired_requests += 1
-            self._respond_error(
-                record,
+            session.respond_error(
                 frame.request_id,
                 "request deadline expired before admission",
                 code=framing.ERR_DEADLINE,
@@ -475,34 +431,33 @@ class ServingCluster:
             # cluster-wide load shedding: an explicit ERROR, never a
             # silent drop -- the client learns to back off
             self.report.shed_requests += 1
-            self._respond_error(
-                record,
+            session.respond_error(
                 frame.request_id,
                 f"cluster at capacity ({self.max_inflight} in flight); "
                 "retry later",
                 code=framing.ERR_RETRYABLE,
             )
             return
-        worker = self.workers[record.worker_id]
-        if not worker.alive:
+        worker_id = self._placement[client_id]
+        if not self.workers[worker_id].alive:
             # the process died since we last routed here: fail over now
-            self.kill_worker(record.worker_id)
-            worker = self.workers.get(record.worker_id)
+            self.kill_worker(worker_id)
+            worker_id = self._placement[client_id]
+            worker = self.workers.get(worker_id)
             if worker is None or not worker.alive:
                 # counted as failed over: the request was submitted and
                 # is answered by this error, so the conservation law
                 # still balances
                 self.report.failed_over_requests += 1
-                self._respond_error(
-                    record, frame.request_id,
-                    f"worker {record.worker_id!r} is down; session re-placed, "
-                    "retry",
+                session.respond_error(
+                    frame.request_id,
+                    f"worker {worker_id!r} is down; session re-placed, retry",
                     code=framing.ERR_RETRYABLE,
                 )
                 return
-        # as decoded: only a worker behind a pipe needs its bytes rebuilt
-        worker.submit(client_id, frame)
-        self._inflight[key] = (record.worker_id, self.clock())
+        # as decoded, on either transport: the worker admits the Frame
+        self.workers[worker_id].submit(client_id, frame)
+        self._inflight[key] = (worker_id, self.clock())
 
     # ------------------------------------------------------------------
     # the scheduler turn
@@ -531,19 +486,20 @@ class ServingCluster:
             if not handle.alive:
                 continue
             for client_id, blobs in handle.poll_responses().items():
-                record = self._clients.get(client_id)
+                session = self._clients.get(client_id)
+                dedup = self._dedup.get(client_id)
                 for blob in blobs:
                     kind, request_id, op = framing.peek_frame_summary(blob)
                     entry = self._inflight.pop((client_id, request_id), None)
                     if entry is not None:
                         self.report.latencies.append(now - entry[1])
-                    if record is not None:
-                        record.outbox.append(blob)
+                    if session is not None:
+                        session.outbox.append(blob)
                         if kind == framing.RESPONSE:
-                            record.dedup[request_id] = blob
-                            record.dedup.move_to_end(request_id)
-                            while len(record.dedup) > DEDUP_CACHE_SIZE:
-                                record.dedup.popitem(last=False)
+                            dedup[request_id] = blob
+                            dedup.move_to_end(request_id)
+                            while len(dedup) > DEDUP_CACHE_SIZE:
+                                dedup.popitem(last=False)
                     if kind == framing.ERROR and op == framing.ERR_DEADLINE:
                         expired += 1
                     else:
@@ -575,9 +531,7 @@ class ServingCluster:
         return sum(1 for (cid, _) in self._inflight if cid == client_id)
 
     def take_outbox(self, client_id: str) -> List[bytes]:
-        record = self._client(client_id)
-        out, record.outbox = record.outbox, []
-        return out
+        return self._client(client_id).take_outbox()
 
     # ------------------------------------------------------------------
     # worker lifecycle: drain, failure, rejoin
@@ -591,11 +545,11 @@ class ServingCluster:
             # any straggler with an explicit "draining" ERROR
             return 0
         moved = 0
-        for record in self._clients.values():
-            target = self.ring.place(record.key_id)
-            if target != record.worker_id or target == lost:
-                record.worker_id = target
-                self._register_at_worker(target, record)
+        for client_id, session in self._clients.items():
+            target = self.ring.place(session.key_id)
+            if target != self._placement[client_id] or target == lost:
+                self._placement[client_id] = target
+                self._register_at_worker(target, session)
                 moved += 1
         return moved
 
@@ -626,10 +580,9 @@ class ServingCluster:
             if wid != worker_id:
                 continue
             del self._inflight[(client_id, request_id)]
-            record = self._clients.get(client_id)
-            if record is not None:
-                self._respond_error(
-                    record,
+            session = self._clients.get(client_id)
+            if session is not None:
+                session.respond_error(
                     request_id,
                     f"worker {worker_id!r} died with the request in flight; "
                     "retry",

@@ -192,19 +192,10 @@ def encode_frame(
     return b"".join((_PREFIX.pack(length), *parts))
 
 
-def encode_forward(frame: Frame) -> bytes:
-    """Re-encode a decoded request for a router -> worker byte hop.  A
-    deadline needs a v2 envelope; a deadline-less request travels at v1,
-    so a legacy client's bytes stay legacy end to end."""
-    return encode_frame(
-        frame.kind, frame.request_id, frame.client_id, op=frame.op,
-        op_arg=frame.op_arg, payload=frame.payload, deadline=frame.deadline,
-        frame_version=FRAME_V2 if frame.deadline else FRAME_VERSION,
-    )
-
-
-def forward_length(frame: Frame) -> int:
-    """The length prefix :func:`encode_forward` would write, in O(1)."""
+def envelope_length(frame: Frame) -> int:
+    """The length prefix of the smallest envelope that carries ``frame``
+    (v2 only when it has a deadline), in O(1): the length
+    ``EncryptedComputeServer.submit_frame`` holds to the frame cap."""
     fixed = _FIXED_V2.size + _CRC.size if frame.deadline else _FIXED.size
     return (
         fixed + len(frame.client_id.encode("utf-8"))
@@ -381,17 +372,6 @@ class FrameDecoder:
             if frame is None:
                 return frames
             frames.append(frame)
-
-    def ingest_frame(self, frame: Frame, accept: Callable[[Frame], None]) -> None:
-        """:meth:`ingest` for a frame an in-process router decoded and
-        CRC-checked: its bytes are not rebuilt to be parsed again, so the
-        one stream check still owed is the cap, on its forward length."""
-        length = forward_length(frame)
-        if length > self.max_frame_bytes:
-            raise StreamProtocolError(
-                f"frame length {length} exceeds cap {self.max_frame_bytes}", []
-            )
-        accept(frame)
 
     def ingest(self, data: bytes, accept: Callable[[Frame], None]) -> None:
         """The stream-ingress rule of every front door: hand each frame

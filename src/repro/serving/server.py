@@ -288,11 +288,20 @@ class EncryptedComputeServer:
         session.decoder.ingest(data, partial(self._accept, session))
 
     def submit_frame(self, client_id: str, frame: Frame) -> None:
-        """Submit one already-decoded frame (an in-process client, or the
-        cluster router handing over the frame it CRC-checked), held to
-        the session's frame cap all the same."""
+        """Admit one decoded frame -- the one way a cluster worker admits
+        a request, handed over as it is in-process or pickled across a
+        pipe.  Its bytes are not rebuilt, so the session's frame cap is
+        held against :func:`framing.envelope_length`, and a frame over
+        it is answered with a fatal ERROR like any other refusal."""
         session = self.sessions.get(client_id)
-        session.decoder.ingest_frame(frame, partial(self._accept, session))
+        cap = session.decoder.max_frame_bytes
+        length = framing.envelope_length(frame)
+        if length > cap:
+            self._respond_error(
+                session, frame.request_id, f"frame length {length} exceeds cap {cap}"
+            )
+            return
+        self._accept(session, frame)
 
     def _respond_error(
         self,
@@ -301,24 +310,7 @@ class EncryptedComputeServer:
         message: str,
         code: str = framing.ERR_FATAL,
     ) -> None:
-        """Queue an ERROR frame classified for the client's retry logic.
-
-        ``code`` rides the frame's ``op`` field (:data:`framing.ERR_FATAL`
-        for malformed/unservable requests, :data:`framing.ERR_RETRYABLE`
-        for transient refusals like backpressure, :data:`framing.ERR_DEADLINE`
-        for expired requests) so a resilient client can decide to resend
-        without parsing human-oriented message text.
-        """
-        session.outbox.append(
-            framing.encode_frame(
-                framing.ERROR,
-                request_id,
-                session.client_id,
-                op=code,
-                payload=message.encode("utf-8"),
-                frame_version=session.frame_version,
-            )
-        )
+        session.respond_error(request_id, message, code)
         self.report.error_responses += 1
 
     def _reject(self, session: ClientSession, request_id: int, message: str) -> None:
@@ -331,20 +323,9 @@ class EncryptedComputeServer:
         )
 
     def _accept(self, session: ClientSession, frame: Frame) -> None:
-        if frame.kind != framing.REQUEST:
-            self._respond_error(
-                session, frame.request_id, "server accepts only REQUEST frames"
-            )
-            return
-        if frame.client_id and frame.client_id != session.client_id:
-            # a mis-tagged frame must not execute under (and bill to)
-            # another client's session and keys
-            self._respond_error(
-                session,
-                frame.request_id,
-                f"frame client_id {frame.client_id!r} does not match "
-                f"this connection's session {session.client_id!r}",
-            )
+        refusal = session.misdirected(frame)
+        if refusal is not None:
+            self._respond_error(session, frame.request_id, refusal)
             return
         try:
             steps = self._chain(frame.op, frame.op_arg)

@@ -24,6 +24,13 @@ Keys uploaded in *wire format* (a cluster router shipping a tenant's
 blobs to a worker) enter through this module only: :func:`keys_from_wire`
 validates and decodes, :meth:`SessionManager.open_from_wire` caches per
 ``key_id``, so every session of a tenant holds the same objects.
+
+A session is also the one client-facing record of both front doors: a
+cluster router holds a keyless :class:`ClientSession` per client too, so
+version negotiation (:meth:`ClientSession.negotiate`), the misdirected-
+frame rule (:meth:`ClientSession.misdirected`) and ERROR frames
+(:meth:`ClientSession.respond_error`) are written once, and a refusal
+reads the same bytes whichever side answers it.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ from repro.ckks.serialization import (
     VERSION,
     deserialize_kswitch_key,
 )
-from repro.serving.framing import FRAME_VERSION, FRAME_VERSIONS, FrameDecoder
+from repro.serving import framing
+from repro.serving.framing import FRAME_VERSION, FRAME_VERSIONS, Frame, FrameDecoder
 
 
 def keys_from_wire(
@@ -70,7 +78,8 @@ class UnknownClientError(KeyError):
 
 
 class ClientSession:
-    """One client's server-side state: keys, stream decoder, outbox."""
+    """One client's front-door state: negotiated versions, stream
+    decoder, outbox -- and, at a server, its keys (a router's are None)."""
 
     def __init__(
         self,
@@ -82,6 +91,25 @@ class ClientSession:
         wire_version: int = VERSION,
         frame_version: int = FRAME_VERSION,
     ):
+        self.client_id = client_id
+        self.key_id = key_id
+        self.relin_key = relin_key
+        self.galois_keys = galois_keys
+        self.negotiate(wire_version, frame_version)
+        self.decoder = (
+            FrameDecoder(max_frame_bytes)
+            if max_frame_bytes is not None
+            else FrameDecoder()
+        )
+        #: Encoded response/error frames awaiting pickup by the client.
+        self.outbox: List[bytes] = []
+        self.requests_accepted = 0
+        self.requests_rejected = 0
+
+    def negotiate(self, wire_version: int, frame_version: int) -> None:
+        """Set the versions this client's responses go out at -- at
+        HELLO time, or again on a reconnect.  An unsupported version
+        raises ``ValueError`` and changes nothing."""
         if wire_version not in SUPPORTED_VERSIONS:
             raise ValueError(
                 f"unsupported wire version {wire_version}; "
@@ -92,28 +120,43 @@ class ClientSession:
                 f"unsupported frame protocol version {frame_version}; "
                 f"supported: {FRAME_VERSIONS}"
             )
-        self.client_id = client_id
-        self.key_id = key_id
-        self.relin_key = relin_key
-        self.galois_keys = galois_keys
-        #: Wire-format version negotiated for this client's *responses*.
-        #: Requests may arrive in any supported version (the header says
-        #: which); responses are serialized at the negotiated version.
+        #: Wire-format version of this client's *responses*; requests
+        #: may arrive in any supported version (the header says which).
         self.wire_version = wire_version
-        #: Frame *protocol* version for this client's response frames:
-        #: v2 frames carry deadlines and a CRC32 trailer, v1 frames are
-        #: bit-for-bit the legacy layout.  Negotiated at HELLO time,
-        #: independently of the ciphertext wire version above.
+        #: Frame *protocol* version of this client's response envelopes
+        #: (v2: deadlines + a CRC32 trailer; v1: the legacy layout),
+        #: independent of the ciphertext wire version above.
         self.frame_version = frame_version
-        self.decoder = (
-            FrameDecoder(max_frame_bytes)
-            if max_frame_bytes is not None
-            else FrameDecoder()
+
+    def misdirected(self, frame: Frame) -> Optional[str]:
+        """Why ``frame`` may not be served under this session, or
+        ``None`` -- the one rule of both front doors: only a REQUEST is
+        served, and a frame naming another client must not execute
+        under (and bill to) this session and its keys."""
+        if frame.kind != framing.REQUEST:
+            return "only REQUEST frames are served"
+        if frame.client_id and frame.client_id != self.client_id:
+            return (
+                f"frame client_id {frame.client_id!r} does not match "
+                f"this connection's session {self.client_id!r}"
+            )
+        return None
+
+    def respond_error(
+        self, request_id: int, message: str, code: str = framing.ERR_FATAL
+    ) -> None:
+        """Queue an ERROR frame whose class rides its ``op`` field
+        (:func:`framing.error_class`): :data:`framing.ERR_FATAL` for a
+        malformed or unservable request, :data:`framing.ERR_RETRYABLE`
+        for a transient refusal, :data:`framing.ERR_DEADLINE` for an
+        expired one -- so a resilient client decides to resend without
+        parsing the message."""
+        self.outbox.append(
+            framing.encode_frame(
+                framing.ERROR, request_id, self.client_id, op=code,
+                payload=message.encode("utf-8"), frame_version=self.frame_version,
+            )
         )
-        #: Encoded response/error frames awaiting pickup by the client.
-        self.outbox: List[bytes] = []
-        self.requests_accepted = 0
-        self.requests_rejected = 0
 
     def take_outbox(self) -> List[bytes]:
         """Drain and return the pending response frames."""
@@ -198,9 +241,8 @@ class SessionManager:
                 client_id, *keys, key_id, max_frame_bytes, wire_version,
                 frame_version,
             )
+        session.negotiate(wire_version, frame_version)
         session.relin_key, session.galois_keys = keys
-        session.wire_version = wire_version
-        session.frame_version = frame_version
         return session
 
     def all_sessions(self) -> List[ClientSession]:

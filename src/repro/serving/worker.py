@@ -10,18 +10,20 @@ between workers, so a worker can honestly run in -- and die with -- a
 separate OS process, and nothing sits between a transport and the
 server: a handle method is the server method it names.
 
-Two transports implement the same :class:`WorkerHandle` contract:
+Two transports implement the same :class:`WorkerHandle` contract, and
+on both a request is the :class:`~repro.serving.framing.Frame` the
+router decoded and CRC-checked, admitted by
+:meth:`~repro.serving.server.EncryptedComputeServer.submit_frame`:
 
 * :class:`LocalWorkerHandle` holds the server in-process and fully
-  deterministically (injectable clock, synchronous pump; a request
-  arrives as the frame the router decoded, never re-encoded), which is what
+  deterministically (injectable clock, synchronous pump), which is what
   the fault-injection and differential test layers drive -- ``kill()``
   simulates a crash by discarding the server, exactly the state loss a
   dead process implies;
 * :class:`ProcessWorkerHandle` spawns a real worker process looping over
-  its server behind a :mod:`multiprocessing` pipe (requests cross it
-  re-encoded by :func:`framing.encode_forward`) -- the deployment
-  shape, used by the scale benchmark and the process smoke tests.
+  its server behind a :mod:`multiprocessing` pipe (the frame crosses it
+  pickled, never re-encoded or re-checked) -- the deployment shape,
+  used by the scale benchmark and the process smoke tests.
 
 Key material travels to workers in *wire format* and is deserialized
 once per ``key_id`` by the server's session table
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ckks.context import CkksContext, CkksParameters
-from repro.serving import framing
 from repro.serving.clock import SYSTEM_CLOCK, Clock
 from repro.serving.framing import Frame
 from repro.serving.server import EncryptedComputeServer, ServingReport
@@ -115,9 +116,10 @@ class WorkerHandle:
         raise NotImplementedError
 
     def submit(self, client_id: str, frame: Frame) -> None:
-        """Forward one request the router decoded and CRC-checked -- as
-        it is to a worker in the router's process, re-encoded
-        (:func:`framing.encode_forward`) where bytes must cross a pipe."""
+        """Hand one request the router decoded and CRC-checked to the
+        worker's ``server.submit_frame`` -- a call in-process, a pickled
+        ``Frame`` across a pipe.  A refusal there (the worker's frame
+        cap included) is an answered request, never a raise."""
         raise NotImplementedError
 
     def pump(self, now: Optional[float] = None) -> None:
@@ -246,8 +248,8 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
                 cmd = msg[0]
                 if cmd == "register":
                     server.open_session(*msg[1:])
-                elif cmd == "frames":
-                    server.receive(msg[1], msg[2])
+                elif cmd == "frame":
+                    server.submit_frame(msg[1], msg[2])
                 elif cmd == "poll":
                     conn.send(("poll", server.collect_outboxes()))
                 elif cmd == "stop_admitting":
@@ -362,7 +364,7 @@ class ProcessWorkerHandle(WorkerHandle):
         self._send(("register", *session))
 
     def submit(self, client_id: str, frame: Frame) -> None:
-        self._send(("frames", client_id, framing.encode_forward(frame)))
+        self._send(("frame", client_id, frame))
 
     def poll_responses(self) -> Dict[str, List[bytes]]:
         """Ask the worker for completed responses (one round-trip).

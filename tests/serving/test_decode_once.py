@@ -6,8 +6,9 @@ count can show, and the words are unpacked by the flush that runs the
 request -- straight into the lane block its kernels read.  What that
 must not change, and what it must change by exact numbers:
 
-* **the worker's frame cap** outlives the hop that no longer rebuilds
-  the frame's bytes (``WorkerSpec.max_frame_bytes`` under a cluster);
+* **the worker's frame cap** holds on a frame whose bytes are never
+  rebuilt (``WorkerSpec.max_frame_bytes`` under a cluster), refusing it
+  with an answered fatal ERROR;
 * **per-member isolation at the flush**: a payload whose header, length
   and CRC are valid but whose residues are not is the one wire error
   found at flush time -- its member alone is answered with it, its
@@ -99,40 +100,55 @@ class TestWorkerFrameCapUnderACluster:
     ):
         client = SyntheticClient(tenant, "capped", seed=1, frame_version=2)
         small = client.request_bytes("double", [1.0])
-        frame = framing.decode_frame(small)
-        length = len(framing.encode_forward(frame)) - 4
-        assert framing.forward_length(frame) == length
+        length = framing.envelope_length(framing.decode_frame(small))
         for cap, fits in ((length, True), (length - 1, False)):
             cluster = one_worker_cluster(
                 serving_context, manual_clock, max_frame_bytes=cap
             )
             tenant.register_with(cluster)
             client.connect_cluster(cluster)
-            if fits:
-                cluster.receive(client.client_id, small)
-            else:
-                # the router's own cap admits it; the worker's refuses it,
-                # with the stream error a too-long forward frame raised
-                with pytest.raises(
-                    framing.StreamProtocolError,
-                    match=f"frame length {length} exceeds cap {cap}",
-                ):
-                    cluster.receive(client.client_id, small)
+            # the router's own cap admits it; the worker's refuses it
+            # with an answer, never a raise out of receive
+            cluster.receive(client.client_id, small)
             cluster.drain()
-            assert len(cluster.take_outbox(client.client_id)) == int(fits)
+            (blob,) = cluster.take_outbox(client.client_id)
+            answer = framing.decode_frame(blob)
+            if fits:
+                assert answer.kind == framing.RESPONSE
+            else:
+                assert framing.error_class(answer) == framing.ERR_FATAL
+                assert answer.error_message == f"frame length {length} exceeds cap {cap}"
+            assert cluster.inflight_count == 0 and conservation(cluster.report)
+            assert cluster.report.completed == cluster.report.submitted == 1
             cluster.stop()
 
     def test_cap_counts_the_forward_envelope(self, serving_context, manual_clock, tenant):
-        """A deadline rides a v2 envelope (12 more bytes) on the forward
-        hop: the cap is held against the length that hop would carry."""
+        """A deadline needs a v2 envelope (12 more bytes), a deadline-less
+        frame does not, whatever envelope the client sent: the cap is held
+        against the smallest envelope that carries the handed-over frame."""
         client = SyntheticClient(tenant, "dated", seed=2, frame_version=2)
         plain = framing.decode_frame(client.request_bytes("double", [1.0]))
         dated = framing.decode_frame(
             client.request_bytes("double", [1.0], deadline=1e9)
         )
-        assert framing.forward_length(dated) == framing.forward_length(plain) + 12
+        for frame, version in ((plain, framing.FRAME_VERSION), (dated, framing.FRAME_V2)):
+            encoded = framing.encode_frame(
+                frame.kind, frame.request_id, frame.client_id, op=frame.op,
+                op_arg=frame.op_arg, payload=frame.payload, deadline=frame.deadline,
+                frame_version=version,
+            )
+            assert framing.envelope_length(frame) == len(encoded) - 4
+        cap = framing.envelope_length(dated) - 1
+        assert cap == framing.envelope_length(plain) + 11
+        server = EncryptedComputeServer(serving_context, max_frame_bytes=cap)
+        client.connect(server)
         for frame in (plain, dated):
-            assert framing.forward_length(frame) == len(framing.encode_forward(frame)) - 4
+            server.submit_frame(client.client_id, frame)
+        (blob,) = server.sessions.get(client.client_id).take_outbox()
+        refused = framing.decode_frame(blob)
+        assert refused.request_id == dated.request_id
+        assert refused.error_message == f"frame length {cap + 1} exceeds cap {cap}"
+        assert server.drain() == 1
 
 
 class TestPerMemberIsolationAtTheFlush:

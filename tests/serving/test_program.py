@@ -1,6 +1,6 @@
 """Multi-op program requests: one registered op chain, one plan-executed
-flush -- plus the hoist-lane PCIe billing regression (a hoisted sweep
-uploads its shared ciphertext once, not once per rotation).
+flush -- plus the rotation-sweep PCIe billing regression (a hoisted
+sweep uploads its shared ciphertext once, not once per rotation).
 """
 
 import numpy as np
@@ -176,8 +176,8 @@ class TestProgramRequests:
 
 
 class TestHoistFlushBilling:
-    """The satellite-2 regression: a hoist lane rotates ONE ciphertext
-    by many steps, so the flush bills one upload and one key-switch
+    """The billing regression: a sweep rotates ONE ciphertext by many
+    steps, so the flush bills one upload and one key-switch
     decomposition -- not one per rotation."""
 
     STEPS = [1, 2, 3]

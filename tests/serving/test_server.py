@@ -592,8 +592,8 @@ class TestHoistedRotationServing:
 
     def test_missing_key_step_fails_alone_in_hoist_flush(self, serving_context):
         """A keyless step must not take its servable lane-mates down --
-        the per-step failure isolation of step-keyed lanes survives the
-        migration into a hoist lane."""
+        a rotate lane spans steps, and a member whose step has no Galois
+        key is answered alone before the sweep runs."""
         tenant, client = self._tenant_with_steps(serving_context, [1])
         server = EncryptedComputeServer(serving_context)
         client.connect(server)

@@ -8,6 +8,12 @@ server produces when driven by hand: byte-identical response frames and
 the same :class:`ServingReport` flush stream (timings aside), the
 process side having crossed the pickle boundary.  ``stats()`` is a
 snapshot on both: the router may keep or mutate it freely.
+
+Hostile frames get the same answer on every transport: a frame over the
+worker's cap, a non-REQUEST kind, a mis-tagged ``client_id`` and a
+dead-on-arrival deadline are each one ERROR frame, byte-identical
+whether a bare server, a router over an in-process worker or a router
+over a worker process answers it -- and the worker keeps serving.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ from repro.serving import (
     EncryptedComputeServer,
     LocalWorkerHandle,
     ProcessWorkerHandle,
+    ServingCluster,
     ServingReport,
+    SyntheticClient,
+    SyntheticTenant,
     WorkerSpec,
     framing,
     multi_tenant_traffic,
@@ -113,3 +122,96 @@ def test_a_handle_serves_what_its_server_serves(transport, serving_context, work
         assert len(again.latencies) == len(trace) and again.error_responses == 0
     finally:
         handle.stop()
+
+
+@pytest.fixture(scope="module")
+def hostile(serving_context):
+    """One client's hostile script, as the bytes its connection carries,
+    and the worker frame cap it is played against."""
+    tenant = SyntheticTenant(serving_context, seed=2611, key_id="tenant-h")
+    client = SyntheticClient(tenant, "hostile", seed=5, wire_version=2, frame_version=2)
+
+    def reframed(blob: bytes, client_id: str, pad: bytes = b"") -> bytes:
+        frame = framing.decode_frame(blob)
+        return framing.encode_frame(
+            frame.kind, frame.request_id, client_id, op=frame.op,
+            op_arg=frame.op_arg, payload=frame.payload + pad, frame_version=2,
+        )
+
+    over_cap = reframed(client.request_bytes("double", [0.25]), "hostile", bytes(64))
+    not_a_request = framing.encode_frame(framing.RESPONSE, 900, "hostile", frame_version=2)
+    misdirected = reframed(client.request_bytes("double", [0.125]), "intruder")
+    dead_on_arrival = client.request_bytes("double", [1.0], deadline=1.0)
+    good = client.request_bytes("double", [0.5])
+    # every frame fits but the padded one, whose 64 bytes put it past the
+    # worker's cap and nowhere near the router's
+    cap = len(good) - 4
+    script = [over_cap, not_a_request, misdirected, dead_on_arrival, good]
+    return tenant, client, cap, script
+
+
+def _by_request(answers, script):
+    """One answer per frame of the script, keyed by request id."""
+    assert len(answers) == len(script)
+    return {framing.peek_frame_ids(b)[1]: b for b in answers}
+
+
+def _serve_hostile(target, context, tenant, client, cap, script):
+    """``{request_id: answer bytes}`` of one target, its router report
+    (``None`` for a bare server) and whether its worker is still alive."""
+    if target is EncryptedComputeServer:
+        server = EncryptedComputeServer(context, max_frame_bytes=cap, **SPEC_KNOBS)
+        client.connect(server)
+        for blob in script:
+            server.submit_frame(client.client_id, framing.decode_frame(blob))
+        server.drain()
+        return _by_request(server.collect_outboxes()[client.client_id], script), None, True
+    spec = WorkerSpec(params=context.params, max_frame_bytes=cap, **SPEC_KNOBS)
+    cluster = ServingCluster(lambda wid: target(wid, spec), worker_count=1)
+    try:
+        tenant.register_with(cluster, wire_version=2)
+        client.connect_cluster(cluster)
+        for blob in script:
+            cluster.receive(client.client_id, blob)
+        cluster.pump()
+        cluster.drain()
+        assert cluster.inflight_count == 0
+        answers = _by_request(cluster.take_outbox(client.client_id), script)
+        return answers, cluster.report, cluster.workers["w0"].alive
+    finally:
+        cluster.stop()
+
+
+@pytest.mark.parametrize(
+    "target", [EncryptedComputeServer, LocalWorkerHandle, ProcessWorkerHandle]
+)
+def test_hostile_frames_get_the_same_answer_on_every_transport(
+    target, serving_context, hostile
+):
+    tenant, client, cap, script = hostile
+    expected, _, _ = _serve_hostile(EncryptedComputeServer, serving_context, *hostile)
+    answers, report, alive = _serve_hostile(target, serving_context, *hostile)
+    assert answers == expected
+    assert alive
+    over_cap, not_a_request, misdirected, dead, good = (
+        framing.decode_frame(answers[framing.peek_frame_ids(b)[1]]) for b in script
+    )
+    length = len(script[0]) - 4 - 12  # a deadline-less frame's v1 envelope
+    assert length > cap
+    for refusal, text in (
+        (over_cap, f"frame length {length} exceeds cap {cap}"),
+        (not_a_request, "only REQUEST frames are served"),
+        (misdirected, "frame client_id 'intruder' does not match"),
+    ):
+        assert framing.error_class(refusal) == framing.ERR_FATAL
+        assert refusal.error_message.startswith(text)
+    assert framing.error_class(dead) == framing.ERR_DEADLINE
+    assert good.kind == framing.RESPONSE
+    _, values = tenant.decrypt_response(answers[good.request_id])
+    assert abs(values[0] - 1.0) < 1e-2
+    if report is not None:
+        assert (report.submitted, report.completed, report.expired_requests) == (3, 2, 1)
+        assert (
+            report.completed + report.shed_requests
+            + report.failed_over_requests + report.expired_requests
+        ) == report.submitted

@@ -11,9 +11,9 @@ Four fixture families are frozen here:
   decoded slot vector stored verbatim.
 * ``serving_trace.json`` -- SHA-256 of every outbox frame of one seeded
   pass through :class:`repro.serving.server.EncryptedComputeServer`:
-  all seven ops at flush widths 1, 3 and 8, a six-member hoist lane
-  (one duplicate step, one step without a Galois key), a hoist lane
-  that filtering shrinks to a single rotation, and a lane with one
+  all seven ops at flush widths 1, 3 and 8, a six-member rotation sweep
+  (one duplicate step, one step without a Galois key), a sweep that
+  filtering shrinks to a single rotation, and a lane with one
   deadline-expired member.  It pins the served *bytes* across commits,
   so a change to how a flush executes cannot silently change responses.
 
