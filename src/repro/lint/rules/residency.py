@@ -23,7 +23,8 @@ matrix is a view of a recycled slab
 ``np.empty`` / ``np.zeros`` / ``np.empty_like`` there -- each puts a
 flush back on the allocator, fresh pages faulted in and trimmed away
 under every request; scratch kept for the thread's life opts out per
-line, as above.
+line, as above.  So are ``np.concatenate`` / ``np.stack`` without
+``out=`` (a lane's staged codec bodies are a join).
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ RESIDENT_RESULT_MODULES = (
     "repro.ckks.serialization",
 )
 
-#: numpy constructors that ask the allocator for a fresh matrix.
-ALLOCATING_CALLS = ("empty", "zeros", "empty_like")
+#: numpy calls that ask the allocator for a fresh matrix (the two joins
+#: only when not handed ``out=``).
+ALLOCATING_CALLS = ("empty", "zeros", "empty_like", "concatenate", "stack")
 
 
 class _ResidencyVisitor(SymbolTrackingVisitor):
@@ -78,6 +80,7 @@ class _ResidencyVisitor(SymbolTrackingVisitor):
             and func.attr in ALLOCATING_CALLS
             and isinstance(func.value, ast.Name)
             and func.value.id in ("np", "numpy")
+            and not any(kw.arg == "out" for kw in node.keywords)
         ):
             self.findings.append(
                 self.rule.finding(
@@ -86,8 +89,8 @@ class _ResidencyVisitor(SymbolTrackingVisitor):
                     self.symbol,
                     f"np.{func.attr}() allocates a fresh matrix where results "
                     "are resident; take it from repro.ckks.backend.resident.new "
-                    "(PR 23), or whitelist kept scratch with "
-                    "'# lint: disable=R1 -- <why>'",
+                    "(PR 23; a join writes into it through out=), or whitelist "
+                    "kept scratch with '# lint: disable=R1 -- <why>'",
                 )
             )
         self.generic_visit(node)

@@ -26,8 +26,8 @@ one key-switch decomposition, same-shape nodes pack into one stacked
 batch call, and a singleton runs through its scalar lane.
 
 Every flush is also recorded as a *measured* :class:`ScheduledOp` --
-input/output PCIe bytes from :func:`ciphertext_wire_bytes`, compute
-seconds from the real execution -- so served traffic drops into the
+input/output PCIe bytes as the payload bytes that crossed the wire,
+compute seconds from the real execution -- so served traffic drops into the
 same discrete-event host-pipeline simulation
 (:meth:`repro.system.scheduler.HostScheduler.run_executed`) that a
 :class:`repro.plan.PlanRun` feeds: simulate the system, execute the
@@ -49,10 +49,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ckks.context import CkksContext
 from repro.ckks.serialization import (
+    HEADER_BYTES,
     VERSION,
     admit_ciphertext,
-    ciphertext_wire_bytes,
-    serialize_ciphertext,
+    pack_ciphertexts,
     unpack_ciphertexts,
 )
 from repro.plan import PlanExecutor, PlanGraph, check_plan
@@ -472,16 +472,6 @@ class EncryptedComputeServer:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _wire_bytes(self, ct, version: int) -> int:
-        """A ciphertext's wire bytes at a session's negotiated version."""
-        return ciphertext_wire_bytes(
-            ct.n,
-            ct.size,
-            ct.level_count,
-            version=version,
-            moduli=self.context.basis_at_level(ct.level_count).moduli,
-        )
-
     def _flush_plan(self, requests, source):
         """The flush as ``(graph, inputs)``; request ``i``'s result is
         output ``r{i}``.
@@ -527,20 +517,21 @@ class EncryptedComputeServer:
 
     def _unpack(self, requests: List[PendingRequest]):
         """Unpack the flush's distinct payloads, once, straight into the
-        lane block its kernels run on; returns the servable members and
-        their :meth:`_sources`.  Corrupt residues -- the one wire check
+        lane block its kernels run on; returns the servable members, their
+        :meth:`_sources` and the payload bytes of their distinct inputs
+        (each crosses PCIe once).  Corrupt residues -- the one wire check
         that needs the words -- answer that payload's members with the
         fatal error admission would have given, and the rest of the
         flush runs as if they had never been in it."""
         source = self._sources(requests)
         distinct = sorted(set(source))
-        decoded, errors = unpack_ciphertexts(
-            [requests[i].ciphertext for i in distinct], self.context
-        )
+        wires = [requests[i].ciphertext for i in distinct]
+        decoded, errors = unpack_ciphertexts(wires, self.context)
         for k, ct in decoded.items():
             requests[distinct[k]].ciphertext = ct
+        in_bytes = sum(len(wires[k].data) - HEADER_BYTES for k in decoded)
         if not errors:
-            return requests, source
+            return requests, source, in_bytes
         failed = {distinct[k]: exc for k, exc in errors.items()}
         alive = []
         for request, i in zip(requests, source):
@@ -550,7 +541,7 @@ class EncryptedComputeServer:
                 )
             else:
                 alive.append(request)
-        return alive, self._sources(alive)
+        return alive, self._sources(alive), in_bytes
 
     def _execute(self, group: BatchGroup) -> int:
         """Run one flush, answer every member exactly once (response or
@@ -594,7 +585,7 @@ class EncryptedComputeServer:
             requests = servable
         if not requests:
             return answered
-        requests, source = self._unpack(requests)
+        requests, source, in_bytes = self._unpack(requests)
         if not requests:
             return answered
         self.executor.relin_key = relin_key
@@ -612,42 +603,33 @@ class EncryptedComputeServer:
                     request.session, request.request_id, f"op failed: {exc}"
                 )
             return answered
-        results = [run.outputs[f"r{i}"] for i in range(len(requests))]
         seconds = time.perf_counter() - t0
         now = self.clock()
-        for request, result in zip(requests, results):
-            request.session.outbox.append(
-                framing.encode_frame(
-                    framing.RESPONSE,
-                    request.request_id,
-                    request.session.client_id,
-                    # a lane spans steps, so the response echoes each
-                    # request's own op/op_arg rather than the lane's
-                    op=request.op,
-                    op_arg=request.op_arg,
-                    # responses go out at the versions this client
-                    # negotiated at HELLO time (v1 for legacy clients):
-                    # ciphertext wire version for the payload, frame
-                    # protocol version for the envelope
-                    payload=serialize_ciphertext(
-                        result, version=request.session.wire_version
-                    ),
-                    frame_version=request.session.frame_version,
+        out_bytes = 0
+        # responses go out at the wire version each client negotiated at
+        # HELLO time (v1 for legacy clients): one codec pass per version,
+        # each payload framed as it is made
+        for version in {r.session.wire_version for r in requests}:
+            members = [i for i, r in enumerate(requests) if r.session.wire_version == version]
+            outputs = [run.outputs[f"r{i}"] for i in members]
+            for i, payload in zip(members, pack_ciphertexts(outputs, version)):
+                request = requests[i]
+                request.session.outbox.append(
+                    framing.encode_frame(
+                        framing.RESPONSE,
+                        request.request_id,
+                        request.session.client_id,
+                        # a lane spans steps, so the response echoes each
+                        # request's own op/op_arg rather than the lane's
+                        op=request.op,
+                        op_arg=request.op_arg,
+                        payload=payload,
+                        frame_version=request.session.frame_version,
+                    )
                 )
-            )
-            self.report.latencies.append(now - request.enqueued_at)
-        # bill PCIe bytes at each request's negotiated wire version, so
-        # the modeled transfer equals what actually crossed the wire --
-        # and each distinct input once: a ciphertext N members rotate
-        # crosses PCIe once, like its key-switch decomposition runs once
-        in_bytes = sum(
-            self._wire_bytes(requests[i].ciphertext, requests[i].session.wire_version)
-            for i in set(source)
-        )
-        out_bytes = sum(
-            self._wire_bytes(c, r.session.wire_version)
-            for r, c in zip(requests, results)
-        )
+                self.report.latencies.append(now - request.enqueued_at)
+                # billing reads the bytes that crossed the wire, each way
+                out_bytes += len(payload) - HEADER_BYTES
         self.report.flushes.append(
             FlushRecord(
                 # the label the executor earned, not a lane's name: a

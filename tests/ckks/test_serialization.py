@@ -9,8 +9,15 @@ zeros (``int.from_bytes(b"", "little") == 0``)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.ckks.backend import available_backends, use_backend
 from repro.ckks.batch import CiphertextBatch
+from repro.ckks.context import CkksContext, toy_parameters
+from repro.ckks.encoder import CkksEncoder
+from repro.ckks.encryptor import Encryptor
+from repro.ckks.evaluator import Evaluator
+from repro.ckks.keys import KeyGenerator
 from repro.ckks.serialization import (
     HEADER_BYTES,
     WORD_BYTES,
@@ -20,6 +27,7 @@ from repro.ckks.serialization import (
     deserialize_kswitch_key,
     deserialize_plaintext,
     kswitch_key_wire_bytes,
+    pack_ciphertexts,
     polynomial_wire_bytes,
     serialize_ciphertext,
     serialize_kswitch_key,
@@ -128,6 +136,64 @@ class TestLaneDecode:
         ]
         with pytest.raises(ValueError, match="ragged lane"):
             unpack_ciphertexts(wires, toy_context)
+        with pytest.raises(ValueError, match="ragged lane"):
+            pack_ciphertexts([a, evaluator.multiply(a, a)])
+
+
+_LANE_STACKS = {}
+
+
+def _lane_stack(name):
+    """One keyed toy context per backend, built once (Hypothesis draws
+    inside one test invocation)."""
+    if name not in _LANE_STACKS:
+        with use_backend(name):
+            ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=30, scale=2.0**28))
+            keygen = KeyGenerator(ctx, seed=2701)
+            _LANE_STACKS[name] = (
+                ctx, CkksEncoder(ctx), Encryptor(ctx, keygen.public_key(), seed=2702),
+                Evaluator(ctx),
+            )
+    return _LANE_STACKS[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lane_encoder_is_one_serialize_per_member(data):
+    """Payload ``b`` of ``pack_ciphertexts(cts, v)`` is
+    ``serialize_ciphertext(cts[b], v)`` byte for byte, and the payloads
+    come back through the lane decoder:
+    widths 1-8, sizes 2-3, every level, both versions, a lane's
+    ``split()`` members and independent ciphertexts, both backends."""
+    name = data.draw(st.sampled_from(["reference", "numpy"]))
+    if name not in available_backends():
+        return
+    ctx, encoder, encryptor, evaluator = _lane_stack(name)
+    width = data.draw(st.integers(min_value=1, max_value=8))
+    size = data.draw(st.integers(min_value=2, max_value=3))
+    level = data.draw(st.integers(min_value=1, max_value=ctx.k))
+    version = data.draw(st.sampled_from([1, 2]))
+    split = data.draw(st.booleans())
+    values = data.draw(st.lists(st.floats(-1, 1), min_size=width, max_size=width))
+    with use_backend(name):
+        cts = []
+        for value in values:
+            ct = encryptor.encrypt(encoder.encode([value]))
+            if size == 3:
+                ct = evaluator.multiply(ct, ct)
+            while ct.level_count > level:
+                ct = evaluator.rescale(ct)
+            cts.append(ct)
+        if split:
+            cts = CiphertextBatch.join(cts).split()
+        blobs = list(pack_ciphertexts(cts, version))
+        assert blobs == [serialize_ciphertext(ct, version) for ct in cts]
+        wires = [admit_ciphertext(blob, ctx) for blob in blobs]
+        elements, errors = unpack_ciphertexts(wires, ctx)
+        assert not errors and len(elements) == width
+        for b, ct in enumerate(cts):
+            assert elements[b].polys == ct.polys
+            assert elements[b].scale == ct.scale and elements[b].size == size
 
 
 class TestPlaintextRoundTrip:

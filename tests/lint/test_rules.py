@@ -111,6 +111,18 @@ def test_r1_silent_on_recycled_results_and_suppressed_scratch():
     assert [f.rule for f in result.suppressed] == ["R1"]
 
 
+def test_r1_flags_joins_without_out_where_results_are_resident():
+    """A staged lane is a join: ``np.concatenate`` / ``np.stack`` allocate
+    unless handed ``out=`` a recycled slab."""
+    result = lint_fixture("r1_staging_violation.py", ResidencyRule())
+    assert sorted(f.message.split("(")[0] for f in result.findings) == [
+        "np.concatenate", "np.stack",
+    ]
+    assert {f.symbol for f in result.findings} == {"stage", "restack"}
+    clean = lint_fixture("r1_staging_clean.py", ResidencyRule())
+    assert clean.ok and not clean.suppressed, [str(f) for f in clean.findings]
+
+
 def test_r6_flags_evaluator_imports_in_serving_modules():
     """The plan is the only door: the Evaluator may not be imported
     under repro.serving / repro.system, however spelled (the lane

@@ -13,9 +13,9 @@ must not change, and what it must change by exact numbers:
   and CRC are valid but whose residues are not is the one wire error
   found at flush time -- its member alone is answered with it, its
   lane-mates as if they had been served alone;
-* **no copy between wire and kernel**: counted under
-  :class:`repro.ckks.backend.CountingBackend` and a spy over the handle
-  primitives.
+* **no copy between wire and kernel, one codec call per flush each
+  way**: counted under :class:`repro.ckks.backend.CountingBackend` and a
+  spy over the handle and wire primitives.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.ckks.backend import CountingBackend
+from repro.ckks.backend import CountingBackend, get_backend
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.serialization import HEADER_BYTES
 from repro.serving import framing
+from repro.serving import server as server_module
 from repro.serving.cluster import ServingCluster
 from repro.serving.server import EncryptedComputeServer
 from repro.serving.traffic import SyntheticClient, SyntheticTenant
@@ -204,10 +205,11 @@ class TestPerMemberIsolationAtTheFlush:
         assert abs(values[0].real - 2.0) < 1e-2
 
     def test_each_member_decodes_by_its_own_wire_version(
-        self, serving_context, manual_clock, tenant
+        self, serving_context, manual_clock, tenant, monkeypatch
     ):
         """One lane, wire v1 and v2 members interleaved: the version is
-        the payload's, member by member, never the lane's."""
+        the payload's, member by member, never the lane's; the responses
+        are packed once per wire version present."""
         versions = {f"mix-{i}": 1 + i % 2 for i in range(6)}
         clients = [
             SyntheticClient(tenant, cid, seed=70 + i, wire_version=v, frame_version=2)
@@ -215,8 +217,17 @@ class TestPerMemberIsolationAtTheFlush:
         ]
         stream = [(c.client_id, c.request_bytes("negate", [i + 1.0]))
                   for i, c in enumerate(clients)]
+        packs = []
+        pack = server_module.pack_ciphertexts
+
+        def counting_pack(cts, version):
+            packs.append((version, len(cts)))
+            return pack(cts, version)
+
+        monkeypatch.setattr(server_module, "pack_ciphertexts", counting_pack)
         answers, report = serve(serving_context, manual_clock, tenant, stream, versions)
         assert report.completed == 6
+        assert sorted(packs) == [(1, 3), (2, 3)]
         for i, client in enumerate(clients):
             (blob,) = answers[client.client_id]
             assert framing.decode_frame(blob).payload[4] == client.wire_version
@@ -290,6 +301,15 @@ class TestNoCopyBetweenWireAndKernel:
         blobs = [(c.client_id, c.request_bytes("double", [1.0 + i]))
                  for i, c in enumerate(fleet)]
         spy = _HandleSpy(be, monkeypatch)
+        # responses are packed by the global backend (a ciphertext carries
+        # no context): count its pack calls and the rows each carries
+        packs = []
+        wire = get_backend()
+        pack = wire.pack_rows_bits
+        monkeypatch.setattr(
+            wire, "pack_rows_bits",
+            lambda rows, bounds: packs.append(len(rows)) or pack(rows, bounds),
+        )
         be.reset()
         for client_id, blob in blobs:
             server.receive(client_id, blob)
@@ -298,12 +318,17 @@ class TestNoCopyBetweenWireAndKernel:
         assert spy.calls["select_rows"] == spy.calls["copy_rows"] == 0
         assert spy.calls["native_stack"] == 0
         assert be.conversion_rows == 0
-        # each member unpacked once, into its strided rows of one block
+        # one unpack call for the whole lane, each row decoded straight
+        # into its row of one block: member b is rows b::8
+        assert len(spy.destinations) == 1
         assert spy.unpacked_rows == 8 * 2 * self.L
-        start, row = spy.destinations[0].ctypes.data, ctx.n * 8
-        for b, dest in enumerate(spy.destinations):  # member b is rows b::8
-            assert dest.shape == (2 * self.L, ctx.n) and dest.strides == (8 * row, 8)
-            assert dest.ctypes.data == start + b * row
+        (dest,) = spy.destinations
+        start, row = dest[0].ctypes.data, ctx.n * 8
+        for k, member_row in enumerate(dest):
+            b, r = divmod(k, 2 * self.L)
+            assert member_row.ctypes.data == start + (r * 8 + b) * row
+        # ... and one pack call for the whole lane's responses
+        assert packs == [8 * 2 * self.L]
         # ... and that block is what the adder was handed, both sides: the
         # two components are its contiguous halves
         assert len(spy.add_operands) == 2 * 2  # two components, (a, b) each

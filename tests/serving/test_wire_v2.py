@@ -10,7 +10,7 @@ The serving layer's v2 contract, end to end:
   and the stored blobs -- including failover re-uploads to restarted
   workers -- stay in that format;
 * per-session response versions coexist on one worker, and the flush
-  accounting bills each request at its session's actual wire bytes.
+  accounting bills the payload bytes that crossed the wire, each way.
 """
 
 from __future__ import annotations
@@ -144,6 +144,32 @@ class TestClusterV2Sessions:
         )
         assert flush.scheduled.input_bytes == expected
         assert flush.scheduled.output_bytes == expected
+
+    def test_flush_bills_the_payload_bytes_that_crossed(
+        self, make_cluster, v2_tenant
+    ):
+        """Admission takes a payload at its own wire version, so a v2
+        session may send a v1 payload: the flush bills the v1 bytes that
+        came in and the v2 bytes that went out, not the session's
+        version both ways."""
+        cluster = make_cluster(worker_count=1)
+        v2_tenant.register_with(cluster, wire_version=2)
+        legacy = SyntheticClient(v2_tenant, "cm", seed=6, wire_version=1)
+        cluster.register_client("cm", v2_tenant.key_id, wire_version=2)
+        frame = legacy.request_bytes("double", [1.0])
+        request = framing.decode_frame(frame)
+        assert request.payload[4] == 1
+        cluster.receive("cm", frame)
+        cluster.drain()
+        (blob,) = cluster.take_outbox("cm")
+        assert _payload_version(blob) == 2
+        _, vals = v2_tenant.decrypt_response(blob)
+        assert abs(vals[0].real - 2.0) < 1e-2
+        (flush,) = cluster.worker_stats()[cluster.client_worker("cm")].flushes
+        response = framing.decode_frame(blob)
+        assert flush.scheduled.input_bytes == len(request.payload) - HEADER_BYTES
+        assert flush.scheduled.output_bytes == len(response.payload) - HEADER_BYTES
+        assert flush.scheduled.input_bytes > flush.scheduled.output_bytes
 
     def test_unsupported_version_rejected_at_registration(
         self, make_cluster, v2_tenant
