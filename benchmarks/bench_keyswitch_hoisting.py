@@ -3,9 +3,9 @@
 Key switching dominates CKKS runtime -- it is why HEAX's largest module
 is KeySwitch (Figure 5 / Algorithm 7) -- and composite workloads pay it
 once per rotation of the *same* ciphertext (``matvec_diagonal``:
-``dim - 1`` rotations).  The fast path splits Algorithm 7 into
-``decompose`` (the per-digit INTT + stacked NTT fan-out) and
-``apply_keyswitch`` (dyadic MACs + Modulus Switch), keeps the Galois
+``dim - 1`` rotations).  The fast path splits Algorithm 7 into the
+decomposition (the per-digit INTT + stacked NTT fan-out) and the key
+switch proper (dyadic MACs + Modulus Switch), keeps the Galois
 automorphism in the NTT domain (a sign-free gather permutation), and
 hoists one decomposition across every rotation step.
 
@@ -96,7 +96,7 @@ def _measure():
         lin_hoisted = LinearEvaluator(ctx)
         matrix = _matrix(DIM)
 
-        # warm caches (twiddles, stacked key columns) out of the timings
+        # warm caches (twiddles, stacked key operands) out of the timings
         ev.rotate_hoisted(ct, STEPS[:1], galois)
         rotate_unhoisted(ev, ct, STEPS[0], galois)
 

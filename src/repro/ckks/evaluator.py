@@ -4,8 +4,7 @@
 * ``multiply``                           -- Algorithm 5 (dyadic, size α+β-1)
 * ``multiply_plain`` / ``add_plain``     -- ciphertext-plaintext variants
 * ``rescale``                            -- Algorithm 6 (RNS flooring)
-* ``decompose`` / ``apply_keyswitch``    -- Algorithm 7, split in two phases
-* ``keyswitch_polynomial``               -- the two phases fused
+* ``keyswitch_polynomial``               -- Algorithm 7 on one polynomial
 * ``relinearize``                        -- CKKS.Relin (keyswitch of c2)
 * ``rotate`` / ``conjugate``             -- Galois automorphism + KeySwitch
 * ``rotate_hoisted``                     -- decompose once, rotate many
@@ -30,25 +29,22 @@ All ciphertext polynomials are kept in RNS + NTT form throughout, exactly
 as in SEAL/HEAX; the only INTT/NTT conversions happen inside KeySwitch and
 rescaling, mirroring the hardware dataflow of Figure 5.
 
-Key switching is a two-phase pipeline.  :meth:`Evaluator.decompose` is
-the expensive half -- the per-digit INTT plus the NTT fan-out to every
-other prime (Figure 5's INTT0/NTT0 layers), executed as *stacked* NTT
-calls per target modulus over all (digit, element) rows -- and yields a
-reusable :class:`KeySwitchDigits`.  :meth:`Evaluator.apply_keyswitch` is
-the cheap half: dyadic MACs against a (cached, stacked) key plus the
-final Modulus Switch, whose two accumulators share one stacked transform
-per modulus.  Rotations exploit the
-split twice over: the Galois automorphism of an NTT-form polynomial is a
-sign-free slot permutation, and because the automorphism commutes with
-RNS decomposition, one decomposition serves *every* rotation of the same
-lane (*hoisting*).  And they run it the way HEAX's KeySwitch does
-(Figure 5): the decomposed input stays where it is and the keys stream
-past it.  ``Σ_i σ(D_i)⊙K_i = σ(Σ_i D_i⊙σ⁻¹(K_i))`` slot for slot, so the
-keys are permuted once, when their stacked operand is built
-(:meth:`repro.ckks.keys.GaloisKeySet.stacked`), and a sweep of ``R``
-rotations is one key MAC and one gather of the ``2R`` accumulators per
-modulus -- never a permuted digit, never the fan-out again.  A single
-``rotate`` is the one-step sweep.
+Key switching is HEAX's one KeySwitch pipeline (Figure 5), in two
+phases.  :meth:`Evaluator._decompose` is the expensive half -- the
+per-digit INTT plus the NTT fan-out to every other prime (the
+INTT0/NTT0 layers) as *stacked* NTT calls per target modulus over all
+(digit, element) rows.  :meth:`Evaluator._keyswitch` is the cheap half:
+the key MAC of :meth:`Evaluator._rotation_macs`, the only code that
+multiplies by key material, then the Modulus Switch.  The decomposed
+input stays and the keys stream past it: an NTT-domain Galois
+automorphism is a sign-free slot permutation and ``Σ_i σ(D_i)⊙K_i =
+σ(Σ_i D_i⊙σ⁻¹(K_i))`` slot for slot, so the keys are permuted once, when
+their operand is built (:meth:`repro.ckks.keys.GaloisKeySet.stacked`),
+and a sweep of ``R`` rotations is one decomposition (*hoisting*), one
+key MAC and one gather of the ``2R`` accumulators per modulus.  A
+``rotate`` is the one-step sweep, and a relinearization the one-key
+sweep under the identity (:meth:`repro.ckks.keys.KswitchKey.stacked`,
+no gather).
 
 The per-coefficient inner loops all dispatch to the context's polynomial
 backend, so the same evaluator code runs against the pure-Python
@@ -81,18 +77,17 @@ def rows_for(poly: RnsPolynomial, moduli) -> List:
 
 
 class KeySwitchDigits:
-    """The reusable product of :meth:`Evaluator.decompose`.
+    """The product of :meth:`Evaluator._decompose`.
 
     ``stacks[j]`` holds, for extended-basis modulus ``j``, the ``L``
     gadget digits of all ``count`` lane elements in NTT form as one
     backend-native digit-major ``(L·count, n)`` row-stack (row
-    ``i·count + b`` is digit ``i`` of element ``b``) -- for a single
-    polynomial exactly the ``(L, n)`` operand a stacked key column MACs
-    against.  The object is immutable by convention, and under rotation
-    it is *stationary*: an automorphism is applied to the keys (once,
-    when :meth:`GaloisKeySet.stacked` builds their operand) and to the
-    accumulators, never to the digits, so one decomposition backs any
-    number of ``apply_keyswitch`` calls and every rotation of a sweep.
+    ``i·count + b`` is digit ``i`` of element ``b``).  The object is
+    immutable by convention, and under rotation it is *stationary*: an
+    automorphism is applied to the keys (once, when
+    :meth:`GaloisKeySet.stacked` builds their operand) and to the
+    accumulators, never to the digits, so one decomposition backs every
+    key of a sweep.
     """
 
     __slots__ = ("n", "data_moduli", "ext_moduli", "stacks", "count")
@@ -426,53 +421,64 @@ class Evaluator:
             stacks.append(be.native_stack(fanned))
         return KeySwitchDigits(lane.n, lane.moduli, ext_moduli, stacks, count)
 
-    def decompose(self, target: RnsPolynomial) -> KeySwitchDigits:
-        """Phase 1 of Algorithm 7: the RNS gadget decomposition.
+    def _rotation_macs(
+        self, digits: KeySwitchDigits, j: int, keys, rows: int, tables=None
+    ):
+        """The DyadMult half of phase 2 under extended modulus ``j`` for
+        all ``R`` keys of one operand: the digits never move, the keys
+        stream (Figure 5).  The only evaluator code that multiplies by
+        key material.
 
-        The result is key-independent: :meth:`apply_keyswitch` can
-        consume it against any key over the same basis, which is what
-        makes hoisted rotations (and cheap relinearize-vs-rotate reuse)
-        possible.  One polynomial is a one-component lane of one.
-        """
-        rows = target.native_rows(self.context.backend)
-        return self._decompose(
-            CiphertextBatch(target.n, 1, target.moduli, [rows], 1.0, target.is_ntt), 0
-        )
-
-    def _keyswitch_macs(self, digits: KeySwitchDigits, ksk: KswitchKey) -> List[List]:
-        """The DyadMult half of phase 2 -> ``[c][j]``, accumulator ``c``'s
-        unfloored ``N``-row block under extended-basis modulus ``j``.
-
-        One fused ``dyadic_stack_reduce`` per (key column, modulus)
-        against the pre-stacked, backend-native key columns
-        (:meth:`KswitchKey.stacked_columns`) -- each key row is shared
-        by its digit's ``N``-row block.
+        ``keys`` is the operand's ``(L·2R, n)`` stack under that modulus
+        (``rows = 2R`` a digit), ``tables`` the ``(2R, n)`` gathers that
+        line up with its rows, or ``None`` for one key as it is (no
+        gather).  One ``dyadic_stack_reduce`` with the key rows as the
+        blocks and the ``L`` digit rows as the shared operand (both
+        columns and all keys share one float cast of each digit), then
+        one gather.  Returns the ``2R·N`` rows, row ``(c·R + d)·N + b``
+        column ``c`` of key ``d`` for lane element ``b``.  A lane loops
+        over its narrower side: the elements while ``N <= 2R``, else the
+        key rows with the ``N`` digit rows as the blocks -- a function of
+        ``(2R, N)`` alone, the same products either way.
         """
         be = self.context.backend
-        ext_moduli = digits.ext_moduli
-        return [
-            [
-                be.dyadic_stack_reduce(m, digits.stacks[j], column[j])
-                for j, m in enumerate(ext_moduli)
+        m, stack, count = digits.ext_moduli[j], digits.stacks[j], digits.count
+
+        def gather(block, table):
+            return block if table is None else be.permute_ntt_stack(block, table)
+
+        if count > rows:
+            each = [None] * rows if tables is None else tables
+            per = [
+                gather(be.dyadic_stack_reduce(m, stack, keys[r::rows]), each[r])
+                for r in range(rows)
             ]
-            for column in ksk.stacked_columns(ext_moduli, be)
+            return [row for block in per for row in block]
+        per = [
+            gather(be.dyadic_stack_reduce(m, keys, stack[b::count]), tables)
+            for b in range(count)
         ]
+        return per[0] if count == 1 else [g[r] for r in range(rows) for g in per]
 
-    def _apply_keyswitch(self, digits: KeySwitchDigits, ksk: KswitchKey) -> Tuple:
-        """Phase 2 of Algorithm 7 -> the ``(f0, f1)`` lane matrices: the
-        MACs, then the Floor by the special prime (line 19) of both."""
-        macs = self._keyswitch_macs(digits, ksk)
-        return tuple(self._floor_divide(macs, digits.ext_moduli))
-
-    def apply_keyswitch(
-        self, digits: KeySwitchDigits, ksk: KswitchKey
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Phase 2 of Algorithm 7: dyadic MACs + Modulus Switch."""
-        f0, f1 = self._apply_keyswitch(digits, ksk)
-        return (
-            RnsPolynomial(digits.n, digits.data_moduli, f0, is_ntt=True),
-            RnsPolynomial(digits.n, digits.data_moduli, f1, is_ntt=True),
-        )
+    def _keyswitch(self, digits: KeySwitchDigits, columns, tables=None):
+        """Phase 2 of Algorithm 7 -> per key of the operand ``columns``
+        (``tables`` as in :meth:`_rotation_macs`), in order, the ``(f0,
+        f1)`` lane matrices: the key MAC per extended modulus, then per
+        key the Floor by the special prime (line 19) of both its
+        accumulators, each run when it is asked for (a generator)."""
+        rows, count = len(columns[0]) // len(digits.data_moduli), digits.count
+        macs = [
+            self._rotation_macs(digits, j, keys, rows, tables)
+            for j, keys in enumerate(columns)
+        ]
+        for d in range(rows // 2):
+            yield self._floor_divide(
+                [
+                    [g[at * count : (at + 1) * count] for g in macs]
+                    for at in (d, rows // 2 + d)
+                ],
+                digits.ext_moduli,
+            )
 
     def keyswitch_polynomial(
         self, target: RnsPolynomial, ksk: KswitchKey
@@ -481,15 +487,21 @@ class Evaluator:
 
         Returns the pair ``(f0, f1)`` over the target's basis such that a
         ciphertext decryptable via ``target * s_old`` becomes decryptable
-        under ``s`` after adding ``(f0, f1)``.
-
-        The structure mirrors the hardware dataflow (Figure 5) in its
-        two-phase form: :meth:`decompose` (INTT0 + the NTT0 fan-out
-        layer) then :meth:`apply_keyswitch` (DyadMult accumulation and
-        Modulus Switch).  Bit-identical to the textbook single-loop
-        formulation kept as the oracle in ``tests/ckks/differential.py``.
+        under ``s`` after adding ``(f0, f1)``; the polynomial is switched
+        as a one-component lane of one.  Bit-identical to the textbook
+        single-loop formulation kept as the oracle in
+        ``tests/ckks/differential.py``.
         """
-        return self.apply_keyswitch(self.decompose(target), ksk)
+        be = self.context.backend
+        lane = CiphertextBatch(
+            target.n, 1, target.moduli, [target.native_rows(be)], 1.0, target.is_ntt
+        )
+        digits = self._decompose(lane, 0)
+        ((f0, f1),) = self._keyswitch(digits, ksk.stacked(digits.ext_moduli, be))
+        return (
+            RnsPolynomial(target.n, target.moduli, f0, is_ntt=True),
+            RnsPolynomial(target.n, target.moduli, f1, is_ntt=True),
+        )
 
     def relinearize(self, ct: Operand, relin_key: RelinKey) -> Operand:
         """CKKS.Relin: reduce a size-3 ciphertext back to size 2."""
@@ -499,7 +511,8 @@ class Evaluator:
                 f"relinearize expects size-3 ciphertext, got {lane.size}"
             )
         be = self.context.backend
-        f0, f1 = self._apply_keyswitch(self._decompose(lane, 2), relin_key)
+        digits = self._decompose(lane, 2)
+        ((f0, f1),) = self._keyswitch(digits, relin_key.stacked(digits.ext_moduli, be))
         rm = lane.row_moduli
         comps = [
             be.add_rows(rm, lane.comps[0], f0),
@@ -516,44 +529,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # rotation / conjugation: always the hoisted dataflow
     # ------------------------------------------------------------------
-    def _rotation_macs(self, digits: KeySwitchDigits, j: int, keys, tables):
-        """The DyadMult half of phase 2 for all ``R`` rotations of a sweep
-        under extended modulus ``j``: the digits never move, the keys
-        stream (Figure 5).
-
-        ``keys`` is the sweep's ``(L·2R, n)`` operand under that modulus
-        (:meth:`GaloisKeySet.stacked`, every row already under its
-        rotation's ``σ⁻¹``), ``tables`` the ``(2R, n)`` gathers that line
-        up with its ``2R`` rows.  One ``dyadic_stack_reduce`` with the
-        key rows as the blocks and the ``L`` digit rows as the shared
-        operand (both columns and all rotations share one float cast of
-        each digit), then one gather that puts every accumulator under
-        its own rotation.  Returns the ``2R·N`` rows, row ``(c·R + d)·N
-        + b`` column ``c`` of rotation ``d`` for lane element ``b`` --
-        for a lane of one the gather itself.  A lane loops over its
-        narrower side: the elements while ``N <= 2R``, else the key rows
-        with the ``N`` digit rows as the blocks -- a function of ``(2R,
-        N)`` alone, the same products either way.
-        """
-        be = self.context.backend
-        m, stack = digits.ext_moduli[j], digits.stacks[j]
-        rows, count = len(tables), digits.count
-        if count > rows:
-            per = [
-                be.permute_ntt_stack(
-                    be.dyadic_stack_reduce(m, stack, keys[r::rows]), tables[r]
-                )
-                for r in range(rows)
-            ]
-            return [row for block in per for row in block]
-        per = [
-            be.permute_ntt_stack(
-                be.dyadic_stack_reduce(m, keys, stack[b::count]), tables
-            )
-            for b in range(count)
-        ]
-        return per[0] if count == 1 else [g[r] for r in range(rows) for g in per]
-
     def apply_galois(
         self, ct: Operand, galois_elt: int, key: GaloisKey
     ) -> Operand:
@@ -579,35 +554,26 @@ class Evaluator:
         are the *centered* digits of ``σ_g(c1)``: a valid, slightly
         smaller-noise decomposition) and is a sign-free slot permutation
         in the NTT domain, so ``Σ_i σ(D_i)⊙K_i = σ(Σ_i D_i⊙σ⁻¹(K_i))``.
-        The fan-out (:meth:`decompose`) therefore runs **once**, its
+        The fan-out (:meth:`_decompose`) therefore runs **once**, its
         digits are never permuted, and all elements share one key MAC
-        and one gather per modulus (:meth:`_rotation_macs`); each then
-        pays its own Modulus Switch and the gather of ``c0``.  This is
-        the only rotation path -- one rotation is the one-element sweep
-        -- so hoisting is bit-identical to rotating one at a time.
+        and one gather per modulus (:meth:`_keyswitch`); each then pays
+        its own Modulus Switch and the gather of ``c0``.  This is the
+        only rotation path -- one rotation is the one-element sweep --
+        so hoisting is bit-identical to rotating one at a time.
         """
         be = self.context.backend
         lane = self._lane(ct)
         if lane.size != 2:
             raise ValueError("relinearize before applying Galois automorphisms")
-        elts, count = list(galois_elts), lane.count
+        elts = list(galois_elts)
         if not elts:
             return []
         digits = self._decompose(lane, 1)
         tables, columns = galois_keys.stacked(elts, digits.ext_moduli, self.context)
-        macs = [
-            self._rotation_macs(digits, j, keys, tables[: 2 * len(elts)])
-            for j, keys in enumerate(columns)
-        ]
         outs = []
-        for d in range(len(elts)):
-            f0, f1 = self._floor_divide(
-                [
-                    [g[at * count : (at + 1) * count] for g in macs]
-                    for at in (d, len(elts) + d)
-                ],
-                digits.ext_moduli,
-            )
+        for d, (f0, f1) in enumerate(
+            self._keyswitch(digits, columns, tables[: 2 * len(elts)])
+        ):
             c0 = be.permute_ntt_stack(lane.comps[0], tables[d])
             outs.append(
                 self._emit(ct, lane, [be.add_rows(lane.row_moduli, c0, f0), f1])
@@ -723,7 +689,9 @@ class Evaluator:
             for j, m in enumerate(ext_moduli):
                 # modulus by modulus: a gather is weighed and dropped
                 # before the next is built (one sweep-tall buffer live)
-                macs = self._rotation_macs(digits, j, columns[j], tables[: 2 * rotations])
+                macs = self._rotation_macs(
+                    digits, j, columns[j], 2 * rotations, tables[: 2 * rotations]
+                )
                 for c in (0, 1):
                     sums[c].append(
                         be.dyadic_stack_reduce(

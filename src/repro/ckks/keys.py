@@ -61,8 +61,8 @@ class KswitchKey:
     """Key-switching key: one ``(d0_i, d1_i)`` pair per gadget digit.
 
     Every pair lives over the full key basis (all data primes plus the
-    special prime) in NTT form; Algorithm 7 restricts rows to the current
-    level on the fly.
+    special prime) in NTT form; a level uses a prefix of the digits and
+    its own rows of each (:meth:`level_views`).
 
     ``seed`` (when set) is the key's 32-byte expansion seed: digit
     ``i``'s uniform column ``d1_i`` equals
@@ -85,12 +85,10 @@ class KswitchKey:
             )
         self.digits = digits
         self.seed = seed
-        #: per backend representation the two columns stacked once over
-        #: the key's full basis; keys are immutable after generation so
+        #: per backend representation the key stacked once over its full
+        #: basis (:meth:`stacked`); keys are immutable after generation so
         #: entries never need invalidation.
-        self._stacked_full: Dict[object, Tuple[list, list]] = {}
-        #: per (backend, level basis) the prefix views of it handed out
-        self._stacked_cache: Dict[Tuple, Tuple[list, list]] = {}
+        self._stacked: Dict[object, list] = {}
 
     @property
     def digit_count(self) -> int:
@@ -99,11 +97,12 @@ class KswitchKey:
     def digit(self, i: int) -> Tuple[RnsPolynomial, RnsPolynomial]:
         return self.digits[i]
 
-    def level_views(self, ext_moduli, stacks, rows_per_digit: int = 1) -> list:
+    def level_views(self, ext_moduli, stacks, rows_per_digit: int) -> list:
         """Per modulus of a level's extended basis (its data primes plus
         the special prime) the rows that level uses of ``stacks``, one
-        digit-major stack per key modulus: a lower level drops the *last*
-        digits, so they are the contiguous prefix views."""
+        digit-major stack of ``rows_per_digit`` rows a digit per key
+        modulus: a lower level drops the *last* digits, so they are the
+        contiguous prefix views."""
         level = len(ext_moduli) - 1
         if not 1 <= level <= self.digit_count:
             raise ValueError(
@@ -112,38 +111,23 @@ class KswitchKey:
         index = {m.value: j for j, m in enumerate(self.digits[0][0].moduli)}
         return [stacks[index[m.value]][: level * rows_per_digit] for m in ext_moduli]
 
-    def stacked_columns(self, ext_moduli, backend) -> Tuple[list, list]:
-        """Both key columns as per-modulus digit stacks, backend-native.
-
-        Returns ``(col0, col1)`` where ``col_c[j]`` stacks digit rows
-        ``d_c_0[j] .. d_c_{L-1}[j]`` under modulus ``j`` of ``ext_moduli``
-        as one ``(L, n)`` row-stack -- the layout the key-switching fast
-        path MACs against in a single ``dyadic_stack_reduce`` per target
-        modulus.  The key is stacked **once** per backend representation,
-        over its full basis (the numpy backend's uint64 lift of the whole
-        key happens once, not per operation or per level); every level
-        is served :meth:`level_views` of that one copy.
-        """
-        # the token names the backend's *native representation*, so
-        # e.g. two NumpyBackend instances share entries while a
-        # wrapper around a different inner backend does not
-        token = getattr(backend, "cache_token", id(backend))
-        cache_key = (token, tuple(m.value for m in ext_moduli))
-        if cache_key not in self._stacked_cache:
-            if token not in self._stacked_full:
-                # native row views: stacking is addressing, not boxing
-                self._stacked_full[token] = tuple(
-                    [
-                        backend.native_stack([pair[c].row(j) for pair in self.digits])
-                        for j in range(len(self.digits[0][0].moduli))
-                    ]
-                    for c in (0, 1)
+    def stacked(self, ext_moduli, backend) -> list:
+        """The key as it is, as a key-switch operand: per modulus of
+        ``ext_moduli`` one backend-native ``(L·2, n)`` stack, row ``i·2 +
+        c`` digit ``i`` of column ``c`` -- :meth:`GaloisKeySet.stacked`'s
+        ``R = 1`` layout under the identity.  Stacked once per backend
+        representation over the key's full basis; every level is served
+        :meth:`level_views` of that copy."""
+        token = backend.cache_token
+        if token not in self._stacked:
+            # native row views: stacking is addressing, not boxing
+            self._stacked[token] = [
+                backend.native_stack(
+                    [pair[c].row(j) for pair in self.digits for c in (0, 1)]
                 )
-            self._stacked_cache[cache_key] = tuple(
-                self.level_views(ext_moduli, column)
-                for column in self._stacked_full[token]
-            )
-        return self._stacked_cache[cache_key]
+                for j in range(len(self.digits[0][0].moduli))
+            ]
+        return self.level_views(ext_moduli, self._stacked[token], 2)
 
 
 class RelinKey(KswitchKey):

@@ -203,8 +203,8 @@ class KeySwitchModuleSim:
         the ``num_rotations`` rotations then occupies only the DyadMult
         layer (NTT-domain permutations are wiring/addressing, not compute
         modules) and the Modulus-Switch tail (INTT1/NTT1/MS).  Mirrors
-        the software split ``Evaluator.decompose`` /
-        ``Evaluator.apply_keyswitch``.
+        the software split ``Evaluator._decompose`` /
+        ``Evaluator._keyswitch``.
 
         Returns per-rotation amortized cycles next to the naive
         (rotate-``num_rotations``-times) cost, so benches and the

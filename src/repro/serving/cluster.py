@@ -441,7 +441,10 @@ class ServingCluster:
         worker_id = self._placement[client_id]
         if not self.workers[worker_id].alive:
             # the process died since we last routed here: fail over now
-            self.kill_worker(worker_id)
+            try:
+                self.kill_worker(worker_id)
+            except NoWorkersError:
+                pass  # it was the last worker: this request is answered below
             worker_id = self._placement[client_id]
             worker = self.workers.get(worker_id)
             if worker is None or not worker.alive:

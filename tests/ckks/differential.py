@@ -162,10 +162,33 @@ def rotate_unhoisted(ev, ct, step, galois_keys):
 # ---------------------------------------------------------------------------
 # The digit-permuting rotation dataflow (``src/`` until PR 19): per rotation,
 # gather-permute every decomposed digit row and MAC it against that
-# rotation's own *unpermuted* stacked key.  ``Σ_i σ(D_i)⊙K_i`` computed as
-# written -- the oracle of the data-stationary form the evaluator runs now
-# (keys under ``σ⁻¹`` once, digits never moved), residue for residue.
+# rotation's own *unpermuted* key.  ``Σ_i σ(D_i)⊙K_i`` computed as written
+# -- the oracle of the data-stationary form the evaluator runs now (keys
+# under ``σ⁻¹`` once, digits never moved), residue for residue.  Its key
+# MAC reads the key polynomials' own rows, never a stacked key operand.
 # ---------------------------------------------------------------------------
+def _key_macs(ev, digits, key):
+    """The DyadMult half of phase 2 against ``key``'s polynomials ->
+    ``[c][j]``, accumulator ``c``'s ``N``-row block under extended
+    modulus ``j``: one ``dyadic_stack_reduce`` per (column, modulus),
+    each key row (``rows_for``) shared by its digit's ``N``-row block."""
+    be = ev.context.backend
+    ext = digits.ext_moduli
+    columns = [
+        [rows_for(key.digit(i)[c], ext) for i in range(len(digits.data_moduli))]
+        for c in (0, 1)
+    ]
+    return [
+        [
+            be.dyadic_stack_reduce(
+                m, digits.stacks[j], be.native_stack([rows[j] for rows in column])
+            )
+            for j, m in enumerate(ext)
+        ]
+        for column in columns
+    ]
+
+
 def permuted_digits(ev, digits, table):
     """``digits`` under an NTT-domain automorphism, in fresh stacks."""
     be = ev.context.backend
@@ -190,7 +213,9 @@ def apply_galois_digit_permuting(ev, ct, galois_elts, galois_keys):
     for elt in galois_elts:
         table = ctx.galois_table_ntt(elt)
         key = galois_keys.key_for_element(elt)
-        f0, f1 = ev._apply_keyswitch(permuted_digits(ev, digits, table), key)
+        f0, f1 = ev._floor_divide(
+            _key_macs(ev, permuted_digits(ev, digits, table), key), digits.ext_moduli
+        )
         c0 = be.permute_ntt_stack(lane.comps[0], table)
         outs.append(ev._emit(ct, lane, [be.add_rows(lane.row_moduli, c0, f0), f1]))
     return outs
@@ -238,7 +263,7 @@ def linear_sweep_digit_permuting(ev, ct, terms, galois_keys):
             continue
         table = ctx.galois_table_ntt(elt)
         key = galois_keys.key_for_element(elt)
-        accumulators.append(ev._keyswitch_macs(permuted_digits(ev, digits, table), key))
+        accumulators.append(_key_macs(ev, permuted_digits(ev, digits, table), key))
         c0s.append(be.permute_ntt_stack(lane.comps[0], table))
     comps = [in_q(c0s, range(len(terms)))]
     if unrotated:

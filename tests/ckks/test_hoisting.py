@@ -4,8 +4,9 @@ Covers the contracts the fast path rests on:
 
 * the NTT-domain Galois automorphism is bit-identical to the
   coefficient-domain round trip, on both backends;
-* ``decompose`` + ``apply_keyswitch`` is bit-identical to the
-  historical single-loop key switch;
+* ``keyswitch_polynomial`` (the decomposition, then the one-key sweep
+  under the identity) is bit-identical to the historical single-loop
+  key switch, and one decomposition can be switched again;
 * ``rotate_hoisted`` is bit-identical to the scalar ``rotate`` path
   (which is its one-element sweep) on both backends, across
   edge cases: step 0, conjugation, the last level, repeated steps;
@@ -114,7 +115,7 @@ class TestNttDomainGalois:
 
 class TestTwoPhaseKeySwitch:
     def test_matches_unhoisted_loop(self, stack, ct):
-        """decompose + apply == the historical (i, j) double loop, bitwise."""
+        """keyswitch_polynomial == the historical (i, j) double loop, bitwise."""
         ev = stack["evaluator"]
         with use_backend(stack["backend"]):
             relin = stack["keygen"].relin_key()
@@ -124,31 +125,45 @@ class TestTwoPhaseKeySwitch:
         assert fast[0] == slow[0] and fast[1] == slow[1]
 
     def test_digits_are_reusable(self, stack, ct):
-        """One decomposition applied twice gives identical results."""
+        """One decomposition switched twice gives identical results."""
         ev = stack["evaluator"]
         with use_backend(stack["backend"]):
+            be = stack["ctx"].backend
             relin = stack["keygen"].relin_key()
-            prod = ev.multiply(ct, ct)
-            digits = ev.decompose(prod.polys[2])
-            a = ev.apply_keyswitch(digits, relin)
-            b = ev.apply_keyswitch(digits, relin)
-        assert a[0] == b[0] and a[1] == b[1]
+            digits = ev._decompose(ev._lane(ev.multiply(ct, ct)), 2)
+            key = relin.stacked(digits.ext_moduli, be)
+
+            def switched():
+                ((f0, f1),) = ev._keyswitch(digits, key)
+                return be.to_rows(f0), be.to_rows(f1)
+
+            a, b = switched(), switched()
+        assert a == b
 
     def test_decompose_rejects_coefficient_form(self, stack, ct):
         with use_backend(stack["backend"]):
             coeff = stack["ctx"].from_ntt(ct.polys[1])
             with pytest.raises(ValueError, match="NTT-form"):
-                stack["evaluator"].decompose(coeff)
+                stack["evaluator"].keyswitch_polynomial(
+                    coeff, stack["keygen"].relin_key()
+                )
 
     def test_stacked_key_columns_are_cached(self, stack):
+        """The key is stacked once per backend representation; a second
+        request reads the same rows."""
         with use_backend(stack["backend"]):
             ctx = stack["ctx"]
             relin = stack["keygen"].relin_key()
             be = ctx.backend
             ext = list(ctx.key_basis.moduli)
-            first = relin.stacked_columns(ext, be)
-            again = relin.stacked_columns(ext, be)
-        assert first is again
+            first = relin.stacked(ext, be)
+            again = relin.stacked(ext, be)
+        assert len(relin._stacked) == 1
+        for a, b in zip(first, again):
+            if hasattr(a, "dtype"):
+                assert np.shares_memory(a, b) and a.shape == b.shape
+            else:
+                assert all(x is y for x, y in zip(a, b)) and len(a) == len(b)
 
     def test_stacked_key_columns_reject_bad_level(self, stack):
         with use_backend(stack["backend"]):
@@ -156,7 +171,7 @@ class TestTwoPhaseKeySwitch:
             relin = stack["keygen"].relin_key()
             too_deep = list(ctx.key_basis.moduli) + [ctx.special_modulus]
             with pytest.raises(ValueError, match="digits"):
-                relin.stacked_columns(too_deep, ctx.backend)
+                relin.stacked(too_deep, ctx.backend)
 
 
 class TestHoistedRotation:

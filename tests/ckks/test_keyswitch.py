@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.ckks.backend import CountingBackend, available_backends, use_backend
+from repro.ckks.batch import CiphertextBatch
+from repro.ckks.context import CkksContext, toy_parameters
+from repro.ckks.encoder import CkksEncoder
+from repro.ckks.encryptor import Encryptor
+from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.sampling import Sampler
+
+from differential import keyswitch_polynomial_unhoisted
 
 VALS_A = np.array([1.0, -2.0, 0.5, 3.0])
 VALS_B = np.array([0.25, 4.0, -1.5, 2.0])
@@ -186,27 +195,31 @@ class TestOneStackedCopyPerKey:
     def test_relin_levels_share_the_top_level_stack(self, toy_context, relin_key):
         be = toy_context.backend
         top, *lower = self._levels(toy_context)
-        full = relin_key.stacked_columns(top, be)
-        cached = lambda: [
-            stack
-            for cache in (relin_key._stacked_full, relin_key._stacked_cache)
-            for columns in cache.values()
-            for column in columns
-            for stack in column
-        ]
+        full = relin_key.stacked(top, be)
+        cached = lambda: [s for stacks in relin_key._stacked.values() for s in stacks]
         words = _owned_words(cached())
         assert words == 2 * toy_context.k * (toy_context.k + 1) * toy_context.n
         for ext in lower:
-            cols = relin_key.stacked_columns(ext, be)
-            assert cols is relin_key.stacked_columns(ext, be)
-            for c in (0, 1):
-                assert len(cols[c]) == len(ext)
-                for j, stack in enumerate(cols[c]):
-                    # data prime j is key modulus j; the special prime is last
-                    whole = full[c][j if j < len(ext) - 1 else -1]
-                    assert len(stack) == len(ext) - 1
-                    assert _is_prefix_of(stack, whole)
+            stacks = relin_key.stacked(ext, be)
+            assert len(stacks) == len(ext)
+            for j, stack in enumerate(stacks):
+                # data prime j is key modulus j; the special prime is last
+                whole = full[j if j < len(ext) - 1 else -1]
+                assert len(stack) == (len(ext) - 1) * 2
+                assert _is_prefix_of(stack, whole)
+        assert len(relin_key._stacked) == 1
         assert _owned_words(cached()) == words
+
+    def test_relin_operand_rows_are_the_key_as_it_is(self, toy_context, relin_key):
+        """Row ``i·2 + c`` = digit ``i``, column ``c``: the ``R = 1``
+        layout of a sweep's operand, under the identity."""
+        be = toy_context.backend
+        ext = self._levels(toy_context)[0]
+        for j, stack in enumerate(relin_key.stacked(ext, be)):
+            rows = be.to_rows(stack)
+            for i in range(toy_context.k):
+                for c in (0, 1):
+                    assert rows[i * 2 + c] == relin_key.digit(i)[c].residues[j]
 
     def test_galois_levels_share_the_top_level_operand(self, toy_context, galois_keys):
         ctx = toy_context
@@ -268,3 +281,112 @@ class TestOneStackedCopyPerKey:
         assert len(keys._stacked) == len(elts)  # the two oldest singles went
         assert (ctx.backend.cache_token, (elts[0],)) not in keys._stacked
         assert (ctx.backend.cache_token, tuple(elts)) in keys._stacked
+
+
+# ---------------------------------------------------------------------------
+# One key switch: a relinearization is the one-key sweep under the identity
+# ---------------------------------------------------------------------------
+BACKENDS = [name for name in ("reference", "numpy") if name in available_backends()]
+LANE_K = 3
+LANE_STEPS = [1, 2, 3, 5, 7]
+_KEYED = {}
+
+
+def _keyed(name):
+    """One keyed toy context per backend, shared by every drawn example."""
+    if name not in _KEYED:
+        with use_backend(name):
+            ctx = CkksContext(toy_parameters(n=64, k=LANE_K, prime_bits=30))
+            keygen = KeyGenerator(ctx, seed=2828)
+            _KEYED[name] = {
+                "ctx": ctx,
+                "encoder": CkksEncoder(ctx),
+                "encryptor": Encryptor(ctx, keygen.public_key(), seed=2829),
+                "evaluator": Evaluator(ctx),
+                "relin": keygen.relin_key(),
+                "galois": keygen.galois_keys(LANE_STEPS),
+            }
+    return _KEYED[name]
+
+
+def _rows(ct):
+    return [p.residues for p in ct.polys]
+
+
+def _split(out):
+    return out.split() if isinstance(out, CiphertextBatch) else [out]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_lane_element_switches_as_it_would_alone(data):
+    """Lane widths 1-9 cross ``_rotation_macs``' ``N`` vs ``2R`` branch
+    for relinearize (``R = 1`` under the identity) and for sweeps of
+    ``R`` in {2, 3}, at every level: each element is bit-identical to
+    the textbook key switch / to ``rotate`` run on it alone."""
+    name = data.draw(st.sampled_from(BACKENDS))
+    keyed = _keyed(name)
+    ctx, ev = keyed["ctx"], keyed["evaluator"]
+    level = data.draw(st.integers(min_value=1, max_value=LANE_K))
+    width = data.draw(st.integers(min_value=1, max_value=9))
+    rotations = data.draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 16)))
+    with use_backend(name):
+        cts = [
+            keyed["encryptor"].encrypt(
+                keyed["encoder"].encode(list(rng.uniform(-1, 1, 32)), level_count=level)
+            )
+            for _ in range(width)
+        ]
+        lane = cts[0] if width == 1 else CiphertextBatch.join(cts)
+        if rotations == 1:
+            got = ev.relinearize(ev.multiply(lane, lane), keyed["relin"])
+            for b, ct in enumerate(_split(got)):
+                prod = ev.multiply(cts[b], cts[b])
+                fs = keyswitch_polynomial_unhoisted(ev, prod.polys[2], keyed["relin"])
+                assert _rows(ct) == [
+                    prod.polys[c].add(fs[c], backend=ctx.backend).residues
+                    for c in (0, 1)
+                ]
+            return
+        steps = data.draw(
+            st.lists(
+                st.sampled_from(LANE_STEPS),
+                min_size=rotations,
+                max_size=rotations,
+                unique=True,
+            )
+        )
+        swept = ev.rotate_hoisted(lane, steps, keyed["galois"])
+        for step, out in zip(steps, swept):
+            for b, ct in enumerate(_split(out)):
+                assert _rows(ct) == _rows(ev.rotate(cts[b], step, keyed["galois"]))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize(
+    "width, dyadic_mul, dyadic_mac, ntt_forward, ntt_inverse",
+    # the rows of the two-column MAC and Modulus Switch relinearize ran
+    # before it became the one-key sweep: 2(L+1)N, 2(L+1)(L-1)N,
+    # (L² + 2L)N and (L + 2)N at L = 3
+    [(1, 8, 16, 15, 5), (2, 16, 32, 30, 10), (8, 64, 128, 120, 40)],
+)
+def test_relinearize_rows_are_the_two_column_ones(
+    name, width, dyadic_mul, dyadic_mac, ntt_forward, ntt_inverse
+):
+    """The identity sweep gathers nothing and multiplies the rows the
+    two-column MAC did, whichever side of the MAC is the block."""
+    be = CountingBackend(name)
+    ctx = CkksContext(toy_parameters(n=64, k=LANE_K, prime_bits=30), backend=be)
+    keygen = KeyGenerator(ctx, seed=31)
+    encryptor, encoder = Encryptor(ctx, keygen.public_key(), seed=32), CkksEncoder(ctx)
+    ev, relin = Evaluator(ctx), keygen.relin_key()
+    cts = [encryptor.encrypt(encoder.encode([0.5] * 32)) for _ in range(width)]
+    lane = cts[0] if width == 1 else CiphertextBatch.join(cts)
+    prod = ev.multiply(lane, lane)
+    be.reset()
+    ev.relinearize(prod, relin)
+    counted = ("dyadic_mul", "dyadic_mac", "ntt_forward", "ntt_inverse", "ntt_permute")
+    assert [be.counts[k] for k in counted] == [
+        dyadic_mul, dyadic_mac, ntt_forward, ntt_inverse, 0
+    ]

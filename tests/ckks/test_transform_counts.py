@@ -16,7 +16,7 @@ Cost model (ring at level ``L``, all counts in *rows*):
 * ``decompose``: ``L`` INTTs (one per digit) + ``L²`` forward NTTs
   (each of the ``L`` digits fans out to the ``L`` extended-basis primes
   it is not already resident in) -- total ``L·(L+1)`` transforms.
-* ``apply_keyswitch``: the Modulus Switch on both output polynomials,
+* the key switch proper: the Modulus Switch on both output polynomials,
   ``2`` INTTs + ``2L`` forward NTTs -- the only transforms a hoisted
   rotation pays per step, and a ``linear_sweep`` per *sweep*.
 * ``rotate_unhoisted``: coefficient-domain automorphism round trip

@@ -172,6 +172,40 @@ class TestKillMidFlight:
         with pytest.raises(NoWorkersError):
             cluster.kill_worker("w0")
 
+    def test_a_dead_last_worker_found_at_routing_answers_retryable(
+        self, serving_context, make_cluster
+    ):
+        """Routing to a last worker that died unnoticed answers every
+        request with one retryable ERROR, counted failed over; nothing
+        raises out of ``receive``, and after a restart the retry is served."""
+        cluster = make_cluster(worker_count=1)
+        tenants, clients, trace = connect_traffic(
+            serving_context, cluster, tenants=1, clients_per=1, requests=2
+        )
+        cluster.workers["w0"].kill()
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        report = cluster.report
+        assert (report.submitted, report.completed, report.failed_over_requests) == (
+            2, 0, 2,
+        )
+        assert cluster.inflight_count == 0
+        (client,) = clients
+        refusals = take_all(cluster, clients)[client.client_id]
+        assert len(refusals) == 2
+        assert all(framing.is_retryable_error(f) for f in refusals)
+
+        cluster.restart_worker("w0")
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        cluster.drain()
+        served = take_all(cluster, clients)[client.client_id]
+        assert [f.kind for f in served] == [framing.RESPONSE] * 2
+        assert report.submitted == (
+            report.completed + report.shed_requests
+            + report.failed_over_requests + report.expired_requests
+        )
+
 
 class TestRestart:
     def test_restart_rejoins_ring_and_restores_placement(
