@@ -30,21 +30,22 @@ as in SEAL/HEAX; the only INTT/NTT conversions happen inside KeySwitch and
 rescaling, mirroring the hardware dataflow of Figure 5.
 
 Key switching is HEAX's one KeySwitch pipeline (Figure 5), in two
-phases.  :meth:`Evaluator._decompose` is the expensive half -- the
-per-digit INTT plus the NTT fan-out to every other prime (the
-INTT0/NTT0 layers) as *stacked* NTT calls per target modulus over all
-(digit, element) rows.  :meth:`Evaluator._keyswitch` is the cheap half:
-the key MAC of :meth:`Evaluator._rotation_macs`, the only code that
-multiplies by key material, then the Modulus Switch.  The decomposed
-input stays and the keys stream past it: an NTT-domain Galois
-automorphism is a sign-free slot permutation and ``Σ_i σ(D_i)⊙K_i =
-σ(Σ_i D_i⊙σ⁻¹(K_i))`` slot for slot, so the keys are permuted once, when
-their operand is built (:meth:`repro.ckks.keys.GaloisKeySet.stacked`),
-and a sweep of ``R`` rotations is one decomposition (*hoisting*), one
-key MAC and one gather of the ``2R`` accumulators per modulus.  A
-``rotate`` is the one-step sweep, and a relinearization the one-key
-sweep under the identity (:meth:`repro.ckks.keys.KswitchKey.stacked`,
-no gather).
+phases of a fixed number of stacked calls per modulus, whatever the
+number of keys.  :meth:`Evaluator._decompose` is the INTT0/NTT0 layers:
+the per-digit INTT plus the NTT fan-out to every other prime, one
+stacked NTT per target modulus over all (digit, element) rows.
+:meth:`Evaluator._keyswitch` is the DyadMult layer and the INTT1/NTT1/MS
+tail: the key MAC of :meth:`Evaluator._rotation_macs`, the only code
+that multiplies by key material, then **one** Modulus Switch of every
+key's accumulators.  The decomposed input stays and the keys stream
+past it: an NTT-domain Galois automorphism is a sign-free slot
+permutation and ``Σ_i σ(D_i)⊙K_i = σ(Σ_i D_i⊙σ⁻¹(K_i))`` slot for slot,
+so the keys are permuted once, when their operand is built
+(:meth:`repro.ckks.keys.GaloisKeySet.stacked`), and a sweep of ``R``
+rotations is one decomposition (*hoisting*), one key MAC, one gather
+of the ``2R`` accumulators per modulus and one floor.  A ``rotate`` is
+the one-step sweep, and a relinearization the one-key sweep under the
+identity (:meth:`repro.ckks.keys.KswitchKey.stacked`, no gather).
 
 The per-coefficient inner loops all dispatch to the context's polynomial
 backend, so the same evaluator code runs against the pure-Python
@@ -274,6 +275,8 @@ class Evaluator:
         """
         a, b = self._lane(ct0), self._lane(ct1)
         self._check_pair(a, b)
+        if not a.is_ntt:
+            raise ValueError("ring products operate on NTT-form polynomials")
         be = self.context.backend
         rm = a.row_moduli
         out: List = [None] * (a.size + b.size - 1)
@@ -291,6 +294,8 @@ class Evaluator:
         lane = self._lane(ct)
         if lane.size != 2:
             return self.multiply(ct, ct)
+        if not lane.is_ntt:
+            raise ValueError("ring products operate on NTT-form polynomials")
         be = self.context.backend
         rm = lane.row_moduli
         a0, a1 = lane.comps
@@ -306,6 +311,8 @@ class Evaluator:
         """Ciphertext-plaintext product (the MULT module's C-P mode)."""
         lane = self._lane(ct)
         self._check_pair(lane, pt.poly)
+        if not lane.is_ntt:
+            raise ValueError("ring products operate on NTT-form polynomials")
         be = self.context.backend
         rm = lane.row_moduli
         spread = self._spread(pt, lane)
@@ -321,21 +328,20 @@ class Evaluator:
         return [comp[i * count : (i + 1) * count] for i in range(level)]
 
     def _floor_divide(self, parts: Sequence[Sequence], moduli: Sequence[Modulus]) -> List:
-        """Algorithm-6 flooring of ``K`` same-basis accumulators.
+        """Algorithm-6 flooring of same-basis accumulators.
 
-        ``parts[k][i]`` is accumulator ``k``'s ``N``-row block under
-        modulus ``i`` -- the components of a rescaled lane, or the two
-        key-switch accumulators.  ``a = INTT(c_last)``; for every
-        remaining prime ``p_i``:
+        ``parts[k][i]`` is part ``k``'s rows under modulus ``i`` -- a
+        component of a rescaled lane, a sum of a linear sweep, or all
+        ``2R·N`` accumulators a key switch's MAC left there.  ``a =
+        INTT(c_last)``; for every remaining prime ``p_i``:
         ``c'_i = [p_last^{-1} (c_i - NTT([a]_{p_i}))]``.  All of them
-        flow through the identical Modulus-Switch dataflow, so all
-        ``K·N`` rows share **one** stacked kernel per modulus and every
-        intermediate stays backend-resident.  Returns each accumulator's
-        floored modulus-major matrix.
+        flow through the identical Modulus-Switch dataflow, so every row
+        shares **one** stacked kernel per modulus and every intermediate
+        stays backend-resident.  Returns the floored stack per data
+        modulus, rows in part order (:meth:`_cut` splits them).
         """
         ctx = self.context
         be = ctx.backend
-        count = len(parts[0][0])
         last_mod = moduli[-1]
 
         def stacked(i):
@@ -351,11 +357,18 @@ class Evaluator:
             floored.append(
                 be.scalar_mul_stack(m, diff, ctx.rescale_inverse(last_mod, m))
             )
+        return floored
+
+    def _cut(self, stacks: Sequence, count: int) -> List:
+        """Per-modulus stacks of ``count``-row blocks -> for each block
+        index ``k``, in order, block ``k`` of every modulus as one
+        modulus-major matrix (the one copy a floored row makes)."""
+        be = self.context.backend
         return [
             be.from_rows(
-                [row for s in floored for row in s[k * count : (k + 1) * count]]
+                [row for s in stacks for row in s[k * count : (k + 1) * count]]
             )
-            for k in range(len(parts))
+            for k in range(len(stacks[0]) // count)
         ]
 
     def rescale(self, ct: Operand) -> Operand:
@@ -377,7 +390,7 @@ class Evaluator:
         return self._emit(
             ct,
             lane,
-            self._floor_divide(parts, lane.moduli),
+            self._cut(self._floor_divide(parts, lane.moduli), lane.count),
             scale=lane.scale / lane.moduli[-1].value,
             moduli=lane.moduli[:-1],
         )
@@ -460,25 +473,20 @@ class Evaluator:
         ]
         return per[0] if count == 1 else [g[r] for r in range(rows) for g in per]
 
-    def _keyswitch(self, digits: KeySwitchDigits, columns, tables=None):
+    def _keyswitch(self, digits: KeySwitchDigits, columns, tables=None) -> List:
         """Phase 2 of Algorithm 7 -> per key of the operand ``columns``
         (``tables`` as in :meth:`_rotation_macs`), in order, the ``(f0,
-        f1)`` lane matrices: the key MAC per extended modulus, then per
-        key the Floor by the special prime (line 19) of both its
-        accumulators, each run when it is asked for (a generator)."""
+        f1)`` lane matrices: the key MAC per extended modulus, then
+        **one** Floor by the special prime (line 19) of all ``2R``
+        accumulators, reading each modulus's ``2R·N`` MAC rows as they
+        are."""
         rows, count = len(columns[0]) // len(digits.data_moduli), digits.count
         macs = [
             self._rotation_macs(digits, j, keys, rows, tables)
             for j, keys in enumerate(columns)
         ]
-        for d in range(rows // 2):
-            yield self._floor_divide(
-                [
-                    [g[at * count : (at + 1) * count] for g in macs]
-                    for at in (d, rows // 2 + d)
-                ],
-                digits.ext_moduli,
-            )
+        cut = self._cut(self._floor_divide([macs], digits.ext_moduli), count)
+        return list(zip(cut[: rows // 2], cut[rows // 2 :]))
 
     def keyswitch_polynomial(
         self, target: RnsPolynomial, ksk: KswitchKey
@@ -555,11 +563,12 @@ class Evaluator:
         smaller-noise decomposition) and is a sign-free slot permutation
         in the NTT domain, so ``Σ_i σ(D_i)⊙K_i = σ(Σ_i D_i⊙σ⁻¹(K_i))``.
         The fan-out (:meth:`_decompose`) therefore runs **once**, its
-        digits are never permuted, and all elements share one key MAC
-        and one gather per modulus (:meth:`_keyswitch`); each then pays
-        its own Modulus Switch and the gather of ``c0``.  This is the
-        only rotation path -- one rotation is the one-element sweep --
-        so hoisting is bit-identical to rotating one at a time.
+        digits are never permuted, and all elements share one key MAC,
+        one gather per modulus and one Modulus Switch (:meth:`_keyswitch`);
+        each then pays only the gather of ``c0``.  This is the only
+        rotation path -- one rotation is the one-element sweep -- and
+        every kernel is row-independent, so hoisting is bit-identical to
+        rotating one at a time.
         """
         be = self.context.backend
         lane = self._lane(ct)
@@ -699,7 +708,7 @@ class Evaluator:
                         )
                     )
                 del macs
-            floored = self._floor_divide(sums, ext_moduli)
+            floored = self._cut(self._floor_divide(sums, ext_moduli), count)
             # c0 under every rotation, then (if a term is unrotated) as
             # it is: the order of the plaintext stack
             gathers = tables[rotations : rotations + len(plains[0])]

@@ -91,9 +91,8 @@ def _floor_divide_last(ev, poly):
     """Single-accumulator Algorithm 6: divide by the last RNS prime and
     drop it (a one-block shim over the evaluator's stacked flooring)."""
     rows = poly.native_rows(ev.context.backend)
-    (floored,) = ev._floor_divide(
-        [[rows[i : i + 1] for i in range(poly.level_count)]], poly.moduli
-    )
+    parts = [[rows[i : i + 1] for i in range(poly.level_count)]]
+    (floored,) = ev._cut(ev._floor_divide(parts, poly.moduli), 1)
     return RnsPolynomial(poly.n, poly.moduli[:-1], floored, is_ntt=True)
 
 
@@ -213,9 +212,8 @@ def apply_galois_digit_permuting(ev, ct, galois_elts, galois_keys):
     for elt in galois_elts:
         table = ctx.galois_table_ntt(elt)
         key = galois_keys.key_for_element(elt)
-        f0, f1 = ev._floor_divide(
-            _key_macs(ev, permuted_digits(ev, digits, table), key), digits.ext_moduli
-        )
+        macs = _key_macs(ev, permuted_digits(ev, digits, table), key)
+        f0, f1 = ev._cut(ev._floor_divide(macs, digits.ext_moduli), lane.count)
         c0 = be.permute_ntt_stack(lane.comps[0], table)
         outs.append(ev._emit(ct, lane, [be.add_rows(lane.row_moduli, c0, f0), f1]))
     return outs
@@ -274,7 +272,7 @@ def linear_sweep_digit_permuting(ev, ct, terms, galois_keys):
             weighted(ext_moduli, [acc[c] for acc in accumulators], rows)
             for c in (0, 1)
         ]
-        floored = ev._floor_divide(sums, ext_moduli)
+        floored = ev._cut(ev._floor_divide(sums, ext_moduli), count)
         comps = [
             be.add_rows(lane.row_moduli, comp, f) for comp, f in zip(comps, floored)
         ] + floored[len(comps):]

@@ -3,6 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.ckks import (
+    Ciphertext,
+    CkksContext,
+    CkksEncoder,
+    Decryptor,
+    Encryptor,
+    Evaluator,
+    KeyGenerator,
+    Plaintext,
+)
+from repro.ckks.context import toy_parameters
+
 VALS_A = np.array([1.0, -2.0, 0.5, 3.0])
 VALS_B = np.array([0.25, 4.0, -1.5, 2.0])
 
@@ -100,6 +112,30 @@ class TestMultiply:
         assert np.allclose(
             dec(encoder, decryptor, prod), VALS_A * VALS_B * 2.0, atol=0.05
         )
+
+    @pytest.mark.parametrize("backend", ["reference", "numpy"])
+    def test_products_refuse_coefficient_form(self, backend):
+        """A dyadic product is the ring product only in NTT form: on
+        coefficient-form operands ``square`` / ``multiply`` /
+        ``multiply_plain`` must raise, not return a ciphertext that
+        decodes to ~1e10 where 0.25 was expected."""
+        ctx = CkksContext(toy_parameters(n=64), backend=backend)
+        encoder = CkksEncoder(ctx)
+        keygen = KeyGenerator(ctx, seed=5)
+        pt = encoder.encode([0.5])
+        ct = Encryptor(ctx, keygen.public_key(), seed=6).encrypt(pt)
+        coeff = Ciphertext([ctx.from_ntt(p) for p in ct.polys], ct.scale)
+        coeff_pt = Plaintext(ctx.from_ntt(pt.poly), pt.scale)
+        ev = Evaluator(ctx)
+        for product in (
+            lambda: ev.square(coeff),
+            lambda: ev.multiply(coeff, coeff),
+            lambda: ev.multiply_plain(coeff, coeff_pt),
+        ):
+            with pytest.raises(ValueError, match="NTT-form polynomials"):
+                product()
+        sq = Decryptor(ctx, keygen.secret_key).decrypt(ev.square(ct))
+        assert encoder.decode(sq).real[0] == pytest.approx(0.25, abs=1e-3)
 
 
 class TestRescale:

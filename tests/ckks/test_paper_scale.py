@@ -78,3 +78,20 @@ class TestSetAPipeline:
         rot = s["evaluator"].rotate(ct, 1, keys)
         out = s["encoder"].decode(s["decryptor"].decrypt(rot)).real[:15]
         assert np.allclose(out, vals[1:16], atol=1e-2)
+
+    def test_hoisted_sweep_is_rotation_by_rotation(self, set_a):
+        """Six rotations floor as one 12-row stack per modulus, which at
+        n = 4096 crosses the numpy kernels' 8-row chunk (a toy ring never
+        does): each result must still be the bits of its rotation alone,
+        and decrypt to it."""
+        s = set_a
+        steps = list(range(1, 7))
+        keys = s["keygen"].galois_keys(steps)
+        vals = np.arange(16, dtype=float) / 8
+        ct = s["encryptor"].encrypt(s["encoder"].encode(vals))
+        ev = s["evaluator"]
+        for step, rot in zip(steps, ev.rotate_hoisted(ct, steps, keys)):
+            alone = ev.rotate(ct, step, keys)
+            assert [p.residues for p in rot.polys] == [p.residues for p in alone.polys]
+            out = s["encoder"].decode(s["decryptor"].decrypt(rot)).real[: 16 - step]
+            assert np.allclose(out, vals[step:], atol=1e-2)

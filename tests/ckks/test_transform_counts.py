@@ -154,8 +154,10 @@ class _CallSpy:
 
     COPIES = ("native_stack", "from_rows", "select_rows")
 
-    def __init__(self, backend, monkeypatch):
-        self.calls = {"dyadic_stack_reduce": 0, "permute_ntt_stack": 0}
+    def __init__(
+        self, backend, monkeypatch, calls=("dyadic_stack_reduce", "permute_ntt_stack")
+    ):
+        self.calls = dict.fromkeys(calls, 0)
         self.copied_rows = 0
         for name in self.calls:
             monkeypatch.setattr(backend, name, self._counting(getattr(backend, name)))
@@ -229,6 +231,43 @@ def test_linear_sweep_call_budget_is_independent_of_the_dimension(counted, monke
     # L² + L(L+1), the Modulus Switch's 2(L+1) + 2L and the 2L result rows
     # that never left Q: no accumulator, no plaintext, no digit
     assert seen[DIM] == seen[2 * DIM] == 2 * L * L + 9 * L + 2
+
+
+@pytest.mark.parametrize("rotations", [1, 3, 6])
+def test_hoisted_sweep_floors_once(counted, monkeypatch, rotations):
+    """A sweep over a lane of one (a fused sweep, or a rotate lane of a
+    single request) floors all ``2R`` accumulators in **one** Modulus
+    Switch -- one INTT under the special prime, then per data modulus
+    one reduce, NTT, subtract and scalar multiply, whatever ``R`` is --
+    and copies each floored row once; only ``c0``'s gather and add stay
+    per rotation.  Transform, product and gather rows are those of a
+    Modulus Switch per rotation: only the floor's calls fell."""
+    be, ev, ct, gk = (counted[k] for k in ("backend", "evaluator", "ct", "galois"))
+    L, R = K, rotations
+    steps = list(range(1, R + 1))
+    ev.rotate_hoisted(ct, steps, gk)  # first use stacks the keys under σ⁻¹
+    floor = ("ntt_inverse_stack", "reduce_mod_stack", "ntt_forward_stack")
+    floor += ("sub_stack", "scalar_mul_stack", "permute_ntt_stack", "add_rows")
+    with monkeypatch.context() as patch:
+        spy = _CallSpy(be, patch, floor)
+        be.reset()
+        ev.rotate_hoisted(ct, steps, gk)
+    calls = spy.calls
+    # the decomposition's L INTTs and L + 1 fan-outs, then the one floor
+    assert calls["ntt_inverse_stack"] == L + 1
+    assert calls["reduce_mod_stack"] == calls["ntt_forward_stack"] == (L + 1) + L
+    assert calls["sub_stack"] == calls["scalar_mul_stack"] == L
+    # the key MAC's gather per extended modulus, then c0's per rotation
+    assert calls["permute_ntt_stack"] == (L + 1) + R
+    assert calls["add_rows"] == R
+    assert be.counts["ntt_inverse"] == L + 2 * R
+    assert be.counts["ntt_forward"] == L * L + 2 * L * R
+    assert be.counts["dyadic_mul"] == 2 * R * (L + 1)
+    assert be.counts["dyadic_mac"] == 2 * R * (L + 1) * (L - 1)
+    assert be.counts["ntt_permute"] == R * (2 * (L + 1) + L)
+    # the operand's 2L rows, the decomposition's L² + L(L+1), and each of
+    # the 2R·L floored rows once: no accumulator row is restacked
+    assert spy.copied_rows == 2 * L + L * L + L * (L + 1) + 2 * R * L
 
 
 def test_counting_backend_is_transparent(counted):

@@ -10,7 +10,11 @@ resolves
   ``src/repro`` -- against the class body, its ``self.<name>``
   assignments and the bodies of its bases defined there;
 * every ``repro.``-qualified dotted path -- a package or module, then
-  the names it defines or imports, then one class attribute.
+  the names it defines or imports, then one class attribute;
+* every backticked span that is nothing but a dotted path rooted at a
+  ``repro`` subpackage (`` `plan.passes.check_plan` ``), as the
+  ``repro.``-qualified path (a reading such as `` `plan.steps 2` `` is
+  not a path).
 """
 
 from __future__ import annotations
@@ -98,6 +102,10 @@ def _index() -> Dict[str, _Module]:
 
 
 MODULES = _index()
+_BARE_PATH = re.compile(
+    r"(?:%s)(?:\.[A-Za-z_]\w*)+"
+    % "|".join(sorted({name.split(".")[1] for name in MODULES if "." in name}))
+)
 CLASSES: Dict[str, List[ast.ClassDef]] = {}
 for _module in MODULES.values():
     for _name, _node in _module.classes.items():
@@ -157,6 +165,9 @@ def _stale(text: str) -> List[str]:
             stale.append(path)
     prose = _FENCE.sub("", text)
     for span in _SPAN.finditer(prose):
+        path = span.group(2).strip()
+        if _BARE_PATH.fullmatch(path) and not _resolves("repro", path.split(".")):
+            stale.append(path)
         for cls, attr in _CLASS_ATTR.findall(span.group(2)):
             if cls in CLASSES and not any(_class_has(c, attr) for c in CLASSES[cls]):
                 stale.append(f"{cls}.{attr}")
@@ -172,11 +183,11 @@ def test_every_named_symbol_resolves():
 
 
 def test_the_check_sees_a_stale_name():
-    assert _stale("`Evaluator.no_such_method` and `repro.ckks.nowhere`") == [
-        "Evaluator.no_such_method",
-        "repro.ckks.nowhere",
-    ]
+    assert _stale(
+        "`Evaluator.no_such_method`, `repro.ckks.nowhere` and `plan.passes.nowhere`"
+    ) == ["Evaluator.no_such_method", "plan.passes.nowhere", "repro.ckks.nowhere"]
     assert _stale("`Evaluator.rotate`, `CiphertextBatch.join`, `repro.ckks.Evaluator`") == []
+    assert _stale("`ckks.evaluator.Evaluator.rotate`, `plan.passes`, `plan.steps 2`") == []
 
 
 if __name__ == "__main__":
