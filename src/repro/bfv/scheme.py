@@ -197,7 +197,7 @@ class BfvKeyGenerator:
     def public_key(self) -> Tuple[List[int], List[int]]:
         ctx = self.context
         q, n = ctx.q, ctx.n
-        a = [self.sampler._rng.randrange(q) for _ in range(n)]
+        a = self.sampler.uniform_coeffs(n, q)
         e = self.sampler.gaussian_coeffs(n)
         b = ctx.sub_mod_q(
             [(-x) % q for x in ctx.ring_multiply_mod_q(a, [s % q for s in self.secret])],
@@ -215,7 +215,7 @@ class BfvKeyGenerator:
         digits = []
         power = 1
         while power < q:
-            a = [self.sampler._rng.randrange(q) for _ in range(n)]
+            a = self.sampler.uniform_coeffs(n, q)
             e = self.sampler.gaussian_coeffs(n)
             body = ctx.add_mod_q(
                 ctx.sub_mod_q([0] * n, ctx.ring_multiply_mod_q(a, s)),

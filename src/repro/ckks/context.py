@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.ckks.backend import PolynomialBackend, get_backend, resolve_backend
 from repro.ckks.modarith import HEAX_WORD_BITS, Modulus
-from repro.ckks.ntt import NTTTables
+from repro.ckks.ntt import NTTTables, bit_reversal
 from repro.ckks.poly import RnsPolynomial
 from repro.ckks.primes import make_modulus_chain
 from repro.ckks.rns import RnsBasis
@@ -171,12 +171,6 @@ class CkksContext:
         self._galois_cache: Dict[int, List[Tuple[int, bool]]] = {}
         #: galois_elt -> intp index array (see :meth:`galois_table_ntt`).
         self._galois_ntt_cache: Dict[int, np.ndarray] = {}
-        #: ``_bit_reversal[i]``: ``i`` with its ``log2 n`` bits reversed.  By
-        #: doubling: over ``2m`` slots it is ``2 rev_m`` then ``2 rev_m + 1``.
-        brv = np.zeros(1, dtype=np.int64)
-        while len(brv) < params.n:
-            brv = np.concatenate([2 * brv, 2 * brv + 1])
-        self._bit_reversal = brv
         #: inverse of each chain modulus against every other chain modulus,
         #: ``_mod_inverses[last][p] = (last mod p)^-1 mod p`` -- the rescale
         #: and Modulus-Switch flooring constants (Algorithm 6), precomputed
@@ -332,7 +326,7 @@ class CkksContext:
             raise ValueError("Galois element must be an odd unit mod 2n")
         cached = self._galois_ntt_cache.get(galois_elt)
         if cached is None:
-            brv = self._bit_reversal
+            brv = bit_reversal(self.n)
             exponent = (2 * brv + 1) * galois_elt % (2 * self.n)
             cached = brv[(exponent - 1) >> 1].astype(np.intp, copy=False)
             self._galois_ntt_cache[galois_elt] = cached

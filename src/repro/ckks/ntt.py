@@ -24,27 +24,34 @@ the active backend, which may execute each stage vectorized instead.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence
+
+import numpy as np
 
 from repro.ckks.modarith import Modulus, MulRedConstant
 
 
+@functools.lru_cache(maxsize=None)
+def bit_reversal(n: int) -> np.ndarray:
+    """Read-only table: ``i`` with its ``log2 n`` bits reversed (one per ``n``)."""
+    if n < 1 or n & (n - 1):
+        raise ValueError("length must be a power of two")
+    table = np.zeros(1, dtype=np.int64)
+    while len(table) < n:  # over 2m slots: 2 rev_m, then 2 rev_m + 1
+        table = np.concatenate([2 * table, 2 * table + 1])
+    table.setflags(write=False)
+    return table
+
+
 def bit_reverse(value: int, bits: int) -> int:
     """Reverse the lowest ``bits`` bits of ``value``."""
-    result = 0
-    for _ in range(bits):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
+    return int(bit_reversal(1 << bits)[value & ((1 << bits) - 1)])
 
 
 def bit_reverse_permutation(values: Sequence[int]) -> List[int]:
     """Return ``values`` permuted by bit-reversal of indices."""
-    n = len(values)
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
-    bits = n.bit_length() - 1
-    return [values[bit_reverse(i, bits)] for i in range(n)]
+    return [values[i] for i in bit_reversal(len(values)).tolist()]
 
 
 class NTTTables:
@@ -83,7 +90,7 @@ class NTTTables:
         self.psi = psi
         self.inv_n = pow(n, -1, p)
 
-        bits = self.log_n
+        rev = bit_reversal(n).tolist()
         powers = [1] * n
         for i in range(1, n):
             powers[i] = powers[i - 1] * psi % p
@@ -98,7 +105,7 @@ class NTTTables:
         # m entries stores psi^{ rev(t - m, log2 m) * (n/m) ... }.  The
         # compact equivalent: root_powers[t] = psi^{ bit_reverse(t, log n) }.
         self.root_powers = [
-            MulRedConstant(powers[bit_reverse(t, bits)], modulus) for t in range(n)
+            MulRedConstant(powers[r], modulus) for r in rev
         ]
         # Inverse: the Gentleman-Sande stage sequence is the forward schedule
         # reversed, so the stage-(h, i) butterfly must undo the forward
@@ -108,8 +115,7 @@ class NTTTables:
         # psi^{-bit_reverse(t, log n)} / 2 at index t (the per-stage halving
         # of Algorithm 4 folded in).
         self.inv_root_powers_div2 = [
-            MulRedConstant(inv_powers[bit_reverse(t, bits)] * inv2 % p, modulus)
-            for t in range(n)
+            MulRedConstant(inv_powers[r] * inv2 % p, modulus) for r in rev
         ]
 
     def forward(self, values: Sequence[int]) -> List[int]:

@@ -3,8 +3,18 @@
 CKKS.Setup fixes a key distribution ``χ`` (uniform ternary) and an error
 distribution ``Ω`` (discrete Gaussian with standard deviation 3.2,
 truncated at six sigmas -- the values used by Microsoft SEAL and the HE
-security standard [1]).  All sampling is routed through a seeded
-``random.Random`` so tests and benchmarks are reproducible.
+security standard [1]).
+
+Each draw is bit-identical to a seeded ``random.Random``'s per-coefficient
+``randrange``/``gauss`` loop, at array speed: ``getstate()`` is loaded into
+``numpy.random.MT19937`` (the same generator and tempering), whose
+``random_raw`` words a draw reads in one block, keeping the unused tail.
+``randrange(m)`` takes ``getrandbits(k = m.bit_length())`` candidates of
+little-endian words, the last shifted right by ``32·words − k``, skipping
+those ``>= m`` (Python ints past 64 bits).  ``gauss`` is Box-Muller over
+``random() = ((a >> 5)·2^26 + (b >> 6))·2^-53``, cosine first and the sine
+carried in ``gauss_next``; ``math``'s ``log``/``cos``/``sin`` and IEEE
+arithmetic give its exact floats, and ``np.rint`` rounds half to even.
 """
 
 from __future__ import annotations
@@ -13,6 +23,8 @@ import hashlib
 import math
 import random
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.ckks.modarith import Modulus
 from repro.ckks.poly import RnsPolynomial
@@ -49,68 +61,119 @@ def expand_uniform_poly(
     the gadget digit (a key-switching key holds one uniform polynomial
     per digit; the public key uses index 0).
 
-    The expansion is pure Python -- ``random.Random.getrandbits`` with
-    rejection sampling below each modulus -- so it is bit-identical
-    across backends and platforms by construction, which the wire
-    format's cross-backend decode equality relies on.
+    The rows are a :class:`Sampler` seeded by ``sha256(seed || index)``:
+    bit-identical on every backend and platform, which the wire format's
+    cross-backend decode equality relies on.
     """
     if len(seed) != KEY_SEED_BYTES:
         raise ValueError(
             f"expansion seed must be {KEY_SEED_BYTES} bytes, got {len(seed)}"
         )
     digest = hashlib.sha256(seed + index.to_bytes(4, "little")).digest()
-    rng = random.Random(int.from_bytes(digest, "big"))
-    residues = []
-    for m in moduli:
-        width = m.value.bit_length()
-        row = []
-        while len(row) < n:
-            v = rng.getrandbits(width)
-            if v < m.value:
-                row.append(v)
-        residues.append(row)
-    return RnsPolynomial(n, list(moduli), residues, is_ntt=True)
+    return Sampler(int.from_bytes(digest, "big")).uniform_residues(n, moduli)
+
+
+def _getrandbits(words: np.ndarray, k: int) -> np.ndarray:
+    """``getrandbits(k)`` from each row of ``ceil(k/32)`` words."""
+    width = words.shape[1]
+    word = np.uint64 if width <= 2 else int  # over 64 bits: Python ints
+    cells = words if width <= 2 else words.astype(object)
+    cand = cells[:, -1] >> word(32 * width - k)
+    for i in range(width - 2, -1, -1):
+        cand = (cand << word(32)) | cells[:, i]
+    return cand
+
+
+def _math_map(fn, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
 
 
 class Sampler:
-    """Seeded source of the three RLWE distributions."""
+    """Seeded source of the three RLWE distributions (``random.Random``'s)."""
 
     def __init__(self, seed: Optional[int] = None):
-        self._rng = random.Random(seed)
+        _version, internal, self._gauss_next = random.Random(seed).getstate()
+        self._mt = np.random.MT19937()
+        state = {"key": np.array(internal[:-1], np.uint32), "pos": internal[-1]}
+        self._mt.state = {"bit_generator": "MT19937", "state": state}
+        self._tail = np.empty(0, dtype=np.uint64)
+
+    def _read(self, count: int) -> np.ndarray:
+        """The next ``count`` words; a draw puts back what it leaves."""
+        fresh = self._mt.random_raw(max(count - len(self._tail), 0))
+        words = np.concatenate((self._tail, fresh))
+        self._tail = words[count:].copy()
+        return words[:count]
+
+    def _below(self, count: int, bound: int) -> np.ndarray:
+        """``count`` draws of ``randrange(bound)``."""
+        k, width = bound.bit_length(), (bound.bit_length() + 31) // 32
+        limit = np.uint64(bound) if width <= 2 else bound
+        parts = [np.empty(0, dtype=np.uint64 if width <= 2 else object)]
+        while count:
+            tries = ((count + 3 * math.isqrt(count) + 8) << k) // bound
+            words = self._read(tries * width).reshape(tries, width)
+            cand = _getrandbits(words, k)
+            ok = np.flatnonzero(cand < limit)[:count]
+            if len(ok) == count:
+                self._tail = np.concatenate((words[ok[-1] + 1 :].ravel(), self._tail))
+            parts.append(cand[ok])
+            count -= len(ok)
+        return np.concatenate(parts)
+
+    def _ternary(self, n: int) -> np.ndarray:
+        return self._below(n, 3).astype(np.int64) - np.int64(1)
+
+    def _gaussian(self, count: int, stddev: float = ERROR_STDDEV) -> np.ndarray:
+        """``count`` values ``round(gauss(0.0, stddev))`` within the truncation."""
+        bound = math.ceil(ERROR_TRUNCATION_SIGMAS * stddev)
+        parts = [np.empty(0, dtype=np.int64)]
+        while count:
+            pairs = count // 2 + 2
+            words = self._read(4 * pairs).reshape(pairs, 4)
+            a = (words[:, 0::2] >> np.uint64(5)).astype(np.float64)
+            u = (a * 67108864.0 + (words[:, 1::2] >> np.uint64(6))) * 2.0**-53
+            x2pi = u[:, 0] * (2.0 * math.pi)
+            g2rad = np.sqrt(-2.0 * _math_map(math.log, 1.0 - u[:, 1]))
+            pair = np.stack((_math_map(math.cos, x2pi), _math_map(math.sin, x2pi)), 1)
+            z = (pair * g2rad[:, None]).ravel()  # cosine, sine, cosine, ...
+            carry = [] if self._gauss_next is None else [self._gauss_next]
+            values = np.rint(np.concatenate((carry, z)) * stddev)
+            ok = np.flatnonzero(np.abs(values) <= bound)[:count]
+            used = int(ok[-1]) + 1 - len(carry) if len(ok) == count else len(z)
+            self._gauss_next = float(z[used]) if used % 2 else None  # a sine
+            self._tail = np.concatenate((words[(used + 1) // 2 :].ravel(), self._tail))
+            parts.append(values[ok].astype(np.int64))
+            count -= len(ok)
+        return np.concatenate(parts)
 
     def ternary_coeffs(self, n: int) -> List[int]:
         """Uniform ternary vector in ``{-1, 0, 1}^n`` (the key distribution χ)."""
-        return [self._rng.randrange(3) - 1 for _ in range(n)]
+        return self._ternary(n).tolist()
 
     def gaussian_coeffs(self, n: int, stddev: float = ERROR_STDDEV) -> List[int]:
         """Truncated rounded Gaussian vector (the error distribution Ω)."""
-        bound = math.ceil(ERROR_TRUNCATION_SIGMAS * stddev)
-        out = []
-        for _ in range(n):
-            while True:
-                v = round(self._rng.gauss(0.0, stddev))
-                if abs(v) <= bound:
-                    out.append(v)
-                    break
-        return out
+        return self._gaussian(n, stddev).tolist()
+
+    def uniform_coeffs(self, n: int, bound: int) -> List[int]:
+        """``n`` uniform Python ints in ``[0, bound)``, any ``bound >= 1``."""
+        return self._below(n, bound).tolist()
 
     def uniform_residues(self, n: int, moduli: Sequence[Modulus]) -> RnsPolynomial:
-        """Sample ``a <- U(R_q)`` directly in NTT form.
+        """Sample ``a <- U(R_q)`` directly in NTT form, as one matrix.
 
         The NTT is a bijection on ``Z_p^n``, so sampling uniform residues
         in the evaluation domain is distributionally identical to sampling
         in the coefficient domain and transforming -- and it is what both
         SEAL and HEAX do to avoid a pointless NTT.
         """
-        residues = [
-            [self._rng.randrange(m.value) for _ in range(n)] for m in moduli
-        ]
-        return RnsPolynomial(n, list(moduli), residues, is_ntt=True)
+        rows = np.array([self._below(n, m.value) for m in moduli], np.uint64)
+        return RnsPolynomial(n, list(moduli), rows.reshape(-1, n), is_ntt=True)
 
     def ternary_poly(self, n: int, moduli: Sequence[Modulus]) -> RnsPolynomial:
         """Ternary polynomial lifted into every RNS component (coeff form)."""
-        return RnsPolynomial.from_int_coeffs(self.ternary_coeffs(n), moduli)
+        return RnsPolynomial.from_int_coeffs(self._ternary(n), moduli)
 
     def gaussian_poly(self, n: int, moduli: Sequence[Modulus]) -> RnsPolynomial:
         """Error polynomial lifted into every RNS component (coeff form)."""
-        return RnsPolynomial.from_int_coeffs(self.gaussian_coeffs(n), moduli)
+        return RnsPolynomial.from_int_coeffs(self._gaussian(n), moduli)

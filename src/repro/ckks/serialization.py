@@ -519,6 +519,8 @@ def deserialize_kswitch_key(data: bytes, context: CkksContext) -> KswitchKey:
     moduli = list(context.key_basis.moduli)
     if rns != len(moduli):
         raise ValueError("key basis size mismatch")
+    if digits != context.k:  # before any seed is expanded
+        raise ValueError(f"key has {digits} digits; context needs {context.k}")
     be = context.backend
     view = memoryview(data)
     offset = _HEADER.size

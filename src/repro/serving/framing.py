@@ -131,10 +131,6 @@ class Frame:
     deadline: float = 0.0
 
     @property
-    def is_request(self) -> bool:
-        return self.kind == REQUEST
-
-    @property
     def error_message(self) -> str:
         """The human-readable payload of an ERROR frame."""
         return self.payload.decode("utf-8", errors="replace")

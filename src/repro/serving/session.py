@@ -57,9 +57,9 @@ def keys_from_wire(
     upload format the cluster ships to its workers, each key-switching
     key serialized independently, so a worker process never holds the
     live objects of another.  Every blob goes through
-    :func:`deserialize_kswitch_key`: a key from a different ring or with
-    a truncated payload raises ``ValueError`` here, at the upload
-    boundary, instead of corrupting every later request."""
+    :func:`deserialize_kswitch_key`: a key from a different ring, with a
+    digit count other than ``context.k`` or a truncated payload raises
+    ``ValueError`` here, at the upload boundary, not at every request."""
     relin = galois = None
     if relin_blob is not None:
         relin = RelinKey(deserialize_kswitch_key(relin_blob, context).digits)

@@ -72,23 +72,6 @@ def polynomial_bytes(n: int, word_bytes: int = 8) -> int:
     return n * word_bytes
 
 
-def polynomial_packed_bytes(n: int, width_bits: int) -> int:
-    """Wire size of one residue polynomial bit-packed to its modulus
-    width (wire format v2): ``width_bits`` bits per residue, the row
-    padded up to a byte boundary.  Matches
-    :func:`repro.ckks.backend.base.packed_row_bytes` by construction.
-    """
-    if not 1 <= width_bits <= 64:
-        raise ValueError(f"packed word width {width_bits} outside 1..64")
-    return (n * width_bits + 7) // 8
-
-
 def ciphertext_bytes(n: int, components: int, rns_count: int, word_bytes: int = 8) -> int:
     """Wire size of a full RNS ciphertext."""
     return components * rns_count * polynomial_bytes(n, word_bytes)
-
-
-def ciphertext_packed_bytes(n: int, components: int, widths) -> int:
-    """Wire size of a full RNS ciphertext bit-packed per modulus width
-    (wire format v2); ``widths`` lists each RNS modulus's bit length."""
-    return components * sum(polynomial_packed_bytes(n, w) for w in widths)

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.system.pcie import PcieModel, polynomial_bytes, polynomial_packed_bytes
+from repro.ckks.backend.base import packed_row_bytes
+from repro.system.pcie import PcieModel, polynomial_bytes
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class ScheduledOp:
         if word_bits == 64:
             poly = polynomial_bytes(n)
         else:
-            poly = polynomial_packed_bytes(n, word_bits)
+            poly = packed_row_bytes(n, word_bits)
         return cls(
             kind,
             input_polys * poly,

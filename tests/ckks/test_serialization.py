@@ -536,6 +536,37 @@ class TestKskNttFlagEnforced:
         assert b0.is_ntt and a0.is_ntt
 
 
+class TestKskDigitCountEnforced:
+    """A key whose digit count is not the context's ``k`` used to decode
+    and then fail every full-level key switch ("basis implies 3 digits;
+    key has 2").  It is refused at decode, before a seeded layout's
+    ``a`` columns are expanded."""
+
+    @pytest.mark.parametrize("layout", ["v1", "v2-full", "v2-seeded"])
+    @pytest.mark.parametrize("change", [-1, +1])
+    def test_wrong_digit_count_rejected(
+        self, toy_context, relin_key, seeded_relin_key, monkeypatch, layout, change
+    ):
+        from repro.ckks import serialization
+        from repro.ckks.keys import KswitchKey
+
+        key = seeded_relin_key if layout == "v2-seeded" else relin_key
+        digits = key.digits[:-1] if change < 0 else key.digits + key.digits[:1]
+        blob = serialize_kswitch_key(
+            KswitchKey(digits, seed=key.seed), version=1 if layout == "v1" else 2
+        )
+        if layout == "v2-seeded":
+            assert blob[HEADER_BYTES] == serialization._KSK_LAYOUT_SEEDED
+
+        def no_expansion(*args):
+            raise AssertionError("a seed was expanded before the digit check")
+
+        monkeypatch.setattr(serialization, "expand_uniform_poly", no_expansion)
+        expected = f"key has {toy_context.k + change} digits; context needs {toy_context.k}"
+        with pytest.raises(ValueError, match=expected):
+            deserialize_kswitch_key(blob, toy_context)
+
+
 class TestSizeAccountingBothVersions:
     """``len(serialize_*(obj, v)) == HEADER_BYTES + *_wire_bytes(...)``
     must hold for every kind in both versions -- the scheduler's PCIe

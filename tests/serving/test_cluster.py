@@ -175,6 +175,30 @@ class TestPlacementAndLanes:
             _, values = tenant.decrypt_response(blob)
             assert abs(values[0] - 9.0) < 1e-2, cid
 
+    @pytest.mark.parametrize("wire_version", [1, 2])
+    def test_a_key_with_the_wrong_digit_count_is_refused_at_upload(
+        self, serving_context, make_cluster, wire_version
+    ):
+        """A relin key one digit short used to register, connect, and
+        then fail every full-level ``square`` ("basis implies 3 digits;
+        key has 2").  The upload now refuses the session, so nothing is
+        ever admitted under that key."""
+        from repro.ckks.keys import RelinKey
+        from repro.serving.traffic import SyntheticClient
+
+        cluster = make_cluster(worker_count=2)
+        tenant = SyntheticTenant(
+            serving_context, seed=31, seed_expandable=wire_version == 2
+        )
+        short = RelinKey(tenant.relin_key.digits[:-1], seed=tenant.relin_key.seed)
+        cluster.register_tenant("t", relin_key=short, wire_version=wire_version)
+        client = SyntheticClient(tenant, "c0", seed=1)
+        with pytest.raises(ValueError, match="key has 2 digits; context needs 3"):
+            cluster.register_client("c0", "t", wire_version=wire_version)
+        with pytest.raises(UnknownClientError):
+            cluster.receive("c0", client.request_bytes("square", [3.0]))
+        assert cluster.report.submitted == 0 and cluster.inflight_count == 0
+
 
 class TestRouterAdmission:
     @pytest.fixture()
