@@ -17,7 +17,7 @@ After ``s`` stages the word at ``b*N/2 + 2^s*(k*R + r) + i`` is what
 Algorithm 3 holds at index ``(i, b, k)`` of row ``r`` (group ``i < 2^s``,
 half ``b``, offset ``k``): the pairing is always first half against
 second half, butterfly ``J`` of the stage with ``m`` groups uses
-``root_powers[m + J mod m]``, and after ``log n`` shuffles the buffer
+``root_values[m + J mod m]``, and after ``log n`` shuffles the buffer
 *is* the ``(R, n)`` result in Algorithm 3's bit-reversed order.  The
 inverse mirrors it: ``u = A[0::2]``, ``v = A[1::2]``, halves written
 contiguously, one transposing copy at the end.  Operands must stay 1-D
@@ -66,7 +66,7 @@ The unsigned regimes run Harvey's butterflies: residues in ``[0, 4p)``
 forward (a fold of ``u`` and a lift per stage, 11 passes) and ``[0,
 2p)`` inverse, one final fold; strict halves every bound and folds the
 product's operand too.  The inverse multiplies by the un-halved
-twiddles ``2 * inv_root_powers_div2 mod p`` and folds ``n^-1`` into its
+twiddles ``2 * inv_root_values_div2 mod p`` and folds ``n^-1`` into its
 last stage's two constants instead of halving every stage as Algorithm
 4 does.  Outputs are canonical, bit-identical to the reference backend
 (``tests/ckks/test_ntt_kernel.py``).  ``p >= 2^52`` (e.g. SEAL's 61-bit
@@ -388,7 +388,7 @@ class _TwiddleCache(_Arith):
     groups uses entry ``m + J mod m`` of the table, so the operand is the
     block ``[m, 2m)`` repeated to at least ``_TILE`` words (the scalar
     entry 1 for ``m = 1``).  The inverse table is un-halved,
-    ``2 * inv_root_powers_div2 mod p``; ``inv`` runs ``m = n/2 .. 1``, its
+    ``2 * inv_root_values_div2 mod p``; ``inv`` runs ``m = n/2 .. 1``, its
     last stage multiplies the difference by ``n^-1 * w_1`` (stored as
     that stage's pair) and the sum by ``n^-1`` (``scale``).
 
@@ -404,11 +404,10 @@ class _TwiddleCache(_Arith):
         p = tables.modulus.value
         super().__init__(p, p * (2 * tables.log_n + 1) < _SIGNED_BOUND)
         n = tables.n
-        fwd = [c.value for c in tables.root_powers]
-        inv = [2 * c.value % p for c in tables.inv_root_powers_div2]
-        self.fwd = self._stages(fwd, n)
+        inv = tables.inv_root_values_div2 * np.uint64(2) % np.uint64(p)
+        self.fwd = self._stages(tables.root_values, n)
         self.inv = self._stages(inv, n)[::-1]
-        self.inv[-1] = self.pair(tables.inv_n * inv[1] % p)
+        self.inv[-1] = self.pair(tables.inv_n * int(inv[1]) % p)
         self.scale = self.pair(tables.inv_n)
         if self.signed:
             self.rinv = np.asarray(1.0 / p * _RECIP_BIAS)
@@ -419,10 +418,10 @@ class _TwiddleCache(_Arith):
                 bound = 2 * p if self.sums[-1] else 2 * bound
             self.sums.append(self.scale)
 
-    def _stages(self, table, n: int):
-        w = np.array(table, dtype=self.p.dtype)
+    def _stages(self, table: np.ndarray, n: int):
+        w = table.astype(self.p.dtype)
         ratio = self.ratio(w)
-        stages = [self.pair(table[1])]
+        stages = [self.pair(int(table[1]))]
         for m in (1 << s for s in range(1, n.bit_length() - 1)):
             reps = max(1, min(_TILE, n >> 1) // m)
             stages.append(tuple(np.tile(a[m : 2 * m], reps) for a in (w, ratio)))

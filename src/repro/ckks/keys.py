@@ -280,26 +280,25 @@ class KeyGenerator:
     def secret_key(self) -> SecretKey:
         return self._secret
 
-    def _symmetric_zero(
-        self, moduli, expand: Optional[Tuple[bytes, int]] = None
+    def _draw(
+        self, moduli, key_seed: Optional[bytes], index: int
     ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """``SymEnc(0, s)`` over the given basis: ``(-(a s) + e, a)``.
-
-        ``expand=(key_seed, index)`` sources ``a`` from the seed
-        expander instead of the sampler (the error draw still comes
-        from the sampler -- error randomness must never be derivable
-        from bytes that go on the wire).
-        """
+        """``SymEnc(0, s)``'s randomness over ``moduli``: ``a`` (NTT form;
+        from the seed expander at ``index`` when ``key_seed`` is set), then
+        the error ``e`` (coefficient form), always from the sampler: error
+        randomness must never be derivable from bytes that go on the wire."""
         ctx = self.context
-        be = ctx.backend
-        if expand is not None:
-            a = expand_uniform_poly(expand[0], expand[1], ctx.n, moduli)
+        if key_seed is not None:
+            a = expand_uniform_poly(key_seed, index, ctx.n, moduli)
         else:
             a = self.sampler.uniform_residues(ctx.n, moduli)
-        e = ctx.to_ntt(self.sampler.gaussian_poly(ctx.n, moduli))
-        s = self._secret.restricted(moduli)
-        b = a.dyadic_multiply(s, backend=be).negate(backend=be).add(e, backend=be)
-        return b, a
+        return a, self.sampler.gaussian_poly(ctx.n, moduli)
+
+    def _symmetric_zero(self, a: RnsPolynomial, e: RnsPolynomial) -> RnsPolynomial:
+        """``-(a s) + e``, the ``b`` of ``SymEnc(0, s)``, for an NTT-form ``e``."""
+        be = self.context.backend
+        s = self._secret.restricted(a.moduli)
+        return a.dyadic_multiply(s, backend=be).negate(backend=be).add(e, backend=be)
 
     def _key_seed(self, tag: bytes) -> Optional[bytes]:
         if self.expansion_seed is None:
@@ -309,11 +308,8 @@ class KeyGenerator:
     def public_key(self) -> PublicKey:
         """Public key over the data basis (no special prime)."""
         key_seed = self._key_seed(b"public")
-        b, a = self._symmetric_zero(
-            self.context.data_basis.moduli,
-            expand=(key_seed, 0) if key_seed is not None else None,
-        )
-        return PublicKey(b, a, seed=key_seed)
+        a, e = self._draw(self.context.data_basis.moduli, key_seed, 0)
+        return PublicKey(self._symmetric_zero(a, self.context.to_ntt(e)), a, seed=key_seed)
 
     # ------------------------------------------------------------------
     # key switching keys
@@ -321,18 +317,23 @@ class KeyGenerator:
     def _kswitch_key(
         self, target_ntt: RnsPolynomial, tag: bytes
     ) -> Tuple[List[Tuple[RnsPolynomial, RnsPolynomial]], Optional[bytes]]:
-        """KskGen: encrypt ``P * g_i * target`` under ``s`` per digit ``i``."""
+        """KskGen: encrypt ``P * g_i * target`` under ``s`` per digit ``i``;
+        the ``k`` errors, drawn in digit order, share one transform a modulus."""
         ctx = self.context
         be = ctx.backend
         key_moduli = ctx.key_basis.moduli
         special = ctx.special_modulus
         key_seed = self._key_seed(tag)
+        draws = [self._draw(key_moduli, key_seed, i) for i in range(ctx.k)]
+        rows = [e.native_rows(be) for _, e in draws]
+        errors = [
+            be.ntt_forward_stack(ctx.tables(m), be.native_stack([e[j] for e in rows]))
+            for j, m in enumerate(key_moduli)
+        ]
         digits = []
-        for i in range(ctx.k):
-            b, a = self._symmetric_zero(
-                key_moduli,
-                expand=(key_seed, i) if key_seed is not None else None,
-            )
+        for i, (a, _) in enumerate(draws):
+            e = be.native_stack([stack[i] for stack in errors])
+            b = self._symmetric_zero(a, RnsPolynomial(ctx.n, key_moduli, e, is_ntt=True))
             # Add [P]_{p_i} * [target]_{p_i} to residue row i of b only.
             mod_i = key_moduli[i]
             term = be.scalar_mul_stack(

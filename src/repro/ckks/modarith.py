@@ -155,9 +155,9 @@ class Modulus:
 class MulRedConstant:
     """A constant operand ``y`` with its precomputed MulRed ratio ``y'``.
 
-    The hardware keeps these pairs in the twiddle-factor memories: each
-    entry of ``Y`` in Algorithms 3/4 is accompanied by the matching entry
-    of ``Y' = floor(Y * 2^w / p)``.
+    The hardware keeps these pairs in its twiddle-factor memories (here
+    the ``uint64`` arrays of :class:`~repro.ckks.ntt.NTTTables`, paired on
+    first scalar read): ``Y`` of Algorithms 3/4 with ``Y' = floor(Y 2^w / p)``.
     """
 
     value: int

@@ -18,8 +18,8 @@ which is exactly the representation HEAX keeps ciphertexts in.
 The scalar butterfly loops in this module are the **reference kernels**:
 they define the transform (table layout, stage order, per-stage halving)
 that every optimized backend in :mod:`repro.ckks.backend` must reproduce
-bit for bit.  Scheme code does not call them directly -- it goes through
-the active backend, which may execute each stage vectorized instead.
+bit for bit from the same ``uint64`` tables, and only they read the tables'
+:class:`MulRedConstant` view.  Scheme code goes through the active backend.
 """
 
 from __future__ import annotations
@@ -61,13 +61,11 @@ class NTTTables:
     ----------
     psi:
         Minimal primitive ``2n``-th root of unity modulo ``p``.
-    root_powers:
-        ``Y`` of Algorithm 3 -- powers of ``ψ`` in bit-reversed order,
-        each wrapped as a :class:`MulRedConstant` so butterflies use the
-        Algorithm-2 fast path.
-    inv_root_powers_div2:
-        ``Y`` of Algorithm 4 -- powers of ``ψ^{-1}``, bit-reversed, divided
-        by two.
+    root_values, inv_root_values_div2:
+        ``Y`` of Algorithms 3 and 4, read-only ``uint64`` arrays: powers
+        of ``ψ``, and of ``ψ^{-1}`` halved, in bit-reversed order.
+    root_powers, inv_root_powers_div2:
+        The same as :class:`MulRedConstant` lists, built on first read.
     """
 
     def __init__(self, n: int, modulus: Modulus, psi: int = None):
@@ -90,33 +88,32 @@ class NTTTables:
         self.psi = psi
         self.inv_n = pow(n, -1, p)
 
-        rev = bit_reversal(n).tolist()
+        psi_inv = pow(psi, -1, p)
         powers = [1] * n
+        inv_powers = [pow(2, -1, p)] * n  # from 2^-1: the halving comes free
         for i in range(1, n):
             powers[i] = powers[i - 1] * psi % p
-        psi_inv = pow(psi, -1, p)
-        inv_powers = [1] * n
-        for i in range(1, n):
             inv_powers[i] = inv_powers[i - 1] * psi_inv % p
-        inv2 = pow(2, -1, p)
+        # Forward: index t holds psi^{bit_reverse(t, log n)} (SEAL's layout:
+        # the level with m entries is the block [m, 2m)).  Inverse: the
+        # Gentleman-Sande stages undo the forward ones in reverse order, and
+        # inverting (u', v') = (u + w v, u - w v) gives u = (u' + v')/2 and
+        # v = (u' - v') w^{-1}/2: index t holds psi^{-bit_reverse(t, log n)}/2.
+        rev = bit_reversal(n)
+        self.root_values = np.array(powers, dtype=np.uint64)[rev]
+        self.inv_root_values_div2 = np.array(inv_powers, dtype=np.uint64)[rev]
+        self.root_values.setflags(write=False)
+        self.inv_root_values_div2.setflags(write=False)
 
-        # Forward: root_powers[m + i] = psi^{ bitrev(m+i over per-level bits) }
-        # The standard layout (SEAL): table index t in [1, n) at level with
-        # m entries stores psi^{ rev(t - m, log2 m) * (n/m) ... }.  The
-        # compact equivalent: root_powers[t] = psi^{ bit_reverse(t, log n) }.
-        self.root_powers = [
-            MulRedConstant(powers[r], modulus) for r in rev
-        ]
-        # Inverse: the Gentleman-Sande stage sequence is the forward schedule
-        # reversed, so the stage-(h, i) butterfly must undo the forward
-        # butterfly that used root_powers[h + i].  Inverting
-        # (u', v') = (u + w v, u - w v) gives u = (u' + v')/2 and
-        # v = (u' - v') * w^{-1} / 2, hence the table stores
-        # psi^{-bit_reverse(t, log n)} / 2 at index t (the per-stage halving
-        # of Algorithm 4 folded in).
-        self.inv_root_powers_div2 = [
-            MulRedConstant(inv_powers[r] * inv2 % p, modulus) for r in rev
-        ]
+    @functools.cached_property
+    def root_powers(self) -> List[MulRedConstant]:
+        """:attr:`root_values` with their Algorithm-2 ratios."""
+        return [MulRedConstant(v, self.modulus) for v in self.root_values.tolist()]
+
+    @functools.cached_property
+    def inv_root_powers_div2(self) -> List[MulRedConstant]:
+        """:attr:`inv_root_values_div2` with their Algorithm-2 ratios."""
+        return [MulRedConstant(v, self.modulus) for v in self.inv_root_values_div2.tolist()]
 
     def forward(self, values: Sequence[int]) -> List[int]:
         """NTT (Algorithm 3): standard-order input, bit-reversed output."""

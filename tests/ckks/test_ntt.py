@@ -1,10 +1,14 @@
 """Unit and property tests for the negacyclic NTT (Algorithms 3 and 4)."""
 
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ckks.backend import numpy_backend as nb
+from repro.ckks.context import SET_A, SET_B, SET_C
 from repro.ckks.modarith import Modulus
 from repro.ckks.ntt import (
     NTTTables,
@@ -12,10 +16,46 @@ from repro.ckks.ntt import (
     bit_reverse_permutation,
     negacyclic_convolution_reference,
 )
-from repro.ckks.primes import generate_ntt_primes
+from repro.ckks.primes import generate_ntt_primes, make_modulus_chain
 
 N = 64
 P = generate_ntt_primes(N, 30, 1)[0]
+
+#: Every Table 2 prime at its own ring size, and toy primes (one per
+#: twiddle regime of the numpy backend) at every ring size up to 64.
+TABLE_CASES = [
+    (params.name, i) for params in (SET_A, SET_B, SET_C) for i in range(len(params.modulus_bits))
+] + [(n, bits) for n in (2, 4, 8, 16, 32, 64) for bits in (20, 30, 45, 48, 50, 52)]
+
+
+@lru_cache(maxsize=None)
+def case_tables(case) -> NTTTables:
+    sets = {p.name: p for p in (SET_A, SET_B, SET_C)}
+    if case[0] in sets:
+        params = sets[case[0]]
+        chain = make_modulus_chain(params.n, list(params.modulus_bits), params.word_bits)
+        return NTTTables(params.n, chain[case[1]])
+    n, bits = case
+    return NTTTables(n, Modulus(generate_ntt_primes(n, bits, 1)[0]))
+
+
+def oracle_twiddles(t: NTTTables, tw) -> tuple:
+    """``tw``'s stage operands derived from the scalar oracle's
+    :class:`MulRedConstant` lists rather than from the arrays."""
+    p = t.modulus.value
+    fwd = [c.value for c in t.root_powers]
+    inv = [2 * c.value % p for c in t.inv_root_powers_div2]
+    stages = [tw._stages(np.array(v, dtype=np.uint64), t.n) for v in (fwd, inv)]
+    stages[1] = stages[1][::-1]
+    stages[1][-1] = tw.pair(t.inv_n * inv[1] % p)
+    return stages[0], stages[1], tw.pair(t.inv_n)
+
+
+def assert_operands_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +185,32 @@ class TestTableConstruction:
     def test_twiddles_have_mulred_ratios(self, tables):
         w = tables.root_powers[N // 2]
         assert w.ratio == (w.value << 54) // P
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids="{0[0]}-{0[1]}".format)
+    def test_array_tables_equal_the_object_view(self, case):
+        t = case_tables(case)
+        p, w = t.modulus.value, t.modulus.word_bits
+        for values, objects in (
+            (t.root_values, t.root_powers),
+            (t.inv_root_values_div2, t.inv_root_powers_div2),
+        ):
+            assert values.dtype == np.uint64 and not values.flags.writeable
+            assert values.tolist() == [c.value for c in objects]
+            assert [c.ratio for c in objects] == [(v << w) // p for v in values.tolist()]
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids="{0[0]}-{0[1]}".format)
+    def test_twiddle_cache_equals_the_object_derivation(self, case):
+        t = case_tables(case)
+        tw = nb._TwiddleCache(t)
+        fwd, inv, scale = oracle_twiddles(t, tw)
+        for got, want in zip(tw.fwd + tw.inv, fwd + inv):
+            assert_operands_equal(got, want)
+        assert_operands_equal(tw.scale, scale)
+        if tw.signed:
+            assert_operands_equal(tw.sums[-1], scale)
+            for got in tw.sums[:-1]:
+                if got is not None:
+                    assert_operands_equal(got, tw.pair(1))
 
     def test_dyadic_equals_ring_product(self, tables):
         """Pointwise product in NTT domain == negacyclic product (the

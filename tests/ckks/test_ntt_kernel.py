@@ -34,10 +34,12 @@ from repro.ckks.backend import available_backends, create_backend
 from repro.ckks.backend import numpy_backend as nb
 from repro.ckks.backend.base import canonical_stack
 from repro.ckks.backend.reference import ReferenceBackend
-from repro.ckks.context import SET_A, SET_B, SET_C, CkksContext
-from repro.ckks.modarith import Modulus
+from repro.ckks.context import SET_A, SET_B, SET_C, CkksContext, toy_parameters
+from repro.ckks.modarith import Modulus, MulRedConstant
 from repro.ckks.ntt import NTTTables
 from repro.ckks.primes import generate_ntt_primes, is_prime, make_modulus_chain
+from repro.serving.server import EncryptedComputeServer
+from repro.serving.traffic import SyntheticTenant, synthetic_traffic
 
 pytestmark = pytest.mark.skipif(
     "numpy" not in available_backends(),
@@ -500,3 +502,43 @@ def test_paper_primes_at_their_ring_size(name, index):
     assert canonical_stack(be.ntt_inverse_stack(t, forward)) == stack
     inverse = be.ntt_inverse_stack(t, be.native_stack(stack))
     assert canonical_stack(inverse)[1] == REF.ntt_inverse(t, stack[1])
+
+
+@pytest.fixture()
+def twiddle_objects(monkeypatch):
+    """Counts every :class:`MulRedConstant` built while the test runs."""
+    built = []
+    post_init = MulRedConstant.__post_init__
+
+    def counting(self):
+        built.append(self.value)
+        post_init(self)
+
+    monkeypatch.setattr(MulRedConstant, "__post_init__", counting)
+    return built
+
+
+def test_paper_contexts_build_no_twiddle_objects(twiddle_objects):
+    """Only the scalar oracle reads the tables as objects: building a
+    Set-A or Set-B context and transforming under every one of its
+    tables on the numpy backend constructs none."""
+    for params in (SET_A, SET_B):
+        ctx = CkksContext(params, backend="numpy")
+        be = ctx.backend
+        for m in ctx.key_basis.moduli:
+            t = ctx.tables(m)
+            rows = np.arange(2 * ctx.n, dtype=np.uint64).reshape(2, ctx.n) % np.uint64(m.value)
+            be.ntt_inverse_stack(t, be.ntt_forward_stack(t, rows))
+    assert twiddle_objects == []
+
+
+def test_served_square_builds_no_twiddle_objects(twiddle_objects):
+    ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=30), backend="numpy")
+    server = EncryptedComputeServer(ctx, max_batch_size=4)
+    clients, stream = synthetic_traffic(SyntheticTenant(ctx, seed=5), 2, 2, op="square", seed=9)
+    for client in clients:
+        client.connect(server)
+    for client_id, data in stream:
+        server.receive(client_id, data)
+    assert server.drain() == 4
+    assert twiddle_objects == []
