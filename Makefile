@@ -8,6 +8,9 @@
 #   make loc-check      the src/ line ratchet: fails when src/ exceeds loc-baseline.json's ceiling
 #                       (a PR that deletes code lowers the ceiling in the same commit; raising
 #                       it requires a "`src/` +N: why" line in the CHANGES headline)
+#   make doc-check      the prose ratchet: fails when a doc named under loc-baseline.json's "docs"
+#                       exceeds its line ceiling (the same rule: a PR that cuts prose lowers the
+#                       ceiling, raising one requires a "<doc> +N: why" line in CHANGES)
 #   make bench          every paper table/figure benchmark (writes benchmarks/results/)
 #   make bench-all      the repo benchmark of BENCHMARK.json: five workloads end to end + traced (writes bench/results/)
 #   make bench-backend  polynomial-backend speedup gate (numpy vs reference)
@@ -27,7 +30,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCHES := $(wildcard benchmarks/bench_*.py)
 
-.PHONY: test test-fast test-both lint loc loc-check bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
+.PHONY: test test-fast test-both lint loc loc-check doc-check bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -46,6 +49,16 @@ loc-check:
 	ceiling=$$($(PYTHON) -c "import json; print(json.load(open('loc-baseline.json'))['src'])"); \
 	echo "src/ $$total lines, ceiling $$ceiling (loc-baseline.json)"; \
 	test $$total -le $$ceiling || { echo "src/ grew past its ceiling: delete code, or raise it with a 'src/ +N: why' line in CHANGES"; exit 1; }
+
+doc-check:
+	@fail=0; \
+	for f in $$($(PYTHON) -c "import json; print(*json.load(open('loc-baseline.json'))['docs'])"); do \
+		lines=$$(wc -l < $$f); \
+		ceiling=$$($(PYTHON) -c "import json; print(json.load(open('loc-baseline.json'))['docs']['$$f'])"); \
+		echo "$$f $$lines lines, ceiling $$ceiling (loc-baseline.json)"; \
+		test $$lines -le $$ceiling || fail=1; \
+	done; \
+	test $$fail = 0 || { echo "a doc grew past its ceiling: cut prose, or raise it with a '<doc> +N: why' line in CHANGES"; exit 1; }
 
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"

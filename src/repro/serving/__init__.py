@@ -12,9 +12,8 @@ that makes such streams executable batch-wise:
 * :mod:`repro.serving.queue` -- bounded admission queue, backpressure
   as ERROR responses instead of unbounded buffering;
 * :mod:`repro.serving.batcher` -- homogeneity-aware dynamic batcher:
-  one kind of lane, keyed by (op, the key objects its steps consume,
-  n, size, level, scale, NTT form) -- a rotation's step is per-request
-  data -- flushed on max-batch-size or deadline;
+  a lane is a key pair and a shape (the op is per-request data),
+  flushed on max-batch-size or deadline;
 * :mod:`repro.serving.server` -- :class:`EncryptedComputeServer`, which
   executes every flush as one :class:`repro.plan.PlanGraph` on a
   :class:`repro.plan.PlanExecutor` (the only road from this package to

@@ -1,22 +1,31 @@
 """Homogeneity-aware dynamic batching of independent client requests.
 
-The throughput of a lane (``repro.ckks.batch``) comes from
-executing N *same-shape* ciphertexts as one stacked kernel pass -- but
-nothing guarantees that independent client requests arrive same-shaped
-or adjacent.  The dynamic batcher closes that gap with one rule: every
-admitted request is routed to the lane named by *its op, the key objects
-its steps consume, and its ciphertext's shape* (the
-:class:`CiphertextBatch` homogeneity tuple -- ring degree ``n``,
-component count ``size``, ``level_count``, ``scale`` and NTT form).
+The throughput of a lane (``repro.ckks.batch``) comes from executing N
+*same-shape* ciphertexts as one stacked kernel pass -- but nothing
+guarantees that independent client requests arrive same-shaped or
+adjacent.  The dynamic batcher closes that gap with one rule: every
+admitted request is routed to the lane named by *the key objects it will
+execute under and its ciphertext's shape* (the :class:`CiphertextBatch`
+homogeneity tuple -- ring degree ``n``, component count ``size``,
+``level_count``, ``scale`` and NTT form).
 
-A ``rotate``'s step is per-request data like its ciphertext, not lane
-identity: rotations under one tenant's keys share one lane whatever
-their steps and inputs, and what they share at execution -- one
-key-switch decomposition for the rotations of one ciphertext, one
-stacked call for same-step rotations of distinct ones -- is decided by
-the plan executor from the flush's graph, not by a second kind of lane
-here.  ``op_arg`` stays in the lane key only where it names a registered
-program (a different chain is a different op).
+The op is per-request data like the ciphertext, not lane identity: a
+lane spans ops, a rotation's step and a program's id alike.  Squares,
+rotations, conjugates and registered programs under one tenant's keys
+share one lane; what they share at execution -- one key-switch
+decomposition for the rotations of one ciphertext, one stacked call for
+same-shape nodes -- is decided by the plan executor from the flush's
+graph, not by a kind of lane here.
+
+The key component is the session's ``key_id`` plus the identity of the
+``(relin, galois)`` pair captured on the request at admission -- the
+session's whole pair for a chain that consumes any key, ``None`` for a
+keyless one: a flush executes its stacked key switches under one key
+set, so keyed requests share a lane only when they carry the very same
+key objects.  A client that (mis)declares another tenant's ``key_id``
+while holding different keys lands in its own lane, and a session that
+swaps its keys while requests are pending cannot change what those
+requests execute under.  Keyless requests batch across tenants.
 
 A lane flushes when it reaches ``max_batch_size`` (a full pipeline) or
 when its oldest request has waited ``max_delay_seconds`` (a latency
@@ -25,26 +34,18 @@ the deadline allows, never more than the hardware width.  The delay
 counts from the lane's *first* member.
 
 **Policy note.**  Traffic this rule favours: a client-side matvec (one
-ciphertext, many steps) flushes as one hoisted sweep, and rotations of
-distinct ciphertexts by different steps flush together instead of each
-step waiting out its own deadline.  Traffic it does not: every step
-shares the lane's width, so a sweep that meets same-tenant rotations
-inside one delay window may be split across two flushes by a lane that
-fills mid-sweep (two decompositions instead of one), and a saturating
-stream of distinct ciphertexts under k different steps packs stacked
-calls ``max_batch_size / k`` wide where a lane per step packed them
-full.  The answers are the same bits either way.
-
-The key-material component of the lane key is the *identity of the key
-objects the flush will actually consume* -- the ``(relin, galois)`` pair
-captured on the request at admission, ``None`` where the request's steps
-consume none -- beside the declared ``key_id``: a flush executes the
-whole stacked key switch under one key, so requests may only share a
-keyed lane when they carry the very same key objects.  A client that
-(mis)declares another tenant's ``key_id`` while holding different keys
-lands in its own lane, and a session that swaps its keys while requests
-are pending cannot retroactively change what those requests execute
-under.  A request that consumes no key at all batches across tenants.
+ciphertext, many steps) flushes as one hoisted sweep; rotations of
+distinct ciphertexts by different steps, and a tenant's squares beside
+its rotations, flush together instead of each op (or step) waiting out
+its own deadline.  Traffic it does not: every op shares the lane's
+width, so a sweep that meets same-tenant requests inside one delay
+window may be split across two flushes by a lane that fills mid-sweep
+(two decompositions instead of one), a saturating stream of k kinds of
+node packs stacked calls ``max_batch_size / k`` wide where one lane per
+op would pack them full, and a flush holding one unservable member is
+re-run member by member (``EncryptedComputeServer._run``), losing its
+batching for that flush only.  The answers are the same bits either
+way: a lane is its members served alone.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from repro.serving.queue import PendingRequest
 
 #: (key_id, (id(relin), id(galois))) of a keyed request, None for a keyless one
 KeyRef = Optional[Tuple[str, Tuple[int, int]]]
-#: Homogeneity key: (op, program id or 0, key ref, n, size, levels, scale, ntt)
-GroupKey = Tuple[str, int, KeyRef, int, int, int, float, bool]
+#: Homogeneity key: (key ref, n, size, levels, scale, ntt)
+GroupKey = Tuple[KeyRef, int, int, int, float, bool]
 
 
 def homogeneity_key(request: PendingRequest) -> GroupKey:
@@ -74,29 +75,16 @@ def homogeneity_key(request: PendingRequest) -> GroupKey:
         if relin is None and galois is None
         else (request.session.key_id, (id(relin), id(galois)))
     )
-    return (
-        request.op,
-        request.op_arg if request.op == "program" else 0,
-        key_ref,
-        ct.n,
-        ct.size,
-        ct.level_count,
-        ct.scale,
-        ct.is_ntt,
-    )
+    return (key_ref, ct.n, ct.size, ct.level_count, ct.scale, ct.is_ntt)
 
 
 @dataclass
 class BatchGroup:
-    """One flush unit: homogeneous requests sharing op, keys and shape."""
+    """One flush unit: requests sharing key objects and shape."""
 
     key: GroupKey
     requests: List[PendingRequest] = field(default_factory=list)
     opened_at: float = 0.0
-
-    @property
-    def op(self) -> str:
-        return self.key[0]
 
     def __len__(self) -> int:
         return len(self.requests)

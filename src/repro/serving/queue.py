@@ -34,18 +34,19 @@ class PendingRequest:
     """One admitted request waiting to be batched.
 
     ``key`` is the ``(relin_key, galois_keys)`` pair the request will
-    execute under, captured *at admission* and ``None`` in each slot its
-    steps do not consume: the batch lane is keyed on these objects'
-    identity and the flush installs these same objects, so a session
-    swapping its keys while the request is pending can neither corrupt
-    the request nor any lane-mate's result.
+    execute under, captured *at admission*: the session's pair when its
+    steps consume any key, ``(None, None)`` when they consume none.  The
+    batch lane is keyed on these objects' identity and the flush
+    installs these same objects, so a session swapping its keys while
+    the request is pending can neither corrupt the request nor any
+    lane-mate's result.
     """
 
     session: ClientSession
     request_id: int
     op: str
-    #: per-request data like the ciphertext: a ``rotate``'s step, or the
-    #: id of the registered program to run
+    #: per-request data like the op: a ``rotate``'s step, or the id of
+    #: the registered program to run
     op_arg: int
     #: header and length checked, words still packed: the flush that
     #: runs the request unpacks them and leaves the decoded element here

@@ -42,6 +42,7 @@ module's :class:`ServingReport` back.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import time  # perf_counter only: measures flush cost, never deadlines
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -57,7 +58,7 @@ from repro.ckks.serialization import (
 )
 from repro.plan import PlanExecutor, PlanGraph, check_plan
 from repro.serving import framing
-from repro.serving.batcher import BatchGroup, DynamicBatcher
+from repro.serving.batcher import DynamicBatcher
 from repro.serving.framing import Frame
 from repro.serving.clock import SYSTEM_CLOCK, Clock
 from repro.serving.queue import BackpressureError, PendingRequest, RequestQueue
@@ -96,6 +97,9 @@ SUPPORTED_OPS = tuple(sorted((*STEP_OPS, "program")))
 class FlushRecord:
     """One executed flush: what ran, how wide, and what it cost."""
 
+    #: the label the run earned, not a lane's name: ``"rotate_hoisted"``
+    #: when a rotation sweep fused, else the op every member shares, else
+    #: ``"mixed"``
     op: str
     batch_size: int
     seconds: float
@@ -226,6 +230,8 @@ class EncryptedComputeServer:
         at flush time, so re-registering an id with *different* steps
         raises ``ValueError``; identical steps are idempotent.
         """
+        if isinstance(steps, str):
+            raise ValueError(f"steps must be a sequence of steps, not the string {steps!r}")
         normalized = []
         for step in steps:
             op, arg = (step, 0) if isinstance(step, str) else step
@@ -233,8 +239,7 @@ class EncryptedComputeServer:
                 raise ValueError(
                     f"unknown program step {op!r}; supported: {', '.join(STEP_OPS)}"
                 )
-            self._check_step(op, int(arg))
-            normalized.append((op, int(arg)))
+            normalized.append(self._check_step(op, arg))
         if not normalized:
             raise ValueError("a program needs at least one step")
         program = tuple(normalized)
@@ -246,16 +251,25 @@ class EncryptedComputeServer:
             )
         return program
 
-    def _check_step(self, op: str, arg: int) -> None:
-        """The one rule on a step's argument, for bare requests and
-        registered chains alike: a rotation by a multiple of the slot
-        count is the identity, which no Galois key exists for."""
-        if op == "rotate" and arg % self.context.params.slot_count == 0:
+    def _check_step(self, op: str, arg) -> Tuple[str, int]:
+        """The one rule on a step's argument, for wire requests and
+        registered chains alike; returns the step as ``(op, int arg)``.
+        A rotation's step is an integer that is nonzero modulo the slot
+        count (a multiple of it is the identity, which no Galois key
+        exists for); every other step takes no argument (``0``)."""
+        if op != "rotate":
+            if arg != 0:
+                raise ValueError(f"{op} takes no argument; got {arg!r}")
+            return op, 0
+        if not isinstance(arg, numbers.Integral):
+            raise ValueError(f"rotate step must be an integer; got {arg!r}")
+        if arg % self.context.params.slot_count == 0:
             raise ValueError(
                 "rotate step must be nonzero modulo the "
                 f"{self.context.params.slot_count} slots; "
                 f"{arg} is the identity rotation"
             )
+        return op, int(arg)
 
     def _chain(self, op: str, op_arg: int) -> Tuple[Tuple[str, int], ...]:
         """A request's step chain: a bare op is the chain of one, a
@@ -270,8 +284,7 @@ class EncryptedComputeServer:
             raise ValueError(
                 f"unknown op {op!r}; supported: {', '.join(SUPPORTED_OPS)}"
             )
-        self._check_step(op, op_arg)
-        return ((op, op_arg),)
+        return (self._check_step(op, op_arg),)
 
     # ------------------------------------------------------------------
     # ingress
@@ -343,29 +356,28 @@ class EncryptedComputeServer:
                 code=framing.ERR_DEADLINE,
             )
             return
-        # the key objects the request will execute under, captured NOW
-        # for exactly the steps that consume them: the batch lane is
-        # keyed on their identity and the flush installs them, so later
-        # key swaps on the session cannot affect this request
-        needs_relin = needs_galois = False
-        for op, _ in steps:
-            needs_relin |= STEP_OPS[op].relin
-            needs_galois |= STEP_OPS[op].galois
-        key = (
-            session.relin_key if needs_relin else None,
-            session.galois_keys if needs_galois else None,
+        # the key objects the request will execute under, captured NOW:
+        # the session's whole pair for a chain that consumes any key, so
+        # a tenant's squares, rotations and programs share one lane, and
+        # none for a keyless chain, which batches across tenants.  The
+        # lane is keyed on their identity and the flush installs them,
+        # so later key swaps on the session cannot affect this request
+        held = (session.relin_key, session.galois_keys)
+        needs = (
+            any(STEP_OPS[op].relin for op, _ in steps),
+            any(STEP_OPS[op].galois for op, _ in steps),
         )
-        for need, held, what in (
-            (needs_relin, key[0], "a relinearization key"),
-            (needs_galois, key[1], "Galois keys"),
+        for need, key, what in zip(
+            needs, held, ("a relinearization key", "Galois keys")
         ):
-            if need and held is None:
+            if need and key is None:
                 self._respond_error(
                     session,
                     frame.request_id,
                     f"{frame.op} needs {what}; session has none",
                 )
                 return
+        key = held if any(needs) else (None, None)
         if self.queue.closed:
             self._reject(
                 session, frame.request_id,
@@ -427,9 +439,9 @@ class EncryptedComputeServer:
         for request in self.queue.pop_all():
             full = self.batcher.add(request, now)
             if full is not None:
-                completed += self._execute(full)
+                completed += self._execute(full.requests)
         for group in self.batcher.due(now):
-            completed += self._execute(group)
+            completed += self._execute(group.requests)
         return completed
 
     def drain(self, now: Optional[float] = None) -> int:
@@ -443,7 +455,7 @@ class EncryptedComputeServer:
         """
         completed = self.pump(now)  # empties the queue into the batcher
         for group in self.batcher.flush_all():
-            completed += self._execute(group)
+            completed += self._execute(group.requests)
         return completed
 
     # ------------------------------------------------------------------
@@ -480,8 +492,8 @@ class EncryptedComputeServer:
         ``source[i]`` -- its own, unless an earlier lane-mate carries
         the same ciphertext bytes.  Rotations that share an input are
         the sweep the executor fuses onto one key-switch decomposition;
-        same-step rotations of distinct inputs are nodes it packs into
-        one stacked call.
+        same-shape nodes of distinct inputs are nodes it packs into one
+        stacked call, whatever ops they came from.
         """
         graph = PlanGraph()
         inputs, node = {}, {}
@@ -495,7 +507,7 @@ class EncryptedComputeServer:
             for op, arg in self._chain(request.op, request.op_arg):
                 cur = STEP_OPS[op].lower(graph, cur, arg)
             graph.output(cur, f"r{i}")
-        if requests[0].op == "program":
+        if any(r.op == "program" for r in requests):
             # a registered chain is validated before any ciphertext work.
             # Bare ops are deliberately NOT: the checker's headroom rule
             # rejects shapes the evaluator serves correctly (a Set-A
@@ -517,42 +529,40 @@ class EncryptedComputeServer:
 
     def _unpack(self, requests: List[PendingRequest]):
         """Unpack the flush's distinct payloads, once, straight into the
-        lane block its kernels run on; returns the servable members, their
-        :meth:`_sources` and the payload bytes of their distinct inputs
-        (each crosses PCIe once).  Corrupt residues -- the one wire check
-        that needs the words -- answer that payload's members with the
-        fatal error admission would have given, and the rest of the
-        flush runs as if they had never been in it."""
+        lane block its kernels run on, and leave each decoded element on
+        the request that carried it; returns the servable members, each
+        paired with the payload bytes of its input (each distinct input
+        crosses PCIe once).  Corrupt residues -- the one wire check that
+        needs the words -- answer that payload's members with the fatal
+        error admission would have given, and the rest of the flush runs
+        as if they had never been in it."""
         source = self._sources(requests)
+        sizes = [len(r.ciphertext.data) - HEADER_BYTES for r in requests]
         distinct = sorted(set(source))
         wires = [requests[i].ciphertext for i in distinct]
         decoded, errors = unpack_ciphertexts(wires, self.context)
         for k, ct in decoded.items():
             requests[distinct[k]].ciphertext = ct
-        in_bytes = sum(len(wires[k].data) - HEADER_BYTES for k in decoded)
-        if not errors:
-            return requests, source, in_bytes
         failed = {distinct[k]: exc for k, exc in errors.items()}
-        alive = []
-        for request, i in zip(requests, source):
+        members = []
+        for request, i, size in zip(requests, source, sizes):
             if i in failed:
                 self._respond_error(
                     request.session, request.request_id, f"bad payload: {failed[i]}"
                 )
             else:
-                alive.append(request)
-        return alive, self._sources(alive), in_bytes
+                members.append((request, size))
+        return members
 
-    def _execute(self, group: BatchGroup) -> int:
+    def _execute(self, requests: List[PendingRequest]) -> int:
         """Run one flush, answer every member exactly once (response or
         error), record accounting; returns the member count."""
-        answered = len(group.requests)
         # deadline re-check at flush time: a request admitted alive may
         # expire while its lane waits to fill; expired members get a
         # DEADLINE error and the rest of the flush executes without them
         flush_now = self.clock()
-        requests = []
-        for request in group.requests:
+        alive = []
+        for request in requests:
             if request.deadline and flush_now >= request.deadline:
                 self.report.expired_requests += 1
                 self._respond_error(
@@ -562,65 +572,63 @@ class EncryptedComputeServer:
                     code=framing.ERR_DEADLINE,
                 )
             else:
-                requests.append(request)
-        # the keys captured at admission -- identical for every lane
-        # member by construction (the lane is keyed on their identity)
-        relin_key, galois_keys = group.requests[0].key
-        if group.op == "rotate":
-            # a rotate lane spans steps: a member whose step has no
-            # Galois key is answered with its own error up front, never
-            # taking its servable lane-mates down with it
-            servable = []
-            for request in requests:
-                elt = self.context.galois_element_for_step(request.op_arg)
-                if elt in galois_keys:
-                    servable.append(request)
-                else:
-                    self._respond_error(
-                        request.session,
-                        request.request_id,
-                        f"op failed: no Galois key for element {elt}; "
-                        "generate it first",
-                    )
-            requests = servable
-        if not requests:
-            return answered
-        requests, source, in_bytes = self._unpack(requests)
-        if not requests:
-            return answered
-        self.executor.relin_key = relin_key
-        self.executor.galois_keys = galois_keys
+                alive.append(request)
+        if alive:
+            self._run(self._unpack(alive))
+        return len(requests)
+
+    def _run(self, members: List[Tuple[PendingRequest, int]]) -> None:
+        """Run unpacked ``(request, input bytes)`` members as one flush
+        under the key pair they all captured at admission (the lane is
+        keyed on its identity).
+
+        The one isolation rule: if the flush's plan check or run raises
+        (a step without its Galois key, a rescale at the last level, a
+        program that fails ``check_plan``, ...), each member is re-run as
+        a flush of one, and only a member that also fails alone is
+        answered with an error -- a lane is its members served alone.
+        """
+        if not members:
+            return
+        requests = [request for request, _ in members]
+        source = self._sources(requests)
+        self.executor.relin_key, self.executor.galois_keys = requests[0].key
         t0 = time.perf_counter()
         try:
             run = self.executor.run(*self._flush_plan(requests, source))
         except (ValueError, KeyError) as exc:
-            # an infeasible op for this shape (rescale at the last
-            # level, square on a size-3 ciphertext, a program step
-            # without its Galois key, ...) fails the whole homogeneous
-            # flush
-            for request in requests:
+            if len(members) > 1:
+                for (request, size), i in zip(members, source):
+                    request.ciphertext = requests[i].ciphertext  # decoded input
+                    self._run([(request, size)])
+            else:
                 self._respond_error(
-                    request.session, request.request_id, f"op failed: {exc}"
+                    requests[0].session, requests[0].request_id, f"op failed: {exc}"
                 )
-            return answered
+            return
         seconds = time.perf_counter() - t0
         now = self.clock()
         out_bytes = 0
         # responses go out at the wire version each client negotiated at
-        # HELLO time (v1 for legacy clients): one codec pass per version,
-        # each payload framed as it is made
-        for version in {r.session.wire_version for r in requests}:
-            members = [i for i, r in enumerate(requests) if r.session.wire_version == version]
-            outputs = [run.outputs[f"r{i}"] for i in members]
-            for i, payload in zip(members, pack_ciphertexts(outputs, version)):
+        # HELLO time (v1 for legacy clients): one codec pass per version
+        # and result shape (a lane spans ops, and a rescale drops a
+        # level), each payload framed as it is made
+        passes: Dict[tuple, List[int]] = {}
+        for i, request in enumerate(requests):
+            ct = run.outputs[f"r{i}"]
+            shape = (request.session.wire_version, ct.size, ct.level_count)
+            passes.setdefault(shape, []).append(i)
+        for (version, *_), batch in sorted(passes.items()):
+            outputs = [run.outputs[f"r{i}"] for i in batch]
+            for i, payload in zip(batch, pack_ciphertexts(outputs, version)):
                 request = requests[i]
                 request.session.outbox.append(
                     framing.encode_frame(
                         framing.RESPONSE,
                         request.request_id,
                         request.session.client_id,
-                        # a lane spans steps, so the response echoes each
-                        # request's own op/op_arg rather than the lane's
+                        # a lane spans ops, so the response echoes each
+                        # request's own op/op_arg
                         op=request.op,
                         op_arg=request.op_arg,
                         payload=payload,
@@ -630,18 +638,17 @@ class EncryptedComputeServer:
                 self.report.latencies.append(now - request.enqueued_at)
                 # billing reads the bytes that crossed the wire, each way
                 out_bytes += len(payload) - HEADER_BYTES
+        in_bytes = sum(members[i][1] for i in set(source))
+        ops = {r.op for r in requests}
         self.report.flushes.append(
             FlushRecord(
-                # the label the executor earned, not a lane's name: a
-                # rotate flush that ran at least one fused sweep
-                "rotate_hoisted" if group.op == "rotate" and run.sweeps else group.op,
+                "rotate_hoisted" if run.sweeps else ops.pop() if len(ops) == 1 else "mixed",
                 len(requests),
                 seconds,
                 len(requests) > 1,
                 ScheduledOp(run.scheduled_kind, in_bytes, out_bytes, seconds),
             )
         )
-        return answered
 
     # ------------------------------------------------------------------
     # system-model integration

@@ -359,8 +359,8 @@ def synthetic_traffic(
     ``(client_id, frame_bytes)`` round-robin across clients -- the
     interleaved arrival order a real multi-client front end produces.
     When ``ops`` is given (a sequence of ``(op, op_arg)``), requests
-    cycle through it, producing heterogeneous traffic that exercises
-    the batcher's lane separation.
+    cycle through it, producing op-heterogeneous traffic (which shares
+    lanes wherever keys and shapes agree).
     """
     clients = [
         SyntheticClient(

@@ -1,5 +1,9 @@
 """Homogeneity grouping and size/deadline flush behavior.
 
+A lane is the key objects a request executes under plus its
+ciphertext's shape; the op is per-request data, so no case here splits
+lanes by op.
+
 The batcher only reads shape metadata off a request's ciphertext, so
 these tests drive it with lightweight stand-ins and a manual clock --
 the full stack (real ciphertexts, real execution) is covered in
@@ -36,6 +40,10 @@ def make_request(
     return PendingRequest(session, 0, op, op_arg, ct, now, (key, None), digest)
 
 
+#: the key pair a keyed request captured at admission
+KEYS = object()
+
+
 class TestHomogeneityKey:
     def test_same_shape_same_lane(self):
         assert homogeneity_key(make_request()) == homogeneity_key(make_request())
@@ -43,8 +51,8 @@ class TestHomogeneityKey:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"op": "rescale"},
-            {"op_arg": 1, "op": "rotate"},
+            {"key": None},  # a keyless request never joins a keyed lane
+            {"key_id": "tenant-b"},
             {"n": 128},
             {"size": 3},
             {"levels": 2},
@@ -53,8 +61,25 @@ class TestHomogeneityKey:
         ],
     )
     def test_shape_differences_split_lanes(self, kwargs):
-        assert homogeneity_key(make_request(**kwargs)) != homogeneity_key(
-            make_request()
+        """Each component of the lane key -- key ref, n, size, levels,
+        scale, NTT form -- splits a keyed lane on its own."""
+        assert homogeneity_key(make_request(**{"key": KEYS, **kwargs})) != (
+            homogeneity_key(make_request(key=KEYS))
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"op": "rescale"},
+            {"op": "rotate", "op_arg": 1},
+            {"op": "conjugate"},
+            {"op": "program", "op_arg": 5},
+        ],
+    )
+    def test_op_does_not_split_lanes(self, kwargs):
+        base = make_request(op="square", key=KEYS)
+        assert homogeneity_key(make_request(key=KEYS, **kwargs)) == (
+            homogeneity_key(base)
         )
 
     def test_keyed_op_separates_tenants(self):
@@ -64,16 +89,16 @@ class TestHomogeneityKey:
         b = make_request(op="square", key_id="tenant-b", key=relin)
         assert homogeneity_key(a) != homogeneity_key(b)
 
-    def test_a_rotation_step_is_data_a_program_id_is_not(self):
-        keys = object()
-        rot = [make_request(op="rotate", op_arg=s, key=keys) for s in (1, 2)]
+    def test_a_rotation_step_and_a_program_id_are_data(self):
+        rot = [make_request(op="rotate", op_arg=s, key=KEYS) for s in (1, 2)]
         assert homogeneity_key(rot[0]) == homogeneity_key(rot[1])
-        prog = [make_request(op="program", op_arg=i) for i in (1, 2)]
-        assert homogeneity_key(prog[0]) != homogeneity_key(prog[1])
+        prog = [make_request(op="program", op_arg=i, key=KEYS) for i in (1, 2)]
+        assert homogeneity_key(prog[0]) == homogeneity_key(prog[1])
+        assert homogeneity_key(prog[0]) == homogeneity_key(rot[0])
 
     def test_keyless_op_batches_across_tenants(self):
         a = make_request(op="double", key_id="tenant-a")
-        b = make_request(op="double", key_id="tenant-b")
+        b = make_request(op="negate", key_id="tenant-b")
         assert homogeneity_key(a) == homogeneity_key(b)
 
 
@@ -98,9 +123,10 @@ class TestFlushPolicy:
     def test_deadline_is_per_lane(self):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=1.0)
         batcher.add(make_request(op="square"), now=0.0)
-        batcher.add(make_request(op="rescale"), now=0.8)
-        due = batcher.due(now=1.1)
-        assert [g.op for g in due] == ["square"]
+        batcher.add(make_request(op="rescale"), now=0.5)  # same lane
+        batcher.add(make_request(op="square", levels=2), now=0.8)
+        (due,) = batcher.due(now=1.1)
+        assert [r.op for r in due.requests] == ["square", "rescale"]
         assert batcher.pending_count == 1
 
     def test_singleton_lane_flushes_on_deadline(self):
@@ -111,22 +137,24 @@ class TestFlushPolicy:
 
     def test_flush_all_drains_every_lane(self):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)
+        batcher.add(make_request(op="square", levels=2), now=0.0)
         batcher.add(make_request(op="square"), now=0.0)
-        batcher.add(make_request(op="rescale"), now=0.0)
         batcher.add(make_request(op="rescale"), now=0.0)
         groups = batcher.flush_all()
         assert sorted(len(g) for g in groups) == [1, 2]
         assert batcher.pending_count == 0 and batcher.open_lanes == 0
 
     def test_heterogeneous_stream_forms_separate_full_lanes(self):
+        """An op-heterogeneous stream fills one lane after another, each
+        full and holding both ops -- not a lane per op."""
         batcher = DynamicBatcher(max_batch_size=2, max_delay_seconds=10.0)
         flushed = []
         for i in range(4):
             op = "square" if i % 2 == 0 else "rescale"
             group = batcher.add(make_request(op=op), now=0.0)
             if group:
-                flushed.append(group.op)
-        assert sorted(flushed) == ["rescale", "square"]
+                flushed.append([r.op for r in group.requests])
+        assert flushed == [["square", "rescale"]] * 2
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -216,8 +244,9 @@ class TestKeyMaterialIdentity:
 
 
 class TestLaneRule:
-    """One kind of lane: op, the key objects consumed, ciphertext shape.
-    A rotation's step and its payload digest are per-request data."""
+    """One kind of lane: the key objects captured, ciphertext shape.  A
+    request's op, a rotation's step and its payload digest are
+    per-request data."""
 
     def _rotate(self, step, digest, key, **shape):
         return make_request(op="rotate", op_arg=step, key=key, digest=digest, **shape)
@@ -228,8 +257,7 @@ class TestLaneRule:
         batcher.add(self._rotate(1, b"ct-a", keys), now=0.0)
         batcher.add(self._rotate(2, b"ct-a", keys), now=0.0)
         (group,) = batcher.flush_all()
-        assert group.op == "rotate"
-        assert [r.op_arg for r in group.requests] == [1, 2]
+        assert [(r.op, r.op_arg) for r in group.requests] == [("rotate", 1), ("rotate", 2)]
 
     def test_different_digests_and_steps_share_the_rotate_lane(self):
         batcher = DynamicBatcher(max_batch_size=8, max_delay_seconds=100.0)

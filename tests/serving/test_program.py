@@ -143,6 +143,37 @@ class TestProgramRequests:
         with pytest.raises(ValueError, match="at least one step"):
             server.register_program(1, [])
 
+    def test_rotate_step_must_be_an_integer(self, serving_context):
+        server = EncryptedComputeServer(serving_context)
+        with pytest.raises(ValueError, match="rotate step must be an integer; got 1.7"):
+            server.register_program(3, [("rotate", 1.7)])
+        assert server.register_program(3, [("rotate", np.int64(1))]) == (("rotate", 1),)
+
+    def test_argless_step_takes_argument_zero(self, serving_context):
+        server = EncryptedComputeServer(serving_context)
+        assert server.register_program(3, ["square"]) == (("square", 0),)
+        assert server.register_program(3, [("square", 0)]) == (("square", 0),)
+        with pytest.raises(ValueError, match="square takes no argument; got 3"):
+            server.register_program(3, [("square", 3)])
+
+    def test_argless_wire_request_with_an_argument_is_refused(
+        self, serving_context, make_client
+    ):
+        server = EncryptedComputeServer(serving_context)
+        client = make_client()
+        client.connect(server)
+        server.receive(client.client_id, client.request_bytes("square", [1.0], op_arg=5))
+        (blob,) = server.sessions.get(client.client_id).take_outbox()
+        frame = framing.decode_frame(blob)
+        assert frame.kind == framing.ERROR
+        assert frame.error_message == "square takes no argument; got 5"
+        assert server.pending_count == 0
+
+    def test_a_string_is_not_a_step_sequence(self, serving_context):
+        server = EncryptedComputeServer(serving_context)
+        with pytest.raises(ValueError, match="not the string 'square'"):
+            server.register_program(3, "square")
+
     def test_reregistering_identical_steps_is_idempotent(self, serving_context):
         server = EncryptedComputeServer(serving_context)
         first = server.register_program(PROGRAM_ID, PROGRAM)

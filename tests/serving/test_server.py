@@ -592,8 +592,8 @@ class TestHoistedRotationServing:
 
     def test_missing_key_step_fails_alone_in_hoist_flush(self, serving_context):
         """A keyless step must not take its servable lane-mates down --
-        a rotate lane spans steps, and a member whose step has no Galois
-        key is answered alone before the sweep runs."""
+        a lane spans steps, and when a member's step has no Galois key
+        the flush is re-run member by member, so only that one fails."""
         tenant, client = self._tenant_with_steps(serving_context, [1])
         server = EncryptedComputeServer(serving_context)
         client.connect(server)
@@ -751,6 +751,78 @@ class TestOneKindOfLane:
             (blob,) = server.sessions.get(client.client_id).take_outbox()
             _, values = client.tenant.decrypt_response(blob)
             assert abs(values[0].real + 0.5 * (i + 1)) < 1e-2
+
+
+class TestOpsAsData:
+    """The op is per-request data: one tenant's squares, rotations,
+    conjugates and programs share a lane and a flush, and the flush is
+    labelled by what ran."""
+
+    def _server(self, context, make_client):
+        server = EncryptedComputeServer(context, max_batch_size=8)
+        server.register_program(5, (("rotate", 1), "square", "rescale"))
+        fleet = [make_client(), make_client()]
+        for client in fleet:
+            client.connect(server)
+        return server, fleet
+
+    def test_flush_label_names_what_ran(self, serving_context, make_client):
+        server, (a, b) = self._server(serving_context, make_client)
+        labels = []
+        for stream in (
+            [(a, a.rotation_sweep_bytes([0.5], [1, 1]))],  # a fused sweep
+            [(a, [a.request_bytes("square", [1.0])]),
+             (b, [b.request_bytes("square", [2.0])])],  # one shared op
+            [(a, [a.request_bytes("square", [1.0])]),
+             (b, [b.request_bytes("rotate", [2.0], op_arg=1)])],  # two ops
+        ):
+            for client, blobs in stream:
+                for blob in blobs:
+                    server.receive(client.client_id, blob)
+            assert server.drain() == 2
+            (flush,) = server.report.flushes[len(labels):]
+            labels.append((flush.op, flush.batch_size))
+        assert labels == [("rotate_hoisted", 2), ("square", 2), ("mixed", 2)]
+
+    def test_k_op_kinds_under_one_key_flush_once_per_width(
+        self, serving_context, make_client
+    ):
+        """Four op kinds under one key pair: 16 requests flush as two
+        full flushes, not four lanes' worth."""
+        server, (a, b) = self._server(serving_context, make_client)
+        kinds = [("square", 0), ("rotate", 1), ("conjugate", 0), ("program", 5)]
+        for i in range(16):
+            client = (a, b)[i % 2]
+            op, arg = kinds[i % len(kinds)]
+            server.receive(
+                client.client_id, client.request_bytes(op, [0.1 * i], op_arg=arg)
+            )
+        assert server.pump() == 16
+        assert [(f.op, f.batch_size) for f in server.report.flushes] == [
+            ("mixed", 8), ("mixed", 8),
+        ]
+        answers = collect_responses(server, (a, b))
+        assert [f.kind for f in answers.values()] == [framing.RESPONSE] * 16
+
+    def test_unservable_member_reruns_its_flush_member_by_member(
+        self, serving_context, make_client
+    ):
+        server, (a, b) = self._server(serving_context, make_client)
+        server.receive(a.client_id, a.request_bytes("square", [1.0]))
+        # step 2 has no Galois key in the tenant's set ([1] + conjugation)
+        server.receive(b.client_id, b.request_bytes("rotate", [1.0], op_arg=2))
+        server.receive(a.client_id, a.request_bytes("negate", [1.0]))  # keyless
+        server.receive(b.client_id, b.request_bytes("conjugate", [1.0]))
+        assert server.drain() == 4
+        # the keyless negate had its own lane; the keyed flush of three
+        # failed, and its two servable members ran as flushes of one
+        assert sorted((f.op, f.batch_size) for f in server.report.flushes) == [
+            ("conjugate", 1), ("negate", 1), ("square", 1),
+        ]
+        answers = collect_responses(server, (a, b))
+        errors = [k for k, f in answers.items() if f.kind == framing.ERROR]
+        assert [k[0] for k in errors] == [b.client_id] and len(answers) == 4
+        assert "no Galois key for step 2" in answers[errors[0]].error_message
 
 
 class TestIdentityRotation:

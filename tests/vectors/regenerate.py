@@ -220,7 +220,8 @@ def compute_serving_trace() -> dict:
     ):
         server.receive(clients[0].client_id, blob)
     frames["hoist/6"] = collect()
-    # the keyless member is answered alone; one rotation is left to run
+    # the step without a Galois key fails the flush, which re-runs member
+    # by member: one rotation is served, the keyless step refused alone
     for blob in clients[1].rotation_sweep_bytes([0.75, 0.5], (3, 7)):
         server.receive(clients[1].client_id, blob)
     frames["hoist/shrunk"] = collect()
