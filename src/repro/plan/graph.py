@@ -33,32 +33,22 @@ The IR is deliberately minimal:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-#: Ops producing ciphertext values.  ``mul_relin``/``square`` include the
-#: relinearization (ciphertexts in a plan are always size 2).
-CIPHER_OPS = frozenset(
-    {
-        "input",
-        "add",
-        "sub",
-        "negate",
-        "mul_plain",
-        "add_const",
-        "mul_relin",
-        "square",
-        "rotate",
-        "conjugate",
-        "linear_sweep",
-        "rescale",
-    }
-)
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Ops consuming a key-switching key (and therefore a KeySwitch on HEAX).
 KEYSWITCH_OPS = frozenset(
     {"mul_relin", "square", "rotate", "conjugate", "linear_sweep"}
 )
+
+
+def _checked_scale(kind: str, scale: Optional[float]) -> Optional[float]:
+    # the rule batch.check_scales applies to ciphertext metadata; NaN
+    # fails every compare, so it is refused here too
+    if scale is not None and not 0 < scale < math.inf:
+        raise ValueError(f"{kind} scale must be finite and positive; got {scale!r}")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -111,7 +101,7 @@ class PlanGraph:
         node = self.nodes.get(nid)
         if node is None:
             raise ValueError(f"unknown node id {nid}")
-        if node.op not in CIPHER_OPS:
+        if node.op == "const":
             raise ValueError(
                 f"node {nid} ({node.op}) is not a ciphertext value; "
                 "const nodes may only feed mul_plain/add_const/linear_sweep"
@@ -133,15 +123,14 @@ class PlanGraph:
         """A ciphertext the caller supplies at execution time."""
         if name in self.inputs:
             raise ValueError(f"duplicate input name {name!r}")
+        scale = _checked_scale("input", scale)
         nid = self._new("input", name=name, level_count=level_count, scale=scale)
         self.inputs[name] = nid
         return nid
 
     def const(self, value, scale: Optional[float] = None) -> int:
         """A plaintext operand, encoded lazily at its consumer's level."""
-        if scale is not None and scale <= 0:
-            raise ValueError("const scale must be positive")
-        return self._new("const", value=value, scale=scale)
+        return self._new("const", value=value, scale=_checked_scale("const", scale))
 
     def add(self, a: int, b: int) -> int:
         return self._new("add", inputs=(self._cipher(a), self._cipher(b)))
@@ -190,6 +179,25 @@ class PlanGraph:
 
     def rescale(self, a: int) -> int:
         return self._new("rescale", inputs=(self._cipher(a),))
+
+    def copy(
+        self, node: PlanNode, inputs: Sequence[int], consts: Mapping[int, int]
+    ) -> int:
+        """Rebuild ``node`` (of any graph) in this one on new operands:
+        ``inputs`` are its ciphertext operand ids here and ``consts``
+        maps each of its const ids to one of this graph's.  Every other
+        field is kept; a pass rewrites a graph with this one call."""
+        if node.op == "input":
+            return self.input(node.name, node.level_count, node.scale)
+        return self._new(
+            node.op,
+            inputs=tuple(self._cipher(i) for i in inputs),
+            step=node.step,
+            value=node.value,
+            scale=node.scale,
+            const_id=None if node.const_id is None else self._const(consts[node.const_id]),
+            terms=tuple((step, self._const(consts[cid])) for step, cid in node.terms),
+        )
 
     def output(self, nid: int, name: Optional[str] = None) -> int:
         """Mark a node as a plan output (returned by the executor)."""

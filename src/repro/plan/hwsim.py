@@ -43,6 +43,7 @@ from repro.core.arch import KeySwitchArchitecture, TABLE5_ARCHITECTURES
 from repro.core.keyswitch_module import KeySwitchModuleSim
 from repro.core.perf import CLOCK_HZ, dyadic_cycles, ntt_cycles
 from repro.plan.executor import PlanRun, PlanStep
+from repro.plan.graph import KEYSWITCH_OPS
 
 #: Paper parameter-set names in repro.ckks.context order.
 PAPER_SET_NAMES = ("Set-A", "Set-B", "Set-C")
@@ -87,7 +88,7 @@ def _step_cycles(
             cycles += step.rotations * ht["dyadmult_cycles_per_rotation"]
             cycles += step.width * (ht["decompose_cycles"] + ht["modulus_switch_cycles"])
         return cycles
-    if step.op in ("rotate", "conjugate", "square", "mul_relin"):
+    if step.op in KEYSWITCH_OPS:
         return step.width * sim.timing(level_count=lc).throughput_cycles
     if step.op == "rescale":
         return step.width * 2 * (

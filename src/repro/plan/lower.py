@@ -18,14 +18,13 @@ from the repo's existing workload descriptions:
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.ckks.context import CkksContext
 from repro.plan.graph import PlanGraph
-from repro.plan.passes import HEADROOM_BITS, _last_prime, _total_bits
+from repro.plan.passes import _fits, _last_prime
 
 
 def matvec_graph(
@@ -104,9 +103,6 @@ def workload_graph(
     sequence = workload.op_sequence()
     half = graph.const(0.5)
 
-    def fits(level: int, scale: float) -> bool:
-        return math.log2(scale) + HEADROOM_BITS <= _total_bits(context, level)
-
     for lane in range(lanes):
         resets = 0
         cur = graph.input(f"lane{lane}")
@@ -137,11 +133,11 @@ def workload_graph(
             if primitive in ("cc_mult", "cp_mult"):
                 l2, s2, ok = after_auto_rescale()
                 product = s2 * s2 if primitive == "cc_mult" else s2 * delta
-                if not ok or not fits(l2, product):
+                if not ok or not _fits(context, l2, product):
                     reset()
                     l2, s2 = level, scale
                     product = s2 * s2 if primitive == "cc_mult" else s2 * delta
-                    if not fits(l2, product):
+                    if not _fits(context, l2, product):
                         raise ValueError(
                             f"workload {primitive} does not fit even on a "
                             "fresh chain; use a larger k or smaller scale"
@@ -162,10 +158,10 @@ def workload_graph(
                 else:
                     # scale-preserving level drop: unit-multiply up to
                     # the prime, then the real rescale
-                    if not fits(level, scale * prime):
+                    if not _fits(context, level, scale * prime):
                         reset()
                         prime = _last_prime(context, level)
-                        if not fits(level, scale * prime):
+                        if not _fits(context, level, scale * prime):
                             raise ValueError(
                                 "workload rescale does not fit even on a "
                                 "fresh chain; use a larger k or smaller scale"

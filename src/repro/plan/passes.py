@@ -3,19 +3,22 @@
 The passes run over a :class:`repro.plan.graph.PlanGraph` *before*
 execution, replacing the hand-managed scale/level bookkeeping that used
 to live in every composite call site (``linear.py``, the inference
-example) with one planner:
+example) with one planner and one typing rule, :func:`_node_type`: a
+node's (level, scale) from its operands' under the exact discipline the
+evaluator enforces at runtime (level equality,
+:data:`~repro.ckks.batch.SCALE_RTOL` scale matching, products multiply
+scales, a rescale divides by the last prime), or the error naming the
+node.  Both passes type every node with it:
 
-* :func:`check_plan` -- abstract interpretation of (level, scale) along
-  the DAG with the exact discipline the evaluator enforces at runtime
-  (level equality, :data:`~repro.ckks.batch.SCALE_RTOL` scale
-  matching, rescale legality, modulus-budget headroom).  Rejects
-  unplaceable graphs loudly, before any ciphertext work happens.
-* :func:`place_rescales` -- rewrites a graph so it passes the checker:
-  inserts rescales lazily in front of multiplies (products stay at
-  ``scale^2`` through additions, the Halevi-Shoup idiom), drops
-  operands to a common level with scale-preserving unit
-  multiplications, and aligns residual scale mismatches where that is
-  possible without precision loss.
+* :func:`check_plan` -- the rule along the DAG plus modulus-budget
+  headroom.  Rejects unplaceable graphs loudly, before any ciphertext
+  work happens.
+* :func:`place_rescales` -- decides only where to rewrite a graph so it
+  passes the checker: lazy rescales in front of multiplies (products
+  stay at ``scale^2`` through additions, the Halevi-Shoup idiom),
+  scale-preserving unit-multiply level drops, and ratio-guarded scale
+  alignment.  Every other node is rebuilt with
+  :meth:`~repro.plan.graph.PlanGraph.copy`.
 
 Rotation-sweep fusion is not a pass: same-source rotations always share
 an ASAP wave, so the executor groups them where it schedules the wave
@@ -29,7 +32,7 @@ front door for hand-built graphs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, NoReturn, Tuple
 
 from repro.ckks.batch import SCALE_RTOL
 from repro.ckks.context import CkksContext
@@ -76,98 +79,112 @@ def _scales_match(a: float, b: float) -> bool:
     return abs(a - b) <= SCALE_RTOL * max(a, b)
 
 
-def check_plan(
+def _multiplies(graph: PlanGraph, node: PlanNode) -> bool:
+    """Does ``node`` multiply scales, so that placement rescales its
+    product-scale operands first?  A unit multiply -- ``mul_plain`` by
+    the scalar 1 at an explicit scale, what placement emits to drop a
+    level or align a scale -- only moves the scale and does not count,
+    which keeps a placed graph a fixed point of placement."""
+    if node.op == "mul_plain":
+        const = graph.nodes[node.const_id]
+        unit = isinstance(const.value, (int, float)) and const.value == 1
+        return const.scale is None or not unit
+    return node.op in ("mul_relin", "square", "linear_sweep")
+
+
+def _fail(node: PlanNode, why: str) -> NoReturn:
+    raise PlanValidationError(f"plan node {node.id} ({node.op}): {why}")
+
+
+def _fits(context: CkksContext, level: int, scale: float) -> bool:
+    """Does ``scale`` leave :data:`HEADROOM_BITS` free in the level's
+    modulus budget?"""
+    return math.log2(scale) + HEADROOM_BITS <= _total_bits(context, level)
+
+
+def _node_type(
     graph: PlanGraph,
+    node: PlanNode,
+    types: Dict[int, Tuple[int, float]],
     context: CkksContext,
-    headroom_bits: int = HEADROOM_BITS,
-) -> Dict[int, Tuple[int, float]]:
+) -> Tuple[int, float]:
+    """The (level, scale) of a ciphertext node whose operands are typed
+    in ``types``: the one typing rule both passes apply.
+
+    Raises :class:`PlanValidationError` naming the node and the violated
+    rule -- level mismatches, scale mismatches beyond
+    :data:`~repro.ckks.batch.SCALE_RTOL`, rescales at the last level or
+    below unit scale.
+    """
+    delta = context.params.scale
+    if node.op == "input":
+        level = node.level_count if node.level_count is not None else context.k
+        if not 1 <= level <= context.k:
+            _fail(node, f"input level {level} outside [1, {context.k}]")
+        return level, node.scale if node.scale is not None else delta
+    if node.op in ("add", "sub", "mul_relin"):
+        (la, sa), (lb, sb) = types[node.inputs[0]], types[node.inputs[1]]
+        if la != lb:
+            _fail(
+                node,
+                f"operand level mismatch {la} vs {lb}; "
+                "run place_rescales to align levels",
+            )
+        if node.op == "mul_relin":
+            return la, sa * sb
+        if not _scales_match(sa, sb):
+            _fail(
+                node,
+                f"operand scale mismatch {sa:g} vs {sb:g}; "
+                "run place_rescales or re-encode operands",
+            )
+        return la, sa
+    level, s = types[node.inputs[0]]
+    if node.op == "square":
+        return level, s * s
+    if node.op == "mul_plain":
+        return level, s * _const_scale(graph, node.const_id, delta)
+    if node.op == "linear_sweep":
+        scales = [_const_scale(graph, cid, delta) for _, cid in node.terms]
+        if not all(_scales_match(scales[0], other) for other in scales):
+            spread = f"{min(scales):g} .. {max(scales):g}"
+            _fail(node, f"term plaintext scales differ ({spread}); one sum, one scale")
+        return level, s * scales[0]
+    if node.op == "rescale":
+        if level < 2:
+            _fail(node, "cannot rescale at the last level")
+        scale = s / _last_prime(context, level)
+        if scale <= 1.0:
+            _fail(
+                node,
+                f"rescale drives scale to {scale:g} (<= 1); "
+                "the operand was not a fresh product",
+            )
+        return level - 1, scale
+    return level, s  # negate, add_const, rotate, conjugate
+
+
+def check_plan(graph: PlanGraph, context: CkksContext) -> Dict[int, Tuple[int, float]]:
     """Type every ciphertext node with its (level, scale); raise loudly.
 
     Returns ``{node_id: (level_count, scale)}`` for ciphertext nodes of
     a valid plan.  Raises :class:`PlanValidationError` naming the node
-    and the violated rule otherwise -- level mismatches, scale
-    mismatches beyond :data:`~repro.ckks.batch.SCALE_RTOL`, rescales
-    at the last level or below unit scale, and scales within
-    ``headroom_bits`` of the level's modulus budget (the loud rejection
-    the satellite tests exercise).
+    and the violated rule otherwise: :func:`_node_type`'s, or a scale
+    within :data:`HEADROOM_BITS` of the level's modulus budget.
     """
-    delta = context.params.scale
     types: Dict[int, Tuple[int, float]] = {}
-
-    def fail(node: PlanNode, why: str) -> None:
-        raise PlanValidationError(f"plan node {node.id} ({node.op}): {why}")
-
     for node in graph.topo_order():
         if node.op == "const":
             continue
-        if node.op == "input":
-            level = node.level_count if node.level_count is not None else context.k
-            if not 1 <= level <= context.k:
-                fail(node, f"input level {level} outside [1, {context.k}]")
-            scale = node.scale if node.scale is not None else delta
-        elif node.op in ("add", "sub"):
-            (la, sa), (lb, sb) = types[node.inputs[0]], types[node.inputs[1]]
-            if la != lb:
-                fail(
-                    node,
-                    f"operand level mismatch {la} vs {lb}; "
-                    "run place_rescales to align levels",
-                )
-            if not _scales_match(sa, sb):
-                fail(
-                    node,
-                    f"operand scale mismatch {sa:g} vs {sb:g}; "
-                    "run place_rescales or re-encode operands",
-                )
-            level, scale = la, sa
-        elif node.op == "mul_relin":
-            (la, sa), (lb, sb) = types[node.inputs[0]], types[node.inputs[1]]
-            if la != lb:
-                fail(
-                    node,
-                    f"operand level mismatch {la} vs {lb}; "
-                    "run place_rescales to align levels",
-                )
-            level, scale = la, sa * sb
-        elif node.op == "square":
-            level, s = types[node.inputs[0]]
-            scale = s * s
-        elif node.op == "mul_plain":
-            level, s = types[node.inputs[0]]
-            scale = s * _const_scale(graph, node.const_id, delta)
-        elif node.op == "linear_sweep":
-            level, s = types[node.inputs[0]]
-            scales = [_const_scale(graph, cid, delta) for _, cid in node.terms]
-            if not all(_scales_match(scales[0], other) for other in scales):
-                spread = f"{min(scales):g} .. {max(scales):g}"
-                fail(node, f"term plaintext scales differ ({spread}); one sum, one scale")
-            scale = s * scales[0]
-        elif node.op == "rescale":
-            level, s = types[node.inputs[0]]
-            if level < 2:
-                fail(node, "cannot rescale at the last level")
-            prime = _last_prime(context, level)
-            level, scale = level - 1, s / prime
-            if scale <= 1.0:
-                fail(
-                    node,
-                    f"rescale drives scale to {scale:g} (<= 1); "
-                    "the operand was not a fresh product",
-                )
-        elif node.op in ("negate", "add_const", "rotate", "conjugate"):
-            level, scale = types[node.inputs[0]]
-        else:  # pragma: no cover - graph builder rejects unknown ops
-            fail(node, "unknown op")
-        budget = _total_bits(context, level)
-        if math.log2(scale) + headroom_bits > budget:
-            fail(
+        level, scale = types[node.id] = _node_type(graph, node, types, context)
+        if not _fits(context, level, scale):
+            _fail(
                 node,
                 f"scale 2^{math.log2(scale):.1f} leaves less than "
-                f"{headroom_bits} headroom bits in the {budget}-bit "
-                f"modulus budget at level {level}; insert a rescale "
-                "or start from a smaller encoding scale",
+                f"{HEADROOM_BITS} headroom bits in the "
+                f"{_total_bits(context, level)}-bit modulus budget at level "
+                f"{level}; insert a rescale or start from a smaller encoding scale",
             )
-        types[node.id] = (level, scale)
     return types
 
 
@@ -181,11 +198,11 @@ def place_rescales(
     The policy mirrors what the hand-tuned call sites did, generalized:
 
     * **lazy rescaling** -- a value is rescaled only when a *multiply*
-      (or, with ``rescale_outputs``, an output) consumes it at product
-      scale (``>= delta^1.5``, which cleanly separates ``delta^2``
-      products from ``<= delta`` working scales).  Additions run at
-      product scale for free, exactly like the diagonal-matvec
-      accumulation.
+      other than a unit multiply (or, with ``rescale_outputs``, an
+      output) consumes it at product scale (``>= delta^1.5``, which
+      cleanly separates ``delta^2`` products from ``<= delta`` working
+      scales).  Additions run at product scale for free, exactly like
+      the diagonal-matvec accumulation.
     * **level drops** -- a binary op whose operands sit at different
       levels drops the higher one with scale-preserving unit
       multiplications (``mul_plain(1.0 @ p)`` then rescale).
@@ -197,58 +214,49 @@ def place_rescales(
 
     Explicit rescale nodes in the input graph are honored and shared
     with planner-inserted ones, so pre-scheduled graphs pass through
-    unchanged (the differential plan mode asserts this).
+    unchanged (the differential plan mode asserts this).  Every node it
+    emits is typed by :func:`_node_type`, so a graph the checker's rule
+    rejects raises its :class:`PlanValidationError` here already.
     """
-    delta = context.params.scale
-    trigger = delta ** 1.5
+    trigger = context.params.scale ** 1.5
     out = PlanGraph()
     mapping: Dict[int, int] = {}
     types: Dict[int, Tuple[int, float]] = {}
     rescaled: Dict[int, int] = {}
 
+    def typed(nid: int) -> int:
+        types[nid] = _node_type(out, out.nodes[nid], types, context)
+        return nid
+
     def emit_rescale(nid: int) -> int:
-        if nid in rescaled:
-            return rescaled[nid]
-        level, scale = types[nid]
-        if level < 2:
-            raise PlanValidationError(
-                f"plan node {nid}: needs a rescale (scale {scale:g}) but is "
-                "already at the last level; the chain is too deep for this "
-                "parameter set"
-            )
-        new = out.rescale(nid)
-        types[new] = (level - 1, scale / _last_prime(context, level))
-        rescaled[nid] = new
-        return new
+        if nid not in rescaled:
+            level, scale = types[nid]
+            if level < 2:
+                raise PlanValidationError(
+                    f"plan node {nid}: needs a rescale (scale {scale:g}) but is "
+                    "already at the last level; the chain is too deep for this "
+                    "parameter set"
+                )
+            rescaled[nid] = typed(out.rescale(nid))
+        return rescaled[nid]
 
     def maybe_rescale(nid: int) -> int:
-        _, scale = types[nid]
-        return emit_rescale(nid) if scale >= trigger else nid
+        return emit_rescale(nid) if types[nid][1] >= trigger else nid
 
     def drop_to(nid: int, target_level: int) -> int:
-        level, scale = types[nid]
-        while level > target_level:
-            unit = out.const(1.0, scale=_last_prime(context, level))
-            mul = out.mul_plain(nid, unit)
-            types[mul] = (level, scale * _last_prime(context, level))
-            nid = out.rescale(mul)
-            level -= 1
-            types[nid] = (level, scale)
+        while types[nid][0] > target_level:
+            unit = out.const(1.0, scale=_last_prime(context, types[nid][0]))
+            nid = typed(out.rescale(typed(out.mul_plain(nid, unit))))
         return nid
 
     def align_levels(a: int, b: int) -> Tuple[int, int]:
-        la, lb = types[a][0], types[b][0]
-        if la > lb:
-            a = drop_to(a, lb)
-        elif lb > la:
-            b = drop_to(b, la)
-        return a, b
+        target = min(types[a][0], types[b][0])
+        return drop_to(a, target), drop_to(b, target)
 
     def align_scales(a: int, b: int) -> Tuple[int, int]:
         sa, sb = types[a][1], types[b][1]
         if _scales_match(sa, sb):
             return a, b
-        lo, hi = (a, b) if sa < sb else (b, a)
         ratio = max(sa, sb) / min(sa, sb)
         if ratio < MIN_ALIGN_RATIO:
             raise PlanValidationError(
@@ -258,72 +266,29 @@ def place_rescales(
                 "operands at matching scales instead"
             )
         unit = out.const(1.0, scale=ratio)
-        raised = out.mul_plain(lo, unit)
-        level, s_lo = types[lo]
-        types[raised] = (level, s_lo * ratio)
-        return (raised, hi) if lo == a else (hi, raised)
+        if sa < sb:
+            return typed(out.mul_plain(a, unit)), b
+        return a, typed(out.mul_plain(b, unit))
 
     for node in graph.topo_order():
-        if node.op == "const":
-            mapping[node.id] = out.const(node.value, scale=node.scale)
-            continue
-        if node.op == "input":
-            new = out.input(node.name, node.level_count, node.scale)
-            level = node.level_count if node.level_count is not None else context.k
-            types[new] = (level, node.scale if node.scale is not None else delta)
-            mapping[node.id] = new
-            continue
         ins = [mapping[i] for i in node.inputs]
-        if node.op == "mul_relin":
-            a, b = maybe_rescale(ins[0]), maybe_rescale(ins[1])
-            a, b = align_levels(a, b)
-            new = out.mul_relin(a, b)
-            types[new] = (types[a][0], types[a][1] * types[b][1])
-        elif node.op == "square":
-            a = maybe_rescale(ins[0])
-            new = out.square(a)
-            types[new] = (types[a][0], types[a][1] ** 2)
-        elif node.op == "mul_plain":
-            a = maybe_rescale(ins[0])
-            new = out.mul_plain(a, mapping[node.const_id])
-            types[new] = (
-                types[a][0],
-                types[a][1] * _const_scale(graph, node.const_id, delta),
-            )
-        elif node.op == "linear_sweep":
-            a = maybe_rescale(ins[0])
-            new = out.linear_sweep(a, [(step, mapping[c]) for step, c in node.terms])
-            scale = types[a][1] * _const_scale(graph, node.terms[0][1], delta)
-            types[new] = (types[a][0], scale)
-        elif node.op in ("add", "sub"):
-            a, b = align_levels(ins[0], ins[1])
-            a, b = align_scales(a, b)
-            new = out.add(a, b) if node.op == "add" else out.sub(a, b)
-            types[new] = types[a]
-        elif node.op == "add_const":
-            new = out.add_const(ins[0], mapping[node.const_id])
-            types[new] = types[ins[0]]
-        elif node.op == "rotate":
-            new = out.rotate(ins[0], node.step)
-            types[new] = types[ins[0]]
-        elif node.op == "conjugate":
-            new = out.conjugate(ins[0])
-            types[new] = types[ins[0]]
-        elif node.op == "negate":
-            new = out.negate(ins[0])
-            types[new] = types[ins[0]]
-        elif node.op == "rescale":
-            new = emit_rescale(ins[0])
-        else:  # pragma: no cover - graph builder rejects unknown ops
-            raise PlanValidationError(f"plan node {node.id}: unknown op {node.op}")
-        mapping[node.id] = new
+        if _multiplies(graph, node):
+            ins = [maybe_rescale(i) for i in ins]
+        if len(ins) == 2:
+            ins = align_levels(*ins)
+        if node.op in ("add", "sub"):
+            ins = align_scales(*ins)
+        if node.op == "rescale":
+            mapping[node.id] = emit_rescale(ins[0])
+        elif node.op == "const":
+            mapping[node.id] = out.copy(node, ins, mapping)
+        else:
+            mapping[node.id] = typed(out.copy(node, ins, mapping))
 
     for name, nid in graph.outputs.items():
         new = mapping[nid]
-        if rescale_outputs:
-            level, scale = types[new]
-            if scale >= trigger and level >= 2:
-                new = emit_rescale(new)
+        if rescale_outputs and types[new][0] >= 2:
+            new = maybe_rescale(new)
         out.output(new, name)
     return out
 
@@ -332,9 +297,8 @@ def compile_plan(
     graph: PlanGraph,
     context: CkksContext,
     rescale_outputs: bool = True,
-    headroom_bits: int = HEADROOM_BITS,
 ) -> PlanGraph:
     """The standard pipeline: place rescales, then validate loudly."""
     placed = place_rescales(graph, context, rescale_outputs=rescale_outputs)
-    check_plan(placed, context, headroom_bits=headroom_bits)
+    check_plan(placed, context)
     return placed

@@ -1,8 +1,10 @@
 """PlanGraph builder: validation, traversal, and the topo contract."""
 
+import math
+
 import pytest
 
-from repro.plan.graph import CIPHER_OPS, KEYSWITCH_OPS, PlanGraph
+from repro.plan.graph import PlanGraph, PlanNode
 
 
 class TestBuilderValidation:
@@ -68,6 +70,17 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match="positive"):
             g.const(1.0, scale=-2.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        # NaN fails every compare, so a bare `scale <= 0` test lets it
+        # type a plan NaN; 0 and -1 must not reach check_plan's log2
+        g = PlanGraph()
+        with pytest.raises(ValueError, match="input scale must be finite and positive"):
+            g.input("x", scale=scale)
+        with pytest.raises(ValueError, match="const scale must be finite and positive"):
+            g.const(1.0, scale=scale)
+        assert len(g) == 0
+
 
 class TestTraversal:
     def _chain(self):
@@ -114,6 +127,17 @@ class TestTraversal:
         assert consumers[r] == [p]
         assert consumers[p] == []
 
+    def test_copy_rebuilds_a_node_on_new_operands(self):
+        g, (x, _, r, p) = self._chain()
+        out = PlanGraph()
+        x2 = out.copy(g.nodes[x], (), {})
+        c2 = out.const(0.25)
+        p2 = out.copy(g.nodes[p], (x2,), {g.nodes[p].const_id: c2})
+        assert out.inputs == {"x": x2}
+        assert out.nodes[p2] == PlanNode(id=p2, op="mul_plain", inputs=(x2,), const_id=c2)
+        with pytest.raises(ValueError, match="not a ciphertext value"):
+            out.copy(g.nodes[r], (c2,), {})
+
     def test_default_output_names_are_sequential(self):
         g = PlanGraph()
         a = g.input("a")
@@ -121,8 +145,3 @@ class TestTraversal:
         g.output(a)
         g.output(b)
         assert set(g.outputs) == {"out0", "out1"}
-
-
-def test_keyswitch_ops_are_cipher_ops():
-    assert KEYSWITCH_OPS <= CIPHER_OPS
-    assert "const" not in CIPHER_OPS

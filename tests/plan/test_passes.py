@@ -7,6 +7,7 @@ name the violated rule, so a silent behavior change here is a bug.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.plan.executor import PlanExecutor
@@ -140,6 +141,11 @@ class TestPlacement:
         level, scale = check_plan(eager, ctx4)[eager.outputs["y"]]
         assert level == 3 and scale < DELTA * DELTA
 
+    def test_output_at_the_last_level_is_left_unrescaled(self, ctx4):
+        g = PlanGraph()
+        g.output(g.input("x", level_count=1, scale=DELTA * DELTA), "y")
+        assert "rescale" not in place_rescales(g, ctx4).op_counts()
+
     def test_level_drop_aligns_mixed_level_add(self, ctx4):
         # the checker rejects this graph; placement repairs it with a
         # scale-preserving unit-multiply chain on the higher operand
@@ -154,6 +160,18 @@ class TestPlacement:
         level, scale = types[placed.outputs["y"]]
         assert level == 3
         assert scale == pytest.approx(DELTA)
+
+    def test_product_scale_level_drop_is_a_fixed_point(self, ctx4):
+        # the drop of a product-scale operand is a unit multiply of a
+        # product; placing the placed graph again must not read it as a
+        # product and rescale in front of it
+        g = PlanGraph()
+        a = g.input("a", level_count=3)
+        g.output(g.add(a, g.square(g.input("b"))), "y")
+        placed = compile_plan(g, ctx4, rescale_outputs=False)
+        assert placed.op_counts()["mul_plain"] == 2
+        again = place_rescales(placed, ctx4, rescale_outputs=False)
+        assert again.nodes == placed.nodes
 
     def test_unalignable_scales_rejected_loudly(self, ctx4):
         g = PlanGraph()
@@ -185,6 +203,69 @@ class TestPlacement:
         # must not raise: placement output satisfies the checker
         types = check_plan(placed, ctx4)
         assert placed.outputs["y"] in types
+
+
+#: input scales: the working scale, product scale, and add/sub ratios on
+#: both sides of 2^16 (2^15 is refused, 2^17 bridged by a unit multiply)
+INPUT_SCALES = (
+    None, DELTA, DELTA * DELTA, DELTA * 2.0**15, DELTA * 2.0**17, DELTA / 2.0**17
+)
+CONST_SCALES = (None, 2.0**20)
+UNARY = ("negate", "square", "conjugate", "rescale")
+BINARY = ("add", "sub", "mul_relin")
+WITH_CONST = ("mul_plain", "add_const")
+
+
+@st.composite
+def builder_graphs(draw):
+    """A random builder graph over every op, inputs at any level and
+    scale, so binary ops meet mixed levels and mismatched scales."""
+    g = PlanGraph()
+    values = [
+        g.input(
+            f"x{i}",
+            level_count=draw(st.sampled_from((None, 1, 2, 3, 4))),
+            scale=draw(st.sampled_from(INPUT_SCALES)),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    ops = UNARY + BINARY + WITH_CONST + ("rotate", "linear_sweep")
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(ops))
+        a = draw(st.sampled_from(values))
+        if op in BINARY:
+            new = getattr(g, op)(a, draw(st.sampled_from(values)))
+        elif op in WITH_CONST:
+            const = g.const(0.5, scale=draw(st.sampled_from(CONST_SCALES)))
+            new = getattr(g, op)(a, const)
+        elif op == "rotate":
+            new = g.rotate(a, draw(st.integers(1, 3)))
+        elif op == "linear_sweep":
+            scales = draw(st.lists(st.sampled_from(CONST_SCALES), min_size=1, max_size=3))
+            new = g.linear_sweep(
+                a, [(d, g.const([0.25, d], scale=s)) for d, s in enumerate(scales)]
+            )
+        else:
+            new = getattr(g, op)(a)
+        values.append(new)
+    for nid in {values[-1], draw(st.sampled_from(values))}:
+        g.output(nid)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=builder_graphs(), rescale_outputs=st.booleans())
+def test_placement_is_typed_by_the_checkers_rule(ctx4, graph, rescale_outputs):
+    """compile_plan refuses a graph, or places one that check_plan
+    accepts and that a second placement leaves node for node as it is."""
+    try:
+        placed = compile_plan(graph, ctx4, rescale_outputs=rescale_outputs)
+    except PlanValidationError:
+        return
+    check_plan(placed, ctx4)
+    again = place_rescales(placed, ctx4, rescale_outputs=False)
+    assert again.nodes == placed.nodes
+    assert (again.inputs, again.outputs) == (placed.inputs, placed.outputs)
 
 
 class TestSweepFusion:
