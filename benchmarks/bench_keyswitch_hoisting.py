@@ -2,7 +2,7 @@
 
 Key switching dominates CKKS runtime -- it is why HEAX's largest module
 is KeySwitch (Figure 5 / Algorithm 7) -- and composite workloads pay it
-once per rotation of the *same* ciphertext (``matvec_diagonal``:
+once per rotation of the *same* ciphertext (the diagonal matvec:
 ``dim - 1`` rotations).  The fast path splits Algorithm 7 into the
 decomposition (the per-digit INTT + stacked NTT fan-out) and the key
 switch proper (dyadic MACs + Modulus Switch), keeps the Galois
@@ -15,7 +15,8 @@ Acceptance gates (numpy backend, ``n = 1024``, ``k = 3``, ``dim = 16``
 * per-rotation speedup of the hoisted path over the pre-hoisting
   baseline (coefficient-domain automorphism + single-row key-switch
   loop) >= 3x across the ``dim - 1`` rotation sweep;
-* end-to-end ``matvec_diagonal`` (one ``linear_sweep``: the Modulus
+* end-to-end ``matvec_planned`` (``matvec_graph``, compiled and run on
+  one executor per call: one ``linear_sweep``, the Modulus
   Switch hoisted too) >= 1.5x the baseline ``matvec_unhoisted`` (the
   matvec also spends time in encoding/MACs shared by both paths);
 * hoisted results bit-identical to the scalar ``rotate`` path on
@@ -40,11 +41,10 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
-from repro.ckks.linear import LinearEvaluator
 
 # the pre-hoisting baselines live with the tests; benchmarks/conftest.py
 # puts tests/ckks on sys.path
-from differential import matvec_unhoisted, rotate_unhoisted
+from differential import matvec_planned, matvec_unhoisted, rotate_unhoisted
 
 pytestmark = pytest.mark.skipif(
     "numpy" not in available_backends(),
@@ -93,7 +93,6 @@ def _measure():
     with use_backend("numpy"):
         ctx, keygen, galois, ct = _fixture(GATED_N, GATED_K)
         ev = Evaluator(ctx)
-        lin_hoisted = LinearEvaluator(ctx)
         matrix = _matrix(DIM)
 
         # warm caches (twiddles, stacked key operands) out of the timings
@@ -114,7 +113,7 @@ def _measure():
             lambda: matvec_unhoisted(ctx, matrix, ct, galois)
         )
         t_matvec_hoisted = _best_seconds(
-            lambda: lin_hoisted.matvec_diagonal(matrix, ct, galois)
+            lambda: matvec_planned(ctx, matrix, ct, galois)
         )
     return {
         "per_rotation_unhoisted": t_unhoisted,

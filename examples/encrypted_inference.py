@@ -30,6 +30,7 @@ from repro.ckks import (
 )
 from repro.ckks.context import toy_parameters
 from repro.plan import PlanExecutor, PlanGraph, compile_plan
+from repro.plan.lower import reduction_steps, rotate_and_sum
 
 #: Degree-3 least-squares fit of the sigmoid on [-6, 6] (a standard
 #: CKKS-friendly approximation; cf. the logistic-regression-over-HE line
@@ -59,11 +60,7 @@ def build_inference_graph(dims: int, weights: np.ndarray, bias: float) -> PlanGr
     # (each rotation a KeySwitch), plaintext bias add.  The accumulation
     # runs at product scale -- the planner's lazy-rescale policy, the
     # same Halevi-Shoup idiom the matvec kernel uses.
-    acc = g.mul_plain(x, g.const(list(weights)))
-    step = 1
-    while step < dims:
-        acc = g.add(acc, g.rotate(acc, step))
-        step *= 2
+    acc = rotate_and_sum(g, g.mul_plain(x, g.const(list(weights))), dims)
     z = g.add_const(acc, g.const(bias))
 
     # sigmoid(z) ~ c0 + z * (c1 + c3 * z^2)
@@ -87,8 +84,7 @@ def main() -> None:
 
     # Rotation keys for the log-depth rotate-and-sum reduction.
     dims = 8
-    steps = [1 << i for i in range(dims.bit_length())]
-    galois = keygen.galois_keys(steps)
+    galois = keygen.galois_keys(reduction_steps(dims))
 
     # ------------------------------------------------------------------
     # The model (server-side, in the clear): weights + bias.

@@ -7,9 +7,11 @@ risk index over the ciphertexts -- HIPAA/GDPR-style outsourcing (the
 regulatory motivation of the paper's introduction) with no plaintext
 access server-side.
 
-Uses the :class:`repro.ckks.linear.LinearEvaluator` composite layer:
-rotate-and-sum reductions, plaintext dot products, and scale-managed
-squaring.
+The reductions and the dot product are plan fragments
+(:func:`repro.plan.lower.rotate_and_sum`, :func:`repro.plan.lower.dot_plain`)
+in one :class:`repro.plan.PlanGraph` that the planner rescales and runs;
+the variance's scale alignment stays eager, because its scale ratio
+(about 4) is too small for the planner's unit-multiply alignment.
 
 Run:  python examples/private_statistics.py
 """
@@ -25,7 +27,8 @@ from repro.ckks import (
     KeyGenerator,
 )
 from repro.ckks.context import toy_parameters
-from repro.ckks.linear import LinearEvaluator, reduction_steps
+from repro.plan import PlanExecutor, PlanGraph, compile_plan
+from repro.plan.lower import dot_plain, reduction_steps, rotate_and_sum
 
 
 def main() -> None:
@@ -35,7 +38,6 @@ def main() -> None:
     encryptor = Encryptor(context, keygen.public_key(), seed=52)
     decryptor = Decryptor(context, keygen.secret_key)
     evaluator = Evaluator(context)
-    linear = LinearEvaluator(context)
     relin = keygen.relin_key()
 
     m = 64  # cohort size (must divide the slot count here)
@@ -52,25 +54,28 @@ def main() -> None:
     print(f"client uploaded {m} encrypted measurements")
 
     # ------------------------------------------------------------------
-    # Server: mean = sum(x)/m  (rotate-and-sum, then plaintext 1/m).
-    # ------------------------------------------------------------------
-    total = linear.rotate_and_sum(ct, m, galois)
-    mean_ct = evaluator.rescale(
-        evaluator.multiply_plain(
-            total, encoder.encode(1.0 / m, level_count=total.level_count)
-        )
-    )
-
-    # ------------------------------------------------------------------
-    # Server: E[x^2] = sum(x^2)/m, then Var = E[x^2] - mean^2.
+    # Server: one plan for the reductions and the dot product:
+    #   mean  = sum(x)/m   (rotate-and-sum, then plaintext 1/m),
+    #   E[x^2] = sum(x^2)/m over the eagerly squared cohort,
+    #   risk  = <w, x> for a proprietary weight vector the client never
+    #           learns (and the server never sees x).
     # ------------------------------------------------------------------
     sq = evaluator.rescale(evaluator.relinearize(evaluator.square(ct), relin))
-    sq_total = linear.rotate_and_sum(sq, m, galois)
-    ex2_ct = evaluator.rescale(
-        evaluator.multiply_plain(
-            sq_total, encoder.encode(1.0 / m, level_count=sq_total.level_count)
-        )
-    )
+    weights = rng.uniform(0, 1, m)
+    graph = PlanGraph()
+    x = graph.input("x", level_count=ct.level_count, scale=ct.scale)
+    x2 = graph.input("x2", level_count=sq.level_count, scale=sq.scale)
+    inv_m = graph.const(1.0 / m)
+    graph.output(graph.mul_plain(rotate_and_sum(graph, x, m), inv_m), "mean")
+    graph.output(graph.mul_plain(rotate_and_sum(graph, x2, m), inv_m), "ex2")
+    graph.output(dot_plain(graph, x, weights), "risk")
+    plan = compile_plan(graph, context)  # rescales the two means
+    run = PlanExecutor(context, galois_keys=galois).run(plan, {"x": ct, "x2": sq})
+    mean_ct, ex2_ct, risk_ct = (run.outputs[k] for k in ("mean", "ex2", "risk"))
+
+    # ------------------------------------------------------------------
+    # Server: Var = E[x^2] - mean^2, aligned by hand.
+    # ------------------------------------------------------------------
     mean_sq = evaluator.rescale(
         evaluator.relinearize(evaluator.square(mean_ct), relin)
     )
@@ -94,13 +99,6 @@ def main() -> None:
         )
     )
     var_ct = evaluator.sub(ex2_aligned, mean_sq_aligned)
-
-    # ------------------------------------------------------------------
-    # Server: weighted risk index = <w, x> for a proprietary weight
-    # vector the client never learns (and the server never sees x).
-    # ------------------------------------------------------------------
-    weights = rng.uniform(0, 1, m)
-    risk_ct = linear.dot_plain(ct, weights, galois)
 
     # ------------------------------------------------------------------
     # Client: decrypt results.

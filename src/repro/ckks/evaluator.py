@@ -595,7 +595,7 @@ class Evaluator:
         """Rotate one operand by many steps for one decomposition.
 
         The hoisting fast path for every rotate-heavy composite
-        (``matvec_diagonal`` being the canonical case: ``dim - 1``
+        (the diagonal matvec being the canonical case: ``dim - 1``
         rotations of the same input).  Results are bit-identical to
         ``[rotate(ct, s, keys) for s in steps]`` on every backend.
         """

@@ -188,33 +188,6 @@ class RnsPolynomial:
         )
         return RnsPolynomial(self.n, self.moduli, out, self.is_ntt)
 
-    def multiply_scalar(self, scalars, backend=None) -> "RnsPolynomial":
-        """Multiply by a per-modulus scalar (int or list of ints)."""
-        if isinstance(scalars, int):
-            scalars = [scalars] * len(self.moduli)
-        be = backend if backend is not None else get_backend()
-        out = be.scalar_mul_rows(
-            self.moduli,
-            self.native_rows(be),
-            [s % m.value for s, m in zip(scalars, self.moduli)],
-        )
-        return RnsPolynomial(self.n, self.moduli, out, self.is_ntt)
-
-    # ------------------------------------------------------------------
-    # basis manipulation
-    # ------------------------------------------------------------------
-    def drop_last_component(self, backend=None) -> "RnsPolynomial":
-        """Remove the last RNS component (used after rescaling)."""
-        if len(self.moduli) <= 1:
-            raise ValueError("cannot drop the only RNS component")
-        be = backend if backend is not None else get_backend()
-        return RnsPolynomial(
-            self.n,
-            self.moduli[:-1],
-            be.select_rows(self.rows, range(len(self.moduli) - 1)),
-            self.is_ntt,
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RnsPolynomial)

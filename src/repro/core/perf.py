@@ -55,6 +55,16 @@ def keyswitch_cycles(n: int, k: int, nc_intt0: int) -> float:
     return k * ntt_cycles(n, nc_intt0)
 
 
+def rescale_cycles(arch: KeySwitchArchitecture, level_count: int) -> float:
+    """Cycles for one rescale (Algorithm 6) on the KeySwitch engine's
+    transform modules: one INTT plus ``level_count - 1`` NTTs per
+    polynomial, both polynomials."""
+    return 2 * (
+        ntt_cycles(arch.n, arch.nc_intt0)
+        + (level_count - 1) * ntt_cycles(arch.n, arch.ntt1[1])
+    )
+
+
 @dataclass(frozen=True)
 class PerformanceModel:
     """HEAX throughputs for one (device, parameter set) instantiation."""

@@ -24,7 +24,9 @@ run there.  The rule therefore also flags any import -- module level or
 function local -- of :class:`~repro.ckks.evaluator.Evaluator` (the one
 implementation of the CKKS operations, lane-wide) in the scoped modules,
 so a second op -> evaluator-call dispatch table cannot grow back beside
-the executor's.
+the executor's.  :mod:`repro.ckks.linear` drives an ``Evaluator`` of its
+own, so it and its :class:`~repro.ckks.linear.LinearEvaluator` are the
+same door, however spelled.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ PLANNED_MODULES = (
 #: Method spellings that execute one key-switch per call.
 ROTATE_METHODS = ("rotate",)
 
-#: The evaluator class only ``repro.plan`` may drive.
-EVALUATOR_CLASSES = ("Evaluator",)
+#: The evaluator classes only ``repro.plan`` may drive.
+EVALUATOR_CLASSES = ("Evaluator", "LinearEvaluator")
 
-#: Its home module (``import repro.ckks.evaluator`` is the same door).
-EVALUATOR_MODULES = ("repro.ckks.evaluator",)
+#: Their home modules (``import repro.ckks.evaluator`` or ``from
+#: repro.ckks import linear`` is the same door).
+EVALUATOR_MODULES = ("repro.ckks.evaluator", "repro.ckks.linear")
 
 
 class _RotateLoopVisitor(SymbolTrackingVisitor):
@@ -99,8 +102,9 @@ class _RotateLoopVisitor(SymbolTrackingVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module and module_matches(node.module, ("repro.ckks",)):
             for alias in node.names:
-                if alias.name in EVALUATOR_CLASSES:
-                    self._flag_import(node, f"{node.module}.{alias.name}")
+                what = f"{node.module}.{alias.name}"
+                if alias.name in EVALUATOR_CLASSES or what in EVALUATOR_MODULES:
+                    self._flag_import(node, what)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:

@@ -13,8 +13,9 @@ This module is the missing program representation: a small DAG whose
 nodes are the HE operations the evaluator executes (ciphertext and
 plaintext operands, rotation steps, rescales), built once per workload
 and handed to the pass pipeline in :mod:`repro.plan.passes` and the
-executor in :mod:`repro.plan.executor`.  Composite layers
-(:meth:`repro.ckks.linear.LinearEvaluator.matvec_diagonal`,
+executor in :mod:`repro.plan.executor`.  Composite layers (the
+fragment builders of :mod:`repro.plan.lower` -- rotate-and-sum, dot
+products, weighted sums, the diagonal matvec --
 :meth:`repro.system.workload.Workload.to_plan`, serving request
 programs) *lower* into this IR instead of calling the evaluator
 directly, so one planner decides where rotation sweeps fuse, which

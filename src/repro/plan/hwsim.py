@@ -23,9 +23,10 @@ The step-to-module mapping follows the established accounting:
   mul_relin) -- one KeySwitch pipeline period each
   (:meth:`KeySwitchModuleSim.timing`);
 * dyadic ops (mul_plain, add, sub, negate, add_const) -- the
-  standalone MULT module (16 cores), one pass per component per prime;
-* rescale -- the Modulus-Switch tail (one INTT + level-1 NTTs per
-  component), as in :meth:`RuntimeProjection.heax_seconds`.
+  standalone MULT module (``STANDALONE_MODULE_CORES[device]["dyadic"]``
+  cores), one pass per component per prime;
+* rescale -- :func:`repro.core.perf.rescale_cycles`, as in
+  :meth:`repro.system.workload.RuntimeProjection.heax_seconds`.
 
 Level counts are clamped to the architecture's ``k``: a toy-context run
 (say ``k = 4`` at ``n = 1024``) replays on Set-A hardware (``k = 2``)
@@ -39,18 +40,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 from repro.ckks.context import CkksContext
-from repro.core.arch import KeySwitchArchitecture, TABLE5_ARCHITECTURES
+from repro.core.arch import KeySwitchArchitecture, STANDALONE_MODULE_CORES, TABLE5_ARCHITECTURES
 from repro.core.keyswitch_module import KeySwitchModuleSim
-from repro.core.perf import CLOCK_HZ, dyadic_cycles, ntt_cycles
+from repro.core.perf import CLOCK_HZ, dyadic_cycles, rescale_cycles
 from repro.plan.executor import PlanRun, PlanStep
 from repro.plan.graph import KEYSWITCH_OPS
 
 #: Paper parameter-set names in repro.ckks.context order.
 PAPER_SET_NAMES = ("Set-A", "Set-B", "Set-C")
-
-#: Standalone MULT module core count (the Table 7 configuration), the
-#: same constant RuntimeProjection.heax_seconds uses.
-_NC_DYADIC = 16
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ def architecture_for(set_name: str, device: str = "Stratix10") -> KeySwitchArchi
 
 
 def _step_cycles(
-    sim: KeySwitchModuleSim, arch: KeySwitchArchitecture, step: PlanStep
+    sim: KeySwitchModuleSim, arch: KeySwitchArchitecture, dyadic_cores: int, step: PlanStep
 ) -> float:
     lc = min(step.level_count, arch.k)
     if step.mode == "sweep":
@@ -82,7 +79,7 @@ def _step_cycles(
         ]
     if step.op == "linear_sweep":
         passes = (3 * lc + 2) * step.rotations + 2 * lc * step.width
-        cycles = passes * dyadic_cycles(arch.n, _NC_DYADIC)
+        cycles = passes * dyadic_cycles(arch.n, dyadic_cores)
         if step.rotations:
             ht = sim.hoisted_timing(step.rotations, level_count=lc)
             cycles += step.rotations * ht["dyadmult_cycles_per_rotation"]
@@ -91,12 +88,9 @@ def _step_cycles(
     if step.op in KEYSWITCH_OPS:
         return step.width * sim.timing(level_count=lc).throughput_cycles
     if step.op == "rescale":
-        return step.width * 2 * (
-            ntt_cycles(arch.n, arch.nc_intt0)
-            + (lc - 1) * ntt_cycles(arch.n, arch.ntt1[1])
-        )
+        return step.width * rescale_cycles(arch, lc)
     # dyadic family: one pass per component (2) per prime
-    return step.width * 2 * lc * dyadic_cycles(arch.n, _NC_DYADIC)
+    return step.width * 2 * lc * dyadic_cycles(arch.n, dyadic_cores)
 
 
 def modeled_replay(
@@ -113,10 +107,11 @@ def modeled_replay(
     """
     arch = architecture_for(set_name, device)
     sim = KeySwitchModuleSim(context, arch)
+    dyadic_cores = STANDALONE_MODULE_CORES[device]["dyadic"]
     by_kind: Dict[str, float] = {}
     total = 0.0
     for step in run.steps:
-        cycles = _step_cycles(sim, arch, step)
+        cycles = _step_cycles(sim, arch, dyadic_cores, step)
         kind = "sweep" if step.mode == "sweep" or step.op == "linear_sweep" else step.op
         by_kind[kind] = by_kind.get(kind, 0.0) + cycles
         total += cycles

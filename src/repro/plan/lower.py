@@ -1,30 +1,88 @@
 """Lowering composite workloads into the plan IR.
 
-Two front ends produce :class:`repro.plan.graph.PlanGraph` instances
-from the repo's existing workload descriptions:
+Fragment builders of the form ``(graph, node, ...) -> node`` splice one
+encrypted linear-algebra composite onto a
+:class:`repro.plan.graph.PlanGraph`, so the executor schedules it with
+the rest of a program (sweep fusion, batch packing) instead of a caller
+running it op by op:
 
+* :func:`rotate_and_sum` -- the log-depth reduction over
+  :func:`reduction_steps` that leaves a sum in slot 0;
+* :func:`dot_plain` -- one plaintext product, its explicit rescale, then
+  the reduction: ``<weights, x>`` in slot 0;
+* :func:`weighted_sum` -- ``sum_i w_i x_i`` at product scale, one
+  rescale;
 * :func:`matvec_graph` -- the Halevi-Shoup diagonal matrix-vector
-  product behind
-  :meth:`repro.ckks.linear.LinearEvaluator.matvec_diagonal` (one
-  diagonal gather, zero diagonals skipped): one ``linear_sweep`` node --
-  the ``dim - 1`` rotations share a decomposition *and* a Modulus
-  Switch -- plus its rescale.
-* :func:`workload_graph` -- a :class:`repro.system.workload.Workload`
-  primitive bag unrolled over ``lanes`` independent ciphertext chains
-  (the multi-client picture); an op a chain cannot sustain resets the
-  lane to a fresh plan input.  The parallel chains are what the
-  executor's batch packing amortizes.
+  product (one diagonal gather, zero diagonals skipped): one
+  ``linear_sweep`` node -- the ``dim - 1`` rotations share a
+  decomposition *and* a Modulus Switch -- plus its rescale.
+
+A caller types its input node from the live ciphertext
+(``graph.input("x", level_count=ct.level_count, scale=ct.scale)``), runs
+:func:`repro.plan.passes.compile_plan` and a
+:class:`repro.plan.executor.PlanExecutor`.
+
+:func:`workload_graph` lowers a :class:`repro.system.workload.Workload`
+primitive bag unrolled over ``lanes`` independent ciphertext chains
+(the multi-client picture); an op a chain cannot sustain resets the
+lane to a fresh plan input.  The parallel chains are what the
+executor's batch packing amortizes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ckks.context import CkksContext
 from repro.plan.graph import PlanGraph
 from repro.plan.passes import _fits, _last_prime
+
+
+def reduction_steps(width: int) -> List[int]:
+    """The power-of-two rotation steps of a rotate-and-sum over ``width``
+    slots (``width`` rounded up to a power of two)."""
+    return [1 << i for i in range((max(1, width) - 1).bit_length())]
+
+
+def rotate_and_sum(graph: PlanGraph, node: int, width: int) -> int:
+    """Sum the first ``width`` slots of ``node`` into slot 0 (log-depth).
+
+    Other slots hold partial sums.  ``width`` must be a power of two and
+    the slots beyond it zero for a clean result.  Each step rotates the
+    updated accumulator, so no two rotations share a source.
+    """
+    if width & (width - 1):
+        raise ValueError("width must be a power of two")
+    for step in reduction_steps(width):
+        node = graph.add(node, graph.rotate(node, step))
+    return node
+
+
+def dot_plain(graph: PlanGraph, node: int, weights: Sequence[float]) -> int:
+    """Inner product with plaintext ``weights`` (zero-padded to a power
+    of two): one product, rescaled *before* the reduction so the
+    rotations run one level down, then :func:`rotate_and_sum`; slot 0
+    holds ``<weights, x>``."""
+    width = 1 << (max(1, len(weights)) - 1).bit_length()
+    padded = list(weights) + [0.0] * (width - len(weights))
+    product = graph.rescale(graph.mul_plain(node, graph.const(padded)))
+    return rotate_and_sum(graph, product, width)
+
+
+def weighted_sum(
+    graph: PlanGraph, nodes: Sequence[int], weights: Sequence[float]
+) -> int:
+    """``sum_i w_i x_i``: the products add at product scale and share
+    one rescale."""
+    if len(nodes) != len(weights) or not nodes:
+        raise ValueError("need equally many ciphertexts and weights")
+    terms = [graph.mul_plain(n, graph.const(float(w))) for n, w in zip(nodes, weights)]
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = graph.add(acc, term)
+    return graph.rescale(acc)
 
 
 def matvec_graph(

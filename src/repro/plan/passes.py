@@ -1,8 +1,8 @@
 """Planner passes: scale/level checking and rescale placement.
 
 The passes run over a :class:`repro.plan.graph.PlanGraph` *before*
-execution, replacing the hand-managed scale/level bookkeeping that used
-to live in every composite call site (``linear.py``, the inference
+execution, replacing the hand-managed scale/level bookkeeping of eager
+composites (now the fragments of :mod:`repro.plan.lower`; the inference
 example) with one planner and one typing rule, :func:`_node_type`: a
 node's (level, scale) from its operands' under the exact discipline the
 evaluator enforces at runtime (level equality,
@@ -11,8 +11,8 @@ scales, a rescale divides by the last prime), or the error naming the
 node.  Both passes type every node with it:
 
 * :func:`check_plan` -- the rule along the DAG plus modulus-budget
-  headroom.  Rejects unplaceable graphs loudly, before any ciphertext
-  work happens.
+  headroom and a slot-count cap on every const.  Rejects unplaceable
+  graphs loudly, before any ciphertext work happens.
 * :func:`place_rescales` -- decides only where to rewrite a graph so it
   passes the checker: lazy rescales in front of multiplies (products
   stay at ``scale^2`` through additions, the Halevi-Shoup idiom),
@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from typing import Dict, NoReturn, Tuple
+
+import numpy as np
 
 from repro.ckks.batch import SCALE_RTOL
 from repro.ckks.context import CkksContext
@@ -169,12 +171,17 @@ def check_plan(graph: PlanGraph, context: CkksContext) -> Dict[int, Tuple[int, f
 
     Returns ``{node_id: (level_count, scale)}`` for ciphertext nodes of
     a valid plan.  Raises :class:`PlanValidationError` naming the node
-    and the violated rule otherwise: :func:`_node_type`'s, or a scale
-    within :data:`HEADROOM_BITS` of the level's modulus budget.
+    and the violated rule otherwise: :func:`_node_type`'s, a scale
+    within :data:`HEADROOM_BITS` of the level's modulus budget, or a
+    const holding more values than the context has slots (the encoder
+    would refuse it mid-run, after earlier steps had done their work).
     """
+    slots = context.params.slot_count
     types: Dict[int, Tuple[int, float]] = {}
     for node in graph.topo_order():
         if node.op == "const":
+            if np.size(node.value) > slots:
+                _fail(node, f"holds {np.size(node.value)} values > {slots} slots")
             continue
         level, scale = types[node.id] = _node_type(graph, node, types, context)
         if not _fits(context, level, scale):

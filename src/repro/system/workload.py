@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.ckks.linear import LinearEvaluator
-from repro.core.perf import PerformanceModel, dyadic_cycles, keyswitch_cycles, ntt_cycles
+from repro.core.arch import STANDALONE_MODULE_CORES
+from repro.core.perf import PerformanceModel, dyadic_cycles, keyswitch_cycles, rescale_cycles
 from repro.system.cpu_model import SealCpuModel
 
 PRIMITIVES = ("keyswitch", "cc_mult", "cp_mult", "rescale", "add")
@@ -98,28 +98,25 @@ class WorkloadGenerator:
 
     @staticmethod
     def dot_product(dim: int) -> Workload:
-        c = LinearEvaluator.op_counts("dot_plain", dim)
+        """The primitives of :func:`repro.plan.lower.dot_plain`: one
+        ``cp_mult`` + rescale, then one rotation and add per reduction
+        step."""
+        from repro.plan.lower import reduction_steps
+
+        rotations = len(reduction_steps(dim))
         return Workload(
             f"dot-{dim}",
-            {
-                "keyswitch": c["rotations"],
-                "cp_mult": c["cp_mults"],
-                "rescale": c["rescales"],
-                "add": c["rotations"],
-            },
+            {"keyswitch": rotations, "cp_mult": 1, "rescale": 1, "add": rotations},
         )
 
     @staticmethod
     def matvec(dim: int) -> Workload:
-        c = LinearEvaluator.op_counts("matvec_diagonal", dim)
+        """The primitives of :func:`repro.plan.lower.matvec_graph` on a
+        dense matrix: ``dim - 1`` rotations, ``dim`` plaintext products
+        summed, one rescale."""
         return Workload(
             f"matvec-{dim}",
-            {
-                "keyswitch": c["rotations"],
-                "cp_mult": c["cp_mults"],
-                "rescale": c["rescales"],
-                "add": dim - 1,
-            },
+            {"keyswitch": dim - 1, "cp_mult": dim, "rescale": 1, "add": dim - 1},
         )
 
     @staticmethod
@@ -175,20 +172,16 @@ class RuntimeProjection:
         analogue of the Section 4.3 balance argument).
         """
         clock = self.perf.clock_hz
-        nc_dyd = 16  # the standalone MULT module core count
+        arch = self.perf.arch
         ks = workload.counts["keyswitch"] * keyswitch_cycles(
-            self.n, self.k, self.perf.arch.nc_intt0
+            self.n, self.k, arch.nc_intt0
         )
         mult = (
             workload.counts["cc_mult"] * 4 * self.k
             + workload.counts["cp_mult"] * 2 * self.k
-        ) * dyadic_cycles(self.n, nc_dyd)
-        # Rescale reuses the KeySwitch engine's INTT/NTT modules: one
-        # INTT + (k-1) NTT per polynomial pair, both polys.
-        rescale = workload.counts["rescale"] * 2 * (
-            ntt_cycles(self.n, self.perf.arch.nc_intt0)
-            + (self.k - 1) * ntt_cycles(self.n, self.perf.arch.ntt1[1])
-        )
+        ) * dyadic_cycles(self.n, STANDALONE_MODULE_CORES[self.device]["dyadic"])
+        # Rescale reuses the KeySwitch engine's INTT/NTT modules.
+        rescale = workload.counts["rescale"] * rescale_cycles(arch, self.k)
         return max(ks, mult + rescale) / clock
 
     def cpu_seconds(self, workload: Workload) -> float:

@@ -33,10 +33,12 @@ model's precision honest.
 The module also keeps the pre-hoisting key-switch / rotation baselines
 (``keyswitch_polynomial_unhoisted``, ``rotate_unhoisted``,
 ``matvec_unhoisted``) the fast path is tested and benchmarked against,
-and ``matvec_graph_unfused``, the rotate -> ``mul_plain`` -> ``add``
-plan expansion ``matvec_graph`` lowered to before ``linear_sweep`` --
-the unfused oracle of the fused node (same value, ``R`` flooring errors
-instead of one) and the planner benchmark's baseline.  And, since PR 19,
+``matvec_planned`` (one ciphertext through ``matvec_graph``: compile
+plus one executor), and ``matvec_graph_unfused``, the rotate ->
+``mul_plain`` -> ``add`` plan expansion ``matvec_graph`` lowered to
+before ``linear_sweep`` -- the unfused oracle of the fused node (same
+value, ``R`` flooring errors instead of one) and the planner
+benchmark's baseline.  And, since PR 19,
 the digit-permuting rotation dataflow the evaluator ran until then
 (``apply_galois_digit_permuting``, ``linear_sweep_digit_permuting``): the
 bit-exact oracle of the data-stationary one (``test_sweep_differential.py``).
@@ -57,7 +59,6 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
 from repro.ckks.evaluator import Evaluator, KeySwitchDigits, rows_for
 from repro.ckks.keys import KeyGenerator
-from repro.ckks.linear import LinearEvaluator
 from repro.ckks.poly import Ciphertext, RnsPolynomial
 
 #: Ops a program may contain; weights bias toward the cheap ones so a
@@ -282,8 +283,8 @@ def linear_sweep_digit_permuting(ev, ct, terms, galois_keys):
 def matvec_unhoisted(ctx, matrix, ct, galois_keys):
     """The pre-hoisting diagonal matvec: one ``rotate_unhoisted`` (its
     own coefficient-domain round trip and key-switch decomposition) per
-    nonzero diagonal -- the baseline ``LinearEvaluator.matvec_diagonal``
-    is costed and checked against."""
+    nonzero diagonal -- the baseline ``matvec_planned`` is costed and
+    checked against."""
     ev, enc = Evaluator(ctx), CkksEncoder(ctx)
     matrix = np.asarray(matrix, dtype=np.float64)
     dim = matrix.shape[0]
@@ -299,6 +300,22 @@ def matvec_unhoisted(ctx, matrix, ct, galois_keys):
         )
         acc = term if acc is None else ev.add(acc, term)
     return ev.rescale(acc)
+
+
+def matvec_planned(ctx, matrix, ct, galois_keys):
+    """``y = M x`` for one live ciphertext: ``matvec_graph`` on an input
+    typed from ``ct``'s level and scale, ``compile_plan``, one
+    ``PlanExecutor`` run."""
+    from repro.plan import PlanExecutor, PlanGraph, compile_plan
+    from repro.plan.lower import matvec_graph
+
+    graph = PlanGraph()
+    x = graph.input("x", level_count=ct.level_count, scale=ct.scale)
+    _, y = matvec_graph(matrix, graph=graph, input_node=x)
+    graph.output(y, "y")
+    plan = compile_plan(graph, ctx)
+    run = PlanExecutor(ctx, galois_keys=galois_keys).run(plan, {"x": ct})
+    return run.outputs["y"]
 
 
 def matvec_graph_unfused(matrix, graph=None, input_node=None):
@@ -486,7 +503,6 @@ def run_program(
         matvec_matrix = (
             _matvec_matrix(slots, base_seed) if "matvec" in program else None
         )
-        linear = LinearEvaluator(ctx)
         ev = Evaluator(ctx)
 
         init_values = [
@@ -559,7 +575,7 @@ def run_program(
                 ]
             elif op == "matvec":
                 out = [
-                    linear.matvec_diagonal(matvec_matrix, c, galois_keys)
+                    matvec_planned(ctx, matvec_matrix, c, galois_keys)
                     for c in state
                 ]
             elif op == "conjugate":

@@ -29,10 +29,10 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
-from repro.ckks.linear import LinearEvaluator
 
 from differential import (
     keyswitch_polynomial_unhoisted,
+    matvec_planned,
     matvec_unhoisted,
     rotate_unhoisted,
 )
@@ -278,28 +278,28 @@ class TestHoistedMatvec:
     def test_matches_plain_matvec(self, stack):
         dim = 32
         with use_backend(stack["backend"]):
-            lin = LinearEvaluator(stack["ctx"])
+            enc = stack["encoder"]
             gk = stack["keygen"].galois_keys(range(1, dim))
             x = np.linspace(-1, 1, dim)
             m = self._matrix(dim)
-            ct = stack["encryptor"].encrypt(lin.encoder.encode(x))
-            y = lin.matvec_diagonal(m, ct, gk)
-            out = lin.encoder.decode(stack["decryptor"].decrypt(y))[:dim].real
+            ct = stack["encryptor"].encrypt(enc.encode(x))
+            y = matvec_planned(stack["ctx"], m, ct, gk)
+            out = enc.decode(stack["decryptor"].decrypt(y))[:dim].real
         np.testing.assert_allclose(out, m @ x, atol=2e-2)
         assert y.level_count == ct.level_count - 1
 
     def test_hoisted_equals_unhoisted_numerically(self, stack):
         dim = 32
         with use_backend(stack["backend"]):
-            hoisted = LinearEvaluator(stack["ctx"])
+            enc = stack["encoder"]
             gk = stack["keygen"].galois_keys(range(1, dim))
             x = np.linspace(-0.9, 0.7, dim)
             m = self._matrix(dim)
-            ct = stack["encryptor"].encrypt(hoisted.encoder.encode(x))
-            a = hoisted.encoder.decode(
-                stack["decryptor"].decrypt(hoisted.matvec_diagonal(m, ct, gk))
+            ct = stack["encryptor"].encrypt(enc.encode(x))
+            a = enc.decode(
+                stack["decryptor"].decrypt(matvec_planned(stack["ctx"], m, ct, gk))
             )[:dim].real
-            b = hoisted.encoder.decode(
+            b = enc.decode(
                 stack["decryptor"].decrypt(
                     matvec_unhoisted(stack["ctx"], m, ct, gk)
                 )
@@ -310,12 +310,12 @@ class TestHoistedMatvec:
     def test_zero_matrix_burns_level_and_scale(self, stack):
         dim = 8
         with use_backend(stack["backend"]):
-            lin = LinearEvaluator(stack["ctx"])
+            enc = stack["encoder"]
             gk = stack["keygen"].galois_keys(range(1, dim))
             x = np.linspace(-1, 1, dim)
-            ct = stack["encryptor"].encrypt(lin.encoder.encode(x))
-            y = lin.matvec_diagonal(np.zeros((dim, dim)), ct, gk)
-            out = lin.encoder.decode(stack["decryptor"].decrypt(y))[:dim].real
+            ct = stack["encryptor"].encrypt(enc.encode(x))
+            y = matvec_planned(stack["ctx"], np.zeros((dim, dim)), ct, gk)
+            out = enc.decode(stack["decryptor"].decrypt(y))[:dim].real
         assert y.level_count == ct.level_count - 1
         np.testing.assert_allclose(out, np.zeros(dim), atol=1e-2)
 
@@ -323,7 +323,7 @@ class TestHoistedMatvec:
         """Skipped diagonals never request their rotation keys."""
         dim = 8
         with use_backend(stack["backend"]):
-            lin = LinearEvaluator(stack["ctx"])
+            enc = stack["encoder"]
             # diagonal pattern: only d = 0 and d = 2 nonzero
             m = np.zeros((dim, dim))
             i = np.arange(dim)
@@ -331,9 +331,9 @@ class TestHoistedMatvec:
             m[i, (i + 2) % dim] = 0.5
             gk = stack["keygen"].galois_keys([2])  # step 2 only
             x = np.linspace(-1, 1, dim)
-            ct = stack["encryptor"].encrypt(lin.encoder.encode(x))
-            y = lin.matvec_diagonal(m, ct, gk)  # must not KeyError
-            out = lin.encoder.decode(stack["decryptor"].decrypt(y))[:dim].real
+            ct = stack["encryptor"].encrypt(enc.encode(x))
+            y = matvec_planned(stack["ctx"], m, ct, gk)  # must not KeyError
+            out = enc.decode(stack["decryptor"].decrypt(y))[:dim].real
         # dim < slot_count: rotations shift over the full slot vector, so
         # the d = 2 diagonal pulls x zero-padded, not wrapped
         expected = x + 0.5 * np.concatenate([x[2:], [0.0, 0.0]])

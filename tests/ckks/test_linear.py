@@ -1,9 +1,20 @@
-"""Tests for the encrypted linear-algebra layer."""
+"""Tests for the encrypted linear-algebra layer: the plan fragments of
+``repro.plan.lower`` run end to end on live ciphertexts, and the eager
+``LinearEvaluator.evaluate_polynomial``."""
 
 import numpy as np
 import pytest
 
-from repro.ckks.linear import LinearEvaluator, reduction_steps
+from repro.ckks.linear import LinearEvaluator
+from repro.plan import PlanExecutor, PlanGraph, compile_plan
+from repro.plan.lower import (
+    dot_plain,
+    matvec_graph,
+    reduction_steps,
+    rotate_and_sum,
+    weighted_sum,
+)
+from repro.system.workload import WorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +33,26 @@ def encrypt_vec(encoder, encryptor, vals, **kw):
     return encryptor.encrypt(encoder.encode(vals, **kw))
 
 
+def run_fragment(context, galois_keys, build, *cts):
+    """Type one input per ciphertext from its level and scale, splice the
+    fragment ``build(graph, inputs) -> node``, compile and execute."""
+    graph = PlanGraph()
+    inputs = [
+        graph.input(f"x{i}", level_count=ct.level_count, scale=ct.scale)
+        for i, ct in enumerate(cts)
+    ]
+    graph.output(build(graph, inputs), "y")
+    plan = compile_plan(graph, context)
+    run = PlanExecutor(context, galois_keys=galois_keys).run(
+        plan, {f"x{i}": ct for i, ct in enumerate(cts)}
+    )
+    return run.outputs["y"]
+
+
+def decode(encoder, decryptor, ct):
+    return encoder.decode(decryptor.decrypt(ct)).real
+
+
 class TestReductionSteps:
     def test_powers_of_two(self):
         assert reduction_steps(8) == [1, 2, 4]
@@ -31,47 +62,61 @@ class TestReductionSteps:
 
 class TestRotateAndSum:
     def test_sums_all_slots(
-        self, linear, encoder, encryptor, decryptor, reduction_keys
+        self, toy_context, encoder, encryptor, decryptor, reduction_keys
     ):
         rng = np.random.default_rng(0)
         vals = rng.uniform(-1, 1, encoder.slot_count)
         ct = encrypt_vec(encoder, encryptor, vals)
-        out = linear.rotate_and_sum(ct, encoder.slot_count, reduction_keys)
-        dec = encoder.decode(decryptor.decrypt(out)).real
+        out = run_fragment(
+            toy_context,
+            reduction_keys,
+            lambda g, xs: rotate_and_sum(g, xs[0], encoder.slot_count),
+            ct,
+        )
+        dec = decode(encoder, decryptor, out)
         assert np.allclose(dec[0], vals.sum(), atol=0.05)
 
-    def test_rejects_non_power_width(self, linear, encoder, encryptor, reduction_keys):
-        ct = encrypt_vec(encoder, encryptor, [1.0])
-        with pytest.raises(ValueError):
-            linear.rotate_and_sum(ct, 3, reduction_keys)
+    def test_rejects_non_power_width(self):
+        graph = PlanGraph()
+        with pytest.raises(ValueError, match="power of two"):
+            rotate_and_sum(graph, graph.input("x"), 3)
 
 
 class TestDotPlain:
     def test_matches_numpy(
-        self, linear, encoder, encryptor, decryptor, reduction_keys
+        self, toy_context, encoder, encryptor, decryptor, reduction_keys
     ):
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, 8)
         w = rng.uniform(-1, 1, 8)
         ct = encrypt_vec(encoder, encryptor, x)
-        out = linear.dot_plain(ct, w, reduction_keys)
-        dec = encoder.decode(decryptor.decrypt(out)).real
-        assert np.isclose(dec[0], w @ x, atol=0.02)
+        out = run_fragment(
+            toy_context, reduction_keys, lambda g, xs: dot_plain(g, xs[0], w), ct
+        )
+        assert np.isclose(decode(encoder, decryptor, out)[0], w @ x, atol=0.02)
 
     def test_non_power_of_two_width_padded(
-        self, linear, encoder, encryptor, decryptor, reduction_keys
+        self, toy_context, encoder, encryptor, decryptor, reduction_keys
     ):
         x = np.array([1.0, 2.0, 3.0])
         w = np.array([0.5, -1.0, 2.0])
         ct = encrypt_vec(encoder, encryptor, x)
-        out = linear.dot_plain(ct, w, reduction_keys)
-        dec = encoder.decode(decryptor.decrypt(out)).real
-        assert np.isclose(dec[0], w @ x, atol=0.02)
+        out = run_fragment(
+            toy_context, reduction_keys, lambda g, xs: dot_plain(g, xs[0], w), ct
+        )
+        assert np.isclose(decode(encoder, decryptor, out)[0], w @ x, atol=0.02)
+
+
+def matvec(context, galois_keys, matrix, ct):
+    def build(graph, xs):
+        return matvec_graph(matrix, graph=graph, input_node=xs[0])[1]
+
+    return run_fragment(context, galois_keys, build, ct)
 
 
 class TestMatvecDiagonal:
     def test_matches_numpy(
-        self, linear, encoder, encryptor, decryptor, reduction_keys
+        self, toy_context, encoder, encryptor, decryptor, reduction_keys
     ):
         rng = np.random.default_rng(2)
         dim = 8
@@ -84,17 +129,16 @@ class TestMatvecDiagonal:
         packed[:dim] = x
         packed[dim : 2 * dim] = x  # wrap margin for rotations < dim
         ct = encrypt_vec(encoder, encryptor, packed)
-        out = linear.matvec_diagonal(m, ct, reduction_keys)
-        dec = encoder.decode(decryptor.decrypt(out)).real[:dim]
+        out = matvec(toy_context, reduction_keys, m, ct)
+        dec = decode(encoder, decryptor, out)[:dim]
         assert np.allclose(dec, m @ x, atol=0.05)
 
-    def test_rejects_non_square(self, linear, encoder, encryptor, reduction_keys):
-        ct = encrypt_vec(encoder, encryptor, [1.0])
-        with pytest.raises(ValueError):
-            linear.matvec_diagonal(np.zeros((2, 3)), ct, reduction_keys)
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            matvec_graph(np.zeros((2, 3)))
 
     def test_identity_matrix(
-        self, linear, encoder, encryptor, decryptor, reduction_keys
+        self, toy_context, encoder, encryptor, decryptor, reduction_keys
     ):
         dim = 4
         x = np.array([1.0, -2.0, 0.5, 3.0])
@@ -103,27 +147,27 @@ class TestMatvecDiagonal:
         packed[:dim] = x
         packed[dim : 2 * dim] = x
         ct = encrypt_vec(encoder, encryptor, packed)
-        out = linear.matvec_diagonal(np.eye(dim), ct, reduction_keys)
-        dec = encoder.decode(decryptor.decrypt(out)).real[:dim]
+        out = matvec(toy_context, reduction_keys, np.eye(dim), ct)
+        dec = decode(encoder, decryptor, out)[:dim]
         assert np.allclose(dec, x, atol=0.02)
 
 
 class TestWeightedSum:
-    def test_affine_combination(
-        self, linear, encoder, encryptor, decryptor
-    ):
+    def test_affine_combination(self, toy_context, encoder, encryptor, decryptor):
         a = np.array([1.0, 2.0])
         b = np.array([-0.5, 4.0])
         ca = encrypt_vec(encoder, encryptor, a)
         cb = encrypt_vec(encoder, encryptor, b)
-        out = linear.weighted_sum([ca, cb], [2.0, -1.0])
-        dec = encoder.decode(decryptor.decrypt(out)).real[:2]
+        out = run_fragment(
+            toy_context, None, lambda g, xs: weighted_sum(g, xs, [2.0, -1.0]), ca, cb
+        )
+        dec = decode(encoder, decryptor, out)[:2]
         assert np.allclose(dec, 2 * a - b, atol=0.02)
 
-    def test_length_mismatch(self, linear, encoder, encryptor):
-        ct = encrypt_vec(encoder, encryptor, [1.0])
-        with pytest.raises(ValueError):
-            linear.weighted_sum([ct], [1.0, 2.0])
+    def test_length_mismatch(self):
+        graph = PlanGraph()
+        with pytest.raises(ValueError, match="equally many"):
+            weighted_sum(graph, [graph.input("x")], [1.0, 2.0])
 
 
 class TestEvaluatePolynomial:
@@ -170,16 +214,50 @@ class TestEvaluatePolynomial:
             linear.evaluate_polynomial(ct, [1.0], relin_key)
 
 
+def fragment_primitives(plan):
+    """The accelerator primitives of a compiled plan, a ``linear_sweep``
+    node counted term by term (one rotation per nonzero step, one
+    plaintext product per term, one add per term after the first)."""
+    ops = plan.op_counts()
+    sweeps = [n.terms for n in plan.nodes.values() if n.op == "linear_sweep"]
+    return {
+        "keyswitch": ops.get("rotate", 0)
+        + sum(step != 0 for terms in sweeps for step, _ in terms),
+        "cp_mult": ops.get("mul_plain", 0) + sum(map(len, sweeps)),
+        "rescale": ops.get("rescale", 0),
+        "add": ops.get("add", 0) + sum(len(terms) - 1 for terms in sweeps),
+    }
+
+
+def compiled(context, build):
+    graph = PlanGraph()
+    graph.output(build(graph, graph.input("x")), "y")
+    return compile_plan(graph, context)
+
+
 class TestOpCounts:
-    def test_dot_plain_counts(self):
-        counts = LinearEvaluator.op_counts("dot_plain", dim=8)
-        assert counts == {"rotations": 3, "cp_mults": 1, "rescales": 1}
+    """The workload costing (``WorkloadGenerator``) prices exactly the
+    primitives of the compiled fragment it names."""
 
-    def test_matvec_counts(self):
-        counts = LinearEvaluator.op_counts("matvec_diagonal", dim=8)
-        assert counts["rotations"] == 7
-        assert counts["cp_mults"] == 8
+    DIMS = (1, 3, 8, 16)
 
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            LinearEvaluator.op_counts("conv2d")
+    def test_dot_plain_counts(self, toy_context):
+        for d in self.DIMS:
+            plan = compiled(toy_context, lambda g, x: dot_plain(g, x, [0.5] * d))
+            expected = WorkloadGenerator.dot_product(d).counts
+            got = fragment_primitives(plan)
+            assert got == {p: expected[p] for p in got}, d
+            assert expected["cc_mult"] == 0
+
+    def test_matvec_counts(self, toy_context):
+        rng = np.random.default_rng(8)
+        for d in self.DIMS:
+            dense = rng.uniform(0.1, 1.0, (d, d))  # every diagonal nonzero
+            plan = compiled(
+                toy_context,
+                lambda g, x: matvec_graph(dense, graph=g, input_node=x)[1],
+            )
+            expected = WorkloadGenerator.matvec(d).counts
+            got = fragment_primitives(plan)
+            assert got == {p: expected[p] for p in got}, d
+            assert expected["cc_mult"] == 0

@@ -84,19 +84,6 @@ class TestArithmetic:
         for m, ra, rb, rp in zip(MODULI, a.residues, b.residues, prod.residues):
             assert rp == [x * y % m.value for x, y in zip(ra, rb)]
 
-    def test_multiply_scalar_int(self):
-        a = rand_rns(8)
-        out = a.multiply_scalar(3)
-        for m, ra, ro in zip(MODULI, a.residues, out.residues):
-            assert ro == [3 * x % m.value for x in ra]
-
-    def test_multiply_scalar_per_modulus(self):
-        a = rand_rns(9)
-        scalars = [2, 3, 5]
-        out = a.multiply_scalar(scalars)
-        for m, s, ra, ro in zip(MODULI, scalars, a.residues, out.residues):
-            assert ro == [s * x % m.value for x in ra]
-
     def test_domain_mismatch_rejected(self):
         a = rand_rns(10, is_ntt=True)
         b = rand_rns(11, is_ntt=False)
@@ -112,12 +99,6 @@ class TestArithmetic:
 
 
 class TestBasisOps:
-    def test_drop_last_component(self):
-        a = rand_rns(14)
-        b = a.drop_last_component()
-        assert b.level_count == 2
-        assert b.residues == a.residues[:2]
-
     def test_restrict_to_moduli_selects_rows(self):
         a = rand_rns(15)
         sub = restrict_to_moduli(a, [MODULI[2], MODULI[0]])

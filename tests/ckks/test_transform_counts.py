@@ -35,9 +35,8 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
-from repro.ckks.linear import LinearEvaluator
 
-from differential import matvec_unhoisted, rotate_unhoisted
+from differential import matvec_planned, matvec_unhoisted, rotate_unhoisted
 
 N, K = 64, 3  # L = K at the top level
 DIM = 8
@@ -61,15 +60,13 @@ def counted(request):
     ctx = CkksContext(toy_parameters(n=N, k=K, prime_bits=30), backend=be)
     keygen = KeyGenerator(ctx, seed=31)
     encryptor = Encryptor(ctx, keygen.public_key(), seed=32)
-    lin = LinearEvaluator(ctx)
     galois = keygen.galois_keys(range(1, DIM))
-    ct = encryptor.encrypt(lin.encoder.encode(np.linspace(-1, 1, 32)))
+    ct = encryptor.encrypt(CkksEncoder(ctx).encode(np.linspace(-1, 1, 32)))
     return {
         "backend": be,
         "ctx": ctx,
         "keygen": keygen,
         "evaluator": Evaluator(ctx),
-        "lin": lin,
         "galois": galois,
         "ct": ct,
     }
@@ -122,7 +119,7 @@ def test_hoisted_matvec_transform_budget(counted):
         rng = np.random.default_rng(7)
         matrix = rng.uniform(0.1, 1.0, (dim, dim))  # every diagonal nonzero
         be.reset()
-        counted["lin"].matvec_diagonal(matrix, ct, keys)
+        matvec_planned(counted["ctx"], matrix, ct, keys)
         hoisted_fwd = be.counts["ntt_forward"]
         hoisted_inv = be.counts["ntt_inverse"]
         # fan-out once + ONE Modulus Switch of the two accumulators + the

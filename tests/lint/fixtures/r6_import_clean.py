@@ -1,9 +1,7 @@
 # lint-fixture-path: src/repro/serving/fixture.py
 # R6 clean fixture: the plan is the door -- a serving module imports
-# the planner, ciphertext containers and costing helpers, never an
-# evaluator class.
+# the planner and ciphertext containers, never an evaluator class.
 
-from repro.ckks.linear import LinearEvaluator
 from repro.ckks.poly import Ciphertext
 from repro.plan import PlanExecutor, PlanGraph
 

@@ -1,4 +1,5 @@
-"""Lowering front ends: matvec_graph and workload_graph."""
+"""Lowering front ends: the linear-algebra fragments, matvec_graph and
+workload_graph."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.serialization import serialize_ciphertext
 from repro.plan.executor import PlanExecutor
 from repro.plan.graph import PlanGraph
-from repro.plan.lower import fresh_lane_inputs, matvec_graph, workload_graph
+from repro.plan.lower import (
+    dot_plain,
+    fresh_lane_inputs,
+    matvec_graph,
+    rotate_and_sum,
+    weighted_sum,
+    workload_graph,
+)
 from repro.plan.passes import check_plan, compile_plan
 from repro.system.workload import Workload, WorkloadGenerator
 
@@ -21,6 +29,64 @@ def _packed(encoder, x):
     packed[:DIM] = x
     packed[DIM : 2 * DIM] = x
     return packed
+
+
+class TestFragments:
+    def test_dot_plain_rescales_before_the_reduction(self, plan_context):
+        g = PlanGraph()
+        out = dot_plain(g, g.input("x"), [0.5, -1.0, 2.0])
+        g.output(out, "y")
+        ops = [n.op for n in g.topo_order()]
+        assert ops[:4] == ["input", "const", "mul_plain", "rescale"]
+        assert g.nodes[g.nodes[ops.index("rescale")].inputs[0]].op == "mul_plain"
+        # padded to width 4: two reduction steps on the rescaled product
+        steps = [n.step for n in g.topo_order() if n.op == "rotate"]
+        assert steps == [1, 2]
+        assert len(g.nodes[1].value) == 4
+        # the explicit rescale is the only one: placement adds none
+        assert compile_plan(g, plan_context).op_counts() == g.op_counts()
+
+    def test_weighted_sum_shares_one_rescale(self, plan_context):
+        g = PlanGraph()
+        xs = [g.input(f"x{i}") for i in range(3)]
+        g.output(weighted_sum(g, xs, [1.0, -2.0, 0.5]), "y")
+        assert g.op_counts() == {
+            "input": 3, "const": 3, "mul_plain": 3, "add": 2, "rescale": 1
+        }
+        assert compile_plan(g, plan_context).op_counts() == g.op_counts()
+
+    def test_fragments_schedule_with_the_rest_of_a_program(
+        self,
+        plan_context,
+        plan_encoder,
+        plan_encryptor,
+        plan_relin,
+        plan_galois,
+    ):
+        """Two independent reductions pack into lanes, and the packed
+        run equals the op-by-op oracle bit for bit."""
+        g = PlanGraph()
+        a, b = g.input("a"), g.input("b")
+        g.output(rotate_and_sum(g, a, 8), "sum_a")
+        g.output(rotate_and_sum(g, b, 8), "sum_b")
+        g.output(dot_plain(g, a, [0.25] * 8), "dot")
+        g.output(weighted_sum(g, [a, b], [1.0, 3.0]), "ws")
+        plan = compile_plan(g, plan_context)
+        rng = np.random.default_rng(9)
+        inputs = {
+            name: plan_encryptor.encrypt(
+                plan_encoder.encode(list(rng.uniform(-1, 1, DIM)))
+            )
+            for name in ("a", "b")
+        }
+        ex = PlanExecutor(plan_context, plan_relin, plan_galois)
+        fast = ex.run(plan, dict(inputs), optimize=True)
+        slow = ex.run(plan, dict(inputs), optimize=False)
+        assert fast.packed_ops > 0
+        for name in plan.outputs:
+            assert serialize_ciphertext(fast.outputs[name]) == serialize_ciphertext(
+                slow.outputs[name]
+            ), f"bit mismatch on {name}"
 
 
 class TestMatvecGraph:

@@ -6,6 +6,7 @@ type: the satellite contract is that unplaceable graphs fail loudly and
 name the violated rule, so a silent behavior change here is a bug.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +93,32 @@ class TestChecker:
         g.rescale(x)
         with pytest.raises(PlanValidationError, match="not a fresh product"):
             check_plan(g, ctx4)
+
+    @pytest.mark.parametrize("op", ["mul_plain", "add_const", "linear_sweep"])
+    def test_const_wider_than_the_slots_rejected(self, ctx3, op):
+        """The encoder would raise mid-run, after earlier steps ran."""
+        slots = ctx3.params.slot_count
+        g = PlanGraph()
+        x = g.input("x")
+        fits = g.const([0.5] * slots)
+        wide = g.const([0.5] * (slots + 8))
+        if op == "linear_sweep":
+            g.output(g.linear_sweep(x, [(0, fits), (1, wide)]))
+        else:
+            g.output(getattr(g, op)(x, wide))
+        with pytest.raises(
+            PlanValidationError,
+            match=rf"plan node {wide} \(const\): holds {slots + 8} values > {slots} slots",
+        ):
+            compile_plan(g, ctx3)
+
+    def test_matvec_wider_than_the_slots_rejected(self, ctx3):
+        from repro.plan.lower import matvec_graph
+
+        slots = ctx3.params.slot_count
+        compile_plan(matvec_graph(np.eye(slots))[0], ctx3)
+        with pytest.raises(PlanValidationError, match=f"> {slots} slots"):
+            compile_plan(matvec_graph(np.eye(slots + 8))[0], ctx3)
 
 
 class TestPlacement:
