@@ -45,28 +45,19 @@ def render_table(
     return "\n".join(lines)
 
 
-def comparison_table(
-    title: str,
-    entries: Sequence[Dict[str, Number]],
-    label_key: str = "label",
-    paper_key: str = "paper",
-    measured_key: str = "measured",
-    note: str = "",
-) -> str:
-    """Render label / paper / measured / ratio rows.
+def comparison_table(title: str, entries: Sequence[Dict[str, Number]]) -> str:
+    """Render label / paper / measured / ratio rows from entries keyed
+    ``label``, ``paper`` and ``measured``.
 
     ``ratio = measured / paper``; a ratio near 1.0 means the
     reproduction tracks the paper.
     """
     rows = []
     for e in entries:
-        paper = e[paper_key]
-        measured = e[measured_key]
+        paper, measured = e["paper"], e["measured"]
         ratio = measured / paper if paper else float("nan")
-        rows.append([e[label_key], paper, measured, f"{ratio:.3f}"])
-    return render_table(
-        title, [label_key, "paper", "measured", "ratio"], rows, note
-    )
+        rows.append([e["label"], paper, measured, f"{ratio:.3f}"])
+    return render_table(title, ["label", "paper", "measured", "ratio"], rows)
 
 
 def ratio_within(measured: Number, paper: Number, tolerance: float) -> bool:

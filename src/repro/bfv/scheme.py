@@ -20,6 +20,10 @@ from repro.ckks.primes import generate_ntt_primes, is_prime
 from repro.ckks.rns import RnsBasis
 from repro.ckks.sampling import Sampler
 
+#: Relinearization digit width: key generation and ``relinearize`` both
+#: decompose in base ``T = 2^DECOMP_BITS``, so they cannot disagree.
+DECOMP_BITS = 16
+
 
 @dataclass(frozen=True)
 class BfvParameters:
@@ -188,10 +192,9 @@ class BfvEncoder:
 class BfvKeyGenerator:
     """Secret/public/relinearization keys (digit decomposition base T)."""
 
-    def __init__(self, context: BfvContext, seed: Optional[int] = None, decomp_bits: int = 16):
+    def __init__(self, context: BfvContext, seed: Optional[int] = None):
         self.context = context
         self.sampler = Sampler(seed)
-        self.decomp_bits = decomp_bits
         self.secret = self.sampler.ternary_coeffs(context.n)
 
     def public_key(self) -> Tuple[List[int], List[int]]:
@@ -211,7 +214,6 @@ class BfvKeyGenerator:
         q, n = ctx.q, ctx.n
         s = [x % q for x in self.secret]
         s2 = ctx.ring_multiply_mod_q(s, s)
-        T = 1 << self.decomp_bits
         digits = []
         power = 1
         while power < q:
@@ -222,7 +224,7 @@ class BfvKeyGenerator:
                 [(ei + power * x) % q for ei, x in zip(e, s2)],
             )
             digits.append((body, a))
-            power <<= self.decomp_bits
+            power <<= DECOMP_BITS
         return digits
 
 
@@ -324,19 +326,19 @@ class BfvEvaluator:
         ]
         return BfvCiphertext(polys)
 
-    def relinearize(self, ct: BfvCiphertext, relin_key, decomp_bits: int = 16) -> BfvCiphertext:
+    def relinearize(self, ct: BfvCiphertext, relin_key) -> BfvCiphertext:
         """Base-T digit decomposition of c2 against the relin key."""
         if ct.size != 3:
             raise ValueError("relinearize expects a size-3 ciphertext")
         ctx = self.context
         q, n = ctx.q, ctx.n
         c0, c1, c2 = ct.polys
-        mask = (1 << decomp_bits) - 1
+        mask = (1 << DECOMP_BITS) - 1
         digits = []
         remaining = list(c2)
         for _ in relin_key:
             digits.append([x & mask for x in remaining])
-            remaining = [x >> decomp_bits for x in remaining]
+            remaining = [x >> DECOMP_BITS for x in remaining]
         out0, out1 = list(c0), list(c1)
         for d, (kb, ka) in zip(digits, relin_key):
             out0 = ctx.add_mod_q(out0, ctx.ring_multiply_mod_q(d, kb))

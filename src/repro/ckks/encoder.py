@@ -99,15 +99,24 @@ class CkksEncoder:
                 )
         coeffs = self._values_to_coeffs(vec) * scale
         rounded = np.rint(coeffs)
-        if np.all(np.abs(rounded) < 2.0**62):
+        at_level = ctx.key_basis_at_level if extended else ctx.basis_at_level
+        basis = at_level(level_count)
+        # a coefficient at or past q/2 would wrap to another value mod q;
+        # written so that a NaN or inf peak (non-finite input) fails too
+        peak = float(np.abs(rounded).max())
+        if not 2 * peak < basis.product:
+            raise ValueError(
+                f"scaled coefficient magnitude {peak:.3g} is not below the "
+                f"q/2 = {basis.product / 2:.3g} budget of the "
+                f"{len(basis)}-prime encode basis"
+            )
+        if peak < 2.0**62:
             # single-word signed coefficients: hand the int64 vector to
             # the backend's native RNS decomposition (np.rint rounds
             # half-to-even exactly like Python round on floats)
             int_coeffs = rounded.astype(np.int64)
         else:  # pragma: no cover - needs an astronomically large scale
             int_coeffs = [int(round(c)) for c in coeffs.tolist()]
-        at_level = ctx.key_basis_at_level if extended else ctx.basis_at_level
-        basis = at_level(level_count)
         poly = RnsPolynomial.from_int_coeffs(
             int_coeffs, basis.moduli, backend=ctx.backend
         )
@@ -126,7 +135,3 @@ class CkksEncoder:
         ints = basis.compose_centered_rows(poly.rows)
         coeffs = np.array([float(v) for v in ints], dtype=np.float64)
         return self._coeffs_to_values(coeffs / plaintext.scale)
-
-    def decode_real(self, plaintext: Plaintext) -> np.ndarray:
-        """Decode and return only the real parts (common ML use)."""
-        return self.decode(plaintext).real

@@ -123,13 +123,13 @@ class RnsPolynomial:
         cls,
         coeffs: Sequence[int],
         moduli: Sequence[Modulus],
-        is_ntt: bool = False,
         backend=None,
     ) -> "RnsPolynomial":
-        """Reduce signed integer coefficients into every RNS component."""
+        """Reduce signed integer coefficients into every RNS component
+        (coefficient form)."""
         be = backend if backend is not None else get_backend()
         n = len(coeffs)
-        return cls(n, moduli, be.decompose_native(list(moduli), coeffs), is_ntt)
+        return cls(n, moduli, be.decompose_native(list(moduli), coeffs))
 
     def clone(self, backend=None) -> "RnsPolynomial":
         be = backend if backend is not None else get_backend()

@@ -27,11 +27,11 @@ _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461  # > 2^64
 
 
-def is_prime(n: int, rounds: int = 40) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic for ``n < 3.18e23`` (covers every word-sized modulus we
-    generate); probabilistic with ``rounds`` random witnesses beyond that.
+    generate); probabilistic with 40 random witnesses beyond that.
     """
     if n < 2:
         return False
@@ -49,7 +49,7 @@ def is_prime(n: int, rounds: int = 40) -> bool:
         witnesses = [w for w in _DETERMINISTIC_WITNESSES if w < n]
     else:
         rng = random.Random(n)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        witnesses = [rng.randrange(2, n - 1) for _ in range(40)]
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -154,13 +154,12 @@ def primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root found for {p}")  # pragma: no cover
 
 
-def primitive_2nth_root(p: int, n: int, minimal: bool = True) -> int:
-    """Return a primitive ``2n``-th root of unity ``ψ`` modulo ``p``.
+def primitive_2nth_root(p: int, n: int) -> int:
+    """Return the smallest primitive ``2n``-th root of unity ``ψ`` modulo ``p``.
 
     Requires ``p ≡ 1 (mod 2n)``.  A primitive root satisfies
-    ``ψ^n ≡ -1 (mod p)``.  With ``minimal=True`` the numerically smallest
-    primitive root is returned (deterministic twiddle tables, matching
-    SEAL's choice).
+    ``ψ^n ≡ -1 (mod p)``; the numerically smallest one gives
+    deterministic twiddle tables, matching SEAL's choice.
     """
     m = 2 * n
     if (p - 1) % m != 0:
@@ -170,8 +169,6 @@ def primitive_2nth_root(p: int, n: int, minimal: bool = True) -> int:
     # psi is *some* primitive 2n-th root; enumerate the odd powers to find
     # the minimal one.  There are n of them; for large n scan cheaply by
     # repeated squaring-free stepping psi^2 each time multiplies exponent.
-    if not minimal:
-        return psi
     best = psi
     step = pow(psi, 2, p)
     current = psi

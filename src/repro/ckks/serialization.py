@@ -109,18 +109,10 @@ def _require_moduli(moduli, level_count: int, version: int):
     return moduli
 
 
-def polynomial_wire_bytes(
-    n: int, version: int = VERSION, width_bits: int = 8 * WORD_BYTES
-) -> int:
-    """Wire size of one residue polynomial -- the paper's PCIe unit.
-
-    v1 ships 8-byte words regardless of ``width_bits``; v2 bit-packs to
-    ``width_bits`` per word (the row's modulus width).
-    """
-    _check_version(version)
-    if version == VERSION:
-        return n * WORD_BYTES
-    return packed_row_bytes(n, width_bits)
+def polynomial_wire_bytes(n: int) -> int:
+    """Wire size of one v1 residue polynomial (8-byte words) -- the
+    paper's PCIe unit."""
+    return n * WORD_BYTES
 
 
 def ciphertext_wire_bytes(

@@ -123,8 +123,8 @@ class HeaxAccelerator:
     def utilization(self, resident_ksks: int = 1) -> Dict[str, float]:
         return self.resource_vector(resident_ksks).utilization(self.device)
 
-    def fits_on_board(self, resident_ksks: int = 1) -> bool:
-        return self.resource_vector(resident_ksks).fits(self.device)
+    def fits_on_board(self) -> bool:
+        return self.resource_vector().fits(self.device)
 
     def describe(self) -> str:
         """Text rendering of the block structure (Figures 1/3/5/7)."""

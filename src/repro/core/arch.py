@@ -34,6 +34,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 
+def ntt_cycles(n: int, num_cores: int) -> float:
+    """Cycles for one NTT/INTT of size ``n`` with ``num_cores`` cores."""
+    log_n = n.bit_length() - 1
+    return n * log_n / (2 * num_cores)
+
+
+def dyadic_cycles(n: int, num_cores: int) -> float:
+    """Cycles for one dyadic product of a polynomial pair."""
+    return n / num_cores
+
+
 def next_power_of_two(x: int) -> int:
     """Smallest power of two >= x (x >= 1)."""
     if x < 1:
@@ -96,33 +107,60 @@ class KeySwitchArchitecture:
             1 + m0 * nc_intt1 / nc_ntt1 + nc_intt1 * self.log_n / nc_ms
         )
 
+    def stage_cycles(self) -> Dict[str, float]:
+        """Cycles of one pass through one module of each Figure 5 layer:
+        one transform per INTT/NTT module, one product against both key
+        columns per DyadMult module, one prime per MS module."""
+        n = self.n
+        return {
+            "INTT0": ntt_cycles(n, self.intt0[1]),
+            "NTT0": ntt_cycles(n, self.ntt0[1]),
+            "DyadMult": 2 * n / self.dyad[1],
+            "INTT1": ntt_cycles(n, self.intt1[1]),
+            "NTT1": ntt_cycles(n, self.ntt1[1]),
+            "MS": dyadic_cycles(n, self.ms[1]),
+        }
+
+    def busy_cycles(self, level_count: int) -> Dict[str, float]:
+        """Busy cycles of one module of each layer per key switch of a
+        ``level_count``-prime polynomial: the INTT0 runs once per
+        component, each of the ``m0`` NTT0 (and DyadMult) modules takes
+        its share of the ``level_count`` fan-out transforms, the
+        synchronized input-poly DyadMult runs once per component, and
+        the Modulus-Switch tail runs once (INTT1, one poly per module)
+        over ``level_count`` data primes (NTT1, MS)."""
+        k, t = level_count, self.stage_cycles()
+        per_module_transforms = k / self.m0
+        return {
+            "INTT0": k * t["INTT0"],
+            "NTT0": k * per_module_transforms * t["NTT0"],
+            "DyadMult": k * per_module_transforms * t["DyadMult"],
+            "DyadMult(input)": k * t["DyadMult"],
+            "INTT1": t["INTT1"],
+            "NTT1": k * t["NTT1"],
+            "MS": k * t["MS"],
+        }
+
     def throughput_balanced(self) -> bool:
         """Check every rate inequality of Section 4.3.
 
         Returns True when each downstream layer consumes at least as fast
         as its producer, so the pipeline never accumulates backlog.
         """
-        n, log_n, k = self.n, self.log_n, self.k
-        intt0_cycles = n * log_n / (2 * self.nc_intt0)
+        k, t = self.k, self.stage_cycles()
         # NTT0 must run k transforms per INTT0 output.
-        ntt0_cycles = k * (n * log_n / (2 * self.nc_ntt0)) / self.m0
-        if ntt0_cycles > intt0_cycles:
+        if k * t["NTT0"] / self.m0 > t["INTT0"]:
             return False
         # Each Dyad module multiplies each NTT module's output by 2 keys.
-        dyad_cycles = 2 * n / self.dyad[1]
-        per_ntt_module_cycles = n * log_n / (2 * self.nc_ntt0)
-        if dyad_cycles > per_ntt_module_cycles:
+        if t["DyadMult"] > t["NTT0"]:
             return False
         # The MS tail runs once per KeySwitch (k INTT0 iterations).
-        keyswitch_cycles = k * intt0_cycles
-        intt1_cycles = n * log_n / (2 * self.intt1[1])
-        if intt1_cycles > keyswitch_cycles:
+        keyswitch_cycles = k * t["INTT0"]
+        if t["INTT1"] > keyswitch_cycles:
             return False
-        ntt1_cycles = k * (n * log_n / (2 * self.ntt1[1])) / self.ntt1[0]
-        if ntt1_cycles > keyswitch_cycles:
+        if k * t["NTT1"] / self.ntt1[0] > keyswitch_cycles:
             return False
-        ms_cycles = k * 2 * n / (self.ms[0] * self.ms[1])
-        return ms_cycles <= keyswitch_cycles
+        return k * 2 * t["MS"] / self.ms[0] <= keyswitch_cycles
 
     def describe(self) -> str:
         """Render in the paper's Table 5 notation."""

@@ -53,12 +53,10 @@ class KeySwitchDataflowSim:
 
     def __init__(self, arch: KeySwitchArchitecture):
         self.arch = arch
-        n, log_n, k = arch.n, arch.log_n, arch.k
-        self.t_intt0 = n * log_n / (2 * arch.nc_intt0)
-        self.t_ntt0 = n * log_n / (2 * arch.nc_ntt0)
-        self.t_dyad = 2 * n / arch.dyad[1]
+        t = arch.stage_cycles()
+        self.t_intt0, self.t_ntt0, self.t_dyad = t["INTT0"], t["NTT0"], t["DyadMult"]
         #: ideal pipeline period: the INTT0 busy time per op.
-        self.ideal_period = k * self.t_intt0
+        self.ideal_period = arch.busy_cycles(arch.k)["INTT0"]
 
     def input_lifetime(self) -> float:
         """Cycles an input polynomial must stay buffered.
@@ -115,9 +113,9 @@ class KeySwitchDataflowSim:
             writer_stall_cycles=stall,
         )
 
-    def minimum_sufficient_buffers(self, max_buffers: int = 16) -> int:
-        """Smallest buffer count that sustains the ideal period."""
-        for b in range(1, max_buffers + 1):
+    def minimum_sufficient_buffers(self) -> int:
+        """Smallest buffer count (at most 16) that sustains the ideal period."""
+        for b in range(1, 17):
             if self.run(b).sustains_full_rate:
                 return b
         raise RuntimeError("no sufficient buffer count found")  # pragma: no cover
@@ -136,13 +134,10 @@ class AccumulatorDataflowSim:
 
     def __init__(self, arch: KeySwitchArchitecture):
         self.arch = arch
-        n, log_n, k = arch.n, arch.log_n, arch.k
-        self.period = k * n * log_n / (2 * arch.nc_intt0)
-        t_intt1 = n * log_n / (2 * arch.intt1[1])
-        t_ntt1 = k * n * log_n / (2 * arch.ntt1[1])
-        t_ms = k * n / arch.ms[1]
+        busy = arch.busy_cycles(arch.k)
+        self.period = busy["INTT0"]
         #: accumulate phase + MS tail
-        self.lifetime = self.period + t_intt1 + t_ntt1 + t_ms
+        self.lifetime = self.period + busy["INTT1"] + busy["NTT1"] + busy["MS"]
 
     def peak_live_operations(self) -> int:
         """Operations whose accumulator state is simultaneously live."""

@@ -154,38 +154,20 @@ class KeySwitchModuleSim:
         times, exactly as in the hardware.
         """
         arch = self.arch
-        n, log_n = arch.n, arch.log_n
         k = arch.k if level_count is None else level_count
-        transforms_per_component = k  # (k-1 other data primes + special)
-
-        t_intt0 = n * log_n / (2 * arch.intt0[1])
-        t_ntt0_single = n * log_n / (2 * arch.ntt0[1])
-        per_module_transforms = transforms_per_component / arch.m0
-        t_dyad_pair = 2 * n / arch.dyad[1]  # two key columns
-        t_intt1 = n * log_n / (2 * arch.intt1[1])
-        t_ntt1_single = n * log_n / (2 * arch.ntt1[1])
-        t_ms_prime = n / arch.ms[1]
-
-        busy = {
-            "INTT0": k * t_intt0,
-            "NTT0": k * per_module_transforms * t_ntt0_single,
-            "DyadMult": k * per_module_transforms * t_dyad_pair,
-            "DyadMult(input)": k * t_dyad_pair,
-            "INTT1": t_intt1,  # one poly per module (two modules)
-            "NTT1": k * t_ntt1_single,  # k data primes per poly
-            "MS": k * t_ms_prime,
-        }
+        t = arch.stage_cycles()
+        busy = arch.busy_cycles(k)
         throughput = max(busy.values())
         latency = (
-            k * t_intt0
-            + per_module_transforms * t_ntt0_single
-            + t_dyad_pair
-            + t_intt1
-            + k * t_ntt1_single
-            + k * t_ms_prime
+            busy["INTT0"]
+            + k / arch.m0 * t["NTT0"]
+            + t["DyadMult"]
+            + busy["INTT1"]
+            + busy["NTT1"]
+            + busy["MS"]
         )
         return KeySwitchStats(
-            n=n,
+            n=arch.n,
             level_count=k,
             arch_name=arch.name,
             stage_busy_cycles=busy,

@@ -153,5 +153,5 @@ class BankedMemory:
         self.writes += 1
         self.rows[addr] = list(values)
 
-    def layout(self, value_bits: int = COEFF_BITS) -> MemoryLayout:
-        return MemoryLayout(self.n, self.lanes, value_bits)
+    def layout(self) -> MemoryLayout:
+        return MemoryLayout(self.n, self.lanes)

@@ -25,6 +25,8 @@ from repro.core.arch import (
     KeySwitchArchitecture,
     STANDALONE_MODULE_CORES,
     TABLE5_ARCHITECTURES,
+    dyadic_cycles,
+    ntt_cycles,
 )
 
 #: Final achieved clock frequencies (Section 6.3).
@@ -32,17 +34,6 @@ CLOCK_HZ: Dict[str, float] = {
     "Arria10": 275e6,
     "Stratix10": 300e6,
 }
-
-
-def ntt_cycles(n: int, num_cores: int) -> float:
-    """Cycles for one NTT/INTT of size ``n`` with ``num_cores`` cores."""
-    log_n = n.bit_length() - 1
-    return n * log_n / (2 * num_cores)
-
-
-def dyadic_cycles(n: int, num_cores: int) -> float:
-    """Cycles for one dyadic product of a polynomial pair."""
-    return n / num_cores
 
 
 def keyswitch_cycles(n: int, k: int, nc_intt0: int) -> float:
@@ -86,17 +77,14 @@ class PerformanceModel:
     def _standalone_cores(self, op: str) -> int:
         return STANDALONE_MODULE_CORES[self.device][op]
 
-    def ntt_ops_per_sec(self, num_cores: int = None) -> float:
-        nc = num_cores or self._standalone_cores("ntt")
-        return self.clock_hz / ntt_cycles(self.n, nc)
+    def ntt_ops_per_sec(self) -> float:
+        return self.clock_hz / ntt_cycles(self.n, self._standalone_cores("ntt"))
 
-    def intt_ops_per_sec(self, num_cores: int = None) -> float:
-        nc = num_cores or self._standalone_cores("intt")
-        return self.clock_hz / ntt_cycles(self.n, nc)
+    def intt_ops_per_sec(self) -> float:
+        return self.clock_hz / ntt_cycles(self.n, self._standalone_cores("intt"))
 
-    def dyadic_ops_per_sec(self, num_cores: int = None) -> float:
-        nc = num_cores or self._standalone_cores("dyadic")
-        return self.clock_hz / dyadic_cycles(self.n, nc)
+    def dyadic_ops_per_sec(self) -> float:
+        return self.clock_hz / dyadic_cycles(self.n, self._standalone_cores("dyadic"))
 
     # -- high-level (Table 8) ------------------------------------------
     def keyswitch_ops_per_sec(self) -> float:

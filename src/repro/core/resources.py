@@ -33,7 +33,7 @@ from repro.analysis.paper_data import (
     TABLE4_MODULES,
     TABLE4_SHELLS,
 )
-from repro.core.arch import KeySwitchArchitecture
+from repro.core.arch import KeySwitchArchitecture, STANDALONE_MODULE_CORES
 from repro.core.cores import CORE_SPECS
 from repro.core.memory import COEFF_BITS, MemoryLayout
 
@@ -204,7 +204,6 @@ class ResourceModel:
         self,
         device: str,
         arch: KeySwitchArchitecture,
-        standalone_mult_cores: int = 16,
         resident_ksks: int = 1,
     ) -> ResourceVector:
         """Full HEAX instance: KeySwitch + standalone MULT + shell + keys.
@@ -224,7 +223,9 @@ class ResourceModel:
         )
         total = (
             self.keyswitch_resources(arch)
-            + self.module_resources("mult", standalone_mult_cores, arch.n)
+            + self.module_resources(
+                "mult", STANDALONE_MODULE_CORES[device]["dyadic"], arch.n
+            )
             + shell
         )
         extra_bits = self.keyswitch_storage_bits(arch, resident_ksks)

@@ -15,8 +15,8 @@ to cover it.
 The pieces:
 
 * :mod:`repro.lint.core` -- source loading, the :class:`~repro.lint.core.Rule`
-  contract and registry, inline suppressions and the baseline file,
-  and the :func:`~repro.lint.core.run_lint` driver;
+  contract and registry, inline suppressions, and the
+  :func:`~repro.lint.core.run_lint` driver;
 * :mod:`repro.lint.rules` -- the shipped rules (R1 residency, R2
   backend conformance, R3 serving determinism, R4 wire discipline,
   R5 exception discipline);
@@ -31,11 +31,8 @@ suppressed *at the line* with an inline marker naming the rule::
 
     rows = backend.to_rows(handle)  # lint: disable=R1 -- snapshot for golden vectors
 
-``# lint: disable=all`` suppresses every rule on that line.  Legacy
-findings can also be parked in the repo-root ``lint-baseline.json``
-(a list of ``{"rule", "path", "symbol"}`` fingerprints); the shipped
-baseline is empty -- every pre-existing true positive was fixed, not
-suppressed.
+``# lint: disable=all`` suppresses every rule on that line.  There is no
+other escape hatch: a finding is fixed or suppressed where it occurs.
 """
 
 from repro.lint.core import (
@@ -46,7 +43,6 @@ from repro.lint.core import (
     collect_sources,
     default_rules,
     lint_paths,
-    load_baseline,
     module_matches,
     module_name_for,
     run_lint,
@@ -63,7 +59,6 @@ __all__ = [
     "default_rules",
     "format_human",
     "lint_paths",
-    "load_baseline",
     "module_matches",
     "module_name_for",
     "run_lint",

@@ -1,7 +1,7 @@
 """CLI: ``python -m repro.lint [paths...]``.
 
-Exit status: 0 when every finding is suppressed/baselined away (or
-none exist), 1 when unsuppressed findings remain, 2 on usage errors.
+Exit status: 0 when every finding is suppressed inline (or none
+exist), 1 when unsuppressed findings remain, 2 on usage errors.
 ``make lint`` and the CI ``lint`` job both run::
 
     python -m repro.lint src --json benchmarks/results/LINT_report.json
@@ -15,8 +15,6 @@ from typing import List, Optional
 
 from repro.lint.core import default_rules, lint_paths
 from repro.lint.reporters import format_human, write_json
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,18 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         help="also write a machine-readable report (CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file of parked findings (default: {DEFAULT_BASELINE} "
-        "if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: report every finding",
     )
     parser.add_argument(
         "--rules",
@@ -79,11 +65,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         rules = [rule for rule in rules if rule.id in wanted]
     try:
-        result = lint_paths(
-            args.paths,
-            rules=rules,
-            baseline_path=None if args.no_baseline else args.baseline,
-        )
+        result = lint_paths(args.paths, rules=rules)
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2

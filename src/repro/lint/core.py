@@ -22,7 +22,6 @@ subject to exactly the rules the real module would be.
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -41,12 +40,6 @@ class Finding:
     line: int      #: 1-based line of the offending node
     symbol: str    #: enclosing ``class.def`` chain, or ``"<module>"``
     message: str   #: what is wrong and what the invariant demands
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-free identity used by the baseline file, so a
-        parked legacy finding survives unrelated edits above it."""
-        return (self.rule, self.path, self.symbol)
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} [{self.symbol}] {self.message}"
@@ -212,7 +205,7 @@ class SymbolTrackingVisitor(ast.NodeVisitor):
 
     Concrete rule visitors subclass this and read :attr:`scope_stack`
     (outermost first) when emitting findings, so every finding carries
-    the ``Class.method`` symbol its baseline fingerprint keys on.
+    the ``Class.method`` symbol it was found in.
     """
 
     def __init__(self) -> None:
@@ -243,7 +236,6 @@ class LintResult:
 
     findings: List[Finding]              #: unsuppressed, fail the run
     suppressed: List[Finding]            #: silenced by inline markers
-    baselined: List[Finding]             #: parked in the baseline file
     checked_files: int = 0
     rules: List[Rule] = field(default_factory=list)
 
@@ -259,37 +251,16 @@ def default_rules() -> List[Rule]:
     return [rule_cls() for rule_cls in REGISTERED_RULES]
 
 
-def load_baseline(path: str) -> Set[Tuple[str, str, str]]:
-    """Load baseline fingerprints (``{"rule", "path", "symbol"}`` list)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        entries = json.load(handle)
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline {path}: expected a JSON list")
-    fingerprints = set()
-    for entry in entries:
-        try:
-            fingerprints.add((entry["rule"], entry["path"], entry["symbol"]))
-        except (TypeError, KeyError):
-            raise ValueError(
-                f"baseline {path}: each entry needs rule/path/symbol, got {entry!r}"
-            ) from None
-    return fingerprints
-
-
 def run_lint(
     modules: Sequence[SourceModule],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Set[Tuple[str, str, str]]] = None,
     parse_errors: Sequence[Finding] = (),
 ) -> LintResult:
-    """Run ``rules`` over ``modules`` and triage every finding.
-
-    Triage order: an inline ``# lint: disable=`` marker beats the
-    baseline (the suppression is visible at the call site, which is
-    where a reviewer will look); the baseline catches the rest.
+    """Run ``rules`` over ``modules`` and triage every finding: an
+    inline ``# lint: disable=`` marker (visible at the call site, where
+    a reviewer will look) is the only way to silence one.
     """
     rules = list(default_rules() if rules is None else rules)
-    baseline = baseline or set()
     by_name = {m.module: m for m in modules}
     by_path = {m.path: m for m in modules}
     raw: List[Finding] = list(parse_errors)
@@ -299,35 +270,24 @@ def run_lint(
         raw.extend(rule.check_project(by_name))
     active: List[Finding] = []
     suppressed: List[Finding] = []
-    baselined: List[Finding] = []
     for finding in sorted(raw, key=lambda f: (f.path, f.line, f.rule)):
         module = by_path.get(finding.path)
         markers = module.suppressed_rules(finding.line) if module else set()
         if finding.rule in markers or "all" in markers:
             suppressed.append(finding)
-        elif finding.fingerprint in baseline:
-            baselined.append(finding)
         else:
             active.append(finding)
     return LintResult(
         findings=active,
         suppressed=suppressed,
-        baselined=baselined,
         checked_files=len(modules),
         rules=rules,
     )
 
 
 def lint_paths(
-    paths: Sequence[str],
-    rules: Optional[Sequence[Rule]] = None,
-    baseline_path: Optional[str] = None,
+    paths: Sequence[str], rules: Optional[Sequence[Rule]] = None
 ) -> LintResult:
     """Convenience driver: load sources under ``paths`` and lint them."""
     modules, parse_errors = collect_sources(paths)
-    baseline = (
-        load_baseline(baseline_path)
-        if baseline_path and os.path.exists(baseline_path)
-        else set()
-    )
-    return run_lint(modules, rules, baseline, parse_errors)
+    return run_lint(modules, rules, parse_errors)

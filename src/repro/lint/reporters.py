@@ -23,8 +23,6 @@ def format_human(result: LintResult) -> str:
     tail = []
     if result.suppressed:
         tail.append(f"{len(result.suppressed)} suppressed inline")
-    if result.baselined:
-        tail.append(f"{len(result.baselined)} baselined")
     suffix = f" ({', '.join(tail)})" if tail else ""
     if result.findings:
         lines.append(
@@ -64,7 +62,6 @@ def to_json_dict(result: LintResult) -> Dict:
             for f in result.findings
         ],
         "suppressed": len(result.suppressed),
-        "baselined": len(result.baselined),
     }
 
 

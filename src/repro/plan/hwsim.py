@@ -37,7 +37,7 @@ modeled numbers meaningful for every set from one measured run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.ckks.context import CkksContext
 from repro.core.arch import KeySwitchArchitecture, STANDALONE_MODULE_CORES, TABLE5_ARCHITECTURES
@@ -126,12 +126,7 @@ def modeled_replay(
     )
 
 
-def modeled_replays(
-    run: PlanRun,
-    context: CkksContext,
-    sets: Iterable[str] = PAPER_SET_NAMES,
-    device: str = "Stratix10",
-) -> Dict[str, ModeledReplay]:
-    """Replay one run across several paper sets (toy contexts only --
-    a paper-scale context replays only on its own set)."""
-    return {s: modeled_replay(run, context, s, device) for s in sets}
+def modeled_replays(run: PlanRun, context: CkksContext) -> Dict[str, ModeledReplay]:
+    """Replay one run across every paper set on the Stratix10 (toy
+    contexts only -- a paper-scale context replays only on its own set)."""
+    return {s: modeled_replay(run, context, s) for s in PAPER_SET_NAMES}

@@ -89,16 +89,14 @@ def matvec_graph(
     matrix: np.ndarray,
     graph: Optional[PlanGraph] = None,
     input_node: Optional[int] = None,
-    input_name: str = "x",
-    output_name: Optional[str] = "y",
 ) -> Tuple[PlanGraph, int]:
     """Lower ``y = M x`` (diagonal method) into the plan IR.
 
     Returns ``(graph, output_node_id)``.  When ``graph``/``input_node``
     are given, the matvec is spliced onto an existing graph (the
     inference example chains one in front of its activation); otherwise
-    a fresh graph with one input named ``input_name`` is created and the
-    result registered as ``output_name``.
+    a fresh graph with one input named ``"x"`` is created and the
+    result registered as ``"y"``.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     dim = matrix.shape[0]
@@ -107,7 +105,7 @@ def matvec_graph(
     own_graph = graph is None
     if own_graph:
         graph = PlanGraph()
-        input_node = graph.input(input_name)
+        input_node = graph.input("x")
     elif input_node is None:
         raise ValueError("input_node is required when extending a graph")
     # all generalized diagonals in one gather: diags[d, i] = M[i, (i+d) % dim];
@@ -120,8 +118,8 @@ def matvec_graph(
         input_node, [(d, graph.const(list(diags[d]))) for d in nonzero]
     )
     out = graph.rescale(acc)
-    if own_graph and output_name is not None:
-        graph.output(out, output_name)
+    if own_graph:
+        graph.output(out, "y")
     return graph, out
 
 

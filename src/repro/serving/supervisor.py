@@ -265,10 +265,9 @@ class HeartbeatSupervisor:
     # ------------------------------------------------------------------
     # the supervision turn
     # ------------------------------------------------------------------
-    def tick(self, now: Optional[float] = None) -> List[Tuple[float, str, str]]:
-        """One supervision turn; returns the events it generated."""
-        if now is None:
-            now = self.clock()
+    def tick(self) -> List[Tuple[float, str, str]]:
+        """One supervision turn at ``clock()``; returns the events it generated."""
+        now = self.clock()
         mark = len(self.events)
         for worker_id in list(self.cluster.workers):
             health = self._health.get(worker_id)
@@ -340,10 +339,9 @@ class HeartbeatSupervisor:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def worker_health(self, now: Optional[float] = None) -> Dict[str, WorkerHealthView]:
-        """Read-only reliability state per supervised worker."""
-        if now is None:
-            now = self.clock()
+    def worker_health(self) -> Dict[str, WorkerHealthView]:
+        """Read-only reliability state per supervised worker at ``clock()``."""
+        now = self.clock()
         return {
             worker_id: WorkerHealthView(
                 worker_id=worker_id,

@@ -285,11 +285,11 @@ class ResilientClient:
         self,
         op: str,
         values: Sequence[float],
-        op_arg: int = 0,
         deadline: float = 0.0,
     ) -> int:
-        """Encrypt, frame and send one request; returns its request id."""
-        data = self.client.request_bytes(op, values, op_arg, deadline=deadline)
+        """Encrypt, frame and send one request (``op_arg`` 0); returns
+        its request id."""
+        data = self.client.request_bytes(op, values, 0, deadline=deadline)
         request_id = self.client._next_request_id - 1
         self._pending[request_id] = data
         self._attempts[request_id] = 0
@@ -351,7 +351,6 @@ def synthetic_traffic(
     op_arg: int = 0,
     seed: int = 7,
     ops: Optional[Sequence[Tuple[str, int]]] = None,
-    wire_version: int = VERSION,
 ) -> Tuple[List[SyntheticClient], Iterator[Tuple[str, bytes]]]:
     """Build a client fleet and a deterministic request stream.
 
@@ -363,9 +362,7 @@ def synthetic_traffic(
     lanes wherever keys and shapes agree).
     """
     clients = [
-        SyntheticClient(
-            tenant, f"client-{i}", seed=seed + i, wire_version=wire_version
-        )
+        SyntheticClient(tenant, f"client-{i}", seed=seed + i)
         for i in range(client_count)
     ]
     op_cycle = list(ops) if ops else [(op, op_arg)]

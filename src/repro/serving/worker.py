@@ -290,7 +290,6 @@ class ProcessWorkerHandle(WorkerHandle):
         self,
         worker_id: str,
         spec: WorkerSpec,
-        start_method: Optional[str] = None,
         clock: Clock = SYSTEM_CLOCK,
     ):
         import multiprocessing as mp
@@ -300,11 +299,9 @@ class ProcessWorkerHandle(WorkerHandle):
         #: ManualClock here to exercise poll/drain/stats timeouts
         #: without real 60-second waits
         self._clock = clock
-        if start_method is None:
-            # fork (where available) inherits loaded modules -- startup in
-            # milliseconds instead of a fresh interpreter + numpy import
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(start_method)
+        # fork (where available) inherits loaded modules -- startup in
+        # milliseconds instead of a fresh interpreter + numpy import
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
             target=_worker_process_main,

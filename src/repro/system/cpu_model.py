@@ -35,24 +35,23 @@ def _fit_constant(values):
 class SealCpuModel:
     """Per-primitive cost model of SEAL on the paper's Xeon."""
 
-    ntt_ns_per_unit: float = field(default=0.0)
-    intt_ns_per_unit: float = field(default=0.0)
-    dyadic_ns_per_coeff: float = field(default=0.0)
+    ntt_ns_per_unit: float = field(init=False)
+    intt_ns_per_unit: float = field(init=False)
+    dyadic_ns_per_coeff: float = field(init=False)
 
     def __post_init__(self):
-        if not self.ntt_ns_per_unit:
-            ntt, intt, dyad = [], [], []
-            for row in TABLE7_LOW_LEVEL.values():
-                if row.device != "Stratix10":
-                    continue  # the Arria row repeats the same CPU numbers
-                n = {"Set-A": 4096, "Set-B": 8192, "Set-C": 16384}[row.param_set]
-                units = n * math.log2(n)
-                ntt.append(1e9 / row.ntt_cpu / units)
-                intt.append(1e9 / row.intt_cpu / units)
-                dyad.append(1e9 / row.dyadic_cpu / n)
-            self.ntt_ns_per_unit = _fit_constant(ntt)
-            self.intt_ns_per_unit = _fit_constant(intt)
-            self.dyadic_ns_per_coeff = _fit_constant(dyad)
+        ntt, intt, dyad = [], [], []
+        for row in TABLE7_LOW_LEVEL.values():
+            if row.device != "Stratix10":
+                continue  # the Arria row repeats the same CPU numbers
+            n = {"Set-A": 4096, "Set-B": 8192, "Set-C": 16384}[row.param_set]
+            units = n * math.log2(n)
+            ntt.append(1e9 / row.ntt_cpu / units)
+            intt.append(1e9 / row.intt_cpu / units)
+            dyad.append(1e9 / row.dyadic_cpu / n)
+        self.ntt_ns_per_unit = _fit_constant(ntt)
+        self.intt_ns_per_unit = _fit_constant(intt)
+        self.dyadic_ns_per_coeff = _fit_constant(dyad)
 
     # ------------------------------------------------------------------
     # primitive times (seconds)

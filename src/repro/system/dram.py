@@ -18,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-#: DDR4 per-channel unidirectional bandwidth on Board-B (Section 6.1).
-DDR4_CHANNEL_BYTES_PER_SEC = 16e9
-
-#: Efficiency of long burst-mode reads (row-activation overhead amortized).
-BURST_EFFICIENCY = 0.94
-
-#: Random (non-burst) access efficiency, for the contrast case the paper
-#: cites when arguing against off-chip intermediate storage.
-RANDOM_EFFICIENCY = 0.15
+from repro.core.memory import COEFF_BITS
 
 
 @dataclass(frozen=True)
@@ -34,9 +26,13 @@ class DramModel:
     """A bank of DDR channels with burst/random efficiency factors."""
 
     channels: int
-    channel_bytes_per_sec: float = DDR4_CHANNEL_BYTES_PER_SEC
-    burst_efficiency: float = BURST_EFFICIENCY
-    random_efficiency: float = RANDOM_EFFICIENCY
+    #: DDR4 per-channel unidirectional bandwidth on Board-B (Section 6.1).
+    channel_bytes_per_sec = 16e9
+    #: Efficiency of long burst-mode reads (row-activation overhead amortized).
+    burst_efficiency = 0.94
+    #: Random (non-burst) access efficiency, for the contrast case the paper
+    #: cites when arguing against off-chip intermediate storage.
+    random_efficiency = 0.15
 
     @property
     def peak_bytes_per_sec(self) -> float:
@@ -66,7 +62,7 @@ class KskStreamingPlan:
     k: int
     keyswitch_ops_per_sec: float
     word_bits: int = 64
-    column_sets: int = 2
+    column_sets = 2
 
     @property
     def bits_per_keyswitch(self) -> int:
@@ -96,15 +92,15 @@ class KskStreamingPlan:
         }
 
 
-def ksk_growth_bits(n: int, k: int, coeff_bits: int = 54) -> int:
+def ksk_growth_bits(n: int, k: int) -> int:
     """Total ksk storage: k digits x 2 columns x (k+1) residues x n coeffs.
 
     The O(n k^2) ~ O(n^3) growth (k grows roughly linearly in n) that
     makes ksk the right candidate for DRAM placement.
     """
-    return k * 2 * (k + 1) * n * coeff_bits
+    return k * 2 * (k + 1) * n * COEFF_BITS
 
 
-def twiddle_growth_bits(n: int, k: int, coeff_bits: int = 54) -> int:
+def twiddle_growth_bits(n: int, k: int) -> int:
     """Twiddle storage grows only as O(n k): 2 tables x (k+1) primes."""
-    return 2 * (k + 1) * n * coeff_bits
+    return 2 * (k + 1) * n * COEFF_BITS

@@ -18,20 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Per-request DMA setup cost (doorbell + descriptor + memcpy amortization).
-DEFAULT_SETUP_SECONDS = 5e-6
-
-#: The paper's interleaving width.
-DEFAULT_THREADS = 8
-
 
 @dataclass(frozen=True)
 class PcieModel:
     """One PCIe direction with a setup-plus-streaming cost model."""
 
     peak_bytes_per_sec: float
-    setup_seconds: float = DEFAULT_SETUP_SECONDS
-    max_threads: int = DEFAULT_THREADS
+    #: Per-request DMA setup cost (doorbell + descriptor + memcpy amortization).
+    setup_seconds = 5e-6
+    #: The paper's interleaving width.
+    max_threads = 8
 
     def request_time(self, message_bytes: int) -> float:
         """Wall time of a single DMA request."""
@@ -67,11 +63,11 @@ class PcieModel:
         return self.effective_bandwidth(message_bytes, threads) / self.peak_bytes_per_sec
 
 
-def polynomial_bytes(n: int, word_bytes: int = 8) -> int:
+def polynomial_bytes(n: int) -> int:
     """Wire size of one RNS residue polynomial (64-bit words on PCIe)."""
-    return n * word_bytes
+    return n * 8
 
 
-def ciphertext_bytes(n: int, components: int, rns_count: int, word_bytes: int = 8) -> int:
+def ciphertext_bytes(n: int, components: int, rns_count: int) -> int:
     """Wire size of a full RNS ciphertext."""
-    return components * rns_count * polynomial_bytes(n, word_bytes)
+    return components * rns_count * polynomial_bytes(n)

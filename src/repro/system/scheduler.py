@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ckks.backend.base import packed_row_bytes
 from repro.system.pcie import PcieModel, polynomial_bytes
 
 
@@ -45,23 +44,16 @@ class ScheduledOp:
         input_polys: int,
         output_polys: int,
         compute_seconds: float,
-        word_bits: int = 64,
     ) -> "ScheduledOp":
         """A batched operation moving whole residue polynomials.
 
         ``input_polys``/``output_polys`` count residue polynomials across
         the whole batch (batch size x ciphertext size x RNS level), so
-        the transfer model sees exactly the PCIe traffic a batch incurs;
-        ``compute_seconds`` is typically *measured* from a real
-        batched execution (see :class:`repro.plan.PlanExecutor`).
-        ``word_bits`` sets the per-residue transfer width: 64 is the v1
-        whole-word wire format; a smaller width models wire-format-v2
-        traffic bit-packed to the modulus width.
+        the transfer model sees exactly the PCIe traffic a batch incurs
+        in 64-bit words; ``compute_seconds`` is typically *measured* from
+        a real batched execution (see :class:`repro.plan.PlanExecutor`).
         """
-        if word_bits == 64:
-            poly = polynomial_bytes(n)
-        else:
-            poly = packed_row_bytes(n, word_bits)
+        poly = polynomial_bytes(n)
         return cls(
             kind,
             input_polys * poly,

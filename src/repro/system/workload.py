@@ -145,9 +145,9 @@ class WorkloadGenerator:
         return w
 
     @classmethod
-    def dense_layer(cls, dim: int, activation_degree: int = 2) -> Workload:
-        """One square dense NN layer with polynomial activation."""
-        w = cls.matvec(dim) + cls.polynomial_activation(activation_degree)
+    def dense_layer(cls, dim: int) -> Workload:
+        """One square dense NN layer with a square (degree-2) activation."""
+        w = cls.matvec(dim) + cls.polynomial_activation(2)
         w.name = f"dense-{dim}"
         return w
 

@@ -66,6 +66,36 @@ class TestShapes:
         assert pt.scale == 2.0**20
 
 
+class TestRange:
+    """A coefficient at or past q/2 would wrap mod q and decode as another
+    number; encode refuses it (and non-finite values) instead."""
+
+    def test_huge_value_refused(self, encoder):
+        # 1e300 * 2^28 used to wrap and decode as -1.76e18
+        with pytest.raises(ValueError, match="budget"):
+            encoder.encode([1e300])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_refused(self, encoder, bad):
+        # used to fail inside numpy: "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="magnitude nan"):
+            encoder.encode([1.0, bad])
+
+    def test_budget_is_the_encode_basis(self, toy_context, encoder):
+        # a constant encodes as the constant polynomial: coeff 0 = v * scale
+        half_q1 = toy_context.basis_at_level(1).product / 2
+        fits = 0.9 * half_q1 / toy_context.params.scale
+        wraps = 1.1 * half_q1 / toy_context.params.scale
+        out = encoder.decode(encoder.encode(fits, level_count=1))
+        assert np.allclose(out.real, fits, rtol=1e-6)
+        with pytest.raises(ValueError, match="1-prime"):
+            encoder.encode(wraps, level_count=1)
+        # the key basis adds the special prime, so the same value fits there
+        encoder.encode(wraps, level_count=1, extended=True)
+        encoder.encode(wraps, level_count=2)
+
+
 class TestHomomorphicStructure:
     """Encoding is approximately additive and slot-wise multiplicative."""
 

@@ -1,9 +1,8 @@
 """End-to-end tests of the ``python -m repro.lint`` entry point.
 
-The acceptance bar of the analyzer PR: the repo's own ``src/`` tree
-lints clean with the shipped (empty) baseline, violations drive a
-non-zero exit status, and the JSON report is a well-formed CI
-artifact.
+The acceptance bar of the analyzer: the repo's own ``src/`` tree
+lints clean, violations drive a non-zero exit status, and the JSON
+report is a well-formed CI artifact.
 """
 
 import json
@@ -34,24 +33,25 @@ def run_cli(*argv, cwd=REPO_ROOT):
 
 def test_repo_src_lints_clean():
     """The headline acceptance criterion: the analyzer passes on the
-    repo's own code with the shipped baseline (which is empty)."""
+    repo's own code."""
     proc = run_cli(SRC)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "repro.lint: clean" in proc.stdout
 
 
 def test_repo_src_lints_clean_even_without_baseline():
-    """Stronger than the PR demands for R1-R3: the whole repo holds
-    every rule with no baseline escape hatch at all."""
-    proc = run_cli(SRC, "--no-baseline")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    """The whole repo holds every rule with no baseline escape hatch
+    at all: none ships, and the CLI takes no flag to load one (an
+    inline marker is the only way to silence a finding)."""
+    assert not os.path.exists(os.path.join(REPO_ROOT, "lint-baseline.json"))
+    assert run_cli(SRC, "--baseline", "x.json").returncode == 2
 
 
 def test_cli_exits_one_on_violation(tmp_path):
     bad = tmp_path / "repro" / "serving" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\n\n\ndef f():\n    return time.monotonic()\n")
-    proc = run_cli(str(bad), "--no-baseline", cwd=str(tmp_path))
+    proc = run_cli(str(bad), cwd=str(tmp_path))
     assert proc.returncode == 1
     assert "R3" in proc.stdout
     assert "1 finding(s)" in proc.stdout
@@ -104,9 +104,3 @@ def test_human_and_json_reports_agree():
     assert machine["ok"] is True
     assert machine["checked_files"] == result.checked_files
 
-
-def test_shipped_baseline_is_empty():
-    """The PR's acceptance bar: no parked findings at merge time --
-    every true positive was fixed, not baselined away."""
-    with open(os.path.join(REPO_ROOT, "lint-baseline.json")) as fh:
-        assert json.load(fh) == []

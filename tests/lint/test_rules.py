@@ -18,7 +18,7 @@ from repro.lint import (
     run_lint,
     source_from_text,
 )
-from repro.lint.core import collect_sources, load_baseline, module_name_for
+from repro.lint.core import collect_sources, module_name_for
 from repro.lint.rules import REGISTERED_RULES
 from repro.lint.rules.conformance import BackendConformanceRule
 from repro.lint.rules.determinism import ServingDeterminismRule
@@ -227,7 +227,7 @@ def test_module_name_matching_is_not_prefix_sloppy():
 
 
 # ----------------------------------------------------------------------
-# suppressions and baseline
+# suppressions
 # ----------------------------------------------------------------------
 def test_inline_suppression_silences_one_line():
     text = (
@@ -255,34 +255,6 @@ def test_inline_suppression_wrong_rule_does_not_silence():
     module = source_from_text("src/repro/ckks/evaluator.py", text)
     result = run_lint([module], rules=[ResidencyRule()])
     assert not result.ok
-
-
-def test_baseline_parks_findings_by_fingerprint(tmp_path):
-    module = load_fixture("r5_violation.py")
-    hot = run_lint([module], rules=[ExceptionDisciplineRule()])
-    assert len(hot.findings) == 1
-    fp = hot.findings[0].fingerprint
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(
-        '[{"rule": "%s", "path": "%s", "symbol": "%s"}]' % fp
-    )
-    parked = run_lint(
-        [module],
-        rules=[ExceptionDisciplineRule()],
-        baseline=load_baseline(str(baseline_path)),
-    )
-    assert parked.ok
-    assert len(parked.baselined) == 1
-    # the fingerprint is line-free: the same symbol moved 100 lines
-    # down still matches (unrelated edits above must not unpark it)
-    assert "line" not in repr(fp)
-
-
-def test_baseline_rejects_malformed_entries(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('[{"rule": "R1"}]')
-    with pytest.raises(ValueError):
-        load_baseline(str(bad))
 
 
 # ----------------------------------------------------------------------
