@@ -88,9 +88,17 @@ in ``[0, p)``.  The fold count is the only regime, a function of
 and a 4-digit sum below ``2^47``, two for Set-B's 48-bit prime, three
 for its 50-bit special prime, seven for Set-C's 52-bit one.  A sum that
 fits a word (``d*(p-1)^2 < 2^63``) skips the float side: its estimate is
-the cast of the integer sum.  Element-wise kernels run row chunk by row
-chunk through the per-thread :func:`_scratch`, and every result matrix
-is a view of a recycled slab (``_new``,
+the cast of the integer sum.
+
+**Per-row kernels: one prime per pass** (:func:`_runs`).  A lane's rows
+are modulus-major, ``N`` rows per prime; for ``N >= 2`` the ``*_rows``
+kernels visit run by run with 0-d constants, as a MULT core fixes one
+prime's constants per pass (on a 2-core Xeon a pass over an ``(8,
+4096)`` chunk costs 14 us that way, 33 us against the ``(R, 1)`` column,
+which a lane of one keeps: a call per row costs more there).
+``scalar_mul_rows`` visits runs of equal ``(prime, scalar)``.  Kernels
+run row chunk by row chunk through the per-thread :func:`_scratch`, and
+every result matrix is a view of a recycled slab (``_new``,
 :mod:`repro.ckks.backend.resident`): a warmed kernel allocates nothing.
 All boundary data stays in the canonical list-of-int row format (see
 :mod:`repro.ckks.backend.base`).
@@ -100,6 +108,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from itertools import groupby
 from math import prod
 from typing import List
 
@@ -218,17 +227,14 @@ class _Column:
     residue row (0-d for a single prime), ``rinv`` the biased reciprocals
     and ``folds`` the multiples ``2^k*p, .., 2p, p`` that reduce a sum of
     ``digits`` products after its one quotient estimate; ``fits`` when
-    that sum fits a word (see the module docstring).  Not ``safe``: a
-    prime is outside the word-size envelope and there are no constants.
+    that sum fits a word (see the module docstring).  Built for primes
+    inside the word-size envelope only.
     """
 
-    __slots__ = ("safe", "p", "rinv", "folds", "fits")
+    __slots__ = ("p", "rinv", "folds", "fits")
 
     def __init__(self, primes: tuple, digits: int):
         top = max(primes)
-        self.safe = top < _WORD_SAFE_BOUND
-        if not self.safe:
-            return
         shape = (len(primes), 1) if len(primes) > 1 else ()
         self.p = np.array(primes, dtype=np.uint64).reshape(shape)
         bias = 1.0 - (digits + 3) * 2.0**-53
@@ -244,11 +250,23 @@ def _column(primes: tuple, digits: int = 1) -> _Column:
     return _Column(primes, digits)
 
 
+@lru_cache(maxsize=1024)
+def _runs(primes: tuple) -> tuple:
+    """The ``(rows, column)`` pieces a per-row kernel visits: each run of
+    equal primes with 0-d constants when every run is two rows or more
+    (a lane of two or more), else the ``(R, 1)`` column (a lane of one)."""
+    cuts = [i for i in range(1, len(primes)) if primes[i] != primes[i - 1]]
+    pieces = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(primes)])]
+    if any(r.stop - r.start < 2 for r in pieces):
+        return ((slice(None), _column(primes)),)
+    return tuple((r, _column((primes[r.start],))) for r in pieces)
+
+
 def _dot(xs, ys, col: _Column, out: np.ndarray) -> np.ndarray:
     """``out = sum_i xs[i] * ys[i] mod p`` for reduced operands, canonical.
 
-    ``xs`` and ``ys`` are ``digits`` blocks of ``out``'s shape viewed as
-    ``int64`` (a ``ys`` block may be one row, shared by its digit's
+    ``xs`` and ``ys`` are ``digits`` blocks of ``out``'s shape, viewed as
+    ``int64`` here (a ``ys`` block may be one row, shared by its digit's
     block): wrapping products and sums have the same bits signed, and
     operands below ``2^63`` cast to ``float64`` faster that way.  The
     accumulate-then-reduce-once of the module docstring: six passes per
@@ -262,6 +280,7 @@ def _dot(xs, ys, col: _Column, out: np.ndarray) -> np.ndarray:
         fy = fy[: len(rest[digits])]
         u, f = sacc, facc  # the first product lands in the accumulators
         for x, y in zip(rest[:digits], rest[digits : 2 * digits]):
+            x, y = x.view(np.int64), y.view(np.int64)
             np.multiply(x, y, out=u)
             if not col.fits:
                 np.copyto(fx, x)
@@ -561,8 +580,8 @@ class NumpyBackend(PolynomialBackend):
 
     The native handle is a C-contiguous ``(R, n)`` uint64 matrix -- the
     software stand-in for a BRAM-resident operand.  Per-row-modulus
-    kernels broadcast an ``(R, 1)`` modulus column so one array pass
-    covers every row at once.  A prime outside the word-size envelope, or
+    kernels visit a lane's same-prime runs (:func:`_runs`), a lane of
+    one against its ``(R, 1)`` column.  A prime outside the envelope, or
     rows that are not single words, send the call to the same kernel of
     the reference backend.
     """
@@ -600,7 +619,7 @@ class NumpyBackend(PolynomialBackend):
         return np.asarray(handle, dtype=np.uint64)
 
     def _lift(self, moduli, *handles):
-        """The modulus column and lifted operands of a per-row-modulus kernel.
+        """The primes and lifted operands of a per-row-modulus kernel.
 
         ``None`` sends the call to the reference backend: a prime
         outside the envelope or rows that are not single words.  Lifted
@@ -609,8 +628,8 @@ class NumpyBackend(PolynomialBackend):
         """
         if not len(moduli):
             return None
-        col = _column(tuple(m.value for m in moduli))
-        if not col.safe:
+        primes = tuple(m.value for m in moduli)
+        if max(primes) >= _WORD_SAFE_BOUND:
             return None
         try:
             mats = [self._matrix(h) for h in handles]
@@ -620,7 +639,7 @@ class NumpyBackend(PolynomialBackend):
         if any(m.shape != shape for m in mats):
             shapes = [m.shape for m in mats]
             raise ValueError(f"row count or width mismatch: {shapes} for {shape[0]} moduli")
-        return (col, *mats)
+        return (primes, *mats)
 
     # ------------------------------------------------------------------
     # handles
@@ -678,51 +697,59 @@ class NumpyBackend(PolynomialBackend):
     # ------------------------------------------------------------------
     # one modulus per row
     # ------------------------------------------------------------------
-    def add_rows(self, moduli, a, b):
-        lifted = self._lift(moduli, a, b)
+    def _per_run(self, name: str, kernel, moduli, *handles):
+        """``kernel(column, out, *operands)`` over each piece of
+        :func:`_runs` (the reference's kernel ``name`` outside the envelope)."""
+        lifted = self._lift(moduli, *handles)
         if lifted is None:
-            return self._fallback.add_rows(moduli, a, b)
-        col, x, y = lifted
-        return _addsub(np.add, x, y, col.p, _new(x.shape))
+            return getattr(self._fallback, name)(moduli, *handles)
+        primes, *mats = lifted
+        out = _new(mats[0].shape)
+        for rows, col in _runs(primes):
+            kernel(col, out[rows], *(m[rows] for m in mats))
+        return out
+
+    def add_rows(self, moduli, a, b):
+        return self._per_run(
+            "add_rows", lambda c, o, x, y: _addsub(np.add, x, y, c.p, o), moduli, a, b
+        )
 
     def sub_rows(self, moduli, a, b):
-        lifted = self._lift(moduli, a, b)
-        if lifted is None:
-            return self._fallback.sub_rows(moduli, a, b)
-        col, x, y = lifted
-        return _addsub(np.subtract, x, y, col.p, _new(x.shape))
+        return self._per_run(
+            "sub_rows", lambda c, o, x, y: _addsub(np.subtract, x, y, c.p, o), moduli, a, b
+        )
 
     def negate_rows(self, moduli, a):
-        lifted = self._lift(moduli, a)
-        if lifted is None:
-            return self._fallback.negate_rows(moduli, a)
-        col, x = lifted
-        return _addsub(np.subtract, _ZERO, x, col.p, _new(x.shape))
+        return self._per_run(
+            "negate_rows", lambda c, o, x: _addsub(np.subtract, _ZERO, x, c.p, o), moduli, a
+        )
 
     def dyadic_mul_rows(self, moduli, a, b):
-        lifted = self._lift(moduli, a, b)
-        if lifted is None:
-            return self._fallback.dyadic_mul_rows(moduli, a, b)
-        col, x, y = lifted
-        return _dot([x.view(np.int64)], [y.view(np.int64)], col, _new(x.shape))
+        return self._per_run(
+            "dyadic_mul_rows", lambda c, o, x, y: _dot([x], [y], c, o), moduli, a, b
+        )
 
     def dyadic_mac_rows(self, moduli, acc, x, y):
-        lifted = self._lift(moduli, acc, x, y)
-        if lifted is None:
-            return self._fallback.dyadic_mac_rows(moduli, acc, x, y)
-        col, s, a, b = lifted
-        out = _dot([a.view(np.int64)], [b.view(np.int64)], col, _new(s.shape))
-        return _addsub(np.add, out, s, col.p, out)
+        mac = lambda c, o, s, u, v: _addsub(np.add, _dot([u], [v], c, o), s, c.p, o)  # noqa: E731
+        return self._per_run("dyadic_mac_rows", mac, moduli, acc, x, y)
 
     def scalar_mul_rows(self, moduli, a, scalars):
         lifted = self._lift(moduli, a)
         if lifted is None:
             return self._fallback.scalar_mul_rows(moduli, a, scalars)
-        if len(scalars) != len(moduli):  # the loop below would leave rows unwritten
+        if len(scalars) != len(moduli):  # the runs below would leave rows unwritten
             raise ValueError(f"{len(scalars)} scalars for {len(moduli)} moduli")
-        arr, out = lifted[1], _new(lifted[1].shape)
-        for i, (m, s) in enumerate(zip(moduli, scalars)):
-            _scalar_mul(arr[i : i + 1], s, m.value, out[i : i + 1])
+        primes, x = lifted
+        out, lo = _new(x.shape), 0
+        for (p, s), run in groupby(zip(primes, scalars)):  # runs of equal (p, s)
+            hi, s = lo + len(list(run)), s % p
+            v, o = x[lo:hi], out[lo:hi]
+            if s in (2, p - 1):  # the kernels, so the bits, of add_rows(v, v) / negate_rows(v)
+                op, lhs = (np.add, v) if s == 2 else (np.subtract, _ZERO)
+                _addsub(op, lhs, v, _column((p,)).p, o)
+            else:
+                _scalar_mul(v, s, p, o)
+            lo = hi
         return out
 
     def ntt_forward_rows(self, tables_list, rows):
@@ -761,12 +788,12 @@ class NumpyBackend(PolynomialBackend):
         lifted = self._lift(moduli, handle)
         if lifted is None:
             return self._fallback.galois_rows(moduli, handle, mapping)
-        col, arr = lifted
+        primes, arr = lifted
         self._check_width(arr, [mapping])
         n = len(mapping)
         dest = np.fromiter((d for d, _ in mapping), dtype=np.intp, count=n)
         flip = np.fromiter((f for _, f in mapping), dtype=bool, count=n)
-        vals = np.where(flip[None, :] & (arr != 0), col.p - arr, arr)
+        vals = np.where(flip[None, :] & (arr != 0), _column(primes).p - arr, arr)
         out = _new(vals.shape)
         out[:, dest] = vals
         return out
@@ -830,8 +857,8 @@ class NumpyBackend(PolynomialBackend):
         xs, ys = self._matrix(x), self._matrix(y)
         self._check_width(xs, ys)
         # digit-major: block ``i`` of ``xs`` shares key row ``ys[i]``
-        xs = xs.view(np.int64).reshape(digits, len(xs) // digits, -1)
-        ys = ys.view(np.int64)[:, None, :]
+        xs = xs.reshape(digits, len(xs) // digits, -1)
+        ys = ys[:, None, :]
         out = None
         for lo in range(0, digits, _MAX_DIGITS):
             block = slice(lo, lo + _MAX_DIGITS)

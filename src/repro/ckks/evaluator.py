@@ -247,6 +247,15 @@ class Evaluator:
         rm = lane.row_moduli
         return self._emit(ct, lane, [be.negate_rows(rm, c) for c in lane.comps])
 
+    def multiply_integers(self, ct: Operand, factors: Sequence[int]) -> Operand:
+        """Member ``b`` times the integer ``factors[b]``, scale unchanged:
+        one ``scalar_mul_rows`` per component, the factor reduced per row
+        (2 gives the bits of ``add(x, x)``, -1 those of ``negate``)."""
+        lane, be = self._lane(ct), self.context.backend
+        scalars = [f % m.value for m in lane.moduli for f in factors]
+        comps = [be.scalar_mul_rows(lane.row_moduli, c, scalars) for c in lane.comps]
+        return self._emit(ct, lane, comps)
+
     def _combine_plain(self, ct: Operand, pt: Plaintext, kernel) -> Operand:
         lane = self._lane(ct)
         check_scales(lane.scale, pt.scale)

@@ -25,7 +25,9 @@ Either way every step is one call of the one
 :class:`repro.ckks.evaluator.Evaluator` over a lane of ``width >= 1``
 nodes: there is a single op -> evaluator-call table (:meth:`_apply`)
 and a single lane runner (:meth:`_run_lane`); "scalar" vs "batch" in the
-accounting is only the lane width.
+accounting is only the lane width.  One lane spans ops: ``add(x, x)``
+and ``negate(x)`` of one operand shape are one ``multiply_integers``
+call with a factor per member (2 or -1), its step ``"mixed"`` if both.
 
 Both modes are **bit-identical**: hoisting is bit-identical to per-node
 rotation by construction, a lane is bit-identical to its elements run
@@ -77,6 +79,14 @@ SWEEP_CACHE_SIZE = 8
 
 def _sched_kind(op: str) -> str:
     return _SCHED_KIND.get(op, "mult")
+
+
+def _factor(node: PlanNode) -> Optional[int]:
+    """The integer an elementwise node multiplies its one operand by: 2
+    for ``add(x, x)`` (the serving ``double``), -1 for ``negate``."""
+    if node.op == "add" and node.inputs[0] == node.inputs[1]:
+        return 2
+    return -1 if node.op == "negate" else None
 
 
 @dataclass(frozen=True)
@@ -271,25 +281,23 @@ class PlanExecutor:
     # accounting
     # ------------------------------------------------------------------
     def _bill(
-        self, node: PlanNode, width: int, level: int, out_level: int, seconds: float
+        self, nodes: List[PlanNode], level: int, out_level: int, seconds: float
     ) -> ScheduledOp:
         """Poly-count billing of one step (what crosses PCIe for it).
 
-        Plan values are always size-2 ciphertexts.  Binary ciphertext
-        ops move two operands; plaintext ops move one shared plaintext
+        Plan values are always size-2 ciphertexts.  A node moves each
+        distinct operand once; plaintext ops move one shared plaintext
         (``level`` residue polys; ``level + 1`` per ``linear_sweep``
         term) for the whole lane.
         """
         size = 2
-        op = node.op
-        in_polys = width * size * level
-        if op in ("add", "sub", "mul_relin"):
-            in_polys *= 2
-        elif op in ("mul_plain", "add_const"):
+        node, op = nodes[0], nodes[0].op
+        in_polys = sum(len(set(n.inputs)) for n in nodes) * size * level
+        if op in ("mul_plain", "add_const"):
             in_polys += level
         elif op == "linear_sweep":
             in_polys += len(node.terms) * (level + 1)
-        out_polys = width * size * out_level
+        out_polys = len(nodes) * size * out_level
         return ScheduledOp.for_batch(
             _sched_kind(op), self.context.n, in_polys, out_polys, seconds
         )
@@ -326,22 +334,16 @@ class PlanExecutor:
         ev = self.evaluator
         op = nodes[0].op
         lhs = CiphertextBatch.join([results[n.inputs[0]] for n in nodes])
-        if op in ("add", "sub", "mul_relin"):
-            # ``add(x, x)`` (the serving ``double``): one operand lane
-            # serves both sides, so it is joined once
-            rhs = (
-                lhs
-                if all(n.inputs[0] == n.inputs[1] for n in nodes)
-                else CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
-            )
+        if _factor(nodes[0]) is not None:  # doubles beside negates
+            out = ev.multiply_integers(lhs, [_factor(n) for n in nodes])
+        elif op in ("add", "sub", "mul_relin"):
+            rhs = CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
             if op == "add":
                 out = ev.add(lhs, rhs)
             elif op == "sub":
                 out = ev.sub(lhs, rhs)
             else:
                 out = ev.multiply_relin(lhs, rhs, self.relin_key)
-        elif op == "negate":
-            out = ev.negate(lhs)
         elif op == "square":
             out = ev.relinearize(ev.multiply(lhs, lhs), self.relin_key)
         elif op == "mul_plain":
@@ -393,6 +395,8 @@ class PlanExecutor:
             (ct.size, ct.level_count, ct.scale, ct.is_ntt)
             for ct in (results[i] for i in node.inputs)
         )
+        if _factor(node) is not None:  # doubles and negates: shape only
+            return ("integer", shapes[0])
         return (node.op, node.step, node.const_id, node.terms, shapes)
 
     # ------------------------------------------------------------------
@@ -529,13 +533,13 @@ class PlanExecutor:
             run.fused_rotations += rotations
         run.steps.append(
             PlanStep(
-                node.op,
+                node.op if all(n.op == node.op for n in nodes) else "mixed",
                 tuple(n.id for n in nodes),
                 width,
                 "scalar" if width == 1 else "batch",
                 level,
                 rotations,
                 seconds,
-                self._bill(node, width, level, outs[0].level_count, seconds),
+                self._bill(nodes, level, outs[0].level_count, seconds),
             )
         )

@@ -40,9 +40,9 @@ its rotations, flush together instead of each op (or step) waiting out
 its own deadline.  Traffic it does not: every op shares the lane's
 width, so a sweep that meets same-tenant requests inside one delay
 window may be split across two flushes by a lane that fills mid-sweep
-(two decompositions instead of one), a saturating stream of k kinds of
-node packs stacked calls ``max_batch_size / k`` wide where one lane per
-op would pack them full, and a flush holding one unservable member is
+(two decompositions instead of one), k kinds of node pack stacked calls
+``max_batch_size / k`` wide, not full (doubles and negates are one kind,
+a factor per member), and a flush holding one unservable member is
 re-run member by member (``EncryptedComputeServer._run``), losing its
 batching for that flush only.  The answers are the same bits either
 way: a lane is its members served alone.

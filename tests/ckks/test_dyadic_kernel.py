@@ -351,6 +351,107 @@ def test_paper_primes_at_their_ring_size(name, index):
     ]
 
 
+#: The bases a lane's rows run over: Set-A/B/C (data primes and the
+#: special prime) and toy chains of 20-52-bit primes.
+LANE_BASES = (
+    (SET_A.n, tuple(SET_A.modulus_bits)),
+    (SET_B.n, tuple(SET_B.modulus_bits)),
+    (SET_C.n, tuple(SET_C.modulus_bits)),
+    (64, (20, 28, 33)),
+    (64, (36, 44, 48)),
+    (64, (50, 52)),
+)
+
+#: Per-row scalar kinds: the double, the negation, the two trivial
+#: constants and a random one.
+SCALAR_KINDS = ("two", "minus_one", "zero", "one", "random")
+
+
+@lru_cache(maxsize=None)
+def lane_basis(index: int) -> tuple:
+    n, bits = LANE_BASES[index]
+    return tuple(make_modulus_chain(n, list(bits)))
+
+
+def lane_kernels(be, rm, a, b, c, scalars) -> dict:
+    """Every run-dispatched per-row kernel on one lane, canonical rows."""
+    x, y, z = (be.from_rows(r) for r in (a, b, c))
+    return {
+        name: canonical_stack(out)
+        for name, out in (
+            ("add", be.add_rows(rm, x, y)),
+            ("sub", be.sub_rows(rm, x, y)),
+            ("negate", be.negate_rows(rm, x)),
+            ("mul", be.dyadic_mul_rows(rm, x, y)),
+            ("mac", be.dyadic_mac_rows(rm, z, x, y)),
+            ("scalar", be.scalar_mul_rows(rm, x, scalars)),
+        )
+    }
+
+
+def assert_lane_exact(be, rm, a, b, c, scalars) -> None:
+    """The kernels equal the reference, and ``scalar_mul_rows`` by 2 and
+    by ``p - 1`` is ``add_rows(x, x)`` and ``negate_rows(x)`` bit for bit."""
+    assert lane_kernels(be, rm, a, b, c, scalars) == lane_kernels(REF, rm, a, b, c, scalars)
+    x = be.from_rows(a)
+    doubled = be.scalar_mul_rows(rm, x, [2] * len(rm))
+    assert canonical_stack(doubled) == canonical_stack(be.add_rows(rm, x, x))
+    negated = be.scalar_mul_rows(rm, x, [m.value - 1 for m in rm])
+    assert canonical_stack(negated) == canonical_stack(be.negate_rows(rm, x))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lane_kernels_run_by_run_match_reference(backend, data):
+    """Lanes of 1, 2, 3 and 8 (a lane of one keeps the broadcast column,
+    wider lanes visit each prime's run with 0-d constants), rows holding
+    0 and ``p - 1``, per-row scalars in runs of 1..N rows."""
+    moduli = lane_basis(data.draw(st.integers(0, len(LANE_BASES) - 1)))
+    level = data.draw(st.integers(1, len(moduli)))
+    count = data.draw(st.sampled_from((1, 2, 3, 8)))
+    rm = [m for m in moduli[:level] for _ in range(count)]
+    n = 8
+
+    def rows():
+        return [
+            data.draw(st.lists(
+                st.one_of(st.just(0), st.just(m.value - 1), st.integers(0, m.value - 1)),
+                min_size=n, max_size=n,
+            ))
+            for m in rm
+        ]
+
+    scalars = []
+    for m in moduli[:level]:
+        p, filled = m.value, 0
+        while filled < count:
+            run = data.draw(st.integers(1, count - filled))
+            kind = data.draw(st.sampled_from(SCALAR_KINDS))
+            value = {"two": 2, "minus_one": p - 1, "zero": 0, "one": 1}.get(kind)
+            if value is None:
+                value = data.draw(st.integers(0, p - 1))
+            scalars += [value] * run
+            filled += run
+    assert_lane_exact(create_backend(backend), rm, rows(), rows(), rows(), scalars)
+
+
+@pytest.mark.parametrize("count", [1, 2, 17])
+def test_lane_runs_across_the_chunk(count):
+    """Set-B primes at n = 2048: a run of 17 rows crosses the kernels'
+    16-row chunk, the lane of one and of two do not."""
+    be = create_backend("numpy")
+    moduli = lane_basis(1)[:2]
+    rm = [m for m in moduli for _ in range(count)]
+    rng = random.Random(count)
+    a, b, c = (
+        [r for m in moduli for r in rows_of(m.value, count, 2048, "mixed", rng)]
+        for _ in range(3)
+    )
+    scalars = [rng.choice((2, m.value - 1, rng.randrange(m.value))) for m in rm]
+    assert_lane_exact(be, rm, a, b, c, scalars)
+
+
 def test_results_own_their_memory():
     """A kernel allocates its result and nothing else: two consecutive
     calls return arrays that alias neither each other, nor an operand,

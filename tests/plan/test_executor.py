@@ -4,6 +4,8 @@ and the CountingBackend regression for the hoisted fan-out.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ckks.backend import CountingBackend
 from repro.ckks.context import CkksContext, toy_parameters
@@ -13,8 +15,10 @@ from repro.ckks.keys import KeyGenerator
 from repro.ckks.serialization import serialize_ciphertext
 from repro.plan.executor import PlanExecutor
 from repro.plan.graph import PlanGraph
+from repro.plan.hwsim import modeled_replay
 from repro.plan.lower import matvec_graph
 from repro.plan.passes import compile_plan
+from repro.system.pcie import polynomial_bytes
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +171,129 @@ class TestBatchPacking:
         )
         run = executor.run(g, {"a": ct_a, "b": ct_b}, optimize=True)
         assert run.lanes == 0 and run.scalar_ops == 2
+
+
+class TestIntegerLane:
+    """Doubles (``add(x, x)``) and negates of one operand shape are one
+    lane, run as one ``multiply_integers`` call with a factor per member."""
+
+    INPUTS = 4
+
+    @pytest.fixture(scope="class")
+    def lanes(self):
+        """Per backend: an executor under seeded keys, and the same four
+        encrypted inputs (the seeds make them equal across backends)."""
+        out = {}
+        for name in ("numpy", "reference"):
+            ctx = CkksContext(toy_parameters(n=64, k=4, prime_bits=30), backend=name)
+            kg = KeyGenerator(ctx, seed=2024)
+            enc = Encryptor(ctx, kg.public_key(), seed=55)
+            encoder = CkksEncoder(ctx)
+            inputs = {
+                f"x{i}": enc.encrypt(encoder.encode([0.25 * (i + 1), -0.5]))
+                for i in range(self.INPUTS)
+            }
+            out[name] = (ctx, PlanExecutor(ctx, relin_key=kg.relin_key()), inputs)
+        return out
+
+    @staticmethod
+    def draw_graph(data, ctx):
+        """Waves of double, negate, add and sub of distinct inputs, square
+        and rescale over four inputs; operands of add / sub share a type."""
+        primes = [m.value for m in ctx.data_basis.moduli]
+        g = PlanGraph()
+        kind = {}  # node id -> (level, scale)
+        for i in range(TestIntegerLane.INPUTS):
+            kind[g.input(f"x{i}")] = (len(primes), ctx.params.scale)
+        for _ in range(data.draw(st.integers(4, 14))):
+            op = data.draw(st.sampled_from(
+                ("double", "negate", "double", "negate", "add", "sub", "square", "rescale")
+            ))
+            x = data.draw(st.sampled_from(sorted(kind)))
+            level, scale = kind[x]
+            if op == "double":
+                kind[g.add(x, x)] = kind[x]
+            elif op == "negate":
+                kind[g.negate(x)] = kind[x]
+            elif op in ("add", "sub"):
+                mates = [y for y in sorted(kind) if kind[y] == kind[x] and y != x]
+                if mates:
+                    y = data.draw(st.sampled_from(mates))
+                    kind[(g.add if op == "add" else g.sub)(x, y)] = kind[x]
+            elif op == "square" and scale < 2.0**60:
+                kind[g.square(x)] = (level, scale * scale)
+            elif op == "rescale" and level > 1:
+                kind[g.rescale(x)] = (level - 1, scale / primes[level - 1])
+        for nid in sorted(kind):
+            if nid >= TestIntegerLane.INPUTS:
+                g.output(nid, f"y{nid}")
+        return g
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_optimized_equals_naive_on_both_backends(self, lanes, data):
+        g = self.draw_graph(data, lanes["numpy"][0])
+        outputs = []
+        for name, (ctx, executor, inputs) in lanes.items():
+            fast = executor.run(g, inputs, optimize=True)
+            slow = executor.run(g, inputs, optimize=False)
+            for run in (fast, slow):
+                outputs.append({k: serialize_ciphertext(v) for k, v in run.outputs.items()})
+            self.assert_integer_lanes(g, fast)
+            # a mixed lane bills as the dyadic family, so the modeled
+            # totals are the per-node ones
+            assert modeled_replay(fast, ctx, "Set-A").cycles == pytest.approx(
+                modeled_replay(slow, ctx, "Set-A").cycles
+            )
+        assert all(o == outputs[0] for o in outputs[1:])
+
+    @staticmethod
+    def assert_integer_lanes(g, run):
+        """Each wave's doubles and negates of one operand shape are exactly
+        one step; a uniform step keeps its op, a mixed one is ``mixed``."""
+        def integer(node):
+            return node.op == "negate" or (node.op == "add" and node.inputs[0] == node.inputs[1])
+
+        expected = set()
+        for wave in PlanExecutor._waves(g):
+            groups = {}
+            for node in wave:
+                if integer(node):
+                    ct = run.results[node.inputs[0]]
+                    shape = (ct.size, ct.level_count, ct.scale, ct.is_ntt)
+                    groups.setdefault(shape, []).append(node.id)
+            expected |= {tuple(ids) for ids in groups.values()}
+        held = set()
+        for step in run.steps:
+            nodes = [g.nodes[i] for i in step.node_ids]
+            if any(integer(n) for n in nodes):
+                assert all(integer(n) for n in nodes)
+                held.add(step.node_ids)
+                ops = {n.op for n in nodes}
+                assert step.op == (ops.pop() if len(ops) == 1 else "mixed")
+        assert held == expected
+
+    def test_a_double_lane_bills_one_operand_per_member(
+        self, plan_context, plan_encoder, plan_encryptor, executor
+    ):
+        inputs = {
+            f"x{i}": _encrypt(plan_encoder, plan_encryptor, [0.5 + i]) for i in range(3)
+        }
+        doubles, sums = PlanGraph(), PlanGraph()
+        for g in (doubles, sums):
+            xs = [g.input(name) for name in inputs]
+        for x in xs:
+            doubles.output(doubles.add(x, x), f"d{x}")
+        for x, y in zip(xs, xs[1:]):
+            sums.output(sums.add(x, y), f"s{x}")
+        level, poly = plan_context.k, polynomial_bytes(plan_context.n)
+        # a double moves its one operand, a sum of two inputs both
+        for g, width, operands in ((doubles, 3, 1), (sums, 2, 2)):
+            (step,) = executor.run(g, inputs, optimize=True).steps
+            assert (step.op, step.width) == ("add", width)
+            assert step.scheduled.kind == "mult"
+            assert step.scheduled.input_bytes == width * operands * 2 * level * poly
+            assert step.scheduled.output_bytes == width * 2 * level * poly
 
 
 class TestPlainCache:

@@ -236,31 +236,34 @@ class TestPerMemberIsolationAtTheFlush:
 
 
 class _HandleSpy:
-    """Counts calls of the handle primitives and keeps what ``add_rows`` saw."""
+    """Counts calls of the handle primitives -- ``lifts``: those that
+    return something other than their argument -- and keeps what
+    ``scalar_mul_rows`` saw and the kernels the flush ran."""
 
     NAMES = ("select_rows", "from_rows", "copy_rows", "native_stack")
+    KERNELS = ("add_rows", "negate_rows", "scalar_mul_rows")
 
     def __init__(self, backend, monkeypatch):
         self.calls = Counter()
+        self.lifts = Counter()
         self.unpacked_rows = 0
         self.destinations = []
-        self.add_operands = []
-        for name in self.NAMES:
+        self.scaled_operands = []
+        for name in self.NAMES + self.KERNELS:
             monkeypatch.setattr(backend, name, self._counting(getattr(backend, name)))
         for name in ("unpack_rows", "unpack_rows_bits"):
             monkeypatch.setattr(backend, name, self._unpacking(getattr(backend, name)))
-        add_rows = backend.add_rows
-
-        def spy_add(moduli, a, b):
-            self.add_operands += [a, b]
-            return add_rows(moduli, a, b)
-
-        monkeypatch.setattr(backend, "add_rows", spy_add)
 
     def _counting(self, kernel):
         def spy(*args):
-            self.calls[kernel.__name__] += 1
-            return kernel(*args)
+            name = kernel.__name__
+            self.calls[name] += 1
+            if name == "scalar_mul_rows":
+                self.scaled_operands.append(args[1])
+            out = kernel(*args)
+            if name in self.NAMES and out is not args[0]:
+                self.lifts[name] += 1
+            return out
 
         return spy
 
@@ -329,17 +332,51 @@ class TestNoCopyBetweenWireAndKernel:
             assert member_row.ctypes.data == start + (r * 8 + b) * row
         # ... and one pack call for the whole lane's responses
         assert packs == [8 * 2 * self.L]
-        # ... and that block is what the adder was handed, both sides: the
+        # ... and that block is what the doubling kernel was handed: the
         # two components are its contiguous halves
-        assert len(spy.add_operands) == 2 * 2  # two components, (a, b) each
-        for j, operand in enumerate(spy.add_operands):
-            assert isinstance(operand, np.ndarray) and operand.flags.c_contiguous
-            assert operand.shape == (self.L * 8, ctx.n)
-            assert operand.ctypes.data == start + (j // 2) * self.L * 8 * row
+        self.assert_ran_on_block(spy, ctx, start)
         for i, client in enumerate(fleet):
             (blob,) = server.sessions.get(client.client_id).take_outbox()
             _, values = tenant.decrypt_response(blob)
             assert abs(values[0].real - 2.0 * (1.0 + i)) < 1e-2
+
+    def assert_ran_on_block(self, spy, ctx, start):
+        """One ``scalar_mul_rows`` call per component, on that component's
+        contiguous half of the unpacked block, and no other kernel."""
+        assert spy.calls["add_rows"] == spy.calls["negate_rows"] == 0
+        assert len(spy.scaled_operands) == 2
+        for j, operand in enumerate(spy.scaled_operands):
+            assert isinstance(operand, np.ndarray) and operand.flags.c_contiguous
+            assert operand.shape == (self.L * 8, ctx.n)
+            assert operand.ctypes.data == start + j * self.L * 8 * ctx.n * 8
+
+    @pytest.mark.parametrize("pattern", ["ddddnnnn", "dndndndn"])
+    def test_mixed_double_negate_flush_lifts_no_sub_lane(self, counted, monkeypatch, pattern):
+        """Doubles beside negates are one lane with the op as a factor per
+        member: nothing is copied out of the block the codec filled (the
+        only handle calls left hand their argument back as it is)."""
+        be, ctx, tenant, server = counted
+        fleet = self._fleet(tenant, server, 8)
+        ops = {"d": ("double", 2.0), "n": ("negate", -1.0)}
+        blobs = [(c.client_id, c.request_bytes(ops[k][0], [1.0 + i]))
+                 for i, (c, k) in enumerate(zip(fleet, pattern))]
+        spy = _HandleSpy(be, monkeypatch)
+        be.reset()
+        for client_id, blob in blobs:
+            server.receive(client_id, blob)
+        assert server.pump() == 8
+        assert sum(spy.lifts.values()) == 0
+        assert spy.calls["select_rows"] == spy.calls["copy_rows"] == 0
+        assert spy.calls["native_stack"] == 0
+        assert be.conversion_rows == 0
+        (dest,) = spy.destinations
+        self.assert_ran_on_block(spy, ctx, dest[0].ctypes.data)
+        (flush,) = server.report.flushes
+        assert flush.op == "mixed" and flush.batch_size == 8
+        for i, (client, k) in enumerate(zip(fleet, pattern)):
+            (blob,) = server.sessions.get(client.client_id).take_outbox()
+            _, values = tenant.decrypt_response(blob)
+            assert abs(values[0].real - ops[k][1] * (1.0 + i)) < 1e-2
 
     @pytest.mark.parametrize("wire_version", [1, 2])
     def test_sweep_payload_is_unpacked_once(self, counted, monkeypatch, wire_version):
