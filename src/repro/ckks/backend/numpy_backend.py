@@ -894,30 +894,27 @@ class NumpyBackend(PolynomialBackend):
         return out
 
     def decompose_native(self, moduli, coeffs):
-        arr = None
-        if isinstance(coeffs, np.ndarray) and coeffs.dtype in (
-            np.dtype(np.int64),
-            np.dtype(np.uint64),
-        ):
-            arr = coeffs
-        else:
+        words = (np.dtype(np.uint64), np.dtype(np.int64))
+        arr = coeffs if isinstance(coeffs, np.ndarray) and coeffs.dtype in words else None
+        for dtype in words if arr is None else ():  # unsigned, else signed words
             try:
-                arr = np.asarray(coeffs, dtype=np.uint64)
+                arr = np.asarray(coeffs, dtype=dtype)
+                break
             except (OverflowError, ValueError, TypeError):
-                try:
-                    # signed single-word coefficients (rounded encoder
-                    # output): np.remainder on int64 is exact and lands
-                    # in [0, p)
-                    arr = np.asarray(coeffs, dtype=np.int64)
-                except (OverflowError, ValueError, TypeError):
-                    arr = None
+                pass
         if arr is None:
             # multi-word coefficients: big-int reduction is the exact path
             return self._fallback.decompose_native(moduli, coeffs)
         out = _new((len(moduli), len(arr)))
-        for i, m in enumerate(moduli):
-            if arr.dtype == np.uint64:
-                out[i] = arr % np.uint64(m.value)
-            else:
-                out[i] = np.remainder(arr, np.int64(m.value)).astype(np.uint64)
+        low = min((m.value for m in moduli), default=0)
+        signed = arr.dtype == np.int64 and len(arr)
+        if signed and -low < int(arr.min()) and int(arr.max()) < low:
+            # every |x| < p (errors, secrets): x, or x + p wrapping in
+            # uint64 for a negative x -- no division
+            sign = (arr >> np.int64(63)).view(np.uint64)  # all ones if x < 0
+            for i, m in enumerate(moduli):
+                np.add(arr.view(np.uint64), sign & np.uint64(m.value), out=out[i])
+            return out
+        for i, m in enumerate(moduli):  # exact, and in [0, p) for int64 too
+            out[i] = np.remainder(arr, arr.dtype.type(m.value))
         return out

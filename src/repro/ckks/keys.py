@@ -269,6 +269,8 @@ class KeyGenerator:
             )
         self.expansion_seed = expansion_seed
         self._secret = self._generate_secret()
+        # -s: SymEnc(0, s)'s b = e + a·(-s) is one multiply-accumulate
+        self._negated = self._secret.poly.negate(backend=context.backend)
 
     # ------------------------------------------------------------------
     def _generate_secret(self) -> SecretKey:
@@ -295,10 +297,11 @@ class KeyGenerator:
         return a, self.sampler.gaussian_poly(ctx.n, moduli)
 
     def _symmetric_zero(self, a: RnsPolynomial, e: RnsPolynomial) -> RnsPolynomial:
-        """``-(a s) + e``, the ``b`` of ``SymEnc(0, s)``, for an NTT-form ``e``."""
+        """``e - a s``, the ``b`` of ``SymEnc(0, s)``, for an NTT-form ``e``."""
         be = self.context.backend
-        s = self._secret.restricted(a.moduli)
-        return a.dyadic_multiply(s, backend=be).negate(backend=be).add(e, backend=be)
+        neg_s = restrict_to_moduli(self._negated, a.moduli, be).rows
+        b = be.dyadic_mac_rows(a.moduli, e.native_rows(be), a.native_rows(be), neg_s)
+        return RnsPolynomial(a.n, a.moduli, b, is_ntt=True)
 
     def _key_seed(self, tag: bytes) -> Optional[bytes]:
         if self.expansion_seed is None:

@@ -13,8 +13,18 @@ Each draw is bit-identical to a seeded ``random.Random``'s per-coefficient
 little-endian words, the last shifted right by ``32·words − k``, skipping
 those ``>= m`` (Python ints past 64 bits).  ``gauss`` is Box-Muller over
 ``random() = ((a >> 5)·2^26 + (b >> 6))·2^-53``, cosine first and the sine
-carried in ``gauss_next``; ``math``'s ``log``/``cos``/``sin`` and IEEE
-arithmetic give its exact floats, and ``np.rint`` rounds half to even.
+carried in ``gauss_next``, and ``np.rint`` rounds half to even.  Its
+``log``/``cos``/``sin`` run through numpy, whose results are not libm's
+(``np.log`` is one ULP off ``math.log`` on a few values in a thousand).
+Only rounding can see that, so a value ``z·σ`` within ``δ = 2^-30``
+(``_TIE_MARGIN``) of a tie ``k + ½``, the truncation edge ``±(bound + ½)``
+among them, is recomputed with ``math``, as the carried sine always is.
+δ suffices: ``|z| < 8.6`` (``sqrt(-2 ln 2^-53)``), so ``|z·σ| < 28`` at
+σ = 3.2, and a relative error ``ε ≤ 2^-36`` in each transcendental -- 2^16
+ULPs, over 2^13 times the few numpy and libm differ by -- moves it by
+under ``28·(1.5ε + 2^-51) < 2^-30.6``; a σ below 2^16 still allows ``ε ≤
+2^-50``.  Seed expansion reseeds one generator per thread, since
+``np.random.MT19937()`` draws OS entropy (~200 µs) that a state load overwrites.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import threading
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -38,6 +49,11 @@ ERROR_TRUNCATION_SIGMAS = 6
 #: Byte length of a key-expansion seed (wire format v2 ships this in
 #: place of every ``a`` column of a seed-expandable key).
 KEY_SEED_BYTES = 32
+
+#: Gaussian values this close to a rounding tie go through ``math``.
+_TIE_MARGIN = 2.0**-30
+
+_EXPANDER = threading.local()  # each thread's seed expander
 
 
 def derive_key_seed(master: bytes, tag: bytes) -> bytes:
@@ -61,16 +77,21 @@ def expand_uniform_poly(
     the gadget digit (a key-switching key holds one uniform polynomial
     per digit; the public key uses index 0).
 
-    The rows are a :class:`Sampler` seeded by ``sha256(seed || index)``:
-    bit-identical on every backend and platform, which the wire format's
-    cross-backend decode equality relies on.
+    The rows are a :class:`Sampler` seeded by ``sha256(seed || index)``
+    (the calling thread's, reseeded): bit-identical on every backend and
+    platform, which the wire format's cross-backend decode equality
+    relies on.
     """
     if len(seed) != KEY_SEED_BYTES:
         raise ValueError(
             f"expansion seed must be {KEY_SEED_BYTES} bytes, got {len(seed)}"
         )
     digest = hashlib.sha256(seed + index.to_bytes(4, "little")).digest()
-    return Sampler(int.from_bytes(digest, "big")).uniform_residues(n, moduli)
+    sampler = getattr(_EXPANDER, "sampler", None)
+    if sampler is None:
+        sampler = _EXPANDER.sampler = Sampler()
+    sampler.reseed(int.from_bytes(digest, "big"))
+    return sampler.uniform_residues(n, moduli)
 
 
 def _getrandbits(words: np.ndarray, k: int) -> np.ndarray:
@@ -84,17 +105,24 @@ def _getrandbits(words: np.ndarray, k: int) -> np.ndarray:
     return cand
 
 
-def _math_map(fn, values: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
+def _libm_gauss(x2pi: np.ndarray, y: np.ndarray, i: int) -> float:
+    """Entry ``i`` of a block's ``z`` (cosine, sine, ...) through ``math``."""
+    g2rad = math.sqrt(-2.0 * math.log(1.0 - float(y[i // 2])))
+    return (math.sin if i % 2 else math.cos)(float(x2pi[i // 2])) * g2rad
 
 
 class Sampler:
     """Seeded source of the three RLWE distributions (``random.Random``'s)."""
 
     def __init__(self, seed: Optional[int] = None):
-        _version, internal, self._gauss_next = random.Random(seed).getstate()
         self._mt = np.random.MT19937()
-        state = {"key": np.array(internal[:-1], np.uint32), "pos": internal[-1]}
+        self.reseed(seed)
+
+    def reseed(self, seed: Optional[int]) -> None:
+        """Start over as ``random.Random(seed)``."""
+        _version, internal, self._gauss_next = random.Random(seed).getstate()
+        # a tuple: the setter reads an array's words 14x slower
+        state = {"key": internal[:-1], "pos": internal[-1]}
         self._mt.state = {"bit_generator": "MT19937", "state": state}
         self._tail = np.empty(0, dtype=np.uint64)
 
@@ -133,15 +161,19 @@ class Sampler:
             words = self._read(4 * pairs).reshape(pairs, 4)
             a = (words[:, 0::2] >> np.uint64(5)).astype(np.float64)
             u = (a * 67108864.0 + (words[:, 1::2] >> np.uint64(6))) * 2.0**-53
-            x2pi = u[:, 0] * (2.0 * math.pi)
-            g2rad = np.sqrt(-2.0 * _math_map(math.log, 1.0 - u[:, 1]))
-            pair = np.stack((_math_map(math.cos, x2pi), _math_map(math.sin, x2pi)), 1)
+            x2pi, y = u[:, 0] * (2.0 * math.pi), u[:, 1]
+            g2rad = np.sqrt(-2.0 * np.log(1.0 - y))
+            pair = np.stack((np.cos(x2pi), np.sin(x2pi)), 1)
             z = (pair * g2rad[:, None]).ravel()  # cosine, sine, cosine, ...
+            scaled = z * stddev
+            near = np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_MARGIN
+            for i in np.flatnonzero(near).tolist():
+                z[i] = _libm_gauss(x2pi, y, i)
             carry = [] if self._gauss_next is None else [self._gauss_next]
             values = np.rint(np.concatenate((carry, z)) * stddev)
             ok = np.flatnonzero(np.abs(values) <= bound)[:count]
             used = int(ok[-1]) + 1 - len(carry) if len(ok) == count else len(z)
-            self._gauss_next = float(z[used]) if used % 2 else None  # a sine
+            self._gauss_next = _libm_gauss(x2pi, y, used) if used % 2 else None
             self._tail = np.concatenate((words[(used + 1) // 2 :].ravel(), self._tail))
             parts.append(values[ok].astype(np.int64))
             count -= len(ok)

@@ -345,7 +345,7 @@ class PlanExecutor:
             else:
                 out = ev.multiply_relin(lhs, rhs, self.relin_key)
         elif op == "square":
-            out = ev.relinearize(ev.multiply(lhs, lhs), self.relin_key)
+            out = ev.relinearize(ev.square(lhs), self.relin_key)
         elif op == "mul_plain":
             out = ev.multiply_plain(lhs, plain)
         elif op == "add_const":

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ckks import sampling
-from repro.ckks.context import SET_A, SET_B, CkksContext, toy_parameters
+from repro.ckks.backend import resolve_backend
+from repro.ckks.context import SET_A, SET_B, SET_C, CkksContext, toy_parameters
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.modarith import Modulus
 from repro.ckks.primes import generate_ntt_primes, make_modulus_chain
@@ -275,3 +276,230 @@ def test_key_generation_makes_no_per_coefficient_random_calls(monkeypatch):
         counts[n] = dict(calls)
     assert counts[64] == counts[256]
     assert counts[64]["getstate"] >= 1
+
+
+# ----------------------------------------------------------------------
+# the Gaussian's numpy transcendentals and their libm repair
+# ----------------------------------------------------------------------
+#: the relative error in each numpy transcendental that ``_TIE_MARGIN``
+#: is argued to absorb at the default deviation (sampling docstring)
+BUDGET = 2.0**-36
+
+
+class _Skewed:
+    """``numpy`` with ``log``, ``cos`` and ``sin`` off by a relative error
+    of exactly ``BUDGET``, its sign per element drawn from ``seed``."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _skew(self, values):
+        signs = self._rng.choice([-1.0, 1.0], size=np.shape(values))
+        return values * (1.0 + signs * BUDGET)
+
+    def log(self, x):
+        return self._skew(np.log(x))
+
+    def cos(self, x):
+        return self._skew(np.cos(x))
+
+    def sin(self, x):
+        return self._skew(np.sin(x))
+
+
+class _WordRandom(random.Random):
+    """``random.Random`` whose ``random()`` reads a fixed word stream."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self._words = iter(words)
+
+    def random(self):
+        a, b = next(self._words) >> 5, next(self._words) >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+
+class _WordGenerator:
+    """Stands in for a :class:`Sampler`'s ``MT19937``: the same stream."""
+
+    def __init__(self, words):
+        self._words = np.array(words, np.uint64)
+
+    def random_raw(self, count):
+        out, self._words = self._words[:count], self._words[count:]
+        assert len(out) == count, "the stream ran dry"
+        return out
+
+
+def _uniform_words(grid: int):
+    """The two words whose ``random()`` is ``grid · 2^-53``."""
+    return [(grid >> 26) << 5, (grid & (2**26 - 1)) << 6]
+
+
+def _near_tie(tie: float, above: bool, sine: bool, y: float) -> int:
+    """A first uniform, as its 53-bit grid integer, whose pair with the
+    second uniform ``y`` puts the cosine (or the sine) slot's libm
+    ``z·σ`` between 2^-41 and 2^-39 above (or below) ``tie``."""
+    g2rad = math.sqrt(-2.0 * math.log(1.0 - y))
+    target = tie + (2.0**-40 if above else -(2.0**-40))
+    ratio = target / (ERROR_STDDEV * g2rad)
+    x = math.pi - math.asin(ratio) if sine else math.acos(ratio)
+    grid = round(x / (2.0 * math.pi) * 2.0**53)
+    for _ in range(20):
+        x2pi = grid * 2.0**-53 * (2.0 * math.pi)
+        value = sampling._libm_gauss([x2pi], [y], int(sine)) * ERROR_STDDEV
+        if 2.0**-41 <= (value - tie) * (1 if above else -1) <= 2.0**-39:
+            return grid
+        slope = (math.cos(x2pi) if sine else -math.sin(x2pi)) * g2rad * ERROR_STDDEV
+        step = (target - value) / (slope * 2.0 * math.pi * 2.0**-53)
+        grid += int(round(step)) or (1 if step > 0 else -1)
+    raise AssertionError(f"no grid point near {tie}")
+
+
+def _tie_stream(ties, seed: int):
+    """Words for pairs with a few random ones before each hand-built pair
+    ``(tie, above, sine, e)`` (second uniform ``1 - 2^-e``), then padding."""
+    rng = random.Random(seed)
+    words = []
+    for tie, above, sine, e in ties:
+        for _ in range(rng.randrange(3)):
+            words += [rng.getrandbits(32) for _ in range(4)]
+        y_grid = 2**53 - 2 ** (53 - e)
+        words += _uniform_words(_near_tie(tie, above, sine, y_grid * 2.0**-53))
+        words += _uniform_words(y_grid)
+    return words + [rng.getrandbits(32) for _ in range(4096)]
+
+
+def _stream_sampler(words) -> Sampler:
+    sampler = Sampler(0)
+    sampler._mt = _WordGenerator(words)
+    return sampler
+
+
+#: rounding ties ``k + 1/2`` the hand-built values sit at, the truncation
+#: edges ``±20.5`` among them
+TIES = [0.5, -0.5, 3.5, -7.5, 12.5, 20.5, -20.5]
+
+
+class TestTieRepair:
+    @pytest.mark.parametrize("skew_seed", [1, 2, 3])
+    def test_hand_built_values_a_hair_from_a_tie(self, skew_seed):
+        ties = [
+            (tie, above, sine, 40)
+            for tie in TIES
+            for above in (True, False)
+            for sine in (False, True)
+        ]
+        words = _tie_stream(ties, seed=5)
+        # the values are where they should be, and the skew alone would
+        # round some of them across their tie: the repair is what is tested
+        rounded = []
+        for tie, above, sine, _ in ties:
+            y = 1.0 - 2.0**-40
+            grid = _near_tie(tie, above, sine, y)
+            x2pi = grid * 2.0**-53 * (2.0 * math.pi)
+            exact = sampling._libm_gauss([x2pi], [y], int(sine)) * ERROR_STDDEV
+            assert 2.0**-41 <= abs(exact - tie) <= 2.0**-39
+            skewed = _Skewed(skew_seed)
+            trig = skewed.sin if sine else skewed.cos
+            z = trig(np.array([x2pi])) * np.sqrt(-2.0 * skewed.log(np.array([1.0 - y])))
+            rounded.append(np.rint(z * ERROR_STDDEV)[0] != round(exact))
+        assert any(rounded)
+        sampler, rng = _stream_sampler(words), _WordRandom(words)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "np", _Skewed(skew_seed))
+            for n in (3, 1, 2 * len(ties), 5):
+                assert sampler.gaussian_coeffs(n) == oracle_gaussian(rng, n)
+                assert sampler._gauss_next == rng.gauss_next
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        ties=st.lists(
+            st.tuples(
+                st.integers(-21, 20).map(lambda k: k + 0.5),
+                st.booleans(),
+                st.booleans(),
+                st.integers(40, 53),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    )
+    def test_numpy_off_by_the_budget_still_equals_the_oracle(self, seed, ties, sizes):
+        """Numpy's ``log``/``cos``/``sin`` each off by the budget, per
+        element either way, on a stream of random pairs and pairs a hair
+        from a tie: every draw and every carried sine is the oracle's."""
+        words = _tie_stream(ties, seed)
+        sampler, rng = _stream_sampler(words), _WordRandom(words)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "np", _Skewed(seed))
+            for n in sizes + [8 * len(ties)]:
+                assert sampler.gaussian_coeffs(n) == oracle_gaussian(rng, n)
+                assert sampler._gauss_next == rng.gauss_next
+
+
+# ----------------------------------------------------------------------
+# lifting signed coefficients (errors, secrets) into residues
+# ----------------------------------------------------------------------
+TABLE2_PRIMES = sorted(
+    {
+        m.value
+        for params in (SET_A, SET_B, SET_C)
+        for m in make_modulus_chain(params.n, list(params.modulus_bits), params.word_bits)
+    }
+)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "reference"])
+class TestLift:
+    def test_edges_of_every_table2_prime(self, backend, monkeypatch):
+        be = resolve_backend(backend)
+        calls = []
+        remainder = np.remainder
+        monkeypatch.setattr(np, "remainder", lambda *a: calls.append(1) or remainder(*a))
+        for p in TABLE2_PRIMES:
+            coeffs = np.array([-(p - 1), -1, 0, 1, p - 1], np.int64)
+            got = be.to_rows(be.decompose_native([Modulus(p)], coeffs))
+            assert got == [remainder(coeffs, np.int64(p)).astype(np.uint64).tolist()]
+        # one call per set's whole basis, below its smallest prime
+        for params in (SET_A, SET_B, SET_C):
+            moduli = make_modulus_chain(params.n, list(params.modulus_bits), params.word_bits)
+            low = min(m.value for m in moduli)
+            coeffs = np.array([-(low - 1), -20, -1, 0, 1, 20, low - 1], np.int64)
+            got = be.to_rows(be.decompose_native(moduli, coeffs))
+            assert got == [[int(c) % m.value for c in coeffs] for m in moduli]
+        assert calls == []  # no division on either backend
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [-1, 2**62, 5],  # int64 past the smallest prime
+            [-(2**63), 0],
+            [2**64 - 1, 3, 0],  # uint64
+            [-(2**70) - 1, 2**65, 7],  # multi-word
+        ],
+        ids=["int64-wide", "int64-min", "uint64", "multi-word"],
+    )
+    def test_everything_else_falls_back(self, backend, coeffs, monkeypatch):
+        be = resolve_backend(backend)
+        calls = []
+        remainder = np.remainder
+        monkeypatch.setattr(np, "remainder", lambda *a: calls.append(1) or remainder(*a))
+        moduli = make_modulus_chain(SET_B.n, list(SET_B.modulus_bits), SET_B.word_bits)
+        low = min(m.value for m in moduli)
+        for values in (coeffs, [low, 0], [1, -low], [low + 1, -1], [-(low + 1), 1]):
+            arr = values
+            if all(-(2**63) <= v < 2**63 for v in values):
+                arr = np.array(values, np.int64)
+            elif all(0 <= v < 2**64 for v in values):
+                arr = np.array(values, np.uint64)
+            calls.clear()
+            got = be.to_rows(be.decompose_native(moduli, arr))
+            assert got == [[v % m.value for v in values] for m in moduli]
+            # one-word input divides; wider input takes the big-int path
+            assert bool(calls) == (backend == "numpy" and isinstance(arr, np.ndarray))

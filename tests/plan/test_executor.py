@@ -296,6 +296,38 @@ class TestIntegerLane:
             assert step.scheduled.output_bytes == width * 2 * level * poly
 
 
+@pytest.mark.parametrize("backend", ["numpy", "reference"])
+def test_a_square_lane_is_evaluator_square(monkeypatch, backend):
+    """A square lane takes three products and an add (``Evaluator.square``),
+    never the multiply-accumulate of ``multiply(x, x)``, and its bytes are
+    ``relinearize(multiply(x, x))``'s."""
+    ctx = CkksContext(toy_parameters(n=64, k=4, prime_bits=30), backend=backend)
+    kg = KeyGenerator(ctx, seed=2024)
+    rk = kg.relin_key()
+    enc, encoder = Encryptor(ctx, kg.public_key(), seed=55), CkksEncoder(ctx)
+    inputs = {f"x{i}": enc.encrypt(encoder.encode([0.5 + i, -0.25])) for i in range(3)}
+    executor = PlanExecutor(ctx, relin_key=rk)
+    g = PlanGraph()
+    for name in inputs:
+        g.output(g.square(g.input(name)), name)
+    macs = []
+    mac = ctx.backend.dyadic_mac_rows
+
+    def spy(*args):
+        macs.append(len(args[1]))
+        return mac(*args)
+
+    monkeypatch.setattr(ctx.backend, "dyadic_mac_rows", spy)
+    run = executor.run(g, inputs, optimize=True)
+    assert [(s.op, s.width) for s in run.steps] == [("square", 3)]
+    assert macs == []
+    monkeypatch.undo()
+    ev = executor.evaluator
+    for name, ct in inputs.items():
+        expected = ev.relinearize(ev.multiply(ct, ct), rk)
+        assert serialize_ciphertext(run.outputs[name]) == serialize_ciphertext(expected)
+
+
 class TestPlainCache:
     def test_one_executor_two_matrices(
         self, plan_context, plan_encoder, plan_encryptor, plan_decryptor, executor
