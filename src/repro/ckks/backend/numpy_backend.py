@@ -894,14 +894,23 @@ class NumpyBackend(PolynomialBackend):
         return out
 
     def decompose_native(self, moduli, coeffs):
-        words = (np.dtype(np.uint64), np.dtype(np.int64))
-        arr = coeffs if isinstance(coeffs, np.ndarray) and coeffs.dtype in words else None
-        for dtype in words if arr is None else ():  # unsigned, else signed words
+        arr = None
+        if isinstance(coeffs, np.ndarray) and coeffs.dtype in (
+            np.dtype(np.int64),
+            np.dtype(np.uint64),
+        ):
+            arr = coeffs
+        else:
             try:
-                arr = np.asarray(coeffs, dtype=dtype)
-                break
+                arr = np.asarray(coeffs, dtype=np.uint64)
             except (OverflowError, ValueError, TypeError):
-                pass
+                try:
+                    # signed single-word coefficients (rounded encoder
+                    # output): np.remainder on int64 is exact and lands
+                    # in [0, p)
+                    arr = np.asarray(coeffs, dtype=np.int64)
+                except (OverflowError, ValueError, TypeError):
+                    arr = None
         if arr is None:
             # multi-word coefficients: big-int reduction is the exact path
             return self._fallback.decompose_native(moduli, coeffs)
@@ -915,6 +924,6 @@ class NumpyBackend(PolynomialBackend):
             for i, m in enumerate(moduli):
                 np.add(arr.view(np.uint64), sign & np.uint64(m.value), out=out[i])
             return out
-        for i, m in enumerate(moduli):  # exact, and in [0, p) for int64 too
+        for i, m in enumerate(moduli):
             out[i] = np.remainder(arr, arr.dtype.type(m.value))
         return out

@@ -1,11 +1,17 @@
 """``BENCH_trajectory.jsonl``: every row ``tools/trajectory.py`` appended
-is whole, names the metrics ``BENCHMARK.json`` declares, and its medians
-are the medians of the runs it carries."""
+is whole, names the metrics ``BENCHMARK.json`` declares, ran its runs for
+``BENCHMARK.json``'s run length, and its medians are the medians of the
+runs it carries on both sides; and the tool refuses a dirty parent."""
 
+import importlib.util
 import json
 import re
 import statistics
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 ROW_KEYS = {
@@ -31,8 +37,27 @@ def test_every_row_is_whole():
         assert ROW_KEYS <= set(row), ROW_KEYS - set(row)
         assert row["workload"] in workloads
         assert re.fullmatch("[0-9a-f]{40}", row["git_sha"])
+        assert re.fullmatch("[0-9a-f]{40}", row["parent_sha"])
+        assert row["seconds"] == spec["run_seconds"]
         assert row["probe_s"] > 0 and row["pairs"] >= 1
         _side_holds(row, metrics)
-        if row["parent_sha"] is not None:
-            assert re.fullmatch("[0-9a-f]{40}", row["parent_sha"])
-            _side_holds(row["parent"], metrics)
+        _side_holds(row["parent"], metrics)
+
+
+def test_a_parent_with_uncommitted_changes_is_refused(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "trajectory", ROOT / "tools" / "trajectory.py"
+    )
+    trajectory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trajectory)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(trajectory, "_run", None)  # nothing may run
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+    (tmp_path / "f").write_text("a")
+    for args in (["init", "-q"], ["add", "f"], ["commit", "-qm", "f"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    assert trajectory._clean(tmp_path)
+    (tmp_path / "f").write_text("b")
+    assert not trajectory._clean(tmp_path)
+    with pytest.raises(SystemExit, match="uncommitted changes"):
+        trajectory.main(["--parent", str(tmp_path)])

@@ -10,15 +10,16 @@ and one JSON line is appended per workload: this commit's SHA and
 ``bench/run.py``'s machine fingerprint, a ``bench.trace.probe()``
 reading taken just before the workload's runs, the seed, every
 end-to-end metric of every run with their medians, and the parent's
-runs and medians from the same session.  Make the parent checkout
+runs and medians from the same session.  Every run is
+``BENCHMARK.json``'s ``run_seconds`` long.  Make the parent checkout
 with ``git clone`` (or ``git archive``) and check out the parent commit::
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python3 tools/trajectory.py --parent ../parent --pairs 3
 
-Without ``--parent`` a row carries this checkout's runs only.  A row is
-only as good as the tree it measured: ``tree_clean`` is false when the
-working tree had uncommitted changes to tracked files.
+A row is only as good as the trees it measured: ``tree_clean`` is false
+when this checkout had uncommitted changes to tracked files, and a
+parent checkout with such changes is refused before anything runs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def _git(checkout: Path, *args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
     ).stdout.strip()
+
+
+def _clean(checkout: Path) -> bool:
+    """No uncommitted changes to tracked files in ``checkout``."""
+    return not _git(checkout, "status", "--porcelain", "--untracked-files=no")
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -74,31 +80,32 @@ def main(argv=None) -> int:
 
     spec = declared()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
     parser.add_argument("--pairs", type=int, default=3, help="runs per checkout")
     parser.add_argument("--workload", action="append", choices=list(spec.workloads))
     parser.add_argument("--seed", type=int, default=2020)
-    parser.add_argument("--seconds", type=float, default=spec.run_seconds)
     args = parser.parse_args(argv)
+    if not _clean(args.parent):
+        raise SystemExit(f"{args.parent} has uncommitted changes to tracked files")
 
     stamp = {
         **_fingerprint(),
-        "tree_clean": not _git(ROOT, "status", "--porcelain", "--untracked-files=no"),
-        "parent_sha": _git(args.parent, "rev-parse", "HEAD") if args.parent else None,
+        "tree_clean": _clean(ROOT),
+        "parent_sha": _git(args.parent, "rev-parse", "HEAD"),
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": spec.run_seconds,
         "pairs": args.pairs,
     }
     for workload in args.workload or spec.workloads:
         probe_s = statistics.median(probe() for _ in range(PROBE_READINGS))
         ours, theirs = [], []
         for i in range(args.pairs):  # which side runs first alternates
-            sides = [(ROOT, ours)] + ([(args.parent, theirs)] if args.parent else [])
+            sides = [(ROOT, ours), (args.parent, theirs)]
             for checkout, records in sides[:: 1 if i % 2 else -1]:
-                records.append(_run(checkout, workload, args.seed, args.seconds))
-        row = {"workload": workload, **stamp, "probe_s": probe_s, **_summary(ours)}
-        if theirs:
-            row["parent"] = _summary(theirs)
+                records.append(_run(checkout, workload, args.seed, spec.run_seconds))
+        row = {"workload": workload, **stamp, "probe_s": probe_s, **_summary(ours),
+               "parent": _summary(theirs)}
         with OUT.open("a") as out:
             out.write(json.dumps(row, sort_keys=True) + "\n")
         print(workload, json.dumps(row["medians"]))
