@@ -9,7 +9,7 @@ utilization formula.
 
 import random
 
-from repro.analysis.report import render_table
+from repro.analysis.report import comparison_table, render_table
 from repro.ckks.modarith import Modulus
 from repro.ckks.ntt import NTTTables
 from repro.ckks.primes import generate_ntt_primes
@@ -75,3 +75,28 @@ def test_fig4_me_doubling_not_extra_bram_bits(benchmark):
 
     a, b = benchmark(bits)
     assert a == b
+
+
+def test_fig4_memory_element_utilization(benchmark, emit):
+    """Section 4.2's M20K packing: one coefficient per 40-bit BRAM pair
+    reaches 54 / 80 = 68 %; eight coefficients per ME row reach 98 %+ of
+    the width, and the depth is full exactly when ``n / beta >= 512``."""
+    from repro.core.memory import MemoryLayout, naive_layout_utilization
+
+    def measure():
+        return [
+            {"label": "one coeff per 2 BRAMs (width)", "paper": 0.68,
+             "measured": round(naive_layout_utilization(), 3)},
+            {"label": "n=8192, beta=8 (width)", "paper": 0.98,
+             "measured": round(MemoryLayout(8192, 8).width_utilization, 3)},
+            {"label": "n=8192, beta=16 (depth)", "paper": 1.0,
+             "measured": MemoryLayout(8192, 16).depth_utilization},
+        ]
+
+    entries = benchmark(measure)
+    emit("fig4_memory_utilization", comparison_table(
+        "Section 4.2: M20K utilization (paper vs layout model)", entries
+    ))
+    assert entries[0]["measured"] == 0.675
+    assert entries[1]["measured"] >= entries[1]["paper"]
+    assert entries[2]["measured"] == 1.0

@@ -9,8 +9,13 @@ RNS component count -- plus actually *constructing* the modulus chains
 import pytest
 
 from repro.analysis.paper_data import TABLE2_PARAM_SETS
-from repro.analysis.report import render_table
+from repro.analysis.report import comparison_table, render_table
 from repro.ckks.context import PAPER_PARAMETER_SETS, CkksContext
+from repro.ckks.serialization import kswitch_key_wire_bytes
+
+#: Section 5.1: Set-C's key-switching key, both column sets, is 151 Mb
+#: -- the volume that puts it in DRAM rather than on chip.
+SET_C_KSK_MEGABITS = 151
 
 
 def build_table2():
@@ -54,3 +59,16 @@ def test_modulus_chains_constructible(benchmark, name):
     for m in basis:
         assert m.value % (2 * params.n) == 1
         assert m.value < 1 << 52
+
+
+def test_set_c_ksk_volume(benchmark, emit):
+    """The Section 5.1 DRAM argument: ``k`` digits x 2 columns x ``k + 1``
+    residues x ``n`` words of Set-C's key on the v1 wire."""
+    params = PAPER_PARAMETER_SETS["Set-C"]
+    megabits = benchmark(kswitch_key_wire_bytes, params.n, params.k, version=1) * 8 / 1e6
+    emit("table2_ksk_volume", comparison_table(
+        "Section 5.1: Set-C key-switching key volume (Mb)",
+        [{"label": "ksk, both column sets", "paper": SET_C_KSK_MEGABITS,
+          "measured": round(megabits, 1)}],
+    ))
+    assert megabits == pytest.approx(SET_C_KSK_MEGABITS, rel=0.01)

@@ -76,6 +76,20 @@ def test_ntt_module_cycles_simulated(benchmark, nc):
     assert stats.throughput_cycles == TABLE4_MODULES[("ntt", nc)].cycles
 
 
+@pytest.mark.parametrize("nc", [4, 8])
+def test_intt_module_cycles_simulated(benchmark, nc):
+    """Algorithm 4 on the same module: Table 4's INTT rows."""
+    p = generate_ntt_primes(N_CYCLE_REF, 30, 1)[0]
+    tables = NTTTables(N_CYCLE_REF, Modulus(p))
+    sim = NTTModuleSim(tables, nc)
+    rng = random.Random(nc)
+    values = [rng.randrange(p) for _ in range(N_CYCLE_REF)]
+
+    out, stats = benchmark.pedantic(sim.run_inverse, args=(values,), rounds=1, iterations=1)
+    assert out == tables.inverse(values)
+    assert stats.throughput_cycles == TABLE4_MODULES[("intt", nc)].cycles
+
+
 @pytest.mark.parametrize("nc", [4, 8, 16, 32])
 def test_mult_module_cycles_simulated(benchmark, nc):
     p = generate_ntt_primes(N_CYCLE_REF, 30, 1)[0]

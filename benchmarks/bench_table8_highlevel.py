@@ -25,10 +25,9 @@ def build_table8():
     for device, n, k in EVALUATED_CONFIGS:
         pm = PerformanceModel(device, n, k)
         paper = TABLE8_HIGH_LEVEL[(device, SET_NAME[n])]
-        ks = pm.keyswitch_ops_per_sec()
-        mr = pm.mult_relin_ops_per_sec()
-        cpu_ks = 1 / cpu.keyswitch_seconds(n, k)
-        cpu_mr = 1 / cpu.mult_relin_seconds(n, k)
+        heax, seal = pm.high_level_row(), cpu.high_level_row(n, k)
+        ks, mr = heax["KeySwitch"], heax["MULT+ReLin"]
+        cpu_ks, cpu_mr = seal["KeySwitch"], seal["MULT+ReLin"]
         rows.append(
             [f"{device}/{SET_NAME[n]}",
              round(cpu_ks, 1), paper.keyswitch_cpu,

@@ -31,8 +31,10 @@ from repro.ckks.context import CkksContext, toy_parameters
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 # bench_keyswitch_hoisting measures against the pre-hoisting baselines,
-# which live with the tests (tests/ckks/differential.py), one copy
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tests" / "ckks"))
+# which live with the tests (tests/ckks/differential.py, which draws on
+# tests/oracles.py), one copy
+for _tests in ("tests", "tests/ckks"):
+    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / _tests))
 
 #: module basename (e.g. ``bench_batch_throughput``) -> structured records.
 _BENCH_RECORDS: Dict[str, List[dict]] = {}

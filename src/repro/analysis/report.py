@@ -60,13 +60,6 @@ def comparison_table(title: str, entries: Sequence[Dict[str, Number]]) -> str:
     return render_table(title, ["label", "paper", "measured", "ratio"], rows)
 
 
-def ratio_within(measured: Number, paper: Number, tolerance: float) -> bool:
-    """True when measured is within ``tolerance`` relative error of paper."""
-    if paper == 0:
-        return measured == 0
-    return abs(measured - paper) <= tolerance * abs(paper)
-
-
 def shape_preserved(
     paper_series: Sequence[Number], measured_series: Sequence[Number]
 ) -> bool:

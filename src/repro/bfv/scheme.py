@@ -117,10 +117,9 @@ class BfvContext:
         All ring arithmetic runs through the active
         :class:`~repro.ckks.backend.base.PolynomialBackend` -- the same
         kernels (and the same vectorization) the CKKS side uses, so the
-        numpy backend accelerates BFV tensoring too.  The pipeline is
-        :meth:`NTTTables.negacyclic_multiply` on one residue matrix, a
-        row per extended prime: forward NTT both operands, dyadic
-        multiply, inverse NTT.
+        numpy backend accelerates BFV tensoring too.  The pipeline is a
+        negacyclic product on one residue matrix, a row per extended
+        prime: forward NTT both operands, dyadic multiply, inverse NTT.
         """
         from repro.ckks.backend import get_backend
 

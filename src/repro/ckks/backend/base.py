@@ -153,40 +153,6 @@ def _check_pack_bounds(handle, bounds) -> None:
         )
 
 
-def _pack_row_bits_py(row, bound: int, width: int) -> bytes:
-    """MSB-first bit concatenation via one big-int accumulator."""
-    acc = 0
-    for v in row:
-        v = int(v)
-        if not 0 <= v < bound:
-            raise ValueError(
-                f"residue {v} outside [0, {bound}); reduce rows before packing"
-            )
-        acc = (acc << width) | v
-    total_bits = len(row) * width
-    pad = (-total_bits) % 8
-    return (acc << pad).to_bytes((total_bits + pad) // 8, "big")
-
-
-def _unpack_row_bits_py(data, n: int, bound: int, width: int):
-    acc = int.from_bytes(data, "big")
-    pad = len(data) * 8 - n * width
-    if acc & ((1 << pad) - 1):
-        raise ValueError("nonzero padding bits in packed residue row")
-    acc >>= pad
-    mask = (1 << width) - 1
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        v = acc & mask
-        if v >= bound:
-            raise ValueError(
-                f"packed residue {v} outside [0, {bound}); corrupt row"
-            )
-        out[i] = v
-        acc >>= width
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _bit_plan(width: int):
     """Word-level layout of ``width``-bit coefficients, computed once per width.
@@ -589,9 +555,8 @@ class PolynomialBackend(abc.ABC):
 
         ``mapping[i] = (dest, flip)`` sends coefficient ``i`` to index
         ``dest``, negated mod ``p`` when ``flip`` (the sign rule of
-        ``X^i -> X^{ig}`` in ``Z[X]/(X^n+1)``; see
-        :meth:`repro.ckks.context.CkksContext.galois_map`), and must
-        cover the whole row.
+        ``X^i -> X^{ig}`` in ``Z[X]/(X^n+1)``), and must cover the
+        whole row.
         """
 
     # ------------------------------------------------------------------

@@ -126,14 +126,3 @@ def new(shape, dtype=_U64) -> np.ndarray:
     if mine.issued >= _EPOCH:
         mine.sweep()
     return np.ndarray(shape, dtype, slabs[0])
-
-
-def fresh_slabs() -> int:
-    """Slabs the calling thread has ever allocated: flat across a warmed
-    workload exactly when every result it makes is a recycled one."""
-    return recycler().fresh
-
-
-def resident_bytes() -> int:
-    """Bytes of the slabs the calling thread's recycler holds."""
-    return sum(8 * size * len(entry[1]) for size, entry in recycler().classes.items())

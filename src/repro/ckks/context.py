@@ -28,7 +28,7 @@ variable), or one pinned at construction time with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,7 +168,6 @@ class CkksContext:
         self._tables: Dict[int, NTTTables] = {
             m.value: NTTTables(params.n, m) for m in chain
         }
-        self._galois_cache: Dict[int, List[Tuple[int, bool]]] = {}
         #: galois_elt -> intp index array (see :meth:`galois_table_ntt`).
         self._galois_ntt_cache: Dict[int, np.ndarray] = {}
         #: inverse of each chain modulus against every other chain modulus,
@@ -265,47 +264,6 @@ class CkksContext:
         """The automorphism element for complex conjugation, ``2n - 1``."""
         return 2 * self.n - 1
 
-    def _galois_map(self, galois_elt: int) -> List[Tuple[int, bool]]:
-        """For coefficient index ``i``: destination index and sign flip.
-
-        ``X^i -> X^{i g} = (-1)^{floor(i g / n)} X^{i g mod n}`` in
-        ``Z[X]/(X^n+1)``.
-        """
-        if galois_elt % 2 == 0 or not 0 < galois_elt < 2 * self.n:
-            raise ValueError("Galois element must be an odd unit mod 2n")
-        cached = self._galois_cache.get(galois_elt)
-        if cached is not None:
-            return cached
-        n = self.n
-        mapping = []
-        for i in range(n):
-            e = i * galois_elt % (2 * n)
-            if e < n:
-                mapping.append((e, False))
-            else:
-                mapping.append((e - n, True))
-        self._galois_cache[galois_elt] = mapping
-        return mapping
-
-    def galois_map(self, galois_elt: int) -> List[Tuple[int, bool]]:
-        """The coefficient permutation for ``g``, as ``(dest, flip)`` pairs.
-
-        For callers permuting whole coefficient-form row-stacks
-        (``galois_rows``) without materializing per-ciphertext
-        :class:`RnsPolynomial` objects.  Returns a fresh list so callers
-        cannot corrupt the internal cache :meth:`apply_galois` shares.
-        """
-        return list(self._galois_map(galois_elt))
-
-    def apply_galois(self, poly: RnsPolynomial, galois_elt: int) -> RnsPolynomial:
-        """Apply ``m(X) -> m(X^g)`` to a coefficient-form polynomial."""
-        if poly.is_ntt:
-            raise ValueError("apply Galois in coefficient form")
-        be = self.backend
-        mapping = self._galois_map(galois_elt)
-        rows = be.galois_rows(poly.moduli, poly.native_rows(be), mapping)
-        return RnsPolynomial(poly.n, poly.moduli, rows, is_ntt=False)
-
     def galois_table_ntt(self, galois_elt: int) -> np.ndarray:
         """The automorphism as an *NTT-domain* gather: ``out[i] = in[src[i]]``.
 
@@ -332,20 +290,15 @@ class CkksContext:
             self._galois_ntt_cache[galois_elt] = cached
         return cached
 
-    def galois_map_ntt(self, galois_elt: int) -> List[int]:
-        """:meth:`galois_table_ntt` as a fresh list (see :meth:`galois_map`
-        for the cache-protection rationale)."""
-        return self.galois_table_ntt(galois_elt).tolist()
-
     def apply_galois_ntt(self, poly: RnsPolynomial, galois_elt: int) -> RnsPolynomial:
         """Apply ``m(X) -> m(X^g)`` directly to an NTT-form polynomial.
 
         One gather permutation over all residue rows at once (the
         permutation carries no sign flips, so it is the same for every
         modulus and the whole RNS polynomial moves in a single stacked
-        backend call).  Bit-identical to
-        ``to_ntt(apply_galois(from_ntt(poly), g))`` without the ``2·L``
-        transforms.
+        backend call).  Bit-identical to the coefficient-domain
+        automorphism wrapped in ``from_ntt`` / ``to_ntt``, without the
+        ``2·L`` transforms.
         """
         if not poly.is_ntt:
             raise ValueError("apply_galois_ntt operates on NTT-form polynomials")

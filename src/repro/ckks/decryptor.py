@@ -33,24 +33,3 @@ class Decryptor:
             s_power = s if s_power is None else s_power.dyadic_multiply(s, backend=be)
             acc = acc.add(poly.dyadic_multiply(s_power, backend=be), backend=be)
         return Plaintext(acc, ciphertext.scale)
-
-    def invariant_noise_budget_proxy(self, ciphertext: Ciphertext, reference: Plaintext) -> float:
-        """Crude decibel-style proxy of remaining precision.
-
-        Returns ``log2(q_l) - log2(max |error coefficient|)`` where the
-        error is the decryption of ``ct`` minus ``reference``; useful for
-        noise-growth tests without committing to a full noise estimator.
-        """
-        import math
-
-        from repro.ckks.rns import RnsBasis
-
-        ctx = self.context
-        dec = self.decrypt(ciphertext)
-        diff = dec.poly.sub(reference.poly, backend=ctx.backend)
-        coeff = ctx.from_ntt(diff) if diff.is_ntt else diff
-        basis = RnsBasis(coeff.moduli)
-        max_err = max(abs(v) for v in basis.compose_centered_rows(coeff.rows))
-        q_bits = math.log2(basis.product)
-        err_bits = math.log2(max_err) if max_err else 0.0
-        return q_bits - err_bits

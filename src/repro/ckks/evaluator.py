@@ -58,23 +58,13 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.ckks.batch import CiphertextBatch, check_scales
 from repro.ckks.context import CkksContext
-from repro.ckks.keys import GaloisKey, GaloisKeySet, KswitchKey, RelinKey
+from repro.ckks.keys import GaloisKeySet, KswitchKey, RelinKey
 from repro.ckks.modarith import Modulus
 from repro.ckks.poly import Ciphertext, Plaintext, RnsPolynomial
 
 #: What every operation accepts and returns in kind: a lane, or the
 #: lane of one.
 Operand = Union[Ciphertext, CiphertextBatch]
-
-def rows_for(poly: RnsPolynomial, moduli) -> List:
-    """Select the residue rows of a full-basis key poly for these moduli.
-
-    Rows stay in the polynomial's native representation (views on an
-    array backend) -- selection is addressing, not conversion.
-    """
-    index = {m.value: i for i, m in enumerate(poly.moduli)}
-    rows = poly.rows
-    return [rows[index[m.value]] for m in moduli]
 
 
 class KeySwitchDigits:
@@ -268,9 +258,6 @@ class Evaluator:
     def add_plain(self, ct: Operand, pt: Plaintext) -> Operand:
         """Add an (NTT-form, level-matched) plaintext to ``c0``."""
         return self._combine_plain(ct, pt, self.context.backend.add_rows)
-
-    def sub_plain(self, ct: Operand, pt: Plaintext) -> Operand:
-        return self._combine_plain(ct, pt, self.context.backend.sub_rows)
 
     # ------------------------------------------------------------------
     # multiplication family (Algorithm 5)
@@ -546,16 +533,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # rotation / conjugation: always the hoisted dataflow
     # ------------------------------------------------------------------
-    def apply_galois(
-        self, ct: Operand, galois_elt: int, key: GaloisKey
-    ) -> Operand:
-        """Automorphism + key switch back to ``s``: the one-element sweep
-        under a throwaway set of this one key (its stacked operand is
-        not kept; rotate through a :class:`GaloisKeySet` to reuse it)."""
-        if key.galois_elt != galois_elt:
-            raise ValueError("Galois key does not match the requested element")
-        keys = GaloisKeySet({galois_elt: key})
-        return self.apply_galois_hoisted(ct, [galois_elt], keys)[0]
 
     def apply_galois_hoisted(
         self,

@@ -99,18 +99,9 @@ class Modulus:
             self, "barrett_ratio", (1 << (2 * self.word_bits)) // self.value
         )
 
-    @property
-    def bit_count(self) -> int:
-        """Number of significant bits of ``p``."""
-        return self.value.bit_length()
-
     def reduce(self, x: int) -> int:
         """Reduce a non-negative ``x <= (p-1)^2`` modulo ``p`` (Algorithm 1)."""
         return barrett_reduce(x, self.value, self.barrett_ratio, self.word_bits)
-
-    def reduce_signed(self, x: int) -> int:
-        """Reduce an arbitrary (possibly negative or large) integer mod ``p``."""
-        return x % self.value
 
     def add(self, a: int, b: int) -> int:
         """Return ``a + b mod p`` for operands already in ``[0, p)``."""
@@ -125,10 +116,6 @@ class Modulus:
         if d < 0:
             d += self.value
         return d
-
-    def neg(self, a: int) -> int:
-        """Return ``-a mod p``."""
-        return 0 if a == 0 else self.value - a
 
     def mul(self, a: int, b: int) -> int:
         """Return ``a * b mod p`` via Barrett reduction."""
@@ -145,10 +132,6 @@ class Modulus:
     def div2(self, a: int) -> int:
         """Return ``a / 2 mod p``."""
         return div2_mod(a, self.value)
-
-    def mulred_constant(self, y: int) -> "MulRedConstant":
-        """Precompute the Algorithm-2 ratio for a constant operand ``y``."""
-        return MulRedConstant(y, self)
 
 
 @dataclass(frozen=True)
@@ -178,10 +161,3 @@ class MulRedConstant:
         return mul_red(
             x, self.value, self.ratio, self.modulus.value, self.modulus.word_bits
         )
-
-
-def precompute_mulred_ratios(values, modulus: Modulus):
-    """Vector form of the ``Y' = floor(Y * 2^w / p)`` precomputation."""
-    w = modulus.word_bits
-    p = modulus.value
-    return [(v << w) // p for v in values]

@@ -44,16 +44,6 @@ def bit_reversal(n: int) -> np.ndarray:
     return table
 
 
-def bit_reverse(value: int, bits: int) -> int:
-    """Reverse the lowest ``bits`` bits of ``value``."""
-    return int(bit_reversal(1 << bits)[value & ((1 << bits) - 1)])
-
-
-def bit_reverse_permutation(values: Sequence[int]) -> List[int]:
-    """Return ``values`` permuted by bit-reversal of indices."""
-    return [values[i] for i in bit_reversal(len(values)).tolist()]
-
-
 class NTTTables:
     """Precomputed twiddle tables for one ``(modulus, n)`` pair.
 
@@ -181,39 +171,3 @@ class NTTTables:
             t <<= 1
             m = h
         return a
-
-    def negacyclic_multiply(
-        self, a: Sequence[int], b: Sequence[int]
-    ) -> List[int]:
-        """Multiply two standard-order polynomials in ``R_p`` via NTT."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        mod = self.modulus
-        prod = [mod.mul(x, y) for x, y in zip(fa, fb)]
-        return self.inverse(prod)
-
-
-def negacyclic_convolution_reference(
-    a: Sequence[int], b: Sequence[int], p: int
-) -> List[int]:
-    """Schoolbook negacyclic convolution (Section 3.1 formula), O(n^2).
-
-    ``c_j = sum_{i<=j} a_i b_{j-i} - sum_{i>j} a_i b_{j-i+n}  (mod p)``.
-    Used as the test oracle for the NTT path.
-    """
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("length mismatch")
-    c = [0] * n
-    for i in range(n):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            term = ai * b[j]
-            if k < n:
-                c[k] = (c[k] + term) % p
-            else:
-                c[k - n] = (c[k - n] - term) % p
-    return [x % p for x in c]

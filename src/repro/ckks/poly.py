@@ -100,7 +100,7 @@ class RnsPolynomial:
     def row(self, i: int):
         """Residue row ``i`` in its current native form (may be a view).
 
-        Treat as read-only; materialize with :meth:`component` instead
+        Treat as read-only; materialize with :attr:`residues` instead
         when a mutable canonical list is wanted.
         """
         return self.rows[i]
@@ -109,11 +109,6 @@ class RnsPolynomial:
         """Overwrite residue row ``i`` (the write API tests/keygen use)."""
         be = backend if backend is not None else get_backend()
         be.set_row(self.rows, i, row)
-
-    def component(self, i: int) -> List[int]:
-        """Residue polynomial for modulus ``i`` (a canonical list copy)."""
-        r = self.rows[i]
-        return r.tolist() if hasattr(r, "tolist") else [int(x) for x in r]
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -11,10 +11,10 @@ module provides:
   (Algorithm 7): ``g^{-1}(a) = ([a]_{p_0}, ..., [a]_{p_l})`` with gadget
   vector ``g_i = π_i [π_i^{-1}]_{p_i}``.
 
-Whole-polynomial base conversion (:meth:`RnsBasis.decompose_rows`)
-routes through the active polynomial backend so that reducing ``n``
-coefficients into every residue row is one vectorized pass per prime
-instead of ``n * k`` Python modulo operations.
+Whole-polynomial base conversion (``decompose_native``) routes through
+the active polynomial backend so that reducing ``n`` coefficients into
+every residue row is one vectorized pass per prime instead of ``n * k``
+Python modulo operations.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.ckks.backend import get_backend
 from repro.ckks.backend.numpy_backend import _WORD_SAFE_BOUND, _scalar_mul
 from repro.ckks.modarith import Modulus
 
@@ -75,16 +74,6 @@ class RnsBasis:
         """Map an integer in ``[0, q)`` to its residue vector."""
         return [value % m.value for m in self.moduli]
 
-    def decompose_rows(self, coeffs: Sequence[int]) -> List[List[int]]:
-        """RNS-decompose a whole coefficient vector: one row per prime.
-
-        The vector form of :meth:`decompose`, dispatched to the active
-        polynomial backend (coefficients may be signed or multi-word;
-        backends fall back to exact big-int reduction when needed).
-        """
-        be = get_backend()
-        return be.to_rows(be.decompose_native(self.moduli, coeffs))
-
     def compose(self, residues: Sequence[int]) -> int:
         """CRT-reconstruct the integer in ``[0, q)`` from residues.
 
@@ -99,12 +88,6 @@ class RnsBasis:
             pi = self.punctured_product(i)
             acc += (r % m.value) * pi * self.punctured_inverse(i)
         return acc % q
-
-    def compose_centered(self, residues: Sequence[int]) -> int:
-        """CRT-reconstruct into the centered interval ``(-q/2, q/2]``."""
-        a = self.compose(residues)
-        q = self.product
-        return a - q if a > q // 2 else a
 
     # ------------------------------------------------------------------
     # whole-vector composition (the decode hot path)
@@ -187,38 +170,14 @@ class RnsBasis:
         return digits
 
     def compose_centered_rows(self, rows) -> List[int]:
-        """Vector :meth:`compose_centered`: one centered int per coefficient."""
+        """CRT-compose into ``(-q/2, q/2]``: one centered int per coefficient."""
         q = self.product
         half = q // 2
         return [v - q if v > half else v for v in self.compose_rows(rows)]
 
-    def drop_last(self) -> "RnsBasis":
-        """Basis with the last modulus removed (rescaling / mod-switch)."""
-        if len(self.moduli) <= 1:
-            raise ValueError("cannot drop the only modulus")
-        return RnsBasis(self.moduli[:-1])
-
     def extend(self, modulus: Modulus) -> "RnsBasis":
         """Basis with one extra modulus appended (e.g. the special prime)."""
         return RnsBasis(self.moduli + (modulus,))
-
-    def gadget_vector(self) -> List[int]:
-        """Section-2 gadget ``g_i = π_i [π_i^{-1}]_{p_i}`` over this basis.
-
-        Satisfies ``<g, g^{-1}(a)> ≡ a (mod q)`` and, crucially for
-        Algorithm 7, ``g_i ≡ 1 (mod p_i)`` and ``g_i ≡ 0 (mod p_j)`` for
-        ``j != i``.
-        """
-        return [
-            self.punctured_product(i) * self.punctured_inverse(i)
-            for i in range(len(self.moduli))
-        ]
-
-    def gadget_decompose(self, residues: Sequence[int]) -> List[int]:
-        """``g^{-1}``: the residue vector itself (full-RNS decomposition)."""
-        if len(residues) != len(self.moduli):
-            raise ValueError("residue count does not match basis size")
-        return [r % m.value for r, m in zip(residues, self.moduli)]
 
 
 def _gcd(a: int, b: int) -> int:

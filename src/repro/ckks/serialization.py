@@ -1,4 +1,4 @@
-"""Byte-level serialization of ciphertexts, plaintexts and keys.
+"""Byte-level serialization of ciphertexts and keys.
 
 Two purposes:
 
@@ -52,7 +52,7 @@ from repro.ckks.backend.base import ROW_WORD_BYTES, packed_row_bytes
 from repro.ckks.batch import CiphertextBatch
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import KswitchKey
-from repro.ckks.poly import Ciphertext, Plaintext, RnsPolynomial
+from repro.ckks.poly import Ciphertext, RnsPolynomial
 from repro.ckks.sampling import KEY_SEED_BYTES, expand_uniform_poly
 
 MAGIC = b"HEAX"
@@ -68,7 +68,6 @@ LATEST_VERSION = VERSION_PACKED
 WORD_BYTES = ROW_WORD_BYTES
 
 _KIND_CIPHERTEXT = 1
-_KIND_PLAINTEXT = 2
 _KIND_KSWITCH_KEY = 3
 
 #: v2 key-switching-key layout byte (first payload byte after the header).
@@ -138,16 +137,6 @@ def ciphertext_wire_bytes(
     )
 
 
-def plaintext_wire_bytes(
-    n: int,
-    level_count: int,
-    version: int = VERSION,
-    moduli: Optional[Sequence] = None,
-) -> int:
-    """Payload bytes of a plaintext (one component)."""
-    return ciphertext_wire_bytes(n, 1, level_count, version, moduli)
-
-
 def kswitch_key_wire_bytes(
     n: int,
     k: int,
@@ -214,7 +203,7 @@ def _unpack_polys(
     data: memoryview, n: int, moduli, count: int, is_ntt: bool,
     version: int, backend,
 ) -> List[RnsPolynomial]:
-    """Decode ``count`` polynomials (a plaintext, a key's columns) over
+    """Decode ``count`` polynomials (a ciphertext's components, a key's columns) over
     ``moduli`` from exactly ``data``; ciphertexts do not come through
     here (:func:`unpack_ciphertexts`).
 
@@ -277,16 +266,6 @@ def serialize_ciphertext(ct: Ciphertext, version: int = VERSION) -> bytes:
     return next(pack_ciphertexts([ct], version))
 
 
-def serialize_plaintext(pt: Plaintext, version: int = VERSION) -> bytes:
-    _check_version(version)
-    _check_header_fields(pt.n, 1, pt.level_count)
-    header = _HEADER.pack(
-        MAGIC, version, _KIND_PLAINTEXT, pt.n, 1,
-        pt.level_count | (0x8000 if pt.poly.is_ntt else 0), pt.scale,
-    )
-    return header + _pack_polys([pt.poly], version)
-
-
 def _parse_header(data: bytes) -> Tuple[int, int, int, int, int, bool, float]:
     if len(data) < _HEADER.size:
         raise ValueError(
@@ -327,7 +306,7 @@ def _check_payload(data: bytes, payload_bytes: int) -> None:
 
 
 def _check_scale(scale: float) -> None:
-    """A wire ciphertext/plaintext must carry a positive, finite scale.
+    """A wire ciphertext must carry a positive, finite scale.
 
     (Key-switching keys carry no scale; their header writes 0.)  A
     zero/NaN/Inf scale is corrupt metadata that would otherwise slip
@@ -441,24 +420,6 @@ def deserialize_ciphertext(data: bytes, context: CkksContext) -> Ciphertext:
     if errors:
         raise errors[0]
     return elements[0]
-
-
-def deserialize_plaintext(data: bytes, context: CkksContext) -> Plaintext:
-    version, kind, n, comps, rns, is_ntt, scale = _parse_header(data)
-    if kind != _KIND_PLAINTEXT:
-        raise ValueError("serialized object is not a plaintext")
-    if n != context.n:
-        raise ValueError(f"ring mismatch: {n} vs context {context.n}")
-    if comps != 1:
-        raise ValueError(f"plaintext must have one component, got {comps}")
-    _check_scale(scale)
-    moduli = context.basis_at_level(rns).moduli
-    _check_payload(data, plaintext_wire_bytes(n, rns, version, moduli))
-    payload = memoryview(data)[_HEADER.size :]
-    (poly,) = _unpack_polys(
-        payload, n, moduli, 1, is_ntt, version, context.backend
-    )
-    return Plaintext(poly, scale)
 
 
 def serialize_kswitch_key(ksk: KswitchKey, version: int = VERSION) -> bytes:

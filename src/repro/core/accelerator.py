@@ -23,7 +23,6 @@ from repro.core.arch import (
     TABLE5_ARCHITECTURES,
 )
 from repro.core.keyswitch_module import KeySwitchModuleSim, KeySwitchStats
-from repro.core.mult_module import MultModuleSim
 from repro.core.perf import PerformanceModel
 from repro.core.resources import ResourceModel, ResourceVector
 
@@ -36,9 +35,6 @@ class OpCounters:
     dyadic_ops: int = 0
     keyswitch_ops: int = 0
     total_cycles: float = 0.0
-
-    def elapsed_seconds(self, clock_hz: float) -> float:
-        return self.total_cycles / clock_hz
 
 
 class HeaxAccelerator:
@@ -76,11 +72,6 @@ class HeaxAccelerator:
     def clock_hz(self) -> float:
         return self.perf.clock_hz
 
-    def throughputs(self) -> Dict[str, float]:
-        out = dict(self.perf.low_level_row())
-        out.update(self.perf.high_level_row())
-        return out
-
     # ------------------------------------------------------------------
     # functional execution (requires a context)
     # ------------------------------------------------------------------
@@ -102,16 +93,6 @@ class HeaxAccelerator:
         self.counters.total_cycles += stats.throughput_cycles
         return result, stats
 
-    def execute_dyadic(self, poly_a, poly_b, modulus):
-        """Run one dyadic polynomial product through the MULT module."""
-        ctx = self._require_context()
-        nc = STANDALONE_MODULE_CORES[self.device]["dyadic"]
-        sim = MultModuleSim(modulus, ctx.n, min(nc, ctx.n))
-        out, stats = sim.dyadic_multiply(poly_a, poly_b)
-        self.counters.dyadic_ops += 1
-        self.counters.total_cycles += stats.cycles
-        return out, stats
-
     # ------------------------------------------------------------------
     # resources & reporting
     # ------------------------------------------------------------------
@@ -122,9 +103,6 @@ class HeaxAccelerator:
 
     def utilization(self, resident_ksks: int = 1) -> Dict[str, float]:
         return self.resource_vector(resident_ksks).utilization(self.device)
-
-    def fits_on_board(self) -> bool:
-        return self.resource_vector().fits(self.device)
 
     def describe(self) -> str:
         """Text rendering of the block structure (Figures 1/3/5/7)."""

@@ -60,10 +60,6 @@ class DyadicCore:
         """Dyadic product of two already-reduced operands."""
         return self.modulus.mul(op1, op2)
 
-    def compute_with_ratio(self, op1: int, constant: MulRedConstant) -> int:
-        """Fast path when one operand is a precomputed constant."""
-        return constant.mul(op1)
-
 
 class NTTCore:
     """One Cooley-Tukey butterfly lane (Figure 3).

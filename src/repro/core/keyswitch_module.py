@@ -61,10 +61,6 @@ class KeySwitchStats:
     latency_cycles: float
     timeline: List[PipelineInterval] = field(default_factory=list)
 
-    @property
-    def bottleneck(self) -> str:
-        return max(self.stage_busy_cycles, key=self.stage_busy_cycles.get)
-
 
 class KeySwitchModuleSim:
     """KeySwitch engine for one architecture over one CKKS context."""

@@ -12,9 +12,7 @@ holding one RNS residue of every ciphertext component.
   throughput.
 * BRAM policy: the paper allocates α + β input memories (one per
   component) instead of the minimum one-residue-at-a-time scheme, cutting
-  CPU->FPGA transfers from ``(αβ + min(α, β)) n`` to ``(α + β) n`` words;
-  :meth:`MultModuleSim.transfer_words` exposes both so the trade-off is
-  benchmarkable.
+  CPU->FPGA transfers from ``(αβ + min(α, β)) n`` to ``(α + β) n`` words.
 """
 
 from __future__ import annotations
@@ -117,17 +115,3 @@ class MultModuleSim:
         return outputs, stats
 
     # ------------------------------------------------------------------
-    def pair_cycles(self) -> int:
-        """Closed-form cycles for one polynomial pair: ``n / nc``."""
-        return self.n // self.nc
-
-    def ciphertext_cycles(self, alpha: int = 2, beta: int = 2) -> int:
-        """Closed-form cycles for a full (α, β) product: ``α β n / nc``."""
-        return alpha * beta * self.n // self.nc
-
-    def transfer_words(self, alpha: int = 2, beta: int = 2) -> dict:
-        """CPU->FPGA words under the paper's vs the minimal BRAM policy."""
-        return {
-            "paper_policy": (alpha + beta) * self.n,
-            "min_bram_policy": (alpha * beta + min(alpha, beta)) * self.n,
-        }

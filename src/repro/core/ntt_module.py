@@ -72,14 +72,6 @@ class TransformStats:
         return self.throughput_cycles + spec.pipeline_stages
 
     @property
-    def type1_stage_count(self) -> int:
-        return sum(1 for s in self.stages if s.stage_type == 1)
-
-    @property
-    def type2_stage_count(self) -> int:
-        return sum(1 for s in self.stages if s.stage_type == 2)
-
-    @property
     def basic_pipeline_cycles(self) -> int:
         """Cycle count of the *un*-optimized pipeline (Figure 4, top).
 

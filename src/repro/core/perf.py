@@ -117,8 +117,3 @@ EVALUATED_CONFIGS = [
     ("Stratix10", 8192, 4),
     ("Stratix10", 16384, 8),
 ]
-
-
-def all_performance_models():
-    """PerformanceModel for every evaluated (device, set) combination."""
-    return [PerformanceModel(d, n, k) for d, n, k in EVALUATED_CONFIGS]

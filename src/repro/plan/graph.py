@@ -15,9 +15,8 @@ plaintext operands, rotation steps, rescales), built once per workload
 and handed to the pass pipeline in :mod:`repro.plan.passes` and the
 executor in :mod:`repro.plan.executor`.  Composite layers (the
 fragment builders of :mod:`repro.plan.lower` -- rotate-and-sum, dot
-products, weighted sums, the diagonal matvec --
-:meth:`repro.system.workload.Workload.to_plan`, serving request
-programs) *lower* into this IR instead of calling the evaluator
+products, the diagonal matvec --
+:func:`repro.plan.lower.workload_graph`, serving request programs) *lower* into this IR instead of calling the evaluator
 directly, so one planner decides where rotation sweeps fuse, which
 independent chains pack into batch lanes, and where rescales land.
 
@@ -216,14 +215,6 @@ class PlanGraph:
     def topo_order(self) -> List[PlanNode]:
         """Nodes in a topological order (construction order, by design)."""
         return [self.nodes[i] for i in sorted(self.nodes)]
-
-    def consumers(self) -> Dict[int, List[int]]:
-        """node id -> ids of the nodes consuming its ciphertext value."""
-        out: Dict[int, List[int]] = {nid: [] for nid in self.nodes}
-        for node in self.topo_order():
-            for src in node.inputs:
-                out[src].append(node.id)
-        return out
 
     def op_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

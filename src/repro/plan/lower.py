@@ -10,8 +10,6 @@ running it op by op:
   :func:`reduction_steps` that leaves a sum in slot 0;
 * :func:`dot_plain` -- one plaintext product, its explicit rescale, then
   the reduction: ``<weights, x>`` in slot 0;
-* :func:`weighted_sum` -- ``sum_i w_i x_i`` at product scale, one
-  rescale;
 * :func:`matvec_graph` -- the Halevi-Shoup diagonal matrix-vector
   product (one diagonal gather, zero diagonals skipped): one
   ``linear_sweep`` node -- the ``dim - 1`` rotations share a
@@ -69,20 +67,6 @@ def dot_plain(graph: PlanGraph, node: int, weights: Sequence[float]) -> int:
     padded = list(weights) + [0.0] * (width - len(weights))
     product = graph.rescale(graph.mul_plain(node, graph.const(padded)))
     return rotate_and_sum(graph, product, width)
-
-
-def weighted_sum(
-    graph: PlanGraph, nodes: Sequence[int], weights: Sequence[float]
-) -> int:
-    """``sum_i w_i x_i``: the products add at product scale and share
-    one rescale."""
-    if len(nodes) != len(weights) or not nodes:
-        raise ValueError("need equally many ciphertexts and weights")
-    terms = [graph.mul_plain(n, graph.const(float(w))) for n, w in zip(nodes, weights)]
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = graph.add(acc, term)
-    return graph.rescale(acc)
 
 
 def matvec_graph(

@@ -116,10 +116,6 @@ class DynamicBatcher:
     def pending_count(self) -> int:
         return sum(len(g) for g in self._groups.values())
 
-    @property
-    def open_lanes(self) -> int:
-        return len(self._groups)
-
     def add(
         self, request: PendingRequest, now: Optional[float] = None
     ) -> Optional[BatchGroup]:

@@ -349,15 +349,6 @@ class ServingCluster:
         )
         uploaded.add(session.key_id)
 
-    def worker_for(self, key_id: str) -> str:
-        """Current ring placement of a tenant."""
-        return self.ring.place(key_id)
-
-    def client_worker(self, client_id: str) -> str:
-        """The worker a client's session currently lives on."""
-        self._client(client_id)
-        return self._placement[client_id]
-
     def _client(self, client_id: str) -> ClientSession:
         try:
             return self._clients[client_id]

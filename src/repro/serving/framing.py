@@ -319,11 +319,6 @@ class FrameDecoder:
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet forming a complete frame."""
-        return len(self._buffer)
-
     def next_frame(self) -> "Frame | None":
         """Decode one frame off the buffer head, or ``None`` if incomplete.
 

@@ -63,8 +63,7 @@ from repro.serving.framing import Frame
 from repro.serving.clock import SYSTEM_CLOCK, Clock
 from repro.serving.queue import BackpressureError, PendingRequest, RequestQueue
 from repro.serving.session import ClientSession, SessionManager
-from repro.system.scheduler import HostScheduler, ScheduledOp, ScheduleReport
-from repro.system.pcie import PcieModel
+from repro.system.scheduler import ScheduledOp
 
 
 class _StepOp(NamedTuple):
@@ -123,10 +122,6 @@ class ServingReport:
     @property
     def request_count(self) -> int:
         return sum(f.batch_size for f in self.flushes)
-
-    @property
-    def flush_count(self) -> int:
-        return len(self.flushes)
 
     @property
     def singleton_count(self) -> int:
@@ -653,13 +648,3 @@ class EncryptedComputeServer:
     # ------------------------------------------------------------------
     # system-model integration
     # ------------------------------------------------------------------
-    def schedule_report(
-        self, pcie: PcieModel, message_bytes: int
-    ) -> ScheduleReport:
-        """Feed the measured flush stream through the Figure-7 pipeline.
-
-        The serving layer thereby produces exactly the accounting a
-        :class:`repro.plan.PlanRun` does: real compute seconds, modeled
-        PCIe transfer and buffer back-pressure.
-        """
-        return HostScheduler(pcie, message_bytes).run_executed(self.report)

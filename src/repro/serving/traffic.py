@@ -161,40 +161,6 @@ class SyntheticClient:
             frame_version=FRAME_V2 if deadline else self.frame_version,
         )
 
-    def rotation_sweep_bytes(
-        self, values: Sequence[float], steps: Sequence[int]
-    ) -> List[bytes]:
-        """One encrypted vector, one rotate request per step.
-
-        The wire pattern of a client-side matvec (the same ciphertext
-        rotated by many steps): every frame carries the *same* payload
-        bytes, so the members of the sweep that flush together share one
-        plan input and the executor serves them from one key-switch
-        decomposition.
-        """
-        from repro.ckks.serialization import serialize_ciphertext
-
-        payload = serialize_ciphertext(
-            self.encryptor.encrypt(self.tenant.encoder.encode(list(values))),
-            version=self.wire_version,
-        )
-        frames = []
-        for step in steps:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            frames.append(
-                framing.encode_frame(
-                    framing.REQUEST,
-                    request_id,
-                    self.client_id,
-                    op="rotate",
-                    op_arg=step,
-                    payload=payload,
-                    frame_version=self.frame_version,
-                )
-            )
-        return frames
-
 
 class ResilientClient:
     """A cluster client with reconnect, idempotent retry, and deadlines.
@@ -258,11 +224,6 @@ class ResilientClient:
     def connect(self) -> str:
         """Open (or idempotently re-open) the session; returns worker id."""
         return self.client.connect_cluster(self.cluster)
-
-    def reconnect(self) -> str:
-        """Re-register after a connection loss (idempotent at the router)."""
-        self.reconnects += 1
-        return self.connect()
 
     @property
     def outstanding(self) -> int:

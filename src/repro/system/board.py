@@ -45,11 +45,6 @@ class Board:
             "m20k": self.spec.m20k,
         }
 
-    def check_fit(self, usage: Dict[str, int]) -> Dict[str, float]:
-        """Fractional utilization per resource; values > 1 do not fit."""
-        budget = self.budget()
-        return {k: usage.get(k, 0) / budget[k] for k in budget}
-
 
 def get_board(device: str) -> Board:
     """Board model by device key ('Arria10' or 'Stratix10')."""

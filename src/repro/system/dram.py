@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.memory import COEFF_BITS
-
 
 @dataclass(frozen=True)
 class DramModel:
@@ -45,9 +43,6 @@ class DramModel:
     def random_bandwidth(self) -> float:
         """Achievable bytes/second for scattered intermediate-value I/O."""
         return self.peak_bytes_per_sec * self.random_efficiency
-
-    def stream_time(self, total_bytes: int) -> float:
-        return total_bytes / self.streaming_bandwidth()
 
 
 @dataclass(frozen=True)
@@ -90,17 +85,3 @@ class KskStreamingPlan:
             "available_gbps": dram.streaming_bandwidth() / 1e9,
             "feasible": float(self.feasible(dram)),
         }
-
-
-def ksk_growth_bits(n: int, k: int) -> int:
-    """Total ksk storage: k digits x 2 columns x (k+1) residues x n coeffs.
-
-    The O(n k^2) ~ O(n^3) growth (k grows roughly linearly in n) that
-    makes ksk the right candidate for DRAM placement.
-    """
-    return k * 2 * (k + 1) * n * COEFF_BITS
-
-
-def twiddle_growth_bits(n: int, k: int) -> int:
-    """Twiddle storage grows only as O(n k): 2 tables x (k+1) primes."""
-    return 2 * (k + 1) * n * COEFF_BITS

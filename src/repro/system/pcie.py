@@ -66,8 +66,3 @@ class PcieModel:
 def polynomial_bytes(n: int) -> int:
     """Wire size of one RNS residue polynomial (64-bit words on PCIe)."""
     return n * 8
-
-
-def ciphertext_bytes(n: int, components: int, rns_count: int) -> int:
-    """Wire size of a full RNS ciphertext."""
-    return components * rns_count * polynomial_bytes(n)

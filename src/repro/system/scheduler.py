@@ -77,12 +77,6 @@ class ScheduleReport:
         """Fraction of wall time the datapath was busy."""
         return self.compute_seconds / self.total_seconds if self.total_seconds else 0.0
 
-    @property
-    def overlap_efficiency(self) -> float:
-        """1.0 means transfers fully hidden behind compute."""
-        serial = self.compute_seconds + self.transfer_seconds
-        return (serial - self.total_seconds) / self.transfer_seconds if self.transfer_seconds else 1.0
-
 
 #: Buffer depth per op kind (double vs quadruple buffering).
 BUFFER_DEPTH = {"mult": 2, "keyswitch": 4, "ntt": 2}
@@ -147,22 +141,6 @@ class HostScheduler:
         """
         return self.run(execution.scheduled_ops())
 
-    def batch_polynomials(self, n: int, count: int) -> List[int]:
-        """Split ``count`` polynomials into PCIe messages of >= one poly.
-
-        Implements "we transfer (at least) a complete polynomial in each
-        request": messages are whole multiples of the polynomial size.
-        """
-        poly = polynomial_bytes(n)
-        per_message = max(1, self.message_bytes // poly)
-        sizes = []
-        remaining = count
-        while remaining > 0:
-            take = min(per_message, remaining)
-            sizes.append(take * poly)
-            remaining -= take
-        return sizes
-
 
 class MemoryMap:
     """CPU-side map of ciphertexts resident in FPGA DRAM (Figure 7).
@@ -191,12 +169,6 @@ class MemoryMap:
         self._entries[name] = (addr, size_bytes)
         self._next_addr += size_bytes
         return addr
-
-    def address_of(self, name: str) -> int:
-        return self._entries[name][0]
-
-    def release(self, name: str) -> None:
-        del self._entries[name]
 
     def saved_pcie_bytes(self, name: str, reuses: int) -> int:
         """PCIe traffic avoided by keeping this ciphertext device-side."""

@@ -53,10 +53,6 @@ class Workload:
             {p: c * factor for p, c in self.counts.items()},
         )
 
-    @property
-    def total_ops(self) -> int:
-        return sum(self.counts.values())
-
     def op_sequence(self) -> List[str]:
         """Deterministic round-robin interleaving of the primitive bag.
 
@@ -74,23 +70,6 @@ class Workload:
                     seq.append(p)
                     remaining[p] -= 1
         return seq
-
-    def to_plan(self, lanes: int, context):
-        """Lower this workload into a planner op-graph.
-
-        Unrolls :meth:`op_sequence` over ``lanes`` independent
-        ciphertext chains (the multi-client picture); the planner then
-        packs the parallel chains into batch lanes and fuses rotation
-        sweeps, and a :class:`repro.plan.PlanExecutor` run of the result
-        is the workload *executed* (its ``scheduled_ops()`` feed
-        :meth:`repro.system.scheduler.HostScheduler.run_executed`), where
-        :class:`RuntimeProjection` only models it.  See
-        :func:`repro.plan.lower.workload_graph` for the primitive
-        mapping.
-        """
-        from repro.plan.lower import workload_graph
-
-        return workload_graph(self, lanes, context)
 
 
 class WorkloadGenerator:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.report import (
     comparison_table,
-    ratio_within,
     render_table,
     shape_preserved,
 )
@@ -47,18 +46,6 @@ class TestComparisonTable:
             ],
         )
         assert "1.000" in out and "1.500" in out
-
-
-class TestRatioWithin:
-    def test_inside(self):
-        assert ratio_within(105, 100, 0.10)
-
-    def test_outside(self):
-        assert not ratio_within(150, 100, 0.10)
-
-    def test_zero_paper(self):
-        assert ratio_within(0, 0, 0.1)
-        assert not ratio_within(1, 0, 0.1)
 
 
 class TestShapePreserved:

@@ -57,9 +57,11 @@ from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.decryptor import Decryptor
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
-from repro.ckks.evaluator import Evaluator, KeySwitchDigits, rows_for
+from repro.ckks.evaluator import Evaluator, KeySwitchDigits
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.poly import Ciphertext, RnsPolynomial
+
+from oracles import apply_galois, rows_for
 
 #: Ops a program may contain; weights bias toward the cheap ones so a
 #: short program still exercises variety without exhausting levels.
@@ -136,7 +138,7 @@ def _apply_galois_ct_coeff(ctx, ct, galois_elt):
     """The pre-hoisting coefficient-domain automorphism of a ciphertext."""
     return Ciphertext(
         [
-            ctx.to_ntt(ctx.apply_galois(ctx.from_ntt(p), galois_elt))
+            ctx.to_ntt(apply_galois(ctx, ctx.from_ntt(p), galois_elt))
             for p in ct.polys
         ],
         ct.scale,

@@ -26,7 +26,8 @@ from repro.ckks.backend import CountingBackend, create_backend
 from repro.ckks.backend.base import DERIVED, PRIMITIVES, PolynomialBackend
 from repro.ckks.backend.numpy_backend import NumpyBackend
 from repro.ckks.backend.reference import ReferenceBackend
-from repro.ckks.ntt import NTTTables, bit_reverse
+from repro.ckks.ntt import NTTTables
+from oracles import bit_reverse
 from repro.ckks.primes import make_modulus_chain
 
 SHIPPED = (ReferenceBackend, NumpyBackend, CountingBackend)

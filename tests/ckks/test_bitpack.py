@@ -7,10 +7,9 @@ Wire format v2 stands on two cross-backend bit-exactness contracts:
   every modulus width, on every backend, producing byte-identical wire
   bytes; truncation or corruption at *any bit* never decodes silently
   (padding bits must be zero, residues must stay below their modulus).
-  The oracle is the big-int loop of ``repro.ckks.backend.base``
-  (``_pack_row_bits_py`` / ``_unpack_row_bits_py``, also the numpy-less
-  fallback): the word-level kernels must match it byte for byte at
-  every width 1..64 and every row length.  Given a *destination*
+  The oracle is the big-int loop of ``tests/oracles.py``
+  (``pack_row_bits`` / ``unpack_row_bits``): the word-level kernels must
+  match it byte for byte at every width 1..64 and every row length.  Given a *destination*
   (``unpack_rows_bits(data, n, bounds, out)``: strided rows of a larger
   handle, how a serving flush fills its lane) the kernel decodes the
   same residues in place, leaves the rows it was not handed alone and
@@ -30,15 +29,13 @@ import random
 
 import pytest
 
-from repro.ckks.backend.base import (
-    _pack_row_bits_py,
-    _unpack_row_bits_py,
-    packed_row_bytes,
-)
+from repro.ckks.backend.base import packed_row_bytes
 from repro.ckks.backend.numpy_backend import NumpyBackend
 from repro.ckks.backend.reference import ReferenceBackend
 from repro.ckks.modarith import Modulus
 from repro.ckks.sampling import KEY_SEED_BYTES, expand_uniform_poly
+
+from oracles import pack_row_bits, unpack_row_bits
 
 REF = ReferenceBackend()
 NP = NumpyBackend()
@@ -73,7 +70,7 @@ def _bound_of_width(width: int) -> int:
 
 def _oracle_pack(rows, bounds) -> bytes:
     return b"".join(
-        _pack_row_bits_py(row, bound, bound.bit_length())
+        pack_row_bits(row, bound, bound.bit_length())
         for row, bound in zip(rows, bounds)
     )
 
@@ -109,7 +106,7 @@ def _assert_matches_oracle(rows, bounds):
     for row, bound in zip(rows, bounds):
         size = packed_row_bytes(n, bound.bit_length())
         chunk = expected[offset : offset + size]
-        assert _unpack_row_bits_py(chunk, n, bound, bound.bit_length()) == row
+        assert unpack_row_bits(chunk, n, bound, bound.bit_length()) == row
         offset += size
     assert offset == len(expected)
     for be in BACKENDS:

@@ -7,6 +7,8 @@ from repro.ckks.decryptor import Decryptor
 from repro.ckks.encryptor import Encryptor
 from repro.ckks.keys import KeyGenerator
 
+from oracles import noise_budget_bits
+
 
 class TestPublicKeyEncryption:
     def test_roundtrip(self, encoder, encryptor, decryptor):
@@ -70,7 +72,7 @@ class TestNoise:
     def test_fresh_noise_budget_positive(self, toy_context, encoder, encryptor, decryptor):
         pt = encoder.encode([1.0])
         ct = encryptor.encrypt(pt)
-        budget = decryptor.invariant_noise_budget_proxy(ct, pt)
+        budget = noise_budget_bits(decryptor, ct, pt)
         assert budget > 20  # plenty of headroom in a fresh ciphertext
 
     def test_adding_ciphertexts_grows_noise(
@@ -78,7 +80,7 @@ class TestNoise:
     ):
         pt = encoder.encode([1.0])
         ct = encryptor.encrypt(pt)
-        b0 = decryptor.invariant_noise_budget_proxy(ct, pt)
+        b0 = noise_budget_bits(decryptor, ct, pt)
         acc = ct
         from repro.ckks.poly import Plaintext
 
@@ -86,5 +88,5 @@ class TestNoise:
         for _ in range(4):
             acc = evaluator.add(acc, acc)
             ref = Plaintext(ref.poly.add(ref.poly), ref.scale)
-        b1 = decryptor.invariant_noise_budget_proxy(acc, ref)
+        b1 = noise_budget_bits(decryptor, acc, ref)
         assert b1 <= b0

@@ -50,12 +50,6 @@ class TestAddSub:
         )
         assert np.allclose(dec(encoder, decryptor, ct), VALS_A + VALS_B, atol=1e-3)
 
-    def test_sub_plain(self, encoder, encryptor, decryptor, evaluator):
-        ct = evaluator.sub_plain(
-            enc(encoder, encryptor, VALS_A), encoder.encode(VALS_B)
-        )
-        assert np.allclose(dec(encoder, decryptor, ct), VALS_A - VALS_B, atol=1e-3)
-
     def test_scale_mismatch_rejected(self, encoder, encryptor, evaluator):
         a = enc(encoder, encryptor, VALS_A)
         b = enc(encoder, encryptor, VALS_B, scale=2.0**20)

@@ -30,6 +30,8 @@ from repro.ckks.encryptor import Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 
+from oracles import apply_galois
+
 from differential import (
     keyswitch_polynomial_unhoisted,
     matvec_planned,
@@ -93,7 +95,7 @@ class TestNttDomainGalois:
             ]:
                 fast = ctx.apply_galois_ntt(ct.polys[1], elt)
                 slow = ctx.to_ntt(
-                    ctx.apply_galois(ctx.from_ntt(ct.polys[1]), elt)
+                    apply_galois(ctx, ctx.from_ntt(ct.polys[1]), elt)
                 )
                 assert fast == slow
 
@@ -110,7 +112,7 @@ class TestNttDomainGalois:
 
     def test_rejects_even_element(self, stack):
         with pytest.raises(ValueError, match="odd"):
-            stack["ctx"].galois_map_ntt(4)
+            stack["ctx"].galois_table_ntt(4)
 
 
 class TestTwoPhaseKeySwitch:

@@ -255,7 +255,7 @@ class TestOneStackedCopyPerKey:
         assert tables[-1].tolist() == list(range(ctx.n))
         for d, elt in enumerate(elts):
             assert tables[d].tolist() == tables[len(elts) + d].tolist()
-            assert tables[d].tolist() == ctx.galois_map_ntt(elt)
+            assert tables[d].tolist() == ctx.galois_table_ntt(elt).tolist()
             key = galois_keys.key_for_element(elt)
             for j in range(len(ext)):
                 rows = be.to_rows(cols[j])
@@ -263,7 +263,7 @@ class TestOneStackedCopyPerKey:
                     for c in (0, 1):
                         row = rows[i * 2 * len(elts) + c * len(elts) + d]
                         # undo σ⁻¹ by applying σ: the key polynomial's own row
-                        moved = [row[s] for s in ctx.galois_map_ntt(elt)]
+                        moved = [row[s] for s in ctx.galois_table_ntt(elt).tolist()]
                         assert moved == key.digit(i)[c].residues[j]
 
     def test_stacked_operands_are_evicted_within_the_row_budget(self, toy_context, keygen):

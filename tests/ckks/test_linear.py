@@ -12,7 +12,6 @@ from repro.plan.lower import (
     matvec_graph,
     reduction_steps,
     rotate_and_sum,
-    weighted_sum,
 )
 from repro.system.workload import WorkloadGenerator
 
@@ -150,24 +149,6 @@ class TestMatvecDiagonal:
         out = matvec(toy_context, reduction_keys, np.eye(dim), ct)
         dec = decode(encoder, decryptor, out)[:dim]
         assert np.allclose(dec, x, atol=0.02)
-
-
-class TestWeightedSum:
-    def test_affine_combination(self, toy_context, encoder, encryptor, decryptor):
-        a = np.array([1.0, 2.0])
-        b = np.array([-0.5, 4.0])
-        ca = encrypt_vec(encoder, encryptor, a)
-        cb = encrypt_vec(encoder, encryptor, b)
-        out = run_fragment(
-            toy_context, None, lambda g, xs: weighted_sum(g, xs, [2.0, -1.0]), ca, cb
-        )
-        dec = decode(encoder, decryptor, out)[:2]
-        assert np.allclose(dec, 2 * a - b, atol=0.02)
-
-    def test_length_mismatch(self):
-        graph = PlanGraph()
-        with pytest.raises(ValueError, match="equally many"):
-            weighted_sum(graph, [graph.input("x")], [1.0, 2.0])
 
 
 class TestEvaluatePolynomial:

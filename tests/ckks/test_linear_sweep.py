@@ -29,7 +29,7 @@ from repro.ckks.context import CkksContext, toy_parameters
 from repro.ckks.decryptor import Decryptor
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
-from repro.ckks.evaluator import Evaluator, rows_for
+from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.poly import Ciphertext, RnsPolynomial
 from repro.ckks.rns import RnsBasis
@@ -44,6 +44,7 @@ from repro.plan import (
 )
 
 from differential import matvec_graph_unfused
+from oracles import galois_map, rows_for
 
 BACKENDS = [
     pytest.param(
@@ -126,7 +127,7 @@ def _negacyclic(a, b, modulus):
 def _automorphism(ctx, coeffs, elt):
     """``a(X) -> a(X^g)`` on signed integer coefficients."""
     out = [0] * len(coeffs)
-    for value, (dest, flip) in zip(coeffs, ctx.galois_map(elt)):
+    for value, (dest, flip) in zip(coeffs, galois_map(ctx.n, elt)):
         out[dest] = -value if flip else value
     return out
 

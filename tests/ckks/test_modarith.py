@@ -11,7 +11,6 @@ from repro.ckks.modarith import (
     barrett_reduce,
     div2_mod,
     mul_red,
-    precompute_mulred_ratios,
 )
 from repro.ckks.primes import generate_ntt_primes
 
@@ -81,7 +80,7 @@ class TestMulRed:
     def test_ratio_vector_precompute(self):
         m = Modulus(P30)
         values = [1, 2, 3, P30 - 1]
-        ratios = precompute_mulred_ratios(values, m)
+        ratios = [MulRedConstant(v, m).ratio for v in values]
         assert ratios == [(v << 54) // P30 for v in values]
 
 
@@ -108,22 +107,13 @@ class TestModulus:
         m = Modulus(P30)
         assert m.add(P30 - 1, 1) == 0
         assert m.sub(0, 1) == P30 - 1
-        assert m.neg(0) == 0
-        assert m.neg(5) == P30 - 5
+        assert m.sub(0, 5) == P30 - 5
 
     def test_pow_and_inv(self):
         m = Modulus(P30)
         x = 123456789 % P30
         assert m.mul(x, m.inv(x)) == 1
         assert m.pow(x, P30 - 1) == 1  # Fermat
-
-    def test_bit_count(self):
-        assert Modulus(P30).bit_count == 30
-
-    def test_reduce_signed(self):
-        m = Modulus(P30)
-        assert m.reduce_signed(-1) == P30 - 1
-        assert m.reduce_signed(-P30) == 0
 
 
 class TestDiv2:

@@ -43,7 +43,7 @@ class TestConstruction:
     def test_clone_is_deep(self):
         p = rand_rns(0)
         q = p.clone()
-        row = q.component(0)
+        row = q.residues[0]
         row[0] = (row[0] + 1) % MODULI[0].value
         q.set_row(0, row)
         assert p != q
@@ -59,9 +59,9 @@ class TestConstruction:
 
     def test_set_row_writes_through(self):
         p = rand_rns(43)
-        new_row = [(v + 1) % MODULI[1].value for v in p.component(1)]
+        new_row = [(v + 1) % MODULI[1].value for v in p.residues[1]]
         p.set_row(1, new_row)
-        assert p.component(1) == new_row
+        assert p.residues[1] == new_row
 
 
 class TestArithmetic:
@@ -135,9 +135,9 @@ class TestContainers:
 
     def test_ciphertext_clone_independent(self):
         ct = Ciphertext([rand_rns(22, is_ntt=True), rand_rns(23, is_ntt=True)], 1.0)
-        original_value = ct.polys[0].component(0)[0]
+        original_value = ct.polys[0].residues[0][0]
         cl = ct.clone()
-        row = cl.polys[0].component(0)
+        row = cl.polys[0].residues[0]
         row[0] = (original_value + 1) % MODULI[0].value
         cl.polys[0].set_row(0, row)
-        assert ct.polys[0].component(0)[0] == original_value
+        assert ct.polys[0].residues[0][0] == original_value

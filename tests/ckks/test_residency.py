@@ -293,6 +293,6 @@ class TestHandleRoundTrips:
         poly.native_rows(be)
         clone = poly.clone(backend=be)
         clone.set_row(0, [0] * N, backend=be)
-        assert poly.component(0) != [0] * N
+        assert poly.residues[0] != [0] * N
         if backend_name == "numpy":
             assert hasattr(clone.rows, "dtype")  # stayed native

@@ -51,6 +51,17 @@ pytestmark = pytest.mark.skipif(
 )
 
 
+def fresh_slabs() -> int:
+    """Slabs the calling thread has ever allocated: flat across a warmed
+    workload exactly when every result it makes is a recycled one."""
+    return resident.recycler().fresh
+
+
+def resident_bytes() -> int:
+    """Bytes of the slabs the calling thread's recycler holds."""
+    return sum(8 * size * len(entry[1]) for size, entry in resident.recycler().classes.items())
+
+
 @contextlib.contextmanager
 def plain_allocation():
     """Every result a fresh ``np.empty``: the recycler's degraded mode."""
@@ -129,10 +140,10 @@ def test_warm_set_a_flushes_allocate_no_fresh_slab(set_a):
     for _ in range(3):
         out = ev.relinearize(ev.square(lane), relin)
     flushes = 6
-    fresh, faults = resident.fresh_slabs(), minor_faults()
+    fresh, faults = fresh_slabs(), minor_faults()
     for _ in range(flushes):
         out = ev.relinearize(ev.square(lane), relin)
-    assert resident.fresh_slabs() == fresh
+    assert fresh_slabs() == fresh
     if sys.platform.startswith("linux"):
         assert minor_faults() - faults <= FAULTS_PER_REQUEST * 8 * flushes
     assert out.count == 8
@@ -160,10 +171,10 @@ def test_a_warm_served_round_allocates_no_fresh_slab(set_a):
 
     for blobs in rounds[:3]:
         serve(blobs)
-    fresh, faults = resident.fresh_slabs(), minor_faults()
+    fresh, faults = fresh_slabs(), minor_faults()
     for blobs in rounds[3:]:
         answers = serve(blobs)
-    assert resident.fresh_slabs() == fresh
+    assert fresh_slabs() == fresh
     if sys.platform.startswith("linux"):
         assert minor_faults() - faults <= FAULTS_PER_REQUEST * 8 * len(rounds[3:])
     for i, (blob,) in enumerate(answers):
@@ -190,7 +201,7 @@ def test_what_a_thread_holds_is_a_function_of_its_recent_traffic(toy, monkeypatc
             flush(toy.cts)
             epochs += resident.recycler().issued < start
             start = resident.recycler().issued
-        return resident.resident_bytes()
+        return resident_bytes()
 
     def stream():
         samples = []
@@ -198,7 +209,7 @@ def test_what_a_thread_holds_is_a_function_of_its_recent_traffic(toy, monkeypatc
             for cts in (toy.cts, lower):
                 for width in range(1, 9):
                     flush(cts[:width])
-            samples.append(resident.resident_bytes())
+            samples.append(resident_bytes())
         return samples, steady()
 
     samples, after = in_fresh_thread(stream)
@@ -445,7 +456,7 @@ def test_a_result_in_another_thread_is_not_reissued_until_it_is_dropped(toy):
     release.set()
     thread.join(timeout=30)
     assert not thread.is_alive() and verdict.get(timeout=1)
-    fresh = resident.fresh_slabs()
+    fresh = fresh_slabs()
     again = _churn(toy, moduli, a, b, count=len(churn) + 1)  # churn is still held
     assert address in [m.ctypes.data for m in again]  # ... and now it comes back
-    assert resident.fresh_slabs() - fresh == len(again) - 1
+    assert fresh_slabs() - fresh == len(again) - 1

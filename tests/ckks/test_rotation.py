@@ -82,15 +82,6 @@ class TestRotation:
         with pytest.raises(KeyError):
             evaluator.rotate(ct, 7, galois_keys)  # only 1,2,3,5 generated
 
-    def test_wrong_key_element_rejected(
-        self, toy_context, encoder, encryptor, evaluator, galois_keys
-    ):
-        ct = enc(encoder, encryptor, np.array([1.0]))
-        elt1 = toy_context.galois_element_for_step(1)
-        key2 = galois_keys.key_for_element(toy_context.galois_element_for_step(2))
-        with pytest.raises(ValueError):
-            evaluator.apply_galois(ct, elt1, key2)
-
 
 class TestConjugation:
     def test_conjugate(self, encoder, encryptor, decryptor, evaluator, galois_keys):

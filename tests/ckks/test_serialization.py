@@ -25,13 +25,11 @@ from repro.ckks.serialization import (
     ciphertext_wire_bytes,
     deserialize_ciphertext,
     deserialize_kswitch_key,
-    deserialize_plaintext,
     kswitch_key_wire_bytes,
     pack_ciphertexts,
     polynomial_wire_bytes,
     serialize_ciphertext,
     serialize_kswitch_key,
-    serialize_plaintext,
     unpack_ciphertexts,
 )
 
@@ -76,10 +74,9 @@ class TestCiphertextRoundTrip:
         with pytest.raises(ValueError):
             deserialize_ciphertext(bytes(blob), toy_context)
 
-    def test_kind_mismatch_rejected(self, toy_context, encoder):
-        pt = encoder.encode([1.0])
+    def test_kind_mismatch_rejected(self, toy_context, relin_key):
         with pytest.raises(ValueError):
-            deserialize_ciphertext(serialize_plaintext(pt), toy_context)
+            deserialize_ciphertext(serialize_kswitch_key(relin_key), toy_context)
 
 
 class TestLaneDecode:
@@ -196,19 +193,6 @@ def test_lane_encoder_is_one_serialize_per_member(data):
             assert elements[b].scale == ct.scale and elements[b].size == size
 
 
-class TestPlaintextRoundTrip:
-    def test_roundtrip(self, toy_context, encoder):
-        pt = encoder.encode([0.75, -0.125])
-        back = deserialize_plaintext(serialize_plaintext(pt), toy_context)
-        assert back.poly == pt.poly
-        assert back.scale == pt.scale
-
-    def test_coefficient_form_flag(self, toy_context, encoder):
-        pt = encoder.encode([1.0], to_ntt=False)
-        back = deserialize_plaintext(serialize_plaintext(pt), toy_context)
-        assert not back.poly.is_ntt
-
-
 class TestKswitchKeyRoundTrip:
     def test_roundtrip(self, toy_context, relin_key):
         blob = serialize_kswitch_key(relin_key)
@@ -262,16 +246,10 @@ def _all_objects(toy_context, encoder, encryptor, evaluator, relin_key):
     ct2 = encryptor.encrypt(encoder.encode([1.5, -0.25]))
     ct3 = evaluator.multiply(ct2, ct2)
     dropped = evaluator.rescale(ct3)
-    pt_ntt = encoder.encode([0.5, 2.0])
-    pt_coeff = encoder.encode([1.0], to_ntt=False)
-    pt_low = encoder.encode(0.25, level_count=2)
     return [
         (serialize_ciphertext(ct2), deserialize_ciphertext),
         (serialize_ciphertext(ct3), deserialize_ciphertext),
         (serialize_ciphertext(dropped), deserialize_ciphertext),
-        (serialize_plaintext(pt_ntt), deserialize_plaintext),
-        (serialize_plaintext(pt_coeff), deserialize_plaintext),
-        (serialize_plaintext(pt_low), deserialize_plaintext),
         (serialize_kswitch_key(relin_key), deserialize_kswitch_key),
     ]
 
@@ -284,7 +262,6 @@ class TestRoundTripProperty:
     ):
         serializers = {
             deserialize_ciphertext: serialize_ciphertext,
-            deserialize_plaintext: serialize_plaintext,
             deserialize_kswitch_key: serialize_kswitch_key,
         }
         for blob, deserialize in _all_objects(
@@ -372,15 +349,13 @@ class TestCorruptionRejected:
             with pytest.raises(ValueError):
                 deserialize(bytes(mangled), toy_context)
 
-    def test_kind_cross_rejected(self, toy_context, encoder, relin_key):
-        pt_blob = serialize_plaintext(encoder.encode([1.0]))
+    def test_kind_cross_rejected(self, toy_context, encoder, encryptor, relin_key):
+        ct_blob = serialize_ciphertext(encryptor.encrypt(encoder.encode([1.0])))
         ksk_blob = serialize_kswitch_key(relin_key)
         with pytest.raises(ValueError, match="not a ciphertext"):
             deserialize_ciphertext(ksk_blob, toy_context)
-        with pytest.raises(ValueError, match="not a plaintext"):
-            deserialize_plaintext(ksk_blob, toy_context)
         with pytest.raises(ValueError, match="not a key-switching key"):
-            deserialize_kswitch_key(pt_blob, toy_context)
+            deserialize_kswitch_key(ct_blob, toy_context)
 
     def test_zero_count_header_rejected(self, toy_context, encoder, encryptor):
         import struct
@@ -400,15 +375,6 @@ class TestCorruptionRejected:
         with pytest.raises(ValueError, match="ring mismatch"):
             deserialize_kswitch_key(serialize_kswitch_key(foreign), toy_context)
 
-    def test_plaintext_from_wrong_ring_rejected(self, toy_context):
-        from repro.ckks.context import CkksContext, toy_parameters
-        from repro.ckks.encoder import CkksEncoder
-
-        other = CkksContext(toy_parameters(n=32, k=3, prime_bits=30))
-        blob = serialize_plaintext(CkksEncoder(other).encode([1.0]))
-        with pytest.raises(ValueError, match="ring mismatch"):
-            deserialize_plaintext(blob, toy_context)
-
 
 class TestScaleMetadataRejected:
     """Degenerate scale in the wire header is corrupt metadata."""
@@ -423,14 +389,6 @@ class TestScaleMetadataRejected:
         struct.pack_into("<d", blob, 14, bad)  # scale field of the header
         with pytest.raises(ValueError, match="scale"):
             deserialize_ciphertext(bytes(blob), toy_context)
-
-    def test_plaintext_bad_scale_rejected(self, toy_context, encoder):
-        import struct
-
-        blob = bytearray(serialize_plaintext(encoder.encode([1.0])))
-        struct.pack_into("<d", blob, 14, 0.0)
-        with pytest.raises(ValueError, match="scale"):
-            deserialize_plaintext(bytes(blob), toy_context)
 
     def test_kswitch_key_zero_scale_still_accepted(self, toy_context, relin_key):
         # keys carry no scale; their header legitimately writes 0.0
@@ -487,13 +445,6 @@ class TestHeaderFieldBounds:
             serialize_ciphertext(self._fake_ct(size=0))
         with pytest.raises(ValueError):
             serialize_ciphertext(self._fake_ct(level_count=0))
-
-    def test_plaintext_level_bound_enforced(self):
-        from types import SimpleNamespace
-
-        fake = SimpleNamespace(n=64, level_count=0x8000, scale=1.0)
-        with pytest.raises(ValueError, match="NTT"):
-            serialize_plaintext(fake)
 
     def test_kswitch_key_digit_bound_enforced(self):
         from types import SimpleNamespace
@@ -595,17 +546,6 @@ class TestSizeAccountingBothVersions:
         )
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_plaintext(self, toy_context, encoder, version):
-        from repro.ckks.serialization import plaintext_wire_bytes
-
-        pt = encoder.encode([0.5, 2.0])
-        moduli = toy_context.basis_at_level(pt.level_count).moduli
-        blob = serialize_plaintext(pt, version=version)
-        assert len(blob) == HEADER_BYTES + plaintext_wire_bytes(
-            pt.n, pt.level_count, version=version, moduli=moduli
-        )
-
-    @pytest.mark.parametrize("version", [1, 2])
     def test_kswitch_key_full(self, toy_context, relin_key, version):
         moduli = toy_context.key_basis.moduli
         blob = serialize_kswitch_key(relin_key, version=version)
@@ -647,13 +587,6 @@ class TestV2RoundTrip:
             assert p == q
         # and the v2 decode re-serializes to the identical v1 bytes
         assert serialize_ciphertext(back, version=1) == v1
-
-    def test_plaintext_v2_roundtrip(self, toy_context, encoder):
-        for pt in (encoder.encode([0.75]), encoder.encode([1.0], to_ntt=False)):
-            v2 = serialize_plaintext(pt, version=2)
-            back = deserialize_plaintext(v2, toy_context)
-            assert serialize_plaintext(back, version=2) == v2
-            assert back.poly == pt.poly
 
     def test_ksk_v2_full_roundtrip(self, toy_context, relin_key):
         v2 = serialize_kswitch_key(relin_key, version=2)

@@ -30,7 +30,7 @@ class TestConstruction:
 class TestThroughputSurface:
     def test_throughputs_keys(self):
         acc = HeaxAccelerator("Stratix10", "Set-B")
-        t = acc.throughputs()
+        t = {**acc.perf.low_level_row(), **acc.perf.high_level_row()}
         assert set(t) == {"NTT", "INTT", "Dyadic", "KeySwitch", "MULT+ReLin"}
 
     def test_clock_matches_board(self):
@@ -48,22 +48,10 @@ class TestFunctionalExecution:
         assert acc.counters.total_cycles == stats.throughput_cycles
         assert f0.is_ntt and f1.is_ntt
 
-    def test_execute_dyadic(self, toy_context):
-        import random
-
-        acc = HeaxAccelerator("Stratix10", "Set-A", context=toy_context)
-        m = toy_context.data_basis[0]
-        rng = random.Random(5)
-        a = [rng.randrange(m.value) for _ in range(toy_context.n)]
-        b = [rng.randrange(m.value) for _ in range(toy_context.n)]
-        out, stats = acc.execute_dyadic(a, b, m)
-        assert out == [m.mul(x, y) for x, y in zip(a, b)]
-        assert acc.counters.dyadic_ops == 1
-
     def test_functional_requires_context(self):
         acc = HeaxAccelerator("Stratix10", "Set-B")
         with pytest.raises(RuntimeError):
-            acc.execute_dyadic([1], [1], None)
+            acc.execute_keyswitch(None, None)
 
     def test_elapsed_seconds(self, toy_context, relin_key):
         acc = HeaxAccelerator("Stratix10", "Set-B", context=toy_context)
@@ -71,7 +59,7 @@ class TestFunctionalExecution:
             toy_context.n, toy_context.data_basis.moduli
         )
         acc.execute_keyswitch(target, relin_key)
-        assert acc.counters.elapsed_seconds(acc.clock_hz) > 0
+        assert acc.counters.total_cycles / acc.clock_hz > 0
 
 
 class TestReporting:
@@ -89,4 +77,5 @@ class TestReporting:
         assert 0 < util["alm"] < 1
 
     def test_fits_on_board(self):
-        assert HeaxAccelerator("Stratix10", "Set-A").fits_on_board()
+        acc = HeaxAccelerator("Stratix10", "Set-A")
+        assert acc.resource_vector().fits(acc.device)

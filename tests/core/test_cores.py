@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.ckks.modarith import Modulus
+from repro.ckks.modarith import Modulus, MulRedConstant
 from repro.ckks.ntt import NTTTables
 from repro.ckks.primes import generate_ntt_primes
 from repro.core.cores import CORE_SPECS, DyadicCore, INTTCore, NTTCore
@@ -40,11 +40,6 @@ class TestDyadicCore:
             a, b = rng.randrange(P), rng.randrange(P)
             assert core.compute(a, b) == a * b % P
 
-    def test_compute_with_ratio(self):
-        core = DyadicCore(MOD)
-        c = MOD.mulred_constant(123456 % P)
-        assert core.compute_with_ratio(7, c) == 7 * c.value % P
-
 
 class TestButterflies:
     def test_ntt_butterfly_formula(self):
@@ -63,9 +58,7 @@ class TestButterflies:
         rng = random.Random(1)
         for idx in (1, 2, 3, N // 2, N - 1):
             w = tables.root_powers[idx]
-            w_inv_div2 = MOD.mulred_constant(
-                MOD.mul(MOD.inv(w.value), MOD.inv(2))
-            )
+            w_inv_div2 = MulRedConstant(MOD.mul(MOD.inv(w.value), MOD.inv(2)), MOD)
             a, b = rng.randrange(P), rng.randrange(P)
             u, v = ntt.butterfly(a, b, w)
             a2, b2 = intt.butterfly(u, v, w_inv_div2)

@@ -65,7 +65,7 @@ class TestTiming:
         arch = TABLE5_ARCHITECTURES[key]
         sim = KeySwitchModuleSim(toy_context, arch)
         stats = sim.timing()
-        assert stats.bottleneck == "INTT0"
+        assert max(stats.stage_busy_cycles, key=stats.stage_busy_cycles.get) == "INTT0"
 
     @pytest.mark.parametrize("key", sorted(TABLE5_ARCHITECTURES))
     def test_throughput_equals_closed_form(self, toy_context, key):
@@ -88,7 +88,7 @@ class TestTiming:
         assert lower.stage_busy_cycles["INTT0"] < full.stage_busy_cycles["INTT0"]
         assert lower.stage_busy_cycles["INTT1"] == full.stage_busy_cycles["INTT1"]
         assert lower.throughput_cycles == full.throughput_cycles
-        assert lower.bottleneck == "INTT1"
+        assert max(lower.stage_busy_cycles, key=lower.stage_busy_cycles.get) == "INTT1"
 
     def test_latency_exceeds_throughput(self, toy_context, toy_arch):
         sim = KeySwitchModuleSim(toy_context, toy_arch)

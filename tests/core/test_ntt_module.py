@@ -72,8 +72,8 @@ class TestCycleAccounting:
         _, stats = sim.run_forward(rand_poly(4))
         log_n = N.bit_length() - 1
         log_nc = nc.bit_length() - 1
-        assert stats.type1_stage_count == log_n - log_nc - 1
-        assert stats.type2_stage_count == log_nc + 1
+        assert sum(1 for s in stats.stages if s.stage_type == 1) == log_n - log_nc - 1
+        assert sum(1 for s in stats.stages if s.stage_type == 2) == log_nc + 1
 
     def test_latency_includes_pipeline_fill(self, tables):
         sim = NTTModuleSim(tables, 8)
@@ -86,8 +86,8 @@ class TestCycleAccounting:
         _, stats = sim.run_forward(rand_poly(6))
         per_stage = N // (2 * 8)
         expected = (
-            stats.type1_stage_count * 2 * per_stage
-            + stats.type2_stage_count * per_stage
+            sum(1 for s in stats.stages if s.stage_type == 1) * 2 * per_stage
+            + sum(1 for s in stats.stages if s.stage_type == 2) * per_stage
         )
         assert stats.basic_pipeline_cycles == expected
         assert stats.basic_pipeline_cycles > stats.throughput_cycles

@@ -11,7 +11,6 @@ from repro.core.perf import (
     CLOCK_HZ,
     EVALUATED_CONFIGS,
     PerformanceModel,
-    all_performance_models,
     dyadic_cycles,
     keyswitch_cycles,
     ntt_cycles,
@@ -98,7 +97,7 @@ class TestScalability:
 
 class TestHelpers:
     def test_all_models_cover_evaluated_configs(self):
-        models = all_performance_models()
+        models = [PerformanceModel(d, n, k) for d, n, k in EVALUATED_CONFIGS]
         assert len(models) == 4
         assert {(m.device, m.n) for m in models} == {
             (d, n) for d, n, _ in EVALUATED_CONFIGS

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-ROOT = Path(__file__).resolve().parent.parent.parent
-CALLER_TREES = ("src", "bench", "benchmarks", "tests", "examples")
+from census import CALLER_TREES, ROOT, name_of, python_files
 
 #: Dataclasses whose defaulted fields are run state or results (counters,
 #: phases, collected records), not configuration: they start at their
@@ -78,24 +77,10 @@ class Option:
         return f"{owner}({self.param})"
 
 
-def _python_files(root: Path, tree: str) -> Iterator[Path]:
-    base = root / tree
-    if base.exists():
-        yield from sorted(p for p in base.rglob("*.py") if "__pycache__" not in p.parts)
-
-
-def _name_of(node: ast.expr) -> str:
-    """``f`` for ``f``, ``a.f``, ``f(...)`` and ``a.f(...)``."""
-    target = node.func if isinstance(node, ast.Call) else node
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    return getattr(target, "id", "")
-
-
 def _is_init_false(value: Optional[ast.expr]) -> bool:
     return (
         isinstance(value, ast.Call)
-        and _name_of(value) == "field"
+        and name_of(value) == "field"
         and any(
             kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
             for kw in value.keywords
@@ -133,7 +118,7 @@ def _function_options(
 def collect_options(root: Path = ROOT) -> List[Option]:
     """Every option of ``root/src``'s public functions, methods and dataclasses."""
     options: List[Option] = []
-    for path in _python_files(root, "src"):
+    for path in python_files(root, "src"):
         where = path.relative_to(root).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -141,7 +126,7 @@ def collect_options(root: Path = ROOT) -> List[Option]:
                 if not node.name.startswith("_"):
                     options.extend(_function_options(node, None, where))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                if any(_name_of(d) == "dataclass" for d in node.decorator_list):
+                if any(name_of(d) == "dataclass" for d in node.decorator_list):
                     options.extend(_dataclass_fields(node, where))
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
@@ -159,11 +144,11 @@ def collect_calls(root: Path = ROOT) -> Dict[str, List[CallSite]]:
     """Call sites under every caller tree, keyed by the called name."""
     calls: Dict[str, List[CallSite]] = {}
     for tree_name in CALLER_TREES:
-        for path in _python_files(root, tree_name):
+        for path in python_files(root, tree_name):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if not isinstance(node, ast.Call):
                     continue
-                name = _name_of(node)
+                name = name_of(node)
                 if not name:
                     continue
                 splat = any(isinstance(a, ast.Starred) for a in node.args) or any(

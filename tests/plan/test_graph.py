@@ -119,14 +119,6 @@ class TestTraversal:
         assert g.outputs == {"y": p}
         assert len(g) == 5
 
-    def test_consumers(self):
-        g, (x, s, r, p) = self._chain()
-        consumers = g.consumers()
-        assert consumers[x] == [s]
-        assert consumers[s] == [r]
-        assert consumers[r] == [p]
-        assert consumers[p] == []
-
     def test_copy_rebuilds_a_node_on_new_operands(self):
         g, (x, _, r, p) = self._chain()
         out = PlanGraph()

@@ -13,7 +13,6 @@ from repro.plan.lower import (
     fresh_lane_inputs,
     matvec_graph,
     rotate_and_sum,
-    weighted_sum,
     workload_graph,
 )
 from repro.plan.passes import check_plan, compile_plan
@@ -46,15 +45,6 @@ class TestFragments:
         # the explicit rescale is the only one: placement adds none
         assert compile_plan(g, plan_context).op_counts() == g.op_counts()
 
-    def test_weighted_sum_shares_one_rescale(self, plan_context):
-        g = PlanGraph()
-        xs = [g.input(f"x{i}") for i in range(3)]
-        g.output(weighted_sum(g, xs, [1.0, -2.0, 0.5]), "y")
-        assert g.op_counts() == {
-            "input": 3, "const": 3, "mul_plain": 3, "add": 2, "rescale": 1
-        }
-        assert compile_plan(g, plan_context).op_counts() == g.op_counts()
-
     def test_fragments_schedule_with_the_rest_of_a_program(
         self,
         plan_context,
@@ -70,7 +60,6 @@ class TestFragments:
         g.output(rotate_and_sum(g, a, 8), "sum_a")
         g.output(rotate_and_sum(g, b, 8), "sum_b")
         g.output(dot_plain(g, a, [0.25] * 8), "dot")
-        g.output(weighted_sum(g, [a, b], [1.0, 3.0]), "ws")
         plan = compile_plan(g, plan_context)
         rng = np.random.default_rng(9)
         inputs = {
@@ -153,7 +142,7 @@ class TestMatvecGraph:
 
 class TestWorkloadGraph:
     def test_outputs_one_per_lane(self, plan_context):
-        graph = WorkloadGenerator.dot_product(DIM).to_plan(3, plan_context)
+        graph = workload_graph(WorkloadGenerator.dot_product(DIM), 3, plan_context)
         assert set(graph.outputs) == {f"lane{i}_out" for i in range(3)}
         # the lowered graph passes the planner's own front door
         compile_plan(graph, plan_context, rescale_outputs=False)

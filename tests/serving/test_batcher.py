@@ -142,7 +142,7 @@ class TestFlushPolicy:
         batcher.add(make_request(op="rescale"), now=0.0)
         groups = batcher.flush_all()
         assert sorted(len(g) for g in groups) == [1, 2]
-        assert batcher.pending_count == 0 and batcher.open_lanes == 0
+        assert batcher.pending_count == 0 and len(batcher._groups) == 0
 
     def test_heterogeneous_stream_forms_separate_full_lanes(self):
         """An op-heterogeneous stream fills one lane after another, each
@@ -307,4 +307,4 @@ class TestLaneRule:
         assert batcher.add(self._rotate(2, b"y", keys), now=0.0) is None
         group = batcher.add(self._rotate(3, b"x", keys), now=0.0)
         assert group is not None and len(group) == 3
-        assert batcher.pending_count == 0 and batcher.open_lanes == 0
+        assert batcher.pending_count == 0 and len(batcher._groups) == 0

@@ -95,8 +95,8 @@ class TestPlacementAndLanes:
             c.connect_cluster(cluster)
         for c in clients:
             assert (
-                cluster.client_worker(c.client_id)
-                == cluster.worker_for(c.tenant.key_id)
+                cluster._placement[c.client_id]
+                == cluster.ring.place(c.tenant.key_id)
             )
 
     def test_sharded_same_tenant_traffic_still_batches(
@@ -316,7 +316,7 @@ class TestProcessWorkers:
             # a huge deadline parks the requests in lanes: kill mid-flight
             for cid, fr in trace:
                 cluster.receive(cid, fr)
-            victim = cluster.client_worker(clients[0].client_id)
+            victim = cluster._placement[clients[0].client_id]
             failed = cluster.kill_worker(victim)
             assert failed > 0
             assert not cluster.workers[victim].alive

@@ -153,10 +153,10 @@ class TestKillMidFlight:
     def test_sessions_leave_the_dead_worker(self, serving_context, make_cluster):
         cluster = make_cluster(worker_count=4)
         tenants, clients, trace = connect_traffic(serving_context, cluster)
-        victim = cluster.client_worker(clients[0].client_id)
+        victim = cluster._placement[clients[0].client_id]
         cluster.kill_worker(victim)
         for c in clients:
-            assert cluster.client_worker(c.client_id) != victim
+            assert cluster._placement[c.client_id] != victim
         # traffic still completes on the survivors
         for cid, fr in trace:
             cluster.receive(cid, fr)
@@ -213,14 +213,14 @@ class TestRestart:
     ):
         cluster = make_cluster(worker_count=4)
         tenants, clients, trace = connect_traffic(serving_context, cluster)
-        before = {c.client_id: cluster.client_worker(c.client_id) for c in clients}
+        before = {c.client_id: cluster._placement[c.client_id] for c in clients}
         victim = before[clients[0].client_id]
 
         cluster.kill_worker(victim)
         cluster.restart_worker(victim)
         assert victim in cluster.ring
         # consistent hashing puts every tenant back where it was
-        after = {c.client_id: cluster.client_worker(c.client_id) for c in clients}
+        after = {c.client_id: cluster._placement[c.client_id] for c in clients}
         assert after == before
 
         # the fresh worker has an empty key cache: key material must
@@ -350,7 +350,7 @@ class TestDrainUnderLoad:
             serving_context, cluster, tenants=1, clients_per=1, requests=2
         )
         client = clients[0]
-        wid = cluster.client_worker(client.client_id)
+        wid = cluster._placement[client.client_id]
         handle = cluster.workers[wid]
         handle.begin_drain()
         handle.submit(client.client_id, framing.decode_frame(trace[0][1]))
@@ -365,14 +365,14 @@ class TestDrainUnderLoad:
     ):
         cluster = make_cluster(worker_count=4)
         tenants, clients, trace = connect_traffic(serving_context, cluster)
-        before = {c.client_id: cluster.client_worker(c.client_id) for c in clients}
+        before = {c.client_id: cluster._placement[c.client_id] for c in clients}
         victim = before[clients[0].client_id]
         cluster.drain_worker(victim)
         assert all(
-            cluster.client_worker(c.client_id) != victim for c in clients
+            cluster._placement[c.client_id] != victim for c in clients
         )
         cluster.rejoin_worker(victim)
-        after = {c.client_id: cluster.client_worker(c.client_id) for c in clients}
+        after = {c.client_id: cluster._placement[c.client_id] for c in clients}
         assert after == before
         # and it serves again
         for cid, fr in trace:

@@ -35,6 +35,8 @@ from repro.serving.server import EncryptedComputeServer
 from repro.serving.traffic import SyntheticClient, SyntheticTenant
 from repro.serving.worker import LocalWorkerHandle, WorkerSpec
 
+from oracles import rotation_sweep_bytes
+
 RESIDUE_ERROR = "bad payload: packed residue"
 
 
@@ -188,7 +190,7 @@ class TestPerMemberIsolationAtTheFlush:
     ):
         client = SyntheticClient(tenant, "sweep", seed=50, wire_version=2, frame_version=2)
         other = SyntheticClient(tenant, "mate", seed=51, wire_version=2, frame_version=2)
-        sweep = [corrupt_residue(b, 2) for b in client.rotation_sweep_bytes([0.5], range(1, 7))]
+        sweep = [corrupt_residue(b, 2) for b in rotation_sweep_bytes(client, [0.5], range(1, 7))]
         stream = [("sweep", blob) for blob in sweep]
         stream.append(("mate", other.request_bytes("rotate", [1.0, 2.0], op_arg=1)))
         answers, report = serve(
@@ -382,7 +384,7 @@ class TestNoCopyBetweenWireAndKernel:
     def test_sweep_payload_is_unpacked_once(self, counted, monkeypatch, wire_version):
         be, ctx, tenant, server = counted
         (client,) = self._fleet(tenant, server, 1, wire_version)
-        blobs = client.rotation_sweep_bytes([0.5, -0.25], range(1, 7))
+        blobs = rotation_sweep_bytes(client, [0.5, -0.25], range(1, 7))
         spy = _HandleSpy(be, monkeypatch)
         for blob in blobs:
             server.receive(client.client_id, blob)

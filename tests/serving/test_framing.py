@@ -99,13 +99,13 @@ class TestFrameDecoder:
         for i in range(len(stream)):
             out.extend(decoder.feed(stream[i : i + 1]))
         assert [f.payload for f in out] == [b"abc", b"defg"]
-        assert decoder.pending_bytes == 0
+        assert len(decoder._buffer) == 0
 
     def test_partial_frame_waits(self):
         blob = sample_frame(b"xyz")
         decoder = FrameDecoder()
         assert decoder.feed(blob[:-1]) == []
-        assert decoder.pending_bytes == len(blob) - 1
+        assert len(decoder._buffer) == len(blob) - 1
         assert [f.payload for f in decoder.feed(blob[-1:])] == [b"xyz"]
 
     def test_oversized_frame_rejected(self):
@@ -142,7 +142,7 @@ class TestStreamErrorSalvage:
         decoder = FrameDecoder()
         with pytest.raises(ValueError):
             decoder.feed(bytes(bad))
-        assert decoder.pending_bytes == len(bad)  # still at the head
+        assert len(decoder._buffer) == len(bad)  # still at the head
         with pytest.raises(ValueError):
             decoder.next_frame()  # a corrupt stream stays corrupt
 

@@ -34,10 +34,8 @@ from repro.ckks.serialization import (
     HEADER_BYTES,
     deserialize_ciphertext,
     deserialize_kswitch_key,
-    deserialize_plaintext,
     serialize_ciphertext,
     serialize_kswitch_key,
-    serialize_plaintext,
 )
 from repro.serving import framing
 from repro.serving.framing import FrameDecoder, StreamProtocolError
@@ -78,7 +76,7 @@ class TestChunkingInvariance:
         for i in range(len(stream)):
             got.extend(decoder.feed(stream[i : i + 1]))
         assert got == expected
-        assert decoder.pending_bytes == 0
+        assert len(decoder._buffer) == 0
 
     @pytest.mark.parametrize("seed", range(16))
     def test_random_rechunking_equals_one_shot(self, seed):
@@ -94,7 +92,7 @@ class TestChunkingInvariance:
         for lo, hi in zip(bounds, bounds[1:]):
             got.extend(decoder.feed(stream[lo:hi]))
         assert got == expected
-        assert decoder.pending_bytes == 0
+        assert len(decoder._buffer) == 0
 
     def test_single_frame_every_boundary(self):
         """Exhaustive split of one frame at every byte boundary."""
@@ -126,7 +124,7 @@ class TestTruncation:
             decoder = FrameDecoder()
             got = decoder.feed(stream[:cut])
             assert got == expected[:complete], f"prefix of {cut} bytes"
-            assert decoder.pending_bytes == cut - (ends[complete - 1] if complete else 0)
+            assert len(decoder._buffer) == cut - (ends[complete - 1] if complete else 0)
 
 
 class TestCorruption:
@@ -180,7 +178,6 @@ def wire_objects(serving_context):
     ksk = keygen.relin_key()  # a RelinKey IS a KswitchKey
     return [
         ("ciphertext", serialize_ciphertext(ct), deserialize_ciphertext),
-        ("plaintext", serialize_plaintext(pt), deserialize_plaintext),
         ("kswitch_key", serialize_kswitch_key(ksk), deserialize_kswitch_key),
     ]
 
@@ -189,7 +186,6 @@ class TestDeserializerProperties:
     def test_round_trip_is_byte_identical(self, serving_context, wire_objects):
         serializers = {
             "ciphertext": serialize_ciphertext,
-            "plaintext": serialize_plaintext,
             "kswitch_key": serialize_kswitch_key,
         }
         for name, blob, deserialize in wire_objects:

@@ -35,6 +35,8 @@ from repro.serving.clock import ManualClock
 from repro.serving.server import EncryptedComputeServer
 from repro.serving.traffic import SyntheticClient, SyntheticTenant
 
+from oracles import rotation_sweep_bytes
+
 KEYED_STEPS = (1, 2, 3, 4)
 #: program id -> chain; 6 fails the plan checker (no rescale between
 #: squares), 5 is servable
@@ -82,8 +84,8 @@ def stream(serving_context):
     # between two failing lanes: the tenant's (due first, for its
     # expiring member) and the last-level one
     send(a, [a.request_bytes("double", [0.6])])  # keyless, tenant p
-    send(a, a.rotation_sweep_bytes([0.5, -0.25, 0.125], (1, 2, 3)))  # a sweep
-    send(b, b.rotation_sweep_bytes([0.75], (2, 4)))  # another client's sweep
+    send(a, rotation_sweep_bytes(a, [0.5, -0.25, 0.125], (1, 2, 3)))  # a sweep
+    send(b, rotation_sweep_bytes(b, [0.75], (2, 4)))  # another client's sweep
     send(c, [c.request_bytes("rotate", [1.0, 2.0], op_arg=1)])  # strangers:
     send(c, [c.request_bytes("rotate", [3.0], op_arg=1)])  # ... same step
     send(a, [a.request_bytes("rotate", [0.3], op_arg=4)])  # ... another step

@@ -13,6 +13,8 @@ from repro.serving import framing
 from repro.serving.server import EncryptedComputeServer
 from repro.serving.traffic import SyntheticClient, SyntheticTenant
 
+from oracles import rotation_sweep_bytes
+
 PROGRAM_ID = 7
 PROGRAM = (("rotate", 1), "square", "rescale")
 
@@ -221,7 +223,7 @@ class TestHoistFlushBilling:
         client = SyntheticClient(tenant, "bill-client", seed=910)
         server = EncryptedComputeServer(context, max_batch_size=8)
         client.connect(server)
-        for blob in client.rotation_sweep_bytes([0.5, -0.25], self.STEPS):
+        for blob in rotation_sweep_bytes(client, [0.5, -0.25], self.STEPS):
             server.receive(client.client_id, blob)
         assert server.drain() == len(self.STEPS)
         return server, client
@@ -255,7 +257,7 @@ class TestHoistFlushBilling:
         tenant.galois_keys = tenant.keygen.galois_keys(self.STEPS)
         client = SyntheticClient(tenant, "count-client", seed=913)
         client.connect(server)
-        blobs = list(client.rotation_sweep_bytes([1.0], self.STEPS))
+        blobs = list(rotation_sweep_bytes(client, [1.0], self.STEPS))
         be.reset()  # client-side encryption must not pollute the count
         for blob in blobs:
             server.receive(client.client_id, blob)

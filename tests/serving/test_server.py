@@ -15,6 +15,9 @@ from repro.serving.server import EncryptedComputeServer
 from repro.serving.session import UnknownClientError
 from repro.serving.traffic import synthetic_traffic
 from repro.system.pcie import PcieModel
+from repro.system.scheduler import HostScheduler
+
+from oracles import rotation_sweep_bytes
 
 
 def serve(server, tenant, clients, stream):
@@ -83,7 +86,7 @@ class TestEndToEnd:
 
         sequential, seq_report = run(max_batch_size=1)
         batched, batch_report = run(max_batch_size=4)
-        assert seq_report.singleton_count == seq_report.flush_count  # all scalar
+        assert seq_report.singleton_count == len(seq_report.flushes)  # all scalar
         assert batch_report.mean_batch_size > 1.0  # batching actually happened
         assert sequential.keys() == batched.keys()
         for key in sequential:
@@ -113,7 +116,7 @@ class TestEndToEnd:
         server.receive(client.client_id, fresh)
         server.receive(client.client_id, low_frame)
         server.drain()
-        assert server.report.flush_count == 2
+        assert len(server.report.flushes) == 2
         assert server.report.singleton_count == 2
 
     def test_singleton_falls_back_to_scalar_path(self, serving_context, tenant, make_client):
@@ -340,8 +343,8 @@ class TestSystemModelIntegration:
         server = EncryptedComputeServer(serving_context, max_batch_size=4)
         clients, stream = synthetic_traffic(tenant, 4, 2, op="square", seed=13)
         serve(server, tenant, clients, stream)
-        report = server.schedule_report(PcieModel(3.2e9), 1 << 15)
-        assert report.ops == server.report.flush_count
+        report = HostScheduler(PcieModel(3.2e9), 1 << 15).run_executed(server.report)
+        assert report.ops == len(server.report.flushes)
         assert report.total_seconds > 0
         assert report.compute_seconds == pytest.approx(
             server.report.compute_seconds
@@ -379,7 +382,7 @@ class TestKeyIsolation:
         server.receive("honest", honest.request_bytes("square", [3.0]))
         server.receive("claimant", claimant.request_bytes("square", [3.0]))
         assert server.drain() == 2
-        assert server.report.flush_count == 2  # two singleton lanes
+        assert len(server.report.flushes) == 2  # two singleton lanes
         (h_blob,) = server.sessions.get("honest").take_outbox()
         (c_blob,) = server.sessions.get("claimant").take_outbox()
         _, h_vals = tenant.decrypt_response(h_blob)
@@ -431,7 +434,7 @@ class TestKeyCaptureAtAdmission:
         server.drain()
         # both pending requests captured the original tenant key, so both
         # still batch together and decrypt correctly
-        assert server.report.flush_count == 1
+        assert len(server.report.flushes) == 1
         (flush,) = server.report.flushes
         assert flush.batch_size == 2 and flush.batched
         for cid in ("rotator", "victim"):
@@ -453,7 +456,7 @@ class TestKeyCaptureAtAdmission:
         server.receive(client.client_id, client.request_bytes("square", [2.0]))
         server.drain()
         # same math keys, but distinct objects -> distinct lanes
-        assert server.report.flush_count == 2
+        assert len(server.report.flushes) == 2
         for blob in server.sessions.get(client.client_id).take_outbox():
             _, values = tenant.decrypt_response(blob)
             assert abs(values[0].real - 4.0) < 1e-2
@@ -532,7 +535,7 @@ class TestHoistedRotationServing:
         server = EncryptedComputeServer(serving_context, max_batch_size=8)
         client.connect(server)
         values = [0.25 * i for i in range(4)]
-        frames = client.rotation_sweep_bytes(values, steps)
+        frames = rotation_sweep_bytes(client, values, steps)
         payload = framing.decode_frame(frames[0]).payload
         for blob in frames:
             server.receive(client.client_id, blob)
@@ -564,7 +567,7 @@ class TestHoistedRotationServing:
         server = EncryptedComputeServer(serving_context)
         client.connect(server)
         base = list(np.linspace(-1.0, 1.0, serving_context.params.slot_count))
-        for blob in client.rotation_sweep_bytes(base, steps):
+        for blob in rotation_sweep_bytes(client, base, steps):
             server.receive(client.client_id, blob)
         server.drain()
         for blob in server.sessions.get(client.client_id).take_outbox():
@@ -598,7 +601,7 @@ class TestHoistedRotationServing:
         server = EncryptedComputeServer(serving_context)
         client.connect(server)
         # step 5 has no Galois key; step 1 does
-        for blob in client.rotation_sweep_bytes([1.0], [1, 5]):
+        for blob in rotation_sweep_bytes(client, [1.0], [1, 5]):
             server.receive(client.client_id, blob)
         assert server.drain() == 2
         by_kind = {}
@@ -646,7 +649,7 @@ class TestOneKindOfLane:
         blobs = [
             (c.client_id, blob)
             for c, values in ((a, [0.5, -0.25]), (b, [0.125]))
-            for blob in c.rotation_sweep_bytes(values, self.STEPS)
+            for blob in rotation_sweep_bytes(c, values, self.STEPS)
         ]
         be.reset()  # key generation and encryption above are not the flush
         for client_id, blob in blobs:
@@ -665,7 +668,7 @@ class TestOneKindOfLane:
 
     def test_sweep_and_same_step_strangers_share_one_flush(self, serving_context):
         tenant, server, (a, b, c), runs = self._serve(serving_context)
-        for blob in a.rotation_sweep_bytes([0.5, -0.25], self.STEPS):
+        for blob in rotation_sweep_bytes(a, [0.5, -0.25], self.STEPS):
             server.receive(a.client_id, blob)
         for stranger in (b, c):  # distinct ciphertexts, one step
             server.receive(
@@ -708,7 +711,7 @@ class TestOneKindOfLane:
 
         tenant, server, (client, *_), runs = self._serve(serving_context)
         steps = list(range(1, 11))
-        frames = client.rotation_sweep_bytes([0.25 * i for i in range(4)], steps)
+        frames = rotation_sweep_bytes(client, [0.25 * i for i in range(4)], steps)
         for blob in frames:
             server.receive(client.client_id, blob)
         assert server.pump() == 8 and server.drain() == 2
@@ -770,7 +773,7 @@ class TestOpsAsData:
         server, (a, b) = self._server(serving_context, make_client)
         labels = []
         for stream in (
-            [(a, a.rotation_sweep_bytes([0.5], [1, 1]))],  # a fused sweep
+            [(a, rotation_sweep_bytes(a, [0.5], [1, 1]))],  # a fused sweep
             [(a, [a.request_bytes("square", [1.0])]),
              (b, [b.request_bytes("square", [2.0])])],  # one shared op
             [(a, [a.request_bytes("square", [1.0])]),
@@ -850,7 +853,7 @@ class TestIdentityRotation:
         client = SyntheticClient(tenant, "identity-client", seed=607)
         server = EncryptedComputeServer(serving_context)
         client.connect(server)
-        for blob in client.rotation_sweep_bytes([1.0], [1, 0, 2]):
+        for blob in rotation_sweep_bytes(client, [1.0], [1, 0, 2]):
             server.receive(client.client_id, blob)
         assert server.drain() == 2  # the identity step was never admitted
         error, *served = self._answers(server, client)

@@ -55,7 +55,7 @@ def make_supervisor(cluster, **kwargs):
 
 
 def placements(cluster, clients):
-    return {c.client_id: cluster.client_worker(c.client_id) for c in clients}
+    return {c.client_id: cluster._placement[c.client_id] for c in clients}
 
 
 class TestHeartbeat:

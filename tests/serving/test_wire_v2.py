@@ -107,7 +107,7 @@ class TestClusterV2Sessions:
         v2_tenant.register_with(cluster, wire_version=2)
         client = SyntheticClient(v2_tenant, "cf", seed=4, wire_version=2)
         client.connect_cluster(cluster)
-        victim = cluster.client_worker("cf")
+        victim = cluster._placement["cf"]
         cluster.kill_worker(victim)
         cluster.restart_worker(victim)
         cluster.receive("cf", client.request_bytes("square", [2.0]))
@@ -137,7 +137,7 @@ class TestClusterV2Sessions:
         )
         cluster.receive("cb", frame)
         cluster.drain()
-        (flush,) = cluster.worker_stats()[cluster.client_worker("cb")].flushes
+        (flush,) = cluster.worker_stats()[cluster._placement["cb"]].flushes
         expected = ciphertext_wire_bytes(
             serving_context.n, 2, serving_context.k, version=2,
             moduli=serving_context.basis_at_level(serving_context.k).moduli,
@@ -165,7 +165,7 @@ class TestClusterV2Sessions:
         assert _payload_version(blob) == 2
         _, vals = v2_tenant.decrypt_response(blob)
         assert abs(vals[0].real - 2.0) < 1e-2
-        (flush,) = cluster.worker_stats()[cluster.client_worker("cm")].flushes
+        (flush,) = cluster.worker_stats()[cluster._placement["cm"]].flushes
         response = framing.decode_frame(blob)
         assert flush.scheduled.input_bytes == len(request.payload) - HEADER_BYTES
         assert flush.scheduled.output_bytes == len(response.payload) - HEADER_BYTES

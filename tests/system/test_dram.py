@@ -3,12 +3,7 @@
 import pytest
 
 from repro.analysis.paper_data import SECTION5_KSK_STREAMING
-from repro.system.dram import (
-    DramModel,
-    KskStreamingPlan,
-    ksk_growth_bits,
-    twiddle_growth_bits,
-)
+from repro.system.dram import DramModel, KskStreamingPlan
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +17,6 @@ class TestDramModel:
 
     def test_burst_beats_random(self, board_b_dram):
         assert board_b_dram.streaming_bandwidth() > 4 * board_b_dram.random_bandwidth()
-
-    def test_stream_time(self, board_b_dram):
-        t = board_b_dram.stream_time(int(60e9))
-        assert t == pytest.approx(60e9 / board_b_dram.streaming_bandwidth())
 
 
 class TestKskStreamingPlan:
@@ -62,22 +53,3 @@ class TestKskStreamingPlan:
             "available_gbps",
             "feasible",
         }
-
-
-class TestGrowthRates:
-    def test_ksk_grows_faster_than_twiddles(self):
-        """The paper's argument for putting ksk (not twiddles) in DRAM."""
-        ratios = []
-        for n, k in [(4096, 2), (8192, 4), (16384, 8)]:
-            ratios.append(ksk_growth_bits(n, k) / twiddle_growth_bits(n, k))
-        assert ratios == sorted(ratios)  # monotonically increasing
-        assert ratios[-1] > ratios[0] * 3
-
-    def test_ksk_growth_formula(self):
-        assert ksk_growth_bits(16384, 8) == 8 * 2 * 9 * 16384 * 54
-
-    def test_roughly_cubic_growth(self):
-        """k ~ n/2048 across the paper's sets, so ksk ~ O(n^3)-ish."""
-        small = ksk_growth_bits(4096, 2)
-        large = ksk_growth_bits(16384, 8)
-        assert large / small == pytest.approx((16384 / 4096) ** 2 * (9 / 3), rel=0.01)

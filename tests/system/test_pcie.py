@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.system.pcie import PcieModel, ciphertext_bytes, polynomial_bytes
+from repro.system.pcie import PcieModel, polynomial_bytes
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,3 @@ class TestSizes:
         """Polynomials are 2^15 to 2^17 bytes across Set-A..C."""
         assert polynomial_bytes(4096) == 1 << 15
         assert polynomial_bytes(16384) == 1 << 17
-
-    def test_ciphertext_bytes(self):
-        assert ciphertext_bytes(4096, components=2, rns_count=3) == 2 * 3 * (1 << 15)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.plan.lower import workload_graph
 from repro.system.workload import (
     PRIMITIVES,
     RuntimeProjection,
@@ -14,7 +15,7 @@ class TestWorkload:
     def test_defaults_zero(self):
         w = Workload("w", {"keyswitch": 3})
         assert w.counts["cc_mult"] == 0
-        assert w.total_ops == 3
+        assert sum(w.counts.values()) == 3
 
     def test_rejects_unknown_primitive(self):
         with pytest.raises(ValueError):
@@ -104,7 +105,7 @@ class TestOpSequence:
     def test_round_robin_interleaving(self):
         w = Workload("w", {"keyswitch": 2, "cc_mult": 1, "add": 3})
         seq = w.op_sequence()
-        assert len(seq) == w.total_ops
+        assert len(seq) == sum(w.counts.values())
         assert seq[:3] == ["keyswitch", "cc_mult", "add"]
         # every count is fully emitted
         for p in PRIMITIVES:
@@ -115,7 +116,7 @@ class TestOpSequence:
 
 
 class TestBatchExecution:
-    """Workloads really execute: ``Workload.to_plan`` lowers the bag
+    """Workloads really execute: ``plan.lower.workload_graph`` lowers the bag
     over parallel lanes and ``PlanExecutor`` runs it batch-wise."""
 
     LANES = 2
@@ -137,7 +138,7 @@ class TestBatchExecution:
         keygen = KeyGenerator(context, seed=seed)
         encoder = CkksEncoder(context)
         encryptor = Encryptor(context, keygen.public_key(), seed=seed + 1)
-        graph = workload.to_plan(lanes, context)
+        graph = workload_graph(workload, lanes, context)
         inputs = fresh_lane_inputs(
             graph,
             lambda name: encryptor.encrypt(
@@ -231,4 +232,4 @@ class TestBatchExecution:
 
         ctx = CkksContext(toy_parameters(n=64, k=1, prime_bits=30))
         with pytest.raises(ValueError, match="does not fit even on a fresh"):
-            Workload("w", {"rescale": 1, "add": 1}).to_plan(2, ctx)
+            workload_graph(Workload("w", {"rescale": 1, "add": 1}), 2, ctx)

@@ -13,7 +13,7 @@ from repro.ckks.decryptor import Decryptor
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.encryptor import Encryptor
 from repro.ckks.evaluator import Evaluator
-from repro.ckks.keys import KeyGenerator
+from repro.ckks.keys import GaloisKeySet, KeyGenerator
 from repro.ckks.poly import Ciphertext
 from repro.core.accelerator import HeaxAccelerator
 from repro.core.arch import TABLE5_ARCHITECTURES
@@ -132,7 +132,7 @@ class TestHardwareSoftwareLoop:
         assert hw.polys[0] == sw.polys[0]
         assert hw.polys[1] == sw.polys[1]
         # the decompose-first production rotation decrypts identically
-        hoisted = ev.apply_galois(ct, elt, gk)
+        hoisted = ev.apply_galois_hoisted(ct, [elt], GaloisKeySet({elt: gk}))[0]
         out_hw = s["encoder"].decode(s["decryptor"].decrypt(hw)).real[:8]
         out_ho = s["encoder"].decode(s["decryptor"].decrypt(hoisted)).real[:8]
         np.testing.assert_allclose(out_hw, out_ho, atol=1e-2)

@@ -20,8 +20,8 @@ Four fixture families are frozen here:
 * ``wire_v2_n64.json`` -- one seeded ciphertext at ``n = 64`` over
   primes of the Set-A widths (36 / 28 / 45 bits), both components: its
   residue rows and its wire-v2 blob, the bit-packed payload produced by
-  the big-int oracle (``_pack_row_bits_py``) rather than by any
-  backend's packing kernel.
+  the big-int oracle (``pack_row_bits`` of ``tests/oracles.py``) rather
+  than by any backend's packing kernel.
 
 The point of freezing (rather than comparing against the reference
 backend at test time) is that a regression that hits *both* backends --
@@ -43,8 +43,11 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
 
 VECTORS_DIR = pathlib.Path(__file__).resolve().parent
+# the oracles and test traffic of tests/oracles.py
+sys.path.insert(0, str(VECTORS_DIR.parent))
 
 NTT_N = 64
 NTT_PRIME_BITS = (30, 50)
@@ -173,6 +176,7 @@ def compute_serving_trace() -> dict:
     from repro.ckks.context import CkksContext, toy_parameters
     from repro.serving.clock import ManualClock
     from repro.serving.server import EncryptedComputeServer
+    from oracles import rotation_sweep_bytes
     from repro.serving.traffic import SyntheticClient, SyntheticTenant
 
     ctx = CkksContext(toy_parameters(**SERVING_PARAMS))
@@ -215,14 +219,14 @@ def compute_serving_trace() -> dict:
                     client.request_bytes(op, values(i, width), op_arg=arg),
                 )
             frames[f"{op}/w{width}"] = collect()
-    for blob in clients[0].rotation_sweep_bytes(
-        [0.5, -0.25, 0.125], SERVING_SWEEP_STEPS
+    for blob in rotation_sweep_bytes(
+        clients[0], [0.5, -0.25, 0.125], SERVING_SWEEP_STEPS
     ):
         server.receive(clients[0].client_id, blob)
     frames["hoist/6"] = collect()
     # the step without a Galois key fails the flush, which re-runs member
     # by member: one rotation is served, the keyless step refused alone
-    for blob in clients[1].rotation_sweep_bytes([0.75, 0.5], (3, 7)):
+    for blob in rotation_sweep_bytes(clients[1], [0.75, 0.5], (3, 7)):
         server.receive(clients[1].client_id, blob)
     frames["hoist/shrunk"] = collect()
     # three lane-mates, the middle one stamped to expire before the flush
@@ -238,7 +242,7 @@ def compute_serving_trace() -> dict:
     return {
         "params": dict(SERVING_PARAMS),
         "tenant_seed": SERVING_TENANT_SEED,
-        "flushes": server.report.flush_count,
+        "flushes": len(server.report.flushes),
         "frames": frames,
     }
 
@@ -261,13 +265,13 @@ def wire_v2_ciphertext():
 
 def compute_wire_v2_vector() -> dict:
     """The seeded ciphertext's rows, and its v2 blob packed by the oracle."""
-    from repro.ckks.backend.base import _pack_row_bits_py
+    from oracles import pack_row_bits
     from repro.ckks.serialization import HEADER_BYTES, serialize_ciphertext
 
     _, ct = wire_v2_ciphertext()
     header = serialize_ciphertext(ct, version=2)[:HEADER_BYTES]
     payload = b"".join(
-        _pack_row_bits_py(row, m.value, m.value.bit_length())
+        pack_row_bits(row, m.value, m.value.bit_length())
         for poly in ct.polys
         for row, m in zip(poly.residues, poly.moduli)
     )
