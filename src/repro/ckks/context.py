@@ -28,7 +28,7 @@ variable), or one pinned at construction time with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -235,6 +235,21 @@ class CkksContext:
             [self._tables[m.value] for m in poly.moduli], poly.native_rows(be)
         )
         return RnsPolynomial(poly.n, poly.moduli, rows, is_ntt=True)
+
+    def to_ntt_all(self, polys: Sequence[RnsPolynomial]) -> List[RnsPolynomial]:
+        """:meth:`to_ntt` of polynomials over one basis, one forward stack
+        per modulus holding that modulus's row of each (the same bits)."""
+        be = self.backend
+        moduli = polys[0].moduli
+        rows = [poly.native_rows(be) for poly in polys]
+        stacks = [
+            be.ntt_forward_stack(self._tables[m.value], be.native_stack([r[j] for r in rows]))
+            for j, m in enumerate(moduli)
+        ]
+        return [
+            RnsPolynomial(polys[0].n, moduli, be.native_stack([s[i] for s in stacks]), is_ntt=True)
+            for i in range(len(polys))
+        ]
 
     def from_ntt(self, poly: RnsPolynomial) -> RnsPolynomial:
         """Transform every residue polynomial back (Algorithm 4)."""

@@ -21,6 +21,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.ckks.context import CkksContext
+from repro.ckks.modarith import powers_mod
 from repro.ckks.poly import Plaintext, RnsPolynomial
 from repro.ckks.rns import RnsBasis
 
@@ -34,12 +35,7 @@ class CkksEncoder:
         self.slot_count = n // 2
         # slot t <-> DFT bin j_t = (3^t mod 2n - 1) / 2; the conjugate
         # lives at exponent 2n - 3^t, i.e. bin n - 1 - j_t.
-        elements = []
-        e = 1
-        for _ in range(self.slot_count):
-            elements.append(e)
-            e = e * 3 % (2 * n)
-        self._slot_bins = np.array([(e - 1) // 2 for e in elements], dtype=np.int64)
+        self._slot_bins = (powers_mod(3, self.slot_count, 2 * n) - 1) // 2
         k = np.arange(n)
         self._twist = np.exp(1j * np.pi * k / n)  # ζ^k
         self._untwist = np.conj(self._twist)

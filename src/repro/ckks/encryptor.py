@@ -65,9 +65,11 @@ class Encryptor:
         pk_b = restrict_to_moduli(self._public_key.b, moduli)
         pk_a = restrict_to_moduli(self._public_key.a, moduli)
         be = ctx.backend
-        u = ctx.to_ntt(self.sampler.ternary_poly(ctx.n, moduli))
-        e0 = ctx.to_ntt(self.sampler.gaussian_poly(ctx.n, moduli))
-        e1 = ctx.to_ntt(self.sampler.gaussian_poly(ctx.n, moduli))
+        u, e0, e1 = ctx.to_ntt_all([
+            self.sampler.ternary_poly(ctx.n, moduli),
+            self.sampler.gaussian_poly(ctx.n, moduli),
+            self.sampler.gaussian_poly(ctx.n, moduli),
+        ])
         c0 = pk_b.dyadic_multiply(u, backend=be).add(e0, backend=be).add(m, backend=be)
         c1 = pk_a.dyadic_multiply(u, backend=be).add(e1, backend=be)
         return Ciphertext([c0, c1], plaintext.scale)

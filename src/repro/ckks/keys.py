@@ -328,15 +328,10 @@ class KeyGenerator:
         special = ctx.special_modulus
         key_seed = self._key_seed(tag)
         draws = [self._draw(key_moduli, key_seed, i) for i in range(ctx.k)]
-        rows = [e.native_rows(be) for _, e in draws]
-        errors = [
-            be.ntt_forward_stack(ctx.tables(m), be.native_stack([e[j] for e in rows]))
-            for j, m in enumerate(key_moduli)
-        ]
+        errors = ctx.to_ntt_all([e for _, e in draws])
         digits = []
         for i, (a, _) in enumerate(draws):
-            e = be.native_stack([stack[i] for stack in errors])
-            b = self._symmetric_zero(a, RnsPolynomial(ctx.n, key_moduli, e, is_ntt=True))
+            b = self._symmetric_zero(a, errors[i])
             # Add [P]_{p_i} * [target]_{p_i} to residue row i of b only.
             mod_i = key_moduli[i]
             term = be.scalar_mul_stack(

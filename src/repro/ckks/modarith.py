@@ -14,11 +14,16 @@ HEAX uses a native word size of ``w = 54`` bits (matching the 27-bit DSP
 blocks of the target FPGAs; see Section 4 "Word Size and Native
 Operations"), while Microsoft SEAL uses ``w = 64``.  The word size is a
 parameter of :class:`Modulus` so both regimes are exercised by the tests.
+
+:func:`powers_mod` builds the power vectors set-up needs (twiddle tables,
+the root search, the encoder's slot map) by vector doubling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 #: HEAX native word size in bits (two fused 27-bit DSP multipliers).
 HEAX_WORD_BITS = 54
@@ -68,6 +73,55 @@ def div2_mod(x: int, p: int) -> int:
     if x & 1:
         return (x + p) >> 1
     return x >> 1
+
+
+#: Below this modulus a product's quotient is estimated in float64 within
+#: one (the numpy backend's ``_WORD_SAFE_BOUND`` argument).
+FLOAT_QUOTIENT_BOUND = 1 << 52
+
+#: Doubling passes shorter than this run on Python ints: a numpy pass
+#: costs a dozen calls whatever its length.
+_SCALAR_PASS = 64
+
+
+def powers_mod(base: int, count: int, q: int) -> np.ndarray:
+    """``base^0 .. base^(count-1) mod q`` as ``int64``, by doubling.
+
+    Each pass extends the vector with ``pw[k:2k] = pw[:k] * base^k``.
+    For ``q < 2^52`` a long pass multiplies by the float-quotient word
+    of ``c = base^k``: ``x*c/q < q`` is estimated from ``x * fl(c/q)``
+    within one (two relative errors of ``2^-53`` on a value below
+    ``2^52``), so ``x*c - est*q + q`` in wrapping arithmetic lies in
+    ``[0, 3q)`` and two conditional subtractions make it exact.  Short
+    passes, and every pass of a wider ``q``, run on Python ints.  Either
+    way the result equals the recurrence ``x_{i+1} = x_i * base mod q``.
+    """
+    c = base % q
+    head = [1 % q]
+    while len(head) < count and (q >= FLOAT_QUOTIENT_BOUND or len(head) < _SCALAR_PASS):
+        head += [x * c % q for x in head[: count - len(head)]]
+        c = c * c % q
+    pw = np.empty(count, dtype=np.int64)
+    pw[: len(head)] = head
+    est = np.empty(count // 2, dtype=np.float64)  # in place: a fresh
+    fold = np.empty(count // 2, dtype=np.int64)  # temporary page-faults
+    k = len(head)
+    while k < count:
+        x, r = pw[: min(k, count - k)], pw[k : 2 * k]
+        f, t = est[: len(x)], fold[: len(x)]
+        np.multiply(x, c / q, out=f)
+        np.copyto(t, f, casting="unsafe")
+        t *= q
+        np.multiply(x, c, out=r)
+        r -= t
+        u, w = r.view(np.uint64), t.view(np.uint64)
+        u += q  # [0, 3q): the estimate is off by at most one
+        for _ in range(2):  # as words, min(u, u - q) takes q off u >= q
+            np.subtract(u, q, out=w)
+            np.minimum(u, w, out=u)
+        k += len(x)
+        c = c * c % q
+    return pw
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.ckks.modarith import Modulus, MulRedConstant
+from repro.ckks.modarith import Modulus, MulRedConstant, powers_mod
+from repro.ckks.primes import root_powers
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,10 +48,17 @@ def bit_reversal(n: int) -> np.ndarray:
 class NTTTables:
     """Precomputed twiddle tables for one ``(modulus, n)`` pair.
 
+    Both tables are gathers from one ``2n``-long power vector (the root
+    search's, :func:`~repro.ckks.primes.root_powers`, or a caller-given
+    ``ψ``'s), built by :func:`~repro.ckks.modarith.powers_mod`'s doubling:
+    float-quotient words for ``p < 2^52``, Python ints above.  Every
+    context builds its own; nothing is cached across contexts.
+
     Attributes
     ----------
     psi:
-        Minimal primitive ``2n``-th root of unity modulo ``p``.
+        Minimal primitive ``2n``-th root of unity modulo ``p`` (or the
+        caller's).
     root_values, inv_root_values_div2:
         ``Y`` of Algorithms 3 and 4, read-only ``uint64`` arrays: powers
         of ``ψ``, and of ``ψ^{-1}`` halved, in bit-reversed order.
@@ -68,30 +76,27 @@ class NTTTables:
         self.n = n
         self.log_n = n.bit_length() - 1
         self.modulus = modulus
-        if psi is None:
-            from repro.ckks.primes import primitive_2nth_root
-
-            psi = primitive_2nth_root(modulus.value, n)
         p = modulus.value
+        if psi is None:
+            powers, j = root_powers(p, n)
+            psi = int(powers[j])
+        else:
+            powers, j = powers_mod(psi, 2 * n, p), 1
         if pow(psi, n, p) != p - 1:
             raise ValueError("psi is not a primitive 2n-th root of unity")
         self.psi = psi
         self.inv_n = pow(n, -1, p)
 
-        psi_inv = pow(psi, -1, p)
-        powers = [1] * n
-        inv_powers = [pow(2, -1, p)] * n  # from 2^-1: the halving comes free
-        for i in range(1, n):
-            powers[i] = powers[i - 1] * psi % p
-            inv_powers[i] = inv_powers[i - 1] * psi_inv % p
         # Forward: index t holds psi^{bit_reverse(t, log n)} (SEAL's layout:
         # the level with m entries is the block [m, 2m)).  Inverse: the
         # Gentleman-Sande stages undo the forward ones in reverse order, and
         # inverting (u', v') = (u + w v, u - w v) gives u = (u' + v')/2 and
         # v = (u' - v') w^{-1}/2: index t holds psi^{-bit_reverse(t, log n)}/2.
-        rev = bit_reversal(n)
-        self.root_values = np.array(powers, dtype=np.uint64)[rev]
-        self.inv_root_values_div2 = np.array(inv_powers, dtype=np.uint64)[rev]
+        # ``powers`` holds the powers of psi^(1/j), so psi^e sits at j e mod 2n.
+        exponents = bit_reversal(n) * j
+        inv = powers[-exponents % (2 * n)]
+        self.root_values = powers[exponents % (2 * n)].view(np.uint64)
+        self.inv_root_values_div2 = ((inv + p * (inv & 1)) >> 1).view(np.uint64)
         self.root_values.setflags(write=False)
         self.inv_root_values_div2.setflags(write=False)
 

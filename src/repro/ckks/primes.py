@@ -7,15 +7,22 @@ Additionally Algorithm 2 requires ``p < 2^(w-2)``, i.e. at most 52 bits
 for the 54-bit HEAX word.
 
 The paper: "We have precomputed all of such moduli for different
-parameters."  This module is that precomputation.
+parameters."  This module is that precomputation.  The root search is
+one power vector of a generator's ``2n``-th root (:func:`root_powers`),
+built by doubling in float-quotient words below ``2^52``
+(:func:`~repro.ckks.modarith.powers_mod`), and the NTT tables are
+gathers from it.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import List
+from typing import List, Tuple
 
-from repro.ckks.modarith import Modulus
+import numpy as np
+
+from repro.ckks.modarith import Modulus, powers_mod
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -99,16 +106,19 @@ def generate_ntt_primes(
 def _factorize(n: int) -> List[int]:
     """Return the distinct prime factors of ``n`` (trial division + MR split).
 
-    Group orders here are ``p - 1`` for word-sized ``p``, so trial division
-    to ``~10^6`` followed by a Pollard-rho fallback is plenty.
+    Group orders here are ``p - 1`` for word-sized ``p``: trial division
+    to ``2^10`` (past it Pollard's rho, ~``sqrt(d)`` steps, beats ``d/2``
+    trial steps), stopping once the cofactor is prime.
     """
     factors = []
     d = 2
-    while d * d <= n and d < 1_000_000:
+    while d * d <= n and d < 1 << 10:
         if n % d == 0:
             factors.append(d)
             while n % d == 0:
                 n //= d
+            if is_prime(n):  # the cofactor left: no divisor below it
+                break
         d += 1 if d == 2 else 2
     if n > 1:
         if is_prime(n):
@@ -133,15 +143,9 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = math.gcd(x - y, n)
         if d != n:
             return d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def primitive_root(p: int) -> int:
@@ -161,22 +165,26 @@ def primitive_2nth_root(p: int, n: int) -> int:
     ``ψ^n ≡ -1 (mod p)``; the numerically smallest one gives
     deterministic twiddle tables, matching SEAL's choice.
     """
+    powers, j = root_powers(p, n)
+    return int(powers[j])
+
+
+def root_powers(p: int, n: int) -> Tuple[np.ndarray, int]:
+    """The powers ``ψ0^0 .. ψ0^(2n-1)`` of ``ψ0 = g^((p-1)/2n)`` (``g`` the
+    least generator), and the odd ``j`` with ``ψ0^j`` the least primitive
+    ``2n``-th root.
+
+    The primitive roots are exactly the odd powers of ``ψ0``, so the
+    search is one :func:`~repro.ckks.modarith.powers_mod` vector and an
+    ``argmin`` over its odd entries; ``ψ^e = ψ0^(j e mod 2n)`` lets
+    :class:`~repro.ckks.ntt.NTTTables` gather its tables from the same
+    vector.
+    """
     m = 2 * n
     if (p - 1) % m != 0:
         raise ValueError(f"p={p} is not ≡ 1 mod {m}")
-    g = primitive_root(p)
-    psi = pow(g, (p - 1) // m, p)
-    # psi is *some* primitive 2n-th root; enumerate the odd powers to find
-    # the minimal one.  There are n of them; for large n scan cheaply by
-    # repeated squaring-free stepping psi^2 each time multiplies exponent.
-    best = psi
-    step = pow(psi, 2, p)
-    current = psi
-    for _ in range(n - 1):
-        current = current * step % p
-        if current < best:
-            best = current
-    return best
+    powers = powers_mod(pow(primitive_root(p), (p - 1) // m, p), m, p)
+    return powers, 2 * int(np.argmin(powers[1::2])) + 1
 
 
 def make_modulus_chain(

@@ -115,8 +115,8 @@ def _node_type(
 
     Raises :class:`PlanValidationError` naming the node and the violated
     rule -- level mismatches, scale mismatches beyond
-    :data:`~repro.ckks.batch.SCALE_RTOL`, rescales at the last level or
-    below unit scale.
+    :data:`~repro.ckks.batch.SCALE_RTOL`, rescales at the last level, and
+    result scales :func:`scale_fault` refuses.
     """
     delta = context.params.scale
     if node.op == "input":
@@ -133,7 +133,7 @@ def _node_type(
                 "run place_rescales to align levels",
             )
         if node.op == "mul_relin":
-            return la, sa * sb
+            return _checked(node, la, sa * sb)
         if not _scales_match(sa, sb):
             _fail(
                 node,
@@ -142,28 +142,63 @@ def _node_type(
             )
         return la, sa
     level, s = types[node.inputs[0]]
-    if node.op == "square":
-        return level, s * s
     if node.op == "mul_plain":
-        return level, s * _const_scale(graph, node.const_id, delta)
+        return _checked(node, level, s * _const_scale(graph, node.const_id, delta))
     if node.op == "linear_sweep":
         scales = [_const_scale(graph, cid, delta) for _, cid in node.terms]
         if not all(_scales_match(scales[0], other) for other in scales):
             spread = f"{min(scales):g} .. {max(scales):g}"
             _fail(node, f"term plaintext scales differ ({spread}); one sum, one scale")
-        return level, s * scales[0]
-    if node.op == "rescale":
+        return _checked(node, level, s * scales[0])
+    try:  # square, rescale, negate, add_const, rotate, conjugate
+        level, scale = step_type(node.op, level, s, context)
+    except ValueError as exc:
+        _fail(node, str(exc))
+    if node.op == "rescale" and scale <= 1.0:
+        _fail(
+            node,
+            f"rescale drives scale to {scale:g} (<= 1); "
+            "the operand was not a fresh product",
+        )
+    return level, scale
+
+
+def step_type(op: str, level: int, scale: float, context: CkksContext) -> Tuple[int, float]:
+    """The (level, scale) a one-operand step leaves: a square squares the
+    scale, a rescale divides it by the level's last prime and drops the
+    level, any other step keeps both.  Raises ``ValueError`` for a
+    rescale at the last level or a result :func:`scale_fault` refuses --
+    in :func:`_node_type`, and at serving admission for each step of a
+    request, before any ciphertext work."""
+    if op == "square":
+        scale = scale * scale
+    elif op == "rescale":
         if level < 2:
-            _fail(node, "cannot rescale at the last level")
-        scale = s / _last_prime(context, level)
-        if scale <= 1.0:
-            _fail(
-                node,
-                f"rescale drives scale to {scale:g} (<= 1); "
-                "the operand was not a fresh product",
-            )
-        return level - 1, scale
-    return level, s  # negate, add_const, rotate, conjugate
+            raise ValueError("cannot rescale at the last level")
+        level, scale = level - 1, scale / _last_prime(context, level)
+    fault = scale_fault(op, scale)
+    if fault:
+        raise ValueError(fault)
+    return level, scale
+
+
+def scale_fault(op: str, scale: float) -> str:
+    """The one rule on every result scale, typed or served: finite and
+    > 0 (the wire's own rule).  A product or quotient of valid scales can
+    still under- or overflow to 0 or inf.  Returns why a scale breaks the
+    rule, or ``""``.  Planning also holds a rescale's result above 1
+    (:func:`_node_type`); serving does not, a bare rescale of a fresh
+    ciphertext is served."""
+    if 0.0 < scale < math.inf:
+        return ""
+    return f"{op} drives scale to {scale:g}; a scale must be finite and > 0"
+
+
+def _checked(node: PlanNode, level: int, scale: float) -> Tuple[int, float]:
+    fault = scale_fault(node.op, scale)
+    if fault:
+        _fail(node, fault)
+    return level, scale
 
 
 def check_plan(graph: PlanGraph, context: CkksContext) -> Dict[int, Tuple[int, float]]:

@@ -57,6 +57,7 @@ from repro.ckks.serialization import (
     unpack_ciphertexts,
 )
 from repro.plan import PlanExecutor, PlanGraph, check_plan
+from repro.plan.passes import step_type
 from repro.serving import framing
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.framing import Frame
@@ -396,6 +397,18 @@ class EncryptedComputeServer:
             ct = admit_ciphertext(frame.payload, self.context)
         except ValueError as exc:
             self._respond_error(session, frame.request_id, f"bad payload: {exc}")
+            return
+        try:
+            # the chain's scales typed by the planner's rule, O(1) from the
+            # header: one that under- or overflows is refused, not served
+            # (a rescale at the last level is left to fail its flush)
+            level, scale = ct.level_count, ct.scale
+            for op, _ in steps:
+                if op == "rescale" and level < 2:
+                    break
+                level, scale = step_type(op, level, scale, self.context)
+        except ValueError as exc:
+            self._respond_error(session, frame.request_id, f"{frame.op} refused: {exc}")
             return
         # rotations carry a payload digest so a flush can recognize the
         # same ciphertext rotated by many steps and hang the whole set

@@ -278,3 +278,33 @@ def test_counting_backend_is_transparent(counted):
     a = ev.rotate(ct, 2, gk)
     b = plain_ev.rotate(ct, 2, gk)
     assert [p.residues for p in a.polys] == [p.residues for p in b.polys]
+
+
+def test_public_encrypt_is_one_forward_stack_per_modulus(counted, monkeypatch):
+    """``u``, ``e0`` and ``e1`` share one forward transform a modulus, a
+    three-row stack, and the ciphertext keeps the bits of three separate
+    ``to_ntt`` calls (the draws come out of the sampler in that order)."""
+    from repro.ckks.poly import Ciphertext, restrict_to_moduli
+    from repro.ckks.sampling import Sampler
+
+    be, ctx, keygen = counted["backend"], counted["ctx"], counted["keygen"]
+    pk = keygen.public_key()
+    pt = CkksEncoder(ctx).encode([0.5, -0.25])
+    spy = _CallSpy(be, monkeypatch, calls=("ntt_forward_stack", "ntt_forward_rows"))
+    be.reset()
+    ct = Encryptor(ctx, pk, seed=77).encrypt(pt)
+    assert spy.calls == {"ntt_forward_stack": K, "ntt_forward_rows": 0}
+    assert be.counts["ntt_forward"] == 3 * K
+
+    sampler, m = Sampler(77), pt.poly
+    u, e0, e1 = (
+        ctx.to_ntt(draw(ctx.n, m.moduli))
+        for draw in (sampler.ternary_poly, sampler.gaussian_poly, sampler.gaussian_poly)
+    )
+    pk_b, pk_a = (restrict_to_moduli(p, m.moduli) for p in (pk.b, pk.a))
+    expected = Ciphertext(
+        [pk_b.dyadic_multiply(u, backend=be).add(e0, backend=be).add(m, backend=be),
+         pk_a.dyadic_multiply(u, backend=be).add(e1, backend=be)],
+        pt.scale,
+    )
+    assert [p.residues for p in ct.polys] == [p.residues for p in expected.polys]

@@ -43,6 +43,8 @@ EXEMPT: Dict[str, str] = {
     "LinearEvaluator": "repro.ckks.linear: ROADMAP item 3 turns it into a plan fragment by PR 40",
     "LinearEvaluator.evaluate_polynomial": "repro.ckks.linear: ROADMAP item 3, as above",
     "EncryptedComputeServer.register_program": "the only entry to the op=\"program\" path",
+    "primitive_2nth_root": "the public root-search contract (least primitive 2n-th root); "
+    "NTTTables gathers psi and both tables from the same search's vector (root_powers)",
     "ServingCluster.drain_worker": "operator API: graceful worker removal, the drain half "
     "of the session protocol ROADMAP 5(a) specifies; no benchmark row drains",
     "HostScheduler.run_executed": "a measured run through Figure 7's pipeline (Section 5.2); "

@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple
 
 from repro.ckks.ntt import bit_reversal
 from repro.ckks.poly import RnsPolynomial
+from repro.ckks.primes import primitive_root
 from repro.ckks.rns import RnsBasis
 from repro.serving import framing
 
@@ -97,6 +98,41 @@ def negacyclic_convolution_reference(
             else:
                 c[k - n] = (c[k - n] - term) % p
     return [x % p for x in c]
+
+
+def primitive_2nth_root(p: int, n: int) -> int:
+    """The least primitive ``2n``-th root mod ``p``: from ``ψ0 = g^((p-1)/2n)``
+    step through its odd powers one multiplication by ``ψ0^2`` at a time."""
+    psi = pow(primitive_root(p), (p - 1) // (2 * n), p)
+    best = current = psi
+    step = psi * psi % p
+    for _ in range(n - 1):
+        current = current * step % p
+        best = min(best, current)
+    return best
+
+
+def ntt_tables(n: int, p: int, psi: int) -> Tuple[List[int], List[int]]:
+    """``root_values`` and ``inv_root_values_div2`` of ``NTTTables`` by the
+    scalar recurrences: ``ψ^i`` and ``2^-1 ψ^-i`` one product at a time,
+    then permuted to bit-reversed order."""
+    psi_inv = pow(psi, -1, p)
+    powers = [1] * n
+    inv_powers = [pow(2, -1, p)] * n  # from 2^-1: the halving comes free
+    for i in range(1, n):
+        powers[i] = powers[i - 1] * psi % p
+        inv_powers[i] = inv_powers[i - 1] * psi_inv % p
+    return bit_reverse_permutation(powers), bit_reverse_permutation(inv_powers)
+
+
+def slot_map(n: int) -> List[int]:
+    """The encoder's slot ``t`` -> DFT bin ``(3^t mod 2n - 1) / 2``, one
+    multiplication by 3 at a time."""
+    bins, e = [], 1
+    for _ in range(n // 2):
+        bins.append((e - 1) // 2)
+        e = e * 3 % (2 * n)
+    return bins
 
 
 def galois_map(n: int, galois_elt: int) -> List[Tuple[int, bool]]:

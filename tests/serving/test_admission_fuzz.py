@@ -170,11 +170,6 @@ def test_one_semantic_field_at_a_time(transports, payloads, version, field_and_v
     assert _conserved(transports.cluster.report)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a positive scale whose product under- or overflows is admitted and "
-    "served back as scale 0.0 or inf, which the wire refuses to decode",
-)
 @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e300])
 def test_a_served_response_carries_a_wire_valid_scale(transports, payloads, scale):
     payload = bytearray(payloads[1])
@@ -183,6 +178,23 @@ def test_a_served_response_carries_a_wire_valid_scale(transports, payloads, scal
     if frame.kind == framing.RESPONSE:
         served = _HEADER.unpack_from(frame.payload)[6]
         assert 0 < served < math.inf
+
+
+@pytest.mark.parametrize(
+    "op, scale",
+    [("square", 5e-324), ("square", 1e-200), ("square", 1e300), ("rescale", 5e-324)],
+)
+def test_a_result_scale_off_the_rule_is_refused_at_admission(transports, payloads, op, scale):
+    """``passes.scale_fault``'s rule, applied before anything is queued:
+    a result scale must stay finite and > 0."""
+    payload = bytearray(payloads[2])
+    struct.pack_into("<d", payload, 14, scale)
+    submitted = transports.cluster.report.submitted
+    frame = _one_typed_answer(*transports.answers(_request(bytes(payload), op, 0)))
+    assert frame.kind == framing.ERROR
+    assert framing.error_class(frame) == framing.ERR_FATAL
+    assert f"{op} refused" in frame.error_message and "scale" in frame.error_message
+    assert _conserved(transports.cluster.report)
 
 
 @pytest.mark.parametrize("version", [1, 2])
