@@ -29,8 +29,8 @@ from repro.ckks import (
     KeyGenerator,
 )
 from repro.ckks.context import toy_parameters
-from repro.plan import PlanExecutor, PlanGraph, compile_plan
-from repro.plan.lower import reduction_steps, rotate_and_sum
+from repro.plan import PlanExecutor, PlanGraph, check_plan, compile_plan
+from repro.plan.lower import dot_plain, polynomial, reduction_steps, rotate_and_sum
 
 #: Degree-3 least-squares fit of the sigmoid on [-6, 6] (a standard
 #: CKKS-friendly approximation; cf. the logistic-regression-over-HE line
@@ -68,6 +68,20 @@ def build_inference_graph(dims: int, weights: np.ndarray, bias: float) -> PlanGr
     inner = g.add_const(g.mul_plain(z2, g.const(c3)), g.const(c1))
     score = g.add_const(g.mul_relin(z, inner), g.const(c0))
     g.output(score, "score")
+    return g
+
+
+def build_power_basis_graph(weights: np.ndarray, bias: float, context) -> PlanGraph:
+    """The same score with the sigmoid as the power-basis fragment
+    :func:`repro.plan.lower.polynomial`.  The planner types input slots
+    as at most 1, so ``z`` can reach ``r = |w|_1 + |b|``; the fragment
+    runs on ``u = z / r`` with coefficients ``c_i r^i``, the usual range
+    normalization before a power basis."""
+    r = float(np.abs(weights).sum() + abs(bias))
+    g = PlanGraph()
+    u = g.add_const(dot_plain(g, g.input("x"), list(weights / r)), g.const(bias / r))
+    coeffs = [c * r**i for i, c in enumerate(SIGMOID_COEFFS)]
+    g.output(polynomial(g, u, coeffs, context), "score")
     return g
 
 
@@ -118,6 +132,8 @@ def main() -> None:
     executor = PlanExecutor(context, relin_key=relin, galois_keys=galois)
     run = executor.run(plan, {"x": ct})
     score = run.outputs["score"]
+    # the planner's typed noise bound on the score
+    typed = check_plan(plan, context)[plan.outputs["score"]][0]
     print(
         f"executed {run.step_count} schedule steps in "
         f"{run.compute_seconds * 1e3:.1f} ms (software)"
@@ -131,8 +147,23 @@ def main() -> None:
     expected = float(sigmoid_poly(np.array([z_true]))[0])
     print(f"encrypted inference score: {decrypted:.6f}")
     print(f"plaintext reference:       {expected:.6f}")
-    print(f"|error| = {abs(decrypted - expected):.2e}")
-    assert abs(decrypted - expected) < 5e-2
+    error = abs(decrypted - expected)
+    print(
+        f"|error| = {error:.2e}   (typed bound 2^-{typed.precision_bits:.1f}: "
+        f"{typed.precision_bits:.1f} bits of precision)"
+    )
+    assert error < 5e-2 and error <= 2.0**-typed.precision_bits
+
+    # the power-basis fragment computes the same score
+    power = compile_plan(build_power_basis_graph(weights, bias, context), context)
+    out = executor.run(power, {"x": ct}).outputs["score"]
+    power_score = encoder.decode(decryptor.decrypt(out)).real[0]
+    power_bits = check_plan(power, context)[power.outputs["score"]][0].precision_bits
+    print(
+        f"power-basis sigmoid:       {power_score:.6f}   "
+        f"(|error| {abs(power_score - expected):.2e}, typed {power_bits:.1f} bits)"
+    )
+    assert abs(power_score - expected) < 5e-2
     print("oblivious inference matched the plaintext model")
 
 

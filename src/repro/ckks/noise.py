@@ -1,24 +1,28 @@
-"""Heuristic noise tracking for CKKS evaluation.
+"""Heuristic noise bounds for CKKS evaluation.
 
 CKKS correctness hinges on the invariant that the message (at scale
 ``Δ``) stays far above the noise and far below ``q_l``.  This module
-provides the standard heuristic (canonical-embedding, high-probability)
-noise bounds for each primitive -- fresh encryption, addition,
-multiplication, relinearization (Algorithm 7's gadget noise), rescaling
-(Algorithm 6's flooring noise) -- and a :class:`NoiseBudget` tracker
-that threads them through a computation.
+gives each primitive a high-probability bound on the noise's
+canonical-embedding magnitude -- the error a decoded slot carries,
+times the scale -- for fresh encryption, addition, multiplication,
+key switching (Algorithm 7's gadget noise and its Modulus Switch) and
+rescaling (Algorithm 6's floor).  :func:`repro.plan.passes.check_plan`
+threads them through a plan: every node's type is a
+:class:`NoiseEstimate` and the magnitude bound of its slots.
 
-The estimates use the standard heuristics from the CKKS literature
-(6-sigma truncated Gaussian errors, ternary secrets); the test suite
-checks them against *measured* noise from actual decryptions, requiring
-the estimate to be a true upper bound that is not wildly loose.
+The bounds are Cheon-Kim-Kim-Song's: one slot of a random polynomial
+whose ``n`` coefficients have variance ``V`` is below ``6 sqrt(nV)``,
+of a product of two such below ``16 sqrt(nV1) sqrt(nV2)``.  Two draws
+here are not centred: Algorithm 6 floors (a remainder in ``[0, 1)``)
+and Algorithm 7's digits lie in ``[0, q_i)``.  Their mean rides the
+all-ones polynomial, whose largest slot is ``1 / sin(π/2n) ≈ 2n/π``.
+The test suite holds the bounds above errors measured on decryptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List
+from dataclasses import dataclass
 
 from repro.ckks.context import CkksContext
 from repro.ckks.sampling import ERROR_STDDEV, ERROR_TRUNCATION_SIGMAS
@@ -38,7 +42,8 @@ class NoiseEstimate:
 
     @property
     def precision_bits(self) -> float:
-        """Bits of message precision remaining: log2(scale / noise)."""
+        """Bits of message precision remaining: log2(scale / noise); a
+        decoded slot is off by at most ``2^-precision_bits``."""
         if self.bound <= 0:
             return float("inf")
         return math.log2(self.scale) - math.log2(self.bound)
@@ -54,17 +59,34 @@ class NoiseModel:
 
     def __init__(self, context: CkksContext):
         self.context = context
-        self.n = context.n
+        n = self.n = context.n
+        self.primes = [m.value for m in context.key_basis.moduli[: context.k]]
+        #: a centred rounding, variance 1/12: ``6 sqrt(n/12)``.
+        self.rounding = math.sqrt(3 * n)
+        #: one error polynomial, coefficients below ERROR_BOUND.
+        self.error = ERROR_BOUND * math.sqrt(n)
+        #: a uniform ``[0, 1)`` draw: its mean 1/2 on the all-ones
+        #: polynomial, then a centred rounding.
+        self.uniform = n / math.pi + self.rounding
+        #: Algorithm 6's floor ``τ0 + τ1·s``, ``|σ(s)| <= 6 sqrt(2n/3)``
+        #: for a uniform ternary secret.
+        self.floor = self.uniform * (1 + math.sqrt(24 * n))
 
     # ------------------------------------------------------------------
+    def plain(self, scale: float, level_count: int) -> NoiseEstimate:
+        """An encoded plaintext: its rounding is its noise."""
+        return NoiseEstimate(self.rounding, scale, level_count)
+
     def fresh(self, scale: float = None, level_count: int = None) -> NoiseEstimate:
-        """Public-key encryption noise: ``u*e_pk + e0 + e1*s`` with
-        ternary u, s: canonical norm ~ B * (2 sqrt(n) + 1)-ish."""
+        """Public-key encryption noise ``u·e + e0 + e1·s`` with ternary
+        ``u``, ``s`` (two products of variances 2/3 and σ²), on top of
+        the encoding's rounding."""
         ctx = self.context
-        scale = scale or ctx.params.scale
-        level_count = level_count or ctx.k
-        bound = ERROR_BOUND * (2 * math.sqrt(self.n) + 1) * math.sqrt(3)
-        return NoiseEstimate(bound, scale, level_count)
+        est = self.plain(scale or ctx.params.scale, level_count or ctx.k)
+        products = 32 * self.n * ERROR_STDDEV * math.sqrt(2 / 3)
+        return NoiseEstimate(
+            est.bound + products + self.error, est.scale, est.level_count
+        )
 
     def add(self, a: NoiseEstimate, b: NoiseEstimate) -> NoiseEstimate:
         if a.level_count != b.level_count:
@@ -78,7 +100,9 @@ class NoiseModel:
         a_message: float = 1.0,
         b_message: float = 1.0,
     ) -> NoiseEstimate:
-        """Ciphertext product: cross terms message*noise dominate."""
+        """Product of two operands whose slots are at most ``a_message``
+        and ``b_message``: cross terms message*noise dominate.  A
+        plaintext operand is :meth:`plain`."""
         bound = (
             a.bound * b.scale * b_message
             + b.bound * a.scale * a_message
@@ -86,71 +110,25 @@ class NoiseModel:
         )
         return NoiseEstimate(bound, a.scale * b.scale, a.level_count)
 
-    def multiply_plain(
-        self, a: NoiseEstimate, plain_scale: float, plain_magnitude: float = 1.0
-    ) -> NoiseEstimate:
-        return NoiseEstimate(
-            a.bound * plain_scale * plain_magnitude, a.scale * plain_scale, a.level_count
-        )
-
     def keyswitch(self, a: NoiseEstimate) -> NoiseEstimate:
         """Algorithm 7 additive noise.
 
-        Each of the ``l`` digits contributes ``[c]_{p_i} * e_i`` with
-        ``|[c]_{p_i}| < p_i``; the special-modulus floor divides by P,
-        leaving ~``l * n * B * p_max / P`` plus the flooring rounding
-        (~sqrt(l)).  With same-sized primes p_max/P ~ 1.
+        Digit ``i`` contributes ``[c]_{q_i} · e_i`` with ``[c]_{q_i}``
+        uniform in ``[0, q_i)``; the Modulus Switch divides the sum by
+        the special prime ``P`` and floors.
         """
-        ctx = self.context
         level = a.level_count
-        p_max = max(m.value for m in ctx.basis_at_level(level).moduli)
-        special = ctx.special_modulus.value
-        gadget = level * math.sqrt(self.n) * ERROR_BOUND * p_max / special
-        flooring = math.sqrt(level) * math.sqrt(self.n)
-        return NoiseEstimate(a.bound + gadget + flooring, a.scale, level)
+        digits = sum(self.primes[:level]) / self.context.special_modulus.value
+        gadget = digits * self.uniform * self.error
+        return NoiseEstimate(a.bound + gadget + self.floor, a.scale, level)
 
     def rescale(self, a: NoiseEstimate) -> NoiseEstimate:
         """Algorithm 6: divide by the dropped prime, add flooring noise."""
-        ctx = self.context
-        dropped = ctx.basis_at_level(a.level_count).moduli[-1].value
-        bound = a.bound / dropped + math.sqrt(self.n)
+        dropped = self.primes[a.level_count - 1]
+        bound = a.bound / dropped + self.floor
         return NoiseEstimate(bound, a.scale / dropped, a.level_count - 1)
 
     def rotate(self, a: NoiseEstimate) -> NoiseEstimate:
-        """Automorphism permutes coefficients (norm-preserving), then a
+        """Automorphism permutes slots (norm-preserving), then a
         KeySwitch adds its gadget noise."""
         return self.keyswitch(a)
-
-
-class NoiseBudget:
-    """Threads noise estimates through a computation plan."""
-
-    def __init__(self, context: CkksContext):
-        self.context = context
-        self.model = NoiseModel(context)
-        self.trace: List[str] = []
-
-    def fresh(self, **kw) -> NoiseEstimate:
-        est = self.model.fresh(**kw)
-        self.trace.append(f"fresh: {est.precision_bits:.1f} bits")
-        return est
-
-    def after(self, op: str, *estimates: NoiseEstimate, **kw) -> NoiseEstimate:
-        method = getattr(self.model, op)
-        est = method(*estimates, **kw)
-        self.trace.append(f"{op}: {est.precision_bits:.1f} bits")
-        return est
-
-    def depth_capacity(self, message_magnitude: float = 1.0) -> int:
-        """Multiplicative depth (mul+relin+rescale chain) before the
-        precision drops below one bit or levels run out."""
-        est = self.model.fresh()
-        depth = 0
-        while est.level_count > 1:
-            prod = self.model.multiply(est, est, message_magnitude, message_magnitude)
-            switched = self.model.keyswitch(prod)
-            est = self.model.rescale(switched)
-            if est.precision_bits < 1:
-                break
-            depth += 1
-        return depth

@@ -24,9 +24,7 @@ run there.  The rule therefore also flags any import -- module level or
 function local -- of :class:`~repro.ckks.evaluator.Evaluator` (the one
 implementation of the CKKS operations, lane-wide) in the scoped modules,
 so a second op -> evaluator-call dispatch table cannot grow back beside
-the executor's.  :mod:`repro.ckks.linear` drives an ``Evaluator`` of its
-own, so it and its :class:`~repro.ckks.linear.LinearEvaluator` are the
-same door, however spelled.
+the executor's, however the import is spelled.
 """
 
 from __future__ import annotations
@@ -52,11 +50,11 @@ PLANNED_MODULES = (
 ROTATE_METHODS = ("rotate",)
 
 #: The evaluator classes only ``repro.plan`` may drive.
-EVALUATOR_CLASSES = ("Evaluator", "LinearEvaluator")
+EVALUATOR_CLASSES = ("Evaluator",)
 
 #: Their home modules (``import repro.ckks.evaluator`` or ``from
-#: repro.ckks import linear`` is the same door).
-EVALUATOR_MODULES = ("repro.ckks.evaluator", "repro.ckks.linear")
+#: repro.ckks import evaluator`` is the same door).
+EVALUATOR_MODULES = ("repro.ckks.evaluator",)
 
 
 class _RotateLoopVisitor(SymbolTrackingVisitor):

@@ -10,6 +10,8 @@ running it op by op:
   :func:`reduction_steps` that leaves a sum in slot 0;
 * :func:`dot_plain` -- one plaintext product, its explicit rescale, then
   the reduction: ``<weights, x>`` in slot 0;
+* :func:`polynomial` -- a power-basis polynomial, typed as it is built
+  (it needs the context to encode each coefficient at its power's scale);
 * :func:`matvec_graph` -- the Halevi-Shoup diagonal matrix-vector
   product (one diagonal gather, zero diagonals skipped): one
   ``linear_sweep`` node -- the ``dim - 1`` rotations share a
@@ -34,8 +36,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ckks.context import CkksContext
-from repro.plan.graph import PlanGraph
-from repro.plan.passes import _fits, _last_prime
+from repro.plan.graph import PlanGraph, PlanNode
+from repro.plan.passes import (
+    NodeType,
+    PlanValidationError,
+    _drop_to,
+    _last_prime,
+    _node_type,
+    _product_scale,
+    _typed,
+    check_plan,
+)
 
 
 def reduction_steps(width: int) -> List[int]:
@@ -107,6 +118,58 @@ def matvec_graph(
     return graph, out
 
 
+def polynomial(
+    graph: PlanGraph, node: int, coeffs: Sequence[float], context: CkksContext
+) -> int:
+    """``c0 + c1 x + ... + cd x^d`` on ``node``, in the power basis.
+
+    Each power is a product of the two largest below it (a square when
+    they are one), rescaled; depth ``ceil(log2 d) + 1`` levels.  Every
+    contributing power drops to the deepest power's level, and each
+    coefficient is encoded at ``target / s_i`` for its power's scale
+    ``s_i``, so all terms sum at the one scale ``target`` with no
+    alignment multiply; one rescale, then ``c0`` as a const.  The graph
+    up to ``node`` must pass :func:`repro.plan.passes.check_plan`; every
+    node emitted is typed, so a polynomial too deep for the chain raises
+    :class:`repro.plan.passes.PlanValidationError` here.
+    """
+    coeffs = [float(c) for c in coeffs]
+    if len(coeffs) < 2:
+        raise ValueError("need at least a degree-1 polynomial")
+    if not any(coeffs[1:]):
+        raise ValueError("polynomial has no nonzero non-constant terms")
+    types = check_plan(graph, context)
+
+    def level(nid: int) -> int:
+        return types[nid][0].level_count
+
+    def scale(nid: int) -> float:
+        return types[nid][0].scale
+
+    powers = [node]  # powers[i] = x^(i+1)
+    while len(powers) < len(coeffs) - 1:
+        k = len(powers) + 1
+        a, b = powers[k // 2 - 1], powers[k - k // 2 - 1]
+        common = min(level(a), level(b))
+        a, b = (_drop_to(graph, p, common, types, context) for p in (a, b))
+        product = graph.square(a) if a == b else graph.mul_relin(a, b)
+        product = _typed(graph, product, types, context)
+        powers.append(_typed(graph, graph.rescale(product), types, context))
+    used = [(p, c) for p, c in zip(powers, coeffs[1:]) if c]
+    deepest = min(level(p) for p, _ in used)
+    used = [(_drop_to(graph, p, deepest, types, context), c) for p, c in used]
+    target = max(scale(p) for p, _ in used) * context.params.scale
+    acc = None
+    for p, c in used:
+        term = graph.mul_plain(p, graph.const(c, scale=target / scale(p)))
+        term = _typed(graph, term, types, context)
+        acc = term if acc is None else _typed(graph, graph.add(acc, term), types, context)
+    out = _typed(graph, graph.rescale(acc), types, context)
+    if coeffs[0]:
+        out = _typed(graph, graph.add_const(out, graph.const(coeffs[0])), types, context)
+    return out
+
+
 def workload_graph(
     workload,
     lanes: int,
@@ -124,93 +187,83 @@ def workload_graph(
     * ``cc_mult``   -> ``square(cur)``
     * ``cp_mult``   -> ``mul_plain(cur, 0.5)``
     * ``rescale``   -> ``rescale(cur)`` (realized as a scale-preserving
-      unit-multiply + rescale when the chain's scale is below the prime,
-      the planner's own level-drop idiom)
+      unit-multiply + rescale when the rescale alone would leave no
+      precision, the planner's own level-drop idiom)
     * ``add``       -> ``add(cur, cur)``
 
-    Chains track (level, scale) with the planner's own arithmetic, and
-    an op the chain cannot sustain (out of levels, out of headroom)
-    resets the lane to a fresh input -- a real host would interleave ops
-    from a new request at that point -- expressed as a new plan input
-    named ``lane{i}_reset{j}``.  The returned graph passes
-    :func:`repro.plan.passes.compile_plan` by construction.
+    Each step is typed by the planner's rule as placement will see it
+    (with the rescale placement puts in front of a multiply), and an op
+    the rule refuses on the chain resets the lane to a fresh input -- a
+    real host would interleave ops from a new request at that point --
+    expressed as a new plan input named ``lane{i}_reset{j}``.  The
+    returned graph passes :func:`repro.plan.passes.compile_plan` by
+    construction.
     """
     if lanes < 1:
         raise ValueError("need at least one lane")
-    delta = context.params.scale
-    trigger = delta ** 1.5
     graph = PlanGraph()
-    sequence = workload.op_sequence()
     half = graph.const(0.5)
+    consts = PlanGraph()  # what a step multiplies by, to type it off the graph
+    typed_half = consts.const(0.5)
+    fresh = _node_type(consts, PlanNode(0, "input"), {}, context)
+
+    def after(start: NodeType, *steps) -> Optional[NodeType]:
+        """The type ``steps`` -- ops, each on the last one's result, a
+        product as ``("mul_plain", const id in consts)`` -- leave from a
+        ``start``-typed value; None where the rule refuses one."""
+        types = {0: start}
+        for i, step in enumerate(steps, start=1):
+            op, const_id = step if isinstance(step, tuple) else (step, None)
+            node = PlanNode(i, op, (i - 1,) * (1 + (op == "add")), const_id=const_id)
+            try:
+                types[i] = _node_type(consts, node, types, context)
+            except PlanValidationError:
+                return None
+        return types[len(steps)]
+
+    def ways(primitive: str, start: NodeType):
+        """``(type after, builder)`` per way to apply ``primitive`` to a
+        ``start``-typed chain, best first."""
+        auto = ("rescale",) if _product_scale(start[0], context) else ()
+        if primitive == "add":
+            return [(after(start, "add"), lambda cur: graph.add(cur, cur))]
+        if primitive == "keyswitch":
+            return [(after(start, "rotate"), lambda cur: graph.rotate(cur, 1))]
+        if primitive == "cc_mult":
+            return [(after(start, *auto, "square"), graph.square)]
+        if primitive == "cp_mult":
+            step = ("mul_plain", typed_half)
+            return [(after(start, *auto, step), lambda cur: graph.mul_plain(cur, half))]
+        if primitive == "rescale":
+            prime = _last_prime(context, start[0].level_count)
+            unit = ("mul_plain", consts.const(1.0, scale=prime))
+            return [
+                (after(start, "rescale"), graph.rescale),
+                (
+                    after(start, unit, "rescale"),
+                    lambda cur: graph.rescale(
+                        graph.mul_plain(cur, graph.const(1.0, scale=prime))
+                    ),
+                ),
+            ]
+        raise ValueError(f"unknown primitive {primitive!r}")
 
     for lane in range(lanes):
         resets = 0
-        cur = graph.input(f"lane{lane}")
-        level, scale = context.k, delta
-
-        def reset() -> None:
-            nonlocal cur, level, scale, resets
-            resets += 1
-            cur = graph.input(f"lane{lane}_reset{resets}")
-            level, scale = context.k, delta
-
-        def after_auto_rescale() -> Tuple[int, float, bool]:
-            """(level, scale) after the rescale place_rescales would
-            insert in front of a multiply; False = no level left."""
-            if scale < trigger:
-                return level, scale, True
-            if level < 2:
-                return level, scale, False
-            return level - 1, scale / _last_prime(context, level), True
-
-        for primitive in sequence:
-            if primitive == "add":
-                cur = graph.add(cur, cur)
-                continue
-            if primitive == "keyswitch":
-                cur = graph.rotate(cur, 1)
-                continue
-            if primitive in ("cc_mult", "cp_mult"):
-                l2, s2, ok = after_auto_rescale()
-                product = s2 * s2 if primitive == "cc_mult" else s2 * delta
-                if not ok or not _fits(context, l2, product):
-                    reset()
-                    l2, s2 = level, scale
-                    product = s2 * s2 if primitive == "cc_mult" else s2 * delta
-                    if not _fits(context, l2, product):
-                        raise ValueError(
-                            f"workload {primitive} does not fit even on a "
-                            "fresh chain; use a larger k or smaller scale"
-                        )
-                if primitive == "cc_mult":
-                    cur = graph.square(cur)
-                else:
-                    cur = graph.mul_plain(cur, half)
-                level, scale = l2, product
-                continue
-            if primitive == "rescale":
-                if level < 2:
-                    reset()
-                prime = _last_prime(context, level)
-                if scale / prime > 1.0:
-                    cur = graph.rescale(cur)
-                    level, scale = level - 1, scale / prime
-                else:
-                    # scale-preserving level drop: unit-multiply up to
-                    # the prime, then the real rescale
-                    if not _fits(context, level, scale * prime):
-                        reset()
-                        prime = _last_prime(context, level)
-                        if not _fits(context, level, scale * prime):
-                            raise ValueError(
-                                "workload rescale does not fit even on a "
-                                "fresh chain; use a larger k or smaller scale"
-                            )
-                    unit = graph.const(1.0, scale=prime)
-                    cur = graph.rescale(graph.mul_plain(cur, unit))
-                    level -= 1
-                continue
-            raise ValueError(f"unknown primitive {primitive!r}")
+        cur, current = graph.input(f"lane{lane}"), fresh
+        for primitive in workload.op_sequence():
+            fits = [way for way in ways(primitive, current) if way[0]]
+            if not fits:
+                resets += 1
+                cur = graph.input(f"lane{lane}_reset{resets}")
+                fits = [way for way in ways(primitive, fresh) if way[0]]
+                if not fits:
+                    raise ValueError(
+                        f"workload {primitive} does not fit even on a fresh "
+                        "chain; use a larger k or smaller scale"
+                    )
+            current, build = fits[0]
+            cur = build(cur)
         graph.output(cur, f"lane{lane}_out")
     return graph
 

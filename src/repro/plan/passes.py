@@ -4,15 +4,17 @@ The passes run over a :class:`repro.plan.graph.PlanGraph` *before*
 execution, replacing the hand-managed scale/level bookkeeping of eager
 composites (now the fragments of :mod:`repro.plan.lower`; the inference
 example) with one planner and one typing rule, :func:`_node_type`: a
-node's (level, scale) from its operands' under the exact discipline the
-evaluator enforces at runtime (level equality,
-:data:`~repro.ckks.batch.SCALE_RTOL` scale matching, products multiply
-scales, a rescale divides by the last prime), or the error naming the
-node.  Both passes type every node with it:
+node's level, scale, noise bound and slot magnitude from its operands'
+under the exact discipline the evaluator enforces at runtime (level
+equality, :data:`~repro.ckks.batch.SCALE_RTOL` scale matching, products
+multiply scales, a rescale divides by the last prime) and the bounds of
+:class:`repro.ckks.noise.NoiseModel`, or the error naming the node.  A
+node must decrypt at its level's modulus and keep 1 bit of precision.
+Both passes type every node with it:
 
-* :func:`check_plan` -- the rule along the DAG plus modulus-budget
-  headroom and a slot-count cap on every const.  Rejects unplaceable
-  graphs loudly, before any ciphertext work happens.
+* :func:`check_plan` -- the rule along the DAG plus a slot-count cap on
+  every const.  Rejects unplaceable graphs loudly, before any
+  ciphertext work happens.
 * :func:`place_rescales` -- decides only where to rewrite a graph so it
   passes the checker: lazy rescales in front of multiplies (products
   stay at ``scale^2`` through additions, the Halevi-Shoup idiom),
@@ -38,12 +40,8 @@ import numpy as np
 
 from repro.ckks.batch import SCALE_RTOL
 from repro.ckks.context import CkksContext
+from repro.ckks.noise import NoiseEstimate, NoiseModel
 from repro.plan.graph import PlanGraph, PlanNode
-
-#: Required free bits between the scale and the modulus budget at a
-#: level -- the message magnitude guard the differential harness uses
-#: when it generates feasible programs.
-HEADROOM_BITS = 12
 
 #: Minimum scale ratio the planner will bridge with a unit
 #: multiplication.  Below this, encoding ``1.0`` at the ratio scale
@@ -61,11 +59,13 @@ class PlanValidationError(ValueError):
     """
 
 
-def _total_bits(context: CkksContext, level_count: int) -> int:
-    return sum(
-        m.value.bit_length()
-        for m in context.basis_at_level(level_count).moduli
-    )
+#: A ciphertext node's type: its noise estimate (level, scale and noise
+#: bound) and a bound on its slots' magnitude.
+NodeType = Tuple[NoiseEstimate, float]
+
+
+def _q_bits(context: CkksContext, level_count: int) -> float:
+    return sum(math.log2(m.value) for m in context.key_basis.moduli[:level_count])
 
 
 def _last_prime(context: CkksContext, level_count: int) -> float:
@@ -75,6 +75,12 @@ def _last_prime(context: CkksContext, level_count: int) -> float:
 def _const_scale(graph: PlanGraph, const_id: int, default: float) -> float:
     scale = graph.nodes[const_id].scale
     return default if scale is None else scale
+
+
+def _magnitude(graph: PlanGraph, const_id: int) -> float:
+    """A const's largest slot magnitude."""
+    value = graph.nodes[const_id].value
+    return abs(value) if np.isscalar(value) else float(max(map(abs, value)))
 
 
 def _scales_match(a: float, b: float) -> bool:
@@ -98,69 +104,109 @@ def _fail(node: PlanNode, why: str) -> NoReturn:
     raise PlanValidationError(f"plan node {node.id} ({node.op}): {why}")
 
 
-def _fits(context: CkksContext, level: int, scale: float) -> bool:
-    """Does ``scale`` leave :data:`HEADROOM_BITS` free in the level's
-    modulus budget?"""
-    return math.log2(scale) + HEADROOM_BITS <= _total_bits(context, level)
-
-
 def _node_type(
     graph: PlanGraph,
     node: PlanNode,
-    types: Dict[int, Tuple[int, float]],
+    types: Dict[int, NodeType],
     context: CkksContext,
-) -> Tuple[int, float]:
-    """The (level, scale) of a ciphertext node whose operands are typed
-    in ``types``: the one typing rule both passes apply.
+) -> NodeType:
+    """The type of a ciphertext node whose operands are typed in
+    ``types``: the one typing rule both passes apply.
 
+    Levels and scales follow the discipline the evaluator enforces at
+    runtime; noise bounds follow :class:`~repro.ckks.noise.NoiseModel`;
+    input slots are at most 1 in magnitude, sums add magnitudes,
+    products multiply them, a const counts as its largest value.
     Raises :class:`PlanValidationError` naming the node and the violated
     rule -- level mismatches, scale mismatches beyond
-    :data:`~repro.ckks.batch.SCALE_RTOL`, rescales at the last level, and
-    result scales :func:`scale_fault` refuses.
+    :data:`~repro.ckks.batch.SCALE_RTOL`, rescales at the last level,
+    result scales :func:`scale_fault` refuses, a node that would not
+    decrypt at its level's modulus, or one left with less than 1 bit of
+    precision.
     """
+    model = NoiseModel(context)
     delta = context.params.scale
     if node.op == "input":
         level = node.level_count if node.level_count is not None else context.k
         if not 1 <= level <= context.k:
             _fail(node, f"input level {level} outside [1, {context.k}]")
-        return level, node.scale if node.scale is not None else delta
-    if node.op in ("add", "sub", "mul_relin"):
-        (la, sa), (lb, sb) = types[node.inputs[0]], types[node.inputs[1]]
-        if la != lb:
+        est, mag = model.fresh(node.scale or delta, level), 1.0
+    elif node.op in ("add", "sub", "mul_relin"):
+        (a, ma), (b, mb) = types[node.inputs[0]], types[node.inputs[1]]
+        if a.level_count != b.level_count:
             _fail(
                 node,
-                f"operand level mismatch {la} vs {lb}; "
+                f"operand level mismatch {a.level_count} vs {b.level_count}; "
                 "run place_rescales to align levels",
             )
         if node.op == "mul_relin":
-            return _checked(node, la, sa * sb)
-        if not _scales_match(sa, sb):
-            _fail(
-                node,
-                f"operand scale mismatch {sa:g} vs {sb:g}; "
-                "run place_rescales or re-encode operands",
-            )
-        return la, sa
-    level, s = types[node.inputs[0]]
-    if node.op == "mul_plain":
-        return _checked(node, level, s * _const_scale(graph, node.const_id, delta))
-    if node.op == "linear_sweep":
-        scales = [_const_scale(graph, cid, delta) for _, cid in node.terms]
-        if not all(_scales_match(scales[0], other) for other in scales):
-            spread = f"{min(scales):g} .. {max(scales):g}"
-            _fail(node, f"term plaintext scales differ ({spread}); one sum, one scale")
-        return _checked(node, level, s * scales[0])
-    try:  # square, rescale, negate, add_const, rotate, conjugate
-        level, scale = step_type(node.op, level, s, context)
-    except ValueError as exc:
-        _fail(node, str(exc))
-    if node.op == "rescale" and scale <= 1.0:
+            est, mag = model.keyswitch(model.multiply(a, b, ma, mb)), ma * mb
+        else:
+            if not _scales_match(a.scale, b.scale):
+                _fail(
+                    node,
+                    f"operand scale mismatch {a.scale:g} vs {b.scale:g}; "
+                    "run place_rescales or re-encode operands",
+                )
+            est, mag = model.add(a, b), ma + mb
+    else:
+        a, mag = types[node.inputs[0]]
+        level = a.level_count
+        if node.op == "mul_plain":
+            scale = _const_scale(graph, node.const_id, delta)
+            c = _magnitude(graph, node.const_id)
+            est, mag = model.multiply(a, model.plain(scale, level), mag, c), mag * c
+        elif node.op == "linear_sweep":
+            scales = [_const_scale(graph, cid, delta) for _, cid in node.terms]
+            if not all(_scales_match(scales[0], other) for other in scales):
+                spread = f"{min(scales):g} .. {max(scales):g}"
+                _fail(node, f"term plaintext scales differ ({spread}); one sum, one scale")
+            plain, rotated = model.plain(scales[0], level), model.rotate(a)
+            consts = [_magnitude(graph, cid) for _, cid in node.terms]
+            terms = [
+                model.multiply(rotated if step else a, plain, mag, c)
+                for (step, _), c in zip(node.terms, consts)
+            ]
+            est = terms[0]
+            for term in terms[1:]:
+                est = model.add(est, term)
+            mag *= sum(consts)
+        else:  # square, rescale, negate, add_const, rotate, conjugate
+            try:
+                step_type(node.op, level, a.scale, context)
+            except ValueError as exc:
+                _fail(node, str(exc))
+            if node.op == "square":
+                est, mag = model.keyswitch(model.multiply(a, a, mag, mag)), mag * mag
+            elif node.op == "rescale":
+                est = model.rescale(a)
+            elif node.op in ("rotate", "conjugate"):
+                est = model.rotate(a)
+            elif node.op == "add_const":
+                est = model.add(a, model.plain(a.scale, level))
+                mag += _magnitude(graph, node.const_id)
+            else:
+                est = a
+    fault = scale_fault(node.op, est.scale)
+    if fault:
+        _fail(node, fault)
+    q_bits = _q_bits(context, est.level_count)
+    if not est.decryptable(q_bits, message_magnitude=mag):
         _fail(
             node,
-            f"rescale drives scale to {scale:g} (<= 1); "
-            "the operand was not a fresh product",
+            f"does not decrypt: slots up to {mag:g} at scale "
+            f"2^{math.log2(est.scale):.1f} plus noise 2^{math.log2(est.bound):.1f} "
+            f"pass half the {q_bits:.1f}-bit modulus at level {est.level_count}; "
+            "insert a rescale or start from a smaller encoding scale",
         )
-    return level, scale
+    if est.precision_bits < 1:
+        _fail(
+            node,
+            f"{est.precision_bits:.1f} bits of precision left (< 1): noise "
+            f"2^{math.log2(est.bound):.1f} at scale 2^{math.log2(est.scale):.1f}; "
+            "rescale only product-scale values, or encode at a larger scale",
+        )
+    return est, mag
 
 
 def step_type(op: str, level: int, scale: float, context: CkksContext) -> Tuple[int, float]:
@@ -186,47 +232,55 @@ def scale_fault(op: str, scale: float) -> str:
     """The one rule on every result scale, typed or served: finite and
     > 0 (the wire's own rule).  A product or quotient of valid scales can
     still under- or overflow to 0 or inf.  Returns why a scale breaks the
-    rule, or ``""``.  Planning also holds a rescale's result above 1
-    (:func:`_node_type`); serving does not, a bare rescale of a fresh
-    ciphertext is served."""
+    rule, or ``""``.  Planning also holds every node to 1 bit of
+    precision (:func:`_node_type`); serving does not, a bare rescale of
+    a fresh ciphertext is served."""
     if 0.0 < scale < math.inf:
         return ""
     return f"{op} drives scale to {scale:g}; a scale must be finite and > 0"
 
 
-def _checked(node: PlanNode, level: int, scale: float) -> Tuple[int, float]:
-    fault = scale_fault(node.op, scale)
-    if fault:
-        _fail(node, fault)
-    return level, scale
+def _typed(graph: PlanGraph, nid: int, types: Dict[int, NodeType], context: CkksContext) -> int:
+    """Type node ``nid`` of ``graph`` into ``types``; returns ``nid``."""
+    types[nid] = _node_type(graph, graph.nodes[nid], types, context)
+    return nid
 
 
-def check_plan(graph: PlanGraph, context: CkksContext) -> Dict[int, Tuple[int, float]]:
-    """Type every ciphertext node with its (level, scale); raise loudly.
+def _drop_to(
+    graph: PlanGraph,
+    nid: int,
+    level: int,
+    types: Dict[int, NodeType],
+    context: CkksContext,
+) -> int:
+    """Bring typed node ``nid`` down to ``level`` in ``graph`` without
+    moving its scale: per level, a unit multiply at the last prime, then
+    the rescale by it.  Every node emitted is typed."""
+    while types[nid][0].level_count > level:
+        unit = graph.const(1.0, scale=_last_prime(context, types[nid][0].level_count))
+        product = _typed(graph, graph.mul_plain(nid, unit), types, context)
+        nid = _typed(graph, graph.rescale(product), types, context)
+    return nid
 
-    Returns ``{node_id: (level_count, scale)}`` for ciphertext nodes of
-    a valid plan.  Raises :class:`PlanValidationError` naming the node
-    and the violated rule otherwise: :func:`_node_type`'s, a scale
-    within :data:`HEADROOM_BITS` of the level's modulus budget, or a
-    const holding more values than the context has slots (the encoder
-    would refuse it mid-run, after earlier steps had done their work).
+
+def check_plan(graph: PlanGraph, context: CkksContext) -> Dict[int, NodeType]:
+    """Type every ciphertext node; raise loudly.
+
+    Returns ``{node_id: (estimate, magnitude)}`` for the ciphertext
+    nodes of a valid plan (:data:`NodeType`).  Raises
+    :class:`PlanValidationError` naming the node and the violated rule
+    otherwise: :func:`_node_type`'s, or a const holding more values than
+    the context has slots (the encoder would refuse it mid-run, after
+    earlier steps had done their work).
     """
     slots = context.params.slot_count
-    types: Dict[int, Tuple[int, float]] = {}
+    types: Dict[int, NodeType] = {}
     for node in graph.topo_order():
         if node.op == "const":
             if np.size(node.value) > slots:
                 _fail(node, f"holds {np.size(node.value)} values > {slots} slots")
             continue
-        level, scale = types[node.id] = _node_type(graph, node, types, context)
-        if not _fits(context, level, scale):
-            _fail(
-                node,
-                f"scale 2^{math.log2(scale):.1f} leaves less than "
-                f"{HEADROOM_BITS} headroom bits in the "
-                f"{_total_bits(context, level)}-bit modulus budget at level "
-                f"{level}; insert a rescale or start from a smaller encoding scale",
-            )
+        _typed(graph, node.id, types, context)
     return types
 
 
@@ -260,43 +314,28 @@ def place_rescales(
     emits is typed by :func:`_node_type`, so a graph the checker's rule
     rejects raises its :class:`PlanValidationError` here already.
     """
-    trigger = context.params.scale ** 1.5
     out = PlanGraph()
     mapping: Dict[int, int] = {}
-    types: Dict[int, Tuple[int, float]] = {}
+    types: Dict[int, NodeType] = {}
     rescaled: Dict[int, int] = {}
 
     def typed(nid: int) -> int:
-        types[nid] = _node_type(out, out.nodes[nid], types, context)
-        return nid
+        return _typed(out, nid, types, context)
 
     def emit_rescale(nid: int) -> int:
         if nid not in rescaled:
-            level, scale = types[nid]
-            if level < 2:
-                raise PlanValidationError(
-                    f"plan node {nid}: needs a rescale (scale {scale:g}) but is "
-                    "already at the last level; the chain is too deep for this "
-                    "parameter set"
-                )
             rescaled[nid] = typed(out.rescale(nid))
         return rescaled[nid]
 
     def maybe_rescale(nid: int) -> int:
-        return emit_rescale(nid) if types[nid][1] >= trigger else nid
-
-    def drop_to(nid: int, target_level: int) -> int:
-        while types[nid][0] > target_level:
-            unit = out.const(1.0, scale=_last_prime(context, types[nid][0]))
-            nid = typed(out.rescale(typed(out.mul_plain(nid, unit))))
-        return nid
+        return emit_rescale(nid) if _product_scale(types[nid][0], context) else nid
 
     def align_levels(a: int, b: int) -> Tuple[int, int]:
-        target = min(types[a][0], types[b][0])
-        return drop_to(a, target), drop_to(b, target)
+        target = min(types[a][0].level_count, types[b][0].level_count)
+        return _drop_to(out, a, target, types, context), _drop_to(out, b, target, types, context)
 
     def align_scales(a: int, b: int) -> Tuple[int, int]:
-        sa, sb = types[a][1], types[b][1]
+        sa, sb = types[a][0].scale, types[b][0].scale
         if _scales_match(sa, sb):
             return a, b
         ratio = max(sa, sb) / min(sa, sb)
@@ -329,10 +368,16 @@ def place_rescales(
 
     for name, nid in graph.outputs.items():
         new = mapping[nid]
-        if rescale_outputs and types[new][0] >= 2:
+        if rescale_outputs and types[new][0].level_count >= 2:
             new = maybe_rescale(new)
         out.output(new, name)
     return out
+
+
+def _product_scale(est: NoiseEstimate, context: CkksContext) -> bool:
+    """Is ``est`` at product scale (``>= delta^1.5``), so that placement
+    rescales it in front of a multiply?"""
+    return est.scale >= context.params.scale ** 1.5
 
 
 def compile_plan(

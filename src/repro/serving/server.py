@@ -217,9 +217,12 @@ class EncryptedComputeServer:
         ``op="program"`` request with ``op_arg=program_id``; the whole
         chain executes as one :class:`repro.plan.PlanGraph` per flush,
         so the planner packs the flush's independent request chains into
-        batch lanes instead of flushing each step separately.  The
-        program's scale/level discipline is validated by the plan
-        checker at flush time -- an infeasible chain fails loudly.
+        batch lanes instead of flushing each step separately.  At flush
+        time the plan checker types the chain from each request's level
+        and scale: an infeasible chain, or one the noise model says
+        would not decrypt or would keep under 1 bit of precision, fails
+        loudly.  Bare ops skip the checker because admission already
+        typed their one step.
 
         An id is bound once: pending requests were admitted (and
         key-checked) against the registered steps and look them up again
@@ -516,11 +519,9 @@ class EncryptedComputeServer:
                 cur = STEP_OPS[op].lower(graph, cur, arg)
             graph.output(cur, f"r{i}")
         if any(r.op == "program" for r in requests):
-            # a registered chain is validated before any ciphertext work.
-            # Bare ops are deliberately NOT: the checker's headroom rule
-            # rejects shapes the evaluator serves correctly (a Set-A
-            # square at level 2), so they keep relying on the
-            # evaluator's own errors
+            # a registered chain is typed by the planner's rule before
+            # any ciphertext work; a bare op's one step was typed at
+            # admission (step_type), so its flush skips the checker
             check_plan(graph, self.context)
         return graph, inputs
 

@@ -371,7 +371,9 @@ def generate_program(
     Tracks the (level, scale) budget the way a CKKS compiler would: an
     op is only emitted when the resulting scale still fits under the
     remaining modulus with headroom (no wrap-around) and stays above a
-    precision floor (so the final decode remains meaningful).
+    precision floor (so the final decode remains meaningful).  A program
+    carries its own rescales, so no multiply takes a product-scale chain
+    (placement would rescale it first).
     """
     rng = random.Random(seed)
     ops = [op for op, w in _OP_WEIGHTS for _ in range(w)]
@@ -382,6 +384,8 @@ def generate_program(
     floor = 22  # precision floor for the final decode
     while len(program) < length:
         op = rng.choice(ops)
+        if op in ("mul_relin", "matvec", "mul_plain") and s >= 1.5 * scale_bits:
+            continue
         if op == "mul_relin":
             # operand is encoded at the default scale; the pair
             # multiplies then rescales, costing one level
@@ -741,7 +745,7 @@ def run_program_planned(
             f"place_rescales rewrote a pre-scheduled program graph "
             f"({len(graph)} -> {len(placed)} nodes) for {program}"
         )
-        check_plan(graph, ctx)
+        types = check_plan(graph, ctx)
 
         executor = PlanExecutor(
             ctx, relin_key=relin_key, galois_keys=galois_keys
@@ -770,6 +774,8 @@ def run_program_planned(
             "decoded": decoded,
             "expected": [m.values for m in models],
             "run": run,
+            # the planner's typed noise estimate of each output
+            "bounds": [types[graph.outputs[f"y{b}"]][0] for b in range(batch_count)],
         }
 
 

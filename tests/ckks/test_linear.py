@@ -1,11 +1,10 @@
 """Tests for the encrypted linear-algebra layer: the plan fragments of
-``repro.plan.lower`` run end to end on live ciphertexts, and the eager
-``LinearEvaluator.evaluate_polynomial``."""
+``repro.plan.lower`` run end to end on live ciphertexts (the polynomial
+fragment's are in ``tests/plan/test_lower.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.ckks.linear import LinearEvaluator
 from repro.plan import PlanExecutor, PlanGraph, compile_plan
 from repro.plan.lower import (
     dot_plain,
@@ -14,11 +13,6 @@ from repro.plan.lower import (
     rotate_and_sum,
 )
 from repro.system.workload import WorkloadGenerator
-
-
-@pytest.fixture(scope="module")
-def linear(toy_context):
-    return LinearEvaluator(toy_context)
 
 
 @pytest.fixture(scope="module")
@@ -149,50 +143,6 @@ class TestMatvecDiagonal:
         out = matvec(toy_context, reduction_keys, np.eye(dim), ct)
         dec = decode(encoder, decryptor, out)[:dim]
         assert np.allclose(dec, x, atol=0.02)
-
-
-class TestEvaluatePolynomial:
-    def test_degree2(self, linear, encoder, encryptor, decryptor, relin_key):
-        x = np.array([0.5, -1.0, 0.25])
-        ct = encrypt_vec(encoder, encryptor, x)
-        out = linear.evaluate_polynomial(ct, [1.0, 2.0, 3.0], relin_key)
-        dec = encoder.decode(decryptor.decrypt(out)).real[:3]
-        assert np.allclose(dec, 1 + 2 * x + 3 * x**2, atol=0.05)
-
-    def test_degree3_sigmoid_approx(self):
-        """Degree 3 needs an extra level: run on a k=4 context."""
-        from repro.ckks.context import CkksContext, toy_parameters
-        from repro.ckks.encoder import CkksEncoder
-        from repro.ckks.encryptor import Encryptor
-        from repro.ckks.decryptor import Decryptor
-        from repro.ckks.keys import KeyGenerator
-
-        ctx = CkksContext(toy_parameters(n=64, k=4, prime_bits=30))
-        kg = KeyGenerator(ctx, seed=4)
-        enc = CkksEncoder(ctx)
-        encryptor = Encryptor(ctx, kg.public_key(), seed=5)
-        decryptor = Decryptor(ctx, kg.secret_key)
-        lin = LinearEvaluator(ctx)
-        coeffs = [0.5, 0.197, 0.0, -0.004]
-        x = np.array([0.5, -2.0, 1.5])
-        ct = encryptor.encrypt(enc.encode(x))
-        out = lin.evaluate_polynomial(ct, coeffs, kg.relin_key())
-        dec = enc.decode(decryptor.decrypt(out)).real[:3]
-        expected = coeffs[0] + coeffs[1] * x + coeffs[3] * x**3
-        assert np.allclose(dec, expected, atol=0.05)
-
-    def test_insufficient_depth_raises(
-        self, linear, encoder, encryptor, relin_key
-    ):
-        """Degree 3 on the k=3 fixture cannot absorb the coefficients."""
-        ct = encrypt_vec(encoder, encryptor, [0.5])
-        with pytest.raises(ValueError):
-            linear.evaluate_polynomial(ct, [0.0, 1.0, 1.0, 1.0], relin_key)
-
-    def test_rejects_constant(self, linear, encoder, encryptor, relin_key):
-        ct = encrypt_vec(encoder, encryptor, [1.0])
-        with pytest.raises(ValueError):
-            linear.evaluate_polynomial(ct, [1.0], relin_key)
 
 
 def fragment_primitives(plan):

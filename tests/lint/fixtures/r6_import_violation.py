@@ -1,15 +1,12 @@
 # lint-fixture-path: src/repro/serving/fixture.py
 # R6 violating fixture: a serving module reaching the evaluator directly
-# (five findings expected: from-import of the evaluator class, the
-# package re-export, the eager linear layer's class and its module, a
-# function-local import of the home module; the lane container is data,
-# not a door, and is not flagged).
+# (three findings expected: from-import of the evaluator class, the
+# package re-export, a function-local import of the home module; the
+# lane container is data, not a door, and is not flagged).
 
 from repro.ckks.batch import CiphertextBatch
 from repro.ckks.evaluator import Evaluator, KeySwitchDigits
 from repro.ckks import Evaluator as Lanes
-from repro.ckks.linear import LinearEvaluator
-from repro.ckks import linear
 
 
 def flush(context, requests):

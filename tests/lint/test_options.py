@@ -46,9 +46,6 @@ EXEMPT_OPTIONS: Dict[str, str] = {
     "AsyncFrontDoor(host)": "deployment setting of the socket front door",
     "AsyncFrontDoor(port)": "deployment setting of the socket front door",
     "RequestQueue(closed)": "queue state flipped by the drain protocol",
-    "NoiseEstimate.decryptable(message_magnitude)": "repro.ckks.noise: ROADMAP item 3 adopts it",
-    "NoiseModel.multiply_plain(plain_magnitude)": "repro.ckks.noise: ROADMAP item 3 adopts it",
-    "NoiseBudget.depth_capacity(message_magnitude)": "repro.ckks.noise: ROADMAP item 3 adopts it",
 }
 
 

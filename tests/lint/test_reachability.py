@@ -33,15 +33,9 @@ from typing import Dict, List, Optional, Set
 from census import REACH_TREES, ROOT, python_files
 
 _DERIVED = "a base.DERIVED convenience; ROADMAP 6(a) deletes the DERIVED names"
-_NOISE = "repro.ckks.noise: ROADMAP item 3 adopts it or deletes it by the PR 40 re-anchor"
 
 #: Symbols kept although nothing outside ``tests/`` names them.
 EXEMPT: Dict[str, str] = {
-    "NoiseEstimate.decryptable": _NOISE,
-    "NoiseBudget": _NOISE,
-    "NoiseBudget.depth_capacity": _NOISE,
-    "LinearEvaluator": "repro.ckks.linear: ROADMAP item 3 turns it into a plan fragment by PR 40",
-    "LinearEvaluator.evaluate_polynomial": "repro.ckks.linear: ROADMAP item 3, as above",
     "EncryptedComputeServer.register_program": "the only entry to the op=\"program\" path",
     "primitive_2nth_root": "the public root-search contract (least primitive 2n-th root); "
     "NTTTables gathers psi and both tables from the same search's vector (root_powers)",

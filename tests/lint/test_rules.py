@@ -134,8 +134,6 @@ def test_r6_flags_evaluator_imports_in_serving_modules():
         "import of repro.ckks.Evaluator",
         "import of repro.ckks.evaluator",
         "import of repro.ckks.evaluator.Evaluator",
-        "import of repro.ckks.linear",
-        "import of repro.ckks.linear.LinearEvaluator",
     ]
     # the function-local import is attributed to its function
     assert "flush" in {f.symbol for f in result.findings}

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from repro.ckks.context import CkksContext, toy_parameters
+from repro.ckks.decryptor import Decryptor
+from repro.ckks.encoder import CkksEncoder
+from repro.ckks.encryptor import Encryptor
+from repro.ckks.keys import KeyGenerator
 from repro.ckks.serialization import serialize_ciphertext
 from repro.plan.executor import PlanExecutor
 from repro.plan.graph import PlanGraph
@@ -12,10 +16,11 @@ from repro.plan.lower import (
     dot_plain,
     fresh_lane_inputs,
     matvec_graph,
+    polynomial,
     rotate_and_sum,
     workload_graph,
 )
-from repro.plan.passes import check_plan, compile_plan
+from repro.plan.passes import PlanValidationError, check_plan, compile_plan
 from repro.system.workload import Workload, WorkloadGenerator
 
 DIM = 8
@@ -140,6 +145,66 @@ class TestMatvecGraph:
         check_plan(placed, plan_context)
 
 
+def run_polynomial(backend, k, coeffs, x, seed):
+    """Encrypt ``x`` on a toy ``k``-prime chain, compile the polynomial
+    fragment on it and run it: ``(output ciphertext bytes, decoded)``."""
+    ctx = CkksContext(toy_parameters(n=64, k=k, prime_bits=30), backend=backend)
+    keygen = KeyGenerator(ctx, seed=seed)
+    encoder = CkksEncoder(ctx)
+    ct = Encryptor(ctx, keygen.public_key(), seed=seed + 1).encrypt(encoder.encode(x))
+    graph = PlanGraph()
+    graph.output(polynomial(graph, graph.input("x"), coeffs, ctx), "y")
+    plan = compile_plan(graph, ctx)
+    out = PlanExecutor(ctx, keygen.relin_key()).run(plan, {"x": ct}).outputs["y"]
+    decoded = encoder.decode(Decryptor(ctx, keygen.secret_key).decrypt(out)).real
+    return serialize_ciphertext(out), decoded[: len(x)]
+
+
+SIGMOID = [0.5, 0.197, 0.0, -0.004]
+
+
+class TestPolynomial:
+    """The power-basis fragment: degree 2 on the k = 3 toy chain, the
+    degree-3 sigmoid on k = 4, both decoded within 0.05 and bit-identical
+    on the two backends; what the chain cannot hold is refused."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_degree2(self, backend):
+        x = np.array([0.5, -1.0, 0.25])
+        _, dec = run_polynomial(backend, 3, [1.0, 2.0, 3.0], x, seed=12345)
+        assert np.allclose(dec, 1 + 2 * x + 3 * x**2, atol=0.05)
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_degree3_sigmoid_approx(self, backend):
+        """Degree 3 needs an extra level: run on a k=4 context."""
+        x = np.array([0.5, -2.0, 1.5])
+        _, dec = run_polynomial(backend, 4, SIGMOID, x, seed=4)
+        expected = SIGMOID[0] + SIGMOID[1] * x + SIGMOID[3] * x**3
+        assert np.allclose(dec, expected, atol=0.05)
+
+    @pytest.mark.parametrize(
+        "k, coeffs", [(3, [1.0, 2.0, 3.0]), (4, SIGMOID)], ids=["degree2", "sigmoid"]
+    )
+    def test_bit_identical_on_both_backends(self, k, coeffs):
+        x = np.array([0.5, -1.0, 0.25])
+        assert (
+            run_polynomial("numpy", k, coeffs, x, seed=7)[0]
+            == run_polynomial("reference", k, coeffs, x, seed=7)[0]
+        )
+
+    def test_insufficient_depth_raises(self):
+        """Degree 3 on a k=3 chain cannot absorb the coefficients."""
+        ctx = CkksContext(toy_parameters(n=64, k=3, prime_bits=30))
+        graph = PlanGraph()
+        with pytest.raises(PlanValidationError):
+            polynomial(graph, graph.input("x"), [0.0, 1.0, 1.0, 1.0], ctx)
+
+    def test_rejects_constant(self, plan_context):
+        graph = PlanGraph()
+        with pytest.raises(ValueError, match="degree-1"):
+            polynomial(graph, graph.input("x"), [1.0], plan_context)
+
+
 class TestWorkloadGraph:
     def test_outputs_one_per_lane(self, plan_context):
         graph = workload_graph(WorkloadGenerator.dot_product(DIM), 3, plan_context)
@@ -171,10 +236,11 @@ class TestWorkloadGraph:
         assert fast.packed_ops > 0
 
     def test_infeasible_workload_raises_loudly(self):
-        ctx2 = CkksContext(toy_parameters(n=64, k=2, prime_bits=30))
+        # a square's 2^56 does not decrypt under one 30-bit prime
+        ctx1 = CkksContext(toy_parameters(n=64, k=1, prime_bits=30))
         heavy = Workload("heavy", {"cc_mult": 1})
         with pytest.raises(ValueError, match="does not fit even on a fresh"):
-            workload_graph(heavy, 1, ctx2)
+            workload_graph(heavy, 1, ctx1)
 
     def test_needs_at_least_one_lane(self, plan_context):
         with pytest.raises(ValueError, match="at least one lane"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ckks import SET_A
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.plan.executor import PlanExecutor
 from repro.plan.graph import PlanGraph
@@ -40,16 +41,32 @@ class TestChecker:
         s = g.square(x)
         r = g.rescale(s)
         types = check_plan(g, ctx4)
-        assert types[x] == (4, DELTA)
-        assert types[s] == (4, DELTA * DELTA)
-        level, scale = types[r]
-        assert level == 3
+        assert (types[x][0].level_count, types[x][0].scale) == (4, DELTA)
+        assert (types[s][0].level_count, types[s][0].scale) == (4, DELTA * DELTA)
+        est, magnitude = types[r]
+        assert est.level_count == 3 and magnitude == 1.0
         prime = float(ctx4.basis_at_level(4).moduli[-1].value)
-        assert scale == DELTA * DELTA / prime
+        assert est.scale == DELTA * DELTA / prime
+        # the noise grows through the product and shrinks by the prime
+        assert types[x][0].bound < est.bound * prime < types[s][0].bound * 2
+        assert est.precision_bits > 1
+
+    @pytest.mark.parametrize("op", ["mul_relin", "square"])
+    def test_set_a_multiply_is_accepted(self, op):
+        """Table 8's MULT+ReLin on Set-A: a 2^56 product under the 64-bit
+        level-2 modulus decrypts, and keeps its precision rescaled."""
+        ctx = CkksContext(SET_A)
+        g = PlanGraph()
+        x = g.input("x")
+        g.output(g.mul_relin(x, x) if op == "mul_relin" else g.square(x), "y")
+        placed = compile_plan(g, ctx)
+        est, magnitude = check_plan(placed, ctx)[placed.outputs["y"]]
+        assert (est.level_count, magnitude) == (1, 1.0)
+        assert est.precision_bits > 1
 
     def test_rescale_at_last_level_rejected(self, ctx3):
         g = PlanGraph()
-        x = g.input("x", level_count=1, scale=2.0 ** 10)
+        x = g.input("x", level_count=1, scale=2.0 ** 20)
         g.rescale(x)
         with pytest.raises(
             PlanValidationError, match="cannot rescale at the last level"
@@ -61,7 +78,10 @@ class TestChecker:
         g = PlanGraph()
         x = g.input("x")
         g.square(g.square(x))
-        with pytest.raises(PlanValidationError, match="headroom bits"):
+        with pytest.raises(
+            PlanValidationError,
+            match=r"plan node 2 \(square\): does not decrypt: .* 2\^112\.0 .* 90\.0-bit modulus",
+        ):
             check_plan(g, ctx3)
 
     def test_level_mismatch_add_rejected(self, ctx4):
@@ -91,7 +111,7 @@ class TestChecker:
         g = PlanGraph()
         x = g.input("x")
         g.rescale(x)
-        with pytest.raises(PlanValidationError, match="not a fresh product"):
+        with pytest.raises(PlanValidationError, match="bits of precision left"):
             check_plan(g, ctx4)
 
     @pytest.mark.parametrize("op", ["mul_plain", "add_const", "linear_sweep"])
@@ -130,8 +150,7 @@ class TestPlacement:
         # exactly one rescale, in front of the second square
         assert placed.op_counts()["rescale"] == 1
         types = check_plan(placed, ctx4)
-        out_level, _ = types[placed.outputs["y"]]
-        assert out_level == 3
+        assert types[placed.outputs["y"]][0].level_count == 3
 
     def test_linear_sweep_is_typed_and_placed_like_a_plain_multiply(self, ctx4):
         g = PlanGraph()
@@ -144,9 +163,10 @@ class TestPlacement:
         sweep = placed.nodes[placed.outputs["y"]]
         assert placed.nodes[sweep.inputs[0]].op == "rescale"
         assert [placed.nodes[c].op for _, c in sweep.terms] == ["const"] * 3
-        level, scale = check_plan(placed, ctx4)[sweep.id]
+        est, _ = check_plan(placed, ctx4)[sweep.id]
         last_prime = ctx4.basis_at_level(4).moduli[-1].value
-        assert level == 3 and scale == pytest.approx(DELTA**3 / last_prime)
+        assert est.level_count == 3
+        assert est.scale == pytest.approx(DELTA**3 / last_prime)
 
     def test_prescheduled_graph_passes_through_unchanged(self, ctx4):
         g = PlanGraph()
@@ -165,13 +185,15 @@ class TestPlacement:
         eager = place_rescales(g, ctx4, rescale_outputs=True)
         assert lazy.op_counts().get("rescale", 0) == 0
         assert eager.op_counts()["rescale"] == 1
-        level, scale = check_plan(eager, ctx4)[eager.outputs["y"]]
-        assert level == 3 and scale < DELTA * DELTA
+        est, _ = check_plan(eager, ctx4)[eager.outputs["y"]]
+        assert est.level_count == 3 and est.scale < DELTA * DELTA
 
-    def test_output_at_the_last_level_is_left_unrescaled(self, ctx4):
+    def test_output_at_the_last_level_is_left_unrescaled(self):
+        # delta = 2^10 puts a product scale (>= 2^15) under a 30-bit prime
+        ctx = CkksContext(toy_parameters(n=64, k=4, prime_bits=30, scale=2.0**10))
         g = PlanGraph()
-        g.output(g.input("x", level_count=1, scale=DELTA * DELTA), "y")
-        assert "rescale" not in place_rescales(g, ctx4).op_counts()
+        g.output(g.input("x", level_count=1, scale=2.0**16), "y")
+        assert "rescale" not in compile_plan(g, ctx).op_counts()
 
     def test_level_drop_aligns_mixed_level_add(self, ctx4):
         # the checker rejects this graph; placement repairs it with a
@@ -183,10 +205,9 @@ class TestPlacement:
         with pytest.raises(PlanValidationError):
             check_plan(g, ctx4)
         placed = compile_plan(g, ctx4)
-        types = check_plan(placed, ctx4)
-        level, scale = types[placed.outputs["y"]]
-        assert level == 3
-        assert scale == pytest.approx(DELTA)
+        est, _ = check_plan(placed, ctx4)[placed.outputs["y"]]
+        assert est.level_count == 3
+        assert est.scale == pytest.approx(DELTA)
 
     def test_product_scale_level_drop_is_a_fixed_point(self, ctx4):
         # the drop of a product-scale operand is a unit multiply of a
@@ -211,16 +232,15 @@ class TestPlacement:
             place_rescales(g, ctx4)
 
     def test_too_deep_chain_rejected_at_placement(self, ctx3):
-        # k=3 sustains two square->rescale rounds; the fourth square
-        # finds its product-scale operand at the last level with no
-        # level left to rescale into
+        # k=3 sustains two square->rescale rounds; the third square lands
+        # its 2^44 product in the last level's 30 bits
         g = PlanGraph()
         x = g.input("x")
         g.output(g.square(g.square(g.square(g.square(x)))), "y")
         with pytest.raises(
-            PlanValidationError, match="already at the last level"
+            PlanValidationError, match=r"\(square\): does not decrypt: .* 2\^44\.0"
         ):
-            compile_plan(g, ctx3)
+            place_rescales(g, ctx3)
 
     def test_compile_plan_validates_its_own_output(self, ctx4):
         g = PlanGraph()

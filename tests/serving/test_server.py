@@ -151,39 +151,46 @@ class TestEndToEnd:
 
 class TestBareOpsAreNotPlanChecked:
     """Every flush runs as a plan, but only *program* flushes run the
-    plan checker.  Its headroom rule (scale^2 must leave 12 bits under
-    the modulus budget) rejects a Set-A-shaped ``square`` -- scale 2^28
-    at two ~30-bit levels -- which the evaluator serves correctly, so
-    bare ops keep relying on the evaluator's own errors."""
+    plan checker: admission already typed a bare op's one-step chain.
+    The checker's rule is the noise model's, so a Set-A-shaped
+    ``square`` -- scale 2^28 at two ~30-bit levels -- passes it, and a
+    registered ``("square",)`` program answers what the bare op does."""
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_set_a_shaped_square_is_answered(self, width):
         from repro.ckks.context import CkksContext, toy_parameters
-        from repro.plan import PlanGraph, PlanValidationError, check_plan
+        from repro.plan import PlanGraph, check_plan
         from repro.serving.traffic import SyntheticClient, SyntheticTenant
 
         ctx = CkksContext(toy_parameters(n=64, k=2, prime_bits=30, scale=2.0**28))
-        # the trap: the checker refuses exactly this request shape
         graph = PlanGraph()
         graph.output(graph.square(graph.input("x")), "y")
-        with pytest.raises(PlanValidationError, match="headroom"):
-            check_plan(graph, ctx)
+        check_plan(graph, ctx)
 
         tenant = SyntheticTenant(ctx, seed=515, key_id="set-a-shaped")
-        server = EncryptedComputeServer(ctx, max_batch_size=4)
-        clients = [
-            SyntheticClient(tenant, f"sq-{i}", seed=520 + i) for i in range(width)
-        ]
-        for i, client in enumerate(clients):
-            client.connect(server)
-            server.receive(
-                client.client_id, client.request_bytes("square", [0.5 + i, -0.25])
-            )
-        assert server.drain() == width
-        for i, client in enumerate(clients):
-            (blob,) = server.sessions.get(client.client_id).take_outbox()
-            assert framing.decode_frame(blob).kind == framing.RESPONSE
-            _, values = tenant.decrypt_response(blob)
+        answers = {}
+        for op, op_arg in (("square", 0), ("program", 1)):
+            server = EncryptedComputeServer(ctx, max_batch_size=4)
+            server.register_program(1, ("square",))
+            clients = [
+                SyntheticClient(tenant, f"sq-{i}", seed=520 + i) for i in range(width)
+            ]
+            for i, client in enumerate(clients):
+                client.connect(server)
+                server.receive(
+                    client.client_id,
+                    client.request_bytes(op, [0.5 + i, -0.25], op_arg=op_arg),
+                )
+            assert server.drain() == width
+            answers[op] = [
+                server.sessions.get(client.client_id).take_outbox() for client in clients
+            ]
+        for i, (bare, program) in enumerate(zip(answers["square"], answers["program"])):
+            (bare,), (program,) = bare, program
+            frame = framing.decode_frame(program)
+            assert frame.kind == framing.RESPONSE
+            assert frame.payload == framing.decode_frame(bare).payload
+            _, values = tenant.decrypt_response(program)
             np.testing.assert_allclose(
                 np.array(values[:2]).real, [(0.5 + i) ** 2, 0.0625], atol=1e-2
             )

@@ -44,18 +44,42 @@ def test_every_row_is_whole():
         _side_holds(row["parent"], metrics)
 
 
-def test_a_parent_with_uncommitted_changes_is_refused(tmp_path, monkeypatch):
+def _load_trajectory():
     spec = importlib.util.spec_from_file_location(
         "trajectory", ROOT / "tools" / "trajectory.py"
     )
     trajectory = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trajectory)
+    return trajectory
+
+
+def _committed(repo: Path, *names: str) -> None:
+    """A git repository at ``repo`` with ``names`` committed."""
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    for name in names:
+        (repo / name).write_text("a\n")
+    for args in (["init", "-q"], ["add", *names], ["commit", "-qm", "c"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+
+
+def test_the_tools_own_rows_leave_a_tree_clean(tmp_path):
+    """A second call in one change appends to a file the first call
+    already dirtied: that file alone does not make the tree dirty, any
+    other tracked change still does."""
+    trajectory = _load_trajectory()
+    _committed(tmp_path, "BENCH_trajectory.jsonl", "f")
+    with (tmp_path / "BENCH_trajectory.jsonl").open("a") as rows:
+        rows.write("{}\n")
+    assert trajectory._clean(tmp_path)
+    (tmp_path / "f").write_text("b")
+    assert not trajectory._clean(tmp_path)
+
+
+def test_a_parent_with_uncommitted_changes_is_refused(tmp_path, monkeypatch):
+    trajectory = _load_trajectory()
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(trajectory, "_run", None)  # nothing may run
-    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
-    (tmp_path / "f").write_text("a")
-    for args in (["init", "-q"], ["add", "f"], ["commit", "-qm", "f"]):
-        subprocess.run(git + args, check=True, capture_output=True)
+    _committed(tmp_path, "f")
     assert trajectory._clean(tmp_path)
     (tmp_path / "f").write_text("b")
     assert not trajectory._clean(tmp_path)

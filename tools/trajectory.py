@@ -18,7 +18,8 @@ with ``git clone`` (or ``git archive``) and check out the parent commit::
     python3 tools/trajectory.py --parent ../parent --pairs 3
 
 A row is only as good as the trees it measured: ``tree_clean`` is false
-when this checkout had uncommitted changes to tracked files, and a
+when this checkout had uncommitted changes to tracked files other than
+``BENCH_trajectory.jsonl`` itself, and a
 parent checkout with such changes is refused before anything runs.
 """
 
@@ -44,8 +45,13 @@ def _git(checkout: Path, *args: str) -> str:
 
 
 def _clean(checkout: Path) -> bool:
-    """No uncommitted changes to tracked files in ``checkout``."""
-    return not _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    """No uncommitted changes to tracked files in ``checkout``, this
+    tool's own output aside: rows it appended earlier in the same change
+    do not make the measured tree dirty."""
+    return not _git(
+        checkout, "status", "--porcelain", "--untracked-files=no",
+        "--", ".", f":!{OUT.name}",
+    )
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
