@@ -1,10 +1,8 @@
 """Shared fixtures for the workload-planner tests.
 
-The planner tests want a chain one level deeper than the repo-wide toy
-context (``k = 4``): a square -> rescale -> multiply chain is genuinely
-infeasible at ``k = 3`` with the default ``delta = 2^28`` (the checker
-tests exercise that rejection on purpose), so the execution tests run
-where the plans they build actually fit.
+The planner tests run one level deeper than the repo-wide toy context
+(``k = 4``), so the chains they build keep a level to spare; the
+checker tests that exercise a too-deep rejection use ``k = 3``.
 """
 
 import pytest
