@@ -222,7 +222,7 @@ def workload_graph(
         return types[len(steps)]
 
     def ways(primitive: str, start: NodeType):
-        """``(type after, builder)`` per way to apply ``primitive`` to a
+        """``(type after, emit)`` per way to apply ``primitive`` to a
         ``start``-typed chain, best first."""
         auto = ("rescale",) if _product_scale(start[0], context) else ()
         if primitive == "add":
@@ -262,8 +262,8 @@ def workload_graph(
                         f"workload {primitive} does not fit even on a fresh "
                         "chain; use a larger k or smaller scale"
                     )
-            current, build = fits[0]
-            cur = build(cur)
+            current, emit = fits[0]
+            cur = emit(cur)
         graph.output(cur, f"lane{lane}_out")
     return graph
 
