@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ckks.backend.numpy_backend import _CHUNK_WORDS
 from repro.ckks.context import CkksContext
 from repro.ckks.poly import RnsPolynomial, restrict_to_moduli
 from repro.ckks.sampling import (
@@ -252,6 +253,9 @@ class KeyGenerator:
     ``sampler`` -- the seed only replaces *public* randomness.  The
     default (``None``) keeps the legacy sampling order bit-identical
     (the frozen golden vectors depend on it).
+
+    Key-switching keys come from one routine, :meth:`_kswitch_keys`, in
+    batches that draw what one key at a time would (:meth:`galois_keys`).
     """
 
     def __init__(
@@ -282,26 +286,12 @@ class KeyGenerator:
     def secret_key(self) -> SecretKey:
         return self._secret
 
-    def _draw(
-        self, moduli, key_seed: Optional[bytes], index: int
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """``SymEnc(0, s)``'s randomness over ``moduli``: ``a`` (NTT form;
-        from the seed expander at ``index`` when ``key_seed`` is set), then
-        the error ``e`` (coefficient form), always from the sampler: error
-        randomness must never be derivable from bytes that go on the wire."""
-        ctx = self.context
+    def _uniform(self, moduli, key_seed: Optional[bytes], index: int) -> RnsPolynomial:
+        """``SymEnc(0, s)``'s ``a`` over ``moduli``, in NTT form: from the
+        seed expander at ``index`` when ``key_seed`` is set, else the sampler."""
         if key_seed is not None:
-            a = expand_uniform_poly(key_seed, index, ctx.n, moduli)
-        else:
-            a = self.sampler.uniform_residues(ctx.n, moduli)
-        return a, self.sampler.gaussian_poly(ctx.n, moduli)
-
-    def _symmetric_zero(self, a: RnsPolynomial, e: RnsPolynomial) -> RnsPolynomial:
-        """``e - a s``, the ``b`` of ``SymEnc(0, s)``, for an NTT-form ``e``."""
-        be = self.context.backend
-        neg_s = restrict_to_moduli(self._negated, a.moduli, be).rows
-        b = be.dyadic_mac_rows(a.moduli, e.native_rows(be), a.native_rows(be), neg_s)
-        return RnsPolynomial(a.n, a.moduli, b, is_ntt=True)
+            return expand_uniform_poly(key_seed, index, self.context.n, moduli)
+        return self.sampler.uniform_residues(self.context.n, moduli)
 
     def _key_seed(self, tag: bytes) -> Optional[bytes]:
         if self.expansion_seed is None:
@@ -309,67 +299,86 @@ class KeyGenerator:
         return derive_key_seed(self.expansion_seed, tag)
 
     def public_key(self) -> PublicKey:
-        """Public key over the data basis (no special prime)."""
+        """Public key ``SymEnc(0, s)`` over the data basis (no special prime)."""
+        ctx, be = self.context, self.context.backend
+        moduli = ctx.data_basis.moduli
         key_seed = self._key_seed(b"public")
-        a, e = self._draw(self.context.data_basis.moduli, key_seed, 0)
-        return PublicKey(self._symmetric_zero(a, self.context.to_ntt(e)), a, seed=key_seed)
+        a = self._uniform(moduli, key_seed, 0)
+        e = ctx.to_ntt(self.sampler.gaussian_poly(ctx.n, moduli))
+        neg_s = restrict_to_moduli(self._negated, moduli, be).rows
+        b = be.dyadic_mac_rows(moduli, e.native_rows(be), a.native_rows(be), neg_s)
+        return PublicKey(RnsPolynomial(ctx.n, moduli, b, is_ntt=True), a, seed=key_seed)
 
     # ------------------------------------------------------------------
     # key switching keys
     # ------------------------------------------------------------------
-    def _kswitch_key(
-        self, target_ntt: RnsPolynomial, tag: bytes
-    ) -> Tuple[List[Tuple[RnsPolynomial, RnsPolynomial]], Optional[bytes]]:
-        """KskGen: encrypt ``P * g_i * target`` under ``s`` per digit ``i``;
-        the ``k`` errors, drawn in digit order, share one transform a modulus."""
-        ctx = self.context
-        be = ctx.backend
-        key_moduli = ctx.key_basis.moduli
-        special = ctx.special_modulus
-        key_seed = self._key_seed(tag)
-        draws = [self._draw(key_moduli, key_seed, i) for i in range(ctx.k)]
-        errors = ctx.to_ntt_all([e for _, e in draws])
-        digits = []
-        for i, (a, _) in enumerate(draws):
-            b = self._symmetric_zero(a, errors[i])
-            # Add [P]_{p_i} * [target]_{p_i} to residue row i of b only.
-            mod_i = key_moduli[i]
-            term = be.scalar_mul_stack(
-                mod_i, be.select_rows(target_ntt.rows, [i]), special.value % mod_i.value
+    def _kswitch_keys(self, targets: List[RnsPolynomial], tags: List[bytes]) -> list:
+        """KskGen of a batch: per target, ``P * g_i * target`` encrypted
+        under ``s`` per digit ``i`` -> one ``(digits, seed)`` per target.
+        The draws keep one key's order (per key, per digit: ``a``, then the
+        error -- always the sampler's, never derivable from wire bytes); the
+        ``B·k`` errors are one signed block, transformed and multiplied by
+        ``-s`` once per key modulus."""
+        ctx, be = self.context, self.context.backend
+        n, k, moduli = ctx.n, ctx.k, ctx.key_basis.moduli
+        seeds = [self._key_seed(tag) for tag in tags]
+        uniforms, errors = [], np.empty((len(targets) * k, n), dtype=np.int64)
+        for t, key_seed in enumerate(seeds):
+            for i in range(k):
+                uniforms.append(self._uniform(moduli, key_seed, i))
+                errors[t * k + i] = self.sampler._gaussian(n)
+        rows = len(uniforms)
+        lifted = be.decompose_native(moduli, errors.ravel())
+        b = [  # per key modulus, row ``t·k + i``: digit ``i`` of key ``t``
+            be.dyadic_mac_rows(
+                [m] * rows,
+                be.ntt_forward_stack(
+                    ctx.tables(m), [lifted[j][r * n : (r + 1) * n] for r in range(rows)]
+                ),
+                [a.native_rows(be)[j] for a in uniforms],
+                [self._negated.row(j)] * rows,
             )
-            row = be.add_rows([mod_i], be.select_rows(b.rows, [i]), term)
-            b.set_row(i, row[0], backend=be)
-            digits.append((b, a))
-        return digits, key_seed
+            for j, m in enumerate(moduli)
+        ]
+        # [P]_{p_i} * [target]_{p_i} goes to row i of digit i only
+        special = ctx.special_modulus.value
+        for i, m in enumerate(moduli[:k]):
+            picked = range(i, rows, k)
+            term = be.scalar_mul_stack(m, [t.row(i) for t in targets], special % m.value)
+            summed = be.add_rows([m] * len(targets), be.select_rows(b[i], picked), term)
+            for r, row in zip(picked, summed):
+                be.set_row(b[i], r, row)
+        digits = [
+            (RnsPolynomial(n, moduli, be.native_stack([s[r] for s in b]), is_ntt=True), a)
+            for r, a in enumerate(uniforms)
+        ]
+        return [(digits[t * k : (t + 1) * k], seed) for t, seed in enumerate(seeds)]
 
     def relin_key(self) -> RelinKey:
         """``CKKS.RlkGen``: key switching key for ``s^2``."""
         s = self._secret.poly
         s_squared = s.dyadic_multiply(s, backend=self.context.backend)
-        return RelinKey(*self._kswitch_key(s_squared, b"relin"))
-
-    def galois_key(self, galois_elt: int) -> GaloisKey:
-        """``CKKS.GlkGen`` for one automorphism ``X -> X^g``.
-
-        Rotation applies ``σ_g`` to the ciphertext, after which it
-        decrypts under ``σ_g(s)``; the key switches ``σ_g(s) -> s``.
-        """
-        s_rotated = self.context.apply_galois_ntt(self._secret.poly, galois_elt)
-        digits, key_seed = self._kswitch_key(
-            s_rotated, b"galois:%d" % galois_elt
-        )
-        return GaloisKey(galois_elt, digits, key_seed)
+        ((digits, key_seed),) = self._kswitch_keys([s_squared], [b"relin"])
+        return RelinKey(digits, key_seed)
 
     def galois_keys(self, steps: Iterable[int], conjugation: bool = False) -> GaloisKeySet:
-        """Generate rotation keys for the given slot steps (and optionally
-        the conjugation key)."""
+        """``CKKS.GlkGen`` for the given slot steps (and optionally the
+        conjugation element): each key switches ``σ_g(s) -> s``, since a
+        rotated ciphertext decrypts under ``σ_g(s)``.  A set is made in
+        batches of the most whole keys whose errors fit one transform
+        chunk: 4 at Set-A, 1 at Set-B and Set-C (a whole set at once costs
+        resident memory and saves no transform time)."""
         ctx = self.context
-        keys: Dict[int, GaloisKey] = {}
-        for step in steps:
-            elt = ctx.galois_element_for_step(step)
-            if elt not in keys:
-                keys[elt] = self.galois_key(elt)
+        elts = list(dict.fromkeys(ctx.galois_element_for_step(step) for step in steps))
         if conjugation:
-            elt = ctx.conjugation_element
-            keys[elt] = self.galois_key(elt)
+            elts.append(ctx.conjugation_element)
+        batch = max(1, _CHUNK_WORDS // ctx.n // ctx.k)
+        keys: Dict[int, GaloisKey] = {}
+        for lo in range(0, len(elts), batch):
+            chunk = elts[lo : lo + batch]
+            made = self._kswitch_keys(
+                [ctx.apply_galois_ntt(self._secret.poly, elt) for elt in chunk],
+                [b"galois:%d" % elt for elt in chunk],
+            )
+            keys.update((elt, GaloisKey(elt, *key)) for elt, key in zip(chunk, made))
         return GaloisKeySet(keys)

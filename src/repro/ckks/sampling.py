@@ -11,9 +11,12 @@ Each draw is bit-identical to a seeded ``random.Random``'s per-coefficient
 ``random_raw`` words a draw reads in one block, keeping the unused tail.
 ``randrange(m)`` takes ``getrandbits(k = m.bit_length())`` candidates of
 little-endian words, the last shifted right by ``32·words − k``, skipping
-those ``>= m`` (Python ints past 64 bits).  ``gauss`` is Box-Muller over
+those ``>= m`` (Python ints past 64 bits); a block whose first ``count``
+candidates all pass is returned as it is, the usual case for a prime just
+below a power of two.  ``gauss`` is Box-Muller over
 ``random() = ((a >> 5)·2^26 + (b >> 6))·2^-53``, cosine first and the sine
-carried in ``gauss_next``, and ``np.rint`` rounds half to even.  Its
+carried in ``gauss_next``, and ``np.rint`` rounds half to even; a block
+with nothing truncated needs no index of survivors.  Its
 ``log``/``cos``/``sin`` run through numpy, whose results are not libm's
 (``np.log`` is one ULP off ``math.log`` on a few values in a thousand).
 Only rounding can see that, so a value ``z·σ`` within ``δ = 2^-30``
@@ -142,6 +145,9 @@ class Sampler:
             tries = ((count + 3 * math.isqrt(count) + 8) << k) // bound
             words = self._read(tries * width).reshape(tries, width)
             cand = _getrandbits(words, k)
+            if len(parts) == 1 and (cand[:count] < limit).all():  # none rejected
+                self._tail = np.concatenate((words[count:].ravel(), self._tail))
+                return cand[:count]
             ok = np.flatnonzero(cand < limit)[:count]
             if len(ok) == count:
                 self._tail = np.concatenate((words[ok[-1] + 1 :].ravel(), self._tail))
@@ -171,12 +177,17 @@ class Sampler:
                 z[i] = _libm_gauss(x2pi, y, i)
             carry = [] if self._gauss_next is None else [self._gauss_next]
             values = np.rint(np.concatenate((carry, z)) * stddev)
-            ok = np.flatnonzero(np.abs(values) <= bound)[:count]
-            used = int(ok[-1]) + 1 - len(carry) if len(ok) == count else len(z)
+            inside = np.abs(values) <= bound
+            if inside[:count].all():  # none truncated
+                kept, used = values[:count], count - len(carry)
+            else:
+                ok = np.flatnonzero(inside)[:count]
+                kept = values[ok]
+                used = int(ok[-1]) + 1 - len(carry) if len(ok) == count else len(z)
             self._gauss_next = _libm_gauss(x2pi, y, used) if used % 2 else None
             self._tail = np.concatenate((words[(used + 1) // 2 :].ravel(), self._tail))
-            parts.append(values[ok].astype(np.int64))
-            count -= len(ok)
+            parts.append(kept.astype(np.int64))
+            count -= len(kept)
         return np.concatenate(parts)
 
     def ternary_coeffs(self, n: int) -> List[int]:

@@ -29,6 +29,9 @@ from repro.ckks.sampling import (
 )
 
 MODULI = make_modulus_chain(64, [30, 29])
+SET_A_PRIMES = [
+    m.value for m in make_modulus_chain(SET_A.n, list(SET_A.modulus_bits), SET_A.word_bits)
+]
 
 
 class TestTernary:
@@ -252,6 +255,74 @@ class TestExactness:
         poly = sampler.uniform_residues(16, [])
         assert poly.residues == [] and poly.moduli == [] and poly.n == 16
         assert sampler.ternary_coeffs(10) == oracle_ternary(rng, 10)
+
+
+class _CountingRandom(random.Random):
+    """``random.Random`` counting the candidates ``randrange`` reads and
+    the values ``gauss`` makes."""
+
+    candidates = gausses = 0
+
+    def getrandbits(self, k):
+        self.candidates += 1
+        return super().getrandbits(k)
+
+    def gauss(self, *args):
+        self.gausses += 1
+        return super().gauss(*args)
+
+
+#: (bound, the share of candidates it rejects: none, some, about half), at
+#: one word (k <= 32) and two (k <= 64); then one past two words, which
+#: draws Python ints
+BRANCH_BOUNDS = [
+    (2**32 - 1, "none"),
+    (SET_A_PRIMES[1], "some"),
+    (2**31 + 1, "half"),
+    (2**64 - 1, "none"),
+    (2**45 - 2**33 + 1, "some"),
+    (2**63 + 1, "half"),
+    (2**90 + 1, "half"),
+]
+
+
+class TestBranches:
+    """Each branch of a draw within one call -- nothing rejected or
+    truncated, a few, about half -- against the per-coefficient loop,
+    over several draws in a row, so each hands its unused words to the
+    next."""
+
+    SIZES = (4096, 1, 3, 4096, 2)
+
+    @pytest.mark.parametrize("bound, rejected", BRANCH_BOUNDS)
+    def test_below_equals_randrange(self, bound, rejected):
+        sampler, rng = Sampler(bound % 1000), _CountingRandom(bound % 1000)
+        for n in self.SIZES:
+            before = rng.candidates
+            assert sampler._below(n, bound).tolist() == oracle_uniform(rng, n, bound)
+            share = 1 - n / (rng.candidates - before)
+            if n == 4096:
+                assert {"none": share == 0, "some": 0 < share < 0.01,
+                        "half": 0.4 < share < 0.6}[rejected], share
+        assert sampler.ternary_coeffs(9) == oracle_ternary(rng, 9)
+
+    @pytest.mark.parametrize(
+        "sigmas, truncated", [(ERROR_TRUNCATION_SIGMAS, "none"), (3, "some"), (0.6, "half")]
+    )
+    @pytest.mark.parametrize("stddev", [ERROR_STDDEV, 40.0])
+    def test_gaussian_equals_gauss(self, sigmas, truncated, stddev, monkeypatch):
+        monkeypatch.setattr(sampling, "ERROR_TRUNCATION_SIGMAS", sigmas)
+        sampler, rng = Sampler(int(sigmas * stddev)), _CountingRandom(int(sigmas * stddev))
+        for n in self.SIZES:
+            before = rng.gausses
+            got = sampler._gaussian(n, stddev).tolist()
+            assert got == oracle_gaussian(rng, n, stddev)
+            assert sampler._gauss_next == rng.gauss_next
+            share = 1 - n / (rng.gausses - before)
+            if n == 4096:
+                assert {"none": share == 0, "some": 0 < share < 0.01,
+                        "half": 0.3 < share < 0.7}[truncated], share
+        assert sampler.ternary_coeffs(9) == oracle_ternary(rng, 9)
 
 
 def test_key_generation_makes_no_per_coefficient_random_calls(monkeypatch):

@@ -308,3 +308,45 @@ def test_public_encrypt_is_one_forward_stack_per_modulus(counted, monkeypatch):
         pt.scale,
     )
     assert [p.residues for p in ct.polys] == [p.residues for p in expected.polys]
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.skipif(
+                name not in available_backends(), reason=f"{name} unavailable"
+            ),
+        )
+        for name in ("reference", "numpy")
+    ],
+)
+def test_galois_key_set_is_one_forward_stack_per_batch_and_modulus(backend, monkeypatch):
+    """A set's keys are made in batches of as many whole keys as one
+    transform chunk holds (``32768 // n // k``: four at ``n = 4096, k =
+    2``), and a batch transforms all its ``B·k`` errors as one forward
+    stack per key modulus: six keys are ⌈6 / 4⌉ = 2 stacks a modulus of
+    ``4k`` and ``2k`` rows, ``6k`` rows a modulus in all, and no per-row
+    transform."""
+    k = 2
+    be = CountingBackend(backend)
+    ctx = CkksContext(toy_parameters(n=4096, k=k, prime_bits=30), backend=be)
+    keygen = KeyGenerator(ctx, seed=31)
+    stacks = []
+    forward = be.ntt_forward_stack
+
+    def spy(tables, stack):
+        stacks.append((tables.modulus.value, len(stack)))
+        return forward(tables, stack)
+
+    monkeypatch.setattr(be, "ntt_forward_stack", spy)
+    rows_spy = _CallSpy(be, monkeypatch, calls=("ntt_forward_rows",))
+    be.reset()
+    keys = keygen.galois_keys(range(1, 6), conjugation=True)
+    assert len(keys.elements()) == 6
+    assert rows_spy.calls == {"ntt_forward_rows": 0}
+    for m in ctx.key_basis.moduli:
+        assert [rows for p, rows in stacks if p == m.value] == [4 * k, 2 * k]
+    assert len(stacks) == 2 * (k + 1)
+    assert be.counts["ntt_forward"] == 6 * k * (k + 1)

@@ -50,7 +50,7 @@ class TestFunctionalEquivalence:
     def test_galois_key_switch(self, toy_context, sim, keygen):
         """The module works for rotation keys too, not just relin keys."""
         elt = toy_context.galois_element_for_step(1)
-        gk = keygen.galois_key(elt)
+        gk = keygen.galois_keys([1]).key_for_element(elt)
         target = Sampler(13).uniform_residues(
             toy_context.n, toy_context.data_basis.moduli
         )

@@ -17,6 +17,7 @@ from repro.ckks.ntt import bit_reversal
 from repro.ckks.poly import RnsPolynomial
 from repro.ckks.primes import primitive_root
 from repro.ckks.rns import RnsBasis
+from repro.ckks.sampling import Sampler, derive_key_seed, expand_uniform_poly
 from repro.serving import framing
 
 
@@ -222,3 +223,79 @@ def rotation_sweep_bytes(client, values: Sequence[float], steps: Sequence[int]) 
             )
         )
     return frames
+
+
+class KeyGenOracle:
+    """:class:`repro.ckks.keys.KeyGenerator`'s key material one key and one
+    digit at a time, in scalar arithmetic after each draw's transform.
+
+    The same draws in the same order: the ternary secret, then per key
+    ``SymEnc(0, s)`` per digit -- ``a`` (seed-expanded at the digit's
+    index when an expansion seed is set, else from the sampler), then the
+    error -- and ``b = e - a·s``; a key-switching key's digit ``i`` adds
+    ``[P]_{p_i}·[target]_{p_i}`` to row ``i`` of its ``b`` (Section 3's
+    KskGen).  Every key comes back as canonical rows: ``(b, a)`` for a
+    public key, a list of them (one per digit) for a key-switching key.
+    """
+
+    def __init__(self, context, seed, expansion_seed=None):
+        self.context = context
+        self.sampler = Sampler(seed)
+        self.expansion_seed = expansion_seed
+        moduli = context.key_basis.moduli
+        self.secret = context.to_ntt(self.sampler.ternary_poly(context.n, moduli)).residues
+
+    def _seed(self, tag: bytes):
+        if self.expansion_seed is None:
+            return None
+        return derive_key_seed(self.expansion_seed, tag)
+
+    def _symmetric_zero(self, moduli, key_seed, index: int):
+        ctx = self.context
+        if key_seed is not None:
+            a = expand_uniform_poly(key_seed, index, ctx.n, moduli).residues
+        else:
+            a = self.sampler.uniform_residues(ctx.n, moduli).residues
+        e = ctx.to_ntt(self.sampler.gaussian_poly(ctx.n, moduli)).residues
+        b = [
+            [(ej - aj * sj) % m.value for ej, aj, sj in zip(e_row, a_row, s_row)]
+            for m, e_row, a_row, s_row in zip(moduli, e, a, self.secret)
+        ]
+        return b, a
+
+    def _kswitch_key(self, target, tag: bytes):
+        ctx = self.context
+        moduli, special = ctx.key_basis.moduli, ctx.special_modulus.value
+        key_seed = self._seed(tag)
+        digits = []
+        for i in range(ctx.k):
+            b, a = self._symmetric_zero(moduli, key_seed, i)
+            p = moduli[i].value
+            b[i] = [(x + special * t) % p for x, t in zip(b[i], target[i])]
+            digits.append((b, a))
+        return digits, key_seed
+
+    def public_key(self):
+        key_seed = self._seed(b"public")
+        return self._symmetric_zero(self.context.data_basis.moduli, key_seed, 0), key_seed
+
+    def relin_key(self):
+        moduli = self.context.key_basis.moduli
+        squared = [
+            [x * x % m.value for x in row] for m, row in zip(moduli, self.secret)
+        ]
+        return self._kswitch_key(squared, b"relin")
+
+    def galois_keys(self, steps, conjugation: bool = False):
+        """``{element: (digits, seed)}``, made in the order of ``steps``."""
+        ctx = self.context
+        elts = [ctx.galois_element_for_step(step) for step in steps]
+        if conjugation:
+            elts.append(ctx.conjugation_element)
+        keys = {}
+        for elt in elts:
+            if elt not in keys:
+                table = ctx.galois_table_ntt(elt)
+                target = [[row[int(src)] for src in table] for row in self.secret]
+                keys[elt] = self._kswitch_key(target, b"galois:%d" % elt)
+        return keys

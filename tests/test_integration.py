@@ -115,7 +115,7 @@ class TestHardwareSoftwareLoop:
         kg = s["keygen"]
         ev = s["evaluator"]
         elt = ctx.galois_element_for_step(1)
-        gk = kg.galois_key(elt)
+        gk = kg.galois_keys([1]).key_for_element(elt)
         vals = np.arange(8, dtype=float) / 4
         ct = s["encryptor"].encrypt(s["encoder"].encode(vals))
         # software path with the module's dataflow: automorphism, then
