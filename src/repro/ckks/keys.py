@@ -328,18 +328,14 @@ class KeyGenerator:
                 uniforms.append(self._uniform(moduli, key_seed, i))
                 errors[t * k + i] = self.sampler._gaussian(n)
         rows = len(uniforms)
-        lifted = be.decompose_native(moduli, errors.ravel())
-        b = [  # per key modulus, row ``t·k + i``: digit ``i`` of key ``t``
-            be.dyadic_mac_rows(
-                [m] * rows,
-                be.ntt_forward_stack(
-                    ctx.tables(m), [lifted[j][r * n : (r + 1) * n] for r in range(rows)]
-                ),
-                [a.native_rows(be)[j] for a in uniforms],
-                [self._negated.row(j)] * rows,
+        b = []  # per key modulus, row ``t·k + i``: digit ``i`` of key ``t``
+        for j, m in enumerate(moduli):
+            (lifted,) = be.decompose_native([m], errors.ravel())
+            e = be.ntt_forward_stack(
+                ctx.tables(m), [lifted[r * n : (r + 1) * n] for r in range(rows)]
             )
-            for j, m in enumerate(moduli)
-        ]
+            a = [u.native_rows(be)[j] for u in uniforms]
+            b.append(be.dyadic_mac_rows([m] * rows, e, a, [self._negated.row(j)] * rows))
         # [P]_{p_i} * [target]_{p_i} goes to row i of digit i only
         special = ctx.special_modulus.value
         for i, m in enumerate(moduli[:k]):
