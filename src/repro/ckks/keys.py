@@ -327,27 +327,26 @@ class KeyGenerator:
             for i in range(k):
                 uniforms.append(self._uniform(moduli, key_seed, i))
                 errors[t * k + i] = self.sampler._gaussian(n)
-        rows = len(uniforms)
-        b = []  # per key modulus, row ``t·k + i``: digit ``i`` of key ``t``
+        rows, special = len(uniforms), ctx.special_modulus.value
+        # each error lifted into its own (L, n) matrix, then overwritten by
+        # its digit's ``b`` one key modulus at a time
+        b = [be.decompose_native(moduli, e) for e in errors]
         for j, m in enumerate(moduli):
-            (lifted,) = be.decompose_native([m], errors.ravel())
-            e = be.ntt_forward_stack(
-                ctx.tables(m), [lifted[r * n : (r + 1) * n] for r in range(rows)]
+            stack = be.dyadic_mac_rows(
+                [m] * rows,
+                be.ntt_forward_stack(ctx.tables(m), [e[j] for e in b]),
+                [u.native_rows(be)[j] for u in uniforms],
+                [self._negated.row(j)] * rows,
             )
-            a = [u.native_rows(be)[j] for u in uniforms]
-            b.append(be.dyadic_mac_rows([m] * rows, e, a, [self._negated.row(j)] * rows))
-        # [P]_{p_i} * [target]_{p_i} goes to row i of digit i only
-        special = ctx.special_modulus.value
-        for i, m in enumerate(moduli[:k]):
-            picked = range(i, rows, k)
-            term = be.scalar_mul_stack(m, [t.row(i) for t in targets], special % m.value)
-            summed = be.add_rows([m] * len(targets), be.select_rows(b[i], picked), term)
-            for r, row in zip(picked, summed):
-                be.set_row(b[i], r, row)
-        digits = [
-            (RnsPolynomial(n, moduli, be.native_stack([s[r] for s in b]), is_ntt=True), a)
-            for r, a in enumerate(uniforms)
-        ]
+            for r in range(rows):
+                be.set_row(b[r], j, stack[r])
+            if j < k:  # [P]_{p_j} * [target]_{p_j} goes to digit j only
+                picked = range(j, rows, k)
+                term = be.scalar_mul_stack(m, [t.row(j) for t in targets], special % m.value)
+                summed = be.add_rows([m] * len(targets), be.select_rows(stack, picked), term)
+                for r, row in zip(picked, summed):
+                    be.set_row(b[r], j, row)
+        digits = [(RnsPolynomial(n, moduli, h, is_ntt=True), u) for h, u in zip(b, uniforms)]
         return [(digits[t * k : (t + 1) * k], seed) for t, seed in enumerate(seeds)]
 
     def relin_key(self) -> RelinKey:
