@@ -29,9 +29,8 @@ from repro.ckks.sampling import (
 )
 
 MODULI = make_modulus_chain(64, [30, 29])
-SET_A_PRIMES = [
-    m.value for m in make_modulus_chain(SET_A.n, list(SET_A.modulus_bits), SET_A.word_bits)
-]
+#: Set-A's 28-bit data prime, which rejects about one candidate in 4096
+SET_A_28 = make_modulus_chain(SET_A.n, list(SET_A.modulus_bits), SET_A.word_bits)[1].value
 
 
 class TestTernary:
@@ -272,12 +271,20 @@ class _CountingRandom(random.Random):
         return super().gauss(*args)
 
 
+#: what the share of candidates rejected (or values truncated) in a
+#: 4096-value draw must be
+SHARE = {
+    "none": lambda share: share == 0,
+    "some": lambda share: 0 < share < 0.01,
+    "half": lambda share: 0.3 < share < 0.7,
+}
+
 #: (bound, the share of candidates it rejects: none, some, about half), at
 #: one word (k <= 32) and two (k <= 64); then one past two words, which
 #: draws Python ints
 BRANCH_BOUNDS = [
     (2**32 - 1, "none"),
-    (SET_A_PRIMES[1], "some"),
+    (SET_A_28, "some"),
     (2**31 + 1, "half"),
     (2**64 - 1, "none"),
     (2**45 - 2**33 + 1, "some"),
@@ -301,9 +308,7 @@ class TestBranches:
             before = rng.candidates
             assert sampler._below(n, bound).tolist() == oracle_uniform(rng, n, bound)
             share = 1 - n / (rng.candidates - before)
-            if n == 4096:
-                assert {"none": share == 0, "some": 0 < share < 0.01,
-                        "half": 0.4 < share < 0.6}[rejected], share
+            assert n != 4096 or SHARE[rejected](share), share
         assert sampler.ternary_coeffs(9) == oracle_ternary(rng, 9)
 
     @pytest.mark.parametrize(
@@ -319,9 +324,7 @@ class TestBranches:
             assert got == oracle_gaussian(rng, n, stddev)
             assert sampler._gauss_next == rng.gauss_next
             share = 1 - n / (rng.gausses - before)
-            if n == 4096:
-                assert {"none": share == 0, "some": 0 < share < 0.01,
-                        "half": 0.3 < share < 0.7}[truncated], share
+            assert n != 4096 or SHARE[truncated](share), share
         assert sampler.ternary_coeffs(9) == oracle_ternary(rng, 9)
 
 
