@@ -111,7 +111,7 @@ def _node_type(
     context: CkksContext,
 ) -> NodeType:
     """The type of a ciphertext node whose operands are typed in
-    ``types``: the one typing rule both passes apply.
+    ``types``: the one typing rule both passes and serving admission apply.
 
     Levels and scales follow the discipline the evaluator enforces at
     runtime; noise bounds follow :class:`~repro.ckks.noise.NoiseModel`;
@@ -120,9 +120,8 @@ def _node_type(
     Raises :class:`PlanValidationError` naming the node and the violated
     rule -- level mismatches, scale mismatches beyond
     :data:`~repro.ckks.batch.SCALE_RTOL`, rescales at the last level,
-    result scales :func:`scale_fault` refuses, a node that would not
-    decrypt at its level's modulus, or one left with less than 1 bit of
-    precision.
+    result scales of 0 or inf, a node that would not decrypt at its
+    level's modulus, or one left with less than 1 bit of precision.
     """
     model = NoiseModel(context)
     delta = context.params.scale
@@ -171,25 +170,23 @@ def _node_type(
             for term in terms[1:]:
                 est = model.add(est, term)
             mag *= sum(consts)
-        else:  # square, rescale, negate, add_const, rotate, conjugate
-            try:
-                step_type(node.op, level, a.scale, context)
-            except ValueError as exc:
-                _fail(node, str(exc))
-            if node.op == "square":
-                est, mag = model.keyswitch(model.multiply(a, a, mag, mag)), mag * mag
-            elif node.op == "rescale":
-                est = model.rescale(a)
-            elif node.op in ("rotate", "conjugate"):
-                est = model.rotate(a)
-            elif node.op == "add_const":
-                est = model.add(a, model.plain(a.scale, level))
-                mag += _magnitude(graph, node.const_id)
-            else:
-                est = a
-    fault = scale_fault(node.op, est.scale)
-    if fault:
-        _fail(node, fault)
+        elif node.op == "square":
+            est, mag = model.keyswitch(model.multiply(a, a, mag, mag)), mag * mag
+        elif node.op == "rescale":
+            if level < 2:
+                _fail(node, "cannot rescale at the last level")
+            est = model.rescale(a)
+        elif node.op in ("rotate", "conjugate"):
+            est = model.rotate(a)
+        elif node.op == "add_const":
+            est = model.add(a, model.plain(a.scale, level))
+            mag += _magnitude(graph, node.const_id)
+        else:  # negate
+            est = a
+    # finite and > 0, the wire's own rule: a product or quotient of valid
+    # scales can still under- or overflow
+    if not 0.0 < est.scale < math.inf:
+        _fail(node, f"drives scale to {est.scale:g}; a scale must be finite and > 0")
     q_bits = _q_bits(context, est.level_count)
     if not est.decryptable(q_bits, message_magnitude=mag):
         _fail(
@@ -207,37 +204,6 @@ def _node_type(
             "rescale only product-scale values, or encode at a larger scale",
         )
     return est, mag
-
-
-def step_type(op: str, level: int, scale: float, context: CkksContext) -> Tuple[int, float]:
-    """The (level, scale) a one-operand step leaves: a square squares the
-    scale, a rescale divides it by the level's last prime and drops the
-    level, any other step keeps both.  Raises ``ValueError`` for a
-    rescale at the last level or a result :func:`scale_fault` refuses --
-    in :func:`_node_type`, and at serving admission for each step of a
-    request, before any ciphertext work."""
-    if op == "square":
-        scale = scale * scale
-    elif op == "rescale":
-        if level < 2:
-            raise ValueError("cannot rescale at the last level")
-        level, scale = level - 1, scale / _last_prime(context, level)
-    fault = scale_fault(op, scale)
-    if fault:
-        raise ValueError(fault)
-    return level, scale
-
-
-def scale_fault(op: str, scale: float) -> str:
-    """The one rule on every result scale, typed or served: finite and
-    > 0 (the wire's own rule).  A product or quotient of valid scales can
-    still under- or overflow to 0 or inf.  Returns why a scale breaks the
-    rule, or ``""``.  Planning also holds every node to 1 bit of
-    precision (:func:`_node_type`); serving does not, a bare rescale of
-    a fresh ciphertext is served."""
-    if 0.0 < scale < math.inf:
-        return ""
-    return f"{op} drives scale to {scale:g}; a scale must be finite and > 0"
 
 
 def _typed(graph: PlanGraph, nid: int, types: Dict[int, NodeType], context: CkksContext) -> int:

@@ -8,7 +8,7 @@ ciphertext-level parallelism the accelerator amortizes its pipelines
 across.  Concretely, one request travels:
 
     bytes -> FrameDecoder (or the frame a cluster router decoded)
-          -> admission: ciphertext header + exact length, words stay packed
+          -> admission: header + exact length (words stay packed), typed chain, keys
           -> RequestQueue (backpressure)
           -> DynamicBatcher (homogeneity lanes, size/deadline flush)
           -> the flush unpacks its distinct payloads into one lane block
@@ -57,7 +57,6 @@ from repro.ckks.serialization import (
     unpack_ciphertexts,
 )
 from repro.plan import PlanExecutor, PlanGraph, check_plan
-from repro.plan.passes import step_type
 from repro.serving import framing
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.framing import Frame
@@ -72,7 +71,7 @@ class _StepOp(NamedTuple):
 
     lower: Callable[[PlanGraph, int, int], int]
     relin: bool = False
-    galois: bool = False
+    element: Optional[Callable[[CkksContext, int], int]] = None
 
 
 #: The one op table the serving layer keeps -- admission (which keys a
@@ -81,8 +80,14 @@ class _StepOp(NamedTuple):
 #: it; everything past the graph is the executor's.
 STEP_OPS: Dict[str, _StepOp] = {
     "square": _StepOp(lambda g, cur, arg: g.square(cur), relin=True),
-    "rotate": _StepOp(lambda g, cur, arg: g.rotate(cur, arg), galois=True),
-    "conjugate": _StepOp(lambda g, cur, arg: g.conjugate(cur), galois=True),
+    "rotate": _StepOp(
+        lambda g, cur, arg: g.rotate(cur, arg),
+        element=lambda ctx, arg: ctx.galois_element_for_step(arg),
+    ),
+    "conjugate": _StepOp(
+        lambda g, cur, arg: g.conjugate(cur),
+        element=lambda ctx, arg: ctx.conjugation_element,
+    ),
     "rescale": _StepOp(lambda g, cur, arg: g.rescale(cur)),
     "double": _StepOp(lambda g, cur, arg: g.add(cur, cur)),
     "negate": _StepOp(lambda g, cur, arg: g.negate(cur)),
@@ -91,6 +96,10 @@ STEP_OPS: Dict[str, _StepOp] = {
 #: Request ops: the steps, plus ``program`` (op_arg = the id of a
 #: registered chain of them, executed as one plan).
 SUPPORTED_OPS = tuple(sorted((*STEP_OPS, "program")))
+
+#: The most chain typings admission remembers; the memo is cleared when
+#: full, because a header's level and scale are the client's to choose.
+TYPING_MEMO_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,9 @@ class EncryptedComputeServer:
         self._max_frame_bytes = max_frame_bytes
         #: program id -> normalized step tuple (see register_program)
         self._programs: Dict[int, tuple] = {}
+        #: (steps, level_count, scale) -> check_plan's refusal, or "";
+        #: a plain dict, so no reference cycle keeps a server alive
+        self._typings: Dict[tuple, str] = {}
 
     # ------------------------------------------------------------------
     # client lifecycle
@@ -217,12 +229,12 @@ class EncryptedComputeServer:
         ``op="program"`` request with ``op_arg=program_id``; the whole
         chain executes as one :class:`repro.plan.PlanGraph` per flush,
         so the planner packs the flush's independent request chains into
-        batch lanes instead of flushing each step separately.  At flush
-        time the plan checker types the chain from each request's level
-        and scale: an infeasible chain, or one the noise model says
-        would not decrypt or would keep under 1 bit of precision, fails
-        loudly.  Bare ops skip the checker because admission already
-        typed their one step.
+        batch lanes instead of flushing each step separately.  Admission
+        types each request's chain from its ciphertext header by the plan
+        checker's rule, as it types a bare op's chain of one: an
+        infeasible chain, one the noise model says would not decrypt or
+        would keep under 1 bit of precision, or a rotation without its
+        Galois key is refused before anything is queued.
 
         An id is bound once: pending requests were admitted (and
         key-checked) against the registered steps and look them up again
@@ -361,22 +373,23 @@ class EncryptedComputeServer:
         # none for a keyless chain, which batches across tenants.  The
         # lane is keyed on their identity and the flush installs them,
         # so later key swaps on the session cannot affect this request
-        held = (session.relin_key, session.galois_keys)
-        needs = (
-            any(STEP_OPS[op].relin for op, _ in steps),
-            any(STEP_OPS[op].galois for op, _ in steps),
-        )
-        for need, key, what in zip(
-            needs, held, ("a relinearization key", "Galois keys")
-        ):
-            if need and key is None:
-                self._respond_error(
-                    session,
-                    frame.request_id,
-                    f"{frame.op} needs {what}; session has none",
-                )
-                return
-        key = held if any(needs) else (None, None)
+        relin, galois = held = (session.relin_key, session.galois_keys)
+        missing = ""
+        if relin is None and any(STEP_OPS[op].relin for op, _ in steps):
+            missing = "relinearization key"
+        for op, arg in steps:
+            element = STEP_OPS[op].element
+            if not missing and element and (
+                galois is None or element(self.context, arg) not in galois
+            ):
+                missing = f"Galois key for step {arg}" if op == "rotate" else "conjugation key"
+        if missing:
+            self._respond_error(
+                session, frame.request_id, f"{frame.op} refused: session has no {missing}"
+            )
+            return
+        keyed = any(STEP_OPS[op].relin or STEP_OPS[op].element for op, _ in steps)
+        key = held if keyed else (None, None)
         if self.queue.closed:
             self._reject(
                 session, frame.request_id,
@@ -398,20 +411,14 @@ class EncryptedComputeServer:
             # payload is refused here instead of decoding as zeros; the
             # words stay packed until the flush (:meth:`_unpack`)
             ct = admit_ciphertext(frame.payload, self.context)
+            if not ct.is_ntt:  # what every step but a double or negate needs
+                raise ValueError("ciphertext is not in NTT form, the one form served")
         except ValueError as exc:
             self._respond_error(session, frame.request_id, f"bad payload: {exc}")
             return
-        try:
-            # the chain's scales typed by the planner's rule, O(1) from the
-            # header: one that under- or overflows is refused, not served
-            # (a rescale at the last level is left to fail its flush)
-            level, scale = ct.level_count, ct.scale
-            for op, _ in steps:
-                if op == "rescale" and level < 2:
-                    break
-                level, scale = step_type(op, level, scale, self.context)
-        except ValueError as exc:
-            self._respond_error(session, frame.request_id, f"{frame.op} refused: {exc}")
+        fault = self._typing_fault(steps, ct.level_count, ct.scale)
+        if fault:
+            self._respond_error(session, frame.request_id, f"{frame.op} refused: {fault}")
             return
         # rotations carry a payload digest so a flush can recognize the
         # same ciphertext rotated by many steps and hang the whole set
@@ -432,6 +439,28 @@ class EncryptedComputeServer:
             self._reject(session, frame.request_id, str(exc))
             return
         session.requests_accepted += 1
+
+    def _typing_fault(self, steps, level_count: int, scale: float) -> str:
+        """Why ``check_plan`` refuses ``steps`` on a fresh ciphertext at
+        ``level_count`` and ``scale`` (``graph.input``'s typing), or ``""``.
+        A node's type depends only on its own chain, so a flush -- its
+        members' chains side by side -- is never re-checked."""
+        key = (steps, level_count, scale)
+        fault = self._typings.get(key)
+        if fault is None:
+            graph = PlanGraph()
+            cur = graph.input("x", level_count=level_count, scale=scale)
+            for op, arg in steps:
+                cur = STEP_OPS[op].lower(graph, cur, arg)
+            try:
+                check_plan(graph, self.context)
+                fault = ""
+            except ValueError as exc:
+                fault = str(exc)
+            if len(self._typings) >= TYPING_MEMO_ENTRIES:
+                self._typings.clear()
+            self._typings[key] = fault
+        return fault
 
     # ------------------------------------------------------------------
     # the serve loop
@@ -518,11 +547,6 @@ class EncryptedComputeServer:
             for op, arg in self._chain(request.op, request.op_arg):
                 cur = STEP_OPS[op].lower(graph, cur, arg)
             graph.output(cur, f"r{i}")
-        if any(r.op == "program" for r in requests):
-            # a registered chain is typed by the planner's rule before
-            # any ciphertext work; a bare op's one step was typed at
-            # admission (step_type), so its flush skips the checker
-            check_plan(graph, self.context)
         return graph, inputs
 
     @staticmethod
@@ -591,11 +615,11 @@ class EncryptedComputeServer:
         under the key pair they all captured at admission (the lane is
         keyed on its identity).
 
-        The one isolation rule: if the flush's plan check or run raises
-        (a step without its Galois key, a rescale at the last level, a
-        program that fails ``check_plan``, ...), each member is re-run as
-        a flush of one, and only a member that also fails alone is
-        answered with an error -- a lane is its members served alone.
+        The one isolation rule: admission typed every member's chain and
+        held its Galois keys, so no known input makes a flush raise; if
+        one does all the same, each member is re-run as a flush of one,
+        and only a member that also fails alone is answered with an
+        error -- a lane is its members served alone.
         """
         if not members:
             return

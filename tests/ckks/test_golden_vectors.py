@@ -75,6 +75,11 @@ def test_serving_trace_frames(backend, serving_vectors):
     The digests were generated on the commit *before* serving flushes
     moved onto the plan executor, so this is the cross-commit oracle
     that the execution route changed and the served bytes did not.
+    They were regenerated once, to fix a defect: admission now types
+    every chain by the planner's rule and holds its Galois keys, so the
+    rescale entries (a fresh ciphertext rescaled below 1 bit of
+    precision) and the keyless sweep steps are refused, not served or
+    failed at flush.
     """
     with use_backend(backend):
         got = regenerate.compute_serving_trace()

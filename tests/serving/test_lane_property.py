@@ -5,7 +5,7 @@ tenant's squares, rotations, conjugates and programs flush together, and
 keyless ops of any tenant do.  What a request is answered with must not
 depend on who it shared a flush with -- not on the order of arrival,
 not on the lane width, not on where a ``pump`` fell, not on a lane-mate
-that fails.  The property, over a mixed-op stream (two client-side
+that is refused.  The property, over a mixed-op stream (two client-side
 sweeps, same-step and other-step strangers, squares, a conjugate, a
 program and a program that fails ``check_plan``, a step without a Galois
 key, an identity step, one member that expires while batching, keyless
@@ -15,7 +15,10 @@ beside a double of the same shape):
 * every request's answer -- RESPONSE or ERROR, byte for byte -- equals
   the frame it gets when it is the only request the server ever sees;
 * ``pump`` / ``drain`` count every admitted member exactly once, and
-  every request is answered exactly once.
+  every request is answered exactly once;
+* admission refuses every member a flush could not serve -- the
+  identity step, the keyless step, the failing program and the
+  last-level rescale -- so no lane fails.
 
 Seeded ``random.Random`` cases replay identically on every run; the
 Hypothesis case searches the same space for a counterexample.
@@ -39,7 +42,7 @@ from oracles import rotation_sweep_bytes
 
 KEYED_STEPS = (1, 2, 3, 4)
 #: program id -> chain; 6 fails the plan checker (no rescale between
-#: squares), 5 is servable
+#: squares) at admission, 5 is servable
 PROGRAMS = {5: (("rotate", 1), "square", "rescale"), 6: ("square", "square")}
 #: the instant the expiring member is stamped with, and how far the clock
 #: jumps once it is admitted: it expires while it batches, whoever with
@@ -49,6 +52,8 @@ STREAM_LENGTH = 21
 #: members answered with an ERROR: the keyless step, the identity step,
 #: the expiring member, program 6 and the rescale at the last level
 ERRORS = 5
+#: of them, refused at admission: all but the expiring member
+REFUSED = ERRORS - 1
 
 
 def last_level(client, op, request_id):
@@ -80,9 +85,9 @@ def stream(serving_context):
     def send(client, blobs):
         requests.extend((client.client_id, blob) for blob in blobs)
 
-    # served in stream order by one drain, the keyless lane succeeds
-    # between two failing lanes: the tenant's (due first, for its
-    # expiring member) and the last-level one
+    # served in stream order by one drain, the tenant's lane is due
+    # first (for its expiring member), then the keyless lane, then the
+    # last-level double's
     send(a, [a.request_bytes("double", [0.6])])  # keyless, tenant p
     send(a, rotation_sweep_bytes(a, [0.5, -0.25, 0.125], (1, 2, 3)))  # a sweep
     send(b, rotation_sweep_bytes(b, [0.75], (2, 4)))  # another client's sweep
@@ -156,28 +161,24 @@ def check(context, stream, alone, order, max_batch_size, pump_after):
         context, clients, [requests[i] for i in order], max_batch_size, pump_after
     )
     assert answers == alone
-    # the identity step is refused at admission; everything else is a
-    # lane member, counted once by whichever pump or drain flushed it
-    assert completed == admitted == len(requests) - 1
+    # every refused member is refused at admission; everything else is
+    # a lane member, counted once by whichever pump or drain flushed it
+    assert completed == admitted == len(requests) - REFUSED
     return flushes
 
 
-def test_a_lane_fails_after_a_succeeding_lane_in_one_wave(
-    serving_context, stream, alone
-):
+def test_every_lane_flushes_whole_in_one_wave(serving_context, stream, alone):
     """Stream order, one drain: the tenant's lane is due first (its
-    expiring member) and fails, the keyless lane then flushes whole, and
-    the last-level lane fails after it; each failed lane re-runs member
-    by member, and only the members that fail alone are answered with
-    an error."""
+    expiring member) and flushes whole, its sweeps fused; the keyless
+    lane follows, then the last-level double alone.  No lane fails, so
+    none re-runs member by member."""
     flushes = check(
         serving_context, stream, alone, range(STREAM_LENGTH), STREAM_LENGTH, ()
     )
-    labels = [(f.op, f.batch_size) for f in flushes]
-    assert labels[-2:] == [("mixed", 4), ("double", 1)]
-    # the tenant's 14 lane members less the expired one and the two that
-    # fail alone, each a flush of one: the sweeps no longer fuse
-    assert [size for _, size in labels[:-2]] == [1] * 11
+    # the tenant's 12 admitted lane members less the expired one
+    assert [(f.op, f.batch_size) for f in flushes] == [
+        ("rotate_hoisted", 11), ("mixed", 4), ("double", 1),
+    ]
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -149,12 +149,12 @@ class TestEndToEnd:
         assert flush.batch_size == 2 and flush.batched
 
 
-class TestBareOpsAreNotPlanChecked:
-    """Every flush runs as a plan, but only *program* flushes run the
-    plan checker: admission already typed a bare op's one-step chain.
-    The checker's rule is the noise model's, so a Set-A-shaped
-    ``square`` -- scale 2^28 at two ~30-bit levels -- passes it, and a
-    registered ``("square",)`` program answers what the bare op does."""
+class TestOneTypingRule:
+    """Admission types every request's chain by the plan checker's rule
+    -- a bare op is the chain of one -- and no flush re-checks.  The
+    rule is the noise model's, so a Set-A-shaped ``square`` -- scale
+    2^28 at two ~30-bit levels -- passes it, and a registered
+    ``("square",)`` program answers what the bare op does."""
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_set_a_shaped_square_is_answered(self, width):
@@ -194,6 +194,59 @@ class TestBareOpsAreNotPlanChecked:
             np.testing.assert_allclose(
                 np.array(values[:2]).real, [(0.5 + i) ** 2, 0.0625], atol=1e-2
             )
+
+
+    def test_the_memo_stays_bounded_under_distinct_header_scales(
+        self, serving_context, make_client
+    ):
+        """The scale is the client's to choose: 2 000 distinct ones, each
+        under 1 bit of precision and so refused, leave the memo of chain
+        typings at or below its constant."""
+        import struct
+
+        from repro.serving.server import TYPING_MEMO_ENTRIES
+
+        server = EncryptedComputeServer(serving_context)
+        client = make_client()
+        client.connect(server)
+        ct = client.encryptor.encrypt(client.tenant.encoder.encode([0.5]))
+        payload = bytearray(serialize_ciphertext(ct))
+        for i in range(2000):
+            struct.pack_into("<d", payload, 14, 2.0**-4 * (1 + i / 4096))  # the scale
+            server.receive(
+                client.client_id,
+                framing.encode_frame(
+                    framing.REQUEST, i, client.client_id, op="double",
+                    payload=bytes(payload),
+                ),
+            )
+            assert len(server._typings) <= TYPING_MEMO_ENTRIES
+        outbox = server.sessions.get(client.client_id).take_outbox()
+        assert len(outbox) == 2000 and server.pending_count == 0
+        assert all("double refused" in framing.decode_frame(b).error_message for b in outbox)
+
+    def test_a_dropped_server_dies_without_the_collector(
+        self, serving_context, make_client
+    ):
+        """The memo holds no reference back to its server: with the cycle
+        collector off, a served-then-dropped server is freed at once."""
+        import gc
+        import weakref
+
+        server = EncryptedComputeServer(serving_context)
+        server.register_program(5, (("rotate", 1), "square", "rescale"))
+        client = make_client()
+        client.connect(server)
+        gc.disable()
+        try:
+            for op, arg in (("square", 0), ("program", 5), ("rescale", 0)):
+                server.receive(client.client_id, client.request_bytes(op, [0.5], op_arg=arg))
+            assert server.drain() == 2 and len(server._typings) == 3
+            ref = weakref.ref(server)
+            del server
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestAdmissionControl:
@@ -257,7 +310,7 @@ class TestAdmissionControl:
         (blob,) = server.sessions.get(client.client_id).take_outbox()
         assert "relinearization" in framing.decode_frame(blob).error_message
 
-    def test_infeasible_op_fails_flush_gracefully(
+    def test_keyless_rotation_step_refused_at_admission(
         self, serving_context, tenant, make_client
     ):
         server = EncryptedComputeServer(serving_context)
@@ -265,10 +318,15 @@ class TestAdmissionControl:
         client.connect(server)
         # step 2 has no Galois key in the tenant's set ([1] + conjugation)
         server.receive(client.client_id, client.request_bytes("rotate", [1.0], op_arg=2))
-        assert server.drain() == 1
+        # answered at receive: nothing was queued, nothing flushes
         (blob,) = server.sessions.get(client.client_id).take_outbox()
+        assert server.drain() == 0 and not server.report.flushes
         frame = framing.decode_frame(blob)
-        assert frame.kind == framing.ERROR and "op failed" in frame.error_message
+        assert frame.kind == framing.ERROR
+        assert framing.error_class(frame) == framing.ERR_FATAL
+        assert frame.error_message == (
+            "rotate refused: session has no Galois key for step 2"
+        )
 
 
 class TestKeyUpload:
@@ -600,23 +658,27 @@ class TestHoistedRotationServing:
         (flush,) = server.report.flushes
         assert flush.op == "rotate" and flush.batch_size == 3 and flush.batched
 
-    def test_missing_key_step_fails_alone_in_hoist_flush(self, serving_context):
-        """A keyless step must not take its servable lane-mates down --
-        a lane spans steps, and when a member's step has no Galois key
-        the flush is re-run member by member, so only that one fails."""
-        tenant, client = self._tenant_with_steps(serving_context, [1])
+    def test_missing_key_step_refused_beside_its_sweep(self, serving_context):
+        """A keyless step is refused at admission, so it never joins the
+        lane its servable sweep-mates flush in."""
+        tenant, client = self._tenant_with_steps(serving_context, [1, 2])
         server = EncryptedComputeServer(serving_context)
         client.connect(server)
-        # step 5 has no Galois key; step 1 does
-        for blob in rotation_sweep_bytes(client, [1.0], [1, 5]):
+        # step 5 has no Galois key; steps 1 and 2 do
+        for blob in rotation_sweep_bytes(client, [1.0], [1, 5, 2]):
             server.receive(client.client_id, blob)
         assert server.drain() == 2
-        by_kind = {}
-        for blob in server.sessions.get(client.client_id).take_outbox():
-            frame = framing.decode_frame(blob)
-            by_kind[frame.kind] = frame
-        assert set(by_kind) == {framing.RESPONSE, framing.ERROR}
-        assert "Galois key" in by_kind[framing.ERROR].error_message
+        (flush,) = server.report.flushes
+        assert flush.op == "rotate_hoisted" and flush.batch_size == 2
+        error, *served = [
+            framing.decode_frame(blob)
+            for blob in server.sessions.get(client.client_id).take_outbox()
+        ]
+        assert error.kind == framing.ERROR
+        assert error.error_message == "rotate refused: session has no Galois key for step 5"
+        assert [(f.kind, f.op_arg) for f in served] == [
+            (framing.RESPONSE, 1), (framing.RESPONSE, 2),
+        ]
 
 
 class TestOneKindOfLane:
@@ -817,10 +879,19 @@ class TestOpsAsData:
     def test_unservable_member_reruns_its_flush_member_by_member(
         self, serving_context, make_client
     ):
+        """Admission refuses every input known to fail a flush, so an
+        executor fault is injected: any plan holding a rotation raises."""
         server, (a, b) = self._server(serving_context, make_client)
+        run = server.executor.run
+
+        def faulty(graph, inputs):
+            if "rotate" in graph.op_counts():
+                raise ValueError("injected fault")
+            return run(graph, inputs)
+
+        server.executor.run = faulty
         server.receive(a.client_id, a.request_bytes("square", [1.0]))
-        # step 2 has no Galois key in the tenant's set ([1] + conjugation)
-        server.receive(b.client_id, b.request_bytes("rotate", [1.0], op_arg=2))
+        server.receive(b.client_id, b.request_bytes("rotate", [1.0], op_arg=1))
         server.receive(a.client_id, a.request_bytes("negate", [1.0]))  # keyless
         server.receive(b.client_id, b.request_bytes("conjugate", [1.0]))
         assert server.drain() == 4
@@ -832,7 +903,7 @@ class TestOpsAsData:
         answers = collect_responses(server, (a, b))
         errors = [k for k, f in answers.items() if f.kind == framing.ERROR]
         assert [k[0] for k in errors] == [b.client_id] and len(answers) == 4
-        assert "no Galois key for step 2" in answers[errors[0]].error_message
+        assert answers[errors[0]].error_message == "op failed: injected fault"
 
 
 class TestIdentityRotation:

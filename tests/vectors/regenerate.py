@@ -11,10 +11,11 @@ Four fixture families are frozen here:
   decoded slot vector stored verbatim.
 * ``serving_trace.json`` -- SHA-256 of every outbox frame of one seeded
   pass through :class:`repro.serving.server.EncryptedComputeServer`:
-  all seven ops at flush widths 1, 3 and 8, a six-member rotation sweep
-  (one duplicate step, one step without a Galois key), a sweep that
-  filtering shrinks to a single rotation, and a lane with one
-  deadline-expired member.  It pins the served *bytes* across commits,
+  all seven ops at flush widths 1, 3 and 8 (a bare rescale of a fresh
+  ciphertext is refused at admission: under 1 bit of precision), a
+  six-member rotation sweep (one duplicate step, one step without a
+  Galois key, refused at admission), a sweep that refusal shrinks to a
+  single rotation, and a lane with one deadline-expired member.  It pins the served *bytes* across commits,
   so a change to how a flush executes cannot silently change responses.
 
 * ``wire_v2_n64.json`` -- one seeded ciphertext at ``n = 64`` over
@@ -224,8 +225,8 @@ def compute_serving_trace() -> dict:
     ):
         server.receive(clients[0].client_id, blob)
     frames["hoist/6"] = collect()
-    # the step without a Galois key fails the flush, which re-runs member
-    # by member: one rotation is served, the keyless step refused alone
+    # the step without a Galois key is refused at admission, so the
+    # other rotation is served alone
     for blob in rotation_sweep_bytes(clients[1], [0.75, 0.5], (3, 7)):
         server.receive(clients[1].client_id, blob)
     frames["hoist/shrunk"] = collect()
