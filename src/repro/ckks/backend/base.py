@@ -286,8 +286,9 @@ def _first_out_of_range(mat, bounds):
     return None
 
 
-def _pack_rows_bits_np(handle, bounds) -> bytes:
-    """The v2 bit-packing of a whole residue matrix (see :func:`_bit_plan`).
+def _pack_rows_bits_np(handle, bounds) -> memoryview:
+    """The v2 bit-packing of a whole residue matrix (see :func:`_bit_plan`),
+    as a read-only view of the packed (resident) byte vector.
 
     ``handle`` is any sequence of equal-length rows; rows that share a
     width are gathered, coefficient-major, and packed together.
@@ -295,7 +296,7 @@ def _pack_rows_bits_np(handle, bounds) -> bytes:
     bounds = tuple(int(b) for b in bounds)
     n = len(handle[0]) if bounds else 0
     if n == 0:
-        return b""
+        return memoryview(b"")
     sizes, starts, total, passes = _row_plan(n, bounds)
     blob = resident.new((total,), _U8)
     for width, idx, base, stride in passes:
@@ -333,7 +334,9 @@ def _pack_rows_bits_np(handle, bounds) -> bytes:
         if dest is not blob:
             for r, i in enumerate(idx):
                 blob[starts[i] : starts[i] + sizes[i]] = dest[r, : sizes[i]]
-    return blob.tobytes()
+    # no copy to bytes: a frame's join of its pieces is the one copy, and
+    # the slab is not reissued while any piece of it is held
+    return memoryview(blob).toreadonly()
 
 
 def _store_rows(out, idx, vals) -> None:
@@ -670,8 +673,9 @@ class PolynomialBackend(abc.ABC):
         _store_rows(out, range(count), words)
         return out
 
-    def pack_rows_bits(self, handle, bounds: Sequence[int]) -> bytes:
-        """Serialize a residue matrix bit-packed to per-row word width.
+    def pack_rows_bits(self, handle, bounds: Sequence[int]) -> memoryview:
+        """Serialize a residue matrix bit-packed to per-row word width,
+        as a read-only byte view (slice it, join it; ``bytes()`` copies).
 
         ``bounds[i]`` is row ``i``'s modulus value; its coefficients
         pack at ``bounds[i].bit_length()`` bits per word, MSB-first,

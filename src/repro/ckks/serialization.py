@@ -233,15 +233,18 @@ def _unpack_polys(
     return [RnsPolynomial(n, moduli, h, is_ntt) for h in handles]
 
 
-def pack_ciphertexts(cts: Sequence[Ciphertext], version: int = VERSION) -> Iterator[bytes]:
+def pack_ciphertexts(
+    cts: Sequence[Ciphertext], version: int = VERSION
+) -> Iterator[Tuple[bytes, ...]]:
     """Serialize ``N`` same-shape ciphertexts, the encoder twin of
-    :func:`unpack_ciphertexts`: payload ``b`` is byte for byte
-    ``serialize_ciphertext(cts[b], version)``.  v2 packs every member's
-    rows in **one** ``pack_rows_bits`` call and cuts the blob into equal
-    payloads (header plus one slice); v1 words, a copy with nothing to
-    amortize, pack member by member.  Payloads are made as they are
-    taken, so each can be framed and dropped before the next exists
-    (made at once, v1 transients grew a server's peak RSS by 4 %)."""
+    :func:`unpack_ciphertexts`: payload ``b`` is a tuple of pieces, joined
+    once by its frame, whose join is ``serialize_ciphertext(cts[b],
+    version)`` byte for byte.  v2 packs every member's rows in **one**
+    ``pack_rows_bits`` call: a payload is a header and a view of its
+    slice of that blob.  v1 words, a copy with nothing to amortize, pack
+    member by member.  Payloads are made as they are taken, so each can
+    be framed and dropped before the next exists (made at once, v1
+    transients grew a server's peak RSS by 4 %)."""
     _check_version(version)
     n, size, level = shape = cts[0].n, cts[0].size, cts[0].level_count
     if any((ct.n, ct.size, ct.level_count) != shape for ct in cts):
@@ -255,15 +258,19 @@ def pack_ciphertexts(cts: Sequence[Ciphertext], version: int = VERSION) -> Itera
         for ct in cts
     )
     if version == VERSION:
-        return (head + _pack_polys(ct.polys, version) for head, ct in zip(headers, cts))
-    blob = memoryview(_pack_polys([p for ct in cts for p in ct.polys], version))
+        be = get_backend()
+        return (
+            (head, *[be.pack_rows(poly.rows) for poly in ct.polys])
+            for head, ct in zip(headers, cts)
+        )
+    blob = _pack_polys([p for ct in cts for p in ct.polys], version)
     step = len(blob) // len(cts)
-    return (head + blob[b * step : (b + 1) * step] for b, head in enumerate(headers))
+    return ((head, blob[b * step : (b + 1) * step]) for b, head in enumerate(headers))
 
 
 def serialize_ciphertext(ct: Ciphertext, version: int = VERSION) -> bytes:
     """Encode one ciphertext: the lane of one."""
-    return next(pack_ciphertexts([ct], version))
+    return b"".join(next(pack_ciphertexts([ct], version)))
 
 
 def _parse_header(data: bytes) -> Tuple[int, int, int, int, int, bool, float]:

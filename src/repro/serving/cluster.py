@@ -230,6 +230,8 @@ class ServingCluster:
         self._dedup: Dict[str, "OrderedDict[int, bytes]"] = {}
         #: (client_id, request_id) -> (worker_id, admitted_at)
         self._inflight: Dict[Tuple[str, int], Tuple[str, float]] = {}
+        #: program id -> normalized steps, bound at every worker
+        self._programs: Dict[int, tuple] = {}
         self.report = ClusterReport()
 
     # ------------------------------------------------------------------
@@ -333,6 +335,21 @@ class ServingCluster:
         self._placement[client_id] = worker_id
         self._dedup[client_id] = OrderedDict()
         return worker_id
+
+    def register_program(self, program_id: int, steps) -> tuple:
+        """Register a multi-op program at every live worker (see
+        ``EncryptedComputeServer.register_program``, whose ``ValueError``
+        this raises), and again at a worker :meth:`restart_worker`
+        builds: an ``op="program"`` request is served wherever its
+        client is placed."""
+        program = None
+        for handle in self.workers.values():
+            if handle.alive:
+                program = handle.register_program(program_id, steps)
+        if program is None:
+            raise NoWorkersError("no live worker to register the program at")
+        self._programs[int(program_id)] = program
+        return program
 
     def _register_at_worker(self, worker_id: str, session: ClientSession) -> None:
         tenant = self._tenants[session.key_id]
@@ -620,7 +637,8 @@ class ServingCluster:
         fresh worker goes straight back on the ring: consistent hashing
         re-places exactly the tenants that lived on it before the crash
         -- they migrate back, sessions re-register, and key material
-        re-uploads (the fresh worker's cache is empty).
+        re-uploads (the fresh worker's cache is empty); every program of
+        :meth:`register_program` is registered at it first.
         ``rejoin=False`` builds the worker but leaves it *off* the ring
         -- the supervisor's quarantine/probation path: tenants stay
         where the failover re-placed them until the worker proves it can
@@ -630,7 +648,9 @@ class ServingCluster:
         if old is not None and old.alive:
             old.stop()
         self._fail_over(worker_id)
-        self.workers[worker_id] = self._factory(worker_id)
+        fresh = self.workers[worker_id] = self._factory(worker_id)
+        for program in self._programs.items():
+            fresh.register_program(*program)
         if rejoin:
             self.ring.add(worker_id)
         elif worker_id in self.ring:

@@ -45,6 +45,14 @@ magic, unknown kind, inconsistent lengths, a length field exceeding
 the frame cap, or a v2 CRC mismatch) raises ``ValueError``
 immediately, because a stream whose framing is corrupt cannot be
 resynchronized.
+
+**The payload rule: one copy per direction** (a ciphertext is written
+once into its DMA buffer, Figure 7).  A frame decoded out of immutable
+``bytes`` keeps its payload as a read-only ``memoryview`` of them, which
+holds the whole chunk alive until the request is answered; a frame
+decoded out of anything that can change under it (the stream buffer, a
+caller's ``bytearray`` or ``memoryview``) gets a ``bytes`` copy.  On the
+way out, :func:`encode_frame` joins a payload's pieces once, into the frame.
 """
 
 from __future__ import annotations
@@ -119,7 +127,8 @@ DEFAULT_MAX_FRAME_BYTES = 1 << 24
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded serving-protocol message."""
+    """One decoded serving-protocol message; ``payload`` follows the
+    module's payload rule (``bytes`` once pickled)."""
 
     kind: int
     request_id: int
@@ -133,7 +142,14 @@ class Frame:
     @property
     def error_message(self) -> str:
         """The human-readable payload of an ERROR frame."""
-        return self.payload.decode("utf-8", errors="replace")
+        return bytes(self.payload).decode("utf-8", errors="replace")
+
+    def __reduce__(self):
+        # a view does not pickle: a frame crosses a pipe with its own bytes
+        return Frame, (
+            self.kind, self.request_id, self.client_id, self.op, self.op_arg,
+            bytes(self.payload), self.deadline,
+        )
 
 
 def encode_frame(
@@ -148,6 +164,8 @@ def encode_frame(
 ) -> bytes:
     """Encode one frame, length prefix included.
 
+    ``payload`` is one bytes-like object, or a tuple of them framed back
+    to back: the pieces are joined once, into the frame.
     ``frame_version`` selects the frame protocol: v1 is the legacy
     bit-for-bit layout; v2 carries ``deadline`` and a CRC32 trailer.
     A nonzero deadline therefore requires v2 -- silently dropping it on
@@ -161,6 +179,7 @@ def encode_frame(
             f"unknown frame protocol version {frame_version}; "
             f"supported: {FRAME_VERSIONS}"
         )
+    pieces = payload if isinstance(payload, tuple) else (payload,)
     client = client_id.encode("utf-8")
     op_bytes = op.encode("utf-8")
     if len(client) > 255 or len(op_bytes) > 255:
@@ -174,7 +193,7 @@ def encode_frame(
             FRAME_MAGIC, FRAME_VERSION, kind, request_id, op_arg,
             len(client), len(op_bytes),
         ) + client + op_bytes
-        parts = (head, payload)
+        parts = (head, *pieces)
     else:
         head = _FIXED_V2.pack(
             FRAME_MAGIC, FRAME_V2, kind, request_id, op_arg,
@@ -182,8 +201,10 @@ def encode_frame(
         ) + client + op_bytes
         # running CRC over head then payload: the payload is read in
         # place, and copied once, by the join below
-        crc = zlib.crc32(payload, zlib.crc32(head))
-        parts = (head, payload, _CRC.pack(crc))
+        crc = zlib.crc32(head)
+        for piece in pieces:
+            crc = zlib.crc32(piece, crc)
+        parts = (head, *pieces, _CRC.pack(crc))
     length = sum(len(part) for part in parts)
     return b"".join((_PREFIX.pack(length), *parts))
 
@@ -200,6 +221,8 @@ def envelope_length(frame: Frame) -> int:
 
 
 def _decode_body(body: memoryview) -> Frame:
+    """One frame from its body; the payload is a view of ``body`` when
+    the memory belongs to an immutable ``bytes``, else a copy."""
     magic, version, kind, request_id, op_arg, client_len, op_len = (
         _FIXED.unpack_from(body)
     )
@@ -232,9 +255,10 @@ def _decode_body(body: memoryview) -> Frame:
     pos += client_len
     op = bytes(body[pos : pos + op_len]).decode("utf-8")
     pos += op_len
-    return Frame(
-        kind, request_id, client_id, op, op_arg, bytes(body[pos:tail]), deadline
-    )
+    payload = body[pos:tail]
+    if type(body.obj) is not bytes:
+        payload = bytes(payload)
+    return Frame(kind, request_id, client_id, op, op_arg, payload, deadline)
 
 
 #: offset of the (kind, request_id) pair inside an encoded frame:
@@ -285,7 +309,8 @@ def peek_frame_summary(data: bytes) -> Tuple[int, int, str]:
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Decode exactly one frame; partial or trailing bytes raise."""
+    """Decode exactly one frame; partial or trailing bytes raise.  The
+    payload follows the module's payload rule."""
     if len(data) < _PREFIX.size:
         raise ValueError("truncated frame: missing length prefix")
     (length,) = _PREFIX.unpack_from(data)
@@ -319,6 +344,22 @@ class FrameDecoder:
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
 
+    def _frame_end(self, data, pos: int) -> "int | None":
+        """Where the frame starting at ``data[pos]`` ends, or ``None``
+        while it is incomplete; a malformed length raises."""
+        if len(data) - pos < _PREFIX.size:
+            return None
+        (length,) = _PREFIX.unpack_from(data, pos)
+        if length < _FIXED.size:
+            raise ValueError(f"frame length {length} below fixed header size")
+        if length > self.max_frame_bytes:
+            raise ValueError(
+                f"frame length {length} exceeds cap {self.max_frame_bytes}"
+            )
+        end = pos + _PREFIX.size + length
+        # an incomplete frame is not an error on a stream
+        return end if end <= len(data) else None
+
     def next_frame(self) -> "Frame | None":
         """Decode one frame off the buffer head, or ``None`` if incomplete.
 
@@ -326,35 +367,38 @@ class FrameDecoder:
         stay at the head (the buffer is only consumed on success), so
         repeated calls keep raising -- a corrupt stream stays corrupt.
         """
-        if len(self._buffer) < _PREFIX.size:
+        end = self._frame_end(self._buffer, 0)
+        if end is None:
             return None
-        (length,) = _PREFIX.unpack_from(self._buffer)
-        if length < _FIXED.size:
-            raise ValueError(f"frame length {length} below fixed header size")
-        if length > self.max_frame_bytes:
-            raise ValueError(
-                f"frame length {length} exceeds cap {self.max_frame_bytes}"
-            )
-        if len(self._buffer) - _PREFIX.size < length:
-            return None  # an incomplete frame is not an error on a stream
         # decode in place (the payload is the one copy made), and release
         # both views before shrinking the buffer -- also when the decode
         # raises: a live memoryview over a bytearray blocks its resize
-        with memoryview(self._buffer) as view, view[
-            _PREFIX.size : _PREFIX.size + length
-        ] as body:
+        with memoryview(self._buffer) as view, view[_PREFIX.size : end] as body:
             frame = _decode_body(body)  # buffer untouched on raise
-        del self._buffer[: _PREFIX.size + length]
+        del self._buffer[:end]
         return frame
 
     def feed(self, data: bytes) -> List[Frame]:
         """Append stream bytes; return every frame completed by them.
+        With nothing buffered, a ``bytes`` chunk's whole frames are
+        decoded in place and only its tail is buffered.
 
         On a malformed frame, raises :class:`StreamProtocolError`
         carrying the frames decoded earlier in the chunk.
         """
-        self._buffer.extend(data)
         frames: List[Frame] = []
+        if type(data) is bytes and not self._buffer:
+            pos, view = 0, memoryview(data)
+            try:
+                while (end := self._frame_end(data, pos)) is not None:
+                    frames.append(_decode_body(view[pos + _PREFIX.size : end]))
+                    pos = end
+            except ValueError as exc:
+                self._buffer += view[pos:]
+                raise StreamProtocolError(str(exc), frames) from None
+            self._buffer += view[pos:]
+            return frames
+        self._buffer.extend(data)
         while True:
             try:
                 frame = self.next_frame()

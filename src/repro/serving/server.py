@@ -645,7 +645,8 @@ class EncryptedComputeServer:
         # responses go out at the wire version each client negotiated at
         # HELLO time (v1 for legacy clients): one codec pass per version
         # and result shape (a lane spans ops, and a rescale drops a
-        # level), each payload framed as it is made
+        # level), each payload framed as it is made: its pieces (header
+        # and a view of the lane's packed blob) are joined once, there
         passes: Dict[tuple, List[int]] = {}
         for i, request in enumerate(requests):
             ct = run.outputs[f"r{i}"]
@@ -670,7 +671,7 @@ class EncryptedComputeServer:
                 )
                 self.report.latencies.append(now - request.enqueued_at)
                 # billing reads the bytes that crossed the wire, each way
-                out_bytes += len(payload) - HEADER_BYTES
+                out_bytes += sum(map(len, payload)) - HEADER_BYTES
         in_bytes = sum(members[i][1] for i in set(source))
         ops = {r.op for r in requests}
         self.report.flushes.append(

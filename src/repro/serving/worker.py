@@ -115,11 +115,18 @@ class WorkerHandle:
         once the worker holds the ``key_id``'s keys."""
         raise NotImplementedError
 
+    def register_program(self, program_id: int, steps) -> tuple:
+        """``EncryptedComputeServer.register_program`` at the worker, on
+        both transports a call that returns the normalized chain or
+        raises the server's ``ValueError``."""
+        raise NotImplementedError
+
     def submit(self, client_id: str, frame: Frame) -> None:
         """Hand one request the router decoded and CRC-checked to the
         worker's ``server.submit_frame`` -- a call in-process, a pickled
-        ``Frame`` across a pipe.  A refusal there (the worker's frame
-        cap included) is an answered request, never a raise."""
+        ``Frame`` across a pipe (its payload then travels as ``bytes``).
+        A refusal there (the worker's frame cap included) is an answered
+        request, never a raise."""
         raise NotImplementedError
 
     def pump(self, now: Optional[float] = None) -> None:
@@ -178,6 +185,9 @@ class LocalWorkerHandle(WorkerHandle):
 
     def register_session(self, *session) -> None:
         self.server.open_session(*session)
+
+    def register_program(self, program_id: int, steps) -> tuple:
+        return self.server.register_program(program_id, steps)
 
     def submit(self, client_id: str, frame: Frame) -> None:
         self.server.submit_frame(client_id, frame)
@@ -248,6 +258,11 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
                 cmd = msg[0]
                 if cmd == "register":
                     server.open_session(*msg[1:])
+                elif cmd == "program":
+                    try:
+                        conn.send(("program", server.register_program(*msg[1:])))
+                    except ValueError as exc:  # the router raises it
+                        conn.send(("program", exc))
                 elif cmd == "frame":
                     server.submit_frame(msg[1], msg[2])
                 elif cmd == "poll":
@@ -328,8 +343,9 @@ class ProcessWorkerHandle(WorkerHandle):
         self._require_alive()
         self._conn.send(msg)
 
-    def _request(self, command: str, timeout: float):
-        """Send ``command`` and wait for its reply; returns the payload.
+    def _request(self, command: str, timeout: float, *args):
+        """Send ``(command, *args)`` and wait for its reply; returns the
+        payload.
 
         The one reply wait of the transport, on the injected clock:
         :class:`WorkerDeadError` when the process is dead at the send,
@@ -338,7 +354,7 @@ class ProcessWorkerHandle(WorkerHandle):
         ``poll`` reply is merged into the response buffer whichever
         command it turns up under, so a late one loses no frame.
         """
-        self._send((command,))
+        self._send((command, *args))
         deadline = self._clock() + timeout
         while self._clock() < deadline:
             if not self._conn.poll(0.05):
@@ -360,8 +376,17 @@ class ProcessWorkerHandle(WorkerHandle):
     def register_session(self, *session) -> None:
         self._send(("register", *session))
 
+    def register_program(self, program_id: int, steps) -> tuple:
+        # answered between pumps like stats, never executing pending work
+        program = self._request(
+            "program", self.STATS_TIMEOUT_SECONDS, program_id, steps
+        )
+        if isinstance(program, ValueError):
+            raise program
+        return program
+
     def submit(self, client_id: str, frame: Frame) -> None:
-        self._send(("frame", client_id, frame))
+        self._send(("frame", client_id, frame))  # Frame.__reduce__: bytes
 
     def poll_responses(self) -> Dict[str, List[bytes]]:
         """Ask the worker for completed responses (one round-trip).

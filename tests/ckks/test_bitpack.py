@@ -319,7 +319,7 @@ class TestCorruption:
         data = self._packed(be, bounds, n=8)
         for dest in DESTS:
             with pytest.raises(ValueError, match="trailing"):
-                _decode(be, data + b"\x00", 8, bounds, dest)
+                _decode(be, bytes(data) + b"\x00", 8, bounds, dest)
 
     @pytest.mark.parametrize("be", BACKENDS, ids=lambda b: b.name)
     def test_bitflip_never_decodes_silently_out_of_range(self, be):

@@ -157,8 +157,8 @@ def _lane_stack(name):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lane_encoder_is_one_serialize_per_member(data):
-    """Payload ``b`` of ``pack_ciphertexts(cts, v)`` is
-    ``serialize_ciphertext(cts[b], v)`` byte for byte, and the payloads
+    """Payload ``b`` of ``pack_ciphertexts(cts, v)``, its pieces joined,
+    is ``serialize_ciphertext(cts[b], v)`` byte for byte, and the payloads
     come back through the lane decoder:
     widths 1-8, sizes 2-3, every level, both versions, a lane's
     ``split()`` members and independent ciphertexts, both backends."""
@@ -183,7 +183,7 @@ def test_lane_encoder_is_one_serialize_per_member(data):
             cts.append(ct)
         if split:
             cts = CiphertextBatch.join(cts).split()
-        blobs = list(pack_ciphertexts(cts, version))
+        blobs = [b"".join(pieces) for pieces in pack_ciphertexts(cts, version)]
         assert blobs == [serialize_ciphertext(ct, version) for ct in cts]
         wires = [admit_ciphertext(blob, ctx) for blob in blobs]
         elements, errors = unpack_ciphertexts(wires, ctx)

@@ -36,7 +36,6 @@ _DERIVED = "a base.DERIVED convenience; ROADMAP 6(a) deletes the DERIVED names"
 
 #: Symbols kept although nothing outside ``tests/`` names them.
 EXEMPT: Dict[str, str] = {
-    "EncryptedComputeServer.register_program": "the only entry to the op=\"program\" path",
     "primitive_2nth_root": "the public root-search contract (least primitive 2n-th root); "
     "NTTTables gathers psi and both tables from the same search's vector (root_powers)",
     "ServingCluster.drain_worker": "operator API: graceful worker removal, the drain half "

@@ -35,7 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.serialization import HEADER_BYTES, serialize_ciphertext
-from repro.serving import framing, server as server_module, worker as worker_module
+from repro.serving import framing, server as server_module
 from repro.serving.cluster import ServingCluster
 from repro.serving.server import EncryptedComputeServer
 from repro.serving.traffic import SyntheticClient
@@ -85,10 +85,12 @@ def _mutate(payload: bytes, field: str, value) -> bytes:
     return head + payload[HEADER_BYTES:]
 
 
-def _with_programs(server: EncryptedComputeServer) -> EncryptedComputeServer:
+def _with_programs(target):
+    """Register :data:`PROGRAMS` at a bare server or at every worker of
+    a cluster."""
     for program_id, steps in PROGRAMS.items():
-        server.register_program(program_id, steps)
-    return server
+        target.register_program(program_id, steps)
+    return target
 
 
 def _flush_spy(check_plan, flush_calls):
@@ -130,6 +132,7 @@ class _Transports:
         for cluster in self.clusters:
             tenant.register_with(cluster)
             SyntheticClient(tenant, "fuzz", seed=1).connect_cluster(cluster)
+            _with_programs(cluster)
 
     def answers(self, *frames: bytes):
         """Each transport's answers to ``frames``, received, then drained."""
@@ -154,13 +157,9 @@ class _Transports:
 
 @pytest.fixture(scope="module")
 def transports(serving_context, tenant):
-    build, flush_calls = worker_module.build_server, []
+    flush_calls = []
     with pytest.MonkeyPatch.context() as patch:
-        # a forked worker inherits both patches
-        patch.setattr(
-            worker_module, "build_server",
-            lambda spec, *clock: _with_programs(build(spec, *clock)),
-        )
+        # a forked worker inherits the patch
         patch.setattr(
             server_module, "check_plan", _flush_spy(server_module.check_plan, flush_calls)
         )
@@ -344,14 +343,15 @@ def test_the_unmutated_request_is_served(transports, payloads, version):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_a_mutated_program_step_is_refused_at_registration(transports, step):
-    """The same rule on both transports: the bare server and the cluster's
-    worker refuse the chain, and neither registers it."""
+    """The same rule on every transport: the bare server and each
+    cluster (its worker, in-process or forked) refuse the chain, and none
+    registers it."""
     local = transports.clusters[0]
-    servers = [transports.server] + [
-        handle.server for handle in local.workers.values()
-    ]
+    targets = [transports.server, *transports.clusters]
     pid = next(_ids)
-    for server in servers:
+    for target in targets:
         with pytest.raises(ValueError):
-            server.register_program(pid, [step])
-        assert pid not in server._programs
+            target.register_program(pid, [step])
+        assert pid not in target._programs
+    for handle in local.workers.values():
+        assert pid not in handle.server._programs

@@ -17,6 +17,12 @@ the identical cases):
 * corruption reporting -- a corrupted frame header raises
   :class:`StreamProtocolError` that *carries* every frame decoded ahead
   of the corruption, so good requests in the same read are never lost;
+* the payload rule -- frames fed whole, as one multi-frame chunk or one
+  byte at a time decode to equal frames and get byte-identical answers
+  from a server; a payload is a view of a ``bytes`` chunk exactly when
+  the frame was decoded in place, a copy otherwise, and a corrupt frame
+  at any position raises carrying the same frames ahead of it in every
+  feeding;
 * deserializer totality -- for ciphertext/plaintext/key-switching-key
   blobs, truncation always raises ``ValueError`` (never silent zeros),
   arbitrary byte corruption either raises ``ValueError`` or returns a
@@ -160,6 +166,107 @@ class TestCorruption:
         huge = (1 << 20).to_bytes(4, "little")
         with pytest.raises(StreamProtocolError, match="exceeds cap"):
             decoder.feed(huge)
+
+
+def _feedings(frames_bytes):
+    """The chunkings of one stream: frames fed whole, one multi-frame
+    chunk, one byte at a time, and the whole stream in mutable buffers."""
+    stream = b"".join(frames_bytes)
+    return {
+        "whole": list(frames_bytes),
+        "one chunk": [stream],
+        "every byte": [stream[i : i + 1] for i in range(len(stream))],
+        "bytearray": [bytearray(stream)],
+        "memoryview": [memoryview(bytearray(stream))],
+    }
+
+
+def _feed(chunks):
+    """Every frame a fresh decoder yields over ``chunks``, and the frames
+    collected before a :class:`StreamProtocolError` (with it) if one
+    is raised."""
+    decoder, frames = FrameDecoder(), []
+    for chunk in chunks:
+        try:
+            frames.extend(decoder.feed(chunk))
+        except StreamProtocolError as exc:
+            frames.extend(exc.frames)
+            with pytest.raises(StreamProtocolError):
+                decoder.feed(b"")  # the corrupt head stays corrupt
+            return frames, exc
+    assert len(decoder._buffer) == 0
+    return frames, None
+
+
+class TestPayloadRule:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_feeding_decodes_equal_frames(self, seed):
+        rng = random.Random(6000 + seed)
+        frames_bytes, _ = random_stream(rng, rng.randrange(1, 6))
+        expected = decode_stream_oneshot(frames_bytes)
+        for name, chunks in _feedings(frames_bytes).items():
+            frames, error = _feed(chunks)
+            assert error is None and frames == expected, name
+            for frame in frames:
+                # a view only of the immutable bytes it was decoded from
+                if name in ("whole", "one chunk"):
+                    assert isinstance(frame.payload, memoryview), name
+                    assert frame.payload.readonly
+                    assert any(frame.payload.obj is chunk for chunk in chunks)
+                else:
+                    assert type(frame.payload) is bytes, name
+
+    def test_a_tail_is_buffered_and_copied(self):
+        rng = random.Random(17)
+        first, second = random_frame(rng), random_frame(rng)
+        chunk = first + second[:5]
+        decoder = FrameDecoder()
+        [head] = decoder.feed(chunk)
+        assert head.payload.obj is chunk
+        assert bytes(decoder._buffer) == second[:5]
+        [tail] = decoder.feed(second[5:])
+        assert type(tail.payload) is bytes
+        assert tail == framing.decode_frame(second)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_corrupt_frame_carries_the_same_frames_in_every_feeding(self, seed):
+        rng = random.Random(7000 + seed)
+        frames_bytes, _ = random_stream(rng, 4)
+        expected = decode_stream_oneshot(frames_bytes)
+        for victim in range(len(frames_bytes)):
+            corrupt = bytearray(frames_bytes[victim])
+            corrupt[rng.randrange(4, 10)] ^= 0xFF  # magic, version or kind
+            stream = list(frames_bytes)
+            stream[victim] = bytes(corrupt)
+            for name, chunks in _feedings(stream).items():
+                frames, error = _feed(chunks)
+                assert error is not None, (victim, name)
+                assert frames == expected[:victim], (victim, name)
+
+
+@pytest.mark.parametrize("wire_version", [1, 2])
+def test_every_feeding_gets_the_same_answers(serving_context, tenant, wire_version):
+    from repro.serving import EncryptedComputeServer, SyntheticClient
+
+    def answers(chunks):
+        client = SyntheticClient(tenant, "feeder", seed=3, wire_version=wire_version)
+        server = EncryptedComputeServer(serving_context)
+        client.connect(server)
+        for chunk in chunks:
+            server.receive(client.client_id, chunk)
+        server.drain()
+        return server.sessions.get(client.client_id).take_outbox()
+
+    client = SyntheticClient(tenant, "feeder", seed=3, wire_version=wire_version)
+    frames_bytes = [
+        client.request_bytes(op, [0.25, -0.5], op_arg=arg)
+        for op, arg in (("square", 0), ("double", 0), ("rotate", 1), ("negate", 0))
+    ]
+    feedings = _feedings(frames_bytes)
+    expected = answers(feedings.pop("whole"))
+    assert [framing.decode_frame(b).kind for b in expected] == [framing.RESPONSE] * 4
+    for name, chunks in feedings.items():
+        assert answers(chunks) == expected, name
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,10 @@ the same :class:`ServingReport` flush stream (timings aside), the
 process side having crossed the pickle boundary.  ``stats()`` is a
 snapshot on both: the router may keep or mutate it freely.
 
+A registered program is served alike on every transport, and a worker
+that ``restart_worker`` brings back serves it again: the router
+registers every program at each worker it builds.
+
 Hostile frames get the same answer on every transport: a frame over the
 worker's cap, a non-REQUEST kind, a mis-tagged ``client_id`` and a
 dead-on-arrival deadline are each one ERROR frame, byte-identical
@@ -135,7 +139,7 @@ def hostile(serving_context):
         frame = framing.decode_frame(blob)
         return framing.encode_frame(
             frame.kind, frame.request_id, client_id, op=frame.op,
-            op_arg=frame.op_arg, payload=frame.payload + pad, frame_version=2,
+            op_arg=frame.op_arg, payload=(frame.payload, pad), frame_version=2,
         )
 
     over_cap = reframed(client.request_bytes("double", [0.25]), "hostile", bytes(64))
@@ -215,3 +219,51 @@ def test_hostile_frames_get_the_same_answer_on_every_transport(
             report.completed + report.shed_requests
             + report.failed_over_requests + report.expired_requests
         ) == report.submitted
+
+
+#: one registered chain, servable at the fixtures' parameters
+PROGRAM_ID, PROGRAM = 5, (("rotate", 1), "square", "rescale")
+#: the chain as registration normalizes it
+NORMALIZED = (("rotate", 1), ("square", 0), ("rescale", 0))
+
+
+def _serve_program(target, context, tenant):
+    """The answers of ``target`` to one program request, then -- a
+    cluster's worker restarted in between -- to a second one."""
+    client = SyntheticClient(tenant, "prog", seed=8, wire_version=2, frame_version=2)
+    first, second = (
+        client.request_bytes("program", values, op_arg=PROGRAM_ID)
+        for values in ([0.5, 0.25], [-0.125])
+    )
+    if target is EncryptedComputeServer:
+        server = EncryptedComputeServer(context, **SPEC_KNOBS)
+        assert server.register_program(PROGRAM_ID, PROGRAM) == NORMALIZED
+        client.connect(server)
+        for blob in (first, second):
+            server.receive(client.client_id, blob)
+            server.drain()
+        return server.collect_outboxes()[client.client_id]
+    spec = WorkerSpec(params=context.params, **SPEC_KNOBS)
+    cluster = ServingCluster(lambda wid: target(wid, spec), worker_count=1)
+    try:
+        tenant.register_with(cluster, wire_version=2)
+        client.connect_cluster(cluster)
+        assert cluster.register_program(PROGRAM_ID, PROGRAM) == NORMALIZED
+        cluster.receive(client.client_id, first)
+        cluster.drain()
+        cluster.restart_worker("w0")
+        cluster.receive(client.client_id, second)
+        cluster.drain()
+        assert cluster.inflight_count == 0
+        return cluster.take_outbox(client.client_id)
+    finally:
+        cluster.stop()
+
+
+@pytest.mark.parametrize(
+    "target", [EncryptedComputeServer, LocalWorkerHandle, ProcessWorkerHandle]
+)
+def test_a_program_is_answered_alike_on_every_transport(target, serving_context, tenant):
+    expected = _serve_program(EncryptedComputeServer, serving_context, tenant)
+    assert [framing.decode_frame(b).kind for b in expected] == [framing.RESPONSE] * 2
+    assert _serve_program(target, serving_context, tenant) == expected
