@@ -260,9 +260,10 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
                     server.open_session(*msg[1:])
                 elif cmd == "program":
                     try:
-                        conn.send(("program", server.register_program(*msg[1:])))
-                    except ValueError as exc:  # the router raises it
-                        conn.send(("program", exc))
+                        reply = server.register_program(*msg[1:])
+                    except ValueError as exc:  # raised again by the router
+                        reply = exc
+                    conn.send(("program", reply))
                 elif cmd == "frame":
                     server.submit_frame(msg[1], msg[2])
                 elif cmd == "poll":
@@ -378,9 +379,7 @@ class ProcessWorkerHandle(WorkerHandle):
 
     def register_program(self, program_id: int, steps) -> tuple:
         # answered between pumps like stats, never executing pending work
-        program = self._request(
-            "program", self.STATS_TIMEOUT_SECONDS, program_id, steps
-        )
+        program = self._request("program", self.STATS_TIMEOUT_SECONDS, program_id, steps)
         if isinstance(program, ValueError):
             raise program
         return program
