@@ -184,7 +184,7 @@ def _check_header_fields(n: int, comps: int, level_count: int) -> None:
         )
 
 
-def _pack_polys(polys: Sequence[RnsPolynomial], version: int) -> bytes:
+def _pack_polys(polys: Sequence[RnsPolynomial], version: int) -> bytes | memoryview:
     """The residue payload of ``polys`` (one basis), in wire order.
 
     Straight from the native matrices.  v2 hands every row of the
@@ -235,7 +235,7 @@ def _unpack_polys(
 
 def pack_ciphertexts(
     cts: Sequence[Ciphertext], version: int = VERSION
-) -> Iterator[Tuple[bytes, ...]]:
+) -> Iterator[Tuple[bytes | memoryview, ...]]:
     """Serialize ``N`` same-shape ciphertexts, the encoder twin of
     :func:`unpack_ciphertexts`: payload ``b`` is a tuple of pieces, joined
     once by its frame, whose join is ``serialize_ciphertext(cts[b],
@@ -258,11 +258,7 @@ def pack_ciphertexts(
         for ct in cts
     )
     if version == VERSION:
-        be = get_backend()
-        return (
-            (head, *[be.pack_rows(poly.rows) for poly in ct.polys])
-            for head, ct in zip(headers, cts)
-        )
+        return ((head, _pack_polys(ct.polys, version)) for head, ct in zip(headers, cts))
     blob = _pack_polys([p for ct in cts for p in ct.polys], version)
     step = len(blob) // len(cts)
     return ((head, blob[b * step : (b + 1) * step]) for b, head in enumerate(headers))

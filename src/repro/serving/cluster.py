@@ -66,8 +66,6 @@ from repro.serving.framing import (
     FRAME_VERSION,
     LATEST_FRAME_VERSION,
     Frame,
-    FrameDecoder,
-    StreamProtocolError,
 )
 from repro.serving.session import ClientSession, UnknownClientError
 from repro.serving.server import ServingReport
@@ -338,17 +336,22 @@ class ServingCluster:
 
     def register_program(self, program_id: int, steps) -> tuple:
         """Register a multi-op program at every live worker (see
-        ``EncryptedComputeServer.register_program``, whose ``ValueError``
-        this raises), and again at a worker :meth:`restart_worker`
-        builds: an ``op="program"`` request is served wherever its
-        client is placed."""
+        ``EncryptedComputeServer.register_program``, whose error this
+        raises), and again at a worker :meth:`restart_worker` builds.
+        It is recorded once one worker accepts it, so a worker that dies
+        registering it gets it at its restart: every worker serves it,
+        or none does."""
         program = None
         for handle in self.workers.values():
-            if handle.alive:
+            if not handle.alive:
+                continue
+            try:
                 program = handle.register_program(program_id, steps)
+            except WorkerDeadError:
+                continue  # its restart registers the recorded program
+            self._programs[int(program_id)] = program
         if program is None:
             raise NoWorkersError("no live worker to register the program at")
-        self._programs[int(program_id)] = program
         return program
 
     def _register_at_worker(self, worker_id: str, session: ClientSession) -> None:
@@ -700,9 +703,11 @@ class AsyncFrontDoor:
     acknowledged with a RESPONSE frame (``op="hello"``) whose ``op_arg``
     is the negotiated version the server will use for this client's
     responses.
-    A malformed stream is answered for every frame decoded ahead of the
-    corruption, then the connection is closed -- the framing cannot be
-    resynchronized.
+    Frames are read whole, one at a time (:func:`framing.read_frame`),
+    so every request's payload is decoded in place, and the cluster gets
+    a turn after each.  A malformed stream is answered for every frame
+    ahead of the corruption, then the connection is closed -- the
+    framing cannot be resynchronized.
 
     A background pump task gives the cluster scheduler turns, so worker
     deadlines flush even while every connection is idle.
@@ -880,26 +885,21 @@ class AsyncFrontDoor:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        decoder = FrameDecoder()
         client_id: Optional[str] = None
         try:
             while True:
-                data = await reader.read(1 << 16)
-                if not data:
-                    break
                 try:
-                    frames = decoder.feed(data)
-                except StreamProtocolError as exc:
-                    # serve what decoded cleanly -- and wait for their
-                    # responses -- then reset the stream: one corrupt
-                    # frame must not lose the good requests before it
-                    for frame in exc.frames:
-                        client_id = self._dispatch(frame, client_id, writer)
+                    frame = await framing.read_frame(reader)
+                except ValueError:
+                    # wait for the responses to the good frames before
+                    # it, then reset the stream: one corrupt frame must
+                    # not lose the good requests ahead of it
                     if client_id is not None:
                         await self._settle_client(client_id, writer)
                     break
-                for frame in frames:
-                    client_id = self._dispatch(frame, client_id, writer)
+                if frame is None:
+                    break
+                client_id = self._dispatch(frame, client_id, writer)
                 self.cluster.pump()
                 await self._flush_outboxes()
                 await writer.drain()

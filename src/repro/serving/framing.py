@@ -39,7 +39,8 @@ op: a retry would fail identically) -- so a resilient client can
 decide to retry without parsing prose.
 
 :class:`FrameDecoder` is the stateful stream side: bytes arrive in
-arbitrary chunks (as they do from a socket), complete frames come out.
+arbitrary chunks (as a caller of ``receive`` hands them), complete frames
+come out.  A socket reads frame by frame instead (:func:`read_frame`).
 A partial *frame* just waits for more bytes; a malformed one (bad
 magic, unknown kind, inconsistent lengths, a length field exceeding
 the frame cap, or a v2 CRC mismatch) raises ``ValueError``
@@ -51,12 +52,17 @@ once into its DMA buffer, Figure 7).  A frame decoded out of immutable
 ``bytes`` keeps its payload as a read-only ``memoryview`` of them, which
 holds the whole chunk alive until the request is answered; a frame
 decoded out of anything that can change under it (the stream buffer, a
-caller's ``bytearray`` or ``memoryview``) gets a ``bytes`` copy.  On the
-way out, :func:`encode_frame` joins a payload's pieces once, into the frame.
+caller's ``bytearray`` or ``memoryview``) gets a ``bytes`` copy.  So a
+frame is decoded in place when it arrives whole: every frame
+:func:`read_frame` takes off a socket, and a frame wholly inside a
+``bytes`` chunk fed while nothing is buffered; a frame that straddles
+two chunks is copied out of the buffer.  On the way out,
+:func:`encode_frame` joins a payload's pieces once, into the frame.
 """
 
 from __future__ import annotations
 
+import asyncio
 import struct
 import zlib
 from dataclasses import dataclass
@@ -135,7 +141,7 @@ class Frame:
     client_id: str
     op: str = ""
     op_arg: int = 0
-    payload: bytes = b""
+    payload: bytes | memoryview = b""
     #: absolute deadline on the serving clock (0.0 = none; v2 frames only).
     deadline: float = 0.0
 
@@ -324,6 +330,31 @@ def decode_frame(data: bytes) -> Frame:
     return _decode_body(memoryview(data)[_PREFIX.size :])
 
 
+def _body_length(data, pos: int, max_frame_bytes: int) -> int:
+    """The body length the prefix at ``data[pos]`` announces; a length
+    below the fixed header or above ``max_frame_bytes`` raises."""
+    (length,) = _PREFIX.unpack_from(data, pos)
+    if length < _FIXED.size:
+        raise ValueError(f"frame length {length} below fixed header size")
+    if length > max_frame_bytes:
+        raise ValueError(f"frame length {length} exceeds cap {max_frame_bytes}")
+    return length
+
+
+async def read_frame(reader: asyncio.StreamReader) -> "Frame | None":
+    """The next frame off a socket, ``None`` at the stream's end: the
+    prefix, then exactly the body it announces, one ``bytes`` each, so a
+    payload is a view of its body however the socket splits the stream.
+    A malformed frame raises ``ValueError`` (a length over the default
+    cap before any body is read); the stream cannot be resynchronized."""
+    try:
+        prefix = await reader.readexactly(_PREFIX.size)
+        body = await reader.readexactly(_body_length(prefix, 0, DEFAULT_MAX_FRAME_BYTES))
+    except asyncio.IncompleteReadError:
+        return None
+    return _decode_body(memoryview(body))
+
+
 class StreamProtocolError(ValueError):
     """The stream head is malformed and cannot be resynchronized.
 
@@ -349,14 +380,7 @@ class FrameDecoder:
         while it is incomplete; a malformed length raises."""
         if len(data) - pos < _PREFIX.size:
             return None
-        (length,) = _PREFIX.unpack_from(data, pos)
-        if length < _FIXED.size:
-            raise ValueError(f"frame length {length} below fixed header size")
-        if length > self.max_frame_bytes:
-            raise ValueError(
-                f"frame length {length} exceeds cap {self.max_frame_bytes}"
-            )
-        end = pos + _PREFIX.size + length
+        end = pos + _PREFIX.size + _body_length(data, pos, self.max_frame_bytes)
         # an incomplete frame is not an error on a stream
         return end if end <= len(data) else None
 

@@ -118,7 +118,7 @@ class WorkerHandle:
     def register_program(self, program_id: int, steps) -> tuple:
         """``EncryptedComputeServer.register_program`` at the worker, on
         both transports a call that returns the normalized chain or
-        raises the server's ``ValueError``."""
+        raises the server's own error."""
         raise NotImplementedError
 
     def submit(self, client_id: str, frame: Frame) -> None:
@@ -261,7 +261,7 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
                 elif cmd == "program":
                     try:
                         reply = server.register_program(*msg[1:])
-                    except ValueError as exc:  # raised again by the router
+                    except Exception as exc:  # lint: disable=R5 -- the router raises it again
                         reply = exc
                     conn.send(("program", reply))
                 elif cmd == "frame":
@@ -380,7 +380,7 @@ class ProcessWorkerHandle(WorkerHandle):
     def register_program(self, program_id: int, steps) -> tuple:
         # answered between pumps like stats, never executing pending work
         program = self._request("program", self.STATS_TIMEOUT_SECONDS, program_id, steps)
-        if isinstance(program, ValueError):
+        if isinstance(program, Exception):
             raise program
         return program
 

@@ -8,15 +8,20 @@ overwrite the buffer before the flush, on a bare server, a cluster over
 an in-process worker and a cluster over a worker process alike, and the
 answer is the unmutated request's.  On the way out, a v2 lane is packed
 once and every response payload is a view of that one blob, joined once,
-into its frame.
+into its frame.  The socket front door reads each frame whole, however
+the client's writes split the stream, so a request that arrives over a
+socket is decoded in place too.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
 from repro.ckks.serialization import pack_ciphertexts, serialize_ciphertext
 from repro.serving import (
+    AsyncFrontDoor,
     EncryptedComputeServer,
     LocalWorkerHandle,
     ProcessWorkerHandle,
@@ -123,6 +128,77 @@ def test_an_admitted_payload_is_a_view_of_the_received_bytes(
     for wire in wires:
         assert isinstance(wire.data, memoryview) and wire.data.readonly
         assert wire.data.obj is stream
+
+
+class _RecordingDoor(AsyncFrontDoor):
+    """A front door that keeps every REQUEST frame it dispatches."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.requests = []
+
+    def _dispatch(self, frame, client_id, writer):
+        if frame.kind == framing.REQUEST:
+            self.requests.append(frame)
+        return super()._dispatch(frame, client_id, writer)
+
+
+def _over_socket(door, client, stream: bytes, piece: int):
+    """Open ``client``'s session, write ``stream`` in ``piece``-byte
+    writes, and return the two answers, the HELLO ack skipped."""
+
+    async def main():
+        async with door:
+            reader, writer = await asyncio.open_connection(door.host, door.port)
+            hello = framing.encode_frame(
+                framing.HELLO, 0, client.client_id, op=client.tenant.key_id,
+                op_arg=client.wire_version,
+            )
+            data = hello + stream
+            for pos in range(0, len(data), piece):
+                writer.write(data[pos : pos + piece])
+                await writer.drain()
+                await asyncio.sleep(0.005)  # the door reads this piece alone
+            decoder, got = framing.FrameDecoder(), []
+            while len(got) < 3:
+                data = await asyncio.wait_for(reader.read(1 << 16), timeout=10)
+                assert data, "the front door closed the connection"
+                got.extend(decoder.feed(data))
+            writer.close()
+            await writer.wait_closed()
+            return got
+
+    ack, *answers = asyncio.run(main())
+    assert ack.op == "hello"
+    return answers
+
+
+@pytest.mark.parametrize("piece", [1000, 1 << 20], ids=["1000-byte-writes", "one-write"])
+@pytest.mark.parametrize("wire_version", [1, 2])
+def test_a_socket_request_is_decoded_in_place(
+    wire_version, piece, serving_context, tenant
+):
+    expected = [
+        framing.decode_frame(b)
+        for b in _serve(LocalWorkerHandle, serving_context, tenant, wire_version, _as_bytes)
+    ]
+    spec = WorkerSpec(params=serving_context.params, max_delay_seconds=1e-3)
+    cluster = ServingCluster(lambda wid: LocalWorkerHandle(wid, spec), worker_count=1)
+    try:
+        tenant.register_with(cluster, wire_version=wire_version)
+        door = _RecordingDoor(cluster)
+        client = _client(tenant, wire_version)
+        answers = _over_socket(door, client, _requests(tenant, wire_version), piece)
+    finally:
+        cluster.stop()
+    assert len(door.requests) == 2
+    for frame in door.requests:
+        assert isinstance(frame.payload, memoryview) and frame.payload.readonly
+        assert type(frame.payload.obj) is bytes
+    key = lambda f: f.request_id  # noqa: E731 -- lanes may answer out of order
+    assert [
+        (f.kind, f.request_id, bytes(f.payload)) for f in sorted(answers, key=key)
+    ] == [(f.kind, f.request_id, bytes(f.payload)) for f in sorted(expected, key=key)]
 
 
 def test_v2_pieces_are_views_of_one_packed_blob(serving_context, tenant):

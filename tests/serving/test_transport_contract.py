@@ -11,7 +11,9 @@ snapshot on both: the router may keep or mutate it freely.
 
 A registered program is served alike on every transport, and a worker
 that ``restart_worker`` brings back serves it again: the router
-registers every program at each worker it builds.
+registers every program at each worker it builds, also at one that died
+while the program was being registered.  A refused program raises the
+server's own error on every transport, and the worker lives on.
 
 Hostile frames get the same answer on every transport: a frame over the
 worker's cap, a non-REQUEST kind, a mis-tagged ``client_id`` and a
@@ -33,6 +35,7 @@ from repro.serving import (
     ServingReport,
     SyntheticClient,
     SyntheticTenant,
+    WorkerDeadError,
     WorkerSpec,
     framing,
     multi_tenant_traffic,
@@ -267,3 +270,41 @@ def test_a_program_is_answered_alike_on_every_transport(target, serving_context,
     expected = _serve_program(EncryptedComputeServer, serving_context, tenant)
     assert [framing.decode_frame(b).kind for b in expected] == [framing.RESPONSE] * 2
     assert _serve_program(target, serving_context, tenant) == expected
+
+
+@pytest.mark.parametrize(
+    "target", [EncryptedComputeServer, LocalWorkerHandle, ProcessWorkerHandle]
+)
+def test_a_refused_program_raises_alike_on_every_transport(target, serving_context):
+    if target is EncryptedComputeServer:
+        register, cluster = EncryptedComputeServer(serving_context).register_program, None
+    else:
+        spec = WorkerSpec(params=serving_context.params, **SPEC_KNOBS)
+        cluster = ServingCluster(lambda wid: target(wid, spec), worker_count=1)
+        register = cluster.register_program
+    try:
+        with pytest.raises(ValueError, match="unknown program step 'nope'"):
+            register(PROGRAM_ID, ["nope"])
+        with pytest.raises(TypeError):
+            register(PROGRAM_ID, [5])  # a step that is neither a name nor a pair
+        assert register(PROGRAM_ID, PROGRAM) == NORMALIZED
+    finally:
+        if cluster is not None:
+            cluster.stop()
+
+
+def test_a_program_lands_at_a_worker_that_dies_registering_it(serving_context):
+    spec = WorkerSpec(params=serving_context.params, **SPEC_KNOBS)
+    cluster = ServingCluster(lambda wid: LocalWorkerHandle(wid, spec), worker_count=2)
+    dying = cluster.workers["w0"]
+
+    def die(*_):
+        dying.kill()
+        raise WorkerDeadError("w0 died registering the program")
+
+    dying.register_program = die
+    assert cluster.register_program(PROGRAM_ID, PROGRAM) == NORMALIZED
+    assert cluster.workers["w1"].server._programs[PROGRAM_ID] == NORMALIZED
+    cluster.kill_worker("w0")
+    cluster.restart_worker("w0")
+    assert cluster.workers["w0"].server._programs[PROGRAM_ID] == NORMALIZED
