@@ -184,19 +184,19 @@ def _check_header_fields(n: int, comps: int, level_count: int) -> None:
         )
 
 
-def _pack_polys(polys: Sequence[RnsPolynomial], version: int) -> bytes | memoryview:
-    """The residue payload of ``polys`` (one basis), in wire order.
-
-    Straight from the native matrices.  v2 hands every row of the
-    object to **one** ``pack_rows_bits`` call -- rows are byte-aligned
-    and independent, so this is the per-polynomial layout, but rows of
-    one width across all components pack as one vector pass.
-    """
+def _pack_polys(polys: Sequence[RnsPolynomial], version: int) -> Tuple[bytes | memoryview, ...]:
+    """The residue payload of ``polys`` (one basis), in wire order, as
+    pieces joined once where they are framed: v1 one word block a
+    polynomial, v2 one bit-packed blob.  Straight from the native
+    matrices.  v2 hands every row of the object to **one**
+    ``pack_rows_bits`` call -- rows are byte-aligned and independent, so
+    this is the per-polynomial layout, but rows of one width across all
+    components pack as one vector pass."""
     be = get_backend()
     if version == VERSION:
-        return b"".join(be.pack_rows(poly.rows) for poly in polys)
+        return tuple(be.pack_rows(poly.rows) for poly in polys)
     rows = [row for poly in polys for row in poly.rows]
-    return be.pack_rows_bits(rows, _bounds(polys[0].moduli) * len(polys))
+    return (be.pack_rows_bits(rows, _bounds(polys[0].moduli) * len(polys)),)
 
 
 def _unpack_polys(
@@ -242,7 +242,7 @@ def pack_ciphertexts(
     version)`` byte for byte.  v2 packs every member's rows in **one**
     ``pack_rows_bits`` call: a payload is a header and a view of its
     slice of that blob.  v1 words, a copy with nothing to amortize, pack
-    member by member.  Payloads are made as they are taken, so each can
+    member by member: a header and one word block a component.  Payloads are made as they are taken, so each can
     be framed and dropped before the next exists (made at once, v1
     transients grew a server's peak RSS by 4 %)."""
     _check_version(version)
@@ -258,8 +258,8 @@ def pack_ciphertexts(
         for ct in cts
     )
     if version == VERSION:
-        return ((head, _pack_polys(ct.polys, version)) for head, ct in zip(headers, cts))
-    blob = _pack_polys([p for ct in cts for p in ct.polys], version)
+        return ((head, *_pack_polys(ct.polys, version)) for head, ct in zip(headers, cts))
+    (blob,) = _pack_polys([p for ct in cts for p in ct.polys], version)
     step = len(blob) // len(cts)
     return ((head, blob[b * step : (b + 1) * step]) for b, head in enumerate(headers))
 
@@ -448,12 +448,12 @@ def serialize_kswitch_key(ksk: KswitchKey, version: int = VERSION) -> bytes:
         columns = [poly for pair in ksk.digits for poly in pair]
     payload = _pack_polys(columns, version)
     if version == VERSION:
-        return header + payload
+        return b"".join((header, *payload))
     if seeded:
         return b"".join(
-            (header, bytes([_KSK_LAYOUT_SEEDED]), ksk.seed, payload)
+            (header, bytes([_KSK_LAYOUT_SEEDED]), ksk.seed, *payload)
         )
-    return b"".join((header, bytes([_KSK_LAYOUT_FULL]), payload))
+    return b"".join((header, bytes([_KSK_LAYOUT_FULL]), *payload))
 
 
 def deserialize_kswitch_key(data: bytes, context: CkksContext) -> KswitchKey:

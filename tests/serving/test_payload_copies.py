@@ -6,11 +6,12 @@ flush, and a request handed over in a mutable buffer (a ``bytearray``,
 or a ``memoryview`` of one) is copied at ``receive``: the caller may
 overwrite the buffer before the flush, on a bare server, a cluster over
 an in-process worker and a cluster over a worker process alike, and the
-answer is the unmutated request's.  On the way out, a v2 lane is packed
-once and every response payload is a view of that one blob, joined once,
-into its frame.  The socket front door reads each frame whole, however
-the client's writes split the stream, so a request that arrives over a
-socket is decoded in place too.
+answer is the unmutated request's.  The socket front door reads each
+frame whole, however the client's writes split the stream, so a request
+that arrives over a socket is decoded in place too.  On the way out, a
+v2 lane is packed once and every response payload is a view of that one
+blob, a v1 payload is its header and one word block a component, and
+either is joined once, into its frame.
 """
 
 from __future__ import annotations
@@ -214,6 +215,15 @@ def test_v2_pieces_are_views_of_one_packed_blob(serving_context, tenant):
         assert isinstance(body, memoryview) and body.readonly
         assert not isinstance(body.obj, bytes)
         assert head + body == serialize_ciphertext(ct, 2)
+
+
+def test_a_v1_payload_is_its_header_and_one_word_block_a_component(serving_context, tenant):
+    client = _client(tenant, 1)
+    ct = client.encryptor.encrypt(tenant.encoder.encode([0.25, -0.5]))
+    head, *words = next(pack_ciphertexts([ct], 1))
+    assert len(words) == ct.size
+    assert all(len(block) == ct.level_count * ct.n * 8 for block in words)
+    assert b"".join((head, *words)) == serialize_ciphertext(ct, 1)
 
 
 @pytest.mark.parametrize("frame_version", [1, 2])
