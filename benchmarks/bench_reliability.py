@@ -118,8 +118,8 @@ def _serve_trace(context, frame_version, with_supervisor):
                 count += 1
         assert count == len(trace)
         if supervisor is not None:
-            assert supervisor.stats.probes > 0
-            assert supervisor.stats.deaths == 0
+            assert supervisor.log.count("probe") > 0
+            assert supervisor.log.count("died") == 0
         return wall, count
     finally:
         cluster.stop()
@@ -254,7 +254,7 @@ def test_recovery_time_is_deterministic(emit, emit_json):
                     rc.poll()
                 # until the probes miss, the supervisor still believes
                 # the victim is serving -- recovery starts at detection
-                detected = detected or sup.stats.deaths > 0
+                detected = detected or sup.log.count("died") > 0
                 view = sup.worker_health()[victim]
                 if detected and view.phase == SERVING and victim in cluster.ring:
                     recovered_at = clock.now
@@ -307,8 +307,8 @@ def test_recovery_time_is_deterministic(emit, emit_json):
         probation_window=PROBATION_WINDOW,
         expected_recovery_seconds=round(EXPECTED_RECOVERY, 3),
         measured_recovery_seconds=round(recovery, 3),
-        deaths=sup.stats.deaths,
-        restarts=sup.stats.restarts,
+        deaths=sup.log.count("died"),
+        restarts=sup.log.count("restarted"),
         retries=sum(rc.retries_sent for rc in rcs),
     )
 

@@ -16,12 +16,12 @@ This rule flags every *broad* handler -- bare ``except:``,
 * emits an error response: a call to something whose name mentions
   ``error``/``reject`` (``_respond_error``, ``_reject``, ...) or an
   ``encode_frame``/``append`` call referencing ``framing.ERROR``, nor
-* records the failure into stats: an ``+=`` onto a counter whose name
-  mentions ``error``/``miss``/``fail`` (``stats.probe_errors += 1``,
-  ...).  Recovery machinery -- the heartbeat supervisor, retry paths --
-  legitimately absorbs failures *by design*: a probe that raises is a
-  missed probe, and counting it is the accounting; the count feeds the
-  very restart logic that answers the client.
+* emits an event whose kind names ``error``/``miss``/``fail``
+  (``log.emit(now, "probe_error", worker_id)``, ...).  Recovery
+  machinery -- the heartbeat supervisor, retry paths -- legitimately
+  absorbs failures *by design*: a probe that raises is a missed probe,
+  and logging it is the accounting; the miss drives the very restart
+  logic that answers the client.
 
 Narrow handlers (``except ValueError``, ``except (BrokenPipeError,
 OSError)``) are out of scope: catching a *named* failure and deciding
@@ -49,9 +49,9 @@ BROAD_EXCEPTIONS = ("Exception", "BaseException")
 #: Call-name substrings that mark a handler as answering the client.
 ERROR_EMITTING_HINTS = ("error", "reject")
 
-#: Counter-name substrings whose ``+=`` marks a handler as *recording*
-#: the failure (the supervisor's ``stats.probe_errors += 1`` pattern).
-STAT_RECORDING_HINTS = ("error", "miss", "fail")
+#: Event-kind substrings whose ``emit`` marks a handler as *recording*
+#: the failure (the supervisor's ``log.emit(now, "probe_error", ...)``).
+EVENT_RECORDING_HINTS = ("error", "miss", "fail")
 
 
 def _exception_names(type_node) -> List[str]:
@@ -94,19 +94,18 @@ def _mentions_error_frame(node: ast.AST) -> bool:
     return False
 
 
-def _dotted_target(node: ast.AST) -> str:
-    """Flatten an assignment target to its dotted name (best effort)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
+def _emits_failure(call: ast.Call) -> bool:
+    """An ``emit`` whose kind, a string constant, names a failure."""
+    return _call_name(call.func) == "emit" and any(
+        isinstance(arg, ast.Constant)
+        and isinstance(arg.value, str)
+        and any(hint in arg.value for hint in EVENT_RECORDING_HINTS)
+        for arg in call.args
+    )
 
 
 def _handler_is_accounted(handler: ast.ExceptHandler) -> bool:
-    """Does the handler re-raise, answer with an ERROR, or record stats?"""
+    """Does the handler re-raise, answer with an ERROR, or log the failure?"""
     for node in ast.walk(handler):
         if isinstance(node, ast.Raise):
             return True
@@ -115,15 +114,12 @@ def _handler_is_accounted(handler: ast.ExceptHandler) -> bool:
             # (e.g. ``return buffered_responses``) -- only a bare
             # ``return`` silently drops the request on the floor
             return True
-        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-            # failure counted into stats: the count is the accounting
-            # (and, in the supervisor, drives the restart that answers
-            # the client) -- but only counters *named* for failure
-            # qualify; bumping ``cache_hits`` is not accounting
-            target = _dotted_target(node.target).lower()
-            if any(hint in target for hint in STAT_RECORDING_HINTS):
-                return True
         if isinstance(node, ast.Call):
+            # a failure logged is accounted (in the supervisor the event
+            # drives the restart that answers the client) -- but only an
+            # event *named* for failure; logging a cache hit is not
+            if _emits_failure(node):
+                return True
             name = _call_name(node.func).lower()
             if any(hint in name for hint in ERROR_EMITTING_HINTS):
                 return True

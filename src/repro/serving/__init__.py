@@ -71,12 +71,7 @@ from repro.serving.framing import (
     peek_frame_ids,
     peek_frame_summary,
 )
-from repro.serving.queue import (
-    BackpressureError,
-    PendingRequest,
-    QueueClosedError,
-    RequestQueue,
-)
+from repro.serving.queue import PendingRequest, RequestQueue
 from repro.serving.server import (
     SUPPORTED_OPS,
     EncryptedComputeServer,
@@ -84,11 +79,7 @@ from repro.serving.server import (
     ServingReport,
 )
 from repro.serving.session import ClientSession, SessionManager, UnknownClientError
-from repro.serving.supervisor import (
-    HeartbeatSupervisor,
-    SupervisorStats,
-    WorkerHealthView,
-)
+from repro.serving.supervisor import HeartbeatSupervisor, WorkerHealthView
 from repro.serving.traffic import (
     ResilientClient,
     SyntheticClient,
@@ -106,7 +97,6 @@ from repro.serving.worker import (
 
 __all__ = [
     "AsyncFrontDoor",
-    "BackpressureError",
     "BatchGroup",
     "ClientSession",
     "Clock",
@@ -132,7 +122,6 @@ __all__ = [
     "NoWorkersError",
     "PendingRequest",
     "ProcessWorkerHandle",
-    "QueueClosedError",
     "REQUEST",
     "RESPONSE",
     "RequestQueue",
@@ -143,7 +132,6 @@ __all__ = [
     "SessionManager",
     "StreamProtocolError",
     "SUPPORTED_OPS",
-    "SupervisorStats",
     "SyntheticClient",
     "SyntheticTenant",
     "UnknownClientError",

@@ -31,11 +31,13 @@ router plus its asyncio socket front end:
   consistent hashing puts them exactly where they were.
 
 One request forwarded to a worker produces exactly one response frame
-(RESPONSE or ERROR) back through the router, so ``completed + shed +
-failed_over + expired == submitted`` is an invariant the fault-injection
-suite asserts in every scenario -- with retried requests counted once:
-a retry answered from the dedup cache (or refused because the original
-is still in flight) never increments ``submitted``.
+(RESPONSE or ERROR) back through the router, so every ``admitted``
+event of the router's :class:`repro.obs.EventLog` meets exactly one
+terminal event, and ``completed + shed + failed_over + expired ==
+submitted`` in its :class:`ClusterReport` fold -- the law the fault and
+chaos suites assert in every scenario, with retried requests counted
+once: a retry answered from the dedup cache (or refused because the
+original is still in flight) is never logged ``admitted``.
 
 The reliability layer on top of this router -- heartbeat supervision,
 restart backoff, circuit breaking -- lives in
@@ -49,11 +51,12 @@ import asyncio
 import bisect
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ckks.keys import GaloisKeySet, RelinKey
+from repro.obs import EventLog
 from repro.ckks.serialization import (
     LATEST_VERSION,
     SUPPORTED_VERSIONS,
@@ -142,31 +145,34 @@ class HashRing:
         return self._points[i][1]
 
 
-@dataclass
-class ClusterReport:
-    """Router-level accounting (worker-level stats live with workers).
+class ClusterReport(NamedTuple):
+    """Router accounting: a fold over the router's event log.
 
     The conservation law the fault suite asserts in every scenario:
     ``completed + shed_requests + failed_over_requests +
     expired_requests == submitted`` -- every submitted request is
     answered exactly once, and a deduplicated retry is counted once
-    (dedup hits and duplicate-in-flight refusals never increment
-    ``submitted``; they are tracked in their own counters).
+    (``deduped`` and ``duplicate`` events are not admissions).
     """
 
-    submitted: int = 0
-    completed: int = 0
-    shed_requests: int = 0
-    failed_over_requests: int = 0
-    #: requests answered with a DEADLINE error (router admission or
-    #: worker-side expiry) instead of a result.
-    expired_requests: int = 0
-    #: retries answered from the dedup cache without re-executing.
-    dedup_hits: int = 0
-    #: duplicates refused because the original is still in flight.
-    duplicate_inflight: int = 0
-    #: admission-to-response seconds per completed request (router clock).
-    latencies: List[float] = field(default_factory=list)
+    submitted: int
+    completed: int
+    shed_requests: int
+    failed_over_requests: int
+    #: answered with a DEADLINE error (router admission or worker-side
+    #: expiry) instead of a result
+    expired_requests: int
+    #: retries answered from the dedup cache without re-executing
+    dedup_hits: int
+    #: admission-to-response seconds per completed request (router clock)
+    latencies: Tuple[float, ...]
+
+    @classmethod
+    def fold(cls, log: EventLog) -> "ClusterReport":
+        return cls(
+            *map(log.count, ("admitted", "answered", "shed", "failed_over", "expired", "deduped")),
+            tuple(log.latencies()),
+        )
 
 
 #: Completed responses remembered per client for idempotent retries.
@@ -226,11 +232,17 @@ class ServingCluster:
         #: for LRU eviction: a retry of a completed request replays these
         #: bytes bit-identically instead of executing twice
         self._dedup: Dict[str, "OrderedDict[int, bytes]"] = {}
-        #: (client_id, request_id) -> (worker_id, admitted_at)
-        self._inflight: Dict[Tuple[str, int], Tuple[str, float]] = {}
+        #: (client_id, request_id) -> the worker it was forwarded to
+        self._inflight: Dict[Tuple[str, int], str] = {}
         #: program id -> normalized steps, bound at every worker
         self._programs: Dict[int, tuple] = {}
-        self.report = ClusterReport()
+        #: what happened to each request, once (and, through a
+        #: supervisor, to each worker); :attr:`report` folds it
+        self.log = EventLog()
+
+    @property
+    def report(self) -> ClusterReport:
+        return ClusterReport.fold(self.log)
 
     # ------------------------------------------------------------------
     # tenants and clients
@@ -396,44 +408,46 @@ class ServingCluster:
     def receive_frame(self, client_id: str, frame: Frame) -> None:
         """Route one decoded frame to its session's worker.
 
-        Retry semantics live here, *before* the submitted counter: a
-        retry of a completed request replays the cached response
-        bit-identically (never re-executes), a retry of an in-flight
-        request is refused with a retryable ERROR (the original's
-        response is still coming), and neither counts as a new
-        submission -- a retried request is counted exactly once.
+        Retry semantics live here, *before* admission: a retry of a
+        completed request replays the cached response bit-identically
+        (never re-executes), a retry of an in-flight request is refused
+        with a retryable ERROR (the original's response is still
+        coming), and neither is logged ``admitted`` -- a retried request
+        is counted exactly once.
         """
         session = self._client(client_id)
+        now = self.clock()
+        request_id = frame.request_id
         refusal = session.misdirected(frame)
         if refusal is not None:
-            session.respond_error(frame.request_id, refusal)
+            session.respond_error(request_id, refusal)
+            self.log.emit(now, "refused", client_id, request_id, framing.ERR_FATAL)
             return
         dedup = self._dedup[client_id]
-        cached = dedup.get(frame.request_id)
+        cached = dedup.get(request_id)
         if cached is not None:
             # idempotent retry: the request already executed; replay the
             # exact response bytes and refresh its LRU position
-            dedup.move_to_end(frame.request_id)
-            self.report.dedup_hits += 1
+            dedup.move_to_end(request_id)
+            self.log.emit(now, "deduped", client_id, request_id)
             session.outbox.append(cached)
             return
-        key = (client_id, frame.request_id)
+        key = (client_id, request_id)
         if key in self._inflight:
-            self.report.duplicate_inflight += 1
+            self.log.emit(now, "duplicate", client_id, request_id)
             session.respond_error(
-                frame.request_id,
-                f"request_id {frame.request_id} is already in flight; "
-                "its response is coming",
+                request_id,
+                f"request_id {request_id} is already in flight; its response is coming",
                 code=framing.ERR_RETRYABLE,
             )
             return
-        self.report.submitted += 1
-        if frame.deadline and self.clock() >= frame.deadline:
+        self.log.emit(now, "admitted", client_id, request_id)
+        if frame.deadline and now >= frame.deadline:
             # dead on arrival at the router: do not spend a worker hop
             # on an abandoned request
-            self.report.expired_requests += 1
+            self.log.emit(now, "expired", client_id, request_id)
             session.respond_error(
-                frame.request_id,
+                request_id,
                 "request deadline expired before admission",
                 code=framing.ERR_DEADLINE,
             )
@@ -441,11 +455,10 @@ class ServingCluster:
         if len(self._inflight) >= self.max_inflight:
             # cluster-wide load shedding: an explicit ERROR, never a
             # silent drop -- the client learns to back off
-            self.report.shed_requests += 1
+            self.log.emit(now, "shed", client_id, request_id)
             session.respond_error(
-                frame.request_id,
-                f"cluster at capacity ({self.max_inflight} in flight); "
-                "retry later",
+                request_id,
+                f"cluster at capacity ({self.max_inflight} in flight); retry later",
                 code=framing.ERR_RETRYABLE,
             )
             return
@@ -453,25 +466,24 @@ class ServingCluster:
         if not self.workers[worker_id].alive:
             # the process died since we last routed here: fail over now
             try:
-                self.kill_worker(worker_id)
+                self.kill_worker(worker_id, now)
             except NoWorkersError:
                 pass  # it was the last worker: this request is answered below
             worker_id = self._placement[client_id]
             worker = self.workers.get(worker_id)
             if worker is None or not worker.alive:
-                # counted as failed over: the request was submitted and
-                # is answered by this error, so the conservation law
-                # still balances
-                self.report.failed_over_requests += 1
+                # failed over: the request was admitted and is answered
+                # by this error, so the conservation law still balances
+                self.log.emit(now, "failed_over", client_id, request_id)
                 session.respond_error(
-                    frame.request_id,
+                    request_id,
                     f"worker {worker_id!r} is down; session re-placed, retry",
                     code=framing.ERR_RETRYABLE,
                 )
                 return
         # as decoded, on either transport: the worker admits the Frame
         self.workers[worker_id].submit(client_id, frame)
-        self._inflight[key] = (worker_id, self.clock())
+        self._inflight[key] = worker_id
 
     # ------------------------------------------------------------------
     # the scheduler turn
@@ -487,15 +499,15 @@ class ServingCluster:
         """Route worker terminal frames to client outboxes.
 
         Each terminal is classified by a header peek (no payload
-        decode): a worker-side DEADLINE error counts as *expired*, any
-        other terminal as *completed*.  Completed RESPONSE blobs also
+        decode): a worker-side DEADLINE error is logged *expired*, any
+        other terminal *answered*.  Completed RESPONSE blobs also
         enter the client's dedup cache so a later retry of the same
         request replays these exact bytes instead of executing twice.
+        Returns the number answered.
         """
         if now is None:
             now = self.clock()
         completed = 0
-        expired = 0
         for handle in self.workers.values():
             if not handle.alive:
                 continue
@@ -504,9 +516,7 @@ class ServingCluster:
                 dedup = self._dedup.get(client_id)
                 for blob in blobs:
                     kind, request_id, op = framing.peek_frame_summary(blob)
-                    entry = self._inflight.pop((client_id, request_id), None)
-                    if entry is not None:
-                        self.report.latencies.append(now - entry[1])
+                    self._inflight.pop((client_id, request_id), None)
                     if session is not None:
                         session.outbox.append(blob)
                         if kind == framing.RESPONSE:
@@ -514,12 +524,9 @@ class ServingCluster:
                             dedup.move_to_end(request_id)
                             while len(dedup) > DEDUP_CACHE_SIZE:
                                 dedup.popitem(last=False)
-                    if kind == framing.ERROR and op == framing.ERR_DEADLINE:
-                        expired += 1
-                    else:
-                        completed += 1
-        self.report.completed += completed
-        self.report.expired_requests += expired
+                    expired = kind == framing.ERROR and op == framing.ERR_DEADLINE
+                    self.log.emit(now, "expired" if expired else "answered", client_id, request_id)
+                    completed += not expired
         return completed
 
     def drain(self, now: Optional[float] = None) -> int:
@@ -584,28 +591,24 @@ class ServingCluster:
         handle.drain(now)
         return self._collect(now)
 
-    def _fail_over(self, worker_id: str) -> int:
+    def _fail_over(self, worker_id: str, now: float) -> int:
         """Answer everything still in flight at a worker that is gone
         (killed, or stopped for a restart) with a retryable ERROR per
         request -- never a hang and never a made-up response -- and
         forget its key cache, which went with it."""
-        failed = 0
-        for (client_id, request_id), (wid, _) in list(self._inflight.items()):
-            if wid != worker_id:
-                continue
-            del self._inflight[(client_id, request_id)]
+        failed = [key for key, wid in self._inflight.items() if wid == worker_id]
+        for client_id, request_id in failed:
+            del self._inflight[client_id, request_id]
             session = self._clients.get(client_id)
             if session is not None:
                 session.respond_error(
                     request_id,
-                    f"worker {worker_id!r} died with the request in flight; "
-                    "retry",
+                    f"worker {worker_id!r} died with the request in flight; retry",
                     code=framing.ERR_RETRYABLE,
                 )
-            failed += 1
-        self.report.failed_over_requests += failed
+            self.log.emit(now, "failed_over", client_id, request_id)
         self._uploaded[worker_id] = set()
-        return failed
+        return len(failed)
 
     def kill_worker(self, worker_id: str, now: Optional[float] = None) -> int:
         """A worker died: fail its in-flight requests over to ERRORs.
@@ -623,7 +626,7 @@ class ServingCluster:
             # may already be off the ring (a drain or quarantine removed
             # it); killing must still fail over whatever was in flight
             self.ring.remove(worker_id)
-        failed = self._fail_over(worker_id)
+        failed = self._fail_over(worker_id, self.clock() if now is None else now)
         if len(self.ring) == 0:
             raise NoWorkersError(
                 f"last worker {worker_id!r} died; no capacity left"
@@ -650,7 +653,7 @@ class ServingCluster:
         old = self.workers.get(worker_id)
         if old is not None and old.alive:
             old.stop()
-        self._fail_over(worker_id)
+        self._fail_over(worker_id, self.clock())
         fresh = self.workers[worker_id] = self._factory(worker_id)
         for program in self._programs.items():
             fresh.register_program(*program)
@@ -679,8 +682,8 @@ class ServingCluster:
                 handle.stop()
 
     def worker_stats(self) -> Dict[str, ServingReport]:
-        """A snapshot of each live worker's serving report (for
-        benchmarks, ``HostScheduler.run_executed`` and reports)."""
+        """Each live worker's serving report, folded from a copy of its
+        log (for benchmarks and reports)."""
         return {
             wid: handle.stats()
             for wid, handle in self.workers.items()

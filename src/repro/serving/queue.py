@@ -5,9 +5,9 @@ buffers are full ("we stop the writing process if the buffer has not
 been read yet"); the serving layer needs the same property one level
 up: a client that streams faster than the batcher drains must be told
 to back off rather than grow server memory without bound.
-:class:`RequestQueue` enforces a hard pending-request cap and raises
-:class:`BackpressureError` at admission time; the server converts that
-into an ERROR frame the client can react to.
+:class:`RequestQueue` holds the pending-request cap and the drain
+protocol's closed flag; the server's admission reads both and refuses
+with a retryable ERROR frame the client can react to.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from repro.ckks.keys import GaloisKeySet, RelinKey
 from repro.ckks.poly import Ciphertext
 from repro.ckks.serialization import WireCiphertext
 from repro.serving.session import ClientSession
-
-
-class BackpressureError(RuntimeError):
-    """The pending-request cap was hit; the client must retry later."""
-
-
-class QueueClosedError(BackpressureError):
-    """The queue stopped admitting (worker drain); route elsewhere."""
 
 
 @dataclass
@@ -51,7 +43,6 @@ class PendingRequest:
     #: header and length checked, words still packed: the flush that
     #: runs the request unpacks them and leaves the decoded element here
     ciphertext: Union[WireCiphertext, Ciphertext]
-    enqueued_at: float
     key: Tuple[Optional[RelinKey], Optional[GaloisKeySet]] = (None, None)
     #: digest of the ciphertext's wire payload (rotate requests only);
     #: requests of one flush carrying the same digest share one plan
@@ -67,11 +58,8 @@ class PendingRequest:
 
 @dataclass
 class RequestQueue:
-    """FIFO of admitted requests with a hard depth bound.
-
-    Admission statistics live with the session (per client) and the
-    serving report (global); the queue itself only enforces the bound.
-    """
+    """FIFO of admitted requests; admission holds it to ``max_pending``
+    and refuses while it is ``closed``."""
 
     max_pending: int = 1024
     #: a closed queue admits nothing -- the drain protocol's "stop
@@ -82,19 +70,7 @@ class RequestQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    def close(self) -> None:
-        self.closed = True
-
-    def reopen(self) -> None:
-        self.closed = False
-
     def submit(self, request: PendingRequest) -> None:
-        if self.closed:
-            raise QueueClosedError("worker draining; not admitting requests")
-        if len(self._items) >= self.max_pending:
-            raise BackpressureError(
-                f"request queue full ({self.max_pending} pending); retry later"
-            )
         self._items.append(request)
 
     def pop_all(self) -> List[PendingRequest]:

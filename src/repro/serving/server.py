@@ -29,14 +29,17 @@ Every flush is also recorded as a *measured* :class:`ScheduledOp` --
 input/output PCIe bytes as the payload bytes that crossed the wire,
 compute seconds from the real execution -- so served traffic drops into the
 same discrete-event host-pipeline simulation
-(:meth:`repro.system.scheduler.HostScheduler.run_executed`) that a
+(:meth:`repro.system.scheduler.HostScheduler.run`) that a
 :class:`repro.plan.PlanRun` feeds: simulate the system, execute the
-math.
+math.  What happens to each request -- admitted, refused, expired,
+answered, failed, and each flush with its members -- is one event of the
+server's :class:`repro.obs.EventLog`; :class:`ServingReport` is a fold
+over it.
 
 A sharded cluster's worker *is* this class (:mod:`repro.serving.worker`
 only transports calls to it): sessions open from key blobs through
-:meth:`EncryptedComputeServer.open_session`, and the router reads this
-module's :class:`ServingReport` back.
+:meth:`EncryptedComputeServer.open_session`, and the router folds the
+worker's log into a :class:`ServingReport`.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from __future__ import annotations
 import hashlib
 import numbers
 import time  # perf_counter only: measures flush cost, never deadlines
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.ckks.context import CkksContext
 from repro.ckks.serialization import (
@@ -56,12 +59,13 @@ from repro.ckks.serialization import (
     pack_ciphertexts,
     unpack_ciphertexts,
 )
+from repro.obs import EventLog
 from repro.plan import PlanExecutor, PlanGraph, check_plan
 from repro.serving import framing
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.framing import Frame
 from repro.serving.clock import SYSTEM_CLOCK, Clock
-from repro.serving.queue import BackpressureError, PendingRequest, RequestQueue
+from repro.serving.queue import PendingRequest, RequestQueue
 from repro.serving.session import ClientSession, SessionManager
 from repro.system.scheduler import ScheduledOp
 
@@ -104,34 +108,37 @@ TYPING_MEMO_ENTRIES = 1024
 
 @dataclass(frozen=True)
 class FlushRecord:
-    """One executed flush: what ran, how wide, and what it cost."""
+    """One executed flush: what ran, for whom, and what it cost."""
 
     #: the label the run earned, not a lane's name: ``"rotate_hoisted"``
     #: when a rotation sweep fused, else the op every member shares, else
     #: ``"mixed"``
     op: str
-    batch_size: int
     seconds: float
-    batched: bool  # False = singleton, run through the executor's scalar lane
     scheduled: ScheduledOp
-
-
-@dataclass
-class ServingReport:
-    """Aggregate accounting of everything a server has executed."""
-
-    flushes: List[FlushRecord] = field(default_factory=list)
-    #: enqueue-to-response seconds per completed request.
-    latencies: List[float] = field(default_factory=list)
-    rejected_requests: int = 0
-    error_responses: int = 0
-    #: requests answered with a DEADLINE error -- either dead on arrival
-    #: (admission check) or expired while waiting in a batch lane.
-    expired_requests: int = 0
+    #: the ``(client_id, request_id)`` of every member it answered
+    members: Tuple[Tuple[str, int], ...]
 
     @property
-    def request_count(self) -> int:
-        return sum(f.batch_size for f in self.flushes)
+    def batch_size(self) -> int:
+        return len(self.members)
+
+    @property
+    def batched(self) -> bool:  # False = singleton, run through the scalar lane
+        return len(self.members) > 1
+
+
+class ServingReport(NamedTuple):
+    """What a server has executed: a fold over its event log, so it is a
+    snapshot, whichever side of a pipe it is folded on."""
+
+    flushes: Tuple[FlushRecord, ...]
+    #: admission-to-response seconds per answered request
+    latencies: Tuple[float, ...]
+
+    @classmethod
+    def fold(cls, log: EventLog) -> "ServingReport":
+        return cls(tuple(log.payloads_of("flushed")), tuple(log.latencies()))
 
     @property
     def singleton_count(self) -> int:
@@ -139,22 +146,8 @@ class ServingReport:
 
     @property
     def mean_batch_size(self) -> float:
-        return self.request_count / len(self.flushes) if self.flushes else 0.0
-
-    @property
-    def compute_seconds(self) -> float:
-        return sum(f.seconds for f in self.flushes)
-
-    def scheduled_ops(self) -> List[ScheduledOp]:
-        """The measured op stream for ``HostScheduler.run_executed``."""
-        return [f.scheduled for f in self.flushes]
-
-    def snapshot(self) -> "ServingReport":
-        """A copy later flushes do not grow (flush records are frozen):
-        what a worker hands its router, whichever side of a pipe it is on."""
-        return replace(
-            self, flushes=list(self.flushes), latencies=list(self.latencies)
-        )
+        flushes = self.flushes
+        return sum(f.batch_size for f in flushes) / len(flushes) if flushes else 0.0
 
 
 class EncryptedComputeServer:
@@ -184,13 +177,18 @@ class EncryptedComputeServer:
         #: the one executor every flush runs on; each flush installs the
         #: keys its requests captured at admission before running
         self.executor = PlanExecutor(context)
-        self.report = ServingReport()
+        #: what happened to each request, once; :attr:`report` folds it
+        self.log = EventLog()
         self._max_frame_bytes = max_frame_bytes
         #: program id -> normalized step tuple (see register_program)
         self._programs: Dict[int, tuple] = {}
         #: (steps, level_count, scale) -> check_plan's refusal, or "";
         #: a plain dict, so no reference cycle keeps a server alive
         self._typings: Dict[tuple, str] = {}
+
+    @property
+    def report(self) -> ServingReport:
+        return ServingReport.fold(self.log)
 
     # ------------------------------------------------------------------
     # client lifecycle
@@ -314,59 +312,45 @@ class EncryptedComputeServer:
     def submit_frame(self, client_id: str, frame: Frame) -> None:
         """Admit one decoded frame -- the one way a cluster worker admits
         a request, handed over as it is in-process or pickled across a
-        pipe.  Its bytes are not rebuilt, so the session's frame cap is
-        held against :func:`framing.envelope_length`, and a frame over
-        it is answered with a fatal ERROR like any other refusal."""
-        session = self.sessions.get(client_id)
+        pipe."""
+        self._accept(self.sessions.get(client_id), frame)
+
+    def _accept(self, session: ClientSession, frame: Frame) -> None:
+        """The one admission site: queue the request, or refuse it with
+        an ERROR frame; either way it is logged once."""
+        now = self.clock()
+        admitted = self._admit(session, frame, now)
+        if isinstance(admitted, PendingRequest):
+            self.queue.submit(admitted)
+            self.log.emit(now, "admitted", session.client_id, frame.request_id)
+            return
+        message, code = admitted
+        session.respond_error(frame.request_id, message, code)
+        self.log.emit(now, "refused", session.client_id, frame.request_id, code)
+
+    def _admit(
+        self, session: ClientSession, frame: Frame, now: float
+    ) -> Union[PendingRequest, Tuple[str, str]]:
+        """The request ``frame`` carries, or why it is refused: a
+        ``(message, ERROR code)`` pair."""
+        # a frame handed over decoded (not rebuilt from bytes) is held to
+        # the session's cap by the smallest envelope that carries it; one
+        # the session's own decoder read is within it already
         cap = session.decoder.max_frame_bytes
         length = framing.envelope_length(frame)
         if length > cap:
-            self._respond_error(
-                session, frame.request_id, f"frame length {length} exceeds cap {cap}"
-            )
-            return
-        self._accept(session, frame)
-
-    def _respond_error(
-        self,
-        session: ClientSession,
-        request_id: int,
-        message: str,
-        code: str = framing.ERR_FATAL,
-    ) -> None:
-        session.respond_error(request_id, message, code)
-        self.report.error_responses += 1
-
-    def _reject(self, session: ClientSession, request_id: int, message: str) -> None:
-        session.requests_rejected += 1
-        self.report.rejected_requests += 1
-        # backpressure and drain refusals are transient by construction:
-        # the request was never admitted, so resending it is always safe
-        self._respond_error(
-            session, request_id, message, code=framing.ERR_RETRYABLE
-        )
-
-    def _accept(self, session: ClientSession, frame: Frame) -> None:
+            return f"frame length {length} exceeds cap {cap}", framing.ERR_FATAL
         refusal = session.misdirected(frame)
         if refusal is not None:
-            self._respond_error(session, frame.request_id, refusal)
-            return
+            return refusal, framing.ERR_FATAL
         try:
             steps = self._chain(frame.op, frame.op_arg)
         except ValueError as exc:
-            self._respond_error(session, frame.request_id, str(exc))
-            return
-        if frame.deadline and self.clock() >= frame.deadline:
+            return str(exc), framing.ERR_FATAL
+        if frame.deadline and now >= frame.deadline:
             # dead on arrival: answer before spending a ciphertext
             # deserialization on work the client has already abandoned
-            self.report.expired_requests += 1
-            self._respond_error(
-                session,
-                frame.request_id,
-                "request deadline expired before admission",
-                code=framing.ERR_DEADLINE,
-            )
-            return
+            return "request deadline expired before admission", framing.ERR_DEADLINE
         # the key objects the request will execute under, captured NOW:
         # the session's whole pair for a chain that consumes any key, so
         # a tenant's squares, rotations and programs share one lane, and
@@ -384,28 +368,19 @@ class EncryptedComputeServer:
             ):
                 missing = f"Galois key for step {arg}" if op == "rotate" else "conjugation key"
         if missing:
-            self._respond_error(
-                session, frame.request_id, f"{frame.op} refused: session has no {missing}"
-            )
-            return
+            return f"{frame.op} refused: session has no {missing}", framing.ERR_FATAL
         keyed = any(STEP_OPS[op].relin or STEP_OPS[op].element for op, _ in steps)
         key = held if keyed else (None, None)
+        # backpressure and drain refusals are transient by construction:
+        # the request was never admitted, so resending it is always safe;
+        # checked before the payload, so a refusal costs O(1)
         if self.queue.closed:
-            self._reject(
-                session, frame.request_id,
-                "worker draining; not admitting requests",
-            )
-            return
+            return "worker draining; not admitting requests", framing.ERR_RETRYABLE
         if len(self.queue) >= self.queue.max_pending:
-            # admission check before payload decode: rejection must be
-            # O(1), not cost a full ciphertext deserialization
-            self._reject(
-                session,
-                frame.request_id,
-                f"request queue full ({self.queue.max_pending} pending); "
-                "retry later",
+            return (
+                f"request queue full ({self.queue.max_pending} pending); retry later",
+                framing.ERR_RETRYABLE,
             )
-            return
         try:
             # header and exact length: a truncated or padded ciphertext
             # payload is refused here instead of decoding as zeros; the
@@ -414,12 +389,10 @@ class EncryptedComputeServer:
             if not ct.is_ntt:  # what every step but a double or negate needs
                 raise ValueError("ciphertext is not in NTT form, the one form served")
         except ValueError as exc:
-            self._respond_error(session, frame.request_id, f"bad payload: {exc}")
-            return
+            return f"bad payload: {exc}", framing.ERR_FATAL
         fault = self._typing_fault(steps, ct.level_count, ct.scale)
         if fault:
-            self._respond_error(session, frame.request_id, f"{frame.op} refused: {fault}")
-            return
+            return f"{frame.op} refused: {fault}", framing.ERR_FATAL
         # rotations carry a payload digest so a flush can recognize the
         # same ciphertext rotated by many steps and hang the whole set
         # off one plan input (one key-switch decomposition); only
@@ -429,16 +402,10 @@ class EncryptedComputeServer:
             if frame.op == "rotate"
             else b""
         )
-        request = PendingRequest(
-            session, frame.request_id, frame.op, frame.op_arg, ct,
-            self.clock(), key, digest, deadline=frame.deadline,
+        return PendingRequest(
+            session, frame.request_id, frame.op, frame.op_arg, ct, key, digest,
+            deadline=frame.deadline,
         )
-        try:
-            self.queue.submit(request)
-        except BackpressureError as exc:
-            self._reject(session, frame.request_id, str(exc))
-            return
-        session.requests_accepted += 1
 
     def _typing_fault(self, steps, level_count: int, scale: float) -> str:
         """Why ``check_plan`` refuses ``steps`` on a fresh ciphertext at
@@ -503,10 +470,10 @@ class EncryptedComputeServer:
     # ------------------------------------------------------------------
     def stop_admitting(self) -> None:
         """Reject new requests with ERROR frames; pending work still runs."""
-        self.queue.close()
+        self.queue.closed = True
 
     def resume_admitting(self) -> None:
-        self.queue.reopen()
+        self.queue.closed = False
 
     @property
     def pending_count(self) -> int:
@@ -560,13 +527,13 @@ class EncryptedComputeServer:
             for i, r in enumerate(requests)
         ]
 
-    def _unpack(self, requests: List[PendingRequest]):
+    def _unpack(self, requests: List[PendingRequest], now: float):
         """Unpack the flush's distinct payloads, once, straight into the
         lane block its kernels run on, and leave each decoded element on
         the request that carried it; returns the servable members, each
         paired with the payload bytes of its input (each distinct input
         crosses PCIe once).  Corrupt residues -- the one wire check that
-        needs the words -- answer that payload's members with the fatal
+        needs the words -- refuse that payload's members with the fatal
         error admission would have given, and the rest of the flush runs
         as if they had never been in it."""
         source = self._sources(requests)
@@ -580,16 +547,23 @@ class EncryptedComputeServer:
         members = []
         for request, i, size in zip(requests, source, sizes):
             if i in failed:
-                self._respond_error(
-                    request.session, request.request_id, f"bad payload: {failed[i]}"
+                self._answer_error(
+                    request, now, "refused", f"bad payload: {failed[i]}", framing.ERR_FATAL
                 )
             else:
                 members.append((request, size))
         return members
 
+    def _answer_error(
+        self, request: PendingRequest, now: float, kind: str, message: str, code: str
+    ) -> None:
+        """Answer an admitted request with an ERROR frame, and log why."""
+        request.session.respond_error(request.request_id, message, code)
+        self.log.emit(now, kind, request.session.client_id, request.request_id, code)
+
     def _execute(self, requests: List[PendingRequest]) -> int:
         """Run one flush, answer every member exactly once (response or
-        error), record accounting; returns the member count."""
+        error); returns the member count."""
         # deadline re-check at flush time: a request admitted alive may
         # expire while its lane waits to fill; expired members get a
         # DEADLINE error and the rest of the flush executes without them
@@ -597,20 +571,17 @@ class EncryptedComputeServer:
         alive = []
         for request in requests:
             if request.deadline and flush_now >= request.deadline:
-                self.report.expired_requests += 1
-                self._respond_error(
-                    request.session,
-                    request.request_id,
-                    "request deadline expired while batching",
-                    code=framing.ERR_DEADLINE,
+                self._answer_error(
+                    request, flush_now, "expired",
+                    "request deadline expired while batching", framing.ERR_DEADLINE,
                 )
             else:
                 alive.append(request)
         if alive:
-            self._run(self._unpack(alive))
+            self._run(self._unpack(alive, flush_now), flush_now)
         return len(requests)
 
-    def _run(self, members: List[Tuple[PendingRequest, int]]) -> None:
+    def _run(self, members: List[Tuple[PendingRequest, int]], flush_now: float) -> None:
         """Run unpacked ``(request, input bytes)`` members as one flush
         under the key pair they all captured at admission (the lane is
         keyed on its identity).
@@ -633,10 +604,10 @@ class EncryptedComputeServer:
             if len(members) > 1:
                 for (request, size), i in zip(members, source):
                     request.ciphertext = requests[i].ciphertext  # decoded input
-                    self._run([(request, size)])
+                    self._run([(request, size)], flush_now)
             else:
-                self._respond_error(
-                    requests[0].session, requests[0].request_id, f"op failed: {exc}"
+                self._answer_error(
+                    requests[0], flush_now, "failed", f"op failed: {exc}", framing.ERR_FATAL
                 )
             return
         seconds = time.perf_counter() - t0
@@ -652,15 +623,17 @@ class EncryptedComputeServer:
             ct = run.outputs[f"r{i}"]
             shape = (request.session.wire_version, ct.size, ct.level_count)
             passes.setdefault(shape, []).append(i)
+        answered = []
         for (version, *_), batch in sorted(passes.items()):
             outputs = [run.outputs[f"r{i}"] for i in batch]
             for i, payload in zip(batch, pack_ciphertexts(outputs, version)):
                 request = requests[i]
+                client_id = request.session.client_id
                 request.session.outbox.append(
                     framing.encode_frame(
                         framing.RESPONSE,
                         request.request_id,
-                        request.session.client_id,
+                        client_id,
                         # a lane spans ops, so the response echoes each
                         # request's own op/op_arg
                         op=request.op,
@@ -669,21 +642,16 @@ class EncryptedComputeServer:
                         frame_version=request.session.frame_version,
                     )
                 )
-                self.report.latencies.append(now - request.enqueued_at)
+                self.log.emit(now, "answered", client_id, request.request_id)
+                answered.append((client_id, request.request_id))
                 # billing reads the bytes that crossed the wire, each way
                 out_bytes += sum(map(len, payload)) - HEADER_BYTES
         in_bytes = sum(members[i][1] for i in set(source))
         ops = {r.op for r in requests}
-        self.report.flushes.append(
-            FlushRecord(
-                "rotate_hoisted" if run.sweeps else ops.pop() if len(ops) == 1 else "mixed",
-                len(requests),
-                seconds,
-                len(requests) > 1,
-                ScheduledOp(run.scheduled_kind, in_bytes, out_bytes, seconds),
-            )
+        record = FlushRecord(
+            "rotate_hoisted" if run.sweeps else ops.pop() if len(ops) == 1 else "mixed",
+            seconds,
+            ScheduledOp(run.scheduled_kind, in_bytes, out_bytes, seconds),
+            tuple(answered),
         )
-
-    # ------------------------------------------------------------------
-    # system-model integration
-    # ------------------------------------------------------------------
+        self.log.emit(now, "flushed", payload=record)

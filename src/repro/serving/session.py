@@ -103,8 +103,6 @@ class ClientSession:
         )
         #: Encoded response/error frames awaiting pickup by the client.
         self.outbox: List[bytes] = []
-        self.requests_accepted = 0
-        self.requests_rejected = 0
 
     def negotiate(self, wire_version: int, frame_version: int) -> None:
         """Set the versions this client's responses go out at -- at

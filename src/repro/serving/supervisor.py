@@ -32,19 +32,20 @@ loop:
   worker proves it can stay alive through a full probe window, at which
   point it rejoins the ring and the counters reset.
 
-The supervisor never swallows a recovery failure silently: every
-exception caught in the probe/failover machinery is recorded in
-:class:`SupervisorStats` (the static analyzer's rule R5 checks exactly
-this discipline in ``repro.serving``).
+The supervisor never swallows a recovery failure silently: every probe,
+miss and transition -- and every exception caught in the probe/failover
+machinery -- is an event of the cluster's :class:`repro.obs.EventLog`,
+keyed by worker id, beside the router's request events (the static
+analyzer's rule R5 checks exactly this discipline in ``repro.serving``).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.serving.clock import Clock, ExponentialBackoff
+from repro.serving.clock import ExponentialBackoff
 from repro.serving.cluster import NoWorkersError, ServingCluster
 
 # worker phases
@@ -57,24 +58,6 @@ QUARANTINED = "quarantined"  # alive but off the ring (breaker open/half-open)
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-
-@dataclass
-class SupervisorStats:
-    """Aggregate supervisor accounting (chaos suites assert on these)."""
-
-    probes: int = 0
-    missed_probes: int = 0
-    #: probes that raised instead of answering -- counted as misses, and
-    #: recorded separately so a misbehaving transport is visible
-    probe_errors: int = 0
-    deaths: int = 0
-    restarts: int = 0
-    quarantines: int = 0
-    rejoins: int = 0
-    #: failovers that could not complete (e.g. the last worker died and
-    #: the ring emptied) -- recorded, never silently dropped
-    failover_errors: int = 0
 
 
 @dataclass
@@ -115,8 +98,8 @@ class HeartbeatSupervisor:
     Drive it by calling :meth:`tick` from the serve loop (the async
     front-door's pump loop, or a test advancing a manual clock); each
     tick probes whatever is due and advances every worker's recovery
-    state machine.  All timing reads the cluster's clock unless an
-    explicit ``clock`` is injected.
+    state machine.  All timing reads the cluster's clock, and every
+    event goes to the cluster's log.
     """
 
     def __init__(
@@ -132,7 +115,6 @@ class HeartbeatSupervisor:
         backoff_max: float = 5.0,
         backoff_jitter: float = 0.1,
         seed: int = 0,
-        clock: Optional[Clock] = None,
     ):
         if probe_interval <= 0:
             raise ValueError("probe_interval must be > 0")
@@ -141,7 +123,8 @@ class HeartbeatSupervisor:
         if flap_threshold < 1:
             raise ValueError("flap_threshold must be >= 1")
         self.cluster = cluster
-        self.clock: Clock = clock if clock is not None else cluster.clock
+        self.clock = cluster.clock
+        self.log = cluster.log
         self.probe_interval = probe_interval
         self.miss_threshold = miss_threshold
         self.probation_window = probation_window
@@ -153,10 +136,6 @@ class HeartbeatSupervisor:
         self.seed = seed
         self._backoffs: Dict[str, ExponentialBackoff] = {}
         self._health: Dict[str, WorkerHealth] = {}
-        self.stats = SupervisorStats()
-        #: append-only (time, worker_id, event) log; chaos tests assert
-        #: the exact recovery storyline against it
-        self.events: List[Tuple[float, str, str]] = []
 
     # ------------------------------------------------------------------
     # internals
@@ -181,24 +160,16 @@ class HeartbeatSupervisor:
             )
         return backoff
 
-    def _log(self, now: float, worker_id: str, event: str) -> None:
-        self.events.append((now, worker_id, event))
-
     def _declare_dead(self, worker_id: str, health: WorkerHealth, now: float) -> None:
         """N missed probes: fail over, then schedule a restart."""
-        self.stats.deaths += 1
-        self._log(
-            now, worker_id,
-            f"declared dead after {health.missed} missed probes",
-        )
+        self.log.emit(now, "died", worker_id, payload=health.missed)
         try:
             self.cluster.kill_worker(worker_id, now)
         except NoWorkersError:
             # the ring emptied: failover had nowhere to re-place the
             # tenants.  Recorded -- the restart below is now the only
             # path back to capacity, so the supervisor must keep going.
-            self.stats.failover_errors += 1
-            self._log(now, worker_id, "failover failed: ring empty")
+            self.log.emit(now, "failover_error", worker_id)
         flapped = health.phase == PROBATION
         died_half_open = (
             health.phase == QUARANTINED and health.breaker == HALF_OPEN
@@ -207,22 +178,18 @@ class HeartbeatSupervisor:
             health.flaps += 1
         if died_half_open or (flapped and health.flaps >= self.flap_threshold):
             if health.breaker != OPEN:
-                self.stats.quarantines += 1
-                self._log(
-                    now, worker_id,
-                    "breaker opened: worker quarantined off the ring",
-                )
+                self.log.emit(now, "quarantined", worker_id)
             health.breaker = OPEN
         health.phase = BACKOFF
         health.missed = 0
         delay = self._backoff_for(worker_id).delay(health.attempt)
         health.attempt += 1
         health.restart_at = now + delay
-        self._log(now, worker_id, f"restart scheduled in {delay:.6f}s")
+        self.log.emit(now, "restart_scheduled", worker_id, payload=delay)
 
     def _probe(self, worker_id: str, health: WorkerHealth, now: float) -> None:
         handle = self.cluster.workers[worker_id]
-        self.stats.probes += 1
+        self.log.emit(now, "probe", worker_id)
         health.last_probe = now
         health.probed = True
         try:
@@ -230,14 +197,14 @@ class HeartbeatSupervisor:
         except Exception:
             # a probe that blows up is indistinguishable from a dead
             # worker; count it as a miss and record the anomaly
-            self.stats.probe_errors += 1
+            self.log.emit(now, "probe_error", worker_id)
             ok = False
         if ok:
             health.last_seen = now
             health.missed = 0
             return
         health.missed += 1
-        self.stats.missed_probes += 1
+        self.log.emit(now, "missed", worker_id)
         if health.missed >= self.miss_threshold:
             self._declare_dead(worker_id, health, now)
 
@@ -249,26 +216,23 @@ class HeartbeatSupervisor:
         # where failover re-placed them until the breaker half-opens and
         # the worker survives a probe window
         self.cluster.restart_worker(worker_id, rejoin=not quarantined)
-        self.stats.restarts += 1
         health.restarts += 1
         health.missed = 0
         health.last_seen = now
         if quarantined:
             health.phase = QUARANTINED
             health.quarantine_until = now + self.quarantine_window
-            self._log(now, worker_id, "restarted quarantined (off ring)")
         else:
             health.phase = PROBATION
             health.probation_until = now + self.probation_window
-            self._log(now, worker_id, "restarted onto the ring (probation)")
+        self.log.emit(now, "restarted", worker_id, payload=health.phase)
 
     # ------------------------------------------------------------------
     # the supervision turn
     # ------------------------------------------------------------------
-    def tick(self) -> List[Tuple[float, str, str]]:
-        """One supervision turn at ``clock()``; returns the events it generated."""
+    def tick(self) -> None:
+        """One supervision turn at ``clock()``."""
         now = self.clock()
-        mark = len(self.events)
         for worker_id in list(self.cluster.workers):
             health = self._health.get(worker_id)
             if health is None:
@@ -295,28 +259,23 @@ class HeartbeatSupervisor:
                 health.breaker = CLOSED
                 health.attempt = 0
                 health.flaps = 0
-                self._log(now, worker_id, "probation passed: healthy")
+                self.log.emit(now, "recovered", worker_id)
             elif health.phase == QUARANTINED:
                 if health.breaker == OPEN and now >= health.quarantine_until:
                     health.breaker = HALF_OPEN
                     health.probation_until = now + self.probation_window
-                    self._log(now, worker_id, "breaker half-open: probing")
+                    self.log.emit(now, "half_open", worker_id)
                 elif (
                     health.breaker == HALF_OPEN
                     and now >= health.probation_until
                     and health.missed == 0  # same guard as probation
                 ):
                     self.cluster.rejoin_worker(worker_id)
-                    self.stats.rejoins += 1
                     health.phase = SERVING
                     health.breaker = CLOSED
                     health.attempt = 0
                     health.flaps = 0
-                    self._log(
-                        now, worker_id,
-                        "half-open window survived: rejoined the ring",
-                    )
-        return self.events[mark:]
+                    self.log.emit(now, "rejoined", worker_id)
 
     def run(self, until: float, step: Optional[float] = None) -> None:
         """Tick on a manual clock until ``until`` (test convenience).

@@ -28,9 +28,9 @@ router decoded and CRC-checked, admitted by
 Key material travels to workers in *wire format* and is deserialized
 once per ``key_id`` by the server's session table
 (:meth:`repro.serving.session.SessionManager.open_from_wire`); what a
-worker reports back is its server's own
-:class:`~repro.serving.server.ServingReport` -- a copy in-process, the
-pickled object across the pipe -- measured
+worker reports back is a :class:`~repro.serving.server.ServingReport`
+folded from its server's event log -- in-process, or on the router's
+side of the pipe, which the log crosses as it is -- measured
 :class:`~repro.system.scheduler.ScheduledOp` stream included.
 """
 
@@ -152,7 +152,8 @@ class WorkerHandle:
         raise NotImplementedError
 
     def stats(self) -> ServingReport:
-        """A snapshot of everything the worker's server has executed."""
+        """Everything the worker's server has executed, folded from its
+        event log: a snapshot later work does not grow."""
         raise NotImplementedError
 
 
@@ -213,7 +214,7 @@ class LocalWorkerHandle(WorkerHandle):
     stop = kill
 
     def stats(self) -> ServingReport:
-        return self.server.report.snapshot()
+        return self.server.report
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +278,8 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
                     conn.send(("drain", server.drain()))
                     continue
                 elif cmd == "stats":
-                    # pickled as it is: the pipe is the snapshot
-                    conn.send(("stats", server.report))
+                    # the log crosses as its columns; the router folds it
+                    conn.send(("stats", server.log))
                 elif cmd == "stop":
                     return
             server.pump()
@@ -432,4 +433,4 @@ class ProcessWorkerHandle(WorkerHandle):
         self.kill()  # no-op unless the worker ignored the request
 
     def stats(self) -> ServingReport:
-        return self._request("stats", self.STATS_TIMEOUT_SECONDS)
+        return ServingReport.fold(self._request("stats", self.STATS_TIMEOUT_SECONDS))

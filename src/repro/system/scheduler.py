@@ -134,10 +134,10 @@ class HostScheduler:
 
         ``execution`` is any object with a ``scheduled_ops()`` method
         returning the measured :class:`ScheduledOp` stream -- in practice
-        a :class:`repro.plan.PlanRun` or a serving
-        :class:`repro.serving.server.ServingReport`.  This is the bridge
-        that lets the discrete-event model consume real compute times
-        instead of analytic ones.
+        a :class:`repro.plan.PlanRun`; served flushes feed :meth:`run`
+        their ``FlushRecord.scheduled`` ops.  This is the bridge that lets
+        the discrete-event model consume real compute times instead of
+        analytic ones.
         """
         return self.run(execution.scheduled_ops())
 

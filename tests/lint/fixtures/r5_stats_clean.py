@@ -1,20 +1,20 @@
 # lint-fixture-path: src/repro/serving/supervisor.py
-# R5 clean fixture (stat recording): recovery machinery may absorb a
-# broad failure by *counting* it -- a probe that raises is a missed
-# probe, and the count drives the restart path that answers clients.
+# R5 clean fixture (event recording): recovery machinery may absorb a
+# broad failure by *logging* it -- a probe that raises is a missed
+# probe, and the event drives the restart path that answers clients.
 
 
 class Probe:
-    def probe(self, handle):
+    def probe(self, handle, now):
         try:
             ok = handle.ping()
         except Exception:
-            self.stats.probe_errors += 1
+            self.log.emit(now, "probe_error", handle.worker_id)
             ok = False
         return ok
 
-    def retry(self, send, data):
+    def retry(self, send, data, now):
         try:
             send(data)
         except Exception:
-            self.failed_sends += 1
+            self.log.emit(now, "failed_over", data.client_id, data.request_id)

@@ -1,14 +1,14 @@
 # lint-fixture-path: src/repro/serving/supervisor.py
-# R5 violating fixture (stat recording): bumping a counter that does
-# not name a failure is bookkeeping, not accounting -- the request
+# R5 violating fixture (event recording): logging an event whose kind
+# does not name a failure is bookkeeping, not accounting -- the request
 # still disappears silently.
 
 
 class Probe:
-    def probe(self, handle):
+    def probe(self, handle, now):
         try:
             ok = handle.ping()
         except Exception:
-            self.cache_hits += 1
+            self.log.emit(now, "probe", handle.worker_id)
             ok = False
         return ok

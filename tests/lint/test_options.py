@@ -33,9 +33,6 @@ STATE_CLASSES: Dict[str, str] = {
     "TransformStats": "per-stage record collected during a transform",
     "PlanRun": "execution counters the executor increments",
     "BatchGroup": "the requests a lane collects while open",
-    "ClusterReport": "router counters",
-    "ServingReport": "server counters",
-    "SupervisorStats": "supervisor counters",
     "WorkerHealth": "per-worker supervision state machine",
 }
 

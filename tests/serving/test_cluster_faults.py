@@ -13,9 +13,10 @@ The properties under test:
   arrived when the drain started;
 * a restarted worker rejoins the hash ring and consistent hashing puts
   its tenants back exactly where they were;
-* the conservation law ``completed + shed + failed_over == submitted``
-  holds through arbitrary seeded interleavings of traffic and faults,
-  with every request getting exactly one terminal frame.
+* the conservation law -- every request the router's log admits meets
+  exactly one terminal event (``conservation.conserved``) -- holds
+  through arbitrary seeded interleavings of traffic and faults, with
+  every request getting exactly one terminal frame.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conservation import conserved
 
 from repro.serving import framing
 from repro.serving.cluster import NoWorkersError
@@ -76,7 +78,7 @@ def merge_terminals(into, frames_by_client):
 def loaded_worker(cluster):
     """The worker id holding the most in-flight requests."""
     counts = {}
-    for (_, _), (wid, _) in cluster._inflight.items():
+    for wid in cluster._inflight.values():
         counts[wid] = counts.get(wid, 0) + 1
     assert counts, "no requests in flight"
     return max(counts, key=counts.get)
@@ -94,7 +96,7 @@ class TestKillMidFlight:
 
         victim = loaded_worker(cluster)
         at_victim = sum(
-            1 for (_, _), (wid, _) in cluster._inflight.items() if wid == victim
+            1 for wid in cluster._inflight.values() if wid == victim
         )
         failed = cluster.kill_worker(victim)
         assert failed == at_victim
@@ -201,10 +203,7 @@ class TestKillMidFlight:
         cluster.drain()
         served = take_all(cluster, clients)[client.client_id]
         assert [f.kind for f in served] == [framing.RESPONSE] * 2
-        assert report.submitted == (
-            report.completed + report.shed_requests
-            + report.failed_over_requests + report.expired_requests
-        )
+        assert conserved(cluster.log)
 
 
 class TestRestart:
@@ -246,7 +245,7 @@ class TestRestart:
             cluster.receive(cid, fr)
         victim = loaded_worker(cluster)
         at_victim = sum(
-            1 for (_, _), (wid, _) in cluster._inflight.items() if wid == victim
+            1 for wid in cluster._inflight.values() if wid == victim
         )
         cluster.restart_worker(victim)
         assert cluster.report.failed_over_requests == at_victim
@@ -266,17 +265,14 @@ class TestRestart:
         ]
         assert len(errors) == at_victim
         assert all(framing.is_retryable_error(f) for f in errors)
-        report = cluster.report
-        assert (
-            report.completed + report.shed_requests
-            + report.failed_over_requests + report.expired_requests
-        ) == report.submitted == len(trace)
+        assert conserved(cluster.log)
+        assert cluster.report.submitted == len(trace)
         # the fresh worker serves the retries: its key cache was refilled
         for cid, fr in trace:
             cluster.receive(cid, fr)
         cluster.drain()
         assert cluster.inflight_count == 0
-        assert report.completed == len(trace)
+        assert cluster.report.completed == len(trace) and conserved(cluster.log)
 
     def test_rejoining_a_dead_worker_is_refused(self, serving_context, make_cluster):
         cluster = make_cluster(worker_count=2)
@@ -296,13 +292,13 @@ class TestDrainUnderLoad:
             cluster.receive(cid, fr)
         victim = loaded_worker(cluster)
         at_victim = sum(
-            1 for (_, _), (wid, _) in cluster._inflight.items() if wid == victim
+            1 for wid in cluster._inflight.values() if wid == victim
         )
         assert at_victim > 0
         cluster.drain_worker(victim)
         # everything in flight at the drained worker completed
         assert not any(
-            wid == victim for (_, _), (wid, _) in cluster._inflight.items()
+            wid == victim for wid in cluster._inflight.values()
         )
         assert victim not in cluster.ring
         cluster.drain()
@@ -409,8 +405,7 @@ class TestConservation:
         ]
         assert len(errors) == shed
         assert all("capacity" in f.error_message for f in errors)
-        r = cluster.report
-        assert r.completed + r.shed_requests + r.failed_over_requests == r.submitted
+        assert conserved(cluster.log)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_chaos_every_request_gets_one_terminal(
@@ -451,6 +446,5 @@ class TestConservation:
         cluster.drain()
         merge_terminals(terminals, take_all(cluster, clients))
         assert {cid: set(per) for cid, per in terminals.items()} == expected
-        r = cluster.report
-        assert r.completed + r.shed_requests + r.failed_over_requests == r.submitted
         assert cluster.inflight_count == 0
+        assert conserved(cluster.log)

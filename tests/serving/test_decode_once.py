@@ -35,6 +35,7 @@ from repro.serving.server import EncryptedComputeServer
 from repro.serving.traffic import SyntheticClient, SyntheticTenant
 from repro.serving.worker import LocalWorkerHandle, WorkerSpec
 
+from conservation import conserved
 from oracles import rotation_sweep_bytes
 
 RESIDUE_ERROR = "bad payload: packed residue"
@@ -50,13 +51,6 @@ def corrupt_residue(request: bytes, frame_version: int) -> bytes:
         frame.kind, frame.request_id, frame.client_id, op=frame.op,
         op_arg=frame.op_arg, payload=bytes(payload), frame_version=frame_version,
     )
-
-
-def conservation(report) -> bool:
-    return (
-        report.completed + report.shed_requests
-        + report.failed_over_requests + report.expired_requests
-    ) == report.submitted
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +85,10 @@ def serve(context, clock, tenant, stream, wire_versions):
         assert not any(cluster.take_outbox(cid) for cid in wire_versions)
         cluster.pump()
         cluster.drain()
-        assert cluster.inflight_count == 0 and conservation(cluster.report)
+        # the router's books and the worker's, whose flush refused the
+        # corrupt members it had admitted
+        assert cluster.inflight_count == 0 and conserved(cluster.log)
+        assert conserved(cluster.workers["w0"].server.log)
         return {cid: cluster.take_outbox(cid) for cid in wire_versions}, cluster.report
     finally:
         cluster.stop()
@@ -121,7 +118,7 @@ class TestWorkerFrameCapUnderACluster:
             else:
                 assert framing.error_class(answer) == framing.ERR_FATAL
                 assert answer.error_message == f"frame length {length} exceeds cap {cap}"
-            assert cluster.inflight_count == 0 and conservation(cluster.report)
+            assert cluster.inflight_count == 0 and conserved(cluster.log)
             assert cluster.report.completed == cluster.report.submitted == 1
             cluster.stop()
 

@@ -15,8 +15,10 @@ The acceptance bar of the reliability layer, as executable checks:
   a request expiring *exactly* at the flush instant with a DEADLINE
   error rather than serving it late.
 * **Conservation** -- in every scenario, including the seeded chaos
-  run mixing kills, restarts, corruption and retries:
-  ``completed + shed + failed_over + expired == submitted``.
+  run mixing kills, restarts, corruption and retries, every request the
+  router's event log admits meets exactly one terminal event
+  (``conservation.conserved``), and the seeded chaos run replays to the
+  same ``(time, kind, key)`` stream.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import random
 import struct
 
 import pytest
+from conservation import conserved, stream
 
 from repro.serving import framing
 from repro.serving.cluster import (
@@ -40,15 +43,6 @@ from repro.serving.session import UnknownClientError
 from repro.serving.supervisor import HeartbeatSupervisor
 from repro.serving.traffic import ResilientClient, SyntheticClient, SyntheticTenant
 from repro.serving.worker import LocalWorkerHandle, WorkerSpec
-
-
-def conservation(report):
-    return (
-        report.completed
-        + report.shed_requests
-        + report.failed_over_requests
-        + report.expired_requests
-    ) == report.submitted
 
 
 def settle(cluster, clock, steps=4, dt=0.01):
@@ -154,7 +148,7 @@ class TestFrameIntegrity:
         blobs = cluster.take_outbox(cid)
         assert len(blobs) == 2
         assert {framing.decode_frame(b).kind for b in blobs} == {framing.RESPONSE}
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
 
     @pytest.mark.parametrize("door", ["server", "cluster"])
     def test_one_corrupt_frame_does_not_wedge_the_session(
@@ -214,7 +208,7 @@ class TestFrameIntegrity:
         assert not rc.failures
         assert rid in rc.responses
         assert cluster.report.submitted == 2  # the corrupt copy never counted
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +238,9 @@ class TestIdempotentRetry:
         assert cluster.report.dedup_hits == 1
         assert cluster.report.submitted == 1  # retry is not a submission
         # and the worker executed it exactly once
-        assert cluster.worker_stats()[worker_id].request_count == 1
-        assert conservation(cluster.report)
+        (flush,) = cluster.worker_stats()[worker_id].flushes
+        assert flush.batch_size == 1
+        assert conserved(cluster.log)
 
     def test_retry_of_inflight_request_is_refused_retryably(
         self, make_cluster, tenant, make_client, manual_clock
@@ -263,13 +258,13 @@ class TestIdempotentRetry:
         frame = framing.decode_frame(refusal)
         assert frame.kind == framing.ERROR
         assert framing.is_retryable_error(frame)
-        assert cluster.report.duplicate_inflight == 1
+        assert cluster.log.count("duplicate") == 1
         assert cluster.report.submitted == 1
 
         settle(cluster, manual_clock)
         (response,) = cluster.take_outbox(cid)
         assert framing.decode_frame(response).kind == framing.RESPONSE
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
 
     def test_dedup_cache_is_bounded_lru(
         self, make_cluster, tenant, make_client, manual_clock, monkeypatch
@@ -301,7 +296,7 @@ class TestIdempotentRetry:
         cluster.receive(cid, sent[2])
         assert cluster.report.dedup_hits == 1
         assert cluster.report.submitted == 4
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +323,7 @@ class TestDeadlines:
         assert not framing.is_retryable_error(frame)
         assert cluster.report.expired_requests == 1
         assert cluster.report.submitted == 1
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
 
     def test_expired_at_worker_admission(self, serving_context, manual_clock):
         """The worker-side admission check, exercised directly: a frame
@@ -341,7 +336,7 @@ class TestDeadlines:
         data = client.request_bytes("square", [1.0], deadline=0.5)
         manual_clock.advance(1.0)  # ...slow network...
         server.receive("late", data)
-        assert server.report.expired_requests == 1
+        assert server.log.payloads_of("refused") == [framing.ERR_DEADLINE]
         (blob,) = server.collect_outboxes()["late"]
         frame = framing.decode_frame(blob)
         assert framing.error_class(frame) == framing.ERR_DEADLINE
@@ -369,7 +364,7 @@ class TestDeadlines:
         assert frame.kind == framing.ERROR
         assert framing.error_class(frame) == framing.ERR_DEADLINE
         assert cluster.report.expired_requests == 1
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
 
     def test_mixed_lane_expires_only_the_dead_member(
         self, make_cluster, tenant, make_client, manual_clock
@@ -399,12 +394,12 @@ class TestDeadlines:
         (blob,) = cluster.take_outbox(relaxed.client_id)
         rid, values = tenant.decrypt_response(blob)
         assert values[0] == pytest.approx(9.0, rel=1e-3, abs=1e-3)
-        stats = cluster.worker_stats()[worker_id]
-        assert stats.expired_requests == 1
-        assert stats.request_count == 1
+        assert cluster.workers[worker_id].server.log.count("expired") == 1
+        (flush,) = cluster.worker_stats()[worker_id].flushes
+        assert flush.batch_size == 1
         report = cluster.report
         assert report.expired_requests == 1 and report.completed == 1
-        assert conservation(report)
+        assert conserved(cluster.log)
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +436,7 @@ class TestResilientClient:
         assert shed in rc.responses and not rc.failures
         report = cluster.report
         assert report.shed_requests == 1 and report.completed == 2
-        assert conservation(report)
+        assert conserved(cluster.log)
 
     def test_fatal_error_is_terminal(self, make_cluster, tenant, manual_clock):
         cluster = make_cluster(worker_count=1)
@@ -467,7 +462,7 @@ class TestResilientClient:
         rc.poll()
         assert rc.retries_sent == 0
         assert rc.failures[rid].startswith(framing.ERR_DEADLINE)
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
 
     def test_retries_exhaust_into_failure(self, make_cluster, tenant, manual_clock):
         """max_inflight=0 sheds everything: after max_attempts retries
@@ -486,23 +481,28 @@ class TestResilientClient:
         assert rc.outstanding == 0
         report = cluster.report
         assert report.submitted == report.shed_requests == 3
-        assert conservation(report)
+        assert conserved(cluster.log)
 
 
 # ----------------------------------------------------------------------
 # seeded chaos: kills, restarts, corruption, retries, deadlines
 # ----------------------------------------------------------------------
 class TestChaos:
-    def test_seeded_chaos_conserves_and_recovers(
-        self, serving_context, make_cluster, manual_clock
-    ):
-        """A deterministic storm: workers crash mid-traffic (the
-        supervisor detects and restarts them), the wire corrupts chosen
-        sends, some requests carry tight deadlines, and every client
-        retries through it.  At the end every request is settled, the
-        books balance, and every response decrypts to the right value."""
+    @staticmethod
+    def storm(context):
+        """A deterministic storm on a fresh manual clock: workers crash
+        mid-traffic (the supervisor detects and restarts them), the wire
+        corrupts chosen sends, some requests carry tight deadlines, and
+        every client retries through it.  Returns the settled cluster,
+        its clients, the wire and each request's expected slot-0 value."""
         rng = random.Random(20200807)
-        cluster = make_cluster(worker_count=3)
+        clock = ManualClock()
+        spec = WorkerSpec(params=context.params)
+        cluster = ServingCluster(
+            lambda wid: LocalWorkerHandle(wid, spec, clock=clock),
+            worker_count=3,
+            clock=clock,
+        )
         sup = HeartbeatSupervisor(
             cluster,
             probe_interval=0.02,
@@ -516,7 +516,7 @@ class TestChaos:
             seed=42,
         )
         tenants = [
-            SyntheticTenant(serving_context, seed=500 + 7 * t, key_id=f"chaos-t{t}")
+            SyntheticTenant(context, seed=500 + 7 * t, key_id=f"chaos-t{t}")
             for t in range(3)
         ]
         for t in tenants:
@@ -544,7 +544,7 @@ class TestChaos:
             else:
                 op, expected = "double", 2 * v
             deadline = (
-                manual_clock.now + 0.001 if step % 10 == 9 else 0.0
+                clock.now + 0.001 if step % 10 == 9 else 0.0
             )  # every 10th request is nearly dead on arrival
             rid = rc.submit(op, [v], deadline=deadline)
             expect[(rc.client.client_id, rid)] = expected
@@ -552,7 +552,7 @@ class TestChaos:
             if step in kill_steps and len(cluster.ring) >= 2:
                 victim = rng.choice(cluster.ring.worker_ids)
                 cluster.workers[victim].kill()
-            manual_clock.advance(0.02)
+            clock.advance(0.02)
             cluster.pump()
             sup.tick()
             for r in rcs:
@@ -563,22 +563,27 @@ class TestChaos:
         for _ in range(400):
             if all(r.outstanding == 0 for r in rcs):
                 break
-            manual_clock.advance(0.02)
+            clock.advance(0.02)
             cluster.pump()
             sup.tick()
             for r in rcs:
                 r.poll()
+        cluster.stop()
+        return cluster, rcs, wire, expect
+
+    def test_seeded_chaos_conserves_and_recovers(self, serving_context):
+        cluster, rcs, wire, expect = self.storm(serving_context)
         assert all(r.outstanding == 0 for r in rcs)
 
         # the chaos actually happened
-        assert sup.stats.deaths >= 1
-        assert sup.stats.restarts >= 1
+        assert cluster.log.count("died") >= 1
+        assert cluster.log.count("restarted") >= 1
         assert wire.corruptions >= 1
         assert sum(r.retries_sent for r in rcs) >= 1
         assert cluster.report.expired_requests >= 1
 
         # conservation across kills, sheds, retries and expiries
-        assert conservation(cluster.report)
+        assert conserved(cluster.log)
         assert len(cluster.ring) == 3  # everyone restarted and rejoined
 
         # every settled answer is correct; failures are only deadline
@@ -592,6 +597,15 @@ class TestChaos:
                 assert values[0] == pytest.approx(want, rel=1e-3, abs=1e-3)
             for rid, why in rc.failures.items():
                 assert why.startswith(framing.ERR_DEADLINE), why
+
+    def test_seeded_chaos_replays_to_the_same_event_stream(self, serving_context):
+        """Router, supervisor and every death, restart and retry are on
+        one log and one manual clock: the same seeds give the same
+        ``(time, kind, key)`` stream, event for event."""
+        first, *_ = self.storm(serving_context)
+        second, *_ = self.storm(serving_context)
+        assert len(first.log) > 0
+        assert stream(first.log) == stream(second.log)
 
 
 # ----------------------------------------------------------------------

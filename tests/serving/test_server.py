@@ -257,8 +257,8 @@ class TestAdmissionControl:
         for _ in range(3):
             server.receive(client.client_id, client.request_bytes("double", [1.0]))
         session = server.sessions.get(client.client_id)
-        assert session.requests_accepted == 2
-        assert session.requests_rejected == 1
+        assert server.log.count("admitted") == 2
+        assert server.log.payloads_of("refused") == [framing.ERR_RETRYABLE]
         errors = [
             framing.decode_frame(b)
             for b in session.take_outbox()
@@ -266,7 +266,6 @@ class TestAdmissionControl:
         ]
         assert len(errors) == 1
         assert "queue full" in errors[0].error_message
-        assert server.report.rejected_requests == 1
         assert server.drain() == 2  # the admitted two still complete
 
     def test_unknown_client_rejected(self, serving_context):
@@ -408,12 +407,11 @@ class TestSystemModelIntegration:
         server = EncryptedComputeServer(serving_context, max_batch_size=4)
         clients, stream = synthetic_traffic(tenant, 4, 2, op="square", seed=13)
         serve(server, tenant, clients, stream)
-        report = HostScheduler(PcieModel(3.2e9), 1 << 15).run_executed(server.report)
-        assert report.ops == len(server.report.flushes)
+        flushes = server.report.flushes
+        report = HostScheduler(PcieModel(3.2e9), 1 << 15).run([f.scheduled for f in flushes])
+        assert report.ops == len(flushes)
         assert report.total_seconds > 0
-        assert report.compute_seconds == pytest.approx(
-            server.report.compute_seconds
-        )
+        assert report.compute_seconds == pytest.approx(sum(f.seconds for f in flushes))
 
     def test_latency_recorded_per_request(self, serving_context, tenant):
         server = EncryptedComputeServer(serving_context, max_batch_size=4)
@@ -576,7 +574,7 @@ class TestCheapRejection:
         frame = framing.decode_frame(blob)
         assert frame.kind == framing.ERROR
         assert "queue full" in frame.error_message
-        assert server.report.rejected_requests == 1
+        assert server.log.payloads_of("refused") == [framing.ERR_RETRYABLE]
 
 
 class TestHoistedRotationServing:

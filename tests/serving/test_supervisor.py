@@ -10,6 +10,7 @@ probation window, and the half-open probe of a quarantined worker.
 from __future__ import annotations
 
 import pytest
+from conservation import conserved
 
 from repro.serving import framing
 from repro.serving.cluster import UnknownWorkerError
@@ -63,9 +64,9 @@ class TestHeartbeat:
         cluster = make_cluster(worker_count=3)
         sup = make_supervisor(cluster)
         sup.run(until=10.0)
-        assert sup.stats.deaths == 0
-        assert sup.stats.missed_probes == 0
-        assert sup.stats.probes > 0
+        assert sup.log.count("died") == 0
+        assert sup.log.count("missed") == 0
+        assert sup.log.count("probe") > 0
         health = sup.worker_health()
         assert set(health) == set(cluster.workers)
         for view in health.values():
@@ -84,12 +85,12 @@ class TestHeartbeat:
         manual_clock.advance(1.0)
         sup.tick()
         # two misses: still only suspected, no failover yet
-        assert sup.stats.deaths == 0
+        assert sup.log.count("died") == 0
         assert sup.worker_health()[victim].missed_probes == 2
         manual_clock.advance(1.0)
         sup.tick()
         # third consecutive miss: declared dead, restart scheduled
-        assert sup.stats.deaths == 1
+        assert sup.log.count("died") == 1
         assert sup.worker_health()[victim].phase == BACKOFF
 
     def test_probe_error_counts_as_miss(self, make_cluster, manual_clock):
@@ -104,9 +105,9 @@ class TestHeartbeat:
         sup.tick()
         manual_clock.advance(1.0)
         sup.tick()
-        assert sup.stats.probe_errors == 2
-        assert sup.stats.missed_probes == 2
-        assert sup.stats.deaths == 1  # 2 misses at threshold 2
+        assert sup.log.count("probe_error") == 2
+        assert sup.log.count("missed") == 2
+        assert sup.log.count("died") == 1  # 2 misses at threshold 2
 
 
 class TestRestartAndPlacement:
@@ -124,18 +125,18 @@ class TestRestartAndPlacement:
         victim = max(
             cluster.ring.worker_ids,
             key=lambda w: sum(
-                1 for (_, _), (wid, _) in cluster._inflight.items() if wid == w
+                1 for wid in cluster._inflight.values() if wid == w
             ),
         )
         at_victim = sum(
-            1 for (_, _), (wid, _) in cluster._inflight.items() if wid == victim
+            1 for wid in cluster._inflight.values() if wid == victim
         )
         assert at_victim > 0
         cluster.workers[victim].kill()
 
         # three missed probes at t=1,2,3 declare death at t=3
         sup.run(until=3.0)
-        assert sup.stats.deaths == 1
+        assert sup.log.count("died") == 1
         assert cluster.report.failed_over_requests == at_victim
         assert victim not in cluster.ring
         # the failover errors are classified retryable
@@ -154,7 +155,7 @@ class TestRestartAndPlacement:
         sup.run(until=7.1)
         assert sup.worker_health()[victim].phase == PROBATION
         assert victim in cluster.ring
-        assert sup.stats.restarts == 1
+        assert sup.log.count("restarted") == 1
 
         # probation passes -> serving, and consistent hashing has put
         # every tenant back exactly where it was before the crash
@@ -168,11 +169,7 @@ class TestRestartAndPlacement:
         cluster.pump()  # queue -> lanes
         manual_clock.advance(0.01)
         cluster.drain()  # flush everything pending anywhere
-        r = cluster.report
-        assert (
-            r.completed + r.shed_requests + r.failed_over_requests
-            + r.expired_requests == r.submitted
-        )
+        assert conserved(cluster.log)
 
     def test_backoff_schedule_is_deterministic(self, make_cluster, manual_clock):
         """Same seed => the same jittered restart schedule, run to run."""
@@ -214,8 +211,8 @@ class TestRestartAndPlacement:
 class TestCircuitBreaker:
     def kill_until_dead(self, sup, cluster, manual_clock, victim):
         cluster.workers[victim].kill()
-        deaths = sup.stats.deaths
-        while sup.stats.deaths == deaths:
+        deaths = sup.log.count("died")
+        while sup.log.count("died") == deaths:
             manual_clock.advance(1.0)
             sup.tick()
 
@@ -247,13 +244,13 @@ class TestCircuitBreaker:
 
         # death 2 (during probation): flap 1 of 2 -- still no breaker
         self.kill_until_dead(sup, cluster, manual_clock, victim)
-        assert sup.stats.quarantines == 0
+        assert sup.log.count("quarantined") == 0
         self.wait_phase(sup, manual_clock, victim, PROBATION)
 
         # death 3 (during probation): flap 2 trips the breaker -- the
         # worker restarts OFF the ring and its tenants stay re-placed
         self.kill_until_dead(sup, cluster, manual_clock, victim)
-        assert sup.stats.quarantines == 1
+        assert sup.log.count("quarantined") == 1
         self.wait_phase(sup, manual_clock, victim, QUARANTINED)
         assert cluster.workers[victim].alive
         assert victim not in cluster.ring
@@ -276,7 +273,7 @@ class TestCircuitBreaker:
         assert view.flaps == 0
         assert victim in cluster.ring
         assert placements(cluster, clients) == before
-        assert sup.stats.rejoins == 1
+        assert sup.log.count("rejoined") == 1
 
     def test_death_during_half_open_requarantines(
         self, make_cluster, manual_clock
@@ -296,13 +293,56 @@ class TestCircuitBreaker:
             sup.tick()
 
         # dying during the half-open probe window slams the breaker shut
-        quarantines = sup.stats.quarantines
+        quarantines = sup.log.count("quarantined")
         self.kill_until_dead(sup, cluster, manual_clock, victim)
         self.wait_phase(sup, manual_clock, victim, QUARANTINED)
         assert sup.worker_health()[victim].breaker == OPEN
-        assert sup.stats.quarantines == quarantines + 1
+        assert sup.log.count("quarantined") == quarantines + 1
         assert victim not in cluster.ring
-        assert sup.stats.rejoins == 0
+        assert sup.log.count("rejoined") == 0
+
+
+class TestRingEmptyFailover:
+    def test_last_worker_going_silent_is_logged_and_restarted(
+        self, serving_context, make_cluster, manual_clock
+    ):
+        """A one-worker cluster whose worker stops answering probes:
+        failover has no ring to re-place its tenants on, so the
+        supervisor logs one ``failover_error``, schedules the restart
+        all the same, and the restarted worker serves again."""
+        cluster = make_cluster(worker_count=1)
+        tenants, clients, trace = connect_traffic(
+            serving_context, cluster, tenants=1, clients_per=1, requests=2
+        )
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        sup = make_supervisor(cluster, miss_threshold=2)
+        sup.tick()
+        cluster.workers["w0"].ping = lambda: False  # alive, but silent
+
+        sup.run(until=2.0)  # misses at t=1 and t=2: declared dead at t=2
+        assert sup.log.count("died") == 1
+        assert sup.log.count("failover_error") == 1
+        assert sup.worker_health()["w0"].phase == BACKOFF
+        assert len(cluster.ring) == 0
+        # what the worker held was answered, retryably
+        assert cluster.report.failed_over_requests == len(trace)
+        (client,) = clients
+        errors = [framing.decode_frame(b) for b in cluster.take_outbox(client.client_id)]
+        assert len(errors) == len(trace)
+        assert all(framing.is_retryable_error(f) for f in errors)
+
+        sup.run(until=6.5)  # backoff_base=4 s after the death, no jitter
+        assert sup.log.count("restarted") == 1
+        assert sup.log.payloads_of("restarted") == [PROBATION]
+        assert "w0" in cluster.ring
+        cluster.receive(client.client_id, client.request_bytes("double", [1.5]))
+        cluster.drain()
+        (blob,) = cluster.take_outbox(client.client_id)
+        _, values = tenants[0].decrypt_response(blob)
+        assert values[0] == pytest.approx(3.0, rel=1e-3, abs=1e-3)
+        assert sup.log.count("failover_error") == 1
+        assert conserved(cluster.log)
 
 
 class TestDrainInteraction:
@@ -323,8 +363,8 @@ class TestDrainInteraction:
         assert victim not in cluster.ring
         # probes keep landing across the whole drain window
         sup.run(until=10.0)
-        assert sup.stats.deaths == 0
-        assert sup.stats.restarts == 0
+        assert sup.log.count("died") == 0
+        assert sup.log.count("restarted") == 0
         view = sup.worker_health()[victim]
         assert view.phase == SERVING and view.missed_probes == 0
         # and the drained worker can still rejoin normally
