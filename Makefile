@@ -11,6 +11,8 @@
 #   make doc-check      the prose ratchet: fails when a doc named under loc-baseline.json's "docs"
 #                       exceeds its line ceiling (the same rule: a PR that cuts prose lowers the
 #                       ceiling, raising one requires a "<doc> +N: why" line in CHANGES)
+#   make census         the execution census (tools/census.py): traces the product runs and tier-1, writes
+#                       census.json, fails if the unexempted never-run or unentered count rises
 #   make bench          every paper table/figure benchmark (writes benchmarks/results/)
 #   make bench-all      the repo benchmark of BENCHMARK.json: five workloads end to end + traced (writes bench/results/)
 #   make bench-backend  polynomial-backend speedup gate (numpy vs reference)
@@ -30,7 +32,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 BENCHES := $(wildcard benchmarks/bench_*.py)
 
-.PHONY: test test-fast test-both lint loc loc-check doc-check bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
+.PHONY: test test-fast test-both lint loc loc-check doc-check census bench bench-all bench-backend bench-batch bench-serving bench-serving-scale bench-hoisting bench-residency bench-wire bench-reliability bench-planner chaos vectors
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,6 +45,9 @@ loc:
 	@for d in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort) src; do \
 		printf '%7d  %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" "$$d"; \
 	done
+
+census:
+	$(PYTHON) tools/census.py
 
 loc-check:
 	@total=$$(find src -name '*.py' | xargs cat | wc -l); \

@@ -13,8 +13,6 @@ Number = Union[int, float]
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        if value == 0:
-            return "0"
         if abs(value) >= 1000:
             return f"{value:,.0f}"
         if abs(value) >= 10:

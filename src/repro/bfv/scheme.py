@@ -294,13 +294,10 @@ class BfvEvaluator:
         self.context = context
 
     def add(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:
-        size = max(a.size, b.size)
-        polys = []
-        for i in range(size):
-            if i < a.size and i < b.size:
-                polys.append(self.context.add_mod_q(a.polys[i], b.polys[i]))
-            else:
-                polys.append(list((a.polys + b.polys)[i]))
+        longer = a if a.size >= b.size else b
+        polys = [list(p) for p in longer.polys]
+        for i in range(min(a.size, b.size)):
+            polys[i] = self.context.add_mod_q(a.polys[i], b.polys[i])
         return BfvCiphertext(polys)
 
     def multiply(self, a: BfvCiphertext, b: BfvCiphertext) -> BfvCiphertext:

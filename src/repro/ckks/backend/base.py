@@ -787,6 +787,3 @@ class PolynomialBackend(abc.ABC):
 
     def insert_row(self, handle, index: int, row):
         return self.from_rows([*handle[:index], row, *handle[index:]])
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r}>"

@@ -234,6 +234,3 @@ class CountingBackend(PolynomialBackend):
 
     def unpack_rows_bits(self, data, n, bounds, out=None):
         return self.inner.unpack_rows_bits(data, n, bounds, out)
-
-    def __repr__(self) -> str:
-        return f"<CountingBackend inner={self.inner!r} counts={dict(self.counts)}>"

@@ -198,12 +198,3 @@ class CiphertextBatch:
     def row_moduli(self) -> List[Modulus]:
         """The modulus of every row of a component matrix, in order."""
         return [m for m in self.moduli for _ in range(self.count)]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        return (
-            f"CiphertextBatch(count={self.count}, size={self.size}, "
-            f"n={self.n}, k={self.level_count}, scale={self.scale:g})"
-        )

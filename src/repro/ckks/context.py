@@ -85,10 +85,6 @@ class CkksParameters:
         return len(self.modulus_bits) - 1
 
     @property
-    def log_n(self) -> int:
-        return self.n.bit_length() - 1
-
-    @property
     def total_modulus_bits(self) -> int:
         """``log2(qp)`` rounded the way the paper reports it (sum of sizes)."""
         return sum(self.modulus_bits)

@@ -231,12 +231,6 @@ class Evaluator:
                 comps.append(be.negate_rows(rm, b.comps[j]))
         return self._emit(ct0, a, comps)
 
-    def negate(self, ct: Operand) -> Operand:
-        lane = self._lane(ct)
-        be = self.context.backend
-        rm = lane.row_moduli
-        return self._emit(ct, lane, [be.negate_rows(rm, c) for c in lane.comps])
-
     def multiply_integers(self, ct: Operand, factors: Sequence[int]) -> Operand:
         """Member ``b`` times the integer ``factors[b]``, scale unchanged:
         one ``scalar_mul_rows`` per component, the factor reduced per row

@@ -175,14 +175,6 @@ class Modulus:
         """Return ``a * b mod p`` via Barrett reduction."""
         return self.reduce(a * b)
 
-    def pow(self, base: int, exponent: int) -> int:
-        """Return ``base ** exponent mod p``."""
-        return pow(base, exponent, self.value)
-
-    def inv(self, a: int) -> int:
-        """Return the multiplicative inverse of ``a`` modulo ``p``."""
-        return pow(a, -1, self.value)
-
     def div2(self, a: int) -> int:
         """Return ``a / 2 mod p``."""
         return div2_mod(a, self.value)

@@ -142,7 +142,7 @@ class RnsPolynomial:
 
     # ------------------------------------------------------------------
     # arithmetic (domain-agnostic: NTT and coefficient forms both support
-    # coefficient-wise add/sub/negate; dyadic multiply is only meaningful
+    # coefficient-wise add/negate; dyadic multiply is only meaningful
     # on matching domains and equals ring multiplication only in NTT form)
     # ------------------------------------------------------------------
     def _check_compatible(self, other: "RnsPolynomial") -> None:
@@ -157,14 +157,6 @@ class RnsPolynomial:
         self._check_compatible(other)
         be = backend if backend is not None else get_backend()
         out = be.add_rows(
-            self.moduli, self.native_rows(be), other.native_rows(be)
-        )
-        return RnsPolynomial(self.n, self.moduli, out, self.is_ntt)
-
-    def sub(self, other: "RnsPolynomial", backend=None) -> "RnsPolynomial":
-        self._check_compatible(other)
-        be = backend if backend is not None else get_backend()
-        out = be.sub_rows(
             self.moduli, self.native_rows(be), other.native_rows(be)
         )
         return RnsPolynomial(self.n, self.moduli, out, self.is_ntt)
@@ -190,12 +182,6 @@ class RnsPolynomial:
             and self.is_ntt == other.is_ntt
             and [m.value for m in self.moduli] == [m.value for m in other.moduli]
             and canonical_stack(self.rows) == canonical_stack(other.rows)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"RnsPolynomial(n={self.n}, k={len(self.moduli)}, "
-            f"ntt={self.is_ntt})"
         )
 
 
@@ -234,16 +220,6 @@ class Plaintext:
     @property
     def n(self) -> int:
         return self.poly.n
-
-    @property
-    def level_count(self) -> int:
-        return self.poly.level_count
-
-    def clone(self) -> "Plaintext":
-        return Plaintext(self.poly.clone(), self.scale)
-
-    def __repr__(self) -> str:
-        return f"Plaintext(n={self.n}, k={self.level_count}, scale={self.scale:g})"
 
 
 class Ciphertext:
@@ -288,9 +264,6 @@ class Ciphertext:
     @property
     def is_ntt(self) -> bool:
         return self.polys[0].is_ntt
-
-    def clone(self) -> "Ciphertext":
-        return Ciphertext([p.clone() for p in self.polys], self.scale)
 
     def __repr__(self) -> str:
         return (

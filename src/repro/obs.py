@@ -71,9 +71,6 @@ class EventLog:
         self.owners.append(index)
         self.request_ids.append(request_id)
 
-    def __len__(self) -> int:
-        return len(self.kinds)
-
     def __iter__(self) -> Iterator[Event]:
         flushed = _CODE["flushed"]
         for i, (now, kind, owner, request_id) in enumerate(

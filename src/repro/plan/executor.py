@@ -336,12 +336,10 @@ class PlanExecutor:
         lhs = CiphertextBatch.join([results[n.inputs[0]] for n in nodes])
         if _factor(nodes[0]) is not None:  # doubles beside negates
             out = ev.multiply_integers(lhs, [_factor(n) for n in nodes])
-        elif op in ("add", "sub", "mul_relin"):
+        elif op in ("add", "mul_relin"):
             rhs = CiphertextBatch.join([results[n.inputs[1]] for n in nodes])
             if op == "add":
                 out = ev.add(lhs, rhs)
-            elif op == "sub":
-                out = ev.sub(lhs, rhs)
             else:
                 out = ev.multiply_relin(lhs, rhs, self.relin_key)
         elif op == "square":

@@ -135,9 +135,6 @@ class PlanGraph:
     def add(self, a: int, b: int) -> int:
         return self._new("add", inputs=(self._cipher(a), self._cipher(b)))
 
-    def sub(self, a: int, b: int) -> int:
-        return self._new("sub", inputs=(self._cipher(a), self._cipher(b)))
-
     def negate(self, a: int) -> int:
         return self._new("negate", inputs=(self._cipher(a),))
 
@@ -224,9 +221,3 @@ class PlanGraph:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def __repr__(self) -> str:
-        return (
-            f"PlanGraph({len(self.nodes)} nodes, "
-            f"{len(self.inputs)} inputs, {len(self.outputs)} outputs)"
-        )

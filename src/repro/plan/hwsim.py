@@ -22,7 +22,7 @@ The step-to-module mapping follows the established accounting:
 * scalar/batched key-switch ops (rotate, conjugate, square,
   mul_relin) -- one KeySwitch pipeline period each
   (:meth:`KeySwitchModuleSim.timing`);
-* dyadic ops (mul_plain, add, sub, negate, add_const, "mixed") -- the
+* dyadic ops (mul_plain, add, negate, add_const, "mixed") -- the
   standalone MULT module (``STANDALONE_MODULE_CORES[device]["dyadic"]``
   cores), one pass per component per prime;
 * rescale -- :func:`repro.core.perf.rescale_cycles`, as in

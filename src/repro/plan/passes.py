@@ -130,7 +130,7 @@ def _node_type(
         if not 1 <= level <= context.k:
             _fail(node, f"input level {level} outside [1, {context.k}]")
         est, mag = model.fresh(node.scale or delta, level), 1.0
-    elif node.op in ("add", "sub", "mul_relin"):
+    elif node.op in ("add", "mul_relin"):
         (a, ma), (b, mb) = types[node.inputs[0]], types[node.inputs[1]]
         if a.level_count != b.level_count:
             _fail(
@@ -268,7 +268,7 @@ def place_rescales(
     * **level drops** -- a binary op whose operands sit at different
       levels drops the higher one with scale-preserving unit
       multiplications (``mul_plain(1.0 @ p)`` then rescale).
-    * **scale alignment** -- a same-level add/sub whose scales differ
+    * **scale alignment** -- a same-level add whose scales differ
       by a representable ratio (``>= 2^16``) raises the lower operand
       with one unit multiplication; smaller ratios raise
       :class:`PlanValidationError` (the graph is unplaceable without
@@ -307,7 +307,7 @@ def place_rescales(
         ratio = max(sa, sb) / min(sa, sb)
         if ratio < MIN_ALIGN_RATIO:
             raise PlanValidationError(
-                f"plan nodes {a}/{b}: add/sub operand scales {sa:g} vs "
+                f"plan nodes {a}/{b}: add operand scales {sa:g} vs "
                 f"{sb:g} differ by a ratio below 2^16; aligning them with "
                 "a unit multiplication would quantize -- re-encode the "
                 "operands at matching scales instead"
@@ -323,7 +323,7 @@ def place_rescales(
             ins = [maybe_rescale(i) for i in ins]
         if len(ins) == 2:
             ins = align_levels(*ins)
-        if node.op in ("add", "sub"):
+        if node.op == "add":
             ins = align_scales(*ins)
         if node.op == "rescale":
             mapping[node.id] = emit_rescale(ins[0])

@@ -87,6 +87,3 @@ class ManualClock:
             raise ValueError("a monotonic clock cannot go backwards")
         self.now += seconds
         return self.now
-
-    def __repr__(self) -> str:
-        return f"ManualClock(now={self.now})"

@@ -161,13 +161,6 @@ class ClientSession:
         out, self.outbox = self.outbox, []
         return out
 
-    def __repr__(self) -> str:
-        return (
-            f"ClientSession({self.client_id!r}, key_id={self.key_id!r}, "
-            f"relin={'yes' if self.relin_key else 'no'}, "
-            f"galois={'yes' if self.galois_keys else 'no'})"
-        )
-
 
 class SessionManager:
     """Registry of client sessions for one serving context."""
@@ -178,12 +171,6 @@ class SessionManager:
         #: key_id -> (relin key, Galois key set) uploaded in wire format,
         #: deserialized once (see open_from_wire)
         self._wire_keys: Dict[str, Tuple[Optional[RelinKey], Optional[GaloisKeySet]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def __contains__(self, client_id: str) -> bool:
-        return client_id in self._sessions
 
     def register(
         self,

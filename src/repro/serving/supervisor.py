@@ -72,7 +72,6 @@ class WorkerHealth:
     probed: bool = False      # has any probe run yet?
     missed: int = 0           # consecutive failed probes
     attempt: int = 0          # backoff attempt index (resets on recovery)
-    restarts: int = 0
     flaps: int = 0            # deaths during probation since last recovery
     restart_at: float = 0.0
     probation_until: float = 0.0
@@ -88,7 +87,6 @@ class WorkerHealthView:
     breaker: str
     heartbeat_age: float
     missed_probes: int
-    restarts: int
     flaps: int
 
 
@@ -216,7 +214,6 @@ class HeartbeatSupervisor:
         # where failover re-placed them until the breaker half-opens and
         # the worker survives a probe window
         self.cluster.restart_worker(worker_id, rejoin=not quarantined)
-        health.restarts += 1
         health.missed = 0
         health.last_seen = now
         if quarantined:
@@ -308,7 +305,6 @@ class HeartbeatSupervisor:
                 breaker=h.breaker,
                 heartbeat_age=now - h.last_seen,
                 missed_probes=h.missed,
-                restarts=h.restarts,
                 flaps=h.flaps,
             )
             for worker_id, h in sorted(self._health.items())

@@ -36,6 +36,7 @@ side of the pipe, which the log crosses as it is -- measured
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -80,20 +81,19 @@ def build_server(spec: WorkerSpec, clock: Clock = SYSTEM_CLOCK) -> EncryptedComp
     )
 
 
-class WorkerHandle:
-    """The router-side contract every worker transport implements.
+class WorkerHandle(ABC):
+    """The router-side contract every worker transport implements:
+    ``alive``, ``register_session``, ``register_program``, ``submit``,
+    ``pump``, ``poll_responses``, ``begin_drain``, ``drain``, ``resume``,
+    ``kill``, ``stop`` and ``stats``.
 
     One request forwarded through :meth:`submit` produces exactly one
-    response frame (RESPONSE or ERROR) through :meth:`poll_responses` --
+    response frame (RESPONSE or ERROR) through ``poll_responses`` --
     unless the worker dies first, in which case the *router* owns
     surfacing the loss (see ``ServingCluster.kill_worker``).
     """
 
     worker_id: str
-
-    @property
-    def alive(self) -> bool:
-        raise NotImplementedError
 
     def ping(self) -> bool:
         """Liveness probe for the heartbeat supervisor.
@@ -105,6 +105,7 @@ class WorkerHandle:
         """
         return self.alive
 
+    @abstractmethod
     def register_session(
         self, client_id, key_id, relin_blob, galois_blobs, wire_version=1,
         frame_version=1,
@@ -113,48 +114,29 @@ class WorkerHandle:
         arguments of ``EncryptedComputeServer.open_session``, which both
         transports hand through as they are.  The blobs are ``None``
         once the worker holds the ``key_id``'s keys."""
-        raise NotImplementedError
 
+    @abstractmethod
     def register_program(self, program_id: int, steps) -> tuple:
         """``EncryptedComputeServer.register_program`` at the worker, on
         both transports a call that returns the normalized chain or
         raises the server's own error."""
-        raise NotImplementedError
 
+    @abstractmethod
     def submit(self, client_id: str, frame: Frame) -> None:
         """Hand one request the router decoded and CRC-checked to the
         worker's ``server.submit_frame`` -- a call in-process, a pickled
         ``Frame`` across a pipe (its payload then travels as ``bytes``).
         A refusal there (the worker's frame cap included) is an answered
         request, never a raise."""
-        raise NotImplementedError
 
     def pump(self, now: Optional[float] = None) -> None:
         """Give an in-process worker a scheduler turn (no-op for a
         self-pumping process worker)."""
 
-    def poll_responses(self) -> Dict[str, List[bytes]]:
-        raise NotImplementedError
-
-    def begin_drain(self) -> None:
-        raise NotImplementedError
-
-    def drain(self, now: Optional[float] = None) -> int:
-        raise NotImplementedError
-
-    def resume(self) -> None:
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        raise NotImplementedError
-
+    @abstractmethod
     def stats(self) -> ServingReport:
         """Everything the worker's server has executed, folded from its
         event log: a snapshot later work does not grow."""
-        raise NotImplementedError
 
 
 class LocalWorkerHandle(WorkerHandle):

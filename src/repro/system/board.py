@@ -1,30 +1,17 @@
-"""FPGA board descriptions (Table 1) and budget checks."""
+"""FPGA board descriptions (Table 1)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.analysis.paper_data import TABLE1_BOARDS, BoardSpec
 
 
 @dataclass(frozen=True)
 class Board:
-    """A board with resource budgets and link characteristics."""
+    """A board and its link characteristics."""
 
     spec: BoardSpec
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def chip(self) -> str:
-        return self.spec.chip
-
-    @property
-    def clock_hz(self) -> float:
-        return self.spec.clock_hz
 
     @property
     def pcie_bytes_per_sec(self) -> float:
@@ -35,15 +22,6 @@ class Board:
     def dram_bytes_per_sec(self) -> float:
         """Aggregate unidirectional DRAM bandwidth in bytes/second."""
         return self.spec.dram_bandwidth_gbps * 1e9
-
-    def budget(self) -> Dict[str, int]:
-        return {
-            "dsp": self.spec.dsp,
-            "reg": self.spec.reg,
-            "alm": self.spec.alm,
-            "bram_bits": self.spec.bram_bits,
-            "m20k": self.spec.m20k,
-        }
 
 
 def get_board(device: str) -> Board:

@@ -587,7 +587,7 @@ def run_program(
             elif op == "conjugate":
                 out = [ev.conjugate(x, galois_keys) for x in xs]
             elif op == "negate":
-                out = [ev.negate(x) for x in xs]
+                out = [ev.multiply_integers(x, [-1] * ev._lane(x).count) for x in xs]
             elif op == "rescale":
                 out = [ev.rescale(x) for x in xs]
             else:
@@ -697,7 +697,7 @@ def run_program_planned(
                     if op == "add":
                         chains[b] = graph.add(chains[b], operand)
                     elif op == "sub":
-                        chains[b] = graph.sub(chains[b], operand)
+                        chains[b] = graph.add(chains[b], graph.negate(operand))
                     else:
                         chains[b] = graph.mul_relin(chains[b], operand)
                 if op == "mul_relin":

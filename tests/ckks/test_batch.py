@@ -36,6 +36,11 @@ def env():
     }
 
 
+def clone(ct):
+    """A ciphertext with copies of ``ct``'s rows."""
+    return Ciphertext([p.clone() for p in ct.polys], ct.scale)
+
+
 def fresh_cts(env, count, value=1.5):
     enc = env["encoder"]
     return [
@@ -54,7 +59,7 @@ class TestContainer:
     def test_join_split_round_trip(self, env):
         cts = fresh_cts(env, 4)
         batch = CiphertextBatch.join(cts)
-        assert len(batch) == 4
+        assert batch.count == 4
         assert batch.size == 2
         assert batch.level_count == 3
         out = batch.split()
@@ -81,8 +86,8 @@ class TestContainer:
         ``lane.split()`` in order -- so a chain of lane ops copies no row
         between steps -- and anything else copies, to the same bits."""
         ev = env["evaluator"]
-        lane = ev.negate(CiphertextBatch.join(fresh_cts(env, 3)))
-        other = ev.negate(CiphertextBatch.join(fresh_cts(env, 3)))
+        lane = ev.multiply_integers(CiphertextBatch.join(fresh_cts(env, 3)), [-1] * 3)
+        other = ev.multiply_integers(CiphertextBatch.join(fresh_cts(env, 3)), [-1] * 3)
         parts = lane.split()
         assert CiphertextBatch.join(parts) is lane
         assert CiphertextBatch.join(lane.split()) is lane  # any split of it
@@ -95,7 +100,7 @@ class TestContainer:
             "partial": parts[:2],
             "repeated": [parts[0], parts[0], parts[2]],
             "mixed-lane": [parts[0], other.split()[1], parts[2]],
-            "cloned": [parts[0], parts[1].clone(), parts[2]],
+            "cloned": [parts[0], clone(parts[1]), parts[2]],
         }
         for name, cts in copies.items():
             joined = CiphertextBatch.join(cts)
@@ -112,7 +117,7 @@ class TestContainer:
     def test_batch_of_one(self, env):
         cts = fresh_cts(env, 1)
         batch = CiphertextBatch.join(cts)
-        assert len(batch) == 1
+        assert batch.count == 1
         out = batch.split()
         assert [p.residues for p in out[0].polys] == [
             p.residues for p in cts[0].polys
@@ -186,7 +191,7 @@ class TestEvaluatorDiscipline:
         other_ct = Encryptor(
             other_ctx, KeyGenerator(other_ctx, seed=51).public_key(), seed=52
         ).encrypt(CkksEncoder(other_ctx).encode(1.0, scale=2.0**28))
-        other = CiphertextBatch.join([other_ct, other_ct.clone()])
+        other = CiphertextBatch.join([other_ct, clone(other_ct)])
         other.scale = env["ctx"].params.scale  # isolate the basis check
         with pytest.raises(ValueError, match="basis mismatch"):
             env["evaluator"].add(
@@ -243,9 +248,9 @@ class TestEvaluatorDiscipline:
         decryptor's)."""
         ev, dec = env["evaluator"], env["decryptor"]
         cts = fresh_cts(env, 3)
-        lane = ev.negate(CiphertextBatch.join(cts))
+        lane = ev.multiply_integers(CiphertextBatch.join(cts), [-1] * 3)
         batched = [dec.decrypt(ct) for ct in lane.split()]
-        scalar = [dec.decrypt(ev.negate(ct)) for ct in cts]
+        scalar = [dec.decrypt(ev.multiply_integers(ct, [-1])) for ct in cts]
         assert [p.poly.residues for p in batched] == [
             p.poly.residues for p in scalar
         ]
@@ -274,7 +279,7 @@ class TestEvaluatorDiscipline:
         as_ct = ev.add(ct, other)
         as_lane = ev.add(lane, other)
         assert isinstance(as_ct, Ciphertext)
-        assert isinstance(as_lane, CiphertextBatch) and len(as_lane) == 1
+        assert isinstance(as_lane, CiphertextBatch) and as_lane.count == 1
         assert [p.residues for p in as_lane.split()[0].polys] == [
             p.residues for p in as_ct.polys
         ]

@@ -59,7 +59,7 @@ class TestShapes:
 
     def test_level_count_parameter(self, toy_context, encoder):
         pt = encoder.encode([1.0], level_count=2)
-        assert pt.level_count == 2
+        assert pt.poly.level_count == 2
 
     def test_scale_recorded(self, encoder):
         pt = encoder.encode([1.0], scale=2.0**20)

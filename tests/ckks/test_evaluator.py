@@ -41,7 +41,7 @@ class TestAddSub:
         assert np.allclose(dec(encoder, decryptor, ct), VALS_A - VALS_B, atol=1e-3)
 
     def test_negate(self, encoder, encryptor, decryptor, evaluator):
-        ct = evaluator.negate(enc(encoder, encryptor, VALS_A))
+        ct = evaluator.multiply_integers(enc(encoder, encryptor, VALS_A), [-1])
         assert np.allclose(dec(encoder, decryptor, ct), -VALS_A, atol=1e-3)
 
     def test_add_plain(self, encoder, encryptor, decryptor, evaluator):

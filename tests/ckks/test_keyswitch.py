@@ -144,7 +144,7 @@ class TestKeySwitchCore:
         s2 = s.dyadic_multiply(s)
         lhs = f0.add(f1.dyadic_multiply(s))
         rhs = target.dyadic_multiply(s2)
-        err = ctx.from_ntt(lhs.sub(rhs))
+        err = ctx.from_ntt(lhs.add(rhs.negate()))
         from repro.ckks.rns import RnsBasis
 
         basis = RnsBasis(err.moduli)

@@ -375,7 +375,7 @@ class TestOperandDiscipline:
             ct = _encrypt(stack, 41)
             wide = enc.encode([0.5], extended=True)
             narrow = enc.encode([0.5])
-            assert wide.level_count == narrow.level_count + 1
+            assert wide.poly.level_count == narrow.poly.level_count + 1
             # the data-basis rows of the two encodings are the same residues
             assert wide.poly.residues[:-1] == narrow.poly.residues
             with pytest.raises(ValueError, match="mismatch"):

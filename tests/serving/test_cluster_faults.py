@@ -27,9 +27,9 @@ import pytest
 from conservation import conserved
 
 from repro.serving import framing
-from repro.serving.cluster import NoWorkersError
+from repro.serving.cluster import NoWorkersError, ServingCluster
 from repro.serving.traffic import multi_tenant_traffic
-from repro.serving.worker import WorkerDeadError
+from repro.serving.worker import ProcessWorkerHandle, WorkerDeadError, WorkerSpec
 
 
 def connect_traffic(context, cluster, tenants=3, clients_per=2, requests=4):
@@ -82,6 +82,59 @@ def loaded_worker(cluster):
         counts[wid] = counts.get(wid, 0) + 1
     assert counts, "no requests in flight"
     return max(counts, key=counts.get)
+
+
+def answered(cluster, clients):
+    """Every client's terminal frames as ``(client_id, request_id) -> bytes``."""
+    out = {}
+    for c in clients:
+        for blob in cluster.take_outbox(c.client_id):
+            key = (c.client_id, framing.decode_frame(blob).request_id)
+            assert key not in out, f"a second terminal frame for {key}"
+            out[key] = blob
+    return out
+
+
+def drain_loses_nothing(context, cluster):
+    tenants, clients, trace = connect_traffic(context, cluster, requests=6)
+    for cid, fr in trace:
+        cluster.receive(cid, fr)
+    victim = loaded_worker(cluster)
+    cluster.drain_worker(victim)
+    assert victim not in cluster._inflight.values()
+    assert victim not in cluster.ring
+    cluster.drain()
+    out = answered(cluster, clients)
+    assert set(out) == {(cid, rid) for cid, ids in submitted_ids(trace).items() for rid in ids}
+    return out
+
+
+def admission_during_drain(context, cluster):
+    tenants, clients, trace = connect_traffic(
+        context, cluster, tenants=1, clients_per=1, requests=2
+    )
+    client_id = clients[0].client_id
+    handle = cluster.workers[cluster._placement[client_id]]
+    handle.begin_drain()
+    handle.submit(client_id, framing.decode_frame(trace[0][1]))
+    (blob,) = handle.poll_responses()[client_id]
+    frame = framing.decode_frame(blob)
+    assert frame.kind == framing.ERROR and "draining" in frame.error_message
+    return {(client_id, frame.request_id): blob}
+
+
+def rejoin_after_drain(context, cluster):
+    tenants, clients, trace = connect_traffic(context, cluster)
+    before = {c.client_id: cluster._placement[c.client_id] for c in clients}
+    victim = before[clients[0].client_id]
+    cluster.drain_worker(victim)
+    assert victim not in {cluster._placement[c.client_id] for c in clients}
+    cluster.rejoin_worker(victim)
+    assert {c.client_id: cluster._placement[c.client_id] for c in clients} == before
+    for cid, fr in trace:
+        cluster.receive(cid, fr)
+    cluster.drain()
+    return answered(cluster, clients)
 
 
 class TestKillMidFlight:
@@ -285,31 +338,8 @@ class TestRestart:
 class TestDrainUnderLoad:
     def test_drain_loses_zero_responses(self, serving_context, make_cluster):
         cluster = make_cluster(worker_count=4)
-        tenants, clients, trace = connect_traffic(
-            serving_context, cluster, requests=6
-        )
-        for cid, fr in trace:
-            cluster.receive(cid, fr)
-        victim = loaded_worker(cluster)
-        at_victim = sum(
-            1 for wid in cluster._inflight.values() if wid == victim
-        )
-        assert at_victim > 0
-        cluster.drain_worker(victim)
-        # everything in flight at the drained worker completed
-        assert not any(
-            wid == victim for wid in cluster._inflight.values()
-        )
-        assert victim not in cluster.ring
-        cluster.drain()
-
-        terminals = {}
-        merge_terminals(terminals, take_all(cluster, clients))
-        assert {
-            cid: set(per) for cid, per in terminals.items()
-        } == submitted_ids(trace)
-        kinds = {f.kind for per in terminals.values() for f in per.values()}
-        assert kinds == {framing.RESPONSE}
+        answers = drain_loses_nothing(serving_context, cluster)
+        assert {framing.decode_frame(b).kind for b in answers.values()} == {framing.RESPONSE}
         assert cluster.report.failed_over_requests == 0
         assert cluster.report.shed_requests == 0
 
@@ -341,43 +371,41 @@ class TestDrainUnderLoad:
     ):
         """A frame that reaches a draining worker anyway (router race) is
         answered with an ERROR, never silently dropped."""
-        cluster = make_cluster(worker_count=2)
-        tenants, clients, trace = connect_traffic(
-            serving_context, cluster, tenants=1, clients_per=1, requests=2
-        )
-        client = clients[0]
-        wid = cluster._placement[client.client_id]
-        handle = cluster.workers[wid]
-        handle.begin_drain()
-        handle.submit(client.client_id, framing.decode_frame(trace[0][1]))
-        responses = handle.poll_responses()
-        (frame_bytes,) = responses[client.client_id]
-        frame = framing.decode_frame(frame_bytes)
-        assert frame.kind == framing.ERROR
-        assert "draining" in frame.error_message
+        admission_during_drain(serving_context, make_cluster(worker_count=2))
 
     def test_rejoin_after_drain_restores_placement(
         self, serving_context, make_cluster
     ):
-        cluster = make_cluster(worker_count=4)
-        tenants, clients, trace = connect_traffic(serving_context, cluster)
-        before = {c.client_id: cluster._placement[c.client_id] for c in clients}
-        victim = before[clients[0].client_id]
-        cluster.drain_worker(victim)
-        assert all(
-            cluster._placement[c.client_id] != victim for c in clients
+        answers = rejoin_after_drain(serving_context, make_cluster(worker_count=4))
+        assert {framing.decode_frame(b).kind for b in answers.values()} == {framing.RESPONSE}
+
+class TestDrainOnProcessWorkers:
+    """:class:`TestDrainUnderLoad`'s protocol on forked workers: the
+    ``stop_admitting`` / ``resume`` commands of the process transport.
+    Each scenario answers every request once, conservation holds, and
+    the bytes equal what a cluster of in-process workers answers."""
+
+    @pytest.mark.parametrize(
+        "scenario", [drain_loses_nothing, admission_during_drain, rejoin_after_drain]
+    )
+    def test_a_process_cluster_drains_as_a_local_one(
+        self, serving_context, make_cluster, scenario
+    ):
+        local = scenario(serving_context, make_cluster(worker_count=4))
+        spec = WorkerSpec(params=serving_context.params, max_delay_seconds=60.0)
+        cluster = ServingCluster(
+            lambda wid: ProcessWorkerHandle(wid, spec), worker_count=4
         )
-        cluster.rejoin_worker(victim)
-        after = {c.client_id: cluster._placement[c.client_id] for c in clients}
-        assert after == before
-        # and it serves again
-        for cid, fr in trace:
-            cluster.receive(cid, fr)
-        cluster.drain()
-        terminals = {}
-        merge_terminals(terminals, take_all(cluster, clients))
-        kinds = {f.kind for per in terminals.values() for f in per.values()}
-        assert kinds == {framing.RESPONSE}
+        try:
+            answers = scenario(serving_context, cluster)
+            assert cluster.inflight_count == 0
+            assert conserved(cluster.log)
+        finally:
+            cluster.stop()
+        assert answers == local
+        kinds = {framing.decode_frame(b).kind for b in answers.values()}
+        assert kinds == ({framing.ERROR} if scenario is admission_during_drain
+                         else {framing.RESPONSE})
 
 
 class TestConservation:

@@ -604,7 +604,7 @@ class TestChaos:
         ``(time, kind, key)`` stream, event for event."""
         first, *_ = self.storm(serving_context)
         second, *_ = self.storm(serving_context)
-        assert len(first.log) > 0
+        assert list(first.log)
         assert stream(first.log) == stream(second.log)
 
 

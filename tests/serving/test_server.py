@@ -356,7 +356,7 @@ class TestKeyUpload:
                 relin_blob=serialize_kswitch_key(foreign),
             )
         # rejected at the upload boundary: nothing was opened or cached
-        assert client.client_id not in server.sessions
+        assert client.client_id not in [s.client_id for s in server.sessions.all_sessions()]
         server.open_session(
             client.client_id, "foreign",
             relin_blob=serialize_kswitch_key(tenant.relin_key),
@@ -369,7 +369,7 @@ class TestKeyUpload:
         blob = serialize_kswitch_key(tenant.relin_key)
         with pytest.raises(ValueError):
             server.open_session(client.client_id, tenant.key_id, relin_blob=blob[:-8])
-        assert client.client_id not in server.sessions
+        assert client.client_id not in [s.client_id for s in server.sessions.all_sessions()]
 
     def test_sessions_of_one_key_id_share_the_cached_objects(
         self, serving_context, tenant

@@ -187,3 +187,20 @@ def test_settle_client_deadline_runs_on_cluster_clock():
     # deadline = clock + 10s, one pump per loop turn advancing 1s each
     assert cluster.pumps == pytest.approx(10, abs=1)
     assert cluster.clock.now >= 10.0
+
+
+class _ClosedConnection(_SilentConnection):
+    """A pipe whose far end has closed: readable, and empty."""
+
+    def poll(self, timeout=0.0):
+        return True
+
+    def recv(self):
+        raise EOFError
+
+
+def test_a_pipe_closed_mid_reply_is_a_dead_worker():
+    handle = _stub_handle(ManualClock(), conn=_ClosedConnection(ManualClock()))
+    with pytest.raises(WorkerDeadError, match="died answering stats"):
+        handle.stats()
+

@@ -8,19 +8,19 @@ from repro.system.board import get_board
 class TestBoardSpecs:
     def test_arria10(self):
         b = get_board("Arria10")
-        assert b.chip == "Arria 10 GX 1150"
+        assert b.spec.chip == "Arria 10 GX 1150"
         assert b.spec.dsp == 1518
         assert b.spec.m20k == 2700
         assert b.spec.dram_channels == 2
-        assert b.clock_hz == 275e6
+        assert b.spec.clock_hz == 275e6
 
     def test_stratix10(self):
         b = get_board("Stratix10")
-        assert b.chip == "Stratix 10 GX 2800"
+        assert b.spec.chip == "Stratix 10 GX 2800"
         assert b.spec.dsp == 5760
         assert b.spec.m20k == 11_700
         assert b.spec.dram_channels == 4
-        assert b.clock_hz == 300e6
+        assert b.spec.clock_hz == 300e6
 
     def test_stratix_is_strictly_bigger(self):
         a, s = get_board("Arria10").spec, get_board("Stratix10").spec
@@ -42,10 +42,3 @@ class TestLinkRates:
     def test_dram_bandwidths(self):
         assert get_board("Stratix10").dram_bytes_per_sec == pytest.approx(64e9)
 
-
-class TestFitChecks:
-
-    def test_budget_keys(self):
-        assert set(get_board("Stratix10").budget()) == {
-            "dsp", "reg", "alm", "bram_bits", "m20k",
-        }
