@@ -203,7 +203,7 @@ def statements(root: Path = ROOT) -> List[Statement]:
     def walk(parent: ast.AST, path: str, scope: str) -> None:
         for field in ("body", "orelse", "finalbody", "handlers", "cases"):
             for node in getattr(parent, field, ()):
-                if isinstance(node, (ast.ExceptHandler,)) or type(node).__name__ == "match_case":
+                if isinstance(node, ast.ExceptHandler) or type(node).__name__ == "match_case":
                     walk(node, path, scope)
                     continue
                 if isinstance(node, _DEFS):
@@ -222,8 +222,6 @@ def statements(root: Path = ROOT) -> List[Statement]:
                 walk(node, path, scope)
 
     for file in sorted((root / "src").rglob("*.py")):
-        if "__pycache__" in file.parts:
-            continue
         path = file.relative_to(root).as_posix()
         walk(ast.parse(file.read_text(encoding="utf-8")), path, "<module>")
     return out
@@ -249,7 +247,8 @@ def scopes(root: Path = ROOT) -> Set[str]:
 
 
 def functions(stmts: List[Statement]) -> Dict[str, Statement]:
-    """``file:scope`` of every function -> its first counted statement."""
+    """``file:scope`` of every function (and class body) -> its first
+    counted statement."""
     first: Dict[str, Statement] = {}
     for s in stmts:
         first.setdefault(f"{s.path}:{s.scope}", s)
