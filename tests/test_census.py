@@ -80,7 +80,7 @@ def never():
     return 0
 '''
 
-DRIVER = '''\
+SCRIPT = '''\
 import multiprocessing as mp
 import planted
 
@@ -100,15 +100,15 @@ def test_the_tracer_and_the_fold_on_a_planted_tree():
         root = Path(tmp)
         (root / "src").mkdir()
         (root / "src" / "planted.py").write_text(PLANTED)
-        (root / "drive.py").write_text(DRIVER)
+        (root / "run.py").write_text(SCRIPT)
         dump = root / "dump"
         dump.mkdir()
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(tool.SITE), str(root / "src")])
         env["REPRO_CENSUS_DIR"] = str(dump)
         env["REPRO_CENSUS_SRC"] = str(root / "src") + os.sep
-        subprocess.run([sys.executable, "drive.py"], cwd=root, env=env, check=True)
-        assert len(list(dump.glob("*.json"))) == 2  # the driver and its child
+        subprocess.run([sys.executable, "run.py"], cwd=root, env=env, check=True)
+        assert len(list(dump.glob("*.json"))) == 2  # the script and its forked child
 
         stmts = tool.statements(root)
         assert [s.where.rsplit(":", 1)[1] for s in stmts] == [
