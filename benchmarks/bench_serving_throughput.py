@@ -63,11 +63,9 @@ GATED_OP = ("square", 0)
 #: keep under 1 bit), so the rescale row serves a registered program that
 #: squares first -- the served-program path
 RESCALE_PROGRAM = 1
-PROGRAMS = {RESCALE_PROGRAM: ("square", "rescale")}
 #: row label -> (op, op_arg)
 REPORTED_OPS = {
     "rotate": ("rotate", 1),
-    "conjugate": ("conjugate", 0),
     "square+rescale": ("program", RESCALE_PROGRAM),
 }
 
@@ -89,8 +87,7 @@ def _serve(context, tenant, clients, frames, max_batch_size):
     server = EncryptedComputeServer(
         context, max_batch_size=max_batch_size, max_delay_seconds=0.0
     )
-    for program_id, steps in PROGRAMS.items():
-        server.register_program(program_id, steps)
+    server.register_program(RESCALE_PROGRAM, ("square", "rescale"))
     for client in clients:
         client.connect(server)
     t0 = time.perf_counter()

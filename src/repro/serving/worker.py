@@ -36,7 +36,6 @@ side of the pipe, which the log crosses as it is -- measured
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -81,13 +80,22 @@ def build_server(spec: WorkerSpec, clock: Clock = SYSTEM_CLOCK) -> EncryptedComp
     )
 
 
-class WorkerHandle(ABC):
+class WorkerHandle:
     """The router-side contract every worker transport implements:
     ``alive``, ``register_session``, ``register_program``, ``submit``,
     ``pump``, ``poll_responses``, ``begin_drain``, ``drain``, ``resume``,
     ``kill``, ``stop`` and ``stats``.
 
-    One request forwarded through :meth:`submit` produces exactly one
+    ``register_session`` takes ``EncryptedComputeServer.open_session``'s
+    arguments as they are (the key blobs ``None`` once the worker holds
+    the ``key_id``'s keys); ``register_program`` returns the server's
+    normalized chain or raises its error; ``submit`` hands one decoded,
+    CRC-checked request to the worker's ``server.submit_frame`` (a
+    pickled ``Frame`` across a pipe), where a refusal is an answered
+    request, never a raise; ``stats`` folds the worker's event log into
+    a snapshot later work does not grow.
+
+    One request forwarded through ``submit`` produces exactly one
     response frame (RESPONSE or ERROR) through ``poll_responses`` --
     unless the worker dies first, in which case the *router* owns
     surfacing the loss (see ``ServingCluster.kill_worker``).
@@ -105,38 +113,9 @@ class WorkerHandle(ABC):
         """
         return self.alive
 
-    @abstractmethod
-    def register_session(
-        self, client_id, key_id, relin_blob, galois_blobs, wire_version=1,
-        frame_version=1,
-    ) -> None:
-        """Open or refresh a client's session at the worker -- the
-        arguments of ``EncryptedComputeServer.open_session``, which both
-        transports hand through as they are.  The blobs are ``None``
-        once the worker holds the ``key_id``'s keys."""
-
-    @abstractmethod
-    def register_program(self, program_id: int, steps) -> tuple:
-        """``EncryptedComputeServer.register_program`` at the worker, on
-        both transports a call that returns the normalized chain or
-        raises the server's own error."""
-
-    @abstractmethod
-    def submit(self, client_id: str, frame: Frame) -> None:
-        """Hand one request the router decoded and CRC-checked to the
-        worker's ``server.submit_frame`` -- a call in-process, a pickled
-        ``Frame`` across a pipe (its payload then travels as ``bytes``).
-        A refusal there (the worker's frame cap included) is an answered
-        request, never a raise."""
-
     def pump(self, now: Optional[float] = None) -> None:
         """Give an in-process worker a scheduler turn (no-op for a
         self-pumping process worker)."""
-
-    @abstractmethod
-    def stats(self) -> ServingReport:
-        """Everything the worker's server has executed, folded from its
-        event log: a snapshot later work does not grow."""
 
 
 class LocalWorkerHandle(WorkerHandle):
@@ -208,8 +187,9 @@ class LocalWorkerHandle(WorkerHandle):
 _IDLE_POLL_SECONDS = 0.02
 
 
-def _worker_process_main(conn, spec: WorkerSpec) -> None:
-    """Entry point of a worker process: serve commands until told to stop.
+def _worker_process_main(conn, router_end, spec: WorkerSpec) -> None:
+    """Entry point of a worker process: serve commands until told to stop,
+    or until the router's end of the pipe closes.
 
     The loop interleaves command handling with serve-loop pumps so
     deadline flushes happen even when no command arrives.  The protocol
@@ -223,6 +203,9 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
     responses therefore accumulate in the session outboxes until the
     router asks via ``poll``.
     """
+    # the copy of the router's end the child inherits would keep the
+    # pipe open: the router going away must reach us as EOF
+    router_end.close()
     if spec.backend is not None:
         # pin the process-global backend too: serialization helpers
         # consult it, and this process serves exactly one context
@@ -265,7 +248,7 @@ def _worker_process_main(conn, spec: WorkerSpec) -> None:
                 elif cmd == "stop":
                     return
             server.pump()
-    except (BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
+    except (BrokenPipeError, KeyboardInterrupt):
         return
     finally:
         conn.close()
@@ -304,7 +287,7 @@ class ProcessWorkerHandle(WorkerHandle):
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
             target=_worker_process_main,
-            args=(child_conn, spec),
+            args=(child_conn, self._conn, spec),
             name=f"serving-worker-{worker_id}",
             daemon=True,
         )
@@ -410,7 +393,7 @@ class ProcessWorkerHandle(WorkerHandle):
             if self.alive:
                 self._conn.send(("stop",))
                 self._proc.join(timeout=10.0)
-        except (BrokenPipeError, OSError):  # pragma: no cover
+        except (BrokenPipeError, OSError):
             pass
         self.kill()  # no-op unless the worker ignored the request
 

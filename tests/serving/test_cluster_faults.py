@@ -100,6 +100,7 @@ def drain_loses_nothing(context, cluster):
     for cid, fr in trace:
         cluster.receive(cid, fr)
     victim = loaded_worker(cluster)
+    assert victim in cluster._inflight.values()  # the drain has requests to lose
     cluster.drain_worker(victim)
     assert victim not in cluster._inflight.values()
     assert victim not in cluster.ring
@@ -378,6 +379,7 @@ class TestDrainUnderLoad:
     ):
         answers = rejoin_after_drain(serving_context, make_cluster(worker_count=4))
         assert {framing.decode_frame(b).kind for b in answers.values()} == {framing.RESPONSE}
+
 
 class TestDrainOnProcessWorkers:
     """:class:`TestDrainUnderLoad`'s protocol on forked workers: the

@@ -1,8 +1,9 @@
 """``census.json``: the execution census ``tools/census.py`` wrote is whole,
-its buckets add up, and every ``EXEMPT`` entry names a ``file:scope`` that
-still exists in ``src/``; and the tool's fold and tracer hold on a planted
-tree (a forked child's lines included).  ``make census`` reruns the census
-itself; this file only holds its shape.
+its buckets add up, and every ``EXEMPT`` entry names a ``file:scope`` (or a
+``file:scope:line`` statement) that still exists in ``src/``; and the tool's
+fold, tracer and exemption rule hold on a planted tree (a forked child's
+lines included).  ``make census`` reruns the census itself; this file only
+holds its shape.
 
 Stdlib only: ``python tests/test_census.py`` (CI's lint job).
 """
@@ -42,15 +43,17 @@ def test_the_committed_census_is_whole():
         where, scope, kind = line.split(" ")
         assert where.rsplit(":", 1)[0] in census["modules"] and kind.isidentifier(), line
     assert set(census["unentered"].values()) <= {"tier1_only", "neither"}
-    never = sum(1 for line in census["never_run"] if not tool.exempt_key(tool._scope_of(line)))
+    never = sum(1 for line in census["never_run"]
+                if not tool.statement_exemption(line, census["unentered"]))
     assert census["unexempted_never_run"] == never
-    unentered = sum(1 for key in census["unentered"] if not tool.exempt_key(key))
+    unentered = sum(1 for key in census["unentered"] if not tool.scope_exemption(key))
     assert census["unexempted_unentered"] == unentered
 
 
 def test_every_exemption_names_a_scope_that_exists():
     tool = _load_census()
-    assert sorted(set(tool.EXEMPT) - tool.scopes()) == []
+    exists = tool.scopes() | {s.key for s in tool.statements()}
+    assert sorted(set(tool.EXEMPT) - exists) == []
     assert all(reason.strip() for reason in tool.EXEMPT.values())
 
 
@@ -94,7 +97,9 @@ if __name__ == "__main__":
 
 def test_the_tracer_and_the_fold_on_a_planted_tree():
     """``used``'s refusal runs nowhere, ``never`` is entered by nothing, and
-    ``in_child`` runs only in a forked child, which leaves by ``os._exit``."""
+    ``in_child`` runs only in a forked child, which leaves by ``os._exit``.
+    A ``file:scope`` entry covers ``never`` but not the refusal inside
+    ``used``, which a run enters: that takes ``used``'s own line entry."""
     tool = _load_census()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -123,6 +128,21 @@ def test_the_tracer_and_the_fold_on_a_planted_tree():
     assert census["unentered"] == {"src/planted.py:never": "neither"}
     assert census["modules"]["src/planted.py"] == {
         "statements": 9, "product": 7, "tier1_only": 0, "neither": 2}
+
+    saved = dict(tool.EXEMPT)
+    try:
+        tool.EXEMPT.clear()
+        tool.EXEMPT.update({"src/planted.py:used": "r", "src/planted.py:never": "r"})
+        covered = [tool.statement_exemption(n, census["unentered"]) for n in census["never_run"]]
+        assert covered == [None, "src/planted.py:never"]
+        assert tool.stale_exemptions(census) == ["src/planted.py:used"]
+        tool.EXEMPT["src/planted.py:used:10"] = tool.EXEMPT.pop("src/planted.py:used")
+        covered = [tool.statement_exemption(n, census["unentered"]) for n in census["never_run"]]
+        assert covered == ["src/planted.py:used:10", "src/planted.py:never"]
+        assert tool.stale_exemptions(census) == []
+    finally:
+        tool.EXEMPT.clear()
+        tool.EXEMPT.update(saved)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,12 @@ function that no product run enters.  A never-run statement or an
 unentered function is deleted, tested, reached by a product run, or
 listed in ``EXEMPT`` with its reason; an entry that no longer covers
 anything fails the census, as in ``tests/lint/test_reachability.py``.
+A ``file:scope`` entry covers a function no product run enters, with
+everything in it; a never-run statement of a function that a product
+run does enter is covered only by its own ``file:scope:line`` entry, so
+the rest of that function stays under the count.
 
-    python tools/census.py            # trace, write census.json, check (make census)
-    python tools/census.py --keep DIR # also keep the raw line dumps in DIR
-    python tools/census.py --fold DIR # fold dumps a --keep run left, no tracing
+    python tools/census.py   # trace, write census.json, check (make census)
 
 It exits non-zero if the unexempted never-run or unentered count rises
 above the committed ``census.json``'s, or if an ``EXEMPT`` entry is stale.
@@ -31,7 +33,6 @@ Stdlib only; ``tests/test_census.py`` holds the committed file's shape.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -61,22 +62,26 @@ _DRAIN = "operator API: graceful worker removal and rejoin, the drain half of th
     "protocol ROADMAP 5(a) specifies; test_cluster_faults.py drains both transports"
 _PROGRAM = "a program registered at a cluster (every live worker, and each restart); " \
     "test_transport_contract.py holds it on both transports"
+_CONJUGATE = "the served conjugate lane (server.py's step table), which no benchmark row " \
+    "serves; test_server.py, test_lane_property.py and test_rotation.py hold it"
 _LINT_BRANCH = "a repro.lint rule branch for a construct no file of src/ contains; the " \
     "product run lints src/, and tests/lint plants each rule's violations"
 _GUARD = "a can't-happen guard after an exhaustive search or a closed op set"
 _PAPER = "a paper model the tests hold to its paper figure"
 
-#: ``file:scope`` -> why the code under that scope stays although no
-#: product run reaches it (a never-run statement, or a function that no
-#: product run enters)
+#: ``file:scope`` -> why a function (or class) no product run enters
+#: stays; ``file:scope:line`` -> why one never-run statement of a function
+#: that a product run enters stays
 EXEMPT: Dict[str, str] = {
     **{_BASE + name: _DERIVED for name in (
         "add", "sub", "negate", "dyadic_mul", "make_rows", "get_row", "insert_row",
         "decompose", "add_stack", "negate_stack", "dyadic_mul_stack", "dyadic_mac_stack",
         "apply_galois_stack", "scalar_mul", "scalar_mac")},
-    **{_NUMPY + name: _FALLBACK for name in (
-        "_lift", "from_rows", "copy_rows", "select_rows", "native_stack", "_ntt_rows",
-        "reduce_mod_stack", "sub_stack", "permute_ntt_stack")},
+    **{_NUMPY + line: _FALLBACK for line in (
+        "_lift:630", "_lift:637", "from_rows:651", "copy_rows:666", "select_rows:683",
+        "native_stack:695", "_ntt_rows:772", "_ntt_rows:773", "_ntt_rows:783", "_ntt_rows:784",
+        "reduce_mod_stack:819", "reduce_mod_stack:823", "sub_stack:834",
+        "permute_ntt_stack:872", "permute_ntt_stack:880")},
     "src/repro/ckks/backend/reference.py:ReferenceBackend": "the reference backend: CI's "
     "second leg and the oracle every backend test compares against",
     "src/repro/ckks/backend/reference.py:_galois": "the reference backend's Galois map",
@@ -96,13 +101,12 @@ EXEMPT: Dict[str, str] = {
     "src/repro/serving/cluster.py:ServingCluster.register_program": _PROGRAM,
     _WORKER + "LocalWorkerHandle.register_program": _PROGRAM,
     _WORKER + "ProcessWorkerHandle.register_program": _PROGRAM,
-    _WORKER + "_worker_process_main": "the forked worker's exits on a closed pipe: EOF "
-    "reaches the child only under the spawn start method (fork shares the router's end)",
-    _WORKER + "ProcessWorkerHandle.stop": "a pipe the OS closed under a graceful stop",
+    "src/repro/plan/graph.py:PlanGraph.conjugate": _CONJUGATE,
+    "src/repro/ckks/evaluator.py:Evaluator.conjugate": _CONJUGATE,
     "src/repro/serving/server.py:EncryptedComputeServer._answer_error": "answers a flush "
     "member with an ERROR: a payload that does not unpack, a deadline that expires while "
     "batching, an executor fault; test_decode_once.py and test_reliability.py drive each",
-    "src/repro/serving/traffic.py:ResilientClient.poll": "a terminal frame for a request "
+    "src/repro/serving/traffic.py:ResilientClient.poll:280": "a terminal frame for a request "
     "already settled (a late duplicate after a retry); the chaos suite's retries settle first",
     "src/repro/serving/traffic.py:zlib_seed": "ResilientClient's default backoff seed; the "
     "reliability benchmark passes its own backoff",
@@ -114,11 +118,11 @@ EXEMPT: Dict[str, str] = {
     "client meets a refusal (SyntheticTenant.decrypt_response) and by every refusal test",
     "src/repro/serving/supervisor.py:HeartbeatSupervisor.run": "the supervisor on a "
     "ManualClock: the chaos suite's deterministic time (a served cluster ticks it instead)",
-    "src/repro/bfv/scheme.py:_find_plain_modulus": _GUARD,
-    "src/repro/ckks/primes.py:primitive_root": _GUARD,
-    "src/repro/core/dataflow.py:KeySwitchDataflowSim.minimum_sufficient_buffers": _GUARD,
-    "src/repro/plan/executor.py:PlanExecutor._apply": _GUARD,
-    "src/repro/plan/lower.py:workload_graph.ways": _GUARD + " (Workload checks its primitives)",
+    "src/repro/bfv/scheme.py:_find_plain_modulus:66": _GUARD,
+    "src/repro/ckks/primes.py:primitive_root:158": _GUARD,
+    "src/repro/core/dataflow.py:KeySwitchDataflowSim.minimum_sufficient_buffers:121": _GUARD,
+    "src/repro/plan/executor.py:PlanExecutor._apply:360": _GUARD,
+    "src/repro/plan/lower.py:workload_graph.ways:249": _GUARD + " (Workload checks its primitives)",
     "src/repro/bfv/scheme.py:BfvEvaluator.add_plain": "BFV's plaintext add, the scheme's "
     "API beside multiply_plain; test_bfv.py holds it",
     "src/repro/ckks/encryptor.py:Encryptor._encrypt_symmetric": "SymEnc, the secret-key "
@@ -136,8 +140,9 @@ EXEMPT: Dict[str, str] = {
     "src/repro/ckks/rns.py:RnsBasis.punctured_inverse": "Section 2's CRT constants",
     "src/repro/obs.py:EventLog.__iter__": "the log read event by event, as the conservation "
     "oracle (tests/serving/conservation.py) reads every served cluster's",
-    "src/repro/core/arch.py:KeySwitchArchitecture.throughput_balanced": _PAPER + " "
-    "(Section 4.3's balance rules); every derived architecture balances",
+    **{"src/repro/core/arch.py:KeySwitchArchitecture.throughput_balanced:" + line: _PAPER
+       + " (Section 4.3's balance rules); every derived architecture balances"
+       for line in ("156", "160", "162")},
     "src/repro/core/accelerator.py:HeaxAccelerator.resource_vector": _PAPER + " (Table 6)",
     "src/repro/core/accelerator.py:HeaxAccelerator.utilization": _PAPER + " (Table 6)",
     "src/repro/core/memory.py:BankedMemory.layout": _PAPER + " (Figure 2's banking)",
@@ -149,21 +154,25 @@ EXEMPT: Dict[str, str] = {
     "Figure 7's pipeline (Section 5.2); ROADMAP item 17 derives modeled time from the same rows",
     "src/repro/plan/executor.py:PlanRun.scheduled_ops": "the measured step stream "
     "HostScheduler.run_executed reads",
-    _LINT + "core.py:Finding.__str__": _LINT_BRANCH,
-    _LINT + "core.py:SourceModule.suppressed_rules": _LINT_BRANCH,
-    _LINT + "rules/conformance.py:_MethodSig.describe": _LINT_BRANCH,
-    _LINT + "rules/conformance.py:_class_def": _LINT_BRANCH,
-    _LINT + "rules/conformance.py:_string_tuple": _LINT_BRANCH,
-    _LINT + "rules/conformance.py:BackendConformanceRule.check_project": _LINT_BRANCH,
-    _LINT + "rules/determinism.py:_DeterminismVisitor._flag": _LINT_BRANCH,
-    _LINT + "rules/determinism.py:_DeterminismVisitor.visit_ImportFrom": _LINT_BRANCH,
-    _LINT + "rules/exceptions.py:_exception_names": _LINT_BRANCH,
-    _LINT + "rules/exceptions.py:_is_broad": _LINT_BRANCH,
-    _LINT + "rules/exceptions.py:_call_name": _LINT_BRANCH,
-    _LINT + "rules/exceptions.py:_mentions_error_frame": _LINT_BRANCH,
-    _LINT + "rules/exceptions.py:_handler_is_accounted": _LINT_BRANCH,
-    _LINT + "rules/planner.py:_RotateLoopVisitor.visit_AsyncFor": _LINT_BRANCH,
-    _LINT + "rules/planner.py:_RotateLoopVisitor._flag_import": _LINT_BRANCH,
+    **{_LINT + key: _LINT_BRANCH for key in (
+        "core.py:Finding.__str__", "core.py:SourceModule.suppressed_rules:61",
+        "rules/conformance.py:_MethodSig.describe", "rules/conformance.py:_class_def:124",
+        "rules/conformance.py:_string_tuple:138",
+        "rules/conformance.py:BackendConformanceRule.check_project:226",
+        "rules/conformance.py:BackendConformanceRule.check_project:253",
+        "rules/conformance.py:BackendConformanceRule.check_project:262",
+        "rules/determinism.py:_DeterminismVisitor._flag",
+        "rules/determinism.py:_DeterminismVisitor.visit_ImportFrom:97",
+        "rules/determinism.py:_DeterminismVisitor.visit_ImportFrom:98",
+        "rules/determinism.py:_DeterminismVisitor.visit_ImportFrom:99",
+        "rules/exceptions.py:_exception_names:60", "rules/exceptions.py:_is_broad:73",
+        "rules/exceptions.py:_call_name:82", "rules/exceptions.py:_call_name:83",
+        "rules/exceptions.py:_call_name:84", "rules/exceptions.py:_mentions_error_frame",
+        "rules/exceptions.py:_handler_is_accounted:111",
+        "rules/exceptions.py:_handler_is_accounted:116",
+        "rules/exceptions.py:_handler_is_accounted:127",
+        "rules/planner.py:_RotateLoopVisitor.visit_AsyncFor",
+        "rules/planner.py:_RotateLoopVisitor._flag_import")},
 }
 
 #: not statements that run: definitions, imports and scope declarations
@@ -185,6 +194,11 @@ class Statement:
     @property
     def path(self) -> str:
         return self.where.rsplit(":", 1)[0]
+
+    @property
+    def key(self) -> str:
+        """Its ``file:scope:line`` ``EXEMPT`` key."""
+        return f"{self.path}:{self.scope}:{self.where.rsplit(':', 1)[1]}"
 
 
 def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
@@ -269,14 +283,28 @@ def ran(stmts: List[Statement], lines: Dict[str, Set[int]]) -> Set[str]:
     return done
 
 
-def exempt_key(where_scope: str) -> Optional[str]:
-    """The ``EXEMPT`` entry covering ``file:scope``, if any."""
+def scope_exemption(where_scope: str) -> Optional[str]:
+    """The ``file:scope`` entry of ``EXEMPT`` whose scope holds
+    ``file:scope``, if any."""
     path, scope = where_scope.split(":", 1)
     for key in EXEMPT:
-        kpath, kscope = key.split(":", 1)
-        if kpath == path and (scope == kscope or scope.startswith(kscope + ".")):
+        kpath, _, kscope = key.partition(":")
+        if kpath == path and ":" not in kscope and (
+            scope == kscope or scope.startswith(kscope + ".")
+        ):
             return key
     return None
+
+
+def statement_exemption(never_line: str, unentered) -> Optional[str]:
+    """The ``EXEMPT`` entry covering a never-run statement: its own
+    ``file:scope:line`` entry or, in a function no product run enters,
+    the ``file:scope`` entry holding that function."""
+    where, scope, _ = never_line.split(" ")
+    path, line = where.rsplit(":", 1)
+    if f"{path}:{scope}:{line}" in EXEMPT:
+        return f"{path}:{scope}:{line}"
+    return scope_exemption(f"{path}:{scope}") if f"{path}:{scope}" in unentered else None
 
 
 # -- the runs ---------------------------------------------------------------
@@ -348,8 +376,8 @@ def fold(stmts: List[Statement], product: Set[str], tier1: Set[str]) -> dict:
     }
     totals = {b: sum(m[b] for m in modules.values())
               for b in ("statements", "product", "tier1_only", "neither")}
-    exempt_never = [n for n in never if exempt_key(_scope_of(n))]
-    exempt_unentered = [k for k in unentered if exempt_key(k)]
+    exempt_never = [n for n in never if statement_exemption(n, unentered)]
+    exempt_unentered = [k for k in unentered if scope_exemption(k)]
     return {
         **totals,
         "unexempted_never_run": len(never) - len(exempt_never),
@@ -360,42 +388,28 @@ def fold(stmts: List[Statement], product: Set[str], tier1: Set[str]) -> dict:
     }
 
 
-def _scope_of(never_line: str) -> str:
-    where, scope, _ = never_line.split(" ")
-    return f"{where.rsplit(':', 1)[0]}:{scope}"
-
-
 def stale_exemptions(census: dict) -> List[str]:
     """``EXEMPT`` entries that cover no never-run statement and no
     unentered function."""
-    used = {exempt_key(_scope_of(n)) for n in census["never_run"]}
-    used |= {exempt_key(k) for k in census["unentered"]}
+    used = {statement_exemption(n, census["unentered"]) for n in census["never_run"]}
+    used |= {scope_exemption(k) for k in census["unentered"]}
     return sorted(set(EXEMPT) - used)
 
 
-def take(base: Path, run: bool) -> dict:
-    """Trace both sets of runs into ``base`` (unless ``run`` is false) and
-    fold what is there."""
-    if run:
-        print("product runs:")
-        trace(product_runs(), base / "product")
-        print("tier-1:")
-        trace(tier1_runs(), base / "tier1")
+def take(base: Path) -> dict:
+    """Trace both sets of runs into ``base`` and fold them."""
+    print("product runs:")
+    trace(product_runs(), base / "product")
+    print("tier-1:")
+    trace(tier1_runs(), base / "tier1")
     stmts = statements()
     product = ran(stmts, read_dumps(base / "product"))
     return fold(stmts, product, ran(stmts, read_dumps(base / "tier1")))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--keep", help="trace into this directory and keep the dumps")
-    parser.add_argument("--fold", help="fold the dumps a --keep run left here; trace nothing")
-    args = parser.parse_args(argv)
-    if args.fold or args.keep:
-        census = take(Path(args.fold or args.keep), run=not args.fold)
-    else:
-        with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-            census = take(Path(tmp), run=True)
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+        census = take(Path(tmp))
     before = json.loads(CENSUS.read_text()) if CENSUS.exists() else None
     CENSUS.write_text(json.dumps(census, indent=1, sort_keys=True) + "\n")
     print(f"census: {census['statements']} statements, {census['product']} product, "
@@ -403,10 +417,10 @@ def main(argv=None) -> int:
           f"({census['unexempted_never_run']} unexempted); {len(census['unentered'])} "
           f"functions no product run enters ({census['unexempted_unentered']} unexempted)")
     for line in census["never_run"]:
-        if not exempt_key(_scope_of(line)):
+        if not statement_exemption(line, census["unentered"]):
             print(f"  never run: {line}")
     for key, bucket in sorted(census["unentered"].items()):
-        if not exempt_key(key):
+        if not scope_exemption(key):
             print(f"  no product run enters: {key} ({bucket})")
     failed = False
     for key in stale_exemptions(census):
