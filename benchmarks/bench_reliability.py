@@ -40,8 +40,8 @@ from repro.ckks.backend import available_backends, use_backend
 from repro.ckks.context import CkksContext, toy_parameters
 from repro.serving import framing
 from repro.serving.clock import ExponentialBackoff, ManualClock
-from repro.serving.cluster import ServingCluster
-from repro.serving.supervisor import SERVING, HeartbeatSupervisor
+from repro.serving.cluster import SERVING, ServingCluster
+from repro.serving.supervisor import HeartbeatSupervisor
 from repro.serving.traffic import (
     ResilientClient,
     SyntheticClient,
@@ -256,7 +256,7 @@ def test_recovery_time_is_deterministic(emit, emit_json):
                 # the victim is serving -- recovery starts at detection
                 detected = detected or sup.log.count("died") > 0
                 view = sup.worker_health()[victim]
-                if detected and view.phase == SERVING and victim in cluster.ring:
+                if detected and view.state == SERVING and victim in cluster.ring:
                     recovered_at = clock.now
                     break
             assert recovered_at is not None, "worker never recovered"

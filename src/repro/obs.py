@@ -25,12 +25,14 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Tuple, Union
 #: admission), ``shed``, ``expired``, ``failed_over``, ``flushed`` (no
 #: key; payload the ``FlushRecord``), ``answered`` and ``failed`` (the
 #: executor raised on it alone); a server's ERROR answer carries its code
-#: as payload.  Then the supervisor's probe, miss and transition kinds.
+#: as payload.  Then the worker kinds: the supervisor's probes and misses,
+#: and the router's lifecycle moves (``ServingCluster.transition``).
 KINDS = (
     "admitted", "deduped", "duplicate", "refused", "shed", "expired",
     "failed_over", "flushed", "answered", "failed",
     "probe", "probe_error", "missed", "died", "failover_error", "quarantined",
     "restart_scheduled", "restarted", "recovered", "half_open", "rejoined",
+    "drained", "killed",
 )
 _CODE = {kind: code for code, kind in enumerate(KINDS)}
 _WORKER_KINDS = frozenset(range(_CODE["probe"], len(KINDS)))

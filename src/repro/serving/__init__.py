@@ -49,6 +49,7 @@ from repro.serving.cluster import (
     NoWorkersError,
     ServingCluster,
     UnknownWorkerError,
+    WorkerStateError,
 )
 from repro.serving.framing import (
     ERR_DEADLINE,
@@ -140,6 +141,7 @@ __all__ = [
     "WorkerHandle",
     "WorkerHealthView",
     "WorkerSpec",
+    "WorkerStateError",
     "decode_frame",
     "encode_frame",
     "error_class",

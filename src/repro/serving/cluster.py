@@ -16,19 +16,20 @@ router plus its asyncio socket front end:
   router sheds load when the cluster-wide in-flight count hits its cap.
   Shedding is *never* a silent drop: every shed request is answered
   with an ERROR frame, exactly like worker-side backpressure.
-* **Drain** -- :meth:`ServingCluster.drain_worker` takes a worker out
-  of rotation gracefully: its tenants are handed back to the ring (new
-  requests route to their new workers immediately), admission stops at
-  the worker, and every request already in flight there is flushed and
-  answered before the worker goes idle.  Zero responses are lost.
-* **Failure** -- :meth:`ServingCluster.kill_worker` (called by fault
-  tests, or by the front door when it finds a worker process dead)
-  fails over: in-flight requests at the dead worker surface as ERROR
+* **Lifecycle** -- each worker is in one state of :data:`TRANSITIONS`
+  (serving, probation, drained, quarantined, half-open, dead, or dead
+  while drained), and :meth:`ServingCluster.transition` is the one way
+  out of it: it refuses a move the table does not list, sets ring
+  membership from the next state, acts on the worker and logs the move.
+  A drain hands the worker's tenants back to the ring, stops admission
+  there and answers everything already in flight: zero responses are
+  lost.  A kill answers what the worker held with retryable ERROR
   frames (never hangs, never wrong bits -- the request either executed
-  and its response was already routed, or it is reported lost), and the
-  dead worker's tenants are re-placed on the surviving ring.  A
-  restarted worker rejoins the ring and its tenants migrate back --
-  consistent hashing puts them exactly where they were.
+  and its response was already routed, or it is reported lost) and
+  re-places its tenants on the surviving ring; a restart lands where the
+  state says -- on the ring in probation, where consistent hashing puts
+  its tenants back exactly where they were, or off it, quarantined or
+  still drained.
 
 One request forwarded to a worker produces exactly one response frame
 (RESPONSE or ERROR) back through the router, so every ``admitted``
@@ -81,6 +82,44 @@ class NoWorkersError(RuntimeError):
 
 class UnknownWorkerError(KeyError):
     """An operation named a worker the ring has never heard of."""
+
+
+class WorkerStateError(UnknownWorkerError):
+    """A lifecycle move that the worker's state does not allow."""
+
+
+# worker states: on the ring, alive off it, and dead
+SERVING, PROBATION = "serving", "probation"  # a death in probation is a flap
+DRAINED, QUARANTINED, HALF_OPEN = "drained", "quarantined", "half_open"
+DEAD, DEAD_DRAINED = "dead", "dead_drained"  # the latter restarts drained
+ON_RING = (SERVING, PROBATION)
+ALIVE = ON_RING + (DRAINED, QUARANTINED, HALF_OPEN)
+#: where a restart lands, from each state (any state may restart)
+_RESTARTS_AT = {DRAINED: DRAINED, DEAD_DRAINED: DRAINED, QUARANTINED: QUARANTINED,
+                HALF_OPEN: QUARANTINED, DEAD: PROBATION, SERVING: PROBATION,
+                PROBATION: PROBATION}
+
+#: (state, move) -> next state: every legal lifecycle move, and no other.
+#: ``kill`` is the router's (a worker found dead, or an operator's call),
+#: ``die`` the supervisor's verdict after missed probes; ``quarantine`` is
+#: its restart of a worker whose breaker is open.
+TRANSITIONS: Dict[Tuple[str, str], str] = {
+    (SERVING, "drain"): DRAINED, (PROBATION, "drain"): DRAINED,
+    (DRAINED, "rejoin"): SERVING, (HALF_OPEN, "rejoin"): SERVING,
+    (PROBATION, "recover"): SERVING, (QUARANTINED, "half_open"): HALF_OPEN,
+    (DEAD, "quarantine"): QUARANTINED, (DEAD_DRAINED, "quarantine"): DRAINED,
+    **{(state, "restart"): landing for state, landing in _RESTARTS_AT.items()},
+    **{(state, move): DEAD_DRAINED if state in (DRAINED, DEAD_DRAINED) else DEAD
+       for state in _RESTARTS_AT for move in ("kill", "die")},
+}
+
+#: the event each move logs, keyed by worker id (a restart's payload is
+#: the state it landed in)
+MOVE_EVENTS = {
+    "drain": "drained", "rejoin": "rejoined", "recover": "recovered",
+    "half_open": "half_open", "kill": "killed", "die": "died",
+    "restart": "restarted", "quarantine": "restarted",
+}
 
 
 class HashRing:
@@ -216,8 +255,11 @@ class ServingCluster:
         self.ring = HashRing(vnodes)
         ids = worker_ids if worker_ids else [f"w{i}" for i in range(worker_count)]
         self.workers: Dict[str, WorkerHandle] = {}
+        #: worker_id -> its lifecycle state; :meth:`transition` moves it
+        self.states: Dict[str, str] = {}
         for wid in ids:
             self.workers[wid] = worker_factory(wid)
+            self.states[wid] = SERVING
             self.ring.add(wid)
         self._tenants: Dict[str, _TenantKeys] = {}
         #: worker_id -> key_ids whose blobs that worker already holds
@@ -465,8 +507,11 @@ class ServingCluster:
         worker_id = self._placement[client_id]
         if not self.workers[worker_id].alive:
             # the process died since we last routed here: fail over now
+            # (a session maps off the ring only once the ring is empty,
+            # its worker already failed over)
             try:
-                self.kill_worker(worker_id, now)
+                if worker_id in self.ring:
+                    self.kill_worker(worker_id, now)
             except NoWorkersError:
                 pass  # it was the last worker: this request is answered below
             worker_id = self._placement[client_id]
@@ -555,48 +600,49 @@ class ServingCluster:
         return self._client(client_id).take_outbox()
 
     # ------------------------------------------------------------------
-    # worker lifecycle: drain, failure, rejoin
+    # worker lifecycle: one state table, one transition function
     # ------------------------------------------------------------------
-    def _migrate_sessions(self, lost: Optional[str] = None) -> int:
-        """Re-place every client whose tenant's ring position moved --
-        or stayed at ``lost``, a worker rebuilt without its sessions."""
-        if len(self.ring) == 0:
-            # whole-cluster drain (shutdown): nowhere to migrate to;
-            # sessions keep their mapping and the drained workers answer
-            # any straggler with an explicit "draining" ERROR
-            return 0
-        moved = 0
-        for client_id, session in self._clients.items():
-            target = self.ring.place(session.key_id)
-            if target != self._placement[client_id] or target == lost:
-                self._placement[client_id] = target
-                self._register_at_worker(target, session)
-                moved += 1
-        return moved
+    def transition(self, worker_id: str, move: str, now: Optional[float] = None) -> int:
+        """Move one worker along :data:`TRANSITIONS`: the only code that
+        changes a worker's state or the ring.
 
-    def drain_worker(self, worker_id: str, now: Optional[float] = None) -> int:
-        """Gracefully take a worker out of rotation.
-
-        Protocol: (1) hand its tenants back to the ring -- new requests
-        route to their new workers immediately; (2) stop admission at
-        the worker (anything that somehow still lands there is answered
-        with an ERROR, not dropped); (3) flush every lane and route the
-        responses.  Returns the number of requests completed by the
-        final flush; afterwards the worker holds nothing in flight.
+        A move the table does not list for the worker's state raises
+        :class:`WorkerStateError` and changes nothing.  Otherwise, in
+        order: record the next state and log the move's event; set ring
+        membership from the next state; act on the worker -- kill a dying
+        one, stop and rebuild a restarting one (registering every program
+        of :meth:`register_program` at the fresh worker), stop admission
+        at one that lands drained, flush a draining one, resume a
+        rejoining one; answer what a lost worker held with one retryable
+        ERROR per request (never a hang, never a made-up response) and
+        forget its key cache; re-place the sessions whose ring position
+        moved, or stayed at a rebuilt worker.  A worker that dies with no
+        worker left on the ring raises :class:`NoWorkersError` once all
+        that is done.  Returns the requests answered: by a drain's final
+        flush, or failed over.
         """
+        state = self.states[worker_id]
+        target = TRANSITIONS.get((state, move))
+        if target is None:
+            legal = ", ".join(sorted(m for s, m in TRANSITIONS if s == state))
+            raise WorkerStateError(
+                f"cannot {move} worker {worker_id!r}: it is {state} (its moves: {legal})"
+            )
+        now = self.clock() if now is None else now
+        self.states[worker_id] = target
+        rebuilt = move in ("restart", "quarantine")
+        self.log.emit(now, MOVE_EVENTS[move], worker_id, payload=target if rebuilt else None)
+        if target in ON_RING:
+            self.ring.add(worker_id)
+        elif worker_id in self.ring:
+            self.ring.remove(worker_id)
         handle = self.workers[worker_id]
-        self.ring.remove(worker_id)
-        self._migrate_sessions()
-        handle.begin_drain()
-        handle.drain(now)
-        return self._collect(now)
-
-    def _fail_over(self, worker_id: str, now: float) -> int:
-        """Answer everything still in flight at a worker that is gone
-        (killed, or stopped for a restart) with a retryable ERROR per
-        request -- never a hang and never a made-up response -- and
-        forget its key cache, which went with it."""
-        failed = [key for key, wid in self._inflight.items() if wid == worker_id]
+        failed = []
+        if rebuilt or target not in ALIVE:
+            if handle.alive:
+                (handle.stop if rebuilt else handle.kill)()
+            failed = [key for key, wid in self._inflight.items() if wid == worker_id]
+            self._uploaded[worker_id] = set()
         for client_id, request_id in failed:
             del self._inflight[client_id, request_id]
             session = self._clients.get(client_id)
@@ -607,73 +653,47 @@ class ServingCluster:
                     code=framing.ERR_RETRYABLE,
                 )
             self.log.emit(now, "failed_over", client_id, request_id)
-        self._uploaded[worker_id] = set()
-        return len(failed)
+        if rebuilt:
+            handle = self.workers[worker_id] = self._factory(worker_id)
+            for program in self._programs.items():
+                handle.register_program(*program)
+        if target == DRAINED:
+            handle.begin_drain()
+        if move == "drain":
+            handle.drain(now)
+        elif move == "rejoin":
+            handle.resume()
+        # an empty ring (a whole-cluster drain) keeps every mapping: a
+        # drained worker answers a straggler with a "draining" ERROR
+        for client_id, session in self._clients.items() if len(self.ring) else ():
+            place = self.ring.place(session.key_id)
+            if place != self._placement[client_id] or (rebuilt and place == worker_id):
+                self._placement[client_id] = place
+                self._register_at_worker(place, session)
+        if target not in ALIVE and len(self.ring) == 0:
+            raise NoWorkersError(f"last worker {worker_id!r} died; no capacity left")
+        return self._collect(now) if move == "drain" else len(failed)
+
+    def drain_worker(self, worker_id: str, now: Optional[float] = None) -> int:
+        """Take a worker out of rotation, losing nothing: its tenants go
+        back to the ring, admission stops there, and what it holds is
+        flushed and routed (see :meth:`transition`)."""
+        return self.transition(worker_id, "drain", now)
 
     def kill_worker(self, worker_id: str, now: Optional[float] = None) -> int:
-        """A worker died: fail its in-flight requests over to ERRORs.
+        """A worker died: fail what it held over to ERRORs and re-place its
+        tenants (see :meth:`transition`)."""
+        return self.transition(worker_id, "kill", now)
 
-        Everything the worker had not answered is reported lost to the
-        owning clients (what it *had* answered was routed by the pump
-        that collected it; nothing is salvaged from a dead worker) and
-        its tenants re-place onto the surviving ring.  Returns the
-        number of failed-over requests.
-        """
-        handle = self.workers[worker_id]
-        if handle.alive:
-            handle.kill()
-        if worker_id in self.ring:
-            # may already be off the ring (a drain or quarantine removed
-            # it); killing must still fail over whatever was in flight
-            self.ring.remove(worker_id)
-        failed = self._fail_over(worker_id, self.clock() if now is None else now)
-        if len(self.ring) == 0:
-            raise NoWorkersError(
-                f"last worker {worker_id!r} died; no capacity left"
-            )
-        self._migrate_sessions()
-        return failed
-
-    def restart_worker(self, worker_id: str, rejoin: bool = True) -> None:
-        """Build a fresh worker under an existing id.
-
-        A worker still alive is stopped first, and whatever it had in
-        flight fails over exactly as in :meth:`kill_worker` (drain it
-        first to lose nothing).  With ``rejoin=True`` (the default) the
-        fresh worker goes straight back on the ring: consistent hashing
-        re-places exactly the tenants that lived on it before the crash
-        -- they migrate back, sessions re-register, and key material
-        re-uploads (the fresh worker's cache is empty); every program of
-        :meth:`register_program` is registered at it first.
-        ``rejoin=False`` builds the worker but leaves it *off* the ring
-        -- the supervisor's quarantine/probation path: tenants stay
-        where the failover re-placed them until the worker proves it can
-        stay alive, then :meth:`rejoin_worker` returns it.
-        """
-        old = self.workers.get(worker_id)
-        if old is not None and old.alive:
-            old.stop()
-        self._fail_over(worker_id, self.clock())
-        fresh = self.workers[worker_id] = self._factory(worker_id)
-        for program in self._programs.items():
-            fresh.register_program(*program)
-        if rejoin:
-            self.ring.add(worker_id)
-        elif worker_id in self.ring:
-            self.ring.remove(worker_id)
-        self._migrate_sessions(lost=worker_id)
+    def restart_worker(self, worker_id: str) -> int:
+        """Build a fresh worker under an existing id (a live one is stopped
+        and loses what it held: drain it first), landing where its state
+        says: in probation on the ring, or off it quarantined or drained."""
+        return self.transition(worker_id, "restart")
 
     def rejoin_worker(self, worker_id: str) -> None:
         """Return a drained (still-alive) worker to the ring."""
-        handle = self.workers[worker_id]
-        if not handle.alive:
-            raise WorkerDeadError(
-                f"worker {worker_id!r} is dead; use restart_worker, "
-                "not rejoin_worker"
-            )
-        handle.resume()
-        self.ring.add(worker_id)
-        self._migrate_sessions()
+        self.transition(worker_id, "rejoin")
 
     def stop(self) -> None:
         """Shut every worker down (graceful; drain first if you care)."""

@@ -13,10 +13,10 @@ loop:
   :meth:`WorkerHandle.ping`.  ``miss_threshold`` consecutive failed
   probes declare the worker dead -- one flaky probe is noise, N in a
   row is a corpse.
-* **Failover** -- a declared death triggers the router's existing
-  :meth:`~repro.serving.cluster.ServingCluster.kill_worker` failover:
-  in-flight requests surface as retryable ERRORs, tenants re-place onto
-  the surviving ring.  The conservation law is untouched because the
+* **Failover** -- a declared death is the router's ``die`` move
+  (:meth:`~repro.serving.cluster.ServingCluster.transition`): in-flight
+  requests surface as retryable ERRORs, tenants re-place onto the
+  surviving ring.  The conservation law is untouched because the
   supervisor only ever drives the router's own accounting paths.
 * **Auto-restart with backoff** -- the dead worker is rebuilt after a
   seeded exponential backoff (:class:`~repro.serving.clock.ExponentialBackoff`);
@@ -25,14 +25,17 @@ loop:
   jitter stream is seeded per worker id, so a chaos run's restart
   schedule is reproducible to the tick.
 * **Circuit breaker** -- a restarted worker serves a *probation*
-  window; dying during probation is a *flap*.  ``flap_threshold`` flaps
-  open the breaker: the worker is quarantined -- rebuilt *off* the ring
-  (``restart_worker(rejoin=False)``), its tenants staying where
-  failover re-placed them -- until the breaker half-opens and the
-  worker proves it can stay alive through a full probe window, at which
-  point it rejoins the ring and the counters reset.
+  window; dying before it recovers is a *flap*.  The breaker is open
+  exactly while ``flap_threshold`` flaps stand outside half-open: the
+  worker is then rebuilt *off* the ring (the router's ``quarantine``
+  move), its tenants staying where failover re-placed them, until the
+  breaker half-opens and the worker proves it can stay alive through a
+  full probe window, at which point it rejoins the ring and the counters
+  reset.
 
-The supervisor never swallows a recovery failure silently: every probe,
+Each worker's state is the router's (``cluster.states``): the supervisor
+keeps only its timers, and moves a worker only through the router.  It
+never swallows a recovery failure silently: every probe,
 miss and transition -- and every exception caught in the probe/failover
 machinery -- is an event of the cluster's :class:`repro.obs.EventLog`,
 keyed by worker id, beside the router's request events (the static
@@ -46,36 +49,26 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.serving.clock import ExponentialBackoff
-from repro.serving.cluster import NoWorkersError, ServingCluster
-
-# worker phases
-SERVING = "serving"          # on the ring, probed, healthy
-BACKOFF = "backoff"          # dead; restart scheduled at restart_at
-PROBATION = "probation"      # restarted onto the ring; flaps are counted
-QUARANTINED = "quarantined"  # alive but off the ring (breaker open/half-open)
-
-# circuit-breaker states
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half_open"
-
+from repro.serving.cluster import (
+    ALIVE, HALF_OPEN, PROBATION, QUARANTINED, NoWorkersError, ServingCluster,
+)
 
 @dataclass
 class WorkerHealth:
-    """Mutable per-worker supervision state (see :meth:`worker_health`
-    for the read-only reporting view)."""
+    """One worker's supervision timers (its state is the router's; see
+    :meth:`worker_health` for the read-only reporting view)."""
 
-    phase: str = SERVING
-    breaker: str = CLOSED
     last_seen: float = 0.0    # clock time of the last successful probe
     last_probe: float = 0.0   # clock time of the last probe attempt
     probed: bool = False      # has any probe run yet?
-    missed: int = 0           # consecutive failed probes
+    #: consecutive failed probes; held at the threshold once the worker
+    #: is declared dead, until its restart
+    missed: int = 0
     attempt: int = 0          # backoff attempt index (resets on recovery)
-    flaps: int = 0            # deaths during probation since last recovery
-    restart_at: float = 0.0
-    probation_until: float = 0.0
-    quarantine_until: float = 0.0
+    flaps: int = 0            # deaths before recovering since the last one
+    #: when the state waits out its window: the restart of a declared
+    #: death, the end of probation, quarantine or the half-open probe
+    deadline: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,7 @@ class WorkerHealthView:
     """One worker's reliability state as reported to operators/benchmarks."""
 
     worker_id: str
-    phase: str
-    breaker: str
+    state: str
     heartbeat_age: float
     missed_probes: int
     flaps: int
@@ -160,29 +152,23 @@ class HeartbeatSupervisor:
 
     def _declare_dead(self, worker_id: str, health: WorkerHealth, now: float) -> None:
         """N missed probes: fail over, then schedule a restart."""
-        self.log.emit(now, "died", worker_id, payload=health.missed)
+        state = self.cluster.states[worker_id]
         try:
-            self.cluster.kill_worker(worker_id, now)
+            self.cluster.transition(worker_id, "die", now)
         except NoWorkersError:
             # the ring emptied: failover had nowhere to re-place the
             # tenants.  Recorded -- the restart below is now the only
             # path back to capacity, so the supervisor must keep going.
             self.log.emit(now, "failover_error", worker_id)
-        flapped = health.phase == PROBATION
-        died_half_open = (
-            health.phase == QUARANTINED and health.breaker == HALF_OPEN
-        )
-        if flapped:
-            health.flaps += 1
-        if died_half_open or (flapped and health.flaps >= self.flap_threshold):
-            if health.breaker != OPEN:
-                self.log.emit(now, "quarantined", worker_id)
-            health.breaker = OPEN
-        health.phase = BACKOFF
-        health.missed = 0
+        # a death since a restart, before recovery, is a flap while the
+        # breaker is closed; a half-open death opens it again
+        flapped = health.attempt > 0 and health.flaps < self.flap_threshold
+        health.flaps += flapped
+        if health.flaps >= self.flap_threshold and (flapped or state == HALF_OPEN):
+            self.log.emit(now, "quarantined", worker_id)
         delay = self._backoff_for(worker_id).delay(health.attempt)
         health.attempt += 1
-        health.restart_at = now + delay
+        health.deadline = now + delay
         self.log.emit(now, "restart_scheduled", worker_id, payload=delay)
 
     def _probe(self, worker_id: str, health: WorkerHealth, now: float) -> None:
@@ -206,73 +192,44 @@ class HeartbeatSupervisor:
         if health.missed >= self.miss_threshold:
             self._declare_dead(worker_id, health, now)
 
-    def _maybe_restart(self, worker_id: str, health: WorkerHealth, now: float) -> None:
-        if now < health.restart_at:
-            return
-        quarantined = health.breaker == OPEN
-        # a quarantined worker restarts *off* the ring: its tenants stay
-        # where failover re-placed them until the breaker half-opens and
-        # the worker survives a probe window
-        self.cluster.restart_worker(worker_id, rejoin=not quarantined)
-        health.missed = 0
-        health.last_seen = now
-        if quarantined:
-            health.phase = QUARANTINED
-            health.quarantine_until = now + self.quarantine_window
-        else:
-            health.phase = PROBATION
-            health.probation_until = now + self.probation_window
-        self.log.emit(now, "restarted", worker_id, payload=health.phase)
-
     # ------------------------------------------------------------------
     # the supervision turn
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """One supervision turn at ``clock()``."""
         now = self.clock()
-        for worker_id in list(self.cluster.workers):
+        for worker_id, state in list(self.cluster.states.items()):
             health = self._health.get(worker_id)
             if health is None:
                 health = self._health[worker_id] = WorkerHealth(
                     last_seen=now, last_probe=now,
                 )
-            if health.phase == BACKOFF:
-                self._maybe_restart(worker_id, health, now)
+            if state not in ALIVE and health.missed >= self.miss_threshold:
+                # declared dead: the restart waits out the backoff, and an
+                # open breaker restarts the worker *off* the ring
+                if now >= health.deadline:
+                    opened = health.flaps >= self.flap_threshold
+                    self.cluster.transition(worker_id, "quarantine" if opened else "restart", now)
+                    health.missed = 0
+                    health.last_seen = now
+                    window = self.quarantine_window if opened else self.probation_window
+                    health.deadline = now + window
                 continue
-            if health.probed and now - health.last_probe < self.probe_interval:
-                # between heartbeats; window transitions below still run
-                pass
-            else:
+            if not health.probed or now - health.last_probe >= self.probe_interval:
                 self._probe(worker_id, health, now)
-            if (
-                health.phase == PROBATION
-                and now >= health.probation_until
-                and health.missed == 0
-                # a worker mid-miss-streak must not graduate probation:
-                # it may be about to be declared dead, and graduating
-                # would reset the backoff schedule its next restart needs
-            ):
-                health.phase = SERVING
-                health.breaker = CLOSED
-                health.attempt = 0
-                health.flaps = 0
-                self.log.emit(now, "recovered", worker_id)
-            elif health.phase == QUARANTINED:
-                if health.breaker == OPEN and now >= health.quarantine_until:
-                    health.breaker = HALF_OPEN
-                    health.probation_until = now + self.probation_window
-                    self.log.emit(now, "half_open", worker_id)
-                elif (
-                    health.breaker == HALF_OPEN
-                    and now >= health.probation_until
-                    and health.missed == 0  # same guard as probation
-                ):
-                    self.cluster.rejoin_worker(worker_id)
-                    health.phase = SERVING
-                    health.breaker = CLOSED
-                    health.attempt = 0
-                    health.flaps = 0
-                    self.log.emit(now, "rejoined", worker_id)
+            move = {PROBATION: "recover", QUARANTINED: "half_open", HALF_OPEN: "rejoin"}.get(
+                self.cluster.states[worker_id]
+            )
+            # a worker mid-miss-streak must not graduate: it may be about
+            # to be declared dead, and graduating would reset the backoff
+            # schedule its next restart needs
+            if move is None or now < health.deadline or (health.missed and move != "half_open"):
+                continue
+            self.cluster.transition(worker_id, move, now)
+            if move == "half_open":
+                health.deadline = now + self.probation_window
+            else:
+                health.attempt = health.flaps = 0
 
     def run(self, until: float, step: Optional[float] = None) -> None:
         """Tick on a manual clock until ``until`` (test convenience).
@@ -301,8 +258,7 @@ class HeartbeatSupervisor:
         return {
             worker_id: WorkerHealthView(
                 worker_id=worker_id,
-                phase=h.phase,
-                breaker=h.breaker,
+                state=self.cluster.states[worker_id],
                 heartbeat_age=now - h.last_seen,
                 missed_probes=h.missed,
                 flaps=h.flaps,

@@ -8,7 +8,8 @@ host queue in front of one board (Section 5.2 / Figure 7) -- built by
 (hence its own backend instance and NTT tables).  Nothing is shared
 between workers, so a worker can honestly run in -- and die with -- a
 separate OS process, and nothing sits between a transport and the
-server: a handle method is the server method it names.
+server: the one command table :data:`COMMANDS` names the server method
+behind each handle method, and both transports apply it.
 
 Two transports implement the same :class:`WorkerHandle` contract, and
 on both a request is the :class:`~repro.serving.framing.Frame` the
@@ -36,8 +37,10 @@ side of the pipe, which the log crosses as it is -- measured
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.ckks.context import CkksContext, CkksParameters
 from repro.serving.clock import SYSTEM_CLOCK, Clock
@@ -80,11 +83,41 @@ def build_server(spec: WorkerSpec, clock: Clock = SYSTEM_CLOCK) -> EncryptedComp
     )
 
 
+class Command(NamedTuple):
+    """One row of the command table: what the server does with the
+    command's arguments, and how long the router waits for its reply."""
+
+    run: Callable[..., Any]  # (server, *args) -> reply
+    timeout: Optional[float]  # seconds; None: the command sends no reply
+
+
+#: The one command table: a :class:`WorkerHandle` method -> its row.  The
+#: in-process transport runs the row on its server, the process transport
+#: sends the method's name, and the worker process runs the same row.
+COMMANDS: Dict[str, Command] = {
+    "register_session": Command(EncryptedComputeServer.open_session, None),
+    # answered between pumps, like stats: never executes pending work
+    "register_program": Command(EncryptedComputeServer.register_program, 30.0),
+    "submit": Command(EncryptedComputeServer.submit_frame, None),
+    # generous: the worker answers only between pumps, and one pump may
+    # execute a whole backlog of due batch flushes
+    "poll_responses": Command(EncryptedComputeServer.collect_outboxes, 60.0),
+    "begin_drain": Command(EncryptedComputeServer.stop_admitting, None),
+    "resume": Command(EncryptedComputeServer.resume_admitting, None),
+    # generous: a drain flushes every open lane
+    "drain": Command(EncryptedComputeServer.drain, 60.0),
+    # the log crosses as its columns, and the handle folds it
+    "stats": Command(attrgetter("log"), 30.0),
+}
+
+
 class WorkerHandle:
-    """The router-side contract every worker transport implements:
-    ``alive``, ``register_session``, ``register_program``, ``submit``,
-    ``pump``, ``poll_responses``, ``begin_drain``, ``drain``, ``resume``,
-    ``kill``, ``stop`` and ``stats``.
+    """The router-side contract every worker transport implements.
+
+    The eight methods of :data:`COMMANDS` are defined here, once, each
+    the server method its row names; a transport supplies the one
+    primitive ``_call(command, *args)`` that runs a row, and ``alive``,
+    ``kill``, ``stop`` and, where its own differs, ``ping`` and ``pump``.
 
     ``register_session`` takes ``EncryptedComputeServer.open_session``'s
     arguments as they are (the key blobs ``None`` once the worker holds
@@ -102,6 +135,31 @@ class WorkerHandle:
     """
 
     worker_id: str
+
+    def register_session(self, *session) -> None:
+        self._call("register_session", *session)
+
+    def register_program(self, program_id: int, steps) -> tuple:
+        return self._call("register_program", program_id, steps)
+
+    def submit(self, client_id: str, frame: Frame) -> None:
+        self._call("submit", client_id, frame)
+
+    def poll_responses(self) -> Dict[str, List[bytes]]:
+        return self._call("poll_responses")
+
+    def begin_drain(self) -> None:
+        self._call("begin_drain")
+
+    def resume(self) -> None:
+        self._call("resume")
+
+    def drain(self, now: Optional[float] = None) -> int:
+        """Flush everything; returns the number of requests answered."""
+        return self._call("drain", now=now)
+
+    def stats(self) -> ServingReport:
+        return ServingReport.fold(self._call("stats"))
 
     def ping(self) -> bool:
         """Liveness probe for the heartbeat supervisor.
@@ -145,37 +203,16 @@ class LocalWorkerHandle(WorkerHandle):
             raise WorkerDeadError(f"worker {self.worker_id!r} is dead")
         return self._server
 
-    def register_session(self, *session) -> None:
-        self.server.open_session(*session)
-
-    def register_program(self, program_id: int, steps) -> tuple:
-        return self.server.register_program(program_id, steps)
-
-    def submit(self, client_id: str, frame: Frame) -> None:
-        self.server.submit_frame(client_id, frame)
+    def _call(self, command: str, *args, **kwargs):
+        return COMMANDS[command].run(self.server, *args, **kwargs)
 
     def pump(self, now: Optional[float] = None) -> None:
         self.server.pump(now)
-
-    def poll_responses(self) -> Dict[str, List[bytes]]:
-        return self._server.collect_outboxes() if self.alive else {}
-
-    def begin_drain(self) -> None:
-        self.server.stop_admitting()
-
-    def drain(self, now: Optional[float] = None) -> int:
-        return self.server.drain(now)
-
-    def resume(self) -> None:
-        self.server.resume_admitting()
 
     def kill(self) -> None:
         self._server = None
 
     stop = kill
-
-    def stats(self) -> ServingReport:
-        return self.server.report
 
 
 # ----------------------------------------------------------------------
@@ -186,26 +223,33 @@ class LocalWorkerHandle(WorkerHandle):
 #: short enough that a deadline flush is never late by much.
 _IDLE_POLL_SECONDS = 0.02
 
+#: The router's end of every worker pipe this process opened.  A forked
+#: child inherits a copy of each -- its own and every sibling's forked
+#: before it -- and closes them all, so that closing one reaches exactly
+#: its own worker as EOF.
+_ROUTER_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
-def _worker_process_main(conn, router_end, spec: WorkerSpec) -> None:
-    """Entry point of a worker process: serve commands until told to stop,
-    or until the router's end of the pipe closes.
+
+def _worker_process_main(conn, spec: WorkerSpec) -> None:
+    """Entry point of a worker process: run the command table's rows
+    until the router's end of the pipe closes (``stop``, or the router
+    going away).
 
     The loop interleaves command handling with serve-loop pumps so
     deadline flushes happen even when no command arrives.  The protocol
     is strictly request-reply: the worker only ever writes to the pipe
     while the router is blocked reading the reply to a command it just
-    sent, and every reply is one ``(command, payload)`` message.  (An
-    earlier design pushed completed responses unsolicited; with both
+    sent, and every reply is one ``(command, reply)`` message -- an
+    exception the row raised is the reply, raised again by the router.
+    (An earlier design pushed completed responses unsolicited; with both
     sides free to initiate multi-buffer sends, router and worker could
     each block mid-``send`` with nobody reading -- a textbook
     duplex-pipe deadlock under real traffic volumes.)  Completed
     responses therefore accumulate in the session outboxes until the
-    router asks via ``poll``.
+    router asks via ``poll_responses``.
     """
-    # the copy of the router's end the child inherits would keep the
-    # pipe open: the router going away must reach us as EOF
-    router_end.close()
+    for end in list(_ROUTER_ENDS):
+        end.close()
     if spec.backend is not None:
         # pin the process-global backend too: serialization helpers
         # consult it, and this process serves exactly one context
@@ -218,35 +262,18 @@ def _worker_process_main(conn, router_end, spec: WorkerSpec) -> None:
             timeout = 0.0 if server.pending_count else _IDLE_POLL_SECONDS
             if conn.poll(timeout):
                 try:
-                    msg = conn.recv()
-                except EOFError:  # router went away: nothing left to serve
+                    command, *args = conn.recv()
+                except EOFError:  # the router closed its end: nothing left to serve
                     return
-                cmd = msg[0]
-                if cmd == "register":
-                    server.open_session(*msg[1:])
-                elif cmd == "program":
+                run, reply_timeout = COMMANDS[command]
+                if reply_timeout is None:
+                    run(server, *args)
+                else:
                     try:
-                        reply = server.register_program(*msg[1:])
+                        reply = run(server, *args)
                     except Exception as exc:  # lint: disable=R5 -- the router raises it again
                         reply = exc
-                    conn.send(("program", reply))
-                elif cmd == "frame":
-                    server.submit_frame(msg[1], msg[2])
-                elif cmd == "poll":
-                    conn.send(("poll", server.collect_outboxes()))
-                elif cmd == "stop_admitting":
-                    server.stop_admitting()
-                elif cmd == "resume":
-                    server.resume_admitting()
-                elif cmd == "drain":
-                    # the flushed responses wait for the router's next poll
-                    conn.send(("drain", server.drain()))
-                    continue
-                elif cmd == "stats":
-                    # the log crosses as its columns; the router folds it
-                    conn.send(("stats", server.log))
-                elif cmd == "stop":
-                    return
+                    conn.send((command, reply))
             server.pump()
     except (BrokenPipeError, KeyboardInterrupt):
         return
@@ -256,17 +283,6 @@ def _worker_process_main(conn, router_end, spec: WorkerSpec) -> None:
 
 class ProcessWorkerHandle(WorkerHandle):
     """A worker running in a real OS process behind a duplex pipe."""
-
-    #: how long to wait for a poll reply: generous because the worker
-    #: answers only between pumps, and one pump may execute a whole
-    #: backlog of due batch flushes.
-    POLL_TIMEOUT_SECONDS = 60.0
-    #: how long to wait for a drain acknowledgement before declaring the
-    #: worker wedged (generous: a drain flushes every open lane).
-    DRAIN_TIMEOUT_SECONDS = 60.0
-    #: how long to wait for a stats reply (shorter than drain: answering
-    #: stats never executes pending work).
-    STATS_TIMEOUT_SECONDS = 30.0
 
     def __init__(
         self,
@@ -285,9 +301,10 @@ class ProcessWorkerHandle(WorkerHandle):
         # milliseconds instead of a fresh interpreter + numpy import
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._conn, child_conn = ctx.Pipe(duplex=True)
+        _ROUTER_ENDS.add(self._conn)  # before the fork: the child closes it too
         self._proc = ctx.Process(
             target=_worker_process_main,
-            args=(child_conn, self._conn, spec),
+            args=(child_conn, spec),
             name=f"serving-worker-{worker_id}",
             daemon=True,
         )
@@ -306,79 +323,62 @@ class ProcessWorkerHandle(WorkerHandle):
         if not self.alive:
             raise WorkerDeadError(f"worker {self.worker_id!r} process is dead")
 
-    def _send(self, msg) -> None:
-        self._require_alive()
-        self._conn.send(msg)
+    def _call(self, command: str, *args, now: Optional[float] = None):
+        """Send ``command``'s name and arguments (``now`` is dropped: the
+        child runs on its own clock).
 
-    def _request(self, command: str, timeout: float, *args):
-        """Send ``(command, *args)`` and wait for its reply; returns the
-        payload.
+        A poll is request-reply by design: the worker never writes to
+        the pipe unless we are in :meth:`_request` waiting to read, so
+        neither side can block mid-send against the other.  A worker
+        that is dead, dies mid-poll or stays silent past the timeout
+        just yields what was already buffered; the router owns
+        surfacing the loss.
+        """
+        if command != "poll_responses":
+            return self._request(command, *args)
+        try:
+            self._request(command)
+        except (WorkerDeadError, TimeoutError, OSError):
+            pass
+        out, self._response_buffer = self._response_buffer, {}
+        return out
+
+    def _request(self, command: str, *args):
+        """Send ``(command, *args)`` and, when its row has a timeout, wait
+        for the reply; returns the reply, or raises it if it is an
+        exception.
 
         The one reply wait of the transport, on the injected clock:
         :class:`WorkerDeadError` when the process is dead at the send,
         found dead between reads or closes the pipe, ``TimeoutError``
-        when nothing tagged ``command`` arrives within ``timeout``.  A
-        ``poll`` reply is merged into the response buffer whichever
-        command it turns up under, so a late one loses no frame.
+        when nothing tagged ``command`` arrives within the timeout.  A
+        poll reply is merged into the response buffer whichever command
+        it turns up under, so a late one loses no frame.
         """
-        self._send((command, *args))
+        self._require_alive()
+        self._conn.send((command, *args))
+        timeout = COMMANDS[command].timeout
+        if timeout is None:
+            return None
         deadline = self._clock() + timeout
         while self._clock() < deadline:
             if not self._conn.poll(0.05):
                 self._require_alive()
                 continue
             try:
-                tag, payload = self._conn.recv()
+                tag, reply = self._conn.recv()
             except EOFError:
                 raise WorkerDeadError(
                     f"worker {self.worker_id!r} died answering {command}"
                 ) from None
-            if tag == "poll":
-                for client_id, frames in payload.items():
+            if tag == command and isinstance(reply, Exception):
+                raise reply
+            if tag == "poll_responses":
+                for client_id, frames in reply.items():
                     self._response_buffer.setdefault(client_id, []).extend(frames)
             if tag == command:
-                return payload
+                return reply
         raise TimeoutError(f"worker {self.worker_id!r} {command} timed out")
-
-    def register_session(self, *session) -> None:
-        self._send(("register", *session))
-
-    def register_program(self, program_id: int, steps) -> tuple:
-        # answered between pumps like stats, never executing pending work
-        program = self._request("program", self.STATS_TIMEOUT_SECONDS, program_id, steps)
-        if isinstance(program, Exception):
-            raise program
-        return program
-
-    def submit(self, client_id: str, frame: Frame) -> None:
-        self._send(("frame", client_id, frame))  # Frame.__reduce__: bytes
-
-    def poll_responses(self) -> Dict[str, List[bytes]]:
-        """Ask the worker for completed responses (one round-trip).
-
-        Request-reply by design: the worker never writes to the pipe
-        unless we are in :meth:`_request` waiting to read, so neither
-        side can block mid-send against the other.  A worker that is
-        dead, dies mid-poll or stays silent past the timeout just
-        yields what was already buffered; the router owns surfacing
-        the loss.
-        """
-        try:
-            self._request("poll", self.POLL_TIMEOUT_SECONDS)
-        except (WorkerDeadError, TimeoutError, OSError):
-            pass
-        out, self._response_buffer = self._response_buffer, {}
-        return out
-
-    def begin_drain(self) -> None:
-        self._send(("stop_admitting",))
-
-    def drain(self, now: Optional[float] = None) -> int:
-        """Flush everything; blocks until the worker acknowledges."""
-        return self._request("drain", self.DRAIN_TIMEOUT_SECONDS)
-
-    def resume(self) -> None:
-        self._send(("resume",))
 
     def kill(self) -> None:
         """Hard-kill the process: everything in flight there is lost."""
@@ -388,14 +388,9 @@ class ProcessWorkerHandle(WorkerHandle):
         self._response_buffer.clear()
 
     def stop(self) -> None:
-        """Graceful shutdown (drains nothing: call drain() first)."""
-        try:
-            if self.alive:
-                self._conn.send(("stop",))
-                self._proc.join(timeout=10.0)
-        except (BrokenPipeError, OSError):
-            pass
-        self.kill()  # no-op unless the worker ignored the request
-
-    def stats(self) -> ServingReport:
-        return ServingReport.fold(self._request("stats", self.STATS_TIMEOUT_SECONDS))
+        """Graceful shutdown (drains nothing: call drain() first): the
+        child reads EOF once the router's end closes, and leaves."""
+        if not self._conn.closed:
+            self._conn.close()
+            self._proc.join(timeout=10.0)
+        self.kill()  # no-op unless the worker did not leave

@@ -43,6 +43,10 @@ EXEMPT_OPTIONS: Dict[str, str] = {
     "AsyncFrontDoor(host)": "deployment setting of the socket front door",
     "AsyncFrontDoor(port)": "deployment setting of the socket front door",
     "RequestQueue(closed)": "queue state flipped by the drain protocol",
+    "EncryptedComputeServer.open_session(galois_blobs)": "set by every router registration, "
+    "through the worker command table (worker.COMMANDS), which names no call site",
+    "EncryptedComputeServer.open_session(wire_version)": "set by every router registration, "
+    "through the worker command table (worker.COMMANDS), which names no call site",
 }
 
 

@@ -40,6 +40,10 @@ EXEMPT: Dict[str, str] = {
     "NTTTables gathers psi and both tables from the same search's vector (root_powers)",
     "ServingCluster.drain_worker": "operator API: graceful worker removal, the drain half "
     "of the session protocol ROADMAP 5(a) specifies; no benchmark row drains",
+    "ServingCluster.rejoin_worker": "operator API: the drain's other half; the supervisor "
+    "rejoins through ServingCluster.transition, and no benchmark row drains",
+    "ServingCluster.restart_worker": "operator API: rebuild a worker by hand; the supervisor "
+    "restarts through ServingCluster.transition",
     "HostScheduler.run_executed": "a measured run through Figure 7's pipeline (Section 5.2); "
     "ROADMAP item 17 derives modeled time from the same rows",
     "AsyncFrontDoor": "the TCP front door: the deployment surface of a served cluster "

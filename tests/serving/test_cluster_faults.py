@@ -27,9 +27,9 @@ import pytest
 from conservation import conserved
 
 from repro.serving import framing
-from repro.serving.cluster import NoWorkersError, ServingCluster
+from repro.serving.cluster import NoWorkersError, ServingCluster, WorkerStateError
 from repro.serving.traffic import multi_tenant_traffic
-from repro.serving.worker import ProcessWorkerHandle, WorkerDeadError, WorkerSpec
+from repro.serving.worker import ProcessWorkerHandle, WorkerSpec
 
 
 def connect_traffic(context, cluster, tenants=3, clients_per=2, requests=4):
@@ -332,7 +332,7 @@ class TestRestart:
         cluster = make_cluster(worker_count=2)
         connect_traffic(serving_context, cluster, tenants=1, clients_per=1, requests=1)
         cluster.kill_worker("w0")
-        with pytest.raises(WorkerDeadError, match="restart_worker"):
+        with pytest.raises(WorkerStateError, match="cannot rejoin worker 'w0': it is dead"):
             cluster.rejoin_worker("w0")
 
 

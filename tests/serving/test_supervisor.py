@@ -13,17 +13,16 @@ import pytest
 from conservation import conserved
 
 from repro.serving import framing
-from repro.serving.cluster import UnknownWorkerError
-from repro.serving.supervisor import (
-    BACKOFF,
-    CLOSED,
+from repro.serving.cluster import (
+    DEAD,
+    DRAINED,
     HALF_OPEN,
-    OPEN,
     PROBATION,
     QUARANTINED,
     SERVING,
-    HeartbeatSupervisor,
+    UnknownWorkerError,
 )
+from repro.serving.supervisor import HeartbeatSupervisor
 from repro.serving.traffic import multi_tenant_traffic
 
 
@@ -70,8 +69,8 @@ class TestHeartbeat:
         health = sup.worker_health()
         assert set(health) == set(cluster.workers)
         for view in health.values():
-            assert view.phase == SERVING
-            assert view.breaker == CLOSED
+            assert view.state == SERVING
+            assert view.flaps == 0  # the breaker is closed
             assert view.heartbeat_age == 0.0  # probed this very tick
 
     def test_death_needs_n_consecutive_misses(self, make_cluster, manual_clock):
@@ -91,7 +90,7 @@ class TestHeartbeat:
         sup.tick()
         # third consecutive miss: declared dead, restart scheduled
         assert sup.log.count("died") == 1
-        assert sup.worker_health()[victim].phase == BACKOFF
+        assert sup.worker_health()[victim].state == DEAD
 
     def test_probe_error_counts_as_miss(self, make_cluster, manual_clock):
         cluster = make_cluster(worker_count=2)
@@ -150,17 +149,17 @@ class TestRestartAndPlacement:
 
         # backoff: first restart delay is base=4s after the t=3 death
         sup.run(until=6.9)
-        assert sup.worker_health()[victim].phase == BACKOFF
+        assert sup.worker_health()[victim].state == DEAD
         assert victim not in cluster.ring
         sup.run(until=7.1)
-        assert sup.worker_health()[victim].phase == PROBATION
+        assert sup.worker_health()[victim].state == PROBATION
         assert victim in cluster.ring
         assert sup.log.count("restarted") == 1
 
         # probation passes -> serving, and consistent hashing has put
         # every tenant back exactly where it was before the crash
         sup.run(until=13.0)
-        assert sup.worker_health()[victim].phase == SERVING
+        assert sup.worker_health()[victim].state == SERVING
         assert placements(cluster, clients) == before
 
         # the recovered cluster still serves (conservation intact)
@@ -190,11 +189,11 @@ class TestRestartAndPlacement:
             # kill it three times; record each scheduled restart delay
             for _ in range(3):
                 cluster.workers[victim].kill()
-                while sup.worker_health()[victim].phase != BACKOFF:
+                while sup.worker_health()[victim].state != DEAD:
                     manual_clock.advance(0.5)
                     sup.tick()
                 death_at = manual_clock.now
-                while sup.worker_health()[victim].phase == BACKOFF:
+                while sup.worker_health()[victim].state == DEAD:
                     manual_clock.advance(0.125)
                     sup.tick()
                 delays.append(manual_clock.now - death_at)
@@ -216,14 +215,14 @@ class TestCircuitBreaker:
             manual_clock.advance(1.0)
             sup.tick()
 
-    def wait_phase(self, sup, manual_clock, victim, phase, step=0.25, limit=400):
+    def wait_state(self, sup, manual_clock, victim, state, step=0.25, limit=400):
         for _ in range(limit):
-            if sup.worker_health()[victim].phase == phase:
+            if sup.worker_health()[victim].state == state:
                 return
             manual_clock.advance(step)
             sup.tick()
         raise AssertionError(
-            f"{victim} never reached {phase}; "
+            f"{victim} never reached {state}; "
             f"now {sup.worker_health()[victim]}"
         )
 
@@ -239,38 +238,37 @@ class TestCircuitBreaker:
 
         # death 1 (serving): restart to probation, breaker stays closed
         self.kill_until_dead(sup, cluster, manual_clock, victim)
-        self.wait_phase(sup, manual_clock, victim, PROBATION)
-        assert sup.worker_health()[victim].breaker == CLOSED
+        self.wait_state(sup, manual_clock, victim, PROBATION)
+        assert sup.worker_health()[victim].flaps == 0  # a serving death is no flap
 
         # death 2 (during probation): flap 1 of 2 -- still no breaker
         self.kill_until_dead(sup, cluster, manual_clock, victim)
         assert sup.log.count("quarantined") == 0
-        self.wait_phase(sup, manual_clock, victim, PROBATION)
+        self.wait_state(sup, manual_clock, victim, PROBATION)
 
         # death 3 (during probation): flap 2 trips the breaker -- the
         # worker restarts OFF the ring and its tenants stay re-placed
         self.kill_until_dead(sup, cluster, manual_clock, victim)
         assert sup.log.count("quarantined") == 1
-        self.wait_phase(sup, manual_clock, victim, QUARANTINED)
+        self.wait_state(sup, manual_clock, victim, QUARANTINED)
         assert cluster.workers[victim].alive
         assert victim not in cluster.ring
         assert all(w != victim for w in placements(cluster, clients).values())
 
         # quarantine window passes -> breaker half-opens (still off ring)
         health = sup.worker_health()[victim]
-        assert health.breaker == OPEN
-        while sup.worker_health()[victim].breaker == OPEN:
+        assert health.flaps == 2  # the breaker is open: flaps at the threshold
+        while sup.worker_health()[victim].state == QUARANTINED:
             manual_clock.advance(1.0)
             sup.tick()
-        assert sup.worker_health()[victim].breaker == HALF_OPEN
+        assert sup.worker_health()[victim].state == HALF_OPEN
         assert victim not in cluster.ring
 
         # it survives the half-open probe window -> rejoins, counters
         # reset, and placement returns to exactly the original map
-        self.wait_phase(sup, manual_clock, victim, SERVING)
+        self.wait_state(sup, manual_clock, victim, SERVING)
         view = sup.worker_health()[victim]
-        assert view.breaker == CLOSED
-        assert view.flaps == 0
+        assert view.flaps == 0  # the breaker is closed again
         assert victim in cluster.ring
         assert placements(cluster, clients) == before
         assert sup.log.count("rejoined") == 1
@@ -285,18 +283,18 @@ class TestCircuitBreaker:
 
         # flap_threshold=1: the first probation death opens the breaker
         self.kill_until_dead(sup, cluster, manual_clock, victim)
-        self.wait_phase(sup, manual_clock, victim, PROBATION)
+        self.wait_state(sup, manual_clock, victim, PROBATION)
         self.kill_until_dead(sup, cluster, manual_clock, victim)
-        self.wait_phase(sup, manual_clock, victim, QUARANTINED)
-        while sup.worker_health()[victim].breaker != HALF_OPEN:
+        self.wait_state(sup, manual_clock, victim, QUARANTINED)
+        while sup.worker_health()[victim].state != HALF_OPEN:
             manual_clock.advance(1.0)
             sup.tick()
 
         # dying during the half-open probe window slams the breaker shut
         quarantines = sup.log.count("quarantined")
         self.kill_until_dead(sup, cluster, manual_clock, victim)
-        self.wait_phase(sup, manual_clock, victim, QUARANTINED)
-        assert sup.worker_health()[victim].breaker == OPEN
+        self.wait_state(sup, manual_clock, victim, QUARANTINED)
+        assert sup.worker_health()[victim].flaps == 1  # open: flaps at the threshold
         assert sup.log.count("quarantined") == quarantines + 1
         assert victim not in cluster.ring
         assert sup.log.count("rejoined") == 0
@@ -323,7 +321,7 @@ class TestRingEmptyFailover:
         sup.run(until=2.0)  # misses at t=1 and t=2: declared dead at t=2
         assert sup.log.count("died") == 1
         assert sup.log.count("failover_error") == 1
-        assert sup.worker_health()["w0"].phase == BACKOFF
+        assert sup.worker_health()["w0"].state == DEAD
         assert len(cluster.ring) == 0
         # what the worker held was answered, retryably
         assert cluster.report.failed_over_requests == len(trace)
@@ -366,7 +364,7 @@ class TestDrainInteraction:
         assert sup.log.count("died") == 0
         assert sup.log.count("restarted") == 0
         view = sup.worker_health()[victim]
-        assert view.phase == SERVING and view.missed_probes == 0
+        assert view.state == DRAINED and view.missed_probes == 0
         # and the drained worker can still rejoin normally
         cluster.rejoin_worker(victim)
         assert victim in cluster.ring
@@ -377,3 +375,29 @@ class TestDrainInteraction:
         cluster.drain_worker(victim)
         with pytest.raises(UnknownWorkerError):
             cluster.drain_worker(victim)
+
+    def test_a_drained_worker_that_dies_stays_off_the_ring(
+        self, serving_context, make_cluster, manual_clock
+    ):
+        """A drain is the operator's: a drained worker that dies is
+        restarted drained, off the ring, its tenants where the drain put
+        them -- not put back on the ring by the supervisor."""
+        cluster = make_cluster(worker_count=3)
+        tenants, clients, _ = connect_traffic(serving_context, cluster)
+        sup = make_supervisor(cluster)
+        victim = cluster.ring.worker_ids[0]
+        cluster.drain_worker(victim)
+        drained = placements(cluster, clients)
+        assert victim not in drained.values()
+        cluster.workers[victim].kill()
+
+        sup.run(until=30.0)
+        assert [sup.log.count(k) for k in ("died", "restarted", "recovered")] == [1, 1, 0]
+        assert sup.log.payloads_of("restarted") == [DRAINED]
+        assert cluster.workers[victim].alive
+        assert victim not in cluster.ring
+        assert sup.worker_health()[victim].state == cluster.states[victim] == DRAINED
+        assert placements(cluster, clients) == drained
+        cluster.rejoin_worker(victim)
+        assert victim in cluster.ring
+        assert victim in placements(cluster, clients).values()

@@ -149,5 +149,6 @@ def test_programs_skip_dead_workers_and_a_restart_can_leave_the_ring():
     dead, live = sorted(cluster.workers)
     cluster.workers[dead].kill()
     assert cluster.register_program(1, ("square",)) == (("square", 0),)
-    cluster.restart_worker(live, rejoin=False)
-    assert live not in cluster.ring
+    cluster.drain_worker(live)
+    cluster.restart_worker(live)
+    assert cluster.states[live] == "drained" and live not in cluster.ring

@@ -60,6 +60,8 @@ _FRONT_DOOR = "the TCP front door: the deployment surface of a served cluster (R
     "no benchmark row opens a socket"
 _DRAIN = "operator API: graceful worker removal and rejoin, the drain half of the session " \
     "protocol ROADMAP 5(a) specifies; test_cluster_faults.py drains both transports"
+_OPERATOR = "operator API: one call of ServingCluster.transition, which the supervisor " \
+    "calls itself; the fault suites kill and restart workers through it"
 _PROGRAM = "a program registered at a cluster (every live worker, and each restart); " \
     "test_transport_contract.py holds it on both transports"
 _CONJUGATE = "the served conjugate lane (server.py's step table), which no benchmark row " \
@@ -92,15 +94,14 @@ EXEMPT: Dict[str, str] = {
     "src/repro/serving/framing.py:StreamProtocolError": _FRONT_DOOR,
     "src/repro/serving/cluster.py:ServingCluster.drain_worker": _DRAIN,
     "src/repro/serving/cluster.py:ServingCluster.rejoin_worker": _DRAIN,
+    "src/repro/serving/cluster.py:ServingCluster.kill_worker": _OPERATOR,
+    "src/repro/serving/cluster.py:ServingCluster.restart_worker": _OPERATOR,
     "src/repro/serving/server.py:EncryptedComputeServer.stop_admitting": _DRAIN,
     "src/repro/serving/server.py:EncryptedComputeServer.resume_admitting": _DRAIN,
-    _WORKER + "LocalWorkerHandle.begin_drain": _DRAIN,
-    _WORKER + "LocalWorkerHandle.resume": _DRAIN,
-    _WORKER + "ProcessWorkerHandle.begin_drain": _DRAIN,
-    _WORKER + "ProcessWorkerHandle.resume": _DRAIN,
+    _WORKER + "WorkerHandle.begin_drain": _DRAIN,
+    _WORKER + "WorkerHandle.resume": _DRAIN,
     "src/repro/serving/cluster.py:ServingCluster.register_program": _PROGRAM,
-    _WORKER + "LocalWorkerHandle.register_program": _PROGRAM,
-    _WORKER + "ProcessWorkerHandle.register_program": _PROGRAM,
+    _WORKER + "WorkerHandle.register_program": _PROGRAM,
     "src/repro/plan/graph.py:PlanGraph.conjugate": _CONJUGATE,
     "src/repro/ckks/evaluator.py:Evaluator.conjugate": _CONJUGATE,
     "src/repro/serving/server.py:EncryptedComputeServer._answer_error": "answers a flush "
