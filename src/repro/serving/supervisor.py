@@ -35,11 +35,11 @@ loop:
 
 Each worker's state is the router's (``cluster.states``): the supervisor
 keeps only its timers, and moves a worker only through the router.  It
-never swallows a recovery failure silently: every probe,
-miss and transition -- and every exception caught in the probe/failover
-machinery -- is an event of the cluster's :class:`repro.obs.EventLog`,
-keyed by worker id, beside the router's request events (the static
-analyzer's rule R5 checks exactly this discipline in ``repro.serving``).
+never swallows a recovery failure silently: every probe, miss and
+transition -- and every exception caught in the probe/failover machinery
+-- is an event of the cluster's :class:`repro.obs.EventLog`, keyed by
+worker id, beside the router's request events (the static analyzer's
+rule R5 checks exactly this discipline in ``repro.serving``).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.serving.clock import ExponentialBackoff
 from repro.serving.cluster import (
     ALIVE, HALF_OPEN, PROBATION, QUARANTINED, NoWorkersError, ServingCluster,
 )
+
 
 @dataclass
 class WorkerHealth:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ckks.context import CkksContext, CkksParameters
 from repro.serving.clock import SYSTEM_CLOCK, Clock
@@ -83,31 +83,26 @@ def build_server(spec: WorkerSpec, clock: Clock = SYSTEM_CLOCK) -> EncryptedComp
     )
 
 
-class Command(NamedTuple):
-    """One row of the command table: what the server does with the
-    command's arguments, and how long the router waits for its reply."""
-
-    run: Callable[..., Any]  # (server, *args) -> reply
-    timeout: Optional[float]  # seconds; None: the command sends no reply
-
-
-#: The one command table: a :class:`WorkerHandle` method -> its row.  The
-#: in-process transport runs the row on its server, the process transport
-#: sends the method's name, and the worker process runs the same row.
-COMMANDS: Dict[str, Command] = {
-    "register_session": Command(EncryptedComputeServer.open_session, None),
+#: The one command table: a :class:`WorkerHandle` method -> ``(run,
+#: timeout)``, what the server does with the command's arguments
+#: (``run(server, *args)``) and how many seconds the router waits for its
+#: reply (``None``: the command sends none).  The in-process transport
+#: runs the row on its server, the process transport sends the method's
+#: name, and the worker process runs the same row.
+COMMANDS: Dict[str, Tuple[Callable[..., Any], Optional[float]]] = {
+    "register_session": (EncryptedComputeServer.open_session, None),
     # answered between pumps, like stats: never executes pending work
-    "register_program": Command(EncryptedComputeServer.register_program, 30.0),
-    "submit": Command(EncryptedComputeServer.submit_frame, None),
+    "register_program": (EncryptedComputeServer.register_program, 30.0),
+    "submit": (EncryptedComputeServer.submit_frame, None),
     # generous: the worker answers only between pumps, and one pump may
     # execute a whole backlog of due batch flushes
-    "poll_responses": Command(EncryptedComputeServer.collect_outboxes, 60.0),
-    "begin_drain": Command(EncryptedComputeServer.stop_admitting, None),
-    "resume": Command(EncryptedComputeServer.resume_admitting, None),
+    "poll_responses": (EncryptedComputeServer.collect_outboxes, 60.0),
+    "begin_drain": (EncryptedComputeServer.stop_admitting, None),
+    "resume": (EncryptedComputeServer.resume_admitting, None),
     # generous: a drain flushes every open lane
-    "drain": Command(EncryptedComputeServer.drain, 60.0),
+    "drain": (EncryptedComputeServer.drain, 60.0),
     # the log crosses as its columns, and the handle folds it
-    "stats": Command(attrgetter("log"), 30.0),
+    "stats": (attrgetter("log"), 30.0),
 }
 
 
@@ -204,7 +199,8 @@ class LocalWorkerHandle(WorkerHandle):
         return self._server
 
     def _call(self, command: str, *args, **kwargs):
-        return COMMANDS[command].run(self.server, *args, **kwargs)
+        run, _ = COMMANDS[command]
+        return run(self.server, *args, **kwargs)
 
     def pump(self, now: Optional[float] = None) -> None:
         self.server.pump(now)
@@ -357,7 +353,7 @@ class ProcessWorkerHandle(WorkerHandle):
         """
         self._require_alive()
         self._conn.send((command, *args))
-        timeout = COMMANDS[command].timeout
+        _, timeout = COMMANDS[command]
         if timeout is None:
             return None
         deadline = self._clock() + timeout

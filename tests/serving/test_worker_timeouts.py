@@ -81,7 +81,7 @@ def test_drain_times_out_on_manual_clock():
     with pytest.raises(TimeoutError, match="drain timed out"):
         handle.drain()
     # the deadline expired on *injected* time, not a real 60s wait
-    assert clock.now >= COMMANDS["drain"].timeout
+    assert clock.now >= COMMANDS["drain"][1]
 
 
 def test_drain_surfaces_worker_death_while_waiting():
@@ -93,7 +93,7 @@ def test_drain_surfaces_worker_death_while_waiting():
         handle.drain()
     # died long before the drain deadline: this is the failover path,
     # not a timeout
-    assert clock.now < COMMANDS["drain"].timeout
+    assert clock.now < COMMANDS["drain"][1]
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_stats_times_out_on_manual_clock():
     handle = _stub_handle(clock)
     with pytest.raises(TimeoutError, match="stats timed out"):
         handle.stats()
-    assert clock.now >= COMMANDS["stats"].timeout
+    assert clock.now >= COMMANDS["stats"][1]
 
 
 def test_stats_surfaces_worker_death_while_waiting():
@@ -128,7 +128,7 @@ def test_poll_responses_deadline_yields_buffered_frames():
     out = handle.poll_responses()
     assert out == {"client-a": [b"frame-1", b"frame-2"]}
     assert handle._response_buffer == {}
-    assert clock.now >= COMMANDS["poll_responses"].timeout
+    assert clock.now >= COMMANDS["poll_responses"][1]
 
 
 def test_poll_responses_dead_worker_returns_buffer_without_waiting():
