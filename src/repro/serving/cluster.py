@@ -409,6 +409,8 @@ class ServingCluster:
         return program
 
     def _register_at_worker(self, worker_id: str, session: ClientSession) -> None:
+        if not self.workers[worker_id].alive:
+            return  # died unnoticed: its failover re-places and registers the session
         tenant = self._tenants[session.key_id]
         uploaded = self._uploaded[worker_id]
         # the worker caches key objects per key_id: blobs travel once
@@ -506,11 +508,10 @@ class ServingCluster:
             return
         worker_id = self._placement[client_id]
         if not self.workers[worker_id].alive:
-            # the process died since we last routed here: fail over now
-            # (a session maps off the ring only once the ring is empty,
-            # its worker already failed over)
+            # the process died since we last routed here: fail over now,
+            # unless someone already recorded the death
             try:
-                if worker_id in self.ring:
+                if self.states[worker_id] in ALIVE:
                     self.kill_worker(worker_id, now)
             except NoWorkersError:
                 pass  # it was the last worker: this request is answered below
@@ -606,8 +607,9 @@ class ServingCluster:
         """Move one worker along :data:`TRANSITIONS`: the only code that
         changes a worker's state or the ring.
 
-        A move the table does not list for the worker's state raises
-        :class:`WorkerStateError` and changes nothing.  Otherwise, in
+        A move the table does not list raises :class:`WorkerStateError`,
+        and one that would keep a worker whose handle died unrecorded
+        alive :class:`WorkerDeadError`; either changes nothing.  Else, in
         order: record the next state and log the move's event; set ring
         membership from the next state; act on the worker -- kill a dying
         one, stop and rebuild a restarting one (registering every program
@@ -618,7 +620,7 @@ class ServingCluster:
         forget its key cache; re-place the sessions whose ring position
         moved, or stayed at a rebuilt worker.  A worker that dies with no
         worker left on the ring raises :class:`NoWorkersError` once all
-        that is done.  Returns the requests answered: by a drain's final
+        that is done.  Returns the requests answered by a drain's final
         flush, or failed over.
         """
         state = self.states[worker_id]
@@ -628,15 +630,19 @@ class ServingCluster:
             raise WorkerStateError(
                 f"cannot {move} worker {worker_id!r}: it is {state} (its moves: {legal})"
             )
+        handle = self.workers[worker_id]
+        rebuilt = move in ("restart", "quarantine")
+        if target in ALIVE and not rebuilt and not handle.alive:
+            raise WorkerDeadError(
+                f"cannot {move} worker {worker_id!r}: it died while {state}; kill or restart it"
+            )
         now = self.clock() if now is None else now
         self.states[worker_id] = target
-        rebuilt = move in ("restart", "quarantine")
         self.log.emit(now, MOVE_EVENTS[move], worker_id, payload=target if rebuilt else None)
         if target in ON_RING:
             self.ring.add(worker_id)
         elif worker_id in self.ring:
             self.ring.remove(worker_id)
-        handle = self.workers[worker_id]
         failed = []
         if rebuilt or target not in ALIVE:
             if handle.alive:
@@ -664,9 +670,10 @@ class ServingCluster:
         elif move == "rejoin":
             handle.resume()
         # an empty ring (a whole-cluster drain) keeps every mapping: a
-        # drained worker answers a straggler with a "draining" ERROR
-        for client_id, session in self._clients.items() if len(self.ring) else ():
-            place = self.ring.place(session.key_id)
+        # drained worker answers a straggler with a "draining" ERROR, and
+        # a rebuilt one gets its sessions back
+        for client_id, session in self._clients.items():
+            place = self.ring.place(session.key_id) if len(self.ring) else self._placement[client_id]
             if place != self._placement[client_id] or (rebuilt and place == worker_id):
                 self._placement[client_id] = place
                 self._register_at_worker(place, session)

@@ -34,12 +34,15 @@ loop:
   reset.
 
 Each worker's state is the router's (``cluster.states``): the supervisor
-keeps only its timers, and moves a worker only through the router.  It
-never swallows a recovery failure silently: every probe, miss and
-transition -- and every exception caught in the probe/failover machinery
--- is an event of the cluster's :class:`repro.obs.EventLog`, keyed by
-worker id, beside the router's request events (the static analyzer's
-rule R5 checks exactly this discipline in ``repro.serving``).
+keeps only its timers, and moves a worker only through the router.  A
+move by anyone else (an operator, the router's own kill) sets them at the
+next tick as the supervisor's own would: a hand restart gets a fresh
+window, and a worker back in service a fresh backoff.  It never swallows
+a recovery failure silently: every probe, miss and transition -- and
+every exception caught in the probe/failover machinery -- is an event of
+the cluster's :class:`repro.obs.EventLog`, keyed by worker id, beside
+the router's request events (the static analyzer's rule R5 checks
+exactly this discipline in ``repro.serving``).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Dict, Optional
 
 from repro.serving.clock import ExponentialBackoff
 from repro.serving.cluster import (
-    ALIVE, HALF_OPEN, PROBATION, QUARANTINED, NoWorkersError, ServingCluster,
+    ALIVE, HALF_OPEN, PROBATION, QUARANTINED, SERVING, NoWorkersError, ServingCluster,
 )
 
 
@@ -59,13 +62,14 @@ class WorkerHealth:
     """One worker's supervision timers (its state is the router's; see
     :meth:`worker_health` for the read-only reporting view)."""
 
+    known: str                # its state when the supervisor last looked
     last_seen: float = 0.0    # clock time of the last successful probe
     last_probe: float = 0.0   # clock time of the last probe attempt
     probed: bool = False      # has any probe run yet?
     #: consecutive failed probes; held at the threshold once the worker
     #: is declared dead, until its restart
     missed: int = 0
-    attempt: int = 0          # backoff attempt index (resets on recovery)
+    attempt: int = 0          # backoff attempt index (resets back in service)
     flaps: int = 0            # deaths before recovering since the last one
     #: when the state waits out its window: the restart of a declared
     #: death, the end of probation, quarantine or the half-open probe
@@ -155,11 +159,10 @@ class HeartbeatSupervisor:
         """N missed probes: fail over, then schedule a restart."""
         state = self.cluster.states[worker_id]
         try:
-            self.cluster.transition(worker_id, "die", now)
+            self._move(worker_id, health, "die", now)
         except NoWorkersError:
-            # the ring emptied: failover had nowhere to re-place the
-            # tenants.  Recorded -- the restart below is now the only
-            # path back to capacity, so the supervisor must keep going.
+            # the ring emptied: nowhere to re-place the tenants.  Recorded;
+            # the restart below is the only path back to capacity
             self.log.emit(now, "failover_error", worker_id)
         # a death since a restart, before recovery, is a flap while the
         # breaker is closed; a half-open death opens it again
@@ -171,6 +174,27 @@ class HeartbeatSupervisor:
         health.attempt += 1
         health.deadline = now + delay
         self.log.emit(now, "restart_scheduled", worker_id, payload=delay)
+
+    def _move(self, worker_id: str, health: WorkerHealth, move: str, now: float) -> None:
+        try:
+            self.cluster.transition(worker_id, move, now)
+        finally:
+            self._arm(health, self.cluster.states[worker_id], now)
+
+    def _arm(self, health: WorkerHealth, state: str, now: float) -> None:
+        """Set the timers for the state a worker entered: by the
+        supervisor's own move, or by anyone else's, noticed at a tick."""
+        if state == SERVING:
+            health.attempt = health.flaps = 0
+        if state in ALIVE and (health.known not in ALIVE or state in (PROBATION, QUARANTINED)):
+            # a restart: a fresh worker
+            health.missed = 0
+            health.last_seen = now
+        window = {PROBATION: self.probation_window, HALF_OPEN: self.probation_window,
+                  QUARANTINED: self.quarantine_window}.get(state)
+        if window is not None:
+            health.deadline = now + window
+        health.known = state
 
     def _probe(self, worker_id: str, health: WorkerHealth, now: float) -> None:
         handle = self.cluster.workers[worker_id]
@@ -203,18 +227,16 @@ class HeartbeatSupervisor:
             health = self._health.get(worker_id)
             if health is None:
                 health = self._health[worker_id] = WorkerHealth(
-                    last_seen=now, last_probe=now,
+                    state, last_seen=now, last_probe=now,
                 )
+            elif state != health.known:
+                self._arm(health, state, now)  # an operator's move, or the router's kill
             if state not in ALIVE and health.missed >= self.miss_threshold:
                 # declared dead: the restart waits out the backoff, and an
                 # open breaker restarts the worker *off* the ring
                 if now >= health.deadline:
                     opened = health.flaps >= self.flap_threshold
-                    self.cluster.transition(worker_id, "quarantine" if opened else "restart", now)
-                    health.missed = 0
-                    health.last_seen = now
-                    window = self.quarantine_window if opened else self.probation_window
-                    health.deadline = now + window
+                    self._move(worker_id, health, "quarantine" if opened else "restart", now)
                 continue
             if not health.probed or now - health.last_probe >= self.probe_interval:
                 self._probe(worker_id, health, now)
@@ -223,14 +245,12 @@ class HeartbeatSupervisor:
             )
             # a worker mid-miss-streak must not graduate: it may be about
             # to be declared dead, and graduating would reset the backoff
-            # schedule its next restart needs
-            if move is None or now < health.deadline or (health.missed and move != "half_open"):
+            # schedule its next restart needs; a dead one waits for its
+            # probes to declare it
+            if (move is None or now < health.deadline or not self.cluster.workers[worker_id].alive
+                    or (health.missed and move != "half_open")):
                 continue
-            self.cluster.transition(worker_id, move, now)
-            if move == "half_open":
-                health.deadline = now + self.probation_window
-            else:
-                health.attempt = health.flaps = 0
+            self._move(worker_id, health, move, now)
 
     def run(self, until: float, step: Optional[float] = None) -> None:
         """Tick on a manual clock until ``until`` (test convenience).

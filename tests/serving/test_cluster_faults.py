@@ -27,9 +27,9 @@ import pytest
 from conservation import conserved
 
 from repro.serving import framing
-from repro.serving.cluster import NoWorkersError, ServingCluster, WorkerStateError
+from repro.serving.cluster import HashRing, NoWorkersError, ServingCluster, WorkerStateError
 from repro.serving.traffic import multi_tenant_traffic
-from repro.serving.worker import ProcessWorkerHandle, WorkerSpec
+from repro.serving.worker import ProcessWorkerHandle, WorkerDeadError, WorkerSpec
 
 
 def connect_traffic(context, cluster, tenants=3, clients_per=2, requests=4):
@@ -336,6 +336,107 @@ class TestRestart:
             cluster.rejoin_worker("w0")
 
 
+def lifecycle_snapshot(cluster):
+    """Every worker's state, the ring, the placements and the log length."""
+    return (dict(cluster.states), cluster.ring.worker_ids, dict(cluster._placement),
+            len(list(cluster.log)))
+
+
+class TestUnnoticedDeath:
+    """A worker whose process died with nobody told yet: a move that would
+    keep it alive is refused and changes nothing, and the router fails it
+    over the first time it routes there, on the ring or off it."""
+
+    def test_draining_it_is_refused_and_its_clients_are_served(
+        self, serving_context, make_cluster
+    ):
+        cluster = make_cluster(worker_count=3)
+        tenants, clients, trace = connect_traffic(serving_context, cluster)
+        victim = cluster._placement[clients[0].client_id]
+        cluster.workers[victim].kill()
+        before = lifecycle_snapshot(cluster)
+        with pytest.raises(WorkerDeadError, match=f"cannot drain worker '{victim}': it died while serving"):
+            cluster.drain_worker(victim)
+        assert lifecycle_snapshot(cluster) == before
+
+        # the clients' next requests find it dead, re-place and are served
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        cluster.drain()
+        assert cluster.states[victim] == "dead" and victim not in cluster.ring
+        assert victim not in cluster._placement.values()
+        terminals = {}
+        merge_terminals(terminals, take_all(cluster, clients))
+        assert {cid: set(per) for cid, per in terminals.items()} == submitted_ids(trace)
+        assert {f.kind for per in terminals.values() for f in per.values()} == {framing.RESPONSE}
+        assert conserved(cluster.log)
+
+    def test_two_deaths_fail_over_one_after_the_other(self, serving_context, make_cluster):
+        """The first failover re-places the client onto a second worker that
+        died unnoticed: nothing raises out of ``receive``, the request is
+        answered with a retryable ERROR, and the resend fails that worker
+        over too and is served."""
+        cluster = make_cluster(worker_count=3)
+        tenants, clients, trace = connect_traffic(
+            serving_context, cluster, tenants=1, clients_per=1, requests=1
+        )
+        (client,) = clients
+        first = cluster._placement[client.client_id]
+        ring = HashRing()
+        for worker_id in set(cluster.ring.worker_ids) - {first}:
+            ring.add(worker_id)
+        second = ring.place(tenants[0].key_id)
+        cluster.workers[first].kill()
+        cluster.workers[second].kill()
+        (cid, fr), = trace
+        cluster.receive(cid, fr)
+        assert cluster.states[first] == "dead" and cluster._placement[cid] == second
+        (refusal,) = take_all(cluster, clients)[cid]
+        assert framing.is_retryable_error(refusal)
+        cluster.receive(cid, fr)
+        cluster.drain()
+        assert cluster.states[second] == "dead"
+        (served,) = take_all(cluster, clients)[cid]
+        assert served.kind == framing.RESPONSE and conserved(cluster.log)
+
+    def test_rejoining_it_is_refused_and_changes_nothing(self, serving_context, make_cluster):
+        cluster = make_cluster(worker_count=3)
+        connect_traffic(serving_context, cluster)
+        victim = cluster.ring.worker_ids[0]
+        cluster.drain_worker(victim)
+        cluster.workers[victim].kill()
+        before = lifecycle_snapshot(cluster)
+        with pytest.raises(WorkerDeadError, match=f"cannot rejoin worker '{victim}': it died while drained"):
+            cluster.rejoin_worker(victim)
+        assert lifecycle_snapshot(cluster) == before
+        # a restart builds it afresh, still drained, and then it rejoins
+        cluster.restart_worker(victim)
+        assert cluster.states[victim] == "drained" and cluster.workers[victim].alive
+        cluster.rejoin_worker(victim)
+        assert victim in cluster.ring and victim in cluster._placement.values()
+
+    def test_a_drained_worker_found_dead_at_routing_is_failed_over(
+        self, serving_context, make_cluster
+    ):
+        """A whole-cluster drain keeps every mapping; a drained worker that
+        died is recorded dead when a straggler routes to it."""
+        cluster = make_cluster(worker_count=2)
+        tenants, clients, trace = connect_traffic(
+            serving_context, cluster, tenants=1, clients_per=1, requests=1
+        )
+        for worker_id in cluster.ring.worker_ids:
+            cluster.drain_worker(worker_id)
+        (client,) = clients
+        victim = cluster._placement[client.client_id]
+        cluster.workers[victim].kill()
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        assert cluster.states[victim] == "dead_drained"
+        (refusal,) = take_all(cluster, clients)[client.client_id]
+        assert framing.is_retryable_error(refusal)
+        assert cluster.inflight_count == 0 and conserved(cluster.log)
+
+
 class TestDrainUnderLoad:
     def test_drain_loses_zero_responses(self, serving_context, make_cluster):
         cluster = make_cluster(worker_count=4)
@@ -379,6 +480,27 @@ class TestDrainUnderLoad:
     ):
         answers = rejoin_after_drain(serving_context, make_cluster(worker_count=4))
         assert {framing.decode_frame(b).kind for b in answers.values()} == {framing.RESPONSE}
+
+    def test_a_restart_after_a_whole_cluster_drain_keeps_its_sessions(
+        self, serving_context, make_cluster
+    ):
+        """With the ring empty, sessions keep their mapping: a worker
+        rebuilt under them gets them back, and answers a straggler with a
+        "draining" ERROR as the worker it replaced did."""
+        cluster = make_cluster(worker_count=2)
+        tenants, clients, trace = connect_traffic(
+            serving_context, cluster, tenants=1, clients_per=1, requests=1
+        )
+        for worker_id in cluster.ring.worker_ids:
+            cluster.drain_worker(worker_id)
+        (client,) = clients
+        cluster.restart_worker(cluster._placement[client.client_id])
+        for cid, fr in trace:
+            cluster.receive(cid, fr)
+        cluster.drain()
+        (frame,) = take_all(cluster, clients)[client.client_id]
+        assert frame.kind == framing.ERROR and "draining" in frame.error_message
+        assert conserved(cluster.log)
 
 
 class TestDrainOnProcessWorkers:

@@ -5,13 +5,16 @@ operator calls (drain, rejoin, kill, restart) and the heartbeat
 supervisor's verdicts both go through it.  A Hypothesis
 ``RuleBasedStateMachine`` drives local workers on a ``ManualClock`` with
 every kind of move -- the operator's four, supervisor ticks with forced
-probe misses, clock jumps, traffic -- and holds, after every step:
+probe misses, clock jumps, traffic, and a worker process dying with
+nobody told -- and holds, after every step:
 
 * each move the model table below allows lands where the model says, and
   each it refuses raises ``WorkerStateError`` and changes nothing (no
-  state, no ring point, no event);
+  state, no ring point, no event); so does a drain or rejoin of a worker
+  that died unnoticed, with ``WorkerDeadError``;
 * the ring is exactly the workers in an on-ring state;
-* a worker's handle is alive exactly when its state says so;
+* a worker's handle is alive exactly when its state says so, but for one
+  that died unnoticed, whose state is still an alive one;
 * conservation: once nothing is in flight, every admitted request was
   answered once;
 * folding each worker's lifecycle events off ``cluster.log`` through the
@@ -41,6 +44,7 @@ from repro.serving import (
     ServingCluster,
     SyntheticClient,
     SyntheticTenant,
+    WorkerDeadError,
     WorkerSpec,
     WorkerStateError,
 )
@@ -124,6 +128,8 @@ class Lifecycle(RuleBasedStateMachine):
         self.clock = ManualClock()
         #: workers that miss every probe, across their restarts too
         self.silent = set()
+        #: handles killed behind the router's back
+        self.crashed = []
         spec = WorkerSpec(params=CONTEXT.params, max_delay_seconds=0.5)
 
         def factory(worker_id):
@@ -138,8 +144,9 @@ class Lifecycle(RuleBasedStateMachine):
         cluster = self.cluster
         before = (dict(cluster.states), cluster.ring.worker_ids, len(list(cluster.log)))
         target = MODEL.get((before[0][worker_id], move))
-        if target is None:
-            with contextlib.suppress(WorkerStateError):
+        dead = target in ALIVE and move != "restart" and not cluster.workers[worker_id].alive
+        if target is None or dead:
+            with contextlib.suppress(WorkerDeadError if dead else WorkerStateError):
                 operate(cluster, worker_id, move)
                 raise AssertionError(f"{move} of a {before[0][worker_id]} worker was allowed")
             assert (dict(cluster.states), cluster.ring.worker_ids, len(list(cluster.log))) == before
@@ -151,6 +158,14 @@ class Lifecycle(RuleBasedStateMachine):
           move=st.sampled_from(("drain", "rejoin", "kill", "restart")))
     def operator(self, worker_id, move):
         self._move(worker_id, move)
+
+    @rule(worker_id=st.sampled_from(WORKERS))
+    def crash(self, worker_id):
+        """The worker's process dies, and nobody tells the router."""
+        handle = self.cluster.workers[worker_id]
+        if handle.alive:
+            handle.kill()
+            self.crashed.append(handle)
 
     @rule(client=st.integers(0, 2), value=st.floats(0.25, 2.0))
     def request(self, client, value):
@@ -187,7 +202,9 @@ class Lifecycle(RuleBasedStateMachine):
     @invariant()
     def alive_matches_the_state(self):
         for worker_id, state in self.cluster.states.items():
-            assert self.cluster.workers[worker_id].alive == (state in ALIVE), (worker_id, state)
+            handle = self.cluster.workers[worker_id]
+            crashed = any(handle is h for h in self.crashed)
+            assert handle.alive == (state in ALIVE and not crashed), (worker_id, state)
 
     @invariant()
     def the_log_folds_to_the_states(self):

@@ -401,3 +401,60 @@ class TestDrainInteraction:
         cluster.rejoin_worker(victim)
         assert victim in cluster.ring
         assert victim in placements(cluster, clients).values()
+
+    def test_a_rejoined_worker_dies_as_a_serving_one(
+        self, serving_context, make_cluster, manual_clock
+    ):
+        """Restarted drained, then rejoined by the operator, a worker's
+        next death is an ordinary one: no flap, no quarantine, and its
+        restart lands on the ring."""
+        cluster = make_cluster(worker_count=3)
+        connect_traffic(serving_context, cluster)
+        sup = make_supervisor(cluster, flap_threshold=1)
+        victim = cluster.ring.worker_ids[0]
+        cluster.drain_worker(victim)
+        cluster.workers[victim].kill()
+        sup.run(until=30.0)
+        assert cluster.states[victim] == DRAINED
+        cluster.rejoin_worker(victim)
+        sup.run(until=31.0)
+        cluster.workers[victim].kill()
+
+        sup.run(until=60.0)
+        assert sup.log.payloads_of("restarted") == [DRAINED, PROBATION]
+        assert sup.log.count("quarantined") == 0
+        assert sup.worker_health()[victim].flaps == 0
+        assert cluster.states[victim] == SERVING and victim in cluster.ring
+
+
+class TestHandMoves:
+    """An operator's move between ticks sets the supervisor's timers as
+    its own would."""
+
+    def test_a_hand_restart_serves_a_full_probation(self, make_cluster, manual_clock):
+        cluster = make_cluster(worker_count=2)
+        sup = make_supervisor(cluster)  # a 5 s probation
+        sup.run(until=10.0)
+        victim = cluster.ring.worker_ids[0]
+        cluster.restart_worker(victim)
+        sup.run(until=14.5)
+        assert cluster.states[victim] == PROBATION and sup.log.count("recovered") == 0
+        sup.run(until=15.0)
+        assert cluster.states[victim] == SERVING and sup.log.count("recovered") == 1
+
+    def test_a_hand_restart_of_a_declared_death_probes_afresh(
+        self, make_cluster, manual_clock
+    ):
+        cluster = make_cluster(worker_count=2)
+        sup = make_supervisor(cluster)
+        victim = cluster.ring.worker_ids[0]
+        cluster.workers[victim].kill()
+        sup.run(until=3.0)
+        assert cluster.states[victim] == DEAD and sup.log.count("died") == 1
+        cluster.restart_worker(victim)
+        cluster.workers[victim].ping = lambda: False
+        sup.tick()
+        # one miss of a fresh worker is one miss, not a second death
+        assert sup.log.count("died") == 1
+        view = sup.worker_health()[victim]
+        assert view.state == PROBATION and view.missed_probes == 1
