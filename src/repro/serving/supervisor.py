@@ -62,7 +62,7 @@ class WorkerHealth:
     """One worker's supervision timers (its state is the router's; see
     :meth:`worker_health` for the read-only reporting view)."""
 
-    known: str                # its state when the supervisor last looked
+    known: tuple              # (state, handle) when the supervisor last looked
     last_seen: float = 0.0    # clock time of the last successful probe
     last_probe: float = 0.0   # clock time of the last probe attempt
     probed: bool = False      # has any probe run yet?
@@ -179,22 +179,22 @@ class HeartbeatSupervisor:
         try:
             self.cluster.transition(worker_id, move, now)
         finally:
-            self._arm(health, self.cluster.states[worker_id], now)
+            self._arm(health, worker_id, now)
 
-    def _arm(self, health: WorkerHealth, state: str, now: float) -> None:
+    def _arm(self, health: WorkerHealth, worker_id: str, now: float) -> None:
         """Set the timers for the state a worker entered: by the
         supervisor's own move, or by anyone else's, noticed at a tick."""
+        state, handle = known = self.cluster.states[worker_id], self.cluster.workers[worker_id]
         if state == SERVING:
             health.attempt = health.flaps = 0
-        if state in ALIVE and (health.known not in ALIVE or state in (PROBATION, QUARANTINED)):
-            # a restart: a fresh worker
+        if handle is not health.known[1]:  # a restart: a fresh worker
             health.missed = 0
             health.last_seen = now
         window = {PROBATION: self.probation_window, HALF_OPEN: self.probation_window,
                   QUARANTINED: self.quarantine_window}.get(state)
         if window is not None:
             health.deadline = now + window
-        health.known = state
+        health.known = known
 
     def _probe(self, worker_id: str, health: WorkerHealth, now: float) -> None:
         handle = self.cluster.workers[worker_id]
@@ -225,12 +225,11 @@ class HeartbeatSupervisor:
         now = self.clock()
         for worker_id, state in list(self.cluster.states.items()):
             health = self._health.get(worker_id)
+            known = (state, self.cluster.workers[worker_id])
             if health is None:
-                health = self._health[worker_id] = WorkerHealth(
-                    state, last_seen=now, last_probe=now,
-                )
-            elif state != health.known:
-                self._arm(health, state, now)  # an operator's move, or the router's kill
+                health = self._health[worker_id] = WorkerHealth(known, last_seen=now, last_probe=now)
+            elif known != health.known:
+                self._arm(health, worker_id, now)  # an operator's move, or the router's kill
             if state not in ALIVE and health.missed >= self.miss_threshold:
                 # declared dead: the restart waits out the backoff, and an
                 # open breaker restarts the worker *off* the ring

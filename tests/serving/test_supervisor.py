@@ -441,6 +441,14 @@ class TestHandMoves:
         assert cluster.states[victim] == PROBATION and sup.log.count("recovered") == 0
         sup.run(until=15.0)
         assert cluster.states[victim] == SERVING and sup.log.count("recovered") == 1
+        # a fresh worker's probation is its own, though the state stays put
+        cluster.restart_worker(victim)
+        sup.run(until=18.0)
+        cluster.restart_worker(victim)
+        sup.run(until=22.5)
+        assert cluster.states[victim] == PROBATION and sup.log.count("recovered") == 1
+        sup.run(until=23.0)
+        assert cluster.states[victim] == SERVING and sup.log.count("recovered") == 2
 
     def test_a_hand_restart_of_a_declared_death_probes_afresh(
         self, make_cluster, manual_clock
