@@ -11,8 +11,9 @@
 #   make doc-check      the prose ratchet: fails when a doc named under loc-baseline.json's "docs"
 #                       exceeds its line ceiling (the same rule: a PR that cuts prose lowers the
 #                       ceiling, raising one requires a "<doc> +N: why" line in CHANGES)
-#   make census         the execution census (tools/census.py): traces the product runs and tier-1, writes
-#                       census.json, fails if the unexempted never-run or unentered count rises
+#   make census         the census (tools/census.py): after its name and options pre-passes, traces the
+#                       product runs and tier-1, writes census.json, fails if the unexempted never-run or
+#                       unentered count rises or an EXEMPT entry is stale
 #   make bench          every paper table/figure benchmark (writes benchmarks/results/)
 #   make bench-all      the repo benchmark of BENCHMARK.json: five workloads end to end + traced (writes bench/results/)
 #   make bench-backend  polynomial-backend speedup gate (numpy vs reference)

@@ -22,8 +22,10 @@ subject to exactly the rules the real module would be.
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -53,16 +55,8 @@ class SourceModule:
     module: str               #: dotted module name (``repro.serving.worker``)
     text: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
-
-    def suppressed_rules(self, line: int) -> Set[str]:
-        """Rule ids suppressed by an inline marker on ``line`` (1-based)."""
-        if not 1 <= line <= len(self.lines):
-            return set()
-        match = _SUPPRESS_RE.search(self.lines[line - 1])
-        if not match:
-            return set()
-        return {token.strip() for token in match.group(1).split(",") if token.strip()}
+    #: line -> the rule ids its marker comment names (a string's text is no marker)
+    markers: Dict[int, Set[str]] = field(default_factory=dict)
 
 
 def module_name_for(path: str) -> str:
@@ -99,12 +93,17 @@ def source_from_text(path: str, text: str) -> SourceModule:
     configuration.
     """
     tree = ast.parse(text, filename=path)
+    markers = {}
+    for token in tokenize.generate_tokens(io.StringIO(text).readline) if "lint:" in text else ():
+        match = token.type == tokenize.COMMENT and _SUPPRESS_RE.search(token.string)
+        if match:
+            markers[token.start[0]] = {t.strip() for t in match.group(1).split(",") if t.strip()}
     return SourceModule(
         path=path.replace(os.sep, "/"),
         module=module_name_for(path),
         text=text,
         tree=tree,
-        lines=text.splitlines(),
+        markers=markers,
     )
 
 
@@ -258,7 +257,8 @@ def run_lint(
 ) -> LintResult:
     """Run ``rules`` over ``modules`` and triage every finding: an
     inline ``# lint: disable=`` marker (visible at the call site, where
-    a reviewer will look) is the only way to silence one.
+    a reviewer will look) is the only way to silence one; a marker of a
+    rule that ran (``all``: of every rule) that silences nothing is ``E1``.
     """
     rules = list(default_rules() if rules is None else rules)
     by_name = {m.module: m for m in modules}
@@ -270,15 +270,22 @@ def run_lint(
         raw.extend(rule.check_project(by_name))
     active: List[Finding] = []
     suppressed: List[Finding] = []
-    for finding in sorted(raw, key=lambda f: (f.path, f.line, f.rule)):
+    unused = {(m.path, line, r) for m in modules for line, ids in m.markers.items() for r in ids}
+    for finding in raw:
         module = by_path.get(finding.path)
-        markers = module.suppressed_rules(finding.line) if module else set()
-        if finding.rule in markers or "all" in markers:
-            suppressed.append(finding)
-        else:
-            active.append(finding)
+        markers = module.markers.get(finding.line, set()) if module else set()
+        marker = finding.rule if finding.rule in markers else "all" if "all" in markers else None
+        (suppressed if marker else active).append(finding)
+        unused.discard((finding.path, finding.line, marker))
+    judged = {rule.id for rule in rules}
+    judged |= {"all"} if judged >= {rule.id for rule in default_rules()} else set()
+    active += [
+        Finding("E1", path, line, "<module>",
+                f"'# lint: disable={rule_id}' suppresses nothing on this line; remove it")
+        for path, line, rule_id in sorted(unused) if rule_id in judged
+    ]
     return LintResult(
-        findings=active,
+        findings=sorted(active, key=lambda f: (f.path, f.line, f.rule)),
         suppressed=suppressed,
         checked_files=len(modules),
         rules=rules,

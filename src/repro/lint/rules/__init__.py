@@ -13,6 +13,7 @@ visitor; this package is the registry the driver and CLI consume.
 | R4 | exact-length wire discipline               | PR 3/7     |
 | R5 | serving exception discipline               | PR 3/6     |
 | R6 | the plan is the only door to the evaluator | PR 10/12   |
+| R7 | serving keeps no books beside its log      | PR 44      |
 """
 
 from repro.lint.rules.residency import ResidencyRule
@@ -21,6 +22,7 @@ from repro.lint.rules.determinism import ServingDeterminismRule
 from repro.lint.rules.wire import WireDisciplineRule
 from repro.lint.rules.exceptions import ExceptionDisciplineRule
 from repro.lint.rules.planner import PlannerDisciplineRule
+from repro.lint.rules.accounting import AccountingRule
 
 #: Every rule the default driver runs, in id order.
 REGISTERED_RULES = [
@@ -30,6 +32,7 @@ REGISTERED_RULES = [
     WireDisciplineRule,
     ExceptionDisciplineRule,
     PlannerDisciplineRule,
+    AccountingRule,
 ]
 
 __all__ = [
@@ -40,4 +43,5 @@ __all__ = [
     "WireDisciplineRule",
     "ExceptionDisciplineRule",
     "PlannerDisciplineRule",
+    "AccountingRule",
 ]

@@ -21,8 +21,8 @@ module itself:
 * module-level :mod:`random` functions (shared global RNG state);
   deterministic code wants an explicitly seeded ``random.Random``.
 
-``time.perf_counter`` stays legal: it measures how long real compute
-*took* (stats), never decides *when* something happens.
+``time.perf_counter`` decides no deadline, so R3 leaves it alone; R7
+keeps it out of ``repro.serving`` as a ledger beside the event log.
 """
 
 from __future__ import annotations

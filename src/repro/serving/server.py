@@ -597,7 +597,7 @@ class EncryptedComputeServer:
         requests = [request for request, _ in members]
         source = self._sources(requests)
         self.executor.relin_key, self.executor.galois_keys = requests[0].key
-        t0 = time.perf_counter()
+        t0 = time.perf_counter()  # lint: disable=R7 -- flush span; ROADMAP 2(b) makes it an event
         try:
             run = self.executor.run(*self._flush_plan(requests, source))
         except (ValueError, KeyError) as exc:
@@ -610,7 +610,7 @@ class EncryptedComputeServer:
                     requests[0], flush_now, "failed", f"op failed: {exc}", framing.ERR_FATAL
                 )
             return
-        seconds = time.perf_counter() - t0
+        seconds = time.perf_counter() - t0  # lint: disable=R7 -- the flush span's end
         now = self.clock()
         out_bytes = 0
         # responses go out at the wire version each client negotiated at

@@ -20,6 +20,7 @@ from repro.lint import (
 )
 from repro.lint.core import collect_sources, module_name_for
 from repro.lint.rules import REGISTERED_RULES
+from repro.lint.rules.accounting import AccountingRule
 from repro.lint.rules.conformance import BackendConformanceRule
 from repro.lint.rules.determinism import ServingDeterminismRule
 from repro.lint.rules.exceptions import ExceptionDisciplineRule
@@ -66,6 +67,7 @@ MODULE_RULE_CASES = [
     # a failure is accounting; logging an unrelated event is not
     ("R5", ExceptionDisciplineRule, "r5_stats_violation.py", "r5_stats_clean.py", 1),
     ("R6", PlannerDisciplineRule, "r6_violation.py", "r6_clean.py", 3),
+    ("R7", AccountingRule, "r7_violation.py", "r7_clean.py", 4),
 ]
 
 
@@ -142,6 +144,16 @@ def test_r6_flags_evaluator_imports_in_serving_modules():
 def test_r6_silent_on_plan_imports():
     result = lint_fixture("r6_import_clean.py", PlannerDisciplineRule())
     assert result.ok, [str(f) for f in result.findings]
+
+
+def test_r7_flags_each_ledger_write_and_timing_pair():
+    result = lint_fixture("r7_violation.py", AccountingRule())
+    assert [f.message.split(";")[0] for f in result.findings] == [
+        "self.report.submitted counted in place",
+        "self.stats.latencies grown in place",
+        "time.perf_counter times a span beside the event log",
+        "time.perf_counter times a span beside the event log",
+    ]
 
 
 def test_r2_fires_on_violating_wrapper():
@@ -243,6 +255,26 @@ def test_inline_suppression_all_token():
     text = "def snapshot(ct):\n    return ct.c0.residues  # lint: disable=all\n"
     module = source_from_text("src/repro/ckks/evaluator.py", text)
     assert run_lint([module], rules=[ResidencyRule()]).ok
+
+
+def test_marker_text_in_a_string_does_not_silence():
+    text = (
+        "import time\n"
+        "def now():\n"
+        "    return time.monotonic(), 'see # lint: disable=R3 -- why'\n"
+    )
+    module = source_from_text("src/repro/serving/pump.py", text)
+    result = run_lint([module], rules=[ServingDeterminismRule()])
+    assert [f.rule for f in result.findings] == ["R3"] and not result.suppressed
+
+
+def test_a_marker_that_suppresses_nothing_is_a_finding():
+    text = "def snapshot(ct):\n    return ct  # lint: disable=R1 -- nothing left here\n"
+    module = source_from_text("src/repro/ckks/evaluator.py", text)
+    result = run_lint([module], rules=[ResidencyRule()])
+    assert [(f.rule, f.line) for f in result.findings] == [("E1", 2)]
+    # a marker for a rule that did not run is not judged
+    assert run_lint([module], rules=[ServingDeterminismRule()]).ok
 
 
 def test_inline_suppression_wrong_rule_does_not_silence():

@@ -1,39 +1,68 @@
-"""The execution census: which statements of ``src/`` run, and in what.
+"""The census: which code of ``src/`` runs or is named, and why the rest stays.
 
-Every statement of ``src/`` (an AST statement start, not counting ``def``,
-``class``, ``import``, ``global`` / ``nonlocal`` or a docstring) falls in
-one of three buckets:
+Three passes read ``src/``, and each holds what it finds to the one
+``EXEMPT`` table below:
 
-* ``product`` -- it runs in a product run: the seven examples, the
-  ``benchmarks/bench_*.py`` files (traced timing gates fail, so none stops
-  the others), ``bench/run.py --workload <each> --seconds 1`` with
-  ``--trace 0`` and ``--trace 1``, and ``python -m repro.lint src --json
-  ...`` as CI's lint job runs it;
-* ``tier1_only`` -- only the tier-1 suite runs it;
-* ``neither`` -- nothing runs it.
+* **the name pass** (static, the census's pre-pass; tier-1 runs it
+  through ``tests/lint/test_reachability.py``): every top-level function
+  or class of ``src/``, and every method of such a class (dunders aside),
+  is named in ``src/``, ``bench/``, ``benchmarks/`` or ``examples/``
+  outside its own body -- as a name, an attribute, or a string constant
+  spelled like an identifier (``getattr``, op-name dispatch).  A name
+  ``src/`` only lists (``__all__``, ``base.DERIVED``) is declared, not
+  used; ``visit_<Node>`` methods are dispatched by name, exempt by rule.
+  A method several classes define is named when any one is; the census
+  sees each of those statement by statement.  The census counts every
+  class body as entered (it runs at import), so a class nothing names
+  shows only to this pass;
+* **the options pass** (static; tier-1 runs it through
+  ``tests/lint/test_options.py``): every defaulted parameter of a public
+  function or method, and every defaulted field of a public dataclass,
+  is set by a call in ``src/``, ``bench/``, ``benchmarks/``, ``tests/``
+  or ``examples/`` -- by keyword, by enough positional arguments, by a
+  ``*`` / ``**`` splat, or (a field) by ``dataclasses.replace``;
+* **the execution census** (traced, ``make census``): every statement
+  (an AST statement start, not counting ``def``, ``class``, ``import``,
+  ``global`` / ``nonlocal`` or a docstring) falls in one of three
+  buckets:
 
-Each run is traced line by line (``tools/census_site/sitecustomize.py`` on
-``PYTHONPATH``; forked workers included) and folded into ``census.json``:
-the three buckets per module, every never-run statement, and every
-function that no product run enters.  A never-run statement or an
-unentered function is deleted, tested, reached by a product run, or
-listed in ``EXEMPT`` with its reason; an entry that no longer covers
-anything fails the census, as in ``tests/lint/test_reachability.py``.
-A ``file:scope`` entry covers a function no product run enters, with
+  * ``product`` -- it runs in a product run: the seven examples, the
+    ``benchmarks/bench_*.py`` files (traced timing gates fail, so none
+    stops the others), ``bench/run.py --workload <each> --seconds 1``
+    with ``--trace 0`` and ``--trace 1``, and ``python -m repro.lint src
+    --json ...`` as CI's lint job runs it;
+  * ``tier1_only`` -- only the tier-1 suite runs it;
+  * ``neither`` -- nothing runs it.
+
+  Each run is traced line by line (``tools/census_site/sitecustomize.py``
+  on ``PYTHONPATH``; forked workers included) and folded into
+  ``census.json``: the three buckets per module, every never-run
+  statement, and every function that no product run enters.
+
+What a pass finds is deleted, tested, reached, set, or listed in
+``EXEMPT`` with its reason.  A ``file:scope`` entry covers a function
+(or class) the name pass finds unnamed or no product run enters, with
 everything in it; a never-run statement of a function that a product
 run does enter is covered only by its own ``file:scope:line`` entry, so
-the rest of that function stays under the count.
+the rest of that function stays under the count.  An option nothing
+sets takes ``file:Class(param)``, ``file:Class.method(param)`` or
+``file:func(param)``, and a dataclass of run state, every field of
+which starts at its default, takes ``file:Class(*)``.  An entry that no
+pass uses is stale: tier-1 judges the census's part by the committed
+``census.json``, ``make census`` by the fresh one.
 
-    python tools/census.py   # trace, write census.json, check (make census)
+    python tools/census.py   # pre-passes, trace, write census.json, check (make census)
 
-It exits non-zero if the unexempted never-run or unentered count rises
-above the committed ``census.json``'s, or if an ``EXEMPT`` entry is stale.
+It exits non-zero if a pre-pass finds an unexempted symbol or option,
+if the unexempted never-run or unentered count rises above the
+committed ``census.json``'s, or if an ``EXEMPT`` entry is stale.
 Stdlib only; ``tests/test_census.py`` holds the committed file's shape.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -42,7 +71,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 CENSUS = ROOT / "census.json"
@@ -71,14 +100,13 @@ _LINT_BRANCH = "a repro.lint rule branch for a construct no file of src/ contain
 _GUARD = "a can't-happen guard after an exhaustive search or a closed op set"
 _PAPER = "a paper model the tests hold to its paper figure"
 
-#: ``file:scope`` -> why a function (or class) no product run enters
-#: stays; ``file:scope:line`` -> why one never-run statement of a function
-#: that a product run enters stays
+#: the one exemption table of every pass: ``file:scope``, ``file:scope:line``,
+#: ``file:Class(param)`` (or ``.method(param)``) and ``file:Class(*)`` -> why
 EXEMPT: Dict[str, str] = {
     **{_BASE + name: _DERIVED for name in (
         "add", "sub", "negate", "dyadic_mul", "make_rows", "get_row", "insert_row",
         "decompose", "add_stack", "negate_stack", "dyadic_mul_stack", "dyadic_mac_stack",
-        "apply_galois_stack", "scalar_mul", "scalar_mac")},
+        "apply_galois_stack", "scalar_mul", "scalar_mac", "reduce_mod")},
     **{_NUMPY + line: _FALLBACK for line in (
         "_lift:630", "_lift:637", "from_rows:651", "copy_rows:666", "select_rows:683",
         "native_stack:695", "_ntt_rows:772", "_ntt_rows:773", "_ntt_rows:783", "_ntt_rows:784",
@@ -156,7 +184,7 @@ EXEMPT: Dict[str, str] = {
     "src/repro/plan/executor.py:PlanRun.scheduled_ops": "the measured step stream "
     "HostScheduler.run_executed reads",
     **{_LINT + key: _LINT_BRANCH for key in (
-        "core.py:Finding.__str__", "core.py:SourceModule.suppressed_rules:61",
+        "core.py:Finding.__str__",
         "rules/conformance.py:_MethodSig.describe", "rules/conformance.py:_class_def:124",
         "rules/conformance.py:_string_tuple:138",
         "rules/conformance.py:BackendConformanceRule.check_project:226",
@@ -174,12 +202,331 @@ EXEMPT: Dict[str, str] = {
         "rules/exceptions.py:_handler_is_accounted:127",
         "rules/planner.py:_RotateLoopVisitor.visit_AsyncFor",
         "rules/planner.py:_RotateLoopVisitor._flag_import")},
+    "src/repro/serving/traffic.py:ResilientClient(clock)": "injectable clock: the test seam "
+    "rule R3 relies on",
+    "src/repro/serving/worker.py:ProcessWorkerHandle(clock)": "injectable clock: the test seam "
+    "rule R3 relies on",
+    "src/repro/serving/cluster.py:AsyncFrontDoor(host)": "deployment setting of the socket "
+    "front door",
+    "src/repro/serving/cluster.py:AsyncFrontDoor(port)": "deployment setting of the socket "
+    "front door",
+    "src/repro/serving/queue.py:RequestQueue(closed)": "queue state flipped by the drain protocol",
+    **{"src/repro/serving/server.py:EncryptedComputeServer.open_session(" + param: "set by every "
+       "router registration, through the worker command table (worker.COMMANDS), which names "
+       "no call site" for param in ("galois_blobs)", "wire_version)")},
+    # dataclasses of run state or results, not configuration: their fields
+    # start at their defaults and are updated in place
+    "src/repro/core/accelerator.py:OpCounters(*)": "running op/cycle tallies of an accelerator",
+    "src/repro/core/keyswitch_module.py:KeySwitchStats(*)": "timing summary; the timeline is "
+    "filled by the sim",
+    "src/repro/core/ntt_module.py:TransformStats(*)": "per-stage record collected during a "
+    "transform",
+    "src/repro/plan/executor.py:PlanRun(*)": "execution counters the executor increments",
+    "src/repro/serving/batcher.py:BatchGroup(*)": "the requests a lane collects while open",
+    "src/repro/serving/supervisor.py:WorkerHealth(*)": "per-worker supervision state machine",
 }
+
+# -- the one source walk ----------------------------------------------------
+
+#: the trees whose code reaches ``src/`` on its own: the library, the
+#: benchmark, the paper reproductions and the examples
+REACH_TREES = ("src", "bench", "benchmarks", "examples")
+#: every tree that calls into ``src/``
+CALLER_TREES = REACH_TREES + ("tests",)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: one call site: positional count, keywords passed, whether it splats
+CallSite = Tuple[int, Set[str], bool]
+
+
+def parsed(root: Path, tree: str) -> Iterator[Tuple[str, ast.Module]]:
+    """``(path, module)`` of every file under ``root/tree``."""
+    for file in sorted((root / tree).rglob("*.py")):
+        yield file.relative_to(root).as_posix(), ast.parse(file.read_text(encoding="utf-8"))
+
+
+class Facts(NamedTuple):
+    """What the static passes read of the trees under one root."""
+
+    symbols: List["Symbol"]  # of src/
+    options: List["Option"]  # of src/
+    names: Dict[str, Dict[str, Set[str]]]  # tree -> name -> the definitions using it
+    calls: Dict[str, List[CallSite]]  # called name -> its call sites in every tree
+
+
+@functools.lru_cache(maxsize=None)
+def facts(root: Path) -> Facts:
+    """One walk of every tree under ``root``: each file is parsed once, and
+    its syntax tree is dropped as soon as it is read (keeping every tree
+    alive would slow each later garbage collection of the process)."""
+    out = Facts([], [], {}, {})
+    for tree in CALLER_TREES:
+        names = out.names.setdefault(tree, {})
+        for path, module in parsed(root, tree):
+            if tree == "src":
+                out.symbols.extend(_symbols(module, path))
+                out.options.extend(_options(module, path))
+            for name, owners in _names_used(module, declared_only=tree == "src").items():
+                names.setdefault(name, set()).update(owners)
+            for name, site in _calls(module):
+                out.calls.setdefault(name, []).append(site)
+    return out
+
+
+def name_of(node: ast.expr) -> str:
+    """``f`` for ``f``, ``a.f``, ``f(...)`` and ``a.f(...)``."""
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return getattr(target, "id", "")
+
+
+# -- the name pass ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Symbol:
+    """One top-level function or class, or one method of a top-level class."""
+
+    cls: Optional[str]
+    name: str
+    where: str  # src/...:line
+    lines: int
+
+    @property
+    def ident(self) -> str:
+        return f"{self.cls}.{self.name}" if self.cls else self.name
+
+    @property
+    def key(self) -> str:
+        """Its ``file:scope`` ``EXEMPT`` key."""
+        return f"{self.where.rsplit(':', 1)[0]}:{self.ident}"
+
+
+def _symbols(module: ast.Module, where: str) -> Iterator[Symbol]:
+    for node in module.body:
+        if not isinstance(node, _DEFS) or node.name.startswith("__"):
+            continue
+        yield Symbol(None, node.name, f"{where}:{node.lineno}", node.end_lineno - node.lineno + 1)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS[:2]) and not item.name.startswith("__"):
+                    size = item.end_lineno - item.lineno + 1
+                    yield Symbol(node.name, item.name, f"{where}:{item.lineno}", size)
+
+
+def _is_name_list(node: ast.stmt) -> bool:
+    """``__all__ = [...]`` or ``DERIVED = ("add", ...)``: a listing of names."""
+    value = getattr(node, "value", None)
+    return isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+        value, (ast.Tuple, ast.List)
+    ) and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts)
+
+
+def _names_used(tree: ast.Module, declared_only: bool) -> Dict[str, Set[str]]:
+    """name -> the dotted names of the definitions whose bodies use it
+    (``""`` at module level).
+
+    With ``declared_only``, module-level listings of names are skipped.
+    """
+    used: Dict[str, Set[str]] = {}
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if declared_only and node is tree and _is_name_list(child):
+                continue
+            inner = owner
+            if isinstance(child, _DEFS):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            name = None
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                name = child.value if child.value.isidentifier() else None
+            if name:
+                used.setdefault(name, set()).add(owner)
+            visit(child, inner)
+
+    visit(tree, "")
+    return used
+
+
+def name_pass(root: Path) -> Dict[str, List[Symbol]]:
+    """The symbols by verdict: ``unreached`` (named by tests only, or
+    nowhere) and ``visitor`` (exempt by rule)."""
+    symbols, _, names, _ = facts(root)
+
+    def reached(s: Symbol) -> bool:
+        for tree in REACH_TREES:
+            for owner in names[tree].get(s.name, ()):
+                # a use inside the symbol's own body is recursion, not a reach
+                if tree != "src" or (owner + ".").find(s.ident + ".") != 0:
+                    return True
+        return False
+
+    visitor = [s for s in symbols if s.cls and s.name.startswith("visit_")]
+    return {"unreached": [s for s in symbols if s not in visitor and not reached(s)],
+            "visitor": visitor}
+
+
+def unexempted_symbols(root: Path = ROOT) -> List[Symbol]:
+    return [s for s in name_pass(root)["unreached"] if not scope_exemption(s.key)]
+
+
+def report_names(root: Path = ROOT) -> int:
+    """Print the name pass's report; return its unexempted count."""
+    verdicts, offenders = name_pass(root), unexempted_symbols(root)
+    for s in offenders:
+        seen = "named only by tests" if s.name in facts(root).names["tests"] else "named nowhere"
+        print(f"{s.where}: {s.ident} ({s.lines} lines) is {seen}")
+    exempt = [s for s in verdicts["unreached"] if s not in offenders]
+    print(f"name pass: {len(facts(root).symbols)} symbols, {len(offenders)} unreached, "
+          f"{len(exempt)} exempt ({sum(s.lines for s in exempt)} lines), "
+          f"{len(verdicts['visitor'])} visitor methods")
+    return len(offenders)
+
+
+# -- the options pass -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Option:
+    """One defaulted parameter: how a call reaches it, where it is defined."""
+
+    cls: Optional[str]
+    func: str
+    param: str
+    #: index among the positional parameters (``self`` excluded);
+    #: ``None`` for keyword-only parameters
+    position: Optional[int]
+    where: str
+
+    @property
+    def call_name(self) -> str:
+        """The name a call site uses: the class for its constructor."""
+        return self.cls if self.func == "__init__" else self.func
+
+    @property
+    def ident(self) -> str:
+        if self.func == "__init__":
+            return f"{self.cls}({self.param})"
+        owner = f"{self.cls}.{self.func}" if self.cls else self.func
+        return f"{owner}({self.param})"
+
+
+def _is_init_false(value: Optional[ast.expr]) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and name_of(value) == "field"
+        and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in value.keywords
+        )
+    )
+
+
+def _dataclass_fields(cls: ast.ClassDef, where: str) -> Iterator[Option]:
+    position = 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation) or _is_init_false(stmt.value):
+            continue
+        name = stmt.target.id
+        if stmt.value is not None and not name.startswith("_"):
+            yield Option(cls.name, "__init__", name, position, f"{where}:{stmt.lineno}")
+        position += 1
+
+
+def _function_options(
+    func: ast.FunctionDef, cls: Optional[str], where: str
+) -> Iterator[Option]:
+    args = func.args.posonlyargs + func.args.args
+    if cls is not None and args and args[0].arg in ("self", "cls"):
+        args = args[1:]
+    first_default = len(args) - len(func.args.defaults)
+    for i, arg in enumerate(args[first_default:], start=first_default):
+        yield Option(cls, func.name, arg.arg, i, f"{where}:{func.lineno}")
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield Option(cls, func.name, arg.arg, None, f"{where}:{func.lineno}")
+
+
+def _options(module: ast.Module, where: str) -> Iterator[Option]:
+    """Every option of a module's public functions, methods and dataclasses."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield from _function_options(node, None, where)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if any(name_of(d) == "dataclass" for d in node.decorator_list):
+                yield from _dataclass_fields(node, where)
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    yield from _function_options(item, node.name, where)
+
+
+def _calls(module: ast.Module) -> Iterator[Tuple[str, CallSite]]:
+    """A module's call sites, by the called name."""
+    for node in ast.walk(module):
+        if not isinstance(node, ast.Call) or not name_of(node):
+            continue
+        splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        )
+        keywords = {kw.arg for kw in node.keywords if kw.arg}
+        yield name_of(node), (len(node.args), keywords, splat)
+
+
+def unset_options(root: Path) -> List[Option]:
+    """Options that no call site under ``root`` sets."""
+    _, options, _, calls = facts(root)
+    replaced = {kw for _, keywords, _ in calls.get("replace", []) for kw in keywords}
+
+    def is_set(option: Option) -> bool:
+        if option.func == "__init__" and option.param in replaced:
+            return True
+        for positional, keywords, splat in calls.get(option.call_name, []):
+            if splat or option.param in keywords:
+                return True
+            if option.position is not None and positional > option.position:
+                return True
+        return False
+
+    return [option for option in options if not is_set(option)]
+
+
+def option_exemption(option: Option) -> Optional[str]:
+    """The ``EXEMPT`` entry covering an option nothing sets: its own, or
+    the ``file:Class(*)`` entry of its run-state dataclass."""
+    path = option.where.rsplit(":", 1)[0]
+    if f"{path}:{option.ident}" in EXEMPT:
+        return f"{path}:{option.ident}"
+    state = f"{path}:{option.cls}(*)"
+    return state if option.func == "__init__" and state in EXEMPT else None
+
+
+def unexempted_options(root: Path = ROOT) -> List[Option]:
+    return [o for o in unset_options(root) if not option_exemption(o)]
+
+
+def report_options(root: Path = ROOT) -> int:
+    """Print the options pass's report; return its unexempted count."""
+    offenders = unexempted_options(root)
+    for option in offenders:
+        print(f"{option.where}: {option.ident} is never set; make it a constant")
+    print(f"options pass: {len(facts(root).options)} options, {len(offenders)} never set")
+    return len(offenders)
+
+
+# -- the execution census ---------------------------------------------------
 
 #: not statements that run: definitions, imports and scope declarations
 _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
             ast.Global, ast.Nonlocal)
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @dataclass(frozen=True)
@@ -236,9 +583,8 @@ def statements(root: Path = ROOT) -> List[Statement]:
                                      header, first))
                 walk(node, path, scope)
 
-    for file in sorted((root / "src").rglob("*.py")):
-        path = file.relative_to(root).as_posix()
-        walk(ast.parse(file.read_text(encoding="utf-8")), path, "<module>")
+    for path, module in parsed(root, "src"):
+        walk(module, path, "<module>")
     return out
 
 
@@ -255,9 +601,8 @@ def scopes(root: Path = ROOT) -> Set[str]:
             else:
                 walk(child, path, prefix)
 
-    for file in sorted((root / "src").rglob("*.py")):
-        path = file.relative_to(root).as_posix()
-        walk(ast.parse(file.read_text(encoding="utf-8")), path, "")
+    for path, module in parsed(root, "src"):
+        walk(module, path, "")
     return out
 
 
@@ -390,10 +735,13 @@ def fold(stmts: List[Statement], product: Set[str], tier1: Set[str]) -> dict:
 
 
 def stale_exemptions(census: dict) -> List[str]:
-    """``EXEMPT`` entries that cover no never-run statement and no
-    unentered function."""
+    """``EXEMPT`` entries no pass uses: they cover no symbol the name pass
+    finds unreached, no option nothing sets, and no never-run statement or
+    unentered function of ``census``."""
     used = {statement_exemption(n, census["unentered"]) for n in census["never_run"]}
     used |= {scope_exemption(k) for k in census["unentered"]}
+    used |= {scope_exemption(s.key) for s in name_pass(ROOT)["unreached"]}
+    used |= {option_exemption(o) for o in unset_options(ROOT)}
     return sorted(set(EXEMPT) - used)
 
 
@@ -409,6 +757,9 @@ def take(base: Path) -> dict:
 
 
 def main() -> int:
+    print("pre-passes:")
+    if report_names() + report_options():
+        return 1
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         census = take(Path(tmp))
     before = json.loads(CENSUS.read_text()) if CENSUS.exists() else None
@@ -425,7 +776,7 @@ def main() -> int:
             print(f"  no product run enters: {key} ({bucket})")
     failed = False
     for key in stale_exemptions(census):
-        print(f"stale EXEMPT entry (covers nothing that is not run): {key}")
+        print(f"stale EXEMPT entry (no pass uses it): {key}")
         failed = True
     for count in ("unexempted_never_run", "unexempted_unentered"):
         if before is not None and census[count] > before[count]:
