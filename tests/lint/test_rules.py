@@ -273,8 +273,12 @@ def test_a_marker_that_suppresses_nothing_is_a_finding():
     module = source_from_text("src/repro/ckks/evaluator.py", text)
     result = run_lint([module], rules=[ResidencyRule()])
     assert [(f.rule, f.line) for f in result.findings] == [("E1", 2)]
-    # a marker for a rule that did not run is not judged
+    # a marker for a rule that did not run is not judged; ``all`` is judged
+    # when every rule ran
     assert run_lint([module], rules=[ServingDeterminismRule()]).ok
+    idle = source_from_text(module.path, text.replace("=R1", "=all"))
+    assert run_lint([idle], rules=[ResidencyRule()]).ok
+    assert [f.rule for f in run_lint([idle]).findings] == ["E1"]
 
 
 def test_inline_suppression_wrong_rule_does_not_silence():
