@@ -27,6 +27,16 @@ def test_every_option_has_a_caller_that_sets_it():
     )
 
 
+def test_every_exemption_is_still_needed():
+    """Every options entry of ``EXEMPT`` -- a ``Class(param)`` or a
+    ``Class(*)`` key -- covers an option nothing sets, and each option
+    nothing sets is covered by one."""
+    keys = {key for key in census.EXEMPT if key.endswith(")")}
+    used = {census.option_exemption(o) for o in census.unset_options(census.ROOT)}
+    assert sorted(keys - used) == []
+    assert None not in used
+
+
 def test_census_finds_a_planted_option(tmp_path):
     src = tmp_path / "src" / "repro"
     src.mkdir(parents=True)
